@@ -5,7 +5,6 @@ from .model import (
     CapacityMatrices,
     MigrationOrder,
     PolicyWeights,
-    ResourceKind,
     ResourceVector,
     Scenario,
     ScenarioValidationError,
@@ -26,7 +25,6 @@ from .calibration import (
     regress_latency_curve,
 )
 from .policy import (
-    INFEASIBLE,
     AssignmentPlan,
     AutoTieringPolicy,
     ScoreMatrix,
@@ -37,6 +35,8 @@ from .policy import (
     normalize_and_gate,
     oracle_assignment,
     orthogonal_match_score,
+    pack,
+    profit_contributions,
     trigger_migration,
 )
 from .baselines import EdtPolicy, IdtPolicy, edt_assign, idt_assign

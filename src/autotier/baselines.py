@@ -3,7 +3,9 @@
 IDT packs by measured IOPS into tiers ordered by read-IOPS capability and
 checks storage only. EDT packs by IOPS density (measured IOPS per GB) into
 tiers ordered by IOPS-per-GB capability and checks storage plus throughput.
-Neither predicts: both act on the last epoch's measurements.
+Neither predicts: both act on the last epoch's measurements. Both feed the
+shared greedy packer (``policy.pack``) one usage row per VMDK, the same on
+every tier: measured IOPS and size.
 
 Both use the same churn-avoidance reading of their one-line definitions:
 sort ties prefer the VMDK's current tier, and a VMDK whose metric is zero
@@ -14,79 +16,43 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .model import ResourceVector, TierSpec, VmdkState
-from .policy import AssignmentPlan, PolicyContext
+from .model import TierSpec, VmdkState
+from .policy import AssignmentPlan, PolicyContext, pack
 
 
-def _pack(
+def _pack_by_metric(
     vmdks: Sequence[VmdkState],
     tiers: Sequence[TierSpec],
     metric: Callable[[VmdkState], float],
     tier_capability: Callable[[TierSpec], float],
-    check_throughput: bool,
+    kinds: str,
     epoch_index: int,
-    pinned: Mapping[str, int] | None = None,
+    pinned: Mapping[str, int] | None,
 ) -> AssignmentPlan:
-    tier_order = sorted(tiers, key=lambda t: (-tier_capability(t), t.id))
-    rank = {t.id: i for i, t in enumerate(tier_order)}
-    remaining_s = {t.id: t.max_usable().s for t in tiers}
-    remaining_p = {t.id: t.max_usable().p for t in tiers}
-    usage: dict[int, ResourceVector] = {t.id: ResourceVector() for t in tiers}
-    target: dict[str, int] = {}
-    overloaded: set[str] = set()
-    by_id = {v.spec.id: v for v in vmdks}
-
-    def absorb(tier_id: int, v: VmdkState) -> bool:
-        if v.spec.size_gb > remaining_s[tier_id]:
-            return False
-        if check_throughput and v.measured_iops > remaining_p[tier_id]:
-            return False
-        remaining_s[tier_id] -= v.spec.size_gb
-        p_used = 0.0
-        if check_throughput:
-            remaining_p[tier_id] -= v.measured_iops
-            p_used = v.measured_iops
-        usage[tier_id] = usage[tier_id] + ResourceVector(p=p_used, s=v.spec.size_gb)
-        return True
-
-    effective_current = {v.spec.id: v.current_tier for v in vmdks}
-    for vmdk_id, dest in sorted((pinned or {}).items()):
-        target[vmdk_id] = dest
-        effective_current[vmdk_id] = dest
-        if not absorb(dest, by_id[vmdk_id]):
-            overloaded.add(vmdk_id)
-
-    ordered = sorted(
-        vmdks, key=lambda v: (-metric(v), rank[v.current_tier], v.spec.id)
+    """Candidates: VMDKs by descending metric, each over tiers by descending capability."""
+    tier_order = sorted(range(len(tiers)), key=lambda i: (-tier_capability(tiers[i]), tiers[i].id))
+    rank = {tiers[i].id: r for r, i in enumerate(tier_order)}
+    values = [metric(v) for v in vmdks]
+    vmdk_order = sorted(
+        range(len(vmdks)),
+        key=lambda j: (-values[j], rank[vmdks[j].current_tier], vmdks[j].spec.id),
     )
-    for v in ordered:
-        if v.spec.id in target:
-            continue
-        for tier in tier_order:
-            if metric(v) == 0 and rank[tier.id] < rank[v.current_tier]:
-                continue
-            if absorb(tier.id, v):
-                target[v.spec.id] = tier.id
-                break
-
-    for v in vmdks:
-        if v.spec.id in target:
-            continue
-        target[v.spec.id] = v.current_tier
-        if not absorb(v.current_tier, v):
-            overloaded.add(v.spec.id)
-
-    migrations = tuple(
-        (vid, effective_current[vid], t)
-        for vid, t in target.items()
-        if t != effective_current[vid]
-    )
-    return AssignmentPlan(
-        epoch_index=epoch_index,
-        target=target,
-        migrations=migrations,
-        overloaded=frozenset(overloaded),
-        planned_usage=usage,
+    candidates = [
+        (i, j)
+        for j in vmdk_order
+        for i in tier_order
+        if values[j] != 0 or rank[tiers[i].id] >= rank[vmdks[j].current_tier]
+    ]
+    rows = [(v.measured_iops, 0.0, v.spec.size_gb) for v in vmdks]
+    return pack(
+        tiers,
+        [v.spec.id for v in vmdks],
+        [rows] * len(tiers),
+        kinds,
+        candidates,
+        {v.spec.id: v.current_tier for v in vmdks},
+        epoch_index,
+        pinned,
     )
 
 
@@ -101,12 +67,12 @@ def idt_assign(
     Only the storage budget is checked; bandwidth pressure is invisible to
     this policy by construction.
     """
-    return _pack(
+    return _pack_by_metric(
         vmdks,
         tiers,
         metric=lambda v: v.measured_iops,
         tier_capability=lambda t: t.read_throughput_cap,
-        check_throughput=False,
+        kinds="s",
         epoch_index=epoch_index,
         pinned=pinned,
     )
@@ -122,14 +88,14 @@ def edt_assign(
 
     Checks storage and throughput budgets; still blind to bandwidth.
     """
-    return _pack(
+    return _pack_by_metric(
         vmdks,
         tiers,
         metric=lambda v: v.measured_iops / v.spec.size_gb,
         tier_capability=lambda t: (
             t.read_throughput_cap / t.capacity.s if t.capacity.s > 0 else 0.0
         ),
-        check_throughput=True,
+        kinds="ps",
         epoch_index=epoch_index,
         pinned=pinned,
     )

@@ -9,20 +9,13 @@ All spec types are immutable after construction; the mutable per-run state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 GB_BYTES = 1e9
 MB_BYTES = 1e6
-
-
-class ResourceKind(Enum):
-    """The three resource kinds tracked per tier and per VMDK."""
-
-    THROUGHPUT = "p"  # IOPS
-    BANDWIDTH = "b"   # MB/s
-    STORAGE = "s"     # GB
 
 
 class ScenarioValidationError(ValueError):
@@ -62,12 +55,6 @@ class ResourceVector:
     def __mul__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.p * other.p, self.b * other.b, self.s * other.s)
 
-    def scaled(self, factor: float) -> "ResourceVector":
-        return ResourceVector(self.p * factor, self.b * factor, self.s * factor)
-
-    def kind(self, k: ResourceKind) -> float:
-        return getattr(self, k.value)
-
     def total(self) -> float:
         return self.p + self.b + self.s
 
@@ -81,9 +68,6 @@ class ResourceVector:
 
     def as_dict(self) -> dict[str, float]:
         return {"p": self.p, "b": self.b, "s": self.s}
-
-
-ZERO_RESOURCES = ResourceVector()
 
 
 @dataclass(frozen=True)
@@ -236,18 +220,19 @@ class CalibrationRecord:
 
 @dataclass
 class CapacityMatrices:
-    """Predicted absolute usage, normalized ratios and feasibility per (tier, vmdk)."""
+    """Predicted absolute usage, normalized ratios and feasibility per (tier, vmdk).
+
+    ``cap`` and ``ratio`` are (T, N, 3) float arrays whose last axis holds the
+    p, b, s components; ``feasible`` is a (T, N) bool array. Axis order follows
+    ``tier_ids`` and ``vmdk_ids``. ``ratio`` and ``feasible`` stay None until
+    the matrices are normalized against the tier budgets.
+    """
 
     tier_ids: tuple[int, ...]
     vmdk_ids: tuple[str, ...]
-    cap: dict[tuple[int, str], ResourceVector] = field(default_factory=dict)
-    ratio: dict[tuple[int, str], ResourceVector] = field(default_factory=dict)
-    feasible: dict[tuple[int, str], bool] = field(default_factory=dict)
-
-    def cells(self):
-        for t in self.tier_ids:
-            for v in self.vmdk_ids:
-                yield t, v
+    cap: np.ndarray
+    ratio: np.ndarray | None = None
+    feasible: np.ndarray | None = None
 
 
 DEFAULT_INJECTED_LATENCIES_US = (0.0, 500.0, 1000.0, 2000.0, 4000.0)
@@ -326,9 +311,6 @@ class Scenario:
 
     def tier_by_id(self, tier_id: int) -> TierSpec:
         return self.tiers[tier_id - 1]
-
-    def tier_latencies(self) -> dict[int, float]:
-        return {t.id: t.base_latency_us for t in self.tiers}
 
 
 def cross_checks(tiers: Sequence[TierSpec], vmdks: Sequence[VmdkSpec]) -> list[str]:
@@ -470,6 +452,18 @@ def _get_number(doc: Mapping[str, Any], key: str, path: str, errors: list[str],
     return value
 
 
+def _get_int(doc: Mapping[str, Any], key: str, path: str, errors: list[str],
+             default: int | None = None, required: bool = False) -> int | None:
+    """An integer field; a float must be finite and integral (JSON ``3.0`` is 3)."""
+    value = _get_number(doc, key, path, errors, default=None, required=required)
+    if value is None:
+        return default
+    if isinstance(value, float) and not (math.isfinite(value) and value.is_integer()):
+        errors.append(f"{path}{key}: expected an integer, got {value!r}")
+        return default
+    return int(value)
+
+
 def _get_vector(doc: Mapping[str, Any], key: str, path: str, errors: list[str],
                 default: ResourceVector | None = None,
                 required: bool = False) -> ResourceVector | None:
@@ -498,7 +492,7 @@ def _build_tier(doc: Mapping[str, Any], path: str, errors: list[str]) -> TierSpe
         return None
     _unknown_keys(doc, _TIER_KEYS, f"{path}.", errors)
     before = len(errors)
-    tier_id = _get_number(doc, "id", f"{path}.", errors, required=True)
+    tier_id = _get_int(doc, "id", f"{path}.", errors, required=True)
     name = doc.get("name", "")
     if not isinstance(name, str) or not name:
         errors.append(f"{path}.name: required non-empty string")
@@ -520,7 +514,7 @@ def _build_tier(doc: Mapping[str, Any], path: str, errors: list[str]) -> TierSpe
         return None
     try:
         return TierSpec(
-            id=int(tier_id), name=name, base_latency_us=float(base),
+            id=tier_id, name=name, base_latency_us=float(base),
             capacity=capacity, specialty=specialty, kind_weights=weights,
             mig_weight=float(mig_weight), caps=caps,
             **{k: float(v) for k, v in kwargs.items()},
@@ -536,14 +530,14 @@ def _build_phase(doc: Mapping[str, Any], path: str, errors: list[str]) -> Worklo
         return None
     _unknown_keys(doc, _PHASE_KEYS, f"{path}.", errors)
     before = len(errors)
-    start = _get_number(doc, "startEpoch", f"{path}.", errors, required=True)
+    start = _get_int(doc, "startEpoch", f"{path}.", errors, required=True)
     demand = _get_number(doc, "demandIops", f"{path}.", errors, required=True)
     io_size = _get_number(doc, "avgIoSizeBytes", f"{path}.", errors, required=True)
     read_frac = _get_number(doc, "readFraction", f"{path}.", errors, default=1.0)
     if len(errors) > before:
         return None
     try:
-        return WorkloadPhase(int(start), float(demand), float(io_size), float(read_frac))
+        return WorkloadPhase(start, float(demand), float(io_size), float(read_frac))
     except ValueError as exc:
         errors.append(f"{path}: {exc}")
         return None
@@ -563,7 +557,7 @@ def _build_vmdk(doc: Mapping[str, Any], path: str, errors: list[str]) -> VmdkSpe
         errors.append(f"{path}.vmId: expected a string")
     size = _get_number(doc, "sizeGb", f"{path}.", errors, required=True)
     sla = _get_number(doc, "slaWeight", f"{path}.", errors, default=1.0)
-    tier = _get_number(doc, "initialTier", f"{path}.", errors, required=True)
+    tier = _get_int(doc, "initialTier", f"{path}.", errors, required=True)
     slope = _get_number(doc, "truthSlope", f"{path}.", errors, required=True)
     intercept = _get_number(doc, "truthInterceptUs", f"{path}.", errors, required=True)
     raw_profile = doc.get("demandProfile")
@@ -580,7 +574,7 @@ def _build_vmdk(doc: Mapping[str, Any], path: str, errors: list[str]) -> VmdkSpe
     try:
         return VmdkSpec(
             id=vmdk_id, vm_id=vm_id, size_gb=float(size), sla_weight=float(sla),
-            initial_tier=int(tier), truth_slope=float(slope),
+            initial_tier=tier, truth_slope=float(slope),
             truth_intercept_us=float(intercept), demand_profile=tuple(phases),
         )
     except ValueError as exc:
@@ -599,10 +593,10 @@ def _build_weights(doc: Mapping[str, Any], errors: list[str]) -> PolicyWeights |
     alpha = _get_vector(doc, "alpha", f"{path}.", errors, default=defaults.alpha)
     beta = _get_number(doc, "beta", f"{path}.", errors, default=defaults.beta)
     aging = _get_number(doc, "agingFactor", f"{path}.", errors, default=defaults.aging_factor)
-    monitor = _get_number(doc, "monitorEpoch", f"{path}.", errors, default=defaults.monitor_epoch)
-    migration = _get_number(doc, "migrationEpoch", f"{path}.", errors, default=defaults.migration_epoch)
+    monitor = _get_int(doc, "monitorEpoch", f"{path}.", errors, default=defaults.monitor_epoch)
+    migration = _get_int(doc, "migrationEpoch", f"{path}.", errors, default=defaults.migration_epoch)
     floor = _get_number(doc, "confidenceFloor", f"{path}.", errors, default=defaults.confidence_floor)
-    samples = _get_number(doc, "samplesPerLatency", f"{path}.", errors, default=defaults.samples_per_latency)
+    samples = _get_int(doc, "samplesPerLatency", f"{path}.", errors, default=defaults.samples_per_latency)
     latencies = doc.get("injectedLatenciesUs", list(defaults.injected_latencies_us))
     if not isinstance(latencies, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in latencies
@@ -618,10 +612,10 @@ def _build_weights(doc: Mapping[str, Any], errors: list[str]) -> PolicyWeights |
     try:
         return PolicyWeights(
             alpha=alpha, beta=float(beta), aging_factor=float(aging),
-            monitor_epoch=int(monitor), migration_epoch=int(migration),
+            monitor_epoch=monitor, migration_epoch=migration,
             confidence_floor=float(floor),
             injected_latencies_us=tuple(float(x) for x in latencies),
-            samples_per_latency=int(samples),
+            samples_per_latency=samples,
             normalize_by_active_weights=normalize,
         )
     except ValueError as exc:
@@ -636,16 +630,16 @@ def _build_sim(doc: Mapping[str, Any], errors: list[str]) -> SimulationConfig | 
         return None
     _unknown_keys(doc, _SIM_KEYS, f"{path}.", errors)
     before = len(errors)
-    epochs = _get_number(doc, "epochs", f"{path}.", errors, required=True)
+    epochs = _get_int(doc, "epochs", f"{path}.", errors, required=True)
     seconds = _get_number(doc, "epochSeconds", f"{path}.", errors, default=300.0)
     noise = _get_number(doc, "noiseCv", f"{path}.", errors, default=0.05)
-    seed = _get_number(doc, "seed", f"{path}.", errors, default=0)
+    seed = _get_int(doc, "seed", f"{path}.", errors, default=0)
     if len(errors) > before:
         return None
     try:
         return SimulationConfig(
-            epochs=int(epochs), epoch_seconds=float(seconds),
-            noise_cv=float(noise), seed=int(seed),
+            epochs=epochs, epoch_seconds=float(seconds),
+            noise_cv=float(noise), seed=seed,
         )
     except ValueError as exc:
         errors.append(f"{path}: {exc}")

@@ -5,15 +5,24 @@ per-tier resource usage, normalizes against each tier's usable budget,
 scores every (tier, vmdk) cell with the specialty-weighted match plus an
 aged history term minus a migration-cost penalty, and at migration epochs
 assigns VMDKs tier by tier, best score first, under running capacity
-accounting. A brute-force per-epoch profit maximizer doubles as the test
-oracle for the greedy round.
+accounting. Every per-cell quantity is a dense (T, N) array (or (T, N, 3)
+over the p, b, s kinds) with axes in ``CapacityMatrices`` order; a cell
+that cannot host its VMDK scores -inf.
+
+``pack`` is the one greedy packer: this policy and both baselines differ
+only in the candidate (tier, vmdk) order they feed it and the budget kinds
+it checks. A brute-force per-epoch profit maximizer doubles as the test
+oracle for the greedy round; it and ``epoch_profit`` share one
+per-(tier, vmdk) profit table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .calibration import LatencyProbe, estimate_avg_lat, run_session
 from .model import (
@@ -26,20 +35,16 @@ from .model import (
     VmdkState,
 )
 
-# Score sentinel for cells gated out by capacity: the cell cannot host the
-# VMDK at all, as opposed to hosting it at a very bad (even -inf) score.
-INFEASIBLE = None
-
 ORACLE_MAX_VMDKS = 10
 ORACLE_MAX_TIERS = 4
 
 
 @dataclass
 class ScoreMatrix:
-    """Per-(tier, vmdk) convolutional scores plus the history feeding the next epoch."""
+    """(T, N) convolutional scores plus the history feeding the next epoch."""
 
-    score: dict[tuple[int, str], float | None]
-    history: dict[tuple[int, str], float]
+    score: np.ndarray
+    history: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,11 @@ class AssignmentPlan:
                 raise ValueError("migration target inconsistent with assignment")
 
 
+def _budgets(tiers: Sequence[TierSpec]) -> list[list[float]]:
+    """Per tier, the usable [p, b, s] budget."""
+    return [[b.p, b.b, b.s] for b in (t.max_usable() for t in tiers)]
+
+
 def cal_capacity_matrices(
     calibrations: Mapping[str, CalibrationRecord],
     vmdks: Sequence[VmdkState],
@@ -80,22 +90,23 @@ def cal_capacity_matrices(
     storage is the VMDK size.
     """
     tier_latencies = {t.id: t.base_latency_us for t in tiers}
-    mat = CapacityMatrices(
+    lat = np.array([
+        [
+            estimate_avg_lat(calibrations[v.spec.id], v.current_tier, tier.id, tier_latencies)
+            for v in vmdks
+        ]
+        for tier in tiers
+    ])
+    with np.errstate(divide="ignore"):
+        iops = np.where(lat > 0, 1e6 / lat, 0.0)
+    iops = np.minimum(iops, [v.demand_iops for v in vmdks])
+    io_size = np.array([v.avg_io_size_bytes for v in vmdks])
+    size = np.broadcast_to([v.spec.size_gb for v in vmdks], iops.shape)
+    return CapacityMatrices(
         tier_ids=tuple(t.id for t in tiers),
         vmdk_ids=tuple(v.spec.id for v in vmdks),
+        cap=np.stack([iops, iops * io_size / 1e6, size], axis=-1),
     )
-    for tier in tiers:
-        for v in vmdks:
-            record = calibrations[v.spec.id]
-            lat = estimate_avg_lat(record, v.current_tier, tier.id, tier_latencies)
-            iops = 1e6 / lat if lat > 0 else 0.0
-            iops = min(iops, v.demand_iops)
-            mat.cap[(tier.id, v.spec.id)] = ResourceVector(
-                p=iops,
-                b=iops * v.avg_io_size_bytes / 1e6,
-                s=v.spec.size_gb,
-            )
-    return mat
 
 
 def normalize_and_gate(mat: CapacityMatrices, tiers: Sequence[TierSpec]) -> CapacityMatrices:
@@ -104,69 +115,77 @@ def normalize_and_gate(mat: CapacityMatrices, tiers: Sequence[TierSpec]) -> Capa
     A cell is infeasible when any predicted component exceeds the tier's
     usable budget; its ratios are zeroed so downstream scores ignore it.
     """
-    budgets = {t.id: t.max_usable() for t in tiers}
-    for key in list(mat.cap):
-        tier_id, _ = key
-        cap = mat.cap[key]
-        budget = budgets[tier_id]
-        feasible = cap.fits_within(budget)
-        mat.feasible[key] = feasible
-        if not feasible:
-            mat.ratio[key] = ResourceVector()
-            continue
-        mat.ratio[key] = ResourceVector(
-            p=cap.p / budget.p if budget.p > 0 else 0.0,
-            b=cap.b / budget.b if budget.b > 0 else 0.0,
-            s=cap.s / budget.s if budget.s > 0 else 0.0,
-        )
+    budget = np.array(_budgets(tiers))[:, None, :]
+    mat.feasible = (mat.cap <= budget).all(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(budget > 0, mat.cap / budget, 0.0)
+    ratio[~mat.feasible] = 0.0
+    mat.ratio = ratio
     return mat
 
 
 def orthogonal_match_score(
-    tier: TierSpec,
-    ratios: ResourceVector,
-    sla_weight: float,
-    confidence: float,
+    tiers: Sequence[TierSpec],
+    ratios: np.ndarray,
+    sla_weight: np.ndarray,
+    confidence: np.ndarray,
     normalize_by_active_weights: bool = False,
-) -> float:
-    """Specialty-masked, weight-scaled inner product of tier and VMDK vectors."""
-    masked = tier.specialty * tier.kind_weights
-    numerator = masked.p * ratios.p + masked.b * ratios.b + masked.s * ratios.s
+) -> np.ndarray:
+    """(T, N) specialty-masked, weight-scaled inner products of tier and VMDK vectors.
+
+    ``ratios`` is (T, N, 3); ``sla_weight`` and ``confidence`` are per VMDK.
+    A tier whose normalizing weight sum is zero matches nothing (0.0).
+    """
+    masked = np.array([
+        (m.p, m.b, m.s) for m in (t.specialty * t.kind_weights for t in tiers)
+    ])
     if normalize_by_active_weights:
-        denominator = masked.total()
-        if denominator <= 0:
-            return 0.0
+        denominator = masked[:, 0] + masked[:, 1] + masked[:, 2]
     else:
-        denominator = tier.kind_weights.total()
-    return numerator * sla_weight * confidence / denominator
+        denominator = np.array([t.kind_weights.total() for t in tiers])
+    masked = masked[:, None, :]
+    numerator = (
+        masked[..., 0] * ratios[..., 0]
+        + masked[..., 1] * ratios[..., 1]
+        + masked[..., 2] * ratios[..., 2]
+    )
+    denominator = denominator[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        match = numerator * sla_weight * confidence / denominator
+    return np.where(denominator > 0, match, 0.0)
 
 
 def mig_cost_seconds(
-    vmdk: VmdkState,
-    target_tier: int,
+    vmdks: Sequence[VmdkState],
+    tier_ids: Sequence[int],
     tier_states: Mapping[int, TierState],
-    source_tier: int | None = None,
-) -> float:
-    """Estimated seconds to move the VMDK, bottlenecked by spare bandwidth.
+    sources: Sequence[int] | None = None,
+) -> np.ndarray:
+    """(T, N) estimated seconds to move each VMDK to each tier.
 
-    The source's spare read bandwidth gets the VMDK's own read share back
-    (a live migration frees it); the target contributes spare write
-    bandwidth. Zero speed means the move is impossible this epoch (+inf).
+    Speed is bottlenecked by spare bandwidth: the source's spare read
+    bandwidth gets the VMDK's own read share back (a live migration frees
+    it); the target contributes spare write bandwidth. Zero speed means the
+    move is impossible this epoch (+inf); staying on the source is free.
+    ``sources`` defaults to each VMDK's current tier.
     """
-    source = vmdk.current_tier if source_tier is None else source_tier
-    if target_tier == source:
-        return 0.0
-    read_side = tier_states[source].remaining_read_mbps() + vmdk.measured_read_mbps
-    write_side = tier_states[target_tier].remaining_write_mbps()
-    speed = min(read_side, write_side)
-    if speed <= 0:
-        return math.inf
-    return vmdk.spec.size_gb * 1000.0 / speed
+    if sources is None:
+        sources = [v.current_tier for v in vmdks]
+    read_side = np.array([
+        tier_states[src].remaining_read_mbps() + v.measured_read_mbps
+        for v, src in zip(vmdks, sources)
+    ])
+    write_side = np.array([tier_states[t].remaining_write_mbps() for t in tier_ids])
+    speed = np.minimum(read_side, write_side[:, None])
+    with np.errstate(divide="ignore"):
+        seconds = np.array([v.spec.size_gb for v in vmdks]) * 1000.0 / speed
+    seconds[np.equal.outer(tier_ids, sources)] = 0.0
+    return seconds
 
 
 def cal_score(
     mat: CapacityMatrices,
-    history: Mapping[tuple[int, str], float],
+    history: np.ndarray | None,
     tiers: Sequence[TierSpec],
     weights: PolicyWeights,
     tier_states: Mapping[int, TierState],
@@ -177,103 +196,88 @@ def cal_score(
     """Convolutional score: aged history + current match - weighted migration cost.
 
     Migration seconds are divided by the migration-epoch duration so the
-    penalty is dimensionless. Infeasible cells keep the INFEASIBLE sentinel
-    and their history resets to zero; so does history under an infinite
-    migration cost, which only blocks the current epoch.
+    penalty is dimensionless. ``history`` is None before the first epoch.
+    Infeasible cells score -inf and their history resets to zero; so does
+    history under an infinite migration cost, which only blocks the current
+    epoch.
     """
-    score: dict[tuple[int, str], float | None] = {}
-    new_history: dict[tuple[int, str], float] = {}
-    for tier in tiers:
-        for v in vmdks:
-            key = (tier.id, v.spec.id)
-            if not mat.feasible[key]:
-                score[key] = INFEASIBLE
-                new_history[key] = 0.0
-                continue
-            current = orthogonal_match_score(
-                tier,
-                mat.ratio[key],
-                v.spec.sla_weight,
-                calibrations[v.spec.id].confidence,
-                weights.normalize_by_active_weights,
-            )
-            cost = mig_cost_seconds(v, tier.id, tier_states) / migration_epoch_seconds
-            # An impossible move (infinite cost) blocks the cell this epoch no
-            # matter how small the per-tier cost weight is.
-            penalty = tier.mig_weight * cost if math.isfinite(cost) else math.inf
-            value = weights.aging_factor * history.get(key, 0.0) + current - penalty
-            score[key] = value
-            new_history[key] = value if math.isfinite(value) else 0.0
-    return ScoreMatrix(score=score, history=new_history)
+    current = orthogonal_match_score(
+        tiers,
+        mat.ratio,
+        np.array([v.spec.sla_weight for v in vmdks]),
+        np.array([calibrations[v.spec.id].confidence for v in vmdks]),
+        weights.normalize_by_active_weights,
+    )
+    cost = mig_cost_seconds(vmdks, mat.tier_ids, tier_states) / migration_epoch_seconds
+    # An impossible move (infinite cost) blocks the cell this epoch no
+    # matter how small the per-tier cost weight is.
+    finite = np.isfinite(cost)
+    mig_weight = np.array([[t.mig_weight] for t in tiers])
+    penalty = np.where(finite, mig_weight * np.where(finite, cost, 0.0), math.inf)
+    aged = weights.aging_factor * (0.0 if history is None else history)
+    score = np.where(mat.feasible, aged + current - penalty, -math.inf)
+    return ScoreMatrix(score=score, history=np.where(np.isfinite(score), score, 0.0))
 
 
-def _descending_by_score(
-    scores: ScoreMatrix, tier_id: int, vmdk_ids: Sequence[str]
-) -> list[str]:
-    # -inf marks a migration that cannot run this epoch; skip it like the
-    # infeasible sentinel instead of planning an order that stalls at birth.
-    scored = [
-        v for v in vmdk_ids
-        if scores.score[(tier_id, v)] is not INFEASIBLE
-        and scores.score[(tier_id, v)] > -math.inf
-    ]
-    return sorted(scored, key=lambda v: (-scores.score[(tier_id, v)], v))
-
-
-def trigger_migration(
-    scores: ScoreMatrix,
-    mat: CapacityMatrices,
+def pack(
     tiers: Sequence[TierSpec],
+    vmdk_ids: Sequence[str],
+    usage: Sequence[Sequence[Sequence[float]]],
+    kinds: str,
+    candidates: Iterable[tuple[int, int]],
     current_assignment: Mapping[str, int],
     epoch_index: int,
     pinned: Mapping[str, int] | None = None,
 ) -> AssignmentPlan:
-    """Greedy assignment round: tiers in id order, VMDKs by descending score.
+    """Greedy multidimensional packing shared by every policy.
 
-    Each tier absorbs VMDKs while its running budget holds. Whatever remains
-    unassigned stays on its current tier, with an overload flag when even
-    that tier cannot absorb it; totality always wins over capacity.
+    ``usage[i][j]`` is the (p, b, s) usage VMDK ``vmdk_ids[j]`` would put on
+    ``tiers[i]``; only the components named in ``kinds`` (a subset of "pbs")
+    are checked against, and accounted in, the running tier budgets.
 
-    ``pinned`` maps VMDKs with an in-flight migration to their committed
-    destination: they consume budget there first and are never re-targeted.
+    Pinned VMDKs (an in-flight migration) absorb budget at their committed
+    destination first and are never re-targeted. Then each (tier index,
+    vmdk index) candidate, in preference order, places its VMDK if the VMDK
+    is still unplaced and the tier can absorb it. Whatever remains stays on
+    its current tier, with an overload flag when even that tier cannot
+    absorb it; totality always wins over capacity.
     """
-    remaining: dict[int, ResourceVector] = {t.id: t.max_usable() for t in tiers}
-    usage: dict[int, ResourceVector] = {t.id: ResourceVector() for t in tiers}
+    checked = ["pbs".index(k) for k in kinds]
+    row = {t.id: i for i, t in enumerate(tiers)}
+    col = {v: j for j, v in enumerate(vmdk_ids)}
+    remaining = _budgets(tiers)
+    used = [[0.0, 0.0, 0.0] for _ in tiers]
     target: dict[str, int] = {}
     overloaded: set[str] = set()
 
-    def absorb(tier_id: int, vmdk_id: str) -> bool:
-        cap = mat.cap[(tier_id, vmdk_id)]
-        if not cap.fits_within(remaining[tier_id]):
-            return False
-        remaining[tier_id] = ResourceVector(
-            remaining[tier_id].p - cap.p,
-            remaining[tier_id].b - cap.b,
-            remaining[tier_id].s - cap.s,
-        )
-        usage[tier_id] = usage[tier_id] + cap
+    def absorb(i: int, j: int) -> bool:
+        cell, left = usage[i][j], remaining[i]
+        for k in checked:
+            if cell[k] > left[k]:
+                return False
+        for k in checked:
+            left[k] -= cell[k]
+            used[i][k] += cell[k]
         return True
 
     effective_current = dict(current_assignment)
     for vmdk_id, dest in sorted((pinned or {}).items()):
         target[vmdk_id] = dest
         effective_current[vmdk_id] = dest
-        if not absorb(dest, vmdk_id):
+        if not absorb(row[dest], col[vmdk_id]):
             overloaded.add(vmdk_id)
 
-    for tier in tiers:
-        for vmdk_id in _descending_by_score(scores, tier.id, mat.vmdk_ids):
-            if vmdk_id in target:
-                continue
-            if absorb(tier.id, vmdk_id):
-                target[vmdk_id] = tier.id
+    for i, j in candidates:
+        vmdk_id = vmdk_ids[j]
+        if vmdk_id not in target and absorb(i, j):
+            target[vmdk_id] = tiers[i].id
 
-    for vmdk_id in mat.vmdk_ids:
+    for j, vmdk_id in enumerate(vmdk_ids):
         if vmdk_id in target:
             continue
         current = effective_current[vmdk_id]
         target[vmdk_id] = current
-        if not absorb(current, vmdk_id):
+        if not absorb(row[current], j):
             overloaded.add(vmdk_id)
 
     migrations = tuple(
@@ -286,8 +290,63 @@ def trigger_migration(
         target=target,
         migrations=migrations,
         overloaded=frozenset(overloaded),
-        planned_usage=usage,
+        planned_usage={t.id: ResourceVector(*u) for t, u in zip(tiers, used)},
     )
+
+
+def trigger_migration(
+    scores: ScoreMatrix,
+    mat: CapacityMatrices,
+    tiers: Sequence[TierSpec],
+    current_assignment: Mapping[str, int],
+    epoch_index: int,
+    pinned: Mapping[str, int] | None = None,
+) -> AssignmentPlan:
+    """Greedy assignment round: tiers in id order, VMDKs by descending score.
+
+    Score ties break by VMDK id. A -inf cell (infeasible, or a migration that
+    cannot run this epoch) is never a candidate. All three budget kinds are
+    checked; see ``pack`` for pinned VMDKs and the stay-put fallback.
+    """
+    candidates: list[tuple[int, int]] = []
+    for i, row in enumerate(scores.score.tolist()):
+        ranked = sorted(
+            (-score, vmdk_id, j)
+            for j, (score, vmdk_id) in enumerate(zip(row, mat.vmdk_ids))
+            if score > -math.inf
+        )
+        candidates += [(i, j) for _, _, j in ranked]
+    return pack(
+        tiers, mat.vmdk_ids, mat.cap.tolist(), "pbs", candidates,
+        current_assignment, epoch_index, pinned,
+    )
+
+
+def profit_contributions(
+    mat: CapacityMatrices,
+    weights: PolicyWeights,
+    previous: Mapping[str, int],
+    vmdks: Sequence[VmdkState],
+    tier_states: Mapping[int, TierState],
+    migration_epoch_seconds: float,
+) -> np.ndarray:
+    """(T, N) single-epoch profit of hosting each VMDK on each tier.
+
+    SLA weight times (alpha-weighted budget-normalized ratios minus beta
+    times the normalized cost of moving from ``previous``). Resource terms
+    use ratios so the three kinds are commensurable; the migration term uses
+    the same normalized cost as the score. The objective is separable once
+    the previous assignment and tier states are fixed.
+    """
+    by_id = {v.spec.id: v for v in vmdks}
+    states = [by_id[v] for v in mat.vmdk_ids]
+    alpha, ratio = weights.alpha, mat.ratio
+    gain = alpha.p * ratio[..., 0] + alpha.b * ratio[..., 1] + alpha.s * ratio[..., 2]
+    cost = mig_cost_seconds(
+        states, mat.tier_ids, tier_states, [previous[v] for v in mat.vmdk_ids]
+    ) / migration_epoch_seconds
+    sla = np.array([v.spec.sla_weight for v in states])
+    return sla * (gain - weights.beta * cost)
 
 
 def epoch_profit(
@@ -299,28 +358,18 @@ def epoch_profit(
     tier_states: Mapping[int, TierState],
     migration_epoch_seconds: float,
 ) -> float:
-    """Single-epoch profit: SLA-weighted resource gain minus migration penalty.
+    """Single-epoch profit of an assignment: its cells of ``profit_contributions``.
 
-    Resource terms use budget-normalized ratios so the three kinds are
-    commensurable; the migration term uses the same normalized cost as the
-    score. Used for oracle comparison and reporting only.
+    Used for oracle comparison and reporting only.
     """
+    contrib = profit_contributions(
+        mat, weights, previous, vmdks, tier_states, migration_epoch_seconds
+    ).tolist()
+    row = {t: i for i, t in enumerate(mat.tier_ids)}
+    col = {v: j for j, v in enumerate(mat.vmdk_ids)}
     total = 0.0
     for v in vmdks:
-        tier_id = target[v.spec.id]
-        ratios = mat.ratio[(tier_id, v.spec.id)]
-        gain = (
-            weights.alpha.p * ratios.p
-            + weights.alpha.b * ratios.b
-            + weights.alpha.s * ratios.s
-        )
-        cost = 0.0
-        if tier_id != previous[v.spec.id]:
-            cost = (
-                mig_cost_seconds(v, tier_id, tier_states, source_tier=previous[v.spec.id])
-                / migration_epoch_seconds
-            )
-        total += v.spec.sla_weight * (gain - weights.beta * cost)
+        total += contrib[row[target[v.spec.id]]][col[v.spec.id]]
     return total
 
 
@@ -337,73 +386,54 @@ def oracle_assignment(
     """Exhaustive per-epoch profit maximizer over capacity-feasible assignments.
 
     Enumeration only; bounded to small instances. Ties break toward the
-    lexicographically smallest assignment vector (VMDKs in id order).
+    lexicographically smallest assignment vector (VMDKs in id order). The
+    matrices' tier axis must follow ``tiers``.
     """
-    vmdk_states = sorted(vmdks, key=lambda v: v.spec.id)
-    if len(vmdk_states) > ORACLE_MAX_VMDKS or len(tiers) > ORACLE_MAX_TIERS:
+    vmdk_ids = sorted(v.spec.id for v in vmdks)
+    if len(vmdk_ids) > ORACLE_MAX_VMDKS or len(tiers) > ORACLE_MAX_TIERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_VMDKS} VMDKs and {ORACLE_MAX_TIERS} tiers"
         )
-    tier_ids = [t.id for t in tiers]
-    budgets = {t.id: t.max_usable() for t in tiers}
-
-    # Per-(vmdk, tier) profit contribution; the objective is separable once
-    # the previous assignment and tier states are fixed.
-    contrib: list[dict[int, float]] = []
-    for v in vmdk_states:
-        row: dict[int, float] = {}
-        for t in tier_ids:
-            ratios = mat.ratio[(t, v.spec.id)]
-            gain = (
-                weights.alpha.p * ratios.p
-                + weights.alpha.b * ratios.b
-                + weights.alpha.s * ratios.s
-            )
-            cost = 0.0
-            if t != previous[v.spec.id]:
-                cost = (
-                    mig_cost_seconds(v, t, tier_states, source_tier=previous[v.spec.id])
-                    / migration_epoch_seconds
-                )
-            row[t] = v.spec.sla_weight * (gain - weights.beta * cost)
-        contrib.append(row)
-
-    remaining = {t: [budgets[t].p, budgets[t].b, budgets[t].s] for t in tier_ids}
+    col = {v: j for j, v in enumerate(mat.vmdk_ids)}
+    contrib = profit_contributions(
+        mat, weights, previous, vmdks, tier_states, migration_epoch_seconds
+    ).tolist()
+    cap = mat.cap.tolist()
+    remaining = _budgets(tiers)
     choice: list[int] = []
     best_profit = -math.inf
     best_vector: list[int] | None = None
 
     def recurse(index: int, profit: float) -> None:
         nonlocal best_profit, best_vector
-        if index == len(vmdk_states):
+        if index == len(vmdk_ids):
             if profit > best_profit:
                 best_profit = profit
                 best_vector = list(choice)
             return
-        v = vmdk_states[index]
-        cap = {t: mat.cap[(t, v.spec.id)] for t in tier_ids}
-        for t in tier_ids:
-            rem = remaining[t]
-            c = cap[t]
-            if c.p <= rem[0] and c.b <= rem[1] and c.s <= rem[2]:
-                rem[0] -= c.p
-                rem[1] -= c.b
-                rem[2] -= c.s
-                choice.append(t)
-                recurse(index + 1, profit + contrib[index][t])
+        j = col[vmdk_ids[index]]
+        for i, rem in enumerate(remaining):
+            c = cap[i][j]
+            if c[0] <= rem[0] and c[1] <= rem[1] and c[2] <= rem[2]:
+                rem[0] -= c[0]
+                rem[1] -= c[1]
+                rem[2] -= c[2]
+                choice.append(i)
+                recurse(index + 1, profit + contrib[i][j])
                 choice.pop()
-                rem[0] += c.p
-                rem[1] += c.b
-                rem[2] += c.s
+                rem[0] += c[0]
+                rem[1] += c[1]
+                rem[2] += c[2]
 
     recurse(0, 0.0)
     if best_vector is None:
         raise ValueError("no capacity-feasible assignment exists")
 
-    target = {v.spec.id: t for v, t in zip(vmdk_states, best_vector)}
-    usage: dict[int, ResourceVector] = {t: ResourceVector() for t in tier_ids}
-    for v, t in target.items():
-        usage[t] = usage[t] + mat.cap[(t, v)]
+    target: dict[str, int] = {}
+    usage: dict[int, ResourceVector] = {t.id: ResourceVector() for t in tiers}
+    for v, i in zip(vmdk_ids, best_vector):
+        t = target[v] = tiers[i].id
+        usage[t] = usage[t] + ResourceVector(*cap[i][col[v]])
     migrations = tuple(
         (v, previous[v], t) for v, t in target.items() if t != previous[v]
     )
@@ -445,7 +475,7 @@ class AutoTieringPolicy:
 
     def __init__(self) -> None:
         self.calibrations: dict[str, CalibrationRecord] = {}
-        self.history: dict[tuple[int, str], float] = {}
+        self.history: np.ndarray | None = None
         self.matrices: CapacityMatrices | None = None
         self.scores: ScoreMatrix | None = None
 

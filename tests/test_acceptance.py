@@ -78,8 +78,8 @@ def test_criterion_1_formula_fidelity():
         state = make_state(make_vmdk(demand_iops=1e12, avg_io_size_bytes=4096))
         rec = CalibrationRecord("v1", 0.0, 20.0, confidence=1.0, sample_count=10, mean_cv=0.0)
         mat = cal_capacity_matrices({"v1": rec}, [state], [tier])
-        ok &= close(mat.cap[(1, "v1")].p, 50_000.0)
-        ok &= close(mat.cap[(1, "v1")].b, 204.8)
+        ok &= close(mat.cap[0, 0, 0], 50_000.0)  # tier 1, v1, p
+        ok &= close(mat.cap[0, 0, 1], 204.8)  # tier 1, v1, b
 
         # hosting-tier estimate returns the fitted intercept exactly
         rec2 = CalibrationRecord("v1", 2.0, 123.0, confidence=1.0, sample_count=10, mean_cv=0.0)
@@ -98,7 +98,7 @@ def test_criterion_1_formula_fidelity():
         tier_states[1].served_read_mbps = 100.0
         tier_states[2].served_write_mbps = 100.0
         mover = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
-        ok &= close(mig_cost_seconds(mover, 2, tier_states), 250.0)
+        ok &= close(mig_cost_seconds([mover], [2], tier_states)[0, 0], 250.0)
     _report("C1 formula-fidelity", ok, t, 1.0)
 
 
@@ -176,7 +176,7 @@ def test_criterion_4_oracle_dominance():
             except ValueError:
                 continue
             checked += 1
-            sm = cal_score(mat, {}, tiers, weights, tier_states, states, records, 900.0)
+            sm = cal_score(mat, None, tiers, weights, tier_states, states, records, 900.0)
             greedy = trigger_migration(sm, mat, tiers, previous, 0)
             ok &= not greedy.overloaded  # greedy feasible whenever the oracle is
             g = epoch_profit(greedy.target, previous, mat, weights, states, tier_states, 900.0)

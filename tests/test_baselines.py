@@ -133,6 +133,37 @@ class TestEdt:
         assert placed_p <= 60_000
 
 
+def mover_and_rival():
+    """Tier 1 holds one of two 70GB VMDKs; the rival is hotter and denser."""
+    tiers = (
+        make_tier(1, 100.0, ResourceVector(60_000, 1e4, 100.0), read_iops=500_000),
+        make_tier(2, 300.0, ResourceVector(1e6, 1e4, 1000.0), read_iops=100_000),
+    )
+    states = [
+        make_state(make_vmdk("mover", size_gb=70.0, initial_tier=2), measured_iops=1_000),
+        make_state(make_vmdk("rival", size_gb=70.0, initial_tier=2), measured_iops=50_000),
+    ]
+    return tiers, states
+
+
+class TestPinned:
+    @pytest.mark.parametrize("assign", [idt_assign, edt_assign])
+    def test_rival_takes_the_seat_without_a_pin(self, assign):
+        tiers, states = mover_and_rival()
+        assert assign(states, tiers).target == {"mover": 2, "rival": 1}
+
+    @pytest.mark.parametrize("assign", [idt_assign, edt_assign])
+    def test_pinned_vmdk_keeps_destination_and_budget(self, assign):
+        # the in-flight mover takes tier 1's budget before the rival is packed
+        tiers, states = mover_and_rival()
+        plan = assign(states, tiers, epoch_index=3, pinned={"mover": 1})
+        assert plan.target == {"mover": 1, "rival": 2}
+        assert plan.migrations == ()
+        assert not plan.overloaded
+        assert plan.planned_usage[1].s == 70.0
+        assert plan.planned_usage[2].s == 70.0
+
+
 class TestBaselineProperties:
     @pytest.mark.parametrize("assign", [idt_assign, edt_assign])
     def test_totality_and_checked_caps(self, assign):

@@ -14,7 +14,6 @@ from autotier.model import (
     ResourceVector,
 )
 from autotier.policy import (
-    INFEASIBLE,
     ScoreMatrix,
     cal_capacity_matrices,
     cal_score,
@@ -39,9 +38,28 @@ def record(vmdk_id, m, b, conf=1.0):
     return CalibrationRecord(vmdk_id, m, b, confidence=conf, sample_count=10, mean_cv=0.0)
 
 
+P, B, S = 0, 1, 2  # component index on the last axis of cap / ratio
+
+
 def build_matrices(tiers, states, records):
     mat = cal_capacity_matrices(records, states, tiers)
     return normalize_and_gate(mat, tiers)
+
+
+def at(mat, tier_id, vmdk_id):
+    """Array index of the (tier, vmdk) cell."""
+    return mat.tier_ids.index(tier_id), mat.vmdk_ids.index(vmdk_id)
+
+
+def match(tier, ratios, sla, conf, **kwargs):
+    """orthogonal_match_score of one tier and one VMDK's (p, b, s) ratios."""
+    cell = np.array(ratios, dtype=float).reshape(1, 1, 3)
+    return orthogonal_match_score([tier], cell, np.array([sla]), np.array([conf]), **kwargs)[0, 0]
+
+
+def move_cost(vmdk, target_tier, tier_states):
+    """mig_cost_seconds of one VMDK to one tier."""
+    return mig_cost_seconds([vmdk], [target_tier], tier_states)[0, 0]
 
 
 class TestCapacityMatrices:
@@ -50,10 +68,10 @@ class TestCapacityMatrices:
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e9, avg_io_size_bytes=4096))
         mat = cal_capacity_matrices({"v1": record("v1", 0.0, 20.0)}, [state], [tier])
-        cell = mat.cap[(1, "v1")]
-        assert cell.p == pytest.approx(50_000, rel=1e-9)
-        assert cell.b == pytest.approx(50_000 * 4096 / 1e6, rel=1e-9)
-        assert cell.s == state.spec.size_gb
+        cell = mat.cap[at(mat, 1, "v1")]
+        assert cell[P] == pytest.approx(50_000, rel=1e-9)
+        assert cell[B] == pytest.approx(50_000 * 4096 / 1e6, rel=1e-9)
+        assert cell[S] == state.spec.size_gb
 
     def test_negative_prediction_means_zero_throughput(self):
         tiers = (make_tier(1, 50.0), make_tier(2, 2050.0))
@@ -62,15 +80,15 @@ class TestCapacityMatrices:
         mat = cal_capacity_matrices(records, [state], tiers)
         # predicted latency on tier 1: 1.0 * (50-2050) + 500 = -1500us
         assert estimate_avg_lat(records["v1"], 2, 1, {1: 50.0, 2: 2050.0}) == -1500.0
-        assert mat.cap[(1, "v1")].p == 0.0
-        assert mat.cap[(1, "v1")].b == 0.0
+        assert mat.cap[at(mat, 1, "v1")][P] == 0.0
+        assert mat.cap[at(mat, 1, "v1")][B] == 0.0
 
     def test_throughput_capped_at_demand(self):
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=10_000, avg_io_size_bytes=4096))
         mat = cal_capacity_matrices({"v1": record("v1", 0.0, 20.0)}, [state], [tier])
-        assert mat.cap[(1, "v1")].p == 10_000
-        assert mat.cap[(1, "v1")].b == pytest.approx(10_000 * 4096 / 1e6)
+        assert mat.cap[at(mat, 1, "v1")][P] == 10_000
+        assert mat.cap[at(mat, 1, "v1")][B] == pytest.approx(10_000 * 4096 / 1e6)
 
 
 class TestNormalizeAndGate:
@@ -79,49 +97,49 @@ class TestNormalizeAndGate:
         tier = make_tier(1, capacity=ResourceVector(240_000, 1000, 480))
         state = make_state(make_vmdk(size_gb=960.0, demand_iops=100))
         mat = build_matrices([tier], [state], {"v1": record("v1", 0.0, 100.0)})
-        assert mat.feasible[(1, "v1")] is False
-        assert mat.ratio[(1, "v1")] == ResourceVector()
+        assert bool(mat.feasible[at(mat, 1, "v1")]) is False
+        assert mat.ratio[at(mat, 1, "v1")].tolist() == [0.0, 0.0, 0.0]
 
     def test_hand_divided_ratios(self):
         tier = make_tier(1, capacity=ResourceVector(100_000, 1000, 480))
         state = make_state(make_vmdk(size_gb=100.0, demand_iops=50_000, avg_io_size_bytes=4096))
         mat = build_matrices([tier], [state], {"v1": record("v1", 0.0, 10.0)})
-        ratios = mat.ratio[(1, "v1")]
-        assert ratios.p == pytest.approx(0.5, rel=1e-9)
-        assert ratios.b == pytest.approx(204.8 / 1000, rel=1e-9)
-        assert ratios.s == pytest.approx(100 / 480, rel=1e-9)
+        ratios = mat.ratio[at(mat, 1, "v1")]
+        assert ratios[P] == pytest.approx(0.5, rel=1e-9)
+        assert ratios[B] == pytest.approx(204.8 / 1000, rel=1e-9)
+        assert ratios[S] == pytest.approx(100 / 480, rel=1e-9)
 
     def test_zero_usage_is_feasible(self):
         tier = make_tier(1)
         state = make_state(make_vmdk(demand_iops=0.0))
         mat = build_matrices([tier], [state], {"v1": record("v1", 0.0, 100.0)})
-        assert mat.feasible[(1, "v1")] is True
-        assert mat.ratio[(1, "v1")].p == 0.0
+        assert bool(mat.feasible[at(mat, 1, "v1")]) is True
+        assert mat.ratio[at(mat, 1, "v1")][P] == 0.0
 
 
 class TestOrthogonalMatch:
     def test_printed_equation(self):
         tier = make_tier(specialty=ResourceVector(1, 1, 0))
-        score = orthogonal_match_score(tier, ResourceVector(0.5, 0.6, 0.3), 1.0, 1.0)
+        score = match(tier, (0.5, 0.6, 0.3), 1.0, 1.0)
         assert score == pytest.approx(1.1 / 3, rel=1e-9)
 
     def test_linear_in_confidence(self):
         tier = make_tier(specialty=ResourceVector(1, 1, 0))
-        full = orthogonal_match_score(tier, ResourceVector(0.5, 0.6, 0.3), 1.0, 1.0)
-        half = orthogonal_match_score(tier, ResourceVector(0.5, 0.6, 0.3), 1.0, 0.5)
+        full = match(tier, (0.5, 0.6, 0.3), 1.0, 1.0)
+        half = match(tier, (0.5, 0.6, 0.3), 1.0, 0.5)
         assert half == pytest.approx(full / 2, rel=1e-12)
         assert half == pytest.approx(0.18335, rel=1e-3)
 
     def test_specialty_masks_unrelated_kinds(self):
         tier = make_tier(specialty=ResourceVector(0, 0, 1))
-        score = orthogonal_match_score(tier, ResourceVector(0.9, 0.9, 0.1), 1.0, 1.0)
+        score = match(tier, (0.9, 0.9, 0.1), 1.0, 1.0)
         assert score == pytest.approx(0.1 / 3, rel=1e-9)
 
     def test_active_weight_normalization_switch(self):
         tier = make_tier(specialty=ResourceVector(1, 0, 0))
-        ratios = ResourceVector(0.6, 0.9, 0.9)
-        printed = orthogonal_match_score(tier, ratios, 1.0, 1.0)
-        active = orthogonal_match_score(tier, ratios, 1.0, 1.0, normalize_by_active_weights=True)
+        ratios = (0.6, 0.9, 0.9)
+        printed = match(tier, ratios, 1.0, 1.0)
+        active = match(tier, ratios, 1.0, 1.0, normalize_by_active_weights=True)
         assert printed == pytest.approx(0.2, rel=1e-9)
         assert active == pytest.approx(0.6, rel=1e-9)
 
@@ -136,15 +154,15 @@ class TestOrthogonalMatch:
     def test_linear_in_each_argument(self, rp, rb, rs, sla, conf, factor):
         tier = make_tier(specialty=ResourceVector(1, 1, 1),
                          kind_weights=ResourceVector(1.0, 0.5, 2.0))
-        base = orthogonal_match_score(tier, ResourceVector(rp, rb, rs), sla, conf)
-        scaled_sla = orthogonal_match_score(tier, ResourceVector(rp, rb, rs), sla * factor, conf)
+        base = match(tier, (rp, rb, rs), sla, conf)
+        scaled_sla = match(tier, (rp, rb, rs), sla * factor, conf)
         assert scaled_sla == pytest.approx(base * factor, rel=1e-9, abs=1e-12)
         # each ratio component contributes additively and linearly
-        only_p = orthogonal_match_score(tier, ResourceVector(rp, 0, 0), sla, conf)
-        only_b = orthogonal_match_score(tier, ResourceVector(0, rb, 0), sla, conf)
-        only_s = orthogonal_match_score(tier, ResourceVector(0, 0, rs), sla, conf)
+        only_p = match(tier, (rp, 0, 0), sla, conf)
+        only_b = match(tier, (0, rb, 0), sla, conf)
+        only_s = match(tier, (0, 0, rs), sla, conf)
         assert only_p + only_b + only_s == pytest.approx(base, rel=1e-9, abs=1e-12)
-        scaled_p = orthogonal_match_score(tier, ResourceVector(rp * factor, rb, rs), sla, conf)
+        scaled_p = match(tier, (rp * factor, rb, rs), sla, conf)
         assert scaled_p - base == pytest.approx(only_p * (factor - 1), rel=1e-6, abs=1e-9)
 
     @given(
@@ -161,9 +179,9 @@ class TestOrthogonalMatch:
                          kind_weights=ResourceVector(1.0, 0.7, 0.3))
         scaled = make_tier(specialty=ResourceVector(1, 1, 0),
                            kind_weights=ResourceVector(factor, 0.7 * factor, 0.3 * factor))
-        ratios = ResourceVector(rp, rb, rs)
-        assert orthogonal_match_score(scaled, ratios, sla, conf) == pytest.approx(
-            orthogonal_match_score(base, ratios, sla, conf), rel=1e-9, abs=1e-12
+        ratios = (rp, rb, rs)
+        assert match(scaled, ratios, sla, conf) == pytest.approx(
+            match(base, ratios, sla, conf), rel=1e-9, abs=1e-12
         )
 
 
@@ -183,20 +201,20 @@ class TestMigCost:
         tier_states[1].served_read_mbps = 100.0
         tier_states[2].served_write_mbps = 100.0
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
-        cost = mig_cost_seconds(vmdk, 2, tier_states)
+        cost = move_cost(vmdk, 2, tier_states)
         assert cost == pytest.approx(250.0, rel=1e-9)
 
     def test_same_tier_is_free(self):
         tiers, states = self.three_state_setup()
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1)
-        assert mig_cost_seconds(vmdk, 1, states) == 0.0
+        assert move_cost(vmdk, 1, states) == 0.0
 
     def test_saturated_target_is_impossible(self):
         tiers, states = self.three_state_setup()
         states[2].served_write_mbps = states[2].spec.write_bandwidth_cap
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=0.0)
         states[1].served_read_mbps = states[1].spec.read_bandwidth_cap
-        assert mig_cost_seconds(vmdk, 2, states) == math.inf
+        assert move_cost(vmdk, 2, states) == math.inf
 
 
 class TestCalScore:
@@ -212,13 +230,13 @@ class TestCalScore:
         return cal_score(mat, history, [tier], weights, tier_states, [state], records, 900.0)
 
     def test_memoryless_costless_is_pure_match(self):
-        sm = self.single_cell(0.0, {}, 0.0)
+        sm = self.single_cell(0.0, None, 0.0)
         tier = make_tier(1, mig_weight=0.0)
         state = make_state(make_vmdk(demand_iops=10_000))
         records = {"v1": record("v1", 0.0, 100.0)}
         mat = build_matrices([tier], [state], records)
-        expected = orthogonal_match_score(tier, mat.ratio[(1, "v1")], 1.0, 1.0)
-        assert sm.score[(1, "v1")] == pytest.approx(expected, rel=1e-12)
+        expected = match(tier, mat.ratio[at(mat, 1, "v1")], 1.0, 1.0)
+        assert sm.score[at(mat, 1, "v1")] == pytest.approx(expected, rel=1e-12)
 
     def test_hand_arithmetic(self):
         # 0.5 * 0.4 + 0.3 - 0.1 = 0.4
@@ -237,11 +255,13 @@ class TestCalScore:
         tier_states = idle_tier_states(tiers)
         tier_states[2].served_read_mbps = 200.0  # spare read 1000 -> cost 450s
         weights = PolicyWeights(aging_factor=0.5, migration_epoch=3)
-        sm = cal_score(mat, {(1, "w"): 0.4}, tiers, weights,
+        history = np.zeros(mat.feasible.shape)
+        history[at(mat, 1, "w")] = 0.4
+        sm = cal_score(mat, history, tiers, weights,
                        tier_states, [state], records, 900.0)
         # penalty: 0.2 * (450 GB * 1000 / 1000 MBps) / 900 s = 0.1
-        assert sm.score[(1, "w")] == pytest.approx(0.4, rel=1e-12)
-        assert sm.history[(1, "w")] == pytest.approx(0.4, rel=1e-12)
+        assert sm.score[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
+        assert sm.history[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
 
     def test_infeasible_propagates_and_resets_history(self):
         tier = make_tier(1, capacity=ResourceVector(1000, 10, 10))
@@ -249,10 +269,10 @@ class TestCalScore:
         records = {"v1": record("v1", 0.0, 100.0)}
         mat = build_matrices([tier], [state], records)
         weights = PolicyWeights(aging_factor=0.9)
-        sm = cal_score(mat, {(1, "v1"): 5.0}, [tier], weights,
+        sm = cal_score(mat, np.full(mat.feasible.shape, 5.0), [tier], weights,
                        idle_tier_states([tier]), [state], records, 900.0)
-        assert sm.score[(1, "v1")] is INFEASIBLE
-        assert sm.history[(1, "v1")] == 0.0
+        assert sm.score[at(mat, 1, "v1")] == -math.inf
+        assert sm.history[at(mat, 1, "v1")] == 0.0
 
     def test_infinite_migration_cost_blocks_epoch_but_not_history(self):
         tiers = (make_tier(1, 100.0), make_tier(2, 300.0))
@@ -263,18 +283,16 @@ class TestCalScore:
         records = {"v1": record("v1", 0.0, 100.0)}
         mat = build_matrices(tiers, [state], records)
         weights = PolicyWeights(aging_factor=0.5)
-        sm = cal_score(mat, {}, tiers, weights, tier_states, [state], records, 900.0)
-        assert sm.score[(1, "v1")] == -math.inf
-        assert sm.history[(1, "v1")] == 0.0
+        sm = cal_score(mat, None, tiers, weights, tier_states, [state], records, 900.0)
+        assert sm.score[at(mat, 1, "v1")] == -math.inf
+        assert sm.history[at(mat, 1, "v1")] == 0.0
 
 
 def scores_from(mat, tiers, values):
-    score = {}
-    history = {}
-    for key in mat.cap:
-        score[key] = values.get(key)
-        history[key] = 0.0
-    return ScoreMatrix(score=score, history=history)
+    score = np.full(mat.feasible.shape, -math.inf)
+    for (tier_id, vmdk_id), value in values.items():
+        score[at(mat, tier_id, vmdk_id)] = value
+    return ScoreMatrix(score=score, history=np.zeros(score.shape))
 
 
 class TestTriggerMigration:
@@ -318,9 +336,9 @@ class TestTriggerMigration:
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
         mat = build_matrices(tiers, states, records)
-        sm = cal_score(mat, {}, tiers, PolicyWeights(), idle_tier_states(tiers),
+        sm = cal_score(mat, None, tiers, PolicyWeights(), idle_tier_states(tiers),
                        states, records, 900.0)
-        assert sm.score[(1, "a")] is INFEASIBLE
+        assert sm.score[at(mat, 1, "a")] == -math.inf
         plan = trigger_migration(sm, mat, tiers, {"a": 2, "b": 2}, 0)
         assert all(t == 2 for t in plan.target.values())
 
@@ -392,14 +410,14 @@ class TestProfitAndOracle:
         target = {"a": 1, "b": 1}
         profit = epoch_profit(target, target, mat, weights, states,
                               idle_tier_states([tier]), 900.0)
-        expected = 2.0 * mat.ratio[(1, "a")].p + 1.0 * mat.ratio[(1, "b")].p
+        expected = 2.0 * mat.ratio[at(mat, 1, "a")][P] + 1.0 * mat.ratio[at(mat, 1, "b")][P]
         assert profit == pytest.approx(expected, rel=1e-12)
 
     def test_zero_beta_ignores_previous_assignment(self):
         rng = np.random.default_rng(5)
         tiers, states, records, mat, tier_states, weights, previous = self.small_instance(rng)
         weights = PolicyWeights(alpha=weights.alpha, beta=0.0)
-        target = {s.spec.id: 1 if mat.feasible[(1, s.spec.id)] else s.current_tier
+        target = {s.spec.id: 1 if mat.feasible[at(mat, 1, s.spec.id)] else s.current_tier
                   for s in states}
         p1 = epoch_profit(target, previous, mat, weights, states, tier_states, 900.0)
         other_prev = {v: 2 for v in previous}
@@ -479,7 +497,7 @@ class TestProfitAndOracle:
                 total = ResourceVector()
                 for v, t in target.items():
                     if t == tier.id:
-                        total = total + mat.cap[(t, v)]
+                        total = total + ResourceVector(*mat.cap[at(mat, t, v)])
                 if not total.fits_within(tier.max_usable()):
                     fits = False
             if fits:
@@ -500,7 +518,7 @@ class TestProfitAndOracle:
             tiers, states, records, mat, tier_states, weights, previous = (
                 self.small_instance(rng)
             )
-            sm = cal_score(mat, {}, tiers, weights, tier_states, states, records, 900.0)
+            sm = cal_score(mat, None, tiers, weights, tier_states, states, records, 900.0)
             greedy = trigger_migration(sm, mat, tiers, previous, 0)
             try:
                 oracle = oracle_assignment(mat, weights, previous, tiers, states,
@@ -514,7 +532,7 @@ class TestProfitAndOracle:
                 total = ResourceVector()
                 for v, t in greedy.target.items():
                     if t == tier.id:
-                        total = total + mat.cap[(t, v)]
+                        total = total + ResourceVector(*mat.cap[at(mat, t, v)])
                 budget = tier.max_usable()
                 assert total.fits_within(budget, slack=1e-9 * (1 + budget.total()))
                 recorded = greedy.planned_usage[tier.id]

@@ -28,6 +28,25 @@ from autotier.scenario import (
 )
 
 
+INTEGER_FIELDS = [
+    ("simulation", "epochs"),
+    ("simulation", "seed"),
+    ("policyWeights", "monitorEpoch"),
+    ("policyWeights", "migrationEpoch"),
+    ("policyWeights", "samplesPerLatency"),
+    ("tiers", 0, "id"),
+    ("vmdks", 0, "initialTier"),
+    ("vmdks", 0, "demandProfile", 0, "startEpoch"),
+]
+
+
+def field_path(location):
+    """Diagnostic path of a document location, e.g. vmdks[0].initialTier."""
+    return "".join(
+        f"[{step}]" if isinstance(step, int) else f".{step}" for step in location
+    ).lstrip(".")
+
+
 class TestParsing:
     def test_bundled_scenario_parses(self):
         scenario = load_bundled_scenario("table3-table4")
@@ -65,6 +84,21 @@ class TestParsing:
     def test_missing_file_and_unknown_name(self):
         with pytest.raises(FileNotFoundError):
             load_scenario("/nonexistent/path.json")
+
+    @pytest.mark.parametrize("token", ["1e400", "2.7", "NaN"])
+    @pytest.mark.parametrize("location", INTEGER_FIELDS, ids=field_path)
+    def test_integer_field_rejects_non_integral_number(self, location, token):
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        node = doc
+        for step in location[:-1]:
+            node = node[step]
+        node[location[-1]] = "PLACEHOLDER"
+        # raw JSON tokens: 1e400 parses to inf, NaN to nan
+        text = json.dumps(doc).replace('"PLACEHOLDER"', token)
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(text)
+        prefix = f"{field_path(location)}: expected an integer"
+        assert any(e.startswith(prefix) for e in excinfo.value.errors), excinfo.value.errors
 
 
 class TestCdf:
