@@ -464,6 +464,14 @@ def _get_int(doc: Mapping[str, Any], key: str, path: str, errors: list[str],
     return int(value)
 
 
+def _is_finite(value: float) -> bool:
+    """math.isfinite that also rejects a JSON integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _get_vector(doc: Mapping[str, Any], key: str, path: str, errors: list[str],
                 default: ResourceVector | None = None,
                 required: bool = False) -> ResourceVector | None:
@@ -603,6 +611,8 @@ def _build_weights(doc: Mapping[str, Any], errors: list[str]) -> PolicyWeights |
     ):
         errors.append(f"{path}.injectedLatenciesUs: expected a list of numbers")
         latencies = list(defaults.injected_latencies_us)
+    elif not all(_is_finite(x) for x in latencies):
+        errors.append(f"{path}.injectedLatenciesUs: expected finite numbers, got {latencies!r}")
     normalize = doc.get("normalizeByActiveWeights", defaults.normalize_by_active_weights)
     if not isinstance(normalize, bool):
         errors.append(f"{path}.normalizeByActiveWeights: expected a boolean")

@@ -100,6 +100,19 @@ class TestParsing:
         prefix = f"{field_path(location)}: expected an integer"
         assert any(e.startswith(prefix) for e in excinfo.value.errors), excinfo.value.errors
 
+    @pytest.mark.parametrize(
+        "token", ["1e400", "-1e400", "NaN", "1" + "0" * 400],
+        ids=["1e400", "-1e400", "NaN", "int-1e400"],
+    )
+    def test_injected_latencies_reject_non_finite(self, token):
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc.setdefault("policyWeights", {})["injectedLatenciesUs"] = [0, "PLACEHOLDER"]
+        text = json.dumps(doc).replace('"PLACEHOLDER"', token)
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(text)
+        prefix = "policyWeights.injectedLatenciesUs: expected finite numbers"
+        assert any(e.startswith(prefix) for e in excinfo.value.errors), excinfo.value.errors
+
 
 class TestCdf:
     def test_quarter_steps(self):
