@@ -1,7 +1,7 @@
 """Multi-tier flash placement: calibration-driven policy, baselines, simulator."""
 
 from .model import (
-    CalibrationRecord,
+    CalibrationFits,
     CapacityMatrices,
     MigrationOrder,
     PolicyWeights,
@@ -17,7 +17,7 @@ from .model import (
     validate_scenario,
 )
 from .calibration import (
-    SampleSet,
+    CalibrationSamples,
     collect_samples,
     compute_confidence,
     compute_cv,
@@ -45,8 +45,8 @@ from .engine import (
     EpochMetrics,
     RunResult,
     TierEpochMetrics,
-    answer_probe,
     make_policy,
+    probe_latencies,
     run_scenario,
 )
 from .scenario import (

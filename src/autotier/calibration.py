@@ -1,10 +1,13 @@
-"""Tier speed sensitivity calibration.
+"""Tier speed sensitivity calibration, batched over every VMDK.
 
-A calibration session injects a small set of synthetic latencies into one
-VMDK's I/O path, samples the resulting average latency several times per
-injected value, and fits a line (mean latency vs injected latency). The fit
-predicts the VMDK's latency on any other tier from the difference of tier
-base latencies, without migrating anything.
+At each monitor epoch a calibration injects a small set of synthetic
+latencies into the I/O path of every VMDK and samples the resulting average
+latency several times per injected value. The samples form one dense
+``(N, L, S)`` grid: VMDKs × injected latencies in plan order × samples. One
+least-squares line per VMDK (mean latency vs injected latency), fitted for
+all rows at once, predicts the VMDK's latency on any other tier from the
+difference of tier base latencies, without migrating anything. The fits are
+``(N,)`` arrays (``CalibrationFits``) and the predictions a ``(T, N)`` grid.
 """
 
 from __future__ import annotations
@@ -14,122 +17,128 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .model import CalibrationRecord, PolicyWeights
+from .model import CalibrationFits
 
-# A probe answers: average I/O latency (us) of a VMDK under an extra injected
-# latency of d us. The simulator's device model provides one per hosted VMDK.
-LatencyProbe = Callable[[float], float]
+# A probe answers: (N, L, S) average I/O latencies (us) of the given VMDKs
+# under each extra injected latency, S samples each. The simulator's device
+# model provides one per run.
+SampleProbe = Callable[[Sequence[str], Sequence[float], int], np.ndarray]
 
 
-@dataclass
-class SampleSet:
-    """Raw samples of one calibration session, keyed by injected latency."""
+@dataclass(frozen=True)
+class CalibrationSamples:
+    """Raw samples of one calibration round.
 
-    vmdk_id: str
-    per_latency: dict[float, list[float]]
+    ``values`` is (N, L, S): rows follow ``vmdk_ids``, the latency axis
+    follows ``injected_latencies_us`` in plan order, then S samples each.
+    """
+
+    vmdk_ids: tuple[str, ...]
+    injected_latencies_us: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.per_latency:
+        if not self.injected_latencies_us:
             raise ValueError("sample set must cover at least one injected latency")
-        for d, samples in self.per_latency.items():
-            if not samples:
-                raise ValueError(f"no samples for injected latency {d}")
-            if any(s <= 0 for s in samples):
-                raise ValueError(f"non-positive sample for injected latency {d}")
+        if self.values.shape[:2] != (len(self.vmdk_ids), len(self.injected_latencies_us)):
+            raise ValueError("sample values must be shaped (VMDKs, injected latencies, samples)")
+        if self.values.shape[2] == 0:
+            raise ValueError(f"no samples for injected latency {self.injected_latencies_us[0]}")
+        bad = (self.values <= 0).any(axis=(0, 2))
+        if bad.any():
+            d = self.injected_latencies_us[int(bad.argmax())]
+            raise ValueError(f"non-positive sample for injected latency {d}")
 
     @property
     def sample_count(self) -> int:
-        return sum(len(s) for s in self.per_latency.values())
+        return self.values.size
 
 
 def collect_samples(
-    vmdk_id: str,
-    probe: LatencyProbe,
+    vmdk_ids: Sequence[str],
+    probe: SampleProbe,
     injected_latencies_us: Sequence[float],
     samples_per_latency: int,
-) -> SampleSet:
-    """Run one calibration session against a latency probe.
+) -> CalibrationSamples:
+    """Run one calibration round for every VMDK in ``vmdk_ids`` against a probe.
 
-    The probe carries its own noise source; for a fixed seed the session is
-    deterministic because injected latencies are visited in plan order.
+    The probe carries its own noise source; for a fixed seed the round is
+    deterministic because samples are drawn in (VMDK, plan order, sample)
+    order.
     """
-    per_latency: dict[float, list[float]] = {}
-    for d in injected_latencies_us:
-        per_latency[float(d)] = [float(probe(float(d))) for _ in range(samples_per_latency)]
-    return SampleSet(vmdk_id=vmdk_id, per_latency=per_latency)
+    latencies = tuple(float(d) for d in injected_latencies_us)
+    values = probe(vmdk_ids, latencies, samples_per_latency)
+    return CalibrationSamples(tuple(vmdk_ids), latencies, values)
 
 
-def compute_cv(samples: Sequence[float]) -> float:
-    """Coefficient of variation: population standard deviation over mean."""
-    if len(samples) == 0:
-        raise ValueError("cannot compute CV of an empty sample list")
+def compute_cv(samples: np.ndarray | Sequence[float]) -> np.ndarray:
+    """Coefficient of variation along the last axis: population sigma over mean."""
     arr = np.asarray(samples, dtype=float)
-    mean = float(arr.mean())
-    if mean == 0.0:
+    if arr.shape[-1] == 0:
+        raise ValueError("cannot compute CV of an empty sample list")
+    mean = arr.mean(axis=-1)
+    if (mean == 0.0).any():
         raise ValueError("cannot compute CV when the sample mean is 0")
-    return float(arr.std()) / mean
+    return arr.std(axis=-1) / mean
 
 
-def compute_confidence(mean_cv: float, floor: float = 0.05) -> float:
-    """Map a session's mean CV to an estimation confidence in [floor, 1]."""
-    if mean_cv < 0:
+def compute_confidence(mean_cv: np.ndarray | float, floor: float = 0.05) -> np.ndarray:
+    """Map each mean CV to an estimation confidence in [floor, 1]."""
+    mean_cv = np.asarray(mean_cv, dtype=float)
+    if (mean_cv < 0).any():
         raise ValueError("meanCv must be non-negative")
-    if mean_cv >= 1.0:
-        return floor
-    return max(floor, 1.0 - mean_cv)
+    # fmax, like Python's max(floor, x), yields floor where x is NaN.
+    return np.where(mean_cv >= 1.0, floor, np.fmax(floor, 1.0 - mean_cv))
 
 
-def regress_latency_curve(sample_set: SampleSet, floor: float = 0.05) -> CalibrationRecord:
-    """Least-squares fit of per-latency mean sample vs injected latency.
+def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> CalibrationFits:
+    """Least-squares fit of per-latency mean sample vs injected latency, per VMDK.
 
     Samples at each injected latency are averaged before the fit; the mean of
-    the per-latency CVs drives the confidence.
+    the per-latency CVs drives the confidence. Rows are independent: each
+    fit is bitwise what fitting that VMDK alone gives.
     """
-    xs = sorted(sample_set.per_latency)
-    if len(xs) < 2:
+    latencies = samples.injected_latencies_us
+    if len(set(latencies)) < 2:
         raise ValueError("regression needs at least two distinct injected latencies")
-    means = []
+    n, l, s = samples.values.shape
+    order = np.argsort(latencies, kind="stable")
+    xs = np.asarray(latencies)[order]
+    cv = compute_cv(samples.values)[:, order]
+    means = samples.values.mean(axis=-1)[:, order]
+    # Left to right from 0.0, as a per-VMDK loop adds; .sum() pairs terms
+    # differently and would move the last bits.
     cv_total = 0.0
-    for d in xs:
-        samples = sample_set.per_latency[d]
-        cv_total += compute_cv(samples)
-        means.append(float(np.mean(samples)))
-    mean_cv = cv_total / len(xs)
-    m, b = np.polyfit(np.asarray(xs, dtype=float), np.asarray(means, dtype=float), 1)
-    return CalibrationRecord(
-        vmdk_id=sample_set.vmdk_id,
-        m=float(m),
-        b=float(b),
+    for column in cv.T:
+        cv_total = cv_total + column
+    mean_cv = cv_total / l
+    # One polyfit with a column per VMDK; each column comes out bitwise as
+    # if fitted alone. A closed-form slope/intercept differs in the last bits.
+    m, b = np.polyfit(xs, means.T, 1)
+    return CalibrationFits(
+        vmdk_ids=samples.vmdk_ids,
+        m=m,
+        b=b,
         confidence=compute_confidence(mean_cv, floor),
-        sample_count=sample_set.sample_count,
+        sample_count=np.full(n, l * s),
         mean_cv=mean_cv,
     )
 
 
 def estimate_avg_lat(
-    record: CalibrationRecord,
-    current_tier: int,
-    target_tier: int,
+    fits: CalibrationFits,
+    current_tiers: Sequence[int],
     tier_latencies: Mapping[int, float],
-) -> float:
-    """Predicted average latency of the VMDK if hosted on target_tier.
+) -> np.ndarray:
+    """(T, N) predicted average latency of each VMDK if hosted on each tier.
 
-    May return a non-positive value when the target tier is much faster than
+    Rows follow ``tier_latencies`` (tier id -> base latency), columns follow
+    ``fits.vmdk_ids``; ``current_tiers`` gives each VMDK's hosting tier. On
+    the hosting tier the prediction is the fitted intercept exactly. A
+    prediction may be non-positive when the target tier is much faster than
     the fit can extrapolate; callers treat that as "prediction out of range".
     """
-    if target_tier == current_tier:
-        return record.b
-    delta = tier_latencies[target_tier] - tier_latencies[current_tier]
-    return record.prediction_slope * delta + record.b
-
-
-def run_session(
-    vmdk_id: str,
-    probe: LatencyProbe,
-    weights: PolicyWeights,
-) -> CalibrationRecord:
-    """Collect samples per the configured plan and regress them."""
-    sample_set = collect_samples(
-        vmdk_id, probe, weights.injected_latencies_us, weights.samples_per_latency
-    )
-    return regress_latency_curve(sample_set, floor=weights.confidence_floor)
+    tier_ids = np.array(list(tier_latencies))[:, None]
+    base = np.array(list(tier_latencies.values()))[:, None]
+    delta = base - np.array([tier_latencies[t] for t in current_tiers])
+    return np.where(tier_ids == current_tiers, fits.b, fits.prediction_slope * delta + fits.b)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .baselines import EdtPolicy, IdtPolicy
-from .calibration import LatencyProbe
 from .model import (
     MigrationOrder,
     Scenario,
@@ -56,19 +55,43 @@ class DeviceModel:
         return spec.truth_slope * self.tier.base_latency_us + spec.truth_intercept_us
 
 
-def answer_probe(
-    spec: VmdkSpec,
-    added_us: float,
-    device: DeviceModel,
+def probe_latencies(
+    states: Sequence[VmdkState],
+    devices: Mapping[int, DeviceModel],
+    added_us: Sequence[float],
+    samples_per_latency: int,
     rng: np.random.Generator,
     noise_cv: float,
-) -> float:
-    """One calibration sample: true latency with multiplicative Gaussian noise."""
-    latency = device.true_latency(spec, added_us)
-    factor = 1.0 + noise_cv * float(rng.standard_normal())
-    while factor <= 0.0:
-        factor = 1.0 + noise_cv * float(rng.standard_normal())
-    return latency * factor
+) -> np.ndarray:
+    """(N, L, S) calibration samples: true latency with multiplicative Gaussian noise.
+
+    Axes are ``states`` × ``added_us`` × samples. The true latency is
+    ``DeviceModel.true_latency`` on each VMDK's current device, computed
+    elementwise in the same operation order. Noise factors ``1 + noise_cv * z``
+    come from one ``standard_normal`` draw taken in C order; every factor
+    <= 0 is dropped and the rest topped up from the same generator, which
+    consumes the stream exactly as drawing sample by sample, redrawing while
+    the factor is <= 0, would.
+    """
+    devs = [devices[s.current_tier] for s in states]
+
+    def column(values: Iterable[float]) -> np.ndarray:
+        return np.array(list(values), dtype=float)[:, None, None]
+
+    slope = column(s.spec.truth_slope for s in states)
+    base = column(d.tier.base_latency_us for d in devs)
+    intercept = column(s.spec.truth_intercept_us for s in states)
+    contention = column(d.contention for d in devs)
+    added = np.asarray(added_us, dtype=float)[:, None]
+    truth = slope * (base + added) + intercept * contention
+    shape = (len(states), len(added_us), samples_per_latency)
+    count = shape[0] * shape[1] * shape[2]
+    factor = 1.0 + noise_cv * rng.standard_normal(count)
+    factor = factor[factor > 0.0]
+    while factor.size < count:
+        more = 1.0 + noise_cv * rng.standard_normal(count - factor.size)
+        factor = np.concatenate([factor, more[more > 0.0]])
+    return truth * factor.reshape(shape)
 
 
 @dataclass
@@ -255,10 +278,9 @@ def run_scenario(
     active_orders: dict[str, MigrationOrder] = {}
     result = RunResult(scenario=scenario, policy=policy_name, seed=actual_seed)
 
-    def probe_for(vmdk_id: str) -> LatencyProbe:
-        state = vmdk_states[vmdk_id]
-        device = devices[state.current_tier]
-        return lambda added: answer_probe(state.spec, added, device, rng, noise_cv)
+    def probe(vmdk_ids: Sequence[str], added_us: Sequence[float], samples: int) -> np.ndarray:
+        states = [vmdk_states[v] for v in vmdk_ids]
+        return probe_latencies(states, devices, added_us, samples, rng, noise_cv)
 
     weights = scenario.weights
     for epoch in range(scenario.sim.epochs):
@@ -270,7 +292,7 @@ def run_scenario(
             vmdk_states=vmdk_states,
             weights=weights,
             epoch_seconds=scenario.sim.epoch_seconds,
-            probe_for=probe_for,
+            probe=probe,
             in_flight={v: o.to_tier for v, o in active_orders.items()},
         )
         if epoch % weights.monitor_epoch == 0:

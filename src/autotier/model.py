@@ -191,31 +191,38 @@ class VmdkSpec:
 
 
 @dataclass(frozen=True)
-class CalibrationRecord:
-    """Regression output of one calibration session for one VMDK.
+class CalibrationFits:
+    """Regression output of one monitor epoch's calibration, one row per VMDK.
 
-    ``m`` is the raw fitted slope (kept even if negative); predictions use
-    ``prediction_slope`` which clamps at zero since a VMDK cannot speed up
-    when its device slows down.
+    ``m``, ``b``, ``confidence``, ``sample_count`` and ``mean_cv`` are (N,)
+    arrays whose rows follow ``vmdk_ids``. ``m`` is the raw fitted slope
+    (kept even if negative); predictions use ``prediction_slope``, which
+    clamps at zero since a VMDK cannot speed up when its device slows down.
     """
 
-    vmdk_id: str
-    m: float
-    b: float
-    confidence: float
-    sample_count: int
-    mean_cv: float
+    vmdk_ids: tuple[str, ...]
+    m: np.ndarray
+    b: np.ndarray
+    confidence: np.ndarray
+    sample_count: np.ndarray
+    mean_cv: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.confidence <= 1.0):
+        rows = (len(self.vmdk_ids),)
+        for column in (self.m, self.b, self.confidence, self.sample_count, self.mean_cv):
+            if column.shape != rows:
+                raise ValueError("calibration fits need one row per VMDK")
+        if not ((self.confidence > 0.0) & (self.confidence <= 1.0)).all():
             raise ValueError("confidence out of (0,1]")
-        if self.sample_count < 1:
+        if (self.sample_count < 1).any():
             raise ValueError("sampleCount must be >= 1")
-        _require_finite_nonneg("meanCv", self.mean_cv)
+        bad = ~(np.isfinite(self.mean_cv) & (self.mean_cv >= 0))
+        if bad.any():
+            _require_finite_nonneg("meanCv", float(self.mean_cv[bad.argmax()]))
 
     @property
-    def prediction_slope(self) -> float:
-        return max(self.m, 0.0)
+    def prediction_slope(self) -> np.ndarray:
+        return np.maximum(self.m, 0.0)
 
 
 @dataclass

@@ -1,13 +1,13 @@
 """Prediction-driven tier placement: scoring and greedy assignment.
 
-Per monitor epoch the policy turns calibration records into predicted
-per-tier resource usage, normalizes against each tier's usable budget,
-scores every (tier, vmdk) cell with the specialty-weighted match plus an
-aged history term minus a migration-cost penalty, and at migration epochs
-assigns VMDKs tier by tier, best score first, under running capacity
-accounting. Every per-cell quantity is a dense (T, N) array (or (T, N, 3)
-over the p, b, s kinds) with axes in ``CapacityMatrices`` order; a cell
-that cannot host its VMDK scores -inf.
+Per monitor epoch the policy calibrates every VMDK in one batch, turns the
+(N,) calibration fits into predicted per-tier resource usage, normalizes
+against each tier's usable budget, scores every (tier, vmdk) cell with the
+specialty-weighted match plus an aged history term minus a migration-cost
+penalty, and at migration epochs assigns VMDKs tier by tier, best score
+first, under running capacity accounting. Every per-cell quantity is a
+dense (T, N) array (or (T, N, 3) over the p, b, s kinds) with axes in
+``CapacityMatrices`` order; a cell that cannot host its VMDK scores -inf.
 
 ``pack`` is the one greedy packer: this policy and both baselines differ
 only in the candidate (tier, vmdk) order they feed it and the budget kinds
@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .calibration import LatencyProbe, estimate_avg_lat, run_session
+from . import calibration
+from .calibration import SampleProbe, estimate_avg_lat
 from .model import (
-    CalibrationRecord,
+    CalibrationFits,
     CapacityMatrices,
     PolicyWeights,
     ResourceVector,
@@ -78,7 +79,7 @@ def _budgets(tiers: Sequence[TierSpec]) -> list[list[float]]:
 
 
 def cal_capacity_matrices(
-    calibrations: Mapping[str, CalibrationRecord],
+    fits: CalibrationFits,
     vmdks: Sequence[VmdkState],
     tiers: Sequence[TierSpec],
 ) -> CapacityMatrices:
@@ -87,16 +88,13 @@ def cal_capacity_matrices(
     Throughput is the latency-implied ceiling 10^6/latency, additionally
     capped at the VMDK's current demand (an idle VMDK must not look like a
     heavy consumer); bandwidth follows from throughput and mean I/O size;
-    storage is the VMDK size.
+    storage is the VMDK size. The rows of ``fits`` must follow ``vmdks``.
     """
-    tier_latencies = {t.id: t.base_latency_us for t in tiers}
-    lat = np.array([
-        [
-            estimate_avg_lat(calibrations[v.spec.id], v.current_tier, tier.id, tier_latencies)
-            for v in vmdks
-        ]
-        for tier in tiers
-    ])
+    if fits.vmdk_ids != tuple(v.spec.id for v in vmdks):
+        raise ValueError("calibration fits must follow the VMDK order")
+    lat = estimate_avg_lat(
+        fits, [v.current_tier for v in vmdks], {t.id: t.base_latency_us for t in tiers}
+    )
     with np.errstate(divide="ignore"):
         iops = np.where(lat > 0, 1e6 / lat, 0.0)
     iops = np.minimum(iops, [v.demand_iops for v in vmdks])
@@ -190,7 +188,7 @@ def cal_score(
     weights: PolicyWeights,
     tier_states: Mapping[int, TierState],
     vmdks: Sequence[VmdkState],
-    calibrations: Mapping[str, CalibrationRecord],
+    fits: CalibrationFits,
     migration_epoch_seconds: float,
 ) -> ScoreMatrix:
     """Convolutional score: aged history + current match - weighted migration cost.
@@ -205,7 +203,7 @@ def cal_score(
         tiers,
         mat.ratio,
         np.array([v.spec.sla_weight for v in vmdks]),
-        np.array([calibrations[v.spec.id].confidence for v in vmdks]),
+        fits.confidence,
         weights.normalize_by_active_weights,
     )
     cost = mig_cost_seconds(vmdks, mat.tier_ids, tier_states) / migration_epoch_seconds
@@ -447,14 +445,21 @@ def oracle_assignment(
 
 @dataclass
 class PolicyContext:
-    """Everything a policy may look at when monitoring or planning."""
+    """Everything a policy may look at when monitoring or planning.
+
+    ``probe`` is the one calibration sampler: given VMDK ids, injected
+    latencies and a sample count it returns the dense (N, L, S) sample grid
+    (see ``calibration.CalibrationSamples``), drawn from the run's seeded
+    generator against each VMDK's current device. A monitor epoch probes
+    every VMDK at once and fits the grid into (N,) ``CalibrationFits``.
+    """
 
     tiers: tuple[TierSpec, ...]
     tier_states: dict[int, TierState]
     vmdk_states: dict[str, VmdkState]
     weights: PolicyWeights
     epoch_seconds: float
-    probe_for: Callable[[str], LatencyProbe]
+    probe: SampleProbe
     in_flight: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -474,17 +479,22 @@ class AutoTieringPolicy:
     name = "autotiering"
 
     def __init__(self) -> None:
-        self.calibrations: dict[str, CalibrationRecord] = {}
+        self.calibrations: CalibrationFits | None = None
         self.history: np.ndarray | None = None
         self.matrices: CapacityMatrices | None = None
         self.scores: ScoreMatrix | None = None
 
     def on_monitor(self, ctx: PolicyContext) -> None:
         states = ctx.sorted_states()
-        for v in states:
-            self.calibrations[v.spec.id] = run_session(
-                v.spec.id, ctx.probe_for(v.spec.id), ctx.weights
-            )
+        weights = ctx.weights
+        # Looked up through the module so the calibration layers stay patchable.
+        samples = calibration.collect_samples(
+            [v.spec.id for v in states], ctx.probe,
+            weights.injected_latencies_us, weights.samples_per_latency,
+        )
+        self.calibrations = calibration.regress_latency_curve(
+            samples, floor=weights.confidence_floor
+        )
         mat = cal_capacity_matrices(self.calibrations, states, ctx.tiers)
         normalize_and_gate(mat, ctx.tiers)
         self.scores = cal_score(

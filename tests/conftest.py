@@ -10,6 +10,7 @@ settings.register_profile("autotier", deadline=None)
 settings.load_profile("autotier")
 
 from autotier.model import (
+    CalibrationFits,
     PolicyWeights,
     ResourceVector,
     Scenario,
@@ -85,6 +86,20 @@ def make_state(spec: VmdkSpec, tier: int | None = None, **measured) -> VmdkState
     for key, value in measured.items():
         setattr(state, key, value)
     return state
+
+
+def make_fits(rows) -> CalibrationFits:
+    """Fits from (vmdk_id, m, b, confidence) rows, 10 samples each, mean CV 0."""
+    rows = list(rows)
+    column = lambda k: np.array([row[k] for row in rows], dtype=float)
+    return CalibrationFits(
+        vmdk_ids=tuple(row[0] for row in rows),
+        m=column(1),
+        b=column(2),
+        confidence=column(3),
+        sample_count=np.full(len(rows), 10),
+        mean_cv=np.zeros(len(rows)),
+    )
 
 
 def idle_tier_states(tiers) -> dict[int, TierState]:
@@ -190,7 +205,6 @@ def random_oracle_instance(rng: np.random.Generator):
     Ranges keep every VMDK individually feasible on every tier with aggregate
     slack, so the greedy's stay-put fallback never has to overload.
     """
-    from autotier.model import CalibrationRecord
     from autotier.policy import cal_capacity_matrices, normalize_and_gate
 
     tiers = tuple(
@@ -210,7 +224,7 @@ def random_oracle_instance(rng: np.random.Generator):
     )
     n = int(rng.integers(2, 9))
     states = []
-    records = {}
+    rows = []
     for j in range(n):
         vid = f"v{j}"
         spec = make_vmdk(
@@ -222,14 +236,13 @@ def random_oracle_instance(rng: np.random.Generator):
             avg_io_size_bytes=float(rng.uniform(512, 8_192)),
         )
         states.append(make_state(spec, measured_read_mbps=float(rng.uniform(0, 100))))
-        records[vid] = CalibrationRecord(
+        rows.append((
             vid,
             float(rng.uniform(0, 1.5)),
             float(rng.uniform(5, 200)),
-            confidence=float(rng.uniform(0.05, 1.0)),
-            sample_count=10,
-            mean_cv=0.0,
-        )
+            float(rng.uniform(0.05, 1.0)),
+        ))
+    records = make_fits(rows)
     mat = normalize_and_gate(cal_capacity_matrices(records, states, tiers), tiers)
     tier_states = idle_tier_states(tiers)
     for ts in tier_states.values():

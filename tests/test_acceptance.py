@@ -16,9 +16,8 @@ from autotier.calibration import (
     estimate_avg_lat,
     regress_latency_curve,
 )
-from autotier.engine import DeviceModel, answer_probe, run_scenario
+from autotier.engine import DeviceModel, probe_latencies, run_scenario
 from autotier.model import (
-    CalibrationRecord,
     PolicyWeights,
     ResourceVector,
     Scenario,
@@ -38,6 +37,7 @@ from autotier.scenario import load_bundled_scenario
 
 from conftest import (
     idle_tier_states,
+    make_fits,
     make_state,
     make_tier,
     make_vmdk,
@@ -76,14 +76,14 @@ def test_criterion_1_formula_fidelity():
         # IOPS = 10^6 / Lat and B = IOPS * io / 10^6
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e12, avg_io_size_bytes=4096))
-        rec = CalibrationRecord("v1", 0.0, 20.0, confidence=1.0, sample_count=10, mean_cv=0.0)
-        mat = cal_capacity_matrices({"v1": rec}, [state], [tier])
+        rec = make_fits([("v1", 0.0, 20.0, 1.0)])
+        mat = cal_capacity_matrices(rec, [state], [tier])
         ok &= close(mat.cap[0, 0, 0], 50_000.0)  # tier 1, v1, p
         ok &= close(mat.cap[0, 0, 1], 204.8)  # tier 1, v1, b
 
         # hosting-tier estimate returns the fitted intercept exactly
-        rec2 = CalibrationRecord("v1", 2.0, 123.0, confidence=1.0, sample_count=10, mean_cv=0.0)
-        ok &= estimate_avg_lat(rec2, 1, 1, {1: 20.0}) == 123.0
+        rec2 = make_fits([("v1", 2.0, 123.0, 1.0)])
+        ok &= estimate_avg_lat(rec2, [1], {1: 20.0})[0, 0] == 123.0
 
         # confidence mapping
         ok &= compute_confidence(1.2) == 0.05
@@ -106,6 +106,7 @@ def test_criterion_2_calibration_recovery():
     with _Timer() as t:
         tier = make_tier(1, base_latency_us=200.0)
         spec = make_vmdk(truth_slope=1.2, truth_intercept_us=1800.0)
+        state = make_state(spec, tier=1)
         true_m = spec.truth_slope
         true_b = true_m * tier.base_latency_us + spec.truth_intercept_us
         seeds = 120
@@ -114,11 +115,12 @@ def test_criterion_2_calibration_recovery():
             rng = np.random.default_rng(seed)
             device = DeviceModel(tier=tier)
             samples = collect_samples(
-                "v", lambda d: answer_probe(spec, d, device, rng, 0.05),
+                ["v1"], lambda ids, d, n: probe_latencies([state], {1: device}, d, n, rng, 0.05),
                 PLAN_LATENCIES, 10,
             )
             rec = regress_latency_curve(samples)
-            if abs(rec.m - true_m) <= 0.10 * true_m and abs(rec.b - true_b) <= 0.05 * true_b:
+            m, b = rec.m[0], rec.b[0]
+            if abs(m - true_m) <= 0.10 * true_m and abs(b - true_b) <= 0.05 * true_b:
                 hits += 1
         ok = hits >= int(0.95 * seeds)
     _report("C2 calibration-recovery", ok, t, 10.0, f"{hits}/{seeds} seeds within tolerance")

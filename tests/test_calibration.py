@@ -1,30 +1,44 @@
-"""Calibration session: CV, confidence, sampling, regression, prediction."""
+"""Calibration: CV, confidence, batched sampling, regression, prediction."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from autotier.calibration import (
-    SampleSet,
+    CalibrationSamples,
     collect_samples,
     compute_confidence,
     compute_cv,
     estimate_avg_lat,
     regress_latency_curve,
 )
-from autotier.model import CalibrationRecord, DEFAULT_INJECTED_LATENCIES_US
+from autotier.engine import run_scenario
+from autotier.model import DEFAULT_INJECTED_LATENCIES_US, validate_scenario
+from autotier.scenario import load_bundled_scenario, scenario_to_document
+
+from conftest import make_fits
 
 PLAN = DEFAULT_INJECTED_LATENCIES_US
 
 
 def linear_probe(m, b, noise_cv=0.0, rng=None):
-    def probe(d):
-        value = m * d + b
+    """A probe whose every VMDK answers m * d + b, times 1 + noise_cv * z."""
+    def probe(vmdk_ids, latencies, samples):
+        shape = (len(vmdk_ids), len(latencies), samples)
+        values = np.broadcast_to((m * np.asarray(latencies) + b)[:, None], shape).copy()
         if noise_cv:
-            value *= 1.0 + noise_cv * rng.standard_normal()
-        return value
+            values *= 1.0 + noise_cv * rng.standard_normal(shape)
+        return values
     return probe
+
+
+def sample_set(per_latency, vmdk_id="v"):
+    """One VMDK's samples from a {injected latency: samples} mapping."""
+    return CalibrationSamples(
+        (vmdk_id,), tuple(per_latency), np.array([list(per_latency.values())], dtype=float)
+    )
 
 
 class TestComputeCv:
@@ -43,6 +57,12 @@ class TestComputeCv:
         with pytest.raises(ValueError):
             compute_cv([0.0, 0.0])
 
+    def test_one_cv_per_row(self):
+        cv = compute_cv(np.array([[[90.0, 110.0], [100.0, 100.0]]]))
+        assert cv.shape == (1, 2)
+        assert cv[0, 0] == pytest.approx(0.1, rel=1e-12)
+        assert cv[0, 1] == 0.0
+
 
 class TestComputeConfidence:
     def test_high_cv_floors(self):
@@ -59,46 +79,67 @@ class TestComputeConfidence:
         conf = compute_confidence(cv)
         assert 0.05 <= conf <= 1.0
 
+    def test_elementwise_over_rows(self):
+        conf = compute_confidence(np.array([1.2, 0.3, 0.0, 0.99]), floor=0.05)
+        assert conf.tolist() == [0.05, 1.0 - 0.3, 1.0, 0.05]
+
+    def test_negative_mean_cv_errors(self):
+        with pytest.raises(ValueError, match="meanCv must be non-negative"):
+            compute_confidence(np.array([0.1, -0.1]))
+
 
 class TestCollectSamples:
     def test_noiseless_linear_truth(self):
-        samples = collect_samples("v", linear_probe(1.0, 200.0), [0.0, 1000.0], 3)
-        assert samples.per_latency[1000.0] == [1200.0, 1200.0, 1200.0]
+        samples = collect_samples(["v"], linear_probe(1.0, 200.0), [0.0, 1000.0], 3)
+        assert samples.values[0, 1].tolist() == [1200.0, 1200.0, 1200.0]
 
     def test_plan_cardinality(self):
-        samples = collect_samples("v", linear_probe(1.0, 100.0), PLAN, 10)
-        assert len(samples.per_latency) == 5
-        assert all(len(v) == 10 for v in samples.per_latency.values())
+        samples = collect_samples(["v"], linear_probe(1.0, 100.0), PLAN, 10)
+        assert samples.values.shape == (1, 5, 10)
+        assert samples.injected_latencies_us == PLAN
         assert samples.sample_count == 50
+
+    def test_sample_count_covers_every_vmdk(self):
+        samples = collect_samples(["a", "b", "c"], linear_probe(1.0, 100.0), PLAN, 10)
+        assert samples.vmdk_ids == ("a", "b", "c")
+        assert samples.sample_count == 3 * 5 * 10
 
     def test_fixed_seed_reproduces_samples(self):
         def session(seed):
             rng = np.random.default_rng(seed)
-            return collect_samples("v", linear_probe(1.0, 100.0, 0.05, rng), PLAN, 10)
-        assert session(7).per_latency == session(7).per_latency
+            return collect_samples(["v"], linear_probe(1.0, 100.0, 0.05, rng), PLAN, 10)
+        assert session(7).values.tobytes() == session(7).values.tobytes()
 
     def test_positive_samples_required(self):
         with pytest.raises(ValueError):
-            SampleSet("v", {0.0: [0.0]})
+            sample_set({0.0: [0.0]})
+
+    def test_checks_name_the_injected_latency(self):
+        with pytest.raises(ValueError, match="non-positive sample for injected latency 500.0"):
+            sample_set({0.0: [1.0, 2.0], 500.0: [3.0, -1.0]})
+        with pytest.raises(ValueError, match="no samples for injected latency 0.0"):
+            CalibrationSamples(("v",), (0.0, 500.0), np.empty((1, 2, 0)))
+        with pytest.raises(ValueError, match="at least one injected latency"):
+            CalibrationSamples(("v",), (), np.empty((1, 0, 3)))
 
 
 class TestRegression:
     def test_noiseless_points_recover_line(self):
-        samples = SampleSet("v", {0.0: [200.0], 1000.0: [1200.0], 2000.0: [2200.0]})
+        samples = sample_set({0.0: [200.0], 1000.0: [1200.0], 2000.0: [2200.0]})
         rec = regress_latency_curve(samples)
-        assert rec.m == pytest.approx(1.0, rel=1e-9)
-        assert rec.b == pytest.approx(200.0, rel=1e-9)
-        assert rec.confidence == 1.0
+        assert rec.m[0] == pytest.approx(1.0, rel=1e-9)
+        assert rec.b[0] == pytest.approx(200.0, rel=1e-9)
+        assert rec.confidence[0] == 1.0
 
     def test_single_latency_is_singular(self):
         with pytest.raises(ValueError, match="two distinct"):
-            regress_latency_curve(SampleSet("v", {500.0: [100.0, 101.0]}))
+            regress_latency_curve(sample_set({500.0: [100.0, 101.0]}))
 
     def test_mean_cv_averages_per_latency_cvs(self):
-        samples = SampleSet("v", {0.0: [90.0, 110.0], 1000.0: [1000.0, 1000.0]})
+        samples = sample_set({0.0: [90.0, 110.0], 1000.0: [1000.0, 1000.0]})
         rec = regress_latency_curve(samples)
-        assert rec.mean_cv == pytest.approx(0.05, rel=1e-12)
-        assert rec.confidence == pytest.approx(0.95, rel=1e-12)
+        assert rec.mean_cv[0] == pytest.approx(0.05, rel=1e-12)
+        assert rec.confidence[0] == pytest.approx(0.95, rel=1e-12)
 
     def test_statistical_recovery_of_slope(self):
         # truth m=2, b=150 with 5% multiplicative noise; >=95% of seeds within +-10%
@@ -106,9 +147,9 @@ class TestRegression:
         seeds = 120
         for seed in range(seeds):
             rng = np.random.default_rng(seed)
-            samples = collect_samples("v", linear_probe(2.0, 150.0, 0.05, rng), PLAN, 10)
+            samples = collect_samples(["v"], linear_probe(2.0, 150.0, 0.05, rng), PLAN, 10)
             rec = regress_latency_curve(samples)
-            if abs(rec.m - 2.0) <= 0.2:
+            if abs(rec.m[0] - 2.0) <= 0.2:
                 hits += 1
         assert hits >= 0.95 * seeds
 
@@ -117,34 +158,77 @@ class TestRegression:
         st.floats(min_value=1.0, max_value=5000.0, allow_nan=False),
     )
     def test_noiseless_recovery_property(self, m, b):
-        samples = collect_samples("v", linear_probe(m, b), PLAN, 2)
+        samples = collect_samples(["v"], linear_probe(m, b), PLAN, 2)
         rec = regress_latency_curve(samples)
-        assert rec.m == pytest.approx(m, rel=1e-9, abs=1e-9)
-        assert rec.b == pytest.approx(b, rel=1e-9)
+        assert rec.m[0] == pytest.approx(m, rel=1e-9, abs=1e-9)
+        assert rec.b[0] == pytest.approx(b, rel=1e-9)
+
+    def test_latency_axis_is_fitted_in_ascending_order(self):
+        rng = np.random.default_rng(5)
+        values = rng.uniform(50.0, 5000.0, size=(4, 5, 3))
+        shuffled = [3, 0, 4, 1, 2]
+        plan = tuple(PLAN[i] for i in shuffled)
+        ascending = regress_latency_curve(CalibrationSamples(tuple("abcd"), PLAN, values))
+        as_drawn = regress_latency_curve(
+            CalibrationSamples(tuple("abcd"), plan, values[:, shuffled, :])
+        )
+        for name in ("m", "b", "confidence", "mean_cv"):
+            assert getattr(as_drawn, name).tobytes() == getattr(ascending, name).tobytes()
+
+    @given(
+        hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 12), st.just(len(PLAN)), st.integers(1, 6)),
+            elements=st.floats(min_value=1e-3, max_value=1e7, allow_nan=False),
+        )
+    )
+    def test_rows_are_independent(self, values):
+        ids = tuple(f"v{i}" for i in range(len(values)))
+        together = regress_latency_curve(CalibrationSamples(ids, PLAN, values))
+        for i, vmdk_id in enumerate(ids):
+            alone = regress_latency_curve(CalibrationSamples((vmdk_id,), PLAN, values[i:i + 1]))
+            for name in ("m", "b", "confidence", "mean_cv", "sample_count"):
+                assert getattr(together, name)[i:i + 1].tobytes() == getattr(alone, name).tobytes()
+
+    def test_overflowing_truth_fails_on_mean_cv(self):
+        doc = scenario_to_document(load_bundled_scenario("tiny-oracle"))
+        doc["vmdks"][0]["truthSlope"] = 1e300
+        scenario = validate_scenario(doc)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="meanCv must be a finite non-negative number"):
+                run_scenario(scenario, "autotiering")
 
 
 class TestEstimateAvgLat:
     def rec(self, m, b):
-        return CalibrationRecord("v", m, b, confidence=1.0, sample_count=10, mean_cv=0.0)
+        return make_fits([("v", m, b, 1.0)])
 
     def test_direct_formula(self):
-        lat = estimate_avg_lat(self.rec(2.0, 100.0), 1, 2, {1: 20.0, 2: 50.0})
-        assert lat == pytest.approx(160.0, rel=1e-12)
+        lat = estimate_avg_lat(self.rec(2.0, 100.0), [1], {1: 20.0, 2: 50.0})
+        assert lat[1, 0] == pytest.approx(160.0, rel=1e-12)
 
     def test_current_tier_returns_intercept_exactly(self):
-        assert estimate_avg_lat(self.rec(2.0, 123.456), 1, 1, {1: 20.0}) == 123.456
+        assert estimate_avg_lat(self.rec(2.0, 123.456), [1], {1: 20.0})[0, 0] == 123.456
 
     def test_faster_target_can_go_negative(self):
-        lat = estimate_avg_lat(self.rec(1.0, 500.0), 2, 1, {1: 500.0, 2: 2500.0})
-        assert lat == pytest.approx(-1500.0, rel=1e-12)
+        lat = estimate_avg_lat(self.rec(1.0, 500.0), [2], {1: 500.0, 2: 2500.0})
+        assert lat[0, 0] == pytest.approx(-1500.0, rel=1e-12)
 
     def test_negative_raw_slope_is_clamped_for_prediction(self):
-        lat = estimate_avg_lat(self.rec(-0.5, 300.0), 1, 2, {1: 100.0, 2: 800.0})
-        assert lat == 300.0
+        lat = estimate_avg_lat(self.rec(-0.5, 300.0), [1], {1: 100.0, 2: 800.0})
+        assert lat[1, 0] == 300.0
 
     @given(st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
     def test_monotone_in_target_latency(self, m):
         rec = self.rec(m, 50.0)
         lats = {1: 10.0, 2: 100.0, 3: 1000.0}
-        estimates = [estimate_avg_lat(rec, 1, t, lats) for t in (1, 2, 3)]
+        estimates = estimate_avg_lat(rec, [1], lats)[:, 0].tolist()
         assert estimates == sorted(estimates)
+
+    def test_grid_is_tiers_by_vmdks(self):
+        fits = make_fits([("a", 0.5, 80.0, 1.0), ("b", 2.0, 300.0, 1.0)])
+        lats = {1: 10.0, 2: 100.0, 3: 1000.0}
+        grid = estimate_avg_lat(fits, [3, 1], lats)
+        assert grid.shape == (3, 2)
+        assert grid[:, 0].tolist() == [0.5 * (10.0 - 1000.0) + 80.0, 0.5 * (100.0 - 1000.0) + 80.0, 80.0]
+        assert grid[:, 1].tolist() == [300.0, 2.0 * (100.0 - 10.0) + 300.0, 2.0 * (1000.0 - 10.0) + 300.0]

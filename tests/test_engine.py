@@ -8,7 +8,7 @@ import pytest
 from autotier.calibration import collect_samples, estimate_avg_lat, regress_latency_curve
 from autotier.engine import (
     DeviceModel,
-    answer_probe,
+    probe_latencies,
     progress_migrations,
     run_scenario,
     serve_epoch_tier,
@@ -40,33 +40,103 @@ class TestDeviceModel:
         assert device.true_latency(spec, 0.0) == pytest.approx(200.0 + 60.0)
 
 
-class TestAnswerProbe:
+def reference_probe(spec, added_us, device, rng, noise_cv):
+    """One sample drawn the sample-by-sample way the batched sampler replaces."""
+    latency = device.true_latency(spec, added_us)
+    factor = 1.0 + noise_cv * float(rng.standard_normal())
+    while factor <= 0.0:
+        factor = 1.0 + noise_cv * float(rng.standard_normal())
+    return latency * factor
+
+
+def reference_samples(states, devices, added_us, samples, rng, noise_cv):
+    """(N, L, S) samples from the reference loop: VMDKs x latencies x samples."""
+    return np.array([
+        [
+            [
+                reference_probe(s.spec, d, devices[s.current_tier], rng, noise_cv)
+                for _ in range(samples)
+            ]
+            for d in added_us
+        ]
+        for s in states
+    ])
+
+
+def probe_setup():
+    """Three VMDKs on two tiers, one of them contended."""
+    tiers = (make_tier(1, 100.0), make_tier(2, 400.0))
+    devices = {1: DeviceModel(tier=tiers[0]), 2: DeviceModel(tier=tiers[1], contention=1.7)}
+    states = [
+        make_state(make_vmdk("a", truth_slope=0.4, truth_intercept_us=30.0), tier=1),
+        make_state(make_vmdk("b", truth_slope=1.3, truth_intercept_us=210.0), tier=2),
+        make_state(make_vmdk("c", truth_slope=0.0, truth_intercept_us=5.0), tier=2),
+    ]
+    return states, devices
+
+
+def single(tier_base=100.0, slope=1.0, intercept=200.0):
+    device = DeviceModel(tier=make_tier(1, tier_base))
+    state = make_state(make_vmdk(truth_slope=slope, truth_intercept_us=intercept))
+    return [state], {1: device}
+
+
+class TestProbeLatencies:
     def test_noiseless_probe_is_exact(self):
-        device = DeviceModel(tier=make_tier(1, 100.0))
-        spec = make_vmdk(truth_slope=1.0, truth_intercept_us=200.0)
+        states, devices = single()
         rng = np.random.default_rng(0)
-        assert answer_probe(spec, 1000.0, device, rng, 0.0) == pytest.approx(1300.0)
+        samples = probe_latencies(states, devices, [1000.0], 1, rng, 0.0)
+        assert samples[0, 0, 0] == pytest.approx(1300.0)
 
     def test_zero_injection_gives_bare_latency(self):
-        device = DeviceModel(tier=make_tier(1, 100.0))
-        spec = make_vmdk(truth_slope=1.0, truth_intercept_us=200.0)
+        states, devices = single()
         rng = np.random.default_rng(0)
-        assert answer_probe(spec, 0.0, device, rng, 0.0) == pytest.approx(300.0)
+        assert probe_latencies(states, devices, [0.0], 1, rng, 0.0)[0, 0, 0] == pytest.approx(300.0)
 
     def test_fixed_seed_reproduces_sequence(self):
-        device = DeviceModel(tier=make_tier(1, 100.0))
-        spec = make_vmdk()
-        a = [answer_probe(spec, d, device, np.random.default_rng(3), 0.05) for d in (0, 0, 0)]
-        b = [answer_probe(spec, d, device, np.random.default_rng(3), 0.05) for d in (0, 0, 0)]
-        assert a != [answer_probe(spec, 0, device, np.random.default_rng(4), 0.05)] * 3
-        assert a == b
+        states, devices = single(slope=0.1, intercept=20.0)
+
+        def draw(seed):
+            return probe_latencies(states, devices, [0.0], 3, np.random.default_rng(seed), 0.05)
+
+        a, b = draw(3), draw(3)
+        assert not np.array_equal(a, draw(4))
+        assert np.array_equal(a, b)
 
     def test_samples_stay_positive(self):
-        device = DeviceModel(tier=make_tier(1, 100.0))
-        spec = make_vmdk(truth_slope=0.0, truth_intercept_us=1.0)
+        states, devices = single(slope=0.0, intercept=1.0)
         rng = np.random.default_rng(1)
-        samples = [answer_probe(spec, 0.0, device, rng, 3.0) for _ in range(500)]
-        assert all(s > 0 for s in samples)
+        samples = probe_latencies(states, devices, [0.0], 500, rng, 3.0)
+        assert (samples > 0).all()
+
+    @pytest.mark.parametrize("noise_cv,seed", [(0.0, 11), (0.05, 12), (3.0, 13)])
+    def test_matches_reference_stream_bitwise(self, noise_cv, seed):
+        states, devices = probe_setup()
+        plan = (0.0, 500.0, 1000.0, 2000.0)
+        batched_rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        batched = probe_latencies(states, devices, plan, 2, batched_rng, noise_cv)
+        reference = reference_samples(states, devices, plan, 2, reference_rng, noise_cv)
+        assert batched.shape == (3, 4, 2)
+        assert batched.tobytes() == reference.tobytes()
+        assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert batched_rng.standard_normal() == reference_rng.standard_normal()
+
+    def test_rejected_draw_inside_the_top_up(self):
+        # Seed 6 at noise CV 1.0 over 24 samples: the first draw rejects two
+        # factors and the top-up of two rejects again, so a second top-up runs.
+        probe_rng = np.random.default_rng(6)
+        first = 1.0 + 1.0 * probe_rng.standard_normal(24)
+        top_up = 1.0 + 1.0 * probe_rng.standard_normal(int((first <= 0).sum()))
+        assert (first <= 0).sum() == 2 and (top_up <= 0).any()
+        states, devices = probe_setup()
+        plan = (0.0, 500.0, 1000.0, 2000.0)
+        batched_rng = np.random.default_rng(6)
+        reference_rng = np.random.default_rng(6)
+        batched = probe_latencies(states, devices, plan, 2, batched_rng, 1.0)
+        reference = reference_samples(states, devices, plan, 2, reference_rng, 1.0)
+        assert batched.tobytes() == reference.tobytes()
+        assert batched_rng.standard_normal() == reference_rng.standard_normal()
 
 
 class TestServeEpoch:
@@ -175,13 +245,14 @@ class TestServeEpoch:
         tier = make_tier(2, base_latency_us=250.0)
         device = DeviceModel(tier=tier)
         spec = make_vmdk(truth_slope=0.7, truth_intercept_us=40.0)
+        state = make_state(spec, tier=2)
         rng = np.random.default_rng(0)
         samples = collect_samples(
-            "v1", lambda d: answer_probe(spec, d, device, rng, 0.0),
+            ["v1"], lambda ids, d, n: probe_latencies([state], {2: device}, d, n, rng, 0.0),
             (0.0, 500.0, 1000.0, 2000.0, 4000.0), 10,
         )
         rec = regress_latency_curve(samples)
-        estimate = estimate_avg_lat(rec, 2, 2, {2: 250.0})
+        estimate = estimate_avg_lat(rec, [2], {2: 250.0})[0, 0]
         assert estimate == pytest.approx(device.true_latency(spec), rel=1e-9)
 
 

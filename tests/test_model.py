@@ -1,11 +1,14 @@
 """Domain type invariants and scenario validation diagnostics."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from autotier.model import (
-    CalibrationRecord,
+    CalibrationFits,
     MigrationOrder,
     PolicyWeights,
     ResourceVector,
@@ -26,6 +29,14 @@ finite = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 
 def vec(p=0.0, b=0.0, s=0.0):
     return ResourceVector(p, b, s)
+
+
+def fit_row(m, b, confidence, sample_count=5, mean_cv=0.1):
+    """Calibration fits holding one VMDK."""
+    return CalibrationFits(
+        ("v",), np.array([m]), np.array([b]), np.array([confidence]),
+        np.array([sample_count]), np.array([mean_cv]),
+    )
 
 
 class TestResourceVector:
@@ -122,14 +133,24 @@ class TestVmdkSpec:
 class TestOtherTypes:
     def test_calibration_confidence_bounds(self):
         with pytest.raises(ValueError):
-            CalibrationRecord("v", 1.0, 10.0, confidence=0.0, sample_count=5, mean_cv=0.1)
+            fit_row(1.0, 10.0, confidence=0.0)
         with pytest.raises(ValueError):
-            CalibrationRecord("v", 1.0, 10.0, confidence=1.2, sample_count=5, mean_cv=0.1)
+            fit_row(1.0, 10.0, confidence=1.2)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"sample_count": 0}, "sampleCount must be >= 1"),
+        ({"mean_cv": -0.1}, "meanCv must be a finite non-negative number, got -0.1"),
+        ({"mean_cv": math.inf}, "meanCv must be a finite non-negative number, got inf"),
+        ({"mean_cv": math.nan}, "meanCv must be a finite non-negative number, got nan"),
+    ])
+    def test_calibration_row_checks(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            fit_row(1.0, 10.0, confidence=0.5, **kwargs)
 
     def test_prediction_slope_clamps_at_zero(self):
-        rec = CalibrationRecord("v", -0.3, 10.0, confidence=0.5, sample_count=5, mean_cv=0.1)
-        assert rec.m == -0.3
-        assert rec.prediction_slope == 0.0
+        rec = fit_row(-0.3, 10.0, confidence=0.5)
+        assert rec.m[0] == -0.3
+        assert rec.prediction_slope[0] == 0.0
 
     def test_migration_order_requires_distinct_tiers(self):
         with pytest.raises(ValueError):

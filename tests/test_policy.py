@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from autotier.calibration import estimate_avg_lat
 from autotier.model import (
-    CalibrationRecord,
     PolicyWeights,
     ResourceVector,
 )
@@ -29,20 +28,26 @@ from conftest import (
     idle_tier_states,
     make_state,
     make_tier,
+    make_fits,
     make_vmdk,
     random_oracle_instance,
 )
 
 
 def record(vmdk_id, m, b, conf=1.0):
-    return CalibrationRecord(vmdk_id, m, b, confidence=conf, sample_count=10, mean_cv=0.0)
+    return vmdk_id, m, b, conf
+
+
+def fits(states, records):
+    """Calibration fits of ``records`` (rows by VMDK id) in the order of ``states``."""
+    return make_fits(records[s.spec.id] for s in states)
 
 
 P, B, S = 0, 1, 2  # component index on the last axis of cap / ratio
 
 
 def build_matrices(tiers, states, records):
-    mat = cal_capacity_matrices(records, states, tiers)
+    mat = cal_capacity_matrices(fits(states, records), states, tiers)
     return normalize_and_gate(mat, tiers)
 
 
@@ -67,7 +72,7 @@ class TestCapacityMatrices:
         # 20us predicted latency -> 50K IOPS
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e9, avg_io_size_bytes=4096))
-        mat = cal_capacity_matrices({"v1": record("v1", 0.0, 20.0)}, [state], [tier])
+        mat = cal_capacity_matrices(make_fits([record("v1", 0.0, 20.0)]), [state], [tier])
         cell = mat.cap[at(mat, 1, "v1")]
         assert cell[P] == pytest.approx(50_000, rel=1e-9)
         assert cell[B] == pytest.approx(50_000 * 4096 / 1e6, rel=1e-9)
@@ -76,17 +81,17 @@ class TestCapacityMatrices:
     def test_negative_prediction_means_zero_throughput(self):
         tiers = (make_tier(1, 50.0), make_tier(2, 2050.0))
         state = make_state(make_vmdk(initial_tier=2, demand_iops=1e9), tier=2)
-        records = {"v1": record("v1", 1.0, 500.0)}
+        records = make_fits([record("v1", 1.0, 500.0)])
         mat = cal_capacity_matrices(records, [state], tiers)
         # predicted latency on tier 1: 1.0 * (50-2050) + 500 = -1500us
-        assert estimate_avg_lat(records["v1"], 2, 1, {1: 50.0, 2: 2050.0}) == -1500.0
+        assert estimate_avg_lat(records, [2], {1: 50.0, 2: 2050.0})[0, 0] == -1500.0
         assert mat.cap[at(mat, 1, "v1")][P] == 0.0
         assert mat.cap[at(mat, 1, "v1")][B] == 0.0
 
     def test_throughput_capped_at_demand(self):
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=10_000, avg_io_size_bytes=4096))
-        mat = cal_capacity_matrices({"v1": record("v1", 0.0, 20.0)}, [state], [tier])
+        mat = cal_capacity_matrices(make_fits([record("v1", 0.0, 20.0)]), [state], [tier])
         assert mat.cap[at(mat, 1, "v1")][P] == 10_000
         assert mat.cap[at(mat, 1, "v1")][B] == pytest.approx(10_000 * 4096 / 1e6)
 
@@ -227,7 +232,8 @@ class TestCalScore:
         if tier_states_fn:
             tier_states_fn(tier_states)
         weights = PolicyWeights(aging_factor=aging, migration_epoch=3, monitor_epoch=1)
-        return cal_score(mat, history, [tier], weights, tier_states, [state], records, 900.0)
+        return cal_score(mat, history, [tier], weights, tier_states, [state],
+                         fits([state], records), 900.0)
 
     def test_memoryless_costless_is_pure_match(self):
         sm = self.single_cell(0.0, None, 0.0)
@@ -258,7 +264,7 @@ class TestCalScore:
         history = np.zeros(mat.feasible.shape)
         history[at(mat, 1, "w")] = 0.4
         sm = cal_score(mat, history, tiers, weights,
-                       tier_states, [state], records, 900.0)
+                       tier_states, [state], fits([state], records), 900.0)
         # penalty: 0.2 * (450 GB * 1000 / 1000 MBps) / 900 s = 0.1
         assert sm.score[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
         assert sm.history[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
@@ -270,7 +276,7 @@ class TestCalScore:
         mat = build_matrices([tier], [state], records)
         weights = PolicyWeights(aging_factor=0.9)
         sm = cal_score(mat, np.full(mat.feasible.shape, 5.0), [tier], weights,
-                       idle_tier_states([tier]), [state], records, 900.0)
+                       idle_tier_states([tier]), [state], fits([state], records), 900.0)
         assert sm.score[at(mat, 1, "v1")] == -math.inf
         assert sm.history[at(mat, 1, "v1")] == 0.0
 
@@ -283,7 +289,8 @@ class TestCalScore:
         records = {"v1": record("v1", 0.0, 100.0)}
         mat = build_matrices(tiers, [state], records)
         weights = PolicyWeights(aging_factor=0.5)
-        sm = cal_score(mat, None, tiers, weights, tier_states, [state], records, 900.0)
+        sm = cal_score(mat, None, tiers, weights, tier_states, [state],
+                       fits([state], records), 900.0)
         assert sm.score[at(mat, 1, "v1")] == -math.inf
         assert sm.history[at(mat, 1, "v1")] == 0.0
 
@@ -337,7 +344,7 @@ class TestTriggerMigration:
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
         mat = build_matrices(tiers, states, records)
         sm = cal_score(mat, None, tiers, PolicyWeights(), idle_tier_states(tiers),
-                       states, records, 900.0)
+                       states, fits(states, records), 900.0)
         assert sm.score[at(mat, 1, "a")] == -math.inf
         plan = trigger_migration(sm, mat, tiers, {"a": 2, "b": 2}, 0)
         assert all(t == 2 for t in plan.target.values())
