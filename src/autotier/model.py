@@ -9,13 +9,15 @@ All spec types are immutable after construction; the mutable per-run state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import InitVar, dataclass
+from typing import Any
 
 import numpy as np
 
 GB_BYTES = 1e9
 MB_BYTES = 1e6
+SCHEMA_VERSION = 1
 
 
 class ScenarioValidationError(ValueError):
@@ -65,9 +67,6 @@ class ResourceVector:
             and self.b <= other.b + slack
             and self.s <= other.s + slack
         )
-
-    def as_dict(self) -> dict[str, float]:
-        return {"p": self.p, "b": self.b, "s": self.s}
 
 
 @dataclass(frozen=True)
@@ -152,13 +151,13 @@ class VmdkSpec:
     """
 
     id: str
-    vm_id: str
     size_gb: float
-    sla_weight: float
     initial_tier: int
     truth_slope: float
     truth_intercept_us: float
     demand_profile: tuple[WorkloadPhase, ...]
+    vm_id: str = ""
+    sla_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -257,10 +256,6 @@ class PolicyWeights:
     confidence_floor: float = 0.05
     injected_latencies_us: tuple[float, ...] = DEFAULT_INJECTED_LATENCIES_US
     samples_per_latency: int = 10
-    # Alternative reading of the score normalization: divide by the summed
-    # weights of specialty-active kinds only. Defaults to the printed form
-    # (all kind weights).
-    normalize_by_active_weights: bool = False
 
     def __post_init__(self) -> None:
         _require_finite_nonneg("beta", self.beta)
@@ -310,8 +305,10 @@ class Scenario:
     vmdks: tuple[VmdkSpec, ...]
     weights: PolicyWeights = PolicyWeights()
     sim: SimulationConfig = SimulationConfig(epochs=0)
+    # Format version of the document; the reader accepts SCHEMA_VERSION only.
+    schema_version: InitVar[int] = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, schema_version: int) -> None:
         problems = cross_checks(self.tiers, self.vmdks)
         if problems:
             raise ScenarioValidationError(problems)
@@ -417,247 +414,220 @@ class TierState:
         return max(0.0, self.spec.write_bandwidth_cap - self.served_write_mbps)
 
 
-# --- document validation -----------------------------------------------------
+# --- scenario document schema ------------------------------------------------
+#
+# One table per spec type holds the whole document format. Each row is
+# (JSON key, constructor argument, reader, default), in document order: the
+# order diagnostics are reported in and serialization writes. A reader turns
+# a JSON value into the constructor argument or raises _Invalid; readers of
+# nested objects report their own fields' problems into ``errors``. The
+# default says what a missing key means: REQUIRED reports it, OPTIONAL keeps
+# the dataclass default, and None reads it as JSON null, which the readers of
+# non-empty values refuse with their own "required ..." diagnostic.
 
-_TIER_KEYS = {
-    "id", "name", "baseLatencyUs", "capacity", "readThroughputCap",
-    "writeThroughputCap", "readBandwidthCap", "writeBandwidthCap",
-    "specialty", "kindWeights", "migWeight", "caps",
-}
-_VMDK_KEYS = {
-    "id", "vmId", "sizeGb", "slaWeight", "initialTier", "truthSlope",
-    "truthInterceptUs", "demandProfile",
-}
-_PHASE_KEYS = {"startEpoch", "demandIops", "avgIoSizeBytes", "readFraction"}
-_WEIGHT_KEYS = {
-    "alpha", "beta", "agingFactor", "monitorEpoch", "migrationEpoch",
-    "confidenceFloor", "injectedLatenciesUs", "samplesPerLatency",
-    "normalizeByActiveWeights",
-}
-_SIM_KEYS = {"epochs", "epochSeconds", "noiseCv", "seed"}
-_TOP_KEYS = {"schemaVersion", "tiers", "vmdks", "policyWeights", "simulation"}
-
-SCHEMA_VERSION = 1
+REQUIRED = "required"
+OPTIONAL = "optional"
+Reader = Callable[[Any, str, str, list[str]], Any]
 
 
-def _unknown_keys(doc: Mapping[str, Any], allowed: set[str], path: str, errors: list[str]) -> None:
-    for key in doc:
-        if key not in allowed:
-            errors.append(f"{path}{key}: unknown field")
+class _Invalid(Exception):
+    """A value its field's reader refuses; the message follows the field path."""
 
 
-def _get_number(doc: Mapping[str, Any], key: str, path: str, errors: list[str],
-                default: Any = None, required: bool = False) -> Any:
-    if key not in doc:
-        if required:
-            errors.append(f"{path}{key}: required field missing")
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{path}{key}: expected a number, got {type(value).__name__}")
-        return default
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _number(value: Any, path: str, key: str, errors: list[str]) -> float:
+    """A JSON number as a float; an integer too large for a float is refused."""
+    kind = type(value)
+    if kind is float:
+        return value
+    if kind is not int and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise _Invalid(f"expected a number, got {kind.__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise _Invalid("expected a number, got an integer too large for a float") from None
+
+
+def _component(value: Any, path: str, key: str, errors: list[str]) -> Any:
+    """A vector component: a number, kept as written so an int stays an int."""
+    _number(value, path, key, errors)
     return value
 
 
-def _get_int(doc: Mapping[str, Any], key: str, path: str, errors: list[str],
-             default: int | None = None, required: bool = False) -> int | None:
-    """An integer field; a float must be finite and integral (JSON ``3.0`` is 3)."""
-    value = _get_number(doc, key, path, errors, default=None, required=required)
-    if value is None:
-        return default
-    if isinstance(value, float) and not (math.isfinite(value) and value.is_integer()):
-        errors.append(f"{path}{key}: expected an integer, got {value!r}")
-        return default
+def _integer(value: Any, path: str, key: str, errors: list[str]) -> int:
+    """An integer of any size; a float must be finite and integral (``3.0`` is 3)."""
+    if type(value) is int:
+        return value
+    number = _number(value, path, key, errors)
+    if not (math.isfinite(number) and number.is_integer()):
+        raise _Invalid(f"expected an integer, got {value!r}")
     return int(value)
 
 
-def _is_finite(value: float) -> bool:
-    """math.isfinite that also rejects a JSON integer too large for a float."""
+def _string(value: Any, path: str, key: str, errors: list[str]) -> str:
+    if not isinstance(value, str):
+        raise _Invalid("expected a string")
+    return value
+
+
+def _name(value: Any, path: str, key: str, errors: list[str]) -> str:
+    if not isinstance(value, str) or not value:
+        raise _Invalid("required non-empty string")
+    return value
+
+
+def _version(value: Any, path: str, key: str, errors: list[str]) -> int:
+    if value != SCHEMA_VERSION:
+        raise _Invalid(f"expected {SCHEMA_VERSION}, got {value!r}")
+    return SCHEMA_VERSION
+
+
+def _latencies(value: Any, path: str, key: str, errors: list[str]) -> tuple[float, ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    ):
+        raise _Invalid("expected a list of numbers")
     try:
-        return math.isfinite(value)
+        latencies = tuple(float(x) for x in value)
+        if all(map(math.isfinite, latencies)):
+            return latencies
     except OverflowError:
-        return False
+        pass
+    raise _Invalid(f"expected finite numbers, got {value!r}")
 
 
-def _get_vector(doc: Mapping[str, Any], key: str, path: str, errors: list[str],
-                default: ResourceVector | None = None,
-                required: bool = False) -> ResourceVector | None:
-    if key not in doc:
-        if required:
-            errors.append(f"{path}{key}: required field missing")
-        return default
-    raw = doc[key]
-    if not isinstance(raw, Mapping):
-        errors.append(f"{path}{key}: expected an object with p/b/s")
-        return default
-    _unknown_keys(raw, {"p", "b", "s"}, f"{path}{key}.", errors)
-    comps = {}
-    for comp in ("p", "b", "s"):
-        comps[comp] = _get_number(raw, comp, f"{path}{key}.", errors, default=0.0)
-    try:
-        return ResourceVector(**comps)
-    except ValueError as exc:
-        errors.append(f"{path}{key}: {exc}")
-        return default
+def _vector(value: Any, path: str, key: str, errors: list[str]) -> ResourceVector | None:
+    if not isinstance(value, Mapping):
+        raise _Invalid("expected an object with p/b/s")
+    return _build(ResourceVector, value, _at(path, key), errors)
 
 
-def _build_tier(doc: Mapping[str, Any], path: str, errors: list[str]) -> TierSpec | None:
-    if not isinstance(doc, Mapping):
+def _object(cls: type) -> Reader:
+    def read(value: Any, path: str, key: str, errors: list[str]) -> Any:
+        return _build(cls, value, _at(path, key), errors)
+
+    return read
+
+
+def _list_of(cls: type) -> Reader:
+    """Reader of a non-empty list of ``cls`` objects; an element that fails is left out."""
+
+    def read(value: Any, path: str, key: str, errors: list[str]) -> tuple[Any, ...]:
+        if not isinstance(value, list) or not value:
+            raise _Invalid("required non-empty list")
+        where = _at(path, key)
+        built = [_build(cls, item, f"{where}[{i}]", errors) for i, item in enumerate(value)]
+        return tuple(x for x in built if x is not None)
+
+    return read
+
+
+SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any], ...]] = {
+    ResourceVector: (
+        ("p", "p", _component, OPTIONAL),
+        ("b", "b", _component, OPTIONAL),
+        ("s", "s", _component, OPTIONAL),
+    ),
+    TierSpec: (
+        ("id", "id", _integer, REQUIRED),
+        ("name", "name", _name, None),
+        ("baseLatencyUs", "base_latency_us", _number, REQUIRED),
+        ("capacity", "capacity", _vector, REQUIRED),
+        ("readThroughputCap", "read_throughput_cap", _number, REQUIRED),
+        ("writeThroughputCap", "write_throughput_cap", _number, REQUIRED),
+        ("readBandwidthCap", "read_bandwidth_cap", _number, REQUIRED),
+        ("writeBandwidthCap", "write_bandwidth_cap", _number, REQUIRED),
+        ("specialty", "specialty", _vector, OPTIONAL),
+        ("kindWeights", "kind_weights", _vector, OPTIONAL),
+        ("migWeight", "mig_weight", _number, OPTIONAL),
+        ("caps", "caps", _vector, OPTIONAL),
+    ),
+    WorkloadPhase: (
+        ("startEpoch", "start_epoch", _integer, REQUIRED),
+        ("demandIops", "demand_iops", _number, REQUIRED),
+        ("avgIoSizeBytes", "avg_io_size_bytes", _number, REQUIRED),
+        ("readFraction", "read_fraction", _number, OPTIONAL),
+    ),
+    VmdkSpec: (
+        ("id", "id", _name, None),
+        ("vmId", "vm_id", _string, OPTIONAL),
+        ("sizeGb", "size_gb", _number, REQUIRED),
+        ("slaWeight", "sla_weight", _number, OPTIONAL),
+        ("initialTier", "initial_tier", _integer, REQUIRED),
+        ("truthSlope", "truth_slope", _number, REQUIRED),
+        ("truthInterceptUs", "truth_intercept_us", _number, REQUIRED),
+        ("demandProfile", "demand_profile", _list_of(WorkloadPhase), None),
+    ),
+    PolicyWeights: (
+        ("alpha", "alpha", _vector, OPTIONAL),
+        ("beta", "beta", _number, OPTIONAL),
+        ("agingFactor", "aging_factor", _number, OPTIONAL),
+        ("monitorEpoch", "monitor_epoch", _integer, OPTIONAL),
+        ("migrationEpoch", "migration_epoch", _integer, OPTIONAL),
+        ("confidenceFloor", "confidence_floor", _number, OPTIONAL),
+        ("injectedLatenciesUs", "injected_latencies_us", _latencies, OPTIONAL),
+        ("samplesPerLatency", "samples_per_latency", _integer, OPTIONAL),
+    ),
+    SimulationConfig: (
+        ("epochs", "epochs", _integer, REQUIRED),
+        ("epochSeconds", "epoch_seconds", _number, OPTIONAL),
+        ("noiseCv", "noise_cv", _number, OPTIONAL),
+        ("seed", "seed", _integer, OPTIONAL),
+    ),
+    Scenario: (
+        ("schemaVersion", "schema_version", _version, None),
+        ("tiers", "tiers", _list_of(TierSpec), None),
+        ("vmdks", "vmdks", _list_of(VmdkSpec), None),
+        ("policyWeights", "weights", _object(PolicyWeights), OPTIONAL),
+        ("simulation", "sim", _object(SimulationConfig), OPTIONAL),
+    ),
+}
+_KEYS = {cls: frozenset(row[0] for row in rows) for cls, rows in SCHEMA.items()}
+
+
+def _read(cls: type, doc: Any, path: str, errors: list[str]) -> dict[str, Any] | None:
+    """Constructor arguments of ``cls`` read from ``doc``; None if a field failed.
+
+    An unknown key is reported but does not stop the read. A vector is read
+    even when a component failed (that component keeps its default), so the
+    vector's own range checks still report the other components.
+    """
+    if type(doc) is not dict and not isinstance(doc, Mapping):
         errors.append(f"{path}: expected an object")
         return None
-    _unknown_keys(doc, _TIER_KEYS, f"{path}.", errors)
+    if not doc.keys() <= _KEYS[cls]:
+        allowed = _KEYS[cls]
+        errors.extend(f"{_at(path, key)}: unknown field" for key in doc if key not in allowed)
     before = len(errors)
-    tier_id = _get_int(doc, "id", f"{path}.", errors, required=True)
-    name = doc.get("name", "")
-    if not isinstance(name, str) or not name:
-        errors.append(f"{path}.name: required non-empty string")
-    base = _get_number(doc, "baseLatencyUs", f"{path}.", errors, required=True)
-    capacity = _get_vector(doc, "capacity", f"{path}.", errors, required=True)
     kwargs = {}
-    for key, attr in (
-        ("readThroughputCap", "read_throughput_cap"),
-        ("writeThroughputCap", "write_throughput_cap"),
-        ("readBandwidthCap", "read_bandwidth_cap"),
-        ("writeBandwidthCap", "write_bandwidth_cap"),
-    ):
-        kwargs[attr] = _get_number(doc, key, f"{path}.", errors, required=True)
-    specialty = _get_vector(doc, "specialty", f"{path}.", errors, default=ResourceVector(1, 1, 1))
-    weights = _get_vector(doc, "kindWeights", f"{path}.", errors, default=ResourceVector(1, 1, 1))
-    mig_weight = _get_number(doc, "migWeight", f"{path}.", errors, default=1.0)
-    caps = _get_vector(doc, "caps", f"{path}.", errors, default=ResourceVector(1, 1, 1))
-    if len(errors) > before:
+    for key, arg, read, default in SCHEMA[cls]:
+        if key in doc:
+            value = doc[key]
+        elif default is None:
+            value = None
+        else:
+            if default is REQUIRED:
+                errors.append(f"{_at(path, key)}: required field missing")
+            continue
+        try:
+            kwargs[arg] = read(value, path, key, errors)
+        except _Invalid as exc:
+            errors.append(f"{_at(path, key)}: {exc}")
+    if len(errors) > before and cls is not ResourceVector:
+        return None
+    return kwargs
+
+
+def _build(cls: type, doc: Any, path: str, errors: list[str]) -> Any:
+    """A ``cls`` built from ``doc``, or None with every problem in ``errors``."""
+    kwargs = _read(cls, doc, path, errors)
+    if kwargs is None:
         return None
     try:
-        return TierSpec(
-            id=tier_id, name=name, base_latency_us=float(base),
-            capacity=capacity, specialty=specialty, kind_weights=weights,
-            mig_weight=float(mig_weight), caps=caps,
-            **{k: float(v) for k, v in kwargs.items()},
-        )
-    except ValueError as exc:
-        errors.append(f"{path}: {exc}")
-        return None
-
-
-def _build_phase(doc: Mapping[str, Any], path: str, errors: list[str]) -> WorkloadPhase | None:
-    if not isinstance(doc, Mapping):
-        errors.append(f"{path}: expected an object")
-        return None
-    _unknown_keys(doc, _PHASE_KEYS, f"{path}.", errors)
-    before = len(errors)
-    start = _get_int(doc, "startEpoch", f"{path}.", errors, required=True)
-    demand = _get_number(doc, "demandIops", f"{path}.", errors, required=True)
-    io_size = _get_number(doc, "avgIoSizeBytes", f"{path}.", errors, required=True)
-    read_frac = _get_number(doc, "readFraction", f"{path}.", errors, default=1.0)
-    if len(errors) > before:
-        return None
-    try:
-        return WorkloadPhase(start, float(demand), float(io_size), float(read_frac))
-    except ValueError as exc:
-        errors.append(f"{path}: {exc}")
-        return None
-
-
-def _build_vmdk(doc: Mapping[str, Any], path: str, errors: list[str]) -> VmdkSpec | None:
-    if not isinstance(doc, Mapping):
-        errors.append(f"{path}: expected an object")
-        return None
-    _unknown_keys(doc, _VMDK_KEYS, f"{path}.", errors)
-    before = len(errors)
-    vmdk_id = doc.get("id")
-    if not isinstance(vmdk_id, str) or not vmdk_id:
-        errors.append(f"{path}.id: required non-empty string")
-    vm_id = doc.get("vmId", "")
-    if not isinstance(vm_id, str):
-        errors.append(f"{path}.vmId: expected a string")
-    size = _get_number(doc, "sizeGb", f"{path}.", errors, required=True)
-    sla = _get_number(doc, "slaWeight", f"{path}.", errors, default=1.0)
-    tier = _get_int(doc, "initialTier", f"{path}.", errors, required=True)
-    slope = _get_number(doc, "truthSlope", f"{path}.", errors, required=True)
-    intercept = _get_number(doc, "truthInterceptUs", f"{path}.", errors, required=True)
-    raw_profile = doc.get("demandProfile")
-    phases: list[WorkloadPhase] = []
-    if not isinstance(raw_profile, list) or not raw_profile:
-        errors.append(f"{path}.demandProfile: required non-empty list")
-    else:
-        for i, raw_phase in enumerate(raw_profile):
-            phase = _build_phase(raw_phase, f"{path}.demandProfile[{i}]", errors)
-            if phase is not None:
-                phases.append(phase)
-    if len(errors) > before:
-        return None
-    try:
-        return VmdkSpec(
-            id=vmdk_id, vm_id=vm_id, size_gb=float(size), sla_weight=float(sla),
-            initial_tier=tier, truth_slope=float(slope),
-            truth_intercept_us=float(intercept), demand_profile=tuple(phases),
-        )
-    except ValueError as exc:
-        errors.append(f"{path}: {exc}")
-        return None
-
-
-def _build_weights(doc: Mapping[str, Any], errors: list[str]) -> PolicyWeights | None:
-    path = "policyWeights"
-    if not isinstance(doc, Mapping):
-        errors.append(f"{path}: expected an object")
-        return None
-    _unknown_keys(doc, _WEIGHT_KEYS, f"{path}.", errors)
-    before = len(errors)
-    defaults = PolicyWeights()
-    alpha = _get_vector(doc, "alpha", f"{path}.", errors, default=defaults.alpha)
-    beta = _get_number(doc, "beta", f"{path}.", errors, default=defaults.beta)
-    aging = _get_number(doc, "agingFactor", f"{path}.", errors, default=defaults.aging_factor)
-    monitor = _get_int(doc, "monitorEpoch", f"{path}.", errors, default=defaults.monitor_epoch)
-    migration = _get_int(doc, "migrationEpoch", f"{path}.", errors, default=defaults.migration_epoch)
-    floor = _get_number(doc, "confidenceFloor", f"{path}.", errors, default=defaults.confidence_floor)
-    samples = _get_int(doc, "samplesPerLatency", f"{path}.", errors, default=defaults.samples_per_latency)
-    latencies = doc.get("injectedLatenciesUs", list(defaults.injected_latencies_us))
-    if not isinstance(latencies, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in latencies
-    ):
-        errors.append(f"{path}.injectedLatenciesUs: expected a list of numbers")
-        latencies = list(defaults.injected_latencies_us)
-    elif not all(_is_finite(x) for x in latencies):
-        errors.append(f"{path}.injectedLatenciesUs: expected finite numbers, got {latencies!r}")
-    normalize = doc.get("normalizeByActiveWeights", defaults.normalize_by_active_weights)
-    if not isinstance(normalize, bool):
-        errors.append(f"{path}.normalizeByActiveWeights: expected a boolean")
-        normalize = defaults.normalize_by_active_weights
-    if len(errors) > before:
-        return None
-    try:
-        return PolicyWeights(
-            alpha=alpha, beta=float(beta), aging_factor=float(aging),
-            monitor_epoch=monitor, migration_epoch=migration,
-            confidence_floor=float(floor),
-            injected_latencies_us=tuple(float(x) for x in latencies),
-            samples_per_latency=samples,
-            normalize_by_active_weights=normalize,
-        )
-    except ValueError as exc:
-        errors.append(f"{path}: {exc}")
-        return None
-
-
-def _build_sim(doc: Mapping[str, Any], errors: list[str]) -> SimulationConfig | None:
-    path = "simulation"
-    if not isinstance(doc, Mapping):
-        errors.append(f"{path}: expected an object")
-        return None
-    _unknown_keys(doc, _SIM_KEYS, f"{path}.", errors)
-    before = len(errors)
-    epochs = _get_int(doc, "epochs", f"{path}.", errors, required=True)
-    seconds = _get_number(doc, "epochSeconds", f"{path}.", errors, default=300.0)
-    noise = _get_number(doc, "noiseCv", f"{path}.", errors, default=0.05)
-    seed = _get_int(doc, "seed", f"{path}.", errors, default=0)
-    if len(errors) > before:
-        return None
-    try:
-        return SimulationConfig(
-            epochs=epochs, epoch_seconds=float(seconds),
-            noise_cv=float(noise), seed=seed,
-        )
+        return cls(**kwargs)
     except ValueError as exc:
         errors.append(f"{path}: {exc}")
         return None
@@ -669,40 +639,10 @@ def validate_scenario(doc: Mapping[str, Any]) -> Scenario:
     Collects per-field diagnostics (path-prefixed) instead of aborting on the
     first failure; raises ScenarioValidationError with the aggregate list.
     """
-    errors: list[str] = []
     if not isinstance(doc, Mapping):
         raise ScenarioValidationError(["document: expected a top-level object"])
-    _unknown_keys(doc, _TOP_KEYS, "", errors)
-    version = doc.get("schemaVersion")
-    if version != SCHEMA_VERSION:
-        errors.append(f"schemaVersion: expected {SCHEMA_VERSION}, got {version!r}")
-
-    tiers: list[TierSpec] = []
-    raw_tiers = doc.get("tiers")
-    if not isinstance(raw_tiers, list) or not raw_tiers:
-        errors.append("tiers: required non-empty list")
-    else:
-        for i, raw in enumerate(raw_tiers):
-            tier = _build_tier(raw, f"tiers[{i}]", errors)
-            if tier is not None:
-                tiers.append(tier)
-
-    vmdks: list[VmdkSpec] = []
-    raw_vmdks = doc.get("vmdks")
-    if not isinstance(raw_vmdks, list) or not raw_vmdks:
-        errors.append("vmdks: required non-empty list")
-    else:
-        for i, raw in enumerate(raw_vmdks):
-            vmdk = _build_vmdk(raw, f"vmdks[{i}]", errors)
-            if vmdk is not None:
-                vmdks.append(vmdk)
-
-    weights = _build_weights(doc.get("policyWeights", {}), errors)
-    sim = _build_sim(doc.get("simulation", {"epochs": 0}), errors)
-
-    if not errors:
-        errors.extend(cross_checks(tiers, vmdks))
+    errors: list[str] = []
+    kwargs = _read(Scenario, doc, "", errors)
     if errors:
         raise ScenarioValidationError(errors)
-    assert weights is not None and sim is not None
-    return Scenario(tiers=tuple(tiers), vmdks=tuple(vmdks), weights=weights, sim=sim)
+    return Scenario(**kwargs)

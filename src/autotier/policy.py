@@ -127,30 +127,23 @@ def orthogonal_match_score(
     ratios: np.ndarray,
     sla_weight: np.ndarray,
     confidence: np.ndarray,
-    normalize_by_active_weights: bool = False,
 ) -> np.ndarray:
     """(T, N) specialty-masked, weight-scaled inner products of tier and VMDK vectors.
 
     ``ratios`` is (T, N, 3); ``sla_weight`` and ``confidence`` are per VMDK.
-    A tier whose normalizing weight sum is zero matches nothing (0.0).
+    Each tier normalizes by the sum of all its kind weights, which TierSpec
+    keeps positive.
     """
     masked = np.array([
         (m.p, m.b, m.s) for m in (t.specialty * t.kind_weights for t in tiers)
-    ])
-    if normalize_by_active_weights:
-        denominator = masked[:, 0] + masked[:, 1] + masked[:, 2]
-    else:
-        denominator = np.array([t.kind_weights.total() for t in tiers])
-    masked = masked[:, None, :]
+    ])[:, None, :]
+    denominator = np.array([[t.kind_weights.total()] for t in tiers])
     numerator = (
         masked[..., 0] * ratios[..., 0]
         + masked[..., 1] * ratios[..., 1]
         + masked[..., 2] * ratios[..., 2]
     )
-    denominator = denominator[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        match = numerator * sla_weight * confidence / denominator
-    return np.where(denominator > 0, match, 0.0)
+    return numerator * sla_weight * confidence / denominator
 
 
 def mig_cost_seconds(
@@ -204,7 +197,6 @@ def cal_score(
         mat.ratio,
         np.array([v.spec.sla_weight for v in vmdks]),
         fits.confidence,
-        weights.normalize_by_active_weights,
     )
     cost = mig_cost_seconds(vmdks, mat.tier_ids, tier_states) / migration_epoch_seconds
     # An impossible move (infinite cost) blocks the cell this epoch no

@@ -14,18 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .model import (
-    PolicyWeights,
-    ResourceVector,
-    Scenario,
-    ScenarioValidationError,
-    SimulationConfig,
-    TierSpec,
-    VmdkSpec,
-    WorkloadPhase,
-    SCHEMA_VERSION,
-    validate_scenario,
-)
+from .model import SCHEMA, Scenario, ScenarioValidationError, validate_scenario
 
 BUNDLED_SCENARIOS = ("table3-table4", "spike", "tiny-oracle")
 
@@ -38,6 +27,9 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioValidationError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal longer than Python converts, or nesting too deep
+        raise ScenarioValidationError([f"document: {exc}"]) from exc
     return validate_scenario(doc)
 
 
@@ -66,80 +58,18 @@ def load_bundled_scenario(name: str) -> Scenario:
     return parse_scenario(bundled_scenario_text(name))
 
 
-def _vector_doc(v: ResourceVector) -> dict[str, float]:
-    return {"p": v.p, "b": v.b, "s": v.s}
-
-
-def _tier_doc(t: TierSpec) -> dict[str, Any]:
-    return {
-        "id": t.id,
-        "name": t.name,
-        "baseLatencyUs": t.base_latency_us,
-        "capacity": _vector_doc(t.capacity),
-        "readThroughputCap": t.read_throughput_cap,
-        "writeThroughputCap": t.write_throughput_cap,
-        "readBandwidthCap": t.read_bandwidth_cap,
-        "writeBandwidthCap": t.write_bandwidth_cap,
-        "specialty": _vector_doc(t.specialty),
-        "kindWeights": _vector_doc(t.kind_weights),
-        "migWeight": t.mig_weight,
-        "caps": _vector_doc(t.caps),
-    }
-
-
-def _phase_doc(ph: WorkloadPhase) -> dict[str, Any]:
-    return {
-        "startEpoch": ph.start_epoch,
-        "demandIops": ph.demand_iops,
-        "avgIoSizeBytes": ph.avg_io_size_bytes,
-        "readFraction": ph.read_fraction,
-    }
-
-
-def _vmdk_doc(v: VmdkSpec) -> dict[str, Any]:
-    return {
-        "id": v.id,
-        "vmId": v.vm_id,
-        "sizeGb": v.size_gb,
-        "slaWeight": v.sla_weight,
-        "initialTier": v.initial_tier,
-        "truthSlope": v.truth_slope,
-        "truthInterceptUs": v.truth_intercept_us,
-        "demandProfile": [_phase_doc(ph) for ph in v.demand_profile],
-    }
-
-
-def _weights_doc(w: PolicyWeights) -> dict[str, Any]:
-    return {
-        "alpha": _vector_doc(w.alpha),
-        "beta": w.beta,
-        "agingFactor": w.aging_factor,
-        "monitorEpoch": w.monitor_epoch,
-        "migrationEpoch": w.migration_epoch,
-        "confidenceFloor": w.confidence_floor,
-        "injectedLatenciesUs": list(w.injected_latencies_us),
-        "samplesPerLatency": w.samples_per_latency,
-        "normalizeByActiveWeights": w.normalize_by_active_weights,
-    }
-
-
-def _sim_doc(s: SimulationConfig) -> dict[str, Any]:
-    return {
-        "epochs": s.epochs,
-        "epochSeconds": s.epoch_seconds,
-        "noiseCv": s.noise_cv,
-        "seed": s.seed,
-    }
+def _to_json(value: Any) -> Any:
+    """JSON form of a spec object, walking its document table."""
+    rows = SCHEMA.get(type(value))
+    if rows is not None:
+        return {key: _to_json(getattr(value, arg)) for key, arg, _, _ in rows}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value
 
 
 def scenario_to_document(scenario: Scenario) -> dict[str, Any]:
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "tiers": [_tier_doc(t) for t in scenario.tiers],
-        "vmdks": [_vmdk_doc(v) for v in scenario.vmdks],
-        "policyWeights": _weights_doc(scenario.weights),
-        "simulation": _sim_doc(scenario.sim),
-    }
+    return _to_json(scenario)
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -56,10 +56,10 @@ def at(mat, tier_id, vmdk_id):
     return mat.tier_ids.index(tier_id), mat.vmdk_ids.index(vmdk_id)
 
 
-def match(tier, ratios, sla, conf, **kwargs):
+def match(tier, ratios, sla, conf):
     """orthogonal_match_score of one tier and one VMDK's (p, b, s) ratios."""
     cell = np.array(ratios, dtype=float).reshape(1, 1, 3)
-    return orthogonal_match_score([tier], cell, np.array([sla]), np.array([conf]), **kwargs)[0, 0]
+    return orthogonal_match_score([tier], cell, np.array([sla]), np.array([conf]))[0, 0]
 
 
 def move_cost(vmdk, target_tier, tier_states):
@@ -144,9 +144,7 @@ class TestOrthogonalMatch:
         tier = make_tier(specialty=ResourceVector(1, 0, 0))
         ratios = (0.6, 0.9, 0.9)
         printed = match(tier, ratios, 1.0, 1.0)
-        active = match(tier, ratios, 1.0, 1.0, normalize_by_active_weights=True)
         assert printed == pytest.approx(0.2, rel=1e-9)
-        assert active == pytest.approx(0.6, rel=1e-9)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),

@@ -1,12 +1,26 @@
 """Scenario documents, metrics files, CDF emission, and the CLI surface."""
 
+import copy
+import inspect
 import json
+from dataclasses import MISSING, fields, is_dataclass, replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from autotier import model
 from autotier.cli import main
 from autotier.engine import run_scenario
-from autotier.model import ScenarioValidationError
+from autotier.model import (
+    OPTIONAL,
+    REQUIRED,
+    SCHEMA,
+    ResourceVector,
+    Scenario,
+    ScenarioValidationError,
+)
 from autotier.reporting import (
     RUN_FILES,
     cdf_text,
@@ -27,6 +41,8 @@ from autotier.scenario import (
     serialize_scenario,
 )
 
+from conftest import random_scenario
+
 
 INTEGER_FIELDS = [
     ("simulation", "epochs"),
@@ -38,6 +54,34 @@ INTEGER_FIELDS = [
     ("vmdks", 0, "initialTier"),
     ("vmdks", 0, "demandProfile", 0, "startEpoch"),
 ]
+
+
+FLOAT_FIELDS = [
+    *[("tiers", 0, key) for key in (
+        "baseLatencyUs", "readThroughputCap", "writeThroughputCap",
+        "readBandwidthCap", "writeBandwidthCap", "migWeight",
+    )],
+    *[("tiers", 0, vector, comp)
+      for vector in ("capacity", "specialty", "kindWeights", "caps") for comp in "pbs"],
+    *[("vmdks", 0, key) for key in ("sizeGb", "slaWeight", "truthSlope", "truthInterceptUs")],
+    *[("vmdks", 0, "demandProfile", 0, key)
+      for key in ("demandIops", "avgIoSizeBytes", "readFraction")],
+    *[("policyWeights", "alpha", comp) for comp in "pbs"],
+    *[("policyWeights", key) for key in ("beta", "agingFactor", "confidenceFloor")],
+    *[("simulation", key) for key in ("epochSeconds", "noiseCv")],
+]
+
+HUGE_INTEGER = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+def with_token(location, token, name="tiny-oracle"):
+    """Bundled scenario text with the value at ``location`` replaced by a raw JSON token."""
+    doc = json.loads(bundled_scenario_text(name))
+    node = doc
+    for step in location[:-1]:
+        node = node[step]
+    node[location[-1]] = "PLACEHOLDER"
+    return json.dumps(doc).replace('"PLACEHOLDER"', token)
 
 
 def field_path(location):
@@ -88,20 +132,40 @@ class TestParsing:
     @pytest.mark.parametrize("token", ["1e400", "2.7", "NaN"])
     @pytest.mark.parametrize("location", INTEGER_FIELDS, ids=field_path)
     def test_integer_field_rejects_non_integral_number(self, location, token):
-        doc = json.loads(bundled_scenario_text("tiny-oracle"))
-        node = doc
-        for step in location[:-1]:
-            node = node[step]
-        node[location[-1]] = "PLACEHOLDER"
         # raw JSON tokens: 1e400 parses to inf, NaN to nan
-        text = json.dumps(doc).replace('"PLACEHOLDER"', token)
         with pytest.raises(ScenarioValidationError) as excinfo:
-            parse_scenario(text)
+            parse_scenario(with_token(location, token))
         prefix = f"{field_path(location)}: expected an integer"
         assert any(e.startswith(prefix) for e in excinfo.value.errors), excinfo.value.errors
 
+    @pytest.mark.parametrize("location", FLOAT_FIELDS, ids=field_path)
+    def test_float_field_rejects_integer_too_large_for_a_float(self, location):
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(with_token(location, HUGE_INTEGER))
+        prefix = f"{field_path(location)}: expected a number, got an integer too large"
+        assert any(e.startswith(prefix) for e in excinfo.value.errors), excinfo.value.errors
+
+    @pytest.mark.parametrize("location", [("simulation", "epochs"), ("simulation", "seed")],
+                             ids=field_path)
+    def test_integer_field_accepts_integer_too_large_for_a_float(self, location):
+        scenario = parse_scenario(with_token(location, HUGE_INTEGER))
+        assert getattr(scenario.sim, location[-1]) == int(HUGE_INTEGER)
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+                             ids=["integer-over-digit-limit", "nesting-too-deep"])
+    def test_undecodable_json_is_diagnosed(self, text):
+        with pytest.raises(ScenarioValidationError, match="^document: "):
+            parse_scenario(text)
+
+    def test_cross_checks_run_once_per_parse(self, monkeypatch):
+        calls = []
+        real = model.cross_checks
+        monkeypatch.setattr(model, "cross_checks", lambda *args: calls.append(1) or real(*args))
+        parse_scenario(bundled_scenario_text("tiny-oracle"))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
-        "token", ["1e400", "-1e400", "NaN", "1" + "0" * 400],
+        "token", ["1e400", "-1e400", "NaN", HUGE_INTEGER],
         ids=["1e400", "-1e400", "NaN", "int-1e400"],
     )
     def test_injected_latencies_reject_non_finite(self, token):
@@ -112,6 +176,114 @@ class TestParsing:
             parse_scenario(text)
         prefix = "policyWeights.injectedLatenciesUs: expected finite numbers"
         assert any(e.startswith(prefix) for e in excinfo.value.errors), excinfo.value.errors
+
+
+def spec_defaults_kept(obj):
+    """(type, field) of every spec field in ``obj`` that still holds its dataclass default."""
+    if isinstance(obj, tuple):
+        return [hit for item in obj for hit in spec_defaults_kept(item)]
+    if not is_dataclass(obj) or isinstance(obj, ResourceVector):
+        return []
+    hits = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.default is not MISSING and value == f.default:
+            hits.append((type(obj).__name__, f.name))
+        hits.extend(spec_defaults_kept(value))
+    return hits
+
+
+def locations(node, prefix=()):
+    """Every key and list index path inside a JSON document."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for step, child in children:
+        yield prefix + (step,)
+        yield from locations(child, prefix + (step,))
+
+
+BUNDLED_DOCS = {name: json.loads(bundled_scenario_text(name)) for name in BUNDLED_SCENARIOS}
+LOCATIONS = [(name, loc) for name, doc in BUNDLED_DOCS.items() for loc in locations(doc)]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10**400, -(10**400), 2**64, 0, -1, 2.7, 1e308, ""]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("cls", list(SCHEMA), ids=lambda cls: cls.__name__)
+    def test_table_covers_every_constructor_argument(self, cls):
+        rows = SCHEMA[cls]
+        args = [arg for _, arg, _, _ in rows]
+        assert sorted(args) == sorted(inspect.signature(cls).parameters)
+        assert len({key for key, _, _, _ in rows}) == len(rows)
+
+    @pytest.mark.parametrize("cls", list(SCHEMA), ids=lambda cls: cls.__name__)
+    def test_defaults_live_in_the_dataclass(self, cls):
+        params = inspect.signature(cls).parameters
+        for key, arg, _, default in SCHEMA[cls]:
+            has_default = params[arg].default is not inspect.Parameter.empty
+            if default == OPTIONAL:
+                assert has_default, f"{cls.__name__}.{key} is optional but has no default"
+            elif default == REQUIRED:
+                assert not has_default, f"{cls.__name__}.{key} is required but has a default"
+
+    def test_round_trip_with_every_field_off_its_default(self):
+        base = random_scenario(np.random.default_rng(7))
+        scenario = replace(
+            base,
+            tiers=tuple(
+                replace(t, specialty=ResourceVector(1, 0, 1), caps=ResourceVector(0.9, 0.8, 0.7))
+                for t in base.tiers
+            ),
+            vmdks=tuple(
+                replace(
+                    v, vm_id=f"vm-{v.id}", sla_weight=2.5,
+                    demand_profile=tuple(replace(ph, read_fraction=0.3) for ph in v.demand_profile),
+                )
+                for v in base.vmdks
+            ),
+            weights=replace(
+                base.weights, alpha=ResourceVector(0.5, 1.5, 2.0), beta=0.7, aging_factor=0.25,
+                monitor_epoch=2, migration_epoch=4, confidence_floor=0.1,
+                injected_latencies_us=(0.0, 250.0, 750.0), samples_per_latency=3,
+            ),
+            sim=replace(base.sim, epoch_seconds=120.0, noise_cv=0.02, seed=12345),
+        )
+        assert spec_defaults_kept(scenario) == []
+        assert parse_scenario(serialize_scenario(scenario)) == scenario
+
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(LOCATIONS),
+        st.sampled_from(["replace", "delete", "insert"]),
+        JSON_VALUES,
+        st.text(max_size=6),
+    )
+    def test_any_value_at_any_field_parses_or_is_diagnosed(self, where, action, value, new_key):
+        name, location = where
+        doc = copy.deepcopy(BUNDLED_DOCS[name])
+        parent = doc
+        for step in location[:-1]:
+            parent = parent[step]
+        target = parent[location[-1]]
+        if action == "delete":
+            del parent[location[-1]]
+        elif action == "insert" and isinstance(target, dict):
+            target[new_key] = value
+        else:
+            parent[location[-1]] = value
+        try:
+            scenario = parse_scenario(json.dumps(doc))
+        except ScenarioValidationError as exc:
+            assert exc.errors and all(": " in e for e in exc.errors), exc.errors
+        else:
+            assert isinstance(scenario, Scenario)
 
 
 class TestCdf:
