@@ -9,12 +9,17 @@ every tier: measured IOPS and size.
 
 Both use the same churn-avoidance reading of their one-line definitions:
 sort ties prefer the VMDK's current tier, and a VMDK whose metric is zero
-never moves to a more capable tier than its current one.
+never moves to a more capable tier than its current one. The candidate list
+comes from (N,) arrays: one ``np.lexsort`` over (metric, current tier rank,
+id) orders the VMDKs and a boolean (N, T) mask drops the upward moves of
+zero-metric VMDKs.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .model import TierSpec, VmdkState
 from .policy import AssignmentPlan, PolicyContext, pack
@@ -23,30 +28,40 @@ from .policy import AssignmentPlan, PolicyContext, pack
 def _pack_by_metric(
     vmdks: Sequence[VmdkState],
     tiers: Sequence[TierSpec],
-    metric: Callable[[VmdkState], float],
+    metric: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tier_capability: Callable[[TierSpec], float],
     kinds: str,
     epoch_index: int,
     pinned: Mapping[str, int] | None,
 ) -> AssignmentPlan:
-    """Candidates: VMDKs by descending metric, each over tiers by descending capability."""
+    """Candidates: VMDKs by descending metric, each over tiers by descending capability.
+
+    ``metric`` maps the (N,) measured IOPS and size arrays to the (N,) sort
+    key. One ``np.lexsort`` orders the VMDKs by descending metric, then rank
+    of the current tier, then id; a VMDK whose metric is zero keeps only the
+    tiers ranked at or below its current one.
+    """
     tier_order = sorted(range(len(tiers)), key=lambda i: (-tier_capability(tiers[i]), tiers[i].id))
     rank = {tiers[i].id: r for r, i in enumerate(tier_order)}
-    values = [metric(v) for v in vmdks]
-    vmdk_order = sorted(
-        range(len(vmdks)),
-        key=lambda j: (-values[j], rank[vmdks[j].current_tier], vmdks[j].spec.id),
+    iops = [v.measured_iops for v in vmdks]
+    size = [v.spec.size_gb for v in vmdks]
+    ids = [v.spec.id for v in vmdks]
+    values = metric(np.array(iops, dtype=float), np.array(size, dtype=float))
+    current_rank = np.array([rank[v.current_tier] for v in vmdks], dtype=np.intp)
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    vmdk_order = np.lexsort((id_rank, current_rank, -values))
+    allowed = (values[vmdk_order] != 0)[:, None] | (
+        np.arange(len(tiers)) >= current_rank[vmdk_order, None]
     )
-    candidates = [
-        (i, j)
-        for j in vmdk_order
-        for i in tier_order
-        if values[j] != 0 or rank[tiers[i].id] >= rank[vmdks[j].current_tier]
-    ]
-    rows = [(v.measured_iops, 0.0, v.spec.size_gb) for v in vmdks]
+    at, column = np.nonzero(allowed)
+    candidates = zip(
+        np.array(tier_order, dtype=np.intp)[column].tolist(), vmdk_order[at].tolist()
+    )
+    rows = [(p, 0.0, s) for p, s in zip(iops, size)]
     return pack(
         tiers,
-        [v.spec.id for v in vmdks],
+        ids,
         [rows] * len(tiers),
         kinds,
         candidates,
@@ -70,7 +85,7 @@ def idt_assign(
     return _pack_by_metric(
         vmdks,
         tiers,
-        metric=lambda v: v.measured_iops,
+        metric=lambda iops, size: iops,
         tier_capability=lambda t: t.read_throughput_cap,
         kinds="s",
         epoch_index=epoch_index,
@@ -91,7 +106,7 @@ def edt_assign(
     return _pack_by_metric(
         vmdks,
         tiers,
-        metric=lambda v: v.measured_iops / v.spec.size_gb,
+        metric=lambda iops, size: iops / size,
         tier_capability=lambda t: (
             t.read_throughput_cap / t.capacity.s if t.capacity.s > 0 else 0.0
         ),

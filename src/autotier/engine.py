@@ -1,14 +1,20 @@
 """Deterministic epoch loop: the ground truth policies perceive only via samples.
 
-Each epoch activates workload phases, lets the active policy monitor and
-(at the migration cadence) plan moves, progresses in-flight migrations with
-bandwidth accounting, then serves I/O demands against per-tier device
-models with a proportional contention model and records metrics.
+Each epoch applies the workload phases that start in it, lets the active
+policy monitor and (at the migration cadence) plan moves, progresses
+in-flight migrations with bandwidth accounting, then serves I/O demands
+against per-tier device models with a proportional contention model and
+records metrics.
+
+The loop keeps the run's VMDKs as a ``Fleet``: dense (N,) arrays in VMDK-id
+order holding static truth, the active phase's demand and each VMDK's tier
+row. ``serve_epoch`` serves every tier from them in one vectorized pass and
+writes the measurements back to each ``VmdkState``, the view policies read,
+once per epoch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -50,9 +56,6 @@ class DeviceModel:
             spec.truth_slope * (self.tier.base_latency_us + added_us)
             + spec.truth_intercept_us * self.contention
         )
-
-    def unloaded_latency(self, spec: VmdkSpec) -> float:
-        return spec.truth_slope * self.tier.base_latency_us + spec.truth_intercept_us
 
 
 def probe_latencies(
@@ -136,77 +139,165 @@ def _utilization(load: float, cap: float) -> float:
     return load / cap if cap > 0 else 0.0
 
 
-def serve_epoch_tier(
-    tier: TierSpec,
-    members: Sequence[VmdkState],
-    device: DeviceModel,
-    migration_read_mbps: float = 0.0,
-    migration_write_mbps: float = 0.0,
-) -> TierEpochMetrics:
-    """Serve one tier's members for one epoch and update measured stats.
+@dataclass
+class Fleet:
+    """Per-VMDK (N,) arrays of one run, rows in ``states`` order.
 
+    ``states`` stay the view policies read; the arrays mirror what serving
+    needs from them: static truth, the active phase's demand, and
+    ``tier_row``, each VMDK's current tier as an index into the run's tiers.
+    A phase is applied only at the epoch it starts: each row keeps a pointer
+    to its next phase and is filed under that phase's start epoch, so the
+    schedule holds one entry per VMDK, not one per phase.
+    """
+
+    states: list[VmdkState]
+    row_of_tier: dict[int, int]
+    tier_row: np.ndarray
+    truth_slope: np.ndarray
+    truth_intercept_us: np.ndarray
+    demand_iops: np.ndarray
+    read_fraction: np.ndarray
+    avg_io_size_bytes: np.ndarray
+    next_phase: list[int]
+    due: dict[int, list[int]]
+
+    @classmethod
+    def of(cls, states: Sequence[VmdkState], tiers: Sequence[TierSpec]) -> "Fleet":
+        """Arrays of ``states`` as they stand, each in the first phase of its profile."""
+        states = list(states)
+        row_of_tier = {t.id: i for i, t in enumerate(tiers)}
+
+        def column(values: Iterable[float]) -> np.ndarray:
+            return np.array(list(values), dtype=float)
+
+        due: dict[int, list[int]] = {}
+        for j, s in enumerate(states):
+            if len(s.spec.demand_profile) > 1:
+                due.setdefault(s.spec.demand_profile[1].start_epoch, []).append(j)
+        return cls(
+            states=states,
+            row_of_tier=row_of_tier,
+            tier_row=np.array([row_of_tier[s.current_tier] for s in states], dtype=np.intp),
+            truth_slope=column(s.spec.truth_slope for s in states),
+            truth_intercept_us=column(s.spec.truth_intercept_us for s in states),
+            demand_iops=column(s.demand_iops for s in states),
+            read_fraction=column(s.read_fraction for s in states),
+            avg_io_size_bytes=column(s.avg_io_size_bytes for s in states),
+            next_phase=[1] * len(states),
+            due=due,
+        )
+
+    def activate_phases(self, epoch: int) -> None:
+        """Apply every phase that starts at ``epoch``; epochs must come in order."""
+        for j in self.due.pop(epoch, ()):
+            state = self.states[j]
+            profile = state.spec.demand_profile
+            k = self.next_phase[j]
+            phase = profile[k]
+            state.enter_phase(phase)
+            self.demand_iops[j] = phase.demand_iops
+            self.read_fraction[j] = phase.read_fraction
+            self.avg_io_size_bytes[j] = phase.avg_io_size_bytes
+            if k + 1 < len(profile):
+                self.next_phase[j] = k + 1
+                self.due.setdefault(profile[k + 1].start_epoch, []).append(j)
+
+    def move(self, row: int, tier_id: int) -> None:
+        self.states[row].current_tier = tier_id
+        self.tier_row[row] = self.row_of_tier[tier_id]
+
+
+def serve_epoch(
+    fleet: Fleet,
+    devices: Sequence[DeviceModel],
+    migration_read_mbps: Sequence[float],
+    migration_write_mbps: Sequence[float],
+) -> list[TierEpochMetrics]:
+    """Serve every tier's members for one epoch and update measured stats.
+
+    ``devices`` and the migration debits (MB/s) follow the fleet's tier rows.
     Offered load per VMDK is its demand capped at the unloaded achievable
     rate 10^6/latency. Aggregate offered load sets the contention factor,
     which inflates intercept latency; if the (migration-debited) directional
-    caps are exceeded, every member scales down proportionally. Updates the
-    device's contention for subsequent probes.
+    caps are exceeded, every member scales down proportionally. Updates each
+    device's contention for subsequent probes. Per-tier sums accumulate in
+    row order from 0.0 (``np.bincount`` adds sequentially), so they repeat
+    bit for bit what a loop over each tier's members in id order gives.
     """
-    eff_read_bw = max(0.0, tier.read_bandwidth_cap - migration_read_mbps)
-    eff_write_bw = max(0.0, tier.write_bandwidth_cap - migration_write_mbps)
+    tiers = [d.tier for d in devices]
+    row = fleet.tier_row
+    slope, intercept = fleet.truth_slope, fleet.truth_intercept_us
+    demand, rf, io = fleet.demand_iops, fleet.read_fraction, fleet.avg_io_size_bytes
 
-    loads = []
-    for v in members:
-        unloaded = device.unloaded_latency(v.spec)
-        loads.append(min(v.demand_iops, 1e6 / unloaded))
+    def per_tier(values: np.ndarray) -> list[float]:
+        return np.bincount(row, weights=values, minlength=len(tiers)).tolist()
 
-    load_r_iops = sum(l * v.read_fraction for l, v in zip(loads, members))
-    load_w_iops = sum(l * (1 - v.read_fraction) for l, v in zip(loads, members))
-    load_r_bw = sum(
-        l * v.read_fraction * v.avg_io_size_bytes / 1e6 for l, v in zip(loads, members)
-    )
-    load_w_bw = sum(
-        l * (1 - v.read_fraction) * v.avg_io_size_bytes / 1e6
-        for l, v in zip(loads, members)
-    )
-    # Contention responds to offered load against the raw device caps (it
-    # inflates latency, so must stay finite); the proportional scale honors
-    # the migration-debited effective caps so conservation always holds.
-    contention = max(
-        1.0,
-        _utilization(load_r_iops, tier.read_throughput_cap),
-        _utilization(load_w_iops, tier.write_throughput_cap),
-        _utilization(load_r_bw, tier.read_bandwidth_cap),
-        _utilization(load_w_bw, tier.write_bandwidth_cap),
-    )
-    device.contention = contention
-    scale = 1.0
-    for load, cap in (
-        (load_r_iops, tier.read_throughput_cap),
-        (load_w_iops, tier.write_throughput_cap),
-        (load_r_bw, eff_read_bw),
-        (load_w_bw, eff_write_bw),
+    with np.errstate(all="ignore"):
+        base = np.array([t.base_latency_us for t in tiers])[row]
+        loads = np.minimum(demand, 1e6 / (slope * base + intercept))
+        load_r_iops = per_tier(loads * rf)
+        load_w_iops = per_tier(loads * (1 - rf))
+        load_r_bw = per_tier(loads * rf * io / 1e6)
+        load_w_bw = per_tier(loads * (1 - rf) * io / 1e6)
+
+        contention, scale = [], []
+        for i, (tier, device) in enumerate(zip(tiers, devices)):
+            # Contention responds to offered load against the raw device caps
+            # (it inflates latency, so must stay finite); the proportional
+            # scale honors the migration-debited effective caps so
+            # conservation always holds.
+            device.contention = max(
+                1.0,
+                _utilization(load_r_iops[i], tier.read_throughput_cap),
+                _utilization(load_w_iops[i], tier.write_throughput_cap),
+                _utilization(load_r_bw[i], tier.read_bandwidth_cap),
+                _utilization(load_w_bw[i], tier.write_bandwidth_cap),
+            )
+            contention.append(device.contention)
+            eff_read_bw = max(0.0, tier.read_bandwidth_cap - migration_read_mbps[i])
+            eff_write_bw = max(0.0, tier.write_bandwidth_cap - migration_write_mbps[i])
+            s = 1.0
+            for load, cap in (
+                (load_r_iops[i], tier.read_throughput_cap),
+                (load_w_iops[i], tier.write_throughput_cap),
+                (load_r_bw[i], eff_read_bw),
+                (load_w_bw[i], eff_write_bw),
+            ):
+                if load > 0:
+                    s = min(s, cap / load)
+            scale.append(s)
+
+        # DeviceModel.true_latency at zero added latency, in its operation order
+        latency = slope * (base + 0.0) + intercept * np.array(contention)[row]
+        achievable = np.where(latency > 0, 1e6 / latency, 0.0)
+        served = np.minimum(demand, achievable) * np.array(scale)[row]
+        read_mbps = served * rf * io / 1e6
+        write_mbps = served * (1 - rf) * io / 1e6
+        read_iops = per_tier(served * rf)
+        write_iops = per_tier(served * (1 - rf))
+        latency_weight = per_tier(np.where(np.isfinite(latency), served * latency, 0.0))
+
+    for state, iops, lat, r_mbps, w_mbps in zip(
+        fleet.states, served.tolist(), latency.tolist(), read_mbps.tolist(), write_mbps.tolist()
     ):
-        if load > 0:
-            scale = min(scale, cap / load)
+        state.measured_iops = iops
+        state.measured_latency_us = lat
+        state.measured_read_mbps = r_mbps
+        state.measured_write_mbps = w_mbps
 
-    metrics = TierEpochMetrics()
-    latency_weight = 0.0
-    for v in members:
-        latency = device.true_latency(v.spec)
-        achievable = 1e6 / latency if latency > 0 else 0.0
-        served = min(v.demand_iops, achievable) * scale
-        v.measured_iops = served
-        v.measured_latency_us = latency
-        v.measured_read_mbps = served * v.read_fraction * v.avg_io_size_bytes / 1e6
-        v.measured_write_mbps = served * (1 - v.read_fraction) * v.avg_io_size_bytes / 1e6
-        metrics.read_iops += served * v.read_fraction
-        metrics.write_iops += served * (1 - v.read_fraction)
-        metrics.read_mbps += v.measured_read_mbps
-        metrics.write_mbps += v.measured_write_mbps
-        if math.isfinite(latency):
-            latency_weight += served * latency
-    total_iops = metrics.read_iops + metrics.write_iops
-    metrics.mean_latency_us = latency_weight / total_iops if total_iops > 0 else 0.0
+    metrics = []
+    for r_iops, w_iops, r_mbps, w_mbps, weight in zip(
+        read_iops, write_iops, per_tier(read_mbps), per_tier(write_mbps), latency_weight
+    ):
+        total_iops = r_iops + w_iops
+        metrics.append(TierEpochMetrics(
+            read_iops=r_iops,
+            write_iops=w_iops,
+            read_mbps=r_mbps,
+            write_mbps=w_mbps,
+            mean_latency_us=weight / total_iops if total_iops > 0 else 0.0,
+        ))
     return metrics
 
 
@@ -224,6 +315,8 @@ def progress_migrations(
     """
     debit_read: dict[int, float] = {t: 0.0 for t in tier_states}
     debit_write: dict[int, float] = {t: 0.0 for t in tier_states}
+    spare_read = {t: s.remaining_read_mbps() for t, s in tier_states.items()}
+    spare_write = {t: s.remaining_write_mbps() for t, s in tier_states.items()}
     moved_total = 0.0
     stalled: list[str] = []
     for order in sorted(orders, key=lambda o: o.vmdk_id):
@@ -231,12 +324,10 @@ def progress_migrations(
             continue
         v = vmdk_states[order.vmdk_id]
         read_side = (
-            max(0.0, tier_states[order.from_tier].remaining_read_mbps() - debit_read[order.from_tier])
+            max(0.0, spare_read[order.from_tier] - debit_read[order.from_tier])
             + v.measured_read_mbps
         )
-        write_side = max(
-            0.0, tier_states[order.to_tier].remaining_write_mbps() - debit_write[order.to_tier]
-        )
+        write_side = max(0.0, spare_write[order.to_tier] - debit_write[order.to_tier])
         speed = min(read_side, write_side)
         order.speed_mbps = speed
         if speed <= 0.0:
@@ -269,10 +360,12 @@ def run_scenario(
     noise_cv = scenario.sim.noise_cv
     policy = make_policy(policy_name)
 
-    vmdk_states = {
-        spec.id: VmdkState.initial(spec)
-        for spec in sorted(scenario.vmdks, key=lambda s: s.id)
-    }
+    fleet = Fleet.of(
+        [VmdkState.initial(spec) for spec in sorted(scenario.vmdks, key=lambda s: s.id)],
+        scenario.tiers,
+    )
+    vmdk_states = {state.spec.id: state for state in fleet.states}
+    row_of = {vmdk_id: j for j, vmdk_id in enumerate(vmdk_states)}
     tier_states = {t.id: TierState(spec=t) for t in scenario.tiers}
     devices = {t.id: DeviceModel(tier=t) for t in scenario.tiers}
     active_orders: dict[str, MigrationOrder] = {}
@@ -284,8 +377,7 @@ def run_scenario(
 
     weights = scenario.weights
     for epoch in range(scenario.sim.epochs):
-        for state in vmdk_states.values():
-            state.activate_phase(epoch)
+        fleet.activate_phases(epoch)
         ctx = PolicyContext(
             tiers=scenario.tiers,
             tier_states=tier_states,
@@ -326,14 +418,13 @@ def run_scenario(
         per_tier: dict[int, TierEpochMetrics] = {}
         total = TierEpochMetrics()
         latency_weight = 0.0
-        for tier in scenario.tiers:
-            members = [
-                vmdk_states[v] for v in sorted(vmdk_states)
-                if vmdk_states[v].current_tier == tier.id
-            ]
-            tm = serve_epoch_tier(
-                tier, members, devices[tier.id], debit_read[tier.id], debit_write[tier.id]
-            )
+        served = serve_epoch(
+            fleet,
+            list(devices.values()),
+            [debit_read[t.id] for t in scenario.tiers],
+            [debit_write[t.id] for t in scenario.tiers],
+        )
+        for tier, tm in zip(scenario.tiers, served):
             per_tier[tier.id] = tm
             total.read_iops += tm.read_iops
             total.write_iops += tm.write_iops
@@ -351,7 +442,7 @@ def run_scenario(
         for vmdk_id in sorted(active_orders):
             order = active_orders[vmdk_id]
             if order.done:
-                vmdk_states[vmdk_id].current_tier = order.to_tier
+                fleet.move(row_of[vmdk_id], order.to_tier)
                 del active_orders[vmdk_id]
 
         result.epochs.append(

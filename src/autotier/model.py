@@ -383,18 +383,13 @@ class VmdkState:
     @classmethod
     def initial(cls, spec: VmdkSpec) -> "VmdkState":
         state = cls(spec=spec, current_tier=spec.initial_tier)
-        state.activate_phase(0)
+        state.enter_phase(spec.demand_profile[0])
         return state
 
-    def activate_phase(self, epoch: int) -> None:
-        phase = self.spec.phase_at(epoch)
+    def enter_phase(self, phase: WorkloadPhase) -> None:
         self.demand_iops = phase.demand_iops
         self.avg_io_size_bytes = phase.avg_io_size_bytes
         self.read_fraction = phase.read_fraction
-
-    @property
-    def measured_mbps(self) -> float:
-        return self.measured_read_mbps + self.measured_write_mbps
 
 
 @dataclass

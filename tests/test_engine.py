@@ -1,6 +1,7 @@
 """Device model, serving with contention, migration execution, full runs."""
 
-from dataclasses import replace
+import copy
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from autotier.calibration import collect_samples, estimate_avg_lat, regress_latency_curve
 from autotier.engine import (
     DeviceModel,
+    Fleet,
     probe_latencies,
     progress_migrations,
     run_scenario,
-    serve_epoch_tier,
+    TierEpochMetrics,
+    serve_epoch,
 )
 from autotier.model import (
     MigrationOrder,
@@ -19,6 +22,7 @@ from autotier.model import (
     ResourceVector,
     Scenario,
     SimulationConfig,
+    WorkloadPhase,
 )
 from autotier.reporting import metrics_csv_text
 
@@ -139,6 +143,168 @@ class TestProbeLatencies:
         assert batched_rng.standard_normal() == reference_rng.standard_normal()
 
 
+def serve_tier(tier, members, device, migration_read_mbps=0.0, migration_write_mbps=0.0):
+    """``serve_epoch`` on a one-tier fleet."""
+    fleet = Fleet.of(members, [tier])
+    return serve_epoch(fleet, [device], [migration_read_mbps], [migration_write_mbps])[0]
+
+
+def reference_serve_tier(tier, members, device, migration_read_mbps=0.0,
+                         migration_write_mbps=0.0):
+    """One tier's members served member by member, the loop ``serve_epoch`` replaces."""
+    eff_read_bw = max(0.0, tier.read_bandwidth_cap - migration_read_mbps)
+    eff_write_bw = max(0.0, tier.write_bandwidth_cap - migration_write_mbps)
+
+    loads = []
+    for v in members:
+        unloaded = v.spec.truth_slope * tier.base_latency_us + v.spec.truth_intercept_us
+        loads.append(min(v.demand_iops, 1e6 / unloaded))
+
+    load_r_iops = sum(l * v.read_fraction for l, v in zip(loads, members))
+    load_w_iops = sum(l * (1 - v.read_fraction) for l, v in zip(loads, members))
+    load_r_bw = sum(
+        l * v.read_fraction * v.avg_io_size_bytes / 1e6 for l, v in zip(loads, members)
+    )
+    load_w_bw = sum(
+        l * (1 - v.read_fraction) * v.avg_io_size_bytes / 1e6
+        for l, v in zip(loads, members)
+    )
+    utilization = lambda load, cap: load / cap if cap > 0 else 0.0
+    contention = max(
+        1.0,
+        utilization(load_r_iops, tier.read_throughput_cap),
+        utilization(load_w_iops, tier.write_throughput_cap),
+        utilization(load_r_bw, tier.read_bandwidth_cap),
+        utilization(load_w_bw, tier.write_bandwidth_cap),
+    )
+    device.contention = contention
+    scale = 1.0
+    for load, cap in (
+        (load_r_iops, tier.read_throughput_cap),
+        (load_w_iops, tier.write_throughput_cap),
+        (load_r_bw, eff_read_bw),
+        (load_w_bw, eff_write_bw),
+    ):
+        if load > 0:
+            scale = min(scale, cap / load)
+
+    metrics = TierEpochMetrics()
+    latency_weight = 0.0
+    for v in members:
+        latency = device.true_latency(v.spec)
+        achievable = 1e6 / latency if latency > 0 else 0.0
+        served = min(v.demand_iops, achievable) * scale
+        v.measured_iops = served
+        v.measured_latency_us = latency
+        v.measured_read_mbps = served * v.read_fraction * v.avg_io_size_bytes / 1e6
+        v.measured_write_mbps = served * (1 - v.read_fraction) * v.avg_io_size_bytes / 1e6
+        metrics.read_iops += served * v.read_fraction
+        metrics.write_iops += served * (1 - v.read_fraction)
+        metrics.read_mbps += v.measured_read_mbps
+        metrics.write_mbps += v.measured_write_mbps
+        if np.isfinite(latency):
+            latency_weight += served * latency
+    total_iops = metrics.read_iops + metrics.write_iops
+    metrics.mean_latency_us = latency_weight / total_iops if total_iops > 0 else 0.0
+    return metrics
+
+
+def random_fleet(rng, n_tiers):
+    """Tiers and id-ordered states with every serving edge case mixed in.
+
+    The last tier stays empty; some VMDKs have zero demand, zero slope, a
+    demand that saturates a throughput or bandwidth cap, or a slope or
+    intercept so large that latency overflows to inf.
+    """
+    tiers = tuple(
+        make_tier(
+            i + 1,
+            base_latency_us=50.0 * (i + 1),
+            read_iops=float(rng.uniform(1_000, 100_000)),
+            write_iops=float(rng.uniform(1_000, 50_000)),
+            read_mbps=float(rng.uniform(20, 1000)),
+            write_mbps=float(rng.uniform(20, 1000)),
+        )
+        for i in range(n_tiers)
+    )
+    states = []
+    for j in range(int(rng.integers(0, 40))):
+        kind = int(rng.integers(0, 6))
+        slope = 0.0 if kind == 1 else float(rng.uniform(0, 2))
+        intercept = float(rng.uniform(0.5, 300))
+        if kind == 2:
+            slope, intercept = 1e306, 1e-3  # unloaded latency overflows
+        elif kind == 3:
+            intercept = 1e308  # overflows once contention exceeds 1
+        demand = 0.0 if kind == 4 else float(rng.uniform(0, 300_000))
+        spec = make_vmdk(
+            f"v{j:02d}",
+            truth_slope=slope,
+            truth_intercept_us=intercept,
+            demand_iops=demand,
+            avg_io_size_bytes=float(rng.uniform(512, 1 << 20)),
+            read_fraction=float(rng.choice([0.0, 1.0, rng.uniform(0, 1)])),
+        )
+        states.append(make_state(spec, tier=int(rng.integers(1, max(n_tiers, 2)))))
+    return tiers, states
+
+
+class TestServeEpochMatchesReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitwise_equal_to_the_member_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n_tiers = int(rng.integers(1, 5))
+        tiers, states = random_fleet(rng, n_tiers)
+        # debits from none to above the bandwidth cap
+        debit_read = [float(rng.choice([0.0, rng.uniform(0, 2) * t.read_bandwidth_cap]))
+                      for t in tiers]
+        debit_write = [float(rng.choice([0.0, rng.uniform(0, 2) * t.write_bandwidth_cap]))
+                       for t in tiers]
+        contended = [float(rng.uniform(1, 3)) for _ in tiers]
+
+        reference_states = copy.deepcopy(states)
+        reference_devices = [DeviceModel(t, c) for t, c in zip(tiers, contended)]
+        expected = [
+            reference_serve_tier(
+                tier,
+                [s for s in reference_states if s.current_tier == tier.id],
+                device, r, w,
+            )
+            for tier, device, r, w in zip(tiers, reference_devices, debit_read, debit_write)
+        ]
+        devices = [DeviceModel(t, c) for t, c in zip(tiers, contended)]
+        served = serve_epoch(Fleet.of(states, tiers), devices, debit_read, debit_write)
+
+        assert [astuple(m) for m in served] == [astuple(m) for m in expected]
+        measured = lambda s: (
+            s.measured_iops, s.measured_latency_us, s.measured_read_mbps, s.measured_write_mbps
+        )
+        assert [measured(s) for s in states] == [measured(s) for s in reference_states]
+        assert [d.contention for d in devices] == [d.contention for d in reference_devices]
+        assert all(type(x) is float for m in served for x in astuple(m))
+        assert all(type(x) is float for s in states for x in measured(s))
+
+    def test_cases_cover_every_edge(self):
+        seen = set()
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            tiers, states = random_fleet(rng, int(rng.integers(1, 5)))
+            served = serve_epoch(
+                Fleet.of(states, tiers), [DeviceModel(t) for t in tiers],
+                [2 * t.read_bandwidth_cap for t in tiers], [0.0] * len(tiers),
+            )
+            seen.update(
+                name for name, hit in (
+                    ("empty tier", any(m.read_iops + m.write_iops == 0 for m in served)),
+                    ("zero demand", any(s.demand_iops == 0 for s in states)),
+                    ("zero slope", any(s.spec.truth_slope == 0 for s in states)),
+                    ("inf latency", any(s.measured_latency_us == np.inf for s in states)),
+                    ("saturated", any(s.measured_iops < s.demand_iops for s in states)),
+                ) if hit
+            )
+        assert len(seen) == 5
+
+
 class TestServeEpoch:
     def test_demand_limited_service(self):
         tier = make_tier(1, 100.0, read_iops=1_000_000, write_iops=1_000_000,
@@ -147,7 +313,7 @@ class TestServeEpoch:
         # achievable 1e6/(100*0.1+10) = 50K, demand 10K
         member = make_state(make_vmdk(truth_slope=0.1, truth_intercept_us=10.0,
                                       demand_iops=10_000))
-        tm = serve_epoch_tier(tier, [member], device)
+        tm = serve_tier(tier, [member], device)
         assert member.measured_iops == pytest.approx(10_000, rel=1e-9)
         assert tm.read_iops == pytest.approx(10_000, rel=1e-9)
 
@@ -162,7 +328,7 @@ class TestServeEpoch:
             make_state(make_vmdk("b", truth_slope=0.0, truth_intercept_us=1.0,
                                  demand_iops=60_000, read_fraction=1.0), tier=3),
         ]
-        tm = serve_epoch_tier(tier, members, device)
+        tm = serve_tier(tier, members, device)
         for m in members:
             assert m.measured_iops == pytest.approx(60_000 * 99 / 120, rel=1e-9)
         assert tm.read_iops == pytest.approx(99_000, rel=1e-9)
@@ -171,7 +337,7 @@ class TestServeEpoch:
         tier = make_tier(1)
         device = DeviceModel(tier=tier)
         member = make_state(make_vmdk(demand_iops=0.0))
-        tm = serve_epoch_tier(tier, [member], device)
+        tm = serve_tier(tier, [member], device)
         assert tm.read_iops == 0.0
         assert tm.write_iops == 0.0
         assert tm.mean_latency_us == 0.0
@@ -198,7 +364,7 @@ class TestServeEpoch:
                 ))
                 for i in range(int(rng.integers(1, 6)))
             ]
-            tm = serve_epoch_tier(tier, members, device)
+            tm = serve_tier(tier, members, device)
             assert tm.read_iops <= tier.read_throughput_cap * (1 + 1e-9)
             assert tm.write_iops <= tier.write_throughput_cap * (1 + 1e-9)
             assert tm.read_mbps <= tier.read_bandwidth_cap * (1 + 1e-9)
@@ -233,9 +399,9 @@ class TestServeEpoch:
                 avg_io_size_bytes=float(rng.uniform(512, 65536)),
                 read_fraction=float(rng.uniform(0, 1)),
             ))
-            serve_epoch_tier(tier, members, DeviceModel(tier=tier))
+            serve_tier(tier, members, DeviceModel(tier=tier))
             before = [m.measured_iops for m in members]
-            serve_epoch_tier(tier, members + [newcomer], DeviceModel(tier=tier))
+            serve_tier(tier, members + [newcomer], DeviceModel(tier=tier))
             after = [m.measured_iops for m in members]
             for x, y in zip(before, after):
                 assert y <= x * (1 + 1e-9)
@@ -300,10 +466,10 @@ class TestMigrations:
             truth_slope=0.0, truth_intercept_us=1.0,
             demand_iops=600, avg_io_size_bytes=1_000_000, read_fraction=1.0,
         ))
-        undisturbed = serve_epoch_tier(tier, [member], DeviceModel(tier=tier))
+        undisturbed = serve_tier(tier, [member], DeviceModel(tier=tier))
         assert undisturbed.read_mbps == pytest.approx(500.0, rel=1e-9)
         mig_rate = 120.0  # MB/s claimed by a migration this epoch
-        tm = serve_epoch_tier(tier, [member], DeviceModel(tier=tier),
+        tm = serve_tier(tier, [member], DeviceModel(tier=tier),
                               migration_read_mbps=mig_rate)
         assert tm.read_mbps == pytest.approx(500.0 - mig_rate, rel=1e-9)
         assert tm.read_mbps + mig_rate <= tier.read_bandwidth_cap * (1 + 1e-12)
@@ -369,3 +535,60 @@ class TestRunScenario:
                         assert tm.write_iops <= tier.write_throughput_cap * (1 + 1e-9)
                         assert tm.read_mbps <= tier.read_bandwidth_cap * (1 + 1e-9)
                         assert tm.write_mbps <= tier.write_bandwidth_cap * (1 + 1e-9)
+
+
+def multi_phase(scenario, rng):
+    """``scenario`` with 1-4 demand phases per VMDK, some starting at or past the end."""
+    epochs = scenario.sim.epochs
+    vmdks = []
+    for j, spec in enumerate(scenario.vmdks):
+        starts = sorted(rng.choice(np.arange(1, epochs + 4), int(rng.integers(0, 4)), False))
+        if j == 0:
+            starts = [max(epochs, 1)]
+        elif j == 1:
+            starts = [1, epochs + 5]
+        phases = [spec.demand_profile[0]] + [
+            WorkloadPhase(
+                int(start),
+                float(rng.uniform(0, 120_000)),
+                float(rng.uniform(512, 65_536)),
+                float(rng.uniform(0.0, 1.0)),
+            )
+            for start in starts
+        ]
+        vmdks.append(replace(spec, demand_profile=tuple(phases)))
+    weights = replace(scenario.weights, monitor_epoch=1, migration_epoch=1)
+    return replace(scenario, vmdks=tuple(vmdks), weights=weights)
+
+
+def phase_key(phase_or_state):
+    return (
+        phase_or_state.demand_iops,
+        phase_or_state.avg_io_size_bytes,
+        phase_or_state.read_fraction,
+    )
+
+
+class TestPhaseSchedule:
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_every_epoch_sees_the_phase_that_spec_names(self, seed):
+        rng = np.random.default_rng(seed)
+        scenario = multi_phase(random_scenario(rng, epochs=7), rng)
+        for policy in ("autotiering", "idt", "edt"):
+            seen = []
+
+            def check(epoch, plan, policy_obj, ctx):
+                seen.append(epoch)
+                for state in ctx.vmdk_states.values():
+                    assert phase_key(state) == phase_key(state.spec.phase_at(epoch))
+
+            run_scenario(scenario, policy, on_plan=check)
+            assert seen == list(range(scenario.sim.epochs))
+
+    def test_zero_epochs_leave_the_first_phase_active(self):
+        rng = np.random.default_rng(9)
+        scenario = multi_phase(random_scenario(rng, epochs=0), rng)
+        result = run_scenario(scenario, "autotiering")
+        assert result.epochs == []
+        for spec in scenario.vmdks:
+            assert phase_key(result.final_states[spec.id]) == phase_key(spec.demand_profile[0])
