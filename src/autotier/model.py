@@ -110,8 +110,9 @@ class TierSpec:
         for flag in (self.specialty.p, self.specialty.b, self.specialty.s):
             if flag not in (0.0, 1.0):
                 raise ValueError("specialty flags must be 0 or 1")
-        if self.kind_weights.total() <= 0:
-            raise ValueError("kind weights must sum to a positive value")
+        weight_sum = self.kind_weights.total()
+        if not (math.isfinite(weight_sum) and weight_sum > 0):
+            raise ValueError("kind weights must sum to a finite positive value")
         _require_finite_nonneg("migWeight", self.mig_weight)
         for frac in (self.caps.p, self.caps.b, self.caps.s):
             if not (0.0 < frac <= 1.0):

@@ -132,7 +132,7 @@ def orthogonal_match_score(
 
     ``ratios`` is (T, N, 3); ``sla_weight`` and ``confidence`` are per VMDK.
     Each tier normalizes by the sum of all its kind weights, which TierSpec
-    keeps positive.
+    keeps finite and positive.
     """
     masked = np.array([
         (m.p, m.b, m.s) for m in (t.specialty * t.kind_weights for t in tiers)

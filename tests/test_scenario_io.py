@@ -177,6 +177,16 @@ class TestParsing:
         prefix = "policyWeights.injectedLatenciesUs: expected finite numbers"
         assert any(e.startswith(prefix) for e in excinfo.value.errors), excinfo.value.errors
 
+    def test_kind_weights_summing_to_inf_are_diagnosed(self):
+        # each weight is finite, but their sum overflows and scores would turn NaN
+        doc = json.loads(bundled_scenario_text("table3-table4"))
+        doc["tiers"][1]["kindWeights"] = {"p": 1e308, "b": 1e308, "s": 1e308}
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert excinfo.value.errors == [
+            "tiers[1]: kind weights must sum to a finite positive value"
+        ]
+
 
 def spec_defaults_kept(obj):
     """(type, field) of every spec field in ``obj`` that still holds its dataclass default."""
