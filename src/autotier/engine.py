@@ -234,12 +234,12 @@ def serve_epoch(
         return np.bincount(row, weights=values, minlength=len(tiers)).tolist()
 
     with np.errstate(all="ignore"):
-        base = np.array([t.base_latency_us for t in tiers])[row]
-        loads = np.minimum(demand, 1e6 / (slope * base + intercept))
-        load_r_iops = per_tier(loads * rf)
-        load_w_iops = per_tier(loads * (1 - rf))
-        load_r_bw = per_tier(loads * rf * io / 1e6)
-        load_w_bw = per_tier(loads * (1 - rf) * io / 1e6)
+        bare = slope * np.array([t.base_latency_us for t in tiers])[row]
+        wf = 1 - rf
+        loads = np.minimum(demand, 1e6 / (bare + intercept))
+        loads_r, loads_w = loads * rf, loads * wf
+        load_r_iops, load_w_iops = per_tier(loads_r), per_tier(loads_w)
+        load_r_bw, load_w_bw = per_tier(loads_r * io / 1e6), per_tier(loads_w * io / 1e6)
 
         contention, scale = [], []
         for i, (tier, device) in enumerate(zip(tiers, devices)):
@@ -268,14 +268,13 @@ def serve_epoch(
                     s = min(s, cap / load)
             scale.append(s)
 
-        # DeviceModel.true_latency at zero added latency, in its operation order
-        latency = slope * (base + 0.0) + intercept * np.array(contention)[row]
-        achievable = np.where(latency > 0, 1e6 / latency, 0.0)
-        served = np.minimum(demand, achievable) * np.array(scale)[row]
-        read_mbps = served * rf * io / 1e6
-        write_mbps = served * (1 - rf) * io / 1e6
-        read_iops = per_tier(served * rf)
-        write_iops = per_tier(served * (1 - rf))
+        # DeviceModel.true_latency at zero added latency; it is positive (or
+        # inf) because intercepts are positive and contention is at least 1.
+        latency = bare + intercept * np.array(contention)[row]
+        served = np.minimum(demand, 1e6 / latency) * np.array(scale)[row]
+        served_r, served_w = served * rf, served * wf
+        read_mbps, write_mbps = served_r * io / 1e6, served_w * io / 1e6
+        read_iops, write_iops = per_tier(served_r), per_tier(served_w)
         latency_weight = per_tier(np.where(np.isfinite(latency), served * latency, 0.0))
 
     for state, iops, lat, r_mbps, w_mbps in zip(
