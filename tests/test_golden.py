@@ -19,20 +19,28 @@ profile. Its digest covers the full-precision ``repr`` of every epoch
 record, plan, migration order and final VMDK state, so a change in the
 order per-tier sums accumulate in, or in the epoch a phase starts, fails it.
 
+A fourth table, ``golden_oracle_check.json``, holds the SHA-256 of the JSON
+that ``autotier oracle-check --scenario tiny-oracle`` prints per seed: the
+greedy and brute-force profit of every plan at full precision.
+
 The hashes were recorded with numpy 2.4 on x86_64; another numpy or platform
 may round differently. Regenerating them (``python tests/test_golden.py``
 prints a fresh artifact table, ``python tests/test_golden.py --plans`` a
-fresh digest table, ``--scale`` a fresh scale table) requires a CHANGES.md entry that says which outputs
+fresh digest table, ``--scale`` a fresh scale table, ``--oracle`` a fresh
+oracle-check table) requires a CHANGES.md entry that says which outputs
 changed and why the change is intended.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+from autotier.cli import main
 from autotier.engine import POLICY_NAMES, run_scenario
 from autotier.reporting import write_run_artifacts
 from autotier.model import validate_scenario
@@ -41,6 +49,7 @@ from autotier.scenario import bundled_scenario_text, load_bundled_scenario
 GOLDEN_PATH = Path(__file__).with_name("golden_hashes.json")
 PLAN_DIGEST_PATH = Path(__file__).with_name("golden_plan_digests.json")
 SCALE_DIGEST_PATH = Path(__file__).with_name("golden_scale_digests.json")
+ORACLE_DIGEST_PATH = Path(__file__).with_name("golden_oracle_check.json")
 SCENARIOS = ("table3-table4", "spike", "tiny-oracle")
 SEEDS = (0, 1, 42)
 HASHED_FILES = ("metrics.csv", "summary.json", "migrations.json")
@@ -124,6 +133,15 @@ def run_digest(result) -> str:
     return digest.hexdigest()
 
 
+def oracle_check_digest(seed: int) -> str:
+    """SHA-256 of what ``oracle-check --scenario tiny-oracle --seed SEED`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["oracle-check", "--scenario", "tiny-oracle", "--seed", str(seed)])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 CASES = [(s, p, seed) for s in SCENARIOS for p in POLICY_NAMES for seed in SEEDS]
 
 
@@ -172,6 +190,13 @@ def test_scale_run_matches_golden_digest(policy, scale):
     assert run_digest(run_scenario(scale, policy)) == golden[policy]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_oracle_check_matches_golden_digest(seed):
+    golden = json.loads(ORACLE_DIGEST_PATH.read_text(encoding="utf-8"))
+    assert sorted(golden) == [f"tiny-oracle/{s}" for s in sorted(SEEDS)]
+    assert oracle_check_digest(seed) == golden[f"tiny-oracle/{seed}"]
+
+
 if __name__ == "__main__":
     import sys
     import tempfile
@@ -181,6 +206,8 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["--scale"]:
         scenario = scale_scenario()
         table = {p: run_digest(run_scenario(scenario, p)) for p in POLICY_NAMES}
+    elif sys.argv[1:] == ["--oracle"]:
+        table = {f"tiny-oracle/{seed}": oracle_check_digest(seed) for seed in SEEDS}
     else:
         table = {}
         for case in CASES:
