@@ -3,6 +3,7 @@
 from .model import (
     CalibrationFits,
     CapacityMatrices,
+    Fleet,
     MigrationOrder,
     PolicyWeights,
     ResourceVector,

@@ -9,9 +9,10 @@ every tier: measured IOPS and size.
 
 Both use the same churn-avoidance reading of their one-line definitions:
 sort ties prefer the VMDK's current tier, and a VMDK whose metric is zero
-never moves to a more capable tier than its current one. The candidate list
-comes from (N,) arrays: one ``np.lexsort`` over (metric, current tier rank,
-id) orders the VMDKs and a boolean (N, T) mask drops the upward moves of
+never moves to a more capable tier than its current one. Both read the
+run's ``Fleet`` arrays directly: one stable ``np.lexsort`` over (metric,
+current tier rank) orders the VMDKs, with the fleet's row order breaking the
+remaining ties by id, and a boolean (N, T) mask drops the upward moves of
 zero-metric VMDKs.
 """
 
@@ -21,12 +22,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .model import TierSpec, VmdkState
+from .model import Fleet, TierSpec
 from .policy import AssignmentPlan, PolicyContext, pack
 
 
 def _pack_by_metric(
-    vmdks: Sequence[VmdkState],
+    fleet: Fleet,
     tiers: Sequence[TierSpec],
     metric: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tier_capability: Callable[[TierSpec], float],
@@ -37,20 +38,17 @@ def _pack_by_metric(
     """Candidates: VMDKs by descending metric, each over tiers by descending capability.
 
     ``metric`` maps the (N,) measured IOPS and size arrays to the (N,) sort
-    key. One ``np.lexsort`` orders the VMDKs by descending metric, then rank
-    of the current tier, then id; a VMDK whose metric is zero keeps only the
-    tiers ranked at or below its current one.
+    key. One stable ``np.lexsort`` orders the VMDKs by descending metric,
+    then rank of the current tier, then fleet row (VMDK id); a VMDK whose
+    metric is zero keeps only the tiers ranked at or below its current one.
     """
     tier_order = sorted(range(len(tiers)), key=lambda i: (-tier_capability(tiers[i]), tiers[i].id))
     rank = {tiers[i].id: r for r, i in enumerate(tier_order)}
-    iops = [v.measured_iops for v in vmdks]
-    size = [v.spec.size_gb for v in vmdks]
-    ids = [v.spec.id for v in vmdks]
-    values = metric(np.array(iops, dtype=float), np.array(size, dtype=float))
-    current_rank = np.array([rank[v.current_tier] for v in vmdks], dtype=np.intp)
-    id_rank = np.empty(len(ids), dtype=np.intp)
-    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    vmdk_order = np.lexsort((id_rank, current_rank, -values))
+    values = metric(fleet.measured_iops, fleet.size_gb)
+    current_rank = np.array([rank[t] for t in fleet.tier_ids.tolist()], dtype=np.intp)[
+        fleet.tier_row
+    ]
+    vmdk_order = np.lexsort((current_rank, -values))
     allowed = (values[vmdk_order] != 0)[:, None] | (
         np.arange(len(tiers)) >= current_rank[vmdk_order, None]
     )
@@ -58,21 +56,12 @@ def _pack_by_metric(
     candidates = zip(
         np.array(tier_order, dtype=np.intp)[column].tolist(), vmdk_order[at].tolist()
     )
-    rows = [(p, 0.0, s) for p, s in zip(iops, size)]
-    return pack(
-        tiers,
-        ids,
-        [rows] * len(tiers),
-        kinds,
-        candidates,
-        {v.spec.id: v.current_tier for v in vmdks},
-        epoch_index,
-        pinned,
-    )
+    rows = list(zip(fleet.measured_iops.tolist(), [0.0] * len(fleet.ids), fleet.size_gb.tolist()))
+    return pack(tiers, fleet, [rows] * len(tiers), kinds, candidates, epoch_index, pinned)
 
 
 def idt_assign(
-    vmdks: Sequence[VmdkState],
+    fleet: Fleet,
     tiers: Sequence[TierSpec],
     epoch_index: int = 0,
     pinned: Mapping[str, int] | None = None,
@@ -83,7 +72,7 @@ def idt_assign(
     this policy by construction.
     """
     return _pack_by_metric(
-        vmdks,
+        fleet,
         tiers,
         metric=lambda iops, size: iops,
         tier_capability=lambda t: t.read_throughput_cap,
@@ -94,7 +83,7 @@ def idt_assign(
 
 
 def edt_assign(
-    vmdks: Sequence[VmdkState],
+    fleet: Fleet,
     tiers: Sequence[TierSpec],
     epoch_index: int = 0,
     pinned: Mapping[str, int] | None = None,
@@ -104,7 +93,7 @@ def edt_assign(
     Checks storage and throughput budgets; still blind to bandwidth.
     """
     return _pack_by_metric(
-        vmdks,
+        fleet,
         tiers,
         metric=lambda iops, size: iops / size,
         tier_capability=lambda t: (
@@ -120,10 +109,10 @@ class IdtPolicy:
     name = "idt"
 
     def on_monitor(self, ctx: PolicyContext) -> None:
-        pass  # measurement arrives through VmdkState; nothing to precompute
+        pass  # measurements arrive in the fleet's arrays; nothing to precompute
 
     def plan_migrations(self, ctx: PolicyContext, epoch_index: int) -> AssignmentPlan:
-        return idt_assign(ctx.sorted_states(), ctx.tiers, epoch_index, pinned=ctx.in_flight)
+        return idt_assign(ctx.fleet, ctx.tiers, epoch_index, pinned=ctx.in_flight)
 
 
 class EdtPolicy:
@@ -133,4 +122,4 @@ class EdtPolicy:
         pass
 
     def plan_migrations(self, ctx: PolicyContext, epoch_index: int) -> AssignmentPlan:
-        return edt_assign(ctx.sorted_states(), ctx.tiers, epoch_index, pinned=ctx.in_flight)
+        return edt_assign(ctx.fleet, ctx.tiers, epoch_index, pinned=ctx.in_flight)

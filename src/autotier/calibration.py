@@ -24,6 +24,11 @@ from .model import CalibrationFits
 # model provides one per run.
 SampleProbe = Callable[[Sequence[str], Sequence[float], int], np.ndarray]
 
+# Largest mean sampled latency (us) a fit accepts. Near 5e291 us the shared
+# least-squares solve rescales its right-hand side, which moves every other
+# VMDK's fit by about one ulp; contention can push a valid VMDK there.
+MAX_MEAN_LATENCY_US = 1e290
+
 
 @dataclass(frozen=True)
 class CalibrationSamples:
@@ -96,7 +101,8 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
 
     Samples at each injected latency are averaged before the fit; the mean of
     the per-latency CVs drives the confidence. Rows are independent: each
-    fit is bitwise what fitting that VMDK alone gives.
+    fit is bitwise what fitting that VMDK alone gives. A mean sample at or
+    above ``MAX_MEAN_LATENCY_US`` would break that and raises ValueError.
     """
     latencies = samples.injected_latencies_us
     if len(set(latencies)) < 2:
@@ -115,7 +121,7 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     # One polyfit with a column per VMDK; each column comes out bitwise as
     # if fitted alone. A closed-form slope/intercept differs in the last bits.
     m, b = np.polyfit(xs, means.T, 1)
-    return CalibrationFits(
+    fits = CalibrationFits(
         vmdk_ids=samples.vmdk_ids,
         m=m,
         b=b,
@@ -123,6 +129,14 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
         sample_count=np.full(n, l * s),
         mean_cv=mean_cv,
     )
+    too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
+    if too_slow.any():
+        row = int(too_slow.argmax())
+        raise ValueError(
+            f"VMDK {samples.vmdk_ids[row]!r}: mean sampled latency {means[row].max()} us "
+            f"reaches the calibration limit of {MAX_MEAN_LATENCY_US} us"
+        )
+    return fits
 
 
 def estimate_avg_lat(

@@ -61,18 +61,18 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
 
     def on_plan(epoch, plan, policy, ctx) -> None:
         # in-flight moves are committed: charge against their destination
-        previous = {**ctx.current_assignment(), **ctx.in_flight}
-        states = ctx.sorted_states()
+        fleet = ctx.fleet
+        previous = {**dict(zip(fleet.ids, fleet.current_tier.tolist())), **ctx.in_flight}
         greedy = epoch_profit(
-            plan.target, previous, policy.matrices, ctx.weights, states,
+            plan.target, previous, policy.matrices, ctx.weights, fleet,
             ctx.tier_states, ctx.migration_epoch_seconds,
         )
         oracle_plan = oracle_assignment(
-            policy.matrices, ctx.weights, previous, ctx.tiers, states,
+            policy.matrices, ctx.weights, previous, ctx.tiers, fleet,
             ctx.tier_states, ctx.migration_epoch_seconds, epoch,
         )
         oracle = epoch_profit(
-            oracle_plan.target, previous, policy.matrices, ctx.weights, states,
+            oracle_plan.target, previous, policy.matrices, ctx.weights, fleet,
             ctx.tier_states, ctx.migration_epoch_seconds,
         )
         ratio = greedy / oracle if abs(oracle) > 1e-12 else None

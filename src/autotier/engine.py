@@ -6,22 +6,27 @@ in-flight migrations with bandwidth accounting, then serves I/O demands
 against per-tier device models with a proportional contention model and
 records metrics.
 
-The loop keeps the run's VMDKs as a ``Fleet``: dense (N,) arrays in VMDK-id
-order holding static truth, the active phase's demand and each VMDK's tier
-row. ``serve_epoch`` serves every tier from them in one vectorized pass and
-writes the measurements back to each ``VmdkState``, the view policies read,
-once per epoch.
+The run's VMDKs live in one ``Fleet``: dense (N,) arrays in VMDK-id order
+holding static truth, the active phase's demand, each VMDK's tier row and
+its last measurements. ``serve_epoch`` serves every tier from them in one
+vectorized pass and writes the measurements in place; policies read the
+same arrays through a read-only view, and ``VmdkState`` objects are built
+once, for the result, after the last epoch. In-flight migrations form a
+book kept in VMDK-id order as orders start and finish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .baselines import EdtPolicy, IdtPolicy
 from .model import (
+    Fleet,
     MigrationOrder,
     Scenario,
     TierSpec,
@@ -59,8 +64,9 @@ class DeviceModel:
 
 
 def probe_latencies(
-    states: Sequence[VmdkState],
-    devices: Mapping[int, DeviceModel],
+    fleet: Fleet,
+    rows: Sequence[int],
+    devices: Sequence[DeviceModel],
     added_us: Sequence[float],
     samples_per_latency: int,
     rng: np.random.Generator,
@@ -68,26 +74,28 @@ def probe_latencies(
 ) -> np.ndarray:
     """(N, L, S) calibration samples: true latency with multiplicative Gaussian noise.
 
-    Axes are ``states`` × ``added_us`` × samples. The true latency is
-    ``DeviceModel.true_latency`` on each VMDK's current device, computed
-    elementwise in the same operation order. Noise factors ``1 + noise_cv * z``
-    come from one ``standard_normal`` draw taken in C order; every factor
-    <= 0 is dropped and the rest topped up from the same generator, which
-    consumes the stream exactly as drawing sample by sample, redrawing while
-    the factor is <= 0, would.
+    Axes are the fleet ``rows`` × ``added_us`` × samples; ``devices`` follow
+    the fleet's tier rows. The true latency is ``DeviceModel.true_latency``
+    on each VMDK's current device, computed elementwise in the same
+    operation order. Noise factors ``1 + noise_cv * z`` come from one
+    ``standard_normal`` draw taken in C order; every factor <= 0 is dropped
+    and the rest topped up from the same generator, which consumes the
+    stream exactly as drawing sample by sample, redrawing while the factor
+    is <= 0, would.
     """
-    devs = [devices[s.current_tier] for s in states]
+    rows = np.asarray(rows, dtype=np.intp)
+    tier = fleet.tier_row[rows]
 
-    def column(values: Iterable[float]) -> np.ndarray:
-        return np.array(list(values), dtype=float)[:, None, None]
+    def column(values: np.ndarray) -> np.ndarray:
+        return values[:, None, None]
 
-    slope = column(s.spec.truth_slope for s in states)
-    base = column(d.tier.base_latency_us for d in devs)
-    intercept = column(s.spec.truth_intercept_us for s in states)
-    contention = column(d.contention for d in devs)
+    slope = column(fleet.truth_slope[rows])
+    base = column(np.array([d.tier.base_latency_us for d in devices])[tier])
+    intercept = column(fleet.truth_intercept_us[rows])
+    contention = column(np.array([d.contention for d in devices])[tier])
     added = np.asarray(added_us, dtype=float)[:, None]
     truth = slope * (base + added) + intercept * contention
-    shape = (len(states), len(added_us), samples_per_latency)
+    shape = (len(rows), len(added_us), samples_per_latency)
     count = shape[0] * shape[1] * shape[2]
     factor = 1.0 + noise_cv * rng.standard_normal(count)
     factor = factor[factor > 0.0]
@@ -139,82 +147,13 @@ def _utilization(load: float, cap: float) -> float:
     return load / cap if cap > 0 else 0.0
 
 
-@dataclass
-class Fleet:
-    """Per-VMDK (N,) arrays of one run, rows in ``states`` order.
-
-    ``states`` stay the view policies read; the arrays mirror what serving
-    needs from them: static truth, the active phase's demand, and
-    ``tier_row``, each VMDK's current tier as an index into the run's tiers.
-    A phase is applied only at the epoch it starts: each row keeps a pointer
-    to its next phase and is filed under that phase's start epoch, so the
-    schedule holds one entry per VMDK, not one per phase.
-    """
-
-    states: list[VmdkState]
-    row_of_tier: dict[int, int]
-    tier_row: np.ndarray
-    truth_slope: np.ndarray
-    truth_intercept_us: np.ndarray
-    demand_iops: np.ndarray
-    read_fraction: np.ndarray
-    avg_io_size_bytes: np.ndarray
-    next_phase: list[int]
-    due: dict[int, list[int]]
-
-    @classmethod
-    def of(cls, states: Sequence[VmdkState], tiers: Sequence[TierSpec]) -> "Fleet":
-        """Arrays of ``states`` as they stand, each in the first phase of its profile."""
-        states = list(states)
-        row_of_tier = {t.id: i for i, t in enumerate(tiers)}
-
-        def column(values: Iterable[float]) -> np.ndarray:
-            return np.array(list(values), dtype=float)
-
-        due: dict[int, list[int]] = {}
-        for j, s in enumerate(states):
-            if len(s.spec.demand_profile) > 1:
-                due.setdefault(s.spec.demand_profile[1].start_epoch, []).append(j)
-        return cls(
-            states=states,
-            row_of_tier=row_of_tier,
-            tier_row=np.array([row_of_tier[s.current_tier] for s in states], dtype=np.intp),
-            truth_slope=column(s.spec.truth_slope for s in states),
-            truth_intercept_us=column(s.spec.truth_intercept_us for s in states),
-            demand_iops=column(s.demand_iops for s in states),
-            read_fraction=column(s.read_fraction for s in states),
-            avg_io_size_bytes=column(s.avg_io_size_bytes for s in states),
-            next_phase=[1] * len(states),
-            due=due,
-        )
-
-    def activate_phases(self, epoch: int) -> None:
-        """Apply every phase that starts at ``epoch``; epochs must come in order."""
-        for j in self.due.pop(epoch, ()):
-            state = self.states[j]
-            profile = state.spec.demand_profile
-            k = self.next_phase[j]
-            phase = profile[k]
-            state.enter_phase(phase)
-            self.demand_iops[j] = phase.demand_iops
-            self.read_fraction[j] = phase.read_fraction
-            self.avg_io_size_bytes[j] = phase.avg_io_size_bytes
-            if k + 1 < len(profile):
-                self.next_phase[j] = k + 1
-                self.due.setdefault(profile[k + 1].start_epoch, []).append(j)
-
-    def move(self, row: int, tier_id: int) -> None:
-        self.states[row].current_tier = tier_id
-        self.tier_row[row] = self.row_of_tier[tier_id]
-
-
 def serve_epoch(
     fleet: Fleet,
     devices: Sequence[DeviceModel],
     migration_read_mbps: Sequence[float],
     migration_write_mbps: Sequence[float],
 ) -> list[TierEpochMetrics]:
-    """Serve every tier's members for one epoch and update measured stats.
+    """Serve every tier's members for one epoch and write the fleet's measurements.
 
     ``devices`` and the migration debits (MB/s) follow the fleet's tier rows.
     Offered load per VMDK is its demand capped at the unloaded achievable
@@ -277,13 +216,10 @@ def serve_epoch(
         read_iops, write_iops = per_tier(served_r), per_tier(served_w)
         latency_weight = per_tier(np.where(np.isfinite(latency), served * latency, 0.0))
 
-    for state, iops, lat, r_mbps, w_mbps in zip(
-        fleet.states, served.tolist(), latency.tolist(), read_mbps.tolist(), write_mbps.tolist()
-    ):
-        state.measured_iops = iops
-        state.measured_latency_us = lat
-        state.measured_read_mbps = r_mbps
-        state.measured_write_mbps = w_mbps
+    fleet.measured_iops[:] = served
+    fleet.measured_latency_us[:] = latency
+    fleet.measured_read_mbps[:] = read_mbps
+    fleet.measured_write_mbps[:] = write_mbps
 
     metrics = []
     for r_iops, w_iops, r_mbps, w_mbps, weight in zip(
@@ -302,45 +238,59 @@ def serve_epoch(
 
 def progress_migrations(
     orders: Sequence[MigrationOrder],
-    vmdk_states: Mapping[str, VmdkState],
+    fleet: Fleet,
     tier_states: Mapping[int, TierState],
     epoch_seconds: float,
-) -> tuple[float, dict[int, float], dict[int, float], list[str]]:
-    """Advance in-flight migrations one epoch, debiting tier bandwidth.
+) -> tuple[
+    float, dict[int, float], dict[int, float], list[str], list[MigrationOrder], list[MigrationOrder]
+]:
+    """Advance the in-flight ``orders``, in VMDK-id order, one epoch, debiting tier bandwidth.
 
     Speed is recomputed per epoch from spare bandwidth (last epoch's served
-    load plus debits already taken this epoch). Returns total bytes moved,
-    per-tier read/write debits in MB/s, and stalled VMDK ids.
+    load plus debits already taken this epoch) and the VMDK's own measured
+    read bandwidth. Returns total bytes moved, per-tier read/write debits in
+    MB/s, stalled VMDK ids, the orders still in flight and the orders that
+    finished, both in id order; ``orders`` itself is left as it is.
     """
-    debit_read: dict[int, float] = {t: 0.0 for t in tier_states}
-    debit_write: dict[int, float] = {t: 0.0 for t in tier_states}
+    debit_read = dict.fromkeys(tier_states, 0.0)
+    debit_write = dict.fromkeys(tier_states, 0.0)
     spare_read = {t: s.remaining_read_mbps() for t, s in tier_states.items()}
     spare_write = {t: s.remaining_write_mbps() for t, s in tier_states.items()}
+    measured_read = fleet.measured_read_mbps.tolist()
+    row = fleet.row
     moved_total = 0.0
     stalled: list[str] = []
-    for order in sorted(orders, key=lambda o: o.vmdk_id):
-        if order.done:
+    in_flight: list[MigrationOrder] = []
+    finished: list[MigrationOrder] = []
+    # Conditional expressions stand in for max(0.0, x) and min(a, b): the
+    # same result, NaN included, without a call per order.
+    for order in orders:
+        left = order.bytes_total - order.bytes_moved
+        if left <= 0.0:
+            finished.append(order)
             continue
-        v = vmdk_states[order.vmdk_id]
-        read_side = (
-            max(0.0, spare_read[order.from_tier] - debit_read[order.from_tier])
-            + v.measured_read_mbps
-        )
-        write_side = max(0.0, spare_write[order.to_tier] - debit_write[order.to_tier])
-        speed = min(read_side, write_side)
+        source, dest = order.from_tier, order.to_tier
+        spare = spare_read[source] - debit_read[source]
+        read_side = (spare if spare > 0.0 else 0.0) + measured_read[row[order.vmdk_id]]
+        spare = spare_write[dest] - debit_write[dest]
+        write_side = spare if spare > 0.0 else 0.0
+        speed = write_side if write_side < read_side else read_side
         order.speed_mbps = speed
         if speed <= 0.0:
             order.stalled = True
             stalled.append(order.vmdk_id)
+            in_flight.append(order)
             continue
         order.stalled = False
-        moved = min(order.bytes_total - order.bytes_moved, speed * 1e6 * epoch_seconds)
+        step = speed * 1e6 * epoch_seconds
+        moved = step if step < left else left
         order.bytes_moved += moved
         moved_total += moved
         rate = moved / epoch_seconds / 1e6
-        debit_read[order.from_tier] += rate
-        debit_write[order.to_tier] += rate
-    return moved_total, debit_read, debit_write, stalled
+        debit_read[source] += rate
+        debit_write[dest] += rate
+        (finished if order.bytes_moved >= order.bytes_total else in_flight).append(order)
+    return moved_total, debit_read, debit_write, stalled, in_flight, finished
 
 
 def run_scenario(
@@ -357,61 +307,63 @@ def run_scenario(
     actual_seed = scenario.sim.seed if seed is None else seed
     rng = np.random.default_rng(actual_seed)
     noise_cv = scenario.sim.noise_cv
+    epoch_seconds = scenario.sim.epoch_seconds
     policy = make_policy(policy_name)
 
-    fleet = Fleet.of(
-        [VmdkState.initial(spec) for spec in sorted(scenario.vmdks, key=lambda s: s.id)],
-        scenario.tiers,
-    )
-    vmdk_states = {state.spec.id: state for state in fleet.states}
-    row_of = {vmdk_id: j for j, vmdk_id in enumerate(vmdk_states)}
+    fleet = Fleet.of([VmdkState.initial(spec) for spec in scenario.vmdks], scenario.tiers)
     tier_states = {t.id: TierState(spec=t) for t in scenario.tiers}
-    devices = {t.id: DeviceModel(tier=t) for t in scenario.tiers}
-    active_orders: dict[str, MigrationOrder] = {}
+    devices = [DeviceModel(tier=t) for t in scenario.tiers]
+    book: list[MigrationOrder] = []  # in-flight orders in VMDK-id order
+    in_flight: dict[str, int] = {}  # VMDK id -> destination of its in-flight order
     result = RunResult(scenario=scenario, policy=policy_name, seed=actual_seed)
 
     def probe(vmdk_ids: Sequence[str], added_us: Sequence[float], samples: int) -> np.ndarray:
-        states = [vmdk_states[v] for v in vmdk_ids]
-        return probe_latencies(states, devices, added_us, samples, rng, noise_cv)
+        rows = [fleet.row[v] for v in vmdk_ids]
+        return probe_latencies(fleet, rows, devices, added_us, samples, rng, noise_cv)
 
     weights = scenario.weights
+    ctx = PolicyContext(
+        tiers=scenario.tiers,
+        tier_states=tier_states,
+        fleet=fleet.read_only(),
+        weights=weights,
+        epoch_seconds=epoch_seconds,
+        probe=probe,
+        in_flight=MappingProxyType(in_flight),
+    )
     for epoch in range(scenario.sim.epochs):
         fleet.activate_phases(epoch)
-        ctx = PolicyContext(
-            tiers=scenario.tiers,
-            tier_states=tier_states,
-            vmdk_states=vmdk_states,
-            weights=weights,
-            epoch_seconds=scenario.sim.epoch_seconds,
-            probe=probe,
-            in_flight={v: o.to_tier for v, o in active_orders.items()},
-        )
         if epoch % weights.monitor_epoch == 0:
             policy.on_monitor(ctx)
 
         plan: AssignmentPlan | None = None
         started: list[str] = []
+        new_orders: list[MigrationOrder] = []
         if epoch % weights.migration_epoch == 0:
             plan = policy.plan_migrations(ctx, epoch)
             result.plans.append(plan)
             if on_plan is not None:
                 on_plan(epoch, plan, policy, ctx)
             for vmdk_id, from_tier, to_tier in sorted(plan.migrations):
-                if vmdk_id in active_orders:
+                if vmdk_id in in_flight:
                     continue  # finish the in-flight move first
                 order = MigrationOrder(
                     vmdk_id=vmdk_id,
                     from_tier=from_tier,
                     to_tier=to_tier,
-                    bytes_total=vmdk_states[vmdk_id].spec.size_gb * 1e9,
+                    bytes_total=fleet.specs[fleet.row[vmdk_id]].size_gb * 1e9,
                     started_epoch=epoch,
                 )
-                active_orders[vmdk_id] = order
-                result.migration_log.append(order)
+                new_orders.append(order)
+                in_flight[vmdk_id] = to_tier
                 started.append(vmdk_id)
+            result.migration_log += new_orders
+            # Both runs are in id order, so the sort is one linear merge.
+            book += new_orders
+            book.sort(key=_by_vmdk_id)
 
-        moved_bytes, debit_read, debit_write, stalled = progress_migrations(
-            list(active_orders.values()), vmdk_states, tier_states, scenario.sim.epoch_seconds
+        moved_bytes, debit_read, debit_write, stalled, book, finished = progress_migrations(
+            book, fleet, tier_states, epoch_seconds
         )
 
         per_tier: dict[int, TierEpochMetrics] = {}
@@ -419,7 +371,7 @@ def run_scenario(
         latency_weight = 0.0
         served = serve_epoch(
             fleet,
-            list(devices.values()),
+            devices,
             [debit_read[t.id] for t in scenario.tiers],
             [debit_write[t.id] for t in scenario.tiers],
         )
@@ -438,11 +390,9 @@ def run_scenario(
         grand_iops = total.read_iops + total.write_iops
         total.mean_latency_us = latency_weight / grand_iops if grand_iops > 0 else 0.0
 
-        for vmdk_id in sorted(active_orders):
-            order = active_orders[vmdk_id]
-            if order.done:
-                fleet.move(row_of[vmdk_id], order.to_tier)
-                del active_orders[vmdk_id]
+        for order in finished:
+            fleet.move(fleet.row[order.vmdk_id], order.to_tier)
+            del in_flight[order.vmdk_id]
 
         result.epochs.append(
             EpochMetrics(
@@ -457,5 +407,8 @@ def run_scenario(
             )
         )
 
-    result.final_states = vmdk_states
+    result.final_states = {state.spec.id: state for state in fleet.states()}
     return result
+
+
+_by_vmdk_id = attrgetter("vmdk_id")

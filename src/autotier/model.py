@@ -3,14 +3,17 @@
 Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
-(VmdkState, TierState, MigrationOrder) is owned by a single simulation run.
+(Fleet, TierState, MigrationOrder) is owned by a single simulation run.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields, replace
+from itertools import chain
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -369,7 +372,7 @@ class MigrationOrder:
 
 @dataclass
 class VmdkState:
-    """Run-owned mutable view of one VMDK: placement, active demand, last measurements."""
+    """One VMDK as a run leaves it: placement, active demand, last measurements."""
 
     spec: VmdkSpec
     current_tier: int
@@ -383,14 +386,143 @@ class VmdkState:
 
     @classmethod
     def initial(cls, spec: VmdkSpec) -> "VmdkState":
-        state = cls(spec=spec, current_tier=spec.initial_tier)
-        state.enter_phase(spec.demand_profile[0])
-        return state
+        phase = spec.demand_profile[0]
+        return cls(
+            spec=spec,
+            current_tier=spec.initial_tier,
+            demand_iops=phase.demand_iops,
+            avg_io_size_bytes=phase.avg_io_size_bytes,
+            read_fraction=phase.read_fraction,
+        )
 
-    def enter_phase(self, phase: WorkloadPhase) -> None:
-        self.demand_iops = phase.demand_iops
-        self.avg_io_size_bytes = phase.avg_io_size_bytes
-        self.read_fraction = phase.read_fraction
+
+NEVER = np.iinfo(np.int64).max  # stands in for start epochs past the int64 range
+
+
+@dataclass
+class Fleet:
+    """The per-VMDK state of one run: (N,) arrays with rows in VMDK-id order.
+
+    Static truth (``size_gb``, ``sla_weight``, truth slope and intercept), the
+    active phase's demand, read fraction and I/O size, ``tier_row`` (each
+    VMDK's current tier as an index into ``tier_ids``, the run's tiers in
+    order) and the last epoch's four ``measured_*`` figures, which serving
+    writes in place. Policies read a ``read_only`` view.
+
+    ``phases`` lists every row's demand profile, one after another, and the
+    (3, P) ``phase_table`` their demand, read fraction and I/O size; ``active``
+    indexes each row's active phase and ``due`` maps an epoch to the rows
+    whose next phase starts then and the index of that phase.
+    """
+
+    ids: tuple[str, ...]
+    specs: tuple[VmdkSpec, ...]
+    row: Mapping[str, int]
+    tier_ids: np.ndarray
+    row_of_tier: Mapping[int, int]
+    tier_row: np.ndarray
+    size_gb: np.ndarray
+    sla_weight: np.ndarray
+    truth_slope: np.ndarray
+    truth_intercept_us: np.ndarray
+    demand_iops: np.ndarray
+    read_fraction: np.ndarray
+    avg_io_size_bytes: np.ndarray
+    measured_iops: np.ndarray
+    measured_latency_us: np.ndarray
+    measured_read_mbps: np.ndarray
+    measured_write_mbps: np.ndarray
+    phases: tuple[WorkloadPhase, ...]
+    phase_table: np.ndarray
+    active: np.ndarray
+    due: Mapping[int, tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def of(cls, states: Sequence[VmdkState], tiers: Sequence[TierSpec]) -> "Fleet":
+        """Arrays of ``states`` as they stand, sorted by id, each in its first phase."""
+        states = sorted(states, key=lambda s: s.spec.id)
+        specs = tuple(s.spec for s in states)
+        row_of_tier = {t.id: i for i, t in enumerate(tiers)}
+        phases = tuple(chain.from_iterable(spec.demand_profile for spec in specs))
+        counts = [len(spec.demand_profile) for spec in specs]
+        owner = np.repeat(np.arange(len(specs)), counts)
+        start = np.array([p.start_epoch for p in phases], dtype=object)
+        start = start.clip(max=NEVER).astype(np.int64)
+        # Phase 0 starts at epoch 0 and every later phase after it.
+        later = np.flatnonzero(start > 0)
+        later = later[np.argsort(start[later], kind="stable")]
+        epochs, cuts = np.unique(start[later], return_index=True)
+
+        def column(items: Sequence[Any], name: str) -> np.ndarray:
+            return np.fromiter(map(attrgetter(name), items), float, len(items))
+
+        return cls(
+            ids=tuple(spec.id for spec in specs),
+            specs=specs,
+            row={spec.id: j for j, spec in enumerate(specs)},
+            tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
+            row_of_tier=row_of_tier,
+            tier_row=np.array([row_of_tier[s.current_tier] for s in states], dtype=np.intp),
+            **{
+                name: column(specs, name)
+                for name in ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
+            },
+            **{
+                name: column(states, name)
+                for name in (
+                    "demand_iops", "read_fraction", "avg_io_size_bytes", "measured_iops",
+                    "measured_latency_us", "measured_read_mbps", "measured_write_mbps",
+                )
+            },
+            phases=phases,
+            phase_table=np.stack([
+                column(phases, name)
+                for name in ("demand_iops", "read_fraction", "avg_io_size_bytes")
+            ]),
+            active=np.cumsum(counts, dtype=np.intp) - counts,
+            due={e: (owner[k], k) for e, k in zip(epochs.tolist(), np.split(later, cuts[1:]))},
+        )
+
+    @property
+    def current_tier(self) -> np.ndarray:
+        """(N,) id of each VMDK's current tier."""
+        return self.tier_ids[self.tier_row]
+
+    def read_only(self) -> "Fleet":
+        """A view that follows this fleet but refuses writes to its arrays and maps."""
+
+        def frozen(value: Any) -> Any:
+            if isinstance(value, np.ndarray):
+                value = value.view()
+                value.setflags(write=False)
+            return MappingProxyType(value) if isinstance(value, dict) else value
+
+        return replace(self, **{f.name: frozen(getattr(self, f.name)) for f in fields(self)})
+
+    def activate_phases(self, epoch: int) -> None:
+        """Apply every phase that starts at ``epoch``, copying its table row."""
+        hit = self.due.get(epoch)
+        if hit is not None:
+            rows, k = hit
+            self.active[rows] = k
+            self.demand_iops[rows], self.read_fraction[rows], self.avg_io_size_bytes[rows] = (
+                self.phase_table[:, k]
+            )
+
+    def move(self, row: int, tier_id: int) -> None:
+        self.tier_row[row] = self.row_of_tier[tier_id]
+
+    def states(self) -> list[VmdkState]:
+        """One ``VmdkState`` per row, with the exact values of its active phase."""
+        tier_ids = self.tier_ids.tolist()
+        active = map(self.phases.__getitem__, self.active.tolist())
+        measured = zip(*(getattr(self, f"measured_{name}").tolist() for name in (
+            "iops", "read_mbps", "write_mbps", "latency_us"
+        )))
+        return [
+            VmdkState(spec, tier_ids[t], p.demand_iops, p.avg_io_size_bytes, p.read_fraction, *m)
+            for spec, t, p, m in zip(self.specs, self.tier_row.tolist(), active, measured)
+        ]
 
 
 @dataclass

@@ -9,11 +9,12 @@ first, under running capacity accounting. Every per-cell quantity is a
 dense (T, N) array (or (T, N, 3) over the p, b, s kinds) with axes in
 ``CapacityMatrices`` order; a cell that cannot host its VMDK scores -inf.
 
-``pack`` is the one greedy packer: this policy and both baselines differ
-only in the candidate (tier, vmdk) order they feed it and the budget kinds
-it checks. A brute-force per-epoch profit maximizer doubles as the test
-oracle for the greedy round; it and ``epoch_profit`` share one
-per-(tier, vmdk) profit table.
+Every per-VMDK input is read from the run's ``Fleet`` arrays, whose rows
+(VMDK-id order) are the matrices' VMDK axis. ``pack`` is the one greedy
+packer: this policy and both baselines differ only in the candidate (tier,
+vmdk) order they feed it and the budget kinds it checks. A brute-force
+per-epoch profit maximizer doubles as the test oracle for the greedy round;
+it and ``epoch_profit`` share one per-(tier, vmdk) profit table.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from .calibration import SampleProbe, estimate_avg_lat
 from .model import (
     CalibrationFits,
     CapacityMatrices,
+    Fleet,
     PolicyWeights,
     ResourceVector,
     TierSpec,
     TierState,
-    VmdkState,
 )
 
 ORACLE_MAX_VMDKS = 10
@@ -80,7 +81,7 @@ def _budgets(tiers: Sequence[TierSpec]) -> list[list[float]]:
 
 def cal_capacity_matrices(
     fits: CalibrationFits,
-    vmdks: Sequence[VmdkState],
+    fleet: Fleet,
     tiers: Sequence[TierSpec],
 ) -> CapacityMatrices:
     """Predict absolute resource usage of every VMDK on every tier.
@@ -88,22 +89,21 @@ def cal_capacity_matrices(
     Throughput is the latency-implied ceiling 10^6/latency, additionally
     capped at the VMDK's current demand (an idle VMDK must not look like a
     heavy consumer); bandwidth follows from throughput and mean I/O size;
-    storage is the VMDK size. The rows of ``fits`` must follow ``vmdks``.
+    storage is the VMDK size. The rows of ``fits`` must follow the fleet's.
     """
-    if fits.vmdk_ids != tuple(v.spec.id for v in vmdks):
+    if fits.vmdk_ids != fleet.ids:
         raise ValueError("calibration fits must follow the VMDK order")
     lat = estimate_avg_lat(
-        fits, [v.current_tier for v in vmdks], {t.id: t.base_latency_us for t in tiers}
+        fits, fleet.current_tier.tolist(), {t.id: t.base_latency_us for t in tiers}
     )
     with np.errstate(divide="ignore"):
         iops = np.where(lat > 0, 1e6 / lat, 0.0)
-    iops = np.minimum(iops, [v.demand_iops for v in vmdks])
-    io_size = np.array([v.avg_io_size_bytes for v in vmdks])
-    size = np.broadcast_to([v.spec.size_gb for v in vmdks], iops.shape)
+    iops = np.minimum(iops, fleet.demand_iops)
+    size = np.broadcast_to(fleet.size_gb, iops.shape)
     return CapacityMatrices(
         tier_ids=tuple(t.id for t in tiers),
-        vmdk_ids=tuple(v.spec.id for v in vmdks),
-        cap=np.stack([iops, iops * io_size / 1e6, size], axis=-1),
+        vmdk_ids=fleet.ids,
+        cap=np.stack([iops, iops * fleet.avg_io_size_bytes / 1e6, size], axis=-1),
     )
 
 
@@ -147,30 +147,30 @@ def orthogonal_match_score(
 
 
 def mig_cost_seconds(
-    vmdks: Sequence[VmdkState],
+    fleet: Fleet,
     tier_ids: Sequence[int],
     tier_states: Mapping[int, TierState],
     sources: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """(T, N) estimated seconds to move each VMDK to each tier.
+    """(T, N) estimated seconds to move each VMDK of the fleet to each tier.
 
     Speed is bottlenecked by spare bandwidth: the source's spare read
     bandwidth gets the VMDK's own read share back (a live migration frees
     it); the target contributes spare write bandwidth. Zero speed means the
     move is impossible this epoch (+inf); staying on the source is free.
-    ``sources`` defaults to each VMDK's current tier.
+    ``sources`` (tier ids) defaults to each VMDK's current tier.
     """
     if sources is None:
-        sources = [v.current_tier for v in vmdks]
-    read_side = np.array([
-        tier_states[src].remaining_read_mbps() + v.measured_read_mbps
-        for v, src in zip(vmdks, sources)
-    ])
+        source_row = fleet.tier_row
+    else:
+        source_row = np.array([fleet.row_of_tier[t] for t in sources], dtype=np.intp)
+    spare_read = np.array([tier_states[t].remaining_read_mbps() for t in fleet.tier_ids.tolist()])
+    read_side = spare_read[source_row] + fleet.measured_read_mbps
     write_side = np.array([tier_states[t].remaining_write_mbps() for t in tier_ids])
     speed = np.minimum(read_side, write_side[:, None])
     with np.errstate(divide="ignore"):
-        seconds = np.array([v.spec.size_gb for v in vmdks]) * 1000.0 / speed
-    seconds[np.equal.outer(tier_ids, sources)] = 0.0
+        seconds = fleet.size_gb * 1000.0 / speed
+    seconds[np.equal.outer(tier_ids, fleet.tier_ids[source_row])] = 0.0
     return seconds
 
 
@@ -180,7 +180,7 @@ def cal_score(
     tiers: Sequence[TierSpec],
     weights: PolicyWeights,
     tier_states: Mapping[int, TierState],
-    vmdks: Sequence[VmdkState],
+    fleet: Fleet,
     fits: CalibrationFits,
     migration_epoch_seconds: float,
 ) -> ScoreMatrix:
@@ -192,13 +192,8 @@ def cal_score(
     history under an infinite migration cost, which only blocks the current
     epoch.
     """
-    current = orthogonal_match_score(
-        tiers,
-        mat.ratio,
-        np.array([v.spec.sla_weight for v in vmdks]),
-        fits.confidence,
-    )
-    cost = mig_cost_seconds(vmdks, mat.tier_ids, tier_states) / migration_epoch_seconds
+    current = orthogonal_match_score(tiers, mat.ratio, fleet.sla_weight, fits.confidence)
+    cost = mig_cost_seconds(fleet, mat.tier_ids, tier_states) / migration_epoch_seconds
     # An impossible move (infinite cost) blocks the cell this epoch no
     # matter how small the per-tier cost weight is.
     finite = np.isfinite(cost)
@@ -211,76 +206,82 @@ def cal_score(
 
 def pack(
     tiers: Sequence[TierSpec],
-    vmdk_ids: Sequence[str],
+    fleet: Fleet,
     usage: Sequence[Sequence[Sequence[float]]],
     kinds: str,
     candidates: Iterable[tuple[int, int]],
-    current_assignment: Mapping[str, int],
     epoch_index: int,
     pinned: Mapping[str, int] | None = None,
 ) -> AssignmentPlan:
     """Greedy multidimensional packing shared by every policy.
 
-    ``usage[i][j]`` is the (p, b, s) usage VMDK ``vmdk_ids[j]`` would put on
-    ``tiers[i]``; only the components named in ``kinds`` (a subset of "pbs")
-    are checked against, and accounted in, the running tier budgets.
+    ``usage[i][j]`` is the (p, b, s) usage the VMDK in fleet row ``j`` would
+    put on ``tiers[i]``; only the components named in ``kinds`` (a subset of
+    "pbs") are checked against, and accounted in, the running tier budgets.
 
     Pinned VMDKs (an in-flight migration) absorb budget at their committed
-    destination first and are never re-targeted. Then each (tier index,
-    vmdk index) candidate, in preference order, places its VMDK if the VMDK
-    is still unplaced and the tier can absorb it. Whatever remains stays on
-    its current tier, with an overload flag when even that tier cannot
-    absorb it; totality always wins over capacity.
+    destination first, in id order, and are never re-targeted. Then each
+    (tier index, fleet row) candidate, in preference order, places its VMDK
+    if the VMDK is still unplaced and the tier can absorb it. Whatever
+    remains stays on its current tier, in id order, with an overload flag
+    when even that tier cannot absorb it; totality always wins over capacity.
     """
-    checked = ["pbs".index(k) for k in kinds]
-    row = {t.id: i for i, t in enumerate(tiers)}
-    col = {v: j for j, v in enumerate(vmdk_ids)}
+    check_p, check_b, check_s = ("p" in kinds), ("b" in kinds), ("s" in kinds)
+    vmdk_ids = fleet.ids
+    current = fleet.current_tier.tolist()
+    tier_id = [t.id for t in tiers]
+    row = {t: i for i, t in enumerate(tier_id)}
     remaining = _budgets(tiers)
     used = [[0.0, 0.0, 0.0] for _ in tiers]
+    placed = [False] * len(vmdk_ids)
     target: dict[str, int] = {}
+    migrations: list[tuple[str, int, int]] = []
     overloaded: set[str] = set()
 
     def absorb(i: int, j: int) -> bool:
-        cell, left = usage[i][j], remaining[i]
-        for k in checked:
-            if cell[k] > left[k]:
-                return False
-        for k in checked:
-            left[k] -= cell[k]
-            used[i][k] += cell[k]
+        p, b, s = usage[i][j]
+        left = remaining[i]
+        if (check_p and p > left[0]) or (check_b and b > left[1]) or (check_s and s > left[2]):
+            return False
+        sums = used[i]
+        if check_p:
+            left[0] -= p
+            sums[0] += p
+        if check_b:
+            left[1] -= b
+            sums[1] += b
+        if check_s:
+            left[2] -= s
+            sums[2] += s
         return True
 
-    effective_current = dict(current_assignment)
     for vmdk_id, dest in sorted((pinned or {}).items()):
+        j = fleet.row[vmdk_id]
+        placed[j] = True
         target[vmdk_id] = dest
-        effective_current[vmdk_id] = dest
-        if not absorb(row[dest], col[vmdk_id]):
+        if not absorb(row[dest], j):
             overloaded.add(vmdk_id)
 
     for i, j in candidates:
-        vmdk_id = vmdk_ids[j]
-        if vmdk_id not in target and absorb(i, j):
-            target[vmdk_id] = tiers[i].id
+        if not placed[j] and absorb(i, j):
+            placed[j] = True
+            vmdk_id = vmdk_ids[j]
+            target[vmdk_id] = tier_id[i]
+            if tier_id[i] != current[j]:
+                migrations.append((vmdk_id, current[j], tier_id[i]))
 
     for j, vmdk_id in enumerate(vmdk_ids):
-        if vmdk_id in target:
-            continue
-        current = effective_current[vmdk_id]
-        target[vmdk_id] = current
-        if not absorb(row[current], j):
-            overloaded.add(vmdk_id)
+        if not placed[j]:
+            target[vmdk_id] = current[j]
+            if not absorb(row[current[j]], j):
+                overloaded.add(vmdk_id)
 
-    migrations = tuple(
-        (v, effective_current[v], t)
-        for v, t in target.items()
-        if t != effective_current[v]
-    )
     return AssignmentPlan(
         epoch_index=epoch_index,
         target=target,
-        migrations=migrations,
+        migrations=tuple(migrations),
         overloaded=frozenset(overloaded),
-        planned_usage={t.id: ResourceVector(*u) for t, u in zip(tiers, used)},
+        planned_usage={t: ResourceVector(*u) for t, u in zip(tier_id, used)},
     )
 
 
@@ -288,16 +289,19 @@ def trigger_migration(
     scores: ScoreMatrix,
     mat: CapacityMatrices,
     tiers: Sequence[TierSpec],
-    current_assignment: Mapping[str, int],
+    fleet: Fleet,
     epoch_index: int,
     pinned: Mapping[str, int] | None = None,
 ) -> AssignmentPlan:
     """Greedy assignment round: tiers in id order, VMDKs by descending score.
 
-    Score ties break by VMDK id. A -inf cell (infeasible, or a migration that
-    cannot run this epoch) is never a candidate. All three budget kinds are
-    checked; see ``pack`` for pinned VMDKs and the stay-put fallback.
+    The matrices' VMDK axis must follow the fleet's rows. Score ties break
+    by VMDK id. A -inf cell (infeasible, or a migration that cannot run this
+    epoch) is never a candidate. All three budget kinds are checked; see
+    ``pack`` for pinned VMDKs and the stay-put fallback.
     """
+    if mat.vmdk_ids != fleet.ids:
+        raise ValueError("capacity matrices must follow the fleet's VMDK order")
     candidates: list[tuple[int, int]] = []
     for i, row in enumerate(scores.score.tolist()):
         ranked = sorted(
@@ -307,8 +311,7 @@ def trigger_migration(
         )
         candidates += [(i, j) for _, _, j in ranked]
     return pack(
-        tiers, mat.vmdk_ids, mat.cap.tolist(), "pbs", candidates,
-        current_assignment, epoch_index, pinned,
+        tiers, fleet, mat.cap.tolist(), "pbs", candidates, epoch_index, pinned
     )
 
 
@@ -316,7 +319,7 @@ def profit_contributions(
     mat: CapacityMatrices,
     weights: PolicyWeights,
     previous: Mapping[str, int],
-    vmdks: Sequence[VmdkState],
+    fleet: Fleet,
     tier_states: Mapping[int, TierState],
     migration_epoch_seconds: float,
 ) -> np.ndarray:
@@ -326,17 +329,17 @@ def profit_contributions(
     times the normalized cost of moving from ``previous``). Resource terms
     use ratios so the three kinds are commensurable; the migration term uses
     the same normalized cost as the score. The objective is separable once
-    the previous assignment and tier states are fixed.
+    the previous assignment and tier states are fixed. The matrices' VMDK
+    axis must follow the fleet's rows.
     """
-    by_id = {v.spec.id: v for v in vmdks}
-    states = [by_id[v] for v in mat.vmdk_ids]
+    if mat.vmdk_ids != fleet.ids:
+        raise ValueError("capacity matrices must follow the fleet's VMDK order")
     alpha, ratio = weights.alpha, mat.ratio
     gain = alpha.p * ratio[..., 0] + alpha.b * ratio[..., 1] + alpha.s * ratio[..., 2]
     cost = mig_cost_seconds(
-        states, mat.tier_ids, tier_states, [previous[v] for v in mat.vmdk_ids]
+        fleet, mat.tier_ids, tier_states, [previous[v] for v in fleet.ids]
     ) / migration_epoch_seconds
-    sla = np.array([v.spec.sla_weight for v in states])
-    return sla * (gain - weights.beta * cost)
+    return fleet.sla_weight * (gain - weights.beta * cost)
 
 
 def epoch_profit(
@@ -344,7 +347,7 @@ def epoch_profit(
     previous: Mapping[str, int],
     mat: CapacityMatrices,
     weights: PolicyWeights,
-    vmdks: Sequence[VmdkState],
+    fleet: Fleet,
     tier_states: Mapping[int, TierState],
     migration_epoch_seconds: float,
 ) -> float:
@@ -353,13 +356,12 @@ def epoch_profit(
     Used for oracle comparison and reporting only.
     """
     contrib = profit_contributions(
-        mat, weights, previous, vmdks, tier_states, migration_epoch_seconds
+        mat, weights, previous, fleet, tier_states, migration_epoch_seconds
     ).tolist()
     row = {t: i for i, t in enumerate(mat.tier_ids)}
-    col = {v: j for j, v in enumerate(mat.vmdk_ids)}
     total = 0.0
-    for v in vmdks:
-        total += contrib[row[target[v.spec.id]]][col[v.spec.id]]
+    for j, v in enumerate(fleet.ids):
+        total += contrib[row[target[v]]][j]
     return total
 
 
@@ -368,7 +370,7 @@ def oracle_assignment(
     weights: PolicyWeights,
     previous: Mapping[str, int],
     tiers: Sequence[TierSpec],
-    vmdks: Sequence[VmdkState],
+    fleet: Fleet,
     tier_states: Mapping[int, TierState],
     migration_epoch_seconds: float,
     epoch_index: int = 0,
@@ -376,17 +378,16 @@ def oracle_assignment(
     """Exhaustive per-epoch profit maximizer over capacity-feasible assignments.
 
     Enumeration only; bounded to small instances. Ties break toward the
-    lexicographically smallest assignment vector (VMDKs in id order). The
-    matrices' tier axis must follow ``tiers``.
+    lexicographically smallest assignment vector (VMDKs in id order, the
+    fleet's row order). The matrices' tier axis must follow ``tiers``.
     """
-    vmdk_ids = sorted(v.spec.id for v in vmdks)
+    vmdk_ids = fleet.ids
     if len(vmdk_ids) > ORACLE_MAX_VMDKS or len(tiers) > ORACLE_MAX_TIERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_VMDKS} VMDKs and {ORACLE_MAX_TIERS} tiers"
         )
-    col = {v: j for j, v in enumerate(mat.vmdk_ids)}
     contrib = profit_contributions(
-        mat, weights, previous, vmdks, tier_states, migration_epoch_seconds
+        mat, weights, previous, fleet, tier_states, migration_epoch_seconds
     ).tolist()
     cap = mat.cap.tolist()
     remaining = _budgets(tiers)
@@ -401,7 +402,7 @@ def oracle_assignment(
                 best_profit = profit
                 best_vector = list(choice)
             return
-        j = col[vmdk_ids[index]]
+        j = index
         for i, rem in enumerate(remaining):
             c = cap[i][j]
             if c[0] <= rem[0] and c[1] <= rem[1] and c[2] <= rem[2]:
@@ -421,9 +422,9 @@ def oracle_assignment(
 
     target: dict[str, int] = {}
     usage: dict[int, ResourceVector] = {t.id: ResourceVector() for t in tiers}
-    for v, i in zip(vmdk_ids, best_vector):
+    for j, (v, i) in enumerate(zip(vmdk_ids, best_vector)):
         t = target[v] = tiers[i].id
-        usage[t] = usage[t] + ResourceVector(*cap[i][col[v]])
+        usage[t] = usage[t] + ResourceVector(*cap[i][j])
     migrations = tuple(
         (v, previous[v], t) for v, t in target.items() if t != previous[v]
     )
@@ -444,25 +445,29 @@ class PolicyContext:
     (see ``calibration.CalibrationSamples``), drawn from the run's seeded
     generator against each VMDK's current device. A monitor epoch probes
     every VMDK at once and fits the grid into (N,) ``CalibrationFits``.
+
+    ``fleet`` is a read-only view of the run's VMDK store, made once per run:
+    it follows every write of the engine, and a policy that tries to write
+    it gets an error. ``in_flight`` maps each VMDK with an in-flight
+    migration to its destination.
     """
 
     tiers: tuple[TierSpec, ...]
     tier_states: dict[int, TierState]
-    vmdk_states: dict[str, VmdkState]
+    fleet: Fleet
     weights: PolicyWeights
     epoch_seconds: float
     probe: SampleProbe
-    in_flight: dict[str, int] = field(default_factory=dict)
+    in_flight: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def migration_epoch_seconds(self) -> float:
         return self.weights.migration_epoch * self.epoch_seconds
 
-    def current_assignment(self) -> dict[str, int]:
-        return {v: s.current_tier for v, s in self.vmdk_states.items()}
-
-    def sorted_states(self) -> list[VmdkState]:
-        return [self.vmdk_states[v] for v in sorted(self.vmdk_states)]
+    @property
+    def vmdk_states(self) -> Mapping[str, int]:
+        """VMDK id -> fleet row; the name the context had when it held ``VmdkState``s."""
+        return self.fleet.row
 
 
 class AutoTieringPolicy:
@@ -477,17 +482,16 @@ class AutoTieringPolicy:
         self.scores: ScoreMatrix | None = None
 
     def on_monitor(self, ctx: PolicyContext) -> None:
-        states = ctx.sorted_states()
+        fleet = ctx.fleet
         weights = ctx.weights
         # Looked up through the module so the calibration layers stay patchable.
         samples = calibration.collect_samples(
-            [v.spec.id for v in states], ctx.probe,
-            weights.injected_latencies_us, weights.samples_per_latency,
+            fleet.ids, ctx.probe, weights.injected_latencies_us, weights.samples_per_latency,
         )
         self.calibrations = calibration.regress_latency_curve(
             samples, floor=weights.confidence_floor
         )
-        mat = cal_capacity_matrices(self.calibrations, states, ctx.tiers)
+        mat = cal_capacity_matrices(self.calibrations, fleet, ctx.tiers)
         normalize_and_gate(mat, ctx.tiers)
         self.scores = cal_score(
             mat,
@@ -495,7 +499,7 @@ class AutoTieringPolicy:
             ctx.tiers,
             ctx.weights,
             ctx.tier_states,
-            states,
+            fleet,
             self.calibrations,
             ctx.migration_epoch_seconds,
         )
@@ -509,7 +513,7 @@ class AutoTieringPolicy:
             self.scores,
             self.matrices,
             ctx.tiers,
-            ctx.current_assignment(),
+            ctx.fleet,
             epoch_index,
             pinned=ctx.in_flight,
         )

@@ -11,6 +11,7 @@ settings.load_profile("autotier")
 
 from autotier.model import (
     CalibrationFits,
+    Fleet,
     PolicyWeights,
     ResourceVector,
     Scenario,
@@ -200,7 +201,7 @@ def random_scenario(rng: np.random.Generator, epochs: int = 6) -> Scenario:
 
 
 def random_oracle_instance(rng: np.random.Generator):
-    """A small (<=8 VMDK, 3 tier) instance with matrices, states and scores built.
+    """A small (<=8 VMDK, 3 tier) instance with its fleet and matrices built.
 
     Ranges keep every VMDK individually feasible on every tier with aggregate
     slack, so the greedy's stay-put fallback never has to overload.
@@ -243,7 +244,8 @@ def random_oracle_instance(rng: np.random.Generator):
             float(rng.uniform(0.05, 1.0)),
         ))
     records = make_fits(rows)
-    mat = normalize_and_gate(cal_capacity_matrices(records, states, tiers), tiers)
+    fleet = Fleet.of(states, tiers)
+    mat = normalize_and_gate(cal_capacity_matrices(records, fleet, tiers), tiers)
     tier_states = idle_tier_states(tiers)
     for ts in tier_states.values():
         ts.served_read_mbps = float(rng.uniform(0, 100))
@@ -254,7 +256,7 @@ def random_oracle_instance(rng: np.random.Generator):
         aging_factor=0.0,
     )
     previous = {s.spec.id: s.current_tier for s in states}
-    return tiers, states, records, mat, tier_states, weights, previous
+    return tiers, fleet, records, mat, tier_states, weights, previous
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from autotier.calibration import (
 )
 from autotier.engine import DeviceModel, probe_latencies, run_scenario
 from autotier.model import (
+    Fleet,
     PolicyWeights,
     ResourceVector,
     Scenario,
@@ -77,7 +78,7 @@ def test_criterion_1_formula_fidelity():
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e12, avg_io_size_bytes=4096))
         rec = make_fits([("v1", 0.0, 20.0, 1.0)])
-        mat = cal_capacity_matrices(rec, [state], [tier])
+        mat = cal_capacity_matrices(rec, Fleet.of([state], [tier]), [tier])
         ok &= close(mat.cap[0, 0, 0], 50_000.0)  # tier 1, v1, p
         ok &= close(mat.cap[0, 0, 1], 204.8)  # tier 1, v1, b
 
@@ -98,7 +99,7 @@ def test_criterion_1_formula_fidelity():
         tier_states[1].served_read_mbps = 100.0
         tier_states[2].served_write_mbps = 100.0
         mover = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
-        ok &= close(mig_cost_seconds([mover], [2], tier_states)[0, 0], 250.0)
+        ok &= close(mig_cost_seconds(Fleet.of([mover], tiers), [2], tier_states)[0, 0], 250.0)
     _report("C1 formula-fidelity", ok, t, 1.0)
 
 
@@ -106,7 +107,7 @@ def test_criterion_2_calibration_recovery():
     with _Timer() as t:
         tier = make_tier(1, base_latency_us=200.0)
         spec = make_vmdk(truth_slope=1.2, truth_intercept_us=1800.0)
-        state = make_state(spec, tier=1)
+        fleet = Fleet.of([make_state(spec, tier=1)], [tier])
         true_m = spec.truth_slope
         true_b = true_m * tier.base_latency_us + spec.truth_intercept_us
         seeds = 120
@@ -115,7 +116,7 @@ def test_criterion_2_calibration_recovery():
             rng = np.random.default_rng(seed)
             device = DeviceModel(tier=tier)
             samples = collect_samples(
-                ["v1"], lambda ids, d, n: probe_latencies([state], {1: device}, d, n, rng, 0.05),
+                ["v1"], lambda ids, d, n: probe_latencies(fleet, [0], [device], d, n, rng, 0.05),
                 PLAN_LATENCIES, 10,
             )
             rec = regress_latency_curve(samples)
@@ -169,20 +170,20 @@ def test_criterion_4_oracle_dominance():
         checked = 0
         ok = True
         while checked < 200:
-            tiers, states, records, mat, tier_states, weights, previous = (
+            tiers, fleet, records, mat, tier_states, weights, previous = (
                 random_oracle_instance(rng)
             )
             try:
-                oracle = oracle_assignment(mat, weights, previous, tiers, states,
+                oracle = oracle_assignment(mat, weights, previous, tiers, fleet,
                                            tier_states, 900.0)
             except ValueError:
                 continue
             checked += 1
-            sm = cal_score(mat, None, tiers, weights, tier_states, states, records, 900.0)
-            greedy = trigger_migration(sm, mat, tiers, previous, 0)
+            sm = cal_score(mat, None, tiers, weights, tier_states, fleet, records, 900.0)
+            greedy = trigger_migration(sm, mat, tiers, fleet, 0)
             ok &= not greedy.overloaded  # greedy feasible whenever the oracle is
-            g = epoch_profit(greedy.target, previous, mat, weights, states, tier_states, 900.0)
-            o = epoch_profit(oracle.target, previous, mat, weights, states, tier_states, 900.0)
+            g = epoch_profit(greedy.target, previous, mat, weights, fleet, tier_states, 900.0)
+            o = epoch_profit(oracle.target, previous, mat, weights, fleet, tier_states, 900.0)
             ok &= g <= o + 1e-9
             if o > 1e-9:  # ratios of negative optima invert their meaning
                 ratios.append(g / o)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from autotier.baselines import edt_assign, idt_assign
-from autotier.model import ResourceVector
+from autotier.model import Fleet, ResourceVector
+from autotier.policy import AssignmentPlan
 
 from conftest import make_state, make_tier, make_vmdk, random_scenario
+from test_golden import plan_record
 
 # Fourteen-workload mix: (measured IOPS as served under tier caps, size GB)
 WORKLOAD_MIX = {
@@ -45,7 +47,7 @@ class TestIdt:
             make_state(make_vmdk("hot", size_gb=80.0, initial_tier=2), measured_iops=100_000),
             make_state(make_vmdk("warm", size_gb=80.0, initial_tier=2), measured_iops=10_000),
         ]
-        plan = idt_assign(states, tiers)
+        plan = idt_assign(Fleet.of(states, tiers), tiers)
         assert plan.target == {"hot": 1, "warm": 2}
 
     def test_idle_vmdks_never_migrate(self):
@@ -58,7 +60,7 @@ class TestIdt:
             make_state(make_vmdk("b", initial_tier=1), measured_iops=0.0),
             make_state(make_vmdk("c", initial_tier=2), measured_iops=0.0),
         ]
-        plan = idt_assign(states, tiers)
+        plan = idt_assign(Fleet.of(states, tiers), tiers)
         assert plan.migrations == ()
 
     def test_zipf_mix_places_the_heaviest_first(self):
@@ -67,7 +69,7 @@ class TestIdt:
             make_state(make_vmdk(vid, size_gb=size, initial_tier=3), measured_iops=iops)
             for vid, (iops, size) in WORKLOAD_MIX.items()
         ]
-        plan = idt_assign(states, tiers)
+        plan = idt_assign(Fleet.of(states, tiers), tiers)
         assert plan.target["zipf-ios"] == 1
 
     def test_only_storage_is_checked(self):
@@ -77,7 +79,7 @@ class TestIdt:
             make_state(make_vmdk(f"v{i}", size_gb=10.0), measured_iops=50_000)
             for i in range(5)
         ]
-        plan = idt_assign(states, tiers)
+        plan = idt_assign(Fleet.of(states, tiers), tiers)
         assert all(t == 1 for t in plan.target.values())
         assert not plan.overloaded
 
@@ -92,7 +94,7 @@ class TestEdt:
             make_state(make_vmdk("small", size_gb=50.0, initial_tier=2), measured_iops=50_000),
             make_state(make_vmdk("large", size_gb=90.0, initial_tier=2), measured_iops=50_000),
         ]
-        plan = edt_assign(states, tiers)
+        plan = edt_assign(Fleet.of(states, tiers), tiers)
         assert plan.target == {"small": 1, "large": 2}
 
     def test_density_ties_keep_current_tier(self):
@@ -104,7 +106,7 @@ class TestEdt:
             make_state(make_vmdk("a", size_gb=80.0, initial_tier=1), measured_iops=8000),
             make_state(make_vmdk("b", size_gb=80.0, initial_tier=2), measured_iops=8000),
         ]
-        plan = edt_assign(states, tiers)
+        plan = edt_assign(Fleet.of(states, tiers), tiers)
         assert plan.target == {"a": 1, "b": 2}
         assert plan.migrations == ()
 
@@ -114,7 +116,7 @@ class TestEdt:
             make_state(make_vmdk(vid, size_gb=size, initial_tier=3), measured_iops=iops)
             for vid, (iops, size) in WORKLOAD_MIX.items()
         ]
-        plan = edt_assign(states, tiers)
+        plan = edt_assign(Fleet.of(states, tiers), tiers)
         assert plan.target["sync-write"] == 3
 
     def test_throughput_cap_is_honored(self):
@@ -126,7 +128,7 @@ class TestEdt:
             make_state(make_vmdk("a", size_gb=10.0, initial_tier=2), measured_iops=50_000),
             make_state(make_vmdk("b", size_gb=10.0, initial_tier=2), measured_iops=50_000),
         ]
-        plan = edt_assign(states, tiers)
+        plan = edt_assign(Fleet.of(states, tiers), tiers)
         placed_p = sum(
             s.measured_iops for s in states if plan.target[s.spec.id] == 1
         )
@@ -150,13 +152,13 @@ class TestPinned:
     @pytest.mark.parametrize("assign", [idt_assign, edt_assign])
     def test_rival_takes_the_seat_without_a_pin(self, assign):
         tiers, states = mover_and_rival()
-        assert assign(states, tiers).target == {"mover": 2, "rival": 1}
+        assert assign(Fleet.of(states, tiers), tiers).target == {"mover": 2, "rival": 1}
 
     @pytest.mark.parametrize("assign", [idt_assign, edt_assign])
     def test_pinned_vmdk_keeps_destination_and_budget(self, assign):
         # the in-flight mover takes tier 1's budget before the rival is packed
         tiers, states = mover_and_rival()
-        plan = assign(states, tiers, epoch_index=3, pinned={"mover": 1})
+        plan = assign(Fleet.of(states, tiers), tiers, epoch_index=3, pinned={"mover": 1})
         assert plan.target == {"mover": 1, "rival": 2}
         assert plan.migrations == ()
         assert not plan.overloaded
@@ -173,7 +175,7 @@ class TestBaselineProperties:
             states = [make_state(spec) for spec in scenario.vmdks]
             for s in states:
                 s.measured_iops = float(rng.uniform(0, 50_000))
-            plan = assign(states, scenario.tiers)
+            plan = assign(Fleet.of(states, scenario.tiers), scenario.tiers)
             assert set(plan.target) == {s.spec.id for s in states}
             for tier in scenario.tiers:
                 if any(v in plan.overloaded for v, t in plan.target.items() if t == tier.id):
@@ -186,3 +188,160 @@ class TestBaselineProperties:
                 if assign is edt_assign:
                     total_p = sum(s.measured_iops for s in placed)
                     assert total_p <= tier.max_usable().p * (1 + 1e-9)
+
+
+def reference_pack(tiers, vmdk_ids, usage, kinds, candidates, current_assignment, epoch_index,
+                   pinned=None):
+    """The shared packer as it was before it read the fleet: string membership in ``target``."""
+    checked = ["pbs".index(k) for k in kinds]
+    row = {t.id: i for i, t in enumerate(tiers)}
+    col = {v: j for j, v in enumerate(vmdk_ids)}
+    remaining = [[b.p, b.b, b.s] for b in (t.max_usable() for t in tiers)]
+    used = [[0.0, 0.0, 0.0] for _ in tiers]
+    target = {}
+    overloaded = set()
+
+    def absorb(i, j):
+        cell, left = usage[i][j], remaining[i]
+        for k in checked:
+            if cell[k] > left[k]:
+                return False
+        for k in checked:
+            left[k] -= cell[k]
+            used[i][k] += cell[k]
+        return True
+
+    effective_current = dict(current_assignment)
+    for vmdk_id, dest in sorted((pinned or {}).items()):
+        target[vmdk_id] = dest
+        effective_current[vmdk_id] = dest
+        if not absorb(row[dest], col[vmdk_id]):
+            overloaded.add(vmdk_id)
+    for i, j in candidates:
+        vmdk_id = vmdk_ids[j]
+        if vmdk_id not in target and absorb(i, j):
+            target[vmdk_id] = tiers[i].id
+    for j, vmdk_id in enumerate(vmdk_ids):
+        if vmdk_id in target:
+            continue
+        current = effective_current[vmdk_id]
+        target[vmdk_id] = current
+        if not absorb(row[current], j):
+            overloaded.add(vmdk_id)
+    migrations = tuple(
+        (v, effective_current[v], t) for v, t in target.items() if t != effective_current[v]
+    )
+    return AssignmentPlan(
+        epoch_index=epoch_index,
+        target=target,
+        migrations=migrations,
+        overloaded=frozenset(overloaded),
+        planned_usage={t.id: ResourceVector(*u) for t, u in zip(tiers, used)},
+    )
+
+
+def reference_pack_by_metric(vmdks, tiers, metric, tier_capability, kinds, epoch_index, pinned):
+    """Baseline candidates as built from ``VmdkState`` objects, ids ranked by a Python sort."""
+    tier_order = sorted(range(len(tiers)), key=lambda i: (-tier_capability(tiers[i]), tiers[i].id))
+    rank = {tiers[i].id: r for r, i in enumerate(tier_order)}
+    iops = [v.measured_iops for v in vmdks]
+    size = [v.spec.size_gb for v in vmdks]
+    ids = [v.spec.id for v in vmdks]
+    values = metric(np.array(iops, dtype=float), np.array(size, dtype=float))
+    current_rank = np.array([rank[v.current_tier] for v in vmdks], dtype=np.intp)
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    vmdk_order = np.lexsort((id_rank, current_rank, -values))
+    allowed = (values[vmdk_order] != 0)[:, None] | (
+        np.arange(len(tiers)) >= current_rank[vmdk_order, None]
+    )
+    at, column = np.nonzero(allowed)
+    candidates = zip(
+        np.array(tier_order, dtype=np.intp)[column].tolist(), vmdk_order[at].tolist()
+    )
+    rows = [(p, 0.0, s) for p, s in zip(iops, size)]
+    return reference_pack(
+        tiers, ids, [rows] * len(tiers), kinds, candidates,
+        {v.spec.id: v.current_tier for v in vmdks}, epoch_index, pinned,
+    )
+
+
+REFERENCE_RULES = {
+    idt_assign: (lambda iops, size: iops, lambda t: t.read_throughput_cap, "s"),
+    edt_assign: (
+        lambda iops, size: iops / size,
+        lambda t: t.read_throughput_cap / t.capacity.s if t.capacity.s > 0 else 0.0,
+        "ps",
+    ),
+}
+
+
+def random_packing_case(rng):
+    """Tiers and shuffled states with every packing edge case mixed in.
+
+    Tier 1 has no storage (an EDT capability of 0); every tier hosts a
+    zero-IOPS VMDK; IOPS and sizes come from small sets, so metrics tie;
+    one pinned VMDK is too large for its destination and overloads it.
+    """
+    n_tiers = int(rng.integers(2, 5))
+    tiers = tuple(
+        make_tier(
+            i + 1,
+            50.0 * (i + 1),
+            ResourceVector(
+                float(rng.uniform(2e4, 2e5)), 1e4, 0.0 if i == 0 else float(rng.uniform(100, 900))
+            ),
+            read_iops=float(rng.choice([50_000.0, 100_000.0, 200_000.0])),
+        )
+        for i in range(n_tiers)
+    )
+    states = []
+    for j in range(int(rng.integers(n_tiers + 2, 40))):
+        tier = j % n_tiers + 1 if j < n_tiers else int(rng.integers(1, n_tiers + 1))
+        iops = 0.0 if j < n_tiers else float(rng.choice([0.0, 5_000.0, 20_000.0, 60_000.0]))
+        spec = make_vmdk(f"v{j:02d}", size_gb=float(rng.choice([10.0, 40.0, 80.0])),
+                         initial_tier=tier)
+        states.append(make_state(spec, tier=tier, measured_iops=iops))
+    ids = [s.spec.id for s in states]
+    pinned = {
+        v: int(rng.integers(1, n_tiers + 1))
+        for v in rng.choice(ids, size=int(rng.integers(0, 5)), replace=False).tolist()
+    }
+    big = make_state(make_vmdk("zz-big", size_gb=1e6, initial_tier=n_tiers), tier=n_tiers)
+    states.append(big)
+    pinned[big.spec.id] = 1
+    rng.shuffle(states)
+    return tiers, states, pinned
+
+
+class TestPackMatchesReference:
+    @pytest.mark.parametrize("assign", [idt_assign, edt_assign])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_plan_repr_equals_the_object_path(self, assign, seed):
+        tiers, states, pinned = random_packing_case(np.random.default_rng(seed))
+        metric, capability, kinds = REFERENCE_RULES[assign]
+        expected = reference_pack_by_metric(
+            sorted(states, key=lambda s: s.spec.id), tiers, metric, capability, kinds, 4, pinned
+        )
+        plan = assign(Fleet.of(states, tiers), tiers, 4, pinned=pinned)
+        assert repr(plan_record(plan)) == repr(plan_record(expected))
+        assert "zz-big" in plan.overloaded
+
+    def test_cases_cover_every_edge(self):
+        seen = set()
+        for seed in range(12):
+            tiers, states, pinned = random_packing_case(np.random.default_rng(seed))
+            plans = [assign(Fleet.of(states, tiers), tiers, pinned=pinned)
+                     for assign in (idt_assign, edt_assign)]
+            iops = [s.measured_iops for s in states if s.measured_iops > 0]
+            seen.update(
+                name for name, hit in (
+                    ("tied metric", len(iops) > len(set(iops))),
+                    ("pinned move", any(v != "zz-big" for v in pinned)),
+                    ("placement", any(plan.migrations for plan in plans)),
+                    ("stay-put overload", any(
+                        plan.overloaded - set(pinned) for plan in plans
+                    )),
+                ) if hit
+            )
+        assert len(seen) == 4

@@ -190,6 +190,31 @@ class TestRegression:
             for name in ("m", "b", "confidence", "mean_cv", "sample_count"):
                 assert getattr(together, name)[i:i + 1].tobytes() == getattr(alone, name).tobytes()
 
+    def huge_next_to_normal(self, scale):
+        """A normal row and a row whose per-latency means are (1..5) * ``scale``.
+
+        Samples of the huge row repeat within each latency and ``scale`` is a
+        power of two, so its CVs are exactly 0 and its means exact.
+        """
+        normal = np.random.default_rng(1).uniform(50.0, 5000.0, size=(len(PLAN), 3))
+        huge = np.broadcast_to((np.arange(len(PLAN)) + 1.0)[:, None] * scale, (len(PLAN), 3))
+        return CalibrationSamples(("huge", "normal"), PLAN, np.stack([huge, normal]))
+
+    def test_mean_at_the_limit_fails_naming_the_vmdk(self):
+        # means up to 5 * 2**980 ~ 5e295 us: the shared solve would rescale
+        # and move the normal row's fit by an ulp
+        with pytest.raises(ValueError, match="VMDK 'huge': mean sampled latency .* 1e\\+290 us"):
+            regress_latency_curve(self.huge_next_to_normal(2.0 ** 980))
+
+    def test_means_below_the_limit_keep_rows_independent(self):
+        samples = self.huge_next_to_normal(2.0 ** 960)  # means up to ~4.9e289 us
+        together = regress_latency_curve(samples)
+        alone = regress_latency_curve(
+            CalibrationSamples(("normal",), PLAN, samples.values[1:])
+        )
+        for name in ("m", "b", "confidence", "mean_cv"):
+            assert getattr(together, name)[1:].tobytes() == getattr(alone, name).tobytes()
+
     def test_overflowing_truth_fails_on_mean_cv(self):
         doc = scenario_to_document(load_bundled_scenario("tiny-oracle"))
         doc["vmdks"][0]["truthSlope"] = 1e300

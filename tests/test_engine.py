@@ -79,6 +79,12 @@ def probe_setup():
     return states, devices
 
 
+def probe(states, devices, *args):
+    """``probe_latencies`` over a fleet of ``states``; ``devices`` maps tier id to device."""
+    fleet = Fleet.of(states, [d.tier for d in devices.values()])
+    return probe_latencies(fleet, range(len(fleet.ids)), list(devices.values()), *args)
+
+
 def single(tier_base=100.0, slope=1.0, intercept=200.0):
     device = DeviceModel(tier=make_tier(1, tier_base))
     state = make_state(make_vmdk(truth_slope=slope, truth_intercept_us=intercept))
@@ -89,19 +95,19 @@ class TestProbeLatencies:
     def test_noiseless_probe_is_exact(self):
         states, devices = single()
         rng = np.random.default_rng(0)
-        samples = probe_latencies(states, devices, [1000.0], 1, rng, 0.0)
+        samples = probe(states, devices, [1000.0], 1, rng, 0.0)
         assert samples[0, 0, 0] == pytest.approx(1300.0)
 
     def test_zero_injection_gives_bare_latency(self):
         states, devices = single()
         rng = np.random.default_rng(0)
-        assert probe_latencies(states, devices, [0.0], 1, rng, 0.0)[0, 0, 0] == pytest.approx(300.0)
+        assert probe(states, devices, [0.0], 1, rng, 0.0)[0, 0, 0] == pytest.approx(300.0)
 
     def test_fixed_seed_reproduces_sequence(self):
         states, devices = single(slope=0.1, intercept=20.0)
 
         def draw(seed):
-            return probe_latencies(states, devices, [0.0], 3, np.random.default_rng(seed), 0.05)
+            return probe(states, devices, [0.0], 3, np.random.default_rng(seed), 0.05)
 
         a, b = draw(3), draw(3)
         assert not np.array_equal(a, draw(4))
@@ -110,7 +116,7 @@ class TestProbeLatencies:
     def test_samples_stay_positive(self):
         states, devices = single(slope=0.0, intercept=1.0)
         rng = np.random.default_rng(1)
-        samples = probe_latencies(states, devices, [0.0], 500, rng, 3.0)
+        samples = probe(states, devices, [0.0], 500, rng, 3.0)
         assert (samples > 0).all()
 
     @pytest.mark.parametrize("noise_cv,seed", [(0.0, 11), (0.05, 12), (3.0, 13)])
@@ -119,7 +125,7 @@ class TestProbeLatencies:
         plan = (0.0, 500.0, 1000.0, 2000.0)
         batched_rng = np.random.default_rng(seed)
         reference_rng = np.random.default_rng(seed)
-        batched = probe_latencies(states, devices, plan, 2, batched_rng, noise_cv)
+        batched = probe(states, devices, plan, 2, batched_rng, noise_cv)
         reference = reference_samples(states, devices, plan, 2, reference_rng, noise_cv)
         assert batched.shape == (3, 4, 2)
         assert batched.tobytes() == reference.tobytes()
@@ -137,16 +143,24 @@ class TestProbeLatencies:
         plan = (0.0, 500.0, 1000.0, 2000.0)
         batched_rng = np.random.default_rng(6)
         reference_rng = np.random.default_rng(6)
-        batched = probe_latencies(states, devices, plan, 2, batched_rng, 1.0)
+        batched = probe(states, devices, plan, 2, batched_rng, 1.0)
         reference = reference_samples(states, devices, plan, 2, reference_rng, 1.0)
         assert batched.tobytes() == reference.tobytes()
         assert batched_rng.standard_normal() == reference_rng.standard_normal()
 
 
+MEASURED = ("measured_iops", "measured_latency_us", "measured_read_mbps", "measured_write_mbps")
+
+
 def serve_tier(tier, members, device, migration_read_mbps=0.0, migration_write_mbps=0.0):
-    """``serve_epoch`` on a one-tier fleet."""
+    """``serve_epoch`` on a one-tier fleet; ``members`` get the fleet's measurements."""
     fleet = Fleet.of(members, [tier])
-    return serve_epoch(fleet, [device], [migration_read_mbps], [migration_write_mbps])[0]
+    metrics = serve_epoch(fleet, [device], [migration_read_mbps], [migration_write_mbps])[0]
+    served = {state.spec.id: state for state in fleet.states()}
+    for member in members:
+        for name in MEASURED:
+            setattr(member, name, getattr(served[member.spec.id], name))
+    return metrics
 
 
 def reference_serve_tier(tier, members, device, migration_read_mbps=0.0,
@@ -273,7 +287,9 @@ class TestServeEpochMatchesReference:
             for tier, device, r, w in zip(tiers, reference_devices, debit_read, debit_write)
         ]
         devices = [DeviceModel(t, c) for t, c in zip(tiers, contended)]
-        served = serve_epoch(Fleet.of(states, tiers), devices, debit_read, debit_write)
+        fleet = Fleet.of(states, tiers)
+        served = serve_epoch(fleet, devices, debit_read, debit_write)
+        states = fleet.states()
 
         assert [astuple(m) for m in served] == [astuple(m) for m in expected]
         measured = lambda s: (
@@ -289,10 +305,12 @@ class TestServeEpochMatchesReference:
         for seed in range(8):
             rng = np.random.default_rng(seed)
             tiers, states = random_fleet(rng, int(rng.integers(1, 5)))
+            fleet = Fleet.of(states, tiers)
             served = serve_epoch(
-                Fleet.of(states, tiers), [DeviceModel(t) for t in tiers],
+                fleet, [DeviceModel(t) for t in tiers],
                 [2 * t.read_bandwidth_cap for t in tiers], [0.0] * len(tiers),
             )
+            states = fleet.states()
             seen.update(
                 name for name, hit in (
                     ("empty tier", any(m.read_iops + m.write_iops == 0 for m in served)),
@@ -414,7 +432,7 @@ class TestServeEpoch:
         state = make_state(spec, tier=2)
         rng = np.random.default_rng(0)
         samples = collect_samples(
-            ["v1"], lambda ids, d, n: probe_latencies([state], {2: device}, d, n, rng, 0.0),
+            ["v1"], lambda ids, d, n: probe([state], {2: device}, d, n, rng, 0.0),
             (0.0, 500.0, 1000.0, 2000.0, 4000.0), 10,
         )
         rec = regress_latency_curve(samples)
@@ -437,11 +455,12 @@ class TestMigrations:
         tier_states[2].served_write_mbps = 100.0
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
         order = MigrationOrder("v1", 1, 2, bytes_total=100e9, started_epoch=0)
-        moved, debit_r, debit_w, stalled = progress_migrations(
-            [order], {"v1": state}, tier_states, 300.0
+        moved, debit_r, debit_w, stalled, in_flight, finished = progress_migrations(
+            [order], Fleet.of([state], tiers), tier_states, 300.0
         )
         # speed min(500-100+100, 500-100) = 400 MB/s, 100 GB needs 250 s < epoch
         assert order.done
+        assert (in_flight, finished) == ([], [order])
         assert moved == pytest.approx(100e9)
         assert stalled == []
         assert debit_r[1] == pytest.approx(100e9 / 300 / 1e6)
@@ -453,10 +472,13 @@ class TestMigrations:
         tier_states[2].served_write_mbps = tiers[1].write_bandwidth_cap
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=0.0)
         order = MigrationOrder("v1", 1, 2, bytes_total=100e9, started_epoch=0)
-        moved, _, _, stalled = progress_migrations([order], {"v1": state}, tier_states, 300.0)
+        moved, _, _, stalled, in_flight, finished = progress_migrations(
+            [order], Fleet.of([state], tiers), tier_states, 300.0
+        )
         assert moved == 0.0
         assert stalled == ["v1"]
         assert order.stalled
+        assert (in_flight, finished) == ([order], [])
 
     def test_migration_debits_reduce_served_bandwidth(self):
         # bandwidth-saturated tier: served drops by exactly the migration rate
@@ -473,6 +495,144 @@ class TestMigrations:
                               migration_read_mbps=mig_rate)
         assert tm.read_mbps == pytest.approx(500.0 - mig_rate, rel=1e-9)
         assert tm.read_mbps + mig_rate <= tier.read_bandwidth_cap * (1 + 1e-12)
+
+
+def reference_progress(orders, vmdk_states, tier_states, epoch_seconds):
+    """``progress_migrations`` as it was before the id-ordered book: it sorts every call."""
+    debit_read = {t: 0.0 for t in tier_states}
+    debit_write = {t: 0.0 for t in tier_states}
+    spare_read = {t: s.remaining_read_mbps() for t, s in tier_states.items()}
+    spare_write = {t: s.remaining_write_mbps() for t, s in tier_states.items()}
+    moved_total = 0.0
+    stalled = []
+    for order in sorted(orders, key=lambda o: o.vmdk_id):
+        if order.done:
+            continue
+        v = vmdk_states[order.vmdk_id]
+        read_side = (
+            max(0.0, spare_read[order.from_tier] - debit_read[order.from_tier])
+            + v.measured_read_mbps
+        )
+        write_side = max(0.0, spare_write[order.to_tier] - debit_write[order.to_tier])
+        speed = min(read_side, write_side)
+        order.speed_mbps = speed
+        if speed <= 0.0:
+            order.stalled = True
+            stalled.append(order.vmdk_id)
+            continue
+        order.stalled = False
+        moved = min(order.bytes_total - order.bytes_moved, speed * 1e6 * epoch_seconds)
+        order.bytes_moved += moved
+        moved_total += moved
+        rate = moved / epoch_seconds / 1e6
+        debit_read[order.from_tier] += rate
+        debit_write[order.to_tier] += rate
+    return moved_total, debit_read, debit_write, stalled
+
+
+def migration_epochs(seed, epochs=10):
+    """Run the id-ordered book and the reference loop side by side on random epochs.
+
+    Yields, per epoch: both progress results, both sets of finished VMDKs,
+    both order lists, the tiers and the orders started in that epoch. Tier
+    loads range from idle to saturated (zero spare bandwidth), VMDK sizes
+    from a few GB (finished in the first epoch) to hundreds, and any VMDK
+    not moving may start a move, including the epoch after its last one
+    finished.
+    """
+    rng = np.random.default_rng(seed)
+    tiers = tuple(
+        make_tier(i + 1, 50.0 * (i + 1),
+                  read_mbps=float(rng.uniform(50, 800)), write_mbps=float(rng.uniform(50, 800)))
+        for i in range(int(rng.integers(2, 5)))
+    )
+    states = [
+        make_state(make_vmdk(f"v{j:02d}", size_gb=float(rng.choice([1.0, 30.0, 400.0]))),
+                   tier=int(rng.integers(1, len(tiers) + 1)))
+        for j in range(int(rng.integers(5, 30)))
+    ]
+    fleet = Fleet.of(states, tiers)
+    reference_states = {s.spec.id: copy.deepcopy(s) for s in states}
+    tier_states = idle_tier_states(tiers)
+    book, in_flight, active = [], {}, {}
+    for epoch in range(epochs):
+        for ts in tier_states.values():
+            load = rng.choice([0.0, 1.0, rng.uniform(0, 1)], size=2).tolist()
+            ts.served_read_mbps = load[0] * ts.spec.read_bandwidth_cap
+            ts.served_write_mbps = load[1] * ts.spec.write_bandwidth_cap
+        measured = rng.choice([0.0, 20.0, 300.0], size=len(states))
+        fleet.measured_read_mbps[:] = measured
+        for v, value in zip(fleet.ids, measured.tolist()):
+            reference_states[v].measured_read_mbps = value
+        current = dict(zip(fleet.ids, fleet.current_tier.tolist()))
+        moves = sorted(
+            (v, current[v], int(rng.choice([t.id for t in tiers if t.id != current[v]])))
+            for v in fleet.ids if rng.uniform() < 0.4
+        )
+        started = []
+        for v, frm, to in moves:
+            if v in in_flight:
+                continue
+            order = MigrationOrder(v, frm, to, fleet.specs[fleet.row[v]].size_gb * 1e9, epoch)
+            started.append(order)
+            in_flight[v] = to
+            active[v] = copy.deepcopy(order)
+        book = sorted(book + started, key=lambda o: o.vmdk_id)
+        orders = list(book)
+        got = progress_migrations(book, fleet, tier_states, 300.0)
+        expected = reference_progress(list(active.values()), reference_states, tier_states, 300.0)
+        book, finished = got[4], got[5]
+        for order in finished:
+            fleet.move(fleet.row[order.vmdk_id], order.to_tier)
+            del in_flight[order.vmdk_id]
+        reference_orders = [active[v] for v in sorted(active)]
+        reference_finished = set()
+        for v in sorted(active):
+            if active[v].done:
+                reference_states[v].current_tier = active[v].to_tier
+                reference_finished.add(v)
+                del active[v]
+        yield (got[:4], expected, {o.vmdk_id for o in finished}, reference_finished,
+               orders, reference_orders, tiers, started)
+
+
+class TestMigrationBookMatchesReference:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bitwise_equal_to_the_sorting_loop(self, seed):
+        for got, expected, finished, reference_finished, orders, reference_orders, _, _ in (
+            migration_epochs(seed)
+        ):
+            assert got == expected
+            assert finished == reference_finished
+            assert [astuple(o) for o in orders] == [astuple(o) for o in reference_orders]
+            assert all(type(o.speed_mbps) is float and type(o.bytes_moved) is float
+                       for o in orders)
+
+    def test_cases_cover_every_edge(self):
+        seen = set()
+        for seed in range(10):
+            finished_at = {}
+            for epoch, (got, _, finished, _, orders, _, tiers, started) in enumerate(
+                migration_epochs(seed)
+            ):
+                _, debit_read, debit_write, stalled = got
+                seen.update(
+                    name for name, hit in (
+                        ("stall", bool(stalled)),
+                        ("debit above cap", any(
+                            debit_read[t.id] > t.read_bandwidth_cap
+                            or debit_write[t.id] > t.write_bandwidth_cap for t in tiers
+                        )),
+                        ("finished in first epoch", any(
+                            o.vmdk_id in finished for o in started
+                        )),
+                        ("restarted next epoch", any(
+                            finished_at.get(o.vmdk_id) == epoch - 1 for o in started
+                        )),
+                    ) if hit
+                )
+                finished_at.update(dict.fromkeys(finished, epoch))
+        assert len(seen) == 4
 
 
 class TestRunScenario:
@@ -579,8 +739,12 @@ class TestPhaseSchedule:
 
             def check(epoch, plan, policy_obj, ctx):
                 seen.append(epoch)
-                for state in ctx.vmdk_states.values():
-                    assert phase_key(state) == phase_key(state.spec.phase_at(epoch))
+                fleet = ctx.fleet
+                for j, spec in enumerate(fleet.specs):
+                    active = (
+                        fleet.demand_iops[j], fleet.avg_io_size_bytes[j], fleet.read_fraction[j]
+                    )
+                    assert active == phase_key(spec.phase_at(epoch))
 
             run_scenario(scenario, policy, on_plan=check)
             assert seen == list(range(scenario.sim.epochs))

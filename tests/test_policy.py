@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from autotier.calibration import estimate_avg_lat
 from autotier.model import (
+    Fleet,
     PolicyWeights,
     ResourceVector,
 )
@@ -38,16 +39,16 @@ def record(vmdk_id, m, b, conf=1.0):
     return vmdk_id, m, b, conf
 
 
-def fits(states, records):
-    """Calibration fits of ``records`` (rows by VMDK id) in the order of ``states``."""
-    return make_fits(records[s.spec.id] for s in states)
+def fits(fleet, records):
+    """Calibration fits of ``records`` (rows by VMDK id) in the fleet's row order."""
+    return make_fits(records[v] for v in fleet.ids)
 
 
 P, B, S = 0, 1, 2  # component index on the last axis of cap / ratio
 
 
-def build_matrices(tiers, states, records):
-    mat = cal_capacity_matrices(fits(states, records), states, tiers)
+def build_matrices(tiers, fleet, records):
+    mat = cal_capacity_matrices(fits(fleet, records), fleet, tiers)
     return normalize_and_gate(mat, tiers)
 
 
@@ -64,7 +65,8 @@ def match(tier, ratios, sla, conf):
 
 def move_cost(vmdk, target_tier, tier_states):
     """mig_cost_seconds of one VMDK to one tier."""
-    return mig_cost_seconds([vmdk], [target_tier], tier_states)[0, 0]
+    fleet = Fleet.of([vmdk], [s.spec for s in tier_states.values()])
+    return mig_cost_seconds(fleet, [target_tier], tier_states)[0, 0]
 
 
 class TestCapacityMatrices:
@@ -72,7 +74,9 @@ class TestCapacityMatrices:
         # 20us predicted latency -> 50K IOPS
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e9, avg_io_size_bytes=4096))
-        mat = cal_capacity_matrices(make_fits([record("v1", 0.0, 20.0)]), [state], [tier])
+        mat = cal_capacity_matrices(
+            make_fits([record("v1", 0.0, 20.0)]), Fleet.of([state], [tier]), [tier]
+        )
         cell = mat.cap[at(mat, 1, "v1")]
         assert cell[P] == pytest.approx(50_000, rel=1e-9)
         assert cell[B] == pytest.approx(50_000 * 4096 / 1e6, rel=1e-9)
@@ -82,7 +86,7 @@ class TestCapacityMatrices:
         tiers = (make_tier(1, 50.0), make_tier(2, 2050.0))
         state = make_state(make_vmdk(initial_tier=2, demand_iops=1e9), tier=2)
         records = make_fits([record("v1", 1.0, 500.0)])
-        mat = cal_capacity_matrices(records, [state], tiers)
+        mat = cal_capacity_matrices(records, Fleet.of([state], tiers), tiers)
         # predicted latency on tier 1: 1.0 * (50-2050) + 500 = -1500us
         assert estimate_avg_lat(records, [2], {1: 50.0, 2: 2050.0})[0, 0] == -1500.0
         assert mat.cap[at(mat, 1, "v1")][P] == 0.0
@@ -91,7 +95,9 @@ class TestCapacityMatrices:
     def test_throughput_capped_at_demand(self):
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=10_000, avg_io_size_bytes=4096))
-        mat = cal_capacity_matrices(make_fits([record("v1", 0.0, 20.0)]), [state], [tier])
+        mat = cal_capacity_matrices(
+            make_fits([record("v1", 0.0, 20.0)]), Fleet.of([state], [tier]), [tier]
+        )
         assert mat.cap[at(mat, 1, "v1")][P] == 10_000
         assert mat.cap[at(mat, 1, "v1")][B] == pytest.approx(10_000 * 4096 / 1e6)
 
@@ -101,14 +107,16 @@ class TestNormalizeAndGate:
         # 960GB VMDK cannot fit the 480GB tier-1 budget
         tier = make_tier(1, capacity=ResourceVector(240_000, 1000, 480))
         state = make_state(make_vmdk(size_gb=960.0, demand_iops=100))
-        mat = build_matrices([tier], [state], {"v1": record("v1", 0.0, 100.0)})
+        fleet = Fleet.of([state], [tier])
+        mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 100.0)})
         assert bool(mat.feasible[at(mat, 1, "v1")]) is False
         assert mat.ratio[at(mat, 1, "v1")].tolist() == [0.0, 0.0, 0.0]
 
     def test_hand_divided_ratios(self):
         tier = make_tier(1, capacity=ResourceVector(100_000, 1000, 480))
         state = make_state(make_vmdk(size_gb=100.0, demand_iops=50_000, avg_io_size_bytes=4096))
-        mat = build_matrices([tier], [state], {"v1": record("v1", 0.0, 10.0)})
+        fleet = Fleet.of([state], [tier])
+        mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 10.0)})
         ratios = mat.ratio[at(mat, 1, "v1")]
         assert ratios[P] == pytest.approx(0.5, rel=1e-9)
         assert ratios[B] == pytest.approx(204.8 / 1000, rel=1e-9)
@@ -117,7 +125,8 @@ class TestNormalizeAndGate:
     def test_zero_usage_is_feasible(self):
         tier = make_tier(1)
         state = make_state(make_vmdk(demand_iops=0.0))
-        mat = build_matrices([tier], [state], {"v1": record("v1", 0.0, 100.0)})
+        fleet = Fleet.of([state], [tier])
+        mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 100.0)})
         assert bool(mat.feasible[at(mat, 1, "v1")]) is True
         assert mat.ratio[at(mat, 1, "v1")][P] == 0.0
 
@@ -225,20 +234,22 @@ class TestCalScore:
         tier = make_tier(1, mig_weight=mig_weight)
         state = make_state(make_vmdk(demand_iops=10_000))
         records = {"v1": record("v1", 0.0, 100.0)}
-        mat = build_matrices([tier], [state], records)
+        fleet = Fleet.of([state], [tier])
+        mat = build_matrices([tier], fleet, records)
         tier_states = idle_tier_states([tier])
         if tier_states_fn:
             tier_states_fn(tier_states)
         weights = PolicyWeights(aging_factor=aging, migration_epoch=3, monitor_epoch=1)
-        return cal_score(mat, history, [tier], weights, tier_states, [state],
-                         fits([state], records), 900.0)
+        return cal_score(mat, history, [tier], weights, tier_states, fleet,
+                         fits(fleet, records), 900.0)
 
     def test_memoryless_costless_is_pure_match(self):
         sm = self.single_cell(0.0, None, 0.0)
         tier = make_tier(1, mig_weight=0.0)
         state = make_state(make_vmdk(demand_iops=10_000))
         records = {"v1": record("v1", 0.0, 100.0)}
-        mat = build_matrices([tier], [state], records)
+        fleet = Fleet.of([state], [tier])
+        mat = build_matrices([tier], fleet, records)
         expected = match(tier, mat.ratio[at(mat, 1, "v1")], 1.0, 1.0)
         assert sm.score[at(mat, 1, "v1")] == pytest.approx(expected, rel=1e-12)
 
@@ -255,14 +266,15 @@ class TestCalScore:
         state = make_state(make_vmdk(vmdk_id="w", size_gb=450.0, demand_iops=0.0,
                                      initial_tier=2), tier=2)
         records = {"w": record("w", 0.0, 100.0)}
-        mat = build_matrices(tiers, [state], records)
+        fleet = Fleet.of([state], tiers)
+        mat = build_matrices(tiers, fleet, records)
         tier_states = idle_tier_states(tiers)
         tier_states[2].served_read_mbps = 200.0  # spare read 1000 -> cost 450s
         weights = PolicyWeights(aging_factor=0.5, migration_epoch=3)
         history = np.zeros(mat.feasible.shape)
         history[at(mat, 1, "w")] = 0.4
         sm = cal_score(mat, history, tiers, weights,
-                       tier_states, [state], fits([state], records), 900.0)
+                       tier_states, fleet, fits(fleet, records), 900.0)
         # penalty: 0.2 * (450 GB * 1000 / 1000 MBps) / 900 s = 0.1
         assert sm.score[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
         assert sm.history[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
@@ -271,10 +283,11 @@ class TestCalScore:
         tier = make_tier(1, capacity=ResourceVector(1000, 10, 10))
         state = make_state(make_vmdk(size_gb=100.0, demand_iops=100))
         records = {"v1": record("v1", 0.0, 100.0)}
-        mat = build_matrices([tier], [state], records)
+        fleet = Fleet.of([state], [tier])
+        mat = build_matrices([tier], fleet, records)
         weights = PolicyWeights(aging_factor=0.9)
         sm = cal_score(mat, np.full(mat.feasible.shape, 5.0), [tier], weights,
-                       idle_tier_states([tier]), [state], fits([state], records), 900.0)
+                       idle_tier_states([tier]), fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "v1")] == -math.inf
         assert sm.history[at(mat, 1, "v1")] == 0.0
 
@@ -285,10 +298,11 @@ class TestCalScore:
         state = make_state(make_vmdk(size_gb=10.0, demand_iops=100), tier=2)
         tier_states[2].served_read_mbps = tiers[1].read_bandwidth_cap
         records = {"v1": record("v1", 0.0, 100.0)}
-        mat = build_matrices(tiers, [state], records)
+        fleet = Fleet.of([state], tiers)
+        mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(aging_factor=0.5)
-        sm = cal_score(mat, None, tiers, weights, tier_states, [state],
-                       fits([state], records), 900.0)
+        sm = cal_score(mat, None, tiers, weights, tier_states, fleet,
+                       fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "v1")] == -math.inf
         assert sm.history[at(mat, 1, "v1")] == 0.0
 
@@ -304,9 +318,10 @@ class TestTriggerMigration:
     def test_fixed_point_when_already_placed(self):
         tier = make_tier(1)
         state = make_state(make_vmdk(demand_iops=1000))
-        mat = build_matrices([tier], [state], {"v1": record("v1", 0.0, 100.0)})
+        fleet = Fleet.of([state], [tier])
+        mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 100.0)})
         sm = scores_from(mat, [tier], {(1, "v1"): 1.0})
-        plan = trigger_migration(sm, mat, [tier], {"v1": 1}, 0)
+        plan = trigger_migration(sm, mat, [tier], fleet, 0)
         assert plan.target == {"v1": 1}
         assert plan.migrations == ()
         assert not plan.overloaded
@@ -322,11 +337,12 @@ class TestTriggerMigration:
             make_state(make_vmdk("b", size_gb=60.0, demand_iops=1000), tier=2),
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
-        mat = build_matrices(tiers, states, records)
+        fleet = Fleet.of(states, tiers)
+        mat = build_matrices(tiers, fleet, records)
         sm = scores_from(mat, tiers, {
             (1, "a"): 0.4, (1, "b"): 0.9, (2, "a"): 0.1, (2, "b"): 0.1,
         })
-        plan = trigger_migration(sm, mat, tiers, {"a": 2, "b": 2}, 0)
+        plan = trigger_migration(sm, mat, tiers, fleet, 0)
         assert plan.target == {"a": 2, "b": 1}
         assert plan.migrations == (("b", 2, 1),)
 
@@ -340,11 +356,12 @@ class TestTriggerMigration:
             make_state(make_vmdk("b", size_gb=50.0, demand_iops=10), tier=2),
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
-        mat = build_matrices(tiers, states, records)
+        fleet = Fleet.of(states, tiers)
+        mat = build_matrices(tiers, fleet, records)
         sm = cal_score(mat, None, tiers, PolicyWeights(), idle_tier_states(tiers),
-                       states, fits(states, records), 900.0)
+                       fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "a")] == -math.inf
-        plan = trigger_migration(sm, mat, tiers, {"a": 2, "b": 2}, 0)
+        plan = trigger_migration(sm, mat, tiers, fleet, 0)
         assert all(t == 2 for t in plan.target.values())
 
     def test_leftover_without_room_is_overloaded(self):
@@ -354,9 +371,10 @@ class TestTriggerMigration:
             make_state(make_vmdk("b", size_gb=80.0, demand_iops=10), tier=1),
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
-        mat = build_matrices([tier], states, records)
+        fleet = Fleet.of(states, [tier])
+        mat = build_matrices([tier], fleet, records)
         sm = scores_from(mat, [tier], {(1, "a"): 0.5, (1, "b"): 0.4})
-        plan = trigger_migration(sm, mat, [tier], {"a": 1, "b": 1}, 0)
+        plan = trigger_migration(sm, mat, [tier], fleet, 0)
         assert plan.target == {"a": 1, "b": 1}  # totality always wins
         assert plan.overloaded == {"b"}
 
@@ -370,11 +388,12 @@ class TestTriggerMigration:
             make_state(make_vmdk("a", size_gb=60.0, demand_iops=10), tier=2),
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
-        mat = build_matrices(tiers, states, records)
+        fleet = Fleet.of(states, tiers)
+        mat = build_matrices(tiers, fleet, records)
         sm = scores_from(mat, tiers, {
             (1, "a"): 0.5, (1, "b"): 0.5, (2, "a"): 0.0, (2, "b"): 0.0,
         })
-        plan = trigger_migration(sm, mat, tiers, {"a": 2, "b": 2}, 0)
+        plan = trigger_migration(sm, mat, tiers, fleet, 0)
         assert plan.target["a"] == 1
         assert plan.target["b"] == 2
 
@@ -388,11 +407,12 @@ class TestTriggerMigration:
             make_state(make_vmdk("rival", size_gb=70.0, demand_iops=10), tier=2),
         ]
         records = {"mover": record("mover", 0.0, 50.0), "rival": record("rival", 0.0, 50.0)}
-        mat = build_matrices(tiers, states, records)
+        fleet = Fleet.of(states, tiers)
+        mat = build_matrices(tiers, fleet, records)
         sm = scores_from(mat, tiers, {
             (1, "mover"): 0.1, (1, "rival"): 0.9, (2, "mover"): 0.0, (2, "rival"): 0.0,
         })
-        plan = trigger_migration(sm, mat, tiers, {"mover": 2, "rival": 2}, 3,
+        plan = trigger_migration(sm, mat, tiers, fleet, 3,
                                  pinned={"mover": 1})
         # the in-flight move keeps its seat even against a higher score
         assert plan.target == {"mover": 1, "rival": 2}
@@ -410,23 +430,23 @@ class TestProfitAndOracle:
             make_state(make_vmdk("b", demand_iops=9000, sla_weight=1.0)),
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
-        mat = build_matrices([tier], states, records)
+        fleet = Fleet.of(states, [tier])
+        mat = build_matrices([tier], fleet, records)
         weights = PolicyWeights(alpha=ResourceVector(1, 0, 0), beta=7.0)
         target = {"a": 1, "b": 1}
-        profit = epoch_profit(target, target, mat, weights, states,
+        profit = epoch_profit(target, target, mat, weights, fleet,
                               idle_tier_states([tier]), 900.0)
         expected = 2.0 * mat.ratio[at(mat, 1, "a")][P] + 1.0 * mat.ratio[at(mat, 1, "b")][P]
         assert profit == pytest.approx(expected, rel=1e-12)
 
     def test_zero_beta_ignores_previous_assignment(self):
         rng = np.random.default_rng(5)
-        tiers, states, records, mat, tier_states, weights, previous = self.small_instance(rng)
+        tiers, fleet, records, mat, tier_states, weights, previous = self.small_instance(rng)
         weights = PolicyWeights(alpha=weights.alpha, beta=0.0)
-        target = {s.spec.id: 1 if mat.feasible[at(mat, 1, s.spec.id)] else s.current_tier
-                  for s in states}
-        p1 = epoch_profit(target, previous, mat, weights, states, tier_states, 900.0)
+        target = {v: 1 if mat.feasible[at(mat, 1, v)] else previous[v] for v in fleet.ids}
+        p1 = epoch_profit(target, previous, mat, weights, fleet, tier_states, 900.0)
         other_prev = {v: 2 for v in previous}
-        p2 = epoch_profit(target, other_prev, mat, weights, states, tier_states, 900.0)
+        p2 = epoch_profit(target, other_prev, mat, weights, fleet, tier_states, 900.0)
         assert p1 == pytest.approx(p2, rel=1e-12)
 
     def test_oracle_picks_best_of_three_tiers(self):
@@ -437,12 +457,13 @@ class TestProfitAndOracle:
         )
         state = make_state(make_vmdk(demand_iops=1e9), tier=3)
         records = {"v1": record("v1", 1.0, 100.0)}
-        mat = build_matrices(tiers, [state], records)
+        fleet = Fleet.of([state], tiers)
+        mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(beta=0.0)
-        plan = oracle_assignment(mat, weights, {"v1": 3}, tiers, [state],
+        plan = oracle_assignment(mat, weights, {"v1": 3}, tiers, fleet,
                                  idle_tier_states(tiers), 900.0)
         profits = {
-            t.id: epoch_profit({"v1": t.id}, {"v1": 3}, mat, weights, [state],
+            t.id: epoch_profit({"v1": t.id}, {"v1": 3}, mat, weights, fleet,
                                idle_tier_states(tiers), 900.0)
             for t in tiers
         }
@@ -451,28 +472,31 @@ class TestProfitAndOracle:
     def test_oracle_errors_when_nothing_fits(self):
         tier = make_tier(1, capacity=ResourceVector(1e6, 1e5, 10.0))
         state = make_state(make_vmdk(size_gb=50.0, demand_iops=10))
-        mat = build_matrices([tier], [state], {"v1": record("v1", 0.0, 50.0)})
+        fleet = Fleet.of([state], [tier])
+        mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 50.0)})
         with pytest.raises(ValueError, match="feasible"):
-            oracle_assignment(mat, PolicyWeights(), {"v1": 1}, [tier], [state],
+            oracle_assignment(mat, PolicyWeights(), {"v1": 1}, [tier], fleet,
                               idle_tier_states([tier]), 900.0)
 
     def test_oracle_rejects_oversized_instances(self):
         tiers = (make_tier(1),)
         states = [make_state(make_vmdk(f"v{i}", demand_iops=10)) for i in range(11)]
         records = {s.spec.id: record(s.spec.id, 0.0, 50.0) for s in states}
-        mat = build_matrices(tiers, states, records)
+        fleet = Fleet.of(states, tiers)
+        mat = build_matrices(tiers, fleet, records)
         with pytest.raises(ValueError, match="limited"):
             oracle_assignment(mat, PolicyWeights(), {s.spec.id: 1 for s in states},
-                              tiers, states, idle_tier_states(tiers), 900.0)
+                              tiers, fleet, idle_tier_states(tiers), 900.0)
 
     def test_oracle_tie_breaks_lexicographically(self):
         # two identical tiers except latency ordering; equal profit everywhere
         tiers = (make_tier(1, 100.0), make_tier(2, 200.0))
         state = make_state(make_vmdk(demand_iops=0.0))
         records = {"v1": record("v1", 0.0, 50.0)}
-        mat = build_matrices(tiers, [state], records)
+        fleet = Fleet.of([state], tiers)
+        mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(beta=0.0)
-        plan = oracle_assignment(mat, weights, {"v1": 1}, tiers, [state],
+        plan = oracle_assignment(mat, weights, {"v1": 1}, tiers, fleet,
                                  idle_tier_states(tiers), 900.0)
         assert plan.target["v1"] == 1
 
@@ -488,7 +512,8 @@ class TestProfitAndOracle:
                                  demand_iops=8_000), measured_read_mbps=5.0),
         ]
         records = {"a": record("a", 0.4, 30.0), "b": record("b", 0.1, 60.0)}
-        mat = build_matrices(tiers, states, records)
+        fleet = Fleet.of(states, tiers)
+        mat = build_matrices(tiers, fleet, records)
         tier_states = idle_tier_states(tiers)
         weights = PolicyWeights(beta=0.5)
         previous = {"a": 2, "b": 1}
@@ -506,12 +531,12 @@ class TestProfitAndOracle:
                 if not total.fits_within(tier.max_usable()):
                     fits = False
             if fits:
-                profit = epoch_profit(target, previous, mat, weights, states,
+                profit = epoch_profit(target, previous, mat, weights, fleet,
                                       tier_states, 900.0)
                 feasible.append((profit, target))
         best_profit, _ = max(feasible, key=lambda x: x[0])
-        plan = oracle_assignment(mat, weights, previous, tiers, states, tier_states, 900.0)
-        oracle_profit = epoch_profit(plan.target, previous, mat, weights, states,
+        plan = oracle_assignment(mat, weights, previous, tiers, fleet, tier_states, 900.0)
+        oracle_profit = epoch_profit(plan.target, previous, mat, weights, fleet,
                                      tier_states, 900.0)
         assert oracle_profit == pytest.approx(best_profit, rel=1e-12)
 
@@ -520,13 +545,13 @@ class TestProfitAndOracle:
         agree = 0
         total = 60
         for _ in range(total):
-            tiers, states, records, mat, tier_states, weights, previous = (
+            tiers, fleet, records, mat, tier_states, weights, previous = (
                 self.small_instance(rng)
             )
-            sm = cal_score(mat, None, tiers, weights, tier_states, states, records, 900.0)
-            greedy = trigger_migration(sm, mat, tiers, previous, 0)
+            sm = cal_score(mat, None, tiers, weights, tier_states, fleet, records, 900.0)
+            greedy = trigger_migration(sm, mat, tiers, fleet, 0)
             try:
-                oracle = oracle_assignment(mat, weights, previous, tiers, states,
+                oracle = oracle_assignment(mat, weights, previous, tiers, fleet,
                                            tier_states, 900.0)
             except ValueError:
                 continue
@@ -543,9 +568,9 @@ class TestProfitAndOracle:
                 recorded = greedy.planned_usage[tier.id]
                 assert recorded.p == pytest.approx(total.p, rel=1e-9, abs=1e-9)
                 assert recorded.s == pytest.approx(total.s, rel=1e-9, abs=1e-9)
-            g = epoch_profit(greedy.target, previous, mat, weights, states,
+            g = epoch_profit(greedy.target, previous, mat, weights, fleet,
                              tier_states, 900.0)
-            o = epoch_profit(oracle.target, previous, mat, weights, states,
+            o = epoch_profit(oracle.target, previous, mat, weights, fleet,
                              tier_states, 900.0)
             assert g <= o + 1e-9
             if greedy.target == oracle.target:
