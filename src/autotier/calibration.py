@@ -24,9 +24,8 @@ from .model import CalibrationFits
 # model provides one per run.
 SampleProbe = Callable[[Sequence[str], Sequence[float], int], np.ndarray]
 
-# Largest mean sampled latency (us) a fit accepts. Near 5e291 us the shared
-# least-squares solve rescales its right-hand side, which moves every other
-# VMDK's fit by about one ulp; contention can push a valid VMDK there.
+# Largest mean sampled latency (us) a fit accepts: near 5e291 us the shared
+# least-squares solve rescales, moving every other VMDK's fit by an ulp.
 MAX_MEAN_LATENCY_US = 1e290
 
 
@@ -132,10 +131,8 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
     if too_slow.any():
         row = int(too_slow.argmax())
-        raise ValueError(
-            f"VMDK {samples.vmdk_ids[row]!r}: mean sampled latency {means[row].max()} us "
-            f"reaches the calibration limit of {MAX_MEAN_LATENCY_US} us"
-        )
+        limit = f"the calibration limit of {MAX_MEAN_LATENCY_US} us"
+        raise ValueError(f"VMDK {samples.vmdk_ids[row]!r}: mean sampled latency reaches {limit}")
     return fits
 
 

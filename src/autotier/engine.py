@@ -85,14 +85,10 @@ def probe_latencies(
     """
     rows = np.asarray(rows, dtype=np.intp)
     tier = fleet.tier_row[rows]
-
-    def column(values: np.ndarray) -> np.ndarray:
-        return values[:, None, None]
-
-    slope = column(fleet.truth_slope[rows])
-    base = column(np.array([d.tier.base_latency_us for d in devices])[tier])
-    intercept = column(fleet.truth_intercept_us[rows])
-    contention = column(np.array([d.contention for d in devices])[tier])
+    slope = fleet.truth_slope[rows][:, None, None]
+    base = np.array([d.tier.base_latency_us for d in devices])[tier][:, None, None]
+    intercept = fleet.truth_intercept_us[rows][:, None, None]
+    contention = np.array([d.contention for d in devices])[tier][:, None, None]
     added = np.asarray(added_us, dtype=float)[:, None]
     truth = slope * (base + added) + intercept * contention
     shape = (len(rows), len(added_us), samples_per_latency)
@@ -337,8 +333,7 @@ def run_scenario(
             policy.on_monitor(ctx)
 
         plan: AssignmentPlan | None = None
-        started: list[str] = []
-        new_orders: list[MigrationOrder] = []
+        started: list[MigrationOrder] = []
         if epoch % weights.migration_epoch == 0:
             plan = policy.plan_migrations(ctx, epoch)
             result.plans.append(plan)
@@ -354,13 +349,12 @@ def run_scenario(
                     bytes_total=fleet.specs[fleet.row[vmdk_id]].size_gb * 1e9,
                     started_epoch=epoch,
                 )
-                new_orders.append(order)
+                started.append(order)
                 in_flight[vmdk_id] = to_tier
-                started.append(vmdk_id)
-            result.migration_log += new_orders
+            result.migration_log += started
             # Both runs are in id order, so the sort is one linear merge.
-            book += new_orders
-            book.sort(key=_by_vmdk_id)
+            book += started
+            book.sort(key=attrgetter("vmdk_id"))
 
         moved_bytes, debit_read, debit_write, stalled, book, finished = progress_migrations(
             book, fleet, tier_states, epoch_seconds
@@ -391,7 +385,7 @@ def run_scenario(
         total.mean_latency_us = latency_weight / grand_iops if grand_iops > 0 else 0.0
 
         for order in finished:
-            fleet.move(fleet.row[order.vmdk_id], order.to_tier)
+            fleet.move(order.vmdk_id, order.to_tier)
             del in_flight[order.vmdk_id]
 
         result.epochs.append(
@@ -401,7 +395,7 @@ def run_scenario(
                 total=total,
                 migration_bytes=moved_bytes,
                 migration_count=len(started),
-                migrated_vmdks=tuple(started),
+                migrated_vmdks=tuple(order.vmdk_id for order in started),
                 overloaded=tuple(sorted(plan.overloaded)) if plan else (),
                 stalled=tuple(stalled),
             )
@@ -409,6 +403,3 @@ def run_scenario(
 
     result.final_states = {state.spec.id: state for state in fleet.states()}
     return result
-
-
-_by_vmdk_id = attrgetter("vmdk_id")

@@ -386,14 +386,8 @@ class VmdkState:
 
     @classmethod
     def initial(cls, spec: VmdkSpec) -> "VmdkState":
-        phase = spec.demand_profile[0]
-        return cls(
-            spec=spec,
-            current_tier=spec.initial_tier,
-            demand_iops=phase.demand_iops,
-            avg_io_size_bytes=phase.avg_io_size_bytes,
-            read_fraction=phase.read_fraction,
-        )
+        p = spec.demand_profile[0]
+        return cls(spec, spec.initial_tier, p.demand_iops, p.avg_io_size_bytes, p.read_fraction)
 
 
 NEVER = np.iinfo(np.int64).max  # stands in for start epochs past the int64 range
@@ -509,8 +503,8 @@ class Fleet:
                 self.phase_table[:, k]
             )
 
-    def move(self, row: int, tier_id: int) -> None:
-        self.tier_row[row] = self.row_of_tier[tier_id]
+    def move(self, vmdk_id: str, tier_id: int) -> None:
+        self.tier_row[self.row[vmdk_id]] = self.row_of_tier[tier_id]
 
     def states(self) -> list[VmdkState]:
         """One ``VmdkState`` per row, with the exact values of its active phase."""

@@ -402,15 +402,14 @@ def oracle_assignment(
                 best_profit = profit
                 best_vector = list(choice)
             return
-        j = index
         for i, rem in enumerate(remaining):
-            c = cap[i][j]
+            c = cap[i][index]
             if c[0] <= rem[0] and c[1] <= rem[1] and c[2] <= rem[2]:
                 rem[0] -= c[0]
                 rem[1] -= c[1]
                 rem[2] -= c[2]
                 choice.append(i)
-                recurse(index + 1, profit + contrib[i][j])
+                recurse(index + 1, profit + contrib[i][index])
                 choice.pop()
                 rem[0] += c[0]
                 rem[1] += c[1]

@@ -583,7 +583,7 @@ def migration_epochs(seed, epochs=10):
         expected = reference_progress(list(active.values()), reference_states, tier_states, 300.0)
         book, finished = got[4], got[5]
         for order in finished:
-            fleet.move(fleet.row[order.vmdk_id], order.to_tier)
+            fleet.move(order.vmdk_id, order.to_tier)
             del in_flight[order.vmdk_id]
         reference_orders = [active[v] for v in sorted(active)]
         reference_finished = set()
@@ -677,6 +677,29 @@ class TestRunScenario:
         result = run_scenario(scenario, "autotiering")
         for spec in scenario.vmdks:
             assert result.final_states[spec.id].spec.size_gb == spec.size_gb
+
+    @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
+    def test_policies_read_a_read_only_view_of_the_fleet(self, policy):
+        contexts = []
+
+        def write(epoch, plan, policy_obj, ctx):
+            contexts.append(ctx)
+            with pytest.raises(ValueError, match="read-only"):
+                ctx.fleet.measured_iops[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                ctx.fleet.tier_row[0] = 0
+            with pytest.raises(TypeError):
+                ctx.fleet.row["new"] = 0
+            with pytest.raises(TypeError):
+                ctx.in_flight["hot"] = 1
+
+        result = run_scenario(self.tiny(epochs=9), policy, on_plan=write)
+        assert len(contexts) == 3 and all(ctx is contexts[0] for ctx in contexts)
+        fleet = contexts[0].fleet
+        final = [result.final_states[v] for v in fleet.ids]
+        assert fleet.measured_iops.tolist() == [s.measured_iops for s in final]
+        assert fleet.current_tier.tolist() == [s.current_tier for s in final]
+        assert all(type(s.current_tier) is int and type(s.measured_iops) is float for s in final)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
