@@ -11,7 +11,6 @@ from .model import (
     ScenarioValidationError,
     SimulationConfig,
     TierSpec,
-    TierState,
     VmdkSpec,
     VmdkState,
     WorkloadPhase,
@@ -42,7 +41,6 @@ from .policy import (
 )
 from .baselines import EdtPolicy, IdtPolicy, edt_assign, idt_assign
 from .engine import (
-    DeviceModel,
     EpochMetrics,
     RunResult,
     TierEpochMetrics,

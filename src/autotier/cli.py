@@ -48,7 +48,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         path = Path(run_dir) / "summary.json"
         summaries.append(json.loads(path.read_text(encoding="utf-8")))
     comparison = comparison_dict(summaries)
-    text = json.dumps(comparison, indent=2)
+    text = json.dumps(comparison, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -65,15 +65,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         previous = {**dict(zip(fleet.ids, fleet.current_tier.tolist())), **ctx.in_flight}
         greedy = epoch_profit(
             plan.target, previous, policy.matrices, ctx.weights, fleet,
-            ctx.tier_states, ctx.migration_epoch_seconds,
+            ctx.migration_epoch_seconds,
         )
         oracle_plan = oracle_assignment(
             policy.matrices, ctx.weights, previous, ctx.tiers, fleet,
-            ctx.tier_states, ctx.migration_epoch_seconds, epoch,
+            ctx.migration_epoch_seconds, epoch,
         )
         oracle = epoch_profit(
             oracle_plan.target, previous, policy.matrices, ctx.weights, fleet,
-            ctx.tier_states, ctx.migration_epoch_seconds,
+            ctx.migration_epoch_seconds,
         )
         ratio = greedy / oracle if abs(oracle) > 1e-12 else None
         report.append({

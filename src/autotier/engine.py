@@ -3,16 +3,18 @@
 Each epoch applies the workload phases that start in it, lets the active
 policy monitor and (at the migration cadence) plan moves, progresses
 in-flight migrations with bandwidth accounting, then serves I/O demands
-against per-tier device models with a proportional contention model and
+against each tier's device with a proportional contention model and
 records metrics.
 
-The run's VMDKs live in one ``Fleet``: dense (N,) arrays in VMDK-id order
+The run's state lives in one ``Fleet``: dense (N,) arrays in VMDK-id order
 holding static truth, the active phase's demand, each VMDK's tier row and
-its last measurements. ``serve_epoch`` serves every tier from them in one
-vectorized pass and writes the measurements in place; policies read the
-same arrays through a read-only view, and ``VmdkState`` objects are built
-once, for the result, after the last epoch. In-flight migrations form a
-book kept in VMDK-id order as orders start and finish.
+its last measurements, and (T,) arrays holding each tier's contention and
+served MB/s. ``serve_epoch`` serves every tier in one vectorized pass and
+writes the measurements and the tier arrays in place; probes, migration
+progress and policies read the same arrays, policies through a read-only
+view, and ``VmdkState`` objects are built once, for the result, after the
+last epoch. In-flight migrations form a book kept in VMDK-id order as
+orders start and finish.
 """
 
 from __future__ import annotations
@@ -20,20 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .baselines import EdtPolicy, IdtPolicy
-from .model import (
-    Fleet,
-    MigrationOrder,
-    Scenario,
-    TierSpec,
-    TierState,
-    VmdkSpec,
-    VmdkState,
-)
+from .model import Fleet, MigrationOrder, Scenario, VmdkState
 from .policy import AssignmentPlan, AutoTieringPolicy, PolicyContext
 
 POLICY_NAMES = ("autotiering", "idt", "edt")
@@ -49,24 +43,9 @@ def make_policy(name: str):
     raise ValueError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
 
 
-@dataclass
-class DeviceModel:
-    """Latency model of one tier: linear in added latency, load-inflated intercept."""
-
-    tier: TierSpec
-    contention: float = 1.0
-
-    def true_latency(self, spec: VmdkSpec, added_us: float = 0.0) -> float:
-        return (
-            spec.truth_slope * (self.tier.base_latency_us + added_us)
-            + spec.truth_intercept_us * self.contention
-        )
-
-
 def probe_latencies(
     fleet: Fleet,
     rows: Sequence[int],
-    devices: Sequence[DeviceModel],
     added_us: Sequence[float],
     samples_per_latency: int,
     rng: np.random.Generator,
@@ -74,21 +53,20 @@ def probe_latencies(
 ) -> np.ndarray:
     """(N, L, S) calibration samples: true latency with multiplicative Gaussian noise.
 
-    Axes are the fleet ``rows`` × ``added_us`` × samples; ``devices`` follow
-    the fleet's tier rows. The true latency is ``DeviceModel.true_latency``
-    on each VMDK's current device, computed elementwise in the same
-    operation order. Noise factors ``1 + noise_cv * z`` come from one
-    ``standard_normal`` draw taken in C order; every factor <= 0 is dropped
-    and the rest topped up from the same generator, which consumes the
-    stream exactly as drawing sample by sample, redrawing while the factor
-    is <= 0, would.
+    Axes are the fleet ``rows`` × ``added_us`` × samples. The true latency on
+    each VMDK's current tier is ``slope * (base + added) + intercept *
+    contention``, with the tier's contention as serving last left it. Noise
+    factors ``1 + noise_cv * z`` come from one ``standard_normal`` draw taken
+    in C order; every factor <= 0 is dropped and the rest topped up from the
+    same generator, which consumes the stream exactly as drawing sample by
+    sample, redrawing while the factor is <= 0, would.
     """
     rows = np.asarray(rows, dtype=np.intp)
     tier = fleet.tier_row[rows]
     slope = fleet.truth_slope[rows][:, None, None]
-    base = np.array([d.tier.base_latency_us for d in devices])[tier][:, None, None]
+    base = np.array([t.base_latency_us for t in fleet.tiers])[tier][:, None, None]
     intercept = fleet.truth_intercept_us[rows][:, None, None]
-    contention = np.array([d.contention for d in devices])[tier][:, None, None]
+    contention = fleet.contention[tier][:, None, None]
     added = np.asarray(added_us, dtype=float)[:, None]
     truth = slope * (base + added) + intercept * contention
     shape = (len(rows), len(added_us), samples_per_latency)
@@ -145,22 +123,23 @@ def _utilization(load: float, cap: float) -> float:
 
 def serve_epoch(
     fleet: Fleet,
-    devices: Sequence[DeviceModel],
     migration_read_mbps: Sequence[float],
     migration_write_mbps: Sequence[float],
 ) -> list[TierEpochMetrics]:
     """Serve every tier's members for one epoch and write the fleet's measurements.
 
-    ``devices`` and the migration debits (MB/s) follow the fleet's tier rows.
-    Offered load per VMDK is its demand capped at the unloaded achievable
-    rate 10^6/latency. Aggregate offered load sets the contention factor,
-    which inflates intercept latency; if the (migration-debited) directional
-    caps are exceeded, every member scales down proportionally. Updates each
-    device's contention for subsequent probes. Per-tier sums accumulate in
-    row order from 0.0 (``np.bincount`` adds sequentially), so they repeat
-    bit for bit what a loop over each tier's members in id order gives.
+    The migration debits (MB/s) follow the fleet's tier rows. Offered load
+    per VMDK is its demand capped at the unloaded achievable rate
+    10^6/latency. Aggregate offered load sets the contention factor, which
+    inflates intercept latency; if the (migration-debited) directional caps
+    are exceeded, every member scales down proportionally. Writes each
+    tier's contention, for later probes, and its served MB/s plus its
+    debits, for later migration speeds, into the fleet's tier arrays.
+    Per-tier sums accumulate in row order from 0.0 (``np.bincount`` adds
+    sequentially), so they repeat bit for bit what a loop over each tier's
+    members in id order gives.
     """
-    tiers = [d.tier for d in devices]
+    tiers = fleet.tiers
     row = fleet.tier_row
     slope, intercept = fleet.truth_slope, fleet.truth_intercept_us
     demand, rf, io = fleet.demand_iops, fleet.read_fraction, fleet.avg_io_size_bytes
@@ -177,19 +156,18 @@ def serve_epoch(
         load_r_bw, load_w_bw = per_tier(loads_r * io / 1e6), per_tier(loads_w * io / 1e6)
 
         contention, scale = [], []
-        for i, (tier, device) in enumerate(zip(tiers, devices)):
+        for i, tier in enumerate(tiers):
             # Contention responds to offered load against the raw device caps
             # (it inflates latency, so must stay finite); the proportional
             # scale honors the migration-debited effective caps so
             # conservation always holds.
-            device.contention = max(
+            contention.append(max(
                 1.0,
                 _utilization(load_r_iops[i], tier.read_throughput_cap),
                 _utilization(load_w_iops[i], tier.write_throughput_cap),
                 _utilization(load_r_bw[i], tier.read_bandwidth_cap),
                 _utilization(load_w_bw[i], tier.write_bandwidth_cap),
-            )
-            contention.append(device.contention)
+            ))
             eff_read_bw = max(0.0, tier.read_bandwidth_cap - migration_read_mbps[i])
             eff_write_bw = max(0.0, tier.write_bandwidth_cap - migration_write_mbps[i])
             s = 1.0
@@ -203,23 +181,27 @@ def serve_epoch(
                     s = min(s, cap / load)
             scale.append(s)
 
-        # DeviceModel.true_latency at zero added latency; it is positive (or
+        # The probes' true latency at zero added latency; it is positive (or
         # inf) because intercepts are positive and contention is at least 1.
-        latency = bare + intercept * np.array(contention)[row]
+        fleet.contention[:] = contention
+        latency = bare + intercept * fleet.contention[row]
         served = np.minimum(demand, 1e6 / latency) * np.array(scale)[row]
         served_r, served_w = served * rf, served * wf
         read_mbps, write_mbps = served_r * io / 1e6, served_w * io / 1e6
         read_iops, write_iops = per_tier(served_r), per_tier(served_w)
+        tier_read_mbps, tier_write_mbps = per_tier(read_mbps), per_tier(write_mbps)
         latency_weight = per_tier(np.where(np.isfinite(latency), served * latency, 0.0))
 
     fleet.measured_iops[:] = served
     fleet.measured_latency_us[:] = latency
     fleet.measured_read_mbps[:] = read_mbps
     fleet.measured_write_mbps[:] = write_mbps
+    fleet.served_read_mbps[:] = np.add(tier_read_mbps, migration_read_mbps)
+    fleet.served_write_mbps[:] = np.add(tier_write_mbps, migration_write_mbps)
 
     metrics = []
     for r_iops, w_iops, r_mbps, w_mbps, weight in zip(
-        read_iops, write_iops, per_tier(read_mbps), per_tier(write_mbps), latency_weight
+        read_iops, write_iops, tier_read_mbps, tier_write_mbps, latency_weight
     ):
         total_iops = r_iops + w_iops
         metrics.append(TierEpochMetrics(
@@ -235,25 +217,21 @@ def serve_epoch(
 def progress_migrations(
     orders: Sequence[MigrationOrder],
     fleet: Fleet,
-    tier_states: Mapping[int, TierState],
     epoch_seconds: float,
-) -> tuple[
-    float, dict[int, float], dict[int, float], list[str], list[MigrationOrder], list[MigrationOrder]
-]:
+) -> tuple[float, list[float], list[float], list[str], list[MigrationOrder], list[MigrationOrder]]:
     """Advance the in-flight ``orders``, in VMDK-id order, one epoch, debiting tier bandwidth.
 
     Speed is recomputed per epoch from spare bandwidth (last epoch's served
     load plus debits already taken this epoch) and the VMDK's own measured
-    read bandwidth. Returns total bytes moved, per-tier read/write debits in
-    MB/s, stalled VMDK ids, the orders still in flight and the orders that
+    read bandwidth. Returns total bytes moved, read/write debits in MB/s by
+    tier row, stalled VMDK ids, the orders still in flight and the orders that
     finished, both in id order; ``orders`` itself is left as it is.
     """
-    debit_read = dict.fromkeys(tier_states, 0.0)
-    debit_write = dict.fromkeys(tier_states, 0.0)
-    spare_read = {t: s.remaining_read_mbps() for t, s in tier_states.items()}
-    spare_write = {t: s.remaining_write_mbps() for t, s in tier_states.items()}
+    spare_read, spare_write = fleet.spare_mbps()
+    debit_read = [0.0] * len(spare_read)
+    debit_write = [0.0] * len(spare_write)
     measured_read = fleet.measured_read_mbps.tolist()
-    row = fleet.row
+    row, row_of_tier = fleet.row, fleet.row_of_tier
     moved_total = 0.0
     stalled: list[str] = []
     in_flight: list[MigrationOrder] = []
@@ -265,7 +243,7 @@ def progress_migrations(
         if left <= 0.0:
             finished.append(order)
             continue
-        source, dest = order.from_tier, order.to_tier
+        source, dest = row_of_tier[order.from_tier], row_of_tier[order.to_tier]
         spare = spare_read[source] - debit_read[source]
         read_side = (spare if spare > 0.0 else 0.0) + measured_read[row[order.vmdk_id]]
         spare = spare_write[dest] - debit_write[dest]
@@ -307,20 +285,17 @@ def run_scenario(
     policy = make_policy(policy_name)
 
     fleet = Fleet.of([VmdkState.initial(spec) for spec in scenario.vmdks], scenario.tiers)
-    tier_states = {t.id: TierState(spec=t) for t in scenario.tiers}
-    devices = [DeviceModel(tier=t) for t in scenario.tiers]
     book: list[MigrationOrder] = []  # in-flight orders in VMDK-id order
     in_flight: dict[str, int] = {}  # VMDK id -> destination of its in-flight order
     result = RunResult(scenario=scenario, policy=policy_name, seed=actual_seed)
 
     def probe(vmdk_ids: Sequence[str], added_us: Sequence[float], samples: int) -> np.ndarray:
         rows = [fleet.row[v] for v in vmdk_ids]
-        return probe_latencies(fleet, rows, devices, added_us, samples, rng, noise_cv)
+        return probe_latencies(fleet, rows, added_us, samples, rng, noise_cv)
 
     weights = scenario.weights
     ctx = PolicyContext(
         tiers=scenario.tiers,
-        tier_states=tier_states,
         fleet=fleet.read_only(),
         weights=weights,
         epoch_seconds=epoch_seconds,
@@ -357,30 +332,19 @@ def run_scenario(
             book.sort(key=attrgetter("vmdk_id"))
 
         moved_bytes, debit_read, debit_write, stalled, book, finished = progress_migrations(
-            book, fleet, tier_states, epoch_seconds
+            book, fleet, epoch_seconds
         )
 
         per_tier: dict[int, TierEpochMetrics] = {}
         total = TierEpochMetrics()
         latency_weight = 0.0
-        served = serve_epoch(
-            fleet,
-            devices,
-            [debit_read[t.id] for t in scenario.tiers],
-            [debit_write[t.id] for t in scenario.tiers],
-        )
-        for tier, tm in zip(scenario.tiers, served):
+        for tier, tm in zip(scenario.tiers, serve_epoch(fleet, debit_read, debit_write)):
             per_tier[tier.id] = tm
             total.read_iops += tm.read_iops
             total.write_iops += tm.write_iops
             total.read_mbps += tm.read_mbps
             total.write_mbps += tm.write_mbps
             latency_weight += tm.mean_latency_us * (tm.read_iops + tm.write_iops)
-            state = tier_states[tier.id]
-            state.served_read_iops = tm.read_iops
-            state.served_write_iops = tm.write_iops
-            state.served_read_mbps = tm.read_mbps + debit_read[tier.id]
-            state.served_write_mbps = tm.write_mbps + debit_write[tier.id]
         grand_iops = total.read_iops + total.write_iops
         total.mean_latency_us = latency_weight / grand_iops if grand_iops > 0 else 0.0
 

@@ -3,7 +3,8 @@
 Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
-(Fleet, TierState, MigrationOrder) is owned by a single simulation run.
+(Fleet, MigrationOrder) is owned by a single simulation run. The Fleet holds
+both sides of it: one row per VMDK and one row per tier.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from typing import Any
 
 import numpy as np
 
-GB_BYTES = 1e9
-MB_BYTES = 1e6
 SCHEMA_VERSION = 1
 
 
@@ -317,9 +316,6 @@ class Scenario:
         if problems:
             raise ScenarioValidationError(problems)
 
-    def tier_by_id(self, tier_id: int) -> TierSpec:
-        return self.tiers[tier_id - 1]
-
 
 def cross_checks(tiers: Sequence[TierSpec], vmdks: Sequence[VmdkSpec]) -> list[str]:
     """Scenario-level invariants that span more than one object."""
@@ -395,13 +391,16 @@ NEVER = np.iinfo(np.int64).max  # stands in for start epochs past the int64 rang
 
 @dataclass
 class Fleet:
-    """The per-VMDK state of one run: (N,) arrays with rows in VMDK-id order.
+    """The state of one run: (N,) arrays for its VMDKs and (T,) arrays for its tiers.
 
-    Static truth (``size_gb``, ``sla_weight``, truth slope and intercept), the
-    active phase's demand, read fraction and I/O size, ``tier_row`` (each
-    VMDK's current tier as an index into ``tier_ids``, the run's tiers in
-    order) and the last epoch's four ``measured_*`` figures, which serving
-    writes in place. Policies read a ``read_only`` view.
+    VMDK rows are in id order: static truth (``size_gb``, ``sla_weight``,
+    truth slope and intercept), the active phase's demand, read fraction and
+    I/O size, ``tier_row`` (each VMDK's current tier as a row of ``tiers``)
+    and the last epoch's four ``measured_*`` figures. Tier rows follow
+    ``tiers``, the run's tier specs in order: each device's ``contention``,
+    which inflates the latency probes see, and the MB/s each tier served last
+    epoch, migration debits included. Serving writes the measurements and the
+    tier arrays in place; policies read a ``read_only`` view.
 
     ``phases`` lists every row's demand profile, one after another, and the
     (3, P) ``phase_table`` their demand, read fraction and I/O size; ``active``
@@ -412,9 +411,13 @@ class Fleet:
     ids: tuple[str, ...]
     specs: tuple[VmdkSpec, ...]
     row: Mapping[str, int]
+    tiers: tuple[TierSpec, ...]
     tier_ids: np.ndarray
     row_of_tier: Mapping[int, int]
     tier_row: np.ndarray
+    contention: np.ndarray
+    served_read_mbps: np.ndarray
+    served_write_mbps: np.ndarray
     size_gb: np.ndarray
     sla_weight: np.ndarray
     truth_slope: np.ndarray
@@ -454,9 +457,13 @@ class Fleet:
             ids=tuple(spec.id for spec in specs),
             specs=specs,
             row={spec.id: j for j, spec in enumerate(specs)},
+            tiers=tuple(tiers),
             tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
             row_of_tier=row_of_tier,
             tier_row=np.array([row_of_tier[s.current_tier] for s in states], dtype=np.intp),
+            contention=np.ones(len(tiers)),
+            served_read_mbps=np.zeros(len(tiers)),
+            served_write_mbps=np.zeros(len(tiers)),
             **{
                 name: column(specs, name)
                 for name in ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
@@ -481,6 +488,14 @@ class Fleet:
     def current_tier(self) -> np.ndarray:
         """(N,) id of each VMDK's current tier."""
         return self.tier_ids[self.tier_row]
+
+    def spare_mbps(self) -> tuple[list[float], list[float]]:
+        """Each tier's spare read and write MB/s, ``max(0.0, cap - served)``, by tier row."""
+        read, write = self.served_read_mbps.tolist(), self.served_write_mbps.tolist()
+        return (
+            [max(0.0, t.read_bandwidth_cap - r) for t, r in zip(self.tiers, read)],
+            [max(0.0, t.write_bandwidth_cap - w) for t, w in zip(self.tiers, write)],
+        )
 
     def read_only(self) -> "Fleet":
         """A view that follows this fleet but refuses writes to its arrays and maps."""
@@ -517,23 +532,6 @@ class Fleet:
             VmdkState(spec, tier_ids[t], p.demand_iops, p.avg_io_size_bytes, p.read_fraction, *m)
             for spec, t, p, m in zip(self.specs, self.tier_row.tolist(), active, measured)
         ]
-
-
-@dataclass
-class TierState:
-    """Run-owned mutable view of one tier: last-epoch served load."""
-
-    spec: TierSpec
-    served_read_mbps: float = 0.0
-    served_write_mbps: float = 0.0
-    served_read_iops: float = 0.0
-    served_write_iops: float = 0.0
-
-    def remaining_read_mbps(self) -> float:
-        return max(0.0, self.spec.read_bandwidth_cap - self.served_read_mbps)
-
-    def remaining_write_mbps(self) -> float:
-        return max(0.0, self.spec.write_bandwidth_cap - self.served_write_mbps)
 
 
 # --- scenario document schema ------------------------------------------------

@@ -34,7 +34,6 @@ from .model import (
     PolicyWeights,
     ResourceVector,
     TierSpec,
-    TierState,
 )
 
 ORACLE_MAX_VMDKS = 10
@@ -146,13 +145,8 @@ def orthogonal_match_score(
     return numerator * sla_weight * confidence / denominator
 
 
-def mig_cost_seconds(
-    fleet: Fleet,
-    tier_ids: Sequence[int],
-    tier_states: Mapping[int, TierState],
-    sources: Sequence[int] | None = None,
-) -> np.ndarray:
-    """(T, N) estimated seconds to move each VMDK of the fleet to each tier.
+def mig_cost_seconds(fleet: Fleet, sources: Sequence[int] | None = None) -> np.ndarray:
+    """(T, N) estimated seconds to move each VMDK of the fleet to each tier row.
 
     Speed is bottlenecked by spare bandwidth: the source's spare read
     bandwidth gets the VMDK's own read share back (a live migration frees
@@ -164,13 +158,12 @@ def mig_cost_seconds(
         source_row = fleet.tier_row
     else:
         source_row = np.array([fleet.row_of_tier[t] for t in sources], dtype=np.intp)
-    spare_read = np.array([tier_states[t].remaining_read_mbps() for t in fleet.tier_ids.tolist()])
+    spare_read, spare_write = map(np.array, fleet.spare_mbps())
     read_side = spare_read[source_row] + fleet.measured_read_mbps
-    write_side = np.array([tier_states[t].remaining_write_mbps() for t in tier_ids])
-    speed = np.minimum(read_side, write_side[:, None])
+    speed = np.minimum(read_side, spare_write[:, None])
     with np.errstate(divide="ignore"):
         seconds = fleet.size_gb * 1000.0 / speed
-    seconds[np.equal.outer(tier_ids, fleet.tier_ids[source_row])] = 0.0
+    seconds[source_row, np.arange(len(source_row))] = 0.0
     return seconds
 
 
@@ -179,7 +172,6 @@ def cal_score(
     history: np.ndarray | None,
     tiers: Sequence[TierSpec],
     weights: PolicyWeights,
-    tier_states: Mapping[int, TierState],
     fleet: Fleet,
     fits: CalibrationFits,
     migration_epoch_seconds: float,
@@ -193,7 +185,7 @@ def cal_score(
     epoch.
     """
     current = orthogonal_match_score(tiers, mat.ratio, fleet.sla_weight, fits.confidence)
-    cost = mig_cost_seconds(fleet, mat.tier_ids, tier_states) / migration_epoch_seconds
+    cost = mig_cost_seconds(fleet) / migration_epoch_seconds
     # An impossible move (infinite cost) blocks the cell this epoch no
     # matter how small the per-tier cost weight is.
     finite = np.isfinite(cost)
@@ -320,7 +312,6 @@ def profit_contributions(
     weights: PolicyWeights,
     previous: Mapping[str, int],
     fleet: Fleet,
-    tier_states: Mapping[int, TierState],
     migration_epoch_seconds: float,
 ) -> np.ndarray:
     """(T, N) single-epoch profit of hosting each VMDK on each tier.
@@ -329,16 +320,14 @@ def profit_contributions(
     times the normalized cost of moving from ``previous``). Resource terms
     use ratios so the three kinds are commensurable; the migration term uses
     the same normalized cost as the score. The objective is separable once
-    the previous assignment and tier states are fixed. The matrices' VMDK
-    axis must follow the fleet's rows.
+    the previous assignment and the tiers' served load are fixed. The
+    matrices' axes must follow the fleet's tier and VMDK rows.
     """
     if mat.vmdk_ids != fleet.ids:
         raise ValueError("capacity matrices must follow the fleet's VMDK order")
     alpha, ratio = weights.alpha, mat.ratio
     gain = alpha.p * ratio[..., 0] + alpha.b * ratio[..., 1] + alpha.s * ratio[..., 2]
-    cost = mig_cost_seconds(
-        fleet, mat.tier_ids, tier_states, [previous[v] for v in fleet.ids]
-    ) / migration_epoch_seconds
+    cost = mig_cost_seconds(fleet, [previous[v] for v in fleet.ids]) / migration_epoch_seconds
     return fleet.sla_weight * (gain - weights.beta * cost)
 
 
@@ -348,16 +337,13 @@ def epoch_profit(
     mat: CapacityMatrices,
     weights: PolicyWeights,
     fleet: Fleet,
-    tier_states: Mapping[int, TierState],
     migration_epoch_seconds: float,
 ) -> float:
     """Single-epoch profit of an assignment: its cells of ``profit_contributions``.
 
     Used for oracle comparison and reporting only.
     """
-    contrib = profit_contributions(
-        mat, weights, previous, fleet, tier_states, migration_epoch_seconds
-    ).tolist()
+    contrib = profit_contributions(mat, weights, previous, fleet, migration_epoch_seconds).tolist()
     row = {t: i for i, t in enumerate(mat.tier_ids)}
     total = 0.0
     for j, v in enumerate(fleet.ids):
@@ -371,7 +357,6 @@ def oracle_assignment(
     previous: Mapping[str, int],
     tiers: Sequence[TierSpec],
     fleet: Fleet,
-    tier_states: Mapping[int, TierState],
     migration_epoch_seconds: float,
     epoch_index: int = 0,
 ) -> AssignmentPlan:
@@ -386,9 +371,7 @@ def oracle_assignment(
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_VMDKS} VMDKs and {ORACLE_MAX_TIERS} tiers"
         )
-    contrib = profit_contributions(
-        mat, weights, previous, fleet, tier_states, migration_epoch_seconds
-    ).tolist()
+    contrib = profit_contributions(mat, weights, previous, fleet, migration_epoch_seconds).tolist()
     cap = mat.cap.tolist()
     remaining = _budgets(tiers)
     choice: list[int] = []
@@ -445,14 +428,13 @@ class PolicyContext:
     generator against each VMDK's current device. A monitor epoch probes
     every VMDK at once and fits the grid into (N,) ``CalibrationFits``.
 
-    ``fleet`` is a read-only view of the run's VMDK store, made once per run:
-    it follows every write of the engine, and a policy that tries to write
-    it gets an error. ``in_flight`` maps each VMDK with an in-flight
-    migration to its destination.
+    ``fleet`` is a read-only view of the run's store of VMDK and tier rows,
+    made once per run: it follows every write of the engine, and a policy
+    that tries to write it gets an error. ``in_flight`` maps each VMDK with
+    an in-flight migration to its destination.
     """
 
     tiers: tuple[TierSpec, ...]
-    tier_states: dict[int, TierState]
     fleet: Fleet
     weights: PolicyWeights
     epoch_seconds: float
@@ -476,7 +458,6 @@ class AutoTieringPolicy:
 
     def __init__(self) -> None:
         self.calibrations: CalibrationFits | None = None
-        self.history: np.ndarray | None = None
         self.matrices: CapacityMatrices | None = None
         self.scores: ScoreMatrix | None = None
 
@@ -494,15 +475,13 @@ class AutoTieringPolicy:
         normalize_and_gate(mat, ctx.tiers)
         self.scores = cal_score(
             mat,
-            self.history,
+            None if self.scores is None else self.scores.history,
             ctx.tiers,
             ctx.weights,
-            ctx.tier_states,
             fleet,
             self.calibrations,
             ctx.migration_epoch_seconds,
         )
-        self.history = self.scores.history
         self.matrices = mat
 
     def plan_migrations(self, ctx: PolicyContext, epoch_index: int) -> AssignmentPlan:

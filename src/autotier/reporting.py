@@ -163,7 +163,10 @@ def write_run_artifacts(result: RunResult, out_dir: str | Path) -> list[Path]:
 
 
 def comparison_dict(summaries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-    """Cross-policy comparison with autotiering-vs-baseline ratios."""
+    """Cross-policy comparison with autotiering-vs-baseline ratios.
+
+    A ratio over a baseline mean of 0 has no value and is written as null.
+    """
     by_policy = {s["policy"]: s for s in summaries}
     out: dict[str, Any] = {
         "policies": {
@@ -191,6 +194,6 @@ def comparison_dict(summaries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
                 for key in path:
                     a = a[key]
                     b = b[key]
-                ratios[metric] = a / b if b else float("inf")
+                ratios[metric] = a / b if b else None
             out["ratios"][f"autotiering/{baseline}"] = ratios
     return out

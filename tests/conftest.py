@@ -17,7 +17,6 @@ from autotier.model import (
     Scenario,
     SimulationConfig,
     TierSpec,
-    TierState,
     VmdkSpec,
     VmdkState,
     WorkloadPhase,
@@ -101,10 +100,6 @@ def make_fits(rows) -> CalibrationFits:
         sample_count=np.full(len(rows), 10),
         mean_cv=np.zeros(len(rows)),
     )
-
-
-def idle_tier_states(tiers) -> dict[int, TierState]:
-    return {t.id: TierState(spec=t) for t in tiers}
 
 
 def random_scenario(rng: np.random.Generator, epochs: int = 6) -> Scenario:
@@ -203,6 +198,8 @@ def random_scenario(rng: np.random.Generator, epochs: int = 6) -> Scenario:
 def random_oracle_instance(rng: np.random.Generator):
     """A small (<=8 VMDK, 3 tier) instance with its fleet and matrices built.
 
+    The fleet's tiers carry random served read and write MB/s.
+
     Ranges keep every VMDK individually feasible on every tier with aggregate
     slack, so the greedy's stay-put fallback never has to overload.
     """
@@ -246,17 +243,16 @@ def random_oracle_instance(rng: np.random.Generator):
     records = make_fits(rows)
     fleet = Fleet.of(states, tiers)
     mat = normalize_and_gate(cal_capacity_matrices(records, fleet, tiers), tiers)
-    tier_states = idle_tier_states(tiers)
-    for ts in tier_states.values():
-        ts.served_read_mbps = float(rng.uniform(0, 100))
-        ts.served_write_mbps = float(rng.uniform(0, 100))
+    for i in range(len(tiers)):
+        fleet.served_read_mbps[i] = float(rng.uniform(0, 100))
+        fleet.served_write_mbps[i] = float(rng.uniform(0, 100))
     weights = PolicyWeights(
         alpha=ResourceVector(*(float(x) for x in rng.uniform(0, 2, size=3))),
         beta=float(rng.uniform(0, 2)),
         aging_factor=0.0,
     )
     previous = {s.spec.id: s.current_tier for s in states}
-    return tiers, fleet, records, mat, tier_states, weights, previous
+    return tiers, fleet, records, mat, weights, previous
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from autotier.calibration import (
     estimate_avg_lat,
     regress_latency_curve,
 )
-from autotier.engine import DeviceModel, probe_latencies, run_scenario
+from autotier.engine import probe_latencies, run_scenario
 from autotier.model import (
     Fleet,
     PolicyWeights,
@@ -37,7 +37,6 @@ from autotier.reporting import metrics_csv_text, migrations_dict, summary_dict
 from autotier.scenario import load_bundled_scenario
 
 from conftest import (
-    idle_tier_states,
     make_fits,
     make_state,
     make_tier,
@@ -95,11 +94,11 @@ def test_criterion_1_formula_fidelity():
             make_tier(1, 100.0, read_mbps=600.0, write_mbps=999.0),
             make_tier(2, 300.0, read_mbps=999.0, write_mbps=500.0),
         )
-        tier_states = idle_tier_states(tiers)
-        tier_states[1].served_read_mbps = 100.0
-        tier_states[2].served_write_mbps = 100.0
         mover = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
-        ok &= close(mig_cost_seconds(Fleet.of([mover], tiers), [2], tier_states)[0, 0], 250.0)
+        fleet = Fleet.of([mover], tiers)
+        fleet.served_read_mbps[0] = 100.0
+        fleet.served_write_mbps[1] = 100.0
+        ok &= close(mig_cost_seconds(fleet)[1, 0], 250.0)
     _report("C1 formula-fidelity", ok, t, 1.0)
 
 
@@ -114,9 +113,8 @@ def test_criterion_2_calibration_recovery():
         hits = 0
         for seed in range(seeds):
             rng = np.random.default_rng(seed)
-            device = DeviceModel(tier=tier)
             samples = collect_samples(
-                ["v1"], lambda ids, d, n: probe_latencies(fleet, [0], [device], d, n, rng, 0.05),
+                ["v1"], lambda ids, d, n: probe_latencies(fleet, [0], d, n, rng, 0.05),
                 PLAN_LATENCIES, 10,
             )
             rec = regress_latency_curve(samples)
@@ -170,20 +168,17 @@ def test_criterion_4_oracle_dominance():
         checked = 0
         ok = True
         while checked < 200:
-            tiers, fleet, records, mat, tier_states, weights, previous = (
-                random_oracle_instance(rng)
-            )
+            tiers, fleet, records, mat, weights, previous = random_oracle_instance(rng)
             try:
-                oracle = oracle_assignment(mat, weights, previous, tiers, fleet,
-                                           tier_states, 900.0)
+                oracle = oracle_assignment(mat, weights, previous, tiers, fleet, 900.0)
             except ValueError:
                 continue
             checked += 1
-            sm = cal_score(mat, None, tiers, weights, tier_states, fleet, records, 900.0)
+            sm = cal_score(mat, None, tiers, weights, fleet, records, 900.0)
             greedy = trigger_migration(sm, mat, tiers, fleet, 0)
             ok &= not greedy.overloaded  # greedy feasible whenever the oracle is
-            g = epoch_profit(greedy.target, previous, mat, weights, fleet, tier_states, 900.0)
-            o = epoch_profit(oracle.target, previous, mat, weights, fleet, tier_states, 900.0)
+            g = epoch_profit(greedy.target, previous, mat, weights, fleet, 900.0)
+            o = epoch_profit(oracle.target, previous, mat, weights, fleet, 900.0)
             ok &= g <= o + 1e-9
             if o > 1e-9:  # ratios of negative optima invert their meaning
                 ratios.append(g / o)

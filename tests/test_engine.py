@@ -8,7 +8,6 @@ import pytest
 
 from autotier.calibration import collect_samples, estimate_avg_lat, regress_latency_curve
 from autotier.engine import (
-    DeviceModel,
     Fleet,
     probe_latencies,
     progress_migrations,
@@ -26,107 +25,126 @@ from autotier.model import (
 )
 from autotier.reporting import metrics_csv_text
 
-from conftest import idle_tier_states, make_state, make_tier, make_vmdk, random_scenario
+from conftest import make_state, make_tier, make_vmdk, random_scenario
+
+
+def reference_latency(tier, contention, spec, added_us=0.0):
+    """The device latency model, one VMDK at a time: linear in added latency,
+    with the intercept inflated by the tier's contention."""
+    return (
+        spec.truth_slope * (tier.base_latency_us + added_us)
+        + spec.truth_intercept_us * contention
+    )
+
+
+def probe_fleet(states, tiers, contention=None):
+    """A fleet of ``states`` on ``tiers``, each tier at its ``contention`` (default 1)."""
+    fleet = Fleet.of(states, tiers)
+    if contention is not None:
+        fleet.contention[:] = contention
+    return fleet
+
+
+def probe(fleet, *args):
+    """``probe_latencies`` over every row of ``fleet``."""
+    return probe_latencies(fleet, range(len(fleet.ids)), *args)
 
 
 class TestDeviceModel:
+    """The latency model as noiseless probes see it."""
+
+    def one_probe(self, tier, spec, added_us, contention=1.0):
+        fleet = probe_fleet([make_state(spec, tier=tier.id)], [tier], [contention])
+        return probe(fleet, [added_us], 1, np.random.default_rng(0), 0.0)[0, 0, 0]
+
     def test_latency_is_linear_in_added_latency(self):
         tier = make_tier(1, base_latency_us=100.0)
-        device = DeviceModel(tier=tier)
         spec = make_vmdk(truth_slope=2.0, truth_intercept_us=30.0)
-        assert device.true_latency(spec, 0.0) == pytest.approx(230.0)
-        assert device.true_latency(spec, 500.0) == pytest.approx(1230.0)
+        assert self.one_probe(tier, spec, 0.0) == pytest.approx(230.0)
+        assert self.one_probe(tier, spec, 500.0) == pytest.approx(1230.0)
 
     def test_contention_inflates_intercept_only(self):
         tier = make_tier(1, base_latency_us=100.0)
-        device = DeviceModel(tier=tier, contention=2.0)
         spec = make_vmdk(truth_slope=2.0, truth_intercept_us=30.0)
-        assert device.true_latency(spec, 0.0) == pytest.approx(200.0 + 60.0)
+        assert self.one_probe(tier, spec, 0.0, contention=2.0) == pytest.approx(200.0 + 60.0)
 
 
-def reference_probe(spec, added_us, device, rng, noise_cv):
+def reference_probe(spec, added_us, tier, contention, rng, noise_cv):
     """One sample drawn the sample-by-sample way the batched sampler replaces."""
-    latency = device.true_latency(spec, added_us)
+    latency = reference_latency(tier, contention, spec, added_us)
     factor = 1.0 + noise_cv * float(rng.standard_normal())
     while factor <= 0.0:
         factor = 1.0 + noise_cv * float(rng.standard_normal())
     return latency * factor
 
 
-def reference_samples(states, devices, added_us, samples, rng, noise_cv):
+def reference_samples(fleet, added_us, samples, rng, noise_cv):
     """(N, L, S) samples from the reference loop: VMDKs x latencies x samples."""
+    contention = fleet.contention.tolist()
     return np.array([
         [
             [
-                reference_probe(s.spec, d, devices[s.current_tier], rng, noise_cv)
+                reference_probe(spec, d, fleet.tiers[t], contention[t], rng, noise_cv)
                 for _ in range(samples)
             ]
             for d in added_us
         ]
-        for s in states
+        for spec, t in zip(fleet.specs, fleet.tier_row.tolist())
     ])
 
 
 def probe_setup():
     """Three VMDKs on two tiers, one of them contended."""
     tiers = (make_tier(1, 100.0), make_tier(2, 400.0))
-    devices = {1: DeviceModel(tier=tiers[0]), 2: DeviceModel(tier=tiers[1], contention=1.7)}
     states = [
         make_state(make_vmdk("a", truth_slope=0.4, truth_intercept_us=30.0), tier=1),
         make_state(make_vmdk("b", truth_slope=1.3, truth_intercept_us=210.0), tier=2),
         make_state(make_vmdk("c", truth_slope=0.0, truth_intercept_us=5.0), tier=2),
     ]
-    return states, devices
-
-
-def probe(states, devices, *args):
-    """``probe_latencies`` over a fleet of ``states``; ``devices`` maps tier id to device."""
-    fleet = Fleet.of(states, [d.tier for d in devices.values()])
-    return probe_latencies(fleet, range(len(fleet.ids)), list(devices.values()), *args)
+    return probe_fleet(states, tiers, [1.0, 1.7])
 
 
 def single(tier_base=100.0, slope=1.0, intercept=200.0):
-    device = DeviceModel(tier=make_tier(1, tier_base))
     state = make_state(make_vmdk(truth_slope=slope, truth_intercept_us=intercept))
-    return [state], {1: device}
+    return probe_fleet([state], [make_tier(1, tier_base)])
 
 
 class TestProbeLatencies:
     def test_noiseless_probe_is_exact(self):
-        states, devices = single()
+        fleet = single()
         rng = np.random.default_rng(0)
-        samples = probe(states, devices, [1000.0], 1, rng, 0.0)
+        samples = probe(fleet, [1000.0], 1, rng, 0.0)
         assert samples[0, 0, 0] == pytest.approx(1300.0)
 
     def test_zero_injection_gives_bare_latency(self):
-        states, devices = single()
+        fleet = single()
         rng = np.random.default_rng(0)
-        assert probe(states, devices, [0.0], 1, rng, 0.0)[0, 0, 0] == pytest.approx(300.0)
+        assert probe(fleet, [0.0], 1, rng, 0.0)[0, 0, 0] == pytest.approx(300.0)
 
     def test_fixed_seed_reproduces_sequence(self):
-        states, devices = single(slope=0.1, intercept=20.0)
+        fleet = single(slope=0.1, intercept=20.0)
 
         def draw(seed):
-            return probe(states, devices, [0.0], 3, np.random.default_rng(seed), 0.05)
+            return probe(fleet, [0.0], 3, np.random.default_rng(seed), 0.05)
 
         a, b = draw(3), draw(3)
         assert not np.array_equal(a, draw(4))
         assert np.array_equal(a, b)
 
     def test_samples_stay_positive(self):
-        states, devices = single(slope=0.0, intercept=1.0)
+        fleet = single(slope=0.0, intercept=1.0)
         rng = np.random.default_rng(1)
-        samples = probe(states, devices, [0.0], 500, rng, 3.0)
+        samples = probe(fleet, [0.0], 500, rng, 3.0)
         assert (samples > 0).all()
 
     @pytest.mark.parametrize("noise_cv,seed", [(0.0, 11), (0.05, 12), (3.0, 13)])
     def test_matches_reference_stream_bitwise(self, noise_cv, seed):
-        states, devices = probe_setup()
+        fleet = probe_setup()
         plan = (0.0, 500.0, 1000.0, 2000.0)
         batched_rng = np.random.default_rng(seed)
         reference_rng = np.random.default_rng(seed)
-        batched = probe(states, devices, plan, 2, batched_rng, noise_cv)
-        reference = reference_samples(states, devices, plan, 2, reference_rng, noise_cv)
+        batched = probe(fleet, plan, 2, batched_rng, noise_cv)
+        reference = reference_samples(fleet, plan, 2, reference_rng, noise_cv)
         assert batched.shape == (3, 4, 2)
         assert batched.tobytes() == reference.tobytes()
         assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
@@ -139,12 +157,12 @@ class TestProbeLatencies:
         first = 1.0 + 1.0 * probe_rng.standard_normal(24)
         top_up = 1.0 + 1.0 * probe_rng.standard_normal(int((first <= 0).sum()))
         assert (first <= 0).sum() == 2 and (top_up <= 0).any()
-        states, devices = probe_setup()
+        fleet = probe_setup()
         plan = (0.0, 500.0, 1000.0, 2000.0)
         batched_rng = np.random.default_rng(6)
         reference_rng = np.random.default_rng(6)
-        batched = probe(states, devices, plan, 2, batched_rng, 1.0)
-        reference = reference_samples(states, devices, plan, 2, reference_rng, 1.0)
+        batched = probe(fleet, plan, 2, batched_rng, 1.0)
+        reference = reference_samples(fleet, plan, 2, reference_rng, 1.0)
         assert batched.tobytes() == reference.tobytes()
         assert batched_rng.standard_normal() == reference_rng.standard_normal()
 
@@ -152,10 +170,10 @@ class TestProbeLatencies:
 MEASURED = ("measured_iops", "measured_latency_us", "measured_read_mbps", "measured_write_mbps")
 
 
-def serve_tier(tier, members, device, migration_read_mbps=0.0, migration_write_mbps=0.0):
+def serve_tier(tier, members, migration_read_mbps=0.0, migration_write_mbps=0.0):
     """``serve_epoch`` on a one-tier fleet; ``members`` get the fleet's measurements."""
     fleet = Fleet.of(members, [tier])
-    metrics = serve_epoch(fleet, [device], [migration_read_mbps], [migration_write_mbps])[0]
+    metrics = serve_epoch(fleet, [migration_read_mbps], [migration_write_mbps])[0]
     served = {state.spec.id: state for state in fleet.states()}
     for member in members:
         for name in MEASURED:
@@ -163,9 +181,11 @@ def serve_tier(tier, members, device, migration_read_mbps=0.0, migration_write_m
     return metrics
 
 
-def reference_serve_tier(tier, members, device, migration_read_mbps=0.0,
-                         migration_write_mbps=0.0):
-    """One tier's members served member by member, the loop ``serve_epoch`` replaces."""
+def reference_serve_tier(tier, members, migration_read_mbps=0.0, migration_write_mbps=0.0):
+    """One tier's members served member by member, the loop ``serve_epoch`` replaces.
+
+    Returns the tier's metrics and its contention.
+    """
     eff_read_bw = max(0.0, tier.read_bandwidth_cap - migration_read_mbps)
     eff_write_bw = max(0.0, tier.write_bandwidth_cap - migration_write_mbps)
 
@@ -191,7 +211,6 @@ def reference_serve_tier(tier, members, device, migration_read_mbps=0.0,
         utilization(load_r_bw, tier.read_bandwidth_cap),
         utilization(load_w_bw, tier.write_bandwidth_cap),
     )
-    device.contention = contention
     scale = 1.0
     for load, cap in (
         (load_r_iops, tier.read_throughput_cap),
@@ -205,7 +224,7 @@ def reference_serve_tier(tier, members, device, migration_read_mbps=0.0,
     metrics = TierEpochMetrics()
     latency_weight = 0.0
     for v in members:
-        latency = device.true_latency(v.spec)
+        latency = reference_latency(tier, contention, v.spec)
         achievable = 1e6 / latency if latency > 0 else 0.0
         served = min(v.demand_iops, achievable) * scale
         v.measured_iops = served
@@ -220,7 +239,7 @@ def reference_serve_tier(tier, members, device, migration_read_mbps=0.0,
             latency_weight += served * latency
     total_iops = metrics.read_iops + metrics.write_iops
     metrics.mean_latency_us = latency_weight / total_iops if total_iops > 0 else 0.0
-    return metrics
+    return metrics, contention
 
 
 def random_fleet(rng, n_tiers):
@@ -277,18 +296,17 @@ class TestServeEpochMatchesReference:
         contended = [float(rng.uniform(1, 3)) for _ in tiers]
 
         reference_states = copy.deepcopy(states)
-        reference_devices = [DeviceModel(t, c) for t, c in zip(tiers, contended)]
-        expected = [
+        expected, expected_contention = zip(*(
             reference_serve_tier(
                 tier,
                 [s for s in reference_states if s.current_tier == tier.id],
-                device, r, w,
+                r, w,
             )
-            for tier, device, r, w in zip(tiers, reference_devices, debit_read, debit_write)
-        ]
-        devices = [DeviceModel(t, c) for t, c in zip(tiers, contended)]
+            for tier, r, w in zip(tiers, debit_read, debit_write)
+        ))
         fleet = Fleet.of(states, tiers)
-        served = serve_epoch(fleet, devices, debit_read, debit_write)
+        fleet.contention[:] = contended  # serving sets it afresh from the load
+        served = serve_epoch(fleet, debit_read, debit_write)
         states = fleet.states()
 
         assert [astuple(m) for m in served] == [astuple(m) for m in expected]
@@ -296,7 +314,13 @@ class TestServeEpochMatchesReference:
             s.measured_iops, s.measured_latency_us, s.measured_read_mbps, s.measured_write_mbps
         )
         assert [measured(s) for s in states] == [measured(s) for s in reference_states]
-        assert [d.contention for d in devices] == [d.contention for d in reference_devices]
+        assert fleet.contention.tolist() == list(expected_contention)
+        assert fleet.served_read_mbps.tolist() == [
+            m.read_mbps + r for m, r in zip(expected, debit_read)
+        ]
+        assert fleet.served_write_mbps.tolist() == [
+            m.write_mbps + w for m, w in zip(expected, debit_write)
+        ]
         assert all(type(x) is float for m in served for x in astuple(m))
         assert all(type(x) is float for s in states for x in measured(s))
 
@@ -307,8 +331,7 @@ class TestServeEpochMatchesReference:
             tiers, states = random_fleet(rng, int(rng.integers(1, 5)))
             fleet = Fleet.of(states, tiers)
             served = serve_epoch(
-                fleet, [DeviceModel(t) for t in tiers],
-                [2 * t.read_bandwidth_cap for t in tiers], [0.0] * len(tiers),
+                fleet, [2 * t.read_bandwidth_cap for t in tiers], [0.0] * len(tiers),
             )
             states = fleet.states()
             seen.update(
@@ -327,11 +350,10 @@ class TestServeEpoch:
     def test_demand_limited_service(self):
         tier = make_tier(1, 100.0, read_iops=1_000_000, write_iops=1_000_000,
                          read_mbps=1e5, write_mbps=1e5)
-        device = DeviceModel(tier=tier)
         # achievable 1e6/(100*0.1+10) = 50K, demand 10K
         member = make_state(make_vmdk(truth_slope=0.1, truth_intercept_us=10.0,
                                       demand_iops=10_000))
-        tm = serve_tier(tier, [member], device)
+        tm = serve_tier(tier, [member])
         assert member.measured_iops == pytest.approx(10_000, rel=1e-9)
         assert tm.read_iops == pytest.approx(10_000, rel=1e-9)
 
@@ -339,23 +361,21 @@ class TestServeEpoch:
         # two 60K demands on a 99K read-IOPS tier scale by 99/120 each
         tier = make_tier(3, 400.0, read_iops=99_000, write_iops=1e6,
                          read_mbps=1e6, write_mbps=1e6)
-        device = DeviceModel(tier=tier)
         members = [
             make_state(make_vmdk("a", truth_slope=0.0, truth_intercept_us=1.0,
                                  demand_iops=60_000, read_fraction=1.0), tier=3),
             make_state(make_vmdk("b", truth_slope=0.0, truth_intercept_us=1.0,
                                  demand_iops=60_000, read_fraction=1.0), tier=3),
         ]
-        tm = serve_tier(tier, members, device)
+        tm = serve_tier(tier, members)
         for m in members:
             assert m.measured_iops == pytest.approx(60_000 * 99 / 120, rel=1e-9)
         assert tm.read_iops == pytest.approx(99_000, rel=1e-9)
 
     def test_zero_demand_zero_metrics(self):
         tier = make_tier(1)
-        device = DeviceModel(tier=tier)
         member = make_state(make_vmdk(demand_iops=0.0))
-        tm = serve_tier(tier, [member], device)
+        tm = serve_tier(tier, [member])
         assert tm.read_iops == 0.0
         assert tm.write_iops == 0.0
         assert tm.mean_latency_us == 0.0
@@ -370,7 +390,6 @@ class TestServeEpoch:
                 read_mbps=float(rng.uniform(50, 1000)),
                 write_mbps=float(rng.uniform(50, 1000)),
             )
-            device = DeviceModel(tier=tier)
             members = [
                 make_state(make_vmdk(
                     f"v{i}",
@@ -382,7 +401,7 @@ class TestServeEpoch:
                 ))
                 for i in range(int(rng.integers(1, 6)))
             ]
-            tm = serve_tier(tier, members, device)
+            tm = serve_tier(tier, members)
             assert tm.read_iops <= tier.read_throughput_cap * (1 + 1e-9)
             assert tm.write_iops <= tier.write_throughput_cap * (1 + 1e-9)
             assert tm.read_mbps <= tier.read_bandwidth_cap * (1 + 1e-9)
@@ -417,9 +436,9 @@ class TestServeEpoch:
                 avg_io_size_bytes=float(rng.uniform(512, 65536)),
                 read_fraction=float(rng.uniform(0, 1)),
             ))
-            serve_tier(tier, members, DeviceModel(tier=tier))
+            serve_tier(tier, members)
             before = [m.measured_iops for m in members]
-            serve_tier(tier, members + [newcomer], DeviceModel(tier=tier))
+            serve_tier(tier, members + [newcomer])
             after = [m.measured_iops for m in members]
             for x, y in zip(before, after):
                 assert y <= x * (1 + 1e-9)
@@ -427,53 +446,51 @@ class TestServeEpoch:
     def test_ground_truth_consistency_with_calibration(self):
         # noiseless, uncontended: the fit's hosted-tier estimate equals bare latency
         tier = make_tier(2, base_latency_us=250.0)
-        device = DeviceModel(tier=tier)
         spec = make_vmdk(truth_slope=0.7, truth_intercept_us=40.0)
-        state = make_state(spec, tier=2)
+        fleet = probe_fleet([make_state(spec, tier=2)], [tier])
         rng = np.random.default_rng(0)
         samples = collect_samples(
-            ["v1"], lambda ids, d, n: probe([state], {2: device}, d, n, rng, 0.0),
+            ["v1"], lambda ids, d, n: probe(fleet, d, n, rng, 0.0),
             (0.0, 500.0, 1000.0, 2000.0, 4000.0), 10,
         )
         rec = regress_latency_curve(samples)
         estimate = estimate_avg_lat(rec, [2], {2: 250.0})[0, 0]
-        assert estimate == pytest.approx(device.true_latency(spec), rel=1e-9)
+        assert estimate == pytest.approx(reference_latency(tier, 1.0, spec), rel=1e-9)
 
 
 class TestMigrations:
-    def setup_pair(self):
+    def setup_pair(self, state):
         tiers = (
             make_tier(1, 100.0, read_mbps=600.0, write_mbps=500.0),
             make_tier(2, 300.0, read_mbps=900.0, write_mbps=500.0),
         )
-        tier_states = idle_tier_states(tiers)
-        return tiers, tier_states
+        return tiers, Fleet.of([state], tiers)
 
     def test_steady_speed_completes_in_one_epoch(self):
-        tiers, tier_states = self.setup_pair()
-        tier_states[1].served_read_mbps = 100.0
-        tier_states[2].served_write_mbps = 100.0
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
+        tiers, fleet = self.setup_pair(state)
+        fleet.served_read_mbps[0] = 100.0
+        fleet.served_write_mbps[1] = 100.0
         order = MigrationOrder("v1", 1, 2, bytes_total=100e9, started_epoch=0)
         moved, debit_r, debit_w, stalled, in_flight, finished = progress_migrations(
-            [order], Fleet.of([state], tiers), tier_states, 300.0
+            [order], fleet, 300.0
         )
         # speed min(500-100+100, 500-100) = 400 MB/s, 100 GB needs 250 s < epoch
         assert order.done
         assert (in_flight, finished) == ([], [order])
         assert moved == pytest.approx(100e9)
         assert stalled == []
-        assert debit_r[1] == pytest.approx(100e9 / 300 / 1e6)
-        assert debit_w[2] == pytest.approx(100e9 / 300 / 1e6)
+        assert debit_r[0] == pytest.approx(100e9 / 300 / 1e6)  # tier 1
+        assert debit_w[1] == pytest.approx(100e9 / 300 / 1e6)  # tier 2
 
     def test_zero_speed_stalls(self):
-        tiers, tier_states = self.setup_pair()
-        tier_states[1].served_read_mbps = tiers[0].read_bandwidth_cap
-        tier_states[2].served_write_mbps = tiers[1].write_bandwidth_cap
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=0.0)
+        tiers, fleet = self.setup_pair(state)
+        fleet.served_read_mbps[0] = tiers[0].read_bandwidth_cap
+        fleet.served_write_mbps[1] = tiers[1].write_bandwidth_cap
         order = MigrationOrder("v1", 1, 2, bytes_total=100e9, started_epoch=0)
         moved, _, _, stalled, in_flight, finished = progress_migrations(
-            [order], Fleet.of([state], tiers), tier_states, 300.0
+            [order], fleet, 300.0
         )
         assert moved == 0.0
         assert stalled == ["v1"]
@@ -488,21 +505,24 @@ class TestMigrations:
             truth_slope=0.0, truth_intercept_us=1.0,
             demand_iops=600, avg_io_size_bytes=1_000_000, read_fraction=1.0,
         ))
-        undisturbed = serve_tier(tier, [member], DeviceModel(tier=tier))
+        undisturbed = serve_tier(tier, [member])
         assert undisturbed.read_mbps == pytest.approx(500.0, rel=1e-9)
         mig_rate = 120.0  # MB/s claimed by a migration this epoch
-        tm = serve_tier(tier, [member], DeviceModel(tier=tier),
-                              migration_read_mbps=mig_rate)
+        tm = serve_tier(tier, [member], migration_read_mbps=mig_rate)
         assert tm.read_mbps == pytest.approx(500.0 - mig_rate, rel=1e-9)
         assert tm.read_mbps + mig_rate <= tier.read_bandwidth_cap * (1 + 1e-12)
 
 
-def reference_progress(orders, vmdk_states, tier_states, epoch_seconds):
-    """``progress_migrations`` as it was before the id-ordered book: it sorts every call."""
-    debit_read = {t: 0.0 for t in tier_states}
-    debit_write = {t: 0.0 for t in tier_states}
-    spare_read = {t: s.remaining_read_mbps() for t, s in tier_states.items()}
-    spare_write = {t: s.remaining_write_mbps() for t, s in tier_states.items()}
+def reference_progress(orders, vmdk_states, tiers, served_read, served_write, epoch_seconds):
+    """``progress_migrations`` as it was before the id-ordered book: it sorts every call.
+
+    ``served_read`` and ``served_write`` are the tiers' last served MB/s; the
+    debits come back as lists in tier order.
+    """
+    debit_read = {t.id: 0.0 for t in tiers}
+    debit_write = {t.id: 0.0 for t in tiers}
+    spare_read = {t.id: max(0.0, t.read_bandwidth_cap - r) for t, r in zip(tiers, served_read)}
+    spare_write = {t.id: max(0.0, t.write_bandwidth_cap - w) for t, w in zip(tiers, served_write)}
     moved_total = 0.0
     stalled = []
     for order in sorted(orders, key=lambda o: o.vmdk_id):
@@ -527,7 +547,7 @@ def reference_progress(orders, vmdk_states, tier_states, epoch_seconds):
         rate = moved / epoch_seconds / 1e6
         debit_read[order.from_tier] += rate
         debit_write[order.to_tier] += rate
-    return moved_total, debit_read, debit_write, stalled
+    return moved_total, list(debit_read.values()), list(debit_write.values()), stalled
 
 
 def migration_epochs(seed, epochs=10):
@@ -553,13 +573,15 @@ def migration_epochs(seed, epochs=10):
     ]
     fleet = Fleet.of(states, tiers)
     reference_states = {s.spec.id: copy.deepcopy(s) for s in states}
-    tier_states = idle_tier_states(tiers)
     book, in_flight, active = [], {}, {}
     for epoch in range(epochs):
-        for ts in tier_states.values():
+        served_read, served_write = [], []
+        for t in tiers:
             load = rng.choice([0.0, 1.0, rng.uniform(0, 1)], size=2).tolist()
-            ts.served_read_mbps = load[0] * ts.spec.read_bandwidth_cap
-            ts.served_write_mbps = load[1] * ts.spec.write_bandwidth_cap
+            served_read.append(load[0] * t.read_bandwidth_cap)
+            served_write.append(load[1] * t.write_bandwidth_cap)
+        fleet.served_read_mbps[:] = served_read
+        fleet.served_write_mbps[:] = served_write
         measured = rng.choice([0.0, 20.0, 300.0], size=len(states))
         fleet.measured_read_mbps[:] = measured
         for v, value in zip(fleet.ids, measured.tolist()):
@@ -579,8 +601,10 @@ def migration_epochs(seed, epochs=10):
             active[v] = copy.deepcopy(order)
         book = sorted(book + started, key=lambda o: o.vmdk_id)
         orders = list(book)
-        got = progress_migrations(book, fleet, tier_states, 300.0)
-        expected = reference_progress(list(active.values()), reference_states, tier_states, 300.0)
+        got = progress_migrations(book, fleet, 300.0)
+        expected = reference_progress(
+            list(active.values()), reference_states, tiers, served_read, served_write, 300.0
+        )
         book, finished = got[4], got[5]
         for order in finished:
             fleet.move(order.vmdk_id, order.to_tier)
@@ -620,8 +644,8 @@ class TestMigrationBookMatchesReference:
                     name for name, hit in (
                         ("stall", bool(stalled)),
                         ("debit above cap", any(
-                            debit_read[t.id] > t.read_bandwidth_cap
-                            or debit_write[t.id] > t.write_bandwidth_cap for t in tiers
+                            r > t.read_bandwidth_cap or w > t.write_bandwidth_cap
+                            for t, r, w in zip(tiers, debit_read, debit_write)
                         )),
                         ("finished in first epoch", any(
                             o.vmdk_id in finished for o in started
@@ -681,13 +705,20 @@ class TestRunScenario:
     @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
     def test_policies_read_a_read_only_view_of_the_fleet(self, policy):
         contexts = []
+        tier_views = []
 
         def write(epoch, plan, policy_obj, ctx):
             contexts.append(ctx)
+            tier_views.append((
+                epoch, ctx.fleet.contention.copy(), ctx.fleet.served_read_mbps.copy()
+            ))
             with pytest.raises(ValueError, match="read-only"):
                 ctx.fleet.measured_iops[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 ctx.fleet.tier_row[0] = 0
+            for name in ("contention", "served_read_mbps", "served_write_mbps"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(ctx.fleet, name)[0] = 1.0
             with pytest.raises(TypeError):
                 ctx.fleet.row["new"] = 0
             with pytest.raises(TypeError):
@@ -695,6 +726,15 @@ class TestRunScenario:
 
         result = run_scenario(self.tiny(epochs=9), policy, on_plan=write)
         assert len(contexts) == 3 and all(ctx is contexts[0] for ctx in contexts)
+        # The tier rows follow serving: at the second plan they hold the epoch before it.
+        epoch, contention, served_read = tier_views[1]
+        assert (contention >= 1.0).all()
+        previous = result.epochs[epoch - 1].per_tier
+        assert [previous[t.id].read_mbps for t in contexts[0].tiers] != [0.0, 0.0]
+        assert all(
+            served >= previous[t.id].read_mbps
+            for t, served in zip(contexts[0].tiers, served_read.tolist())
+        )
         fleet = contexts[0].fleet
         final = [result.final_states[v] for v in fleet.ids]
         assert fleet.measured_iops.tolist() == [s.measured_iops for s in final]

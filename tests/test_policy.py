@@ -26,7 +26,6 @@ from autotier.policy import (
 )
 
 from conftest import (
-    idle_tier_states,
     make_state,
     make_tier,
     make_fits,
@@ -63,10 +62,9 @@ def match(tier, ratios, sla, conf):
     return orthogonal_match_score([tier], cell, np.array([sla]), np.array([conf]))[0, 0]
 
 
-def move_cost(vmdk, target_tier, tier_states):
-    """mig_cost_seconds of one VMDK to one tier."""
-    fleet = Fleet.of([vmdk], [s.spec for s in tier_states.values()])
-    return mig_cost_seconds(fleet, [target_tier], tier_states)[0, 0]
+def move_cost(fleet, target_tier):
+    """mig_cost_seconds of a one-VMDK fleet to one tier."""
+    return mig_cost_seconds(fleet)[fleet.row_of_tier[target_tier], 0]
 
 
 class TestCapacityMatrices:
@@ -199,9 +197,7 @@ class TestOrthogonalMatch:
 
 class TestMigCost:
     def three_state_setup(self):
-        tiers = (make_tier(1, 100.0), make_tier(2, 300.0))
-        states = idle_tier_states(tiers)
-        return tiers, states
+        return (make_tier(1, 100.0), make_tier(2, 300.0))
 
     def test_min_formula(self):
         # source spare read 500 + own 100 vs target spare write 400 -> 400 MB/s
@@ -209,39 +205,36 @@ class TestMigCost:
             make_tier(1, 100.0, read_mbps=600.0, write_mbps=500.0),
             make_tier(2, 300.0, read_mbps=900.0, write_mbps=500.0),
         )
-        tier_states = idle_tier_states(tiers)
-        tier_states[1].served_read_mbps = 100.0
-        tier_states[2].served_write_mbps = 100.0
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
-        cost = move_cost(vmdk, 2, tier_states)
+        fleet = Fleet.of([vmdk], tiers)
+        fleet.served_read_mbps[0] = 100.0
+        fleet.served_write_mbps[1] = 100.0
+        cost = move_cost(fleet, 2)
         assert cost == pytest.approx(250.0, rel=1e-9)
 
     def test_same_tier_is_free(self):
-        tiers, states = self.three_state_setup()
+        tiers = self.three_state_setup()
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1)
-        assert move_cost(vmdk, 1, states) == 0.0
+        assert move_cost(Fleet.of([vmdk], tiers), 1) == 0.0
 
     def test_saturated_target_is_impossible(self):
-        tiers, states = self.three_state_setup()
-        states[2].served_write_mbps = states[2].spec.write_bandwidth_cap
+        tiers = self.three_state_setup()
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=0.0)
-        states[1].served_read_mbps = states[1].spec.read_bandwidth_cap
-        assert move_cost(vmdk, 2, states) == math.inf
+        fleet = Fleet.of([vmdk], tiers)
+        fleet.served_write_mbps[1] = tiers[1].write_bandwidth_cap
+        fleet.served_read_mbps[0] = tiers[0].read_bandwidth_cap
+        assert move_cost(fleet, 2) == math.inf
 
 
 class TestCalScore:
-    def single_cell(self, aging, history, mig_weight, tier_states_fn=None):
+    def single_cell(self, aging, history, mig_weight):
         tier = make_tier(1, mig_weight=mig_weight)
         state = make_state(make_vmdk(demand_iops=10_000))
         records = {"v1": record("v1", 0.0, 100.0)}
         fleet = Fleet.of([state], [tier])
         mat = build_matrices([tier], fleet, records)
-        tier_states = idle_tier_states([tier])
-        if tier_states_fn:
-            tier_states_fn(tier_states)
         weights = PolicyWeights(aging_factor=aging, migration_epoch=3, monitor_epoch=1)
-        return cal_score(mat, history, [tier], weights, tier_states, fleet,
-                         fits(fleet, records), 900.0)
+        return cal_score(mat, history, [tier], weights, fleet, fits(fleet, records), 900.0)
 
     def test_memoryless_costless_is_pure_match(self):
         sm = self.single_cell(0.0, None, 0.0)
@@ -268,13 +261,11 @@ class TestCalScore:
         records = {"w": record("w", 0.0, 100.0)}
         fleet = Fleet.of([state], tiers)
         mat = build_matrices(tiers, fleet, records)
-        tier_states = idle_tier_states(tiers)
-        tier_states[2].served_read_mbps = 200.0  # spare read 1000 -> cost 450s
+        fleet.served_read_mbps[1] = 200.0  # spare read 1000 -> cost 450s
         weights = PolicyWeights(aging_factor=0.5, migration_epoch=3)
         history = np.zeros(mat.feasible.shape)
         history[at(mat, 1, "w")] = 0.4
-        sm = cal_score(mat, history, tiers, weights,
-                       tier_states, fleet, fits(fleet, records), 900.0)
+        sm = cal_score(mat, history, tiers, weights, fleet, fits(fleet, records), 900.0)
         # penalty: 0.2 * (450 GB * 1000 / 1000 MBps) / 900 s = 0.1
         assert sm.score[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
         assert sm.history[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
@@ -287,22 +278,20 @@ class TestCalScore:
         mat = build_matrices([tier], fleet, records)
         weights = PolicyWeights(aging_factor=0.9)
         sm = cal_score(mat, np.full(mat.feasible.shape, 5.0), [tier], weights,
-                       idle_tier_states([tier]), fleet, fits(fleet, records), 900.0)
+                       fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "v1")] == -math.inf
         assert sm.history[at(mat, 1, "v1")] == 0.0
 
     def test_infinite_migration_cost_blocks_epoch_but_not_history(self):
         tiers = (make_tier(1, 100.0), make_tier(2, 300.0))
-        tier_states = idle_tier_states(tiers)
-        tier_states[1].served_write_mbps = tiers[0].write_bandwidth_cap  # no way in
         state = make_state(make_vmdk(size_gb=10.0, demand_iops=100), tier=2)
-        tier_states[2].served_read_mbps = tiers[1].read_bandwidth_cap
         records = {"v1": record("v1", 0.0, 100.0)}
         fleet = Fleet.of([state], tiers)
+        fleet.served_write_mbps[0] = tiers[0].write_bandwidth_cap  # no way in
+        fleet.served_read_mbps[1] = tiers[1].read_bandwidth_cap
         mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(aging_factor=0.5)
-        sm = cal_score(mat, None, tiers, weights, tier_states, fleet,
-                       fits(fleet, records), 900.0)
+        sm = cal_score(mat, None, tiers, weights, fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "v1")] == -math.inf
         assert sm.history[at(mat, 1, "v1")] == 0.0
 
@@ -358,8 +347,7 @@ class TestTriggerMigration:
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
         fleet = Fleet.of(states, tiers)
         mat = build_matrices(tiers, fleet, records)
-        sm = cal_score(mat, None, tiers, PolicyWeights(), idle_tier_states(tiers),
-                       fleet, fits(fleet, records), 900.0)
+        sm = cal_score(mat, None, tiers, PolicyWeights(), fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "a")] == -math.inf
         plan = trigger_migration(sm, mat, tiers, fleet, 0)
         assert all(t == 2 for t in plan.target.values())
@@ -434,19 +422,18 @@ class TestProfitAndOracle:
         mat = build_matrices([tier], fleet, records)
         weights = PolicyWeights(alpha=ResourceVector(1, 0, 0), beta=7.0)
         target = {"a": 1, "b": 1}
-        profit = epoch_profit(target, target, mat, weights, fleet,
-                              idle_tier_states([tier]), 900.0)
+        profit = epoch_profit(target, target, mat, weights, fleet, 900.0)
         expected = 2.0 * mat.ratio[at(mat, 1, "a")][P] + 1.0 * mat.ratio[at(mat, 1, "b")][P]
         assert profit == pytest.approx(expected, rel=1e-12)
 
     def test_zero_beta_ignores_previous_assignment(self):
         rng = np.random.default_rng(5)
-        tiers, fleet, records, mat, tier_states, weights, previous = self.small_instance(rng)
+        tiers, fleet, records, mat, weights, previous = self.small_instance(rng)
         weights = PolicyWeights(alpha=weights.alpha, beta=0.0)
         target = {v: 1 if mat.feasible[at(mat, 1, v)] else previous[v] for v in fleet.ids}
-        p1 = epoch_profit(target, previous, mat, weights, fleet, tier_states, 900.0)
+        p1 = epoch_profit(target, previous, mat, weights, fleet, 900.0)
         other_prev = {v: 2 for v in previous}
-        p2 = epoch_profit(target, other_prev, mat, weights, fleet, tier_states, 900.0)
+        p2 = epoch_profit(target, other_prev, mat, weights, fleet, 900.0)
         assert p1 == pytest.approx(p2, rel=1e-12)
 
     def test_oracle_picks_best_of_three_tiers(self):
@@ -460,11 +447,9 @@ class TestProfitAndOracle:
         fleet = Fleet.of([state], tiers)
         mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(beta=0.0)
-        plan = oracle_assignment(mat, weights, {"v1": 3}, tiers, fleet,
-                                 idle_tier_states(tiers), 900.0)
+        plan = oracle_assignment(mat, weights, {"v1": 3}, tiers, fleet, 900.0)
         profits = {
-            t.id: epoch_profit({"v1": t.id}, {"v1": 3}, mat, weights, fleet,
-                               idle_tier_states(tiers), 900.0)
+            t.id: epoch_profit({"v1": t.id}, {"v1": 3}, mat, weights, fleet, 900.0)
             for t in tiers
         }
         assert plan.target["v1"] == max(profits, key=profits.get)
@@ -475,8 +460,7 @@ class TestProfitAndOracle:
         fleet = Fleet.of([state], [tier])
         mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 50.0)})
         with pytest.raises(ValueError, match="feasible"):
-            oracle_assignment(mat, PolicyWeights(), {"v1": 1}, [tier], fleet,
-                              idle_tier_states([tier]), 900.0)
+            oracle_assignment(mat, PolicyWeights(), {"v1": 1}, [tier], fleet, 900.0)
 
     def test_oracle_rejects_oversized_instances(self):
         tiers = (make_tier(1),)
@@ -486,7 +470,7 @@ class TestProfitAndOracle:
         mat = build_matrices(tiers, fleet, records)
         with pytest.raises(ValueError, match="limited"):
             oracle_assignment(mat, PolicyWeights(), {s.spec.id: 1 for s in states},
-                              tiers, fleet, idle_tier_states(tiers), 900.0)
+                              tiers, fleet, 900.0)
 
     def test_oracle_tie_breaks_lexicographically(self):
         # two identical tiers except latency ordering; equal profit everywhere
@@ -496,8 +480,7 @@ class TestProfitAndOracle:
         fleet = Fleet.of([state], tiers)
         mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(beta=0.0)
-        plan = oracle_assignment(mat, weights, {"v1": 1}, tiers, fleet,
-                                 idle_tier_states(tiers), 900.0)
+        plan = oracle_assignment(mat, weights, {"v1": 1}, tiers, fleet, 900.0)
         assert plan.target["v1"] == 1
 
     def test_oracle_matches_manual_enumeration_on_2x2(self):
@@ -514,7 +497,6 @@ class TestProfitAndOracle:
         records = {"a": record("a", 0.4, 30.0), "b": record("b", 0.1, 60.0)}
         fleet = Fleet.of(states, tiers)
         mat = build_matrices(tiers, fleet, records)
-        tier_states = idle_tier_states(tiers)
         weights = PolicyWeights(beta=0.5)
         previous = {"a": 2, "b": 1}
         candidates = [
@@ -531,13 +513,11 @@ class TestProfitAndOracle:
                 if not total.fits_within(tier.max_usable()):
                     fits = False
             if fits:
-                profit = epoch_profit(target, previous, mat, weights, fleet,
-                                      tier_states, 900.0)
+                profit = epoch_profit(target, previous, mat, weights, fleet, 900.0)
                 feasible.append((profit, target))
         best_profit, _ = max(feasible, key=lambda x: x[0])
-        plan = oracle_assignment(mat, weights, previous, tiers, fleet, tier_states, 900.0)
-        oracle_profit = epoch_profit(plan.target, previous, mat, weights, fleet,
-                                     tier_states, 900.0)
+        plan = oracle_assignment(mat, weights, previous, tiers, fleet, 900.0)
+        oracle_profit = epoch_profit(plan.target, previous, mat, weights, fleet, 900.0)
         assert oracle_profit == pytest.approx(best_profit, rel=1e-12)
 
     def test_greedy_never_beats_oracle_on_random_instances(self):
@@ -545,14 +525,11 @@ class TestProfitAndOracle:
         agree = 0
         total = 60
         for _ in range(total):
-            tiers, fleet, records, mat, tier_states, weights, previous = (
-                self.small_instance(rng)
-            )
-            sm = cal_score(mat, None, tiers, weights, tier_states, fleet, records, 900.0)
+            tiers, fleet, records, mat, weights, previous = self.small_instance(rng)
+            sm = cal_score(mat, None, tiers, weights, fleet, records, 900.0)
             greedy = trigger_migration(sm, mat, tiers, fleet, 0)
             try:
-                oracle = oracle_assignment(mat, weights, previous, tiers, fleet,
-                                           tier_states, 900.0)
+                oracle = oracle_assignment(mat, weights, previous, tiers, fleet, 900.0)
             except ValueError:
                 continue
             assert not greedy.overloaded
@@ -568,10 +545,8 @@ class TestProfitAndOracle:
                 recorded = greedy.planned_usage[tier.id]
                 assert recorded.p == pytest.approx(total.p, rel=1e-9, abs=1e-9)
                 assert recorded.s == pytest.approx(total.s, rel=1e-9, abs=1e-9)
-            g = epoch_profit(greedy.target, previous, mat, weights, fleet,
-                             tier_states, 900.0)
-            o = epoch_profit(oracle.target, previous, mat, weights, fleet,
-                             tier_states, 900.0)
+            g = epoch_profit(greedy.target, previous, mat, weights, fleet, 900.0)
+            o = epoch_profit(oracle.target, previous, mat, weights, fleet, 900.0)
             assert g <= o + 1e-9
             if greedy.target == oracle.target:
                 agree += 1

@@ -413,6 +413,27 @@ class TestCli:
         on_disk = json.loads((tmp_path / "cmp.json").read_text())
         assert on_disk == payload
 
+    def test_compare_writes_null_for_a_ratio_over_a_zero_baseline(self, tmp_path, capsys):
+        # Zero epochs leave every mean at 0, so no ratio has a value.
+        scenario = load_bundled_scenario("tiny-oracle")
+        idle = tmp_path / "idle.json"
+        idle.write_text(serialize_scenario(replace(scenario, sim=replace(scenario.sim, epochs=0))))
+        dirs = []
+        for policy in ("autotiering", "idt"):
+            out = tmp_path / policy
+            assert main(["run", "--scenario", str(idle), "--policy", policy,
+                         "--out", str(out)]) == 0
+            dirs.append(str(out))
+        capsys.readouterr()
+        assert main(["compare", "--runs", *dirs, "--out", str(tmp_path / "cmp.json")]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for text in (capsys.readouterr().out, (tmp_path / "cmp.json").read_text()):
+            payload = json.loads(text, parse_constant=refuse)
+            assert payload["ratios"] == {"autotiering/idt": {"iops": None, "mbps": None}}
+
     def test_bad_scenario_path_fails_with_diagnostic(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "nope.json"),
                      "--policy", "idt", "--out", str(tmp_path / "o")])
