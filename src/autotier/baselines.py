@@ -5,7 +5,8 @@ checks storage only. EDT packs by IOPS density (measured IOPS per GB) into
 tiers ordered by IOPS-per-GB capability and checks storage plus throughput.
 Neither predicts: both act on the last epoch's measurements. Both feed the
 shared greedy packer (``policy.pack``) one usage row per VMDK, the same on
-every tier: measured IOPS and size.
+every tier: measured IOPS and size, with 0.0 in each column the policy does
+not check.
 
 Both use the same churn-avoidance reading of their one-line definitions:
 sort ties prefer the VMDK's current tier, and a VMDK whose metric is zero
@@ -13,7 +14,10 @@ never moves to a more capable tier than its current one. Both read the
 run's ``Fleet`` arrays directly: one stable ``np.lexsort`` over (metric,
 current tier rank) orders the VMDKs, with the fleet's row order breaking the
 remaining ties by id, and a boolean (N, T) mask drops the upward moves of
-zero-metric VMDKs.
+zero-metric VMDKs. Each VMDK walks its allowed tiers by descending
+capability until one absorbs it; ``pack`` gets the same plan by scanning
+the tiers in that order, each over the VMDKs allowed on it, and lists the
+placements in VMDK order.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ def _pack_by_metric(
     key. One stable ``np.lexsort`` orders the VMDKs by descending metric,
     then rank of the current tier, then fleet row (VMDK id); a VMDK whose
     metric is zero keeps only the tiers ranked at or below its current one.
+    Only the budget kinds named in ``kinds`` (a subset of "pbs") are
+    checked: the usage rows hold measured IOPS and size in those columns
+    and 0.0 in the others.
     """
     tier_order = sorted(range(len(tiers)), key=lambda i: (-tier_capability(tiers[i]), tiers[i].id))
     rank = {tiers[i].id: r for r, i in enumerate(tier_order)}
@@ -52,12 +59,15 @@ def _pack_by_metric(
     allowed = (values[vmdk_order] != 0)[:, None] | (
         np.arange(len(tiers)) >= current_rank[vmdk_order, None]
     )
-    at, column = np.nonzero(allowed)
-    candidates = zip(
-        np.array(tier_order, dtype=np.intp)[column].tolist(), vmdk_order[at].tolist()
+    ranked = [(i, vmdk_order[allowed[:, c]]) for c, i in enumerate(tier_order)]
+    walk_rank = np.empty_like(vmdk_order)
+    walk_rank[vmdk_order] = np.arange(len(vmdk_order))
+    measured = np.stack([fleet.measured_iops, np.zeros(len(values)), fleet.size_gb], axis=-1)
+    usage = np.where([k in kinds for k in "pbs"], measured, 0.0)
+    return pack(
+        tiers, fleet, np.broadcast_to(usage, (len(tiers), *usage.shape)), ranked, epoch_index,
+        pinned, walk_rank,
     )
-    rows = list(zip(fleet.measured_iops.tolist(), [0.0] * len(fleet.ids), fleet.size_gb.tolist()))
-    return pack(tiers, fleet, [rows] * len(tiers), kinds, candidates, epoch_index, pinned)
 
 
 def idt_assign(

@@ -11,16 +11,21 @@ dense (T, N) array (or (T, N, 3) over the p, b, s kinds) with axes in
 
 Every per-VMDK input is read from the run's ``Fleet`` arrays, whose rows
 (VMDK-id order) are the matrices' VMDK axis. ``pack`` is the one greedy
-packer: this policy and both baselines differ only in the candidate (tier,
-vmdk) order they feed it and the budget kinds it checks. A brute-force
-per-epoch profit maximizer doubles as the test oracle for the greedy round;
-it and ``epoch_profit`` share one per-(tier, vmdk) profit table.
+packer: it takes each tier's ranked fleet rows and places them tier by tier
+with ``first_fit``, a windowed scan that decides whole windows with numpy
+and runs a scalar loop only where fits and misses alternate. This policy
+ranks each tier's row with one stable ``np.argsort``; the baselines rank
+VMDKs by their metric and put 0.0 in the usage columns they do not check. A
+brute-force per-epoch profit maximizer doubles as the test oracle for the
+greedy round; it and ``epoch_profit`` share one per-(tier, vmdk) profit
+table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -196,84 +201,129 @@ def cal_score(
     return ScoreMatrix(score=score, history=np.where(np.isfinite(score), score, 0.0))
 
 
+FIRST_FIT_WINDOW = 64
+
+
+def first_fit(rows: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Which of the (n, 3) usage ``rows`` fit, in order, into ``left``; shrinks ``left``.
+
+    Exactly the scalar loop ``if not any(u > l): l -= u`` over the rows, bit
+    for bit and NaN included, with ``left`` (a (3,) array) written in place.
+    The scan runs in windows that double after each window whose rows all
+    fit (taken with one sequential ``np.subtract.accumulate``) or all miss
+    (skipped after one comparison). A larger window with both is tried again
+    at ``FIRST_FIT_WINDOW`` rows; a window that size with both runs the
+    scalar loop, as do the windows after it until one comes out uniform, so
+    a scan that keeps switching costs little more than the scalar loop.
+    """
+    fit = np.zeros(len(rows), dtype=bool)
+    start, width, expect = 0, FIRST_FIT_WINDOW, True  # expect None: a mixed window
+    while start < len(rows):
+        window = rows[start:start + width]
+        stop = start + len(window)
+        if expect is not None and len(window) >= FIRST_FIT_WINDOW:
+            if expect:
+                after = np.subtract.accumulate(np.concatenate((left[None], window)))
+                if not (window > after[:-1]).any():
+                    fit[start:stop], left[:], start, width = True, after[-1], stop, 2 * width
+                    continue
+            if (window > left).any(axis=1).all():
+                start, width, expect = stop, 2 * width, False
+                continue
+            if width > FIRST_FIT_WINDOW:
+                width = FIRST_FIT_WINDOW
+                continue
+        l0, l1, l2 = left.tolist()
+        flags = []
+        for p, b, s in window.tolist():
+            if p > l0 or b > l1 or s > l2:
+                flags.append(False)
+            else:
+                l0, l1, l2 = l0 - p, l1 - b, l2 - s
+                flags.append(True)
+        fit[start:stop], left[:], start = flags, (l0, l1, l2), stop
+        expect = flags[0] if len(set(flags)) == 1 else None
+    return fit
+
+
 def pack(
     tiers: Sequence[TierSpec],
     fleet: Fleet,
-    usage: Sequence[Sequence[Sequence[float]]],
-    kinds: str,
-    candidates: Iterable[tuple[int, int]],
+    usage: np.ndarray,
+    ranked: Iterable[tuple[int, np.ndarray]],
     epoch_index: int,
     pinned: Mapping[str, int] | None = None,
+    rank: np.ndarray | None = None,
 ) -> AssignmentPlan:
-    """Greedy multidimensional packing shared by every policy.
+    """Greedy multidimensional packing shared by every policy, one tier at a time.
 
-    ``usage[i][j]`` is the (p, b, s) usage the VMDK in fleet row ``j`` would
-    put on ``tiers[i]``; only the components named in ``kinds`` (a subset of
-    "pbs") are checked against, and accounted in, the running tier budgets.
+    ``usage[i, j]`` is the (p, b, s) usage the VMDK in fleet row ``j`` would
+    put on ``tiers[i]``. A policy that does not check a kind puts 0.0 in its
+    column: budgets are finite and at least 0, so 0.0 always fits and its
+    planned usage stays 0.0. ``ranked`` holds, per tier in processing order,
+    its index in ``tiers`` and its candidate fleet rows, best first.
 
     Pinned VMDKs (an in-flight migration) absorb budget at their committed
-    destination first, in id order, and are never re-targeted. Then each
-    (tier index, fleet row) candidate, in preference order, places its VMDK
-    if the VMDK is still unplaced and the tier can absorb it. Whatever
-    remains stays on its current tier, in id order, with an overload flag
-    when even that tier cannot absorb it; totality always wins over capacity.
+    destination first, in id order, and are never re-targeted. Then one
+    ``first_fit`` scan per tier places its candidates not placed yet.
+    Whatever remains stays on its current tier, in id order, with an
+    overload flag when even that tier cannot absorb it; totality always wins
+    over capacity. A tier's decisions depend only on the rows that reach it,
+    in order, so a VMDK-major walk (each VMDK tries its tiers in order until
+    one absorbs it) places every VMDK as this scan does. Placements are
+    listed in scan order, or in walk order given ``rank``, each fleet row's
+    position in the walk.
     """
-    check_p, check_b, check_s = ("p" in kinds), ("b" in kinds), ("s" in kinds)
     vmdk_ids = fleet.ids
-    current = fleet.current_tier.tolist()
     tier_id = [t.id for t in tiers]
     row = {t: i for i, t in enumerate(tier_id)}
-    remaining = _budgets(tiers)
-    used = [[0.0, 0.0, 0.0] for _ in tiers]
-    placed = [False] * len(vmdk_ids)
-    target: dict[str, int] = {}
-    migrations: list[tuple[str, int, int]] = []
-    overloaded: set[str] = set()
+    home = np.array([row[t] for t in fleet.tier_ids.tolist()], dtype=np.intp)[fleet.tier_row]
+    left = np.array(_budgets(tiers))
+    used = np.zeros((len(tiers), 3))
+    where = np.full(len(vmdk_ids), -1)
+    overloaded = [np.zeros(0, dtype=np.intp)]
 
-    def absorb(i: int, j: int) -> bool:
-        p, b, s = usage[i][j]
-        left = remaining[i]
-        if (check_p and p > left[0]) or (check_b and b > left[1]) or (check_s and s > left[2]):
-            return False
-        sums = used[i]
-        if check_p:
-            left[0] -= p
-            sums[0] += p
-        if check_b:
-            left[1] -= b
-            sums[1] += b
-        if check_s:
-            left[2] -= s
-            sums[2] += s
-        return True
+    def fill(i: int, rows: np.ndarray) -> np.ndarray:
+        block = usage[i][rows]
+        fit = first_fit(block, left[i])
+        # Sequential sums from 0.0, in the order the tier absorbed its rows.
+        used[i] = np.add.accumulate(np.concatenate((used[i][None], block[fit])))[-1]
+        return fit
 
-    for vmdk_id, dest in sorted((pinned or {}).items()):
-        j = fleet.row[vmdk_id]
-        placed[j] = True
-        target[vmdk_id] = dest
-        if not absorb(row[dest], j):
-            overloaded.add(vmdk_id)
+    def keep(rows: np.ndarray, at: np.ndarray) -> None:
+        for i in np.flatnonzero(np.bincount(at)).tolist():
+            group = rows[at == i]
+            overloaded.append(group[~fill(i, group)])
 
-    for i, j in candidates:
-        if not placed[j] and absorb(i, j):
-            placed[j] = True
-            vmdk_id = vmdk_ids[j]
-            target[vmdk_id] = tier_id[i]
-            if tier_id[i] != current[j]:
-                migrations.append((vmdk_id, current[j], tier_id[i]))
+    pins = sorted((pinned or {}).items())
+    if pins:
+        pin_rows = np.array([fleet.row[v] for v, _ in pins], dtype=np.intp)
+        where[pin_rows] = [row[d] for _, d in pins]
+        keep(pin_rows, where[pin_rows])
+    chosen = [np.zeros(0, dtype=np.intp)]
+    for i, rows in ranked:
+        rows = rows[where[rows] < 0]
+        chosen.append(rows[fill(i, rows)])
+        where[chosen[-1]] = i
+    chosen = np.concatenate(chosen)
+    if rank is not None:
+        chosen = chosen[np.argsort(rank[chosen])]
+    rest = np.flatnonzero(where < 0)
+    keep(rest, home[rest])
 
-    for j, vmdk_id in enumerate(vmdk_ids):
-        if not placed[j]:
-            target[vmdk_id] = current[j]
-            if not absorb(row[current[j]], j):
-                overloaded.add(vmdk_id)
-
+    current = fleet.current_tier
+    to = np.array(tier_id)[where[chosen]]
+    names = [vmdk_ids[j] for j in chosen.tolist()]
+    target = dict(pins)
+    target.update(zip(names, to.tolist()))
+    target.update(zip([vmdk_ids[j] for j in rest.tolist()], current[rest].tolist()))
+    moves = zip(names, current[chosen].tolist(), to.tolist())
     return AssignmentPlan(
         epoch_index=epoch_index,
         target=target,
-        migrations=tuple(migrations),
-        overloaded=frozenset(overloaded),
-        planned_usage={t: ResourceVector(*u) for t, u in zip(tier_id, used)},
+        migrations=tuple(compress(moves, (to != current[chosen]).tolist())),
+        overloaded=frozenset(vmdk_ids[j] for j in np.concatenate(overloaded).tolist()),
+        planned_usage={t: ResourceVector(*u) for t, u in zip(tier_id, used.tolist())},
     )
 
 
@@ -287,24 +337,18 @@ def trigger_migration(
 ) -> AssignmentPlan:
     """Greedy assignment round: tiers in id order, VMDKs by descending score.
 
-    The matrices' VMDK axis must follow the fleet's rows. Score ties break
-    by VMDK id. A -inf cell (infeasible, or a migration that cannot run this
-    epoch) is never a candidate. All three budget kinds are checked; see
-    ``pack`` for pinned VMDKs and the stay-put fallback.
+    The matrices' VMDK axis must follow the fleet's rows. One stable
+    ``np.argsort`` ranks each tier's row, so score ties break by fleet row,
+    which is VMDK id. A -inf or NaN cell (infeasible, or a migration that
+    cannot run this epoch) is never a candidate. All three budget kinds are
+    checked; see ``pack`` for pinned VMDKs and the stay-put fallback.
     """
     if mat.vmdk_ids != fleet.ids:
         raise ValueError("capacity matrices must follow the fleet's VMDK order")
-    candidates: list[tuple[int, int]] = []
-    for i, row in enumerate(scores.score.tolist()):
-        ranked = sorted(
-            (-score, vmdk_id, j)
-            for j, (score, vmdk_id) in enumerate(zip(row, mat.vmdk_ids))
-            if score > -math.inf
-        )
-        candidates += [(i, j) for _, _, j in ranked]
-    return pack(
-        tiers, fleet, mat.cap.tolist(), "pbs", candidates, epoch_index, pinned
-    )
+    score = scores.score
+    order = np.argsort(-score, axis=1, kind="stable")
+    ranked = [(i, rows[score[i, rows] > -math.inf]) for i, rows in enumerate(order)]
+    return pack(tiers, fleet, mat.cap, ranked, epoch_index, pinned)
 
 
 def profit_contributions(

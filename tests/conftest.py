@@ -21,6 +21,7 @@ from autotier.model import (
     VmdkState,
     WorkloadPhase,
 )
+from autotier.policy import AssignmentPlan
 
 
 def make_tier(
@@ -99,6 +100,56 @@ def make_fits(rows) -> CalibrationFits:
         confidence=column(3),
         sample_count=np.full(len(rows), 10),
         mean_cv=np.zeros(len(rows)),
+    )
+
+
+def reference_pack(tiers, vmdk_ids, usage, kinds, candidates, current_assignment, epoch_index,
+                   pinned=None):
+    """The shared packer as it was before it read the fleet: string membership in ``target``."""
+    checked = ["pbs".index(k) for k in kinds]
+    row = {t.id: i for i, t in enumerate(tiers)}
+    col = {v: j for j, v in enumerate(vmdk_ids)}
+    remaining = [[b.p, b.b, b.s] for b in (t.max_usable() for t in tiers)]
+    used = [[0.0, 0.0, 0.0] for _ in tiers]
+    target = {}
+    overloaded = set()
+
+    def absorb(i, j):
+        cell, left = usage[i][j], remaining[i]
+        for k in checked:
+            if cell[k] > left[k]:
+                return False
+        for k in checked:
+            left[k] -= cell[k]
+            used[i][k] += cell[k]
+        return True
+
+    effective_current = dict(current_assignment)
+    for vmdk_id, dest in sorted((pinned or {}).items()):
+        target[vmdk_id] = dest
+        effective_current[vmdk_id] = dest
+        if not absorb(row[dest], col[vmdk_id]):
+            overloaded.add(vmdk_id)
+    for i, j in candidates:
+        vmdk_id = vmdk_ids[j]
+        if vmdk_id not in target and absorb(i, j):
+            target[vmdk_id] = tiers[i].id
+    for j, vmdk_id in enumerate(vmdk_ids):
+        if vmdk_id in target:
+            continue
+        current = effective_current[vmdk_id]
+        target[vmdk_id] = current
+        if not absorb(row[current], j):
+            overloaded.add(vmdk_id)
+    migrations = tuple(
+        (v, effective_current[v], t) for v, t in target.items() if t != effective_current[v]
+    )
+    return AssignmentPlan(
+        epoch_index=epoch_index,
+        target=target,
+        migrations=migrations,
+        overloaded=frozenset(overloaded),
+        planned_usage={t.id: ResourceVector(*u) for t, u in zip(tiers, used)},
     )
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from autotier.baselines import edt_assign, idt_assign
 from autotier.model import Fleet, ResourceVector
-from autotier.policy import AssignmentPlan
+from autotier import policy
 
-from conftest import make_state, make_tier, make_vmdk, random_scenario
+from conftest import make_state, make_tier, make_vmdk, random_scenario, reference_pack
 from test_golden import plan_record
 
 # Fourteen-workload mix: (measured IOPS as served under tier caps, size GB)
@@ -190,56 +190,6 @@ class TestBaselineProperties:
                     assert total_p <= tier.max_usable().p * (1 + 1e-9)
 
 
-def reference_pack(tiers, vmdk_ids, usage, kinds, candidates, current_assignment, epoch_index,
-                   pinned=None):
-    """The shared packer as it was before it read the fleet: string membership in ``target``."""
-    checked = ["pbs".index(k) for k in kinds]
-    row = {t.id: i for i, t in enumerate(tiers)}
-    col = {v: j for j, v in enumerate(vmdk_ids)}
-    remaining = [[b.p, b.b, b.s] for b in (t.max_usable() for t in tiers)]
-    used = [[0.0, 0.0, 0.0] for _ in tiers]
-    target = {}
-    overloaded = set()
-
-    def absorb(i, j):
-        cell, left = usage[i][j], remaining[i]
-        for k in checked:
-            if cell[k] > left[k]:
-                return False
-        for k in checked:
-            left[k] -= cell[k]
-            used[i][k] += cell[k]
-        return True
-
-    effective_current = dict(current_assignment)
-    for vmdk_id, dest in sorted((pinned or {}).items()):
-        target[vmdk_id] = dest
-        effective_current[vmdk_id] = dest
-        if not absorb(row[dest], col[vmdk_id]):
-            overloaded.add(vmdk_id)
-    for i, j in candidates:
-        vmdk_id = vmdk_ids[j]
-        if vmdk_id not in target and absorb(i, j):
-            target[vmdk_id] = tiers[i].id
-    for j, vmdk_id in enumerate(vmdk_ids):
-        if vmdk_id in target:
-            continue
-        current = effective_current[vmdk_id]
-        target[vmdk_id] = current
-        if not absorb(row[current], j):
-            overloaded.add(vmdk_id)
-    migrations = tuple(
-        (v, effective_current[v], t) for v, t in target.items() if t != effective_current[v]
-    )
-    return AssignmentPlan(
-        epoch_index=epoch_index,
-        target=target,
-        migrations=migrations,
-        overloaded=frozenset(overloaded),
-        planned_usage={t.id: ResourceVector(*u) for t, u in zip(tiers, used)},
-    )
-
-
 def reference_pack_by_metric(vmdks, tiers, metric, tier_capability, kinds, epoch_index, pinned):
     """Baseline candidates as built from ``VmdkState`` objects, ids ranked by a Python sort."""
     tier_order = sorted(range(len(tiers)), key=lambda i: (-tier_capability(tiers[i]), tiers[i].id))
@@ -276,12 +226,13 @@ REFERENCE_RULES = {
 }
 
 
-def random_packing_case(rng):
+def random_packing_case(rng, size=40):
     """Tiers and shuffled states with every packing edge case mixed in.
 
     Tier 1 has no storage (an EDT capability of 0); every tier hosts a
     zero-IOPS VMDK; IOPS and sizes come from small sets, so metrics tie;
     one pinned VMDK is too large for its destination and overloads it.
+    There are fewer than ``size`` VMDKs; storage budgets grow with ``size``.
     """
     n_tiers = int(rng.integers(2, 5))
     tiers = tuple(
@@ -289,14 +240,16 @@ def random_packing_case(rng):
             i + 1,
             50.0 * (i + 1),
             ResourceVector(
-                float(rng.uniform(2e4, 2e5)), 1e4, 0.0 if i == 0 else float(rng.uniform(100, 900))
+                float(rng.uniform(2e4, 2e5)),
+                1e4,
+                0.0 if i == 0 else float(rng.uniform(100, 900)) * size / 40,
             ),
             read_iops=float(rng.choice([50_000.0, 100_000.0, 200_000.0])),
         )
         for i in range(n_tiers)
     )
     states = []
-    for j in range(int(rng.integers(n_tiers + 2, 40))):
+    for j in range(int(rng.integers(n_tiers + 2, size))):
         tier = j % n_tiers + 1 if j < n_tiers else int(rng.integers(1, n_tiers + 1))
         iops = 0.0 if j < n_tiers else float(rng.choice([0.0, 5_000.0, 20_000.0, 60_000.0]))
         spec = make_vmdk(f"v{j:02d}", size_gb=float(rng.choice([10.0, 40.0, 80.0])),
@@ -314,18 +267,47 @@ def random_packing_case(rng):
     return tiers, states, pinned
 
 
+LONG_FLEET = 400  # several first_fit windows per tier scan
+
+
+def assert_matches_reference(assign, seed, size=40):
+    tiers, states, pinned = random_packing_case(np.random.default_rng(seed), size)
+    metric, capability, kinds = REFERENCE_RULES[assign]
+    expected = reference_pack_by_metric(
+        sorted(states, key=lambda s: s.spec.id), tiers, metric, capability, kinds, 4, pinned
+    )
+    plan = assign(Fleet.of(states, tiers), tiers, 4, pinned=pinned)
+    assert repr(plan_record(plan)) == repr(plan_record(expected))
+    assert "zz-big" in plan.overloaded
+
+
 class TestPackMatchesReference:
     @pytest.mark.parametrize("assign", [idt_assign, edt_assign])
     @pytest.mark.parametrize("seed", range(12))
     def test_plan_repr_equals_the_object_path(self, assign, seed):
-        tiers, states, pinned = random_packing_case(np.random.default_rng(seed))
-        metric, capability, kinds = REFERENCE_RULES[assign]
-        expected = reference_pack_by_metric(
-            sorted(states, key=lambda s: s.spec.id), tiers, metric, capability, kinds, 4, pinned
-        )
-        plan = assign(Fleet.of(states, tiers), tiers, 4, pinned=pinned)
-        assert repr(plan_record(plan)) == repr(plan_record(expected))
-        assert "zz-big" in plan.overloaded
+        assert_matches_reference(assign, seed)
+
+    @pytest.mark.parametrize("assign", [idt_assign, edt_assign])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_long_fleets_match_the_object_path(self, assign, seed):
+        assert_matches_reference(assign, seed, LONG_FLEET)
+
+    def test_long_fleets_scan_past_one_window_and_switch(self, monkeypatch):
+        scans = []
+        first_fit = policy.first_fit
+
+        def recording(rows, left):
+            scans.append(first_fit(rows, left))
+            return scans[-1]
+
+        monkeypatch.setattr(policy, "first_fit", recording)
+        for seed in range(6):
+            tiers, states, pinned = random_packing_case(np.random.default_rng(seed), LONG_FLEET)
+            for assign in (idt_assign, edt_assign):
+                assign(Fleet.of(states, tiers), tiers, pinned=pinned)
+        long = [fit for fit in scans if len(fit) > policy.FIRST_FIT_WINDOW]
+        assert long
+        assert max(np.count_nonzero(fit[1:] != fit[:-1]) for fit in long) >= 3
 
     def test_cases_cover_every_edge(self):
         seen = set()

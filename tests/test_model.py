@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from autotier.model import (
     CalibrationFits,
+    Fleet,
     MigrationOrder,
     PolicyWeights,
     ResourceVector,
@@ -22,7 +23,7 @@ from autotier.model import (
 )
 from autotier.scenario import bundled_scenario_text, parse_scenario
 
-from conftest import make_tier, make_vmdk
+from conftest import make_state, make_tier, make_vmdk
 
 finite = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 
@@ -169,6 +170,19 @@ class TestOtherTypes:
     def test_aging_factor_range(self):
         with pytest.raises(ValueError, match="agingFactor"):
             PolicyWeights(aging_factor=1.0)
+
+
+class TestFleet:
+    def test_spare_mbps_is_cap_minus_served_clamped_at_zero(self):
+        tiers = [
+            make_tier(i, read_mbps=1000.0, write_mbps=800.0) for i in (1, 2, 3, 4)
+        ]
+        fleet = Fleet.of([make_state(make_vmdk())], tiers)
+        fleet.served_read_mbps[:] = [250.0, 1000.0, 1500.0, math.nan]
+        fleet.served_write_mbps[:] = [900.0, math.nan, 100.0, 800.0]
+        read, write = fleet.spare_mbps()
+        assert read == [750.0, 0.0, 0.0, 0.0]
+        assert write == [0.0, 0.0, 700.0, 0.0]
 
 
 class TestScenarioValidation:

@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autotier.calibration import estimate_avg_lat
+from autotier import policy
 from autotier.model import (
+    CapacityMatrices,
     Fleet,
     PolicyWeights,
     ResourceVector,
@@ -18,6 +20,7 @@ from autotier.policy import (
     cal_capacity_matrices,
     cal_score,
     epoch_profit,
+    first_fit,
     mig_cost_seconds,
     normalize_and_gate,
     oracle_assignment,
@@ -31,7 +34,9 @@ from conftest import (
     make_fits,
     make_vmdk,
     random_oracle_instance,
+    reference_pack,
 )
+from test_golden import plan_record
 
 
 def record(vmdk_id, m, b, conf=1.0):
@@ -405,6 +410,148 @@ class TestTriggerMigration:
         # the in-flight move keeps its seat even against a higher score
         assert plan.target == {"mover": 1, "rival": 2}
         assert plan.migrations == ()
+
+
+def scalar_first_fit(rows, left):
+    """The loop ``first_fit`` must match bit for bit: one row at a time over Python floats."""
+    left = list(left)
+    fit = []
+    for row in rows:
+        fit.append(not any(u > x for u, x in zip(row, left)))
+        if fit[-1]:
+            left = [x - u for x, u in zip(left, row)]
+    return fit, left
+
+
+# Inexact decimals make a sum in another order round differently.
+USAGE_VALUES = (0.0, -0.0, 0.1, 0.7, 1.0, 3.3, 10.0, 100.0, 1e9, math.inf, math.nan)
+usage_rows = st.tuples(*[st.sampled_from(USAGE_VALUES)] * 3)
+budgets = st.tuples(*[st.sampled_from((0.0, 1.0, 10.0, 100.3, 1e4))] * 3)
+# Long runs of one row cross several windows, fitting until the budget runs out.
+usage_scans = st.one_of(
+    st.lists(usage_rows, max_size=300),
+    st.lists(st.tuples(usage_rows, st.integers(1, 200)), max_size=6).map(
+        lambda runs: [row for row, count in runs for _ in range(count)]
+    ),
+)
+
+
+class TestFirstFit:
+    def check(self, rows, budget):
+        left = np.array(budget, dtype=float)
+        fit = first_fit(np.array(rows, dtype=float).reshape(-1, 3), left)
+        expected_fit, expected_left = scalar_first_fit(rows, budget)
+        assert fit.tolist() == expected_fit
+        assert left.tobytes() == np.array(expected_left).tobytes()
+
+    @given(usage_scans, budgets)
+    def test_matches_the_scalar_loop(self, rows, budget):
+        self.check(rows, budget)
+
+    def test_row_equal_to_what_is_left_fits(self):
+        self.check([(0.0, 0.0, 10.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1e-300)], (0.0, 0.0, 10.0))
+
+    def test_zero_rows_fit_zero_budgets(self):
+        self.check([(0.0, 0.0, 0.0)] * 200 + [(0.0, 1.0, 0.0)], (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("first", [1e9, 1e-3])
+    def test_strictly_alternating_scan(self, first):
+        other = 1e-3 if first == 1e9 else 1e9
+        self.check([(0.0, 0.0, first), (0.0, 0.0, other)] * 1400, (0.0, 0.0, 1e6))
+
+
+def reference_trigger_migration(scores, mat, tiers, fleet, epoch_index, pinned=None):
+    """The greedy round as a Python sort of (-score, id, row) tuples, fed to the scalar packer."""
+    candidates = []
+    for i, row in enumerate(scores.score.tolist()):
+        ranked = sorted(
+            (-score, vmdk_id, j)
+            for j, (score, vmdk_id) in enumerate(zip(row, mat.vmdk_ids))
+            if score > -math.inf
+        )
+        candidates += [(i, j) for _, _, j in ranked]
+    current = dict(zip(fleet.ids, fleet.current_tier.tolist()))
+    return reference_pack(
+        tiers, fleet.ids, mat.cap.tolist(), "pbs", candidates, current, epoch_index, pinned
+    )
+
+
+SCORE_VALUES = (-math.inf, math.nan, -0.0, 0.0, 0.25, 0.5, 1.0, math.inf)
+SCORE_WEIGHTS = (0.2, 0.05, 0.15, 0.15, 0.15, 0.15, 0.1, 0.05)
+
+
+def random_greedy_round(rng):
+    """A 100-400 VMDK round with every edge of the tier scans mixed in.
+
+    Scores tie (-0.0 against 0.0 too) and include -inf and NaN cells. Usage
+    mixes tiny and large rows under budgets that are a fraction of the
+    demand, so scans run past one window and switch between fits and
+    misses. Some VMDKs are pinned; the pinned ``zz-big`` overloads tier 1.
+    """
+    n_tiers = int(rng.integers(2, 5))
+    n = int(rng.integers(100, 401))
+    # Inexact decimals, so a sum in another order rounds differently.
+    steps = (
+        np.array([0.0, 100.1, 1_000.3, 5_000.7]),
+        np.array([0.0, 0.1, 10.3, 50.7]),
+        np.array([10.1, 40.3, 80.7, 0.5]),
+    )
+    share = rng.uniform(0.1, 0.6, size=(n_tiers, 3))
+    tiers = tuple(
+        make_tier(i + 1, capacity=ResourceVector(*(
+            float(share[i, k] * n * steps[k].mean()) for k in range(3)
+        )))
+        for i in range(n_tiers)
+    )
+    states = [
+        make_state(make_vmdk(f"v{j:03d}", initial_tier=t), tier=t)
+        for j, t in enumerate(rng.integers(1, n_tiers + 1, size=n).tolist())
+    ]
+    states.append(make_state(make_vmdk("zz-big", initial_tier=n_tiers), tier=n_tiers))
+    fleet = Fleet.of(states, tiers)
+    cap = np.stack([rng.choice(values, size=(n_tiers, n + 1)) for values in steps], axis=-1)
+    cap[:, fleet.row["zz-big"]] = 1e12
+    score = rng.choice(SCORE_VALUES, p=SCORE_WEIGHTS, size=(n_tiers, n + 1))
+    mat = CapacityMatrices(tuple(t.id for t in tiers), fleet.ids, cap)
+    pinned = {
+        v: int(rng.integers(1, n_tiers + 1))
+        for v in rng.choice(fleet.ids[:-1], size=int(rng.integers(0, 20)), replace=False).tolist()
+    }
+    pinned["zz-big"] = 1
+    return ScoreMatrix(score, np.zeros_like(score)), mat, tiers, fleet, pinned
+
+
+class TestTriggerMigrationMatchesReference:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_plan_repr_equals_the_tuple_sort(self, seed):
+        scores, mat, tiers, fleet, pinned = random_greedy_round(np.random.default_rng(seed))
+        expected = reference_trigger_migration(scores, mat, tiers, fleet, 7, pinned)
+        plan = trigger_migration(scores, mat, tiers, fleet, 7, pinned=pinned)
+        assert repr(plan_record(plan)) == repr(plan_record(expected))
+        assert "zz-big" in plan.overloaded
+
+    def test_cases_cover_every_edge(self, monkeypatch):
+        scans = []
+        first_fit = policy.first_fit
+
+        def recording(rows, left):
+            scans.append(first_fit(rows, left))
+            return scans[-1]
+
+        monkeypatch.setattr(policy, "first_fit", recording)
+        seen = set()
+        for seed in range(10):
+            scores, mat, tiers, fleet, pinned = random_greedy_round(np.random.default_rng(seed))
+            plan = trigger_migration(scores, mat, tiers, fleet, 7, pinned=pinned)
+            signs = {math.copysign(1.0, x) for x in scores.score[scores.score == 0.0].tolist()}
+            seen.update(name for name, hit in (
+                ("signed zero tie", signs == {-1.0, 1.0}),
+                ("placement", bool(plan.migrations)),
+                ("stay-put overload", bool(plan.overloaded - set(pinned))),
+            ) if hit)
+        long = [fit for fit in scans if len(fit) > policy.FIRST_FIT_WINDOW]
+        assert len(seen) == 3
+        assert max(np.count_nonzero(fit[1:] != fit[:-1]) for fit in long) >= 3
 
 
 class TestProfitAndOracle:
