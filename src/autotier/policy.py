@@ -204,17 +204,18 @@ def cal_score(
 FIRST_FIT_WINDOW = 64
 
 
-def first_fit(rows: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Which of the (n, 3) usage ``rows`` fit, in order, into ``left``; shrinks ``left``.
+def first_fit(rows: np.ndarray, left: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Which of the (n, 3) usage ``rows`` fit, in order, into ``left``.
 
-    Exactly the scalar loop ``if not any(u > l): l -= u`` over the rows, bit
-    for bit and NaN included, with ``left`` (a (3,) array) written in place.
-    The scan runs in windows that double after each window whose rows all
-    fit (taken with one sequential ``np.subtract.accumulate``) or all miss
-    (skipped after one comparison). A larger window with both is tried again
-    at ``FIRST_FIT_WINDOW`` rows; a window that size with both runs the
-    scalar loop, as do the windows after it until one comes out uniform, so
-    a scan that keeps switching costs little more than the scalar loop.
+    Exactly the scalar loop ``for r in rows: if not any(r > left): left -= r;
+    used += r``, bit for bit and NaN included, with ``left`` and ``used``
+    (3,) arrays written in place. The scan runs in windows that double after each window whose rows all fit
+    (taken with sequential ``np.subtract.accumulate`` and
+    ``np.add.accumulate``) or all miss (skipped after one comparison). A
+    larger window with both is tried again at ``FIRST_FIT_WINDOW`` rows; a
+    window that size or shorter runs the scalar loop if it has both, and so
+    do the windows after it until one comes out uniform, so a scan that
+    keeps switching costs little more than the scalar loop.
     """
     fit = np.zeros(len(rows), dtype=bool)
     start, width, expect = 0, FIRST_FIT_WINDOW, True  # expect None: a mixed window
@@ -226,6 +227,7 @@ def first_fit(rows: np.ndarray, left: np.ndarray) -> np.ndarray:
                 after = np.subtract.accumulate(np.concatenate((left[None], window)))
                 if not (window > after[:-1]).any():
                     fit[start:stop], left[:], start, width = True, after[-1], stop, 2 * width
+                    used[:] = np.add.accumulate(np.concatenate((used[None], window)))[-1]
                     continue
             if (window > left).any(axis=1).all():
                 start, width, expect = stop, 2 * width, False
@@ -233,15 +235,15 @@ def first_fit(rows: np.ndarray, left: np.ndarray) -> np.ndarray:
             if width > FIRST_FIT_WINDOW:
                 width = FIRST_FIT_WINDOW
                 continue
-        l0, l1, l2 = left.tolist()
+        (l0, l1, l2), (u0, u1, u2) = left.tolist(), used.tolist()
         flags = []
         for p, b, s in window.tolist():
             if p > l0 or b > l1 or s > l2:
                 flags.append(False)
             else:
-                l0, l1, l2 = l0 - p, l1 - b, l2 - s
+                l0, l1, l2, u0, u1, u2 = l0 - p, l1 - b, l2 - s, u0 + p, u1 + b, u2 + s
                 flags.append(True)
-        fit[start:stop], left[:], start = flags, (l0, l1, l2), stop
+        fit[start:stop], left[:], used[:], start = flags, (l0, l1, l2), (u0, u1, u2), stop
         expect = flags[0] if len(set(flags)) == 1 else None
     return fit
 
@@ -283,17 +285,10 @@ def pack(
     where = np.full(len(vmdk_ids), -1)
     overloaded = [np.zeros(0, dtype=np.intp)]
 
-    def fill(i: int, rows: np.ndarray) -> np.ndarray:
-        block = usage[i][rows]
-        fit = first_fit(block, left[i])
-        # Sequential sums from 0.0, in the order the tier absorbed its rows.
-        used[i] = np.add.accumulate(np.concatenate((used[i][None], block[fit])))[-1]
-        return fit
-
     def keep(rows: np.ndarray, at: np.ndarray) -> None:
         for i in np.flatnonzero(np.bincount(at)).tolist():
             group = rows[at == i]
-            overloaded.append(group[~fill(i, group)])
+            overloaded.append(group[~first_fit(usage[i, group], left[i], used[i])])
 
     pins = sorted((pinned or {}).items())
     if pins:
@@ -303,7 +298,7 @@ def pack(
     chosen = [np.zeros(0, dtype=np.intp)]
     for i, rows in ranked:
         rows = rows[where[rows] < 0]
-        chosen.append(rows[fill(i, rows)])
+        chosen.append(rows[first_fit(usage[i, rows], left[i], used[i])])
         where[chosen[-1]] = i
     chosen = np.concatenate(chosen)
     if rank is not None:
@@ -345,9 +340,9 @@ def trigger_migration(
     """
     if mat.vmdk_ids != fleet.ids:
         raise ValueError("capacity matrices must follow the fleet's VMDK order")
-    score = scores.score
-    order = np.argsort(-score, axis=1, kind="stable")
-    ranked = [(i, rows[score[i, rows] > -math.inf]) for i, rows in enumerate(order)]
+    order = np.argsort(-scores.score, axis=1, kind="stable")
+    candidate = np.take_along_axis(scores.score, order, axis=1) > -math.inf
+    ranked = [(i, rows[keep]) for i, (rows, keep) in enumerate(zip(order, candidate))]
     return pack(tiers, fleet, mat.cap, ranked, epoch_index, pinned)
 
 

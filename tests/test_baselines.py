@@ -296,8 +296,8 @@ class TestPackMatchesReference:
         scans = []
         first_fit = policy.first_fit
 
-        def recording(rows, left):
-            scans.append(first_fit(rows, left))
+        def recording(*args):
+            scans.append(first_fit(*args))
             return scans[-1]
 
         monkeypatch.setattr(policy, "first_fit", recording)

@@ -414,13 +414,14 @@ class TestTriggerMigration:
 
 def scalar_first_fit(rows, left):
     """The loop ``first_fit`` must match bit for bit: one row at a time over Python floats."""
-    left = list(left)
+    left, used = list(left), [0.0, 0.0, 0.0]
     fit = []
     for row in rows:
         fit.append(not any(u > x for u, x in zip(row, left)))
         if fit[-1]:
             left = [x - u for x, u in zip(left, row)]
-    return fit, left
+            used = [x + u for x, u in zip(used, row)]
+    return fit, left, used
 
 
 # Inexact decimals make a sum in another order round differently.
@@ -438,11 +439,12 @@ usage_scans = st.one_of(
 
 class TestFirstFit:
     def check(self, rows, budget):
-        left = np.array(budget, dtype=float)
-        fit = first_fit(np.array(rows, dtype=float).reshape(-1, 3), left)
-        expected_fit, expected_left = scalar_first_fit(rows, budget)
+        left, used = np.array(budget, dtype=float), np.zeros(3)
+        fit = first_fit(np.array(rows, dtype=float).reshape(-1, 3), left, used)
+        expected_fit, expected_left, expected_used = scalar_first_fit(rows, budget)
         assert fit.tolist() == expected_fit
         assert left.tobytes() == np.array(expected_left).tobytes()
+        assert used.tobytes() == np.array(expected_used).tobytes()
 
     @given(usage_scans, budgets)
     def test_matches_the_scalar_loop(self, rows, budget):
@@ -534,8 +536,8 @@ class TestTriggerMigrationMatchesReference:
         scans = []
         first_fit = policy.first_fit
 
-        def recording(rows, left):
-            scans.append(first_fit(rows, left))
+        def recording(*args):
+            scans.append(first_fit(*args))
             return scans[-1]
 
         monkeypatch.setattr(policy, "first_fit", recording)
