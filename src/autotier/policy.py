@@ -285,7 +285,8 @@ def pack(
     where = np.full(len(vmdk_ids), -1)
     overloaded = [np.zeros(0, dtype=np.intp)]
 
-    def keep(rows: np.ndarray, at: np.ndarray) -> None:
+    def hold(rows: np.ndarray, at: np.ndarray) -> None:
+        """Put each row on tier row ``at``, in order, overloaded where it does not fit."""
         for i in np.flatnonzero(np.bincount(at)).tolist():
             group = rows[at == i]
             overloaded.append(group[~first_fit(usage[i, group], left[i], used[i])])
@@ -294,7 +295,7 @@ def pack(
     if pins:
         pin_rows = np.array([fleet.row[v] for v, _ in pins], dtype=np.intp)
         where[pin_rows] = [row[d] for _, d in pins]
-        keep(pin_rows, where[pin_rows])
+        hold(pin_rows, where[pin_rows])
     chosen = [np.zeros(0, dtype=np.intp)]
     for i, rows in ranked:
         rows = rows[where[rows] < 0]
@@ -304,7 +305,7 @@ def pack(
     if rank is not None:
         chosen = chosen[np.argsort(rank[chosen])]
     rest = np.flatnonzero(where < 0)
-    keep(rest, home[rest])
+    hold(rest, home[rest])
 
     current = fleet.current_tier
     to = np.array(tier_id)[where[chosen]]
