@@ -287,7 +287,7 @@ def pack(
 
     def hold(rows: np.ndarray, at: np.ndarray) -> None:
         """Put each row on tier row ``at``, in order, overloaded where it does not fit."""
-        for i in np.flatnonzero(np.bincount(at)).tolist():
+        for i in sorted(set(at.tolist())):
             group = rows[at == i]
             overloaded.append(group[~first_fit(usage[i, group], left[i], used[i])])
 
@@ -341,9 +341,11 @@ def trigger_migration(
     """
     if mat.vmdk_ids != fleet.ids:
         raise ValueError("capacity matrices must follow the fleet's VMDK order")
+    # -inf cells rank after every other cell and NaN cells last, so each
+    # tier's candidates are a prefix of its ranking.
     order = np.argsort(-scores.score, axis=1, kind="stable")
-    candidate = np.take_along_axis(scores.score, order, axis=1) > -math.inf
-    ranked = [(i, rows[keep]) for i, (rows, keep) in enumerate(zip(order, candidate))]
+    counts = (scores.score > -math.inf).sum(axis=1).tolist()
+    ranked = [(i, rows[:n]) for i, (rows, n) in enumerate(zip(order, counts))]
     return pack(tiers, fleet, mat.cap, ranked, epoch_index, pinned)
 
 
