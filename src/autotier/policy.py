@@ -209,13 +209,14 @@ def first_fit(rows: np.ndarray, left: np.ndarray, used: np.ndarray) -> np.ndarra
 
     Exactly the scalar loop ``for r in rows: if not any(r > left): left -= r;
     used += r``, bit for bit and NaN included, with ``left`` and ``used``
-    (3,) arrays written in place. The scan runs in windows that double after each window whose rows all fit
-    (taken with sequential ``np.subtract.accumulate`` and
-    ``np.add.accumulate``) or all miss (skipped after one comparison). A
-    larger window with both is tried again at ``FIRST_FIT_WINDOW`` rows; a
-    window that size or shorter runs the scalar loop if it has both, and so
-    do the windows after it until one comes out uniform, so a scan that
-    keeps switching costs little more than the scalar loop.
+    (3,) arrays written in place. The scan runs in windows that double after
+    each window whose rows all fit (taken with sequential
+    ``np.subtract.accumulate`` and ``np.add.accumulate``) or all miss
+    (skipped after one comparison). A larger window with both is tried again
+    at ``FIRST_FIT_WINDOW`` rows. A window of that size with both runs the
+    scalar loop, as does every shorter window and every window after a mixed
+    one until one comes out uniform, so a scan that keeps switching costs
+    little more than the scalar loop.
     """
     fit = np.zeros(len(rows), dtype=bool)
     start, width, expect = 0, FIRST_FIT_WINDOW, True  # expect None: a mixed window

@@ -105,7 +105,12 @@ def make_fits(rows) -> CalibrationFits:
 
 def reference_pack(tiers, vmdk_ids, usage, kinds, candidates, current_assignment, epoch_index,
                    pinned=None):
-    """The shared packer as it was before it read the fleet: string membership in ``target``."""
+    """The scalar packer every plan must match, as it was before the tier-by-tier scan.
+
+    One ``absorb`` per (tier index, row) candidate in order, checking and
+    accounting only the kinds named in ``kinds``; placement is tracked by
+    string membership in ``target``.
+    """
     checked = ["pbs".index(k) for k in kinds]
     row = {t.id: i for i, t in enumerate(tiers)}
     col = {v: j for j, v in enumerate(vmdk_ids)}

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from autotier import policy
 from autotier.baselines import edt_assign, idt_assign
 from autotier.model import Fleet, ResourceVector
-from autotier import policy
 
 from conftest import make_state, make_tier, make_vmdk, random_scenario, reference_pack
 from test_golden import plan_record

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autotier.calibration import estimate_avg_lat
 from autotier import policy
+from autotier.calibration import estimate_avg_lat
 from autotier.model import (
     CapacityMatrices,
     Fleet,
