@@ -11,18 +11,19 @@ not check.
 Both use the same churn-avoidance reading of their one-line definitions:
 sort ties prefer the VMDK's current tier, and a VMDK whose metric is zero
 never moves to a more capable tier than its current one. Both read the
-run's ``Fleet`` arrays directly: one stable ``np.lexsort`` over (metric,
-current tier rank) orders the VMDKs, with the fleet's row order breaking the
-remaining ties by id, and a boolean (N, T) mask drops the upward moves of
-zero-metric VMDKs. Each VMDK walks its allowed tiers by descending
-capability until one absorbs it; ``pack`` gets the same plan by scanning
-the tiers in that order, each over the VMDKs allowed on it, and lists the
-placements in VMDK order.
+run's ``Fleet`` directly, its tiers and in-flight destinations included:
+one stable ``np.lexsort`` over (metric, current tier rank) orders the VMDKs,
+with the fleet's row order breaking the remaining ties by id, and a boolean
+(N, T) mask drops the upward moves of zero-metric VMDKs. Each VMDK walks its
+allowed tiers by descending capability until one absorbs it; ``pack`` gets
+the same plan by scanning the tiers in that order, each over the VMDKs
+allowed on it, and lists the placements in VMDK order. A VMDK already
+migrating keeps its destination, as under every policy.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,12 +33,10 @@ from .policy import AssignmentPlan, PolicyContext, pack
 
 def _pack_by_metric(
     fleet: Fleet,
-    tiers: Sequence[TierSpec],
     metric: Callable[[np.ndarray, np.ndarray], np.ndarray],
     tier_capability: Callable[[TierSpec], float],
     kinds: str,
     epoch_index: int,
-    pinned: Mapping[str, int] | None,
 ) -> AssignmentPlan:
     """Candidates: VMDKs by descending metric, each over tiers by descending capability.
 
@@ -49,12 +48,12 @@ def _pack_by_metric(
     checked: the usage rows hold measured IOPS and size in those columns
     and 0.0 in the others.
     """
+    tiers = fleet.tiers
     tier_order = sorted(range(len(tiers)), key=lambda i: (-tier_capability(tiers[i]), tiers[i].id))
-    rank = {tiers[i].id: r for r, i in enumerate(tier_order)}
+    rank = np.empty(len(tiers), dtype=np.intp)
+    rank[tier_order] = np.arange(len(tiers))
     values = metric(fleet.measured_iops, fleet.size_gb)
-    current_rank = np.array([rank[t] for t in fleet.tier_ids.tolist()], dtype=np.intp)[
-        fleet.tier_row
-    ]
+    current_rank = rank[fleet.tier_row]
     vmdk_order = np.lexsort((current_rank, -values))
     allowed = (values[vmdk_order] != 0)[:, None] | (
         np.arange(len(tiers)) >= current_rank[vmdk_order, None]
@@ -65,17 +64,11 @@ def _pack_by_metric(
     measured = np.stack([fleet.measured_iops, np.zeros(len(values)), fleet.size_gb], axis=-1)
     usage = np.where([k in kinds for k in "pbs"], measured, 0.0)
     return pack(
-        tiers, fleet, np.broadcast_to(usage, (len(tiers), *usage.shape)), ranked, epoch_index,
-        pinned, walk_rank,
+        fleet, np.broadcast_to(usage, (len(tiers), *usage.shape)), ranked, epoch_index, walk_rank
     )
 
 
-def idt_assign(
-    fleet: Fleet,
-    tiers: Sequence[TierSpec],
-    epoch_index: int = 0,
-    pinned: Mapping[str, int] | None = None,
-) -> AssignmentPlan:
+def idt_assign(fleet: Fleet, epoch_index: int = 0) -> AssignmentPlan:
     """Greedy IOPS-only placement: hotter VMDKs onto higher-IOPS tiers.
 
     Only the storage budget is checked; bandwidth pressure is invisible to
@@ -83,35 +76,26 @@ def idt_assign(
     """
     return _pack_by_metric(
         fleet,
-        tiers,
         metric=lambda iops, size: iops,
         tier_capability=lambda t: t.read_throughput_cap,
         kinds="s",
         epoch_index=epoch_index,
-        pinned=pinned,
     )
 
 
-def edt_assign(
-    fleet: Fleet,
-    tiers: Sequence[TierSpec],
-    epoch_index: int = 0,
-    pinned: Mapping[str, int] | None = None,
-) -> AssignmentPlan:
+def edt_assign(fleet: Fleet, epoch_index: int = 0) -> AssignmentPlan:
     """Density-based placement: measured IOPS per GB onto IOPS-per-GB tiers.
 
     Checks storage and throughput budgets; still blind to bandwidth.
     """
     return _pack_by_metric(
         fleet,
-        tiers,
         metric=lambda iops, size: iops / size,
         tier_capability=lambda t: (
             t.read_throughput_cap / t.capacity.s if t.capacity.s > 0 else 0.0
         ),
         kinds="ps",
         epoch_index=epoch_index,
-        pinned=pinned,
     )
 
 
@@ -122,7 +106,7 @@ class IdtPolicy:
         pass  # measurements arrive in the fleet's arrays; nothing to precompute
 
     def plan_migrations(self, ctx: PolicyContext, epoch_index: int) -> AssignmentPlan:
-        return idt_assign(ctx.fleet, ctx.tiers, epoch_index, pinned=ctx.in_flight)
+        return idt_assign(ctx.fleet, epoch_index)
 
 
 class EdtPolicy:
@@ -132,4 +116,4 @@ class EdtPolicy:
         pass
 
     def plan_migrations(self, ctx: PolicyContext, epoch_index: int) -> AssignmentPlan:
-        return edt_assign(ctx.fleet, ctx.tiers, epoch_index, pinned=ctx.in_flight)
+        return edt_assign(ctx.fleet, epoch_index)

@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .engine import POLICY_NAMES, run_scenario
 from .policy import epoch_profit, oracle_assignment
 from .reporting import comparison_dict, summary_dict, write_run_artifacts
@@ -62,14 +64,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     def on_plan(epoch, plan, policy, ctx) -> None:
         # in-flight moves are committed: charge against their destination
         fleet = ctx.fleet
-        previous = {**dict(zip(fleet.ids, fleet.current_tier.tolist())), **ctx.in_flight}
+        rows = np.where(fleet.dest_row >= 0, fleet.dest_row, fleet.tier_row)
+        previous = dict(zip(fleet.ids, fleet.tier_ids[rows].tolist()))
         greedy = epoch_profit(
             plan.target, previous, policy.matrices, ctx.weights, fleet,
             ctx.migration_epoch_seconds,
         )
         oracle_plan = oracle_assignment(
-            policy.matrices, ctx.weights, previous, ctx.tiers, fleet,
-            ctx.migration_epoch_seconds, epoch,
+            policy.matrices, ctx.weights, previous, fleet, ctx.migration_epoch_seconds, epoch,
         )
         oracle = epoch_profit(
             oracle_plan.target, previous, policy.matrices, ctx.weights, fleet,

@@ -14,14 +14,14 @@ writes the measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
 view, and ``VmdkState`` objects are built once, for the result, after the
 last epoch. In-flight migrations form a book kept in VMDK-id order as
-orders start and finish.
+orders start and finish; the fleet's ``dest_row`` marks each VMDK with an
+order in the book, so an order starts only for a VMDK that has none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -117,10 +117,6 @@ class RunResult:
         return sum(order.bytes_moved for order in self.migration_log)
 
 
-def _utilization(load: float, cap: float) -> float:
-    return load / cap if cap > 0 else 0.0
-
-
 def serve_epoch(
     fleet: Fleet,
     migration_read_mbps: Sequence[float],
@@ -163,10 +159,10 @@ def serve_epoch(
             # conservation always holds.
             contention.append(max(
                 1.0,
-                _utilization(load_r_iops[i], tier.read_throughput_cap),
-                _utilization(load_w_iops[i], tier.write_throughput_cap),
-                _utilization(load_r_bw[i], tier.read_bandwidth_cap),
-                _utilization(load_w_bw[i], tier.write_bandwidth_cap),
+                load_r_iops[i] / tier.read_throughput_cap,
+                load_w_iops[i] / tier.write_throughput_cap,
+                load_r_bw[i] / tier.read_bandwidth_cap,
+                load_w_bw[i] / tier.write_bandwidth_cap,
             ))
             eff_read_bw = max(0.0, tier.read_bandwidth_cap - migration_read_mbps[i])
             eff_write_bw = max(0.0, tier.write_bandwidth_cap - migration_write_mbps[i])
@@ -234,7 +230,7 @@ def progress_migrations(
     row, row_of_tier = fleet.row, fleet.row_of_tier
     moved_total = 0.0
     stalled: list[str] = []
-    in_flight: list[MigrationOrder] = []
+    running: list[MigrationOrder] = []
     finished: list[MigrationOrder] = []
     # Conditional expressions stand in for max(0.0, x) and min(a, b): the
     # same result, NaN included, without a call per order.
@@ -253,7 +249,7 @@ def progress_migrations(
         if speed <= 0.0:
             order.stalled = True
             stalled.append(order.vmdk_id)
-            in_flight.append(order)
+            running.append(order)
             continue
         order.stalled = False
         step = speed * 1e6 * epoch_seconds
@@ -263,8 +259,8 @@ def progress_migrations(
         rate = moved / epoch_seconds / 1e6
         debit_read[source] += rate
         debit_write[dest] += rate
-        (finished if order.bytes_moved >= order.bytes_total else in_flight).append(order)
-    return moved_total, debit_read, debit_write, stalled, in_flight, finished
+        (finished if order.bytes_moved >= order.bytes_total else running).append(order)
+    return moved_total, debit_read, debit_write, stalled, running, finished
 
 
 def run_scenario(
@@ -286,7 +282,6 @@ def run_scenario(
 
     fleet = Fleet.of([VmdkState.initial(spec) for spec in scenario.vmdks], scenario.tiers)
     book: list[MigrationOrder] = []  # in-flight orders in VMDK-id order
-    in_flight: dict[str, int] = {}  # VMDK id -> destination of its in-flight order
     result = RunResult(scenario=scenario, policy=policy_name, seed=actual_seed)
 
     def probe(vmdk_ids: Sequence[str], added_us: Sequence[float], samples: int) -> np.ndarray:
@@ -295,12 +290,10 @@ def run_scenario(
 
     weights = scenario.weights
     ctx = PolicyContext(
-        tiers=scenario.tiers,
         fleet=fleet.read_only(),
         weights=weights,
         epoch_seconds=epoch_seconds,
         probe=probe,
-        in_flight=MappingProxyType(in_flight),
     )
     for epoch in range(scenario.sim.epochs):
         fleet.activate_phases(epoch)
@@ -315,17 +308,18 @@ def run_scenario(
             if on_plan is not None:
                 on_plan(epoch, plan, policy, ctx)
             for vmdk_id, from_tier, to_tier in sorted(plan.migrations):
-                if vmdk_id in in_flight:
+                j = fleet.row[vmdk_id]
+                if fleet.dest_row[j] >= 0:
                     continue  # finish the in-flight move first
                 order = MigrationOrder(
                     vmdk_id=vmdk_id,
                     from_tier=from_tier,
                     to_tier=to_tier,
-                    bytes_total=fleet.specs[fleet.row[vmdk_id]].size_gb * 1e9,
+                    bytes_total=fleet.specs[j].size_gb * 1e9,
                     started_epoch=epoch,
                 )
                 started.append(order)
-                in_flight[vmdk_id] = to_tier
+                fleet.dest_row[j] = fleet.row_of_tier[to_tier]
             result.migration_log += started
             # Both runs are in id order, so the sort is one linear merge.
             book += started
@@ -349,8 +343,7 @@ def run_scenario(
         total.mean_latency_us = latency_weight / grand_iops if grand_iops > 0 else 0.0
 
         for order in finished:
-            fleet.move(order.vmdk_id, order.to_tier)
-            del in_flight[order.vmdk_id]
+            fleet.move(order.vmdk_id)
 
         result.epochs.append(
             EpochMetrics(

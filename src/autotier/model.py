@@ -395,8 +395,9 @@ class Fleet:
 
     VMDK rows are in id order: static truth (``size_gb``, ``sla_weight``,
     truth slope and intercept), the active phase's demand, read fraction and
-    I/O size, ``tier_row`` (each VMDK's current tier as a row of ``tiers``)
-    and the last epoch's four ``measured_*`` figures. Tier rows follow
+    I/O size, ``tier_row`` (each VMDK's current tier as a row of ``tiers``),
+    ``dest_row`` (the tier row its in-flight migration lands on, -1 when it
+    has none) and the last epoch's four ``measured_*`` figures. Tier rows follow
     ``tiers``, the run's tier specs in order: each device's ``contention``,
     which inflates the latency probes see, and the MB/s each tier served last
     epoch, migration debits included. Serving writes the measurements and the
@@ -415,6 +416,7 @@ class Fleet:
     tier_ids: np.ndarray
     row_of_tier: Mapping[int, int]
     tier_row: np.ndarray
+    dest_row: np.ndarray
     contention: np.ndarray
     served_read_mbps: np.ndarray
     served_write_mbps: np.ndarray
@@ -461,6 +463,7 @@ class Fleet:
             tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
             row_of_tier=row_of_tier,
             tier_row=np.array([row_of_tier[s.current_tier] for s in states], dtype=np.intp),
+            dest_row=np.full(len(states), -1, dtype=np.intp),
             contention=np.ones(len(tiers)),
             served_read_mbps=np.zeros(len(tiers)),
             served_write_mbps=np.zeros(len(tiers)),
@@ -518,8 +521,10 @@ class Fleet:
                 self.phase_table[:, k]
             )
 
-    def move(self, vmdk_id: str, tier_id: int) -> None:
-        self.tier_row[self.row[vmdk_id]] = self.row_of_tier[tier_id]
+    def move(self, vmdk_id: str) -> None:
+        """Land the VMDK's in-flight migration on its ``dest_row``."""
+        j = self.row[vmdk_id]
+        self.tier_row[j], self.dest_row[j] = self.dest_row[j], -1
 
     def states(self) -> list[VmdkState]:
         """One ``VmdkState`` per row, with the exact values of its active phase."""

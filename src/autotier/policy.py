@@ -9,16 +9,18 @@ first, under running capacity accounting. Every per-cell quantity is a
 dense (T, N) array (or (T, N, 3) over the p, b, s kinds) with axes in
 ``CapacityMatrices`` order; a cell that cannot host its VMDK scores -inf.
 
-Every per-VMDK input is read from the run's ``Fleet`` arrays, whose rows
-(VMDK-id order) are the matrices' VMDK axis. ``pack`` is the one greedy
-packer: it takes each tier's ranked fleet rows and places them tier by tier
-with ``first_fit``, a windowed scan that decides whole windows with numpy
-and runs a scalar loop only where fits and misses alternate. This policy
-ranks each tier's row with one stable ``np.argsort``; the baselines rank
-VMDKs by their metric and put 0.0 in the usage columns they do not check. A
-brute-force per-epoch profit maximizer doubles as the test oracle for the
-greedy round; it and ``epoch_profit`` share one per-(tier, vmdk) profit
-table.
+Every input but the policy weights is read from the run's ``Fleet``: its
+VMDK rows (id order) are the matrices' VMDK axis, its ``tiers`` their tier
+axis, and its ``dest_row`` marks the VMDKs whose in-flight migration is
+committed. ``pack`` is the one greedy packer: it seats those VMDKs on their
+destination, takes each tier's ranked fleet rows and places them tier by
+tier with ``first_fit``, a windowed scan that decides whole windows with
+numpy and runs a scalar loop only where fits and misses alternate. This
+policy ranks each tier's row with one stable ``np.argsort``; the baselines
+rank VMDKs by their metric and put 0.0 in the usage columns they do not
+check. A brute-force per-epoch profit maximizer doubles as the test oracle
+for the greedy round; it and ``epoch_profit`` share one per-(tier, vmdk)
+profit table.
 """
 
 from __future__ import annotations
@@ -83,11 +85,7 @@ def _budgets(tiers: Sequence[TierSpec]) -> list[list[float]]:
     return [[b.p, b.b, b.s] for b in (t.max_usable() for t in tiers)]
 
 
-def cal_capacity_matrices(
-    fits: CalibrationFits,
-    fleet: Fleet,
-    tiers: Sequence[TierSpec],
-) -> CapacityMatrices:
+def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> CapacityMatrices:
     """Predict absolute resource usage of every VMDK on every tier.
 
     Throughput is the latency-implied ceiling 10^6/latency, additionally
@@ -97,6 +95,7 @@ def cal_capacity_matrices(
     """
     if fits.vmdk_ids != fleet.ids:
         raise ValueError("calibration fits must follow the VMDK order")
+    tiers = fleet.tiers
     lat = estimate_avg_lat(
         fits, fleet.current_tier.tolist(), {t.id: t.base_latency_us for t in tiers}
     )
@@ -175,7 +174,6 @@ def mig_cost_seconds(fleet: Fleet, sources: Sequence[int] | None = None) -> np.n
 def cal_score(
     mat: CapacityMatrices,
     history: np.ndarray | None,
-    tiers: Sequence[TierSpec],
     weights: PolicyWeights,
     fleet: Fleet,
     fits: CalibrationFits,
@@ -189,6 +187,7 @@ def cal_score(
     history under an infinite migration cost, which only blocks the current
     epoch.
     """
+    tiers = fleet.tiers
     current = orthogonal_match_score(tiers, mat.ratio, fleet.sla_weight, fits.confidence)
     cost = mig_cost_seconds(fleet) / migration_epoch_seconds
     # An impossible move (infinite cost) blocks the cell this epoch no
@@ -250,40 +249,35 @@ def first_fit(rows: np.ndarray, left: np.ndarray, used: np.ndarray) -> np.ndarra
 
 
 def pack(
-    tiers: Sequence[TierSpec],
     fleet: Fleet,
     usage: np.ndarray,
     ranked: Iterable[tuple[int, np.ndarray]],
     epoch_index: int,
-    pinned: Mapping[str, int] | None = None,
     rank: np.ndarray | None = None,
 ) -> AssignmentPlan:
     """Greedy multidimensional packing shared by every policy, one tier at a time.
 
     ``usage[i, j]`` is the (p, b, s) usage the VMDK in fleet row ``j`` would
-    put on ``tiers[i]``. A policy that does not check a kind puts 0.0 in its
-    column: budgets are finite and at least 0, so 0.0 always fits and its
+    put on tier row ``i``. A policy that does not check a kind puts 0.0 in
+    its column: budgets are finite and at least 0, so 0.0 always fits and its
     planned usage stays 0.0. ``ranked`` holds, per tier in processing order,
-    its index in ``tiers`` and its candidate fleet rows, best first.
+    its tier row and its candidate fleet rows, best first.
 
-    Pinned VMDKs (an in-flight migration) absorb budget at their committed
-    destination first, in id order, and are never re-targeted. Then one
-    ``first_fit`` scan per tier places its candidates not placed yet.
-    Whatever remains stays on its current tier, in id order, with an
-    overload flag when even that tier cannot absorb it; totality always wins
-    over capacity. A tier's decisions depend only on the rows that reach it,
-    in order, so a VMDK-major walk (each VMDK tries its tiers in order until
-    one absorbs it) places every VMDK as this scan does. Placements are
-    listed in scan order, or in walk order given ``rank``, each fleet row's
-    position in the walk.
+    VMDKs with an in-flight migration (``fleet.dest_row`` >= 0) absorb
+    budget at their committed destination first, in id order, and are never
+    re-targeted. Then one ``first_fit`` scan per tier places its candidates
+    not placed yet. Whatever remains stays on its current tier, in id order,
+    with an overload flag when even that tier cannot absorb it; totality
+    always wins over capacity. A tier's decisions depend only on the rows
+    that reach it, in order, so a VMDK-major walk (each VMDK tries its tiers
+    in order until one absorbs it) places every VMDK as this scan does.
+    Placements are listed in scan order, or in walk order given ``rank``,
+    each fleet row's position in the walk.
     """
-    vmdk_ids = fleet.ids
-    tier_id = [t.id for t in tiers]
-    row = {t: i for i, t in enumerate(tier_id)}
-    home = np.array([row[t] for t in fleet.tier_ids.tolist()], dtype=np.intp)[fleet.tier_row]
-    left = np.array(_budgets(tiers))
-    used = np.zeros((len(tiers), 3))
-    where = np.full(len(vmdk_ids), -1)
+    vmdk_ids, tier_ids = fleet.ids, fleet.tier_ids
+    left = np.array(_budgets(fleet.tiers))
+    used = np.zeros((len(left), 3))
+    where = fleet.dest_row.copy()
     overloaded = [np.zeros(0, dtype=np.intp)]
 
     def hold(rows: np.ndarray, at: np.ndarray) -> None:
@@ -292,11 +286,8 @@ def pack(
             group = rows[at == i]
             overloaded.append(group[~first_fit(usage[i, group], left[i], used[i])])
 
-    pins = sorted((pinned or {}).items())
-    if pins:
-        pin_rows = np.array([fleet.row[v] for v, _ in pins], dtype=np.intp)
-        where[pin_rows] = [row[d] for _, d in pins]
-        hold(pin_rows, where[pin_rows])
+    pins = np.flatnonzero(where >= 0)
+    hold(pins, where[pins])
     chosen = [np.zeros(0, dtype=np.intp)]
     for i, rows in ranked:
         rows = rows[where[rows] < 0]
@@ -306,12 +297,12 @@ def pack(
     if rank is not None:
         chosen = chosen[np.argsort(rank[chosen])]
     rest = np.flatnonzero(where < 0)
-    hold(rest, home[rest])
+    hold(rest, fleet.tier_row[rest])
 
     current = fleet.current_tier
-    to = np.array(tier_id)[where[chosen]]
+    to = tier_ids[where[chosen]]
     names = [vmdk_ids[j] for j in chosen.tolist()]
-    target = dict(pins)
+    target = dict(zip([vmdk_ids[j] for j in pins.tolist()], tier_ids[where[pins]].tolist()))
     target.update(zip(names, to.tolist()))
     target.update(zip([vmdk_ids[j] for j in rest.tolist()], current[rest].tolist()))
     moves = zip(names, current[chosen].tolist(), to.tolist())
@@ -320,17 +311,15 @@ def pack(
         target=target,
         migrations=tuple(compress(moves, (to != current[chosen]).tolist())),
         overloaded=frozenset(vmdk_ids[j] for j in np.concatenate(overloaded).tolist()),
-        planned_usage={t: ResourceVector(*u) for t, u in zip(tier_id, used.tolist())},
+        planned_usage={t: ResourceVector(*u) for t, u in zip(tier_ids.tolist(), used.tolist())},
     )
 
 
 def trigger_migration(
     scores: ScoreMatrix,
     mat: CapacityMatrices,
-    tiers: Sequence[TierSpec],
     fleet: Fleet,
     epoch_index: int,
-    pinned: Mapping[str, int] | None = None,
 ) -> AssignmentPlan:
     """Greedy assignment round: tiers in id order, VMDKs by descending score.
 
@@ -338,7 +327,7 @@ def trigger_migration(
     ``np.argsort`` ranks each tier's row, so score ties break by fleet row,
     which is VMDK id. A -inf or NaN cell (infeasible, or a migration that
     cannot run this epoch) is never a candidate. All three budget kinds are
-    checked; see ``pack`` for pinned VMDKs and the stay-put fallback.
+    checked; see ``pack`` for in-flight VMDKs and the stay-put fallback.
     """
     if mat.vmdk_ids != fleet.ids:
         raise ValueError("capacity matrices must follow the fleet's VMDK order")
@@ -347,7 +336,7 @@ def trigger_migration(
     order = np.argsort(-scores.score, axis=1, kind="stable")
     counts = (scores.score > -math.inf).sum(axis=1).tolist()
     ranked = [(i, rows[:n]) for i, (rows, n) in enumerate(zip(order, counts))]
-    return pack(tiers, fleet, mat.cap, ranked, epoch_index, pinned)
+    return pack(fleet, mat.cap, ranked, epoch_index)
 
 
 def profit_contributions(
@@ -398,7 +387,6 @@ def oracle_assignment(
     mat: CapacityMatrices,
     weights: PolicyWeights,
     previous: Mapping[str, int],
-    tiers: Sequence[TierSpec],
     fleet: Fleet,
     migration_epoch_seconds: float,
     epoch_index: int = 0,
@@ -407,9 +395,9 @@ def oracle_assignment(
 
     Enumeration only; bounded to small instances. Ties break toward the
     lexicographically smallest assignment vector (VMDKs in id order, the
-    fleet's row order). The matrices' tier axis must follow ``tiers``.
+    fleet's row order). The matrices' tier axis must follow the fleet's.
     """
-    vmdk_ids = fleet.ids
+    vmdk_ids, tiers = fleet.ids, fleet.tiers
     if len(vmdk_ids) > ORACLE_MAX_VMDKS or len(tiers) > ORACLE_MAX_TIERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_VMDKS} VMDKs and {ORACLE_MAX_TIERS} tiers"
@@ -473,24 +461,27 @@ class PolicyContext:
 
     ``fleet`` is a read-only view of the run's store of VMDK and tier rows,
     made once per run: it follows every write of the engine, and a policy
-    that tries to write it gets an error. ``in_flight`` maps each VMDK with
-    an in-flight migration to its destination.
+    that tries to write it gets an error. Its ``tiers`` are the run's tier
+    specs and its ``dest_row`` the destination of each in-flight migration.
     """
 
-    tiers: tuple[TierSpec, ...]
     fleet: Fleet
     weights: PolicyWeights
     epoch_seconds: float
     probe: SampleProbe
-    in_flight: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def migration_epoch_seconds(self) -> float:
         return self.weights.migration_epoch * self.epoch_seconds
 
     @property
+    def tiers(self) -> tuple[TierSpec, ...]:
+        """The fleet's tier specs; kept because perfbench's ``policy.cells`` tally reads it."""
+        return self.fleet.tiers
+
+    @property
     def vmdk_states(self) -> Mapping[str, int]:
-        """VMDK id -> fleet row; the name the context had when it held ``VmdkState``s."""
+        """VMDK id -> fleet row; kept because perfbench's ``policy.cells`` tally reads it."""
         return self.fleet.row
 
 
@@ -514,12 +505,11 @@ class AutoTieringPolicy:
         self.calibrations = calibration.regress_latency_curve(
             samples, floor=weights.confidence_floor
         )
-        mat = cal_capacity_matrices(self.calibrations, fleet, ctx.tiers)
-        normalize_and_gate(mat, ctx.tiers)
+        mat = cal_capacity_matrices(self.calibrations, fleet)
+        normalize_and_gate(mat, fleet.tiers)
         self.scores = cal_score(
             mat,
             None if self.scores is None else self.scores.history,
-            ctx.tiers,
             ctx.weights,
             fleet,
             self.calibrations,
@@ -530,11 +520,4 @@ class AutoTieringPolicy:
     def plan_migrations(self, ctx: PolicyContext, epoch_index: int) -> AssignmentPlan:
         if self.scores is None or self.matrices is None:
             raise RuntimeError("plan requested before any monitor epoch")
-        return trigger_migration(
-            self.scores,
-            self.matrices,
-            ctx.tiers,
-            ctx.fleet,
-            epoch_index,
-            pinned=ctx.in_flight,
-        )
+        return trigger_migration(self.scores, self.matrices, ctx.fleet, epoch_index)

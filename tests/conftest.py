@@ -103,6 +103,17 @@ def make_fits(rows) -> CalibrationFits:
     )
 
 
+def pin(fleet: Fleet, pinned) -> Fleet:
+    """``fleet`` with ``dest_row`` set from ``pinned``, VMDK id -> destination tier id.
+
+    This is what the engine writes when orders start, so a packer that reads
+    the fleet and a reference that takes the mapping see the same case.
+    """
+    for vmdk_id, tier_id in pinned.items():
+        fleet.dest_row[fleet.row[vmdk_id]] = fleet.row_of_tier[tier_id]
+    return fleet
+
+
 def reference_pack(tiers, vmdk_ids, usage, kinds, candidates, current_assignment, epoch_index,
                    pinned=None):
     """The scalar packer every plan must match, as it was before the tier-by-tier scan.
@@ -298,7 +309,7 @@ def random_oracle_instance(rng: np.random.Generator):
         ))
     records = make_fits(rows)
     fleet = Fleet.of(states, tiers)
-    mat = normalize_and_gate(cal_capacity_matrices(records, fleet, tiers), tiers)
+    mat = normalize_and_gate(cal_capacity_matrices(records, fleet), tiers)
     for i in range(len(tiers)):
         fleet.served_read_mbps[i] = float(rng.uniform(0, 100))
         fleet.served_write_mbps[i] = float(rng.uniform(0, 100))

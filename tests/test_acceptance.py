@@ -77,7 +77,7 @@ def test_criterion_1_formula_fidelity():
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e12, avg_io_size_bytes=4096))
         rec = make_fits([("v1", 0.0, 20.0, 1.0)])
-        mat = cal_capacity_matrices(rec, Fleet.of([state], [tier]), [tier])
+        mat = cal_capacity_matrices(rec, Fleet.of([state], [tier]))
         ok &= close(mat.cap[0, 0, 0], 50_000.0)  # tier 1, v1, p
         ok &= close(mat.cap[0, 0, 1], 204.8)  # tier 1, v1, b
 
@@ -170,12 +170,12 @@ def test_criterion_4_oracle_dominance():
         while checked < 200:
             tiers, fleet, records, mat, weights, previous = random_oracle_instance(rng)
             try:
-                oracle = oracle_assignment(mat, weights, previous, tiers, fleet, 900.0)
+                oracle = oracle_assignment(mat, weights, previous, fleet, 900.0)
             except ValueError:
                 continue
             checked += 1
-            sm = cal_score(mat, None, tiers, weights, fleet, records, 900.0)
-            greedy = trigger_migration(sm, mat, tiers, fleet, 0)
+            sm = cal_score(mat, None, weights, fleet, records, 900.0)
+            greedy = trigger_migration(sm, mat, fleet, 0)
             ok &= not greedy.overloaded  # greedy feasible whenever the oracle is
             g = epoch_profit(greedy.target, previous, mat, weights, fleet, 900.0)
             o = epoch_profit(oracle.target, previous, mat, weights, fleet, 900.0)

@@ -7,7 +7,7 @@ from autotier import policy
 from autotier.baselines import edt_assign, idt_assign
 from autotier.model import Fleet, ResourceVector
 
-from conftest import make_state, make_tier, make_vmdk, random_scenario, reference_pack
+from conftest import make_state, make_tier, make_vmdk, pin, random_scenario, reference_pack
 from test_golden import plan_record
 
 # Fourteen-workload mix: (measured IOPS as served under tier caps, size GB)
@@ -47,7 +47,7 @@ class TestIdt:
             make_state(make_vmdk("hot", size_gb=80.0, initial_tier=2), measured_iops=100_000),
             make_state(make_vmdk("warm", size_gb=80.0, initial_tier=2), measured_iops=10_000),
         ]
-        plan = idt_assign(Fleet.of(states, tiers), tiers)
+        plan = idt_assign(Fleet.of(states, tiers))
         assert plan.target == {"hot": 1, "warm": 2}
 
     def test_idle_vmdks_never_migrate(self):
@@ -60,7 +60,7 @@ class TestIdt:
             make_state(make_vmdk("b", initial_tier=1), measured_iops=0.0),
             make_state(make_vmdk("c", initial_tier=2), measured_iops=0.0),
         ]
-        plan = idt_assign(Fleet.of(states, tiers), tiers)
+        plan = idt_assign(Fleet.of(states, tiers))
         assert plan.migrations == ()
 
     def test_zipf_mix_places_the_heaviest_first(self):
@@ -69,7 +69,7 @@ class TestIdt:
             make_state(make_vmdk(vid, size_gb=size, initial_tier=3), measured_iops=iops)
             for vid, (iops, size) in WORKLOAD_MIX.items()
         ]
-        plan = idt_assign(Fleet.of(states, tiers), tiers)
+        plan = idt_assign(Fleet.of(states, tiers))
         assert plan.target["zipf-ios"] == 1
 
     def test_only_storage_is_checked(self):
@@ -79,7 +79,7 @@ class TestIdt:
             make_state(make_vmdk(f"v{i}", size_gb=10.0), measured_iops=50_000)
             for i in range(5)
         ]
-        plan = idt_assign(Fleet.of(states, tiers), tiers)
+        plan = idt_assign(Fleet.of(states, tiers))
         assert all(t == 1 for t in plan.target.values())
         assert not plan.overloaded
 
@@ -94,7 +94,7 @@ class TestEdt:
             make_state(make_vmdk("small", size_gb=50.0, initial_tier=2), measured_iops=50_000),
             make_state(make_vmdk("large", size_gb=90.0, initial_tier=2), measured_iops=50_000),
         ]
-        plan = edt_assign(Fleet.of(states, tiers), tiers)
+        plan = edt_assign(Fleet.of(states, tiers))
         assert plan.target == {"small": 1, "large": 2}
 
     def test_density_ties_keep_current_tier(self):
@@ -106,7 +106,7 @@ class TestEdt:
             make_state(make_vmdk("a", size_gb=80.0, initial_tier=1), measured_iops=8000),
             make_state(make_vmdk("b", size_gb=80.0, initial_tier=2), measured_iops=8000),
         ]
-        plan = edt_assign(Fleet.of(states, tiers), tiers)
+        plan = edt_assign(Fleet.of(states, tiers))
         assert plan.target == {"a": 1, "b": 2}
         assert plan.migrations == ()
 
@@ -116,7 +116,7 @@ class TestEdt:
             make_state(make_vmdk(vid, size_gb=size, initial_tier=3), measured_iops=iops)
             for vid, (iops, size) in WORKLOAD_MIX.items()
         ]
-        plan = edt_assign(Fleet.of(states, tiers), tiers)
+        plan = edt_assign(Fleet.of(states, tiers))
         assert plan.target["sync-write"] == 3
 
     def test_throughput_cap_is_honored(self):
@@ -128,7 +128,7 @@ class TestEdt:
             make_state(make_vmdk("a", size_gb=10.0, initial_tier=2), measured_iops=50_000),
             make_state(make_vmdk("b", size_gb=10.0, initial_tier=2), measured_iops=50_000),
         ]
-        plan = edt_assign(Fleet.of(states, tiers), tiers)
+        plan = edt_assign(Fleet.of(states, tiers))
         placed_p = sum(
             s.measured_iops for s in states if plan.target[s.spec.id] == 1
         )
@@ -152,13 +152,13 @@ class TestPinned:
     @pytest.mark.parametrize("assign", [idt_assign, edt_assign])
     def test_rival_takes_the_seat_without_a_pin(self, assign):
         tiers, states = mover_and_rival()
-        assert assign(Fleet.of(states, tiers), tiers).target == {"mover": 2, "rival": 1}
+        assert assign(Fleet.of(states, tiers)).target == {"mover": 2, "rival": 1}
 
     @pytest.mark.parametrize("assign", [idt_assign, edt_assign])
     def test_pinned_vmdk_keeps_destination_and_budget(self, assign):
         # the in-flight mover takes tier 1's budget before the rival is packed
         tiers, states = mover_and_rival()
-        plan = assign(Fleet.of(states, tiers), tiers, epoch_index=3, pinned={"mover": 1})
+        plan = assign(pin(Fleet.of(states, tiers), {"mover": 1}), epoch_index=3)
         assert plan.target == {"mover": 1, "rival": 2}
         assert plan.migrations == ()
         assert not plan.overloaded
@@ -175,7 +175,7 @@ class TestBaselineProperties:
             states = [make_state(spec) for spec in scenario.vmdks]
             for s in states:
                 s.measured_iops = float(rng.uniform(0, 50_000))
-            plan = assign(Fleet.of(states, scenario.tiers), scenario.tiers)
+            plan = assign(Fleet.of(states, scenario.tiers))
             assert set(plan.target) == {s.spec.id for s in states}
             for tier in scenario.tiers:
                 if any(v in plan.overloaded for v, t in plan.target.items() if t == tier.id):
@@ -276,7 +276,7 @@ def assert_matches_reference(assign, seed, size=40):
     expected = reference_pack_by_metric(
         sorted(states, key=lambda s: s.spec.id), tiers, metric, capability, kinds, 4, pinned
     )
-    plan = assign(Fleet.of(states, tiers), tiers, 4, pinned=pinned)
+    plan = assign(pin(Fleet.of(states, tiers), pinned), 4)
     assert repr(plan_record(plan)) == repr(plan_record(expected))
     assert "zz-big" in plan.overloaded
 
@@ -304,7 +304,7 @@ class TestPackMatchesReference:
         for seed in range(6):
             tiers, states, pinned = random_packing_case(np.random.default_rng(seed), LONG_FLEET)
             for assign in (idt_assign, edt_assign):
-                assign(Fleet.of(states, tiers), tiers, pinned=pinned)
+                assign(pin(Fleet.of(states, tiers), pinned))
         long = [fit for fit in scans if len(fit) > policy.FIRST_FIT_WINDOW]
         assert long
         assert max(np.count_nonzero(fit[1:] != fit[:-1]) for fit in long) >= 3
@@ -313,7 +313,7 @@ class TestPackMatchesReference:
         seen = set()
         for seed in range(12):
             tiers, states, pinned = random_packing_case(np.random.default_rng(seed))
-            plans = [assign(Fleet.of(states, tiers), tiers, pinned=pinned)
+            plans = [assign(pin(Fleet.of(states, tiers), pinned))
                      for assign in (idt_assign, edt_assign)]
             iops = [s.measured_iops for s in states if s.measured_iops > 0]
             seen.update(

@@ -24,8 +24,9 @@ from autotier.model import (
     WorkloadPhase,
 )
 from autotier.reporting import metrics_csv_text
+from autotier.scenario import load_bundled_scenario
 
-from conftest import make_state, make_tier, make_vmdk, random_scenario
+from conftest import make_state, make_tier, make_vmdk, pin, random_scenario
 
 
 def reference_latency(tier, contention, spec, added_us=0.0):
@@ -598,6 +599,7 @@ def migration_epochs(seed, epochs=10):
             order = MigrationOrder(v, frm, to, fleet.specs[fleet.row[v]].size_gb * 1e9, epoch)
             started.append(order)
             in_flight[v] = to
+            pin(fleet, {v: to})
             active[v] = copy.deepcopy(order)
         book = sorted(book + started, key=lambda o: o.vmdk_id)
         orders = list(book)
@@ -607,7 +609,7 @@ def migration_epochs(seed, epochs=10):
         )
         book, finished = got[4], got[5]
         for order in finished:
-            fleet.move(order.vmdk_id, order.to_tier)
+            fleet.move(order.vmdk_id)
             del in_flight[order.vmdk_id]
         reference_orders = [active[v] for v in sorted(active)]
         reference_finished = set()
@@ -721,8 +723,8 @@ class TestRunScenario:
                     getattr(ctx.fleet, name)[0] = 1.0
             with pytest.raises(TypeError):
                 ctx.fleet.row["new"] = 0
-            with pytest.raises(TypeError):
-                ctx.in_flight["hot"] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                ctx.fleet.dest_row[0] = 0
 
         result = run_scenario(self.tiny(epochs=9), policy, on_plan=write)
         assert len(contexts) == 3 and all(ctx is contexts[0] for ctx in contexts)
@@ -740,6 +742,23 @@ class TestRunScenario:
         assert fleet.measured_iops.tolist() == [s.measured_iops for s in final]
         assert fleet.current_tier.tolist() == [s.current_tier for s in final]
         assert all(type(s.current_tier) is int and type(s.measured_iops) is float for s in final)
+
+    @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
+    def test_in_flight_vmdks_keep_their_destination(self, policy):
+        pinned_plans = []
+
+        def check(epoch, plan, policy_obj, ctx):
+            fleet = ctx.fleet
+            rows = np.flatnonzero(fleet.dest_row >= 0).tolist()
+            moving = {v for v, _, _ in plan.migrations}
+            for j in rows:
+                vmdk_id = fleet.ids[j]
+                assert plan.target[vmdk_id] == fleet.tiers[fleet.dest_row[j]].id
+                assert vmdk_id not in moving
+            pinned_plans.append(bool(rows))
+
+        run_scenario(load_bundled_scenario("table3-table4"), policy, seed=0, on_plan=check)
+        assert any(pinned_plans)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):

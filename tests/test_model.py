@@ -184,6 +184,17 @@ class TestFleet:
         assert read == [750.0, 0.0, 0.0, 0.0]
         assert write == [0.0, 0.0, 700.0, 0.0]
 
+    def test_move_lands_on_dest_row_and_clears_it(self):
+        tiers = [make_tier(i) for i in (1, 2, 3)]
+        states = [make_state(make_vmdk(v, initial_tier=3), tier=3) for v in ("a", "b")]
+        fleet = Fleet.of(states, tiers)
+        assert fleet.dest_row.tolist() == [-1, -1]
+        fleet.dest_row[1] = 0
+        fleet.move("b")
+        assert fleet.tier_row.tolist() == [2, 0]
+        assert fleet.dest_row.tolist() == [-1, -1]
+        assert fleet.current_tier.tolist() == [3, 1]
+
 
 class TestScenarioValidation:
     def test_bundled_paper_scenario_is_valid(self):

@@ -33,6 +33,7 @@ from conftest import (
     make_tier,
     make_fits,
     make_vmdk,
+    pin,
     random_oracle_instance,
     reference_pack,
 )
@@ -52,7 +53,7 @@ P, B, S = 0, 1, 2  # component index on the last axis of cap / ratio
 
 
 def build_matrices(tiers, fleet, records):
-    mat = cal_capacity_matrices(fits(fleet, records), fleet, tiers)
+    mat = cal_capacity_matrices(fits(fleet, records), fleet)
     return normalize_and_gate(mat, tiers)
 
 
@@ -78,7 +79,7 @@ class TestCapacityMatrices:
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e9, avg_io_size_bytes=4096))
         mat = cal_capacity_matrices(
-            make_fits([record("v1", 0.0, 20.0)]), Fleet.of([state], [tier]), [tier]
+            make_fits([record("v1", 0.0, 20.0)]), Fleet.of([state], [tier])
         )
         cell = mat.cap[at(mat, 1, "v1")]
         assert cell[P] == pytest.approx(50_000, rel=1e-9)
@@ -89,7 +90,7 @@ class TestCapacityMatrices:
         tiers = (make_tier(1, 50.0), make_tier(2, 2050.0))
         state = make_state(make_vmdk(initial_tier=2, demand_iops=1e9), tier=2)
         records = make_fits([record("v1", 1.0, 500.0)])
-        mat = cal_capacity_matrices(records, Fleet.of([state], tiers), tiers)
+        mat = cal_capacity_matrices(records, Fleet.of([state], tiers))
         # predicted latency on tier 1: 1.0 * (50-2050) + 500 = -1500us
         assert estimate_avg_lat(records, [2], {1: 50.0, 2: 2050.0})[0, 0] == -1500.0
         assert mat.cap[at(mat, 1, "v1")][P] == 0.0
@@ -99,7 +100,7 @@ class TestCapacityMatrices:
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=10_000, avg_io_size_bytes=4096))
         mat = cal_capacity_matrices(
-            make_fits([record("v1", 0.0, 20.0)]), Fleet.of([state], [tier]), [tier]
+            make_fits([record("v1", 0.0, 20.0)]), Fleet.of([state], [tier])
         )
         assert mat.cap[at(mat, 1, "v1")][P] == 10_000
         assert mat.cap[at(mat, 1, "v1")][B] == pytest.approx(10_000 * 4096 / 1e6)
@@ -239,7 +240,7 @@ class TestCalScore:
         fleet = Fleet.of([state], [tier])
         mat = build_matrices([tier], fleet, records)
         weights = PolicyWeights(aging_factor=aging, migration_epoch=3, monitor_epoch=1)
-        return cal_score(mat, history, [tier], weights, fleet, fits(fleet, records), 900.0)
+        return cal_score(mat, history, weights, fleet, fits(fleet, records), 900.0)
 
     def test_memoryless_costless_is_pure_match(self):
         sm = self.single_cell(0.0, None, 0.0)
@@ -270,7 +271,7 @@ class TestCalScore:
         weights = PolicyWeights(aging_factor=0.5, migration_epoch=3)
         history = np.zeros(mat.feasible.shape)
         history[at(mat, 1, "w")] = 0.4
-        sm = cal_score(mat, history, tiers, weights, fleet, fits(fleet, records), 900.0)
+        sm = cal_score(mat, history, weights, fleet, fits(fleet, records), 900.0)
         # penalty: 0.2 * (450 GB * 1000 / 1000 MBps) / 900 s = 0.1
         assert sm.score[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
         assert sm.history[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
@@ -282,7 +283,7 @@ class TestCalScore:
         fleet = Fleet.of([state], [tier])
         mat = build_matrices([tier], fleet, records)
         weights = PolicyWeights(aging_factor=0.9)
-        sm = cal_score(mat, np.full(mat.feasible.shape, 5.0), [tier], weights,
+        sm = cal_score(mat, np.full(mat.feasible.shape, 5.0), weights,
                        fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "v1")] == -math.inf
         assert sm.history[at(mat, 1, "v1")] == 0.0
@@ -296,7 +297,7 @@ class TestCalScore:
         fleet.served_read_mbps[1] = tiers[1].read_bandwidth_cap
         mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(aging_factor=0.5)
-        sm = cal_score(mat, None, tiers, weights, fleet, fits(fleet, records), 900.0)
+        sm = cal_score(mat, None, weights, fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "v1")] == -math.inf
         assert sm.history[at(mat, 1, "v1")] == 0.0
 
@@ -315,7 +316,7 @@ class TestTriggerMigration:
         fleet = Fleet.of([state], [tier])
         mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 100.0)})
         sm = scores_from(mat, [tier], {(1, "v1"): 1.0})
-        plan = trigger_migration(sm, mat, [tier], fleet, 0)
+        plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target == {"v1": 1}
         assert plan.migrations == ()
         assert not plan.overloaded
@@ -336,7 +337,7 @@ class TestTriggerMigration:
         sm = scores_from(mat, tiers, {
             (1, "a"): 0.4, (1, "b"): 0.9, (2, "a"): 0.1, (2, "b"): 0.1,
         })
-        plan = trigger_migration(sm, mat, tiers, fleet, 0)
+        plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target == {"a": 2, "b": 1}
         assert plan.migrations == (("b", 2, 1),)
 
@@ -352,9 +353,9 @@ class TestTriggerMigration:
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
         fleet = Fleet.of(states, tiers)
         mat = build_matrices(tiers, fleet, records)
-        sm = cal_score(mat, None, tiers, PolicyWeights(), fleet, fits(fleet, records), 900.0)
+        sm = cal_score(mat, None, PolicyWeights(), fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "a")] == -math.inf
-        plan = trigger_migration(sm, mat, tiers, fleet, 0)
+        plan = trigger_migration(sm, mat, fleet, 0)
         assert all(t == 2 for t in plan.target.values())
 
     def test_leftover_without_room_is_overloaded(self):
@@ -367,7 +368,7 @@ class TestTriggerMigration:
         fleet = Fleet.of(states, [tier])
         mat = build_matrices([tier], fleet, records)
         sm = scores_from(mat, [tier], {(1, "a"): 0.5, (1, "b"): 0.4})
-        plan = trigger_migration(sm, mat, [tier], fleet, 0)
+        plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target == {"a": 1, "b": 1}  # totality always wins
         assert plan.overloaded == {"b"}
 
@@ -386,7 +387,7 @@ class TestTriggerMigration:
         sm = scores_from(mat, tiers, {
             (1, "a"): 0.5, (1, "b"): 0.5, (2, "a"): 0.0, (2, "b"): 0.0,
         })
-        plan = trigger_migration(sm, mat, tiers, fleet, 0)
+        plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target["a"] == 1
         assert plan.target["b"] == 2
 
@@ -405,8 +406,7 @@ class TestTriggerMigration:
         sm = scores_from(mat, tiers, {
             (1, "mover"): 0.1, (1, "rival"): 0.9, (2, "mover"): 0.0, (2, "rival"): 0.0,
         })
-        plan = trigger_migration(sm, mat, tiers, fleet, 3,
-                                 pinned={"mover": 1})
+        plan = trigger_migration(sm, mat, pin(fleet, {"mover": 1}), 3)
         # the in-flight move keeps its seat even against a higher score
         assert plan.target == {"mover": 1, "rival": 2}
         assert plan.migrations == ()
@@ -520,6 +520,7 @@ def random_greedy_round(rng):
         for v in rng.choice(fleet.ids[:-1], size=int(rng.integers(0, 20)), replace=False).tolist()
     }
     pinned["zz-big"] = 1
+    pin(fleet, pinned)
     return ScoreMatrix(score, np.zeros_like(score)), mat, tiers, fleet, pinned
 
 
@@ -528,7 +529,7 @@ class TestTriggerMigrationMatchesReference:
     def test_plan_repr_equals_the_tuple_sort(self, seed):
         scores, mat, tiers, fleet, pinned = random_greedy_round(np.random.default_rng(seed))
         expected = reference_trigger_migration(scores, mat, tiers, fleet, 7, pinned)
-        plan = trigger_migration(scores, mat, tiers, fleet, 7, pinned=pinned)
+        plan = trigger_migration(scores, mat, fleet, 7)
         assert repr(plan_record(plan)) == repr(plan_record(expected))
         assert "zz-big" in plan.overloaded
 
@@ -544,7 +545,7 @@ class TestTriggerMigrationMatchesReference:
         seen = set()
         for seed in range(10):
             scores, mat, tiers, fleet, pinned = random_greedy_round(np.random.default_rng(seed))
-            plan = trigger_migration(scores, mat, tiers, fleet, 7, pinned=pinned)
+            plan = trigger_migration(scores, mat, fleet, 7)
             signs = {math.copysign(1.0, x) for x in scores.score[scores.score == 0.0].tolist()}
             seen.update(name for name, hit in (
                 ("signed zero tie", signs == {-1.0, 1.0}),
@@ -596,7 +597,7 @@ class TestProfitAndOracle:
         fleet = Fleet.of([state], tiers)
         mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(beta=0.0)
-        plan = oracle_assignment(mat, weights, {"v1": 3}, tiers, fleet, 900.0)
+        plan = oracle_assignment(mat, weights, {"v1": 3}, fleet, 900.0)
         profits = {
             t.id: epoch_profit({"v1": t.id}, {"v1": 3}, mat, weights, fleet, 900.0)
             for t in tiers
@@ -609,7 +610,7 @@ class TestProfitAndOracle:
         fleet = Fleet.of([state], [tier])
         mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 50.0)})
         with pytest.raises(ValueError, match="feasible"):
-            oracle_assignment(mat, PolicyWeights(), {"v1": 1}, [tier], fleet, 900.0)
+            oracle_assignment(mat, PolicyWeights(), {"v1": 1}, fleet, 900.0)
 
     def test_oracle_rejects_oversized_instances(self):
         tiers = (make_tier(1),)
@@ -619,7 +620,7 @@ class TestProfitAndOracle:
         mat = build_matrices(tiers, fleet, records)
         with pytest.raises(ValueError, match="limited"):
             oracle_assignment(mat, PolicyWeights(), {s.spec.id: 1 for s in states},
-                              tiers, fleet, 900.0)
+                              fleet, 900.0)
 
     def test_oracle_tie_breaks_lexicographically(self):
         # two identical tiers except latency ordering; equal profit everywhere
@@ -629,7 +630,7 @@ class TestProfitAndOracle:
         fleet = Fleet.of([state], tiers)
         mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(beta=0.0)
-        plan = oracle_assignment(mat, weights, {"v1": 1}, tiers, fleet, 900.0)
+        plan = oracle_assignment(mat, weights, {"v1": 1}, fleet, 900.0)
         assert plan.target["v1"] == 1
 
     def test_oracle_matches_manual_enumeration_on_2x2(self):
@@ -665,7 +666,7 @@ class TestProfitAndOracle:
                 profit = epoch_profit(target, previous, mat, weights, fleet, 900.0)
                 feasible.append((profit, target))
         best_profit, _ = max(feasible, key=lambda x: x[0])
-        plan = oracle_assignment(mat, weights, previous, tiers, fleet, 900.0)
+        plan = oracle_assignment(mat, weights, previous, fleet, 900.0)
         oracle_profit = epoch_profit(plan.target, previous, mat, weights, fleet, 900.0)
         assert oracle_profit == pytest.approx(best_profit, rel=1e-12)
 
@@ -675,10 +676,10 @@ class TestProfitAndOracle:
         total = 60
         for _ in range(total):
             tiers, fleet, records, mat, weights, previous = self.small_instance(rng)
-            sm = cal_score(mat, None, tiers, weights, fleet, records, 900.0)
-            greedy = trigger_migration(sm, mat, tiers, fleet, 0)
+            sm = cal_score(mat, None, weights, fleet, records, 900.0)
+            greedy = trigger_migration(sm, mat, fleet, 0)
             try:
-                oracle = oracle_assignment(mat, weights, previous, tiers, fleet, 900.0)
+                oracle = oracle_assignment(mat, weights, previous, fleet, 900.0)
             except ValueError:
                 continue
             assert not greedy.overloaded
