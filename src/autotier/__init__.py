@@ -4,6 +4,7 @@ from .model import (
     CalibrationFits,
     CapacityMatrices,
     Fleet,
+    MigrationLog,
     MigrationOrder,
     PolicyWeights,
     ResourceVector,

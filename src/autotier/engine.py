@@ -13,21 +13,23 @@ served MB/s. ``serve_epoch`` serves every tier in one vectorized pass and
 writes the measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
 view, and ``VmdkState`` objects are built once, for the result, after the
-last epoch. In-flight migrations form a book kept in VMDK-id order as
-orders start and finish; the fleet's ``dest_row`` marks each VMDK with an
-order in the book, so an order starts only for a VMDK that has none.
+last epoch. In-flight migrations are fleet columns too: the book is the
+rows whose ``dest_row`` is set, in id order, and an order starts only for a
+VMDK that has none. Starting a plan's orders, landing an epoch's finished
+orders and logging them each take one array operation per column; only the
+per-tier bandwidth debits run as a loop over the book. The run's
+``MigrationLog`` holds every order as columns and grows once per plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .baselines import EdtPolicy, IdtPolicy
-from .model import Fleet, MigrationOrder, Scenario, VmdkState
+from .model import Fleet, MigrationLog, Scenario, VmdkState
 from .policy import AssignmentPlan, AutoTieringPolicy, PolicyContext
 
 POLICY_NAMES = ("autotiering", "idt", "edt")
@@ -107,14 +109,14 @@ class RunResult:
     seed: int
     epochs: list[EpochMetrics] = field(default_factory=list)
     plans: list[AssignmentPlan] = field(default_factory=list)
-    migration_log: list[MigrationOrder] = field(default_factory=list)
+    migration_log: MigrationLog = field(default_factory=MigrationLog)
     final_states: dict[str, VmdkState] = field(default_factory=dict)
 
     def migrated_vmdk_ids(self) -> set[str]:
-        return {order.vmdk_id for order in self.migration_log}
+        return self.migration_log.migrated_vmdk_ids()
 
     def total_migrated_bytes(self) -> float:
-        return sum(order.bytes_moved for order in self.migration_log)
+        return self.migration_log.total_migrated_bytes()
 
 
 def serve_epoch(
@@ -211,56 +213,95 @@ def serve_epoch(
 
 
 def progress_migrations(
-    orders: Sequence[MigrationOrder],
+    rows: np.ndarray,
     fleet: Fleet,
     epoch_seconds: float,
-) -> tuple[float, list[float], list[float], list[str], list[MigrationOrder], list[MigrationOrder]]:
-    """Advance the in-flight ``orders``, in VMDK-id order, one epoch, debiting tier bandwidth.
+) -> tuple[float, list[float], list[float], list[str], np.ndarray]:
+    """Advance the in-flight migrations of fleet ``rows``, in id order, one epoch.
 
     Speed is recomputed per epoch from spare bandwidth (last epoch's served
     load plus debits already taken this epoch) and the VMDK's own measured
-    read bandwidth. Returns total bytes moved, read/write debits in MB/s by
-    tier row, stalled VMDK ids, the orders still in flight and the orders that
-    finished, both in id order; ``orders`` itself is left as it is.
+    read bandwidth; each move debits its source (``tier_row``) and its
+    destination (``dest_row``). Writes each row's ``bytes_moved``,
+    ``speed_mbps`` and ``stalled`` back to the fleet. Returns total bytes
+    moved, read/write debits in MB/s by tier row, stalled VMDK ids and the
+    rows whose migration finished, in id order.
     """
+    debit_read = [0.0] * len(fleet.tiers)
+    debit_write = [0.0] * len(fleet.tiers)
+    if not len(rows):
+        return 0.0, debit_read, debit_write, [], rows
     spare_read, spare_write = fleet.spare_mbps()
-    debit_read = [0.0] * len(spare_read)
-    debit_write = [0.0] * len(spare_write)
-    measured_read = fleet.measured_read_mbps.tolist()
-    row, row_of_tier = fleet.row, fleet.row_of_tier
+    ids = fleet.ids
+    row_list = rows.tolist()
+    source = fleet.tier_row[rows].tolist()
+    dest = fleet.dest_row[rows].tolist()
+    bytes_total = fleet.size_gb[rows] * 1e9
+    moved = fleet.bytes_moved[rows].tolist()
+    speed = fleet.speed_mbps[rows].tolist()
+    stall = fleet.stalled[rows].tolist()
     moved_total = 0.0
     stalled: list[str] = []
-    running: list[MigrationOrder] = []
-    finished: list[MigrationOrder] = []
     # Conditional expressions stand in for max(0.0, x) and min(a, b): the
     # same result, NaN included, without a call per order.
-    for order in orders:
-        left = order.bytes_total - order.bytes_moved
+    for i, (total, measured, s, d) in enumerate(zip(
+        bytes_total.tolist(), fleet.measured_read_mbps[rows].tolist(), source, dest
+    )):
+        left = total - moved[i]
         if left <= 0.0:
-            finished.append(order)
-            continue
-        source, dest = row_of_tier[order.from_tier], row_of_tier[order.to_tier]
-        spare = spare_read[source] - debit_read[source]
-        read_side = (spare if spare > 0.0 else 0.0) + measured_read[row[order.vmdk_id]]
-        spare = spare_write[dest] - debit_write[dest]
+            continue  # finished already
+        spare = spare_read[s] - debit_read[s]
+        read_side = (spare if spare > 0.0 else 0.0) + measured
+        spare = spare_write[d] - debit_write[d]
         write_side = spare if spare > 0.0 else 0.0
-        speed = write_side if write_side < read_side else read_side
-        order.speed_mbps = speed
-        if speed <= 0.0:
-            order.stalled = True
-            stalled.append(order.vmdk_id)
-            running.append(order)
+        speed[i] = mbps = write_side if write_side < read_side else read_side
+        if mbps <= 0.0:
+            stall[i] = True
+            stalled.append(ids[row_list[i]])
             continue
-        order.stalled = False
-        step = speed * 1e6 * epoch_seconds
-        moved = step if step < left else left
-        order.bytes_moved += moved
-        moved_total += moved
-        rate = moved / epoch_seconds / 1e6
-        debit_read[source] += rate
-        debit_write[dest] += rate
-        (finished if order.bytes_moved >= order.bytes_total else running).append(order)
-    return moved_total, debit_read, debit_write, stalled, running, finished
+        stall[i] = False
+        step = mbps * 1e6 * epoch_seconds
+        step = step if step < left else left
+        moved[i] += step
+        moved_total += step
+        rate = step / epoch_seconds / 1e6
+        debit_read[s] += rate
+        debit_write[d] += rate
+    moved_now = np.array(moved)
+    fleet.bytes_moved[rows] = moved_now
+    fleet.speed_mbps[rows] = speed
+    fleet.stalled[rows] = stall
+    return moved_total, debit_read, debit_write, stalled, rows[moved_now >= bytes_total]
+
+
+def start_migrations(
+    fleet: Fleet,
+    log: MigrationLog,
+    migrations: Sequence[tuple[str, int, int]],
+    epoch: int,
+) -> np.ndarray:
+    """Start the (vmdk id, from tier, to tier) ``migrations`` of VMDKs not already moving.
+
+    ``migrations`` names each VMDK at most once, as an ``AssignmentPlan``
+    does. Logs the started orders in id order and returns their fleet rows.
+    A move must start from its VMDK's current tier.
+    """
+    if not migrations:
+        return np.zeros(0, dtype=np.intp)
+    ids, from_tier, to_tier = zip(*migrations)
+    rows = np.fromiter(map(fleet.row.__getitem__, ids), np.intp, len(ids))
+    order = rows.argsort()
+    order = order[fleet.dest_row[rows[order]] < 0]  # finish an in-flight move first
+    rows = rows[order]
+    from_tier = np.asarray(from_tier, dtype=np.int64)[order]
+    dest = np.fromiter(map(fleet.row_of_tier.__getitem__, to_tier), np.intp, len(ids))[order]
+    if (from_tier != fleet.tier_ids[fleet.tier_row[rows]]).any():
+        raise ValueError("migration must start from the VMDK's current tier")
+    fleet.order_index[rows] = log.append(
+        rows, from_tier, fleet.tier_ids[dest], fleet.size_gb[rows] * 1e9, epoch
+    )
+    fleet.dest_row[rows] = dest
+    return rows
 
 
 def run_scenario(
@@ -281,8 +322,8 @@ def run_scenario(
     policy = make_policy(policy_name)
 
     fleet = Fleet.of([VmdkState.initial(spec) for spec in scenario.vmdks], scenario.tiers)
-    book: list[MigrationOrder] = []  # in-flight orders in VMDK-id order
-    result = RunResult(scenario=scenario, policy=policy_name, seed=actual_seed)
+    log = MigrationLog(fleet.ids)
+    result = RunResult(scenario=scenario, policy=policy_name, seed=actual_seed, migration_log=log)
 
     def probe(vmdk_ids: Sequence[str], added_us: Sequence[float], samples: int) -> np.ndarray:
         rows = [fleet.row[v] for v in vmdk_ids]
@@ -301,32 +342,17 @@ def run_scenario(
             policy.on_monitor(ctx)
 
         plan: AssignmentPlan | None = None
-        started: list[MigrationOrder] = []
+        started: tuple[str, ...] = ()
         if epoch % weights.migration_epoch == 0:
             plan = policy.plan_migrations(ctx, epoch)
             result.plans.append(plan)
             if on_plan is not None:
                 on_plan(epoch, plan, policy, ctx)
-            for vmdk_id, from_tier, to_tier in sorted(plan.migrations):
-                j = fleet.row[vmdk_id]
-                if fleet.dest_row[j] >= 0:
-                    continue  # finish the in-flight move first
-                order = MigrationOrder(
-                    vmdk_id=vmdk_id,
-                    from_tier=from_tier,
-                    to_tier=to_tier,
-                    bytes_total=fleet.specs[j].size_gb * 1e9,
-                    started_epoch=epoch,
-                )
-                started.append(order)
-                fleet.dest_row[j] = fleet.row_of_tier[to_tier]
-            result.migration_log += started
-            # Both runs are in id order, so the sort is one linear merge.
-            book += started
-            book.sort(key=attrgetter("vmdk_id"))
+            rows = start_migrations(fleet, log, plan.migrations, epoch)
+            started = tuple(map(fleet.ids.__getitem__, rows.tolist()))
 
-        moved_bytes, debit_read, debit_write, stalled, book, finished = progress_migrations(
-            book, fleet, epoch_seconds
+        moved_bytes, debit_read, debit_write, stalled, finished = progress_migrations(
+            (fleet.dest_row >= 0).nonzero()[0], fleet, epoch_seconds
         )
 
         per_tier: dict[int, TierEpochMetrics] = {}
@@ -342,8 +368,9 @@ def run_scenario(
         grand_iops = total.read_iops + total.write_iops
         total.mean_latency_us = latency_weight / grand_iops if grand_iops > 0 else 0.0
 
-        for order in finished:
-            fleet.move(order.vmdk_id)
+        if len(finished):
+            log.record(fleet, finished)
+            fleet.move(finished)
 
         result.epochs.append(
             EpochMetrics(
@@ -352,11 +379,12 @@ def run_scenario(
                 total=total,
                 migration_bytes=moved_bytes,
                 migration_count=len(started),
-                migrated_vmdks=tuple(order.vmdk_id for order in started),
+                migrated_vmdks=started,
                 overloaded=tuple(sorted(plan.overloaded)) if plan else (),
                 stalled=tuple(stalled),
             )
         )
 
+    log.record(fleet, (fleet.dest_row >= 0).nonzero()[0])
     result.final_states = {state.spec.id: state for state in fleet.states()}
     return result

@@ -3,14 +3,16 @@
 Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
-(Fleet, MigrationOrder) is owned by a single simulation run. The Fleet holds
-both sides of it: one row per VMDK and one row per tier.
+(Fleet, MigrationLog) is owned by a single simulation run. The Fleet holds
+both sides of it: one row per VMDK and one row per tier, in-flight
+migrations included; the MigrationLog holds every migration started, as
+columns.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import InitVar, dataclass, fields, replace
 from itertools import chain
 from operator import attrgetter
@@ -340,9 +342,27 @@ def cross_checks(tiers: Sequence[TierSpec], vmdks: Sequence[VmdkSpec]) -> list[s
     return problems
 
 
+def check_migrations(from_tier: Any, to_tier: Any, bytes_total: Any, bytes_moved: Any) -> None:
+    """Raise ValueError unless every move changes tiers and its bytes are in range.
+
+    Takes one move's scalars or aligned arrays of many moves. The step that
+    finishes a move adds ``bytes_total - bytes_moved`` to ``bytes_moved``,
+    which can round one ulp above ``bytes_total``; that ulp is in range.
+    """
+    stays = np.equal(from_tier, to_tier)
+    empty = np.less_equal(bytes_total, 0)
+    inside = np.less_equal(0.0, bytes_moved) & (bytes_moved <= np.nextafter(bytes_total, np.inf))
+    if (stays | empty | ~inside).any():
+        if stays.any():
+            raise ValueError("migration must change tiers")
+        if empty.any():
+            raise ValueError("bytesTotal must be positive")
+        raise ValueError("bytesMoved out of [0, bytesTotal]")
+
+
 @dataclass
 class MigrationOrder:
-    """An in-flight VMDK move; progresses over epochs until bytes_total moved."""
+    """One VMDK move as the log records it: moves bytes_total over epochs."""
 
     vmdk_id: str
     from_tier: int
@@ -354,16 +374,86 @@ class MigrationOrder:
     stalled: bool = False
 
     def __post_init__(self) -> None:
-        if self.from_tier == self.to_tier:
-            raise ValueError("migration must change tiers")
-        if self.bytes_total <= 0:
-            raise ValueError("bytesTotal must be positive")
-        if not (0.0 <= self.bytes_moved <= self.bytes_total):
-            raise ValueError("bytesMoved out of [0, bytesTotal]")
+        check_migrations(self.from_tier, self.to_tier, self.bytes_total, self.bytes_moved)
 
     @property
     def done(self) -> bool:
         return self.bytes_moved >= self.bytes_total
+
+
+# The log's columns after the VMDK, with their dtypes, in MigrationOrder's field order.
+_ORDER_COLUMNS = (
+    ("from_tier", np.int64),
+    ("to_tier", np.int64),
+    ("bytes_total", float),
+    ("started_epoch", np.int64),
+    ("bytes_moved", float),
+    ("speed_mbps", float),
+    ("stalled", bool),
+)
+
+
+class MigrationLog:
+    """Every migration a run started, in start order, held as (M,) columns.
+
+    ``row`` is the fleet row of each order's VMDK (``ids`` names it) and the
+    other columns are ``MigrationOrder``'s fields. ``append`` adds one plan's
+    started orders at once; ``record`` copies the progress of open orders
+    from the fleet, which the engine does as they land and at the end of the
+    run. Iterating yields one ``MigrationOrder`` per order.
+    """
+
+    def __init__(self, ids: Sequence[str] = ()):
+        self.ids = tuple(ids)
+        self.row = np.zeros(0, dtype=np.intp)
+        for name, dtype in _ORDER_COLUMNS:
+            setattr(self, name, np.zeros(0, dtype=dtype))
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __iter__(self) -> Iterator[MigrationOrder]:
+        columns = (getattr(self, name).tolist() for name, _ in _ORDER_COLUMNS)
+        ids = map(self.ids.__getitem__, self.row.tolist())
+        return (MigrationOrder(*order) for order in zip(ids, *columns))
+
+    def append(
+        self, rows: np.ndarray, from_tier: np.ndarray, to_tier: np.ndarray,
+        bytes_total: np.ndarray, epoch: int,
+    ) -> np.ndarray:
+        """Log one block of orders started at ``epoch``; returns their log indices."""
+        check_migrations(from_tier, to_tier, bytes_total, 0.0)
+        start, n = len(self.row), len(rows)
+        self.row = np.concatenate((self.row, rows))
+        block = (
+            from_tier, to_tier, bytes_total, np.full(n, epoch), np.zeros(n), np.zeros(n),
+            np.zeros(n, dtype=bool),
+        )
+        for (name, dtype), part in zip(_ORDER_COLUMNS, block):
+            setattr(self, name, np.concatenate((getattr(self, name), part), dtype=dtype))
+        return np.arange(start, start + n)
+
+    def record(self, fleet: Fleet, rows: np.ndarray) -> None:
+        """Copy the bytes moved, speed and stall flag of the open orders of ``rows``."""
+        k = fleet.order_index[rows]
+        if (k < 0).any():
+            raise ValueError("only a VMDK with an open order can record its progress")
+        moved = fleet.bytes_moved[rows]
+        check_migrations(self.from_tier[k], self.to_tier[k], self.bytes_total[k], moved)
+        self.bytes_moved[k] = moved
+        self.speed_mbps[k] = fleet.speed_mbps[rows]
+        self.stalled[k] = fleet.stalled[rows]
+
+    def total_migrated_bytes(self) -> float:
+        """Bytes moved over every order, summed in log order."""
+        return sum(self.bytes_moved.tolist())
+
+    def migrated_vmdk_ids(self) -> set[str]:
+        return set(map(self.ids.__getitem__, self.row.tolist()))
+
+    def unfinished(self) -> int:
+        """Orders whose bytes moved fall short of their bytes total."""
+        return int(np.count_nonzero(~(self.bytes_moved >= self.bytes_total)))
 
 
 @dataclass
@@ -397,7 +487,11 @@ class Fleet:
     truth slope and intercept), the active phase's demand, read fraction and
     I/O size, ``tier_row`` (each VMDK's current tier as a row of ``tiers``),
     ``dest_row`` (the tier row its in-flight migration lands on, -1 when it
-    has none) and the last epoch's four ``measured_*`` figures. Tier rows follow
+    has none) and the last epoch's four ``measured_*`` figures. An in-flight
+    migration moves ``size_gb * 1e9`` bytes from ``tier_row`` to
+    ``dest_row``; ``bytes_moved``, ``speed_mbps`` and ``stalled`` hold its
+    progress and ``order_index`` its index in the run's ``MigrationLog``
+    (0.0, 0.0, False and -1 for a VMDK that has none). Tier rows follow
     ``tiers``, the run's tier specs in order: each device's ``contention``,
     which inflates the latency probes see, and the MB/s each tier served last
     epoch, migration debits included. Serving writes the measurements and the
@@ -417,6 +511,10 @@ class Fleet:
     row_of_tier: Mapping[int, int]
     tier_row: np.ndarray
     dest_row: np.ndarray
+    bytes_moved: np.ndarray
+    speed_mbps: np.ndarray
+    stalled: np.ndarray
+    order_index: np.ndarray
     contention: np.ndarray
     served_read_mbps: np.ndarray
     served_write_mbps: np.ndarray
@@ -464,6 +562,10 @@ class Fleet:
             row_of_tier=row_of_tier,
             tier_row=np.array([row_of_tier[s.current_tier] for s in states], dtype=np.intp),
             dest_row=np.full(len(states), -1, dtype=np.intp),
+            bytes_moved=np.zeros(len(states)),
+            speed_mbps=np.zeros(len(states)),
+            stalled=np.zeros(len(states), dtype=bool),
+            order_index=np.full(len(states), -1, dtype=np.intp),
             contention=np.ones(len(tiers)),
             served_read_mbps=np.zeros(len(tiers)),
             served_write_mbps=np.zeros(len(tiers)),
@@ -521,10 +623,14 @@ class Fleet:
                 self.phase_table[:, k]
             )
 
-    def move(self, vmdk_id: str) -> None:
-        """Land the VMDK's in-flight migration on its ``dest_row``."""
-        j = self.row[vmdk_id]
-        self.tier_row[j], self.dest_row[j] = self.dest_row[j], -1
+    def move(self, rows: np.ndarray) -> None:
+        """Land the in-flight migrations of ``rows`` on their ``dest_row`` and clear them."""
+        self.tier_row[rows] = self.dest_row[rows]
+        self.dest_row[rows] = -1
+        self.bytes_moved[rows] = 0.0
+        self.speed_mbps[rows] = 0.0
+        self.stalled[rows] = False
+        self.order_index[rows] = -1
 
     def states(self) -> list[VmdkState]:
         """One ``VmdkState`` per row, with the exact values of its active phase."""

@@ -26,6 +26,7 @@ profit table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
@@ -60,10 +61,11 @@ class AssignmentPlan:
     """A total assignment for one migration epoch.
 
     ``target`` maps every VMDK to exactly one tier; ``migrations`` lists only
-    actual moves. VMDKs force-kept on a tier whose remaining capacity could
-    not absorb them are in ``overloaded``. ``planned_usage`` records, per
-    tier, the usage the planner accounted against the tier budget (only the
-    kinds the policy checks; overloaded VMDKs are not counted).
+    actual moves, at most one per VMDK. VMDKs force-kept on a tier whose
+    remaining capacity could not absorb them are in ``overloaded``.
+    ``planned_usage`` records, per tier, the usage the planner accounted
+    against the tier budget (only the kinds the policy checks; overloaded
+    VMDKs are not counted).
     """
 
     epoch_index: int
@@ -73,11 +75,19 @@ class AssignmentPlan:
     planned_usage: dict[int, ResourceVector] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for vmdk_id, frm, to in self.migrations:
-            if frm == to:
+        if not self.migrations:
+            return
+        ids, frm, to = zip(*self.migrations)
+        still = list(map(operator.eq, frm, to))
+        astray = list(map(operator.ne, map(self.target.get, ids), to))
+        if any(still) or any(astray):
+            # Report the first bad move's first failing check.
+            i = list(map(operator.or_, still, astray)).index(True)
+            if still[i]:
                 raise ValueError("migration list may only contain actual moves")
-            if self.target.get(vmdk_id) != to:
-                raise ValueError("migration target inconsistent with assignment")
+            raise ValueError("migration target inconsistent with assignment")
+        if len(set(ids)) < len(ids):
+            raise ValueError("migration list names a VMDK more than once")
 
 
 def _budgets(tiers: Sequence[TierSpec]) -> list[list[float]]:

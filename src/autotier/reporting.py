@@ -136,7 +136,7 @@ def migrations_dict(result: RunResult) -> dict[str, Any]:
         "migrationCount": len(result.migration_log),
         "distinctVmdksMigrated": len(distinct),
         "migratedVmdkIds": distinct,
-        "unfinishedMigrations": sum(1 for o in result.migration_log if not o.done),
+        "unfinishedMigrations": result.migration_log.unfinished(),
         "stallEpochs": sum(1 for em in result.epochs if em.stalled),
         "overloadEpochs": sum(1 for em in result.epochs if em.overloaded),
     }

@@ -12,10 +12,12 @@ from autotier.engine import (
     probe_latencies,
     progress_migrations,
     run_scenario,
+    start_migrations,
     TierEpochMetrics,
     serve_epoch,
 )
 from autotier.model import (
+    MigrationLog,
     MigrationOrder,
     PolicyWeights,
     ResourceVector,
@@ -23,7 +25,7 @@ from autotier.model import (
     SimulationConfig,
     WorkloadPhase,
 )
-from autotier.reporting import metrics_csv_text
+from autotier.reporting import metrics_csv_text, write_run_artifacts
 from autotier.scenario import load_bundled_scenario
 
 from conftest import make_state, make_tier, make_vmdk, pin, random_scenario
@@ -465,20 +467,21 @@ class TestMigrations:
             make_tier(1, 100.0, read_mbps=600.0, write_mbps=500.0),
             make_tier(2, 300.0, read_mbps=900.0, write_mbps=500.0),
         )
-        return tiers, Fleet.of([state], tiers)
+        return tiers, pin(Fleet.of([state], tiers), {"v1": 2})
 
     def test_steady_speed_completes_in_one_epoch(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
         tiers, fleet = self.setup_pair(state)
         fleet.served_read_mbps[0] = 100.0
         fleet.served_write_mbps[1] = 100.0
-        order = MigrationOrder("v1", 1, 2, bytes_total=100e9, started_epoch=0)
-        moved, debit_r, debit_w, stalled, in_flight, finished = progress_migrations(
-            [order], fleet, 300.0
+        moved, debit_r, debit_w, stalled, finished = progress_migrations(
+            np.array([0]), fleet, 300.0
         )
         # speed min(500-100+100, 500-100) = 400 MB/s, 100 GB needs 250 s < epoch
-        assert order.done
-        assert (in_flight, finished) == ([], [order])
+        assert finished.tolist() == [0]
+        assert fleet.bytes_moved.tolist() == [100e9]
+        assert fleet.speed_mbps.tolist() == [400.0]
+        assert not fleet.stalled[0]
         assert moved == pytest.approx(100e9)
         assert stalled == []
         assert debit_r[0] == pytest.approx(100e9 / 300 / 1e6)  # tier 1
@@ -489,14 +492,32 @@ class TestMigrations:
         tiers, fleet = self.setup_pair(state)
         fleet.served_read_mbps[0] = tiers[0].read_bandwidth_cap
         fleet.served_write_mbps[1] = tiers[1].write_bandwidth_cap
-        order = MigrationOrder("v1", 1, 2, bytes_total=100e9, started_epoch=0)
-        moved, _, _, stalled, in_flight, finished = progress_migrations(
-            [order], fleet, 300.0
-        )
+        moved, _, _, stalled, finished = progress_migrations(np.array([0]), fleet, 300.0)
         assert moved == 0.0
         assert stalled == ["v1"]
-        assert order.stalled
-        assert (in_flight, finished) == ([order], [])
+        assert fleet.stalled[0]
+        assert fleet.bytes_moved.tolist() == [0.0]
+        assert finished.tolist() == []
+
+    def test_finished_move_is_returned_untouched(self):
+        state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
+        _, fleet = self.setup_pair(state)
+        fleet.bytes_moved[0], fleet.speed_mbps[0], fleet.stalled[0] = 100e9, 7.0, True
+        moved, debit_r, debit_w, stalled, finished = progress_migrations(
+            np.array([0]), fleet, 300.0
+        )
+        assert (moved, debit_r, debit_w, stalled) == (0.0, [0.0, 0.0], [0.0, 0.0], [])
+        assert finished.tolist() == [0]
+        assert (fleet.bytes_moved[0], fleet.speed_mbps[0], fleet.stalled[0]) == (100e9, 7.0, True)
+
+    def test_empty_book_debits_nothing(self):
+        state = make_state(make_vmdk(size_gb=100.0), tier=1)
+        _, fleet = self.setup_pair(state)
+        moved, debit_r, debit_w, stalled, finished = progress_migrations(
+            np.zeros(0, dtype=np.intp), fleet, 300.0
+        )
+        assert (moved, debit_r, debit_w, stalled) == (0.0, [0.0, 0.0], [0.0, 0.0], [])
+        assert finished.tolist() == []
 
     def test_migration_debits_reduce_served_bandwidth(self):
         # bandwidth-saturated tier: served drops by exactly the migration rate
@@ -552,14 +573,15 @@ def reference_progress(orders, vmdk_states, tiers, served_read, served_write, ep
 
 
 def migration_epochs(seed, epochs=10):
-    """Run the id-ordered book and the reference loop side by side on random epochs.
+    """Run the fleet's migration columns and the reference loop side by side on random epochs.
 
     Yields, per epoch: both progress results, both sets of finished VMDKs,
-    both order lists, the tiers and the orders started in that epoch. Tier
-    loads range from idle to saturated (zero spare bandwidth), VMDK sizes
-    from a few GB (finished in the first epoch) to hundreds, and any VMDK
-    not moving may start a move, including the epoch after its last one
-    finished.
+    every log record as the end of a run would leave it and the reference
+    orders as tuples, the tiers and the VMDKs whose move started in that
+    epoch. Tier loads range from idle to saturated (zero spare bandwidth),
+    VMDK sizes from a few GB (finished in the first epoch) to hundreds, and
+    any VMDK not moving may start a move, including the epoch after its last
+    one finished.
     """
     rng = np.random.default_rng(seed)
     tiers = tuple(
@@ -573,8 +595,9 @@ def migration_epochs(seed, epochs=10):
         for j in range(int(rng.integers(5, 30)))
     ]
     fleet = Fleet.of(states, tiers)
+    log = MigrationLog(fleet.ids)
     reference_states = {s.spec.id: copy.deepcopy(s) for s in states}
-    book, in_flight, active = [], {}, {}
+    reference_log, active = [], {}
     for epoch in range(epochs):
         served_read, served_write = [], []
         for t in tiers:
@@ -592,53 +615,50 @@ def migration_epochs(seed, epochs=10):
             (v, current[v], int(rng.choice([t.id for t in tiers if t.id != current[v]])))
             for v in fleet.ids if rng.uniform() < 0.4
         )
-        started = []
+        started = [fleet.ids[j] for j in start_migrations(fleet, log, moves, epoch).tolist()]
         for v, frm, to in moves:
-            if v in in_flight:
-                continue
-            order = MigrationOrder(v, frm, to, fleet.specs[fleet.row[v]].size_gb * 1e9, epoch)
-            started.append(order)
-            in_flight[v] = to
-            pin(fleet, {v: to})
-            active[v] = copy.deepcopy(order)
-        book = sorted(book + started, key=lambda o: o.vmdk_id)
-        orders = list(book)
+            if v in started:
+                order = MigrationOrder(v, frm, to, fleet.specs[fleet.row[v]].size_gb * 1e9, epoch)
+                reference_log.append(order)
+                active[v] = order
+        book = np.flatnonzero(fleet.dest_row >= 0)
         got = progress_migrations(book, fleet, 300.0)
         expected = reference_progress(
             list(active.values()), reference_states, tiers, served_read, served_write, 300.0
         )
-        book, finished = got[4], got[5]
-        for order in finished:
-            fleet.move(order.vmdk_id)
-            del in_flight[order.vmdk_id]
-        reference_orders = [active[v] for v in sorted(active)]
+        finished = got[4]
+        log.record(fleet, finished)
+        fleet.move(finished)
         reference_finished = set()
         for v in sorted(active):
             if active[v].done:
                 reference_states[v].current_tier = active[v].to_tier
                 reference_finished.add(v)
                 del active[v]
-        yield (got[:4], expected, {o.vmdk_id for o in finished}, reference_finished,
-               orders, reference_orders, tiers, started)
+        at_end = copy.deepcopy(log)
+        at_end.record(fleet, np.flatnonzero(fleet.dest_row >= 0))
+        yield (got[:4], expected, {fleet.ids[j] for j in finished.tolist()}, reference_finished,
+               list(at_end), [astuple(o) for o in reference_log], tiers, started)
 
 
 class TestMigrationBookMatchesReference:
     @pytest.mark.parametrize("seed", range(10))
     def test_bitwise_equal_to_the_sorting_loop(self, seed):
-        for got, expected, finished, reference_finished, orders, reference_orders, _, _ in (
+        for got, expected, finished, reference_finished, records, reference_records, _, _ in (
             migration_epochs(seed)
         ):
             assert got == expected
             assert finished == reference_finished
-            assert [astuple(o) for o in orders] == [astuple(o) for o in reference_orders]
+            assert [astuple(o) for o in records] == reference_records
             assert all(type(o.speed_mbps) is float and type(o.bytes_moved) is float
-                       for o in orders)
+                       and type(o.from_tier) is int and type(o.stalled) is bool
+                       for o in records)
 
     def test_cases_cover_every_edge(self):
         seen = set()
         for seed in range(10):
             finished_at = {}
-            for epoch, (got, _, finished, _, orders, _, tiers, started) in enumerate(
+            for epoch, (got, _, finished, _, _, _, tiers, started) in enumerate(
                 migration_epochs(seed)
             ):
                 _, debit_read, debit_write, stalled = got
@@ -649,17 +669,69 @@ class TestMigrationBookMatchesReference:
                             r > t.read_bandwidth_cap or w > t.write_bandwidth_cap
                             for t, r, w in zip(tiers, debit_read, debit_write)
                         )),
-                        ("finished in first epoch", any(
-                            o.vmdk_id in finished for o in started
-                        )),
+                        ("finished in first epoch", any(v in finished for v in started)),
                         ("restarted next epoch", any(
-                            finished_at.get(o.vmdk_id) == epoch - 1 for o in started
+                            finished_at.get(v) == epoch - 1 for v in started
                         )),
                     ) if hit
                 )
                 finished_at.update(dict.fromkeys(finished, epoch))
         assert len(seen) == 4
 
+
+class TestMigrationChecks:
+    """Starting a plan's moves and logging their progress refuse impossible orders."""
+
+    def fleet(self):
+        tiers = (make_tier(1, 100.0), make_tier(2, 300.0))
+        states = [make_state(make_vmdk(v, size_gb=10.0), tier=1) for v in ("a", "b")]
+        return Fleet.of(states, tiers)
+
+    @pytest.mark.parametrize("moves, message", [
+        ((("a", 1, 2), ("b", 1, 1)), "migration must change tiers"),
+        ((("a", 2, 1),), "migration must start from the VMDK's current tier"),
+    ])
+    def test_refused_moves_start_nothing(self, moves, message):
+        fleet = self.fleet()
+        log = MigrationLog(fleet.ids)
+        with pytest.raises(ValueError, match=message):
+            start_migrations(fleet, log, moves, 0)
+        assert len(log) == 0
+        assert fleet.dest_row.tolist() == [-1, -1]
+        assert fleet.order_index.tolist() == [-1, -1]
+
+    def test_size_must_be_positive(self):
+        fleet = self.fleet()
+        fleet.size_gb[1] = 0.0
+        with pytest.raises(ValueError, match="bytesTotal must be positive"):
+            start_migrations(fleet, MigrationLog(fleet.ids), (("b", 1, 2),), 0)
+        assert fleet.dest_row.tolist() == [-1, -1]
+
+    @pytest.mark.parametrize("moved", [-1.0, 10e9 * (1 + 1e-15), np.nan])
+    def test_recorded_bytes_must_be_in_range(self, moved):
+        fleet = self.fleet()
+        log = MigrationLog(fleet.ids)
+        rows = start_migrations(fleet, log, (("a", 1, 2), ("b", 1, 2)), 0)
+        fleet.bytes_moved[1] = moved
+        with pytest.raises(ValueError, match=r"bytesMoved out of \[0, bytesTotal\]"):
+            log.record(fleet, rows)
+
+    def test_the_finishing_steps_rounding_is_in_range(self):
+        fleet = self.fleet()
+        log = MigrationLog(fleet.ids)
+        rows = start_migrations(fleet, log, (("a", 1, 2),), 0)
+        fleet.bytes_moved[0] = np.nextafter(10e9, np.inf)
+        log.record(fleet, rows)
+        assert log.unfinished() == 0
+
+    def test_moves_of_moving_vmdks_wait(self):
+        fleet = self.fleet()
+        log = MigrationLog(fleet.ids)
+        assert start_migrations(fleet, log, (("b", 1, 2),), 0).tolist() == [1]
+        rows = start_migrations(fleet, log, (("b", 1, 2), ("a", 1, 2)), 3)
+        assert rows.tolist() == [0]
+        assert fleet.order_index.tolist() == [1, 0]
+        assert [(o.vmdk_id, o.started_epoch) for o in log] == [("b", 0), ("a", 3)]
 
 class TestRunScenario:
     def tiny(self, epochs=6, **kw):
@@ -703,6 +775,16 @@ class TestRunScenario:
         result = run_scenario(scenario, "autotiering")
         for spec in scenario.vmdks:
             assert result.final_states[spec.id].spec.size_gb == spec.size_gb
+
+    @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
+    def test_runs_and_artifacts_build_no_order_objects(self, policy, monkeypatch, tmp_path):
+        def refuse(order):
+            raise AssertionError("built a MigrationOrder")
+
+        monkeypatch.setattr(MigrationOrder, "__post_init__", refuse)
+        result = run_scenario(load_bundled_scenario("table3-table4"), policy, seed=0)
+        write_run_artifacts(result, tmp_path)
+        assert len(result.migration_log) > 0
 
     @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
     def test_policies_read_a_read_only_view_of_the_fleet(self, policy):

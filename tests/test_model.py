@@ -1,6 +1,7 @@
 """Domain type invariants and scenario validation diagnostics."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from autotier.model import (
     CalibrationFits,
     Fleet,
+    MigrationLog,
     MigrationOrder,
     PolicyWeights,
     ResourceVector,
@@ -154,11 +156,15 @@ class TestOtherTypes:
         assert rec.prediction_slope[0] == 0.0
 
     def test_migration_order_requires_distinct_tiers(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="migration must change tiers"):
             MigrationOrder("v", 1, 1, bytes_total=1e9, started_epoch=0)
 
+    def test_migration_order_requires_positive_size(self):
+        with pytest.raises(ValueError, match="bytesTotal must be positive"):
+            MigrationOrder("v", 1, 2, bytes_total=0.0, started_epoch=0)
+
     def test_migration_order_bytes_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"bytesMoved out of \[0, bytesTotal\]"):
             MigrationOrder("v", 1, 2, bytes_total=1e9, started_epoch=0, bytes_moved=2e9)
 
     def test_policy_weights_cadence(self):
@@ -190,10 +196,91 @@ class TestFleet:
         fleet = Fleet.of(states, tiers)
         assert fleet.dest_row.tolist() == [-1, -1]
         fleet.dest_row[1] = 0
-        fleet.move("b")
+        fleet.move(np.array([1]))
         assert fleet.tier_row.tolist() == [2, 0]
         assert fleet.dest_row.tolist() == [-1, -1]
         assert fleet.current_tier.tolist() == [3, 1]
+
+    def test_move_lands_every_row_at_once_and_clears_its_progress(self):
+        tiers = [make_tier(i) for i in (1, 2, 3)]
+        states = [make_state(make_vmdk(v), tier=1) for v in ("a", "b", "c", "d")]
+        fleet = Fleet.of(states, tiers)
+        fleet.dest_row[:] = [2, 1, 2, -1]
+        fleet.bytes_moved[:] = [5e9, 1e9, 2e9, 0.0]
+        fleet.speed_mbps[:] = [10.0, 0.0, 30.0, 0.0]
+        fleet.stalled[:] = [False, True, False, False]
+        fleet.order_index[:] = [0, 2, 1, -1]
+        fleet.move(np.array([0, 1]))
+        assert fleet.tier_row.tolist() == [2, 1, 0, 0]
+        assert fleet.dest_row.tolist() == [-1, -1, 2, -1]
+        assert fleet.bytes_moved.tolist() == [0.0, 0.0, 2e9, 0.0]
+        assert fleet.speed_mbps.tolist() == [0.0, 0.0, 30.0, 0.0]
+        assert fleet.stalled.tolist() == [False, False, False, False]
+        assert fleet.order_index.tolist() == [-1, -1, 1, -1]
+        fleet.move(np.zeros(0, dtype=np.intp))
+        assert fleet.tier_row.tolist() == [2, 1, 0, 0]
+
+
+class TestMigrationLog:
+    def log(self):
+        tiers = [make_tier(i) for i in (1, 2, 3)]
+        states = [make_state(make_vmdk(v, size_gb=10.0), tier=1) for v in ("a", "b", "c")]
+        fleet = Fleet.of(states, tiers)
+        log = MigrationLog(fleet.ids)
+        fleet.order_index[[0, 2]] = log.append(
+            np.array([0, 2]), np.array([1, 1]), np.array([2, 3]), np.array([10e9, 10e9]), 0
+        )
+        fleet.order_index[[2]] = log.append(
+            np.array([2]), np.array([3]), np.array([1]), np.array([10e9]), 3
+        )
+        fleet.bytes_moved[[0, 2]] = [10e9, 4e9]
+        fleet.speed_mbps[[0, 2]] = [50.0, 0.0]
+        fleet.stalled[[0, 2]] = [False, True]
+        log.record(fleet, np.array([0, 2]))
+        return log
+
+    def test_append_returns_log_indices_and_starts_at_zero(self):
+        log = MigrationLog(("a",))
+        for index, (frm, to, epoch) in enumerate(((1, 2, 4), (2, 1, 7))):
+            k = log.append(np.array([0]), np.array([frm]), np.array([to]), np.array([1e9]), epoch)
+            assert k.tolist() == [index]
+        assert [astuple(o) for o in log] == [
+            ("a", 1, 2, 1e9, 4, 0.0, 0.0, False), ("a", 2, 1, 1e9, 7, 0.0, 0.0, False),
+        ]
+
+    def test_records_follow_the_fleet_where_recorded(self):
+        log = self.log()
+        assert len(log) == 3
+        assert [astuple(o) for o in log] == [
+            ("a", 1, 2, 10e9, 0, 10e9, 50.0, False),
+            ("c", 1, 3, 10e9, 0, 0.0, 0.0, False),
+            ("c", 3, 1, 10e9, 3, 4e9, 0.0, True),
+        ]
+        assert repr(next(iter(log))) == repr(
+            MigrationOrder("a", 1, 2, 10e9, 0, bytes_moved=10e9, speed_mbps=50.0)
+        )
+
+    def test_summaries_read_the_columns(self):
+        log = self.log()
+        assert log.total_migrated_bytes() == 14e9
+        assert log.migrated_vmdk_ids() == {"a", "c"}
+        assert log.unfinished() == 2
+        empty = MigrationLog(("a",))
+        assert (empty.total_migrated_bytes(), empty.migrated_vmdk_ids(), empty.unfinished()) == (
+            0, set(), 0
+        )
+        assert list(empty) == []
+
+    def test_record_needs_an_open_order(self):
+        fleet = Fleet.of([make_state(make_vmdk("a"))], [make_tier(1), make_tier(2)])
+        with pytest.raises(ValueError, match="open order"):
+            MigrationLog(fleet.ids).record(fleet, np.array([0]))
+
+    def test_append_refuses_a_move_that_stays(self):
+        log = MigrationLog(("a",))
+        with pytest.raises(ValueError, match="migration must change tiers"):
+            log.append(np.array([0]), np.array([2]), np.array([2]), np.array([1e9]), 0)
+        assert len(log) == 0
 
 
 class TestScenarioValidation:

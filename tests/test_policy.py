@@ -557,6 +557,29 @@ class TestTriggerMigrationMatchesReference:
         assert max(np.count_nonzero(fit[1:] != fit[:-1]) for fit in long) >= 3
 
 
+class TestAssignmentPlanChecks:
+    TARGET = {"a": 2, "b": 1, "c": 3}
+
+    @pytest.mark.parametrize("migrations, message", [
+        ((("a", 1, 2), ("b", 1, 1)), "only contain actual moves"),
+        ((("a", 1, 3), ("b", 1, 1)), "inconsistent with assignment"),
+        ((("a", 1, 2), ("b", 1, 1), ("c", 1, 2)), "only contain actual moves"),
+        ((("a", 1, 2), ("c", 1, 2), ("b", 1, 1)), "inconsistent with assignment"),
+        ((("a", 2, 2),), "only contain actual moves"),
+        ((("z", 1, 2),), "inconsistent with assignment"),
+        ((("a", 1, 2), ("c", 1, 3), ("a", 1, 2)), "names a VMDK more than once"),
+        ((("a", 1, 2), ("a", 1, 2), ("b", 1, 1)), "only contain actual moves"),
+    ])
+    def test_the_first_bad_move_names_the_error(self, migrations, message):
+        with pytest.raises(ValueError, match=message):
+            policy.AssignmentPlan(0, dict(self.TARGET), migrations)
+
+    def test_consistent_moves_pass(self):
+        plan = policy.AssignmentPlan(0, dict(self.TARGET), (("a", 1, 2), ("c", 2, 3)))
+        assert plan.migrations == (("a", 1, 2), ("c", 2, 3))
+        assert policy.AssignmentPlan(0, {}, ()).migrations == ()
+
+
 class TestProfitAndOracle:
     def small_instance(self, rng):
         return random_oracle_instance(rng)
