@@ -64,17 +64,16 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     def on_plan(epoch, plan, policy, ctx) -> None:
         # in-flight moves are committed: charge against their destination
         fleet = ctx.fleet
-        rows = np.where(fleet.dest_row >= 0, fleet.dest_row, fleet.tier_row)
-        previous = dict(zip(fleet.ids, fleet.tier_ids[rows].tolist()))
+        previous = np.where(fleet.dest_row >= 0, fleet.dest_row, fleet.tier_row)
         greedy = epoch_profit(
-            plan.target, previous, policy.matrices, ctx.weights, fleet,
+            plan.target_row, previous, policy.matrices, ctx.weights, fleet,
             ctx.migration_epoch_seconds,
         )
         oracle_plan = oracle_assignment(
             policy.matrices, ctx.weights, previous, fleet, ctx.migration_epoch_seconds, epoch,
         )
         oracle = epoch_profit(
-            oracle_plan.target, previous, policy.matrices, ctx.weights, fleet,
+            oracle_plan.target_row, previous, policy.matrices, ctx.weights, fleet,
             ctx.migration_epoch_seconds,
         )
         ratio = greedy / oracle if abs(oracle) > 1e-12 else None

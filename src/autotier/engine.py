@@ -15,10 +15,13 @@ progress and policies read the same arrays, policies through a read-only
 view, and ``VmdkState`` objects are built once, for the result, after the
 last epoch. In-flight migrations are fleet columns too: the book is the
 rows whose ``dest_row`` is set, in id order, and an order starts only for a
-VMDK that has none. Starting a plan's orders, landing an epoch's finished
-orders and logging them each take one array operation per column; only the
-per-tier bandwidth debits run as a loop over the book. The run's
-``MigrationLog`` holds every order as columns and grows once per plan.
+VMDK that has none. Plans come in fleet rows too: the engine starts a plan's
+moves from its ``move_rows``, ``move_from`` and ``move_to`` arrays and reads
+its overloaded VMDKs from ``overloaded_rows``, never looking up a VMDK id.
+Starting a plan's orders, landing an epoch's finished orders and logging
+them each take one array operation per column; only the per-tier bandwidth
+debits run as a loop over the book. The run's ``MigrationLog`` holds every
+order as columns and grows once per plan.
 """
 
 from __future__ import annotations
@@ -277,28 +280,27 @@ def progress_migrations(
 def start_migrations(
     fleet: Fleet,
     log: MigrationLog,
-    migrations: Sequence[tuple[str, int, int]],
+    rows: np.ndarray,
+    from_rows: np.ndarray,
+    to_rows: np.ndarray,
     epoch: int,
 ) -> np.ndarray:
-    """Start the (vmdk id, from tier, to tier) ``migrations`` of VMDKs not already moving.
+    """Start the moves of fleet ``rows`` from tier ``from_rows`` to ``to_rows``.
 
-    ``migrations`` names each VMDK at most once, as an ``AssignmentPlan``
-    does. Logs the started orders in id order and returns their fleet rows.
-    A move must start from its VMDK's current tier.
+    The three arrays are aligned and name each VMDK at most once, as an
+    ``AssignmentPlan``'s moves do. Moves of VMDKs already moving wait. Logs
+    the started orders in id order and returns their fleet rows. A move
+    must start from its VMDK's current tier.
     """
-    if not migrations:
+    if not len(rows):
         return np.zeros(0, dtype=np.intp)
-    ids, from_tier, to_tier = zip(*migrations)
-    rows = np.fromiter(map(fleet.row.__getitem__, ids), np.intp, len(ids))
     order = rows.argsort()
     order = order[fleet.dest_row[rows[order]] < 0]  # finish an in-flight move first
-    rows = rows[order]
-    from_tier = np.asarray(from_tier, dtype=np.int64)[order]
-    dest = np.fromiter(map(fleet.row_of_tier.__getitem__, to_tier), np.intp, len(ids))[order]
-    if (from_tier != fleet.tier_ids[fleet.tier_row[rows]]).any():
+    rows, source, dest = rows[order], from_rows[order], to_rows[order]
+    if (source != fleet.tier_row[rows]).any():
         raise ValueError("migration must start from the VMDK's current tier")
     fleet.order_index[rows] = log.append(
-        rows, from_tier, fleet.tier_ids[dest], fleet.size_gb[rows] * 1e9, epoch
+        rows, fleet.tier_ids[source], fleet.tier_ids[dest], fleet.size_gb[rows] * 1e9, epoch
     )
     fleet.dest_row[rows] = dest
     return rows
@@ -341,15 +343,19 @@ def run_scenario(
         if epoch % weights.monitor_epoch == 0:
             policy.on_monitor(ctx)
 
-        plan: AssignmentPlan | None = None
         started: tuple[str, ...] = ()
+        overloaded: tuple[str, ...] = ()
         if epoch % weights.migration_epoch == 0:
             plan = policy.plan_migrations(ctx, epoch)
             result.plans.append(plan)
             if on_plan is not None:
                 on_plan(epoch, plan, policy, ctx)
-            rows = start_migrations(fleet, log, plan.migrations, epoch)
+            rows = start_migrations(
+                fleet, log, plan.move_rows, plan.move_from, plan.move_to, epoch
+            )
             started = tuple(map(fleet.ids.__getitem__, rows.tolist()))
+            # Rows are in id order, so sorted rows name the VMDKs sorted by id.
+            overloaded = tuple(map(fleet.ids.__getitem__, np.sort(plan.overloaded_rows).tolist()))
 
         moved_bytes, debit_read, debit_write, stalled, finished = progress_migrations(
             (fleet.dest_row >= 0).nonzero()[0], fleet, epoch_seconds
@@ -380,7 +386,7 @@ def run_scenario(
                 migration_bytes=moved_bytes,
                 migration_count=len(started),
                 migrated_vmdks=started,
-                overloaded=tuple(sorted(plan.overloaded)) if plan else (),
+                overloaded=overloaded,
                 stalled=tuple(stalled),
             )
         )

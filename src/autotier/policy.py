@@ -20,15 +20,21 @@ policy ranks each tier's row with one stable ``np.argsort``; the baselines
 rank VMDKs by their metric and put 0.0 in the usage columns they do not
 check. A brute-force per-epoch profit maximizer doubles as the test oracle
 for the greedy round; it and ``epoch_profit`` share one per-(tier, vmdk)
-profit table.
+profit table, and both take assignments as (N,) tier rows.
+
+Every planner returns an ``AssignmentPlan`` in fleet rows: each VMDK's
+target tier row, the order VMDKs were seated in, and the moves as aligned
+row arrays. Its checks run on those arrays. The same plan keyed by VMDK and
+tier id (``target``, ``migrations``, ``overloaded``, ``planned_usage``) is
+built only when something reads it, and then kept.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,38 +62,72 @@ class ScoreMatrix:
     history: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssignmentPlan:
-    """A total assignment for one migration epoch.
+    """A total assignment for one migration epoch, held in fleet rows.
 
-    ``target`` maps every VMDK to exactly one tier; ``migrations`` lists only
-    actual moves, at most one per VMDK. VMDKs force-kept on a tier whose
-    remaining capacity could not absorb them are in ``overloaded``.
-    ``planned_usage`` records, per tier, the usage the planner accounted
-    against the tier budget (only the kinds the policy checks; overloaded
-    VMDKs are not counted).
+    ``ids`` and ``tier_ids`` are the fleet's VMDK ids and tier ids; every
+    other field indexes them. ``target_row`` is each VMDK's tier row and
+    ``order`` the order the packer seated the VMDKs in: in-flight VMDKs,
+    then placements, then stay-puts. The moves are the aligned
+    ``move_rows`` (fleet rows), ``move_from`` and ``move_to`` (tier rows),
+    at most one per VMDK. VMDKs force-kept on a tier whose remaining
+    capacity could not absorb them are in ``overloaded_rows``. ``used`` is
+    the (T, 3) usage the planner accounted against each tier's budget (only
+    the kinds the policy checks; overloaded VMDKs are not counted).
+
+    ``target``, ``migrations``, ``overloaded`` and ``planned_usage`` are the
+    same plan keyed by id, built on first access and kept: ``target`` lists
+    the VMDKs in ``order``.
     """
 
     epoch_index: int
-    target: dict[str, int]
-    migrations: tuple[tuple[str, int, int], ...]
-    overloaded: frozenset[str] = frozenset()
-    planned_usage: dict[int, ResourceVector] = field(default_factory=dict)
+    ids: tuple[str, ...]
+    tier_ids: np.ndarray
+    target_row: np.ndarray
+    order: np.ndarray
+    move_rows: np.ndarray
+    move_from: np.ndarray
+    move_to: np.ndarray
+    overloaded_rows: np.ndarray
+    used: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.migrations:
-            return
-        ids, frm, to = zip(*self.migrations)
-        still = list(map(operator.eq, frm, to))
-        astray = list(map(operator.ne, map(self.target.get, ids), to))
-        if any(still) or any(astray):
+        still = self.move_from == self.move_to
+        bad = still | (self.target_row[self.move_rows] != self.move_to)
+        if bad.any():
             # Report the first bad move's first failing check.
-            i = list(map(operator.or_, still, astray)).index(True)
-            if still[i]:
+            if still[bad.argmax()]:
                 raise ValueError("migration list may only contain actual moves")
             raise ValueError("migration target inconsistent with assignment")
-        if len(set(ids)) < len(ids):
+        if (np.bincount(self.move_rows) > 1).any():
             raise ValueError("migration list names a VMDK more than once")
+
+    @cached_property
+    def target(self) -> dict[str, int]:
+        """VMDK id -> tier id, in seating order."""
+        return dict(zip(
+            map(self.ids.__getitem__, self.order.tolist()),
+            self.tier_ids[self.target_row[self.order]].tolist(),
+        ))
+
+    @cached_property
+    def migrations(self) -> tuple[tuple[str, int, int], ...]:
+        """(VMDK id, from tier id, to tier id) per move, in placement order."""
+        return tuple(zip(
+            map(self.ids.__getitem__, self.move_rows.tolist()),
+            self.tier_ids[self.move_from].tolist(),
+            self.tier_ids[self.move_to].tolist(),
+        ))
+
+    @cached_property
+    def overloaded(self) -> frozenset[str]:
+        return frozenset(map(self.ids.__getitem__, self.overloaded_rows.tolist()))
+
+    @cached_property
+    def planned_usage(self) -> dict[int, ResourceVector]:
+        """Tier id -> planned usage, in tier order."""
+        return {t: ResourceVector(*u) for t, u in zip(self.tier_ids.tolist(), self.used.tolist())}
 
 
 def _budgets(tiers: Sequence[TierSpec]) -> list[list[float]]:
@@ -159,19 +199,17 @@ def orthogonal_match_score(
     return numerator * sla_weight * confidence / denominator
 
 
-def mig_cost_seconds(fleet: Fleet, sources: Sequence[int] | None = None) -> np.ndarray:
+def mig_cost_seconds(fleet: Fleet, sources: np.ndarray | None = None) -> np.ndarray:
     """(T, N) estimated seconds to move each VMDK of the fleet to each tier row.
 
     Speed is bottlenecked by spare bandwidth: the source's spare read
     bandwidth gets the VMDK's own read share back (a live migration frees
     it); the target contributes spare write bandwidth. Zero speed means the
     move is impossible this epoch (+inf); staying on the source is free.
-    ``sources`` (tier ids) defaults to each VMDK's current tier.
+    ``sources`` (the (N,) source tier rows) defaults to each VMDK's current
+    tier.
     """
-    if sources is None:
-        source_row = fleet.tier_row
-    else:
-        source_row = np.array([fleet.row_of_tier[t] for t in sources], dtype=np.intp)
+    source_row = fleet.tier_row if sources is None else sources
     spare_read, spare_write = map(np.array, fleet.spare_mbps())
     read_side = spare_read[source_row] + fleet.measured_read_mbps
     speed = np.minimum(read_side, spare_write[:, None])
@@ -281,10 +319,11 @@ def pack(
     always wins over capacity. A tier's decisions depend only on the rows
     that reach it, in order, so a VMDK-major walk (each VMDK tries its tiers
     in order until one absorbs it) places every VMDK as this scan does.
-    Placements are listed in scan order, or in walk order given ``rank``,
-    each fleet row's position in the walk.
+    The plan's ``order`` lists the in-flight VMDKs, then the placements, in
+    scan order or in walk order given ``rank`` (each fleet row's position in
+    the walk), then the stay-puts; its moves are the placements that change
+    tiers, in the same order.
     """
-    vmdk_ids, tier_ids = fleet.ids, fleet.tier_ids
     left = np.array(_budgets(fleet.tiers))
     used = np.zeros((len(left), 3))
     where = fleet.dest_row.copy()
@@ -309,19 +348,20 @@ def pack(
     rest = np.flatnonzero(where < 0)
     hold(rest, fleet.tier_row[rest])
 
-    current = fleet.current_tier
-    to = tier_ids[where[chosen]]
-    names = [vmdk_ids[j] for j in chosen.tolist()]
-    target = dict(zip([vmdk_ids[j] for j in pins.tolist()], tier_ids[where[pins]].tolist()))
-    target.update(zip(names, to.tolist()))
-    target.update(zip([vmdk_ids[j] for j in rest.tolist()], current[rest].tolist()))
-    moves = zip(names, current[chosen].tolist(), to.tolist())
+    where[rest] = fleet.tier_row[rest]
+    moves = chosen[where[chosen] != fleet.tier_row[chosen]]
+    # A run keeps every plan, so a plan's rows take half the fleet's width.
     return AssignmentPlan(
         epoch_index=epoch_index,
-        target=target,
-        migrations=tuple(compress(moves, (to != current[chosen]).tolist())),
-        overloaded=frozenset(vmdk_ids[j] for j in np.concatenate(overloaded).tolist()),
-        planned_usage={t: ResourceVector(*u) for t, u in zip(tier_ids.tolist(), used.tolist())},
+        ids=fleet.ids,
+        tier_ids=fleet.tier_ids,
+        target_row=where.astype(np.int32),
+        order=np.concatenate((pins, chosen, rest)).astype(np.int32),
+        move_rows=moves.astype(np.int32),
+        move_from=fleet.tier_row[moves].astype(np.int32),
+        move_to=where[moves].astype(np.int32),
+        overloaded_rows=np.concatenate(overloaded).astype(np.int32),
+        used=used,
     )
 
 
@@ -352,7 +392,7 @@ def trigger_migration(
 def profit_contributions(
     mat: CapacityMatrices,
     weights: PolicyWeights,
-    previous: Mapping[str, int],
+    previous: np.ndarray,
     fleet: Fleet,
     migration_epoch_seconds: float,
 ) -> np.ndarray:
@@ -362,20 +402,21 @@ def profit_contributions(
     times the normalized cost of moving from ``previous``). Resource terms
     use ratios so the three kinds are commensurable; the migration term uses
     the same normalized cost as the score. The objective is separable once
-    the previous assignment and the tiers' served load are fixed. The
-    matrices' axes must follow the fleet's tier and VMDK rows.
+    the previous assignment (``previous``, each VMDK's tier row) and the
+    tiers' served load are fixed. The matrices' axes must follow the fleet's
+    tier and VMDK rows.
     """
     if mat.vmdk_ids != fleet.ids:
         raise ValueError("capacity matrices must follow the fleet's VMDK order")
     alpha, ratio = weights.alpha, mat.ratio
     gain = alpha.p * ratio[..., 0] + alpha.b * ratio[..., 1] + alpha.s * ratio[..., 2]
-    cost = mig_cost_seconds(fleet, [previous[v] for v in fleet.ids]) / migration_epoch_seconds
+    cost = mig_cost_seconds(fleet, previous) / migration_epoch_seconds
     return fleet.sla_weight * (gain - weights.beta * cost)
 
 
 def epoch_profit(
-    target: Mapping[str, int],
-    previous: Mapping[str, int],
+    target: np.ndarray,
+    previous: np.ndarray,
     mat: CapacityMatrices,
     weights: PolicyWeights,
     fleet: Fleet,
@@ -383,20 +424,19 @@ def epoch_profit(
 ) -> float:
     """Single-epoch profit of an assignment: its cells of ``profit_contributions``.
 
-    Used for oracle comparison and reporting only.
+    ``target`` and ``previous`` are (N,) tier rows, such as a plan's
+    ``target_row``. The cells are added one at a time in row order, from
+    0.0. Used for oracle comparison and reporting only.
     """
-    contrib = profit_contributions(mat, weights, previous, fleet, migration_epoch_seconds).tolist()
-    row = {t: i for i, t in enumerate(mat.tier_ids)}
-    total = 0.0
-    for j, v in enumerate(fleet.ids):
-        total += contrib[row[target[v]]][j]
-    return total
+    contrib = profit_contributions(mat, weights, previous, fleet, migration_epoch_seconds)
+    cells = contrib[target, np.arange(len(target))].tolist()
+    return reduce(operator.add, cells, 0.0)
 
 
 def oracle_assignment(
     mat: CapacityMatrices,
     weights: PolicyWeights,
-    previous: Mapping[str, int],
+    previous: np.ndarray,
     fleet: Fleet,
     migration_epoch_seconds: float,
     epoch_index: int = 0,
@@ -406,6 +446,9 @@ def oracle_assignment(
     Enumeration only; bounded to small instances. Ties break toward the
     lexicographically smallest assignment vector (VMDKs in id order, the
     fleet's row order). The matrices' tier axis must follow the fleet's.
+    ``previous`` is each VMDK's tier row before the epoch; the plan moves
+    every VMDK whose best tier row differs, in id order, and seats the VMDKs
+    in id order.
     """
     vmdk_ids, tiers = fleet.ids, fleet.tiers
     if len(vmdk_ids) > ORACLE_MAX_VMDKS or len(tiers) > ORACLE_MAX_TIERS:
@@ -443,19 +486,22 @@ def oracle_assignment(
     if best_vector is None:
         raise ValueError("no capacity-feasible assignment exists")
 
-    target: dict[str, int] = {}
-    usage: dict[int, ResourceVector] = {t.id: ResourceVector() for t in tiers}
-    for j, (v, i) in enumerate(zip(vmdk_ids, best_vector)):
-        t = target[v] = tiers[i].id
-        usage[t] = usage[t] + ResourceVector(*cap[i][j])
-    migrations = tuple(
-        (v, previous[v], t) for v, t in target.items() if t != previous[v]
-    )
+    used = np.zeros((len(tiers), 3))
+    for j, i in enumerate(best_vector):
+        used[i] += cap[i][j]
+    target = np.array(best_vector, dtype=np.intp)
+    moves = np.flatnonzero(target != previous)
     return AssignmentPlan(
         epoch_index=epoch_index,
-        target=target,
-        migrations=migrations,
-        planned_usage=usage,
+        ids=vmdk_ids,
+        tier_ids=fleet.tier_ids,
+        target_row=target,
+        order=np.arange(len(vmdk_ids)),
+        move_rows=moves,
+        move_from=previous[moves],
+        move_to=target[moves],
+        overloaded_rows=np.zeros(0, dtype=np.intp),
+        used=used,
     )
 
 

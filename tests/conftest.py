@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -21,7 +23,6 @@ from autotier.model import (
     VmdkState,
     WorkloadPhase,
 )
-from autotier.policy import AssignmentPlan
 
 
 def make_tier(
@@ -114,13 +115,28 @@ def pin(fleet: Fleet, pinned) -> Fleet:
     return fleet
 
 
+def tier_rows(fleet: Fleet, assignment) -> np.ndarray:
+    """(N,) tier rows of ``assignment``, VMDK id -> tier id, in the fleet's row order."""
+    return np.array([fleet.row_of_tier[assignment[v]] for v in fleet.ids], dtype=np.intp)
+
+
+class ReferencePlan(NamedTuple):
+    """A plan keyed by VMDK and tier id, with the fields ``plan_record`` reads."""
+
+    epoch_index: int
+    target: dict[str, int]
+    migrations: tuple[tuple[str, int, int], ...]
+    overloaded: frozenset[str]
+    planned_usage: dict[int, ResourceVector]
+
+
 def reference_pack(tiers, vmdk_ids, usage, kinds, candidates, current_assignment, epoch_index,
                    pinned=None):
     """The scalar packer every plan must match, as it was before the tier-by-tier scan.
 
     One ``absorb`` per (tier index, row) candidate in order, checking and
     accounting only the kinds named in ``kinds``; placement is tracked by
-    string membership in ``target``.
+    string membership in ``target``. Returns a ``ReferencePlan``.
     """
     checked = ["pbs".index(k) for k in kinds]
     row = {t.id: i for i, t in enumerate(tiers)}
@@ -160,7 +176,7 @@ def reference_pack(tiers, vmdk_ids, usage, kinds, candidates, current_assignment
     migrations = tuple(
         (v, effective_current[v], t) for v, t in target.items() if t != effective_current[v]
     )
-    return AssignmentPlan(
+    return ReferencePlan(
         epoch_index=epoch_index,
         target=target,
         migrations=migrations,
@@ -265,7 +281,8 @@ def random_scenario(rng: np.random.Generator, epochs: int = 6) -> Scenario:
 def random_oracle_instance(rng: np.random.Generator):
     """A small (<=8 VMDK, 3 tier) instance with its fleet and matrices built.
 
-    The fleet's tiers carry random served read and write MB/s.
+    The fleet's tiers carry random served read and write MB/s. The last item
+    is the previous assignment: each VMDK's current tier row.
 
     Ranges keep every VMDK individually feasible on every tier with aggregate
     slack, so the greedy's stay-put fallback never has to overload.
@@ -318,8 +335,7 @@ def random_oracle_instance(rng: np.random.Generator):
         beta=float(rng.uniform(0, 2)),
         aging_factor=0.0,
     )
-    previous = {s.spec.id: s.current_tier for s in states}
-    return tiers, fleet, records, mat, weights, previous
+    return tiers, fleet, records, mat, weights, fleet.tier_row.copy()
 
 
 @pytest.fixture

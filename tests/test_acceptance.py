@@ -177,8 +177,8 @@ def test_criterion_4_oracle_dominance():
             sm = cal_score(mat, None, weights, fleet, records, 900.0)
             greedy = trigger_migration(sm, mat, fleet, 0)
             ok &= not greedy.overloaded  # greedy feasible whenever the oracle is
-            g = epoch_profit(greedy.target, previous, mat, weights, fleet, 900.0)
-            o = epoch_profit(oracle.target, previous, mat, weights, fleet, 900.0)
+            g = epoch_profit(greedy.target_row, previous, mat, weights, fleet, 900.0)
+            o = epoch_profit(oracle.target_row, previous, mat, weights, fleet, 900.0)
             ok &= g <= o + 1e-9
             if o > 1e-9:  # ratios of negative optima invert their meaning
                 ratios.append(g / o)

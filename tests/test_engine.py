@@ -572,6 +572,15 @@ def reference_progress(orders, vmdk_states, tiers, served_read, served_write, ep
     return moved_total, list(debit_read.values()), list(debit_write.values()), stalled
 
 
+def start_moves(fleet, log, moves, epoch):
+    """``start_migrations`` of (VMDK id, from tier id, to tier id) ``moves``."""
+    rows = np.array([fleet.row[v] for v, _, _ in moves], dtype=np.intp)
+    source, dest = (
+        np.array([fleet.row_of_tier[move[k]] for move in moves], dtype=np.intp) for k in (1, 2)
+    )
+    return start_migrations(fleet, log, rows, source, dest, epoch)
+
+
 def migration_epochs(seed, epochs=10):
     """Run the fleet's migration columns and the reference loop side by side on random epochs.
 
@@ -615,7 +624,7 @@ def migration_epochs(seed, epochs=10):
             (v, current[v], int(rng.choice([t.id for t in tiers if t.id != current[v]])))
             for v in fleet.ids if rng.uniform() < 0.4
         )
-        started = [fleet.ids[j] for j in start_migrations(fleet, log, moves, epoch).tolist()]
+        started = [fleet.ids[j] for j in start_moves(fleet, log, moves, epoch).tolist()]
         for v, frm, to in moves:
             if v in started:
                 order = MigrationOrder(v, frm, to, fleet.specs[fleet.row[v]].size_gb * 1e9, epoch)
@@ -695,7 +704,7 @@ class TestMigrationChecks:
         fleet = self.fleet()
         log = MigrationLog(fleet.ids)
         with pytest.raises(ValueError, match=message):
-            start_migrations(fleet, log, moves, 0)
+            start_moves(fleet, log, moves, 0)
         assert len(log) == 0
         assert fleet.dest_row.tolist() == [-1, -1]
         assert fleet.order_index.tolist() == [-1, -1]
@@ -704,14 +713,14 @@ class TestMigrationChecks:
         fleet = self.fleet()
         fleet.size_gb[1] = 0.0
         with pytest.raises(ValueError, match="bytesTotal must be positive"):
-            start_migrations(fleet, MigrationLog(fleet.ids), (("b", 1, 2),), 0)
+            start_moves(fleet, MigrationLog(fleet.ids), (("b", 1, 2),), 0)
         assert fleet.dest_row.tolist() == [-1, -1]
 
     @pytest.mark.parametrize("moved", [-1.0, 10e9 * (1 + 1e-15), np.nan])
     def test_recorded_bytes_must_be_in_range(self, moved):
         fleet = self.fleet()
         log = MigrationLog(fleet.ids)
-        rows = start_migrations(fleet, log, (("a", 1, 2), ("b", 1, 2)), 0)
+        rows = start_moves(fleet, log, (("a", 1, 2), ("b", 1, 2)), 0)
         fleet.bytes_moved[1] = moved
         with pytest.raises(ValueError, match=r"bytesMoved out of \[0, bytesTotal\]"):
             log.record(fleet, rows)
@@ -719,7 +728,7 @@ class TestMigrationChecks:
     def test_the_finishing_steps_rounding_is_in_range(self):
         fleet = self.fleet()
         log = MigrationLog(fleet.ids)
-        rows = start_migrations(fleet, log, (("a", 1, 2),), 0)
+        rows = start_moves(fleet, log, (("a", 1, 2),), 0)
         fleet.bytes_moved[0] = np.nextafter(10e9, np.inf)
         log.record(fleet, rows)
         assert log.unfinished() == 0
@@ -727,8 +736,8 @@ class TestMigrationChecks:
     def test_moves_of_moving_vmdks_wait(self):
         fleet = self.fleet()
         log = MigrationLog(fleet.ids)
-        assert start_migrations(fleet, log, (("b", 1, 2),), 0).tolist() == [1]
-        rows = start_migrations(fleet, log, (("b", 1, 2), ("a", 1, 2)), 3)
+        assert start_moves(fleet, log, (("b", 1, 2),), 0).tolist() == [1]
+        rows = start_moves(fleet, log, (("b", 1, 2), ("a", 1, 2)), 3)
         assert rows.tolist() == [0]
         assert fleet.order_index.tolist() == [1, 0]
         assert [(o.vmdk_id, o.started_epoch) for o in log] == [("b", 0), ("a", 3)]

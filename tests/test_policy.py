@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autotier import policy
+from autotier.baselines import idt_assign
 from autotier.calibration import estimate_avg_lat
 from autotier.model import (
     CapacityMatrices,
@@ -36,7 +37,9 @@ from conftest import (
     pin,
     random_oracle_instance,
     reference_pack,
+    tier_rows,
 )
+from test_baselines import REFERENCE_RULES, reference_pack_by_metric
 from test_golden import plan_record
 
 
@@ -558,7 +561,30 @@ class TestTriggerMigrationMatchesReference:
 
 
 class TestAssignmentPlanChecks:
+    """Moves are written as (VMDK id, from tier id, to tier id); tier id t is row t - 1."""
+
+    IDS = ("a", "b", "c")
     TARGET = {"a": 2, "b": 1, "c": 3}
+
+    def plan(self, migrations, ids=IDS):
+        def column(k, row):
+            return np.array([row(move[k]) for move in migrations], dtype=np.intp)
+
+        def tier_row(t):
+            return t - 1
+
+        return policy.AssignmentPlan(
+            epoch_index=0,
+            ids=ids,
+            tier_ids=np.arange(1, len(ids) + 1),
+            target_row=np.array([tier_row(self.TARGET[v]) for v in ids], dtype=np.intp),
+            order=np.arange(len(ids)),
+            move_rows=column(0, ids.index),
+            move_from=column(1, tier_row),
+            move_to=column(2, tier_row),
+            overloaded_rows=np.zeros(0, dtype=np.intp),
+            used=np.zeros((len(ids), 3)),
+        )
 
     @pytest.mark.parametrize("migrations, message", [
         ((("a", 1, 2), ("b", 1, 1)), "only contain actual moves"),
@@ -566,18 +592,68 @@ class TestAssignmentPlanChecks:
         ((("a", 1, 2), ("b", 1, 1), ("c", 1, 2)), "only contain actual moves"),
         ((("a", 1, 2), ("c", 1, 2), ("b", 1, 1)), "inconsistent with assignment"),
         ((("a", 2, 2),), "only contain actual moves"),
-        ((("z", 1, 2),), "inconsistent with assignment"),
+        ((("b", 2, 3),), "inconsistent with assignment"),  # b's target is tier 1
         ((("a", 1, 2), ("c", 1, 3), ("a", 1, 2)), "names a VMDK more than once"),
         ((("a", 1, 2), ("a", 1, 2), ("b", 1, 1)), "only contain actual moves"),
     ])
     def test_the_first_bad_move_names_the_error(self, migrations, message):
         with pytest.raises(ValueError, match=message):
-            policy.AssignmentPlan(0, dict(self.TARGET), migrations)
+            self.plan(migrations)
 
     def test_consistent_moves_pass(self):
-        plan = policy.AssignmentPlan(0, dict(self.TARGET), (("a", 1, 2), ("c", 2, 3)))
+        plan = self.plan((("a", 1, 2), ("c", 2, 3)))
         assert plan.migrations == (("a", 1, 2), ("c", 2, 3))
-        assert policy.AssignmentPlan(0, {}, ()).migrations == ()
+        assert plan.target == self.TARGET
+        assert self.plan((), ids=()).migrations == ()
+
+
+class TestPlanViews:
+    """A plan's id views are built once, and ``target`` lists VMDKs as they were seated."""
+
+    VIEWS = ("target", "migrations", "overloaded", "planned_usage")
+
+    def assert_cached(self, plan):
+        for name in self.VIEWS:
+            assert getattr(plan, name) is getattr(plan, name)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_packed_plans_seat_pins_then_placements_then_stay_puts(self, seed):
+        rng = np.random.default_rng(seed)
+        scores, mat, tiers, fleet, pinned = random_greedy_round(rng)
+        fleet.measured_iops[:] = rng.choice([0.0, 5e3, 2e4], size=len(fleet.ids))
+        cases = (
+            (trigger_migration(scores, mat, fleet, 7),
+             reference_trigger_migration(scores, mat, tiers, fleet, 7, pinned)),
+            (idt_assign(fleet, 7),
+             reference_pack_by_metric(fleet.states(), tiers, *REFERENCE_RULES[idt_assign], 7,
+                                      pinned)),
+        )
+        for plan, expected in cases:
+            self.assert_cached(plan)
+            seated = list(plan.target)
+            assert seated == [fleet.ids[j] for j in plan.order.tolist()]
+            assert seated[:len(pinned)] == sorted(pinned)
+            moved = [v for v, _, _ in plan.migrations]
+            assert [v for v in seated if v in set(moved)] == moved
+            # The reference seats pins, then candidates as placed, then stay-puts by id.
+            assert seated == list(expected.target)
+            assert seated != sorted(seated)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracle_plans_seat_in_id_order(self, seed):
+        tiers, fleet, records, mat, weights, previous = random_oracle_instance(
+            np.random.default_rng(seed)
+        )
+        plan = oracle_assignment(mat, weights, previous, fleet, 900.0)
+        self.assert_cached(plan)
+        assert list(plan.target) == list(fleet.ids)
+        assert [v for v, _, _ in plan.migrations] == [
+            v for v, j in zip(fleet.ids, plan.target_row.tolist()) if j != previous[fleet.row[v]]
+        ]
+        usage = {t.id: ResourceVector() for t in tiers}
+        for v, t in plan.target.items():
+            usage[t] = usage[t] + ResourceVector(*mat.cap[at(mat, t, v)].tolist())
+        assert repr(plan.planned_usage) == repr(usage)
 
 
 class TestProfitAndOracle:
@@ -594,7 +670,7 @@ class TestProfitAndOracle:
         fleet = Fleet.of(states, [tier])
         mat = build_matrices([tier], fleet, records)
         weights = PolicyWeights(alpha=ResourceVector(1, 0, 0), beta=7.0)
-        target = {"a": 1, "b": 1}
+        target = tier_rows(fleet, {"a": 1, "b": 1})
         profit = epoch_profit(target, target, mat, weights, fleet, 900.0)
         expected = 2.0 * mat.ratio[at(mat, 1, "a")][P] + 1.0 * mat.ratio[at(mat, 1, "b")][P]
         assert profit == pytest.approx(expected, rel=1e-12)
@@ -603,9 +679,9 @@ class TestProfitAndOracle:
         rng = np.random.default_rng(5)
         tiers, fleet, records, mat, weights, previous = self.small_instance(rng)
         weights = PolicyWeights(alpha=weights.alpha, beta=0.0)
-        target = {v: 1 if mat.feasible[at(mat, 1, v)] else previous[v] for v in fleet.ids}
+        target = np.where(mat.feasible[fleet.row_of_tier[1]], fleet.row_of_tier[1], previous)
         p1 = epoch_profit(target, previous, mat, weights, fleet, 900.0)
-        other_prev = {v: 2 for v in previous}
+        other_prev = np.full_like(previous, fleet.row_of_tier[2])
         p2 = epoch_profit(target, other_prev, mat, weights, fleet, 900.0)
         assert p1 == pytest.approx(p2, rel=1e-12)
 
@@ -620,9 +696,11 @@ class TestProfitAndOracle:
         fleet = Fleet.of([state], tiers)
         mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(beta=0.0)
-        plan = oracle_assignment(mat, weights, {"v1": 3}, fleet, 900.0)
+        previous = tier_rows(fleet, {"v1": 3})
+        plan = oracle_assignment(mat, weights, previous, fleet, 900.0)
         profits = {
-            t.id: epoch_profit({"v1": t.id}, {"v1": 3}, mat, weights, fleet, 900.0)
+            t.id: epoch_profit(tier_rows(fleet, {"v1": t.id}), previous, mat, weights, fleet,
+                               900.0)
             for t in tiers
         }
         assert plan.target["v1"] == max(profits, key=profits.get)
@@ -633,7 +711,7 @@ class TestProfitAndOracle:
         fleet = Fleet.of([state], [tier])
         mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 50.0)})
         with pytest.raises(ValueError, match="feasible"):
-            oracle_assignment(mat, PolicyWeights(), {"v1": 1}, fleet, 900.0)
+            oracle_assignment(mat, PolicyWeights(), tier_rows(fleet, {"v1": 1}), fleet, 900.0)
 
     def test_oracle_rejects_oversized_instances(self):
         tiers = (make_tier(1),)
@@ -642,8 +720,7 @@ class TestProfitAndOracle:
         fleet = Fleet.of(states, tiers)
         mat = build_matrices(tiers, fleet, records)
         with pytest.raises(ValueError, match="limited"):
-            oracle_assignment(mat, PolicyWeights(), {s.spec.id: 1 for s in states},
-                              fleet, 900.0)
+            oracle_assignment(mat, PolicyWeights(), fleet.tier_row, fleet, 900.0)
 
     def test_oracle_tie_breaks_lexicographically(self):
         # two identical tiers except latency ordering; equal profit everywhere
@@ -653,7 +730,7 @@ class TestProfitAndOracle:
         fleet = Fleet.of([state], tiers)
         mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(beta=0.0)
-        plan = oracle_assignment(mat, weights, {"v1": 1}, fleet, 900.0)
+        plan = oracle_assignment(mat, weights, tier_rows(fleet, {"v1": 1}), fleet, 900.0)
         assert plan.target["v1"] == 1
 
     def test_oracle_matches_manual_enumeration_on_2x2(self):
@@ -671,7 +748,7 @@ class TestProfitAndOracle:
         fleet = Fleet.of(states, tiers)
         mat = build_matrices(tiers, fleet, records)
         weights = PolicyWeights(beta=0.5)
-        previous = {"a": 2, "b": 1}
+        previous = tier_rows(fleet, {"a": 2, "b": 1})
         candidates = [
             {"a": ta, "b": tb} for ta in (1, 2) for tb in (1, 2)
         ]
@@ -686,11 +763,13 @@ class TestProfitAndOracle:
                 if not total.fits_within(tier.max_usable()):
                     fits = False
             if fits:
-                profit = epoch_profit(target, previous, mat, weights, fleet, 900.0)
+                profit = epoch_profit(
+                    tier_rows(fleet, target), previous, mat, weights, fleet, 900.0
+                )
                 feasible.append((profit, target))
         best_profit, _ = max(feasible, key=lambda x: x[0])
         plan = oracle_assignment(mat, weights, previous, fleet, 900.0)
-        oracle_profit = epoch_profit(plan.target, previous, mat, weights, fleet, 900.0)
+        oracle_profit = epoch_profit(plan.target_row, previous, mat, weights, fleet, 900.0)
         assert oracle_profit == pytest.approx(best_profit, rel=1e-12)
 
     def test_greedy_never_beats_oracle_on_random_instances(self):
@@ -718,8 +797,8 @@ class TestProfitAndOracle:
                 recorded = greedy.planned_usage[tier.id]
                 assert recorded.p == pytest.approx(total.p, rel=1e-9, abs=1e-9)
                 assert recorded.s == pytest.approx(total.s, rel=1e-9, abs=1e-9)
-            g = epoch_profit(greedy.target, previous, mat, weights, fleet, 900.0)
-            o = epoch_profit(oracle.target, previous, mat, weights, fleet, 900.0)
+            g = epoch_profit(greedy.target_row, previous, mat, weights, fleet, 900.0)
+            o = epoch_profit(oracle.target_row, previous, mat, weights, fleet, 900.0)
             assert g <= o + 1e-9
             if greedy.target == oracle.target:
                 agree += 1
