@@ -10,8 +10,10 @@ import argparse
 import json
 import logging
 import math
+import operator
 import os
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +90,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     ratios = [r["ratio"] for r in report if r["ratio"] is not None]
     out = {
         "epochs": report,
-        "meanRatio": sum(ratios) / len(ratios) if ratios else None,
+        "meanRatio": reduce(operator.add, ratios, 0) / len(ratios) if ratios else None,
         "greedyNeverAbove": all(
             r["greedyProfit"] <= r["oracleProfit"] + 1e-9
             for r in report

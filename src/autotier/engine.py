@@ -13,15 +13,16 @@ served MB/s. ``serve_epoch`` serves every tier in one vectorized pass and
 writes the measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
 view, and ``VmdkState`` objects are built once, for the result, after the
-last epoch. In-flight migrations are fleet columns too: the book is the
-rows whose ``dest_row`` is set, in id order, and an order starts only for a
-VMDK that has none. Plans come in fleet rows too: the engine starts a plan's
-moves from its ``move_rows``, ``move_from`` and ``move_to`` arrays and reads
-its overloaded VMDKs from ``overloaded_rows``, never looking up a VMDK id.
-Starting a plan's orders, landing an epoch's finished orders and logging
-them each take one array operation per column; only the per-tier bandwidth
-debits run as a loop over the book. The run's ``MigrationLog`` holds every
-order as columns and grows once per plan.
+last epoch. The book of in-flight migrations is the fleet rows whose
+``dest_row`` is set, in id order; an order starts only for a VMDK that has
+none. Plans come in fleet rows too: the engine starts a plan's moves from
+its ``move_rows``, ``move_from`` and ``move_to`` arrays and reads its
+overloaded VMDKs from ``overloaded_rows``, never looking up a VMDK id. The
+run's ``MigrationLog`` holds every order as columns, progress included, and
+is its only record; the fleet's ``order_index`` leads each moving row to
+its order. Starting, advancing and landing orders each take one array
+operation per column; only the per-tier bandwidth debits run as a loop
+over the book.
 """
 
 from __future__ import annotations
@@ -114,12 +115,6 @@ class RunResult:
     plans: list[AssignmentPlan] = field(default_factory=list)
     migration_log: MigrationLog = field(default_factory=MigrationLog)
     final_states: dict[str, VmdkState] = field(default_factory=dict)
-
-    def migrated_vmdk_ids(self) -> set[str]:
-        return self.migration_log.migrated_vmdk_ids()
-
-    def total_migrated_bytes(self) -> float:
-        return self.migration_log.total_migrated_bytes()
 
 
 def serve_epoch(
@@ -218,31 +213,37 @@ def serve_epoch(
 def progress_migrations(
     rows: np.ndarray,
     fleet: Fleet,
+    log: MigrationLog,
     epoch_seconds: float,
 ) -> tuple[float, list[float], list[float], list[str], np.ndarray]:
     """Advance the in-flight migrations of fleet ``rows``, in id order, one epoch.
 
-    Speed is recomputed per epoch from spare bandwidth (last epoch's served
-    load plus debits already taken this epoch) and the VMDK's own measured
-    read bandwidth; each move debits its source (``tier_row``) and its
-    destination (``dest_row``). Writes each row's ``bytes_moved``,
-    ``speed_mbps`` and ``stalled`` back to the fleet. Returns total bytes
-    moved, read/write debits in MB/s by tier row, stalled VMDK ids and the
-    rows whose migration finished, in id order.
+    Each row's open order is its ``order_index`` entry in ``log``, which
+    holds the order's progress. Speed is recomputed per epoch from spare
+    bandwidth (last epoch's served load plus debits already taken this
+    epoch) and the VMDK's own measured read bandwidth; each move debits its
+    source (``tier_row``) and its destination (``dest_row``). The step that
+    reaches the rest of a move sets its bytes moved to its bytes total.
+    Writes each order's bytes moved, speed and stall flag to the log.
+    Returns total bytes moved, read/write debits in MB/s by tier row,
+    stalled VMDK ids and the rows whose migration finished, in id order.
     """
     debit_read = [0.0] * len(fleet.tiers)
     debit_write = [0.0] * len(fleet.tiers)
     if not len(rows):
         return 0.0, debit_read, debit_write, [], rows
+    k = fleet.order_index[rows]
+    if (k < 0).any():
+        raise ValueError("only a VMDK with an open order can make progress")
     spare_read, spare_write = fleet.spare_mbps()
     ids = fleet.ids
     row_list = rows.tolist()
     source = fleet.tier_row[rows].tolist()
     dest = fleet.dest_row[rows].tolist()
-    bytes_total = fleet.size_gb[rows] * 1e9
-    moved = fleet.bytes_moved[rows].tolist()
-    speed = fleet.speed_mbps[rows].tolist()
-    stall = fleet.stalled[rows].tolist()
+    bytes_total = log.bytes_total[k]
+    moved = log.bytes_moved[k].tolist()
+    speed = log.speed_mbps[k].tolist()
+    stall = log.stalled[k].tolist()
     moved_total = 0.0
     stalled: list[str] = []
     # Conditional expressions stand in for max(0.0, x) and min(a, b): the
@@ -264,16 +265,16 @@ def progress_migrations(
             continue
         stall[i] = False
         step = mbps * 1e6 * epoch_seconds
-        step = step if step < left else left
-        moved[i] += step
+        if step < left:
+            moved[i] += step
+        else:
+            step, moved[i] = left, total
         moved_total += step
         rate = step / epoch_seconds / 1e6
         debit_read[s] += rate
         debit_write[d] += rate
     moved_now = np.array(moved)
-    fleet.bytes_moved[rows] = moved_now
-    fleet.speed_mbps[rows] = speed
-    fleet.stalled[rows] = stall
+    log.set_progress(k, moved_now, speed, stall)
     return moved_total, debit_read, debit_write, stalled, rows[moved_now >= bytes_total]
 
 
@@ -358,7 +359,7 @@ def run_scenario(
             overloaded = tuple(map(fleet.ids.__getitem__, np.sort(plan.overloaded_rows).tolist()))
 
         moved_bytes, debit_read, debit_write, stalled, finished = progress_migrations(
-            (fleet.dest_row >= 0).nonzero()[0], fleet, epoch_seconds
+            (fleet.dest_row >= 0).nonzero()[0], fleet, log, epoch_seconds
         )
 
         per_tier: dict[int, TierEpochMetrics] = {}
@@ -374,9 +375,7 @@ def run_scenario(
         grand_iops = total.read_iops + total.write_iops
         total.mean_latency_us = latency_weight / grand_iops if grand_iops > 0 else 0.0
 
-        if len(finished):
-            log.record(fleet, finished)
-            fleet.move(finished)
+        fleet.move(finished)
 
         result.epochs.append(
             EpochMetrics(
@@ -391,6 +390,5 @@ def run_scenario(
             )
         )
 
-    log.record(fleet, (fleet.dest_row >= 0).nonzero()[0])
     result.final_states = {state.spec.id: state for state in fleet.states()}
     return result

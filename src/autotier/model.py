@@ -4,18 +4,19 @@ Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
 (Fleet, MigrationLog) is owned by a single simulation run. The Fleet holds
-both sides of it: one row per VMDK and one row per tier, in-flight
-migrations included; the MigrationLog holds every migration started, as
-columns.
+both sides of it: one row per VMDK and one row per tier, with each in-flight
+migration's destination and log index; the MigrationLog holds every
+migration started, progress included, as columns.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from dataclasses import InitVar, dataclass, fields, replace
+from dataclasses import InitVar, astuple, dataclass, fields, replace
+from functools import reduce
 from itertools import chain
-from operator import attrgetter
+from operator import add, attrgetter
 from types import MappingProxyType
 from typing import Any
 
@@ -345,13 +346,11 @@ def cross_checks(tiers: Sequence[TierSpec], vmdks: Sequence[VmdkSpec]) -> list[s
 def check_migrations(from_tier: Any, to_tier: Any, bytes_total: Any, bytes_moved: Any) -> None:
     """Raise ValueError unless every move changes tiers and its bytes are in range.
 
-    Takes one move's scalars or aligned arrays of many moves. The step that
-    finishes a move adds ``bytes_total - bytes_moved`` to ``bytes_moved``,
-    which can round one ulp above ``bytes_total``; that ulp is in range.
+    Takes one move's scalars or aligned arrays of many moves.
     """
     stays = np.equal(from_tier, to_tier)
     empty = np.less_equal(bytes_total, 0)
-    inside = np.less_equal(0.0, bytes_moved) & (bytes_moved <= np.nextafter(bytes_total, np.inf))
+    inside = np.less_equal(0.0, bytes_moved) & np.less_equal(bytes_moved, bytes_total)
     if (stays | empty | ~inside).any():
         if stays.any():
             raise ValueError("migration must change tiers")
@@ -397,10 +396,11 @@ class MigrationLog:
     """Every migration a run started, in start order, held as (M,) columns.
 
     ``row`` is the fleet row of each order's VMDK (``ids`` names it) and the
-    other columns are ``MigrationOrder``'s fields. ``append`` adds one plan's
-    started orders at once; ``record`` copies the progress of open orders
-    from the fleet, which the engine does as they land and at the end of the
-    run. Iterating yields one ``MigrationOrder`` per order.
+    other columns are ``MigrationOrder``'s fields. The log is the run's only
+    record of each order's progress: ``append`` adds one plan's started
+    orders at once, and ``set_progress`` writes the bytes moved, speed and
+    stall flag of the orders the engine advanced. Iterating yields one
+    ``MigrationOrder`` per order.
     """
 
     def __init__(self, ids: Sequence[str] = ()):
@@ -433,20 +433,16 @@ class MigrationLog:
             setattr(self, name, np.concatenate((getattr(self, name), part), dtype=dtype))
         return np.arange(start, start + n)
 
-    def record(self, fleet: Fleet, rows: np.ndarray) -> None:
-        """Copy the bytes moved, speed and stall flag of the open orders of ``rows``."""
-        k = fleet.order_index[rows]
-        if (k < 0).any():
-            raise ValueError("only a VMDK with an open order can record its progress")
-        moved = fleet.bytes_moved[rows]
-        check_migrations(self.from_tier[k], self.to_tier[k], self.bytes_total[k], moved)
-        self.bytes_moved[k] = moved
-        self.speed_mbps[k] = fleet.speed_mbps[rows]
-        self.stalled[k] = fleet.stalled[rows]
+    def set_progress(self, k: np.ndarray, bytes_moved: Any, speed_mbps: Any, stalled: Any) -> None:
+        """Write the bytes moved, speed and stall flag of orders ``k``, checked first."""
+        check_migrations(self.from_tier[k], self.to_tier[k], self.bytes_total[k], bytes_moved)
+        self.bytes_moved[k] = bytes_moved
+        self.speed_mbps[k] = speed_mbps
+        self.stalled[k] = stalled
 
     def total_migrated_bytes(self) -> float:
-        """Bytes moved over every order, summed in log order."""
-        return sum(self.bytes_moved.tolist())
+        """Bytes moved over every order, added left to right in log order."""
+        return reduce(add, self.bytes_moved.tolist(), 0)
 
     def migrated_vmdk_ids(self) -> set[str]:
         return set(map(self.ids.__getitem__, self.row.tolist()))
@@ -489,13 +485,14 @@ class Fleet:
     ``dest_row`` (the tier row its in-flight migration lands on, -1 when it
     has none) and the last epoch's four ``measured_*`` figures. An in-flight
     migration moves ``size_gb * 1e9`` bytes from ``tier_row`` to
-    ``dest_row``; ``bytes_moved``, ``speed_mbps`` and ``stalled`` hold its
-    progress and ``order_index`` its index in the run's ``MigrationLog``
-    (0.0, 0.0, False and -1 for a VMDK that has none). Tier rows follow
-    ``tiers``, the run's tier specs in order: each device's ``contention``,
-    which inflates the latency probes see, and the MB/s each tier served last
-    epoch, migration debits included. Serving writes the measurements and the
-    tier arrays in place; policies read a ``read_only`` view.
+    ``dest_row``; ``order_index`` is its index in the run's ``MigrationLog``
+    (-1 for a VMDK that has none), which alone holds its progress. Tier rows
+    follow ``tiers``, the run's tier specs in order: each tier's usable
+    (p, b, s) ``budget`` (``max_usable()``, built once), each device's
+    ``contention``, which inflates the latency probes see, and the MB/s each
+    tier served last epoch, migration debits included. Serving writes the
+    measurements and the tier arrays in place; policies read a ``read_only``
+    view.
 
     ``phases`` lists every row's demand profile, one after another, and the
     (3, P) ``phase_table`` their demand, read fraction and I/O size; ``active``
@@ -511,10 +508,8 @@ class Fleet:
     row_of_tier: Mapping[int, int]
     tier_row: np.ndarray
     dest_row: np.ndarray
-    bytes_moved: np.ndarray
-    speed_mbps: np.ndarray
-    stalled: np.ndarray
     order_index: np.ndarray
+    budget: np.ndarray
     contention: np.ndarray
     served_read_mbps: np.ndarray
     served_write_mbps: np.ndarray
@@ -562,10 +557,8 @@ class Fleet:
             row_of_tier=row_of_tier,
             tier_row=np.array([row_of_tier[s.current_tier] for s in states], dtype=np.intp),
             dest_row=np.full(len(states), -1, dtype=np.intp),
-            bytes_moved=np.zeros(len(states)),
-            speed_mbps=np.zeros(len(states)),
-            stalled=np.zeros(len(states), dtype=bool),
             order_index=np.full(len(states), -1, dtype=np.intp),
+            budget=np.array([astuple(t.max_usable()) for t in tiers], dtype=float),
             contention=np.ones(len(tiers)),
             served_read_mbps=np.zeros(len(tiers)),
             served_write_mbps=np.zeros(len(tiers)),
@@ -627,9 +620,6 @@ class Fleet:
         """Land the in-flight migrations of ``rows`` on their ``dest_row`` and clear them."""
         self.tier_row[rows] = self.dest_row[rows]
         self.dest_row[rows] = -1
-        self.bytes_moved[rows] = 0.0
-        self.speed_mbps[rows] = 0.0
-        self.stalled[rows] = False
         self.order_index[rows] = -1
 
     def states(self) -> list[VmdkState]:

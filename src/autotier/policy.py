@@ -130,11 +130,6 @@ class AssignmentPlan:
         return {t: ResourceVector(*u) for t, u in zip(self.tier_ids.tolist(), self.used.tolist())}
 
 
-def _budgets(tiers: Sequence[TierSpec]) -> list[list[float]]:
-    """Per tier, the usable [p, b, s] budget."""
-    return [[b.p, b.b, b.s] for b in (t.max_usable() for t in tiers)]
-
-
 def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> CapacityMatrices:
     """Predict absolute resource usage of every VMDK on every tier.
 
@@ -160,13 +155,14 @@ def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> CapacityMatric
     )
 
 
-def normalize_and_gate(mat: CapacityMatrices, tiers: Sequence[TierSpec]) -> CapacityMatrices:
+def normalize_and_gate(mat: CapacityMatrices, fleet: Fleet) -> CapacityMatrices:
     """Fill per-cell feasibility and budget-normalized usage ratios.
 
     A cell is infeasible when any predicted component exceeds the tier's
-    usable budget; its ratios are zeroed so downstream scores ignore it.
+    usable budget (``fleet.budget``); its ratios are zeroed so downstream
+    scores ignore it. The matrices' tier axis must follow the fleet's.
     """
-    budget = np.array(_budgets(tiers))[:, None, :]
+    budget = fleet.budget[:, None, :]
     mat.feasible = (mat.cap <= budget).all(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(budget > 0, mat.cap / budget, 0.0)
@@ -324,7 +320,7 @@ def pack(
     the walk), then the stay-puts; its moves are the placements that change
     tiers, in the same order.
     """
-    left = np.array(_budgets(fleet.tiers))
+    left = fleet.budget.copy()
     used = np.zeros((len(left), 3))
     where = fleet.dest_row.copy()
     overloaded = [np.zeros(0, dtype=np.intp)]
@@ -457,7 +453,7 @@ def oracle_assignment(
         )
     contrib = profit_contributions(mat, weights, previous, fleet, migration_epoch_seconds).tolist()
     cap = mat.cap.tolist()
-    remaining = _budgets(tiers)
+    remaining = fleet.budget.tolist()
     choice: list[int] = []
     best_profit = -math.inf
     best_vector: list[int] | None = None
@@ -562,7 +558,7 @@ class AutoTieringPolicy:
             samples, floor=weights.confidence_floor
         )
         mat = cal_capacity_matrices(self.calibrations, fleet)
-        normalize_and_gate(mat, fleet.tiers)
+        normalize_and_gate(mat, fleet)
         self.scores = cal_score(
             mat,
             None if self.scores is None else self.scores.history,

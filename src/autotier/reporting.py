@@ -7,6 +7,8 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+import operator
+from functools import reduce
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -89,10 +91,12 @@ def cdf_text(points: Sequence[tuple[float, float]]) -> str:
 
 
 def _series_stats(values: Sequence[float]) -> dict[str, float]:
+    """Mean, sum, min and max; the sum adds left to right, as on every Python version."""
     n = len(values)
+    total = reduce(operator.add, values, 0)
     return {
-        "mean": sum(values) / n if n else 0.0,
-        "sum": sum(values),
+        "mean": total / n if n else 0.0,
+        "sum": total,
         "min": min(values) if n else 0.0,
         "max": max(values) if n else 0.0,
     }
@@ -130,13 +134,14 @@ def summary_dict(result: RunResult) -> dict[str, Any]:
 
 def migrations_dict(result: RunResult) -> dict[str, Any]:
     """Migration overhead: working volume (bytes) vs working set (distinct VMDKs)."""
-    distinct = sorted(result.migrated_vmdk_ids())
+    log = result.migration_log
+    distinct = sorted(log.migrated_vmdk_ids())
     return {
-        "totalMigratedBytes": result.total_migrated_bytes(),
-        "migrationCount": len(result.migration_log),
+        "totalMigratedBytes": log.total_migrated_bytes(),
+        "migrationCount": len(log),
         "distinctVmdksMigrated": len(distinct),
         "migratedVmdkIds": distinct,
-        "unfinishedMigrations": result.migration_log.unfinished(),
+        "unfinishedMigrations": log.unfinished(),
         "stallEpochs": sum(1 for em in result.epochs if em.stalled),
         "overloadEpochs": sum(1 for em in result.epochs if em.overloaded),
     }

@@ -326,7 +326,7 @@ def random_oracle_instance(rng: np.random.Generator):
         ))
     records = make_fits(rows)
     fleet = Fleet.of(states, tiers)
-    mat = normalize_and_gate(cal_capacity_matrices(records, fleet), tiers)
+    mat = normalize_and_gate(cal_capacity_matrices(records, fleet), fleet)
     for i in range(len(tiers)):
         fleet.served_read_mbps[i] = float(rng.uniform(0, 100))
         fleet.served_write_mbps[i] = float(rng.uniform(0, 100))

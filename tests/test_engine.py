@@ -463,25 +463,29 @@ class TestServeEpoch:
 
 class TestMigrations:
     def setup_pair(self, state):
+        """The pair of tiers, a fleet of ``state`` and a log with its move from tier 1 to 2."""
         tiers = (
             make_tier(1, 100.0, read_mbps=600.0, write_mbps=500.0),
             make_tier(2, 300.0, read_mbps=900.0, write_mbps=500.0),
         )
-        return tiers, pin(Fleet.of([state], tiers), {"v1": 2})
+        fleet = Fleet.of([state], tiers)
+        log = MigrationLog(fleet.ids)
+        start_moves(fleet, log, (("v1", 1, 2),), 0)
+        return tiers, fleet, log
 
     def test_steady_speed_completes_in_one_epoch(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
-        tiers, fleet = self.setup_pair(state)
+        tiers, fleet, log = self.setup_pair(state)
         fleet.served_read_mbps[0] = 100.0
         fleet.served_write_mbps[1] = 100.0
         moved, debit_r, debit_w, stalled, finished = progress_migrations(
-            np.array([0]), fleet, 300.0
+            np.array([0]), fleet, log, 300.0
         )
         # speed min(500-100+100, 500-100) = 400 MB/s, 100 GB needs 250 s < epoch
         assert finished.tolist() == [0]
-        assert fleet.bytes_moved.tolist() == [100e9]
-        assert fleet.speed_mbps.tolist() == [400.0]
-        assert not fleet.stalled[0]
+        assert log.bytes_moved.tolist() == [100e9]
+        assert log.speed_mbps.tolist() == [400.0]
+        assert not log.stalled[0]
         assert moved == pytest.approx(100e9)
         assert stalled == []
         assert debit_r[0] == pytest.approx(100e9 / 300 / 1e6)  # tier 1
@@ -489,35 +493,58 @@ class TestMigrations:
 
     def test_zero_speed_stalls(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=0.0)
-        tiers, fleet = self.setup_pair(state)
+        tiers, fleet, log = self.setup_pair(state)
         fleet.served_read_mbps[0] = tiers[0].read_bandwidth_cap
         fleet.served_write_mbps[1] = tiers[1].write_bandwidth_cap
-        moved, _, _, stalled, finished = progress_migrations(np.array([0]), fleet, 300.0)
+        moved, _, _, stalled, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
         assert moved == 0.0
         assert stalled == ["v1"]
-        assert fleet.stalled[0]
-        assert fleet.bytes_moved.tolist() == [0.0]
+        assert log.stalled[0]
+        assert log.bytes_moved.tolist() == [0.0]
         assert finished.tolist() == []
 
     def test_finished_move_is_returned_untouched(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
-        _, fleet = self.setup_pair(state)
-        fleet.bytes_moved[0], fleet.speed_mbps[0], fleet.stalled[0] = 100e9, 7.0, True
+        _, fleet, log = self.setup_pair(state)
+        log.set_progress(np.array([0]), 100e9, 7.0, True)
         moved, debit_r, debit_w, stalled, finished = progress_migrations(
-            np.array([0]), fleet, 300.0
+            np.array([0]), fleet, log, 300.0
         )
         assert (moved, debit_r, debit_w, stalled) == (0.0, [0.0, 0.0], [0.0, 0.0], [])
         assert finished.tolist() == [0]
-        assert (fleet.bytes_moved[0], fleet.speed_mbps[0], fleet.stalled[0]) == (100e9, 7.0, True)
+        assert (log.bytes_moved[0], log.speed_mbps[0], log.stalled[0]) == (100e9, 7.0, True)
+
+    def test_the_finishing_step_lands_exactly(self):
+        # Adding the rest to what is moved rounds one ulp above the total here.
+        state = make_state(
+            make_vmdk(size_gb=49.91605619203594), tier=1, measured_read_mbps=100.0
+        )
+        _, fleet, log = self.setup_pair(state)
+        before, total = 6755937413.0374565, log.bytes_total[0]
+        assert before + (total - before) > total
+        log.set_progress(np.array([0]), before, 0.0, False)
+        moved, _, _, _, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
+        assert finished.tolist() == [0]
+        assert log.bytes_moved[0] == total
+        assert moved == total - before
+        assert log.unfinished() == 0
 
     def test_empty_book_debits_nothing(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1)
-        _, fleet = self.setup_pair(state)
+        _, fleet, log = self.setup_pair(state)
         moved, debit_r, debit_w, stalled, finished = progress_migrations(
-            np.zeros(0, dtype=np.intp), fleet, 300.0
+            np.zeros(0, dtype=np.intp), fleet, log, 300.0
         )
         assert (moved, debit_r, debit_w, stalled) == (0.0, [0.0, 0.0], [0.0, 0.0], [])
         assert finished.tolist() == []
+
+    def test_progress_needs_an_open_order(self):
+        state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
+        tiers, _, log = self.setup_pair(state)
+        fleet = pin(Fleet.of([state], tiers), {"v1": 2})  # a destination but no order
+        with pytest.raises(ValueError, match="open order"):
+            progress_migrations(np.array([0]), fleet, log, 300.0)
+        assert log.bytes_moved.tolist() == [0.0]
 
     def test_migration_debits_reduce_served_bandwidth(self):
         # bandwidth-saturated tier: served drops by exactly the migration rate
@@ -563,8 +590,12 @@ def reference_progress(orders, vmdk_states, tiers, served_read, served_write, ep
             stalled.append(order.vmdk_id)
             continue
         order.stalled = False
-        moved = min(order.bytes_total - order.bytes_moved, speed * 1e6 * epoch_seconds)
-        order.bytes_moved += moved
+        left = order.bytes_total - order.bytes_moved
+        moved = speed * 1e6 * epoch_seconds
+        if moved < left:
+            order.bytes_moved += moved
+        else:
+            moved, order.bytes_moved = left, order.bytes_total
         moved_total += moved
         rate = moved / epoch_seconds / 1e6
         debit_read[order.from_tier] += rate
@@ -582,15 +613,14 @@ def start_moves(fleet, log, moves, epoch):
 
 
 def migration_epochs(seed, epochs=10):
-    """Run the fleet's migration columns and the reference loop side by side on random epochs.
+    """Run the engine's migration book and the reference loop side by side on random epochs.
 
     Yields, per epoch: both progress results, both sets of finished VMDKs,
-    every log record as the end of a run would leave it and the reference
-    orders as tuples, the tiers and the VMDKs whose move started in that
-    epoch. Tier loads range from idle to saturated (zero spare bandwidth),
-    VMDK sizes from a few GB (finished in the first epoch) to hundreds, and
-    any VMDK not moving may start a move, including the epoch after its last
-    one finished.
+    every log record as it stands and the reference orders as tuples, the
+    tiers and the VMDKs whose move started in that epoch. Tier loads range
+    from idle to saturated (zero spare bandwidth), VMDK sizes from a few GB
+    (finished in the first epoch) to hundreds, and any VMDK not moving may
+    start a move, including the epoch after its last one finished.
     """
     rng = np.random.default_rng(seed)
     tiers = tuple(
@@ -631,12 +661,11 @@ def migration_epochs(seed, epochs=10):
                 reference_log.append(order)
                 active[v] = order
         book = np.flatnonzero(fleet.dest_row >= 0)
-        got = progress_migrations(book, fleet, 300.0)
+        got = progress_migrations(book, fleet, log, 300.0)
         expected = reference_progress(
             list(active.values()), reference_states, tiers, served_read, served_write, 300.0
         )
         finished = got[4]
-        log.record(fleet, finished)
         fleet.move(finished)
         reference_finished = set()
         for v in sorted(active):
@@ -644,10 +673,8 @@ def migration_epochs(seed, epochs=10):
                 reference_states[v].current_tier = active[v].to_tier
                 reference_finished.add(v)
                 del active[v]
-        at_end = copy.deepcopy(log)
-        at_end.record(fleet, np.flatnonzero(fleet.dest_row >= 0))
         yield (got[:4], expected, {fleet.ids[j] for j in finished.tolist()}, reference_finished,
-               list(at_end), [astuple(o) for o in reference_log], tiers, started)
+               list(log), [astuple(o) for o in reference_log], tiers, started)
 
 
 class TestMigrationBookMatchesReference:
@@ -716,22 +743,16 @@ class TestMigrationChecks:
             start_moves(fleet, MigrationLog(fleet.ids), (("b", 1, 2),), 0)
         assert fleet.dest_row.tolist() == [-1, -1]
 
-    @pytest.mark.parametrize("moved", [-1.0, 10e9 * (1 + 1e-15), np.nan])
+    @pytest.mark.parametrize(
+        "moved", [-1.0, 10e9 * (1 + 1e-15), np.nan, np.nextafter(10e9, np.inf)]
+    )
     def test_recorded_bytes_must_be_in_range(self, moved):
         fleet = self.fleet()
         log = MigrationLog(fleet.ids)
         rows = start_moves(fleet, log, (("a", 1, 2), ("b", 1, 2)), 0)
-        fleet.bytes_moved[1] = moved
         with pytest.raises(ValueError, match=r"bytesMoved out of \[0, bytesTotal\]"):
-            log.record(fleet, rows)
-
-    def test_the_finishing_steps_rounding_is_in_range(self):
-        fleet = self.fleet()
-        log = MigrationLog(fleet.ids)
-        rows = start_moves(fleet, log, (("a", 1, 2),), 0)
-        fleet.bytes_moved[0] = np.nextafter(10e9, np.inf)
-        log.record(fleet, rows)
-        assert log.unfinished() == 0
+            log.set_progress(fleet.order_index[rows], [10e9, moved], [1.0, 1.0], [False, False])
+        assert log.bytes_moved.tolist() == [0.0, 0.0]
 
     def test_moves_of_moving_vmdks_wait(self):
         fleet = self.fleet()
@@ -794,6 +815,21 @@ class TestRunScenario:
         result = run_scenario(load_bundled_scenario("table3-table4"), policy, seed=0)
         write_run_artifacts(result, tmp_path)
         assert len(result.migration_log) > 0
+
+    @pytest.mark.parametrize("policy", ["idt", "edt"])
+    def test_tier_budgets_are_built_once_per_run(self, policy, monkeypatch):
+        scenario = load_bundled_scenario("table3-table4")
+        built = []
+        check = ResourceVector.__post_init__
+
+        def count(vector):
+            built.append(vector)
+            check(vector)
+
+        monkeypatch.setattr(ResourceVector, "__post_init__", count)
+        result = run_scenario(scenario, policy, seed=0)
+        assert len(result.plans) > 1
+        assert len(built) == len(scenario.tiers)
 
     @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
     def test_policies_read_a_read_only_view_of_the_fleet(self, policy):

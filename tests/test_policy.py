@@ -26,6 +26,7 @@ from autotier.policy import (
     normalize_and_gate,
     oracle_assignment,
     orthogonal_match_score,
+    pack,
     trigger_migration,
 )
 
@@ -55,9 +56,9 @@ def fits(fleet, records):
 P, B, S = 0, 1, 2  # component index on the last axis of cap / ratio
 
 
-def build_matrices(tiers, fleet, records):
+def build_matrices(fleet, records):
     mat = cal_capacity_matrices(fits(fleet, records), fleet)
-    return normalize_and_gate(mat, tiers)
+    return normalize_and_gate(mat, fleet)
 
 
 def at(mat, tier_id, vmdk_id):
@@ -115,7 +116,7 @@ class TestNormalizeAndGate:
         tier = make_tier(1, capacity=ResourceVector(240_000, 1000, 480))
         state = make_state(make_vmdk(size_gb=960.0, demand_iops=100))
         fleet = Fleet.of([state], [tier])
-        mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 100.0)})
+        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 100.0)})
         assert bool(mat.feasible[at(mat, 1, "v1")]) is False
         assert mat.ratio[at(mat, 1, "v1")].tolist() == [0.0, 0.0, 0.0]
 
@@ -123,7 +124,7 @@ class TestNormalizeAndGate:
         tier = make_tier(1, capacity=ResourceVector(100_000, 1000, 480))
         state = make_state(make_vmdk(size_gb=100.0, demand_iops=50_000, avg_io_size_bytes=4096))
         fleet = Fleet.of([state], [tier])
-        mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 10.0)})
+        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 10.0)})
         ratios = mat.ratio[at(mat, 1, "v1")]
         assert ratios[P] == pytest.approx(0.5, rel=1e-9)
         assert ratios[B] == pytest.approx(204.8 / 1000, rel=1e-9)
@@ -133,7 +134,7 @@ class TestNormalizeAndGate:
         tier = make_tier(1)
         state = make_state(make_vmdk(demand_iops=0.0))
         fleet = Fleet.of([state], [tier])
-        mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 100.0)})
+        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 100.0)})
         assert bool(mat.feasible[at(mat, 1, "v1")]) is True
         assert mat.ratio[at(mat, 1, "v1")][P] == 0.0
 
@@ -241,7 +242,7 @@ class TestCalScore:
         state = make_state(make_vmdk(demand_iops=10_000))
         records = {"v1": record("v1", 0.0, 100.0)}
         fleet = Fleet.of([state], [tier])
-        mat = build_matrices([tier], fleet, records)
+        mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=aging, migration_epoch=3, monitor_epoch=1)
         return cal_score(mat, history, weights, fleet, fits(fleet, records), 900.0)
 
@@ -251,7 +252,7 @@ class TestCalScore:
         state = make_state(make_vmdk(demand_iops=10_000))
         records = {"v1": record("v1", 0.0, 100.0)}
         fleet = Fleet.of([state], [tier])
-        mat = build_matrices([tier], fleet, records)
+        mat = build_matrices(fleet, records)
         expected = match(tier, mat.ratio[at(mat, 1, "v1")], 1.0, 1.0)
         assert sm.score[at(mat, 1, "v1")] == pytest.approx(expected, rel=1e-12)
 
@@ -269,7 +270,7 @@ class TestCalScore:
                                      initial_tier=2), tier=2)
         records = {"w": record("w", 0.0, 100.0)}
         fleet = Fleet.of([state], tiers)
-        mat = build_matrices(tiers, fleet, records)
+        mat = build_matrices(fleet, records)
         fleet.served_read_mbps[1] = 200.0  # spare read 1000 -> cost 450s
         weights = PolicyWeights(aging_factor=0.5, migration_epoch=3)
         history = np.zeros(mat.feasible.shape)
@@ -284,7 +285,7 @@ class TestCalScore:
         state = make_state(make_vmdk(size_gb=100.0, demand_iops=100))
         records = {"v1": record("v1", 0.0, 100.0)}
         fleet = Fleet.of([state], [tier])
-        mat = build_matrices([tier], fleet, records)
+        mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=0.9)
         sm = cal_score(mat, np.full(mat.feasible.shape, 5.0), weights,
                        fleet, fits(fleet, records), 900.0)
@@ -298,7 +299,7 @@ class TestCalScore:
         fleet = Fleet.of([state], tiers)
         fleet.served_write_mbps[0] = tiers[0].write_bandwidth_cap  # no way in
         fleet.served_read_mbps[1] = tiers[1].read_bandwidth_cap
-        mat = build_matrices(tiers, fleet, records)
+        mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=0.5)
         sm = cal_score(mat, None, weights, fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "v1")] == -math.inf
@@ -317,7 +318,7 @@ class TestTriggerMigration:
         tier = make_tier(1)
         state = make_state(make_vmdk(demand_iops=1000))
         fleet = Fleet.of([state], [tier])
-        mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 100.0)})
+        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 100.0)})
         sm = scores_from(mat, [tier], {(1, "v1"): 1.0})
         plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target == {"v1": 1}
@@ -336,7 +337,7 @@ class TestTriggerMigration:
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
         fleet = Fleet.of(states, tiers)
-        mat = build_matrices(tiers, fleet, records)
+        mat = build_matrices(fleet, records)
         sm = scores_from(mat, tiers, {
             (1, "a"): 0.4, (1, "b"): 0.9, (2, "a"): 0.1, (2, "b"): 0.1,
         })
@@ -355,7 +356,7 @@ class TestTriggerMigration:
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
         fleet = Fleet.of(states, tiers)
-        mat = build_matrices(tiers, fleet, records)
+        mat = build_matrices(fleet, records)
         sm = cal_score(mat, None, PolicyWeights(), fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "a")] == -math.inf
         plan = trigger_migration(sm, mat, fleet, 0)
@@ -369,7 +370,7 @@ class TestTriggerMigration:
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
         fleet = Fleet.of(states, [tier])
-        mat = build_matrices([tier], fleet, records)
+        mat = build_matrices(fleet, records)
         sm = scores_from(mat, [tier], {(1, "a"): 0.5, (1, "b"): 0.4})
         plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target == {"a": 1, "b": 1}  # totality always wins
@@ -386,7 +387,7 @@ class TestTriggerMigration:
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
         fleet = Fleet.of(states, tiers)
-        mat = build_matrices(tiers, fleet, records)
+        mat = build_matrices(fleet, records)
         sm = scores_from(mat, tiers, {
             (1, "a"): 0.5, (1, "b"): 0.5, (2, "a"): 0.0, (2, "b"): 0.0,
         })
@@ -405,7 +406,7 @@ class TestTriggerMigration:
         ]
         records = {"mover": record("mover", 0.0, 50.0), "rival": record("rival", 0.0, 50.0)}
         fleet = Fleet.of(states, tiers)
-        mat = build_matrices(tiers, fleet, records)
+        mat = build_matrices(fleet, records)
         sm = scores_from(mat, tiers, {
             (1, "mover"): 0.1, (1, "rival"): 0.9, (2, "mover"): 0.0, (2, "rival"): 0.0,
         })
@@ -413,6 +414,17 @@ class TestTriggerMigration:
         # the in-flight move keeps its seat even against a higher score
         assert plan.target == {"mover": 1, "rival": 2}
         assert plan.migrations == ()
+
+    def test_integer_budgets_take_fractional_seats_exactly(self):
+        # All-integer capacity and caps make max_usable() integral; the pinned
+        # seat must leave 7.5 GB, not 7, for the three 2.5 GB candidates.
+        tiers = [make_tier(i, 100.0 * i, capacity=ResourceVector(10, 10, 10)) for i in (1, 2)]
+        states = [make_state(make_vmdk(v, size_gb=2.5), tier=2) for v in "abcd"]
+        fleet = pin(Fleet.of(states, tiers), {"a": 1})
+        usage = np.broadcast_to([0.0, 0.0, 2.5], (2, 4, 3))
+        plan = pack(fleet, usage, [(0, np.arange(4))], 0)
+        assert plan.target_row.tolist() == [0, 0, 0, 0]
+        assert plan.used[0].tolist() == [0.0, 0.0, 10.0]
 
 
 def scalar_first_fit(rows, left):
@@ -668,7 +680,7 @@ class TestProfitAndOracle:
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
         fleet = Fleet.of(states, [tier])
-        mat = build_matrices([tier], fleet, records)
+        mat = build_matrices(fleet, records)
         weights = PolicyWeights(alpha=ResourceVector(1, 0, 0), beta=7.0)
         target = tier_rows(fleet, {"a": 1, "b": 1})
         profit = epoch_profit(target, target, mat, weights, fleet, 900.0)
@@ -694,7 +706,7 @@ class TestProfitAndOracle:
         state = make_state(make_vmdk(demand_iops=1e9), tier=3)
         records = {"v1": record("v1", 1.0, 100.0)}
         fleet = Fleet.of([state], tiers)
-        mat = build_matrices(tiers, fleet, records)
+        mat = build_matrices(fleet, records)
         weights = PolicyWeights(beta=0.0)
         previous = tier_rows(fleet, {"v1": 3})
         plan = oracle_assignment(mat, weights, previous, fleet, 900.0)
@@ -709,7 +721,7 @@ class TestProfitAndOracle:
         tier = make_tier(1, capacity=ResourceVector(1e6, 1e5, 10.0))
         state = make_state(make_vmdk(size_gb=50.0, demand_iops=10))
         fleet = Fleet.of([state], [tier])
-        mat = build_matrices([tier], fleet, {"v1": record("v1", 0.0, 50.0)})
+        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 50.0)})
         with pytest.raises(ValueError, match="feasible"):
             oracle_assignment(mat, PolicyWeights(), tier_rows(fleet, {"v1": 1}), fleet, 900.0)
 
@@ -718,7 +730,7 @@ class TestProfitAndOracle:
         states = [make_state(make_vmdk(f"v{i}", demand_iops=10)) for i in range(11)]
         records = {s.spec.id: record(s.spec.id, 0.0, 50.0) for s in states}
         fleet = Fleet.of(states, tiers)
-        mat = build_matrices(tiers, fleet, records)
+        mat = build_matrices(fleet, records)
         with pytest.raises(ValueError, match="limited"):
             oracle_assignment(mat, PolicyWeights(), fleet.tier_row, fleet, 900.0)
 
@@ -728,7 +740,7 @@ class TestProfitAndOracle:
         state = make_state(make_vmdk(demand_iops=0.0))
         records = {"v1": record("v1", 0.0, 50.0)}
         fleet = Fleet.of([state], tiers)
-        mat = build_matrices(tiers, fleet, records)
+        mat = build_matrices(fleet, records)
         weights = PolicyWeights(beta=0.0)
         plan = oracle_assignment(mat, weights, tier_rows(fleet, {"v1": 1}), fleet, 900.0)
         assert plan.target["v1"] == 1
@@ -746,7 +758,7 @@ class TestProfitAndOracle:
         ]
         records = {"a": record("a", 0.4, 30.0), "b": record("b", 0.1, 60.0)}
         fleet = Fleet.of(states, tiers)
-        mat = build_matrices(tiers, fleet, records)
+        mat = build_matrices(fleet, records)
         weights = PolicyWeights(beta=0.5)
         previous = tier_rows(fleet, {"a": 2, "b": 1})
         candidates = [

@@ -23,6 +23,7 @@ from autotier.model import (
 )
 from autotier.reporting import (
     RUN_FILES,
+    _series_stats,
     cdf_text,
     comparison_dict,
     csv_header,
@@ -347,6 +348,12 @@ class TestReporting:
         mig = migrations_dict(tiny_result)
         assert mig["migrationCount"] >= mig["distinctVmdksMigrated"]
         assert mig["totalMigratedBytes"] >= 0
+
+    def test_series_sums_add_left_to_right(self):
+        # A compensated sum (Python 3.12's sum()) gives 1.0000000000000002e16.
+        stats = _series_stats([1e16, 1.0, 1.0])
+        assert (stats["sum"], stats["mean"]) == (1e16, 1e16 / 3)
+        assert type(_series_stats([])["sum"]) is int
 
     def test_artifact_writer_emits_all_five_files(self, tiny_result, tmp_path):
         written = write_run_artifacts(tiny_result, tmp_path)
