@@ -13,7 +13,7 @@ difference of tier base latencies, without migrating anything. The fits are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -138,18 +138,18 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
 
 def estimate_avg_lat(
     fits: CalibrationFits,
-    current_tiers: Sequence[int],
-    tier_latencies: Mapping[int, float],
+    tier_row: Sequence[int],
+    base_latency_us: np.ndarray,
 ) -> np.ndarray:
     """(T, N) predicted average latency of each VMDK if hosted on each tier.
 
-    Rows follow ``tier_latencies`` (tier id -> base latency), columns follow
-    ``fits.vmdk_ids``; ``current_tiers`` gives each VMDK's hosting tier. On
-    the hosting tier the prediction is the fitted intercept exactly. A
-    prediction may be non-positive when the target tier is much faster than
-    the fit can extrapolate; callers treat that as "prediction out of range".
+    Rows follow ``base_latency_us``, the (T,) base latency of each tier row
+    (``Fleet.base_latency_us``); columns follow ``fits.vmdk_ids``, and
+    ``tier_row`` gives each VMDK's hosting tier row. On the hosting tier the
+    prediction is the fitted intercept exactly. A prediction may be
+    non-positive when the target tier is much faster than the fit can
+    extrapolate; callers treat that as "prediction out of range".
     """
-    tier_ids = np.array(list(tier_latencies))[:, None]
-    base = np.array(list(tier_latencies.values()))[:, None]
-    delta = base - np.array([tier_latencies[t] for t in current_tiers])
-    return np.where(tier_ids == current_tiers, fits.b, fits.prediction_slope * delta + fits.b)
+    delta = base_latency_us[:, None] - base_latency_us[tier_row]
+    hosting = np.arange(len(base_latency_us))[:, None] == tier_row
+    return np.where(hosting, fits.b, fits.prediction_slope * delta + fits.b)

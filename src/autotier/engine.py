@@ -6,10 +6,11 @@ in-flight migrations with bandwidth accounting, then serves I/O demands
 against each tier's device with a proportional contention model and
 records metrics.
 
-The run's state lives in one ``Fleet``: dense (N,) arrays in VMDK-id order
-holding static truth, the active phase's demand, each VMDK's tier row and
-its last measurements, and (T,) arrays holding each tier's contention and
-served MB/s. ``serve_epoch`` serves every tier in one vectorized pass and
+The run's state lives in one ``Fleet``, built by ``Fleet.of`` from the
+scenario's specs: dense (N,) arrays in VMDK-id order holding static truth,
+the active phase's demand, each VMDK's tier row and its last measurements,
+and (T,) columns holding each tier's spec numbers, contention and served
+MB/s. ``serve_epoch`` serves every tier in one vectorized pass and
 writes the measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
 view, and ``VmdkState`` objects are built once, for the result, after the
@@ -70,7 +71,7 @@ def probe_latencies(
     rows = np.asarray(rows, dtype=np.intp)
     tier = fleet.tier_row[rows]
     slope = fleet.truth_slope[rows][:, None, None]
-    base = np.array([t.base_latency_us for t in fleet.tiers])[tier][:, None, None]
+    base = fleet.base_latency_us[tier][:, None, None]
     intercept = fleet.truth_intercept_us[rows][:, None, None]
     contention = fleet.contention[tier][:, None, None]
     added = np.asarray(added_us, dtype=float)[:, None]
@@ -135,53 +136,41 @@ def serve_epoch(
     sequentially), so they repeat bit for bit what a loop over each tier's
     members in id order gives.
     """
-    tiers = fleet.tiers
     row = fleet.tier_row
     slope, intercept = fleet.truth_slope, fleet.truth_intercept_us
     demand, rf, io = fleet.demand_iops, fleet.read_fraction, fleet.avg_io_size_bytes
+    caps = np.stack((
+        fleet.read_throughput_cap, fleet.write_throughput_cap,
+        fleet.read_bandwidth_cap, fleet.write_bandwidth_cap,
+    ))
 
-    def per_tier(values: np.ndarray) -> list[float]:
-        return np.bincount(row, weights=values, minlength=len(tiers)).tolist()
+    def per_tier(values: np.ndarray) -> np.ndarray:
+        return np.bincount(row, weights=values, minlength=len(fleet.tiers))
 
     with np.errstate(all="ignore"):
-        bare = slope * np.array([t.base_latency_us for t in tiers])[row]
+        bare = slope * fleet.base_latency_us[row]
         wf = 1 - rf
         loads = np.minimum(demand, 1e6 / (bare + intercept))
         loads_r, loads_w = loads * rf, loads * wf
-        load_r_iops, load_w_iops = per_tier(loads_r), per_tier(loads_w)
-        load_r_bw, load_w_bw = per_tier(loads_r * io / 1e6), per_tier(loads_w * io / 1e6)
-
-        contention, scale = [], []
-        for i, tier in enumerate(tiers):
-            # Contention responds to offered load against the raw device caps
-            # (it inflates latency, so must stay finite); the proportional
-            # scale honors the migration-debited effective caps so
-            # conservation always holds.
-            contention.append(max(
-                1.0,
-                load_r_iops[i] / tier.read_throughput_cap,
-                load_w_iops[i] / tier.write_throughput_cap,
-                load_r_bw[i] / tier.read_bandwidth_cap,
-                load_w_bw[i] / tier.write_bandwidth_cap,
-            ))
-            eff_read_bw = max(0.0, tier.read_bandwidth_cap - migration_read_mbps[i])
-            eff_write_bw = max(0.0, tier.write_bandwidth_cap - migration_write_mbps[i])
-            s = 1.0
-            for load, cap in (
-                (load_r_iops[i], tier.read_throughput_cap),
-                (load_w_iops[i], tier.write_throughput_cap),
-                (load_r_bw[i], eff_read_bw),
-                (load_w_bw[i], eff_write_bw),
-            ):
-                if load > 0:
-                    s = min(s, cap / load)
-            scale.append(s)
+        load = np.stack((  # (4, T) in the order of ``caps``, each >= 0.0 or NaN
+            per_tier(loads_r), per_tier(loads_w),
+            per_tier(loads_r * io / 1e6), per_tier(loads_w * io / 1e6),
+        ))
+        # Contention responds to offered load against the raw device caps
+        # (it inflates latency, so must stay finite); the proportional scale
+        # honors the migration-debited effective caps so conservation always
+        # holds. fmax and fmin skip NaN as max(1.0, ...) and min(1.0, ...) do,
+        # and a zero load's cap ratio is inf or 0/0, so loads <= 0 drop out.
+        contention = np.fmax.reduce(load / caps, axis=0, initial=1.0)
+        effective = caps.copy()
+        effective[2:] = np.fmax(0.0, caps[2:] - (migration_read_mbps, migration_write_mbps))
+        scale = np.fmin.reduce(effective / load, axis=0, initial=1.0)
 
         # The probes' true latency at zero added latency; it is positive (or
         # inf) because intercepts are positive and contention is at least 1.
         fleet.contention[:] = contention
-        latency = bare + intercept * fleet.contention[row]
-        served = np.minimum(demand, 1e6 / latency) * np.array(scale)[row]
+        latency = bare + intercept * contention[row]
+        served = np.minimum(demand, 1e6 / latency) * scale[row]
         served_r, served_w = served * rf, served * wf
         read_mbps, write_mbps = served_r * io / 1e6, served_w * io / 1e6
         read_iops, write_iops = per_tier(served_r), per_tier(served_w)
@@ -192,12 +181,13 @@ def serve_epoch(
     fleet.measured_latency_us[:] = latency
     fleet.measured_read_mbps[:] = read_mbps
     fleet.measured_write_mbps[:] = write_mbps
-    fleet.served_read_mbps[:] = np.add(tier_read_mbps, migration_read_mbps)
-    fleet.served_write_mbps[:] = np.add(tier_write_mbps, migration_write_mbps)
+    fleet.served_read_mbps[:] = tier_read_mbps + migration_read_mbps
+    fleet.served_write_mbps[:] = tier_write_mbps + migration_write_mbps
 
     metrics = []
     for r_iops, w_iops, r_mbps, w_mbps, weight in zip(
-        read_iops, write_iops, tier_read_mbps, tier_write_mbps, latency_weight
+        read_iops.tolist(), write_iops.tolist(), tier_read_mbps.tolist(),
+        tier_write_mbps.tolist(), latency_weight.tolist(),
     ):
         total_iops = r_iops + w_iops
         metrics.append(TierEpochMetrics(
@@ -324,7 +314,7 @@ def run_scenario(
     epoch_seconds = scenario.sim.epoch_seconds
     policy = make_policy(policy_name)
 
-    fleet = Fleet.of([VmdkState.initial(spec) for spec in scenario.vmdks], scenario.tiers)
+    fleet = Fleet.of(scenario.vmdks, scenario.tiers)
     log = MigrationLog(fleet.ids)
     result = RunResult(scenario=scenario, policy=policy_name, seed=actual_seed, migration_log=log)
 

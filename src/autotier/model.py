@@ -3,10 +3,11 @@
 Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
-(Fleet, MigrationLog) is owned by a single simulation run. The Fleet holds
-both sides of it: one row per VMDK and one row per tier, with each in-flight
-migration's destination and log index; the MigrationLog holds every
-migration started, progress included, as columns.
+(Fleet, MigrationLog) is owned by a single simulation run. ``Fleet.of``
+builds the Fleet from the specs and it holds both sides of it: one row per
+VMDK and one row per tier, every tier number as a column, with each
+in-flight migration's destination and log index; the MigrationLog holds
+every migration started, progress included, as columns.
 """
 
 from __future__ import annotations
@@ -466,11 +467,6 @@ class VmdkState:
     measured_write_mbps: float = 0.0
     measured_latency_us: float = 0.0
 
-    @classmethod
-    def initial(cls, spec: VmdkSpec) -> "VmdkState":
-        p = spec.demand_profile[0]
-        return cls(spec, spec.initial_tier, p.demand_iops, p.avg_io_size_bytes, p.read_fraction)
-
 
 NEVER = np.iinfo(np.int64).max  # stands in for start epochs past the int64 range
 
@@ -486,16 +482,20 @@ class Fleet:
     has none) and the last epoch's four ``measured_*`` figures. An in-flight
     migration moves ``size_gb * 1e9`` bytes from ``tier_row`` to
     ``dest_row``; ``order_index`` is its index in the run's ``MigrationLog``
-    (-1 for a VMDK that has none), which alone holds its progress. Tier rows
-    follow ``tiers``, the run's tier specs in order: each tier's usable
-    (p, b, s) ``budget`` (``max_usable()``, built once), each device's
-    ``contention``, which inflates the latency probes see, and the MB/s each
-    tier served last epoch, migration debits included. Serving writes the
-    measurements and the tier arrays in place; policies read a ``read_only``
+    (-1 for a VMDK that has none), which alone holds its progress.
+
+    Tier rows follow ``tiers``, the run's tier specs in order. Its columns,
+    built once, are all the epoch loop reads of the specs: the usable
+    (p, b, s) ``budget`` (``max_usable()``), ``base_latency_us``, the four
+    serve caps, ``mig_weight``, the (T, 3) ``match_mask`` (specialty times
+    kind weight) and ``kind_weight_total``, the exact ``kind_weights.total()``
+    as a float, never a float sum. Each device's ``contention`` inflates the
+    latency probes see, and the served MB/s include migration debits; serving
+    writes those and the measurements in place. Policies read a ``read_only``
     view.
 
-    ``phases`` lists every row's demand profile, one after another, and the
-    (3, P) ``phase_table`` their demand, read fraction and I/O size; ``active``
+    The (3, P) ``phase_table`` holds the demand, read fraction and I/O size
+    of every row's demand profile, one profile after another; ``active``
     indexes each row's active phase and ``due`` maps an epoch to the rows
     whose next phase starts then and the index of that phase.
     """
@@ -510,6 +510,14 @@ class Fleet:
     dest_row: np.ndarray
     order_index: np.ndarray
     budget: np.ndarray
+    base_latency_us: np.ndarray
+    read_throughput_cap: np.ndarray
+    write_throughput_cap: np.ndarray
+    read_bandwidth_cap: np.ndarray
+    write_bandwidth_cap: np.ndarray
+    mig_weight: np.ndarray
+    match_mask: np.ndarray
+    kind_weight_total: np.ndarray
     contention: np.ndarray
     served_read_mbps: np.ndarray
     served_write_mbps: np.ndarray
@@ -524,16 +532,14 @@ class Fleet:
     measured_latency_us: np.ndarray
     measured_read_mbps: np.ndarray
     measured_write_mbps: np.ndarray
-    phases: tuple[WorkloadPhase, ...]
     phase_table: np.ndarray
     active: np.ndarray
     due: Mapping[int, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
-    def of(cls, states: Sequence[VmdkState], tiers: Sequence[TierSpec]) -> "Fleet":
-        """Arrays of ``states`` as they stand, sorted by id, each in its first phase."""
-        states = sorted(states, key=lambda s: s.spec.id)
-        specs = tuple(s.spec for s in states)
+    def of(cls, specs: Sequence[VmdkSpec], tiers: Sequence[TierSpec]) -> "Fleet":
+        """A run's start: ``specs`` by id, each on its initial tier in phase 0, unmeasured."""
+        specs = tuple(sorted(specs, key=attrgetter("id")))
         row_of_tier = {t.id: i for i, t in enumerate(tiers)}
         phases = tuple(chain.from_iterable(spec.demand_profile for spec in specs))
         counts = [len(spec.demand_profile) for spec in specs]
@@ -544,10 +550,13 @@ class Fleet:
         later = np.flatnonzero(start > 0)
         later = later[np.argsort(start[later], kind="stable")]
         epochs, cuts = np.unique(start[later], return_index=True)
+        active = np.cumsum(counts, dtype=np.intp) - counts
 
         def column(items: Sequence[Any], name: str) -> np.ndarray:
             return np.fromiter(map(attrgetter(name), items), float, len(items))
 
+        demand = ("demand_iops", "read_fraction", "avg_io_size_bytes")
+        phase_table = np.stack([column(phases, name) for name in demand])
         return cls(
             ids=tuple(spec.id for spec in specs),
             specs=specs,
@@ -555,10 +564,22 @@ class Fleet:
             tiers=tuple(tiers),
             tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
             row_of_tier=row_of_tier,
-            tier_row=np.array([row_of_tier[s.current_tier] for s in states], dtype=np.intp),
-            dest_row=np.full(len(states), -1, dtype=np.intp),
-            order_index=np.full(len(states), -1, dtype=np.intp),
+            tier_row=np.array([row_of_tier[s.initial_tier] for s in specs], dtype=np.intp),
+            dest_row=np.full(len(specs), -1, dtype=np.intp),
+            order_index=np.full(len(specs), -1, dtype=np.intp),
             budget=np.array([astuple(t.max_usable()) for t in tiers], dtype=float),
+            **{
+                name: column(tiers, name)
+                for name in (
+                    "base_latency_us", "read_throughput_cap", "write_throughput_cap",
+                    "read_bandwidth_cap", "write_bandwidth_cap", "mig_weight",
+                )
+            },
+            match_mask=np.array([
+                [f * w for f, w in zip(astuple(t.specialty), astuple(t.kind_weights))]
+                for t in tiers
+            ], dtype=float),
+            kind_weight_total=np.array([float(t.kind_weights.total()) for t in tiers]),
             contention=np.ones(len(tiers)),
             served_read_mbps=np.zeros(len(tiers)),
             served_write_mbps=np.zeros(len(tiers)),
@@ -566,33 +587,22 @@ class Fleet:
                 name: column(specs, name)
                 for name in ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
             },
+            **dict(zip(demand, phase_table[:, active])),
             **{
-                name: column(states, name)
-                for name in (
-                    "demand_iops", "read_fraction", "avg_io_size_bytes", "measured_iops",
-                    "measured_latency_us", "measured_read_mbps", "measured_write_mbps",
-                )
+                f"measured_{name}": np.zeros(len(specs))
+                for name in ("iops", "latency_us", "read_mbps", "write_mbps")
             },
-            phases=phases,
-            phase_table=np.stack([
-                column(phases, name)
-                for name in ("demand_iops", "read_fraction", "avg_io_size_bytes")
-            ]),
-            active=np.cumsum(counts, dtype=np.intp) - counts,
+            phase_table=phase_table,
+            active=active,
             due={e: (owner[k], k) for e, k in zip(epochs.tolist(), np.split(later, cuts[1:]))},
         )
 
-    @property
-    def current_tier(self) -> np.ndarray:
-        """(N,) id of each VMDK's current tier."""
-        return self.tier_ids[self.tier_row]
-
     def spare_mbps(self) -> tuple[list[float], list[float]]:
         """Each tier's spare read and write MB/s, ``max(0.0, cap - served)``, by tier row."""
-        read, write = self.served_read_mbps.tolist(), self.served_write_mbps.tolist()
+        # fmax, like max(0.0, x), yields 0.0 where x is NaN.
         return (
-            [max(0.0, t.read_bandwidth_cap - r) for t, r in zip(self.tiers, read)],
-            [max(0.0, t.write_bandwidth_cap - w) for t, w in zip(self.tiers, write)],
+            np.fmax(0.0, self.read_bandwidth_cap - self.served_read_mbps).tolist(),
+            np.fmax(0.0, self.write_bandwidth_cap - self.served_write_mbps).tolist(),
         )
 
     def read_only(self) -> "Fleet":
@@ -623,15 +633,16 @@ class Fleet:
         self.order_index[rows] = -1
 
     def states(self) -> list[VmdkState]:
-        """One ``VmdkState`` per row, with the exact values of its active phase."""
+        """One ``VmdkState`` per row, with its active phase's values from ``phase_table``."""
         tier_ids = self.tier_ids.tolist()
-        active = map(self.phases.__getitem__, self.active.tolist())
+        # Demand, I/O size and read fraction, in VmdkState's field order.
+        phases = self.phase_table[[0, 2, 1]][:, self.active].T.tolist()
         measured = zip(*(getattr(self, f"measured_{name}").tolist() for name in (
             "iops", "read_mbps", "write_mbps", "latency_us"
         )))
         return [
-            VmdkState(spec, tier_ids[t], p.demand_iops, p.avg_io_size_bytes, p.read_fraction, *m)
-            for spec, t, p, m in zip(self.specs, self.tier_row.tolist(), active, measured)
+            VmdkState(spec, tier_ids[t], *p, *m)
+            for spec, t, p, m in zip(self.specs, self.tier_row.tolist(), phases, measured)
         ]
 
 

@@ -10,17 +10,19 @@ dense (T, N) array (or (T, N, 3) over the p, b, s kinds) with axes in
 ``CapacityMatrices`` order; a cell that cannot host its VMDK scores -inf.
 
 Every input but the policy weights is read from the run's ``Fleet``: its
-VMDK rows (id order) are the matrices' VMDK axis, its ``tiers`` their tier
-axis, and its ``dest_row`` marks the VMDKs whose in-flight migration is
-committed. ``pack`` is the one greedy packer: it seats those VMDKs on their
-destination, takes each tier's ranked fleet rows and places them tier by
-tier with ``first_fit``, a windowed scan that decides whole windows with
-numpy and runs a scalar loop only where fits and misses alternate. This
-policy ranks each tier's row with one stable ``np.argsort``; the baselines
-rank VMDKs by their metric and put 0.0 in the usage columns they do not
-check. A brute-force per-epoch profit maximizer doubles as the test oracle
-for the greedy round; it and ``epoch_profit`` share one per-(tier, vmdk)
-profit table, and both take assignments as (N,) tier rows.
+VMDK rows (id order) are the matrices' VMDK axis, its tier rows their tier
+axis, its tier columns (budget, base latency, match mask, kind-weight
+total, migration weight) every tier number, and its ``dest_row`` marks the
+VMDKs whose in-flight migration is committed. ``pack`` is the one greedy
+packer: it seats those VMDKs on their destination, takes each tier's ranked
+fleet rows and places them tier by tier with ``first_fit``, a windowed scan
+that decides whole windows with numpy and runs a scalar loop only where
+fits and misses alternate. This policy ranks each tier's row with one
+stable ``np.argsort``; the baselines rank VMDKs by their metric and put 0.0
+in the usage columns they do not check. A brute-force per-epoch profit
+maximizer doubles as the test oracle for the greedy round; it and
+``epoch_profit`` share one per-(tier, vmdk) profit table, and both take
+assignments as (N,) tier rows.
 
 Every planner returns an ``AssignmentPlan`` in fleet rows: each VMDK's
 target tier row, the order VMDKs were seated in, and the moves as aligned
@@ -35,7 +37,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -140,16 +142,13 @@ def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> CapacityMatric
     """
     if fits.vmdk_ids != fleet.ids:
         raise ValueError("calibration fits must follow the VMDK order")
-    tiers = fleet.tiers
-    lat = estimate_avg_lat(
-        fits, fleet.current_tier.tolist(), {t.id: t.base_latency_us for t in tiers}
-    )
+    lat = estimate_avg_lat(fits, fleet.tier_row, fleet.base_latency_us)
     with np.errstate(divide="ignore"):
         iops = np.where(lat > 0, 1e6 / lat, 0.0)
     iops = np.minimum(iops, fleet.demand_iops)
     size = np.broadcast_to(fleet.size_gb, iops.shape)
     return CapacityMatrices(
-        tier_ids=tuple(t.id for t in tiers),
+        tier_ids=tuple(fleet.tier_ids.tolist()),
         vmdk_ids=fleet.ids,
         cap=np.stack([iops, iops * fleet.avg_io_size_bytes / 1e6, size], axis=-1),
     )
@@ -172,21 +171,20 @@ def normalize_and_gate(mat: CapacityMatrices, fleet: Fleet) -> CapacityMatrices:
 
 
 def orthogonal_match_score(
-    tiers: Sequence[TierSpec],
+    fleet: Fleet,
     ratios: np.ndarray,
     sla_weight: np.ndarray,
     confidence: np.ndarray,
 ) -> np.ndarray:
     """(T, N) specialty-masked, weight-scaled inner products of tier and VMDK vectors.
 
-    ``ratios`` is (T, N, 3); ``sla_weight`` and ``confidence`` are per VMDK.
-    Each tier normalizes by the sum of all its kind weights, which TierSpec
-    keeps finite and positive.
+    ``ratios`` is (T, N, 3) with its tier axis in the fleet's tier rows;
+    ``sla_weight`` and ``confidence`` are per VMDK. Each tier's kinds are
+    weighted by the fleet's ``match_mask`` and the sum normalized by its
+    ``kind_weight_total``, which TierSpec keeps finite and positive.
     """
-    masked = np.array([
-        (m.p, m.b, m.s) for m in (t.specialty * t.kind_weights for t in tiers)
-    ])[:, None, :]
-    denominator = np.array([[t.kind_weights.total()] for t in tiers])
+    masked = fleet.match_mask[:, None, :]
+    denominator = fleet.kind_weight_total[:, None]
     numerator = (
         masked[..., 0] * ratios[..., 0]
         + masked[..., 1] * ratios[..., 1]
@@ -231,14 +229,12 @@ def cal_score(
     history under an infinite migration cost, which only blocks the current
     epoch.
     """
-    tiers = fleet.tiers
-    current = orthogonal_match_score(tiers, mat.ratio, fleet.sla_weight, fits.confidence)
+    current = orthogonal_match_score(fleet, mat.ratio, fleet.sla_weight, fits.confidence)
     cost = mig_cost_seconds(fleet) / migration_epoch_seconds
     # An impossible move (infinite cost) blocks the cell this epoch no
     # matter how small the per-tier cost weight is.
     finite = np.isfinite(cost)
-    mig_weight = np.array([[t.mig_weight] for t in tiers])
-    penalty = np.where(finite, mig_weight * np.where(finite, cost, 0.0), math.inf)
+    penalty = np.where(finite, fleet.mig_weight[:, None] * np.where(finite, cost, 0.0), math.inf)
     aged = weights.aging_factor * (0.0 if history is None else history)
     score = np.where(mat.feasible, aged + current - penalty, -math.inf)
     return ScoreMatrix(score=score, history=np.where(np.isfinite(score), score, 0.0))

@@ -82,12 +82,35 @@ def make_vmdk(
 
 
 def make_state(spec: VmdkSpec, tier: int | None = None, **measured) -> VmdkState:
-    state = VmdkState.initial(spec)
-    if tier is not None:
-        state.current_tier = tier
+    """A ``VmdkState`` in ``spec``'s first phase, on ``tier`` or else its initial tier."""
+    phase = spec.demand_profile[0]
+    state = VmdkState(
+        spec, spec.initial_tier if tier is None else tier,
+        phase.demand_iops, phase.avg_io_size_bytes, phase.read_fraction,
+    )
     for key, value in measured.items():
         setattr(state, key, value)
     return state
+
+
+STATE_COLUMNS = (
+    "demand_iops", "read_fraction", "avg_io_size_bytes", "measured_iops",
+    "measured_latency_us", "measured_read_mbps", "measured_write_mbps",
+)
+
+
+def fleet_of(states, tiers) -> Fleet:
+    """``Fleet.of`` the states' specs, with each row then set to its state as it stands.
+
+    A case can so start VMDKs off their initial tier, or with measurements.
+    """
+    fleet = Fleet.of([state.spec for state in states], tiers)
+    for state in states:
+        j = fleet.row[state.spec.id]
+        fleet.tier_row[j] = fleet.row_of_tier[state.current_tier]
+        for name in STATE_COLUMNS:
+            getattr(fleet, name)[j] = getattr(state, name)
+    return fleet
 
 
 def make_fits(rows) -> CalibrationFits:
@@ -325,7 +348,7 @@ def random_oracle_instance(rng: np.random.Generator):
             float(rng.uniform(0.05, 1.0)),
         ))
     records = make_fits(rows)
-    fleet = Fleet.of(states, tiers)
+    fleet = fleet_of(states, tiers)
     mat = normalize_and_gate(cal_capacity_matrices(records, fleet), fleet)
     for i in range(len(tiers)):
         fleet.served_read_mbps[i] = float(rng.uniform(0, 100))

@@ -18,7 +18,6 @@ from autotier.calibration import (
 )
 from autotier.engine import probe_latencies, run_scenario
 from autotier.model import (
-    Fleet,
     PolicyWeights,
     ResourceVector,
     Scenario,
@@ -37,6 +36,7 @@ from autotier.reporting import metrics_csv_text, migrations_dict, summary_dict
 from autotier.scenario import load_bundled_scenario
 
 from conftest import (
+    fleet_of,
     make_fits,
     make_state,
     make_tier,
@@ -77,13 +77,13 @@ def test_criterion_1_formula_fidelity():
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e12, avg_io_size_bytes=4096))
         rec = make_fits([("v1", 0.0, 20.0, 1.0)])
-        mat = cal_capacity_matrices(rec, Fleet.of([state], [tier]))
+        mat = cal_capacity_matrices(rec, fleet_of([state], [tier]))
         ok &= close(mat.cap[0, 0, 0], 50_000.0)  # tier 1, v1, p
         ok &= close(mat.cap[0, 0, 1], 204.8)  # tier 1, v1, b
 
         # hosting-tier estimate returns the fitted intercept exactly
         rec2 = make_fits([("v1", 2.0, 123.0, 1.0)])
-        ok &= estimate_avg_lat(rec2, [1], {1: 20.0})[0, 0] == 123.0
+        ok &= estimate_avg_lat(rec2, [0], np.array([20.0]))[0, 0] == 123.0
 
         # confidence mapping
         ok &= compute_confidence(1.2) == 0.05
@@ -95,7 +95,7 @@ def test_criterion_1_formula_fidelity():
             make_tier(2, 300.0, read_mbps=999.0, write_mbps=500.0),
         )
         mover = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
-        fleet = Fleet.of([mover], tiers)
+        fleet = fleet_of([mover], tiers)
         fleet.served_read_mbps[0] = 100.0
         fleet.served_write_mbps[1] = 100.0
         ok &= close(mig_cost_seconds(fleet)[1, 0], 250.0)
@@ -106,7 +106,7 @@ def test_criterion_2_calibration_recovery():
     with _Timer() as t:
         tier = make_tier(1, base_latency_us=200.0)
         spec = make_vmdk(truth_slope=1.2, truth_intercept_us=1800.0)
-        fleet = Fleet.of([make_state(spec, tier=1)], [tier])
+        fleet = fleet_of([make_state(spec, tier=1)], [tier])
         true_m = spec.truth_slope
         true_b = true_m * tier.base_latency_us + spec.truth_intercept_us
         seeds = 120

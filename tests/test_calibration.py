@@ -229,31 +229,31 @@ class TestEstimateAvgLat:
         return make_fits([("v", m, b, 1.0)])
 
     def test_direct_formula(self):
-        lat = estimate_avg_lat(self.rec(2.0, 100.0), [1], {1: 20.0, 2: 50.0})
+        lat = estimate_avg_lat(self.rec(2.0, 100.0), [0], np.array([20.0, 50.0]))
         assert lat[1, 0] == pytest.approx(160.0, rel=1e-12)
 
     def test_current_tier_returns_intercept_exactly(self):
-        assert estimate_avg_lat(self.rec(2.0, 123.456), [1], {1: 20.0})[0, 0] == 123.456
+        assert estimate_avg_lat(self.rec(2.0, 123.456), [0], np.array([20.0]))[0, 0] == 123.456
 
     def test_faster_target_can_go_negative(self):
-        lat = estimate_avg_lat(self.rec(1.0, 500.0), [2], {1: 500.0, 2: 2500.0})
+        lat = estimate_avg_lat(self.rec(1.0, 500.0), [1], np.array([500.0, 2500.0]))
         assert lat[0, 0] == pytest.approx(-1500.0, rel=1e-12)
 
     def test_negative_raw_slope_is_clamped_for_prediction(self):
-        lat = estimate_avg_lat(self.rec(-0.5, 300.0), [1], {1: 100.0, 2: 800.0})
+        lat = estimate_avg_lat(self.rec(-0.5, 300.0), [0], np.array([100.0, 800.0]))
         assert lat[1, 0] == 300.0
 
     @given(st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
     def test_monotone_in_target_latency(self, m):
         rec = self.rec(m, 50.0)
-        lats = {1: 10.0, 2: 100.0, 3: 1000.0}
-        estimates = estimate_avg_lat(rec, [1], lats)[:, 0].tolist()
+        lats = np.array([10.0, 100.0, 1000.0])
+        estimates = estimate_avg_lat(rec, [0], lats)[:, 0].tolist()
         assert estimates == sorted(estimates)
 
     def test_grid_is_tiers_by_vmdks(self):
         fits = make_fits([("a", 0.5, 80.0, 1.0), ("b", 2.0, 300.0, 1.0)])
-        lats = {1: 10.0, 2: 100.0, 3: 1000.0}
-        grid = estimate_avg_lat(fits, [3, 1], lats)
+        lats = np.array([10.0, 100.0, 1000.0])
+        grid = estimate_avg_lat(fits, [2, 0], lats)
         assert grid.shape == (3, 2)
         assert grid[:, 0].tolist() == [0.5 * (10.0 - 1000.0) + 80.0, 0.5 * (100.0 - 1000.0) + 80.0, 80.0]
         assert grid[:, 1].tolist() == [300.0, 2.0 * (100.0 - 10.0) + 300.0, 2.0 * (1000.0 - 10.0) + 300.0]

@@ -8,7 +8,6 @@ import pytest
 
 from autotier.calibration import collect_samples, estimate_avg_lat, regress_latency_curve
 from autotier.engine import (
-    Fleet,
     probe_latencies,
     progress_migrations,
     run_scenario,
@@ -28,7 +27,7 @@ from autotier.model import (
 from autotier.reporting import metrics_csv_text, write_run_artifacts
 from autotier.scenario import load_bundled_scenario
 
-from conftest import make_state, make_tier, make_vmdk, pin, random_scenario
+from conftest import fleet_of, make_state, make_tier, make_vmdk, pin, random_scenario
 
 
 def reference_latency(tier, contention, spec, added_us=0.0):
@@ -42,7 +41,7 @@ def reference_latency(tier, contention, spec, added_us=0.0):
 
 def probe_fleet(states, tiers, contention=None):
     """A fleet of ``states`` on ``tiers``, each tier at its ``contention`` (default 1)."""
-    fleet = Fleet.of(states, tiers)
+    fleet = fleet_of(states, tiers)
     if contention is not None:
         fleet.contention[:] = contention
     return fleet
@@ -175,7 +174,7 @@ MEASURED = ("measured_iops", "measured_latency_us", "measured_read_mbps", "measu
 
 def serve_tier(tier, members, migration_read_mbps=0.0, migration_write_mbps=0.0):
     """``serve_epoch`` on a one-tier fleet; ``members`` get the fleet's measurements."""
-    fleet = Fleet.of(members, [tier])
+    fleet = fleet_of(members, [tier])
     metrics = serve_epoch(fleet, [migration_read_mbps], [migration_write_mbps])[0]
     served = {state.spec.id: state for state in fleet.states()}
     for member in members:
@@ -307,7 +306,7 @@ class TestServeEpochMatchesReference:
             )
             for tier, r, w in zip(tiers, debit_read, debit_write)
         ))
-        fleet = Fleet.of(states, tiers)
+        fleet = fleet_of(states, tiers)
         fleet.contention[:] = contended  # serving sets it afresh from the load
         served = serve_epoch(fleet, debit_read, debit_write)
         states = fleet.states()
@@ -332,7 +331,7 @@ class TestServeEpochMatchesReference:
         for seed in range(8):
             rng = np.random.default_rng(seed)
             tiers, states = random_fleet(rng, int(rng.integers(1, 5)))
-            fleet = Fleet.of(states, tiers)
+            fleet = fleet_of(states, tiers)
             served = serve_epoch(
                 fleet, [2 * t.read_bandwidth_cap for t in tiers], [0.0] * len(tiers),
             )
@@ -365,10 +364,10 @@ class TestServeEpoch:
         tier = make_tier(3, 400.0, read_iops=99_000, write_iops=1e6,
                          read_mbps=1e6, write_mbps=1e6)
         members = [
-            make_state(make_vmdk("a", truth_slope=0.0, truth_intercept_us=1.0,
-                                 demand_iops=60_000, read_fraction=1.0), tier=3),
-            make_state(make_vmdk("b", truth_slope=0.0, truth_intercept_us=1.0,
-                                 demand_iops=60_000, read_fraction=1.0), tier=3),
+            make_state(make_vmdk("a", initial_tier=3, truth_slope=0.0, truth_intercept_us=1.0,
+                                 demand_iops=60_000, read_fraction=1.0)),
+            make_state(make_vmdk("b", initial_tier=3, truth_slope=0.0, truth_intercept_us=1.0,
+                                 demand_iops=60_000, read_fraction=1.0)),
         ]
         tm = serve_tier(tier, members)
         for m in members:
@@ -382,6 +381,19 @@ class TestServeEpoch:
         assert tm.read_iops == 0.0
         assert tm.write_iops == 0.0
         assert tm.mean_latency_us == 0.0
+
+    def test_no_load_against_a_cap_debited_to_zero_leaves_the_scale_alone(self):
+        # Write-only members while migrations take all the read bandwidth:
+        # the read MB/s ratio is 0/0, which the loop skips and must not scale.
+        tier = make_tier(1, read_mbps=500.0, write_mbps=800.0)
+        members = [
+            make_state(make_vmdk(v, demand_iops=1000.0, read_fraction=0.0)) for v in ("a", "b")
+        ]
+        reference = copy.deepcopy(members)
+        expected, _ = reference_serve_tier(tier, reference, 500.0, 0.0)
+        assert astuple(serve_tier(tier, members, 500.0, 0.0)) == astuple(expected)
+        assert [m.measured_iops for m in members] == [m.measured_iops for m in reference]
+        assert expected.write_iops > 0.0
 
     def test_served_never_exceeds_caps(self):
         rng = np.random.default_rng(8)
@@ -449,15 +461,15 @@ class TestServeEpoch:
     def test_ground_truth_consistency_with_calibration(self):
         # noiseless, uncontended: the fit's hosted-tier estimate equals bare latency
         tier = make_tier(2, base_latency_us=250.0)
-        spec = make_vmdk(truth_slope=0.7, truth_intercept_us=40.0)
-        fleet = probe_fleet([make_state(spec, tier=2)], [tier])
+        spec = make_vmdk(initial_tier=2, truth_slope=0.7, truth_intercept_us=40.0)
+        fleet = probe_fleet([make_state(spec)], [tier])
         rng = np.random.default_rng(0)
         samples = collect_samples(
             ["v1"], lambda ids, d, n: probe(fleet, d, n, rng, 0.0),
             (0.0, 500.0, 1000.0, 2000.0, 4000.0), 10,
         )
         rec = regress_latency_curve(samples)
-        estimate = estimate_avg_lat(rec, [2], {2: 250.0})[0, 0]
+        estimate = estimate_avg_lat(rec, [0], np.array([250.0]))[0, 0]
         assert estimate == pytest.approx(reference_latency(tier, 1.0, spec), rel=1e-9)
 
 
@@ -468,7 +480,7 @@ class TestMigrations:
             make_tier(1, 100.0, read_mbps=600.0, write_mbps=500.0),
             make_tier(2, 300.0, read_mbps=900.0, write_mbps=500.0),
         )
-        fleet = Fleet.of([state], tiers)
+        fleet = fleet_of([state], tiers)
         log = MigrationLog(fleet.ids)
         start_moves(fleet, log, (("v1", 1, 2),), 0)
         return tiers, fleet, log
@@ -541,7 +553,7 @@ class TestMigrations:
     def test_progress_needs_an_open_order(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
         tiers, _, log = self.setup_pair(state)
-        fleet = pin(Fleet.of([state], tiers), {"v1": 2})  # a destination but no order
+        fleet = pin(fleet_of([state], tiers), {"v1": 2})  # a destination but no order
         with pytest.raises(ValueError, match="open order"):
             progress_migrations(np.array([0]), fleet, log, 300.0)
         assert log.bytes_moved.tolist() == [0.0]
@@ -633,7 +645,7 @@ def migration_epochs(seed, epochs=10):
                    tier=int(rng.integers(1, len(tiers) + 1)))
         for j in range(int(rng.integers(5, 30)))
     ]
-    fleet = Fleet.of(states, tiers)
+    fleet = fleet_of(states, tiers)
     log = MigrationLog(fleet.ids)
     reference_states = {s.spec.id: copy.deepcopy(s) for s in states}
     reference_log, active = [], {}
@@ -649,7 +661,7 @@ def migration_epochs(seed, epochs=10):
         fleet.measured_read_mbps[:] = measured
         for v, value in zip(fleet.ids, measured.tolist()):
             reference_states[v].measured_read_mbps = value
-        current = dict(zip(fleet.ids, fleet.current_tier.tolist()))
+        current = dict(zip(fleet.ids, fleet.tier_ids[fleet.tier_row].tolist()))
         moves = sorted(
             (v, current[v], int(rng.choice([t.id for t in tiers if t.id != current[v]])))
             for v in fleet.ids if rng.uniform() < 0.4
@@ -721,7 +733,7 @@ class TestMigrationChecks:
     def fleet(self):
         tiers = (make_tier(1, 100.0), make_tier(2, 300.0))
         states = [make_state(make_vmdk(v, size_gb=10.0), tier=1) for v in ("a", "b")]
-        return Fleet.of(states, tiers)
+        return fleet_of(states, tiers)
 
     @pytest.mark.parametrize("moves, message", [
         ((("a", 1, 2), ("b", 1, 1)), "migration must change tiers"),
@@ -816,7 +828,7 @@ class TestRunScenario:
         write_run_artifacts(result, tmp_path)
         assert len(result.migration_log) > 0
 
-    @pytest.mark.parametrize("policy", ["idt", "edt"])
+    @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
     def test_tier_budgets_are_built_once_per_run(self, policy, monkeypatch):
         scenario = load_bundled_scenario("table3-table4")
         built = []
@@ -867,7 +879,7 @@ class TestRunScenario:
         fleet = contexts[0].fleet
         final = [result.final_states[v] for v in fleet.ids]
         assert fleet.measured_iops.tolist() == [s.measured_iops for s in final]
-        assert fleet.current_tier.tolist() == [s.current_tier for s in final]
+        assert fleet.tier_ids[fleet.tier_row].tolist() == [s.current_tier for s in final]
         assert all(type(s.current_tier) is int and type(s.measured_iops) is float for s in final)
 
     @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])

@@ -25,7 +25,7 @@ from autotier.model import (
 )
 from autotier.scenario import bundled_scenario_text, parse_scenario
 
-from conftest import make_state, make_tier, make_vmdk
+from conftest import fleet_of, make_state, make_tier, make_vmdk
 
 finite = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 
@@ -183,7 +183,7 @@ class TestFleet:
         tiers = [
             make_tier(i, read_mbps=1000.0, write_mbps=800.0) for i in (1, 2, 3, 4)
         ]
-        fleet = Fleet.of([make_state(make_vmdk())], tiers)
+        fleet = fleet_of([make_state(make_vmdk())], tiers)
         fleet.served_read_mbps[:] = [250.0, 1000.0, 1500.0, math.nan]
         fleet.served_write_mbps[:] = [900.0, math.nan, 100.0, 800.0]
         read, write = fleet.spare_mbps()
@@ -193,18 +193,18 @@ class TestFleet:
     def test_move_lands_on_dest_row_and_clears_it(self):
         tiers = [make_tier(i) for i in (1, 2, 3)]
         states = [make_state(make_vmdk(v, initial_tier=3), tier=3) for v in ("a", "b")]
-        fleet = Fleet.of(states, tiers)
+        fleet = fleet_of(states, tiers)
         assert fleet.dest_row.tolist() == [-1, -1]
         fleet.dest_row[1] = 0
         fleet.move(np.array([1]))
         assert fleet.tier_row.tolist() == [2, 0]
         assert fleet.dest_row.tolist() == [-1, -1]
-        assert fleet.current_tier.tolist() == [3, 1]
+        assert fleet.tier_ids[fleet.tier_row].tolist() == [3, 1]
 
     def test_move_lands_every_row_at_once_and_clears_its_order(self):
         tiers = [make_tier(i) for i in (1, 2, 3)]
         states = [make_state(make_vmdk(v), tier=1) for v in ("a", "b", "c", "d")]
-        fleet = Fleet.of(states, tiers)
+        fleet = fleet_of(states, tiers)
         fleet.dest_row[:] = [2, 1, 2, -1]
         fleet.order_index[:] = [0, 2, 1, -1]
         fleet.move(np.array([0, 1]))
@@ -216,20 +216,64 @@ class TestFleet:
 
     def test_budget_is_each_tiers_max_usable_and_read_only_in_the_view(self):
         tiers = [
-            make_tier(1, capacity=ResourceVector(1000.0, 400.0, 500.0)),
-            make_tier(2, caps=ResourceVector(0.5, 0.25, 1.0)),
+            make_tier(1, capacity=ResourceVector(1000.0, 400.0, 500.0), mig_weight=0.25,
+                      kind_weights=ResourceVector(2, 1, 0.5), specialty=ResourceVector(1, 0, 1)),
+            make_tier(2, 300.0, caps=ResourceVector(0.5, 0.25, 1.0), read_iops=7e4,
+                      write_iops=3e4, read_mbps=900.0, write_mbps=700.0),
         ]
-        fleet = Fleet.of([make_state(make_vmdk())], tiers)
-        assert fleet.budget.tolist() == [list(astuple(t.max_usable())) for t in tiers]
-        with pytest.raises(ValueError, match="read-only"):
-            fleet.read_only().budget[0, 0] = 0.0
+        fleet = Fleet.of([make_vmdk()], tiers)
+        view = fleet.read_only()
+        columns = {
+            "budget": lambda t: list(astuple(t.max_usable())),
+            "base_latency_us": lambda t: t.base_latency_us,
+            "read_throughput_cap": lambda t: t.read_throughput_cap,
+            "write_throughput_cap": lambda t: t.write_throughput_cap,
+            "read_bandwidth_cap": lambda t: t.read_bandwidth_cap,
+            "write_bandwidth_cap": lambda t: t.write_bandwidth_cap,
+            "mig_weight": lambda t: t.mig_weight,
+            "match_mask": lambda t: list(astuple(t.specialty * t.kind_weights)),
+            "kind_weight_total": lambda t: t.kind_weights.total(),
+        }
+        for name, spec_field in columns.items():
+            column = getattr(fleet, name)
+            assert column.dtype == float and len(column) == len(tiers), name
+            assert column.tolist() == [spec_field(t) for t in tiers], name
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(view, name)[0] = 0.0
+
+    def test_of_starts_each_spec_on_its_initial_tier_in_phase_zero_unmeasured(self):
+        tiers = [make_tier(i) for i in (1, 2, 3)]
+        later = WorkloadPhase(4, 9.0, 512.0, 0.5)
+        specs = [
+            make_vmdk("b", initial_tier=3, demand_iops=300.0, avg_io_size_bytes=8192.0,
+                      read_fraction=0.25),
+            make_vmdk("a", initial_tier=2, phases=(WorkloadPhase(0, 100.0, 4096.0, 0.75), later)),
+        ]
+        fleet = Fleet.of(specs, tiers)
+        assert fleet.ids == ("a", "b")
+        assert fleet.specs == (specs[1], specs[0])
+        assert fleet.tier_ids[fleet.tier_row].tolist() == [2, 3]
+        assert fleet.active.tolist() == [0, 2]
+        assert fleet.demand_iops.tolist() == [100.0, 300.0]
+        assert fleet.read_fraction.tolist() == [0.75, 0.25]
+        assert fleet.avg_io_size_bytes.tolist() == [4096.0, 8192.0]
+        for name in ("iops", "latency_us", "read_mbps", "write_mbps"):
+            assert getattr(fleet, f"measured_{name}").tolist() == [0.0, 0.0], name
+        assert (fleet.dest_row == -1).all() and (fleet.order_index == -1).all()
+        assert list(fleet.due) == [4]
+        rows, phases = fleet.due[4]
+        assert rows.tolist() == [0] and phases.tolist() == [1]
+        assert [astuple(s)[1:] for s in fleet.states()] == [
+            (2, 100.0, 4096.0, 0.75, 0.0, 0.0, 0.0, 0.0),
+            (3, 300.0, 8192.0, 0.25, 0.0, 0.0, 0.0, 0.0),
+        ]
 
 
 class TestMigrationLog:
     def log(self):
         tiers = [make_tier(i) for i in (1, 2, 3)]
         states = [make_state(make_vmdk(v, size_gb=10.0), tier=1) for v in ("a", "b", "c")]
-        fleet = Fleet.of(states, tiers)
+        fleet = fleet_of(states, tiers)
         log = MigrationLog(fleet.ids)
         fleet.order_index[[0, 2]] = log.append(
             np.array([0, 2]), np.array([1, 1]), np.array([2, 3]), np.array([10e9, 10e9]), 0

@@ -31,6 +31,7 @@ from autotier.policy import (
 )
 
 from conftest import (
+    fleet_of,
     make_state,
     make_tier,
     make_fits,
@@ -69,7 +70,8 @@ def at(mat, tier_id, vmdk_id):
 def match(tier, ratios, sla, conf):
     """orthogonal_match_score of one tier and one VMDK's (p, b, s) ratios."""
     cell = np.array(ratios, dtype=float).reshape(1, 1, 3)
-    return orthogonal_match_score([tier], cell, np.array([sla]), np.array([conf]))[0, 0]
+    fleet = Fleet.of([make_vmdk(initial_tier=tier.id)], [tier])
+    return orthogonal_match_score(fleet, cell, np.array([sla]), np.array([conf]))[0, 0]
 
 
 def move_cost(fleet, target_tier):
@@ -83,7 +85,7 @@ class TestCapacityMatrices:
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e9, avg_io_size_bytes=4096))
         mat = cal_capacity_matrices(
-            make_fits([record("v1", 0.0, 20.0)]), Fleet.of([state], [tier])
+            make_fits([record("v1", 0.0, 20.0)]), fleet_of([state], [tier])
         )
         cell = mat.cap[at(mat, 1, "v1")]
         assert cell[P] == pytest.approx(50_000, rel=1e-9)
@@ -94,9 +96,9 @@ class TestCapacityMatrices:
         tiers = (make_tier(1, 50.0), make_tier(2, 2050.0))
         state = make_state(make_vmdk(initial_tier=2, demand_iops=1e9), tier=2)
         records = make_fits([record("v1", 1.0, 500.0)])
-        mat = cal_capacity_matrices(records, Fleet.of([state], tiers))
+        mat = cal_capacity_matrices(records, fleet_of([state], tiers))
         # predicted latency on tier 1: 1.0 * (50-2050) + 500 = -1500us
-        assert estimate_avg_lat(records, [2], {1: 50.0, 2: 2050.0})[0, 0] == -1500.0
+        assert estimate_avg_lat(records, [1], np.array([50.0, 2050.0]))[0, 0] == -1500.0
         assert mat.cap[at(mat, 1, "v1")][P] == 0.0
         assert mat.cap[at(mat, 1, "v1")][B] == 0.0
 
@@ -104,7 +106,7 @@ class TestCapacityMatrices:
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=10_000, avg_io_size_bytes=4096))
         mat = cal_capacity_matrices(
-            make_fits([record("v1", 0.0, 20.0)]), Fleet.of([state], [tier])
+            make_fits([record("v1", 0.0, 20.0)]), fleet_of([state], [tier])
         )
         assert mat.cap[at(mat, 1, "v1")][P] == 10_000
         assert mat.cap[at(mat, 1, "v1")][B] == pytest.approx(10_000 * 4096 / 1e6)
@@ -115,7 +117,7 @@ class TestNormalizeAndGate:
         # 960GB VMDK cannot fit the 480GB tier-1 budget
         tier = make_tier(1, capacity=ResourceVector(240_000, 1000, 480))
         state = make_state(make_vmdk(size_gb=960.0, demand_iops=100))
-        fleet = Fleet.of([state], [tier])
+        fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, {"v1": record("v1", 0.0, 100.0)})
         assert bool(mat.feasible[at(mat, 1, "v1")]) is False
         assert mat.ratio[at(mat, 1, "v1")].tolist() == [0.0, 0.0, 0.0]
@@ -123,7 +125,7 @@ class TestNormalizeAndGate:
     def test_hand_divided_ratios(self):
         tier = make_tier(1, capacity=ResourceVector(100_000, 1000, 480))
         state = make_state(make_vmdk(size_gb=100.0, demand_iops=50_000, avg_io_size_bytes=4096))
-        fleet = Fleet.of([state], [tier])
+        fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, {"v1": record("v1", 0.0, 10.0)})
         ratios = mat.ratio[at(mat, 1, "v1")]
         assert ratios[P] == pytest.approx(0.5, rel=1e-9)
@@ -133,7 +135,7 @@ class TestNormalizeAndGate:
     def test_zero_usage_is_feasible(self):
         tier = make_tier(1)
         state = make_state(make_vmdk(demand_iops=0.0))
-        fleet = Fleet.of([state], [tier])
+        fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, {"v1": record("v1", 0.0, 100.0)})
         assert bool(mat.feasible[at(mat, 1, "v1")]) is True
         assert mat.ratio[at(mat, 1, "v1")][P] == 0.0
@@ -156,6 +158,14 @@ class TestOrthogonalMatch:
         tier = make_tier(specialty=ResourceVector(0, 0, 1))
         score = match(tier, (0.9, 0.9, 0.1), 1.0, 1.0)
         assert score == pytest.approx(0.1 / 3, rel=1e-9)
+
+    def test_denominator_is_the_exact_kind_weight_total(self):
+        # The integer weights total 2**53 + 2 exactly; a float sum of the
+        # components rounds 2**53 + 1 down and totals 2**53.
+        tier = make_tier(kind_weights=ResourceVector(2**53 + 1, 1, 0))
+        score = match(tier, (0.0, 1.0, 0.0), 1.0, 1.0)
+        assert score == 1.0 / 9007199254740994.0 == 1.1102230246251563e-16
+        assert score != 1.0 / 9007199254740992.0
 
     def test_active_weight_normalization_switch(self):
         tier = make_tier(specialty=ResourceVector(1, 0, 0))
@@ -216,7 +226,7 @@ class TestMigCost:
             make_tier(2, 300.0, read_mbps=900.0, write_mbps=500.0),
         )
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
-        fleet = Fleet.of([vmdk], tiers)
+        fleet = fleet_of([vmdk], tiers)
         fleet.served_read_mbps[0] = 100.0
         fleet.served_write_mbps[1] = 100.0
         cost = move_cost(fleet, 2)
@@ -225,12 +235,12 @@ class TestMigCost:
     def test_same_tier_is_free(self):
         tiers = self.three_state_setup()
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1)
-        assert move_cost(Fleet.of([vmdk], tiers), 1) == 0.0
+        assert move_cost(fleet_of([vmdk], tiers), 1) == 0.0
 
     def test_saturated_target_is_impossible(self):
         tiers = self.three_state_setup()
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=0.0)
-        fleet = Fleet.of([vmdk], tiers)
+        fleet = fleet_of([vmdk], tiers)
         fleet.served_write_mbps[1] = tiers[1].write_bandwidth_cap
         fleet.served_read_mbps[0] = tiers[0].read_bandwidth_cap
         assert move_cost(fleet, 2) == math.inf
@@ -241,7 +251,7 @@ class TestCalScore:
         tier = make_tier(1, mig_weight=mig_weight)
         state = make_state(make_vmdk(demand_iops=10_000))
         records = {"v1": record("v1", 0.0, 100.0)}
-        fleet = Fleet.of([state], [tier])
+        fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=aging, migration_epoch=3, monitor_epoch=1)
         return cal_score(mat, history, weights, fleet, fits(fleet, records), 900.0)
@@ -251,7 +261,7 @@ class TestCalScore:
         tier = make_tier(1, mig_weight=0.0)
         state = make_state(make_vmdk(demand_iops=10_000))
         records = {"v1": record("v1", 0.0, 100.0)}
-        fleet = Fleet.of([state], [tier])
+        fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, records)
         expected = match(tier, mat.ratio[at(mat, 1, "v1")], 1.0, 1.0)
         assert sm.score[at(mat, 1, "v1")] == pytest.approx(expected, rel=1e-12)
@@ -269,7 +279,7 @@ class TestCalScore:
         state = make_state(make_vmdk(vmdk_id="w", size_gb=450.0, demand_iops=0.0,
                                      initial_tier=2), tier=2)
         records = {"w": record("w", 0.0, 100.0)}
-        fleet = Fleet.of([state], tiers)
+        fleet = fleet_of([state], tiers)
         mat = build_matrices(fleet, records)
         fleet.served_read_mbps[1] = 200.0  # spare read 1000 -> cost 450s
         weights = PolicyWeights(aging_factor=0.5, migration_epoch=3)
@@ -284,7 +294,7 @@ class TestCalScore:
         tier = make_tier(1, capacity=ResourceVector(1000, 10, 10))
         state = make_state(make_vmdk(size_gb=100.0, demand_iops=100))
         records = {"v1": record("v1", 0.0, 100.0)}
-        fleet = Fleet.of([state], [tier])
+        fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=0.9)
         sm = cal_score(mat, np.full(mat.feasible.shape, 5.0), weights,
@@ -296,7 +306,7 @@ class TestCalScore:
         tiers = (make_tier(1, 100.0), make_tier(2, 300.0))
         state = make_state(make_vmdk(size_gb=10.0, demand_iops=100), tier=2)
         records = {"v1": record("v1", 0.0, 100.0)}
-        fleet = Fleet.of([state], tiers)
+        fleet = fleet_of([state], tiers)
         fleet.served_write_mbps[0] = tiers[0].write_bandwidth_cap  # no way in
         fleet.served_read_mbps[1] = tiers[1].read_bandwidth_cap
         mat = build_matrices(fleet, records)
@@ -317,7 +327,7 @@ class TestTriggerMigration:
     def test_fixed_point_when_already_placed(self):
         tier = make_tier(1)
         state = make_state(make_vmdk(demand_iops=1000))
-        fleet = Fleet.of([state], [tier])
+        fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, {"v1": record("v1", 0.0, 100.0)})
         sm = scores_from(mat, [tier], {(1, "v1"): 1.0})
         plan = trigger_migration(sm, mat, fleet, 0)
@@ -336,7 +346,7 @@ class TestTriggerMigration:
             make_state(make_vmdk("b", size_gb=60.0, demand_iops=1000), tier=2),
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
-        fleet = Fleet.of(states, tiers)
+        fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
         sm = scores_from(mat, tiers, {
             (1, "a"): 0.4, (1, "b"): 0.9, (2, "a"): 0.1, (2, "b"): 0.1,
@@ -355,7 +365,7 @@ class TestTriggerMigration:
             make_state(make_vmdk("b", size_gb=50.0, demand_iops=10), tier=2),
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
-        fleet = Fleet.of(states, tiers)
+        fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
         sm = cal_score(mat, None, PolicyWeights(), fleet, fits(fleet, records), 900.0)
         assert sm.score[at(mat, 1, "a")] == -math.inf
@@ -369,7 +379,7 @@ class TestTriggerMigration:
             make_state(make_vmdk("b", size_gb=80.0, demand_iops=10), tier=1),
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
-        fleet = Fleet.of(states, [tier])
+        fleet = fleet_of(states, [tier])
         mat = build_matrices(fleet, records)
         sm = scores_from(mat, [tier], {(1, "a"): 0.5, (1, "b"): 0.4})
         plan = trigger_migration(sm, mat, fleet, 0)
@@ -386,7 +396,7 @@ class TestTriggerMigration:
             make_state(make_vmdk("a", size_gb=60.0, demand_iops=10), tier=2),
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
-        fleet = Fleet.of(states, tiers)
+        fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
         sm = scores_from(mat, tiers, {
             (1, "a"): 0.5, (1, "b"): 0.5, (2, "a"): 0.0, (2, "b"): 0.0,
@@ -405,7 +415,7 @@ class TestTriggerMigration:
             make_state(make_vmdk("rival", size_gb=70.0, demand_iops=10), tier=2),
         ]
         records = {"mover": record("mover", 0.0, 50.0), "rival": record("rival", 0.0, 50.0)}
-        fleet = Fleet.of(states, tiers)
+        fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
         sm = scores_from(mat, tiers, {
             (1, "mover"): 0.1, (1, "rival"): 0.9, (2, "mover"): 0.0, (2, "rival"): 0.0,
@@ -420,7 +430,7 @@ class TestTriggerMigration:
         # seat must leave 7.5 GB, not 7, for the three 2.5 GB candidates.
         tiers = [make_tier(i, 100.0 * i, capacity=ResourceVector(10, 10, 10)) for i in (1, 2)]
         states = [make_state(make_vmdk(v, size_gb=2.5), tier=2) for v in "abcd"]
-        fleet = pin(Fleet.of(states, tiers), {"a": 1})
+        fleet = pin(fleet_of(states, tiers), {"a": 1})
         usage = np.broadcast_to([0.0, 0.0, 2.5], (2, 4, 3))
         plan = pack(fleet, usage, [(0, np.arange(4))], 0)
         assert plan.target_row.tolist() == [0, 0, 0, 0]
@@ -487,7 +497,7 @@ def reference_trigger_migration(scores, mat, tiers, fleet, epoch_index, pinned=N
             if score > -math.inf
         )
         candidates += [(i, j) for _, _, j in ranked]
-    current = dict(zip(fleet.ids, fleet.current_tier.tolist()))
+    current = dict(zip(fleet.ids, fleet.tier_ids[fleet.tier_row].tolist()))
     return reference_pack(
         tiers, fleet.ids, mat.cap.tolist(), "pbs", candidates, current, epoch_index, pinned
     )
@@ -525,7 +535,7 @@ def random_greedy_round(rng):
         for j, t in enumerate(rng.integers(1, n_tiers + 1, size=n).tolist())
     ]
     states.append(make_state(make_vmdk("zz-big", initial_tier=n_tiers), tier=n_tiers))
-    fleet = Fleet.of(states, tiers)
+    fleet = fleet_of(states, tiers)
     cap = np.stack([rng.choice(values, size=(n_tiers, n + 1)) for values in steps], axis=-1)
     cap[:, fleet.row["zz-big"]] = 1e12
     score = rng.choice(SCORE_VALUES, p=SCORE_WEIGHTS, size=(n_tiers, n + 1))
@@ -679,7 +689,7 @@ class TestProfitAndOracle:
             make_state(make_vmdk("b", demand_iops=9000, sla_weight=1.0)),
         ]
         records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
-        fleet = Fleet.of(states, [tier])
+        fleet = fleet_of(states, [tier])
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(alpha=ResourceVector(1, 0, 0), beta=7.0)
         target = tier_rows(fleet, {"a": 1, "b": 1})
@@ -705,7 +715,7 @@ class TestProfitAndOracle:
         )
         state = make_state(make_vmdk(demand_iops=1e9), tier=3)
         records = {"v1": record("v1", 1.0, 100.0)}
-        fleet = Fleet.of([state], tiers)
+        fleet = fleet_of([state], tiers)
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(beta=0.0)
         previous = tier_rows(fleet, {"v1": 3})
@@ -720,7 +730,7 @@ class TestProfitAndOracle:
     def test_oracle_errors_when_nothing_fits(self):
         tier = make_tier(1, capacity=ResourceVector(1e6, 1e5, 10.0))
         state = make_state(make_vmdk(size_gb=50.0, demand_iops=10))
-        fleet = Fleet.of([state], [tier])
+        fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, {"v1": record("v1", 0.0, 50.0)})
         with pytest.raises(ValueError, match="feasible"):
             oracle_assignment(mat, PolicyWeights(), tier_rows(fleet, {"v1": 1}), fleet, 900.0)
@@ -729,7 +739,7 @@ class TestProfitAndOracle:
         tiers = (make_tier(1),)
         states = [make_state(make_vmdk(f"v{i}", demand_iops=10)) for i in range(11)]
         records = {s.spec.id: record(s.spec.id, 0.0, 50.0) for s in states}
-        fleet = Fleet.of(states, tiers)
+        fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
         with pytest.raises(ValueError, match="limited"):
             oracle_assignment(mat, PolicyWeights(), fleet.tier_row, fleet, 900.0)
@@ -739,7 +749,7 @@ class TestProfitAndOracle:
         tiers = (make_tier(1, 100.0), make_tier(2, 200.0))
         state = make_state(make_vmdk(demand_iops=0.0))
         records = {"v1": record("v1", 0.0, 50.0)}
-        fleet = Fleet.of([state], tiers)
+        fleet = fleet_of([state], tiers)
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(beta=0.0)
         plan = oracle_assignment(mat, weights, tier_rows(fleet, {"v1": 1}), fleet, 900.0)
@@ -757,7 +767,7 @@ class TestProfitAndOracle:
                                  demand_iops=8_000), measured_read_mbps=5.0),
         ]
         records = {"a": record("a", 0.4, 30.0), "b": record("b", 0.1, 60.0)}
-        fleet = Fleet.of(states, tiers)
+        fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(beta=0.5)
         previous = tier_rows(fleet, {"a": 2, "b": 1})
