@@ -28,7 +28,6 @@ from .calibration import (
 from .policy import (
     AssignmentPlan,
     AutoTieringPolicy,
-    ScoreMatrix,
     cal_capacity_matrices,
     cal_score,
     epoch_profit,

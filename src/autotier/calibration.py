@@ -106,7 +106,7 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     latencies = samples.injected_latencies_us
     if len(set(latencies)) < 2:
         raise ValueError("regression needs at least two distinct injected latencies")
-    n, l, s = samples.values.shape
+    l = samples.values.shape[1]
     order = np.argsort(latencies, kind="stable")
     xs = np.asarray(latencies)[order]
     cv = compute_cv(samples.values)[:, order]
@@ -125,7 +125,6 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
         m=m,
         b=b,
         confidence=compute_confidence(mean_cv, floor),
-        sample_count=np.full(n, l * s),
         mean_cv=mean_cv,
     )
     too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)

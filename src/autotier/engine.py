@@ -8,10 +8,11 @@ records metrics.
 
 The run's state lives in one ``Fleet``, built by ``Fleet.of`` from the
 scenario's specs: dense (N,) arrays in VMDK-id order holding static truth,
-the active phase's demand, each VMDK's tier row and its last measurements,
-and (T,) columns holding each tier's spec numbers, contention and served
-MB/s. ``serve_epoch`` serves every tier in one vectorized pass and
-writes the measurements and the tier arrays in place; probes, migration
+the active phase's demand (the run's only record of the phase), each
+VMDK's tier row and its last measurements, and (T,) columns holding each
+tier's spec numbers, contention and spare MB/s. ``serve_epoch`` serves
+every tier in one vectorized pass and writes the measurements and the
+tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
 view, and ``VmdkState`` objects are built once, for the result, after the
 last epoch. The book of in-flight migrations is the fleet rows whose
@@ -130,8 +131,9 @@ def serve_epoch(
     10^6/latency. Aggregate offered load sets the contention factor, which
     inflates intercept latency; if the (migration-debited) directional caps
     are exceeded, every member scales down proportionally. Writes each
-    tier's contention, for later probes, and its served MB/s plus its
-    debits, for later migration speeds, into the fleet's tier arrays.
+    tier's contention, for later probes, and its spare MB/s, its bandwidth
+    cap less its served MB/s and debits and never below 0.0 (a NaN is 0.0),
+    for later migration speeds, into the fleet's tier arrays.
     Per-tier sums accumulate in row order from 0.0 (``np.bincount`` adds
     sequentially), so they repeat bit for bit what a loop over each tier's
     members in id order gives.
@@ -181,8 +183,10 @@ def serve_epoch(
     fleet.measured_latency_us[:] = latency
     fleet.measured_read_mbps[:] = read_mbps
     fleet.measured_write_mbps[:] = write_mbps
-    fleet.served_read_mbps[:] = tier_read_mbps + migration_read_mbps
-    fleet.served_write_mbps[:] = tier_write_mbps + migration_write_mbps
+    # fmax, like max(0.0, x), yields 0.0 where x is NaN.
+    fleet.spare_read_mbps[:], fleet.spare_write_mbps[:] = np.fmax(0.0, caps[2:] - (
+        tier_read_mbps + migration_read_mbps, tier_write_mbps + migration_write_mbps
+    ))
 
     metrics = []
     for r_iops, w_iops, r_mbps, w_mbps, weight in zip(
@@ -209,9 +213,9 @@ def progress_migrations(
     """Advance the in-flight migrations of fleet ``rows``, in id order, one epoch.
 
     Each row's open order is its ``order_index`` entry in ``log``, which
-    holds the order's progress. Speed is recomputed per epoch from spare
-    bandwidth (last epoch's served load plus debits already taken this
-    epoch) and the VMDK's own measured read bandwidth; each move debits its
+    holds the order's progress. Speed is recomputed per epoch from the
+    fleet's spare bandwidth, less the debits already taken this epoch, and
+    the VMDK's own measured read bandwidth; each move debits its
     source (``tier_row``) and its destination (``dest_row``). The step that
     reaches the rest of a move sets its bytes moved to its bytes total.
     Writes each order's bytes moved, speed and stall flag to the log.
@@ -225,7 +229,7 @@ def progress_migrations(
     k = fleet.order_index[rows]
     if (k < 0).any():
         raise ValueError("only a VMDK with an open order can make progress")
-    spare_read, spare_write = fleet.spare_mbps()
+    spare_read, spare_write = fleet.spare_read_mbps.tolist(), fleet.spare_write_mbps.tolist()
     ids = fleet.ids
     row_list = rows.tolist()
     source = fleet.tier_row[rows].tolist()

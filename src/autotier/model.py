@@ -4,10 +4,11 @@ Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
 (Fleet, MigrationLog) is owned by a single simulation run. ``Fleet.of``
-builds the Fleet from the specs and it holds both sides of it: one row per
-VMDK and one row per tier, every tier number as a column, with each
-in-flight migration's destination and log index; the MigrationLog holds
-every migration started, progress included, as columns.
+builds the Fleet from the specs and it holds both sides of it, each fact
+once: one row per VMDK, its demand columns being its active phase, and one
+row per tier, every tier number and each tier's spare MB/s as a column,
+with each in-flight migration's destination and log index; the
+MigrationLog holds every migration started, progress included, as columns.
 """
 
 from __future__ import annotations
@@ -116,7 +117,10 @@ class TierSpec:
         for flag in (self.specialty.p, self.specialty.b, self.specialty.s):
             if flag not in (0.0, 1.0):
                 raise ValueError("specialty flags must be 0 or 1")
-        weight_sum = self.kind_weights.total()
+        try:  # integer weights may total past the float range
+            weight_sum = float(self.kind_weights.total())
+        except OverflowError:
+            weight_sum = math.inf
         if not (math.isfinite(weight_sum) and weight_sum > 0):
             raise ValueError("kind weights must sum to a finite positive value")
         _require_finite_nonneg("migWeight", self.mig_weight)
@@ -200,8 +204,8 @@ class VmdkSpec:
 class CalibrationFits:
     """Regression output of one monitor epoch's calibration, one row per VMDK.
 
-    ``m``, ``b``, ``confidence``, ``sample_count`` and ``mean_cv`` are (N,)
-    arrays whose rows follow ``vmdk_ids``. ``m`` is the raw fitted slope
+    ``m``, ``b``, ``confidence`` and ``mean_cv`` are (N,) arrays whose
+    rows follow ``vmdk_ids``. ``m`` is the raw fitted slope
     (kept even if negative); predictions use ``prediction_slope``, which
     clamps at zero since a VMDK cannot speed up when its device slows down.
     """
@@ -210,18 +214,15 @@ class CalibrationFits:
     m: np.ndarray
     b: np.ndarray
     confidence: np.ndarray
-    sample_count: np.ndarray
     mean_cv: np.ndarray
 
     def __post_init__(self) -> None:
         rows = (len(self.vmdk_ids),)
-        for column in (self.m, self.b, self.confidence, self.sample_count, self.mean_cv):
+        for column in (self.m, self.b, self.confidence, self.mean_cv):
             if column.shape != rows:
                 raise ValueError("calibration fits need one row per VMDK")
         if not ((self.confidence > 0.0) & (self.confidence <= 1.0)).all():
             raise ValueError("confidence out of (0,1]")
-        if (self.sample_count < 1).any():
-            raise ValueError("sampleCount must be >= 1")
         bad = ~(np.isfinite(self.mean_cv) & (self.mean_cv >= 0))
         if bad.any():
             _require_finite_nonneg("meanCv", float(self.mean_cv[bad.argmax()]))
@@ -236,12 +237,12 @@ class CapacityMatrices:
     """Predicted absolute usage, normalized ratios and feasibility per (tier, vmdk).
 
     ``cap`` and ``ratio`` are (T, N, 3) float arrays whose last axis holds the
-    p, b, s components; ``feasible`` is a (T, N) bool array. Axis order follows
-    ``tier_ids`` and ``vmdk_ids``. ``ratio`` and ``feasible`` stay None until
-    the matrices are normalized against the tier budgets.
+    p, b, s components; ``feasible`` is a (T, N) bool array. The tier axis
+    follows the fleet's tier rows and the VMDK axis ``vmdk_ids``. ``ratio``
+    and ``feasible`` stay None until the matrices are normalized against the
+    tier budgets.
     """
 
-    tier_ids: tuple[int, ...]
     vmdk_ids: tuple[str, ...]
     cap: np.ndarray
     ratio: np.ndarray | None = None
@@ -477,7 +478,8 @@ class Fleet:
 
     VMDK rows are in id order: static truth (``size_gb``, ``sla_weight``,
     truth slope and intercept), the active phase's demand, read fraction and
-    I/O size, ``tier_row`` (each VMDK's current tier as a row of ``tiers``),
+    I/O size (the run's only record of the active phase), ``tier_row`` (each
+    VMDK's current tier as a row of ``tiers``),
     ``dest_row`` (the tier row its in-flight migration lands on, -1 when it
     has none) and the last epoch's four ``measured_*`` figures. An in-flight
     migration moves ``size_gb * 1e9`` bytes from ``tier_row`` to
@@ -490,14 +492,15 @@ class Fleet:
     serve caps, ``mig_weight``, the (T, 3) ``match_mask`` (specialty times
     kind weight) and ``kind_weight_total``, the exact ``kind_weights.total()``
     as a float, never a float sum. Each device's ``contention`` inflates the
-    latency probes see, and the served MB/s include migration debits; serving
-    writes those and the measurements in place. Policies read a ``read_only``
-    view.
+    latency probes see, and ``spare_read_mbps`` and ``spare_write_mbps`` are
+    its bandwidth caps less last epoch's served MB/s and migration debits,
+    never below 0.0 (the caps before the first epoch); serving writes those
+    and the measurements in place. Policies read a ``read_only`` view.
 
     The (3, P) ``phase_table`` holds the demand, read fraction and I/O size
-    of every row's demand profile, one profile after another; ``active``
-    indexes each row's active phase and ``due`` maps an epoch to the rows
-    whose next phase starts then and the index of that phase.
+    of every row's demand profile, one profile after another; ``due`` maps
+    an epoch to the rows whose next phase starts then and the index of that
+    phase.
     """
 
     ids: tuple[str, ...]
@@ -505,7 +508,6 @@ class Fleet:
     row: Mapping[str, int]
     tiers: tuple[TierSpec, ...]
     tier_ids: np.ndarray
-    row_of_tier: Mapping[int, int]
     tier_row: np.ndarray
     dest_row: np.ndarray
     order_index: np.ndarray
@@ -519,8 +521,8 @@ class Fleet:
     match_mask: np.ndarray
     kind_weight_total: np.ndarray
     contention: np.ndarray
-    served_read_mbps: np.ndarray
-    served_write_mbps: np.ndarray
+    spare_read_mbps: np.ndarray
+    spare_write_mbps: np.ndarray
     size_gb: np.ndarray
     sla_weight: np.ndarray
     truth_slope: np.ndarray
@@ -533,7 +535,6 @@ class Fleet:
     measured_read_mbps: np.ndarray
     measured_write_mbps: np.ndarray
     phase_table: np.ndarray
-    active: np.ndarray
     due: Mapping[int, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
@@ -550,7 +551,7 @@ class Fleet:
         later = np.flatnonzero(start > 0)
         later = later[np.argsort(start[later], kind="stable")]
         epochs, cuts = np.unique(start[later], return_index=True)
-        active = np.cumsum(counts, dtype=np.intp) - counts
+        first = np.cumsum(counts, dtype=np.intp) - counts  # each row's phase 0
 
         def column(items: Sequence[Any], name: str) -> np.ndarray:
             return np.fromiter(map(attrgetter(name), items), float, len(items))
@@ -563,7 +564,6 @@ class Fleet:
             row={spec.id: j for j, spec in enumerate(specs)},
             tiers=tuple(tiers),
             tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
-            row_of_tier=row_of_tier,
             tier_row=np.array([row_of_tier[s.initial_tier] for s in specs], dtype=np.intp),
             dest_row=np.full(len(specs), -1, dtype=np.intp),
             order_index=np.full(len(specs), -1, dtype=np.intp),
@@ -581,28 +581,19 @@ class Fleet:
             ], dtype=float),
             kind_weight_total=np.array([float(t.kind_weights.total()) for t in tiers]),
             contention=np.ones(len(tiers)),
-            served_read_mbps=np.zeros(len(tiers)),
-            served_write_mbps=np.zeros(len(tiers)),
+            spare_read_mbps=column(tiers, "read_bandwidth_cap"),
+            spare_write_mbps=column(tiers, "write_bandwidth_cap"),
             **{
                 name: column(specs, name)
                 for name in ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
             },
-            **dict(zip(demand, phase_table[:, active])),
+            **dict(zip(demand, phase_table[:, first])),
             **{
                 f"measured_{name}": np.zeros(len(specs))
                 for name in ("iops", "latency_us", "read_mbps", "write_mbps")
             },
             phase_table=phase_table,
-            active=active,
             due={e: (owner[k], k) for e, k in zip(epochs.tolist(), np.split(later, cuts[1:]))},
-        )
-
-    def spare_mbps(self) -> tuple[list[float], list[float]]:
-        """Each tier's spare read and write MB/s, ``max(0.0, cap - served)``, by tier row."""
-        # fmax, like max(0.0, x), yields 0.0 where x is NaN.
-        return (
-            np.fmax(0.0, self.read_bandwidth_cap - self.served_read_mbps).tolist(),
-            np.fmax(0.0, self.write_bandwidth_cap - self.served_write_mbps).tolist(),
         )
 
     def read_only(self) -> "Fleet":
@@ -621,7 +612,6 @@ class Fleet:
         hit = self.due.get(epoch)
         if hit is not None:
             rows, k = hit
-            self.active[rows] = k
             self.demand_iops[rows], self.read_fraction[rows], self.avg_io_size_bytes[rows] = (
                 self.phase_table[:, k]
             )
@@ -633,16 +623,15 @@ class Fleet:
         self.order_index[rows] = -1
 
     def states(self) -> list[VmdkState]:
-        """One ``VmdkState`` per row, with its active phase's values from ``phase_table``."""
+        """One ``VmdkState`` per row: its tier, demand columns and measurements."""
         tier_ids = self.tier_ids.tolist()
-        # Demand, I/O size and read fraction, in VmdkState's field order.
-        phases = self.phase_table[[0, 2, 1]][:, self.active].T.tolist()
-        measured = zip(*(getattr(self, f"measured_{name}").tolist() for name in (
-            "iops", "read_mbps", "write_mbps", "latency_us"
+        columns = zip(*(getattr(self, name).tolist() for name in (
+            "demand_iops", "avg_io_size_bytes", "read_fraction", "measured_iops",
+            "measured_read_mbps", "measured_write_mbps", "measured_latency_us",
         )))
         return [
-            VmdkState(spec, tier_ids[t], *p, *m)
-            for spec, t, p, m in zip(self.specs, self.tier_row.tolist(), phases, measured)
+            VmdkState(spec, tier_ids[t], *c)
+            for spec, t, c in zip(self.specs, self.tier_row.tolist(), columns)
         ]
 
 

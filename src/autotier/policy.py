@@ -3,26 +3,27 @@
 Per monitor epoch the policy calibrates every VMDK in one batch, turns the
 (N,) calibration fits into predicted per-tier resource usage, normalizes
 against each tier's usable budget, scores every (tier, vmdk) cell with the
-specialty-weighted match plus an aged history term minus a migration-cost
-penalty, and at migration epochs assigns VMDKs tier by tier, best score
-first, under running capacity accounting. Every per-cell quantity is a
-dense (T, N) array (or (T, N, 3) over the p, b, s kinds) with axes in
-``CapacityMatrices`` order; a cell that cannot host its VMDK scores -inf.
+specialty-weighted match plus an aged copy of last epoch's score minus a
+migration-cost penalty, and at migration epochs assigns VMDKs tier by
+tier, best score first, under running capacity accounting. Every per-cell
+quantity is a dense (T, N) array (or (T, N, 3) over the p, b, s kinds)
+over the fleet's tier and VMDK rows; a cell that cannot host its VMDK
+scores -inf.
 
 Every input but the policy weights is read from the run's ``Fleet``: its
 VMDK rows (id order) are the matrices' VMDK axis, its tier rows their tier
 axis, its tier columns (budget, base latency, match mask, kind-weight
-total, migration weight) every tier number, and its ``dest_row`` marks the
-VMDKs whose in-flight migration is committed. ``pack`` is the one greedy
-packer: it seats those VMDKs on their destination, takes each tier's ranked
-fleet rows and places them tier by tier with ``first_fit``, a windowed scan
-that decides whole windows with numpy and runs a scalar loop only where
-fits and misses alternate. This policy ranks each tier's row with one
-stable ``np.argsort``; the baselines rank VMDKs by their metric and put 0.0
-in the usage columns they do not check. A brute-force per-epoch profit
-maximizer doubles as the test oracle for the greedy round; it and
-``epoch_profit`` share one per-(tier, vmdk) profit table, and both take
-assignments as (N,) tier rows.
+total, migration weight, spare MB/s) every tier number, and its
+``dest_row`` marks the VMDKs whose in-flight migration is committed.
+``pack`` is the one greedy packer: it seats those VMDKs on their
+destination, takes each tier's ranked fleet rows and places them tier by
+tier with ``first_fit``, a windowed scan that decides whole windows with
+numpy and runs a scalar loop only where fits and misses alternate. This
+policy ranks each tier's row with one stable ``np.argsort``; the baselines
+rank VMDKs by their metric and put 0.0 in the usage columns they do not
+check. A brute-force per-epoch profit maximizer doubles as the test oracle
+for the greedy round; it and ``epoch_profit`` share one per-(tier, vmdk)
+profit table, and both take assignments as (N,) tier rows.
 
 Every planner returns an ``AssignmentPlan`` in fleet rows: each VMDK's
 target tier row, the order VMDKs were seated in, and the moves as aligned
@@ -54,14 +55,6 @@ from .model import (
 
 ORACLE_MAX_VMDKS = 10
 ORACLE_MAX_TIERS = 4
-
-
-@dataclass
-class ScoreMatrix:
-    """(T, N) convolutional scores plus the history feeding the next epoch."""
-
-    score: np.ndarray
-    history: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +141,6 @@ def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> CapacityMatric
     iops = np.minimum(iops, fleet.demand_iops)
     size = np.broadcast_to(fleet.size_gb, iops.shape)
     return CapacityMatrices(
-        tier_ids=tuple(fleet.tier_ids.tolist()),
         vmdk_ids=fleet.ids,
         cap=np.stack([iops, iops * fleet.avg_io_size_bytes / 1e6, size], axis=-1),
     )
@@ -204,9 +196,8 @@ def mig_cost_seconds(fleet: Fleet, sources: np.ndarray | None = None) -> np.ndar
     tier.
     """
     source_row = fleet.tier_row if sources is None else sources
-    spare_read, spare_write = map(np.array, fleet.spare_mbps())
-    read_side = spare_read[source_row] + fleet.measured_read_mbps
-    speed = np.minimum(read_side, spare_write[:, None])
+    read_side = fleet.spare_read_mbps[source_row] + fleet.measured_read_mbps
+    speed = np.minimum(read_side, fleet.spare_write_mbps[:, None])
     with np.errstate(divide="ignore"):
         seconds = fleet.size_gb * 1000.0 / speed
     seconds[source_row, np.arange(len(source_row))] = 0.0
@@ -215,19 +206,19 @@ def mig_cost_seconds(fleet: Fleet, sources: np.ndarray | None = None) -> np.ndar
 
 def cal_score(
     mat: CapacityMatrices,
-    history: np.ndarray | None,
+    previous: np.ndarray | None,
     weights: PolicyWeights,
     fleet: Fleet,
     fits: CalibrationFits,
     migration_epoch_seconds: float,
-) -> ScoreMatrix:
-    """Convolutional score: aged history + current match - weighted migration cost.
+) -> np.ndarray:
+    """(T, N) convolutional score: aged last score + match - weighted migration cost.
 
     Migration seconds are divided by the migration-epoch duration so the
-    penalty is dimensionless. ``history`` is None before the first epoch.
-    Infeasible cells score -inf and their history resets to zero; so does
-    history under an infinite migration cost, which only blocks the current
-    epoch.
+    penalty is dimensionless. ``previous`` is last epoch's score, None
+    before the first epoch. Infeasible cells score -inf. A previous cell that
+    is not finite (infeasible, or blocked by an infinite migration cost,
+    which only blocks its own epoch) ages as 0.0.
     """
     current = orthogonal_match_score(fleet, mat.ratio, fleet.sla_weight, fits.confidence)
     cost = mig_cost_seconds(fleet) / migration_epoch_seconds
@@ -235,9 +226,8 @@ def cal_score(
     # matter how small the per-tier cost weight is.
     finite = np.isfinite(cost)
     penalty = np.where(finite, fleet.mig_weight[:, None] * np.where(finite, cost, 0.0), math.inf)
-    aged = weights.aging_factor * (0.0 if history is None else history)
-    score = np.where(mat.feasible, aged + current - penalty, -math.inf)
-    return ScoreMatrix(score=score, history=np.where(np.isfinite(score), score, 0.0))
+    history = 0.0 if previous is None else np.where(np.isfinite(previous), previous, 0.0)
+    return np.where(mat.feasible, weights.aging_factor * history + current - penalty, -math.inf)
 
 
 FIRST_FIT_WINDOW = 64
@@ -358,7 +348,7 @@ def pack(
 
 
 def trigger_migration(
-    scores: ScoreMatrix,
+    score: np.ndarray,
     mat: CapacityMatrices,
     fleet: Fleet,
     epoch_index: int,
@@ -375,8 +365,8 @@ def trigger_migration(
         raise ValueError("capacity matrices must follow the fleet's VMDK order")
     # -inf cells rank after every other cell and NaN cells last, so each
     # tier's candidates are a prefix of its ranking.
-    order = np.argsort(-scores.score, axis=1, kind="stable")
-    counts = (scores.score > -math.inf).sum(axis=1).tolist()
+    order = np.argsort(-score, axis=1, kind="stable")
+    counts = (score > -math.inf).sum(axis=1).tolist()
     ranked = [(i, rows[:n]) for i, (rows, n) in enumerate(zip(order, counts))]
     return pack(fleet, mat.cap, ranked, epoch_index)
 
@@ -395,8 +385,8 @@ def profit_contributions(
     use ratios so the three kinds are commensurable; the migration term uses
     the same normalized cost as the score. The objective is separable once
     the previous assignment (``previous``, each VMDK's tier row) and the
-    tiers' served load are fixed. The matrices' axes must follow the fleet's
-    tier and VMDK rows.
+    tiers' spare bandwidth are fixed. The matrices' axes must follow the
+    fleet's tier and VMDK rows.
     """
     if mat.vmdk_ids != fleet.ids:
         raise ValueError("capacity matrices must follow the fleet's VMDK order")
@@ -541,7 +531,7 @@ class AutoTieringPolicy:
     def __init__(self) -> None:
         self.calibrations: CalibrationFits | None = None
         self.matrices: CapacityMatrices | None = None
-        self.scores: ScoreMatrix | None = None
+        self.score: np.ndarray | None = None  # last monitor epoch's (T, N) score
 
     def on_monitor(self, ctx: PolicyContext) -> None:
         fleet = ctx.fleet
@@ -555,9 +545,9 @@ class AutoTieringPolicy:
         )
         mat = cal_capacity_matrices(self.calibrations, fleet)
         normalize_and_gate(mat, fleet)
-        self.scores = cal_score(
+        self.score = cal_score(
             mat,
-            None if self.scores is None else self.scores.history,
+            self.score,
             ctx.weights,
             fleet,
             self.calibrations,
@@ -566,6 +556,6 @@ class AutoTieringPolicy:
         self.matrices = mat
 
     def plan_migrations(self, ctx: PolicyContext, epoch_index: int) -> AssignmentPlan:
-        if self.scores is None or self.matrices is None:
+        if self.score is None or self.matrices is None:
             raise RuntimeError("plan requested before any monitor epoch")
-        return trigger_migration(self.scores, self.matrices, ctx.fleet, epoch_index)
+        return trigger_migration(self.score, self.matrices, ctx.fleet, epoch_index)

@@ -99,6 +99,11 @@ STATE_COLUMNS = (
 )
 
 
+def row_of_tier(fleet: Fleet, tier_id: int) -> int:
+    """The tier row of tier ``tier_id``."""
+    return fleet.tier_ids.tolist().index(tier_id)
+
+
 def fleet_of(states, tiers) -> Fleet:
     """``Fleet.of`` the states' specs, with each row then set to its state as it stands.
 
@@ -107,14 +112,14 @@ def fleet_of(states, tiers) -> Fleet:
     fleet = Fleet.of([state.spec for state in states], tiers)
     for state in states:
         j = fleet.row[state.spec.id]
-        fleet.tier_row[j] = fleet.row_of_tier[state.current_tier]
+        fleet.tier_row[j] = row_of_tier(fleet, state.current_tier)
         for name in STATE_COLUMNS:
             getattr(fleet, name)[j] = getattr(state, name)
     return fleet
 
 
 def make_fits(rows) -> CalibrationFits:
-    """Fits from (vmdk_id, m, b, confidence) rows, 10 samples each, mean CV 0."""
+    """Fits from (vmdk_id, m, b, confidence) rows, mean CV 0."""
     rows = list(rows)
     column = lambda k: np.array([row[k] for row in rows], dtype=float)
     return CalibrationFits(
@@ -122,7 +127,6 @@ def make_fits(rows) -> CalibrationFits:
         m=column(1),
         b=column(2),
         confidence=column(3),
-        sample_count=np.full(len(rows), 10),
         mean_cv=np.zeros(len(rows)),
     )
 
@@ -134,13 +138,13 @@ def pin(fleet: Fleet, pinned) -> Fleet:
     the fleet and a reference that takes the mapping see the same case.
     """
     for vmdk_id, tier_id in pinned.items():
-        fleet.dest_row[fleet.row[vmdk_id]] = fleet.row_of_tier[tier_id]
+        fleet.dest_row[fleet.row[vmdk_id]] = row_of_tier(fleet, tier_id)
     return fleet
 
 
 def tier_rows(fleet: Fleet, assignment) -> np.ndarray:
     """(N,) tier rows of ``assignment``, VMDK id -> tier id, in the fleet's row order."""
-    return np.array([fleet.row_of_tier[assignment[v]] for v in fleet.ids], dtype=np.intp)
+    return np.array([row_of_tier(fleet, assignment[v]) for v in fleet.ids], dtype=np.intp)
 
 
 class ReferencePlan(NamedTuple):
@@ -304,8 +308,9 @@ def random_scenario(rng: np.random.Generator, epochs: int = 6) -> Scenario:
 def random_oracle_instance(rng: np.random.Generator):
     """A small (<=8 VMDK, 3 tier) instance with its fleet and matrices built.
 
-    The fleet's tiers carry random served read and write MB/s. The last item
-    is the previous assignment: each VMDK's current tier row.
+    The fleet's tiers have random served read and write MB/s taken off their
+    spare bandwidth. The last item is the previous assignment: each VMDK's
+    current tier row.
 
     Ranges keep every VMDK individually feasible on every tier with aggregate
     slack, so the greedy's stay-put fallback never has to overload.
@@ -351,8 +356,8 @@ def random_oracle_instance(rng: np.random.Generator):
     fleet = fleet_of(states, tiers)
     mat = normalize_and_gate(cal_capacity_matrices(records, fleet), fleet)
     for i in range(len(tiers)):
-        fleet.served_read_mbps[i] = float(rng.uniform(0, 100))
-        fleet.served_write_mbps[i] = float(rng.uniform(0, 100))
+        fleet.spare_read_mbps[i] = fleet.read_bandwidth_cap[i] - float(rng.uniform(0, 100))
+        fleet.spare_write_mbps[i] = fleet.write_bandwidth_cap[i] - float(rng.uniform(0, 100))
     weights = PolicyWeights(
         alpha=ResourceVector(*(float(x) for x in rng.uniform(0, 2, size=3))),
         beta=float(rng.uniform(0, 2)),

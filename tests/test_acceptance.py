@@ -96,8 +96,8 @@ def test_criterion_1_formula_fidelity():
         )
         mover = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
         fleet = fleet_of([mover], tiers)
-        fleet.served_read_mbps[0] = 100.0
-        fleet.served_write_mbps[1] = 100.0
+        fleet.spare_read_mbps[0] = 500.0
+        fleet.spare_write_mbps[1] = 400.0
         ok &= close(mig_cost_seconds(fleet)[1, 0], 250.0)
     _report("C1 formula-fidelity", ok, t, 1.0)
 

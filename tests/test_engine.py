@@ -27,7 +27,7 @@ from autotier.model import (
 from autotier.reporting import metrics_csv_text, write_run_artifacts
 from autotier.scenario import load_bundled_scenario
 
-from conftest import fleet_of, make_state, make_tier, make_vmdk, pin, random_scenario
+from conftest import fleet_of, make_state, make_tier, make_vmdk, pin, random_scenario, row_of_tier
 
 
 def reference_latency(tier, contention, spec, added_us=0.0):
@@ -317,11 +317,13 @@ class TestServeEpochMatchesReference:
         )
         assert [measured(s) for s in states] == [measured(s) for s in reference_states]
         assert fleet.contention.tolist() == list(expected_contention)
-        assert fleet.served_read_mbps.tolist() == [
-            m.read_mbps + r for m, r in zip(expected, debit_read)
+        assert fleet.spare_read_mbps.tolist() == [
+            max(0.0, t.read_bandwidth_cap - (m.read_mbps + r))
+            for t, m, r in zip(tiers, expected, debit_read)
         ]
-        assert fleet.served_write_mbps.tolist() == [
-            m.write_mbps + w for m, w in zip(expected, debit_write)
+        assert fleet.spare_write_mbps.tolist() == [
+            max(0.0, t.write_bandwidth_cap - (m.write_mbps + w))
+            for t, m, w in zip(tiers, expected, debit_write)
         ]
         assert all(type(x) is float for m in served for x in astuple(m))
         assert all(type(x) is float for s in states for x in measured(s))
@@ -394,6 +396,25 @@ class TestServeEpoch:
         assert astuple(serve_tier(tier, members, 500.0, 0.0)) == astuple(expected)
         assert [m.measured_iops for m in members] == [m.measured_iops for m in reference]
         assert expected.write_iops > 0.0
+
+    def test_spare_is_cap_less_served_and_debit_clamped_at_zero(self):
+        tiers = [make_tier(i, read_mbps=1000.0, write_mbps=800.0) for i in (1, 2, 3)]
+        states = [
+            make_state(make_vmdk(v, initial_tier=t, demand_iops=1000.0, read_fraction=0.5), tier=t)
+            for v, t in (("a", 1), ("b", 2), ("c", 3))
+        ]
+        fleet = fleet_of(states, tiers)
+        # Tier 1's read debit passes its cap, tier 2's write debit is NaN and
+        # tier 3 is partly used.
+        metrics = serve_epoch(fleet, [1500.0, 0.0, 100.0], [0.0, np.nan, 50.0])
+        third = metrics[2]
+        assert third.read_mbps > 0.0 and third.write_mbps > 0.0
+        assert fleet.spare_read_mbps.tolist() == [
+            0.0, 1000.0 - metrics[1].read_mbps, 1000.0 - (third.read_mbps + 100.0),
+        ]
+        assert fleet.spare_write_mbps.tolist() == [
+            800.0 - metrics[0].write_mbps, 0.0, 800.0 - (third.write_mbps + 50.0),
+        ]
 
     def test_served_never_exceeds_caps(self):
         rng = np.random.default_rng(8)
@@ -488,8 +509,8 @@ class TestMigrations:
     def test_steady_speed_completes_in_one_epoch(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
         tiers, fleet, log = self.setup_pair(state)
-        fleet.served_read_mbps[0] = 100.0
-        fleet.served_write_mbps[1] = 100.0
+        fleet.spare_read_mbps[0] = 500.0
+        fleet.spare_write_mbps[1] = 400.0
         moved, debit_r, debit_w, stalled, finished = progress_migrations(
             np.array([0]), fleet, log, 300.0
         )
@@ -506,8 +527,8 @@ class TestMigrations:
     def test_zero_speed_stalls(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=0.0)
         tiers, fleet, log = self.setup_pair(state)
-        fleet.served_read_mbps[0] = tiers[0].read_bandwidth_cap
-        fleet.served_write_mbps[1] = tiers[1].write_bandwidth_cap
+        fleet.spare_read_mbps[0] = 0.0
+        fleet.spare_write_mbps[1] = 0.0
         moved, _, _, stalled, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
         assert moved == 0.0
         assert stalled == ["v1"]
@@ -619,7 +640,7 @@ def start_moves(fleet, log, moves, epoch):
     """``start_migrations`` of (VMDK id, from tier id, to tier id) ``moves``."""
     rows = np.array([fleet.row[v] for v, _, _ in moves], dtype=np.intp)
     source, dest = (
-        np.array([fleet.row_of_tier[move[k]] for move in moves], dtype=np.intp) for k in (1, 2)
+        np.array([row_of_tier(fleet, move[k]) for move in moves], dtype=np.intp) for k in (1, 2)
     )
     return start_migrations(fleet, log, rows, source, dest, epoch)
 
@@ -655,8 +676,8 @@ def migration_epochs(seed, epochs=10):
             load = rng.choice([0.0, 1.0, rng.uniform(0, 1)], size=2).tolist()
             served_read.append(load[0] * t.read_bandwidth_cap)
             served_write.append(load[1] * t.write_bandwidth_cap)
-        fleet.served_read_mbps[:] = served_read
-        fleet.served_write_mbps[:] = served_write
+        fleet.spare_read_mbps[:] = np.fmax(0.0, fleet.read_bandwidth_cap - served_read)
+        fleet.spare_write_mbps[:] = np.fmax(0.0, fleet.write_bandwidth_cap - served_write)
         measured = rng.choice([0.0, 20.0, 300.0], size=len(states))
         fleet.measured_read_mbps[:] = measured
         for v, value in zip(fleet.ids, measured.tolist()):
@@ -851,13 +872,13 @@ class TestRunScenario:
         def write(epoch, plan, policy_obj, ctx):
             contexts.append(ctx)
             tier_views.append((
-                epoch, ctx.fleet.contention.copy(), ctx.fleet.served_read_mbps.copy()
+                epoch, ctx.fleet.contention.copy(), ctx.fleet.spare_read_mbps.copy()
             ))
             with pytest.raises(ValueError, match="read-only"):
                 ctx.fleet.measured_iops[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 ctx.fleet.tier_row[0] = 0
-            for name in ("contention", "served_read_mbps", "served_write_mbps"):
+            for name in ("contention", "spare_read_mbps", "spare_write_mbps"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(ctx.fleet, name)[0] = 1.0
             with pytest.raises(TypeError):
@@ -868,13 +889,14 @@ class TestRunScenario:
         result = run_scenario(self.tiny(epochs=9), policy, on_plan=write)
         assert len(contexts) == 3 and all(ctx is contexts[0] for ctx in contexts)
         # The tier rows follow serving: at the second plan they hold the epoch before it.
-        epoch, contention, served_read = tier_views[1]
+        epoch, contention, spare_read = tier_views[1]
         assert (contention >= 1.0).all()
         previous = result.epochs[epoch - 1].per_tier
         assert [previous[t.id].read_mbps for t in contexts[0].tiers] != [0.0, 0.0]
+        # Migration debits only take spare bandwidth away.
         assert all(
-            served >= previous[t.id].read_mbps
-            for t, served in zip(contexts[0].tiers, served_read.tolist())
+            spare <= max(0.0, t.read_bandwidth_cap - previous[t.id].read_mbps)
+            for t, spare in zip(contexts[0].tiers, spare_read.tolist())
         )
         fleet = contexts[0].fleet
         final = [result.final_states[v] for v in fleet.ids]

@@ -34,11 +34,10 @@ def vec(p=0.0, b=0.0, s=0.0):
     return ResourceVector(p, b, s)
 
 
-def fit_row(m, b, confidence, sample_count=5, mean_cv=0.1):
+def fit_row(m, b, confidence, mean_cv=0.1):
     """Calibration fits holding one VMDK."""
     return CalibrationFits(
-        ("v",), np.array([m]), np.array([b]), np.array([confidence]),
-        np.array([sample_count]), np.array([mean_cv]),
+        ("v",), np.array([m]), np.array([b]), np.array([confidence]), np.array([mean_cv]),
     )
 
 
@@ -141,7 +140,6 @@ class TestOtherTypes:
             fit_row(1.0, 10.0, confidence=1.2)
 
     @pytest.mark.parametrize("kwargs,message", [
-        ({"sample_count": 0}, "sampleCount must be >= 1"),
         ({"mean_cv": -0.1}, "meanCv must be a finite non-negative number, got -0.1"),
         ({"mean_cv": math.inf}, "meanCv must be a finite non-negative number, got inf"),
         ({"mean_cv": math.nan}, "meanCv must be a finite non-negative number, got nan"),
@@ -179,17 +177,6 @@ class TestOtherTypes:
 
 
 class TestFleet:
-    def test_spare_mbps_is_cap_minus_served_clamped_at_zero(self):
-        tiers = [
-            make_tier(i, read_mbps=1000.0, write_mbps=800.0) for i in (1, 2, 3, 4)
-        ]
-        fleet = fleet_of([make_state(make_vmdk())], tiers)
-        fleet.served_read_mbps[:] = [250.0, 1000.0, 1500.0, math.nan]
-        fleet.served_write_mbps[:] = [900.0, math.nan, 100.0, 800.0]
-        read, write = fleet.spare_mbps()
-        assert read == [750.0, 0.0, 0.0, 0.0]
-        assert write == [0.0, 0.0, 700.0, 0.0]
-
     def test_move_lands_on_dest_row_and_clears_it(self):
         tiers = [make_tier(i) for i in (1, 2, 3)]
         states = [make_state(make_vmdk(v, initial_tier=3), tier=3) for v in ("a", "b")]
@@ -242,7 +229,7 @@ class TestFleet:
                 getattr(view, name)[0] = 0.0
 
     def test_of_starts_each_spec_on_its_initial_tier_in_phase_zero_unmeasured(self):
-        tiers = [make_tier(i) for i in (1, 2, 3)]
+        tiers = [make_tier(i, read_mbps=100.0 * i, write_mbps=70.0 * i) for i in (1, 2, 3)]
         later = WorkloadPhase(4, 9.0, 512.0, 0.5)
         specs = [
             make_vmdk("b", initial_tier=3, demand_iops=300.0, avg_io_size_bytes=8192.0,
@@ -253,13 +240,17 @@ class TestFleet:
         assert fleet.ids == ("a", "b")
         assert fleet.specs == (specs[1], specs[0])
         assert fleet.tier_ids[fleet.tier_row].tolist() == [2, 3]
-        assert fleet.active.tolist() == [0, 2]
         assert fleet.demand_iops.tolist() == [100.0, 300.0]
         assert fleet.read_fraction.tolist() == [0.75, 0.25]
         assert fleet.avg_io_size_bytes.tolist() == [4096.0, 8192.0]
         for name in ("iops", "latency_us", "read_mbps", "write_mbps"):
             assert getattr(fleet, f"measured_{name}").tolist() == [0.0, 0.0], name
         assert (fleet.dest_row == -1).all() and (fleet.order_index == -1).all()
+        # Nothing served yet: each tier's whole bandwidth is spare, in arrays of its own.
+        assert fleet.spare_read_mbps.tolist() == [100.0, 200.0, 300.0]
+        assert fleet.spare_write_mbps.tolist() == [70.0, 140.0, 210.0]
+        assert not np.shares_memory(fleet.spare_read_mbps, fleet.read_bandwidth_cap)
+        assert not np.shares_memory(fleet.spare_write_mbps, fleet.write_bandwidth_cap)
         assert list(fleet.due) == [4]
         rows, phases = fleet.due[4]
         assert rows.tolist() == [0] and phases.tolist() == [1]

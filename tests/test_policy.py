@@ -17,7 +17,6 @@ from autotier.model import (
     ResourceVector,
 )
 from autotier.policy import (
-    ScoreMatrix,
     cal_capacity_matrices,
     cal_score,
     epoch_profit,
@@ -39,6 +38,7 @@ from conftest import (
     pin,
     random_oracle_instance,
     reference_pack,
+    row_of_tier,
     tier_rows,
 )
 from test_baselines import REFERENCE_RULES, reference_pack_by_metric
@@ -63,8 +63,8 @@ def build_matrices(fleet, records):
 
 
 def at(mat, tier_id, vmdk_id):
-    """Array index of the (tier, vmdk) cell."""
-    return mat.tier_ids.index(tier_id), mat.vmdk_ids.index(vmdk_id)
+    """Array index of the (tier, vmdk) cell; tier id t is row t - 1."""
+    return tier_id - 1, mat.vmdk_ids.index(vmdk_id)
 
 
 def match(tier, ratios, sla, conf):
@@ -76,7 +76,7 @@ def match(tier, ratios, sla, conf):
 
 def move_cost(fleet, target_tier):
     """mig_cost_seconds of a one-VMDK fleet to one tier."""
-    return mig_cost_seconds(fleet)[fleet.row_of_tier[target_tier], 0]
+    return mig_cost_seconds(fleet)[row_of_tier(fleet, target_tier), 0]
 
 
 class TestCapacityMatrices:
@@ -227,8 +227,8 @@ class TestMigCost:
         )
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
         fleet = fleet_of([vmdk], tiers)
-        fleet.served_read_mbps[0] = 100.0
-        fleet.served_write_mbps[1] = 100.0
+        fleet.spare_read_mbps[0] = 500.0
+        fleet.spare_write_mbps[1] = 400.0
         cost = move_cost(fleet, 2)
         assert cost == pytest.approx(250.0, rel=1e-9)
 
@@ -241,30 +241,37 @@ class TestMigCost:
         tiers = self.three_state_setup()
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=0.0)
         fleet = fleet_of([vmdk], tiers)
-        fleet.served_write_mbps[1] = tiers[1].write_bandwidth_cap
-        fleet.served_read_mbps[0] = tiers[0].read_bandwidth_cap
+        fleet.spare_write_mbps[1] = 0.0
+        fleet.spare_read_mbps[0] = 0.0
         assert move_cost(fleet, 2) == math.inf
 
 
 class TestCalScore:
-    def single_cell(self, aging, history, mig_weight):
+    def single_cell(self, aging, previous, mig_weight):
         tier = make_tier(1, mig_weight=mig_weight)
         state = make_state(make_vmdk(demand_iops=10_000))
         records = {"v1": record("v1", 0.0, 100.0)}
         fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=aging, migration_epoch=3, monitor_epoch=1)
-        return cal_score(mat, history, weights, fleet, fits(fleet, records), 900.0)
+        return cal_score(mat, previous, weights, fleet, fits(fleet, records), 900.0)
 
     def test_memoryless_costless_is_pure_match(self):
-        sm = self.single_cell(0.0, None, 0.0)
+        score = self.single_cell(0.0, None, 0.0)
         tier = make_tier(1, mig_weight=0.0)
         state = make_state(make_vmdk(demand_iops=10_000))
         records = {"v1": record("v1", 0.0, 100.0)}
         fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, records)
         expected = match(tier, mat.ratio[at(mat, 1, "v1")], 1.0, 1.0)
-        assert sm.score[at(mat, 1, "v1")] == pytest.approx(expected, rel=1e-12)
+        assert score[at(mat, 1, "v1")] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("previous", [-math.inf, math.inf, math.nan, 0.8])
+    def test_only_a_finite_previous_cell_is_aged(self, previous):
+        fresh = self.single_cell(0.5, None, 0.0)[0, 0]
+        score = self.single_cell(0.5, np.array([[previous]]), 0.0)[0, 0]
+        assert math.isfinite(fresh)
+        assert score == (0.5 * previous if math.isfinite(previous) else 0.0) + fresh
 
     def test_hand_arithmetic(self):
         # 0.5 * 0.4 + 0.3 - 0.1 = 0.4
@@ -281,46 +288,62 @@ class TestCalScore:
         records = {"w": record("w", 0.0, 100.0)}
         fleet = fleet_of([state], tiers)
         mat = build_matrices(fleet, records)
-        fleet.served_read_mbps[1] = 200.0  # spare read 1000 -> cost 450s
+        fleet.spare_read_mbps[1] = 1000.0  # 200 of 1200 MB/s served -> cost 450s
         weights = PolicyWeights(aging_factor=0.5, migration_epoch=3)
-        history = np.zeros(mat.feasible.shape)
-        history[at(mat, 1, "w")] = 0.4
-        sm = cal_score(mat, history, weights, fleet, fits(fleet, records), 900.0)
+        previous = np.zeros(mat.feasible.shape)
+        previous[at(mat, 1, "w")] = 0.4
+        score = cal_score(mat, previous, weights, fleet, fits(fleet, records), 900.0)
         # penalty: 0.2 * (450 GB * 1000 / 1000 MBps) / 900 s = 0.1
-        assert sm.score[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
-        assert sm.history[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
+        assert score[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
+        # The next epoch ages this score in turn: 0.5 * 0.4 + 0.3 - 0.1 again.
+        again = cal_score(mat, score, weights, fleet, fits(fleet, records), 900.0)
+        assert again[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
 
     def test_infeasible_propagates_and_resets_history(self):
-        tier = make_tier(1, capacity=ResourceVector(1000, 10, 10))
         state = make_state(make_vmdk(size_gb=100.0, demand_iops=100))
         records = {"v1": record("v1", 0.0, 100.0)}
-        fleet = fleet_of([state], [tier])
-        mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=0.9)
-        sm = cal_score(mat, np.full(mat.feasible.shape, 5.0), weights,
-                       fleet, fits(fleet, records), 900.0)
-        assert sm.score[at(mat, 1, "v1")] == -math.inf
-        assert sm.history[at(mat, 1, "v1")] == 0.0
+
+        def score(tier, previous):
+            fleet = fleet_of([state], [tier])
+            mat = build_matrices(fleet, records)
+            return cal_score(mat, previous, weights, fleet, fits(fleet, records), 900.0)
+
+        gated = score(make_tier(1, capacity=ResourceVector(1000, 10, 10)), np.full((1, 1), 5.0))
+        assert gated.tolist() == [[-math.inf]]
+        # Once the tier can host the VMDK, the -inf cell adds no aged term.
+        fresh = score(make_tier(1), None)
+        assert math.isfinite(fresh[0, 0])
+        assert score(make_tier(1), gated).tolist() == fresh.tolist()
 
     def test_infinite_migration_cost_blocks_epoch_but_not_history(self):
         tiers = (make_tier(1, 100.0), make_tier(2, 300.0))
         state = make_state(make_vmdk(size_gb=10.0, demand_iops=100), tier=2)
         records = {"v1": record("v1", 0.0, 100.0)}
         fleet = fleet_of([state], tiers)
-        fleet.served_write_mbps[0] = tiers[0].write_bandwidth_cap  # no way in
-        fleet.served_read_mbps[1] = tiers[1].read_bandwidth_cap
+        fleet.spare_write_mbps[0] = 0.0  # no way in
+        fleet.spare_read_mbps[1] = 0.0
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=0.5)
-        sm = cal_score(mat, None, weights, fleet, fits(fleet, records), 900.0)
-        assert sm.score[at(mat, 1, "v1")] == -math.inf
-        assert sm.history[at(mat, 1, "v1")] == 0.0
+        move, stay = at(mat, 1, "v1"), at(mat, 2, "v1")
+        blocked = cal_score(mat, None, weights, fleet, fits(fleet, records), 900.0)
+        assert blocked[move] == -math.inf
+        assert math.isfinite(blocked[stay])  # staying costs nothing
+        # Once bandwidth frees up, the blocked cell adds no aged term.
+        fleet.spare_write_mbps[0] = tiers[0].write_bandwidth_cap
+        fleet.spare_read_mbps[1] = tiers[1].read_bandwidth_cap
+        fresh = cal_score(mat, None, weights, fleet, fits(fleet, records), 900.0)
+        again = cal_score(mat, blocked, weights, fleet, fits(fleet, records), 900.0)
+        assert math.isfinite(fresh[move])
+        assert again[move] == fresh[move]
+        assert again[stay] == 0.5 * blocked[stay] + fresh[stay]
 
 
 def scores_from(mat, tiers, values):
     score = np.full(mat.feasible.shape, -math.inf)
     for (tier_id, vmdk_id), value in values.items():
         score[at(mat, tier_id, vmdk_id)] = value
-    return ScoreMatrix(score=score, history=np.zeros(score.shape))
+    return score
 
 
 class TestTriggerMigration:
@@ -368,7 +391,7 @@ class TestTriggerMigration:
         fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
         sm = cal_score(mat, None, PolicyWeights(), fleet, fits(fleet, records), 900.0)
-        assert sm.score[at(mat, 1, "a")] == -math.inf
+        assert sm[at(mat, 1, "a")] == -math.inf
         plan = trigger_migration(sm, mat, fleet, 0)
         assert all(t == 2 for t in plan.target.values())
 
@@ -490,7 +513,7 @@ class TestFirstFit:
 def reference_trigger_migration(scores, mat, tiers, fleet, epoch_index, pinned=None):
     """The greedy round as a Python sort of (-score, id, row) tuples, fed to the scalar packer."""
     candidates = []
-    for i, row in enumerate(scores.score.tolist()):
+    for i, row in enumerate(scores.tolist()):
         ranked = sorted(
             (-score, vmdk_id, j)
             for j, (score, vmdk_id) in enumerate(zip(row, mat.vmdk_ids))
@@ -539,14 +562,14 @@ def random_greedy_round(rng):
     cap = np.stack([rng.choice(values, size=(n_tiers, n + 1)) for values in steps], axis=-1)
     cap[:, fleet.row["zz-big"]] = 1e12
     score = rng.choice(SCORE_VALUES, p=SCORE_WEIGHTS, size=(n_tiers, n + 1))
-    mat = CapacityMatrices(tuple(t.id for t in tiers), fleet.ids, cap)
+    mat = CapacityMatrices(fleet.ids, cap)
     pinned = {
         v: int(rng.integers(1, n_tiers + 1))
         for v in rng.choice(fleet.ids[:-1], size=int(rng.integers(0, 20)), replace=False).tolist()
     }
     pinned["zz-big"] = 1
     pin(fleet, pinned)
-    return ScoreMatrix(score, np.zeros_like(score)), mat, tiers, fleet, pinned
+    return score, mat, tiers, fleet, pinned
 
 
 class TestTriggerMigrationMatchesReference:
@@ -571,7 +594,7 @@ class TestTriggerMigrationMatchesReference:
         for seed in range(10):
             scores, mat, tiers, fleet, pinned = random_greedy_round(np.random.default_rng(seed))
             plan = trigger_migration(scores, mat, fleet, 7)
-            signs = {math.copysign(1.0, x) for x in scores.score[scores.score == 0.0].tolist()}
+            signs = {math.copysign(1.0, x) for x in scores[scores == 0.0].tolist()}
             seen.update(name for name, hit in (
                 ("signed zero tie", signs == {-1.0, 1.0}),
                 ("placement", bool(plan.migrations)),
@@ -701,9 +724,9 @@ class TestProfitAndOracle:
         rng = np.random.default_rng(5)
         tiers, fleet, records, mat, weights, previous = self.small_instance(rng)
         weights = PolicyWeights(alpha=weights.alpha, beta=0.0)
-        target = np.where(mat.feasible[fleet.row_of_tier[1]], fleet.row_of_tier[1], previous)
+        target = np.where(mat.feasible[row_of_tier(fleet, 1)], row_of_tier(fleet, 1), previous)
         p1 = epoch_profit(target, previous, mat, weights, fleet, 900.0)
-        other_prev = np.full_like(previous, fleet.row_of_tier[2])
+        other_prev = np.full_like(previous, row_of_tier(fleet, 2))
         p2 = epoch_profit(target, other_prev, mat, weights, fleet, 900.0)
         assert p1 == pytest.approx(p2, rel=1e-12)
 

@@ -188,6 +188,16 @@ class TestParsing:
             "tiers[1]: kind weights must sum to a finite positive value"
         ]
 
+    def test_integer_kind_weights_summing_past_the_float_range_are_diagnosed(self):
+        # each integer weight fits a float, but their exact sum does not
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc["tiers"][0]["kindWeights"] = {"p": 10**308, "b": 10**308}
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert excinfo.value.errors == [
+            "tiers[0]: kind weights must sum to a finite positive value"
+        ]
+
 
 def spec_defaults_kept(obj):
     """(type, field) of every spec field in ``obj`` that still holds its dataclass default."""
