@@ -8,6 +8,7 @@ from .model import (
     MigrationOrder,
     PolicyWeights,
     ResourceVector,
+    Roster,
     Scenario,
     ScenarioValidationError,
     SimulationConfig,

@@ -7,12 +7,13 @@ against each tier's device with a proportional contention model and
 records metrics.
 
 The run's state lives in one ``Fleet``, built by ``Fleet.of`` from the
-scenario's specs: dense (N,) arrays in VMDK-id order holding static truth,
-the active phase's demand (the run's only record of the phase), each
-VMDK's tier row and its last measurements, and (T,) columns holding each
-tier's spec numbers, contention and spare MB/s. ``serve_epoch`` serves
-every tier in one vectorized pass and writes the measurements and the
-tier arrays in place; probes, migration
+scenario's ``roster`` (what follows from the specs alone, built once per
+scenario and shared read-only by its runs): dense (N,) arrays in VMDK-id
+order holding static truth, the active phase's demand (the run's only
+record of the phase), each VMDK's tier row and its last measurements, and
+(T,) columns holding each tier's spec numbers, contention and spare MB/s.
+``serve_epoch`` serves every tier in one vectorized pass and writes the
+measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
 view, and ``VmdkState`` objects are built once, for the result, after the
 last epoch. The book of in-flight migrations is the fleet rows whose
@@ -318,7 +319,7 @@ def run_scenario(
     epoch_seconds = scenario.sim.epoch_seconds
     policy = make_policy(policy_name)
 
-    fleet = Fleet.of(scenario.vmdks, scenario.tiers)
+    fleet = Fleet.of(scenario.roster)
     log = MigrationLog(fleet.ids)
     result = RunResult(scenario=scenario, policy=policy_name, seed=actual_seed, migration_log=log)
 

@@ -3,8 +3,11 @@
 Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
-(Fleet, MigrationLog) is owned by a single simulation run. ``Fleet.of``
-builds the Fleet from the specs and it holds both sides of it, each fact
+(Fleet, MigrationLog) is owned by a single simulation run. A scenario's
+``Roster`` holds what a run's start takes from the specs alone, built once
+and read-only, and ``Fleet.of`` builds each run's Fleet from it: the run's
+own copy of every column it may write, sharing only the read-only phase
+table and phase schedule. The Fleet holds both sides of the run, each fact
 once: one row per VMDK, its demand columns being its active phase, and one
 row per tier, every tier number and each tier's spare MB/s as a column,
 with each in-flight migration's destination and log index; the
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import InitVar, astuple, dataclass, fields, replace
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain
 from operator import add, attrgetter
 from types import MappingProxyType
@@ -306,7 +309,11 @@ class SimulationConfig:
 class Scenario:
     """A validated scenario: tiers plus VMDKs plus all run tunables.
 
-    Safe to share read-only across concurrent runs.
+    Safe to share read-only across concurrent runs. ``roster``, the part of
+    a run's start that follows from the specs alone, is built on first use
+    and then serves every run of this object; it is no field, so it stays
+    out of ``==``, ``repr``, the document and pickles, and
+    ``dataclasses.replace`` gives the new scenario a roster of its own.
     """
 
     tiers: tuple[TierSpec, ...]
@@ -320,6 +327,16 @@ class Scenario:
         problems = cross_checks(self.tiers, self.vmdks)
         if problems:
             raise ScenarioValidationError(problems)
+
+    @cached_property
+    def roster(self) -> Roster:
+        # Two first uses at once may both build it; the builds are equal.
+        return Roster.of(self.vmdks, self.tiers)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A pickle or copy leaves the roster out (its maps do not pickle) and
+        # builds its own on first use.
+        return {name: value for name, value in vars(self).items() if name != "roster"}
 
 
 def cross_checks(tiers: Sequence[TierSpec], vmdks: Sequence[VmdkSpec]) -> list[str]:
@@ -470,6 +487,110 @@ class VmdkState:
 
 
 NEVER = np.iinfo(np.int64).max  # stands in for start epochs past the int64 range
+_DEMAND_COLUMNS = ("demand_iops", "read_fraction", "avg_io_size_bytes")
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, its writes refused from now on."""
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class Roster:
+    """Everything a run's start takes from the specs alone, built once per scenario.
+
+    VMDK rows are in id order (``ids``, ``specs``, and ``row`` mapping an id
+    to its row) with the static columns ``size_gb``, ``sla_weight``,
+    ``truth_slope`` and ``truth_intercept_us`` and ``tier_row``, each
+    VMDK's initial tier as a row of ``tiers``. Tier rows follow ``tiers``
+    and hold every tier number the epoch loop reads (see ``Fleet``). The
+    (3, P) ``phase_table`` holds the demand, read fraction and I/O size of
+    every row's demand profile, one profile after another, and
+    ``first_phase`` each row's phase 0 in it; ``due`` maps an epoch to the
+    rows whose next phase starts then and the index of that phase. Every
+    array is read-only and every map a ``MappingProxyType``, so one roster
+    serves any number of runs, concurrent ones too; ``Fleet.of`` gives
+    each run its own copies of the columns it writes.
+    """
+
+    ids: tuple[str, ...]
+    specs: tuple[VmdkSpec, ...]
+    row: Mapping[str, int]
+    tiers: tuple[TierSpec, ...]
+    tier_ids: np.ndarray
+    tier_row: np.ndarray
+    budget: np.ndarray
+    base_latency_us: np.ndarray
+    read_throughput_cap: np.ndarray
+    write_throughput_cap: np.ndarray
+    read_bandwidth_cap: np.ndarray
+    write_bandwidth_cap: np.ndarray
+    mig_weight: np.ndarray
+    match_mask: np.ndarray
+    kind_weight_total: np.ndarray
+    size_gb: np.ndarray
+    sla_weight: np.ndarray
+    truth_slope: np.ndarray
+    truth_intercept_us: np.ndarray
+    phase_table: np.ndarray
+    first_phase: np.ndarray
+    due: Mapping[int, tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def of(cls, specs: Sequence[VmdkSpec], tiers: Sequence[TierSpec]) -> "Roster":
+        """The roster of ``specs``, sorted by id, on ``tiers``."""
+        specs = tuple(sorted(specs, key=attrgetter("id")))
+        row_of_tier = {t.id: i for i, t in enumerate(tiers)}
+        phases = tuple(chain.from_iterable(spec.demand_profile for spec in specs))
+        counts = [len(spec.demand_profile) for spec in specs]
+        owner = np.repeat(np.arange(len(specs)), counts)
+        start = np.array([p.start_epoch for p in phases], dtype=object)
+        start = start.clip(max=NEVER).astype(np.int64)
+        # Phase 0 starts at epoch 0 and every later phase after it.
+        later = np.flatnonzero(start > 0)
+        later = later[np.argsort(start[later], kind="stable")]
+        epochs, cuts = np.unique(start[later], return_index=True)
+
+        def column(items: Sequence[Any], name: str) -> np.ndarray:
+            return np.fromiter(map(attrgetter(name), items), float, len(items))
+
+        roster = cls(
+            ids=tuple(spec.id for spec in specs),
+            specs=specs,
+            row=MappingProxyType({spec.id: j for j, spec in enumerate(specs)}),
+            tiers=tuple(tiers),
+            tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
+            tier_row=np.array([row_of_tier[s.initial_tier] for s in specs], dtype=np.intp),
+            budget=np.array([astuple(t.max_usable()) for t in tiers], dtype=float),
+            **{
+                name: column(tiers, name)
+                for name in (
+                    "base_latency_us", "read_throughput_cap", "write_throughput_cap",
+                    "read_bandwidth_cap", "write_bandwidth_cap", "mig_weight",
+                )
+            },
+            match_mask=np.array([
+                [f * w for f, w in zip(astuple(t.specialty), astuple(t.kind_weights))]
+                for t in tiers
+            ], dtype=float),
+            kind_weight_total=np.array([float(t.kind_weights.total()) for t in tiers]),
+            **{
+                name: column(specs, name)
+                for name in ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
+            },
+            phase_table=np.stack([column(phases, name) for name in _DEMAND_COLUMNS]),
+            first_phase=np.cumsum(counts, dtype=np.intp) - counts,
+            due=MappingProxyType({
+                e: (_frozen(owner[k]), _frozen(k))
+                for e, k in zip(epochs.tolist(), np.split(later, cuts[1:]))
+            }),
+        )
+        for f in fields(roster):
+            value = getattr(roster, f.name)
+            if isinstance(value, np.ndarray):
+                _frozen(value)
+        return roster
 
 
 @dataclass
@@ -486,8 +607,8 @@ class Fleet:
     ``dest_row``; ``order_index`` is its index in the run's ``MigrationLog``
     (-1 for a VMDK that has none), which alone holds its progress.
 
-    Tier rows follow ``tiers``, the run's tier specs in order. Its columns,
-    built once, are all the epoch loop reads of the specs: the usable
+    Tier rows follow ``tiers``, the run's tier specs in order. Its columns
+    are all the epoch loop reads of the specs: the usable
     (p, b, s) ``budget`` (``max_usable()``), ``base_latency_us``, the four
     serve caps, ``mig_weight``, the (T, 3) ``match_mask`` (specialty times
     kind weight) and ``kind_weight_total``, the exact ``kind_weights.total()``
@@ -497,10 +618,11 @@ class Fleet:
     never below 0.0 (the caps before the first epoch); serving writes those
     and the measurements in place. Policies read a ``read_only`` view.
 
-    The (3, P) ``phase_table`` holds the demand, read fraction and I/O size
-    of every row's demand profile, one profile after another; ``due`` maps
-    an epoch to the rows whose next phase starts then and the index of that
-    phase.
+    ``phase_table`` and ``due`` are the ``Roster``'s own, shared read-only
+    by every run of its scenario (``activate_phases`` only reads them), as
+    are the tuples and the ``row`` map. Every other array belongs to this
+    run alone: ``Fleet.of`` copies the roster's columns and allocates the
+    rest.
     """
 
     ids: tuple[str, ...]
@@ -538,62 +660,26 @@ class Fleet:
     due: Mapping[int, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
-    def of(cls, specs: Sequence[VmdkSpec], tiers: Sequence[TierSpec]) -> "Fleet":
-        """A run's start: ``specs`` by id, each on its initial tier in phase 0, unmeasured."""
-        specs = tuple(sorted(specs, key=attrgetter("id")))
-        row_of_tier = {t.id: i for i, t in enumerate(tiers)}
-        phases = tuple(chain.from_iterable(spec.demand_profile for spec in specs))
-        counts = [len(spec.demand_profile) for spec in specs]
-        owner = np.repeat(np.arange(len(specs)), counts)
-        start = np.array([p.start_epoch for p in phases], dtype=object)
-        start = start.clip(max=NEVER).astype(np.int64)
-        # Phase 0 starts at epoch 0 and every later phase after it.
-        later = np.flatnonzero(start > 0)
-        later = later[np.argsort(start[later], kind="stable")]
-        epochs, cuts = np.unique(start[later], return_index=True)
-        first = np.cumsum(counts, dtype=np.intp) - counts  # each row's phase 0
+    def of(cls, roster: Roster) -> "Fleet":
+        """A run's start: each VMDK on its initial tier in phase 0, unmeasured."""
+        n, t = len(roster.ids), len(roster.tiers)
 
-        def column(items: Sequence[Any], name: str) -> np.ndarray:
-            return np.fromiter(map(attrgetter(name), items), float, len(items))
+        def own(name: str) -> Any:  # activate_phases only reads the phase table
+            value = getattr(roster, name)
+            return value.copy() if isinstance(value, np.ndarray) and name != "phase_table" else value
 
-        demand = ("demand_iops", "read_fraction", "avg_io_size_bytes")
-        phase_table = np.stack([column(phases, name) for name in demand])
         return cls(
-            ids=tuple(spec.id for spec in specs),
-            specs=specs,
-            row={spec.id: j for j, spec in enumerate(specs)},
-            tiers=tuple(tiers),
-            tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
-            tier_row=np.array([row_of_tier[s.initial_tier] for s in specs], dtype=np.intp),
-            dest_row=np.full(len(specs), -1, dtype=np.intp),
-            order_index=np.full(len(specs), -1, dtype=np.intp),
-            budget=np.array([astuple(t.max_usable()) for t in tiers], dtype=float),
+            **{f.name: own(f.name) for f in fields(roster) if f.name != "first_phase"},
+            dest_row=np.full(n, -1, dtype=np.intp),
+            order_index=np.full(n, -1, dtype=np.intp),
+            contention=np.ones(t),
+            spare_read_mbps=roster.read_bandwidth_cap.copy(),
+            spare_write_mbps=roster.write_bandwidth_cap.copy(),
+            **dict(zip(_DEMAND_COLUMNS, roster.phase_table[:, roster.first_phase])),
             **{
-                name: column(tiers, name)
-                for name in (
-                    "base_latency_us", "read_throughput_cap", "write_throughput_cap",
-                    "read_bandwidth_cap", "write_bandwidth_cap", "mig_weight",
-                )
-            },
-            match_mask=np.array([
-                [f * w for f, w in zip(astuple(t.specialty), astuple(t.kind_weights))]
-                for t in tiers
-            ], dtype=float),
-            kind_weight_total=np.array([float(t.kind_weights.total()) for t in tiers]),
-            contention=np.ones(len(tiers)),
-            spare_read_mbps=column(tiers, "read_bandwidth_cap"),
-            spare_write_mbps=column(tiers, "write_bandwidth_cap"),
-            **{
-                name: column(specs, name)
-                for name in ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
-            },
-            **dict(zip(demand, phase_table[:, first])),
-            **{
-                f"measured_{name}": np.zeros(len(specs))
+                f"measured_{name}": np.zeros(n)
                 for name in ("iops", "latency_us", "read_mbps", "write_mbps")
             },
-            phase_table=phase_table,
-            due={e: (owner[k], k) for e, k in zip(epochs.tolist(), np.split(later, cuts[1:]))},
         )
 
     def read_only(self) -> "Fleet":
@@ -701,7 +787,8 @@ def _name(value: Any, path: str, key: str, errors: list[str]) -> str:
 
 
 def _version(value: Any, path: str, key: str, errors: list[str]) -> int:
-    if value != SCHEMA_VERSION:
+    """SCHEMA_VERSION, read as any integer field is, so ``true`` is refused."""
+    if value is None or _integer(value, path, key, errors) != SCHEMA_VERSION:
         raise _Invalid(f"expected {SCHEMA_VERSION}, got {value!r}")
     return SCHEMA_VERSION
 

@@ -16,6 +16,7 @@ from autotier.model import (
     Fleet,
     PolicyWeights,
     ResourceVector,
+    Roster,
     Scenario,
     SimulationConfig,
     TierSpec,
@@ -105,11 +106,11 @@ def row_of_tier(fleet: Fleet, tier_id: int) -> int:
 
 
 def fleet_of(states, tiers) -> Fleet:
-    """``Fleet.of`` the states' specs, with each row then set to its state as it stands.
+    """``Fleet.of`` the states' specs' roster, each row then set to its state as it stands.
 
     A case can so start VMDKs off their initial tier, or with measurements.
     """
-    fleet = Fleet.of([state.spec for state in states], tiers)
+    fleet = Fleet.of(Roster.of([state.spec for state in states], tiers))
     for state in states:
         j = fleet.row[state.spec.id]
         fleet.tier_row[j] = row_of_tier(fleet, state.current_tier)

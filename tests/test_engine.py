@@ -1,6 +1,9 @@
 """Device model, serving with contention, migration execution, full runs."""
 
 import copy
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -25,9 +28,14 @@ from autotier.model import (
     WorkloadPhase,
 )
 from autotier.reporting import metrics_csv_text, write_run_artifacts
-from autotier.scenario import load_bundled_scenario
+from autotier.scenario import bundled_scenario_text, load_bundled_scenario, parse_scenario
 
 from conftest import fleet_of, make_state, make_tier, make_vmdk, pin, random_scenario, row_of_tier
+
+
+def artifact_bytes(out):
+    """Every file a run wrote to ``out``, by name."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 def reference_latency(tier, contention, spec, added_us=0.0):
@@ -850,7 +858,7 @@ class TestRunScenario:
         assert len(result.migration_log) > 0
 
     @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
-    def test_tier_budgets_are_built_once_per_run(self, policy, monkeypatch):
+    def test_tier_budgets_are_built_once_per_scenario(self, policy, monkeypatch):
         scenario = load_bundled_scenario("table3-table4")
         built = []
         check = ResourceVector.__post_init__
@@ -863,6 +871,59 @@ class TestRunScenario:
         result = run_scenario(scenario, policy, seed=0)
         assert len(result.plans) > 1
         assert len(built) == len(scenario.tiers)
+        built.clear()
+        run_scenario(scenario, policy, seed=0)
+        assert built == []
+
+        # A replaced scenario builds a roster of its own from its own specs.
+        spec = scenario.vmdks[0]
+        phase = replace(spec.demand_profile[0], demand_iops=spec.demand_profile[0].demand_iops + 7)
+        changed = replace(scenario, vmdks=(
+            replace(spec, demand_profile=(phase, *spec.demand_profile[1:])), *scenario.vmdks[1:]
+        ))
+        served = []
+
+        def demand(epoch, plan, policy_obj, ctx):
+            served.append((epoch, ctx.fleet.demand_iops[ctx.fleet.row[spec.id]]))
+
+        run_scenario(changed, policy, seed=0, on_plan=demand)
+        assert served[0] == (0, phase.demand_iops)
+
+    @pytest.mark.parametrize("name", ["table3-table4", "spike"])
+    def test_runs_sharing_a_scenario_write_what_fresh_scenarios_do(self, name, tmp_path):
+        shared = load_bundled_scenario(name)
+        for k, policy in enumerate(("idt", "edt", "idt")):
+            write_run_artifacts(run_scenario(shared, policy, seed=3), tmp_path / f"shared{k}")
+            fresh = parse_scenario(bundled_scenario_text(name))
+            write_run_artifacts(run_scenario(fresh, policy, seed=3), tmp_path / f"fresh{k}")
+            assert artifact_bytes(tmp_path / f"shared{k}") == artifact_bytes(tmp_path / f"fresh{k}")
+
+    def test_concurrent_runs_on_a_fresh_scenario_write_the_sequential_artifacts(self, tmp_path):
+        # More threads than cores, switching often, all starting on a scenario
+        # whose roster is not built yet: each run must write what it writes alone.
+        policies = ("autotiering", "idt", "edt", "idt")
+        alone = {}
+        for policy in set(policies):
+            scenario = parse_scenario(bundled_scenario_text("table3-table4"))
+            write_run_artifacts(run_scenario(scenario, policy), tmp_path / f"alone-{policy}")
+            alone[policy] = artifact_bytes(tmp_path / f"alone-{policy}")
+        scenario = parse_scenario(bundled_scenario_text("table3-table4"))
+        start = threading.Barrier(len(policies))
+
+        def run(k, policy):
+            start.wait(timeout=60)
+            write_run_artifacts(run_scenario(scenario, policy), tmp_path / f"shared{k}")
+            return artifact_bytes(tmp_path / f"shared{k}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(policies)) as pool:
+                futures = [pool.submit(run, k, policy) for k, policy in enumerate(policies)]
+                written = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert written == [alone[policy] for policy in policies]
 
     @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
     def test_policies_read_a_read_only_view_of_the_fleet(self, policy):

@@ -1,7 +1,10 @@
 """Domain type invariants and scenario validation diagnostics."""
 
+import copy
 import math
-from dataclasses import astuple
+import pickle
+from dataclasses import astuple, fields
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from autotier.model import (
     MigrationOrder,
     PolicyWeights,
     ResourceVector,
+    Roster,
     Scenario,
     ScenarioValidationError,
     SimulationConfig,
@@ -176,6 +180,59 @@ class TestOtherTypes:
             PolicyWeights(aging_factor=1.0)
 
 
+def roster_arrays(roster):
+    """Every array a roster holds, by name, the ``due`` schedule's included."""
+    arrays = {
+        f.name: getattr(roster, f.name)
+        for f in fields(roster) if isinstance(getattr(roster, f.name), np.ndarray)
+    }
+    for epoch, (rows, phases) in roster.due.items():
+        arrays[f"due[{epoch}].rows"], arrays[f"due[{epoch}].phases"] = rows, phases
+    return arrays
+
+
+class TestRoster:
+    def test_every_array_and_map_is_read_only_and_two_builds_are_equal(self):
+        scenario = parse_scenario(bundled_scenario_text("spike"))
+        roster = scenario.roster
+        assert scenario.roster is roster
+        assert isinstance(roster.row, MappingProxyType)
+        assert isinstance(roster.due, MappingProxyType)
+        arrays = roster_arrays(roster)
+        assert len(arrays) == len(fields(roster)) - 5 + 2 * len(roster.due)  # 3 tuples, 2 maps
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        again = Roster.of(scenario.vmdks, scenario.tiers)
+        assert list(roster.due) == list(again.due)
+        for name, array in roster_arrays(again).items():
+            assert array.dtype == arrays[name].dtype, name
+            assert array.tobytes() == arrays[name].tobytes(), name
+
+    def test_a_scenario_pickles_and_copies_without_its_built_roster(self):
+        scenario = parse_scenario(bundled_scenario_text("spike"))
+        roster = scenario.roster
+        for copied in (pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario)):
+            assert copied == scenario and "roster" not in vars(copied)
+            assert copied.roster is not roster and copied.roster.ids == roster.ids
+            assert not copied.roster.phase_table.flags.writeable
+
+    def test_no_writable_fleet_column_shares_memory_with_the_roster(self):
+        roster = parse_scenario(bundled_scenario_text("spike")).roster
+        fleet = Fleet.of(roster)
+        shared = roster_arrays(roster).values()
+        writable = [
+            f.name for f in fields(fleet)
+            if isinstance(getattr(fleet, f.name), np.ndarray)
+            and getattr(fleet, f.name).flags.writeable
+        ]
+        assert len(writable) == len(fields(fleet)) - 6  # all but 3 tuples, row, table, due
+        for name in writable:
+            assert not any(np.shares_memory(getattr(fleet, name), a) for a in shared), name
+        assert fleet.phase_table is roster.phase_table and fleet.due is roster.due
+
+
 class TestFleet:
     def test_move_lands_on_dest_row_and_clears_it(self):
         tiers = [make_tier(i) for i in (1, 2, 3)]
@@ -208,7 +265,7 @@ class TestFleet:
             make_tier(2, 300.0, caps=ResourceVector(0.5, 0.25, 1.0), read_iops=7e4,
                       write_iops=3e4, read_mbps=900.0, write_mbps=700.0),
         ]
-        fleet = Fleet.of([make_vmdk()], tiers)
+        fleet = Fleet.of(Roster.of([make_vmdk()], tiers))
         view = fleet.read_only()
         columns = {
             "budget": lambda t: list(astuple(t.max_usable())),
@@ -236,7 +293,7 @@ class TestFleet:
                       read_fraction=0.25),
             make_vmdk("a", initial_tier=2, phases=(WorkloadPhase(0, 100.0, 4096.0, 0.75), later)),
         ]
-        fleet = Fleet.of(specs, tiers)
+        fleet = Fleet.of(Roster.of(specs, tiers))
         assert fleet.ids == ("a", "b")
         assert fleet.specs == (specs[1], specs[0])
         assert fleet.tier_ids[fleet.tier_row].tolist() == [2, 3]

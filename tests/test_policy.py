@@ -15,6 +15,7 @@ from autotier.model import (
     Fleet,
     PolicyWeights,
     ResourceVector,
+    Roster,
 )
 from autotier.policy import (
     cal_capacity_matrices,
@@ -70,7 +71,7 @@ def at(mat, tier_id, vmdk_id):
 def match(tier, ratios, sla, conf):
     """orthogonal_match_score of one tier and one VMDK's (p, b, s) ratios."""
     cell = np.array(ratios, dtype=float).reshape(1, 1, 3)
-    fleet = Fleet.of([make_vmdk(initial_tier=tier.id)], [tier])
+    fleet = Fleet.of(Roster.of([make_vmdk(initial_tier=tier.id)], [tier]))
     return orthogonal_match_score(fleet, cell, np.array([sla]), np.array([conf]))[0, 0]
 
 

@@ -139,6 +139,11 @@ class TestParsing:
         prefix = f"{field_path(location)}: expected an integer"
         assert any(e.startswith(prefix) for e in excinfo.value.errors), excinfo.value.errors
 
+    def test_schema_version_refuses_a_bool(self):
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(with_token(("schemaVersion",), "true"))
+        assert excinfo.value.errors == ["schemaVersion: expected a number, got bool"]
+
     @pytest.mark.parametrize("location", FLOAT_FIELDS, ids=field_path)
     def test_float_field_rejects_integer_too_large_for_a_float(self, location):
         with pytest.raises(ScenarioValidationError) as excinfo:
