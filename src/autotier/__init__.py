@@ -5,7 +5,6 @@ from .model import (
     CapacityMatrices,
     Fleet,
     MigrationLog,
-    MigrationOrder,
     PolicyWeights,
     ResourceVector,
     Roster,

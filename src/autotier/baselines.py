@@ -11,14 +11,15 @@ not check.
 Both use the same churn-avoidance reading of their one-line definitions:
 sort ties prefer the VMDK's current tier, and a VMDK whose metric is zero
 never moves to a more capable tier than its current one. Both read the
-run's ``Fleet`` directly, its tiers and in-flight destinations included:
-one stable ``np.lexsort`` over (metric, current tier rank) orders the VMDKs,
-with the fleet's row order breaking the remaining ties by id, and a boolean
-(N, T) mask drops the upward moves of zero-metric VMDKs. Each VMDK walks its
-allowed tiers by descending capability until one absorbs it; ``pack`` gets
-the same plan by scanning the tiers in that order, each over the VMDKs
-allowed on it, and lists the placements in VMDK order. A VMDK already
-migrating keeps its destination, as under every policy.
+run's ``Fleet`` directly, its roster's tiers and its in-flight destinations
+included: one stable ``np.lexsort`` over (metric, current tier rank) orders
+the VMDKs, with the fleet's row order breaking the remaining ties by id,
+and a boolean (N, T) mask drops the upward moves of zero-metric VMDKs.
+Each VMDK walks its allowed tiers by descending capability until one
+absorbs it; ``pack`` gets the same plan by scanning the tiers in that
+order, each over the VMDKs allowed on it, and lists the placements in VMDK
+order. A VMDK already migrating keeps its destination, as under every
+policy.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ def _pack_by_metric(
     checked: the usage rows hold measured IOPS and size in those columns
     and 0.0 in the others.
     """
-    tiers = fleet.tiers
+    roster = fleet.roster
+    tiers = roster.tiers
     tier_order = sorted(range(len(tiers)), key=lambda i: (-tier_capability(tiers[i]), tiers[i].id))
     rank = np.empty(len(tiers), dtype=np.intp)
     rank[tier_order] = np.arange(len(tiers))
-    values = metric(fleet.measured_iops, fleet.size_gb)
+    values = metric(fleet.measured_iops, roster.size_gb)
     current_rank = rank[fleet.tier_row]
     vmdk_order = np.lexsort((current_rank, -values))
     allowed = (values[vmdk_order] != 0)[:, None] | (
@@ -61,7 +63,7 @@ def _pack_by_metric(
     ranked = [(i, vmdk_order[allowed[:, c]]) for c, i in enumerate(tier_order)]
     walk_rank = np.empty_like(vmdk_order)
     walk_rank[vmdk_order] = np.arange(len(vmdk_order))
-    measured = np.stack([fleet.measured_iops, np.zeros(len(values)), fleet.size_gb], axis=-1)
+    measured = np.stack([fleet.measured_iops, np.zeros(len(values)), roster.size_gb], axis=-1)
     usage = np.where([k in kinds for k in "pbs"], measured, 0.0)
     return pack(
         fleet, np.broadcast_to(usage, (len(tiers), *usage.shape)), ranked, epoch_index, walk_rank

@@ -143,7 +143,7 @@ def estimate_avg_lat(
     """(T, N) predicted average latency of each VMDK if hosted on each tier.
 
     Rows follow ``base_latency_us``, the (T,) base latency of each tier row
-    (``Fleet.base_latency_us``); columns follow ``fits.vmdk_ids``, and
+    (``Roster.base_latency_us``); columns follow ``fits.vmdk_ids``, and
     ``tier_row`` gives each VMDK's hosting tier row. On the hosting tier the
     prediction is the fitted intercept exactly. A prediction may be
     non-positive when the target tier is much faster than the fit can

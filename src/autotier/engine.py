@@ -6,12 +6,12 @@ in-flight migrations with bandwidth accounting, then serves I/O demands
 against each tier's device with a proportional contention model and
 records metrics.
 
-The run's state lives in one ``Fleet``, built by ``Fleet.of`` from the
-scenario's ``roster`` (what follows from the specs alone, built once per
-scenario and shared read-only by its runs): dense (N,) arrays in VMDK-id
-order holding static truth, the active phase's demand (the run's only
-record of the phase), each VMDK's tier row and its last measurements, and
-(T,) columns holding each tier's spec numbers, contention and spare MB/s.
+The run's state lives in one ``Fleet``, built by ``Fleet.of`` around the
+scenario's ``roster`` (every static fact, built once per scenario and
+shared read-only by its runs, in dense (N,) VMDK-id-ordered and (T,) tier
+columns): the fleet's own (N,) arrays hold the active phase's demand (the
+run's only record of the phase), each VMDK's tier row and its last
+measurements, and its (T,) arrays each tier's contention and spare MB/s.
 ``serve_epoch`` serves every tier in one vectorized pass and writes the
 measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
@@ -70,11 +70,12 @@ def probe_latencies(
     same generator, which consumes the stream exactly as drawing sample by
     sample, redrawing while the factor is <= 0, would.
     """
+    roster = fleet.roster
     rows = np.asarray(rows, dtype=np.intp)
     tier = fleet.tier_row[rows]
-    slope = fleet.truth_slope[rows][:, None, None]
-    base = fleet.base_latency_us[tier][:, None, None]
-    intercept = fleet.truth_intercept_us[rows][:, None, None]
+    slope = roster.truth_slope[rows][:, None, None]
+    base = roster.base_latency_us[tier][:, None, None]
+    intercept = roster.truth_intercept_us[rows][:, None, None]
     contention = fleet.contention[tier][:, None, None]
     added = np.asarray(added_us, dtype=float)[:, None]
     truth = slope * (base + added) + intercept * contention
@@ -139,19 +140,20 @@ def serve_epoch(
     sequentially), so they repeat bit for bit what a loop over each tier's
     members in id order gives.
     """
+    roster = fleet.roster
     row = fleet.tier_row
-    slope, intercept = fleet.truth_slope, fleet.truth_intercept_us
+    slope, intercept = roster.truth_slope, roster.truth_intercept_us
     demand, rf, io = fleet.demand_iops, fleet.read_fraction, fleet.avg_io_size_bytes
     caps = np.stack((
-        fleet.read_throughput_cap, fleet.write_throughput_cap,
-        fleet.read_bandwidth_cap, fleet.write_bandwidth_cap,
+        roster.read_throughput_cap, roster.write_throughput_cap,
+        roster.read_bandwidth_cap, roster.write_bandwidth_cap,
     ))
 
     def per_tier(values: np.ndarray) -> np.ndarray:
-        return np.bincount(row, weights=values, minlength=len(fleet.tiers))
+        return np.bincount(row, weights=values, minlength=len(roster.tiers))
 
     with np.errstate(all="ignore"):
-        bare = slope * fleet.base_latency_us[row]
+        bare = slope * roster.base_latency_us[row]
         wf = 1 - rf
         loads = np.minimum(demand, 1e6 / (bare + intercept))
         loads_r, loads_w = loads * rf, loads * wf
@@ -223,15 +225,16 @@ def progress_migrations(
     Returns total bytes moved, read/write debits in MB/s by tier row,
     stalled VMDK ids and the rows whose migration finished, in id order.
     """
-    debit_read = [0.0] * len(fleet.tiers)
-    debit_write = [0.0] * len(fleet.tiers)
+    roster = fleet.roster
+    debit_read = [0.0] * len(roster.tiers)
+    debit_write = [0.0] * len(roster.tiers)
     if not len(rows):
         return 0.0, debit_read, debit_write, [], rows
     k = fleet.order_index[rows]
     if (k < 0).any():
         raise ValueError("only a VMDK with an open order can make progress")
     spare_read, spare_write = fleet.spare_read_mbps.tolist(), fleet.spare_write_mbps.tolist()
-    ids = fleet.ids
+    ids = roster.ids
     row_list = rows.tolist()
     source = fleet.tier_row[rows].tolist()
     dest = fleet.dest_row[rows].tolist()
@@ -295,8 +298,9 @@ def start_migrations(
     rows, source, dest = rows[order], from_rows[order], to_rows[order]
     if (source != fleet.tier_row[rows]).any():
         raise ValueError("migration must start from the VMDK's current tier")
+    roster = fleet.roster
     fleet.order_index[rows] = log.append(
-        rows, fleet.tier_ids[source], fleet.tier_ids[dest], fleet.size_gb[rows] * 1e9, epoch
+        rows, roster.tier_ids[source], roster.tier_ids[dest], roster.size_gb[rows] * 1e9, epoch
     )
     fleet.dest_row[rows] = dest
     return rows
@@ -319,12 +323,13 @@ def run_scenario(
     epoch_seconds = scenario.sim.epoch_seconds
     policy = make_policy(policy_name)
 
-    fleet = Fleet.of(scenario.roster)
-    log = MigrationLog(fleet.ids)
+    roster = scenario.roster
+    fleet = Fleet.of(roster)
+    log = MigrationLog(roster.ids)
     result = RunResult(scenario=scenario, policy=policy_name, seed=actual_seed, migration_log=log)
 
     def probe(vmdk_ids: Sequence[str], added_us: Sequence[float], samples: int) -> np.ndarray:
-        rows = [fleet.row[v] for v in vmdk_ids]
+        rows = [roster.row[v] for v in vmdk_ids]
         return probe_latencies(fleet, rows, added_us, samples, rng, noise_cv)
 
     weights = scenario.weights
@@ -349,9 +354,9 @@ def run_scenario(
             rows = start_migrations(
                 fleet, log, plan.move_rows, plan.move_from, plan.move_to, epoch
             )
-            started = tuple(map(fleet.ids.__getitem__, rows.tolist()))
+            started = tuple(map(roster.ids.__getitem__, rows.tolist()))
             # Rows are in id order, so sorted rows name the VMDKs sorted by id.
-            overloaded = tuple(map(fleet.ids.__getitem__, np.sort(plan.overloaded_rows).tolist()))
+            overloaded = tuple(map(roster.ids.__getitem__, np.sort(plan.overloaded_rows).tolist()))
 
         moved_bytes, debit_read, debit_write, stalled, finished = progress_migrations(
             (fleet.dest_row >= 0).nonzero()[0], fleet, log, epoch_seconds

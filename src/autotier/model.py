@@ -4,20 +4,20 @@ Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
 (Fleet, MigrationLog) is owned by a single simulation run. A scenario's
-``Roster`` holds what a run's start takes from the specs alone, built once
-and read-only, and ``Fleet.of`` builds each run's Fleet from it: the run's
-own copy of every column it may write, sharing only the read-only phase
-table and phase schedule. The Fleet holds both sides of the run, each fact
-once: one row per VMDK, its demand columns being its active phase, and one
-row per tier, every tier number and each tier's spare MB/s as a column,
-with each in-flight migration's destination and log index; the
-MigrationLog holds every migration started, progress included, as columns.
+``Roster`` holds every static fact, built once from the specs and
+read-only: one row per VMDK and one per tier, each tier number and static
+VMDK figure a column. Each run's ``Fleet``, built by ``Fleet.of``, shares
+that roster and owns only the columns the run writes, each fact once: each
+VMDK's tier, active phase's demand and last measurements, each in-flight
+migration's destination and log index, and each tier's contention and
+spare MB/s. The MigrationLog holds every migration started, progress
+included, as columns.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import InitVar, astuple, dataclass, fields, replace
 from functools import cached_property, reduce
 from itertools import chain
@@ -47,9 +47,9 @@ def _require_finite_nonneg(name: str, value: float) -> None:
 class ResourceVector:
     """Per-kind amounts: p in IOPS, b in MB/s, s in GB.
 
-    Components are non-negative and finite. Addition and component-wise
-    comparison are defined; multiplication is component-wise (used for
-    masking and weighting).
+    Components are non-negative and finite. Multiplication is
+    component-wise (``TierSpec.max_usable`` weights capacity by the cap
+    fractions with it).
     """
 
     p: float = 0.0
@@ -61,22 +61,11 @@ class ResourceVector:
         _require_finite_nonneg("b", self.b)
         _require_finite_nonneg("s", self.s)
 
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(self.p + other.p, self.b + other.b, self.s + other.s)
-
     def __mul__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.p * other.p, self.b * other.b, self.s * other.s)
 
     def total(self) -> float:
         return self.p + self.b + self.s
-
-    def fits_within(self, other: "ResourceVector", slack: float = 0.0) -> bool:
-        """Component-wise <=, with optional absolute slack per component."""
-        return (
-            self.p <= other.p + slack
-            and self.b <= other.b + slack
-            and self.s <= other.s + slack
-        )
 
 
 @dataclass(frozen=True)
@@ -192,15 +181,6 @@ class VmdkSpec:
         starts = [ph.start_epoch for ph in self.demand_profile]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("demandProfile phases must have strictly increasing startEpoch")
-
-    def phase_at(self, epoch: int) -> WorkloadPhase:
-        active = self.demand_profile[0]
-        for phase in self.demand_profile[1:]:
-            if phase.start_epoch <= epoch:
-                active = phase
-            else:
-                break
-        return active
 
 
 @dataclass(frozen=True)
@@ -378,28 +358,7 @@ def check_migrations(from_tier: Any, to_tier: Any, bytes_total: Any, bytes_moved
         raise ValueError("bytesMoved out of [0, bytesTotal]")
 
 
-@dataclass
-class MigrationOrder:
-    """One VMDK move as the log records it: moves bytes_total over epochs."""
-
-    vmdk_id: str
-    from_tier: int
-    to_tier: int
-    bytes_total: float
-    started_epoch: int
-    bytes_moved: float = 0.0
-    speed_mbps: float = 0.0
-    stalled: bool = False
-
-    def __post_init__(self) -> None:
-        check_migrations(self.from_tier, self.to_tier, self.bytes_total, self.bytes_moved)
-
-    @property
-    def done(self) -> bool:
-        return self.bytes_moved >= self.bytes_total
-
-
-# The log's columns after the VMDK, with their dtypes, in MigrationOrder's field order.
+# The log's columns after the VMDK, with their dtypes.
 _ORDER_COLUMNS = (
     ("from_tier", np.int64),
     ("to_tier", np.int64),
@@ -414,12 +373,12 @@ _ORDER_COLUMNS = (
 class MigrationLog:
     """Every migration a run started, in start order, held as (M,) columns.
 
-    ``row`` is the fleet row of each order's VMDK (``ids`` names it) and the
-    other columns are ``MigrationOrder``'s fields. The log is the run's only
-    record of each order's progress: ``append`` adds one plan's started
-    orders at once, and ``set_progress`` writes the bytes moved, speed and
-    stall flag of the orders the engine advanced. Iterating yields one
-    ``MigrationOrder`` per order.
+    ``row`` is the fleet row of each order's VMDK (``ids`` names it); the
+    other columns are each order's source and destination tier ids, bytes
+    total, start epoch, bytes moved, speed in MB/s and stall flag. The log
+    is the run's only record of each order's progress: ``append`` adds one
+    plan's started orders at once, and ``set_progress`` writes the bytes
+    moved, speed and stall flag of the orders the engine advanced.
     """
 
     def __init__(self, ids: Sequence[str] = ()):
@@ -430,11 +389,6 @@ class MigrationLog:
 
     def __len__(self) -> int:
         return len(self.row)
-
-    def __iter__(self) -> Iterator[MigrationOrder]:
-        columns = (getattr(self, name).tolist() for name, _ in _ORDER_COLUMNS)
-        ids = map(self.ids.__getitem__, self.row.tolist())
-        return (MigrationOrder(*order) for order in zip(ids, *columns))
 
     def append(
         self, rows: np.ndarray, from_tier: np.ndarray, to_tier: np.ndarray,
@@ -510,8 +464,8 @@ class Roster:
     ``first_phase`` each row's phase 0 in it; ``due`` maps an epoch to the
     rows whose next phase starts then and the index of that phase. Every
     array is read-only and every map a ``MappingProxyType``, so one roster
-    serves any number of runs, concurrent ones too; ``Fleet.of`` gives
-    each run its own copies of the columns it writes.
+    serves any number of runs, concurrent ones too: each run's ``Fleet``
+    holds the roster itself and only the columns the run writes.
     """
 
     ids: tuple[str, ...]
@@ -595,60 +549,36 @@ class Roster:
 
 @dataclass
 class Fleet:
-    """The state of one run: (N,) arrays for its VMDKs and (T,) arrays for its tiers.
+    """The state of one run: its scenario's ``roster`` and the columns the run writes.
 
-    VMDK rows are in id order: static truth (``size_gb``, ``sla_weight``,
-    truth slope and intercept), the active phase's demand, read fraction and
-    I/O size (the run's only record of the active phase), ``tier_row`` (each
-    VMDK's current tier as a row of ``tiers``),
-    ``dest_row`` (the tier row its in-flight migration lands on, -1 when it
-    has none) and the last epoch's four ``measured_*`` figures. An in-flight
-    migration moves ``size_gb * 1e9`` bytes from ``tier_row`` to
-    ``dest_row``; ``order_index`` is its index in the run's ``MigrationLog``
-    (-1 for a VMDK that has none), which alone holds its progress.
+    Every static fact (ids, specs, tier numbers, static VMDK columns, the
+    phase table and schedule) is read from ``roster``, shared read-only by
+    every run of its scenario. The fleet's own arrays belong to this run
+    alone. VMDK rows follow ``roster.ids``: ``tier_row`` (each VMDK's
+    current tier as a row of ``roster.tiers``, starting from the roster's
+    initial one), ``dest_row`` (the tier row its in-flight migration lands
+    on, -1 when it has none), the active phase's demand, read fraction and
+    I/O size (the run's only record of the active phase) and the last
+    epoch's four ``measured_*`` figures. An in-flight migration moves
+    ``size_gb * 1e9`` bytes from ``tier_row`` to ``dest_row``;
+    ``order_index`` is its index in the run's ``MigrationLog`` (-1 for a
+    VMDK that has none), which alone holds its progress.
 
-    Tier rows follow ``tiers``, the run's tier specs in order. Its columns
-    are all the epoch loop reads of the specs: the usable
-    (p, b, s) ``budget`` (``max_usable()``), ``base_latency_us``, the four
-    serve caps, ``mig_weight``, the (T, 3) ``match_mask`` (specialty times
-    kind weight) and ``kind_weight_total``, the exact ``kind_weights.total()``
-    as a float, never a float sum. Each device's ``contention`` inflates the
-    latency probes see, and ``spare_read_mbps`` and ``spare_write_mbps`` are
-    its bandwidth caps less last epoch's served MB/s and migration debits,
-    never below 0.0 (the caps before the first epoch); serving writes those
-    and the measurements in place. Policies read a ``read_only`` view.
-
-    ``phase_table`` and ``due`` are the ``Roster``'s own, shared read-only
-    by every run of its scenario (``activate_phases`` only reads them), as
-    are the tuples and the ``row`` map. Every other array belongs to this
-    run alone: ``Fleet.of`` copies the roster's columns and allocates the
-    rest.
+    Tier rows follow ``roster.tiers``. Each device's ``contention``
+    inflates the latency probes see, and ``spare_read_mbps`` and
+    ``spare_write_mbps`` are its bandwidth caps less last epoch's served
+    MB/s and migration debits, never below 0.0 (the caps before the first
+    epoch); serving writes those and the measurements in place. Policies
+    read a ``read_only`` view.
     """
 
-    ids: tuple[str, ...]
-    specs: tuple[VmdkSpec, ...]
-    row: Mapping[str, int]
-    tiers: tuple[TierSpec, ...]
-    tier_ids: np.ndarray
+    roster: Roster
     tier_row: np.ndarray
     dest_row: np.ndarray
     order_index: np.ndarray
-    budget: np.ndarray
-    base_latency_us: np.ndarray
-    read_throughput_cap: np.ndarray
-    write_throughput_cap: np.ndarray
-    read_bandwidth_cap: np.ndarray
-    write_bandwidth_cap: np.ndarray
-    mig_weight: np.ndarray
-    match_mask: np.ndarray
-    kind_weight_total: np.ndarray
     contention: np.ndarray
     spare_read_mbps: np.ndarray
     spare_write_mbps: np.ndarray
-    size_gb: np.ndarray
-    sla_weight: np.ndarray
-    truth_slope: np.ndarray
-    truth_intercept_us: np.ndarray
     demand_iops: np.ndarray
     read_fraction: np.ndarray
     avg_io_size_bytes: np.ndarray
@@ -656,20 +586,14 @@ class Fleet:
     measured_latency_us: np.ndarray
     measured_read_mbps: np.ndarray
     measured_write_mbps: np.ndarray
-    phase_table: np.ndarray
-    due: Mapping[int, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
     def of(cls, roster: Roster) -> "Fleet":
         """A run's start: each VMDK on its initial tier in phase 0, unmeasured."""
         n, t = len(roster.ids), len(roster.tiers)
-
-        def own(name: str) -> Any:  # activate_phases only reads the phase table
-            value = getattr(roster, name)
-            return value.copy() if isinstance(value, np.ndarray) and name != "phase_table" else value
-
         return cls(
-            **{f.name: own(f.name) for f in fields(roster) if f.name != "first_phase"},
+            roster=roster,
+            tier_row=roster.tier_row.copy(),
             dest_row=np.full(n, -1, dtype=np.intp),
             order_index=np.full(n, -1, dtype=np.intp),
             contention=np.ones(t),
@@ -683,23 +607,20 @@ class Fleet:
         )
 
     def read_only(self) -> "Fleet":
-        """A view that follows this fleet but refuses writes to its arrays and maps."""
+        """A view that follows this fleet but refuses writes to its arrays.
 
-        def frozen(value: Any) -> Any:
-            if isinstance(value, np.ndarray):
-                value = value.view()
-                value.setflags(write=False)
-            return MappingProxyType(value) if isinstance(value, dict) else value
-
-        return replace(self, **{f.name: frozen(getattr(self, f.name)) for f in fields(self)})
+        The roster, read-only already, is passed through as it is.
+        """
+        run_columns = (f.name for f in fields(self) if f.name != "roster")
+        return replace(self, **{name: _frozen(getattr(self, name).view()) for name in run_columns})
 
     def activate_phases(self, epoch: int) -> None:
         """Apply every phase that starts at ``epoch``, copying its table row."""
-        hit = self.due.get(epoch)
+        hit = self.roster.due.get(epoch)
         if hit is not None:
             rows, k = hit
             self.demand_iops[rows], self.read_fraction[rows], self.avg_io_size_bytes[rows] = (
-                self.phase_table[:, k]
+                self.roster.phase_table[:, k]
             )
 
     def move(self, rows: np.ndarray) -> None:
@@ -710,14 +631,14 @@ class Fleet:
 
     def states(self) -> list[VmdkState]:
         """One ``VmdkState`` per row: its tier, demand columns and measurements."""
-        tier_ids = self.tier_ids.tolist()
+        tier_ids = self.roster.tier_ids.tolist()
         columns = zip(*(getattr(self, name).tolist() for name in (
             "demand_iops", "avg_io_size_bytes", "read_fraction", "measured_iops",
             "measured_read_mbps", "measured_write_mbps", "measured_latency_us",
         )))
         return [
             VmdkState(spec, tier_ids[t], *c)
-            for spec, t, c in zip(self.specs, self.tier_row.tolist(), columns)
+            for spec, t, c in zip(self.roster.specs, self.tier_row.tolist(), columns)
         ]
 
 

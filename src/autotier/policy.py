@@ -11,10 +11,11 @@ over the fleet's tier and VMDK rows; a cell that cannot host its VMDK
 scores -inf.
 
 Every input but the policy weights is read from the run's ``Fleet``: its
-VMDK rows (id order) are the matrices' VMDK axis, its tier rows their tier
-axis, its tier columns (budget, base latency, match mask, kind-weight
-total, migration weight, spare MB/s) every tier number, and its
-``dest_row`` marks the VMDKs whose in-flight migration is committed.
+roster's VMDK rows (id order) are the matrices' VMDK axis and its tier rows
+their tier axis, the roster's tier columns (budget, base latency, match
+mask, kind-weight total, migration weight) and the fleet's spare MB/s are
+every tier number, and the fleet's ``dest_row`` marks the VMDKs whose
+in-flight migration is committed.
 ``pack`` is the one greedy packer: it seats those VMDKs on their
 destination, takes each tier's ranked fleet rows and places them tier by
 tier with ``first_fit``, a windowed scan that decides whole windows with
@@ -27,9 +28,9 @@ profit table, and both take assignments as (N,) tier rows.
 
 Every planner returns an ``AssignmentPlan`` in fleet rows: each VMDK's
 target tier row, the order VMDKs were seated in, and the moves as aligned
-row arrays. Its checks run on those arrays. The same plan keyed by VMDK and
-tier id (``target``, ``migrations``, ``overloaded``, ``planned_usage``) is
-built only when something reads it, and then kept.
+row arrays. Its checks run on those arrays. The target and planned usage
+keyed by VMDK and tier id (``target``, ``planned_usage``) are built only
+when something reads them, and then kept.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ class AssignmentPlan:
     the (T, 3) usage the planner accounted against each tier's budget (only
     the kinds the policy checks; overloaded VMDKs are not counted).
 
-    ``target``, ``migrations``, ``overloaded`` and ``planned_usage`` are the
-    same plan keyed by id, built on first access and kept: ``target`` lists
-    the VMDKs in ``order``.
+    ``target`` and ``planned_usage`` are the target and the usage keyed by
+    id, built on first access and kept: ``target`` lists the VMDKs in
+    ``order``.
     """
 
     epoch_index: int
@@ -107,19 +108,6 @@ class AssignmentPlan:
         ))
 
     @cached_property
-    def migrations(self) -> tuple[tuple[str, int, int], ...]:
-        """(VMDK id, from tier id, to tier id) per move, in placement order."""
-        return tuple(zip(
-            map(self.ids.__getitem__, self.move_rows.tolist()),
-            self.tier_ids[self.move_from].tolist(),
-            self.tier_ids[self.move_to].tolist(),
-        ))
-
-    @cached_property
-    def overloaded(self) -> frozenset[str]:
-        return frozenset(map(self.ids.__getitem__, self.overloaded_rows.tolist()))
-
-    @cached_property
     def planned_usage(self) -> dict[int, ResourceVector]:
         """Tier id -> planned usage, in tier order."""
         return {t: ResourceVector(*u) for t, u in zip(self.tier_ids.tolist(), self.used.tolist())}
@@ -133,15 +121,16 @@ def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> CapacityMatric
     heavy consumer); bandwidth follows from throughput and mean I/O size;
     storage is the VMDK size. The rows of ``fits`` must follow the fleet's.
     """
-    if fits.vmdk_ids != fleet.ids:
+    roster = fleet.roster
+    if fits.vmdk_ids != roster.ids:
         raise ValueError("calibration fits must follow the VMDK order")
-    lat = estimate_avg_lat(fits, fleet.tier_row, fleet.base_latency_us)
+    lat = estimate_avg_lat(fits, fleet.tier_row, roster.base_latency_us)
     with np.errstate(divide="ignore"):
         iops = np.where(lat > 0, 1e6 / lat, 0.0)
     iops = np.minimum(iops, fleet.demand_iops)
-    size = np.broadcast_to(fleet.size_gb, iops.shape)
+    size = np.broadcast_to(roster.size_gb, iops.shape)
     return CapacityMatrices(
-        vmdk_ids=fleet.ids,
+        vmdk_ids=roster.ids,
         cap=np.stack([iops, iops * fleet.avg_io_size_bytes / 1e6, size], axis=-1),
     )
 
@@ -150,10 +139,11 @@ def normalize_and_gate(mat: CapacityMatrices, fleet: Fleet) -> CapacityMatrices:
     """Fill per-cell feasibility and budget-normalized usage ratios.
 
     A cell is infeasible when any predicted component exceeds the tier's
-    usable budget (``fleet.budget``); its ratios are zeroed so downstream
-    scores ignore it. The matrices' tier axis must follow the fleet's.
+    usable budget (``fleet.roster.budget``); its ratios are zeroed so
+    downstream scores ignore it. The matrices' tier axis must follow the
+    fleet's.
     """
-    budget = fleet.budget[:, None, :]
+    budget = fleet.roster.budget[:, None, :]
     mat.feasible = (mat.cap <= budget).all(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(budget > 0, mat.cap / budget, 0.0)
@@ -172,11 +162,12 @@ def orthogonal_match_score(
 
     ``ratios`` is (T, N, 3) with its tier axis in the fleet's tier rows;
     ``sla_weight`` and ``confidence`` are per VMDK. Each tier's kinds are
-    weighted by the fleet's ``match_mask`` and the sum normalized by its
+    weighted by the roster's ``match_mask`` and the sum normalized by its
     ``kind_weight_total``, which TierSpec keeps finite and positive.
     """
-    masked = fleet.match_mask[:, None, :]
-    denominator = fleet.kind_weight_total[:, None]
+    roster = fleet.roster
+    masked = roster.match_mask[:, None, :]
+    denominator = roster.kind_weight_total[:, None]
     numerator = (
         masked[..., 0] * ratios[..., 0]
         + masked[..., 1] * ratios[..., 1]
@@ -199,7 +190,7 @@ def mig_cost_seconds(fleet: Fleet, sources: np.ndarray | None = None) -> np.ndar
     read_side = fleet.spare_read_mbps[source_row] + fleet.measured_read_mbps
     speed = np.minimum(read_side, fleet.spare_write_mbps[:, None])
     with np.errstate(divide="ignore"):
-        seconds = fleet.size_gb * 1000.0 / speed
+        seconds = fleet.roster.size_gb * 1000.0 / speed
     seconds[source_row, np.arange(len(source_row))] = 0.0
     return seconds
 
@@ -220,12 +211,13 @@ def cal_score(
     is not finite (infeasible, or blocked by an infinite migration cost,
     which only blocks its own epoch) ages as 0.0.
     """
-    current = orthogonal_match_score(fleet, mat.ratio, fleet.sla_weight, fits.confidence)
+    roster = fleet.roster
+    current = orthogonal_match_score(fleet, mat.ratio, roster.sla_weight, fits.confidence)
     cost = mig_cost_seconds(fleet) / migration_epoch_seconds
     # An impossible move (infinite cost) blocks the cell this epoch no
     # matter how small the per-tier cost weight is.
     finite = np.isfinite(cost)
-    penalty = np.where(finite, fleet.mig_weight[:, None] * np.where(finite, cost, 0.0), math.inf)
+    penalty = np.where(finite, roster.mig_weight[:, None] * np.where(finite, cost, 0.0), math.inf)
     history = 0.0 if previous is None else np.where(np.isfinite(previous), previous, 0.0)
     return np.where(mat.feasible, weights.aging_factor * history + current - penalty, -math.inf)
 
@@ -306,7 +298,8 @@ def pack(
     the walk), then the stay-puts; its moves are the placements that change
     tiers, in the same order.
     """
-    left = fleet.budget.copy()
+    roster = fleet.roster
+    left = roster.budget.copy()
     used = np.zeros((len(left), 3))
     where = fleet.dest_row.copy()
     overloaded = [np.zeros(0, dtype=np.intp)]
@@ -335,8 +328,8 @@ def pack(
     # A run keeps every plan, so a plan's rows take half the fleet's width.
     return AssignmentPlan(
         epoch_index=epoch_index,
-        ids=fleet.ids,
-        tier_ids=fleet.tier_ids,
+        ids=roster.ids,
+        tier_ids=roster.tier_ids,
         target_row=where.astype(np.int32),
         order=np.concatenate((pins, chosen, rest)).astype(np.int32),
         move_rows=moves.astype(np.int32),
@@ -361,7 +354,7 @@ def trigger_migration(
     cannot run this epoch) is never a candidate. All three budget kinds are
     checked; see ``pack`` for in-flight VMDKs and the stay-put fallback.
     """
-    if mat.vmdk_ids != fleet.ids:
+    if mat.vmdk_ids != fleet.roster.ids:
         raise ValueError("capacity matrices must follow the fleet's VMDK order")
     # -inf cells rank after every other cell and NaN cells last, so each
     # tier's candidates are a prefix of its ranking.
@@ -388,12 +381,13 @@ def profit_contributions(
     tiers' spare bandwidth are fixed. The matrices' axes must follow the
     fleet's tier and VMDK rows.
     """
-    if mat.vmdk_ids != fleet.ids:
+    roster = fleet.roster
+    if mat.vmdk_ids != roster.ids:
         raise ValueError("capacity matrices must follow the fleet's VMDK order")
     alpha, ratio = weights.alpha, mat.ratio
     gain = alpha.p * ratio[..., 0] + alpha.b * ratio[..., 1] + alpha.s * ratio[..., 2]
     cost = mig_cost_seconds(fleet, previous) / migration_epoch_seconds
-    return fleet.sla_weight * (gain - weights.beta * cost)
+    return roster.sla_weight * (gain - weights.beta * cost)
 
 
 def epoch_profit(
@@ -432,14 +426,15 @@ def oracle_assignment(
     every VMDK whose best tier row differs, in id order, and seats the VMDKs
     in id order.
     """
-    vmdk_ids, tiers = fleet.ids, fleet.tiers
+    roster = fleet.roster
+    vmdk_ids, tiers = roster.ids, roster.tiers
     if len(vmdk_ids) > ORACLE_MAX_VMDKS or len(tiers) > ORACLE_MAX_TIERS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_VMDKS} VMDKs and {ORACLE_MAX_TIERS} tiers"
         )
     contrib = profit_contributions(mat, weights, previous, fleet, migration_epoch_seconds).tolist()
     cap = mat.cap.tolist()
-    remaining = fleet.budget.tolist()
+    remaining = roster.budget.tolist()
     choice: list[int] = []
     best_profit = -math.inf
     best_vector: list[int] | None = None
@@ -476,7 +471,7 @@ def oracle_assignment(
     return AssignmentPlan(
         epoch_index=epoch_index,
         ids=vmdk_ids,
-        tier_ids=fleet.tier_ids,
+        tier_ids=roster.tier_ids,
         target_row=target,
         order=np.arange(len(vmdk_ids)),
         move_rows=moves,
@@ -499,8 +494,10 @@ class PolicyContext:
 
     ``fleet`` is a read-only view of the run's store of VMDK and tier rows,
     made once per run: it follows every write of the engine, and a policy
-    that tries to write it gets an error. Its ``tiers`` are the run's tier
-    specs and its ``dest_row`` the destination of each in-flight migration.
+    that tries to write it gets an error. Its ``roster`` holds the run's
+    tier specs and every static column, and its ``dest_row`` the
+    destination of each in-flight migration. The context's own ``tiers``
+    and ``vmdk_states`` are the roster's tier specs and id-to-row map.
     """
 
     fleet: Fleet
@@ -514,13 +511,13 @@ class PolicyContext:
 
     @property
     def tiers(self) -> tuple[TierSpec, ...]:
-        """The fleet's tier specs; kept because perfbench's ``policy.cells`` tally reads it."""
-        return self.fleet.tiers
+        """The roster's tier specs; kept because perfbench's ``policy.cells`` tally reads it."""
+        return self.fleet.roster.tiers
 
     @property
     def vmdk_states(self) -> Mapping[str, int]:
         """VMDK id -> fleet row; kept because perfbench's ``policy.cells`` tally reads it."""
-        return self.fleet.row
+        return self.fleet.roster.row
 
 
 class AutoTieringPolicy:
@@ -538,7 +535,8 @@ class AutoTieringPolicy:
         weights = ctx.weights
         # Looked up through the module so the calibration layers stay patchable.
         samples = calibration.collect_samples(
-            fleet.ids, ctx.probe, weights.injected_latencies_us, weights.samples_per_latency,
+            fleet.roster.ids, ctx.probe, weights.injected_latencies_us,
+            weights.samples_per_latency,
         )
         self.calibrations = calibration.regress_latency_curve(
             samples, floor=weights.confidence_floor

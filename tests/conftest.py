@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -100,9 +101,14 @@ STATE_COLUMNS = (
 )
 
 
+def phase_at(spec: VmdkSpec, epoch: int) -> WorkloadPhase:
+    """The phase of ``spec`` active at ``epoch``: the last one started by then."""
+    return [phase for phase in spec.demand_profile if phase.start_epoch <= epoch][-1]
+
+
 def row_of_tier(fleet: Fleet, tier_id: int) -> int:
     """The tier row of tier ``tier_id``."""
-    return fleet.tier_ids.tolist().index(tier_id)
+    return fleet.roster.tier_ids.tolist().index(tier_id)
 
 
 def fleet_of(states, tiers) -> Fleet:
@@ -112,7 +118,7 @@ def fleet_of(states, tiers) -> Fleet:
     """
     fleet = Fleet.of(Roster.of([state.spec for state in states], tiers))
     for state in states:
-        j = fleet.row[state.spec.id]
+        j = fleet.roster.row[state.spec.id]
         fleet.tier_row[j] = row_of_tier(fleet, state.current_tier)
         for name in STATE_COLUMNS:
             getattr(fleet, name)[j] = getattr(state, name)
@@ -139,13 +145,56 @@ def pin(fleet: Fleet, pinned) -> Fleet:
     the fleet and a reference that takes the mapping see the same case.
     """
     for vmdk_id, tier_id in pinned.items():
-        fleet.dest_row[fleet.row[vmdk_id]] = row_of_tier(fleet, tier_id)
+        fleet.dest_row[fleet.roster.row[vmdk_id]] = row_of_tier(fleet, tier_id)
     return fleet
 
 
 def tier_rows(fleet: Fleet, assignment) -> np.ndarray:
     """(N,) tier rows of ``assignment``, VMDK id -> tier id, in the fleet's row order."""
-    return np.array([row_of_tier(fleet, assignment[v]) for v in fleet.ids], dtype=np.intp)
+    return np.array([row_of_tier(fleet, assignment[v]) for v in fleet.roster.ids], dtype=np.intp)
+
+
+def hosted_usage(mat, target, tier_id: int) -> tuple[float, float, float]:
+    """(p, b, s) sum of the capacity cells of the VMDKs ``target`` puts on tier ``tier_id``.
+
+    Cells are added in ``target``'s order, from 0.0; tier id t is row t - 1.
+    """
+    total = (0.0, 0.0, 0.0)
+    for vmdk_id, t in target.items():
+        if t == tier_id:
+            cell = mat.cap[t - 1, mat.vmdk_ids.index(vmdk_id)].tolist()
+            total = tuple(a + b for a, b in zip(total, cell))
+    return total
+
+
+def fits_within(usage, budget: ResourceVector, slack: float = 0.0) -> bool:
+    """Component-wise ``usage <= budget``, with an absolute slack per component."""
+    return all(u <= b + slack for u, b in zip(usage, astuple(budget)))
+
+
+@dataclass
+class MigrationOrder:
+    """One order of a ``MigrationLog`` keyed by VMDK and tier id, as a record."""
+
+    vmdk_id: str
+    from_tier: int
+    to_tier: int
+    bytes_total: float
+    started_epoch: int
+    bytes_moved: float = 0.0
+    speed_mbps: float = 0.0
+    stalled: bool = False
+
+    @property
+    def done(self) -> bool:
+        return self.bytes_moved >= self.bytes_total
+
+
+def log_orders(log) -> list[MigrationOrder]:
+    """One ``MigrationOrder`` per order of ``log``, in log order, read from its columns."""
+    columns = (getattr(log, f.name).tolist() for f in fields(MigrationOrder)[1:])
+    ids = map(log.ids.__getitem__, log.row.tolist())
+    return [MigrationOrder(*order) for order in zip(ids, *columns)]
 
 
 class ReferencePlan(NamedTuple):
@@ -156,6 +205,26 @@ class ReferencePlan(NamedTuple):
     migrations: tuple[tuple[str, int, int], ...]
     overloaded: frozenset[str]
     planned_usage: dict[int, ResourceVector]
+
+
+def keyed_plan(plan) -> ReferencePlan:
+    """An ``AssignmentPlan`` keyed by VMDK and tier id, as ``reference_pack`` gives one.
+
+    ``migrations`` holds (VMDK id, from tier id, to tier id) per move, in
+    placement order.
+    """
+    ids, tier_ids = plan.ids, plan.tier_ids
+    return ReferencePlan(
+        epoch_index=plan.epoch_index,
+        target=plan.target,
+        migrations=tuple(zip(
+            map(ids.__getitem__, plan.move_rows.tolist()),
+            tier_ids[plan.move_from].tolist(),
+            tier_ids[plan.move_to].tolist(),
+        )),
+        overloaded=frozenset(map(ids.__getitem__, plan.overloaded_rows.tolist())),
+        planned_usage=plan.planned_usage,
+    )
 
 
 def reference_pack(tiers, vmdk_ids, usage, kinds, candidates, current_assignment, epoch_index,
@@ -356,9 +425,10 @@ def random_oracle_instance(rng: np.random.Generator):
     records = make_fits(rows)
     fleet = fleet_of(states, tiers)
     mat = normalize_and_gate(cal_capacity_matrices(records, fleet), fleet)
+    roster = fleet.roster
     for i in range(len(tiers)):
-        fleet.spare_read_mbps[i] = fleet.read_bandwidth_cap[i] - float(rng.uniform(0, 100))
-        fleet.spare_write_mbps[i] = fleet.write_bandwidth_cap[i] - float(rng.uniform(0, 100))
+        fleet.spare_read_mbps[i] = roster.read_bandwidth_cap[i] - float(rng.uniform(0, 100))
+        fleet.spare_write_mbps[i] = roster.write_bandwidth_cap[i] - float(rng.uniform(0, 100))
     weights = PolicyWeights(
         alpha=ResourceVector(*(float(x) for x in rng.uniform(0, 2, size=3))),
         beta=float(rng.uniform(0, 2)),

@@ -144,7 +144,7 @@ def test_criterion_3_constraint_properties():
                 for plan, budgets in plans:
                     if set(plan.target) != all_ids:
                         violations.append((case, policy, "totality"))
-                    if plan.overloaded:
+                    if plan.overloaded_rows.size:
                         continue
                     for tier_id, used in plan.planned_usage.items():
                         budget = budgets[tier_id]
@@ -176,7 +176,7 @@ def test_criterion_4_oracle_dominance():
             checked += 1
             sm = cal_score(mat, None, weights, fleet, records, 900.0)
             greedy = trigger_migration(sm, mat, fleet, 0)
-            ok &= not greedy.overloaded  # greedy feasible whenever the oracle is
+            ok &= not greedy.overloaded_rows.size  # greedy feasible whenever the oracle is
             g = epoch_profit(greedy.target_row, previous, mat, weights, fleet, 900.0)
             o = epoch_profit(oracle.target_row, previous, mat, weights, fleet, 900.0)
             ok &= g <= o + 1e-9

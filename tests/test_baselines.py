@@ -9,6 +9,7 @@ from autotier.model import ResourceVector
 
 from conftest import (
     fleet_of,
+    keyed_plan,
     make_state,
     make_tier,
     make_vmdk,
@@ -69,7 +70,7 @@ class TestIdt:
             make_state(make_vmdk("c", initial_tier=2), measured_iops=0.0),
         ]
         plan = idt_assign(fleet_of(states, tiers))
-        assert plan.migrations == ()
+        assert keyed_plan(plan).migrations == ()
 
     def test_zipf_mix_places_the_heaviest_first(self):
         tiers = tiers_3()
@@ -89,7 +90,7 @@ class TestIdt:
         ]
         plan = idt_assign(fleet_of(states, tiers))
         assert all(t == 1 for t in plan.target.values())
-        assert not plan.overloaded
+        assert not keyed_plan(plan).overloaded
 
 
 class TestEdt:
@@ -116,7 +117,7 @@ class TestEdt:
         ]
         plan = edt_assign(fleet_of(states, tiers))
         assert plan.target == {"a": 1, "b": 2}
-        assert plan.migrations == ()
+        assert keyed_plan(plan).migrations == ()
 
     def test_sync_write_lands_on_capacity_tier(self):
         tiers = tiers_3()
@@ -168,8 +169,8 @@ class TestPinned:
         tiers, states = mover_and_rival()
         plan = assign(pin(fleet_of(states, tiers), {"mover": 1}), epoch_index=3)
         assert plan.target == {"mover": 1, "rival": 2}
-        assert plan.migrations == ()
-        assert not plan.overloaded
+        assert keyed_plan(plan).migrations == ()
+        assert not keyed_plan(plan).overloaded
         assert plan.planned_usage[1].s == 70.0
         assert plan.planned_usage[2].s == 70.0
 
@@ -183,7 +184,7 @@ class TestBaselineProperties:
             states = [make_state(spec) for spec in scenario.vmdks]
             for s in states:
                 s.measured_iops = float(rng.uniform(0, 50_000))
-            plan = assign(fleet_of(states, scenario.tiers))
+            plan = keyed_plan(assign(fleet_of(states, scenario.tiers)))
             assert set(plan.target) == {s.spec.id for s in states}
             for tier in scenario.tiers:
                 if any(v in plan.overloaded for v, t in plan.target.items() if t == tier.id):
@@ -284,7 +285,7 @@ def assert_matches_reference(assign, seed, size=40):
     expected = reference_pack_by_metric(
         sorted(states, key=lambda s: s.spec.id), tiers, metric, capability, kinds, 4, pinned
     )
-    plan = assign(pin(fleet_of(states, tiers), pinned), 4)
+    plan = keyed_plan(assign(pin(fleet_of(states, tiers), pinned), 4))
     assert repr(plan_record(plan)) == repr(plan_record(expected))
     assert "zz-big" in plan.overloaded
 
@@ -321,7 +322,7 @@ class TestPackMatchesReference:
         seen = set()
         for seed in range(12):
             tiers, states, pinned = random_packing_case(np.random.default_rng(seed))
-            plans = [assign(pin(fleet_of(states, tiers), pinned))
+            plans = [keyed_plan(assign(pin(fleet_of(states, tiers), pinned)))
                      for assign in (idt_assign, edt_assign)]
             iops = [s.measured_iops for s in states if s.measured_iops > 0]
             seen.update(

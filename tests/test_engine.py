@@ -9,6 +9,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from autotier import model
 from autotier.calibration import collect_samples, estimate_avg_lat, regress_latency_curve
 from autotier.engine import (
     probe_latencies,
@@ -19,8 +20,8 @@ from autotier.engine import (
     serve_epoch,
 )
 from autotier.model import (
+    Fleet,
     MigrationLog,
-    MigrationOrder,
     PolicyWeights,
     ResourceVector,
     Scenario,
@@ -30,7 +31,19 @@ from autotier.model import (
 from autotier.reporting import metrics_csv_text, write_run_artifacts
 from autotier.scenario import bundled_scenario_text, load_bundled_scenario, parse_scenario
 
-from conftest import fleet_of, make_state, make_tier, make_vmdk, pin, random_scenario, row_of_tier
+from conftest import (
+    MigrationOrder,
+    fleet_of,
+    keyed_plan,
+    log_orders,
+    make_state,
+    make_tier,
+    make_vmdk,
+    phase_at,
+    pin,
+    random_scenario,
+    row_of_tier,
+)
 
 
 def artifact_bytes(out):
@@ -57,7 +70,7 @@ def probe_fleet(states, tiers, contention=None):
 
 def probe(fleet, *args):
     """``probe_latencies`` over every row of ``fleet``."""
-    return probe_latencies(fleet, range(len(fleet.ids)), *args)
+    return probe_latencies(fleet, range(len(fleet.roster.ids)), *args)
 
 
 class TestDeviceModel:
@@ -94,12 +107,12 @@ def reference_samples(fleet, added_us, samples, rng, noise_cv):
     return np.array([
         [
             [
-                reference_probe(spec, d, fleet.tiers[t], contention[t], rng, noise_cv)
+                reference_probe(spec, d, fleet.roster.tiers[t], contention[t], rng, noise_cv)
                 for _ in range(samples)
             ]
             for d in added_us
         ]
-        for spec, t in zip(fleet.specs, fleet.tier_row.tolist())
+        for spec, t in zip(fleet.roster.specs, fleet.tier_row.tolist())
     ])
 
 
@@ -510,7 +523,7 @@ class TestMigrations:
             make_tier(2, 300.0, read_mbps=900.0, write_mbps=500.0),
         )
         fleet = fleet_of([state], tiers)
-        log = MigrationLog(fleet.ids)
+        log = MigrationLog(fleet.roster.ids)
         start_moves(fleet, log, (("v1", 1, 2),), 0)
         return tiers, fleet, log
 
@@ -646,7 +659,7 @@ def reference_progress(orders, vmdk_states, tiers, served_read, served_write, ep
 
 def start_moves(fleet, log, moves, epoch):
     """``start_migrations`` of (VMDK id, from tier id, to tier id) ``moves``."""
-    rows = np.array([fleet.row[v] for v, _, _ in moves], dtype=np.intp)
+    rows = np.array([fleet.roster.row[v] for v, _, _ in moves], dtype=np.intp)
     source, dest = (
         np.array([row_of_tier(fleet, move[k]) for move in moves], dtype=np.intp) for k in (1, 2)
     )
@@ -675,7 +688,8 @@ def migration_epochs(seed, epochs=10):
         for j in range(int(rng.integers(5, 30)))
     ]
     fleet = fleet_of(states, tiers)
-    log = MigrationLog(fleet.ids)
+    roster = fleet.roster
+    log = MigrationLog(roster.ids)
     reference_states = {s.spec.id: copy.deepcopy(s) for s in states}
     reference_log, active = [], {}
     for epoch in range(epochs):
@@ -684,21 +698,22 @@ def migration_epochs(seed, epochs=10):
             load = rng.choice([0.0, 1.0, rng.uniform(0, 1)], size=2).tolist()
             served_read.append(load[0] * t.read_bandwidth_cap)
             served_write.append(load[1] * t.write_bandwidth_cap)
-        fleet.spare_read_mbps[:] = np.fmax(0.0, fleet.read_bandwidth_cap - served_read)
-        fleet.spare_write_mbps[:] = np.fmax(0.0, fleet.write_bandwidth_cap - served_write)
+        fleet.spare_read_mbps[:] = np.fmax(0.0, roster.read_bandwidth_cap - served_read)
+        fleet.spare_write_mbps[:] = np.fmax(0.0, roster.write_bandwidth_cap - served_write)
         measured = rng.choice([0.0, 20.0, 300.0], size=len(states))
         fleet.measured_read_mbps[:] = measured
-        for v, value in zip(fleet.ids, measured.tolist()):
+        for v, value in zip(roster.ids, measured.tolist()):
             reference_states[v].measured_read_mbps = value
-        current = dict(zip(fleet.ids, fleet.tier_ids[fleet.tier_row].tolist()))
+        current = dict(zip(roster.ids, roster.tier_ids[fleet.tier_row].tolist()))
         moves = sorted(
             (v, current[v], int(rng.choice([t.id for t in tiers if t.id != current[v]])))
-            for v in fleet.ids if rng.uniform() < 0.4
+            for v in roster.ids if rng.uniform() < 0.4
         )
-        started = [fleet.ids[j] for j in start_moves(fleet, log, moves, epoch).tolist()]
+        started = [roster.ids[j] for j in start_moves(fleet, log, moves, epoch).tolist()]
         for v, frm, to in moves:
             if v in started:
-                order = MigrationOrder(v, frm, to, fleet.specs[fleet.row[v]].size_gb * 1e9, epoch)
+                size_gb = roster.specs[roster.row[v]].size_gb
+                order = MigrationOrder(v, frm, to, size_gb * 1e9, epoch)
                 reference_log.append(order)
                 active[v] = order
         book = np.flatnonzero(fleet.dest_row >= 0)
@@ -714,8 +729,8 @@ def migration_epochs(seed, epochs=10):
                 reference_states[v].current_tier = active[v].to_tier
                 reference_finished.add(v)
                 del active[v]
-        yield (got[:4], expected, {fleet.ids[j] for j in finished.tolist()}, reference_finished,
-               list(log), [astuple(o) for o in reference_log], tiers, started)
+        yield (got[:4], expected, {roster.ids[j] for j in finished.tolist()}, reference_finished,
+               log_orders(log), [astuple(o) for o in reference_log], tiers, started)
 
 
 class TestMigrationBookMatchesReference:
@@ -770,7 +785,7 @@ class TestMigrationChecks:
     ])
     def test_refused_moves_start_nothing(self, moves, message):
         fleet = self.fleet()
-        log = MigrationLog(fleet.ids)
+        log = MigrationLog(fleet.roster.ids)
         with pytest.raises(ValueError, match=message):
             start_moves(fleet, log, moves, 0)
         assert len(log) == 0
@@ -778,10 +793,12 @@ class TestMigrationChecks:
         assert fleet.order_index.tolist() == [-1, -1]
 
     def test_size_must_be_positive(self):
-        fleet = self.fleet()
-        fleet.size_gb[1] = 0.0
+        roster = self.fleet().roster
+        fleet = Fleet.of(replace(roster, size_gb=np.array([10.0, 0.0])))
+        log = MigrationLog(roster.ids)
         with pytest.raises(ValueError, match="bytesTotal must be positive"):
-            start_moves(fleet, MigrationLog(fleet.ids), (("b", 1, 2),), 0)
+            start_moves(fleet, log, (("b", 1, 2),), 0)
+        assert len(log) == 0
         assert fleet.dest_row.tolist() == [-1, -1]
 
     @pytest.mark.parametrize(
@@ -789,7 +806,7 @@ class TestMigrationChecks:
     )
     def test_recorded_bytes_must_be_in_range(self, moved):
         fleet = self.fleet()
-        log = MigrationLog(fleet.ids)
+        log = MigrationLog(fleet.roster.ids)
         rows = start_moves(fleet, log, (("a", 1, 2), ("b", 1, 2)), 0)
         with pytest.raises(ValueError, match=r"bytesMoved out of \[0, bytesTotal\]"):
             log.set_progress(fleet.order_index[rows], [10e9, moved], [1.0, 1.0], [False, False])
@@ -797,12 +814,12 @@ class TestMigrationChecks:
 
     def test_moves_of_moving_vmdks_wait(self):
         fleet = self.fleet()
-        log = MigrationLog(fleet.ids)
+        log = MigrationLog(fleet.roster.ids)
         assert start_moves(fleet, log, (("b", 1, 2),), 0).tolist() == [1]
         rows = start_moves(fleet, log, (("b", 1, 2), ("a", 1, 2)), 3)
         assert rows.tolist() == [0]
         assert fleet.order_index.tolist() == [1, 0]
-        assert [(o.vmdk_id, o.started_epoch) for o in log] == [("b", 0), ("a", 3)]
+        assert [(o.vmdk_id, o.started_epoch) for o in log_orders(log)] == [("b", 0), ("a", 3)]
 
 class TestRunScenario:
     def tiny(self, epochs=6, **kw):
@@ -848,11 +865,10 @@ class TestRunScenario:
             assert result.final_states[spec.id].spec.size_gb == spec.size_gb
 
     @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
-    def test_runs_and_artifacts_build_no_order_objects(self, policy, monkeypatch, tmp_path):
-        def refuse(order):
-            raise AssertionError("built a MigrationOrder")
-
-        monkeypatch.setattr(MigrationOrder, "__post_init__", refuse)
+    def test_runs_and_artifacts_build_no_order_objects(self, policy, tmp_path):
+        # The package has no per-order record type: runs and artifacts read
+        # the log's columns, and only tests build MigrationOrder records.
+        assert not hasattr(model, "MigrationOrder") and not hasattr(MigrationLog, "__iter__")
         result = run_scenario(load_bundled_scenario("table3-table4"), policy, seed=0)
         write_run_artifacts(result, tmp_path)
         assert len(result.migration_log) > 0
@@ -884,7 +900,7 @@ class TestRunScenario:
         served = []
 
         def demand(epoch, plan, policy_obj, ctx):
-            served.append((epoch, ctx.fleet.demand_iops[ctx.fleet.row[spec.id]]))
+            served.append((epoch, ctx.fleet.demand_iops[ctx.fleet.roster.row[spec.id]]))
 
         run_scenario(changed, policy, seed=0, on_plan=demand)
         assert served[0] == (0, phase.demand_iops)
@@ -943,7 +959,9 @@ class TestRunScenario:
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(ctx.fleet, name)[0] = 1.0
             with pytest.raises(TypeError):
-                ctx.fleet.row["new"] = 0
+                ctx.fleet.roster.row["new"] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                ctx.fleet.roster.size_gb[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 ctx.fleet.dest_row[0] = 0
 
@@ -960,9 +978,9 @@ class TestRunScenario:
             for t, spare in zip(contexts[0].tiers, spare_read.tolist())
         )
         fleet = contexts[0].fleet
-        final = [result.final_states[v] for v in fleet.ids]
+        final = [result.final_states[v] for v in fleet.roster.ids]
         assert fleet.measured_iops.tolist() == [s.measured_iops for s in final]
-        assert fleet.tier_ids[fleet.tier_row].tolist() == [s.current_tier for s in final]
+        assert fleet.roster.tier_ids[fleet.tier_row].tolist() == [s.current_tier for s in final]
         assert all(type(s.current_tier) is int and type(s.measured_iops) is float for s in final)
 
     @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
@@ -972,10 +990,10 @@ class TestRunScenario:
         def check(epoch, plan, policy_obj, ctx):
             fleet = ctx.fleet
             rows = np.flatnonzero(fleet.dest_row >= 0).tolist()
-            moving = {v for v, _, _ in plan.migrations}
+            moving = {v for v, _, _ in keyed_plan(plan).migrations}
             for j in rows:
-                vmdk_id = fleet.ids[j]
-                assert plan.target[vmdk_id] == fleet.tiers[fleet.dest_row[j]].id
+                vmdk_id = fleet.roster.ids[j]
+                assert plan.target[vmdk_id] == fleet.roster.tiers[fleet.dest_row[j]].id
                 assert vmdk_id not in moving
             pinned_plans.append(bool(rows))
 
@@ -1044,11 +1062,11 @@ class TestPhaseSchedule:
             def check(epoch, plan, policy_obj, ctx):
                 seen.append(epoch)
                 fleet = ctx.fleet
-                for j, spec in enumerate(fleet.specs):
+                for j, spec in enumerate(fleet.roster.specs):
                     active = (
                         fleet.demand_iops[j], fleet.avg_io_size_bytes[j], fleet.read_fraction[j]
                     )
-                    assert active == phase_key(spec.phase_at(epoch))
+                    assert active == phase_key(phase_at(spec, epoch))
 
             run_scenario(scenario, policy, on_plan=check)
             assert seen == list(range(scenario.sim.epochs))

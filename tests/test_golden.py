@@ -46,6 +46,8 @@ from autotier.reporting import write_run_artifacts
 from autotier.model import validate_scenario
 from autotier.scenario import bundled_scenario_text, load_bundled_scenario
 
+from conftest import keyed_plan, log_orders
+
 GOLDEN_PATH = Path(__file__).with_name("golden_hashes.json")
 PLAN_DIGEST_PATH = Path(__file__).with_name("golden_plan_digests.json")
 SCALE_DIGEST_PATH = Path(__file__).with_name("golden_scale_digests.json")
@@ -69,6 +71,7 @@ def artifact_hashes(scenario: str, policy: str, seed: int, out_dir: Path) -> dic
 
 
 def plan_record(plan) -> tuple:
+    """The full-precision fields of a plan keyed by id, such as ``keyed_plan`` gives."""
     usage = [(t, u.p, u.b, u.s) for t, u in plan.planned_usage.items()]
     return (plan.epoch_index, plan.target, plan.migrations, sorted(plan.overloaded), usage)
 
@@ -78,7 +81,7 @@ def plan_digest(scenario: str, policy: str, seed: int) -> str:
     result = run_scenario(load_bundled_scenario(scenario), policy, seed=seed)
     digest = hashlib.sha256()
     for plan in result.plans:
-        digest.update(repr(plan_record(plan)).encode())
+        digest.update(repr(plan_record(keyed_plan(plan))).encode())
     return digest.hexdigest()
 
 
@@ -125,8 +128,8 @@ def run_digest(result) -> str:
     digest = hashlib.sha256()
     for record in (
         *result.epochs,
-        *(plan_record(plan) for plan in result.plans),
-        *result.migration_log,
+        *(plan_record(keyed_plan(plan)) for plan in result.plans),
+        *log_orders(result.migration_log),
         *result.final_states.items(),
     ):
         digest.update(repr(record).encode())

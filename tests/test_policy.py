@@ -31,7 +31,10 @@ from autotier.policy import (
 )
 
 from conftest import (
+    fits_within,
     fleet_of,
+    hosted_usage,
+    keyed_plan,
     make_state,
     make_tier,
     make_fits,
@@ -52,7 +55,7 @@ def record(vmdk_id, m, b, conf=1.0):
 
 def fits(fleet, records):
     """Calibration fits of ``records`` (rows by VMDK id) in the fleet's row order."""
-    return make_fits(records[v] for v in fleet.ids)
+    return make_fits(records[v] for v in fleet.roster.ids)
 
 
 P, B, S = 0, 1, 2  # component index on the last axis of cap / ratio
@@ -356,8 +359,8 @@ class TestTriggerMigration:
         sm = scores_from(mat, [tier], {(1, "v1"): 1.0})
         plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target == {"v1": 1}
-        assert plan.migrations == ()
-        assert not plan.overloaded
+        assert keyed_plan(plan).migrations == ()
+        assert not keyed_plan(plan).overloaded
 
     def test_two_vmdks_compete_for_tier_one_storage(self):
         # both need 60% of tier-1 storage: higher score wins, other falls to tier 2
@@ -377,7 +380,7 @@ class TestTriggerMigration:
         })
         plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target == {"a": 2, "b": 1}
-        assert plan.migrations == (("b", 2, 1),)
+        assert keyed_plan(plan).migrations == (("b", 2, 1),)
 
     def test_all_gated_leaves_tier_empty(self):
         tiers = (
@@ -408,7 +411,7 @@ class TestTriggerMigration:
         sm = scores_from(mat, [tier], {(1, "a"): 0.5, (1, "b"): 0.4})
         plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target == {"a": 1, "b": 1}  # totality always wins
-        assert plan.overloaded == {"b"}
+        assert keyed_plan(plan).overloaded == {"b"}
 
     def test_ties_break_by_vmdk_id(self):
         tiers = (
@@ -447,7 +450,7 @@ class TestTriggerMigration:
         plan = trigger_migration(sm, mat, pin(fleet, {"mover": 1}), 3)
         # the in-flight move keeps its seat even against a higher score
         assert plan.target == {"mover": 1, "rival": 2}
-        assert plan.migrations == ()
+        assert keyed_plan(plan).migrations == ()
 
     def test_integer_budgets_take_fractional_seats_exactly(self):
         # All-integer capacity and caps make max_usable() integral; the pinned
@@ -521,9 +524,9 @@ def reference_trigger_migration(scores, mat, tiers, fleet, epoch_index, pinned=N
             if score > -math.inf
         )
         candidates += [(i, j) for _, _, j in ranked]
-    current = dict(zip(fleet.ids, fleet.tier_ids[fleet.tier_row].tolist()))
+    current = dict(zip(fleet.roster.ids, fleet.roster.tier_ids[fleet.tier_row].tolist()))
     return reference_pack(
-        tiers, fleet.ids, mat.cap.tolist(), "pbs", candidates, current, epoch_index, pinned
+        tiers, fleet.roster.ids, mat.cap.tolist(), "pbs", candidates, current, epoch_index, pinned
     )
 
 
@@ -560,13 +563,14 @@ def random_greedy_round(rng):
     ]
     states.append(make_state(make_vmdk("zz-big", initial_tier=n_tiers), tier=n_tiers))
     fleet = fleet_of(states, tiers)
+    ids = fleet.roster.ids
     cap = np.stack([rng.choice(values, size=(n_tiers, n + 1)) for values in steps], axis=-1)
-    cap[:, fleet.row["zz-big"]] = 1e12
+    cap[:, fleet.roster.row["zz-big"]] = 1e12
     score = rng.choice(SCORE_VALUES, p=SCORE_WEIGHTS, size=(n_tiers, n + 1))
-    mat = CapacityMatrices(fleet.ids, cap)
+    mat = CapacityMatrices(ids, cap)
     pinned = {
         v: int(rng.integers(1, n_tiers + 1))
-        for v in rng.choice(fleet.ids[:-1], size=int(rng.integers(0, 20)), replace=False).tolist()
+        for v in rng.choice(ids[:-1], size=int(rng.integers(0, 20)), replace=False).tolist()
     }
     pinned["zz-big"] = 1
     pin(fleet, pinned)
@@ -578,7 +582,7 @@ class TestTriggerMigrationMatchesReference:
     def test_plan_repr_equals_the_tuple_sort(self, seed):
         scores, mat, tiers, fleet, pinned = random_greedy_round(np.random.default_rng(seed))
         expected = reference_trigger_migration(scores, mat, tiers, fleet, 7, pinned)
-        plan = trigger_migration(scores, mat, fleet, 7)
+        plan = keyed_plan(trigger_migration(scores, mat, fleet, 7))
         assert repr(plan_record(plan)) == repr(plan_record(expected))
         assert "zz-big" in plan.overloaded
 
@@ -594,7 +598,7 @@ class TestTriggerMigrationMatchesReference:
         seen = set()
         for seed in range(10):
             scores, mat, tiers, fleet, pinned = random_greedy_round(np.random.default_rng(seed))
-            plan = trigger_migration(scores, mat, fleet, 7)
+            plan = keyed_plan(trigger_migration(scores, mat, fleet, 7))
             signs = {math.copysign(1.0, x) for x in scores[scores == 0.0].tolist()}
             seen.update(name for name, hit in (
                 ("signed zero tie", signs == {-1.0, 1.0}),
@@ -648,15 +652,15 @@ class TestAssignmentPlanChecks:
 
     def test_consistent_moves_pass(self):
         plan = self.plan((("a", 1, 2), ("c", 2, 3)))
-        assert plan.migrations == (("a", 1, 2), ("c", 2, 3))
+        assert keyed_plan(plan).migrations == (("a", 1, 2), ("c", 2, 3))
         assert plan.target == self.TARGET
-        assert self.plan((), ids=()).migrations == ()
+        assert keyed_plan(self.plan((), ids=())).migrations == ()
 
 
 class TestPlanViews:
     """A plan's id views are built once, and ``target`` lists VMDKs as they were seated."""
 
-    VIEWS = ("target", "migrations", "overloaded", "planned_usage")
+    VIEWS = ("target", "planned_usage")
 
     def assert_cached(self, plan):
         for name in self.VIEWS:
@@ -666,7 +670,7 @@ class TestPlanViews:
     def test_packed_plans_seat_pins_then_placements_then_stay_puts(self, seed):
         rng = np.random.default_rng(seed)
         scores, mat, tiers, fleet, pinned = random_greedy_round(rng)
-        fleet.measured_iops[:] = rng.choice([0.0, 5e3, 2e4], size=len(fleet.ids))
+        fleet.measured_iops[:] = rng.choice([0.0, 5e3, 2e4], size=len(fleet.roster.ids))
         cases = (
             (trigger_migration(scores, mat, fleet, 7),
              reference_trigger_migration(scores, mat, tiers, fleet, 7, pinned)),
@@ -677,9 +681,9 @@ class TestPlanViews:
         for plan, expected in cases:
             self.assert_cached(plan)
             seated = list(plan.target)
-            assert seated == [fleet.ids[j] for j in plan.order.tolist()]
+            assert seated == [fleet.roster.ids[j] for j in plan.order.tolist()]
             assert seated[:len(pinned)] == sorted(pinned)
-            moved = [v for v, _, _ in plan.migrations]
+            moved = [v for v, _, _ in keyed_plan(plan).migrations]
             assert [v for v in seated if v in set(moved)] == moved
             # The reference seats pins, then candidates as placed, then stay-puts by id.
             assert seated == list(expected.target)
@@ -692,13 +696,12 @@ class TestPlanViews:
         )
         plan = oracle_assignment(mat, weights, previous, fleet, 900.0)
         self.assert_cached(plan)
-        assert list(plan.target) == list(fleet.ids)
-        assert [v for v, _, _ in plan.migrations] == [
-            v for v, j in zip(fleet.ids, plan.target_row.tolist()) if j != previous[fleet.row[v]]
+        ids = fleet.roster.ids
+        assert list(plan.target) == list(ids)
+        assert [v for v, _, _ in keyed_plan(plan).migrations] == [
+            ids[j] for j in np.flatnonzero(plan.target_row != previous).tolist()
         ]
-        usage = {t.id: ResourceVector() for t in tiers}
-        for v, t in plan.target.items():
-            usage[t] = usage[t] + ResourceVector(*mat.cap[at(mat, t, v)].tolist())
+        usage = {t.id: ResourceVector(*hosted_usage(mat, plan.target, t.id)) for t in tiers}
         assert repr(plan.planned_usage) == repr(usage)
 
 
@@ -800,15 +803,7 @@ class TestProfitAndOracle:
         ]
         feasible = []
         for target in candidates:
-            fits = True
-            for tier in tiers:
-                total = ResourceVector()
-                for v, t in target.items():
-                    if t == tier.id:
-                        total = total + ResourceVector(*mat.cap[at(mat, t, v)])
-                if not total.fits_within(tier.max_usable()):
-                    fits = False
-            if fits:
+            if all(fits_within(hosted_usage(mat, target, t.id), t.max_usable()) for t in tiers):
                 profit = epoch_profit(
                     tier_rows(fleet, target), previous, mat, weights, fleet, 900.0
                 )
@@ -830,19 +825,16 @@ class TestProfitAndOracle:
                 oracle = oracle_assignment(mat, weights, previous, fleet, 900.0)
             except ValueError:
                 continue
-            assert not greedy.overloaded
+            assert not keyed_plan(greedy).overloaded
             # recompute capacity safety from the matrices, independent of the
             # planner's own usage accounting
             for tier in tiers:
-                total = ResourceVector()
-                for v, t in greedy.target.items():
-                    if t == tier.id:
-                        total = total + ResourceVector(*mat.cap[at(mat, t, v)])
+                total = hosted_usage(mat, greedy.target, tier.id)
                 budget = tier.max_usable()
-                assert total.fits_within(budget, slack=1e-9 * (1 + budget.total()))
+                assert fits_within(total, budget, slack=1e-9 * (1 + budget.total()))
                 recorded = greedy.planned_usage[tier.id]
-                assert recorded.p == pytest.approx(total.p, rel=1e-9, abs=1e-9)
-                assert recorded.s == pytest.approx(total.s, rel=1e-9, abs=1e-9)
+                assert recorded.p == pytest.approx(total[0], rel=1e-9, abs=1e-9)
+                assert recorded.s == pytest.approx(total[2], rel=1e-9, abs=1e-9)
             g = epoch_profit(greedy.target_row, previous, mat, weights, fleet, 900.0)
             o = epoch_profit(oracle.target_row, previous, mat, weights, fleet, 900.0)
             assert g <= o + 1e-9
