@@ -23,15 +23,25 @@ A fourth table, ``golden_oracle_check.json``, holds the SHA-256 of the JSON
 that ``autotier oracle-check --scenario tiny-oracle`` prints per seed: the
 greedy and brute-force profit of every plan at full precision.
 
+A fifth table, ``golden_diagnostics.json``, pins what the scenario reader
+makes of malformed documents: one SHA-256 per bundled document over every
+mutant of it, each key and list index deleted or replaced by each of
+``MUTANT_TOKENS``, and each object given an unknown key. A mutant that
+parses contributes its scenario document, any other the exact
+``errors`` list, so a reader change that rewords, reorders, drops or adds
+a diagnostic fails here.
+
 The hashes were recorded with numpy 2.4 on x86_64; another numpy or platform
 may round differently. Regenerating them (``python tests/test_golden.py``
 prints a fresh artifact table, ``python tests/test_golden.py --plans`` a
 fresh digest table, ``--scale`` a fresh scale table, ``--oracle`` a fresh
-oracle-check table) requires a CHANGES.md entry that says which outputs
-changed and why the change is intended.
+oracle-check table, ``--diagnostics`` a fresh diagnostics table) requires
+a CHANGES.md entry that says which outputs changed and why the change is
+intended.
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -43,8 +53,13 @@ import pytest
 from autotier.cli import main
 from autotier.engine import POLICY_NAMES, run_scenario
 from autotier.reporting import write_run_artifacts
-from autotier.model import validate_scenario
-from autotier.scenario import bundled_scenario_text, load_bundled_scenario
+from autotier.model import ScenarioValidationError, validate_scenario
+from autotier.scenario import (
+    bundled_scenario_text,
+    load_bundled_scenario,
+    parse_scenario,
+    scenario_to_document,
+)
 
 from conftest import keyed_plan, log_orders
 
@@ -52,6 +67,7 @@ GOLDEN_PATH = Path(__file__).with_name("golden_hashes.json")
 PLAN_DIGEST_PATH = Path(__file__).with_name("golden_plan_digests.json")
 SCALE_DIGEST_PATH = Path(__file__).with_name("golden_scale_digests.json")
 ORACLE_DIGEST_PATH = Path(__file__).with_name("golden_oracle_check.json")
+DIAGNOSTIC_DIGEST_PATH = Path(__file__).with_name("golden_diagnostics.json")
 SCENARIOS = ("table3-table4", "spike", "tiny-oracle")
 SEEDS = (0, 1, 42)
 HASHED_FILES = ("metrics.csv", "summary.json", "migrations.json")
@@ -145,6 +161,61 @@ def oracle_check_digest(seed: int) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+MUTANT_TOKENS = (
+    '"x"', '""', "null", "true", "false", "0", "-1", "2.7", "3.0", "1e400", "-1e400", "NaN",
+    "1" + "0" * 400, "[]", "{}", "[1, 2]", '{"zz": 1}',
+)
+_PLACEHOLDER = "MUTANT-PLACEHOLDER"
+
+
+def node_paths(node, prefix=()):
+    """The path of ``node`` and of every value inside it, parents first."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for step, child in children:
+        yield from node_paths(child, prefix + (step,))
+
+
+def copy_to(doc, path):
+    """A deep copy of ``doc`` and the node at ``path`` inside the copy."""
+    mutant = node = copy.deepcopy(doc)
+    for step in path:
+        node = node[step]
+    return mutant, node
+
+
+def mutants(name: str):
+    """(path, mutation, JSON text) of every mutant of one bundled document."""
+    doc = json.loads(bundled_scenario_text(name))
+    for path in node_paths(doc):
+        if path:
+            mutant, parent = copy_to(doc, path[:-1])
+            parent[path[-1]] = _PLACEHOLDER
+            text = json.dumps(mutant)
+            for token in MUTANT_TOKENS:
+                yield path, token, text.replace(f'"{_PLACEHOLDER}"', token)
+            del parent[path[-1]]
+            yield path, "delete", json.dumps(mutant)
+        mutant, node = copy_to(doc, path)
+        if isinstance(node, dict):
+            node["unknownKey"] = 1
+            yield path, "unknown key", json.dumps(mutant)
+
+
+def diagnostics_digest(name: str) -> str:
+    """SHA-256 over what the reader makes of every mutant of one bundled document."""
+    digest = hashlib.sha256()
+    for path, mutation, text in mutants(name):
+        try:
+            outcome = ["parsed", scenario_to_document(parse_scenario(text))]
+        except ScenarioValidationError as exc:
+            outcome = ["errors", exc.errors]
+        digest.update(json.dumps([list(path), mutation, outcome]).encode() + b"\n")
+    return digest.hexdigest()
+
+
 CASES = [(s, p, seed) for s in SCENARIOS for p in POLICY_NAMES for seed in SEEDS]
 
 
@@ -200,6 +271,13 @@ def test_oracle_check_matches_golden_digest(seed):
     assert oracle_check_digest(seed) == golden[f"tiny-oracle/{seed}"]
 
 
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_diagnostics_match_golden_digest(name):
+    golden = json.loads(DIAGNOSTIC_DIGEST_PATH.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(SCENARIOS)
+    assert diagnostics_digest(name) == golden[name]
+
+
 if __name__ == "__main__":
     import sys
     import tempfile
@@ -211,6 +289,8 @@ if __name__ == "__main__":
         table = {p: run_digest(run_scenario(scenario, p)) for p in POLICY_NAMES}
     elif sys.argv[1:] == ["--oracle"]:
         table = {f"tiny-oracle/{seed}": oracle_check_digest(seed) for seed in SEEDS}
+    elif sys.argv[1:] == ["--diagnostics"]:
+        table = {name: diagnostics_digest(name) for name in SCENARIOS}
     else:
         table = {}
         for case in CASES:
