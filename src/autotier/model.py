@@ -3,7 +3,12 @@
 Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
-(Fleet, MigrationLog) is owned by a single simulation run. A scenario's
+(Fleet, MigrationLog) is owned by a single simulation run. Reading a
+document reads every VMDK's demand profile at once, in one column pass,
+into one read-only ``PhaseTable`` per scenario; each ``VmdkSpec`` holds a
+``DemandProfile`` view of its rows, which builds ``WorkloadPhase``s only
+when read. A profile the column pass refuses is read again phase by phase
+by the ``SCHEMA`` readers, the one source of diagnostics. A scenario's
 ``Roster`` holds every static fact, built once from the specs and
 read-only: one row per VMDK and one per tier, each tier number and static
 VMDK figure a column. Each run's ``Fleet``, built by ``Fleet.of``, shares
@@ -18,10 +23,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import InitVar, astuple, dataclass, fields, replace
 from functools import cached_property, reduce
-from itertools import chain
-from operator import add, attrgetter
+from itertools import accumulate, chain, repeat
+from operator import add, attrgetter, contains, itemgetter
 from types import MappingProxyType
 from typing import Any
 
@@ -144,13 +150,92 @@ class WorkloadPhase:
             raise ValueError("readFraction out of [0,1]")
 
 
+NEVER = np.iinfo(np.int64).max  # stands in for start epochs past the int64 range
+_DEMAND_COLUMNS = ("demand_iops", "read_fraction", "avg_io_size_bytes")
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, its writes refused from now on."""
+    array.setflags(write=False)
+    return array
+
+
+def _clipped(starts: list[Any]) -> tuple[np.ndarray, dict[int, Any]]:
+    """Start epochs as an int64 column clipped to ``NEVER``, and by row each start it changes."""
+    exact = {k: s for k, s in enumerate(starts) if type(s) is not int or s > NEVER}
+    return np.array([min(s, NEVER) for s in starts], dtype=np.int64), exact
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseTable:
+    """Demand phases of many VMDKs, one profile after another, as read-only columns.
+
+    ``start_epoch`` is int64 with each start past the int64 range clipped
+    to ``NEVER``; ``exact_start`` keeps, by row, each start that column
+    does not hold as given, so a document round-trips. The rows of the
+    (3, P) ``demand`` are each phase's demand, read fraction and I/O size.
+    """
+
+    start_epoch: np.ndarray
+    exact_start: Mapping[int, Any]
+    demand: np.ndarray
+
+    def __post_init__(self) -> None:
+        _frozen(self.start_epoch)
+        _frozen(self.demand)
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # rebuilt through the constructor, so an unpickled table is read-only too
+        return PhaseTable, (self.start_epoch, self.exact_start, self.demand)
+
+    def phase(self, k: int) -> WorkloadPhase:
+        """Row ``k`` as a ``WorkloadPhase``."""
+        demand, fraction, size = self.demand[:, k].tolist()
+        start = self.exact_start.get(k, int(self.start_epoch[k]))
+        return WorkloadPhase(start, demand, size, fraction)
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class DemandProfile(Sequence):
+    """One VMDK's demand profile: a read-only view of rows ``first:stop`` of a table.
+
+    Reading a phase builds its ``WorkloadPhase``; a slice is a tuple of
+    them. A profile compares and hashes as the tuple of its phases.
+    """
+
+    table: PhaseTable
+    first: int
+    stop: int
+
+    def __len__(self) -> int:
+        return self.stop - self.first
+
+    def __getitem__(self, i: Any) -> Any:
+        rows = range(self.first, self.stop)[i]
+        phase = self.table.phase
+        return tuple(map(phase, rows)) if isinstance(i, slice) else phase(rows)
+
+    def __eq__(self, other: object) -> bool:
+        other = tuple(other) if isinstance(other, DemandProfile) else other
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class VmdkSpec:
     """Static description of one VMDK.
 
     ``truth_slope`` / ``truth_intercept_us`` are the simulator's ground-truth
     latency sensitivity, visible to policies only through injected-latency
-    samples. ``size_gb`` never changes across a run.
+    samples. ``size_gb`` never changes across a run. ``demand_profile`` is
+    always held as a ``DemandProfile`` view: a parsed scenario's profiles
+    view one ``PhaseTable`` of the whole document, and a profile given as
+    ``WorkloadPhase``s is checked and stored as a table of its own.
     """
 
     id: str
@@ -158,7 +243,7 @@ class VmdkSpec:
     initial_tier: int
     truth_slope: float
     truth_intercept_us: float
-    demand_profile: tuple[WorkloadPhase, ...]
+    demand_profile: Sequence[WorkloadPhase]
     vm_id: str = ""
     sla_weight: float = 1.0
 
@@ -174,13 +259,19 @@ class VmdkSpec:
         _require_finite_nonneg("truthSlope", self.truth_slope)
         if not (math.isfinite(self.truth_intercept_us) and self.truth_intercept_us > 0):
             raise ValueError("truthInterceptUs must be positive")
-        if not self.demand_profile:
+        if isinstance(self.demand_profile, DemandProfile):
+            return  # the column pass checked it
+        phases = tuple(self.demand_profile)
+        if not phases:
             raise ValueError("demandProfile must have at least one phase")
-        if self.demand_profile[0].start_epoch != 0:
+        if phases[0].start_epoch != 0:
             raise ValueError("demandProfile phase 0 must start at epoch 0")
-        starts = [ph.start_epoch for ph in self.demand_profile]
+        starts = [ph.start_epoch for ph in phases]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("demandProfile phases must have strictly increasing startEpoch")
+        demand = [[getattr(ph, name) for ph in phases] for name in _DEMAND_COLUMNS]
+        table = PhaseTable(*_clipped(starts), np.array(demand, dtype=float))
+        object.__setattr__(self, "demand_profile", DemandProfile(table, 0, len(phases)))
 
 
 @dataclass(frozen=True)
@@ -440,29 +531,22 @@ class VmdkState:
     measured_latency_us: float = 0.0
 
 
-NEVER = np.iinfo(np.int64).max  # stands in for start epochs past the int64 range
-_DEMAND_COLUMNS = ("demand_iops", "read_fraction", "avg_io_size_bytes")
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """``array`` itself, its writes refused from now on."""
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True, eq=False)
 class Roster:
     """Everything a run's start takes from the specs alone, built once per scenario.
 
     VMDK rows are in id order (``ids``, ``specs``, and ``row`` mapping an id
     to its row) with the static columns ``size_gb``, ``sla_weight``,
-    ``truth_slope`` and ``truth_intercept_us`` and ``tier_row``, each
-    VMDK's initial tier as a row of ``tiers``. Tier rows follow ``tiers``
-    and hold every tier number the epoch loop reads (see ``Fleet``). The
-    (3, P) ``phase_table`` holds the demand, read fraction and I/O size of
-    every row's demand profile, one profile after another, and
+    ``truth_slope`` and ``truth_intercept_us`` and ``initial_tier_row``,
+    each VMDK's initial tier as a row of ``tiers`` (a run's current tier is
+    ``Fleet.tier_row``). Tier rows follow ``tiers`` and hold every tier
+    number the epoch loop reads (see ``Fleet``). The (3, P)
+    ``phase_table`` holds the demand, read fraction and I/O size of every
+    row's demand profile, one profile after another, gathered with one
+    index from the phase tables the specs' profiles view, and
     ``first_phase`` each row's phase 0 in it; ``due`` maps an epoch to the
-    rows whose next phase starts then and the index of that phase. Every
+    rows whose next phase starts then and the index of that phase (a start
+    past the int64 range is due at ``NEVER``). Every
     array is read-only and every map a ``MappingProxyType``, so one roster
     serves any number of runs, concurrent ones too: each run's ``Fleet``
     holds the roster itself and only the columns the run writes.
@@ -473,7 +557,7 @@ class Roster:
     row: Mapping[str, int]
     tiers: tuple[TierSpec, ...]
     tier_ids: np.ndarray
-    tier_row: np.ndarray
+    initial_tier_row: np.ndarray
     budget: np.ndarray
     base_latency_us: np.ndarray
     read_throughput_cap: np.ndarray
@@ -496,11 +580,24 @@ class Roster:
         """The roster of ``specs``, sorted by id, on ``tiers``."""
         specs = tuple(sorted(specs, key=attrgetter("id")))
         row_of_tier = {t.id: i for i, t in enumerate(tiers)}
-        phases = tuple(chain.from_iterable(spec.demand_profile for spec in specs))
-        counts = [len(spec.demand_profile) for spec in specs]
+        # The tables the profiles view, joined: a parsed scenario's one table,
+        # or one per spec given its phases in Python.
+        profiles = [spec.demand_profile for spec in specs]
+        tables = {id(p.table): p.table for p in profiles} or {
+            0: PhaseTable(np.zeros(0, dtype=np.int64), {}, np.zeros((3, 0)))
+        }
+        sizes = (len(t.start_epoch) for t in tables.values())
+        base = dict(zip(tables, accumulate(sizes, initial=0)))
+        counts = np.fromiter(map(len, profiles), np.intp, len(specs))
+        first = np.cumsum(counts) - counts
+        rows = np.fromiter((base[id(p.table)] + p.first for p in profiles), np.intp, len(specs))
+        take = np.repeat(rows - first, counts) + np.arange(counts.sum())
+
+        def gather(name: str) -> np.ndarray:
+            return np.concatenate([getattr(t, name) for t in tables.values()], axis=-1)[..., take]
+
         owner = np.repeat(np.arange(len(specs)), counts)
-        start = np.array([p.start_epoch for p in phases], dtype=object)
-        start = start.clip(max=NEVER).astype(np.int64)
+        start = gather("start_epoch")
         # Phase 0 starts at epoch 0 and every later phase after it.
         later = np.flatnonzero(start > 0)
         later = later[np.argsort(start[later], kind="stable")]
@@ -515,7 +612,7 @@ class Roster:
             row=MappingProxyType({spec.id: j for j, spec in enumerate(specs)}),
             tiers=tuple(tiers),
             tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
-            tier_row=np.array([row_of_tier[s.initial_tier] for s in specs], dtype=np.intp),
+            initial_tier_row=np.array([row_of_tier[s.initial_tier] for s in specs], dtype=np.intp),
             budget=np.array([astuple(t.max_usable()) for t in tiers], dtype=float),
             **{
                 name: column(tiers, name)
@@ -533,8 +630,8 @@ class Roster:
                 name: column(specs, name)
                 for name in ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
             },
-            phase_table=np.stack([column(phases, name) for name in _DEMAND_COLUMNS]),
-            first_phase=np.cumsum(counts, dtype=np.intp) - counts,
+            phase_table=gather("demand"),
+            first_phase=first,
             due=MappingProxyType({
                 e: (_frozen(owner[k]), _frozen(k))
                 for e, k in zip(epochs.tolist(), np.split(later, cuts[1:]))
@@ -547,7 +644,7 @@ class Roster:
         return roster
 
 
-@dataclass
+@dataclass(eq=False)
 class Fleet:
     """The state of one run: its scenario's ``roster`` and the columns the run writes.
 
@@ -593,7 +690,7 @@ class Fleet:
         n, t = len(roster.ids), len(roster.tiers)
         return cls(
             roster=roster,
-            tier_row=roster.tier_row.copy(),
+            tier_row=roster.initial_tier_row.copy(),
             dest_row=np.full(n, -1, dtype=np.intp),
             order_index=np.full(n, -1, dtype=np.intp),
             contention=np.ones(t),
@@ -741,17 +838,122 @@ def _object(cls: type) -> Reader:
     return read
 
 
-def _list_of(cls: type) -> Reader:
-    """Reader of a non-empty list of ``cls`` objects; an element that fails is left out."""
+def _list_of(cls: type, read_ahead: Callable[[list[Any]], list[Any]] | None = None) -> Reader:
+    """Reader of a non-empty list of ``cls`` objects; an element that fails is left out.
+
+    ``read_ahead`` maps the list to each element's constructor arguments
+    read ahead of it (or None), which that element's read takes as is.
+    """
 
     def read(value: Any, path: str, key: str, errors: list[str]) -> tuple[Any, ...]:
         if not isinstance(value, list) or not value:
             raise _Invalid("required non-empty list")
         where = _at(path, key)
-        built = [_build(cls, item, f"{where}[{i}]", errors) for i, item in enumerate(value)]
+        ahead = read_ahead(value) if read_ahead else repeat(None)
+        built = [
+            _build(cls, item, f"{where}[{i}]", errors, given)
+            for i, (item, given) in enumerate(zip(value, ahead))
+        ]
         return tuple(x for x in built if x is not None)
 
     return read
+
+
+def _or(read: Reader, value: Any, refused: Any) -> Any:
+    """What ``read`` reads ``value`` as, or ``refused`` if it refuses it."""
+    try:
+        return read(value, "", "", [])
+    except _Invalid:
+        return refused
+
+
+def _floats(values: list[Any]) -> np.ndarray:
+    """``values`` as floats, NaN (which every phase check refuses) where ``_number`` refuses."""
+    if set(map(type, values)) <= {int, float}:
+        with suppress(OverflowError):
+            return np.fromiter(values, float, len(values))
+    return np.array([_or(_number, v, math.nan) for v in values], dtype=float)
+
+
+def _start_column(values: list[Any]) -> tuple[np.ndarray, dict[int, Any]]:
+    """JSON start epochs ``_clipped``, -1 (which the checks refuse) where ``_integer`` refuses."""
+    if set(map(type, values)) == {int}:
+        with suppress(OverflowError):
+            return np.fromiter(values, np.int64, len(values)), {}
+    return _clipped([max(_or(_integer, v, -1), -1) for v in values])
+
+
+# Each demand row's range as ``WorkloadPhase`` checks it: demand finite and
+# non-negative, read fraction in [0, 1], I/O size finite and positive, that
+# is at least the least float above 0. NaN lies in no range.
+_DEMAND_RANGE = np.array([
+    [[0.0], [0.0], [np.nextafter(0.0, 1.0)]],
+    [[np.finfo(float).max], [1.0], [np.finfo(float).max]],
+])
+
+
+def _read_phases(profiles: list[list[Any]]) -> tuple[PhaseTable, list[int], np.ndarray]:
+    """Non-empty JSON phase lists read in one column pass over every phase.
+
+    Returns their table, the P + 1 row offsets of the profiles in it, and
+    whether each profile passes every check that the phase readers,
+    ``WorkloadPhase`` and ``VmdkSpec`` make of it. A profile that fails
+    holds junk rows.
+    """
+    offsets = list(accumulate(map(len, profiles), initial=0))
+    flat = list(chain.from_iterable(profiles))
+    columns = None
+    if set(map(type, flat)) == {dict}:
+        with suppress(KeyError):
+            columns = [list(map(itemgetter(key), flat)) for key in _REQUIRED_PHASE_KEYS]
+    # Once every required key is there, the keys total those plus each
+    # readFraction unless some phase has an unknown key.
+    shape_ok: Any = columns is not None and sum(map(len, flat)) == len(columns) * len(flat) + sum(
+        map(contains, flat, repeat("readFraction"))
+    )
+    if not shape_ok:  # a phase that is no object, or lacks or adds a key, is read as a blank
+        shape_ok = np.array([
+            type(p) is dict and set(_REQUIRED_PHASE_KEYS) <= p.keys() <= _KEYS[WorkloadPhase]
+            for p in flat
+        ], dtype=bool)
+        flat = [p if ok else _BLANK_PHASE for p, ok in zip(flat, shape_ok.tolist())]
+        columns = [list(map(itemgetter(key), flat)) for key in _REQUIRED_PHASE_KEYS]
+    starts, demands, sizes = columns
+    fractions = list(map(dict.get, flat, repeat("readFraction"), repeat(1.0)))
+    demand = _floats(demands + fractions + sizes).reshape(3, len(flat))
+    table = PhaseTable(*_start_column(starts), demand)
+    inside = ((demand >= _DEMAND_RANGE[0]) & (demand <= _DEMAND_RANGE[1])).all(axis=0)
+    # Phase 0 starts at epoch 0 and each later phase after the one before
+    # (so no start is negative).
+    start, exact = table.start_epoch, table.exact_start
+    first = np.array(offsets[:-1])
+    rising = np.empty(len(flat), dtype=bool)
+    rising[1:] = start[1:] > start[:-1]
+    for k in np.flatnonzero(start == NEVER).tolist() if exact else ():
+        rising[k] = exact.get(k, NEVER) > exact.get(k - 1, int(start[k - 1]))
+    rising[first] = start[first] == 0  # after the loop, which may read past row 0
+    return table, offsets, np.logical_and.reduceat(inside & rising & shape_ok, first)
+
+
+def _read_profiles(vmdks: list[Any]) -> list[dict[str, Any] | None]:
+    """Each VMDK's demand profile read ahead, all in one column pass.
+
+    An item whose profile passes every check gets ``{"demand_profile":
+    view}`` for its own read to take as is. Any other item gets None, so
+    its read reads the profile phase by phase with ``SCHEMA[WorkloadPhase]``,
+    whose readers report its diagnostics.
+    """
+    ahead: list[dict[str, Any] | None] = [None] * len(vmdks)
+    where = [
+        i for i, item in enumerate(vmdks)
+        if type(item) is dict and type(item.get("demandProfile")) is list and item["demandProfile"]
+    ]
+    if where:
+        table, offsets, ok = _read_phases([vmdks[i]["demandProfile"] for i in where])
+        for i, first, stop, good in zip(where, offsets, offsets[1:], ok.tolist()):
+            if good:
+                ahead[i] = {"demand_profile": DemandProfile(table, first, stop)}
+    return ahead
 
 
 SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any], ...]] = {
@@ -809,20 +1011,25 @@ SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any], ...]] = {
     Scenario: (
         ("schemaVersion", "schema_version", _version, None),
         ("tiers", "tiers", _list_of(TierSpec), None),
-        ("vmdks", "vmdks", _list_of(VmdkSpec), None),
+        ("vmdks", "vmdks", _list_of(VmdkSpec, _read_profiles), None),
         ("policyWeights", "weights", _object(PolicyWeights), OPTIONAL),
         ("simulation", "sim", _object(SimulationConfig), OPTIONAL),
     ),
 }
 _KEYS = {cls: frozenset(row[0] for row in rows) for cls, rows in SCHEMA.items()}
+_REQUIRED_PHASE_KEYS = tuple(row[0] for row in SCHEMA[WorkloadPhase] if row[3] is REQUIRED)
+_BLANK_PHASE = dict.fromkeys(_REQUIRED_PHASE_KEYS, 0)
 
 
-def _read(cls: type, doc: Any, path: str, errors: list[str]) -> dict[str, Any] | None:
+def _read(
+    cls: type, doc: Any, path: str, errors: list[str], given: Mapping[str, Any] | None = None,
+) -> dict[str, Any] | None:
     """Constructor arguments of ``cls`` read from ``doc``; None if a field failed.
 
     An unknown key is reported but does not stop the read. A vector is read
     even when a component failed (that component keeps its default), so the
-    vector's own range checks still report the other components.
+    vector's own range checks still report the other components. Arguments
+    in ``given``, read ahead, are taken as they are.
     """
     if type(doc) is not dict and not isinstance(doc, Mapping):
         errors.append(f"{path}: expected an object")
@@ -833,6 +1040,9 @@ def _read(cls: type, doc: Any, path: str, errors: list[str]) -> dict[str, Any] |
     before = len(errors)
     kwargs = {}
     for key, arg, read, default in SCHEMA[cls]:
+        if given and arg in given:
+            kwargs[arg] = given[arg]
+            continue
         if key in doc:
             value = doc[key]
         elif default is None:
@@ -850,9 +1060,11 @@ def _read(cls: type, doc: Any, path: str, errors: list[str]) -> dict[str, Any] |
     return kwargs
 
 
-def _build(cls: type, doc: Any, path: str, errors: list[str]) -> Any:
+def _build(
+    cls: type, doc: Any, path: str, errors: list[str], given: Mapping[str, Any] | None = None,
+) -> Any:
     """A ``cls`` built from ``doc``, or None with every problem in ``errors``."""
-    kwargs = _read(cls, doc, path, errors)
+    kwargs = _read(cls, doc, path, errors, given)
     if kwargs is None:
         return None
     try:

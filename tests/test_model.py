@@ -1,9 +1,10 @@
 """Domain type invariants and scenario validation diagnostics."""
 
 import copy
+import json
 import math
 import pickle
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from types import MappingProxyType
 
 import numpy as np
@@ -11,8 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from autotier.engine import run_scenario
 from autotier.model import (
+    NEVER,
     CalibrationFits,
+    DemandProfile,
     Fleet,
     MigrationLog,
     PolicyWeights,
@@ -27,7 +31,7 @@ from autotier.model import (
     check_migrations,
     validate_scenario,
 )
-from autotier.scenario import bundled_scenario_text, parse_scenario
+from autotier.scenario import bundled_scenario_text, parse_scenario, serialize_scenario
 
 from conftest import fleet_of, log_orders, make_state, make_tier, make_vmdk, phase_at
 
@@ -213,10 +217,84 @@ class TestRoster:
     def test_a_scenario_pickles_and_copies_without_its_built_roster(self):
         scenario = parse_scenario(bundled_scenario_text("spike"))
         roster = scenario.roster
-        for copied in (pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario)):
+        for copied in (
+            pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario), copy.copy(scenario),
+        ):
             assert copied == scenario and "roster" not in vars(copied)
             assert copied.roster is not roster and copied.roster.ids == roster.ids
             assert not copied.roster.phase_table.flags.writeable
+            table = copied.vmdks[0].demand_profile.table
+            assert not table.start_epoch.flags.writeable and not table.demand.flags.writeable
+            assert {id(v.demand_profile.table) for v in copied.vmdks} == {id(table)}
+
+    def test_parsed_and_python_built_profiles_give_bitwise_equal_columns(self):
+        text = bundled_scenario_text("spike")
+        parsed = parse_scenario(text)
+        assert any(len(v.demand_profile) > 1 for v in parsed.vmdks)
+        profiles = [
+            tuple(
+                WorkloadPhase(p["startEpoch"], p["demandIops"], p["avgIoSizeBytes"],
+                              p.get("readFraction", 1.0))
+                for p in v["demandProfile"]
+            )
+            for v in json.loads(text)["vmdks"]
+        ]
+        built = replace(parsed, vmdks=tuple(
+            replace(v, demand_profile=phases) for v, phases in zip(parsed.vmdks, profiles)
+        ))
+        assert built == parsed
+        assert len({id(v.demand_profile.table) for v in built.vmdks}) == len(built.vmdks)
+        for spec, twin in zip(parsed.vmdks, built.vmdks):
+            assert isinstance(twin.demand_profile, DemandProfile)
+            assert spec == twin and hash(spec) == hash(twin)
+            assert repr(spec) == repr(twin)
+        arrays, twins = roster_arrays(parsed.roster), roster_arrays(built.roster)
+        assert list(parsed.roster.due) == list(built.roster.due)
+        assert sorted(arrays) == sorted(twins)
+        for name, array in arrays.items():
+            assert array.dtype == twins[name].dtype, name
+            assert array.tobytes() == twins[name].tobytes(), name
+
+    def test_a_start_epoch_past_int64_round_trips_and_never_activates(self):
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc["simulation"]["epochs"] = 3
+        first = doc["vmdks"][0]["demandProfile"][0]
+        doc["vmdks"][0]["demandProfile"].append(dict(first, startEpoch=2**70, demandIops=1.0))
+        scenario = parse_scenario(json.dumps(doc))
+        text = serialize_scenario(scenario)
+        assert '"startEpoch": 1180591620717411303424' in text
+        again = parse_scenario(text)
+        assert again == scenario and serialize_scenario(again) == text
+        spec = scenario.vmdks[0]
+        assert spec.demand_profile[-1].start_epoch == 2**70
+        assert spec.demand_profile.table.start_epoch[1] == NEVER
+        twin = replace(spec, demand_profile=tuple(spec.demand_profile))
+        assert twin == spec and twin.demand_profile.table.exact_start == {1: 2**70}
+        assert list(scenario.roster.due) == [NEVER]
+        final = run_scenario(scenario, "idt").final_states[spec.id]
+        assert final.demand_iops == float(first["demandIops"])
+
+    def test_a_profile_view_reads_like_the_tuple_of_its_phases(self):
+        phases = (WorkloadPhase(0, 100.0, 4096.0, 1.0), WorkloadPhase(3, 200.5, 512.0, 0.25))
+        profile = make_vmdk(phases=phases).demand_profile
+        assert isinstance(profile, DemandProfile) and len(profile) == 2
+        assert profile == phases and tuple(profile) == phases and hash(profile) == hash(phases)
+        assert profile[-1] == phases[1] and profile[1:] == phases[1:]
+        assert list(profile) == list(phases)
+        assert phases[0] in profile and profile.index(phases[1]) == 1
+        assert repr(profile) == repr(phases)
+        assert profile != phases[:1] and profile != list(phases)
+        with pytest.raises(IndexError):
+            profile[2]
+        floats = (WorkloadPhase(0.0, 1.0, 512.0), WorkloadPhase(2.5, 1.0, 512.0))
+        assert repr(make_vmdk(phases=floats).demand_profile) == repr(floats)
+        # The table holds demand figures as floats, as a parsed document always gave them.
+        read = make_vmdk(phases=(WorkloadPhase(0, 100, 4096, 1),)).demand_profile[0]
+        assert read == WorkloadPhase(0, 100, 4096, 1) and type(read.demand_iops) is float
+        with pytest.raises(ValueError, match="read-only"):
+            profile.table.demand[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            profile.first = 1
 
     def test_no_writable_fleet_column_shares_memory_with_the_roster(self):
         scenario = parse_scenario(bundled_scenario_text("spike"))
@@ -233,6 +311,13 @@ class TestRoster:
 
 
 class TestFleet:
+    def test_equality_is_identity_and_a_fleet_and_its_view_hash(self):
+        roster = parse_scenario(bundled_scenario_text("spike")).roster
+        fleet, twin = Fleet.of(roster), Fleet.of(roster)
+        view = fleet.read_only()
+        assert fleet == fleet and fleet != twin and fleet != view
+        assert len({hash(fleet), hash(twin), hash(view)}) == 3
+
     def test_move_lands_on_dest_row_and_clears_it(self):
         tiers = [make_tier(i) for i in (1, 2, 3)]
         states = [make_state(make_vmdk(v, initial_tier=3), tier=3) for v in ("a", "b")]
@@ -305,7 +390,9 @@ class TestFleet:
         fleet = Fleet.of(Roster.of(specs, tiers))
         assert fleet.roster.ids == ("a", "b")
         assert fleet.roster.specs == (specs[1], specs[0])
+        assert fleet.roster.tier_ids[fleet.roster.initial_tier_row].tolist() == [2, 3]
         assert fleet.roster.tier_ids[fleet.tier_row].tolist() == [2, 3]
+        assert not np.shares_memory(fleet.tier_row, fleet.roster.initial_tier_row)
         assert fleet.demand_iops.tolist() == [100.0, 300.0]
         assert fleet.read_fraction.tolist() == [0.75, 0.25]
         assert fleet.avg_io_size_bytes.tolist() == [4096.0, 8192.0]

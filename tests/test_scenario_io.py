@@ -3,6 +3,7 @@
 import copy
 import inspect
 import json
+import math
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
@@ -17,9 +18,11 @@ from autotier.model import (
     OPTIONAL,
     REQUIRED,
     SCHEMA,
+    DemandProfile,
     ResourceVector,
     Scenario,
     ScenarioValidationError,
+    VmdkSpec,
 )
 from autotier.reporting import (
     RUN_FILES,
@@ -42,7 +45,7 @@ from autotier.scenario import (
     serialize_scenario,
 )
 
-from conftest import random_scenario
+from conftest import make_vmdk, random_scenario
 
 
 INTEGER_FIELDS = [
@@ -239,6 +242,89 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12,
 )
+
+
+PHASE_KEYS = ("startEpoch", "demandIops", "avgIoSizeBytes", "readFraction")
+PHASE_VALUES = JSON_VALUES | st.sampled_from([
+    math.nan, math.inf, -math.inf, True, False, 0, 0.0, -0.0, 1, 3.0, 0.5, 5e-324,
+    2**63 - 1, 2**63, 2**70, -(2**63) - 1, 10**400,
+])
+
+
+@st.composite
+def phase_lists(draw):
+    """A JSON demand profile: well formed, then up to three phases, keys or values changed."""
+    near_never = st.sampled_from([2**63 - 2, 2**63 - 1, 2**63, 2**70, 2**70 + 1])
+    starts = sorted(draw(st.sets(st.integers(1, 2**70) | near_never, max_size=3)))
+    profile = []
+    for start in (0, *starts):
+        phase = {
+            "startEpoch": start,
+            "demandIops": draw(st.floats(0, 1e9)),
+            "avgIoSizeBytes": draw(st.floats(1, 1e6)),
+        }
+        if draw(st.booleans()):
+            phase["readFraction"] = draw(st.floats(0, 1))
+        profile.append(phase)
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(profile) - 1))
+        action = draw(st.sampled_from(["set", "set", "delete", "phase", "repeat start"]))
+        if action == "phase":
+            profile[k] = draw(PHASE_VALUES)
+        elif not isinstance(profile[k], dict):
+            continue
+        elif action == "set":
+            profile[k][draw(st.sampled_from([*PHASE_KEYS, "zz"]))] = draw(PHASE_VALUES)
+        elif action == "delete":
+            profile[k].pop(draw(st.sampled_from(PHASE_KEYS)), None)
+        elif k and isinstance(profile[k - 1], dict):
+            profile[k]["startEpoch"] = profile[k - 1].get("startEpoch")
+    return profile
+
+
+def reference_phases(profile):
+    """The profile as the per-phase readers and the spec checks read it, or None if refused."""
+    errors = []
+    read = {key: read for key, _, read, _ in SCHEMA[VmdkSpec]}["demandProfile"]
+    phases = read(profile, "vmdks[0]", "demandProfile", errors)
+    if errors:
+        return None
+    try:
+        make_vmdk(phases=phases)
+    except ValueError:
+        return None
+    return phases
+
+
+class TestColumnPass:
+    @settings(max_examples=400)
+    @given(st.lists(phase_lists(), min_size=1, max_size=4))
+    def test_accepts_exactly_what_the_phase_readers_accept(self, profiles):
+        table, offsets, ok = model._read_phases(profiles)
+        assert len(offsets) == len(profiles) + 1 and offsets[-1] == len(table.start_epoch)
+        for j, profile in enumerate(profiles):
+            expected = reference_phases(profile)
+            assert bool(ok[j]) == (expected is not None), (profile, expected)
+            if expected is not None:
+                view = DemandProfile(table, offsets[j], offsets[j + 1])
+                assert repr(tuple(view)) == repr(expected)
+                assert view == expected and hash(view) == hash(expected)
+
+    def test_a_refused_profile_is_diagnosed_in_place_and_others_are_read_as_columns(self):
+        doc = json.loads(bundled_scenario_text("table3-table4"))
+        doc["vmdks"][2]["demandProfile"].append({"startEpoch": 0, "demandIops": -1, "zz": 1})
+        doc["vmdks"][5]["sizeGb"] = 0
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert excinfo.value.errors == [
+            "vmdks[2].demandProfile[1].zz: unknown field",
+            "vmdks[2].demandProfile[1].avgIoSizeBytes: required field missing",
+            "vmdks[5]: sizeGb must be positive",
+        ]
+        ahead = model._read_profiles(doc["vmdks"])
+        assert ahead[2] is None and ahead[5] is not None
+        tables = {id(a["demand_profile"].table) for a in ahead if a is not None}
+        assert len(tables) == 1 and sum(a is None for a in ahead) == 1
 
 
 class TestSchema:
