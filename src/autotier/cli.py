@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser(
         "oracle-check",
-        help="run autotiering and compare each epoch's plan against the brute-force optimum",
+        help="run autotiering and compare each epoch's plan against the exact optimum",
     )
     oracle.add_argument("--scenario", required=True)
     oracle.add_argument("--seed", type=int, default=None)

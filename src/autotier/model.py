@@ -141,6 +141,8 @@ class WorkloadPhase:
     read_fraction: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.start_epoch, int) or isinstance(self.start_epoch, bool):
+            raise ValueError("startEpoch must be an integer")
         if self.start_epoch < 0:
             raise ValueError("startEpoch must be >= 0")
         _require_finite_nonneg("demandIops", self.demand_iops)

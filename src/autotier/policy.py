@@ -22,9 +22,9 @@ tier with ``first_fit``, a windowed scan that decides whole windows with
 numpy and runs a scalar loop only where fits and misses alternate. This
 policy ranks each tier's row with one stable ``np.argsort``; the baselines
 rank VMDKs by their metric and put 0.0 in the usage columns they do not
-check. A brute-force per-epoch profit maximizer doubles as the test oracle
-for the greedy round; it and ``epoch_profit`` share one per-(tier, vmdk)
-profit table, and both take assignments as (N,) tier rows.
+check. An exact per-epoch profit maximizer (a HiGHS binary program) is the
+oracle for the greedy round; it and ``epoch_profit`` share one per-(tier,
+vmdk) profit table, and both take assignments as (N,) tier rows.
 
 Every planner returns an ``AssignmentPlan`` in fleet rows: each VMDK's
 target tier row, the order VMDKs were seated in, and the moves as aligned
@@ -53,10 +53,6 @@ from .model import (
     ResourceVector,
     TierSpec,
 )
-
-ORACLE_MAX_VMDKS = 10
-ORACLE_MAX_TIERS = 4
-
 
 @dataclass(frozen=True, eq=False)
 class AssignmentPlan:
@@ -417,63 +413,61 @@ def oracle_assignment(
     migration_epoch_seconds: float,
     epoch_index: int = 0,
 ) -> AssignmentPlan:
-    """Exhaustive per-epoch profit maximizer over capacity-feasible assignments.
+    """Exact per-epoch profit maximizer over capacity-feasible assignments.
 
-    Enumeration only; bounded to small instances. Ties break toward the
-    lexicographically smallest assignment vector (VMDKs in id order, the
-    fleet's row order). The matrices' tier axis must follow the fleet's.
-    ``previous`` is each VMDK's tier row before the epoch; the plan moves
-    every VMDK whose best tier row differs, in id order, and seats the VMDKs
-    in id order.
+    A binary program over the (tier, VMDK) cells, solved by HiGHS through
+    ``scipy.optimize.milp`` (the ``oracle`` extra; runs need numpy only):
+    maximize ``profit_contributions``, one tier per VMDK, three budgets per
+    tier over ``mat.cap``; a cell of non-finite profit, or that overruns its
+    tier alone, is fixed to 0. The optimum must also pass ``first_fit`` per
+    tier in id order, which gives its ``used``; a tier it overruns within the
+    solver's tolerance is cut off and the program solved again. Equal optima
+    are not tie-broken. The plan moves each VMDK whose row differs from
+    ``previous`` and seats the VMDKs in id order.
     """
+    try:
+        from scipy.optimize import Bounds, LinearConstraint, milp
+    except ImportError as exc:
+        raise ImportError("the oracle needs scipy: pip install 'autotier[oracle]'") from exc
+
     roster = fleet.roster
-    vmdk_ids, tiers = roster.ids, roster.tiers
-    if len(vmdk_ids) > ORACLE_MAX_VMDKS or len(tiers) > ORACLE_MAX_TIERS:
-        raise ValueError(
-            f"oracle limited to {ORACLE_MAX_VMDKS} VMDKs and {ORACLE_MAX_TIERS} tiers"
-        )
-    contrib = profit_contributions(mat, weights, previous, fleet, migration_epoch_seconds).tolist()
-    cap = mat.cap.tolist()
-    remaining = roster.budget.tolist()
-    choice: list[int] = []
-    best_profit = -math.inf
-    best_vector: list[int] | None = None
-
-    def recurse(index: int, profit: float) -> None:
-        nonlocal best_profit, best_vector
-        if index == len(vmdk_ids):
-            if profit > best_profit:
-                best_profit = profit
-                best_vector = list(choice)
-            return
-        for i, rem in enumerate(remaining):
-            c = cap[i][index]
-            if c[0] <= rem[0] and c[1] <= rem[1] and c[2] <= rem[2]:
-                rem[0] -= c[0]
-                rem[1] -= c[1]
-                rem[2] -= c[2]
-                choice.append(i)
-                recurse(index + 1, profit + contrib[i][index])
-                choice.pop()
-                rem[0] += c[0]
-                rem[1] += c[1]
-                rem[2] += c[2]
-
-    recurse(0, 0.0)
-    if best_vector is None:
-        raise ValueError("no capacity-feasible assignment exists")
-
-    used = np.zeros((len(tiers), 3))
-    for j, i in enumerate(best_vector):
-        used[i] += cap[i][j]
-    target = np.array(best_vector, dtype=np.intp)
+    contrib = profit_contributions(mat, weights, previous, fleet, migration_epoch_seconds)
+    n_tiers, n = contrib.shape
+    allowed = np.isfinite(contrib) & (mat.cap <= roster.budget[:, None, :]).all(axis=-1)
+    cost, bounds = np.where(allowed, -contrib, 0.0).ravel(), Bounds(0.0, allowed.ravel() * 1.0)
+    # Cell (i, j) is variable i * n + j; budget row (i, k) reads tier i's cells.
+    cap = np.where(allowed[..., None], mat.cap, 0.0)
+    budget_rows = np.einsum("ab,bjk->akbj", np.eye(n_tiers), cap).reshape(3 * n_tiers, -1)
+    constraints = [
+        LinearConstraint(np.tile(np.eye(n), n_tiers), 1.0, 1.0),
+        LinearConstraint(budget_rows, -np.inf, roster.budget.ravel()),
+    ]
+    while True:
+        result = milp(cost, integrality=np.ones(cost.size), bounds=bounds,
+                      constraints=constraints, options={"mip_rel_gap": 0.0})
+        if not result.success:
+            raise ValueError("no capacity-feasible assignment exists")
+        target = result.x.reshape(n_tiers, n).argmax(axis=0)
+        used = np.zeros((n_tiers, 3))
+        for i in range(n_tiers):
+            rows = np.flatnonzero(target == i)
+            fit = first_fit(mat.cap[i, rows], roster.budget[i].copy(), used[i])
+            if not fit.all():
+                # These rows up to the first miss overrun tier i, and so do any more
+                # (what is left only shrinks), though not by the solver's tolerance.
+                k = int(fit.argmin())
+                cut = np.isin(np.arange(cost.size), i * n + rows[:k + 1]) * 1.0
+                constraints.append(LinearConstraint(cut, -np.inf, k))
+                break
+        else:
+            break
     moves = np.flatnonzero(target != previous)
     return AssignmentPlan(
         epoch_index=epoch_index,
-        ids=vmdk_ids,
+        ids=roster.ids,
         tier_ids=roster.tier_ids,
         target_row=target,
-        order=np.arange(len(vmdk_ids)),
+        order=np.arange(n),
         move_rows=moves,
         move_from=previous[moves],
         move_to=target[moves],

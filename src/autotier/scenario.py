@@ -4,7 +4,7 @@ Scenarios are single JSON documents with an explicit schemaVersion; parsing
 fills documented defaults for omitted tunables and round-trips losslessly.
 Three scenarios ship with the package: "table3-table4" (three production
 tiers, fourteen mixed workloads), "spike" (anti-thrash exercise) and
-"tiny-oracle" (small enough for the brute-force profit maximizer).
+"tiny-oracle" (six VMDKs, the quickest oracle check).
 """
 
 from __future__ import annotations

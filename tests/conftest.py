@@ -375,7 +375,7 @@ def random_scenario(rng: np.random.Generator, epochs: int = 6) -> Scenario:
     return Scenario(tiers=tuple(tiers), vmdks=tuple(vmdks), weights=weights, sim=sim)
 
 
-def random_oracle_instance(rng: np.random.Generator):
+def random_oracle_instance(rng: np.random.Generator, capacity_scale: float = 1.0):
     """A small (<=8 VMDK, 3 tier) instance with its fleet and matrices built.
 
     The fleet's tiers have random served read and write MB/s taken off their
@@ -383,7 +383,9 @@ def random_oracle_instance(rng: np.random.Generator):
     current tier row.
 
     Ranges keep every VMDK individually feasible on every tier with aggregate
-    slack, so the greedy's stay-put fallback never has to overload.
+    slack, so the greedy's stay-put fallback never has to overload. A
+    ``capacity_scale`` below 1 shrinks every tier's capacity after the same
+    draws, which makes budgets bind and, small enough, leaves no assignment.
     """
     from autotier.policy import cal_capacity_matrices, normalize_and_gate
 
@@ -392,9 +394,9 @@ def random_oracle_instance(rng: np.random.Generator):
             i + 1,
             base_latency_us=50.0 * (i + 1) ** 2,
             capacity=ResourceVector(
-                float(rng.uniform(70_000, 140_000)),
-                float(rng.uniform(700, 1500)),
-                float(rng.uniform(250, 800)),
+                capacity_scale * float(rng.uniform(70_000, 140_000)),
+                capacity_scale * float(rng.uniform(700, 1500)),
+                capacity_scale * float(rng.uniform(250, 800)),
             ),
             specialty=ResourceVector(*(float(x) for x in rng.integers(0, 2, size=3))),
             kind_weights=ResourceVector(*(float(x) for x in rng.uniform(0.2, 2.0, size=3))),
@@ -435,6 +437,68 @@ def random_oracle_instance(rng: np.random.Generator):
         aging_factor=0.0,
     )
     return tiers, fleet, records, mat, weights, fleet.tier_row.copy()
+
+
+def sequential_usage(mat, target_row, budget) -> list[list[float]] | None:
+    """Each tier row's usage of ``target_row``, or None if some VMDK overruns its tier.
+
+    Each tier charges its VMDKs in id order, each checked with ``<=``
+    against what is left, as ``first_fit``'s scalar loop does.
+    """
+    usage = []
+    for i, left in enumerate(budget.tolist()):
+        used = [0.0, 0.0, 0.0]
+        for j in np.flatnonzero(target_row == i).tolist():
+            cell = mat.cap[i, j].tolist()
+            if any(c > l for c, l in zip(cell, left)):
+                return None
+            left = [l - c for l, c in zip(left, cell)]
+            used = [u + c for u, c in zip(used, cell)]
+        usage.append(used)
+    return usage
+
+
+REFERENCE_ORACLE_MAX_VMDKS = 8
+
+
+def reference_oracle(mat, weights, previous, fleet, migration_epoch_seconds):
+    """The optimum profit and its assignment by enumeration, or None when nothing fits.
+
+    Every assignment of at most ``REFERENCE_ORACLE_MAX_VMDKS`` VMDKs is
+    tried, VMDK by VMDK in id order and tiers in row order. Each tier's
+    budget is charged as ``first_fit`` charges it (its VMDKs subtracted in
+    id order, each checked with ``<=``) and the cells' profits are added
+    from 0.0 in id order, as ``epoch_profit`` adds them. An
+    assignment whose profit is -inf or NaN never wins, and ties keep the
+    lexicographically smallest (N,) tier-row vector.
+    """
+    from autotier.policy import profit_contributions
+
+    n = len(fleet.roster.ids)
+    assert n <= REFERENCE_ORACLE_MAX_VMDKS
+    contrib = profit_contributions(mat, weights, previous, fleet,
+                                   migration_epoch_seconds).tolist()
+    cap = mat.cap.tolist()
+    remaining = fleet.roster.budget.tolist()
+    choice: list[int] = []
+    best: list = [-np.inf, None]
+
+    def recurse(j: int, profit: float) -> None:
+        if j == n:
+            if profit > best[0]:
+                best[:] = profit, np.array(choice, dtype=np.intp)
+            return
+        for i, rem in enumerate(remaining):
+            c = cap[i][j]
+            if c[0] <= rem[0] and c[1] <= rem[1] and c[2] <= rem[2]:
+                remaining[i] = [r - u for r, u in zip(rem, c)]
+                choice.append(i)
+                recurse(j + 1, profit + contrib[i][j])
+                choice.pop()
+                remaining[i] = rem
+
+    recurse(0, 0.0)
+    return None if best[1] is None else tuple(best)
 
 
 @pytest.fixture

@@ -43,6 +43,7 @@ from conftest import (
     make_vmdk,
     random_oracle_instance,
     random_scenario,
+    sequential_usage,
 )
 
 PLAN_LATENCIES = (0.0, 500.0, 1000.0, 2000.0, 4000.0)
@@ -186,6 +187,32 @@ def test_criterion_4_oracle_dominance():
     _report("C4 oracle-dominance", ok, t, 120.0,
             f"mean greedy/oracle profit ratio {mean_ratio:.4f} "
             f"over {len(ratios)}/{checked} positive-optimum instances")
+
+
+def test_criterion_4_oracle_dominance_on_table3_table4():
+    # The bundled scenario's own autotiering run: at every plan epoch the
+    # greedy round against the exact optimum, whose plan must pass the
+    # sequential budget check in id order.
+    ratios, report = [], []
+
+    def on_plan(epoch, plan, policy, ctx):
+        fleet, mat, seconds = ctx.fleet, policy.matrices, ctx.migration_epoch_seconds
+        previous = np.where(fleet.dest_row >= 0, fleet.dest_row, fleet.tier_row)
+        oracle = oracle_assignment(mat, ctx.weights, previous, fleet, seconds, epoch)
+        used = sequential_usage(mat, oracle.target_row, fleet.roster.budget)
+        report.append(used is not None and oracle.used.tolist() == used)
+        g = epoch_profit(plan.target_row, previous, mat, ctx.weights, fleet, seconds)
+        o = epoch_profit(oracle.target_row, previous, mat, ctx.weights, fleet, seconds)
+        report.append(g <= o + 1e-9)
+        if o > 1e-9:
+            ratios.append(g / o)
+
+    with _Timer() as t:
+        run_scenario(load_bundled_scenario("table3-table4"), "autotiering", on_plan=on_plan)
+        mean_ratio = sum(ratios) / len(ratios)
+    _report("C4 oracle-dominance at table3-table4 scale", all(report) and bool(ratios), t, 120.0,
+            f"mean greedy/oracle profit ratio {mean_ratio:.4f} "
+            f"over {len(ratios)} positive-optimum plan epochs")
 
 
 def test_criterion_5_directional_superiority():

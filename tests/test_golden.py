@@ -21,7 +21,9 @@ order per-tier sums accumulate in, or in the epoch a phase starts, fails it.
 
 A fourth table, ``golden_oracle_check.json``, holds the SHA-256 of the JSON
 that ``autotier oracle-check --scenario tiny-oracle`` prints per seed: the
-greedy and brute-force profit of every plan at full precision.
+greedy and optimum profit of every plan at full precision. The optimum
+is the profit of the oracle's plan, so an oracle that finds another plan of
+exactly the same profit leaves it unchanged.
 
 A fifth table, ``golden_diagnostics.json``, pins what the scenario reader
 makes of malformed documents: one SHA-256 per bundled document over every

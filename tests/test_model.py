@@ -108,6 +108,12 @@ class TestVmdkSpec:
         with pytest.raises(ValueError, match="start at epoch 0"):
             make_vmdk(phases=(WorkloadPhase(1, 100, 4096, 1.0),))
 
+    @pytest.mark.parametrize("start", [2.5, 3.0, True, math.nan, np.int64(3), "3", None])
+    def test_a_phase_starts_at_an_int(self, start):
+        # A float start would activate at the epoch below it; NaN passes every comparison.
+        with pytest.raises(ValueError, match="startEpoch must be an integer"):
+            WorkloadPhase(start, 100, 4096, 1.0)
+
     def test_profile_starts_strictly_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             make_vmdk(
@@ -286,8 +292,8 @@ class TestRoster:
         assert profile != phases[:1] and profile != list(phases)
         with pytest.raises(IndexError):
             profile[2]
-        floats = (WorkloadPhase(0.0, 1.0, 512.0), WorkloadPhase(2.5, 1.0, 512.0))
-        assert repr(make_vmdk(phases=floats).demand_profile) == repr(floats)
+        with pytest.raises(ValueError, match="startEpoch must be an integer"):
+            make_vmdk(phases=(WorkloadPhase(0, 1.0, 512.0), WorkloadPhase(2.5, 1.0, 512.0)))
         # The table holds demand figures as floats, as a parsed document always gave them.
         read = make_vmdk(phases=(WorkloadPhase(0, 100, 4096, 1),)).demand_profile[0]
         assert read == WorkloadPhase(0, 100, 4096, 1) and type(read.demand_iops) is float

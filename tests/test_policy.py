@@ -41,8 +41,10 @@ from conftest import (
     make_vmdk,
     pin,
     random_oracle_instance,
+    reference_oracle,
     reference_pack,
     row_of_tier,
+    sequential_usage,
     tier_rows,
 )
 from test_baselines import REFERENCE_RULES, reference_pack_by_metric
@@ -762,25 +764,76 @@ class TestProfitAndOracle:
         with pytest.raises(ValueError, match="feasible"):
             oracle_assignment(mat, PolicyWeights(), tier_rows(fleet, {"v1": 1}), fleet, 900.0)
 
-    def test_oracle_rejects_oversized_instances(self):
-        tiers = (make_tier(1),)
-        states = [make_state(make_vmdk(f"v{i}", demand_iops=10)) for i in range(11)]
-        records = {s.spec.id: record(s.spec.id, 0.0, 50.0) for s in states}
-        fleet = fleet_of(states, tiers)
-        mat = build_matrices(fleet, records)
-        with pytest.raises(ValueError, match="limited"):
-            oracle_assignment(mat, PolicyWeights(), fleet.tier_row, fleet, 900.0)
-
     def test_oracle_tie_breaks_lexicographically(self):
-        # two identical tiers except latency ordering; equal profit everywhere
+        # The reference keeps the smallest tier-row vector among equal optima;
+        # the oracle promises no tie-break, only the same profit.
         tiers = (make_tier(1, 100.0), make_tier(2, 200.0))
         state = make_state(make_vmdk(demand_iops=0.0))
         records = {"v1": record("v1", 0.0, 50.0)}
         fleet = fleet_of([state], tiers)
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(beta=0.0)
-        plan = oracle_assignment(mat, weights, tier_rows(fleet, {"v1": 1}), fleet, 900.0)
-        assert plan.target["v1"] == 1
+        previous = tier_rows(fleet, {"v1": 1})
+        profit, vector = reference_oracle(mat, weights, previous, fleet, 900.0)
+        assert vector.tolist() == [row_of_tier(fleet, 1)]
+        plan = oracle_assignment(mat, weights, previous, fleet, 900.0)
+        assert epoch_profit(plan.target_row, previous, mat, weights, fleet, 900.0) == profit
+
+    def assert_matches_reference(self, mat, weights, previous, fleet):
+        """The oracle finds an assignment exactly when the reference does, of its profit."""
+        with np.errstate(invalid="ignore"):  # beta 0 times an impossible move's cost
+            expected = reference_oracle(mat, weights, previous, fleet, 900.0)
+            try:
+                plan = oracle_assignment(mat, weights, previous, fleet, 900.0)
+            except ValueError as exc:
+                assert expected is None, exc
+                return False
+            assert expected is not None
+            profit = epoch_profit(plan.target_row, previous, mat, weights, fleet, 900.0)
+        assert abs(profit - expected[0]) <= 1e-9
+        assert plan.used.tolist() == sequential_usage(mat, plan.target_row, fleet.roster.budget)
+        return True
+
+    @pytest.mark.parametrize("sizes, budget", [
+        ((0.1, 0.2), 0.3),
+        ((50 + 1e-9, 50 + 1e-9), 100.0),
+        ((0.1, 0.2, 0.1, 0.2, 0.3), 0.6),
+    ])
+    def test_oracle_keeps_the_packers_fit_inside_the_solver_tolerance(self, sizes, budget):
+        # The sizes fill the fast tier's storage in decimal but overrun it in
+        # float, by less than the solver's feasibility tolerance.
+        tiers = (make_tier(1, 100.0, capacity=ResourceVector(1e6, 1e5, budget)),
+                 make_tier(2, 400.0, capacity=ResourceVector(1e6, 1e5, 1000.0)))
+        states = [make_state(make_vmdk(f"v{j}", size_gb=s, demand_iops=1000.0))
+                  for j, s in enumerate(sizes)]
+        fleet = fleet_of(states, tiers)
+        mat = build_matrices(fleet, {s.spec.id: record(s.spec.id, 0.0, 10.0) for s in states})
+        weights = PolicyWeights(beta=0.0)
+        assert self.assert_matches_reference(mat, weights, fleet.tier_row.copy(), fleet)
+
+    def test_oracle_matches_the_reference_on_random_instances(self):
+        rng = np.random.default_rng(1618)
+        found = []
+        for _ in range(120):
+            tiers, fleet, records, mat, weights, previous = random_oracle_instance(rng)
+            found.append(self.assert_matches_reference(mat, weights, previous, fleet))
+        assert all(found)
+
+    def test_oracle_matches_the_reference_on_tight_budgets(self):
+        # Shrunk tiers make budgets bind and often leave nothing that fits; a
+        # tier with no spare write bandwidth makes moves to it impossible
+        # (profit -inf, or NaN at beta 0), which both must leave out.
+        rng = np.random.default_rng(314)
+        found = []
+        for k in range(200):
+            scale = float(rng.uniform(0.02, 0.5))
+            tiers, fleet, records, mat, weights, previous = random_oracle_instance(rng, scale)
+            if k % 3 == 0:
+                fleet.spare_write_mbps[int(rng.integers(0, len(tiers)))] = 0.0
+            if k % 6 == 0:
+                weights = PolicyWeights(alpha=weights.alpha, beta=0.0, aging_factor=0.0)
+            found.append(self.assert_matches_reference(mat, weights, previous, fleet))
+        assert 20 <= sum(found) <= 180  # both outcomes occur often
 
     def test_oracle_matches_manual_enumeration_on_2x2(self):
         tiers = (

@@ -4,13 +4,18 @@ import copy
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import autotier
 from autotier import model
 from autotier.cli import main
 from autotier.engine import run_scenario
@@ -555,14 +560,33 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code != 0
 
-    def test_oracle_check_reports_ratios(self, capsys):
-        code = main(["oracle-check", "--scenario", "tiny-oracle"])
+    @pytest.mark.parametrize("name, plans", [("tiny-oracle", 3), ("table3-table4", 17)])
+    def test_oracle_check_reports_ratios(self, capsys, name, plans):
+        code = main(["oracle-check", "--scenario", name])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["greedyNeverAbove"] is True
-        assert payload["epochs"]
+        assert len(payload["epochs"]) == plans
         for row in payload["epochs"]:
             assert row["greedyProfit"] <= row["oracleProfit"] + 1e-9
+
+    def test_oracle_check_without_scipy_names_the_oracle_extra(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # import now fails
+        assert main(["oracle-check", "--scenario", "tiny-oracle"]) == 2
+        assert "autotier[oracle]" in capsys.readouterr().err
+
+    def test_a_run_imports_no_scipy(self):
+        # The oracle imports scipy when called, so a run needs numpy only.
+        code = (
+            "import sys, autotier; "
+            "autotier.run_scenario(autotier.load_bundled_scenario('table3-table4'), "
+            "'autotiering'); "
+            "sys.exit('scipy' in sys.modules)"
+        )
+        src = str(Path(autotier.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_determinism_through_the_cli(self, tmp_path):
         outs = []
