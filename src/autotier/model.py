@@ -1,29 +1,28 @@
 """Shared domain types for the multi-tier placement simulator.
 
 Units are fixed across the package: latency in microseconds, throughput in
-IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
-All spec types are immutable after construction; the mutable per-run state
+IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes). All
+spec types are immutable after construction; the mutable per-run state
 (Fleet, MigrationLog) is owned by a single simulation run. Reading a
-document reads every VMDK's demand profile at once, in one column pass,
-into one read-only ``PhaseTable`` per scenario; each ``VmdkSpec`` holds a
-``DemandProfile`` view of its rows, which builds ``WorkloadPhase``s only
-when read. A profile the column pass refuses is read again phase by phase
-by the ``SCHEMA`` readers, the one source of diagnostics. A scenario's
-``Roster`` holds every static fact, built once from the specs and
-read-only: one row per VMDK and one per tier, each tier number and static
-VMDK figure a column. Each run's ``Fleet``, built by ``Fleet.of``, shares
-that roster and owns only the columns the run writes, each fact once: each
-VMDK's tier, active phase's demand and last measurements, each in-flight
-migration's destination and log index, and each tier's contention and
-spare MB/s. The MigrationLog holds every migration started, progress
-included, as columns.
+plain, valid document reads every VMDK's demand profile at once, in one
+column pass, into one read-only ``PhaseTable`` per scenario; each
+``VmdkSpec`` holds a ``DemandProfile`` view of its rows, which builds
+``WorkloadPhase``s only when read. Any other document is read phase by
+phase by the ``SCHEMA`` readers, the one source of diagnostics, and each
+profile stored as a table of its own. A scenario's ``Roster`` holds every
+static fact, built once from the specs and read-only: one row per VMDK and
+one per tier, each tier number and static VMDK figure a column. Each run's
+``Fleet``, built by ``Fleet.of``, shares that roster and owns only the
+columns the run writes, each fact once: each VMDK's tier, active phase's
+demand and last measurements, each in-flight migration's destination and
+log index, and each tier's contention and spare MB/s. The MigrationLog
+holds every migration started, progress included, as columns.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from contextlib import suppress
 from dataclasses import InitVar, astuple, dataclass, fields, replace
 from functools import cached_property, reduce
 from itertools import accumulate, chain, repeat
@@ -262,7 +261,7 @@ class VmdkSpec:
         if not (math.isfinite(self.truth_intercept_us) and self.truth_intercept_us > 0):
             raise ValueError("truthInterceptUs must be positive")
         if isinstance(self.demand_profile, DemandProfile):
-            return  # the column pass checked it
+            return  # a view of a table checked already, read ahead or built below
         phases = tuple(self.demand_profile)
         if not phases:
             raise ValueError("demandProfile must have at least one phase")
@@ -861,30 +860,6 @@ def _list_of(cls: type, read_ahead: Callable[[list[Any]], list[Any]] | None = No
     return read
 
 
-def _or(read: Reader, value: Any, refused: Any) -> Any:
-    """What ``read`` reads ``value`` as, or ``refused`` if it refuses it."""
-    try:
-        return read(value, "", "", [])
-    except _Invalid:
-        return refused
-
-
-def _floats(values: list[Any]) -> np.ndarray:
-    """``values`` as floats, NaN (which every phase check refuses) where ``_number`` refuses."""
-    if set(map(type, values)) <= {int, float}:
-        with suppress(OverflowError):
-            return np.fromiter(values, float, len(values))
-    return np.array([_or(_number, v, math.nan) for v in values], dtype=float)
-
-
-def _start_column(values: list[Any]) -> tuple[np.ndarray, dict[int, Any]]:
-    """JSON start epochs ``_clipped``, -1 (which the checks refuse) where ``_integer`` refuses."""
-    if set(map(type, values)) == {int}:
-        with suppress(OverflowError):
-            return np.fromiter(values, np.int64, len(values)), {}
-    return _clipped([max(_or(_integer, v, -1), -1) for v in values])
-
-
 # Each demand row's range as ``WorkloadPhase`` checks it: demand finite and
 # non-negative, read fraction in [0, 1], I/O size finite and positive, that
 # is at least the least float above 0. NaN lies in no range.
@@ -894,68 +869,55 @@ _DEMAND_RANGE = np.array([
 ])
 
 
-def _read_phases(profiles: list[list[Any]]) -> tuple[PhaseTable, list[int], np.ndarray]:
-    """Non-empty JSON phase lists read in one column pass over every phase.
+def _read_profiles(vmdks: list[Any]) -> list[dict[str, Any] | None]:
+    """Every VMDK's demand profile read ahead in one column pass, or None for each.
 
-    Returns their table, the P + 1 row offsets of the profiles in it, and
-    whether each profile passes every check that the phase readers,
-    ``WorkloadPhase`` and ``VmdkSpec`` make of it. A profile that fails
-    holds junk rows.
+    The pass reads only a plain, valid document: each item an object whose
+    ``demandProfile`` is a non-empty list of objects with the phase keys
+    alone, each start a Python int within int64 and each other value an int
+    or float within the float range, and every check the phase readers,
+    ``WorkloadPhase`` and ``VmdkSpec`` make passed. Then each item gets
+    ``{"demand_profile": view}`` of one table, for its own read to take as
+    is. Otherwise every item gets None, and its read reads the profile phase
+    by phase with ``SCHEMA[WorkloadPhase]``, whose readers report its
+    diagnostics.
     """
-    offsets = list(accumulate(map(len, profiles), initial=0))
+    refused: list[dict[str, Any] | None] = [None] * len(vmdks)
+    if set(map(type, vmdks)) != {dict}:
+        return refused
+    profiles = [item.get("demandProfile") for item in vmdks]
+    if set(map(type, profiles)) != {list} or not all(profiles):
+        return refused
     flat = list(chain.from_iterable(profiles))
-    columns = None
-    if set(map(type, flat)) == {dict}:
-        with suppress(KeyError):
-            columns = [list(map(itemgetter(key), flat)) for key in _REQUIRED_PHASE_KEYS]
-    # Once every required key is there, the keys total those plus each
-    # readFraction unless some phase has an unknown key.
-    shape_ok: Any = columns is not None and sum(map(len, flat)) == len(columns) * len(flat) + sum(
-        map(contains, flat, repeat("readFraction"))
-    )
-    if not shape_ok:  # a phase that is no object, or lacks or adds a key, is read as a blank
-        shape_ok = np.array([
-            type(p) is dict and set(_REQUIRED_PHASE_KEYS) <= p.keys() <= _KEYS[WorkloadPhase]
-            for p in flat
-        ], dtype=bool)
-        flat = [p if ok else _BLANK_PHASE for p, ok in zip(flat, shape_ok.tolist())]
-        columns = [list(map(itemgetter(key), flat)) for key in _REQUIRED_PHASE_KEYS]
-    starts, demands, sizes = columns
+    if set(map(type, flat)) != {dict}:
+        return refused
+    try:
+        starts, demands, sizes = (list(map(itemgetter(key), flat)) for key in _REQUIRED_PHASE_KEYS)
+    except KeyError:
+        return refused
     fractions = list(map(dict.get, flat, repeat("readFraction"), repeat(1.0)))
-    demand = _floats(demands + fractions + sizes).reshape(3, len(flat))
-    table = PhaseTable(*_start_column(starts), demand)
-    inside = ((demand >= _DEMAND_RANGE[0]) & (demand <= _DEMAND_RANGE[1])).all(axis=0)
-    # Phase 0 starts at epoch 0 and each later phase after the one before
-    # (so no start is negative).
-    start, exact = table.start_epoch, table.exact_start
-    first = np.array(offsets[:-1])
+    # With every required key there, the keys total those and each
+    # readFraction unless some phase has an unknown key.
+    keys = sum(map(len, flat)) - 3 * len(flat) - sum(map(contains, flat, repeat("readFraction")))
+    values = demands + fractions + sizes
+    if keys or set(map(type, starts)) != {int} or not set(map(type, values)) <= {int, float}:
+        return refused
+    try:
+        start = np.fromiter(starts, np.int64, len(starts))
+        demand = np.fromiter(values, float, len(values)).reshape(3, len(flat))
+    except OverflowError:
+        return refused
+    offsets = list(accumulate(map(len, profiles), initial=0))
+    first = offsets[:-1]
+    # Phase 0 starts at epoch 0 and each later phase after the one before.
     rising = np.empty(len(flat), dtype=bool)
     rising[1:] = start[1:] > start[:-1]
-    for k in np.flatnonzero(start == NEVER).tolist() if exact else ():
-        rising[k] = exact.get(k, NEVER) > exact.get(k - 1, int(start[k - 1]))
-    rising[first] = start[first] == 0  # after the loop, which may read past row 0
-    return table, offsets, np.logical_and.reduceat(inside & rising & shape_ok, first)
-
-
-def _read_profiles(vmdks: list[Any]) -> list[dict[str, Any] | None]:
-    """Each VMDK's demand profile read ahead, all in one column pass.
-
-    An item whose profile passes every check gets ``{"demand_profile":
-    view}`` for its own read to take as is. Any other item gets None, so
-    its read reads the profile phase by phase with ``SCHEMA[WorkloadPhase]``,
-    whose readers report its diagnostics.
-    """
-    ahead: list[dict[str, Any] | None] = [None] * len(vmdks)
-    where = [
-        i for i, item in enumerate(vmdks)
-        if type(item) is dict and type(item.get("demandProfile")) is list and item["demandProfile"]
-    ]
-    if where:
-        table, offsets, ok = _read_phases([vmdks[i]["demandProfile"] for i in where])
-        for i, first, stop, good in zip(where, offsets, offsets[1:], ok.tolist()):
-            if good:
-                ahead[i] = {"demand_profile": DemandProfile(table, first, stop)}
-    return ahead
+    rising[first] = start[first] == 0
+    inside = (demand >= _DEMAND_RANGE[0]) & (demand <= _DEMAND_RANGE[1])
+    if not (rising.all() and inside.all()):
+        return refused
+    table = PhaseTable(start, {}, demand)
+    return [{"demand_profile": DemandProfile(table, a, b)} for a, b in zip(first, offsets[1:])]
 
 
 SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any], ...]] = {
@@ -1020,7 +982,6 @@ SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any], ...]] = {
 }
 _KEYS = {cls: frozenset(row[0] for row in rows) for cls, rows in SCHEMA.items()}
 _REQUIRED_PHASE_KEYS = tuple(row[0] for row in SCHEMA[WorkloadPhase] if row[3] is REQUIRED)
-_BLANK_PHASE = dict.fromkeys(_REQUIRED_PHASE_KEYS, 0)
 
 
 def _read(

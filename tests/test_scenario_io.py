@@ -23,7 +23,6 @@ from autotier.model import (
     OPTIONAL,
     REQUIRED,
     SCHEMA,
-    DemandProfile,
     ResourceVector,
     Scenario,
     ScenarioValidationError,
@@ -51,6 +50,7 @@ from autotier.scenario import (
 )
 
 from conftest import make_vmdk, random_scenario
+from test_golden import scale_scenario
 
 
 INTEGER_FIELDS = [
@@ -301,21 +301,30 @@ def reference_phases(profile):
     return phases
 
 
+def plain(profile):
+    """Whether every start is a Python int below 2**63 and every other value an int or float."""
+    return all(
+        type(phase["startEpoch"]) is int and phase["startEpoch"] < 2**63
+        and all(type(v) in (int, float) for k, v in phase.items() if k != "startEpoch")
+        for phase in profile
+    )
+
+
 class TestColumnPass:
     @settings(max_examples=400)
     @given(st.lists(phase_lists(), min_size=1, max_size=4))
-    def test_accepts_exactly_what_the_phase_readers_accept(self, profiles):
-        table, offsets, ok = model._read_phases(profiles)
-        assert len(offsets) == len(profiles) + 1 and offsets[-1] == len(table.start_epoch)
-        for j, profile in enumerate(profiles):
-            expected = reference_phases(profile)
-            assert bool(ok[j]) == (expected is not None), (profile, expected)
-            if expected is not None:
-                view = DemandProfile(table, offsets[j], offsets[j + 1])
-                assert repr(tuple(view)) == repr(expected)
-                assert view == expected and hash(view) == hash(expected)
+    def test_reads_ahead_exactly_the_plain_profiles_the_phase_readers_accept(self, profiles):
+        ahead = model._read_profiles([{"demandProfile": profile} for profile in profiles])
+        expected = [reference_phases(profile) for profile in profiles]
+        if not all(e is not None and plain(p) for e, p in zip(expected, profiles)):
+            assert ahead == [None] * len(profiles)
+            return
+        for given_args, phases in zip(ahead, expected):
+            view = given_args["demand_profile"]
+            assert repr(view) == repr(phases)
+            assert view == phases and hash(view) == hash(phases)
 
-    def test_a_refused_profile_is_diagnosed_in_place_and_others_are_read_as_columns(self):
+    def test_a_refused_profile_is_diagnosed_in_place_and_no_profile_is_read_ahead(self):
         doc = json.loads(bundled_scenario_text("table3-table4"))
         doc["vmdks"][2]["demandProfile"].append({"startEpoch": 0, "demandIops": -1, "zz": 1})
         doc["vmdks"][5]["sizeGb"] = 0
@@ -326,10 +335,14 @@ class TestColumnPass:
             "vmdks[2].demandProfile[1].avgIoSizeBytes: required field missing",
             "vmdks[5]: sizeGb must be positive",
         ]
-        ahead = model._read_profiles(doc["vmdks"])
-        assert ahead[2] is None and ahead[5] is not None
-        tables = {id(a["demand_profile"].table) for a in ahead if a is not None}
-        assert len(tables) == 1 and sum(a is None for a in ahead) == 1
+        assert model._read_profiles(doc["vmdks"]) == [None] * len(doc["vmdks"])
+
+    @pytest.mark.parametrize("name", [*BUNDLED_SCENARIOS, "scale"])
+    def test_every_shipped_document_is_read_ahead(self, name):
+        scenario = scale_scenario() if name == "scale" else load_bundled_scenario(name)
+        # Read phase by phase, each VMDK's profile would view a table of its own.
+        tables = {id(vmdk.demand_profile.table) for vmdk in scenario.vmdks}
+        assert len(tables) == 1 < len(scenario.vmdks)
 
 
 class TestSchema:
