@@ -374,8 +374,9 @@ def profit_contributions(
     use ratios so the three kinds are commensurable; the migration term uses
     the same normalized cost as the score. The objective is separable once
     the previous assignment (``previous``, each VMDK's tier row) and the
-    tiers' spare bandwidth are fixed. The matrices' axes must follow the
-    fleet's tier and VMDK rows.
+    tiers' spare bandwidth are fixed. A move that cannot run this epoch
+    (infinite cost) is -inf at any beta, as ``cal_score`` blocks it. The
+    matrices' axes must follow the fleet's tier and VMDK rows.
     """
     roster = fleet.roster
     if mat.vmdk_ids != roster.ids:
@@ -383,7 +384,9 @@ def profit_contributions(
     alpha, ratio = weights.alpha, mat.ratio
     gain = alpha.p * ratio[..., 0] + alpha.b * ratio[..., 1] + alpha.s * ratio[..., 2]
     cost = mig_cost_seconds(fleet, previous) / migration_epoch_seconds
-    return roster.sla_weight * (gain - weights.beta * cost)
+    finite = np.isfinite(cost)
+    profit = roster.sla_weight * (gain - weights.beta * np.where(finite, cost, 0.0))
+    return np.where(finite, profit, -math.inf)
 
 
 def epoch_profit(

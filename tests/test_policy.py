@@ -1,6 +1,7 @@
 """Scoring and greedy assignment, checked against hand computations and the oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from autotier.policy import (
     oracle_assignment,
     orthogonal_match_score,
     pack,
+    profit_contributions,
     trigger_migration,
 )
 
@@ -736,6 +738,19 @@ class TestProfitAndOracle:
         p2 = epoch_profit(target, other_prev, mat, weights, fleet, 900.0)
         assert p1 == pytest.approx(p2, rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_a_move_that_cannot_run_is_minus_inf_at_any_beta(self, beta):
+        tiers = (make_tier(1, 100.0), make_tier(2, 200.0))
+        fleet = fleet_of([make_state(make_vmdk(), tier=2)], tiers)
+        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 50.0)})
+        fleet.spare_write_mbps[row_of_tier(fleet, 1)] = 0.0
+        previous = tier_rows(fleet, {"v1": 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            contrib = profit_contributions(mat, PolicyWeights(beta=beta), previous, fleet, 900.0)
+        assert contrib[row_of_tier(fleet, 1), 0] == -math.inf
+        assert np.isfinite(contrib[row_of_tier(fleet, 2), 0])
+
     def test_oracle_picks_best_of_three_tiers(self):
         tiers = (
             make_tier(1, 50.0, specialty=ResourceVector(1, 1, 0)),
@@ -781,15 +796,14 @@ class TestProfitAndOracle:
 
     def assert_matches_reference(self, mat, weights, previous, fleet):
         """The oracle finds an assignment exactly when the reference does, of its profit."""
-        with np.errstate(invalid="ignore"):  # beta 0 times an impossible move's cost
-            expected = reference_oracle(mat, weights, previous, fleet, 900.0)
-            try:
-                plan = oracle_assignment(mat, weights, previous, fleet, 900.0)
-            except ValueError as exc:
-                assert expected is None, exc
-                return False
-            assert expected is not None
-            profit = epoch_profit(plan.target_row, previous, mat, weights, fleet, 900.0)
+        expected = reference_oracle(mat, weights, previous, fleet, 900.0)
+        try:
+            plan = oracle_assignment(mat, weights, previous, fleet, 900.0)
+        except ValueError as exc:
+            assert expected is None, exc
+            return False
+        assert expected is not None
+        profit = epoch_profit(plan.target_row, previous, mat, weights, fleet, 900.0)
         assert abs(profit - expected[0]) <= 1e-9
         assert plan.used.tolist() == sequential_usage(mat, plan.target_row, fleet.roster.budget)
         return True
@@ -822,7 +836,7 @@ class TestProfitAndOracle:
     def test_oracle_matches_the_reference_on_tight_budgets(self):
         # Shrunk tiers make budgets bind and often leave nothing that fits; a
         # tier with no spare write bandwidth makes moves to it impossible
-        # (profit -inf, or NaN at beta 0), which both must leave out.
+        # (profit -inf), which both must leave out.
         rng = np.random.default_rng(314)
         found = []
         for k in range(200):
