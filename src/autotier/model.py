@@ -375,6 +375,8 @@ class SimulationConfig:
         if not (math.isfinite(self.epoch_seconds) and self.epoch_seconds > 0):
             raise ValueError("epochSeconds must be positive")
         _require_finite_nonneg("noiseCv", self.noise_cv)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

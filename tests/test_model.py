@@ -554,3 +554,5 @@ class TestScenarioValidation:
             SimulationConfig(epochs=-1)
         with pytest.raises(ValueError, match="epochSeconds"):
             SimulationConfig(epochs=1, epoch_seconds=0.0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimulationConfig(epochs=1, seed=-1)
