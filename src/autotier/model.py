@@ -1,22 +1,23 @@
 """Shared domain types for the multi-tier placement simulator.
 
 Units are fixed across the package: latency in microseconds, throughput in
-IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes). All
-spec types are immutable after construction; the mutable per-run state
+IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
+All spec types are immutable after construction; the mutable per-run state
 (Fleet, MigrationLog) is owned by a single simulation run. Reading a
 plain, valid document reads every VMDK's demand profile at once, in one
 column pass, into one read-only ``PhaseTable`` per scenario; each
 ``VmdkSpec`` holds a ``DemandProfile`` view of its rows, which builds
 ``WorkloadPhase``s only when read. Any other document is read phase by
 phase by the ``SCHEMA`` readers, the one source of diagnostics, and each
-profile stored as a table of its own. A scenario's ``Roster`` holds every
-static fact, built once from the specs and read-only: one row per VMDK and
-one per tier, each tier number and static VMDK figure a column. Each run's
-``Fleet``, built by ``Fleet.of``, shares that roster and owns only the
-columns the run writes, each fact once: each VMDK's tier, active phase's
-demand and last measurements, each in-flight migration's destination and
-log index, and each tier's contention and spare MB/s. The MigrationLog
-holds every migration started, progress included, as columns.
+profile stored as a table of its own. A scenario's
+``Roster`` holds every static fact, built once from the specs and
+read-only: one row per VMDK and one per tier, each tier number and static
+VMDK figure a column. Each run's ``Fleet``, built by ``Fleet.of``, shares
+that roster and owns only the columns the run writes, each fact once: each
+VMDK's tier, active phase's demand and last measurements, each in-flight
+migration's destination and log index, and each tier's contention and
+spare MB/s. The MigrationLog holds every migration started, progress
+included, as columns.
 """
 
 from __future__ import annotations
@@ -898,9 +899,10 @@ def _read_profiles(vmdks: list[Any]) -> list[dict[str, Any] | None]:
     except KeyError:
         return refused
     fractions = list(map(dict.get, flat, repeat("readFraction"), repeat(1.0)))
-    # With every required key there, the keys total those and each
-    # readFraction unless some phase has an unknown key.
-    keys = sum(map(len, flat)) - 3 * len(flat) - sum(map(contains, flat, repeat("readFraction")))
+    # With every required key there, the keys past those and each
+    # readFraction are the unknown ones.
+    keys = sum(map(len, flat)) - len(_REQUIRED_PHASE_KEYS) * len(flat)
+    keys -= sum(map(contains, flat, repeat("readFraction")))
     values = demands + fractions + sizes
     if keys or set(map(type, starts)) != {int} or not set(map(type, values)) <= {int, float}:
         return refused
