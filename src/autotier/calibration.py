@@ -3,11 +3,12 @@
 At each monitor epoch a calibration injects a small set of synthetic
 latencies into the I/O path of every VMDK and samples the resulting average
 latency several times per injected value. The samples form one dense
-``(N, L, S)`` grid: VMDKs × injected latencies in plan order × samples. One
-least-squares line per VMDK (mean latency vs injected latency), fitted for
-all rows at once, predicts the VMDK's latency on any other tier from the
-difference of tier base latencies, without migrating anything. The fits are
-``(N,)`` arrays (``CalibrationFits``) and the predictions a ``(T, N)`` grid.
+``(N, L, S)`` grid: VMDKs × injected latencies in plan order × samples. Each
+(VMDK, latency) mean, computed once, gives its CV and a point of one
+least-squares line per VMDK, fitted for all rows at once, which predicts the
+VMDK's latency on any other tier from the difference of tier base latencies,
+without migrating anything. The fits are ``(N,)`` arrays
+(``CalibrationFits``) and the predictions a ``(T, N)`` grid.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ class CalibrationSamples:
             raise ValueError("sample values must be shaped (VMDKs, injected latencies, samples)")
         if self.values.shape[2] == 0:
             raise ValueError(f"no samples for injected latency {self.injected_latencies_us[0]}")
-        bad = (self.values <= 0).any(axis=(0, 2))
-        if bad.any():
-            d = self.injected_latencies_us[int(bad.argmax())]
-            raise ValueError(f"non-positive sample for injected latency {d}")
+        if self.values.size and not self.values.min() > 0:
+            bad = (self.values <= 0).any(axis=(0, 2))
+            if bad.any():
+                d = self.injected_latencies_us[int(bad.argmax())]
+                raise ValueError(f"non-positive sample for injected latency {d}")
 
     @property
     def sample_count(self) -> int:
@@ -76,14 +78,20 @@ def collect_samples(
 
 
 def compute_cv(samples: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Coefficient of variation along the last axis: population sigma over mean."""
-    arr = np.asarray(samples, dtype=float)
+    """Coefficient of variation along the last axis: sigma over the mean, taken once per row."""
+    return _mean_and_cv(np.asarray(samples, dtype=float))[1]
+
+
+def _mean_and_cv(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and CV along the last axis: one mean, then sigma by ``np.std``'s own steps."""
     if arr.shape[-1] == 0:
         raise ValueError("cannot compute CV of an empty sample list")
     mean = arr.mean(axis=-1)
     if (mean == 0.0).any():
         raise ValueError("cannot compute CV when the sample mean is 0")
-    return arr.std(axis=-1) / mean
+    dev = arr - mean[..., None]
+    dev *= dev
+    return mean, np.sqrt(dev.mean(axis=-1)) / mean
 
 
 def compute_confidence(mean_cv: np.ndarray | float, floor: float = 0.05) -> np.ndarray:
@@ -106,27 +114,20 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     latencies = samples.injected_latencies_us
     if len(set(latencies)) < 2:
         raise ValueError("regression needs at least two distinct injected latencies")
-    l = samples.values.shape[1]
     order = np.argsort(latencies, kind="stable")
     xs = np.asarray(latencies)[order]
-    cv = compute_cv(samples.values)[:, order]
-    means = samples.values.mean(axis=-1)[:, order]
+    means, cv = (a[:, order] for a in _mean_and_cv(samples.values))
     # Left to right from 0.0, as a per-VMDK loop adds; .sum() pairs terms
     # differently and would move the last bits.
     cv_total = 0.0
     for column in cv.T:
         cv_total = cv_total + column
-    mean_cv = cv_total / l
+    mean_cv = cv_total / len(latencies)
     # One polyfit with a column per VMDK; each column comes out bitwise as
     # if fitted alone. A closed-form slope/intercept differs in the last bits.
     m, b = np.polyfit(xs, means.T, 1)
-    fits = CalibrationFits(
-        vmdk_ids=samples.vmdk_ids,
-        m=m,
-        b=b,
-        confidence=compute_confidence(mean_cv, floor),
-        mean_cv=mean_cv,
-    )
+    fits = CalibrationFits(vmdk_ids=samples.vmdk_ids, m=m, b=b,
+                           confidence=compute_confidence(mean_cv, floor), mean_cv=mean_cv)
     too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
     if too_slow.any():
         row = int(too_slow.argmax())

@@ -101,6 +101,12 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="autotier",
@@ -113,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scenario file path or bundled name "
                           "(table3-table4, spike, tiny-oracle)")
     run.add_argument("--policy", required=True, choices=POLICY_NAMES)
-    run.add_argument("--seed", type=int, default=None,
+    run.add_argument("--seed", type=seed, default=None,
                      help="override the scenario's seed")
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=cmd_run)
@@ -129,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run autotiering and compare each epoch's plan against the exact optimum",
     )
     oracle.add_argument("--scenario", required=True)
-    oracle.add_argument("--seed", type=int, default=None)
+    oracle.add_argument("--seed", type=seed, default=None)
     oracle.set_defaults(func=cmd_oracle_check)
     return parser
 

@@ -30,7 +30,7 @@ over the book.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,12 +81,15 @@ def probe_latencies(
     truth = slope * (base + added) + intercept * contention
     shape = (len(rows), len(added_us), samples_per_latency)
     count = shape[0] * shape[1] * shape[2]
-    factor = 1.0 + noise_cv * rng.standard_normal(count)
-    factor = factor[factor > 0.0]
+    factor = rng.standard_normal(count)
+    factor *= noise_cv
+    factor += 1.0
+    if not factor.min(initial=1.0) > 0.0:
+        factor = factor[factor > 0.0]
     while factor.size < count:
         more = 1.0 + noise_cv * rng.standard_normal(count - factor.size)
         factor = np.concatenate([factor, more[more > 0.0]])
-    return truth * factor.reshape(shape)
+    return np.multiply(factor.reshape(shape), truth, out=factor.reshape(shape))
 
 
 @dataclass
@@ -317,16 +320,16 @@ def run_scenario(
     ``on_plan`` is called right after each migration-epoch plan, before any
     order starts, with (epoch, plan, policy, context); used by oracle checks.
     """
-    actual_seed = scenario.sim.seed if seed is None else seed
-    rng = np.random.default_rng(actual_seed)
-    noise_cv = scenario.sim.noise_cv
-    epoch_seconds = scenario.sim.epoch_seconds
+    sim = scenario.sim if seed is None else replace(scenario.sim, seed=seed)  # checks the override
+    rng = np.random.default_rng(sim.seed)
+    noise_cv = sim.noise_cv
+    epoch_seconds = sim.epoch_seconds
     policy = make_policy(policy_name)
 
     roster = scenario.roster
     fleet = Fleet.of(roster)
     log = MigrationLog(roster.ids)
-    result = RunResult(scenario=scenario, policy=policy_name, seed=actual_seed, migration_log=log)
+    result = RunResult(scenario=scenario, policy=policy_name, seed=sim.seed, migration_log=log)
 
     def probe(vmdk_ids: Sequence[str], added_us: Sequence[float], samples: int) -> np.ndarray:
         rows = [roster.row[v] for v in vmdk_ids]
@@ -339,7 +342,7 @@ def run_scenario(
         epoch_seconds=epoch_seconds,
         probe=probe,
     )
-    for epoch in range(scenario.sim.epochs):
+    for epoch in range(sim.epochs):
         fleet.activate_phases(epoch)
         if epoch % weights.monitor_epoch == 0:
             policy.on_monitor(ctx)

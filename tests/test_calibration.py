@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from autotier.calibration import (
+    MAX_MEAN_LATENCY_US,
     CalibrationSamples,
     collect_samples,
     compute_confidence,
@@ -15,7 +16,7 @@ from autotier.calibration import (
     regress_latency_curve,
 )
 from autotier.engine import run_scenario
-from autotier.model import DEFAULT_INJECTED_LATENCIES_US, validate_scenario
+from autotier.model import DEFAULT_INJECTED_LATENCIES_US, CalibrationFits, validate_scenario
 from autotier.scenario import load_bundled_scenario, scenario_to_document
 
 from conftest import make_fits
@@ -41,6 +42,49 @@ def sample_set(per_latency, vmdk_id="v"):
     )
 
 
+def reference_cv(arr):
+    """CV the three-pass way: one mean, then ``np.std`` taking its own."""
+    return arr.std(axis=-1) / arr.mean(axis=-1)
+
+
+def reference_regress(samples, floor=0.05):
+    """``regress_latency_curve`` with each (VMDK, latency) mean taken three times.
+
+    Once for the CV's denominator, once inside ``np.std`` and once for the fit:
+    the one-pass statistics must match it bit for bit.
+    """
+    latencies = samples.injected_latencies_us
+    if len(set(latencies)) < 2:
+        raise ValueError("regression needs at least two distinct injected latencies")
+    order = np.argsort(latencies, kind="stable")
+    xs = np.asarray(latencies)[order]
+    cv = reference_cv(samples.values)[:, order]
+    means = samples.values.mean(axis=-1)[:, order]
+    cv_total = 0.0
+    for column in cv.T:
+        cv_total = cv_total + column
+    mean_cv = cv_total / len(latencies)
+    m, b = np.polyfit(xs, means.T, 1)
+    fits = CalibrationFits(vmdk_ids=samples.vmdk_ids, m=m, b=b,
+                           confidence=compute_confidence(mean_cv, floor), mean_cv=mean_cv)
+    too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
+    if too_slow.any():
+        row = int(too_slow.argmax())
+        limit = f"the calibration limit of {MAX_MEAN_LATENCY_US} us"
+        raise ValueError(f"VMDK {samples.vmdk_ids[row]!r}: mean sampled latency reaches {limit}")
+    return fits
+
+
+def outcome(regress, samples):
+    """The fit's four columns as bytes, or the message of the ValueError raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            fits = regress(samples)
+        except ValueError as exc:
+            return str(exc)
+    return tuple(getattr(fits, name).tobytes() for name in ("m", "b", "confidence", "mean_cv"))
+
+
 class TestComputeCv:
     def test_constant_samples_have_zero_cv(self):
         assert compute_cv([100.0, 100.0, 100.0]) == 0.0
@@ -50,12 +94,31 @@ class TestComputeCv:
         assert compute_cv([90.0, 110.0]) == pytest.approx(0.1, rel=1e-12)
 
     def test_empty_input_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot compute CV of an empty sample list"):
             compute_cv([])
+        with pytest.raises(ValueError, match="empty sample list"):
+            compute_cv(np.empty((2, 3, 0)))
 
     def test_zero_mean_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot compute CV when the sample mean is 0"):
             compute_cv([0.0, 0.0])
+        with pytest.raises(ValueError, match="sample mean is 0"):
+            compute_cv([[1.0, 2.0], [-1.0, 1.0]])
+
+    @given(
+        hnp.arrays(
+            float,
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12),
+            elements=st.floats(min_value=1e-3, max_value=1e290),
+        )
+    )
+    def test_matches_the_three_pass_statistics_bitwise(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cv = compute_cv(values)
+            from_list = compute_cv(values.tolist())
+            expected = reference_cv(values)
+        assert np.asarray(cv).tobytes() == np.asarray(expected).tobytes()
+        assert np.asarray(from_list).tobytes() == np.asarray(expected).tobytes()
 
     def test_one_cv_per_row(self):
         cv = compute_cv(np.array([[[90.0, 110.0], [100.0, 100.0]]]))
@@ -113,6 +176,26 @@ class TestCollectSamples:
     def test_positive_samples_required(self):
         with pytest.raises(ValueError):
             sample_set({0.0: [0.0]})
+
+    def test_a_nan_sample_is_accepted(self):
+        samples = sample_set({0.0: [1.0, np.nan], 500.0: [2.0, 3.0]})
+        assert np.isnan(samples.values[0, 0, 1])
+
+    def test_a_negative_zero_sample_is_refused(self):
+        with pytest.raises(ValueError, match="non-positive sample for injected latency 500.0"):
+            sample_set({0.0: [1.0, 2.0], 500.0: [3.0, -0.0]})
+
+    def test_the_first_bad_latency_in_plan_order_is_named(self):
+        # Row 0 goes wrong at the 4th latency only, row 1 at the 2nd and 4th,
+        # next to a NaN at the 1st: the error names the 2nd.
+        plan = (0.0, 100.0, 200.0, 300.0)
+        values = np.full((2, 4, 3), 50.0)
+        values[0, 3, 1] = -1.0
+        values[1, 1, 2] = 0.0
+        values[1, 3, 0] = -2.0
+        values[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-positive sample for injected latency 100.0"):
+            CalibrationSamples(("a", "b"), plan, values)
 
     def test_checks_name_the_injected_latency(self):
         with pytest.raises(ValueError, match="non-positive sample for injected latency 500.0"):
@@ -189,6 +272,21 @@ class TestRegression:
             alone = regress_latency_curve(CalibrationSamples((vmdk_id,), PLAN, values[i:i + 1]))
             for name in ("m", "b", "confidence", "mean_cv"):
                 assert getattr(together, name)[i:i + 1].tobytes() == getattr(alone, name).tobytes()
+
+    @given(
+        hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 4), st.just(len(PLAN)), st.integers(1, 12)),
+            elements=st.floats(min_value=1e-3, max_value=1e290),
+        ),
+        st.permutations(PLAN),
+    )
+    def test_matches_the_three_pass_reference_bitwise(self, values, plan):
+        # Up to 1e290 the squared deviations overflow to inf, and with them
+        # the CVs and the mean CV: both sides must then refuse the fit alike.
+        ids = tuple(f"v{i}" for i in range(len(values)))
+        samples = CalibrationSamples(ids, tuple(plan), values)
+        assert outcome(regress_latency_curve, samples) == outcome(reference_regress, samples)
 
     def huge_next_to_normal(self, scale):
         """A normal row and a row whose per-latency means are (1..5) * ``scale``.

@@ -847,6 +847,22 @@ class TestRunScenario:
         assert result.epochs == []
         assert result.plans == []
 
+    def test_a_negative_seed_override_is_refused_before_anything_draws(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            run_scenario(self.tiny(), "autotiering", seed=-1)
+
+    def test_a_seed_override_is_the_run_seed(self):
+        scenario = self.tiny(seed=5)
+        assert run_scenario(scenario, "idt").seed == 5
+        assert run_scenario(scenario, "idt", seed=0).seed == 0
+        assert metrics_csv_text(run_scenario(scenario, "autotiering", seed=5)) == metrics_csv_text(
+            run_scenario(scenario, "autotiering")
+        )
+
     @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
     def test_identical_runs_are_bit_identical(self, policy):
         scenario = self.tiny()

@@ -560,6 +560,16 @@ class TestCli:
             payload = json.loads(text, parse_constant=refuse)
             assert payload["ratios"] == {"autotiering/idt": {"iops": None, "mbps": None}}
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--scenario", "tiny-oracle", "--policy", "idt", "--out", "unused"],
+        ["oracle-check", "--scenario", "tiny-oracle"],
+    ])
+    def test_a_negative_seed_exits_2_naming_the_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--seed", "-1"])
+        assert exit_info.value.code == 2
+        assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_bad_scenario_path_fails_with_diagnostic(self, tmp_path, capsys):
         code = main(["run", "--scenario", str(tmp_path / "nope.json"),
                      "--policy", "idt", "--out", str(tmp_path / "o")])
