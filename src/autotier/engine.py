@@ -23,9 +23,11 @@ its ``move_rows``, ``move_from`` and ``move_to`` arrays and reads its
 overloaded VMDKs from ``overloaded_rows``, never looking up a VMDK id. The
 run's ``MigrationLog`` holds every order as columns, progress included, and
 is its only record; the fleet's ``order_index`` leads each moving row to
-its order. Starting, advancing and landing orders each take one array
-operation per column; only the per-tier bandwidth debits run as a loop
-over the book.
+its order. Starting and landing orders each take one array operation per
+column. Advancing them charges each move, in id order, to the spare
+bandwidth of its two tiers: a short book runs that as a scalar loop, a
+long one as fixed-point passes of array operations that repeat the loop
+bit for bit (see ``progress_migrations``).
 """
 
 from __future__ import annotations
@@ -210,6 +212,12 @@ def serve_epoch(
     return metrics
 
 
+# Books shorter than this advance in the scalar loop: the passes' fixed cost is
+# about that of a 350-row loop (measured on 2 x86_64 vCPUs, numpy 2.4).
+PROGRESS_LOOP_ROWS = 384
+PROGRESS_PASSES = 32  # fixed-point passes tried before a book falls back to the loop
+
+
 def progress_migrations(
     rows: np.ndarray,
     fleet: Fleet,
@@ -227,15 +235,100 @@ def progress_migrations(
     Writes each order's bytes moved, speed and stall flag to the log.
     Returns total bytes moved, read/write debits in MB/s by tier row,
     stalled VMDK ids and the rows whose migration finished, in id order.
+
+    A book of fewer than ``PROGRESS_LOOP_ROWS`` rows runs the scalar loop
+    (``_progress_loop``); a longer one runs fixed-point passes
+    (``_progress_passes``) that repeat the loop's every bit. Row i's rate
+    depends only on the debits of rows before it, so rates that a pass
+    returns unchanged, bit for bit, are the loop's own, and pass p gets
+    rows 0..p-1 right: n + 1 passes settle any n rows. A book none of
+    ``PROGRESS_PASSES`` passes settles runs the loop after all.
     """
-    roster = fleet.roster
-    debit_read = [0.0] * len(roster.tiers)
-    debit_write = [0.0] * len(roster.tiers)
     if not len(rows):
-        return 0.0, debit_read, debit_write, [], rows
+        t = len(fleet.roster.tiers)
+        return 0.0, [0.0] * t, [0.0] * t, [], rows
     k = fleet.order_index[rows]
     if (k < 0).any():
         raise ValueError("only a VMDK with an open order can make progress")
+    if len(rows) >= PROGRESS_LOOP_ROWS:
+        progress = _progress_passes(rows, k, fleet, log, epoch_seconds)
+        if progress is not None:
+            return progress
+    return _progress_loop(rows, k, fleet, log, epoch_seconds)
+
+
+def _progress_passes(
+    rows: np.ndarray, k: np.ndarray, fleet: Fleet, log: MigrationLog, epoch_seconds: float,
+) -> tuple[float, list[float], list[float], list[str], np.ndarray] | None:
+    """``_progress_loop``'s result from fixed-point passes, or None if none settles.
+
+    Each row debits two lanes, its source's reads and its destination's
+    writes. A pass lays each lane's rates, as the last pass left them (0.0
+    at first), along a row of a grid in id order after a 0.0, and
+    accumulates the grid's rows: every row so finds the debits the rows
+    before it took, added from 0.0 in id order as the loop adds them, and
+    recomputes its rate with the loop's operations in the loop's order.
+    """
+    n, t = len(rows), len(fleet.roster.tiers)
+    total, moved = log.bytes_total[k], log.bytes_moved[k]
+    left = total - moved
+    active = left > 0.0  # the rest are finished already
+    left = np.where(active, left, 0.0)
+    measured = fleet.measured_read_mbps[rows]
+    # Lane r < t is tier row r's reads, lane t + r its writes.
+    lane = np.concatenate((fleet.tier_row[rows], t + fleet.dest_row[rows]))
+    spare = np.concatenate((fleet.spare_read_mbps, fleet.spare_write_mbps))[lane]
+    count = np.bincount(lane, minlength=2 * t)
+    width = int(count.max()) + 1
+    rank = np.empty(2 * n, dtype=np.intp)  # each row's place in its lane; small ints sort by radix
+    rank[lane.astype(np.min_scalar_type(2 * t)).argsort(kind="stable")] = (
+        np.arange(2 * n) - np.repeat(count.cumsum() - count, count)
+    )
+    at = lane * width + rank  # flat grid index of the debit the row finds: reads, then writes
+    index = np.zeros((2 * t, width), dtype=np.intp)  # grid cell -> rates entry
+    index.reshape(-1)[at + 1] = np.tile(np.arange(1, n + 1), 2)
+    grid, debits = np.empty(index.shape), np.empty(index.shape)
+    rates = np.zeros(n + 1)  # rates[i + 1] is row i's, rates[0] the grid's 0.0
+    with np.errstate(all="ignore"):
+        for _ in range(PROGRESS_PASSES):
+            np.take(rates, index, out=grid)
+            np.add.accumulate(grid, axis=1, out=debits)
+            rest = spare - debits.take(at)
+            side = np.where(rest > 0.0, rest, 0.0)  # the read sides, then the write sides
+            side[:n] += measured
+            mbps = np.where(side[n:] < side[:n], side[n:], side[:n])
+            step = mbps * 1e6 * epoch_seconds
+            # The rest of the move where the step reaches it or is NaN, as in
+            # the loop; a stalled row's step <= 0.0 takes 0.0, as does a
+            # finished row (left 0.0).
+            taken = np.fmax(np.fmin(step, left), 0.0)
+            rate = taken / epoch_seconds / 1e6
+            if rate.tobytes() == rates[1:].tobytes():
+                break
+            rates[1:] = rate
+        else:
+            return None
+    stuck = active & (mbps <= 0.0)
+    go = active & ~stuck
+    moved_now = np.where(go, np.where(step < left, moved + step, total), moved)
+    log.set_progress(
+        k, moved_now, np.where(active, mbps, log.speed_mbps[k]), np.where(active, stuck, log.stalled[k])
+    )
+    moved_total = np.add.accumulate(np.concatenate(([0.0], taken[go])))[-1]
+    stalled = list(map(fleet.roster.ids.__getitem__, rows[stuck].tolist()))
+    return (
+        float(moved_total), debits[:t, -1].tolist(), debits[t:, -1].tolist(), stalled,
+        rows[moved_now >= total],
+    )
+
+
+def _progress_loop(
+    rows: np.ndarray, k: np.ndarray, fleet: Fleet, log: MigrationLog, epoch_seconds: float,
+) -> tuple[float, list[float], list[float], list[str], np.ndarray]:
+    """``progress_migrations`` as a scalar loop over the book, rows ``rows`` of orders ``k``."""
+    roster = fleet.roster
+    debit_read = [0.0] * len(roster.tiers)
+    debit_write = [0.0] * len(roster.tiers)
     spare_read, spare_write = fleet.spare_read_mbps.tolist(), fleet.spare_write_mbps.tolist()
     ids = roster.ids
     row_list = rows.tolist()

@@ -8,8 +8,10 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from autotier import model
+from autotier import engine, model
 from autotier.calibration import collect_samples, estimate_avg_lat, regress_latency_curve
 from autotier.engine import (
     probe_latencies,
@@ -666,7 +668,7 @@ def start_moves(fleet, log, moves, epoch):
     return start_migrations(fleet, log, rows, source, dest, epoch)
 
 
-def migration_epochs(seed, epochs=10):
+def migration_epochs(seed, epochs=10, vmdks=(5, 30)):
     """Run the engine's migration book and the reference loop side by side on random epochs.
 
     Yields, per epoch: both progress results, both sets of finished VMDKs,
@@ -674,7 +676,8 @@ def migration_epochs(seed, epochs=10):
     tiers and the VMDKs whose move started in that epoch. Tier loads range
     from idle to saturated (zero spare bandwidth), VMDK sizes from a few GB
     (finished in the first epoch) to hundreds, and any VMDK not moving may
-    start a move, including the epoch after its last one finished.
+    start a move, including the epoch after its last one finished. The
+    fleet holds ``vmdks`` VMDKs, from the first up to the second.
     """
     rng = np.random.default_rng(seed)
     tiers = tuple(
@@ -683,9 +686,9 @@ def migration_epochs(seed, epochs=10):
         for i in range(int(rng.integers(2, 5)))
     )
     states = [
-        make_state(make_vmdk(f"v{j:02d}", size_gb=float(rng.choice([1.0, 30.0, 400.0]))),
+        make_state(make_vmdk(f"v{j:03d}", size_gb=float(rng.choice([1.0, 30.0, 400.0]))),
                    tier=int(rng.integers(1, len(tiers) + 1)))
-        for j in range(int(rng.integers(5, 30)))
+        for j in range(int(rng.integers(*vmdks)))
     ]
     fleet = fleet_of(states, tiers)
     roster = fleet.roster
@@ -733,11 +736,24 @@ def migration_epochs(seed, epochs=10):
                log_orders(log), [astuple(o) for o in reference_log], tiers, started)
 
 
+@pytest.fixture
+def settled(monkeypatch):
+    """What ``_progress_passes`` returns on each book it sees, None where no pass settled."""
+    results = []
+    passes = engine._progress_passes
+
+    def recording(*args):
+        results.append(passes(*args))
+        return results[-1]
+
+    monkeypatch.setattr(engine, "_progress_passes", recording)
+    return results
+
+
 class TestMigrationBookMatchesReference:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_bitwise_equal_to_the_sorting_loop(self, seed):
+    def check(self, epochs, settled):
         for got, expected, finished, reference_finished, records, reference_records, _, _ in (
-            migration_epochs(seed)
+            epochs
         ):
             assert got == expected
             assert finished == reference_finished
@@ -745,8 +761,19 @@ class TestMigrationBookMatchesReference:
             assert all(type(o.speed_mbps) is float and type(o.bytes_moved) is float
                        and type(o.from_tier) is int and type(o.stalled) is bool
                        for o in records)
+            assert all(type(x) is float for x in (got[0], *got[1], *got[2]))
+        assert None not in settled  # every book the passes saw settled
+        assert settled or engine.PROGRESS_LOOP_ROWS > 0
 
-    def test_cases_cover_every_edge(self):
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bitwise_equal_to_the_sorting_loop(self, seed, settled):
+        self.check(migration_epochs(seed), settled)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_books_bitwise_equal_to_the_sorting_loop(self, seed, settled):
+        self.check(migration_epochs(seed, epochs=6, vmdks=(100, 400)), settled)
+
+    def test_cases_cover_every_edge(self, settled):
         seen = set()
         for seed in range(10):
             finished_at = {}
@@ -769,6 +796,132 @@ class TestMigrationBookMatchesReference:
                 )
                 finished_at.update(dict.fromkeys(finished, epoch))
         assert len(seen) == 4
+        assert None not in settled
+        assert bool(settled) == (engine.PROGRESS_LOOP_ROWS == 0)  # the books hold < 30 rows
+
+
+class TestMigrationBookOnTheFixedPointMatchesReference(TestMigrationBookMatchesReference):
+    """The same books, every one of them advanced by the fixed-point passes."""
+
+    @pytest.fixture(autouse=True)
+    def cutover_at_zero(self, monkeypatch):
+        monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", 0)
+
+
+def random_book(tier_spares, moves):
+    """A fleet and log whose book holds ``moves``, and its rows: ``(fleet, log, rows)``.
+
+    ``tier_spares`` gives each tier's (read, write) spare MB/s. Each move is
+    (size GB, source tier row, destination tier row, measured read MB/s,
+    share of the move already done, logged speed, logged stall flag); a
+    share of 1.0 is a finished move.
+    """
+    tiers = tuple(make_tier(i + 1, 100.0) for i in range(len(tier_spares)))
+    states = [
+        make_state(make_vmdk(f"v{j:03d}", size_gb=size), tier=source + 1, measured_read_mbps=measured)
+        for j, (size, source, _, measured, *_) in enumerate(moves)
+    ]
+    fleet = fleet_of(states, tiers)
+    fleet.spare_read_mbps[:] = [read for read, _ in tier_spares]
+    fleet.spare_write_mbps[:] = [write for _, write in tier_spares]
+    log = MigrationLog(fleet.roster.ids)
+    rows = np.arange(len(moves))
+    source, dest, _, done, speed, stall = (np.array(column) for column in list(zip(*moves))[1:])
+    start_migrations(fleet, log, rows, source, dest, 0)
+    log.set_progress(rows, done * log.bytes_total, speed, stall)
+    return fleet, log, rows
+
+
+def result_bits(result, log):
+    """A progress result and the log's progress columns, floats as their bytes."""
+    moved, debit_read, debit_write, stalled, finished = result
+    return (
+        np.float64(moved).tobytes(), np.array(debit_read).tobytes(),
+        np.array(debit_write).tobytes(), stalled, finished.tolist(),
+        log.bytes_moved.tobytes(), log.speed_mbps.tobytes(), log.stalled.tolist(),
+    )
+
+
+def both_paths(fleet, log, rows, epoch_seconds):
+    """The loop's and the fixed point's bits on copies of ``log``, and the fixed point's result."""
+    k = fleet.order_index[rows]
+    loop_log, passes_log = copy.deepcopy(log), copy.deepcopy(log)
+    expected = engine._progress_loop(rows, k, fleet, loop_log, epoch_seconds)
+    got = engine._progress_passes(rows, k, fleet, passes_log, epoch_seconds)
+    return result_bits(expected, loop_log), got and result_bits(got, passes_log), got
+
+
+@st.composite
+def books(draw):
+    """A random book and its epoch length.
+
+    It has 2-5 tiers (a move changes tiers), some with no spare at all (or
+    -0.0); sizes from 1e-21 GB, whose rates a tier's debit absorbs below an
+    ulp, to 500 GB, so that saturated tiers leave residues of a few ulps;
+    finished moves; and NaN or negative measured read rates.
+    """
+    t = draw(st.integers(2, 5))
+    spare = st.sampled_from([0.0, -0.0, 1e-9, 1.0, 100.0, 900.0]) | st.floats(0.0, 1000.0)
+    tier_spares = draw(st.lists(st.tuples(spare, spare), min_size=t, max_size=t))
+    size = st.sampled_from([1e-21, 1e-12, 1e-3, 0.03, 30.0]) | st.floats(1e-6, 500.0)
+    measured = st.sampled_from([0.0, -5.0, 20.0, 300.0, np.nan]) | st.floats(0.0, 500.0)
+    done = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+    move = st.tuples(
+        size, st.integers(0, t - 1), st.integers(1, t - 1), measured, done,
+        st.sampled_from([0.0, 7.0, np.nan]), st.booleans(),
+    ).map(lambda m: (m[0], m[1], (m[1] + m[2]) % t, *m[3:]))  # a destination off the source
+    moves = draw(st.lists(move, min_size=1, max_size=40))
+    return tier_spares, moves, draw(st.sampled_from([300.0, 60.0, 7.5, 0.1]))
+
+
+class TestProgressPassesMatchLoop:
+    """The fixed point against the scalar loop, bit for bit, on any book."""
+
+    @given(books())
+    def test_bitwise_equal_to_the_loop(self, book):
+        tier_spares, moves, epoch_seconds = book
+        fleet, log, rows = random_book(tier_spares, moves)
+        # Pass p makes rows 0..p-1 exact, so n + 1 passes always settle.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "PROGRESS_PASSES", len(rows) + 1)
+            expected, got, _ = both_paths(fleet, log, rows, epoch_seconds)
+        assert got == expected
+
+    def test_a_nan_speed_finishes_its_move_on_both_paths(self, monkeypatch):
+        size = 49.91605619203594
+        moves = [(size, 0, 1, np.nan, 0.25, 0.0, True), (30.0, 0, 1, 20.0, 0.0, 0.0, False)]
+        fleet, log, rows = random_book([(500.0, 0.0), (0.0, 400.0)], moves)
+        expected, got, result = both_paths(fleet, log, rows, 300.0)
+        assert got == expected
+        left = log.bytes_total[0] - log.bytes_moved[0]
+        moved, debit_read, debit_write, stalled, finished = result
+        assert finished.tolist() == [0, 1] and stalled == []
+        assert moved == left + 30e9  # the second move takes 100 MB/s and finishes too
+        assert debit_read[0] == debit_write[1] == left / 300.0 / 1e6 + 100.0
+        monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", 0)
+        progress_migrations(rows, fleet, log, 300.0)
+        assert log.bytes_moved[0] == log.bytes_total[0]
+        assert np.isnan(log.speed_mbps[0]) and not log.stalled[0]
+
+    def test_a_book_no_pass_settles_falls_back_to_the_same_bits(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        moves = [
+            (float(rng.uniform(1.0, 60.0)), j % 3, (j + 1) % 3, 20.0, 0.0, 0.0, False)
+            for j in range(12)
+        ]
+        fleet, log, rows = random_book([(300.0, 200.0)] * 3, moves)
+        expected, _, _ = both_paths(fleet, log, rows, 300.0)
+        monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", 0)
+        monkeypatch.setattr(engine, "PROGRESS_PASSES", 1)
+        calls, settled = [], []
+        bound, passes = engine.progress_migrations, engine._progress_passes
+        monkeypatch.setattr(engine, "progress_migrations", lambda *a: calls.append(a) or bound(*a))
+        monkeypatch.setattr(
+            engine, "_progress_passes", lambda *a: settled.append(passes(*a)) or settled[-1]
+        )
+        result = engine.progress_migrations(rows, fleet, log, 300.0)
+        assert settled == [None] and len(calls) == 1  # the fallback runs the loop directly
+        assert result_bits(result, log) == expected
 
 
 class TestMigrationChecks:
