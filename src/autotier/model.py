@@ -4,20 +4,20 @@ Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
 (Fleet, MigrationLog) is owned by a single simulation run. Reading a
-plain, valid document reads every VMDK's demand profile at once, in one
-column pass, into one read-only ``PhaseTable`` per scenario; each
-``VmdkSpec`` holds a ``DemandProfile`` view of its rows, which builds
-``WorkloadPhase``s only when read. Any other document is read phase by
-phase by the ``SCHEMA`` readers, the one source of diagnostics, and each
-profile stored as a table of its own. A scenario's
-``Roster`` holds every static fact, built once from the specs and
-read-only: one row per VMDK and one per tier, each tier number and static
-VMDK figure a column. Each run's ``Fleet``, built by ``Fleet.of``, shares
-that roster and owns only the columns the run writes, each fact once: each
-VMDK's tier, active phase's demand and last measurements, each in-flight
-migration's destination and log index, and each tier's contention and
-spare MB/s. The MigrationLog holds every migration started, progress
-included, as columns.
+plain, valid document reads every VMDK at once, in one column pass: each
+VMDK field as one column, and every demand profile into one read-only
+``PhaseTable`` per scenario; each ``VmdkSpec`` holds a ``DemandProfile``
+view of its rows, which builds ``WorkloadPhase``s only when read. Any
+other document's VMDKs are read item by item and phase by phase by the
+``SCHEMA`` readers, the one source of diagnostics, and each profile
+stored as a table of its own. A scenario's ``Roster`` holds every static
+fact, built once from the specs and read-only: one row per VMDK and one
+per tier, each tier number and static VMDK figure a column. Each run's
+``Fleet``, built by ``Fleet.of``, shares that roster and owns only the
+columns the run writes, each fact once: each VMDK's tier, active phase's
+demand and last measurements, each in-flight migration's destination and
+log index, and each tier's contention and spare MB/s. The MigrationLog
+holds every migration started, progress included, as columns.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ class VmdkSpec:
         if not (math.isfinite(self.truth_intercept_us) and self.truth_intercept_us > 0):
             raise ValueError("truthInterceptUs must be positive")
         if isinstance(self.demand_profile, DemandProfile):
-            return  # a view of a table checked already, read ahead or built below
+            return  # a view of a table checked already, by the column pass or below
         phases = tuple(self.demand_profile)
         if not phases:
             raise ValueError("demandProfile must have at least one phase")
@@ -842,23 +842,25 @@ def _object(cls: type) -> Reader:
     return read
 
 
-def _list_of(cls: type, read_ahead: Callable[[list[Any]], list[Any]] | None = None) -> Reader:
+def _list_of(
+    cls: type, read_all: Callable[[list[Any]], tuple[Any, ...] | None] | None = None,
+) -> Reader:
     """Reader of a non-empty list of ``cls`` objects; an element that fails is left out.
 
-    ``read_ahead`` maps the list to each element's constructor arguments
-    read ahead of it (or None), which that element's read takes as is.
+    ``read_all``, when given, builds every element of a list it reads whole,
+    or returns None; then each element is read by itself with
+    ``SCHEMA[cls]``, whose readers report its diagnostics.
     """
 
     def read(value: Any, path: str, key: str, errors: list[str]) -> tuple[Any, ...]:
         if not isinstance(value, list) or not value:
             raise _Invalid("required non-empty list")
+        built = read_all(value) if read_all else None
+        if built is not None:
+            return built
         where = _at(path, key)
-        ahead = read_ahead(value) if read_ahead else repeat(None)
-        built = [
-            _build(cls, item, f"{where}[{i}]", errors, given)
-            for i, (item, given) in enumerate(zip(value, ahead))
-        ]
-        return tuple(x for x in built if x is not None)
+        items = (_build(cls, item, f"{where}[{i}]", errors) for i, item in enumerate(value))
+        return tuple(x for x in items if x is not None)
 
     return read
 
@@ -872,45 +874,53 @@ _DEMAND_RANGE = np.array([
 ])
 
 
-def _read_profiles(vmdks: list[Any]) -> list[dict[str, Any] | None]:
-    """Every VMDK's demand profile read ahead in one column pass, or None for each.
+def _columns(items: list[Any], cls: type) -> dict[str, list[Any]] | None:
+    """Each ``SCHEMA[cls]`` field of ``items`` as a column, by constructor argument, or None.
 
-    The pass reads only a plain, valid document: each item an object whose
-    ``demandProfile`` is a non-empty list of objects with the phase keys
-    alone, each start a Python int within int64 and each other value an int
-    or float within the float range, and every check the phase readers,
-    ``WorkloadPhase`` and ``VmdkSpec`` make passed. Then each item gets
-    ``{"demand_profile": view}`` of one table, for its own read to take as
-    is. Otherwise every item gets None, and its read reads the profile phase
-    by phase with ``SCHEMA[WorkloadPhase]``, whose readers report its
-    diagnostics.
+    None unless each item is a dict with ``cls``'s keys alone and every
+    required one; an optional key left out reads as its dataclass default.
     """
-    refused: list[dict[str, Any] | None] = [None] * len(vmdks)
-    if set(map(type, vmdks)) != {dict}:
-        return refused
-    profiles = [item.get("demandProfile") for item in vmdks]
+    if set(map(type, items)) != {dict}:
+        return None
+    defaults = {f.name: f.default for f in fields(cls)}
+    columns, known = {}, 0
+    for key, arg, _, default in SCHEMA[cls]:
+        if default is OPTIONAL:
+            columns[arg] = list(map(dict.get, items, repeat(key), repeat(defaults[arg])))
+            known += sum(map(contains, items, repeat(key)))
+            continue
+        try:
+            columns[arg] = list(map(itemgetter(key), items))
+        except KeyError:
+            return None
+        known += len(items)
+    # Each key past the schema's is an unknown one.
+    return columns if sum(map(len, items)) == known else None
+
+
+def _read_profiles(profiles: list[Any]) -> list[DemandProfile] | None:
+    """Every given demand profile read in one column pass, each a view of one table, or None.
+
+    The pass reads only plain, valid profiles: each a non-empty list of
+    objects with the phase keys alone, each start a Python int within int64
+    and each other value an int or float within the float range, and every
+    check the phase readers, ``WorkloadPhase`` and ``VmdkSpec`` make passed.
+    """
     if set(map(type, profiles)) != {list} or not all(profiles):
-        return refused
+        return None
     flat = list(chain.from_iterable(profiles))
-    if set(map(type, flat)) != {dict}:
-        return refused
-    try:
-        starts, demands, sizes = (list(map(itemgetter(key), flat)) for key in _REQUIRED_PHASE_KEYS)
-    except KeyError:
-        return refused
-    fractions = list(map(dict.get, flat, repeat("readFraction"), repeat(1.0)))
-    # With every required key there, the keys past those and each
-    # readFraction are the unknown ones.
-    keys = sum(map(len, flat)) - len(_REQUIRED_PHASE_KEYS) * len(flat)
-    keys -= sum(map(contains, flat, repeat("readFraction")))
-    values = demands + fractions + sizes
-    if keys or set(map(type, starts)) != {int} or not set(map(type, values)) <= {int, float}:
-        return refused
+    columns = _columns(flat, WorkloadPhase)
+    if columns is None:
+        return None
+    starts = columns["start_epoch"]
+    values = list(chain.from_iterable(map(columns.get, _DEMAND_COLUMNS)))
+    if set(map(type, starts)) != {int} or not set(map(type, values)) <= {int, float}:
+        return None
     try:
         start = np.fromiter(starts, np.int64, len(starts))
         demand = np.fromiter(values, float, len(values)).reshape(3, len(flat))
     except OverflowError:
-        return refused
+        return None
     offsets = list(accumulate(map(len, profiles), initial=0))
     first = offsets[:-1]
     # Phase 0 starts at epoch 0 and each later phase after the one before.
@@ -919,9 +929,42 @@ def _read_profiles(vmdks: list[Any]) -> list[dict[str, Any] | None]:
     rising[first] = start[first] == 0
     inside = (demand >= _DEMAND_RANGE[0]) & (demand <= _DEMAND_RANGE[1])
     if not (rising.all() and inside.all()):
-        return refused
+        return None
     table = PhaseTable(start, {}, demand)
-    return [{"demand_profile": DemandProfile(table, a, b)} for a, b in zip(first, offsets[1:])]
+    return list(map(DemandProfile, repeat(table), first, offsets[1:]))
+
+
+def _read_vmdks(vmdks: list[Any]) -> tuple[VmdkSpec, ...] | None:
+    """Every VMDK of a plain list read in one column pass, or None.
+
+    Plain means each item an object with the ``VmdkSpec`` keys alone and
+    every required one, its ``id`` and ``vmId`` strings, its
+    ``initialTier`` an int (not a bool), each other number an int or float
+    within the float range, read as ``_number`` reads it, and its demand
+    profile plain to ``_read_profiles``. Each spec is then built from its
+    columns, so ``VmdkSpec`` checks every range, and any refusal returns
+    None: the list is then read item by item by ``SCHEMA[VmdkSpec]``, whose
+    readers word every diagnostic.
+    """
+    columns = _columns(vmdks, VmdkSpec)
+    if columns is None:
+        return None
+    numbers = ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
+    if (
+        set(map(type, columns["id"] + columns["vm_id"])) != {str}
+        or set(map(type, columns["initial_tier"])) != {int}
+        or not set(map(type, chain.from_iterable(map(columns.get, numbers)))) <= {int, float}
+    ):
+        return None
+    columns["demand_profile"] = _read_profiles(columns["demand_profile"])
+    if columns["demand_profile"] is None:
+        return None
+    try:
+        for name in numbers:
+            columns[name] = list(map(float, columns[name]))
+        return tuple(map(VmdkSpec, *(columns[f.name] for f in fields(VmdkSpec))))
+    except (OverflowError, ValueError):
+        return None
 
 
 SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any], ...]] = {
@@ -979,24 +1022,20 @@ SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any], ...]] = {
     Scenario: (
         ("schemaVersion", "schema_version", _version, None),
         ("tiers", "tiers", _list_of(TierSpec), None),
-        ("vmdks", "vmdks", _list_of(VmdkSpec, _read_profiles), None),
+        ("vmdks", "vmdks", _list_of(VmdkSpec, _read_vmdks), None),
         ("policyWeights", "weights", _object(PolicyWeights), OPTIONAL),
         ("simulation", "sim", _object(SimulationConfig), OPTIONAL),
     ),
 }
 _KEYS = {cls: frozenset(row[0] for row in rows) for cls, rows in SCHEMA.items()}
-_REQUIRED_PHASE_KEYS = tuple(row[0] for row in SCHEMA[WorkloadPhase] if row[3] is REQUIRED)
 
 
-def _read(
-    cls: type, doc: Any, path: str, errors: list[str], given: Mapping[str, Any] | None = None,
-) -> dict[str, Any] | None:
+def _read(cls: type, doc: Any, path: str, errors: list[str]) -> dict[str, Any] | None:
     """Constructor arguments of ``cls`` read from ``doc``; None if a field failed.
 
     An unknown key is reported but does not stop the read. A vector is read
     even when a component failed (that component keeps its default), so the
-    vector's own range checks still report the other components. Arguments
-    in ``given``, read ahead, are taken as they are.
+    vector's own range checks still report the other components.
     """
     if type(doc) is not dict and not isinstance(doc, Mapping):
         errors.append(f"{path}: expected an object")
@@ -1007,9 +1046,6 @@ def _read(
     before = len(errors)
     kwargs = {}
     for key, arg, read, default in SCHEMA[cls]:
-        if given and arg in given:
-            kwargs[arg] = given[arg]
-            continue
         if key in doc:
             value = doc[key]
         elif default is None:
@@ -1027,11 +1063,9 @@ def _read(
     return kwargs
 
 
-def _build(
-    cls: type, doc: Any, path: str, errors: list[str], given: Mapping[str, Any] | None = None,
-) -> Any:
+def _build(cls: type, doc: Any, path: str, errors: list[str]) -> Any:
     """A ``cls`` built from ``doc``, or None with every problem in ``errors``."""
-    kwargs = _read(cls, doc, path, errors, given)
+    kwargs = _read(cls, doc, path, errors)
     if kwargs is None:
         return None
     try:

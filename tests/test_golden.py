@@ -111,7 +111,7 @@ _SCALED_TIER_FIELDS = (
 )
 
 
-def scale_scenario():
+def scale_document():
     """``table3-table4`` x20 with seeded multi-phase demand, some phases past the end."""
     base = json.loads(bundled_scenario_text("table3-table4"))
     rng = random.Random(SCALE_SEED)
@@ -138,7 +138,12 @@ def scale_scenario():
                 demandProfile=[first] + later,
             ))
     doc["simulation"] = dict(base["simulation"], epochs=SCALE_EPOCHS, seed=SCALE_SEED)
-    return validate_scenario(doc)
+    return doc
+
+
+def scale_scenario():
+    """The scenario of ``scale_document``."""
+    return validate_scenario(scale_document())
 
 
 def run_digest(result) -> str:

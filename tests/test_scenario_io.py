@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from autotier.model import (
     Scenario,
     ScenarioValidationError,
     VmdkSpec,
+    validate_scenario,
 )
 from autotier.reporting import (
     RUN_FILES,
@@ -50,7 +52,7 @@ from autotier.scenario import (
 )
 
 from conftest import make_vmdk, random_scenario
-from test_golden import scale_scenario
+from test_golden import scale_document
 
 
 INTEGER_FIELDS = [
@@ -310,17 +312,82 @@ def plain(profile):
     )
 
 
+VMDK_NUMBERS = {
+    "sizeGb": (1, 100), "slaWeight": (1, 4), "truthSlope": (0, 2), "truthInterceptUs": (1, 500),
+}
+VMDK_REQUIRED = ("id", "sizeGb", "initialTier", "truthSlope", "truthInterceptUs", "demandProfile")
+# One diagnostics token each: (keys it may go at, value); None deletes the key.
+VMDK_PERTURBATIONS = (
+    ([*VMDK_NUMBERS, "initialTier"], True),
+    ([*VMDK_NUMBERS, "initialTier"], False),
+    (["initialTier"], 2.0),
+    ([*VMDK_NUMBERS, "initialTier"], 10**400),
+    (list(VMDK_NUMBERS), math.nan),
+    (list(VMDK_NUMBERS), math.inf),
+    (["id"], ""),
+    (["vmId"], None),
+    (["zz"], 1),
+    (list(VMDK_REQUIRED), None),
+)
+
+
+def json_numbers(low, high):
+    """A number in [low, high], written as a JSON int or a JSON float."""
+    return st.integers(low, high) | st.floats(low, high)
+
+
+@st.composite
+def vmdk_lists(draw):
+    """A valid ``vmdks`` list, and whether one diagnostics token then went into it."""
+    vmdks = []
+    for i in range(draw(st.integers(1, 6))):
+        starts = sorted(draw(st.sets(st.integers(1, 20), max_size=2)))
+        profile = []
+        for start in (0, *starts):
+            phase = {
+                "startEpoch": start,
+                "demandIops": draw(json_numbers(0, 10**6)),
+                "avgIoSizeBytes": draw(json_numbers(512, 10**6)),
+            }
+            if draw(st.booleans()):
+                phase["readFraction"] = draw(json_numbers(0, 1))
+            profile.append(phase)
+        item = {"id": f"v{i}", "initialTier": draw(st.integers(1, 3)), "demandProfile": profile}
+        for key, (low, high) in VMDK_NUMBERS.items():
+            if key != "slaWeight" or draw(st.booleans()):
+                item[key] = draw(json_numbers(low, high))
+        if draw(st.booleans()):
+            item["vmId"] = f"vm{i % 2}"
+        vmdks.append({key: item[key] for key in draw(st.permutations(list(item)))})
+    perturbed = draw(st.booleans())
+    if perturbed:
+        keys, value = draw(st.sampled_from(VMDK_PERTURBATIONS))
+        item, key = draw(st.sampled_from(vmdks)), draw(st.sampled_from(keys))
+        if value is None and key != "vmId":
+            item.pop(key, None)
+        else:
+            item[key] = value
+    return vmdks, perturbed
+
+
+def parse_outcome(text):
+    """The scenario ``text`` parses to, or the errors it is refused with."""
+    try:
+        return parse_scenario(text)
+    except ScenarioValidationError as exc:
+        return exc.errors
+
+
 class TestColumnPass:
     @settings(max_examples=400)
     @given(st.lists(phase_lists(), min_size=1, max_size=4))
     def test_reads_ahead_exactly_the_plain_profiles_the_phase_readers_accept(self, profiles):
-        ahead = model._read_profiles([{"demandProfile": profile} for profile in profiles])
+        views = model._read_profiles(profiles)
         expected = [reference_phases(profile) for profile in profiles]
         if not all(e is not None and plain(p) for e, p in zip(expected, profiles)):
-            assert ahead == [None] * len(profiles)
+            assert views is None
             return
-        for given_args, phases in zip(ahead, expected):
-            view = given_args["demand_profile"]
+        for view, phases in zip(views, expected, strict=True):
             assert repr(view) == repr(phases)
             assert view == phases and hash(view) == hash(phases)
 
@@ -335,14 +402,51 @@ class TestColumnPass:
             "vmdks[2].demandProfile[1].avgIoSizeBytes: required field missing",
             "vmdks[5]: sizeGb must be positive",
         ]
-        assert model._read_profiles(doc["vmdks"]) == [None] * len(doc["vmdks"])
+        assert model._read_profiles([vmdk["demandProfile"] for vmdk in doc["vmdks"]]) is None
+        assert model._read_vmdks(doc["vmdks"]) is None
 
     @pytest.mark.parametrize("name", [*BUNDLED_SCENARIOS, "scale"])
     def test_every_shipped_document_is_read_ahead(self, name):
-        scenario = scale_scenario() if name == "scale" else load_bundled_scenario(name)
-        # Read phase by phase, each VMDK's profile would view a table of its own.
+        doc = scale_document() if name == "scale" else json.loads(bundled_scenario_text(name))
+        assert isinstance(model._read_vmdks(doc["vmdks"]), tuple)
+        scenario = validate_scenario(doc)
+        # Read item by item, each VMDK's profile would view a table of its own.
         tables = {id(vmdk.demand_profile.table) for vmdk in scenario.vmdks}
         assert len(tables) == 1 < len(scenario.vmdks)
+
+    def test_one_value_that_is_not_plain_reads_every_vmdk_item_by_item(self):
+        doc = json.loads(bundled_scenario_text("table3-table4"))
+        expected = validate_scenario(doc)
+        k = next(k for k, vmdk in enumerate(doc["vmdks"]) if vmdk["initialTier"] == 2)
+        doc["vmdks"][k]["initialTier"] = 2.0
+        assert model._read_vmdks(doc["vmdks"]) is None
+        scenario = validate_scenario(doc)
+        assert scenario == expected
+        assert serialize_scenario(scenario) == serialize_scenario(expected)
+        tables = {id(vmdk.demand_profile.table) for vmdk in scenario.vmdks}
+        assert len(tables) == len(scenario.vmdks)
+
+    @settings(max_examples=300)
+    @given(vmdk_lists())
+    def test_the_vmdk_pass_reads_as_the_item_readers_do(self, case):
+        vmdks, perturbed = case
+        text = json.dumps(dict(BUNDLED_DOCS["tiny-oracle"], vmdks=vmdks))
+        if not perturbed:
+            assert isinstance(model._read_vmdks(vmdks), tuple)
+        fast = parse_outcome(text)
+        # The same schema, its vmdks list read item by item with no column pass.
+        item_by_item = tuple(
+            (key, arg, model._list_of(VmdkSpec) if key == "vmdks" else read, default)
+            for key, arg, read, default in SCHEMA[Scenario]
+        )
+        with mock.patch.dict(SCHEMA, {Scenario: item_by_item}):
+            slow = parse_outcome(text)
+        if isinstance(slow, list):
+            assert fast == slow
+            return
+        assert isinstance(fast, Scenario) and fast == slow
+        assert serialize_scenario(fast) == serialize_scenario(slow)
+        assert list(map(repr, fast.vmdks)) == list(map(repr, slow.vmdks))
 
 
 class TestSchema:
