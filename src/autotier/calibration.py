@@ -13,10 +13,13 @@ without migrating anything. The fits are ``(N,)`` arrays
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.exceptions import RankWarning
 
 from .model import CalibrationFits
 
@@ -103,6 +106,37 @@ def compute_confidence(mean_cv: np.ndarray | float, floor: float = 0.05) -> np.n
     return np.where(mean_cv >= 1.0, floor, np.fmax(floor, 1.0 - mean_cv))
 
 
+@lru_cache(maxsize=8)
+def _fit_plan(
+    latencies: tuple[float, ...],
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, np.ndarray | None, float]:
+    """``np.polyfit``'s degree-1 set-up for one injected-latency plan, built once.
+
+    Returns the plan's stable ascending order (None when the plan is already
+    ascending), the sorted x values, the column-scaled Vandermonde ``lhs``,
+    its ``scale`` and ``rcond``, by polyfit's own steps; the arrays are
+    read-only. ``lhs`` and ``scale`` are None when the set-up meets a
+    floating-point condition (squaring a huge or tiny latency), which
+    polyfit then reports at every call. Plans equal as tuples (0.0 and -0.0
+    alike) share an entry: they sort the same, and polyfit's ``+ 0.0`` makes
+    their x values identical.
+    """
+    order = np.argsort(latencies, kind="stable")
+    xs = np.asarray(latencies)[order] + 0.0
+    try:
+        with np.errstate(all="raise"):
+            lhs = np.vander(xs, 2)
+            scale = np.sqrt((lhs * lhs).sum(axis=0))
+            lhs /= scale
+    except FloatingPointError:
+        lhs = scale = None
+    for array in (order, xs, lhs, scale):
+        if array is not None:
+            array.flags.writeable = False
+    ascending = (order == np.arange(len(order))).all()
+    return None if ascending else order, xs, lhs, scale, len(xs) * np.finfo(xs.dtype).eps
+
+
 def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> CalibrationFits:
     """Least-squares fit of per-latency mean sample vs injected latency, per VMDK.
 
@@ -114,18 +148,27 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     latencies = samples.injected_latencies_us
     if len(set(latencies)) < 2:
         raise ValueError("regression needs at least two distinct injected latencies")
-    order = np.argsort(latencies, kind="stable")
-    xs = np.asarray(latencies)[order]
-    means, cv = (a[:, order] for a in _mean_and_cv(samples.values))
+    order, xs, lhs, scale, rcond = _fit_plan(tuple(latencies))
+    means, cv = _mean_and_cv(samples.values)
+    if order is not None:
+        means, cv = means[:, order], cv[:, order]
     # Left to right from 0.0, as a per-VMDK loop adds; .sum() pairs terms
     # differently and would move the last bits.
     cv_total = 0.0
     for column in cv.T:
         cv_total = cv_total + column
     mean_cv = cv_total / len(latencies)
-    # One polyfit with a column per VMDK; each column comes out bitwise as
-    # if fitted alone. A closed-form slope/intercept differs in the last bits.
-    m, b = np.polyfit(xs, means.T, 1)
+    # np.polyfit's own solve with a column per VMDK, on the plan's cached
+    # scaled Vandermonde matrix: each column comes out bitwise as if fitted
+    # alone, and as polyfit fits it. A closed-form slope/intercept differs in
+    # the last bits.
+    if lhs is None:
+        m, b = np.polyfit(xs, means.T, 1)
+    else:
+        c, _, rank, _ = np.linalg.lstsq(lhs, means.T + 0.0, rcond)
+        if rank != 2:
+            warnings.warn("Polyfit may be poorly conditioned", RankWarning, stacklevel=2)
+        m, b = (c.T / scale).T
     fits = CalibrationFits(vmdk_ids=samples.vmdk_ids, m=m, b=b,
                            confidence=compute_confidence(mean_cv, floor), mean_cv=mean_cv)
     too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)

@@ -33,6 +33,7 @@ bit for bit (see ``progress_migrations``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -141,39 +142,44 @@ def serve_epoch(
     tier's contention, for later probes, and its spare MB/s, its bandwidth
     cap less its served MB/s and debits and never below 0.0 (a NaN is 0.0),
     for later migration speeds, into the fleet's tier arrays.
-    Per-tier sums accumulate in row order from 0.0 (``np.bincount`` adds
-    sequentially), so they repeat bit for bit what a loop over each tier's
-    members in id order gives.
+    Each stage's per-tier sums take one ``np.bincount`` over lanes
+    ``tier_row + T * k``, one lane per tier and sum ``k``: every bin
+    accumulates its members in row order from 0.0 (``np.bincount`` adds
+    sequentially), so the sums repeat bit for bit what a loop over each
+    tier's members in id order gives.
     """
     roster = fleet.roster
-    row = fleet.tier_row
+    n_tiers, row = len(roster.tiers), fleet.tier_row
     slope, intercept = roster.truth_slope, roster.truth_intercept_us
     demand, rf, io = fleet.demand_iops, fleet.read_fraction, fleet.avg_io_size_bytes
-    caps = np.stack((
-        roster.read_throughput_cap, roster.write_throughput_cap,
-        roster.read_bandwidth_cap, roster.write_bandwidth_cap,
-    ))
+    caps = roster.device_caps  # (4, T): read and write IOPS, then read and write MB/s
+    lanes = (row + n_tiers * np.arange(5)[:, None]).ravel()
 
     def per_tier(values: np.ndarray) -> np.ndarray:
-        return np.bincount(row, weights=values, minlength=len(roster.tiers))
+        """(k, T) per-tier sums of the (k, N) ``values``, one row per sum."""
+        k = len(values)
+        sums = np.bincount(lanes[:k * len(row)], weights=values.ravel(), minlength=k * n_tiers)
+        return sums.reshape(k, n_tiers)
 
     with np.errstate(all="ignore"):
         bare = slope * roster.base_latency_us[row]
         wf = 1 - rf
         loads = np.minimum(demand, 1e6 / (bare + intercept))
-        loads_r, loads_w = loads * rf, loads * wf
-        load = np.stack((  # (4, T) in the order of ``caps``, each >= 0.0 or NaN
-            per_tier(loads_r), per_tier(loads_w),
-            per_tier(loads_r * io / 1e6), per_tier(loads_w * io / 1e6),
-        ))
+        offered = np.empty((4, len(row)))  # per VMDK in the order of ``caps``
+        np.multiply(loads, rf, out=offered[0])
+        np.multiply(loads, wf, out=offered[1])
+        np.multiply(offered[:2], io, out=offered[2:])
+        offered[2:] /= 1e6
+        load = per_tier(offered)  # (4, T), each >= 0.0 or NaN
         # Contention responds to offered load against the raw device caps
         # (it inflates latency, so must stay finite); the proportional scale
         # honors the migration-debited effective caps so conservation always
         # holds. fmax and fmin skip NaN as max(1.0, ...) and min(1.0, ...) do,
         # and a zero load's cap ratio is inf or 0/0, so loads <= 0 drop out.
         contention = np.fmax.reduce(load / caps, axis=0, initial=1.0)
+        debits = np.array((migration_read_mbps, migration_write_mbps), dtype=float)
         effective = caps.copy()
-        effective[2:] = np.fmax(0.0, caps[2:] - (migration_read_mbps, migration_write_mbps))
+        effective[2:] = np.fmax(0.0, caps[2:] - debits)
         scale = np.fmin.reduce(effective / load, axis=0, initial=1.0)
 
         # The probes' true latency at zero added latency; it is positive (or
@@ -181,26 +187,25 @@ def serve_epoch(
         fleet.contention[:] = contention
         latency = bare + intercept * contention[row]
         served = np.minimum(demand, 1e6 / latency) * scale[row]
-        served_r, served_w = served * rf, served * wf
-        read_mbps, write_mbps = served_r * io / 1e6, served_w * io / 1e6
-        read_iops, write_iops = per_tier(served_r), per_tier(served_w)
-        tier_read_mbps, tier_write_mbps = per_tier(read_mbps), per_tier(write_mbps)
-        latency_weight = per_tier(np.where(np.isfinite(latency), served * latency, 0.0))
+        # Read and write IOPS, read and write MB/s, and latency weight per VMDK.
+        out = np.zeros((5, len(row)))
+        np.multiply(served, rf, out=out[0])
+        np.multiply(served, wf, out=out[1])
+        np.multiply(out[:2], io, out=out[2:4])
+        out[2:4] /= 1e6
+        np.multiply(served, latency, out=out[4], where=np.isfinite(latency))
+        tier_out = per_tier(out)
 
     fleet.measured_iops[:] = served
     fleet.measured_latency_us[:] = latency
-    fleet.measured_read_mbps[:] = read_mbps
-    fleet.measured_write_mbps[:] = write_mbps
+    fleet.measured_read_mbps[:], fleet.measured_write_mbps[:] = out[2:4]
     # fmax, like max(0.0, x), yields 0.0 where x is NaN.
-    fleet.spare_read_mbps[:], fleet.spare_write_mbps[:] = np.fmax(0.0, caps[2:] - (
-        tier_read_mbps + migration_read_mbps, tier_write_mbps + migration_write_mbps
-    ))
+    fleet.spare_read_mbps[:], fleet.spare_write_mbps[:] = np.fmax(
+        0.0, caps[2:] - (tier_out[2:4] + debits)
+    )
 
     metrics = []
-    for r_iops, w_iops, r_mbps, w_mbps, weight in zip(
-        read_iops.tolist(), write_iops.tolist(), tier_read_mbps.tolist(),
-        tier_write_mbps.tolist(), latency_weight.tolist(),
-    ):
+    for r_iops, w_iops, r_mbps, w_mbps, weight in tier_out.T.tolist():
         total_iops = r_iops + w_iops
         metrics.append(TierEpochMetrics(
             read_iops=r_iops,
@@ -424,9 +429,12 @@ def run_scenario(
     log = MigrationLog(roster.ids)
     result = RunResult(scenario=scenario, policy=policy_name, seed=sim.seed, migration_log=log)
 
+    @lru_cache(maxsize=1)  # every monitor epoch probes the same ids
+    def rows_of(vmdk_ids: tuple[str, ...]) -> np.ndarray:
+        return np.fromiter(map(roster.row.__getitem__, vmdk_ids), np.intp, len(vmdk_ids))
+
     def probe(vmdk_ids: Sequence[str], added_us: Sequence[float], samples: int) -> np.ndarray:
-        rows = [roster.row[v] for v in vmdk_ids]
-        return probe_latencies(fleet, rows, added_us, samples, rng, noise_cv)
+        return probe_latencies(fleet, rows_of(tuple(vmdk_ids)), added_us, samples, rng, noise_cv)
 
     weights = scenario.weights
     ctx = PolicyContext(

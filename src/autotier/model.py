@@ -544,7 +544,9 @@ class Roster:
     ``truth_slope`` and ``truth_intercept_us`` and ``initial_tier_row``,
     each VMDK's initial tier as a row of ``tiers`` (a run's current tier is
     ``Fleet.tier_row``). Tier rows follow ``tiers`` and hold every tier
-    number the epoch loop reads (see ``Fleet``). The (3, P)
+    number the epoch loop reads (see ``Fleet``); ``device_caps`` stacks the
+    four serve caps as one (4, T) array, read and write throughput, then
+    read and write bandwidth, as serving reads them. The (3, P)
     ``phase_table`` holds the demand, read fraction and I/O size of every
     row's demand profile, one profile after another, gathered with one
     index from the phase tables the specs' profiles view, and
@@ -568,6 +570,7 @@ class Roster:
     write_throughput_cap: np.ndarray
     read_bandwidth_cap: np.ndarray
     write_bandwidth_cap: np.ndarray
+    device_caps: np.ndarray
     mig_weight: np.ndarray
     match_mask: np.ndarray
     kind_weight_total: np.ndarray
@@ -610,6 +613,11 @@ class Roster:
         def column(items: Sequence[Any], name: str) -> np.ndarray:
             return np.fromiter(map(attrgetter(name), items), float, len(items))
 
+        caps = ("read_throughput_cap", "write_throughput_cap", "read_bandwidth_cap",
+                "write_bandwidth_cap")
+        tier_columns = {
+            name: column(tiers, name) for name in ("base_latency_us", *caps, "mig_weight")
+        }
         roster = cls(
             ids=tuple(spec.id for spec in specs),
             specs=specs,
@@ -618,13 +626,8 @@ class Roster:
             tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
             initial_tier_row=np.array([row_of_tier[s.initial_tier] for s in specs], dtype=np.intp),
             budget=np.array([astuple(t.max_usable()) for t in tiers], dtype=float),
-            **{
-                name: column(tiers, name)
-                for name in (
-                    "base_latency_us", "read_throughput_cap", "write_throughput_cap",
-                    "read_bandwidth_cap", "write_bandwidth_cap", "mig_weight",
-                )
-            },
+            **tier_columns,
+            device_caps=np.stack([tier_columns[name] for name in caps]),
             match_mask=np.array([
                 [f * w for f, w in zip(astuple(t.specialty), astuple(t.kind_weights))]
                 for t in tiers

@@ -123,12 +123,12 @@ def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> CapacityMatric
     lat = estimate_avg_lat(fits, fleet.tier_row, roster.base_latency_us)
     with np.errstate(divide="ignore"):
         iops = np.where(lat > 0, 1e6 / lat, 0.0)
-    iops = np.minimum(iops, fleet.demand_iops)
-    size = np.broadcast_to(roster.size_gb, iops.shape)
-    return CapacityMatrices(
-        vmdk_ids=roster.ids,
-        cap=np.stack([iops, iops * fleet.avg_io_size_bytes / 1e6, size], axis=-1),
-    )
+    cap = np.empty(lat.shape + (3,))
+    np.minimum(iops, fleet.demand_iops, out=cap[..., 0])
+    np.multiply(cap[..., 0], fleet.avg_io_size_bytes, out=cap[..., 1])
+    cap[..., 1] /= 1e6
+    cap[..., 2] = roster.size_gb
+    return CapacityMatrices(vmdk_ids=roster.ids, cap=cap)
 
 
 def normalize_and_gate(mat: CapacityMatrices, fleet: Fleet) -> CapacityMatrices:
@@ -141,10 +141,8 @@ def normalize_and_gate(mat: CapacityMatrices, fleet: Fleet) -> CapacityMatrices:
     """
     budget = fleet.roster.budget[:, None, :]
     mat.feasible = (mat.cap <= budget).all(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(budget > 0, mat.cap / budget, 0.0)
-    ratio[~mat.feasible] = 0.0
-    mat.ratio = ratio
+    fill = (budget > 0) & mat.feasible[..., None]
+    mat.ratio = np.divide(mat.cap, budget, out=np.zeros(mat.cap.shape), where=fill)
     return mat
 
 
@@ -212,8 +210,8 @@ def cal_score(
     cost = mig_cost_seconds(fleet) / migration_epoch_seconds
     # An impossible move (infinite cost) blocks the cell this epoch no
     # matter how small the per-tier cost weight is.
-    finite = np.isfinite(cost)
-    penalty = np.where(finite, roster.mig_weight[:, None] * np.where(finite, cost, 0.0), math.inf)
+    penalty = np.full(cost.shape, math.inf)
+    np.multiply(roster.mig_weight[:, None], cost, out=penalty, where=np.isfinite(cost))
     history = 0.0 if previous is None else np.where(np.isfinite(previous), previous, 0.0)
     return np.where(mat.feasible, weights.aging_factor * history + current - penalty, -math.inf)
 

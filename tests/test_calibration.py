@@ -1,11 +1,14 @@
 """Calibration: CV, confidence, batched sampling, regression, prediction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from autotier import calibration
 from autotier.calibration import (
     MAX_MEAN_LATENCY_US,
     CalibrationSamples,
@@ -320,6 +323,50 @@ class TestRegression:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="meanCv must be a finite non-negative number"):
                 run_scenario(scenario, "autotiering")
+
+
+def fit_with_warnings(regress, samples):
+    """The fit's four columns as bytes and the categories of the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = regress(samples)
+    columns = tuple(getattr(fits, name).tobytes() for name in ("m", "b", "confidence", "mean_cv"))
+    return columns, [w.category for w in caught]
+
+
+class TestFitPlan:
+    """``regress_latency_curve`` fits through a cached plan; ``np.polyfit`` is the reference."""
+
+    PERMUTED = tuple(PLAN[i] for i in (3, 0, 4, 1, 2))
+    NEGATIVE_ZERO = (-0.0,) + PLAN[1:]
+    HUGE = (1e300, float(np.nextafter(1e300, np.inf)))  # squaring overflows in the set-up
+    CLOSE = (1.0, float(np.nextafter(1.0, np.inf)))  # rank 1: the cached solve warns itself
+
+    def test_alternating_plans_match_polyfit_bitwise_with_its_warnings(self):
+        rng = np.random.default_rng(3)
+        warned = set()
+        for _ in range(3):
+            for plan in (PLAN, self.PERMUTED, self.NEGATIVE_ZERO, self.HUGE, self.CLOSE):
+                values = rng.uniform(50.0, 5000.0, size=(6, len(plan), 4))
+                samples = CalibrationSamples(tuple(f"v{i}" for i in range(6)), plan, values)
+                got = fit_with_warnings(regress_latency_curve, samples)
+                assert got == fit_with_warnings(reference_regress, samples), plan
+                if np.exceptions.RankWarning in got[1]:
+                    warned.add(plan)
+        assert warned == {self.HUGE, self.CLOSE}
+
+    def test_plans_equal_as_tuples_share_one_entry(self):
+        assert calibration._fit_plan(self.NEGATIVE_ZERO) is calibration._fit_plan(PLAN)
+        order, xs, _, _, _ = calibration._fit_plan(PLAN)
+        assert order is None and xs.tolist() == list(PLAN)
+        assert calibration._fit_plan(self.HUGE)[2:4] == (None, None)  # polyfit fits this plan
+
+    def test_cached_arrays_refuse_writes(self):
+        for plan in (self.PERMUTED, self.CLOSE):
+            for array in calibration._fit_plan(plan)[:4]:
+                if array is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = 0
 
 
 class TestEstimateAvgLat:

@@ -308,10 +308,12 @@ def random_fleet(rng, n_tiers):
 
 
 class TestServeEpochMatchesReference:
-    @pytest.mark.parametrize("seed", range(8))
+    # Seeds 0-15 draw 1, 3, 4, 5 and 6 tiers; with two or more the last has no
+    # members, and each stage's one bincount must still give it a row.
+    @pytest.mark.parametrize("seed", range(16))
     def test_bitwise_equal_to_the_member_loop(self, seed):
         rng = np.random.default_rng(seed)
-        n_tiers = int(rng.integers(1, 5))
+        n_tiers = int(rng.integers(1, 7))
         tiers, states = random_fleet(rng, n_tiers)
         # debits from none to above the bandwidth cap
         debit_read = [float(rng.choice([0.0, rng.uniform(0, 2) * t.read_bandwidth_cap]))
@@ -330,6 +332,7 @@ class TestServeEpochMatchesReference:
             for tier, r, w in zip(tiers, debit_read, debit_write)
         ))
         fleet = fleet_of(states, tiers)
+        assert n_tiers == 1 or n_tiers - 1 not in fleet.tier_row.tolist()
         fleet.contention[:] = contended  # serving sets it afresh from the load
         served = serve_epoch(fleet, debit_read, debit_write)
         states = fleet.states()
@@ -353,9 +356,9 @@ class TestServeEpochMatchesReference:
 
     def test_cases_cover_every_edge(self):
         seen = set()
-        for seed in range(8):
+        for seed in range(16):
             rng = np.random.default_rng(seed)
-            tiers, states = random_fleet(rng, int(rng.integers(1, 5)))
+            tiers, states = random_fleet(rng, int(rng.integers(1, 7)))
             fleet = fleet_of(states, tiers)
             served = serve_epoch(
                 fleet, [2 * t.read_bandwidth_cap for t in tiers], [0.0] * len(tiers),

@@ -385,6 +385,18 @@ class TestFleet:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(view.roster, name)[0] = 0.0
 
+    def test_device_caps_stack_the_four_serve_caps_read_only(self):
+        tiers = [make_tier(i, read_iops=1e3 * i, write_iops=2e3 * i, read_mbps=30.0 * i,
+                           write_mbps=40.0 * i) for i in (1, 2, 3)]
+        roster = Fleet.of(Roster.of([make_vmdk()], tiers)).read_only().roster
+        names = ("read_throughput_cap", "write_throughput_cap", "read_bandwidth_cap",
+                 "write_bandwidth_cap")
+        assert roster.device_caps.shape == (4, len(tiers)) and roster.device_caps.dtype == float
+        assert roster.device_caps.tolist() == [getattr(roster, name).tolist() for name in names]
+        assert not roster.device_caps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            roster.device_caps[0, 0] = 0.0
+
     def test_of_starts_each_spec_on_its_initial_tier_in_phase_zero_unmeasured(self):
         tiers = [make_tier(i, read_mbps=100.0 * i, write_mbps=70.0 * i) for i in (1, 2, 3)]
         later = WorkloadPhase(4, 9.0, 512.0, 0.5)
