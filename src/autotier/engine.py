@@ -15,11 +15,12 @@ measurements, and its (T,) arrays each tier's contention and spare MB/s.
 ``serve_epoch`` serves every tier in one vectorized pass and writes the
 measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
-view, and ``VmdkState`` objects are built once, for the result, after the
-last epoch. The book of in-flight migrations is the fleet rows whose
-``dest_row`` is set, in id order; an order starts only for a VMDK that has
-none. Plans come in fleet rows too: the engine starts a plan's moves from
-its ``move_rows``, ``move_from`` and ``move_to`` arrays and reads its
+view. The result keeps the fleet the run left, and builds its
+``VmdkState`` objects from it only when ``final_states`` is first read.
+The book of in-flight migrations is the fleet rows whose ``dest_row`` is
+set, in id order; an order starts only for a VMDK that has none. Plans
+come in fleet rows too: the engine starts a plan's moves from its
+``move_rows``, ``move_from`` and ``move_to`` arrays and reads its
 overloaded VMDKs from ``overloaded_rows``, never looking up a VMDK id. The
 run's ``MigrationLog`` holds every order as columns, progress included, and
 is its only record; the fleet's ``order_index`` leads each moving row to
@@ -33,7 +34,7 @@ bit for bit (see ``progress_migrations``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -118,13 +119,23 @@ class EpochMetrics:
 
 @dataclass
 class RunResult:
+    """One run: its epochs, plans and migration log, and the ``fleet`` it left.
+
+    ``final_states`` holds one ``VmdkState`` per VMDK, in id order, built
+    from ``fleet`` the first time it is read and then kept.
+    """
+
     scenario: Scenario
     policy: str
     seed: int
+    fleet: Fleet = field(repr=False)
     epochs: list[EpochMetrics] = field(default_factory=list)
     plans: list[AssignmentPlan] = field(default_factory=list)
     migration_log: MigrationLog = field(default_factory=MigrationLog)
-    final_states: dict[str, VmdkState] = field(default_factory=dict)
+
+    @cached_property
+    def final_states(self) -> dict[str, VmdkState]:
+        return {state.spec.id: state for state in self.fleet.states()}
 
 
 def serve_epoch(
@@ -427,7 +438,9 @@ def run_scenario(
     roster = scenario.roster
     fleet = Fleet.of(roster)
     log = MigrationLog(roster.ids)
-    result = RunResult(scenario=scenario, policy=policy_name, seed=sim.seed, migration_log=log)
+    result = RunResult(
+        scenario=scenario, policy=policy_name, seed=sim.seed, fleet=fleet, migration_log=log
+    )
 
     @lru_cache(maxsize=1)  # every monitor epoch probes the same ids
     def rows_of(vmdk_ids: tuple[str, ...]) -> np.ndarray:
@@ -493,6 +506,4 @@ def run_scenario(
                 stalled=tuple(stalled),
             )
         )
-
-    result.final_states = {state.spec.id: state for state in fleet.states()}
     return result

@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import InitVar, astuple, dataclass, fields, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import add, attrgetter, contains, itemgetter
+from operator import attrgetter, contains, itemgetter
 from types import MappingProxyType
 from typing import Any
 
@@ -359,6 +359,13 @@ class PolicyWeights:
             raise ValueError("injected latencies must be non-negative")
         if len(set(self.injected_latencies_us)) != len(self.injected_latencies_us):
             raise ValueError("injected latencies must be distinct")
+        # The fit (np.polyfit's set-up) divides the latency column by its norm,
+        # sqrt(sum(d * d)); when every square underflows to 0.0 that norm is 0.
+        if not any(d * d > 0.0 for d in self.injected_latencies_us):
+            raise ValueError(
+                "injectedLatenciesUs too close to 0: every square underflows, "
+                "so the fit cannot scale them"
+            )
         if self.samples_per_latency < 1:
             raise ValueError("samplesPerLatency must be >= 1")
 
@@ -509,11 +516,15 @@ class MigrationLog:
         self.stalled[k] = stalled
 
     def total_migrated_bytes(self) -> float:
-        """Bytes moved over every order, added left to right in log order."""
-        return reduce(add, self.bytes_moved.tolist(), 0)
+        """Bytes moved over every order, added left to right in log order; int 0 if none."""
+        if not len(self.row):
+            return 0
+        return float(np.add.accumulate(np.concatenate(([0.0], self.bytes_moved)))[-1])
 
-    def migrated_vmdk_ids(self) -> set[str]:
-        return set(map(self.ids.__getitem__, self.row.tolist()))
+    def migrated_vmdk_ids(self) -> tuple[str, ...]:
+        """Each VMDK with an order, once, in id order (the order of the fleet's rows)."""
+        rows = np.flatnonzero(np.bincount(self.row, minlength=len(self.ids)))
+        return tuple(map(self.ids.__getitem__, rows.tolist()))
 
     def unfinished(self) -> int:
         """Orders whose bytes moved fall short of their bytes total."""

@@ -18,8 +18,8 @@ every tier number, and the fleet's ``dest_row`` marks the VMDKs whose
 in-flight migration is committed.
 ``pack`` is the one greedy packer: it seats those VMDKs on their
 destination, takes each tier's ranked fleet rows and places them tier by
-tier with ``first_fit``, a windowed scan that decides whole windows with
-numpy and runs a scalar loop only where fits and misses alternate. This
+tier with ``first_fit``, a scan that commits whole runs of fits and
+misses with numpy and runs a scalar loop only where they alternate. This
 policy ranks each tier's row with one stable ``np.argsort``; the baselines
 rank VMDKs by their metric and put 0.0 in the usage columns they do not
 check. An exact per-epoch profit maximizer (a HiGHS binary program) is the
@@ -224,33 +224,43 @@ def first_fit(rows: np.ndarray, left: np.ndarray, used: np.ndarray) -> np.ndarra
 
     Exactly the scalar loop ``for r in rows: if not any(r > left): left -= r;
     used += r``, bit for bit and NaN included, with ``left`` and ``used``
-    (3,) arrays written in place. The scan runs in windows that double after
-    each window whose rows all fit (taken with sequential
-    ``np.subtract.accumulate`` and ``np.add.accumulate``) or all miss
-    (skipped after one comparison). A larger window with both is tried again
-    at ``FIRST_FIT_WINDOW`` rows. A window of that size with both runs the
-    scalar loop, as does every shorter window and every window after a mixed
-    one until one comes out uniform, so a scan that keeps switching costs
-    little more than the scalar loop.
+    (3,) arrays written in place. The scan runs in array passes over a
+    window of rows. One sequential ``np.subtract.accumulate`` (and
+    ``np.add.accumulate`` for ``used``) commits the fit run the window opens
+    with, if any, up to the first row that misses what the rows before it
+    left; one comparison with the ``left`` it leaves then skips the miss run
+    that follows, up to the next row that fits. The next window is twice
+    what the pass committed, so a pass that commits its whole window doubles
+    it. A scan shorter than ``FIRST_FIT_WINDOW``, or a pass that commits
+    fewer rows than that, runs the scalar loop instead, in windows of
+    ``FIRST_FIT_WINDOW`` rows, until one comes out all fits or all misses;
+    so a scan that keeps switching costs little more than the scalar loop.
     """
     fit = np.zeros(len(rows), dtype=bool)
-    start, width, expect = 0, FIRST_FIT_WINDOW, True  # expect None: a mixed window
+    start, width, scalar = 0, FIRST_FIT_WINDOW, len(rows) < FIRST_FIT_WINDOW
     while start < len(rows):
-        window = rows[start:start + width]
-        stop = start + len(window)
-        if expect is not None and len(window) >= FIRST_FIT_WINDOW:
-            if expect:
+        if not scalar:
+            window = rows[start:start + width]
+            (l0, l1, l2), (p, b, s) = left.tolist(), window[0].tolist()
+            k = 0  # the length of the fit run the pass opens with
+            if not (p > l0 or b > l1 or s > l2):
                 after = np.subtract.accumulate(np.concatenate((left[None], window)))
-                if not (window > after[:-1]).any():
-                    fit[start:stop], left[:], start, width = True, after[-1], stop, 2 * width
-                    used[:] = np.add.accumulate(np.concatenate((used[None], window)))[-1]
-                    continue
-            if (window > left).any(axis=1).all():
-                start, width, expect = stop, 2 * width, False
-                continue
-            if width > FIRST_FIT_WINDOW:
-                width = FIRST_FIT_WINDOW
-                continue
+                # The first True of the flat (rows, 3) comparison is in the first row that misses.
+                over = (window > after[:-1]).ravel()
+                k = int(over.argmax())
+                k = k // 3 if over[k] else len(window)
+                fit[start:start + k], left[:] = True, after[k]
+                used[:] = np.add.accumulate(np.concatenate((used[None], window[:k])))[-1]
+                l0, l1, l2 = left.tolist()
+            step = k
+            if k < len(window):
+                rest = window[k:]
+                miss = (rest[:, 0] > l0) | (rest[:, 1] > l1) | (rest[:, 2] > l2)
+                j = int(miss.argmin())
+                step += j if not miss[j] else len(miss)
+            start, width, scalar = start + step, 2 * step, step < FIRST_FIT_WINDOW
+            continue
+        window = rows[start:start + FIRST_FIT_WINDOW]
         (l0, l1, l2), (u0, u1, u2) = left.tolist(), used.tolist()
         flags = []
         for p, b, s in window.tolist():
@@ -259,8 +269,10 @@ def first_fit(rows: np.ndarray, left: np.ndarray, used: np.ndarray) -> np.ndarra
             else:
                 l0, l1, l2, u0, u1, u2 = l0 - p, l1 - b, l2 - s, u0 + p, u1 + b, u2 + s
                 flags.append(True)
-        fit[start:stop], left[:], used[:], start = flags, (l0, l1, l2), (u0, u1, u2), stop
-        expect = flags[0] if len(set(flags)) == 1 else None
+        fit[start:start + len(window)], left[:], used[:] = flags, (l0, l1, l2), (u0, u1, u2)
+        start += len(window)
+        if len(set(flags)) == 1:
+            width, scalar = FIRST_FIT_WINDOW, False
     return fit
 
 

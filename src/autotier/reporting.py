@@ -135,7 +135,7 @@ def summary_dict(result: RunResult) -> dict[str, Any]:
 def migrations_dict(result: RunResult) -> dict[str, Any]:
     """Migration overhead: working volume (bytes) vs working set (distinct VMDKs)."""
     log = result.migration_log
-    distinct = sorted(log.migrated_vmdk_ids())
+    distinct = list(log.migrated_vmdk_ids())  # in id order, as sorted() would give
     return {
         "totalMigratedBytes": log.total_migrated_bytes(),
         "migrationCount": len(log),

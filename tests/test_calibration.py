@@ -1,5 +1,6 @@
 """Calibration: CV, confidence, batched sampling, regression, prediction."""
 
+import math
 import warnings
 
 import numpy as np
@@ -19,7 +20,12 @@ from autotier.calibration import (
     regress_latency_curve,
 )
 from autotier.engine import run_scenario
-from autotier.model import DEFAULT_INJECTED_LATENCIES_US, CalibrationFits, validate_scenario
+from autotier.model import (
+    DEFAULT_INJECTED_LATENCIES_US,
+    CalibrationFits,
+    PolicyWeights,
+    validate_scenario,
+)
 from autotier.scenario import load_bundled_scenario, scenario_to_document
 
 from conftest import make_fits
@@ -360,6 +366,44 @@ class TestFitPlan:
         order, xs, _, _, _ = calibration._fit_plan(PLAN)
         assert order is None and xs.tolist() == list(PLAN)
         assert calibration._fit_plan(self.HUGE)[2:4] == (None, None)  # polyfit fits this plan
+
+    # The smallest latency whose square is not 0.0: 2 ** -537.5, rounded up.
+    SMALLEST_SQUARED = float.fromhex("0x1.6a09e667f3bcdp-538")
+    TINY = st.one_of(
+        st.sampled_from((
+            0.0, 5e-324, 1e-300, 1e-200, math.nextafter(SMALLEST_SQUARED, 0.0),
+            SMALLEST_SQUARED, 2 * SMALLEST_SQUARED,
+        )),
+        st.floats(0.0, 1e-150),
+    )
+
+    @given(st.lists(TINY, min_size=2, max_size=4, unique=True), st.integers(0, 2**32 - 1))
+    def test_every_accepted_tiny_plan_fits(self, plan, seed):
+        # PolicyWeights refuses exactly the plans whose every square underflows,
+        # which are exactly the plans np.polyfit cannot fit; the rest fit.
+        plan = tuple(plan)
+        values = np.random.default_rng(seed).uniform(50.0, 5000.0, size=(3, len(plan), 4))
+        samples = CalibrationSamples(("a", "b", "c"), plan, values)
+        underflows = all(d * d == 0.0 for d in plan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if underflows:
+                with pytest.raises(ValueError, match="injectedLatenciesUs too close to 0"):
+                    PolicyWeights(injected_latencies_us=plan)
+                with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+                    np.polyfit(plan, samples.values.mean(axis=-1).T, 1)
+                return
+            PolicyWeights(injected_latencies_us=plan)
+            fits = regress_latency_curve(samples)
+        assert fits.m.shape == fits.b.shape == (3,)
+        assert np.isfinite(fits.b).all()
+
+    def test_the_smallest_plans_either_side_of_the_underflow(self):
+        below = math.nextafter(self.SMALLEST_SQUARED, 0.0)
+        assert below * below == 0.0 < self.SMALLEST_SQUARED * self.SMALLEST_SQUARED
+        with pytest.raises(ValueError, match="injectedLatenciesUs too close to 0"):
+            PolicyWeights(injected_latencies_us=(0.0, below))
+        PolicyWeights(injected_latencies_us=(0.0, self.SMALLEST_SQUARED))
 
     def test_cached_arrays_refuse_writes(self):
         for plan in (self.PERMUTED, self.CLOSE):

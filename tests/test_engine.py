@@ -1026,6 +1026,27 @@ class TestRunScenario:
         b = run_scenario(scenario, policy, seed=123)
         assert metrics_csv_text(a) == metrics_csv_text(b)
 
+    @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
+    def test_final_states_are_built_on_first_read_then_kept(self, policy, monkeypatch):
+        builds = []
+        states = model.Fleet.states
+        monkeypatch.setattr(model.Fleet, "states", lambda fleet: builds.append(1) or states(fleet))
+        result = run_scenario(self.tiny(epochs=9), policy)
+        assert builds == []
+        eager = repr({s.spec.id: s for s in states(result.fleet)})
+        first = result.final_states
+        assert result.final_states is first and builds == [1]
+        assert repr(first) == eager
+
+    @pytest.mark.parametrize("policy, other", [("autotiering", "idt"), ("idt", "edt"), ("edt", "idt")])
+    def test_a_second_run_leaves_the_first_results_states_alone(self, policy, other):
+        scenario = load_bundled_scenario("table3-table4")
+        first = run_scenario(scenario, policy)
+        eager = repr({s.spec.id: s for s in first.fleet.states()})
+        second = run_scenario(scenario, other)
+        assert repr(second.final_states) != eager  # the second run ends elsewhere
+        assert repr(first.final_states) == eager
+
     def test_policy_moves_the_sensitive_vmdk_up(self):
         result = run_scenario(self.tiny(epochs=9), "autotiering")
         assert result.final_states["hot"].current_tier == 1

@@ -485,11 +485,20 @@ USAGE_VALUES = (0.0, -0.0, 0.1, 0.7, 1.0, 3.3, 10.0, 100.0, 1e9, math.inf, math.
 usage_rows = st.tuples(*[st.sampled_from(USAGE_VALUES)] * 3)
 budgets = st.tuples(*[st.sampled_from((0.0, 1.0, 10.0, 100.3, 1e4))] * 3)
 # Long runs of one row cross several windows, fitting until the budget runs out.
+usage_runs = st.lists(st.tuples(usage_rows, st.integers(1, 200)), max_size=6).map(
+    lambda runs: [row for row, count in runs for _ in range(count)]
+)
+# Small rows that every budget above 10.0 holds 2,500 of.
+small_rows = st.tuples(*[st.sampled_from((0.0, 1e-3, 3.3e-3))] * 3)
 usage_scans = st.one_of(
     st.lists(usage_rows, max_size=300),
-    st.lists(st.tuples(usage_rows, st.integers(1, 200)), max_size=6).map(
-        lambda runs: [row for row, count in runs for _ in range(count)]
-    ),
+    usage_runs,
+    # A long fit prefix, then a mixed tail, up to 2,800 rows: the baselines'
+    # scans look so (fits until the tier fills, then mostly misses).
+    st.tuples(
+        st.lists(st.tuples(small_rows, st.integers(700, 1250)), min_size=1, max_size=2),
+        st.one_of(st.lists(usage_rows, max_size=300), usage_runs),
+    ).map(lambda scan: [row for row, count in scan[0] for _ in range(count)] + scan[1]),
 )
 
 
@@ -516,6 +525,25 @@ class TestFirstFit:
     def test_strictly_alternating_scan(self, first):
         other = 1e-3 if first == 1e9 else 1e9
         self.check([(0.0, 0.0, first), (0.0, 0.0, other)] * 1400, (0.0, 0.0, 1e6))
+
+    @pytest.mark.parametrize("offset", ["0", "1", "W-1", "W", "W+1"])
+    @pytest.mark.parametrize("pass_index", [0, 1, 2])
+    def test_change_point_at_the_edge_of_a_pass(self, pass_index, offset):
+        # A fit run from row 0 takes passes of W, 2W, 4W, ... rows; pass p
+        # starts at row W * (2**p - 1). Each scan switches at an offset of it.
+        w = policy.FIRST_FIT_WINDOW
+        start, width = w * (2**pass_index - 1), w * 2**pass_index
+        at = start + {"0": 0, "1": 1, "W-1": width - 1, "W": width, "W+1": width + 1}[offset]
+        fits, misses, budget = (0.1, 0.7, 3.3), (0.1, 1e9, 3.3), (1e4, 1e4, 1e4)
+        self.check([fits] * at + [misses] * 300, budget)
+        self.check([fits] * start + [misses] * (at - start) + [fits] * 300, budget)
+        # One fit inside a miss run, as the baselines' long scans end.
+        self.check([fits] * at + [misses] * 200 + [fits] + [misses] * 400, budget)
+
+    def test_a_miss_run_is_judged_against_what_the_fit_run_left(self):
+        # Negative rows give budget back: the last row misses the 74.0 left
+        # when the second pass starts but fits the 80.0 its fit run leaves.
+        self.check([(0.0, 0.0, -1.0)] * 70 + [(1.0, 0.0, 0.0), (0.0, 0.0, 77.0)], (0.0, 0.0, 10.0))
 
 
 def reference_trigger_migration(scores, mat, tiers, fleet, epoch_index, pinned=None):

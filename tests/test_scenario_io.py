@@ -4,11 +4,14 @@ import copy
 import inspect
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
 from dataclasses import MISSING, fields, is_dataclass, replace
+from functools import reduce
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,6 +27,7 @@ from autotier.model import (
     OPTIONAL,
     REQUIRED,
     SCHEMA,
+    MigrationLog,
     ResourceVector,
     Scenario,
     ScenarioValidationError,
@@ -192,6 +196,19 @@ class TestParsing:
             parse_scenario(text)
         prefix = "policyWeights.injectedLatenciesUs: expected finite numbers"
         assert any(e.startswith(prefix) for e in excinfo.value.errors), excinfo.value.errors
+
+    @pytest.mark.parametrize("plan", [[1e-200, 2e-200], [0, 5e-324]], ids=str)
+    def test_injected_latencies_too_close_to_zero_are_diagnosed(self, plan):
+        # Every square underflows to 0.0, so an AutoTiering run's fit would
+        # fail with a bare LinAlgError at its first monitor epoch.
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc.setdefault("policyWeights", {})["injectedLatenciesUs"] = plan
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert excinfo.value.errors == [
+            "policyWeights: injectedLatenciesUs too close to 0: every square underflows, "
+            "so the fit cannot scale them"
+        ]
 
     def test_kind_weights_summing_to_inf_are_diagnosed(self):
         # each weight is finite, but their sum overflows and scores would turn NaN
@@ -571,6 +588,28 @@ class TestReporting:
         mig = migrations_dict(tiny_result)
         assert mig["migrationCount"] >= mig["distinctVmdksMigrated"]
         assert mig["totalMigratedBytes"] >= 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_migrations_match_the_set_and_reduce_forms(self, seed):
+        # Rows repeat and come out of id order; byte counts of mixed magnitude
+        # make a sum in any other order round differently. Seeds 0 and 4 log nothing.
+        rng = np.random.default_rng(seed)
+        ids = tuple(f"v{j:02d}" for j in range(40))
+        log = MigrationLog(ids)
+        for epoch in range(seed % 4):
+            n = int(rng.integers(1, 30))
+            total = rng.choice([1e16, 1.0, 0.1, 3.3e9], size=n)
+            k = log.append(rng.integers(0, len(ids), size=n), np.full(n, 1), np.full(n, 2),
+                           total, epoch)
+            log.set_progress(k, total * rng.choice([0.0, 0.3, 1.0], size=n), np.ones(n),
+                             np.zeros(n, dtype=bool))
+        mig = migrations_dict(SimpleNamespace(migration_log=log, epochs=[]))
+        distinct = sorted(set(map(ids.__getitem__, log.row.tolist())))
+        total = reduce(operator.add, log.bytes_moved.tolist(), 0)
+        assert (mig["migratedVmdkIds"], mig["distinctVmdksMigrated"]) == (distinct, len(distinct))
+        assert type(mig["totalMigratedBytes"]) is type(total)
+        assert json.dumps(mig["totalMigratedBytes"]) == json.dumps(total)
+        assert (len(log) == 0) == (json.dumps(total) == "0")
 
     def test_series_sums_add_left_to_right(self):
         # A compensated sum (Python 3.12's sum()) gives 1.0000000000000002e16.
