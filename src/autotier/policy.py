@@ -309,19 +309,21 @@ def pack(
     used = np.zeros((len(left), 3))
     where = fleet.dest_row.copy()
     overloaded = [np.zeros(0, dtype=np.intp)]
+    # Each scan gathers its usage rows with ``take``: the same rows as
+    # ``usage[i, rows]``, several times faster on (n, 3) rows.
 
     def hold(rows: np.ndarray, at: np.ndarray) -> None:
         """Put each row on tier row ``at``, in order, overloaded where it does not fit."""
         for i in sorted(set(at.tolist())):
             group = rows[at == i]
-            overloaded.append(group[~first_fit(usage[i, group], left[i], used[i])])
+            overloaded.append(group[~first_fit(usage[i].take(group, axis=0), left[i], used[i])])
 
     pins = np.flatnonzero(where >= 0)
     hold(pins, where[pins])
     chosen = [np.zeros(0, dtype=np.intp)]
     for i, rows in ranked:
         rows = rows[where[rows] < 0]
-        chosen.append(rows[first_fit(usage[i, rows], left[i], used[i])])
+        chosen.append(rows[first_fit(usage[i].take(rows, axis=0), left[i], used[i])])
         where[chosen[-1]] = i
     chosen = np.concatenate(chosen)
     if rank is not None:
