@@ -34,6 +34,7 @@ from typing import Any
 import numpy as np
 
 SCHEMA_VERSION = 1
+INT64_MAX = 2**63 - 1  # bounds startEpoch, epochs, migrationEpoch and samplesPerLatency
 
 
 class ScenarioValidationError(ValueError):
@@ -47,6 +48,11 @@ class ScenarioValidationError(ValueError):
 def _require_finite_nonneg(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a finite non-negative number, got {value}")
+
+
+def _require_int64(name: str, value: int) -> None:
+    if value > INT64_MAX:
+        raise ValueError(f"{name} must be <= {INT64_MAX}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,7 @@ class WorkloadPhase:
             raise ValueError("startEpoch must be an integer")
         if self.start_epoch < 0:
             raise ValueError("startEpoch must be >= 0")
+        _require_int64("startEpoch", self.start_epoch)
         _require_finite_nonneg("demandIops", self.demand_iops)
         if not (math.isfinite(self.avg_io_size_bytes) and self.avg_io_size_bytes > 0):
             raise ValueError("avgIoSizeBytes must be positive")
@@ -152,7 +159,6 @@ class WorkloadPhase:
             raise ValueError("readFraction out of [0,1]")
 
 
-NEVER = np.iinfo(np.int64).max  # stands in for start epochs past the int64 range
 _DEMAND_COLUMNS = ("demand_iops", "read_fraction", "avg_io_size_bytes")
 
 
@@ -162,24 +168,15 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _clipped(starts: list[Any]) -> tuple[np.ndarray, dict[int, Any]]:
-    """Start epochs as an int64 column clipped to ``NEVER``, and by row each start it changes."""
-    exact = {k: s for k, s in enumerate(starts) if type(s) is not int or s > NEVER}
-    return np.array([min(s, NEVER) for s in starts], dtype=np.int64), exact
-
-
 @dataclass(frozen=True, eq=False)
 class PhaseTable:
     """Demand phases of many VMDKs, one profile after another, as read-only columns.
 
-    ``start_epoch`` is int64 with each start past the int64 range clipped
-    to ``NEVER``; ``exact_start`` keeps, by row, each start that column
-    does not hold as given, so a document round-trips. The rows of the
-    (3, P) ``demand`` are each phase's demand, read fraction and I/O size.
+    ``start_epoch`` is int64, and the rows of the (3, P) ``demand`` are
+    each phase's demand, read fraction and I/O size.
     """
 
     start_epoch: np.ndarray
-    exact_start: Mapping[int, Any]
     demand: np.ndarray
 
     def __post_init__(self) -> None:
@@ -188,13 +185,12 @@ class PhaseTable:
 
     def __reduce__(self) -> tuple[Any, ...]:
         # rebuilt through the constructor, so an unpickled table is read-only too
-        return PhaseTable, (self.start_epoch, self.exact_start, self.demand)
+        return PhaseTable, (self.start_epoch, self.demand)
 
     def phase(self, k: int) -> WorkloadPhase:
         """Row ``k`` as a ``WorkloadPhase``."""
         demand, fraction, size = self.demand[:, k].tolist()
-        start = self.exact_start.get(k, int(self.start_epoch[k]))
-        return WorkloadPhase(start, demand, size, fraction)
+        return WorkloadPhase(int(self.start_epoch[k]), demand, size, fraction)
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
@@ -272,7 +268,7 @@ class VmdkSpec:
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("demandProfile phases must have strictly increasing startEpoch")
         demand = [[getattr(ph, name) for ph in phases] for name in _DEMAND_COLUMNS]
-        table = PhaseTable(*_clipped(starts), np.array(demand, dtype=float))
+        table = PhaseTable(np.array(starts, dtype=np.int64), np.array(demand, dtype=float))
         object.__setattr__(self, "demand_profile", DemandProfile(table, 0, len(phases)))
 
 
@@ -349,6 +345,7 @@ class PolicyWeights:
             raise ValueError("monitorEpoch must be >= 1")
         if self.migration_epoch < self.monitor_epoch:
             raise ValueError("migrationEpoch must be >= monitorEpoch")
+        _require_int64("migrationEpoch", self.migration_epoch)
         if self.migration_epoch % self.monitor_epoch != 0:
             raise ValueError("migrationEpoch must be a multiple of monitorEpoch")
         if not (0.0 < self.confidence_floor <= 1.0):
@@ -368,6 +365,7 @@ class PolicyWeights:
             )
         if self.samples_per_latency < 1:
             raise ValueError("samplesPerLatency must be >= 1")
+        _require_int64("samplesPerLatency", self.samples_per_latency)
 
 
 @dataclass(frozen=True)
@@ -380,6 +378,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        _require_int64("epochs", self.epochs)
         if not (math.isfinite(self.epoch_seconds) and self.epoch_seconds > 0):
             raise ValueError("epochSeconds must be positive")
         _require_finite_nonneg("noiseCv", self.noise_cv)
@@ -562,8 +561,7 @@ class Roster:
     row's demand profile, one profile after another, gathered with one
     index from the phase tables the specs' profiles view, and
     ``first_phase`` each row's phase 0 in it; ``due`` maps an epoch to the
-    rows whose next phase starts then and the index of that phase (a start
-    past the int64 range is due at ``NEVER``). Every
+    rows whose next phase starts then and the index of that phase. Every
     array is read-only and every map a ``MappingProxyType``, so one roster
     serves any number of runs, concurrent ones too: each run's ``Fleet``
     holds the roster itself and only the columns the run writes.
@@ -602,7 +600,7 @@ class Roster:
         # or one per spec given its phases in Python.
         profiles = [spec.demand_profile for spec in specs]
         tables = {id(p.table): p.table for p in profiles} or {
-            0: PhaseTable(np.zeros(0, dtype=np.int64), {}, np.zeros((3, 0)))
+            0: PhaseTable(np.zeros(0, dtype=np.int64), np.zeros((3, 0)))
         }
         sizes = (len(t.start_epoch) for t in tables.values())
         base = dict(zip(tables, accumulate(sizes, initial=0)))
@@ -944,7 +942,7 @@ def _read_profiles(profiles: list[Any]) -> list[DemandProfile] | None:
     inside = (demand >= _DEMAND_RANGE[0]) & (demand <= _DEMAND_RANGE[1])
     if not (rising.all() and inside.all()):
         return None
-    table = PhaseTable(start, {}, demand)
+    table = PhaseTable(start, demand)
     return list(map(DemandProfile, repeat(table), first, offsets[1:]))
 
 

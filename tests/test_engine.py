@@ -1,6 +1,7 @@
 """Device model, serving with contention, migration execution, full runs."""
 
 import copy
+import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -1010,6 +1011,13 @@ class TestRunScenario:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             run_scenario(self.tiny(), "autotiering", seed=-1)
+
+    def test_a_migration_epoch_at_the_int64_bound_runs(self):
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc["policyWeights"]["migrationEpoch"] = 2**63 - 1
+        result = run_scenario(parse_scenario(json.dumps(doc)), "autotiering")
+        assert len(result.epochs) == doc["simulation"]["epochs"]
+        assert [plan.epoch_index for plan in result.plans] == [0]
 
     def test_a_seed_override_is_the_run_seed(self):
         scenario = self.tiny(seed=5)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from autotier.engine import run_scenario
 from autotier.model import (
-    NEVER,
     CalibrationFits,
     DemandProfile,
     Fleet,
@@ -261,22 +260,34 @@ class TestRoster:
             assert array.dtype == twins[name].dtype, name
             assert array.tobytes() == twins[name].tobytes(), name
 
-    def test_a_start_epoch_past_int64_round_trips_and_never_activates(self):
+    def test_a_start_epoch_is_bounded_by_int64_and_the_bound_never_activates(self):
         doc = json.loads(bundled_scenario_text("tiny-oracle"))
         doc["simulation"]["epochs"] = 3
         first = doc["vmdks"][0]["demandProfile"][0]
-        doc["vmdks"][0]["demandProfile"].append(dict(first, startEpoch=2**70, demandIops=1.0))
+        doc["vmdks"][0]["demandProfile"].append(dict(first, startEpoch=2**63, demandIops=1.0))
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert excinfo.value.errors == [
+            "vmdks[0].demandProfile[1]: startEpoch must be <= 9223372036854775807"
+        ]
+        with pytest.raises(ValueError, match="^startEpoch must be <= 9223372036854775807$"):
+            WorkloadPhase(2**63, 1.0, 4096.0)
+        doc["vmdks"][0]["demandProfile"][1]["startEpoch"] = 2**63 - 1
         scenario = parse_scenario(json.dumps(doc))
         text = serialize_scenario(scenario)
-        assert '"startEpoch": 1180591620717411303424' in text
+        assert '"startEpoch": 9223372036854775807' in text
         again = parse_scenario(text)
         assert again == scenario and serialize_scenario(again) == text
         spec = scenario.vmdks[0]
-        assert spec.demand_profile[-1].start_epoch == 2**70
-        assert spec.demand_profile.table.start_epoch[1] == NEVER
+        assert spec.demand_profile[-1].start_epoch == 2**63 - 1
+        assert [f.name for f in fields(spec.demand_profile.table)] == ["start_epoch", "demand"]
         twin = replace(spec, demand_profile=tuple(spec.demand_profile))
-        assert twin == spec and twin.demand_profile.table.exact_start == {1: 2**70}
-        assert list(scenario.roster.due) == [NEVER]
+        assert twin == spec and twin.demand_profile.table.start_epoch.tolist() == [0, 2**63 - 1]
+        roster = scenario.roster
+        row = roster.row[spec.id]
+        (owners, phases), = roster.due.values()
+        assert list(roster.due) == [2**63 - 1]
+        assert owners.tolist() == [row] and phases.tolist() == [roster.first_phase[row] + 1]
         final = run_scenario(scenario, "idt").final_states[spec.id]
         assert final.demand_iops == float(first["demandIops"])
 

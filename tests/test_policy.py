@@ -502,6 +502,34 @@ usage_scans = st.one_of(
 )
 
 
+class Windows(np.ndarray):
+    """Usage rows that add each window a scan slices off them to ``trace``: [start, stop, 0]."""
+
+    trace = None
+
+    def __array_finalize__(self, obj):
+        self.trace = None  # a view or a result reports nothing
+
+    def __getitem__(self, key):
+        if self.trace is not None and isinstance(key, slice):
+            self.trace.append([key.start, min(key.stop, len(self)), 0])
+        return super().__getitem__(key)
+
+
+class Writes(np.ndarray):
+    """A budget that counts each write to it in the last window of ``trace``."""
+
+    trace = None
+
+    def __array_finalize__(self, obj):
+        self.trace = None
+
+    def __setitem__(self, key, value):
+        if self.trace is not None:
+            self.trace[-1][2] += 1
+        super().__setitem__(key, value)
+
+
 class TestFirstFit:
     def check(self, rows, budget):
         left, used = np.array(budget, dtype=float), np.zeros(3)
@@ -539,6 +567,33 @@ class TestFirstFit:
         self.check([fits] * start + [misses] * (at - start) + [fits] * 300, budget)
         # One fit inside a miss run, as the baselines' long scans end.
         self.check([fits] * at + [misses] * 200 + [fits] + [misses] * 400, budget)
+
+    def test_each_pass_commits_its_whole_fit_run_and_skips_its_whole_miss_run(self):
+        # Every output stays exact if a pass commits less; only the windows
+        # the scan slices off the rows, and its writes to ``left``, show it.
+        assert policy.FIRST_FIT_WINDOW == 64  # the trace below is laid out for it
+        fits, big, misses = (0.1, 0.7, 3.3), (0.1, 0.7, 6000.0), (0.1, 1e9, 3.3)
+        scan = [fits] * 99 + [big] + [misses] * 200 + [fits] * 10 + [misses] * 10
+        scan += [fits] * 30 + [misses] * 34 + [fits] * 316
+        rows, left, used = np.array(scan).view(Windows), np.full(3, 1e4).view(Writes), np.zeros(3)
+        rows.trace = left.trace = []
+        fit = first_fit(rows, left, used)
+        assert rows.trace == [
+            [0, 64, 1],  # all fits: the next window is twice as wide
+            # 36 fits, the last (``big``) above half of what is left, then
+            # misses on the second budget alone up to the window's end
+            [64, 192, 1],
+            [192, 448, 0],  # opens with such a miss: no write, and 108 misses skipped
+            [300, 516, 1],  # 10 fits and 10 misses, fewer than 64 rows: the scalar loop
+            [320, 384, 1],  # mixed, so the scalar loop goes on
+            [384, 448, 1],  # all fits: array passes again, from 64 rows
+            [448, 512, 1],
+            [512, 640, 1],
+            [640, 700, 1],
+        ]
+        expected_fit, expected_left, expected_used = scalar_first_fit(scan, (1e4, 1e4, 1e4))
+        assert fit.tolist() == expected_fit
+        assert left.tolist() == expected_left and used.tolist() == expected_used
 
     def test_a_miss_run_is_judged_against_what_the_fit_run_left(self):
         # Negative rows give budget back: the last row misses the 74.0 left

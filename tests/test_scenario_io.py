@@ -70,6 +70,15 @@ INTEGER_FIELDS = [
     ("vmdks", 0, "demandProfile", 0, "startEpoch"),
 ]
 
+# The integer fields bounded by int64 (monitorEpoch too, as migrationEpoch
+# must be >= monitorEpoch); seed is not, and tier ids and initial tiers are
+# checked against the tiers.
+BOUNDED_FIELDS = [
+    ("simulation", "epochs"),
+    ("policyWeights", "migrationEpoch"),
+    ("policyWeights", "samplesPerLatency"),
+    ("vmdks", 0, "demandProfile", 0, "startEpoch"),
+]
 
 FLOAT_FIELDS = [
     *[("tiers", 0, key) for key in (
@@ -165,11 +174,18 @@ class TestParsing:
         prefix = f"{field_path(location)}: expected a number, got an integer too large"
         assert any(e.startswith(prefix) for e in excinfo.value.errors), excinfo.value.errors
 
-    @pytest.mark.parametrize("location", [("simulation", "epochs"), ("simulation", "seed")],
-                             ids=field_path)
-    def test_integer_field_accepts_integer_too_large_for_a_float(self, location):
-        scenario = parse_scenario(with_token(location, HUGE_INTEGER))
-        assert getattr(scenario.sim, location[-1]) == int(HUGE_INTEGER)
+    def test_integer_field_accepts_integer_too_large_for_a_float(self):
+        scenario = parse_scenario(with_token(("simulation", "seed"), HUGE_INTEGER))
+        assert scenario.sim.seed == int(HUGE_INTEGER)
+
+    @pytest.mark.parametrize("token", [str(2**63), HUGE_INTEGER], ids=["2**63", "int-1e400"])
+    @pytest.mark.parametrize("location", BOUNDED_FIELDS, ids=field_path)
+    def test_bounded_integer_field_refuses_a_value_past_int64(self, location, token):
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(with_token(location, token))
+        assert excinfo.value.errors == [
+            f"{field_path(location[:-1])}: {location[-1]} must be <= 9223372036854775807"
+        ]
 
     @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
                              ids=["integer-over-digit-limit", "nesting-too-deep"])
@@ -278,8 +294,8 @@ PHASE_VALUES = JSON_VALUES | st.sampled_from([
 @st.composite
 def phase_lists(draw):
     """A JSON demand profile: well formed, then up to three phases, keys or values changed."""
-    near_never = st.sampled_from([2**63 - 2, 2**63 - 1, 2**63, 2**70, 2**70 + 1])
-    starts = sorted(draw(st.sets(st.integers(1, 2**70) | near_never, max_size=3)))
+    near_int64_max = st.sampled_from([2**63 - 2, 2**63 - 1, 2**63, 2**70, 2**70 + 1])
+    starts = sorted(draw(st.sets(st.integers(1, 2**70) | near_int64_max, max_size=3)))
     profile = []
     for start in (0, *starts):
         phase = {
