@@ -13,7 +13,7 @@ from .model import (
     SimulationConfig,
     TierSpec,
     VmdkSpec,
-    VmdkState,
+    VmdkTable,
     WorkloadPhase,
     validate_scenario,
 )
@@ -21,7 +21,6 @@ from .calibration import (
     CalibrationSamples,
     collect_samples,
     compute_confidence,
-    compute_cv,
     estimate_avg_lat,
     regress_latency_curve,
 )

@@ -80,11 +80,6 @@ def collect_samples(
     return CalibrationSamples(tuple(vmdk_ids), latencies, values)
 
 
-def compute_cv(samples: np.ndarray | Sequence[float]) -> np.ndarray:
-    """Coefficient of variation along the last axis: sigma over the mean, taken once per row."""
-    return _mean_and_cv(np.asarray(samples, dtype=float))[1]
-
-
 def _mean_and_cv(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and CV along the last axis: one mean, then sigma by ``np.std``'s own steps."""
     if arr.shape[-1] == 0:

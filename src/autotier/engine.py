@@ -15,8 +15,7 @@ measurements, and its (T,) arrays each tier's contention and spare MB/s.
 ``serve_epoch`` serves every tier in one vectorized pass and writes the
 measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
-view. The result keeps the fleet the run left, and builds its
-``VmdkState`` objects from it only when ``final_states`` is first read.
+view. The result keeps the fleet the run left.
 The book of in-flight migrations is the fleet rows whose ``dest_row`` is
 set, in id order; an order starts only for a VMDK that has none. Plans
 come in fleet rows too: the engine starts a plan's moves from its
@@ -34,13 +33,13 @@ bit for bit (see ``progress_migrations``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .baselines import EdtPolicy, IdtPolicy
-from .model import Fleet, MigrationLog, Scenario, VmdkState
+from .model import Fleet, MigrationLog, Scenario
 from .policy import AssignmentPlan, AutoTieringPolicy, PolicyContext
 
 POLICY_NAMES = ("autotiering", "idt", "edt")
@@ -119,11 +118,7 @@ class EpochMetrics:
 
 @dataclass
 class RunResult:
-    """One run: its epochs, plans and migration log, and the ``fleet`` it left.
-
-    ``final_states`` holds one ``VmdkState`` per VMDK, in id order, built
-    from ``fleet`` the first time it is read and then kept.
-    """
+    """One run: its epochs, plans and migration log, and the ``fleet`` it left."""
 
     scenario: Scenario
     policy: str
@@ -132,10 +127,6 @@ class RunResult:
     epochs: list[EpochMetrics] = field(default_factory=list)
     plans: list[AssignmentPlan] = field(default_factory=list)
     migration_log: MigrationLog = field(default_factory=MigrationLog)
-
-    @cached_property
-    def final_states(self) -> dict[str, VmdkState]:
-        return {state.spec.id: state for state in self.fleet.states()}
 
 
 def serve_epoch(

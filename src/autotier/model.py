@@ -3,27 +3,22 @@
 Units are fixed across the package: latency in microseconds, throughput in
 IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
-(Fleet, MigrationLog) is owned by a single simulation run. Reading a
-plain, valid document reads every VMDK at once, in one column pass: each
-VMDK field as one column, and every demand profile into one read-only
-``PhaseTable`` per scenario; each ``VmdkSpec`` holds a ``DemandProfile``
-view of its rows, which builds ``WorkloadPhase``s only when read. Any
-other document's VMDKs are read item by item and phase by phase by the
-``SCHEMA`` readers, the one source of diagnostics, and each profile
-stored as a table of its own. A scenario's ``Roster`` holds every static
-fact, built once from the specs and read-only: one row per VMDK and one
-per tier, each tier number and static VMDK figure a column. Each run's
-``Fleet``, built by ``Fleet.of``, shares that roster and owns only the
-columns the run writes, each fact once: each VMDK's tier, active phase's
-demand and last measurements, each in-flight migration's destination and
-log index, and each tier's contention and spare MB/s. The MigrationLog
-holds every migration started, progress included, as columns.
+(Fleet, MigrationLog) is owned by a single simulation run. A scenario
+holds its VMDKs as one read-only ``VmdkTable`` of columns, every demand
+profile rows of one ``PhaseTable``; an item read builds its ``VmdkSpec``.
+A plain, valid document is read into the table in one column pass; any
+other document's VMDKs are read item by item by the ``SCHEMA`` readers,
+the one source of diagnostics, and gathered into a table, as specs built
+in Python are. A scenario's ``Roster`` holds every static fact as
+read-only columns, built once from the table; each run's ``Fleet`` shares
+it and owns only the columns the run writes, and its ``MigrationLog``
+every migration started, progress included.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import InitVar, astuple, dataclass, fields, replace
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -48,6 +43,11 @@ class ScenarioValidationError(ValueError):
 def _require_finite_nonneg(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be a finite non-negative number, got {value}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive")
 
 
 def _require_int64(name: str, value: int) -> None:
@@ -108,16 +108,10 @@ class TierSpec:
     def __post_init__(self) -> None:
         if self.id < 1:
             raise ValueError("tier id must be >= 1")
-        if not (math.isfinite(self.base_latency_us) and self.base_latency_us > 0):
-            raise ValueError("baseLatencyUs must be positive")
-        for direction in (
-            self.read_throughput_cap,
-            self.write_throughput_cap,
-            self.read_bandwidth_cap,
-            self.write_bandwidth_cap,
-        ):
-            if not (math.isfinite(direction) and direction > 0):
-                raise ValueError("tier serve caps must be positive")
+        _require_positive("baseLatencyUs", self.base_latency_us)
+        for direction in (self.read_throughput_cap, self.write_throughput_cap,
+                          self.read_bandwidth_cap, self.write_bandwidth_cap):
+            _require_positive("tier serve caps", direction)
         for flag in (self.specialty.p, self.specialty.b, self.specialty.s):
             if flag not in (0.0, 1.0):
                 raise ValueError("specialty flags must be 0 or 1")
@@ -153,8 +147,7 @@ class WorkloadPhase:
             raise ValueError("startEpoch must be >= 0")
         _require_int64("startEpoch", self.start_epoch)
         _require_finite_nonneg("demandIops", self.demand_iops)
-        if not (math.isfinite(self.avg_io_size_bytes) and self.avg_io_size_bytes > 0):
-            raise ValueError("avgIoSizeBytes must be positive")
+        _require_positive("avgIoSizeBytes", self.avg_io_size_bytes)
         if not (0.0 <= self.read_fraction <= 1.0):
             raise ValueError("readFraction out of [0,1]")
 
@@ -168,8 +161,21 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class _Columns:
+    """Base of a frozen dataclass whose arrays refuse writes once it is built."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if isinstance(value := getattr(self, f.name), np.ndarray):
+                _frozen(value)
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # rebuilt through the constructor, so an unpickled copy is read-only too
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class PhaseTable:
+class PhaseTable(_Columns):
     """Demand phases of many VMDKs, one profile after another, as read-only columns.
 
     ``start_epoch`` is int64, and the rows of the (3, P) ``demand`` are
@@ -179,42 +185,22 @@ class PhaseTable:
     start_epoch: np.ndarray
     demand: np.ndarray
 
-    def __post_init__(self) -> None:
-        _frozen(self.start_epoch)
-        _frozen(self.demand)
 
-    def __reduce__(self) -> tuple[Any, ...]:
-        # rebuilt through the constructor, so an unpickled table is read-only too
-        return PhaseTable, (self.start_epoch, self.demand)
+class _TupleView(Sequence):
+    """A read-only sequence that compares, hashes and prints as the tuple of its items.
 
-    def phase(self, k: int) -> WorkloadPhase:
-        """Row ``k`` as a ``WorkloadPhase``."""
-        demand, fraction, size = self.demand[:, k].tolist()
-        return WorkloadPhase(int(self.start_epoch[k]), demand, size, fraction)
-
-
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class DemandProfile(Sequence):
-    """One VMDK's demand profile: a read-only view of rows ``first:stop`` of a table.
-
-    Reading a phase builds its ``WorkloadPhase``; a slice is a tuple of
-    them. A profile compares and hashes as the tuple of its phases.
+    A subclass gives ``__len__`` and ``_item(k)``, which builds item ``k``
+    for ``0 <= k < len``; a slice is a tuple of items.
     """
 
-    table: PhaseTable
-    first: int
-    stop: int
-
-    def __len__(self) -> int:
-        return self.stop - self.first
+    __slots__ = ()
 
     def __getitem__(self, i: Any) -> Any:
-        rows = range(self.first, self.stop)[i]
-        phase = self.table.phase
-        return tuple(map(phase, rows)) if isinstance(i, slice) else phase(rows)
+        rows = range(len(self))[i]
+        return tuple(map(self._item, rows)) if isinstance(i, slice) else self._item(rows)
 
     def __eq__(self, other: object) -> bool:
-        other = tuple(other) if isinstance(other, DemandProfile) else other
+        other = tuple(other) if isinstance(other, type(self)) else other
         return tuple(self) == other if isinstance(other, tuple) else NotImplemented
 
     def __hash__(self) -> int:
@@ -224,6 +210,22 @@ class DemandProfile(Sequence):
         return repr(tuple(self))
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class DemandProfile(_TupleView):
+    """One VMDK's demand profile: a view of rows ``first:stop`` of a table, read as phases."""
+
+    table: PhaseTable
+    first: int
+    stop: int
+
+    def __len__(self) -> int:
+        return self.stop - self.first
+
+    def _item(self, k: int) -> WorkloadPhase:
+        demand, fraction, size = self.table.demand[:, self.first + k].tolist()
+        return WorkloadPhase(int(self.table.start_epoch[self.first + k]), demand, size, fraction)
+
+
 @dataclass(frozen=True)
 class VmdkSpec:
     """Static description of one VMDK.
@@ -231,9 +233,9 @@ class VmdkSpec:
     ``truth_slope`` / ``truth_intercept_us`` are the simulator's ground-truth
     latency sensitivity, visible to policies only through injected-latency
     samples. ``size_gb`` never changes across a run. ``demand_profile`` is
-    always held as a ``DemandProfile`` view: a parsed scenario's profiles
-    view one ``PhaseTable`` of the whole document, and a profile given as
-    ``WorkloadPhase``s is checked and stored as a table of its own.
+    always held as a ``DemandProfile`` view: a spec read from a
+    ``VmdkTable`` views that table's ``PhaseTable``, and a profile given
+    as ``WorkloadPhase``s is checked and stored as a table of its own.
     """
 
     id: str
@@ -248,15 +250,12 @@ class VmdkSpec:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("vmdk id must be non-empty")
-        if not (math.isfinite(self.size_gb) and self.size_gb > 0):
-            raise ValueError("sizeGb must be positive")
-        if not (math.isfinite(self.sla_weight) and self.sla_weight > 0):
-            raise ValueError("slaWeight must be positive")
+        _require_positive("sizeGb", self.size_gb)
+        _require_positive("slaWeight", self.sla_weight)
         if self.initial_tier < 1:
             raise ValueError("initialTier must be >= 1")
         _require_finite_nonneg("truthSlope", self.truth_slope)
-        if not (math.isfinite(self.truth_intercept_us) and self.truth_intercept_us > 0):
-            raise ValueError("truthInterceptUs must be positive")
+        _require_positive("truthInterceptUs", self.truth_intercept_us)
         if isinstance(self.demand_profile, DemandProfile):
             return  # a view of a table checked already, by the column pass or below
         phases = tuple(self.demand_profile)
@@ -270,6 +269,59 @@ class VmdkSpec:
         demand = [[getattr(ph, name) for ph in phases] for name in _DEMAND_COLUMNS]
         table = PhaseTable(np.array(starts, dtype=np.int64), np.array(demand, dtype=float))
         object.__setattr__(self, "demand_profile", DemandProfile(table, 0, len(phases)))
+
+
+# The float columns of a ``VmdkTable``, in the order ``_read_vmdks`` reads them.
+_VMDK_NUMBERS = ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class VmdkTable(_Columns, _TupleView):
+    """Every VMDK of a scenario as read-only columns, one row per VMDK in given order.
+
+    ``id``, ``vm_id`` and ``initial_tier`` are tuples, the ``_VMDK_NUMBERS``
+    float arrays, and row i's demand profile is rows ``offsets[i]`` up to
+    ``offsets[i + 1]`` of ``phases``. Reading item i builds its ``VmdkSpec``
+    and that ``DemandProfile`` view.
+    """
+
+    id: tuple[str, ...]
+    vm_id: tuple[str, ...]
+    size_gb: np.ndarray
+    sla_weight: np.ndarray
+    truth_slope: np.ndarray
+    truth_intercept_us: np.ndarray
+    initial_tier: tuple[int, ...]
+    phases: PhaseTable
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, specs: Iterable[VmdkSpec]) -> "VmdkTable":
+        """The table of ``specs`` in their order, the rows their profiles view joined."""
+        specs = tuple(specs)
+        profiles = [spec.demand_profile for spec in specs]
+        starts = [p.table.start_epoch[p.first:p.stop] for p in profiles]
+        demand = [p.table.demand[:, p.first:p.stop] for p in profiles]
+        column = lambda name: tuple(map(attrgetter(name), specs))
+        return cls(
+            id=column("id"), vm_id=column("vm_id"),
+            **{name: np.array(column(name), dtype=float) for name in _VMDK_NUMBERS},
+            initial_tier=column("initial_tier"),
+            phases=PhaseTable(
+                np.concatenate([np.zeros(0, np.int64), *starts]),
+                np.concatenate([np.zeros((3, 0)), *demand], axis=1),
+            ),
+            offsets=np.fromiter(accumulate(map(len, profiles), initial=0), np.intp, len(specs) + 1),
+        )
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def _item(self, i: int) -> VmdkSpec:
+        size, sla, slope, intercept = (getattr(self, n)[i].item() for n in _VMDK_NUMBERS)
+        profile = DemandProfile(self.phases, *self.offsets[i:i + 2].tolist())
+        return VmdkSpec(self.id[i], size, self.initial_tier[i], slope, intercept, profile,
+                        self.vm_id[i], sla)
 
 
 @dataclass(frozen=True)
@@ -379,33 +431,45 @@ class SimulationConfig:
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         _require_int64("epochs", self.epochs)
-        if not (math.isfinite(self.epoch_seconds) and self.epoch_seconds > 0):
-            raise ValueError("epochSeconds must be positive")
+        _require_positive("epochSeconds", self.epoch_seconds)
         _require_finite_nonneg("noiseCv", self.noise_cv)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+
+
+# The most calibration samples (VMDKs x injected latencies x samples per
+# latency) a monitor epoch may draw; ``probe_latencies`` holds 128 MiB at it.
+MAX_PROBE_SAMPLES = 2**24
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A validated scenario: tiers plus VMDKs plus all run tunables.
 
-    Safe to share read-only across concurrent runs. ``roster``, the part of
-    a run's start that follows from the specs alone, is built on first use
-    and then serves every run of this object; it is no field, so it stays
-    out of ``==``, ``repr``, the document and pickles, and
+    ``vmdks`` is always a ``VmdkTable``; specs given in Python are gathered
+    into one, so every scenario is checked, run and written from one form.
+    Safe to share read-only across concurrent runs. ``roster`` is built on
+    first use and then serves every run of this object; it is no field, so
+    it stays out of ``==``, ``repr``, the document and pickles, and
     ``dataclasses.replace`` gives the new scenario a roster of its own.
     """
 
     tiers: tuple[TierSpec, ...]
-    vmdks: tuple[VmdkSpec, ...]
+    vmdks: VmdkTable
     weights: PolicyWeights = PolicyWeights()
     sim: SimulationConfig = SimulationConfig(epochs=0)
     # Format version of the document; the reader accepts SCHEMA_VERSION only.
     schema_version: InitVar[int] = SCHEMA_VERSION
 
     def __post_init__(self, schema_version: int) -> None:
+        if not isinstance(self.vmdks, VmdkTable):
+            object.__setattr__(self, "vmdks", VmdkTable.of(self.vmdks))
         problems = cross_checks(self.tiers, self.vmdks)
+        weights = self.weights
+        grid = (len(self.vmdks), len(weights.injected_latencies_us), weights.samples_per_latency)
+        if math.prod(grid) > MAX_PROBE_SAMPLES:
+            problems.append("policyWeights.samplesPerLatency: {} VMDKs x {} injected latencies x "
+                            "{} samples exceed {} per monitor epoch".format(*grid, MAX_PROBE_SAMPLES))
         if problems:
             raise ScenarioValidationError(problems)
 
@@ -420,7 +484,7 @@ class Scenario:
         return {name: value for name, value in vars(self).items() if name != "roster"}
 
 
-def cross_checks(tiers: Sequence[TierSpec], vmdks: Sequence[VmdkSpec]) -> list[str]:
+def cross_checks(tiers: Sequence[TierSpec], vmdks: VmdkTable) -> list[str]:
     """Scenario-level invariants that span more than one object."""
     problems: list[str] = []
     ids = [t.id for t in tiers]
@@ -434,12 +498,12 @@ def cross_checks(tiers: Sequence[TierSpec], vmdks: Sequence[VmdkSpec]) -> list[s
             problems.append("tiers: baseLatencyUs must strictly increase with tier id")
     tier_ids = set(ids)
     seen: set[str] = set()
-    for i, v in enumerate(vmdks):
-        if v.id in seen:
-            problems.append(f"vmdks[{i}].id: duplicate vmdk id {v.id!r}")
-        seen.add(v.id)
-        if v.initial_tier not in tier_ids:
-            problems.append(f"vmdks[{i}].initialTier: tier {v.initial_tier} does not exist")
+    for i, (vmdk_id, tier) in enumerate(zip(vmdks.id, vmdks.initial_tier)):
+        if vmdk_id in seen:
+            problems.append(f"vmdks[{i}].id: duplicate vmdk id {vmdk_id!r}")
+        seen.add(vmdk_id)
+        if tier not in tier_ids:
+            problems.append(f"vmdks[{i}].initialTier: tier {tier} does not exist")
     return problems
 
 
@@ -461,13 +525,8 @@ def check_migrations(from_tier: Any, to_tier: Any, bytes_total: Any, bytes_moved
 
 # The log's columns after the VMDK, with their dtypes.
 _ORDER_COLUMNS = (
-    ("from_tier", np.int64),
-    ("to_tier", np.int64),
-    ("bytes_total", float),
-    ("started_epoch", np.int64),
-    ("bytes_moved", float),
-    ("speed_mbps", float),
-    ("stalled", bool),
+    ("from_tier", np.int64), ("to_tier", np.int64), ("bytes_total", float),
+    ("started_epoch", np.int64), ("bytes_moved", float), ("speed_mbps", float), ("stalled", bool),
 )
 
 
@@ -530,45 +589,25 @@ class MigrationLog:
         return int(np.count_nonzero(~(self.bytes_moved >= self.bytes_total)))
 
 
-@dataclass
-class VmdkState:
-    """One VMDK as a run leaves it: placement, active demand, last measurements."""
-
-    spec: VmdkSpec
-    current_tier: int
-    demand_iops: float = 0.0
-    avg_io_size_bytes: float = 4096.0
-    read_fraction: float = 1.0
-    measured_iops: float = 0.0
-    measured_read_mbps: float = 0.0
-    measured_write_mbps: float = 0.0
-    measured_latency_us: float = 0.0
-
-
 @dataclass(frozen=True, eq=False)
-class Roster:
-    """Everything a run's start takes from the specs alone, built once per scenario.
+class Roster(_Columns):
+    """Everything a run's start takes from the VMDKs and tiers alone, built once per scenario.
 
-    VMDK rows are in id order (``ids``, ``specs``, and ``row`` mapping an id
-    to its row) with the static columns ``size_gb``, ``sla_weight``,
-    ``truth_slope`` and ``truth_intercept_us`` and ``initial_tier_row``,
-    each VMDK's initial tier as a row of ``tiers`` (a run's current tier is
-    ``Fleet.tier_row``). Tier rows follow ``tiers`` and hold every tier
-    number the epoch loop reads (see ``Fleet``); ``device_caps`` stacks the
-    four serve caps as one (4, T) array, read and write throughput, then
-    read and write bandwidth, as serving reads them. The (3, P)
-    ``phase_table`` holds the demand, read fraction and I/O size of every
-    row's demand profile, one profile after another, gathered with one
-    index from the phase tables the specs' profiles view, and
+    VMDK rows are in id order (``ids``, and ``row`` mapping an id to its
+    row) with the ``VmdkTable``'s float columns and ``initial_tier_row``,
+    each VMDK's initial tier as a row of ``tiers``. Tier rows follow
+    ``tiers`` and hold every tier number the epoch loop reads (see
+    ``Fleet``); ``device_caps`` stacks the four serve caps as one (4, T)
+    array, read and write throughput, then read and write bandwidth. The
+    (3, P) ``phase_table`` holds every row's demand profile, one after
+    another, gathered with one index from the table's phases, and
     ``first_phase`` each row's phase 0 in it; ``due`` maps an epoch to the
     rows whose next phase starts then and the index of that phase. Every
     array is read-only and every map a ``MappingProxyType``, so one roster
-    serves any number of runs, concurrent ones too: each run's ``Fleet``
-    holds the roster itself and only the columns the run writes.
+    serves any number of runs, concurrent ones too.
     """
 
     ids: tuple[str, ...]
-    specs: tuple[VmdkSpec, ...]
     row: Mapping[str, int]
     tiers: tuple[TierSpec, ...]
     tier_ids: np.ndarray
@@ -592,48 +631,34 @@ class Roster:
     due: Mapping[int, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
-    def of(cls, specs: Sequence[VmdkSpec], tiers: Sequence[TierSpec]) -> "Roster":
-        """The roster of ``specs``, sorted by id, on ``tiers``."""
-        specs = tuple(sorted(specs, key=attrgetter("id")))
+    def of(cls, vmdks: VmdkTable, tiers: Sequence[TierSpec]) -> "Roster":
+        """The roster of ``vmdks``, its rows sorted by id, on ``tiers``."""
+        n = len(vmdks)
+        order = np.array(sorted(range(n), key=vmdks.id.__getitem__), dtype=np.intp)
+        ids = tuple(map(vmdks.id.__getitem__, order.tolist()))
         row_of_tier = {t.id: i for i, t in enumerate(tiers)}
-        # The tables the profiles view, joined: a parsed scenario's one table,
-        # or one per spec given its phases in Python.
-        profiles = [spec.demand_profile for spec in specs]
-        tables = {id(p.table): p.table for p in profiles} or {
-            0: PhaseTable(np.zeros(0, dtype=np.int64), np.zeros((3, 0)))
-        }
-        sizes = (len(t.start_epoch) for t in tables.values())
-        base = dict(zip(tables, accumulate(sizes, initial=0)))
-        counts = np.fromiter(map(len, profiles), np.intp, len(specs))
+        counts = np.diff(vmdks.offsets)[order]
         first = np.cumsum(counts) - counts
-        rows = np.fromiter((base[id(p.table)] + p.first for p in profiles), np.intp, len(specs))
-        take = np.repeat(rows - first, counts) + np.arange(counts.sum())
-
-        def gather(name: str) -> np.ndarray:
-            return np.concatenate([getattr(t, name) for t in tables.values()], axis=-1)[..., take]
-
-        owner = np.repeat(np.arange(len(specs)), counts)
-        start = gather("start_epoch")
+        take = np.repeat(vmdks.offsets[order] - first, counts) + np.arange(counts.sum())
+        owner = np.repeat(np.arange(n), counts)
+        start = vmdks.phases.start_epoch[take]
         # Phase 0 starts at epoch 0 and every later phase after it.
         later = np.flatnonzero(start > 0)
         later = later[np.argsort(start[later], kind="stable")]
         epochs, cuts = np.unique(start[later], return_index=True)
-
-        def column(items: Sequence[Any], name: str) -> np.ndarray:
-            return np.fromiter(map(attrgetter(name), items), float, len(items))
-
         caps = ("read_throughput_cap", "write_throughput_cap", "read_bandwidth_cap",
                 "write_bandwidth_cap")
         tier_columns = {
-            name: column(tiers, name) for name in ("base_latency_us", *caps, "mig_weight")
+            name: np.fromiter(map(attrgetter(name), tiers), float, len(tiers))
+            for name in ("base_latency_us", *caps, "mig_weight")
         }
-        roster = cls(
-            ids=tuple(spec.id for spec in specs),
-            specs=specs,
-            row=MappingProxyType({spec.id: j for j, spec in enumerate(specs)}),
+        initial = np.fromiter(map(row_of_tier.__getitem__, vmdks.initial_tier), np.intp, n)
+        return cls(
+            ids=ids,
+            row=MappingProxyType(dict(zip(ids, range(n)))),
             tiers=tuple(tiers),
             tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
-            initial_tier_row=np.array([row_of_tier[s.initial_tier] for s in specs], dtype=np.intp),
+            initial_tier_row=initial[order],
             budget=np.array([astuple(t.max_usable()) for t in tiers], dtype=float),
             **tier_columns,
             device_caps=np.stack([tier_columns[name] for name in caps]),
@@ -642,37 +667,27 @@ class Roster:
                 for t in tiers
             ], dtype=float),
             kind_weight_total=np.array([float(t.kind_weights.total()) for t in tiers]),
-            **{
-                name: column(specs, name)
-                for name in ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
-            },
-            phase_table=gather("demand"),
+            **{name: getattr(vmdks, name)[order] for name in _VMDK_NUMBERS},
+            phase_table=vmdks.phases.demand[:, take],
             first_phase=first,
             due=MappingProxyType({
                 e: (_frozen(owner[k]), _frozen(k))
                 for e, k in zip(epochs.tolist(), np.split(later, cuts[1:]))
             }),
         )
-        for f in fields(roster):
-            value = getattr(roster, f.name)
-            if isinstance(value, np.ndarray):
-                _frozen(value)
-        return roster
 
 
 @dataclass(eq=False)
 class Fleet:
     """The state of one run: its scenario's ``roster`` and the columns the run writes.
 
-    Every static fact (ids, specs, tier numbers, static VMDK columns, the
-    phase table and schedule) is read from ``roster``, shared read-only by
-    every run of its scenario. The fleet's own arrays belong to this run
-    alone. VMDK rows follow ``roster.ids``: ``tier_row`` (each VMDK's
-    current tier as a row of ``roster.tiers``, starting from the roster's
-    initial one), ``dest_row`` (the tier row its in-flight migration lands
-    on, -1 when it has none), the active phase's demand, read fraction and
-    I/O size (the run's only record of the active phase) and the last
-    epoch's four ``measured_*`` figures. An in-flight migration moves
+    Every static fact is read from ``roster``, shared read-only by every
+    run of its scenario; the fleet's own arrays belong to this run alone.
+    VMDK rows follow ``roster.ids``: ``tier_row`` (each VMDK's current tier
+    as a row of ``roster.tiers``), ``dest_row`` (the tier row its in-flight
+    migration lands on, -1 when it has none), the active phase's demand,
+    read fraction and I/O size (the run's only record of the phase) and the
+    last epoch's four ``measured_*`` figures. An in-flight migration moves
     ``size_gb * 1e9`` bytes from ``tier_row`` to ``dest_row``;
     ``order_index`` is its index in the run's ``MigrationLog`` (-1 for a
     VMDK that has none), which alone holds its progress.
@@ -680,9 +695,8 @@ class Fleet:
     Tier rows follow ``roster.tiers``. Each device's ``contention``
     inflates the latency probes see, and ``spare_read_mbps`` and
     ``spare_write_mbps`` are its bandwidth caps less last epoch's served
-    MB/s and migration debits, never below 0.0 (the caps before the first
-    epoch); serving writes those and the measurements in place. Policies
-    read a ``read_only`` view.
+    MB/s and migration debits, never below 0.0; serving writes those and
+    the measurements in place. Policies read a ``read_only`` view.
     """
 
     roster: Roster
@@ -720,10 +734,7 @@ class Fleet:
         )
 
     def read_only(self) -> "Fleet":
-        """A view that follows this fleet but refuses writes to its arrays.
-
-        The roster, read-only already, is passed through as it is.
-        """
+        """A view that follows this fleet but refuses writes to its arrays; the roster as is."""
         run_columns = (f.name for f in fields(self) if f.name != "roster")
         return replace(self, **{name: _frozen(getattr(self, name).view()) for name in run_columns})
 
@@ -741,18 +752,6 @@ class Fleet:
         self.tier_row[rows] = self.dest_row[rows]
         self.dest_row[rows] = -1
         self.order_index[rows] = -1
-
-    def states(self) -> list[VmdkState]:
-        """One ``VmdkState`` per row: its tier, demand columns and measurements."""
-        tier_ids = self.roster.tier_ids.tolist()
-        columns = zip(*(getattr(self, name).tolist() for name in (
-            "demand_iops", "avg_io_size_bytes", "read_fraction", "measured_iops",
-            "measured_read_mbps", "measured_write_mbps", "measured_latency_us",
-        )))
-        return [
-            VmdkState(spec, tier_ids[t], *c)
-            for spec, t, c in zip(self.roster.specs, self.tier_row.tolist(), columns)
-        ]
 
 
 # --- scenario document schema ------------------------------------------------
@@ -855,7 +854,7 @@ def _object(cls: type) -> Reader:
 
 
 def _list_of(
-    cls: type, read_all: Callable[[list[Any]], tuple[Any, ...] | None] | None = None,
+    cls: type, read_all: Callable[[list[Any]], Sequence[Any] | None] | None = None,
 ) -> Reader:
     """Reader of a non-empty list of ``cls`` objects; an element that fails is left out.
 
@@ -864,7 +863,7 @@ def _list_of(
     ``SCHEMA[cls]``, whose readers report its diagnostics.
     """
 
-    def read(value: Any, path: str, key: str, errors: list[str]) -> tuple[Any, ...]:
+    def read(value: Any, path: str, key: str, errors: list[str]) -> Sequence[Any]:
         if not isinstance(value, list) or not value:
             raise _Invalid("required non-empty list")
         built = read_all(value) if read_all else None
@@ -877,13 +876,14 @@ def _list_of(
     return read
 
 
+_TINY, _MAX = np.nextafter(0.0, 1.0), np.finfo(float).max
 # Each demand row's range as ``WorkloadPhase`` checks it: demand finite and
 # non-negative, read fraction in [0, 1], I/O size finite and positive, that
 # is at least the least float above 0. NaN lies in no range.
-_DEMAND_RANGE = np.array([
-    [[0.0], [0.0], [np.nextafter(0.0, 1.0)]],
-    [[np.finfo(float).max], [1.0], [np.finfo(float).max]],
-])
+_DEMAND_RANGE = np.array([[[0.0], [0.0], [_TINY]], [[_MAX], [1.0], [_MAX]]])
+# Each ``_VMDK_NUMBERS`` row's range as ``VmdkSpec`` checks it: size, SLA
+# weight and intercept finite and positive, slope finite and non-negative.
+_VMDK_RANGE = np.array([[[_TINY], [_TINY], [0.0], [_TINY]], [[_MAX]] * 4])
 
 
 def _columns(items: list[Any], cls: type) -> dict[str, list[Any]] | None:
@@ -910,13 +910,14 @@ def _columns(items: list[Any], cls: type) -> dict[str, list[Any]] | None:
     return columns if sum(map(len, items)) == known else None
 
 
-def _read_profiles(profiles: list[Any]) -> list[DemandProfile] | None:
-    """Every given demand profile read in one column pass, each a view of one table, or None.
+def _read_profiles(profiles: list[Any]) -> tuple[PhaseTable, np.ndarray] | None:
+    """Every given demand profile read in one column pass, or None: a table and its offsets.
 
-    The pass reads only plain, valid profiles: each a non-empty list of
-    objects with the phase keys alone, each start a Python int within int64
-    and each other value an int or float within the float range, and every
-    check the phase readers, ``WorkloadPhase`` and ``VmdkSpec`` make passed.
+    Profile i is rows ``offsets[i]`` up to ``offsets[i + 1]``. The pass
+    reads only plain, valid profiles: each a non-empty list of objects with
+    the phase keys alone, each start a Python int within int64 and each
+    other value an int or float within the float range, and every check the
+    phase readers, ``WorkloadPhase`` and ``VmdkSpec`` make passed.
     """
     if set(map(type, profiles)) != {list} or not all(profiles):
         return None
@@ -933,7 +934,7 @@ def _read_profiles(profiles: list[Any]) -> list[DemandProfile] | None:
         demand = np.fromiter(values, float, len(values)).reshape(3, len(flat))
     except OverflowError:
         return None
-    offsets = list(accumulate(map(len, profiles), initial=0))
+    offsets = np.fromiter(accumulate(map(len, profiles), initial=0), np.intp, len(profiles) + 1)
     first = offsets[:-1]
     # Phase 0 starts at epoch 0 and each later phase after the one before.
     rising = np.empty(len(flat), dtype=bool)
@@ -942,41 +943,40 @@ def _read_profiles(profiles: list[Any]) -> list[DemandProfile] | None:
     inside = (demand >= _DEMAND_RANGE[0]) & (demand <= _DEMAND_RANGE[1])
     if not (rising.all() and inside.all()):
         return None
-    table = PhaseTable(start, demand)
-    return list(map(DemandProfile, repeat(table), first, offsets[1:]))
+    return PhaseTable(start, demand), offsets
 
 
-def _read_vmdks(vmdks: list[Any]) -> tuple[VmdkSpec, ...] | None:
-    """Every VMDK of a plain list read in one column pass, or None.
+def _read_vmdks(vmdks: list[Any]) -> VmdkTable | None:
+    """Every VMDK of a plain list read in one column pass into a ``VmdkTable``, or None.
 
     Plain means each item an object with the ``VmdkSpec`` keys alone and
-    every required one, its ``id`` and ``vmId`` strings, its
-    ``initialTier`` an int (not a bool), each other number an int or float
-    within the float range, read as ``_number`` reads it, and its demand
-    profile plain to ``_read_profiles``. Each spec is then built from its
-    columns, so ``VmdkSpec`` checks every range, and any refusal returns
-    None: the list is then read item by item by ``SCHEMA[VmdkSpec]``, whose
-    readers word every diagnostic.
+    every required one, its ``id`` a non-empty string, its ``vmId`` a
+    string, its ``initialTier`` an int (not a bool) of at least 1, each
+    other number an int or float within the float range, and its demand
+    profile plain to ``_read_profiles``; each number column then passes
+    ``VmdkSpec``'s range checks, made once per column. On None the list is
+    read item by item by ``SCHEMA[VmdkSpec]``, whose readers word every
+    diagnostic.
     """
     columns = _columns(vmdks, VmdkSpec)
     if columns is None:
         return None
-    numbers = ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
+    ids, tiers = columns["id"], columns["initial_tier"]
+    numbers = list(chain.from_iterable(map(columns.get, _VMDK_NUMBERS)))
     if (
-        set(map(type, columns["id"] + columns["vm_id"])) != {str}
-        or set(map(type, columns["initial_tier"])) != {int}
-        or not set(map(type, chain.from_iterable(map(columns.get, numbers)))) <= {int, float}
+        set(map(type, ids + columns["vm_id"])) != {str} or not all(ids)
+        or set(map(type, tiers)) != {int} or min(tiers) < 1
+        or not set(map(type, numbers)) <= {int, float}
     ):
         return None
-    columns["demand_profile"] = _read_profiles(columns["demand_profile"])
-    if columns["demand_profile"] is None:
-        return None
+    profiles = _read_profiles(columns["demand_profile"])
     try:
-        for name in numbers:
-            columns[name] = list(map(float, columns[name]))
-        return tuple(map(VmdkSpec, *(columns[f.name] for f in fields(VmdkSpec))))
-    except (OverflowError, ValueError):
+        block = np.fromiter(numbers, float, len(numbers)).reshape(len(_VMDK_NUMBERS), -1)
+    except OverflowError:
         return None
+    if profiles is None or not ((block >= _VMDK_RANGE[0]) & (block <= _VMDK_RANGE[1])).all():
+        return None
+    return VmdkTable(tuple(ids), tuple(columns["vm_id"]), *block, tuple(tiers), *profiles)
 
 
 SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any], ...]] = {

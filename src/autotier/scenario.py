@@ -14,7 +14,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
-from .model import SCHEMA, DemandProfile, Scenario, ScenarioValidationError, validate_scenario
+from .model import (
+    SCHEMA, DemandProfile, Scenario, ScenarioValidationError, VmdkTable, validate_scenario,
+)
 
 BUNDLED_SCENARIOS = ("table3-table4", "spike", "tiny-oracle")
 
@@ -63,7 +65,7 @@ def _to_json(value: Any) -> Any:
     rows = SCHEMA.get(type(value))
     if rows is not None:
         return {key: _to_json(getattr(value, arg)) for key, arg, _, _ in rows}
-    if isinstance(value, (tuple, DemandProfile)):
+    if isinstance(value, (tuple, VmdkTable, DemandProfile)):
         return [_to_json(item) for item in value]
     return value
 

@@ -12,6 +12,7 @@ from hypothesis import settings
 settings.register_profile("autotier", deadline=None)
 settings.load_profile("autotier")
 
+from autotier.calibration import _mean_and_cv
 from autotier.model import (
     CalibrationFits,
     Fleet,
@@ -22,7 +23,7 @@ from autotier.model import (
     SimulationConfig,
     TierSpec,
     VmdkSpec,
-    VmdkState,
+    VmdkTable,
     WorkloadPhase,
 )
 
@@ -83,6 +84,45 @@ def make_vmdk(
     )
 
 
+@dataclass
+class VmdkState:
+    """One VMDK as a run leaves it: placement, active demand, last measurements."""
+
+    spec: VmdkSpec
+    current_tier: int
+    demand_iops: float = 0.0
+    avg_io_size_bytes: float = 4096.0
+    read_fraction: float = 1.0
+    measured_iops: float = 0.0
+    measured_read_mbps: float = 0.0
+    measured_write_mbps: float = 0.0
+    measured_latency_us: float = 0.0
+
+
+def fleet_states(fleet: Fleet, specs) -> list[VmdkState]:
+    """One ``VmdkState`` per fleet row, in row order, with the spec of its id among ``specs``."""
+    by_id = {spec.id: spec for spec in specs}
+    tier_ids = fleet.roster.tier_ids.tolist()
+    columns = zip(*(getattr(fleet, name).tolist() for name in (
+        "demand_iops", "avg_io_size_bytes", "read_fraction", "measured_iops",
+        "measured_read_mbps", "measured_write_mbps", "measured_latency_us",
+    )))
+    return [
+        VmdkState(by_id[vmdk_id], tier_ids[t], *c)
+        for vmdk_id, t, c in zip(fleet.roster.ids, fleet.tier_row.tolist(), columns)
+    ]
+
+
+def final_states(result) -> dict[str, VmdkState]:
+    """VMDK id -> ``VmdkState`` of each VMDK as ``result``'s run left it, in id order."""
+    return {s.spec.id: s for s in fleet_states(result.fleet, result.scenario.vmdks)}
+
+
+def compute_cv(samples) -> np.ndarray:
+    """Coefficient of variation along the last axis, as calibration computes it."""
+    return _mean_and_cv(np.asarray(samples, dtype=float))[1]
+
+
 def make_state(spec: VmdkSpec, tier: int | None = None, **measured) -> VmdkState:
     """A ``VmdkState`` in ``spec``'s first phase, on ``tier`` or else its initial tier."""
     phase = spec.demand_profile[0]
@@ -116,7 +156,7 @@ def fleet_of(states, tiers) -> Fleet:
 
     A case can so start VMDKs off their initial tier, or with measurements.
     """
-    fleet = Fleet.of(Roster.of([state.spec for state in states], tiers))
+    fleet = Fleet.of(Roster.of(VmdkTable.of(state.spec for state in states), tiers))
     for state in states:
         j = fleet.roster.row[state.spec.id]
         fleet.tier_row[j] = row_of_tier(fleet, state.current_tier)

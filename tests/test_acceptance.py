@@ -36,6 +36,7 @@ from autotier.reporting import metrics_csv_text, migrations_dict, summary_dict
 from autotier.scenario import load_bundled_scenario
 
 from conftest import (
+    final_states,
     fleet_of,
     make_fits,
     make_state,
@@ -152,10 +153,11 @@ def test_criterion_3_constraint_properties():
                         for kind in checked:
                             if getattr(used, kind) > getattr(budget, kind) * (1 + 1e-9):
                                 violations.append((case, policy, f"cap-{kind}"))
+                final = final_states(result)
                 for spec in scenario.vmdks:
-                    if result.final_states[spec.id].spec.size_gb != spec.size_gb:
+                    if final[spec.id].spec.size_gb != spec.size_gb:
                         violations.append((case, policy, "size"))
-                    if not (1 <= result.final_states[spec.id].current_tier <= len(scenario.tiers)):
+                    if not (1 <= final[spec.id].current_tier <= len(scenario.tiers)):
                         violations.append((case, policy, "tier-range"))
         ok = not violations
     _report("C3 constraint-properties", ok, t, 60.0,

@@ -15,7 +15,6 @@ from autotier.calibration import (
     CalibrationSamples,
     collect_samples,
     compute_confidence,
-    compute_cv,
     estimate_avg_lat,
     regress_latency_curve,
 )
@@ -28,7 +27,7 @@ from autotier.model import (
 )
 from autotier.scenario import load_bundled_scenario, scenario_to_document
 
-from conftest import make_fits
+from conftest import compute_cv, make_fits
 
 PLAN = DEFAULT_INJECTED_LATENCIES_US
 

@@ -6,6 +6,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -36,7 +37,9 @@ from autotier.scenario import bundled_scenario_text, load_bundled_scenario, pars
 
 from conftest import (
     MigrationOrder,
+    final_states,
     fleet_of,
+    fleet_states,
     keyed_plan,
     log_orders,
     make_state,
@@ -104,30 +107,31 @@ def reference_probe(spec, added_us, tier, contention, rng, noise_cv):
     return latency * factor
 
 
-def reference_samples(fleet, added_us, samples, rng, noise_cv):
-    """(N, L, S) samples from the reference loop: VMDKs x latencies x samples."""
+def reference_samples(fleet, specs, added_us, samples, rng, noise_cv):
+    """(N, L, S) samples from the reference loop: ``specs`` by fleet row x latencies x samples."""
     contention = fleet.contention.tolist()
+    spec = {spec.id: spec for spec in specs}
     return np.array([
         [
             [
-                reference_probe(spec, d, fleet.roster.tiers[t], contention[t], rng, noise_cv)
+                reference_probe(spec[v], d, fleet.roster.tiers[t], contention[t], rng, noise_cv)
                 for _ in range(samples)
             ]
             for d in added_us
         ]
-        for spec, t in zip(fleet.roster.specs, fleet.tier_row.tolist())
+        for v, t in zip(fleet.roster.ids, fleet.tier_row.tolist())
     ])
 
 
 def probe_setup():
-    """Three VMDKs on two tiers, one of them contended."""
+    """Three VMDKs on two tiers, one of them contended: the fleet and the specs."""
     tiers = (make_tier(1, 100.0), make_tier(2, 400.0))
     states = [
         make_state(make_vmdk("a", truth_slope=0.4, truth_intercept_us=30.0), tier=1),
         make_state(make_vmdk("b", truth_slope=1.3, truth_intercept_us=210.0), tier=2),
         make_state(make_vmdk("c", truth_slope=0.0, truth_intercept_us=5.0), tier=2),
     ]
-    return probe_fleet(states, tiers, [1.0, 1.7])
+    return probe_fleet(states, tiers, [1.0, 1.7]), [s.spec for s in states]
 
 
 def single(tier_base=100.0, slope=1.0, intercept=200.0):
@@ -165,12 +169,12 @@ class TestProbeLatencies:
 
     @pytest.mark.parametrize("noise_cv,seed", [(0.0, 11), (0.05, 12), (3.0, 13)])
     def test_matches_reference_stream_bitwise(self, noise_cv, seed):
-        fleet = probe_setup()
+        fleet, specs = probe_setup()
         plan = (0.0, 500.0, 1000.0, 2000.0)
         batched_rng = np.random.default_rng(seed)
         reference_rng = np.random.default_rng(seed)
         batched = probe(fleet, plan, 2, batched_rng, noise_cv)
-        reference = reference_samples(fleet, plan, 2, reference_rng, noise_cv)
+        reference = reference_samples(fleet, specs, plan, 2, reference_rng, noise_cv)
         assert batched.shape == (3, 4, 2)
         assert batched.tobytes() == reference.tobytes()
         assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
@@ -183,12 +187,12 @@ class TestProbeLatencies:
         first = 1.0 + 1.0 * probe_rng.standard_normal(24)
         top_up = 1.0 + 1.0 * probe_rng.standard_normal(int((first <= 0).sum()))
         assert (first <= 0).sum() == 2 and (top_up <= 0).any()
-        fleet = probe_setup()
+        fleet, specs = probe_setup()
         plan = (0.0, 500.0, 1000.0, 2000.0)
         batched_rng = np.random.default_rng(6)
         reference_rng = np.random.default_rng(6)
         batched = probe(fleet, plan, 2, batched_rng, 1.0)
-        reference = reference_samples(fleet, plan, 2, reference_rng, 1.0)
+        reference = reference_samples(fleet, specs, plan, 2, reference_rng, 1.0)
         assert batched.tobytes() == reference.tobytes()
         assert batched_rng.standard_normal() == reference_rng.standard_normal()
 
@@ -200,7 +204,7 @@ def serve_tier(tier, members, migration_read_mbps=0.0, migration_write_mbps=0.0)
     """``serve_epoch`` on a one-tier fleet; ``members`` get the fleet's measurements."""
     fleet = fleet_of(members, [tier])
     metrics = serve_epoch(fleet, [migration_read_mbps], [migration_write_mbps])[0]
-    served = {state.spec.id: state for state in fleet.states()}
+    served = {state.spec.id: state for state in fleet_states(fleet, [m.spec for m in members])}
     for member in members:
         for name in MEASURED:
             setattr(member, name, getattr(served[member.spec.id], name))
@@ -336,7 +340,7 @@ class TestServeEpochMatchesReference:
         assert n_tiers == 1 or n_tiers - 1 not in fleet.tier_row.tolist()
         fleet.contention[:] = contended  # serving sets it afresh from the load
         served = serve_epoch(fleet, debit_read, debit_write)
-        states = fleet.states()
+        states = fleet_states(fleet, [s.spec for s in states])
 
         assert [astuple(m) for m in served] == [astuple(m) for m in expected]
         measured = lambda s: (
@@ -364,7 +368,7 @@ class TestServeEpochMatchesReference:
             served = serve_epoch(
                 fleet, [2 * t.read_bandwidth_cap for t in tiers], [0.0] * len(tiers),
             )
-            states = fleet.states()
+            states = fleet_states(fleet, [s.spec for s in states])
             seen.update(
                 name for name, hit in (
                     ("empty tier", any(m.read_iops + m.write_iops == 0 for m in served)),
@@ -719,7 +723,7 @@ def migration_epochs(seed, epochs=10, vmdks=(5, 30)):
         started = [roster.ids[j] for j in start_moves(fleet, log, moves, epoch).tolist()]
         for v, frm, to in moves:
             if v in started:
-                size_gb = roster.specs[roster.row[v]].size_gb
+                size_gb = reference_states[v].spec.size_gb
                 order = MigrationOrder(v, frm, to, size_gb * 1e9, epoch)
                 reference_log.append(order)
                 active[v] = order
@@ -1034,36 +1038,24 @@ class TestRunScenario:
         b = run_scenario(scenario, policy, seed=123)
         assert metrics_csv_text(a) == metrics_csv_text(b)
 
-    @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
-    def test_final_states_are_built_on_first_read_then_kept(self, policy, monkeypatch):
-        builds = []
-        states = model.Fleet.states
-        monkeypatch.setattr(model.Fleet, "states", lambda fleet: builds.append(1) or states(fleet))
-        result = run_scenario(self.tiny(epochs=9), policy)
-        assert builds == []
-        eager = repr({s.spec.id: s for s in states(result.fleet)})
-        first = result.final_states
-        assert result.final_states is first and builds == [1]
-        assert repr(first) == eager
-
     @pytest.mark.parametrize("policy, other", [("autotiering", "idt"), ("idt", "edt"), ("edt", "idt")])
     def test_a_second_run_leaves_the_first_results_states_alone(self, policy, other):
         scenario = load_bundled_scenario("table3-table4")
         first = run_scenario(scenario, policy)
-        eager = repr({s.spec.id: s for s in first.fleet.states()})
+        eager = repr(final_states(first))
         second = run_scenario(scenario, other)
-        assert repr(second.final_states) != eager  # the second run ends elsewhere
-        assert repr(first.final_states) == eager
+        assert repr(final_states(second)) != eager  # the second run ends elsewhere
+        assert repr(final_states(first)) == eager
 
     def test_policy_moves_the_sensitive_vmdk_up(self):
         result = run_scenario(self.tiny(epochs=9), "autotiering")
-        assert result.final_states["hot"].current_tier == 1
+        assert final_states(result)["hot"].current_tier == 1
 
     def test_sizes_never_change(self):
         scenario = self.tiny(epochs=9)
-        result = run_scenario(scenario, "autotiering")
+        final = final_states(run_scenario(scenario, "autotiering"))
         for spec in scenario.vmdks:
-            assert result.final_states[spec.id].spec.size_gb == spec.size_gb
+            assert final[spec.id].spec.size_gb == spec.size_gb
 
     @pytest.mark.parametrize("policy", ["autotiering", "idt", "edt"])
     def test_runs_and_artifacts_build_no_order_objects(self, policy, tmp_path):
@@ -1179,7 +1171,7 @@ class TestRunScenario:
             for t, spare in zip(contexts[0].tiers, spare_read.tolist())
         )
         fleet = contexts[0].fleet
-        final = [result.final_states[v] for v in fleet.roster.ids]
+        final = [final_states(result)[v] for v in fleet.roster.ids]
         assert fleet.measured_iops.tolist() == [s.measured_iops for s in final]
         assert fleet.roster.tier_ids[fleet.tier_row].tolist() == [s.current_tier for s in final]
         assert all(type(s.current_tier) is int and type(s.measured_iops) is float for s in final)
@@ -1263,7 +1255,7 @@ class TestPhaseSchedule:
             def check(epoch, plan, policy_obj, ctx):
                 seen.append(epoch)
                 fleet = ctx.fleet
-                for j, spec in enumerate(fleet.roster.specs):
+                for j, spec in enumerate(sorted(scenario.vmdks, key=attrgetter("id"))):
                     active = (
                         fleet.demand_iops[j], fleet.avg_io_size_bytes[j], fleet.read_fraction[j]
                     )
@@ -1277,5 +1269,6 @@ class TestPhaseSchedule:
         scenario = multi_phase(random_scenario(rng, epochs=0), rng)
         result = run_scenario(scenario, "autotiering")
         assert result.epochs == []
+        final = final_states(result)
         for spec in scenario.vmdks:
-            assert phase_key(result.final_states[spec.id]) == phase_key(spec.demand_profile[0])
+            assert phase_key(final[spec.id]) == phase_key(spec.demand_profile[0])

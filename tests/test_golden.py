@@ -63,7 +63,7 @@ from autotier.scenario import (
     scenario_to_document,
 )
 
-from conftest import keyed_plan, log_orders
+from conftest import final_states, keyed_plan, log_orders
 
 GOLDEN_PATH = Path(__file__).with_name("golden_hashes.json")
 PLAN_DIGEST_PATH = Path(__file__).with_name("golden_plan_digests.json")
@@ -153,7 +153,7 @@ def run_digest(result) -> str:
         *result.epochs,
         *(plan_record(keyed_plan(plan)) for plan in result.plans),
         *log_orders(result.migration_log),
-        *result.final_states.items(),
+        *final_states(result).items(),
     ):
         digest.update(repr(record).encode())
     return digest.hexdigest()

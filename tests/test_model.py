@@ -1,10 +1,14 @@
 """Domain type invariants and scenario validation diagnostics."""
 
 import copy
+import importlib.util
 import json
 import math
 import pickle
+import sys
 from dataclasses import astuple, fields, replace
+from itertools import accumulate
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from autotier import model
 from autotier.engine import run_scenario
 from autotier.model import (
     CalibrationFits,
@@ -26,13 +31,17 @@ from autotier.model import (
     SimulationConfig,
     TierSpec,
     VmdkSpec,
+    VmdkTable,
     WorkloadPhase,
     check_migrations,
     validate_scenario,
 )
 from autotier.scenario import bundled_scenario_text, parse_scenario, serialize_scenario
 
-from conftest import fleet_of, log_orders, make_state, make_tier, make_vmdk, phase_at
+from conftest import (
+    final_states, fleet_of, fleet_states, log_orders, make_state, make_tier, make_vmdk, phase_at,
+)
+from test_golden import SCENARIOS, scale_document
 
 finite = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 
@@ -208,7 +217,7 @@ class TestRoster:
         assert isinstance(roster.row, MappingProxyType)
         assert isinstance(roster.due, MappingProxyType)
         arrays = roster_arrays(roster)
-        assert len(arrays) == len(fields(roster)) - 5 + 2 * len(roster.due)  # 3 tuples, 2 maps
+        assert len(arrays) == len(fields(roster)) - 4 + 2 * len(roster.due)  # 2 tuples, 2 maps
         for name, array in arrays.items():
             assert not array.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
@@ -244,11 +253,14 @@ class TestRoster:
             )
             for v in json.loads(text)["vmdks"]
         ]
-        built = replace(parsed, vmdks=tuple(
+        given = tuple(
             replace(v, demand_profile=phases) for v, phases in zip(parsed.vmdks, profiles)
-        ))
-        assert built == parsed
-        assert len({id(v.demand_profile.table) for v in built.vmdks}) == len(built.vmdks)
+        )
+        assert len({id(v.demand_profile.table) for v in given}) == len(given)
+        built = replace(parsed, vmdks=given)
+        assert built == parsed and isinstance(built.vmdks, VmdkTable)
+        # The specs' own tables are gathered into the scenario's one table.
+        assert len({id(v.demand_profile.table) for v in built.vmdks}) == 1
         for spec, twin in zip(parsed.vmdks, built.vmdks):
             assert isinstance(twin.demand_profile, DemandProfile)
             assert spec == twin and hash(spec) == hash(twin)
@@ -288,7 +300,7 @@ class TestRoster:
         (owners, phases), = roster.due.values()
         assert list(roster.due) == [2**63 - 1]
         assert owners.tolist() == [row] and phases.tolist() == [roster.first_phase[row] + 1]
-        final = run_scenario(scenario, "idt").final_states[spec.id]
+        final = final_states(run_scenario(scenario, "idt"))[spec.id]
         assert final.demand_iops == float(first["demandIops"])
 
     def test_a_profile_view_reads_like_the_tuple_of_its_phases(self):
@@ -325,6 +337,87 @@ class TestRoster:
             column = getattr(fleet, name)
             assert isinstance(column, np.ndarray) and column.flags.writeable, name
             assert not any(np.shares_memory(column, a) for a in shared), name
+
+
+def churn_document():
+    """The ``baseline-churn`` benchmark document of seed 11: 2,800 VMDKs, 28,000 phases."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    text = bundled_scenario_text(workloads.BASE_SCENARIO)
+    return json.loads(workloads.generate(workloads.WORKLOADS["baseline-churn"], text, 11))
+
+
+TABLE_DOCUMENTS = {
+    **{name: lambda name=name: json.loads(bundled_scenario_text(name)) for name in SCENARIOS},
+    "scale": scale_document,
+    "baseline-churn": churn_document,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(TABLE_DOCUMENTS))
+def read(request):
+    """A document, the scenario parsed from it and its VMDKs read item by item as specs."""
+    doc = TABLE_DOCUMENTS[request.param]()
+    errors = []
+    specs = model._list_of(VmdkSpec)(doc["vmdks"], "", "vmdks", errors)
+    assert errors == [] and len(specs) == len(doc["vmdks"])
+    return doc, validate_scenario(doc), specs
+
+
+def table_arrays(table):
+    """Every array of a ``VmdkTable``, its phase table's included, by name."""
+    return {
+        **{name: getattr(table, name) for name in ("size_gb", "sla_weight", "truth_slope",
+                                                    "truth_intercept_us", "offsets")},
+        "phases.start_epoch": table.phases.start_epoch, "phases.demand": table.phases.demand,
+    }
+
+
+class TestVmdkTable:
+    def test_a_parsed_table_reads_as_the_item_by_item_specs(self, read):
+        _, scenario, specs = read
+        table = scenario.vmdks
+        assert isinstance(table, VmdkTable) and len(table) == len(specs)
+        assert table == specs and hash(table) == hash(specs) and repr(table) == repr(specs)
+        assert table[-1] == specs[-1] and table[1:3] == specs[1:3]
+        assert table.id == tuple(spec.id for spec in specs)
+
+    def test_specs_built_in_python_give_an_equal_scenario_and_roster(self, read):
+        _, parsed, specs = read
+        built = Scenario(parsed.tiers, specs, parsed.weights, parsed.sim)
+        assert isinstance(built.vmdks, VmdkTable) and built == parsed
+        assert built.vmdks.id == parsed.vmdks.id
+        assert built.vmdks.initial_tier == parsed.vmdks.initial_tier
+        for name, array in table_arrays(parsed.vmdks).items():
+            twin = table_arrays(built.vmdks)[name]
+            assert array.dtype == twin.dtype and array.tobytes() == twin.tobytes(), name
+        arrays, twins = roster_arrays(parsed.roster), roster_arrays(built.roster)
+        assert parsed.roster.ids == built.roster.ids
+        assert list(parsed.roster.due) == list(built.roster.due)
+        assert sorted(arrays) == sorted(twins)
+        for name, array in arrays.items():
+            assert array.dtype == twins[name].dtype, name
+            assert array.tobytes() == twins[name].tobytes(), name
+
+    def test_pickle_and_copy_give_a_read_only_table(self, read):
+        _, scenario, _ = read
+        for copied in (
+            pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario), copy.copy(scenario),
+        ):
+            assert isinstance(copied.vmdks, VmdkTable) and copied == scenario
+            for name, array in table_arrays(copied.vmdks).items():
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+
+    def test_a_table_is_the_documents_vmdks_in_document_order(self, read):
+        doc, scenario, _ = read
+        assert scenario.vmdks.id == tuple(vmdk["id"] for vmdk in doc["vmdks"])
+        assert scenario.vmdks.offsets.tolist() == [
+            0, *accumulate(len(vmdk["demandProfile"]) for vmdk in doc["vmdks"])
+        ]
 
 
 class TestFleet:
@@ -376,7 +469,7 @@ class TestFleet:
             make_tier(2, 300.0, caps=ResourceVector(0.5, 0.25, 1.0), read_iops=7e4,
                       write_iops=3e4, read_mbps=900.0, write_mbps=700.0),
         ]
-        fleet = Fleet.of(Roster.of([make_vmdk()], tiers))
+        fleet = Fleet.of(Roster.of(VmdkTable.of([make_vmdk()]), tiers))
         view = fleet.read_only()
         columns = {
             "budget": lambda t: list(astuple(t.max_usable())),
@@ -399,7 +492,7 @@ class TestFleet:
     def test_device_caps_stack_the_four_serve_caps_read_only(self):
         tiers = [make_tier(i, read_iops=1e3 * i, write_iops=2e3 * i, read_mbps=30.0 * i,
                            write_mbps=40.0 * i) for i in (1, 2, 3)]
-        roster = Fleet.of(Roster.of([make_vmdk()], tiers)).read_only().roster
+        roster = Fleet.of(Roster.of(VmdkTable.of([make_vmdk()]), tiers)).read_only().roster
         names = ("read_throughput_cap", "write_throughput_cap", "read_bandwidth_cap",
                  "write_bandwidth_cap")
         assert roster.device_caps.shape == (4, len(tiers)) and roster.device_caps.dtype == float
@@ -416,9 +509,8 @@ class TestFleet:
                       read_fraction=0.25),
             make_vmdk("a", initial_tier=2, phases=(WorkloadPhase(0, 100.0, 4096.0, 0.75), later)),
         ]
-        fleet = Fleet.of(Roster.of(specs, tiers))
+        fleet = Fleet.of(Roster.of(VmdkTable.of(specs), tiers))
         assert fleet.roster.ids == ("a", "b")
-        assert fleet.roster.specs == (specs[1], specs[0])
         assert fleet.roster.tier_ids[fleet.roster.initial_tier_row].tolist() == [2, 3]
         assert fleet.roster.tier_ids[fleet.tier_row].tolist() == [2, 3]
         assert not np.shares_memory(fleet.tier_row, fleet.roster.initial_tier_row)
@@ -436,7 +528,7 @@ class TestFleet:
         assert list(fleet.roster.due) == [4]
         rows, phases = fleet.roster.due[4]
         assert rows.tolist() == [0] and phases.tolist() == [1]
-        assert [astuple(s)[1:] for s in fleet.states()] == [
+        assert [astuple(s)[1:] for s in fleet_states(fleet, specs)] == [
             (2, 100.0, 4096.0, 0.75, 0.0, 0.0, 0.0, 0.0),
             (3, 300.0, 8192.0, 0.25, 0.0, 0.0, 0.0, 0.0),
         ]

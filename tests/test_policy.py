@@ -17,6 +17,7 @@ from autotier.model import (
     PolicyWeights,
     ResourceVector,
     Roster,
+    VmdkTable,
 )
 from autotier.policy import (
     cal_capacity_matrices,
@@ -35,6 +36,7 @@ from autotier.policy import (
 from conftest import (
     fits_within,
     fleet_of,
+    fleet_states,
     hosted_usage,
     keyed_plan,
     make_state,
@@ -78,7 +80,7 @@ def at(mat, tier_id, vmdk_id):
 def match(tier, ratios, sla, conf):
     """orthogonal_match_score of one tier and one VMDK's (p, b, s) ratios."""
     cell = np.array(ratios, dtype=float).reshape(1, 1, 3)
-    fleet = Fleet.of(Roster.of([make_vmdk(initial_tier=tier.id)], [tier]))
+    fleet = Fleet.of(Roster.of(VmdkTable.of([make_vmdk(initial_tier=tier.id)]), [tier]))
     return orthogonal_match_score(fleet, cell, np.array([sla]), np.array([conf]))[0, 0]
 
 
@@ -628,6 +630,7 @@ def random_greedy_round(rng):
     mixes tiny and large rows under budgets that are a fraction of the
     demand, so scans run past one window and switch between fits and
     misses. Some VMDKs are pinned; the pinned ``zz-big`` overloads tier 1.
+    Returns the scores, matrices, tiers, fleet, pins and the fleet's specs.
     """
     n_tiers = int(rng.integers(2, 5))
     n = int(rng.integers(100, 401))
@@ -661,13 +664,13 @@ def random_greedy_round(rng):
     }
     pinned["zz-big"] = 1
     pin(fleet, pinned)
-    return score, mat, tiers, fleet, pinned
+    return score, mat, tiers, fleet, pinned, [s.spec for s in states]
 
 
 class TestTriggerMigrationMatchesReference:
     @pytest.mark.parametrize("seed", range(10))
     def test_plan_repr_equals_the_tuple_sort(self, seed):
-        scores, mat, tiers, fleet, pinned = random_greedy_round(np.random.default_rng(seed))
+        scores, mat, tiers, fleet, pinned, _ = random_greedy_round(np.random.default_rng(seed))
         expected = reference_trigger_migration(scores, mat, tiers, fleet, 7, pinned)
         plan = keyed_plan(trigger_migration(scores, mat, fleet, 7))
         assert repr(plan_record(plan)) == repr(plan_record(expected))
@@ -684,7 +687,7 @@ class TestTriggerMigrationMatchesReference:
         monkeypatch.setattr(policy, "first_fit", recording)
         seen = set()
         for seed in range(10):
-            scores, mat, tiers, fleet, pinned = random_greedy_round(np.random.default_rng(seed))
+            scores, mat, tiers, fleet, pinned, _ = random_greedy_round(np.random.default_rng(seed))
             plan = keyed_plan(trigger_migration(scores, mat, fleet, 7))
             signs = {math.copysign(1.0, x) for x in scores[scores == 0.0].tolist()}
             seen.update(name for name, hit in (
@@ -756,14 +759,14 @@ class TestPlanViews:
     @pytest.mark.parametrize("seed", range(4))
     def test_packed_plans_seat_pins_then_placements_then_stay_puts(self, seed):
         rng = np.random.default_rng(seed)
-        scores, mat, tiers, fleet, pinned = random_greedy_round(rng)
+        scores, mat, tiers, fleet, pinned, specs = random_greedy_round(rng)
         fleet.measured_iops[:] = rng.choice([0.0, 5e3, 2e4], size=len(fleet.roster.ids))
         cases = (
             (trigger_migration(scores, mat, fleet, 7),
              reference_trigger_migration(scores, mat, tiers, fleet, 7, pinned)),
             (idt_assign(fleet, 7),
-             reference_pack_by_metric(fleet.states(), tiers, *REFERENCE_RULES[idt_assign], 7,
-                                      pinned)),
+             reference_pack_by_metric(fleet_states(fleet, specs), tiers,
+                                      *REFERENCE_RULES[idt_assign], 7, pinned)),
         )
         for plan, expected in cases:
             self.assert_cached(plan)

@@ -8,8 +8,10 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import MISSING, fields, is_dataclass, replace
 from functools import reduce
+from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -26,12 +28,16 @@ from autotier.engine import run_scenario
 from autotier.model import (
     OPTIONAL,
     REQUIRED,
+    MAX_PROBE_SAMPLES,
     SCHEMA,
+    DemandProfile,
     MigrationLog,
+    PolicyWeights,
     ResourceVector,
     Scenario,
     ScenarioValidationError,
     VmdkSpec,
+    VmdkTable,
     validate_scenario,
 )
 from autotier.reporting import (
@@ -55,7 +61,7 @@ from autotier.scenario import (
     serialize_scenario,
 )
 
-from conftest import make_vmdk, random_scenario
+from conftest import make_tier, make_vmdk, random_scenario
 from test_golden import scale_document
 
 
@@ -177,6 +183,41 @@ class TestParsing:
     def test_integer_field_accepts_integer_too_large_for_a_float(self):
         scenario = parse_scenario(with_token(("simulation", "seed"), HUGE_INTEGER))
         assert scenario.sim.seed == int(HUGE_INTEGER)
+
+    # tiny-oracle probes 6 VMDKs at 5 injected latencies: 30 samples per sample count.
+    @pytest.mark.parametrize("samples", [2**40, 2**63 - 1, MAX_PROBE_SAMPLES // 30 + 1],
+                             ids=["2**40", "int64-max", "first-past-the-bound"])
+    def test_a_sample_grid_past_the_bound_is_refused_at_parse_unallocated(self, samples):
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc["policyWeights"]["samplesPerLatency"] = samples
+        text = json.dumps(doc)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioValidationError) as excinfo:
+                parse_scenario(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.errors == [
+            f"policyWeights.samplesPerLatency: 6 VMDKs x 5 injected latencies x {samples} "
+            "samples exceed 16777216 per monitor epoch"
+        ]
+        assert peak < 2**20  # bytes: nothing the size of the grid was allocated
+
+    def test_a_sample_grid_at_the_bound_parses_and_one_past_it_is_refused_alike(self):
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc["policyWeights"]["samplesPerLatency"] = MAX_PROBE_SAMPLES // 30
+        assert parse_scenario(json.dumps(doc)).weights.samples_per_latency == 559240
+        # One VMDK at two latencies, built in Python: exactly 2**24 samples at 2**23.
+        weights = PolicyWeights(injected_latencies_us=(0.0, 1.0), samples_per_latency=2**23)
+        Scenario((make_tier(),), (make_vmdk(),), weights)
+        weights = replace(weights, samples_per_latency=2**23 + 1)
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            Scenario((make_tier(),), (make_vmdk(),), weights)
+        assert excinfo.value.errors == [
+            "policyWeights.samplesPerLatency: 1 VMDKs x 2 injected latencies x 8388609 samples "
+            "exceed 16777216 per monitor epoch"
+        ]
 
     @pytest.mark.parametrize("token", [str(2**63), HUGE_INTEGER], ids=["2**63", "int-1e400"])
     @pytest.mark.parametrize("location", BOUNDED_FIELDS, ids=field_path)
@@ -415,11 +456,14 @@ class TestColumnPass:
     @settings(max_examples=400)
     @given(st.lists(phase_lists(), min_size=1, max_size=4))
     def test_reads_ahead_exactly_the_plain_profiles_the_phase_readers_accept(self, profiles):
-        views = model._read_profiles(profiles)
+        read = model._read_profiles(profiles)
         expected = [reference_phases(profile) for profile in profiles]
         if not all(e is not None and plain(p) for e, p in zip(expected, profiles)):
-            assert views is None
+            assert read is None
             return
+        table, offsets = read
+        assert offsets.tolist() == [0, *accumulate(map(len, profiles))]
+        views = [DemandProfile(table, *offsets[i:i + 2].tolist()) for i in range(len(profiles))]
         for view, phases in zip(views, expected, strict=True):
             assert repr(view) == repr(phases)
             assert view == phases and hash(view) == hash(phases)
@@ -441,11 +485,11 @@ class TestColumnPass:
     @pytest.mark.parametrize("name", [*BUNDLED_SCENARIOS, "scale"])
     def test_every_shipped_document_is_read_ahead(self, name):
         doc = scale_document() if name == "scale" else json.loads(bundled_scenario_text(name))
-        assert isinstance(model._read_vmdks(doc["vmdks"]), tuple)
-        scenario = validate_scenario(doc)
-        # Read item by item, each VMDK's profile would view a table of its own.
-        tables = {id(vmdk.demand_profile.table) for vmdk in scenario.vmdks}
-        assert len(tables) == 1 < len(scenario.vmdks)
+        assert isinstance(model._read_vmdks(doc["vmdks"]), VmdkTable)
+        # Read item by item, the specs would be gathered into a table afterwards.
+        with mock.patch.object(VmdkTable, "of", side_effect=VmdkTable.of) as gather:
+            scenario = validate_scenario(doc)
+        assert gather.call_count == 0 and isinstance(scenario.vmdks, VmdkTable)
 
     def test_one_value_that_is_not_plain_reads_every_vmdk_item_by_item(self):
         doc = json.loads(bundled_scenario_text("table3-table4"))
@@ -453,11 +497,12 @@ class TestColumnPass:
         k = next(k for k, vmdk in enumerate(doc["vmdks"]) if vmdk["initialTier"] == 2)
         doc["vmdks"][k]["initialTier"] = 2.0
         assert model._read_vmdks(doc["vmdks"]) is None
-        scenario = validate_scenario(doc)
+        # Read item by item, the specs are then gathered into one table.
+        with mock.patch.object(VmdkTable, "of", side_effect=VmdkTable.of) as gather:
+            scenario = validate_scenario(doc)
+        assert gather.call_count == 1
         assert scenario == expected
         assert serialize_scenario(scenario) == serialize_scenario(expected)
-        tables = {id(vmdk.demand_profile.table) for vmdk in scenario.vmdks}
-        assert len(tables) == len(scenario.vmdks)
 
     @settings(max_examples=300)
     @given(vmdk_lists())
@@ -465,7 +510,7 @@ class TestColumnPass:
         vmdks, perturbed = case
         text = json.dumps(dict(BUNDLED_DOCS["tiny-oracle"], vmdks=vmdks))
         if not perturbed:
-            assert isinstance(model._read_vmdks(vmdks), tuple)
+            assert isinstance(model._read_vmdks(vmdks), VmdkTable)
         fast = parse_outcome(text)
         # The same schema, its vmdks list read item by item with no column pass.
         item_by_item = tuple(
