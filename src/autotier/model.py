@@ -226,9 +226,9 @@ class DemandProfile(_TupleView):
         return WorkloadPhase(int(self.table.start_epoch[self.first + k]), demand, size, fraction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VmdkSpec:
-    """Static description of one VMDK.
+    """Static description of one VMDK, its fields in slots, so a spec builds no dict.
 
     ``truth_slope`` / ``truth_intercept_us`` are the simulator's ground-truth
     latency sensitivity, visible to policies only through injected-latency
