@@ -6,7 +6,6 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
-from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -1255,7 +1254,8 @@ class TestPhaseSchedule:
             def check(epoch, plan, policy_obj, ctx):
                 seen.append(epoch)
                 fleet = ctx.fleet
-                for j, spec in enumerate(sorted(scenario.vmdks, key=attrgetter("id"))):
+                for spec in scenario.vmdks:
+                    j = fleet.roster.row[spec.id]
                     active = (
                         fleet.demand_iops[j], fleet.avg_io_size_bytes[j], fleet.read_fraction[j]
                     )

@@ -412,6 +412,13 @@ class TestVmdkTable:
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
 
+    def test_roster_rows_sort_by_id_in_python_string_order_trailing_nuls_included(self):
+        # A numpy "U" array drops trailing NULs, so "v" and "v\x00" would tie there.
+        specs = [make_vmdk("v\x00", size_gb=2.0), make_vmdk("v", size_gb=1.0)]
+        roster = Roster.of(VmdkTable.of(specs), [make_tier()])
+        assert roster.ids == ("v", "v\x00") and roster.size_gb.tolist() == [1.0, 2.0]
+        assert dict(roster.row) == {"v": 0, "v\x00": 1}
+
     def test_a_table_is_the_documents_vmdks_in_document_order(self, read):
         doc, scenario, _ = read
         assert scenario.vmdks.id == tuple(vmdk["id"] for vmdk in doc["vmdks"])

@@ -184,7 +184,7 @@ class TestParsing:
         scenario = parse_scenario(with_token(("simulation", "seed"), HUGE_INTEGER))
         assert scenario.sim.seed == int(HUGE_INTEGER)
 
-    # tiny-oracle probes 6 VMDKs at 5 injected latencies: 30 samples per sample count.
+    # tiny-oracle probes 6 VMDKs at 5 injected latencies: each sample per latency adds 30.
     @pytest.mark.parametrize("samples", [2**40, 2**63 - 1, MAX_PROBE_SAMPLES // 30 + 1],
                              ids=["2**40", "int64-max", "first-past-the-bound"])
     def test_a_sample_grid_past_the_bound_is_refused_at_parse_unallocated(self, samples):
