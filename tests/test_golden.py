@@ -1,9 +1,10 @@
 """Golden outputs: SHA-256 of the byte-stable artifacts of every bundled run.
 
 Each case runs one bundled scenario under one policy and seed, writes the
-run artifacts and compares the hashes of ``metrics.csv``, ``summary.json``
-and ``migrations.json`` with ``golden_hashes.json``. A refactor that changes
-what the simulator computes, even deterministically, fails here.
+run artifacts and compares the hashes of all five (``metrics.csv``,
+``summary.json``, ``cdf_iops.dat``, ``cdf_bw.dat`` and ``migrations.json``)
+with ``golden_hashes.json``. A refactor that changes what the simulator
+computes, or how a run writes it, even deterministically, fails here.
 
 The artifacts round values to 6 significant digits, so a second table,
 ``golden_plan_digests.json``, holds one SHA-256 per case over the
@@ -54,7 +55,7 @@ import pytest
 
 from autotier.cli import main
 from autotier.engine import POLICY_NAMES, run_scenario
-from autotier.reporting import write_run_artifacts
+from autotier.reporting import RUN_FILES, write_run_artifacts
 from autotier.model import ScenarioValidationError, validate_scenario
 from autotier.scenario import (
     bundled_scenario_text,
@@ -72,7 +73,7 @@ ORACLE_DIGEST_PATH = Path(__file__).with_name("golden_oracle_check.json")
 DIAGNOSTIC_DIGEST_PATH = Path(__file__).with_name("golden_diagnostics.json")
 SCENARIOS = ("table3-table4", "spike", "tiny-oracle")
 SEEDS = (0, 1, 42)
-HASHED_FILES = ("metrics.csv", "summary.json", "migrations.json")
+HASHED_FILES = RUN_FILES
 
 
 def case_key(scenario: str, policy: str, seed: int) -> str:
