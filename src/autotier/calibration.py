@@ -5,14 +5,18 @@ latencies into the I/O path of every VMDK and samples the resulting average
 latency several times per injected value. The samples form one dense
 ``(N, L, S)`` grid: VMDKs × injected latencies in plan order × samples. Each
 (VMDK, latency) mean, computed once, gives its CV and a point of one
-least-squares line per VMDK, fitted for all rows at once, which predicts the
-VMDK's latency on any other tier from the difference of tier base latencies,
-without migrating anything. The fits are ``(N,)`` arrays
-(``CalibrationFits``) and the predictions a ``(T, N)`` grid.
+least-squares line per VMDK, which predicts the VMDK's latency on any other
+tier from the difference of tier base latencies, without migrating anything.
+Every plan is fitted one way: ``np.polyfit``'s degree-1 steps, set up once
+per plan and solved for all rows at once. A plan the fit cannot scale, and
+a row whose samples it cannot take, are refused with a ValueError that says
+which. The fits are ``(N,)`` arrays (``CalibrationFits``) and the
+predictions a ``(T, N)`` grid.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.exceptions import RankWarning
 
-from .model import CalibrationFits
+from .model import CalibrationFits, latency_norm
 
 # A probe answers: (N, L, S) average I/O latencies (us) of the given VMDKs
 # under each extra injected latency, S samples each. The simulator's device
@@ -104,32 +108,28 @@ def compute_confidence(mean_cv: np.ndarray | float, floor: float = 0.05) -> np.n
 @lru_cache(maxsize=8)
 def _fit_plan(
     latencies: tuple[float, ...],
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, np.ndarray | None, float]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, float]:
     """``np.polyfit``'s degree-1 set-up for one injected-latency plan, built once.
 
     Returns the plan's stable ascending order (None when the plan is already
-    ascending), the sorted x values, the column-scaled Vandermonde ``lhs``,
-    its ``scale`` and ``rcond``, by polyfit's own steps; the arrays are
-    read-only. ``lhs`` and ``scale`` are None when the set-up meets a
-    floating-point condition (squaring a huge or tiny latency), which
-    polyfit then reports at every call. Plans equal as tuples (0.0 and -0.0
-    alike) share an entry: they sort the same, and polyfit's ``+ 0.0`` makes
-    their x values identical.
+    ascending), the column-scaled Vandermonde ``lhs``, its ``scale`` and
+    ``rcond``, by polyfit's own steps; the arrays are read-only. The latency
+    column's norm comes from ``latency_norm``, which sums it as polyfit does
+    and raises ValueError where it is 0.0 or inf. A tiny latency that
+    underflows once squared or scaled is ignored whatever the caller's error
+    state, as polyfit's default error state ignores it. Plans equal as tuples
+    (0.0 and -0.0 alike) share an entry: they sort the same, and polyfit's
+    ``+ 0.0`` makes their x values identical.
     """
     order = np.argsort(latencies, kind="stable")
     xs = np.asarray(latencies)[order] + 0.0
-    try:
-        with np.errstate(all="raise"):
-            lhs = np.vander(xs, 2)
-            scale = np.sqrt((lhs * lhs).sum(axis=0))
-            lhs /= scale
-    except FloatingPointError:
-        lhs = scale = None
-    for array in (order, xs, lhs, scale):
-        if array is not None:
-            array.flags.writeable = False
+    scale = np.array([latency_norm(xs.tolist()), math.sqrt(len(xs))])
+    with np.errstate(under="ignore"):
+        lhs = np.vander(xs, 2) / scale
+    for array in (order, lhs, scale):
+        array.flags.writeable = False
     ascending = (order == np.arange(len(order))).all()
-    return None if ascending else order, xs, lhs, scale, len(xs) * np.finfo(xs.dtype).eps
+    return None if ascending else order, lhs, scale, len(xs) * np.finfo(xs.dtype).eps
 
 
 def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> CalibrationFits:
@@ -137,13 +137,15 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
 
     Samples at each injected latency are averaged before the fit; the mean of
     the per-latency CVs drives the confidence. Rows are independent: each
-    fit is bitwise what fitting that VMDK alone gives. A mean sample at or
-    above ``MAX_MEAN_LATENCY_US`` would break that and raises ValueError.
+    fit is bitwise what fitting that VMDK alone gives. The first row whose
+    mean sample reaches ``MAX_MEAN_LATENCY_US``, which would break that, or
+    whose mean CV is not finite (its squared deviations overflow) raises
+    ValueError naming that VMDK, before anything is fitted.
     """
     latencies = samples.injected_latencies_us
     if len(set(latencies)) < 2:
         raise ValueError("regression needs at least two distinct injected latencies")
-    order, xs, lhs, scale, rcond = _fit_plan(tuple(latencies))
+    order, lhs, scale, rcond = _fit_plan(tuple(latencies))
     means, cv = _mean_and_cv(samples.values)
     if order is not None:
         means, cv = means[:, order], cv[:, order]
@@ -153,25 +155,24 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     for column in cv.T:
         cv_total = cv_total + column
     mean_cv = cv_total / len(latencies)
+    too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
+    bad = too_slow | ~np.isfinite(mean_cv)
+    if bad.any():
+        row = int(bad.argmax())
+        limit = f"the calibration limit of {MAX_MEAN_LATENCY_US} us"
+        cause = (f"mean sampled latency reaches {limit}" if too_slow[row]
+                 else f"mean CV of its samples is not finite, got {mean_cv[row]}")
+        raise ValueError(f"VMDK {samples.vmdk_ids[row]!r}: {cause}")
     # np.polyfit's own solve with a column per VMDK, on the plan's cached
     # scaled Vandermonde matrix: each column comes out bitwise as if fitted
     # alone, and as polyfit fits it. A closed-form slope/intercept differs in
     # the last bits.
-    if lhs is None:
-        m, b = np.polyfit(xs, means.T, 1)
-    else:
-        c, _, rank, _ = np.linalg.lstsq(lhs, means.T + 0.0, rcond)
-        if rank != 2:
-            warnings.warn("Polyfit may be poorly conditioned", RankWarning, stacklevel=2)
-        m, b = (c.T / scale).T
-    fits = CalibrationFits(vmdk_ids=samples.vmdk_ids, m=m, b=b,
+    c, _, rank, _ = np.linalg.lstsq(lhs, means.T + 0.0, rcond)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", RankWarning, stacklevel=2)
+    m, b = (c.T / scale).T
+    return CalibrationFits(vmdk_ids=samples.vmdk_ids, m=m, b=b,
                            confidence=compute_confidence(mean_cv, floor), mean_cv=mean_cv)
-    too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
-    if too_slow.any():
-        row = int(too_slow.argmax())
-        limit = f"the calibration limit of {MAX_MEAN_LATENCY_US} us"
-        raise ValueError(f"VMDK {samples.vmdk_ids[row]!r}: mean sampled latency reaches {limit}")
-    return fits
 
 
 def estimate_avg_lat(

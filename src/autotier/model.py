@@ -376,6 +376,26 @@ class CapacityMatrices:
 DEFAULT_INJECTED_LATENCIES_US = (0.0, 500.0, 1000.0, 2000.0, 4000.0)
 
 
+def latency_norm(latencies: Iterable[float]) -> float:
+    """sqrt(sum(d * d)) of a probe plan, the norm the fit scales its latency column by.
+
+    The squares add left to right in ascending order, as ``np.polyfit`` sums
+    them. A norm of 0.0 (every square underflows) or inf (a square or their
+    sum overflows) cannot scale the column, and raises ValueError.
+    """
+    total = 0.0
+    for d in sorted(latencies):
+        total += d * d
+    norm = math.sqrt(total)
+    if norm == 0.0:
+        raise ValueError("injectedLatenciesUs too close to 0: every square underflows, "
+                         "so the fit cannot scale them")
+    if norm == math.inf:
+        raise ValueError("injectedLatenciesUs too large: a square overflows, "
+                         "so the fit cannot scale them")
+    return norm
+
+
 @dataclass(frozen=True)
 class PolicyWeights:
     """Every policy tunable: objective weights, score aging, cadences, probe plan."""
@@ -408,13 +428,7 @@ class PolicyWeights:
             raise ValueError("injected latencies must be non-negative")
         if len(set(self.injected_latencies_us)) != len(self.injected_latencies_us):
             raise ValueError("injected latencies must be distinct")
-        # The fit (np.polyfit's set-up) divides the latency column by its norm,
-        # sqrt(sum(d * d)); when every square underflows to 0.0 that norm is 0.
-        if not any(d * d > 0.0 for d in self.injected_latencies_us):
-            raise ValueError(
-                "injectedLatenciesUs too close to 0: every square underflows, "
-                "so the fit cannot scale them"
-            )
+        latency_norm(self.injected_latencies_us)
         if self.samples_per_latency < 1:
             raise ValueError("samplesPerLatency must be >= 1")
         _require_int64("samplesPerLatency", self.samples_per_latency)

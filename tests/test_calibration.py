@@ -1,6 +1,7 @@
 """Calibration: CV, confidence, batched sampling, regression, prediction."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -72,15 +73,16 @@ def reference_regress(samples, floor=0.05):
     for column in cv.T:
         cv_total = cv_total + column
     mean_cv = cv_total / len(latencies)
+    for vmdk_id, row_means, row_cv in zip(samples.vmdk_ids, means, mean_cv):
+        if (row_means >= MAX_MEAN_LATENCY_US).any():
+            limit = f"the calibration limit of {MAX_MEAN_LATENCY_US} us"
+            raise ValueError(f"VMDK {vmdk_id!r}: mean sampled latency reaches {limit}")
+        if not math.isfinite(row_cv):
+            cause = f"mean CV of its samples is not finite, got {row_cv}"
+            raise ValueError(f"VMDK {vmdk_id!r}: {cause}")
     m, b = np.polyfit(xs, means.T, 1)
-    fits = CalibrationFits(vmdk_ids=samples.vmdk_ids, m=m, b=b,
+    return CalibrationFits(vmdk_ids=samples.vmdk_ids, m=m, b=b,
                            confidence=compute_confidence(mean_cv, floor), mean_cv=mean_cv)
-    too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
-    if too_slow.any():
-        row = int(too_slow.argmax())
-        limit = f"the calibration limit of {MAX_MEAN_LATENCY_US} us"
-        raise ValueError(f"VMDK {samples.vmdk_ids[row]!r}: mean sampled latency reaches {limit}")
-    return fits
 
 
 def outcome(regress, samples):
@@ -321,13 +323,40 @@ class TestRegression:
         for name in ("m", "b", "confidence", "mean_cv"):
             assert getattr(together, name)[1:].tobytes() == getattr(alone, name).tobytes()
 
-    def test_overflowing_truth_fails_on_mean_cv(self):
+    def run_tiny_oracle(self, *edit):
+        """An AutoTiering run of ``tiny-oracle`` with one document field set: (keys..., value)."""
         doc = scenario_to_document(load_bundled_scenario("tiny-oracle"))
-        doc["vmdks"][0]["truthSlope"] = 1e300
-        scenario = validate_scenario(doc)
+        node = doc
+        for key in edit[:-2]:
+            node = node[key]
+        node[edit[-2]] = edit[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_scenario(validate_scenario(doc), "autotiering")
+
+    def test_overflowing_truth_fails_on_mean_cv(self):
+        # means near 4e155 us stay below the limit, but their squared
+        # deviations overflow: the CV is inf
+        with pytest.raises(ValueError, match="^VMDK 'db': mean CV of its samples .* got inf$"):
+            self.run_tiny_oracle("vmdks", 0, "truthSlope", 1e152)
+
+    def test_truth_past_the_limit_fails_naming_the_vmdk(self):
+        with pytest.raises(ValueError, match="^VMDK 'db': mean sampled latency reaches the"):
+            self.run_tiny_oracle("vmdks", 0, "truthSlope", 1e300)
+
+    def test_overflowing_noise_names_the_first_vmdk_in_id_order(self):
+        with pytest.raises(ValueError, match="^VMDK 'archive': mean CV of its samples is not"):
+            self.run_tiny_oracle("simulation", "noiseCv", 1e160)
+
+    def test_the_first_bad_row_is_named_whatever_its_cause(self):
+        huge = self.huge_next_to_normal(2.0 ** 980).values
+        spread = np.array([[[1.0, 2.0 ** 600, 1.0]] * len(PLAN)])  # squared deviations overflow
+        samples = CalibrationSamples(("a", "b"), PLAN, np.concatenate([spread, huge[:1]]))
         with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="meanCv must be a finite non-negative number"):
-                run_scenario(scenario, "autotiering")
+            with pytest.raises(ValueError, match="^VMDK 'a': mean CV .* got inf$"):
+                regress_latency_curve(samples)
+            reordered = CalibrationSamples(("a", "b"), PLAN, samples.values[::-1].copy())
+            with pytest.raises(ValueError, match="^VMDK 'a': mean sampled latency reaches"):
+                regress_latency_curve(reordered)
 
 
 def fit_with_warnings(regress, samples):
@@ -344,30 +373,44 @@ class TestFitPlan:
 
     PERMUTED = tuple(PLAN[i] for i in (3, 0, 4, 1, 2))
     NEGATIVE_ZERO = (-0.0,) + PLAN[1:]
-    HUGE = (1e300, float(np.nextafter(1e300, np.inf)))  # squaring overflows in the set-up
     CLOSE = (1.0, float(np.nextafter(1.0, np.inf)))  # rank 1: the cached solve warns itself
+    # Some squares underflow in the set-up, but not all of them.
+    PARTIAL_UNDERFLOW = ((0.0, 1e-160, 1.0), (0.0, 5e-324, 1000.0))
+
+    def samples(self, plan, seed=3):
+        values = np.random.default_rng(seed).uniform(50.0, 5000.0, size=(3, len(plan), 4))
+        return CalibrationSamples(("a", "b", "c"), tuple(plan), values)
 
     def test_alternating_plans_match_polyfit_bitwise_with_its_warnings(self):
         rng = np.random.default_rng(3)
         warned = set()
         for _ in range(3):
-            for plan in (PLAN, self.PERMUTED, self.NEGATIVE_ZERO, self.HUGE, self.CLOSE):
+            plans = (PLAN, self.PERMUTED, self.NEGATIVE_ZERO, *self.PARTIAL_UNDERFLOW, self.CLOSE)
+            for plan in plans:
                 values = rng.uniform(50.0, 5000.0, size=(6, len(plan), 4))
                 samples = CalibrationSamples(tuple(f"v{i}" for i in range(6)), plan, values)
                 got = fit_with_warnings(regress_latency_curve, samples)
                 assert got == fit_with_warnings(reference_regress, samples), plan
                 if np.exceptions.RankWarning in got[1]:
                     warned.add(plan)
-        assert warned == {self.HUGE, self.CLOSE}
+        assert warned == {self.CLOSE}
+
+    def test_the_set_up_ignores_the_callers_error_state(self):
+        calibration._fit_plan.cache_clear()
+        for plan in self.PARTIAL_UNDERFLOW:
+            samples = self.samples(plan)
+            expected = outcome(reference_regress, samples)
+            with np.errstate(all="raise"):
+                assert outcome(regress_latency_curve, samples) == expected
 
     def test_plans_equal_as_tuples_share_one_entry(self):
         assert calibration._fit_plan(self.NEGATIVE_ZERO) is calibration._fit_plan(PLAN)
-        order, xs, _, _, _ = calibration._fit_plan(PLAN)
-        assert order is None and xs.tolist() == list(PLAN)
-        assert calibration._fit_plan(self.HUGE)[2:4] == (None, None)  # polyfit fits this plan
+        assert calibration._fit_plan(PLAN)[0] is None  # already ascending
 
     # The smallest latency whose square is not 0.0: 2 ** -537.5, rounded up.
     SMALLEST_SQUARED = float.fromhex("0x1.6a09e667f3bcdp-538")
+    # The largest latency whose square is finite: 2 ** 512, rounded down.
+    LARGEST_SQUARED = float.fromhex("0x1.fffffffffffffp+511")
     TINY = st.one_of(
         st.sampled_from((
             0.0, 5e-324, 1e-300, 1e-200, math.nextafter(SMALLEST_SQUARED, 0.0),
@@ -375,27 +418,32 @@ class TestFitPlan:
         )),
         st.floats(0.0, 1e-150),
     )
+    LARGE = st.one_of(
+        st.sampled_from((
+            1e154, 1.4e154, 1e155, 1e300, math.nextafter(LARGEST_SQUARED, 0.0),
+            LARGEST_SQUARED, math.nextafter(LARGEST_SQUARED, math.inf), sys.float_info.max,
+        )),
+        st.floats(1e150, sys.float_info.max),
+    )
 
-    @given(st.lists(TINY, min_size=2, max_size=4, unique=True), st.integers(0, 2**32 - 1))
-    def test_every_accepted_tiny_plan_fits(self, plan, seed):
-        # PolicyWeights refuses exactly the plans whose every square underflows,
-        # which are exactly the plans np.polyfit cannot fit; the rest fit.
-        plan = tuple(plan)
-        values = np.random.default_rng(seed).uniform(50.0, 5000.0, size=(3, len(plan), 4))
-        samples = CalibrationSamples(("a", "b", "c"), plan, values)
-        underflows = all(d * d == 0.0 for d in plan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if underflows:
-                with pytest.raises(ValueError, match="injectedLatenciesUs too close to 0"):
-                    PolicyWeights(injected_latencies_us=plan)
-                with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
-                    np.polyfit(plan, samples.values.mean(axis=-1).T, 1)
-                return
-            PolicyWeights(injected_latencies_us=plan)
-            fits = regress_latency_curve(samples)
-        assert fits.m.shape == fits.b.shape == (3,)
-        assert np.isfinite(fits.b).all()
+    @given(
+        st.lists(st.one_of(TINY, LARGE, st.floats(0.0, 1e4)), min_size=2, max_size=4, unique=True),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_accepted_plans_fit_as_polyfit_and_refused_plans_are_refused(self, plan, seed):
+        # PolicyWeights refuses a plan whose norm is 0.0 or inf; the fit
+        # refuses it alike, and takes every other plan as np.polyfit does.
+        samples = self.samples(plan, seed)
+        try:
+            PolicyWeights(injected_latencies_us=tuple(plan))
+        except ValueError as refusal:
+            with pytest.raises(ValueError) as caught:
+                regress_latency_curve(samples)
+            assert str(caught.value) == str(refusal)
+            return
+        assert fit_with_warnings(regress_latency_curve, samples) == (
+            fit_with_warnings(reference_regress, samples)
+        )
 
     def test_the_smallest_plans_either_side_of_the_underflow(self):
         below = math.nextafter(self.SMALLEST_SQUARED, 0.0)
@@ -404,9 +452,32 @@ class TestFitPlan:
             PolicyWeights(injected_latencies_us=(0.0, below))
         PolicyWeights(injected_latencies_us=(0.0, self.SMALLEST_SQUARED))
 
+    def test_the_largest_plans_either_side_of_the_overflow(self):
+        largest = (0.0, self.LARGEST_SQUARED)
+        PolicyWeights(injected_latencies_us=largest)
+        samples = self.samples(largest)
+        assert fit_with_warnings(regress_latency_curve, samples) == (
+            fit_with_warnings(reference_regress, samples)
+        )
+        above = math.nextafter(self.LARGEST_SQUARED, math.inf)
+        assert above * above == math.inf
+        refused = (
+            (0.0, above),
+            (0.0, self.LARGEST_SQUARED, self.LARGEST_SQUARED),  # the sum overflows
+            (math.nextafter(self.LARGEST_SQUARED, 0.0), self.LARGEST_SQUARED),  # so does this
+            (1e300, math.nextafter(1e300, math.inf)),
+            (0.0, 500.0, 1.4e154),
+        )
+        for plan in refused:
+            with pytest.raises(ValueError, match="^injectedLatenciesUs too large: a square"):
+                regress_latency_curve(self.samples(plan))
+            if len(set(plan)) == len(plan):
+                with pytest.raises(ValueError, match="^injectedLatenciesUs too large"):
+                    PolicyWeights(injected_latencies_us=plan)
+
     def test_cached_arrays_refuse_writes(self):
         for plan in (self.PERMUTED, self.CLOSE):
-            for array in calibration._fit_plan(plan)[:4]:
+            for array in calibration._fit_plan(plan)[:3]:
                 if array is not None:
                     with pytest.raises(ValueError, match="read-only"):
                         array[...] = 0
