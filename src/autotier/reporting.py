@@ -9,10 +9,11 @@ from __future__ import annotations
 import json
 import operator
 from functools import reduce
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .engine import RunResult
+from .engine import RunResult, TierEpochMetrics
 
 RUN_FILES = ("metrics.csv", "summary.json", "cdf_iops.dat", "cdf_bw.dat", "migrations.json")
 
@@ -21,25 +22,23 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
+# The five figures of every tier and of the whole fleet, each epoch: the
+# metrics.csv column suffixes and their summary.json keys, in one order.
+TIER_FIGURES = tuple(f.name for f in fields(TierEpochMetrics))
+SUMMARY_KEYS = ("meanReadIops", "meanWriteIops", "meanReadMbps", "meanWriteMbps", "meanLatencyUs")
+
+
 def csv_header(tier_ids: Sequence[int]) -> list[str]:
-    columns = ["epoch"]
-    for t in tier_ids:
-        columns += [
-            f"t{t}_read_iops",
-            f"t{t}_write_iops",
-            f"t{t}_read_mbps",
-            f"t{t}_write_mbps",
-            f"t{t}_mean_latency_us",
-        ]
-    columns += ["migration_bytes", "migration_count", "overload_flags"]
-    columns += [
-        "total_read_iops",
-        "total_write_iops",
-        "total_read_mbps",
-        "total_write_mbps",
-        "total_mean_latency_us",
+    return [
+        "epoch",
+        *(f"t{t}_{name}" for t in tier_ids for name in TIER_FIGURES),
+        "migration_bytes", "migration_count", "overload_flags",
+        *(f"total_{name}" for name in TIER_FIGURES),
     ]
-    return columns
+
+
+def _figures(tm: TierEpochMetrics) -> list[str]:
+    return [_fmt(getattr(tm, name)) for name in TIER_FIGURES]
 
 
 def metrics_csv_text(result: RunResult) -> str:
@@ -48,22 +47,9 @@ def metrics_csv_text(result: RunResult) -> str:
     for em in result.epochs:
         row = [str(em.epoch)]
         for t in tier_ids:
-            tm = em.per_tier[t]
-            row += [
-                _fmt(tm.read_iops),
-                _fmt(tm.write_iops),
-                _fmt(tm.read_mbps),
-                _fmt(tm.write_mbps),
-                _fmt(tm.mean_latency_us),
-            ]
+            row += _figures(em.per_tier[t])
         row += [_fmt(em.migration_bytes), str(em.migration_count), str(len(em.overloaded))]
-        row += [
-            _fmt(em.total.read_iops),
-            _fmt(em.total.write_iops),
-            _fmt(em.total.read_mbps),
-            _fmt(em.total.write_mbps),
-            _fmt(em.total.mean_latency_us),
-        ]
+        row += _figures(em.total)
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -102,20 +88,22 @@ def _series_stats(values: Sequence[float]) -> dict[str, float]:
     }
 
 
+def _total_io(result: RunResult) -> tuple[list[float], list[float]]:
+    """Each epoch's fleet-wide read+write IOPS, and read+write MB/s."""
+    totals = [em.total for em in result.epochs]
+    return ([t.read_iops + t.write_iops for t in totals],
+            [t.read_mbps + t.write_mbps for t in totals])
+
+
 def summary_dict(result: RunResult) -> dict[str, Any]:
     per_tier: dict[str, Any] = {}
     for t in result.scenario.tiers:
         series = [em.per_tier[t.id] for em in result.epochs]
-        per_tier[str(t.id)] = {
-            "name": t.name,
-            "meanReadIops": _series_stats([s.read_iops for s in series])["mean"],
-            "meanWriteIops": _series_stats([s.write_iops for s in series])["mean"],
-            "meanReadMbps": _series_stats([s.read_mbps for s in series])["mean"],
-            "meanWriteMbps": _series_stats([s.write_mbps for s in series])["mean"],
-            "meanLatencyUs": _series_stats([s.mean_latency_us for s in series])["mean"],
+        per_tier[str(t.id)] = {"name": t.name} | {
+            key: _series_stats([getattr(s, name) for s in series])["mean"]
+            for key, name in zip(SUMMARY_KEYS, TIER_FIGURES)
         }
-    total_iops = [em.total.read_iops + em.total.write_iops for em in result.epochs]
-    total_mbps = [em.total.read_mbps + em.total.write_mbps for em in result.epochs]
+    total_iops, total_mbps = _total_io(result)
     return {
         "policy": result.policy,
         "seed": result.seed,
@@ -151,8 +139,7 @@ def write_run_artifacts(result: RunResult, out_dir: str | Path) -> list[Path]:
     """Write metrics.csv, summary.json, cdf_iops.dat, cdf_bw.dat, migrations.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    total_iops = [em.total.read_iops + em.total.write_iops for em in result.epochs]
-    total_mbps = [em.total.read_mbps + em.total.write_mbps for em in result.epochs]
+    total_iops, total_mbps = _total_io(result)
     written = []
     for name, text in (
         ("metrics.csv", metrics_csv_text(result)),
@@ -185,20 +172,11 @@ def comparison_dict(summaries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
         "ratios": {},
     }
     at = by_policy.get("autotiering")
-    if at is not None:
-        for baseline in ("idt", "edt"):
-            other = by_policy.get(baseline)
-            if other is None:
-                continue
-            ratios = {}
-            for metric, path in (
-                ("iops", ("total", "iops", "mean")),
-                ("mbps", ("total", "mbps", "mean")),
-            ):
-                a, b = at, other
-                for key in path:
-                    a = a[key]
-                    b = b[key]
-                ratios[metric] = a / b if b else None
-            out["ratios"][f"autotiering/{baseline}"] = ratios
+    for baseline in ("idt", "edt"):
+        other = by_policy.get(baseline)
+        if at is not None and other is not None:
+            means = [(at["total"][m]["mean"], other["total"][m]["mean"]) for m in ("iops", "mbps")]
+            out["ratios"][f"autotiering/{baseline}"] = {
+                metric: a / b if b else None for metric, (a, b) in zip(("iops", "mbps"), means)
+            }
     return out
