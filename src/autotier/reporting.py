@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import json
 import operator
-from functools import reduce
 from dataclasses import fields
+from functools import reduce
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 

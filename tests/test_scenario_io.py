@@ -267,6 +267,19 @@ class TestParsing:
             "so the fit cannot scale them"
         ]
 
+    @pytest.mark.parametrize("plan", [[1e155, 2e155], [0, 500, 1.4e154], [1e154, 1.3e154]], ids=str)
+    def test_injected_latencies_too_large_are_diagnosed(self, plan):
+        # A square, or the sum of the squares, overflows to inf: the fit
+        # would scale every slope to 0.0, or the run would die on an inf CV.
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc.setdefault("policyWeights", {})["injectedLatenciesUs"] = plan
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            parse_scenario(json.dumps(doc))
+        assert excinfo.value.errors == [
+            "policyWeights: injectedLatenciesUs too large: a square overflows, "
+            "so the fit cannot scale them"
+        ]
+
     def test_kind_weights_summing_to_inf_are_diagnosed(self):
         # each weight is finite, but their sum overflows and scores would turn NaN
         doc = json.loads(bundled_scenario_text("table3-table4"))
