@@ -26,6 +26,9 @@ def _fmt(x: float) -> str:
 # metrics.csv column suffixes and their summary.json keys, in one order.
 TIER_FIGURES = tuple(f.name for f in fields(TierEpochMetrics))
 SUMMARY_KEYS = ("meanReadIops", "meanWriteIops", "meanReadMbps", "meanWriteMbps", "meanLatencyUs")
+_figures = operator.attrgetter(*TIER_FIGURES)
+# The five figures as one run of CSV cells, each rendered as _fmt renders it.
+_figure_cells = ",".join(["{:.6g}"] * len(TIER_FIGURES)).format
 
 
 def csv_header(tier_ids: Sequence[int]) -> list[str]:
@@ -37,19 +40,14 @@ def csv_header(tier_ids: Sequence[int]) -> list[str]:
     ]
 
 
-def _figures(tm: TierEpochMetrics) -> list[str]:
-    return [_fmt(getattr(tm, name)) for name in TIER_FIGURES]
-
-
 def metrics_csv_text(result: RunResult) -> str:
     tier_ids = [t.id for t in result.scenario.tiers]
     lines = [",".join(csv_header(tier_ids))]
     for em in result.epochs:
         row = [str(em.epoch)]
-        for t in tier_ids:
-            row += _figures(em.per_tier[t])
+        row += [_figure_cells(*_figures(em.per_tier[t])) for t in tier_ids]
         row += [_fmt(em.migration_bytes), str(em.migration_count), str(len(em.overloaded))]
-        row += _figures(em.total)
+        row.append(_figure_cells(*_figures(em.total)))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -100,7 +98,7 @@ def summary_dict(result: RunResult) -> dict[str, Any]:
     for t in result.scenario.tiers:
         series = [em.per_tier[t.id] for em in result.epochs]
         per_tier[str(t.id)] = {"name": t.name} | {
-            key: _series_stats([getattr(s, name) for s in series])["mean"]
+            key: _series_stats(list(map(operator.attrgetter(name), series)))["mean"]
             for key, name in zip(SUMMARY_KEYS, TIER_FIGURES)
         }
     total_iops, total_mbps = _total_io(result)
