@@ -409,7 +409,7 @@ class TestFitPlan:
 
     # The smallest latency whose square is not 0.0: 2 ** -537.5, rounded up.
     SMALLEST_SQUARED = float.fromhex("0x1.6a09e667f3bcdp-538")
-    # The largest latency whose square is finite: 2 ** 512, rounded down.
+    # The largest latency whose square is finite: the float just below 2 ** 512.
     LARGEST_SQUARED = float.fromhex("0x1.fffffffffffffp+511")
     TINY = st.one_of(
         st.sampled_from((
