@@ -428,7 +428,7 @@ class PolicyWeights:
             raise ValueError("injected latencies must be non-negative")
         if len(set(self.injected_latencies_us)) != len(self.injected_latencies_us):
             raise ValueError("injected latencies must be distinct")
-        latency_norm(self.injected_latencies_us)
+        latency_norm(self.injected_latencies_us)  # the fit scales by it: refuses 0.0 and inf
         if self.samples_per_latency < 1:
             raise ValueError("samplesPerLatency must be >= 1")
         _require_int64("samplesPerLatency", self.samples_per_latency)
