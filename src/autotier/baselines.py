@@ -57,16 +57,18 @@ def _pack_by_metric(
     values = metric(fleet.measured_iops, roster.size_gb)
     current_rank = rank[fleet.tier_row]
     vmdk_order = np.lexsort((current_rank, -values))
-    allowed = (values[vmdk_order] != 0)[:, None] | (
-        np.arange(len(tiers)) >= current_rank[vmdk_order, None]
+    # One row per tier rank, one column per VMDK in walk order.
+    allowed = (values[vmdk_order] != 0) | (
+        np.arange(len(tiers))[:, None] >= current_rank[vmdk_order]
     )
-    ranked = [(i, vmdk_order[allowed[:, c]]) for c, i in enumerate(tier_order)]
-    walk_rank = np.empty_like(vmdk_order)
-    walk_rank[vmdk_order] = np.arange(len(vmdk_order))
-    measured = np.stack([fleet.measured_iops, np.zeros(len(values)), roster.size_gb], axis=-1)
-    usage = np.where([k in kinds for k in "pbs"], measured, 0.0)
+    ranked = [(i, vmdk_order[allowed[c]]) for c, i in enumerate(tier_order)]
+    usage = np.zeros((len(values), 3))
+    if "p" in kinds:
+        usage[:, 0] = fleet.measured_iops
+    if "s" in kinds:
+        usage[:, 2] = roster.size_gb
     return pack(
-        fleet, np.broadcast_to(usage, (len(tiers), *usage.shape)), ranked, epoch_index, walk_rank
+        fleet, np.broadcast_to(usage, (len(tiers), *usage.shape)), ranked, epoch_index, vmdk_order
     )
 
 

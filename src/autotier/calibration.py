@@ -92,7 +92,8 @@ def _mean_and_cv(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if (mean == 0.0).any():
         raise ValueError("cannot compute CV when the sample mean is 0")
     dev = arr - mean[..., None]
-    dev *= dev
+    with np.errstate(over="ignore"):  # an inf square gives an inf CV, which the fit refuses
+        dev *= dev
     return mean, np.sqrt(dev.mean(axis=-1)) / mean
 
 

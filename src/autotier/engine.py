@@ -275,6 +275,10 @@ def _progress_passes(
     accumulates the grid's rows: every row so finds the debits the rows
     before it took, added from 0.0 in id order as the loop adds them, and
     recomputes its rate with the loop's operations in the loop's order.
+    The fixed point is unique, so any start gives the loop's bits. After
+    the first pass, from 0.0, each row starts at the rate that pass gave it,
+    or at 0.0 where the rates before it in either lane exceed its spare:
+    this lane fill settles a lane that runs out in fewer passes.
     """
     n, t = len(rows), len(fleet.roster.tiers)
     total, moved = log.bytes_total[k], log.bytes_moved[k]
@@ -292,15 +296,21 @@ def _progress_passes(
         np.arange(2 * n) - np.repeat(count.cumsum() - count, count)
     )
     at = lane * width + rank  # flat grid index of the debit the row finds: reads, then writes
-    index = np.zeros((2 * t, width), dtype=np.intp)  # grid cell -> rates entry
-    index.reshape(-1)[at + 1] = np.tile(np.arange(1, n + 1), 2)
-    grid, debits = np.empty(index.shape), np.empty(index.shape)
-    rates = np.zeros(n + 1)  # rates[i + 1] is row i's, rates[0] the grid's 0.0
+    grid, debits = np.zeros((2 * t, width)), np.empty((2 * t, width))
+    cells = grid.reshape(-1)
+    read_cell, write_cell = at[:n] + 1, at[n:] + 1
+    rates = np.zeros(n)
+
+    def found() -> np.ndarray:
+        """The debits each row finds in its two lanes at the current ``rates``."""
+        cells[read_cell] = rates
+        cells[write_cell] = rates
+        np.add.accumulate(grid, axis=1, out=debits)
+        return debits.take(at)
+
     with np.errstate(all="ignore"):
-        for _ in range(PROGRESS_PASSES):
-            np.take(rates, index, out=grid)
-            np.add.accumulate(grid, axis=1, out=debits)
-            rest = spare - debits.take(at)
+        for p in range(PROGRESS_PASSES):
+            rest = spare - found()
             side = np.where(rest > 0.0, rest, 0.0)  # the read sides, then the write sides
             side[:n] += measured
             mbps = np.where(side[n:] < side[:n], side[n:], side[:n])
@@ -310,9 +320,12 @@ def _progress_passes(
             # finished row (left 0.0).
             taken = np.fmax(np.fmin(step, left), 0.0)
             rate = taken / epoch_seconds / 1e6
-            if rate.tobytes() == rates[1:].tobytes():
+            if rate.tobytes() == rates.tobytes():
                 break
-            rates[1:] = rate
+            rates = rate
+            if p == 0:  # the lane fill: rows past a lane's spare start at 0.0
+                full = found() > spare
+                rates = np.where(full[:n] | full[n:], 0.0, rate)
         else:
             return None
     stuck = active & (mbps <= 0.0)
@@ -322,7 +335,7 @@ def _progress_passes(
         k, moved_now, np.where(active, mbps, log.speed_mbps[k]), np.where(active, stuck, log.stalled[k])
     )
     moved_total = np.add.accumulate(np.concatenate(([0.0], taken[go])))[-1]
-    stalled = list(map(fleet.roster.ids.__getitem__, rows[stuck].tolist()))
+    stalled = fleet.roster.id_array[rows[stuck]].tolist()
     return (
         float(moved_total), debits[:t, -1].tolist(), debits[t:, -1].tolist(), stalled,
         rows[moved_now >= total],
@@ -462,9 +475,9 @@ def run_scenario(
             rows = start_migrations(
                 fleet, log, plan.move_rows, plan.move_from, plan.move_to, epoch
             )
-            started = tuple(map(roster.ids.__getitem__, rows.tolist()))
+            started = tuple(roster.id_array[rows].tolist())
             # Rows are in id order, so sorted rows name the VMDKs sorted by id.
-            overloaded = tuple(map(roster.ids.__getitem__, np.sort(plan.overloaded_rows).tolist()))
+            overloaded = tuple(roster.id_array[np.sort(plan.overloaded_rows)].tolist())
 
         moved_bytes, debit_read, debit_write, stalled, finished = progress_migrations(
             (fleet.dest_row >= 0).nonzero()[0], fleet, log, epoch_seconds

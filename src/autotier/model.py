@@ -380,13 +380,16 @@ def latency_norm(latencies: Iterable[float]) -> float:
     """sqrt(sum(d * d)) of a probe plan, the norm the fit scales its latency column by.
 
     The squares add left to right in ascending order, as ``np.polyfit`` sums
-    them. A norm of 0.0 (every square underflows) or inf (a square or their
-    sum overflows) cannot scale the column, and raises ValueError.
+    them. A norm of 0.0 (every square underflows), inf (a square or their
+    sum overflows) or NaN (a latency is NaN) cannot scale the column, and
+    raises ValueError.
     """
     total = 0.0
     for d in sorted(latencies):
         total += d * d
     norm = math.sqrt(total)
+    if math.isnan(norm):
+        raise ValueError("injectedLatenciesUs holds NaN, so the fit cannot scale them")
     if norm == 0.0:
         raise ValueError("injectedLatenciesUs too close to 0: every square underflows, "
                          "so the fit cannot scale them")
@@ -428,7 +431,7 @@ class PolicyWeights:
             raise ValueError("injected latencies must be non-negative")
         if len(set(self.injected_latencies_us)) != len(self.injected_latencies_us):
             raise ValueError("injected latencies must be distinct")
-        latency_norm(self.injected_latencies_us)  # the fit scales by it: refuses 0.0 and inf
+        latency_norm(self.injected_latencies_us)  # the fit scales by it: refuses 0.0, inf and NaN
         if self.samples_per_latency < 1:
             raise ValueError("samplesPerLatency must be >= 1")
         _require_int64("samplesPerLatency", self.samples_per_latency)
@@ -537,11 +540,16 @@ def check_migrations(from_tier: Any, to_tier: Any, bytes_total: Any, bytes_moved
         raise ValueError("bytesMoved out of [0, bytesTotal]")
 
 
-# The log's columns after the VMDK, with their dtypes.
+# The log's columns, the fleet row of each order's VMDK first, with their dtypes.
 _ORDER_COLUMNS = (
-    ("from_tier", np.int64), ("to_tier", np.int64), ("bytes_total", float),
+    ("row", np.intp), ("from_tier", np.int64), ("to_tier", np.int64), ("bytes_total", float),
     ("started_epoch", np.int64), ("bytes_moved", float), ("speed_mbps", float), ("stalled", bool),
 )
+
+
+def _column(name: str) -> property:
+    """A ``MigrationLog`` column: the filled prefix of the log's buffer for it."""
+    return property(lambda log: log._buffers[name][:log._size])
 
 
 class MigrationLog:
@@ -552,17 +560,22 @@ class MigrationLog:
     total, start epoch, bytes moved, speed in MB/s and stall flag. The log
     is the run's only record of each order's progress: ``append`` adds one
     plan's started orders at once, and ``set_progress`` writes the bytes
-    moved, speed and stall flag of the orders the engine advanced.
+    moved, speed and stall flag of the orders the engine advanced. Each
+    column reads the filled prefix of a buffer whose capacity doubles when
+    an append outgrows it, so an append writes only its own block.
     """
+
+    row, from_tier, to_tier, bytes_total, started_epoch, bytes_moved, speed_mbps, stalled = (
+        _column(name) for name, _ in _ORDER_COLUMNS
+    )
 
     def __init__(self, ids: Sequence[str] = ()):
         self.ids = tuple(ids)
-        self.row = np.zeros(0, dtype=np.intp)
-        for name, dtype in _ORDER_COLUMNS:
-            setattr(self, name, np.zeros(0, dtype=dtype))
+        self._size = 0
+        self._buffers = {name: np.zeros(0, dtype=dtype) for name, dtype in _ORDER_COLUMNS}
 
     def __len__(self) -> int:
-        return len(self.row)
+        return self._size
 
     def append(
         self, rows: np.ndarray, from_tier: np.ndarray, to_tier: np.ndarray,
@@ -570,19 +583,22 @@ class MigrationLog:
     ) -> np.ndarray:
         """Log one block of orders started at ``epoch``; returns their log indices."""
         check_migrations(from_tier, to_tier, bytes_total, 0.0)
-        start, n = len(self.row), len(rows)
-        self.row = np.concatenate((self.row, rows))
-        block = (
-            from_tier, to_tier, bytes_total, np.full(n, epoch), np.zeros(n), np.zeros(n),
-            np.zeros(n, dtype=bool),
-        )
-        for (name, dtype), part in zip(_ORDER_COLUMNS, block):
-            setattr(self, name, np.concatenate((getattr(self, name), part), dtype=dtype))
-        return np.arange(start, start + n)
+        start, end = self._size, self._size + len(rows)
+        for name, buffer in self._buffers.items():
+            if end > len(buffer):
+                self._buffers[name] = np.zeros(max(end, 2 * len(buffer)), dtype=buffer.dtype)
+                self._buffers[name][:start] = buffer[:start]
+        block = (rows, from_tier, to_tier, bytes_total, epoch, 0.0, 0.0, False)
+        for buffer, part in zip(self._buffers.values(), block):
+            np.copyto(buffer[start:end], part, casting="same_kind")
+        self._size = end
+        return np.arange(start, end)
 
     def set_progress(self, k: np.ndarray, bytes_moved: Any, speed_mbps: Any, stalled: Any) -> None:
         """Write the bytes moved, speed and stall flag of orders ``k``, checked first."""
-        check_migrations(self.from_tier[k], self.to_tier[k], self.bytes_total[k], bytes_moved)
+        total = self.bytes_total[k]  # append checked the tiers and totals, which nothing changes
+        if not (np.less_equal(0.0, bytes_moved) & np.less_equal(bytes_moved, total)).all():
+            raise ValueError("bytesMoved out of [0, bytesTotal]")
         self.bytes_moved[k] = bytes_moved
         self.speed_mbps[k] = speed_mbps
         self.stalled[k] = stalled
@@ -607,7 +623,8 @@ class MigrationLog:
 class Roster(_Columns):
     """Everything a run's start takes from the VMDKs and tiers alone, built once per scenario.
 
-    VMDK rows are in id order (``ids``, and ``row`` mapping an id to its
+    VMDK rows are in id order (``ids``, also held as the (N,) object array
+    ``id_array`` that gathers them by row, and ``row`` mapping an id to its
     row) with the ``VmdkTable``'s float columns and ``initial_tier_row``,
     each VMDK's initial tier as a row of ``tiers``. Tier rows follow
     ``tiers`` and hold every tier number the epoch loop reads (see
@@ -622,6 +639,7 @@ class Roster(_Columns):
     """
 
     ids: tuple[str, ...]
+    id_array: np.ndarray
     row: Mapping[str, int]
     tiers: tuple[TierSpec, ...]
     tier_ids: np.ndarray
@@ -669,6 +687,7 @@ class Roster(_Columns):
         initial = np.fromiter(map(row_of_tier.__getitem__, vmdks.initial_tier), np.intp, n)
         return cls(
             ids=ids,
+            id_array=np.array(ids, dtype=object),
             row=MappingProxyType(dict(zip(ids, range(n)))),
             tiers=tuple(tiers),
             tier_ids=np.array([t.id for t in tiers], dtype=np.int64),

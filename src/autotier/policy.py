@@ -281,7 +281,7 @@ def pack(
     usage: np.ndarray,
     ranked: Iterable[tuple[int, np.ndarray]],
     epoch_index: int,
-    rank: np.ndarray | None = None,
+    walk: np.ndarray | None = None,
 ) -> AssignmentPlan:
     """Greedy multidimensional packing shared by every policy, one tier at a time.
 
@@ -300,8 +300,8 @@ def pack(
     that reach it, in order, so a VMDK-major walk (each VMDK tries its tiers
     in order until one absorbs it) places every VMDK as this scan does.
     The plan's ``order`` lists the in-flight VMDKs, then the placements, in
-    scan order or in walk order given ``rank`` (each fleet row's position in
-    the walk), then the stay-puts; its moves are the placements that change
+    scan order or, given ``walk`` (every fleet row in walk order), in walk
+    order, then the stay-puts; its moves are the placements that change
     tiers, in the same order.
     """
     roster = fleet.roster
@@ -314,7 +314,7 @@ def pack(
 
     def hold(rows: np.ndarray, at: np.ndarray) -> None:
         """Put each row on tier row ``at``, in order, overloaded where it does not fit."""
-        for i in sorted(set(at.tolist())):
+        for i in np.flatnonzero(np.bincount(at, minlength=len(left))).tolist():
             group = rows[at == i]
             overloaded.append(group[~first_fit(usage[i].take(group, axis=0), left[i], used[i])])
 
@@ -326,8 +326,10 @@ def pack(
         chosen.append(rows[first_fit(usage[i].take(rows, axis=0), left[i], used[i])])
         where[chosen[-1]] = i
     chosen = np.concatenate(chosen)
-    if rank is not None:
-        chosen = chosen[np.argsort(rank[chosen])]
+    if walk is not None:
+        placed = np.zeros(len(where), dtype=bool)
+        placed[chosen] = True
+        chosen = walk[placed[walk]]
     rest = np.flatnonzero(where < 0)
     hold(rest, fleet.tier_row[rest])
 

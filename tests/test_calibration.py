@@ -1,8 +1,10 @@
 """Calibration: CV, confidence, batched sampling, regression, prediction."""
 
+import json
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from autotier.calibration import (
     estimate_avg_lat,
     regress_latency_curve,
 )
+from autotier.cli import main
 from autotier.engine import run_scenario
 from autotier.model import (
     DEFAULT_INJECTED_LATENCIES_US,
@@ -343,6 +346,22 @@ class TestRegression:
         with pytest.raises(ValueError, match="^VMDK 'db': mean sampled latency reaches the"):
             self.run_tiny_oracle("vmdks", 0, "truthSlope", 1e300)
 
+    def test_truth_past_the_limit_is_refused_without_a_warning(self, tmp_path, capsys):
+        # The squared deviations overflow; the named refusal is all the CLI prints.
+        doc = scenario_to_document(load_bundled_scenario("table3-table4"))
+        doc["vmdks"][0]["truthSlope"] = 1e300
+        path = tmp_path / "huge-truth.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--scenario", str(path), "--policy", "autotiering",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: VMDK 'basic-verify': mean sampled latency reaches the calibration limit "
+            "of 1e+290 us\n"
+        )
+
     def test_overflowing_noise_names_the_first_vmdk_in_id_order(self):
         with pytest.raises(ValueError, match="^VMDK 'archive': mean CV of its samples is not"):
             self.run_tiny_oracle("simulation", "noiseCv", 1e160)
@@ -474,6 +493,18 @@ class TestFitPlan:
             if len(set(plan)) == len(plan):
                 with pytest.raises(ValueError, match="^injectedLatenciesUs too large"):
                     PolicyWeights(injected_latencies_us=plan)
+
+    def test_a_nan_latency_is_refused_as_a_plan(self):
+        # A NaN makes the norm NaN; a plan built in Python then ran, and the
+        # run died blaming the first VMDK for its NaN mean CV.
+        plan = (0.0, math.nan, 500.0)
+        refusal = "^injectedLatenciesUs holds NaN, so the fit cannot scale them$"
+        with pytest.raises(ValueError, match=refusal):
+            PolicyWeights(injected_latencies_us=plan)
+        with pytest.raises(ValueError, match=refusal):
+            replace(load_bundled_scenario("tiny-oracle").weights, injected_latencies_us=plan)
+        with pytest.raises(ValueError, match=refusal):
+            regress_latency_curve(self.samples(plan))
 
     def test_cached_arrays_refuse_writes(self):
         for plan in (self.PERMUTED, self.CLOSE):

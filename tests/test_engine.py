@@ -888,11 +888,36 @@ class TestProgressPassesMatchLoop:
     def test_bitwise_equal_to_the_loop(self, book):
         tier_spares, moves, epoch_seconds = book
         fleet, log, rows = random_book(tier_spares, moves)
-        # Pass p makes rows 0..p-1 exact, so n + 1 passes always settle.
+        # Pass p makes rows 0..p-1 exact, so n + 1 passes always settle: the
+        # lane fill after pass 1 is no pass, and it keeps row 0's exact rate.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "PROGRESS_PASSES", len(rows) + 1)
             expected, got, _ = both_paths(fleet, log, rows, epoch_seconds)
         assert got == expected
+
+    def test_the_lane_fill_settles_a_lane_that_runs_out_in_four_passes(self, monkeypatch):
+        # Every output stays exact from any start; only the passes a book
+        # takes show the start. 200 moves leave tier 1 for tier 2 and 200
+        # more tier 3 for tier 2, 10 MB/s each alone. Tier 1's 100 MB/s of
+        # reads lets the first 10 through; tier 2's 1000 MB/s of writes runs
+        # out 90 moves into the second 200. From 0.0 the passes give the
+        # second 200 all 10 MB/s, then none, then all, then the loop's
+        # rates, and a fifth pass confirms them. The lane fill starts the
+        # first 200 past tier 1's spare, and the second 200 past tier 2's,
+        # at 0.0: one swing fewer.
+        assert engine.PROGRESS_LOOP_ROWS < 400
+        big = 1e5
+        moves = [(3.0, source, 1, 0.0, 0.0, 0.0, False) for source in (0, 2) for _ in range(200)]
+        fleet, log, rows = random_book([(100.0, big), (big, 1000.0), (big, big)], moves)
+        monkeypatch.setattr(engine, "PROGRESS_PASSES", 3)
+        assert both_paths(fleet, log, rows, 300.0)[1] is None
+        monkeypatch.setattr(engine, "PROGRESS_PASSES", 4)
+        expected, got, (_, _, debit_write, _, _) = both_paths(fleet, log, rows, 300.0)
+        assert got == expected
+        assert debit_write[1] == 1000.0
+        moved, debit_read, _, stalled, finished = progress_migrations(rows, fleet, log, 300.0)
+        assert finished.tolist() == [*range(10), *range(200, 290)] and len(stalled) == 300
+        assert moved == 100 * 3e9 and debit_read[0] == 100.0
 
     def test_a_nan_speed_finishes_its_move_on_both_paths(self, monkeypatch):
         size = 49.91605619203594

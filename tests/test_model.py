@@ -608,6 +608,78 @@ class TestMigrationLog:
         assert len(log) == 0
 
 
+class TestGrownMigrationLog:
+    """A log's columns read the filled prefix of buffers that grow as orders arrive."""
+
+    IDS = ("a", "b", "c")
+
+    def blocks(self, count=40):
+        """``count`` blocks of 1-7 orders: (rows, from_tier, to_tier, bytes_total)."""
+        rng = np.random.default_rng(5)
+        blocks = []
+        for n in rng.integers(1, 8, count).tolist():
+            source = rng.integers(1, 4, n)
+            total = rng.uniform(1e9, 5e10, n)
+            blocks.append((rng.integers(0, 3, n), source, source % 3 + 1, total))
+        return blocks
+
+    def grown(self, epoch=7):
+        """A log filled one block at a time, and the capacities it went through."""
+        log, capacities = MigrationLog(self.IDS), set()
+        for block in self.blocks():
+            log.append(*block, epoch)
+            capacities.add(len(log.row.base))
+        return log, capacities
+
+    def columns(self, log):
+        names = ("row", "from_tier", "to_tier", "bytes_total", "started_epoch", "bytes_moved",
+                 "speed_mbps", "stalled")
+        return [(name, getattr(log, name).dtype, getattr(log, name).tobytes()) for name in names]
+
+    def test_many_appends_equal_one(self):
+        log, capacities = self.grown()
+        assert len(capacities) >= 4  # it grew several times
+        one = MigrationLog(self.IDS)
+        k = one.append(*(np.concatenate(column) for column in zip(*self.blocks())), 7)
+        assert k.tolist() == list(range(len(log))) and len(one) == len(log)
+        assert self.columns(log) == self.columns(one)
+        assert [dtype for _, dtype, _ in self.columns(log)] == [
+            np.intp, np.int64, np.int64, float, np.int64, float, float, bool
+        ]
+
+    def test_progress_set_before_and_after_a_growth_reads_back(self):
+        log = MigrationLog(self.IDS)
+        first = log.append(
+            np.array([0, 1]), np.array([1, 2]), np.array([2, 3]), np.array([4e9, 8e9]), 0
+        )
+        log.set_progress(first, [1e9, 8e9], [5.0, 6.0], [True, False])
+        capacity = len(log.row.base)
+        rows = np.arange(3).repeat(4)
+        later = log.append(rows, np.full(12, 3), np.full(12, 1), np.full(12, 2e9), 3)
+        assert len(log.row.base) > capacity
+        log.set_progress(later[::5], [2e9, 1e9, 0.5e9], [7.0, 8.0, 9.0], [False, True, False])
+        assert log.bytes_moved.tolist() == [1e9, 8e9, 2e9, *[0.0] * 4, 1e9, *[0.0] * 4, 0.5e9, 0.0]
+        assert log.speed_mbps[[0, 1, 2, 7, 12]].tolist() == [5.0, 6.0, 7.0, 8.0, 9.0]
+        assert np.flatnonzero(log.stalled).tolist() == [0, 7]
+        assert log.total_migrated_bytes() == 12.5e9 and log.unfinished() == 12
+
+    @pytest.mark.parametrize(
+        "copy_of", [copy.deepcopy, lambda log: pickle.loads(pickle.dumps(log))], ids=["deepcopy", "pickle"]
+    )
+    def test_a_copy_of_a_grown_log_is_equal_and_keeps_working(self, copy_of):
+        log, _ = self.grown()
+        twin = copy_of(log)
+        assert twin.ids == log.ids and self.columns(twin) == self.columns(log)
+        k = twin.append(np.array([2]), np.array([1]), np.array([3]), np.array([6e9]), 9)
+        twin.set_progress(k, [6e9], [4.0], [False])
+        twin.set_progress(np.array([0]), [log.bytes_total[0]], [3.0], [True])
+        assert len(twin) == len(log) + 1 and twin.bytes_moved[[0, -1]].tolist() == [
+            log.bytes_total[0], 6e9
+        ]
+        assert twin.stalled[0] and twin.started_epoch[-1] == 9
+        assert log.bytes_moved[0] == 0.0 and not log.stalled[0]  # the original is untouched
+
+
 class TestScenarioValidation:
     def test_bundled_paper_scenario_is_valid(self):
         scenario = parse_scenario(bundled_scenario_text("table3-table4"))
