@@ -104,8 +104,6 @@ def edt_assign(fleet: Fleet, epoch_index: int = 0) -> AssignmentPlan:
 
 
 class IdtPolicy:
-    name = "idt"
-
     def on_monitor(self, ctx: PolicyContext) -> None:
         pass  # measurements arrive in the fleet's arrays; nothing to precompute
 
@@ -114,8 +112,6 @@ class IdtPolicy:
 
 
 class EdtPolicy:
-    name = "edt"
-
     def on_monitor(self, ctx: PolicyContext) -> None:
         pass
 

@@ -107,20 +107,18 @@ def compute_confidence(mean_cv: np.ndarray | float, floor: float = 0.05) -> np.n
 
 
 @lru_cache(maxsize=8)
-def _fit_plan(
-    latencies: tuple[float, ...],
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, float]:
+def _fit_plan(latencies: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """``np.polyfit``'s degree-1 set-up for one injected-latency plan, built once.
 
-    Returns the plan's stable ascending order (None when the plan is already
-    ascending), the column-scaled Vandermonde ``lhs``, its ``scale`` and
-    ``rcond``, by polyfit's own steps; the arrays are read-only. The latency
-    column's norm comes from ``latency_norm``, which sums it as polyfit does
-    and raises ValueError where it is 0.0 or inf. A tiny latency that
-    underflows once squared or scaled is ignored whatever the caller's error
-    state, as polyfit's default error state ignores it. Plans equal as tuples
-    (0.0 and -0.0 alike) share an entry: they sort the same, and polyfit's
-    ``+ 0.0`` makes their x values identical.
+    Returns the plan's stable ascending order, the column-scaled Vandermonde
+    ``lhs``, its ``scale`` and ``rcond``, by polyfit's own steps; the arrays
+    are read-only. The latency column's norm comes from ``latency_norm``,
+    which sums it as polyfit does and raises ValueError where it is 0.0 or
+    inf. A tiny latency that underflows once squared or scaled is ignored
+    whatever the caller's error state, as polyfit's default error state
+    ignores it. Plans equal as tuples (0.0 and -0.0 alike) share an entry:
+    they sort the same, and polyfit's ``+ 0.0`` makes their x values
+    identical.
     """
     order = np.argsort(latencies, kind="stable")
     xs = np.asarray(latencies)[order] + 0.0
@@ -129,8 +127,7 @@ def _fit_plan(
         lhs = np.vander(xs, 2) / scale
     for array in (order, lhs, scale):
         array.flags.writeable = False
-    ascending = (order == np.arange(len(order))).all()
-    return None if ascending else order, lhs, scale, len(xs) * np.finfo(xs.dtype).eps
+    return order, lhs, scale, len(xs) * np.finfo(xs.dtype).eps
 
 
 def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> CalibrationFits:
@@ -148,8 +145,7 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
         raise ValueError("regression needs at least two distinct injected latencies")
     order, lhs, scale, rcond = _fit_plan(tuple(latencies))
     means, cv = _mean_and_cv(samples.values)
-    if order is not None:
-        means, cv = means[:, order], cv[:, order]
+    means, cv = means[:, order], cv[:, order]
     # Left to right from 0.0, as a per-VMDK loop adds; .sum() pairs terms
     # differently and would move the last bits.
     cv_total = 0.0

@@ -524,22 +524,6 @@ def cross_checks(tiers: Sequence[TierSpec], vmdks: VmdkTable) -> list[str]:
     return problems
 
 
-def check_migrations(from_tier: Any, to_tier: Any, bytes_total: Any, bytes_moved: Any) -> None:
-    """Raise ValueError unless every move changes tiers and its bytes are in range.
-
-    Takes one move's scalars or aligned arrays of many moves.
-    """
-    stays = np.equal(from_tier, to_tier)
-    empty = np.less_equal(bytes_total, 0)
-    inside = np.less_equal(0.0, bytes_moved) & np.less_equal(bytes_moved, bytes_total)
-    if (stays | empty | ~inside).any():
-        if stays.any():
-            raise ValueError("migration must change tiers")
-        if empty.any():
-            raise ValueError("bytesTotal must be positive")
-        raise ValueError("bytesMoved out of [0, bytesTotal]")
-
-
 # The log's columns, the fleet row of each order's VMDK first, with their dtypes.
 _ORDER_COLUMNS = (
     ("row", np.intp), ("from_tier", np.int64), ("to_tier", np.int64), ("bytes_total", float),
@@ -582,7 +566,10 @@ class MigrationLog:
         bytes_total: np.ndarray, epoch: int,
     ) -> np.ndarray:
         """Log one block of orders started at ``epoch``; returns their log indices."""
-        check_migrations(from_tier, to_tier, bytes_total, 0.0)
+        if np.equal(from_tier, to_tier).any():
+            raise ValueError("migration must change tiers")
+        if not np.greater(bytes_total, 0).all():
+            raise ValueError("bytesTotal must be positive")
         start, end = self._size, self._size + len(rows)
         for name, buffer in self._buffers.items():
             if end > len(buffer):
@@ -646,10 +633,6 @@ class Roster(_Columns):
     initial_tier_row: np.ndarray
     budget: np.ndarray
     base_latency_us: np.ndarray
-    read_throughput_cap: np.ndarray
-    write_throughput_cap: np.ndarray
-    read_bandwidth_cap: np.ndarray
-    write_bandwidth_cap: np.ndarray
     device_caps: np.ndarray
     mig_weight: np.ndarray
     match_mask: np.ndarray
@@ -678,12 +661,9 @@ class Roster(_Columns):
         later = np.flatnonzero(start > 0)
         later = later[np.argsort(start[later], kind="stable")]
         epochs, cuts = np.unique(start[later], return_index=True)
+        column = lambda name: np.fromiter(map(attrgetter(name), tiers), float, len(tiers))
         caps = ("read_throughput_cap", "write_throughput_cap", "read_bandwidth_cap",
                 "write_bandwidth_cap")
-        tier_columns = {
-            name: np.fromiter(map(attrgetter(name), tiers), float, len(tiers))
-            for name in ("base_latency_us", *caps, "mig_weight")
-        }
         initial = np.fromiter(map(row_of_tier.__getitem__, vmdks.initial_tier), np.intp, n)
         return cls(
             ids=ids,
@@ -693,8 +673,9 @@ class Roster(_Columns):
             tier_ids=np.array([t.id for t in tiers], dtype=np.int64),
             initial_tier_row=initial[order],
             budget=np.array([astuple(t.max_usable()) for t in tiers], dtype=float),
-            **tier_columns,
-            device_caps=np.stack([tier_columns[name] for name in caps]),
+            base_latency_us=column("base_latency_us"),
+            device_caps=np.stack([column(name) for name in caps]),
+            mig_weight=column("mig_weight"),
             match_mask=np.array([
                 [f * w for f, w in zip(astuple(t.specialty), astuple(t.kind_weights))]
                 for t in tiers
@@ -757,8 +738,8 @@ class Fleet:
             dest_row=np.full(n, -1, dtype=np.intp),
             order_index=np.full(n, -1, dtype=np.intp),
             contention=np.ones(t),
-            spare_read_mbps=roster.read_bandwidth_cap.copy(),
-            spare_write_mbps=roster.write_bandwidth_cap.copy(),
+            spare_read_mbps=roster.device_caps[2].copy(),
+            spare_write_mbps=roster.device_caps[3].copy(),
             **dict(zip(_DEMAND_COLUMNS, roster.phase_table[:, roster.first_phase])),
             **{
                 f"measured_{name}": np.zeros(n)

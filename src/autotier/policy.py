@@ -534,12 +534,9 @@ class PolicyContext:
 class AutoTieringPolicy:
     """Calibrates at monitor epochs, plans greedy migrations at migration epochs."""
 
-    name = "autotiering"
-
     def __init__(self) -> None:
-        self.calibrations: CalibrationFits | None = None
         self.matrices: CapacityMatrices | None = None
-        self.score: np.ndarray | None = None  # last monitor epoch's (T, N) score
+        self.score: np.ndarray | None = None  # last monitor epoch's (T, N) score, set with matrices
 
     def on_monitor(self, ctx: PolicyContext) -> None:
         fleet = ctx.fleet
@@ -549,22 +546,20 @@ class AutoTieringPolicy:
             fleet.roster.ids, ctx.probe, weights.injected_latencies_us,
             weights.samples_per_latency,
         )
-        self.calibrations = calibration.regress_latency_curve(
-            samples, floor=weights.confidence_floor
-        )
-        mat = cal_capacity_matrices(self.calibrations, fleet)
+        fits = calibration.regress_latency_curve(samples, floor=weights.confidence_floor)
+        mat = cal_capacity_matrices(fits, fleet)
         normalize_and_gate(mat, fleet)
         self.score = cal_score(
             mat,
             self.score,
             ctx.weights,
             fleet,
-            self.calibrations,
+            fits,
             ctx.migration_epoch_seconds,
         )
         self.matrices = mat
 
     def plan_migrations(self, ctx: PolicyContext, epoch_index: int) -> AssignmentPlan:
-        if self.score is None or self.matrices is None:
+        if self.matrices is None:
             raise RuntimeError("plan requested before any monitor epoch")
         return trigger_migration(self.score, self.matrices, ctx.fleet, epoch_index)

@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 settings.register_profile("autotier", deadline=None)
 settings.load_profile("autotier")
@@ -415,6 +416,70 @@ def random_scenario(rng: np.random.Generator, epochs: int = 6) -> Scenario:
     return Scenario(tiers=tuple(tiers), vmdks=tuple(vmdks), weights=weights, sim=sim)
 
 
+@st.composite
+def scenario_documents(draw) -> dict:
+    """A small valid scenario document: 2-4 tiers, 1-12 VMDKs of 1-4 phases, 5-20 epochs.
+
+    Ids are unique and listed in no particular order. The budgets and
+    bandwidth caps are tight against the demand, so plans overload tiers and
+    migrations stall on a saturated tier. Every phase starts inside the run,
+    so with at least 5 epochs each VMDK has a phase that spans two or more.
+    """
+    n_tiers = draw(st.integers(2, 4))
+    epochs = draw(st.integers(5, 20))
+    latency = 0
+    tiers = []
+    for i in range(n_tiers):
+        latency += draw(st.integers(20, 400))
+        tiers.append({
+            "id": i + 1,
+            "name": f"t{i + 1}",
+            "baseLatencyUs": float(latency),
+            "capacity": {"p": draw(st.integers(1_000, 60_000)),
+                         "b": draw(st.integers(20, 600)), "s": draw(st.integers(20, 400))},
+            "readThroughputCap": draw(st.integers(2_000, 60_000)),
+            "writeThroughputCap": draw(st.integers(1_000, 30_000)),
+            "readBandwidthCap": draw(st.integers(20, 600)),
+            "writeBandwidthCap": draw(st.integers(10, 400)),
+            "specialty": {k: draw(st.integers(0, 1)) for k in "pbs"},
+            "kindWeights": {k: draw(st.sampled_from([0.5, 1.0, 2.0])) for k in "pbs"},
+            "migWeight": draw(st.sampled_from([0.0, 0.1, 0.3])),
+            "caps": {k: draw(st.sampled_from([0.5, 0.9, 1.0])) for k in "pbs"},
+        })
+    names = draw(st.lists(st.integers(0, 99), min_size=1, max_size=12, unique=True))
+    vmdks = []
+    for k in names:
+        starts = draw(st.lists(st.integers(1, epochs - 1), max_size=3, unique=True))
+        vmdks.append({
+            "id": f"v{k:02d}",
+            "vmId": f"vm{k % 4}",
+            "sizeGb": float(draw(st.integers(5, 150))),
+            "slaWeight": draw(st.sampled_from([0.5, 1.0, 2.0])),
+            "initialTier": draw(st.integers(1, n_tiers)),
+            "truthSlope": draw(st.sampled_from([0.0, 0.1, 0.5, 1.2])),
+            "truthInterceptUs": float(draw(st.integers(5, 300))),
+            "demandProfile": [
+                {
+                    "startEpoch": start,
+                    "demandIops": draw(st.sampled_from([0, 500, 4_000, 20_000])),
+                    "avgIoSizeBytes": draw(st.sampled_from([4096, 16384, 65536])),
+                    "readFraction": draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+                }
+                for start in [0, *sorted(starts)]
+            ],
+        })
+    migration_epoch = draw(st.integers(1, 3))
+    return {
+        "schemaVersion": 1,
+        "tiers": tiers,
+        "vmdks": vmdks,
+        "policyWeights": {"monitorEpoch": 1, "migrationEpoch": migration_epoch,
+                          "samplesPerLatency": 3},
+        "simulation": {"epochs": epochs, "epochSeconds": 300.0, "noiseCv": 0.05,
+                       "seed": draw(st.integers(0, 2**16))},
+    }
+
+
 def random_oracle_instance(rng: np.random.Generator, capacity_scale: float = 1.0):
     """A small (<=8 VMDK, 3 tier) instance with its fleet and matrices built.
 
@@ -469,8 +534,8 @@ def random_oracle_instance(rng: np.random.Generator, capacity_scale: float = 1.0
     mat = normalize_and_gate(cal_capacity_matrices(records, fleet), fleet)
     roster = fleet.roster
     for i in range(len(tiers)):
-        fleet.spare_read_mbps[i] = roster.read_bandwidth_cap[i] - float(rng.uniform(0, 100))
-        fleet.spare_write_mbps[i] = roster.write_bandwidth_cap[i] - float(rng.uniform(0, 100))
+        fleet.spare_read_mbps[i] = roster.device_caps[2, i] - float(rng.uniform(0, 100))
+        fleet.spare_write_mbps[i] = roster.device_caps[3, i] - float(rng.uniform(0, 100))
     weights = PolicyWeights(
         alpha=ResourceVector(*(float(x) for x in rng.uniform(0, 2, size=3))),
         beta=float(rng.uniform(0, 2)),

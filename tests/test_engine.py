@@ -2,8 +2,10 @@
 
 import copy
 import json
+import random
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 from autotier import engine, model
 from autotier.calibration import collect_samples, estimate_avg_lat, regress_latency_curve
+from autotier.cli import main
 from autotier.engine import (
+    POLICY_NAMES,
     probe_latencies,
     progress_migrations,
     run_scenario,
@@ -28,8 +32,10 @@ from autotier.model import (
     PolicyWeights,
     ResourceVector,
     Scenario,
+    ScenarioValidationError,
     SimulationConfig,
     WorkloadPhase,
+    validate_scenario,
 )
 from autotier.reporting import metrics_csv_text, write_run_artifacts
 from autotier.scenario import bundled_scenario_text, load_bundled_scenario, parse_scenario
@@ -708,8 +714,8 @@ def migration_epochs(seed, epochs=10, vmdks=(5, 30)):
             load = rng.choice([0.0, 1.0, rng.uniform(0, 1)], size=2).tolist()
             served_read.append(load[0] * t.read_bandwidth_cap)
             served_write.append(load[1] * t.write_bandwidth_cap)
-        fleet.spare_read_mbps[:] = np.fmax(0.0, roster.read_bandwidth_cap - served_read)
-        fleet.spare_write_mbps[:] = np.fmax(0.0, roster.write_bandwidth_cap - served_write)
+        fleet.spare_read_mbps[:] = np.fmax(0.0, roster.device_caps[2] - served_read)
+        fleet.spare_write_mbps[:] = np.fmax(0.0, roster.device_caps[3] - served_write)
         measured = rng.choice([0.0, 20.0, 300.0], size=len(states))
         fleet.measured_read_mbps[:] = measured
         for v, value in zip(roster.ids, measured.tolist()):
@@ -1297,3 +1303,73 @@ class TestPhaseSchedule:
         final = final_states(result)
         for spec in scenario.vmdks:
             assert phase_key(final[spec.id]) == phase_key(spec.demand_profile[0])
+
+
+def numeric_fields(node, path=()):
+    """The path of every number in a document, depth first."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_fields(value, (*path, key))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from numeric_fields(value, (*path, i))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def set_field(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+class TestRunsReportNoIeeeException:
+    """An accepted document's run prints no numpy RuntimeWarning: it runs, or is refused by name."""
+
+    @pytest.mark.parametrize("name, path, value, policy, refusal", [
+        ("table3-table4", ("vmdks", 5, "sizeGb"), 5e-324, "edt", ""),  # iops / size overflows
+        ("tiny-oracle", ("vmdks", 5, "sizeGb"), 5e-324, "edt", ""),
+        ("tiny-oracle", ("vmdks", 3, "sizeGb"), 1.7e308, "autotiering", ""),  # mig_cost_seconds
+        ("tiny-oracle", ("vmdks", 4, "demandProfile", 0, "avgIoSizeBytes"), 1.7e308,
+         "autotiering", "error: VMDK 'archive': mean sampled latency reaches the calibration "
+         "limit of 1e+290 us\n"),
+    ])
+    def test_an_extreme_field_prints_no_warning(self, name, path, value, policy, refusal,
+                                                tmp_path, capsys):
+        doc = json.loads(bundled_scenario_text(name))
+        set_field(doc, path, value)
+        scenario_path = tmp_path / "extreme.json"
+        scenario_path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--scenario", str(scenario_path), "--policy", policy,
+                         "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (2 if refusal else 0, refusal)
+
+    EXTREMES = (0, 5e-324, 1e-300, 1.0, 1e100, 1e300, 1.7e308)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_seeded_sweep_of_extreme_documents_prints_no_warning(self, seed):
+        # Each document sets one to three numbers of tiny-oracle to an extreme.
+        base = json.loads(bundled_scenario_text("tiny-oracle"))
+        base["simulation"]["epochs"] = 7
+        paths = list(numeric_fields(base))
+        rng = random.Random(seed)
+        runs = 0
+        for _ in range(60):
+            doc = copy.deepcopy(base)
+            for path in rng.sample(paths, rng.randint(1, 3)):
+                set_field(doc, path, rng.choice(self.EXTREMES))
+            try:
+                scenario = validate_scenario(doc)
+            except ScenarioValidationError:
+                continue
+            for policy in POLICY_NAMES:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    try:
+                        run_scenario(scenario, policy)
+                    except ValueError as exc:
+                        assert str(exc).startswith("VMDK ")  # a calibration refusal, named
+                runs += 1
+        assert runs >= 60

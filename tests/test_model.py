@@ -33,7 +33,6 @@ from autotier.model import (
     VmdkSpec,
     VmdkTable,
     WorkloadPhase,
-    check_migrations,
     validate_scenario,
 )
 from autotier.scenario import bundled_scenario_text, parse_scenario, serialize_scenario
@@ -166,18 +165,6 @@ class TestOtherTypes:
         rec = fit_row(-0.3, 10.0, confidence=0.5)
         assert rec.m[0] == -0.3
         assert rec.prediction_slope[0] == 0.0
-
-    def test_migration_order_requires_distinct_tiers(self):
-        with pytest.raises(ValueError, match="migration must change tiers"):
-            check_migrations(1, 1, bytes_total=1e9, bytes_moved=0.0)
-
-    def test_migration_order_requires_positive_size(self):
-        with pytest.raises(ValueError, match="bytesTotal must be positive"):
-            check_migrations(1, 2, bytes_total=0.0, bytes_moved=0.0)
-
-    def test_migration_order_bytes_bounds(self):
-        with pytest.raises(ValueError, match=r"bytesMoved out of \[0, bytesTotal\]"):
-            check_migrations(1, 2, bytes_total=1e9, bytes_moved=2e9)
 
     def test_policy_weights_cadence(self):
         with pytest.raises(ValueError, match="migrationEpoch"):
@@ -481,10 +468,6 @@ class TestFleet:
         columns = {
             "budget": lambda t: list(astuple(t.max_usable())),
             "base_latency_us": lambda t: t.base_latency_us,
-            "read_throughput_cap": lambda t: t.read_throughput_cap,
-            "write_throughput_cap": lambda t: t.write_throughput_cap,
-            "read_bandwidth_cap": lambda t: t.read_bandwidth_cap,
-            "write_bandwidth_cap": lambda t: t.write_bandwidth_cap,
             "mig_weight": lambda t: t.mig_weight,
             "match_mask": lambda t: list(astuple(t.specialty * t.kind_weights)),
             "kind_weight_total": lambda t: t.kind_weights.total(),
@@ -503,7 +486,8 @@ class TestFleet:
         names = ("read_throughput_cap", "write_throughput_cap", "read_bandwidth_cap",
                  "write_bandwidth_cap")
         assert roster.device_caps.shape == (4, len(tiers)) and roster.device_caps.dtype == float
-        assert roster.device_caps.tolist() == [getattr(roster, name).tolist() for name in names]
+        assert roster.device_caps.tolist() == [[getattr(t, name) for t in tiers] for name in names]
+        assert roster.device_caps.flags.c_contiguous
         assert not roster.device_caps.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             roster.device_caps[0, 0] = 0.0
@@ -530,8 +514,8 @@ class TestFleet:
         # Nothing served yet: each tier's whole bandwidth is spare, in arrays of its own.
         assert fleet.spare_read_mbps.tolist() == [100.0, 200.0, 300.0]
         assert fleet.spare_write_mbps.tolist() == [70.0, 140.0, 210.0]
-        assert not np.shares_memory(fleet.spare_read_mbps, fleet.roster.read_bandwidth_cap)
-        assert not np.shares_memory(fleet.spare_write_mbps, fleet.roster.write_bandwidth_cap)
+        assert not np.shares_memory(fleet.spare_read_mbps, fleet.roster.device_caps)
+        assert not np.shares_memory(fleet.spare_write_mbps, fleet.roster.device_caps)
         assert list(fleet.roster.due) == [4]
         rows, phases = fleet.roster.due[4]
         assert rows.tolist() == [0] and phases.tolist() == [1]

@@ -3,9 +3,9 @@
 A relation says how the outputs of two related inputs must relate, so it
 checks a run whose right answer is unknown (T. Y. Chen, S. C. Cheung and
 S. M. Yiu, "Metamorphic Testing: A New Approach for Generating Next Test
-Cases", HKUST-CS98-01, 1998). Each case runs every bundled document under
-every policy, once as shipped and once transformed, and compares the
-SHA-256 of the five run artifacts:
+Cases", HKUST-CS98-01, 1998). Each case runs a document under every policy,
+once as given and once transformed, and compares the SHA-256 of the five
+run artifacts:
 
 - shuffling ``vmdks`` changes nothing, since rows follow ids, not document
   order;
@@ -13,79 +13,72 @@ SHA-256 of the five run artifacts:
   the ids ``migrations.json`` lists, and nothing once they are mapped back;
 - splitting a phase that spans two or more epochs into two phases of the
   same demand, the second one epoch later, changes nothing.
+
+The documents are the bundled ones and small generated ones
+(``conftest.scenario_documents``), whose tight budgets make plans overload
+tiers and migrations stall.
 """
 
+import copy
 import hashlib
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autotier.engine import POLICY_NAMES, run_scenario
 from autotier.model import validate_scenario
 from autotier.reporting import RUN_FILES, write_run_artifacts
 from autotier.scenario import bundled_scenario_text
 
+from conftest import scenario_documents
+
 SCENARIOS = ("table3-table4", "spike", "tiny-oracle")
 CASES = [(name, policy) for name in SCENARIOS for policy in POLICY_NAMES]
+# Each generated example runs every policy four times.
+GENERATED = settings(max_examples=40)
 
 
 def document(name: str) -> dict:
     return json.loads(bundled_scenario_text(name))
 
 
-def artifacts(doc: dict, policy: str, out_dir) -> dict[str, bytes]:
+def artifacts(doc: dict, policy: str) -> dict[str, bytes]:
     """The bytes of each run artifact of ``doc`` under ``policy``."""
-    write_run_artifacts(run_scenario(validate_scenario(doc), policy), out_dir)
-    return {name: (out_dir / name).read_bytes() for name in RUN_FILES}
+    with tempfile.TemporaryDirectory() as out_dir:
+        write_run_artifacts(run_scenario(validate_scenario(doc), policy), out_dir)
+        return {name: (Path(out_dir) / name).read_bytes() for name in RUN_FILES}
 
 
 def digests(files: dict[str, bytes]) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
 
 
-@pytest.fixture(scope="module")
-def shipped(tmp_path_factory):
-    """The artifact digests of each shipped document's run, each run once."""
-    cache = {}
-
-    def get(name: str, policy: str) -> dict[str, str]:
-        if (name, policy) not in cache:
-            out_dir = tmp_path_factory.mktemp("shipped")
-            cache[name, policy] = digests(artifacts(document(name), policy, out_dir))
-        return cache[name, policy]
-
-    return get
+def shuffled(doc: dict, order: list[int]) -> dict:
+    """``doc`` with its VMDKs listed in ``order``."""
+    return dict(doc, vmdks=[doc["vmdks"][i] for i in order])
 
 
-@pytest.mark.parametrize("name,policy", CASES)
-@pytest.mark.parametrize("seed", range(3))
-def test_shuffling_vmdks_changes_no_artifact(name, policy, seed, shipped, tmp_path):
-    doc = document(name)
-    order = list(range(len(doc["vmdks"])))
-    random.Random(seed).shuffle(order)
-    if order == sorted(order):
-        order.reverse()
-    doc["vmdks"] = [doc["vmdks"][i] for i in order]
-    assert digests(artifacts(doc, policy, tmp_path)) == shipped(name, policy)
-
-
-@pytest.mark.parametrize("name,policy", CASES)
-def test_prefixing_every_id_changes_only_the_listed_ids(name, policy, shipped, tmp_path):
-    doc = document(name)
+def prefixed_digests(doc: dict, policy: str) -> dict[str, str]:
+    """The artifact digests of ``doc`` with every id prefixed by ``z``, the ids mapped back."""
+    doc = copy.deepcopy(doc)
     for vmdk in doc["vmdks"]:
         vmdk["id"] = "z" + vmdk["id"]
-    files = artifacts(doc, policy, tmp_path)
+    files = artifacts(doc, policy)
     migrations = json.loads(files["migrations.json"])
     assert all(v.startswith("z") for v in migrations["migratedVmdkIds"])
     migrations["migratedVmdkIds"] = [v[1:] for v in migrations["migratedVmdkIds"]]
     files["migrations.json"] = (json.dumps(migrations, indent=2) + "\n").encode()
-    assert digests(files) == shipped(name, policy)
+    return digests(files)
 
 
-@pytest.mark.parametrize("name,policy", CASES)
-def test_splitting_long_phases_changes_no_artifact(name, policy, shipped, tmp_path):
-    doc = document(name)
+def split_phases(doc: dict) -> tuple[dict, int]:
+    """``doc`` with each phase that spans two or more epochs split in two, and the count split."""
+    doc = copy.deepcopy(doc)
     epochs = doc["simulation"]["epochs"]
     split = 0
     for vmdk in doc["vmdks"]:
@@ -97,5 +90,64 @@ def test_splitting_long_phases_changes_no_artifact(name, policy, shipped, tmp_pa
             if end - phase["startEpoch"] >= 2:
                 vmdk["demandProfile"].append(dict(phase, startEpoch=phase["startEpoch"] + 1))
                 split += 1
+    return doc, split
+
+
+@pytest.fixture(scope="module")
+def shipped():
+    """The artifact digests of each shipped document's run, each run once."""
+    cache = {}
+
+    def get(name: str, policy: str) -> dict[str, str]:
+        if (name, policy) not in cache:
+            cache[name, policy] = digests(artifacts(document(name), policy))
+        return cache[name, policy]
+
+    return get
+
+
+@pytest.mark.parametrize("name,policy", CASES)
+@pytest.mark.parametrize("seed", range(3))
+def test_shuffling_vmdks_changes_no_artifact(name, policy, seed, shipped):
+    doc = document(name)
+    order = list(range(len(doc["vmdks"])))
+    random.Random(seed).shuffle(order)
+    if order == sorted(order):
+        order.reverse()
+    assert digests(artifacts(shuffled(doc, order), policy)) == shipped(name, policy)
+
+
+@pytest.mark.parametrize("name,policy", CASES)
+def test_prefixing_every_id_changes_only_the_listed_ids(name, policy, shipped):
+    assert prefixed_digests(document(name), policy) == shipped(name, policy)
+
+
+@pytest.mark.parametrize("name,policy", CASES)
+def test_splitting_long_phases_changes_no_artifact(name, policy, shipped):
+    doc, split = split_phases(document(name))
     assert split >= len(doc["vmdks"])
-    assert digests(artifacts(doc, policy, tmp_path)) == shipped(name, policy)
+    assert digests(artifacts(doc, policy)) == shipped(name, policy)
+
+
+@GENERATED
+@given(doc=scenario_documents(), data=st.data())
+def test_shuffling_a_generated_document_changes_no_artifact(doc, data):
+    order = data.draw(st.permutations(range(len(doc["vmdks"]))))
+    for policy in POLICY_NAMES:
+        assert digests(artifacts(shuffled(doc, order), policy)) == digests(artifacts(doc, policy))
+
+
+@GENERATED
+@given(doc=scenario_documents())
+def test_prefixing_a_generated_document_changes_only_the_listed_ids(doc):
+    for policy in POLICY_NAMES:
+        assert prefixed_digests(doc, policy) == digests(artifacts(doc, policy))
+
+
+@GENERATED
+@given(doc=scenario_documents())
+def test_splitting_a_generated_documents_long_phases_changes_no_artifact(doc):
+    split_doc, split = split_phases(doc)
+    assert split >= len(doc["vmdks"])  # at least 5 epochs over at most 4 phases
+    for policy in POLICY_NAMES:
+        assert digests(artifacts(split_doc, policy)) == digests(artifacts(doc, policy))
