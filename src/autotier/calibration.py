@@ -27,10 +27,10 @@ from numpy.exceptions import RankWarning
 
 from .model import CalibrationFits, latency_norm
 
-# A probe answers: (N, L, S) average I/O latencies (us) of the given VMDKs
-# under each extra injected latency, S samples each. The simulator's device
-# model provides one per run.
-SampleProbe = Callable[[Sequence[str], Sequence[float], int], np.ndarray]
+# A probe answers: (N, L, S) average I/O latencies (us) of all N VMDKs it
+# serves, one row each in its own fixed order, under each extra injected
+# latency, S samples each. The simulator's device model provides one per run.
+SampleProbe = Callable[[Sequence[float], int], np.ndarray]
 
 # Largest mean sampled latency (us) a fit accepts: near 5e291 us the shared
 # least-squares solve rescales, moving every other VMDK's fit by an ulp.
@@ -73,15 +73,14 @@ def collect_samples(
     injected_latencies_us: Sequence[float],
     samples_per_latency: int,
 ) -> CalibrationSamples:
-    """Run one calibration round for every VMDK in ``vmdk_ids`` against a probe.
+    """Run one calibration round against a probe; ``vmdk_ids`` label its rows.
 
     The probe carries its own noise source; for a fixed seed the round is
     deterministic because samples are drawn in (VMDK, plan order, sample)
     order.
     """
     latencies = tuple(float(d) for d in injected_latencies_us)
-    values = probe(vmdk_ids, latencies, samples_per_latency)
-    return CalibrationSamples(tuple(vmdk_ids), latencies, values)
+    return CalibrationSamples(tuple(vmdk_ids), latencies, probe(latencies, samples_per_latency))
 
 
 def _mean_and_cv(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

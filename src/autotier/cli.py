@@ -47,11 +47,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    summaries = []
-    for run_dir in args.runs:
-        path = Path(run_dir) / "summary.json"
-        summaries.append(json.loads(path.read_text(encoding="utf-8")))
-    comparison = comparison_dict(summaries)
+    paths = [Path(run_dir) / "summary.json" for run_dir in args.runs]
+    comparison = comparison_dict([json.loads(p.read_text(encoding="utf-8")) for p in paths])
     text = json.dumps(comparison, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -33,7 +33,7 @@ bit for bit (see ``progress_migrations``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,7 +54,6 @@ def make_policy(name: str):
 
 def probe_latencies(
     fleet: Fleet,
-    rows: Sequence[int],
     added_us: Sequence[float],
     samples_per_latency: int,
     rng: np.random.Generator,
@@ -62,7 +61,7 @@ def probe_latencies(
 ) -> np.ndarray:
     """(N, L, S) calibration samples: true latency with multiplicative Gaussian noise.
 
-    Axes are the fleet ``rows`` × ``added_us`` × samples. The true latency on
+    Axes are every fleet row × ``added_us`` × samples. The true latency on
     each VMDK's current tier is ``slope * (base + added) + intercept *
     contention``, with the tier's contention as serving last left it. Noise
     factors ``1 + noise_cv * z`` come from one ``standard_normal`` draw taken
@@ -71,15 +70,14 @@ def probe_latencies(
     sample, redrawing while the factor is <= 0, would.
     """
     roster = fleet.roster
-    rows = np.asarray(rows, dtype=np.intp)
-    tier = fleet.tier_row[rows]
-    slope = roster.truth_slope[rows][:, None, None]
+    tier = fleet.tier_row
+    slope = roster.truth_slope[:, None, None]
     base = roster.base_latency_us[tier][:, None, None]
-    intercept = roster.truth_intercept_us[rows][:, None, None]
+    intercept = roster.truth_intercept_us[:, None, None]
     contention = fleet.contention[tier][:, None, None]
     added = np.asarray(added_us, dtype=float)[:, None]
     truth = slope * (base + added) + intercept * contention
-    shape = (len(rows), len(added_us), samples_per_latency)
+    shape = (len(tier), len(added_us), samples_per_latency)
     count = shape[0] * shape[1] * shape[2]
     factor = rng.standard_normal(count)
     factor *= noise_cv
@@ -435,8 +433,6 @@ def run_scenario(
     take or refuse by name, and an error state changes no value.
     """
     sim = scenario.sim if seed is None else replace(scenario.sim, seed=seed)  # checks the override
-    rng = np.random.default_rng(sim.seed)
-    noise_cv = sim.noise_cv
     epoch_seconds = sim.epoch_seconds
     policy = make_policy(policy_name)
 
@@ -447,19 +443,13 @@ def run_scenario(
         scenario=scenario, policy=policy_name, seed=sim.seed, fleet=fleet, migration_log=log
     )
 
-    @lru_cache(maxsize=1)  # every monitor epoch probes the same ids
-    def rows_of(vmdk_ids: tuple[str, ...]) -> np.ndarray:
-        return np.fromiter(map(roster.row.__getitem__, vmdk_ids), np.intp, len(vmdk_ids))
-
-    def probe(vmdk_ids: Sequence[str], added_us: Sequence[float], samples: int) -> np.ndarray:
-        return probe_latencies(fleet, rows_of(tuple(vmdk_ids)), added_us, samples, rng, noise_cv)
-
     weights = scenario.weights
     ctx = PolicyContext(
         fleet=fleet.read_only(),
         weights=weights,
         epoch_seconds=epoch_seconds,
-        probe=probe,
+        probe=partial(probe_latencies, fleet, rng=np.random.default_rng(sim.seed),
+                      noise_cv=sim.noise_cv),
     )
     for epoch in range(sim.epochs):
         fleet.activate_phases(epoch)

@@ -497,11 +497,11 @@ def oracle_assignment(
 class PolicyContext:
     """Everything a policy may look at when monitoring or planning.
 
-    ``probe`` is the one calibration sampler: given VMDK ids, injected
-    latencies and a sample count it returns the dense (N, L, S) sample grid
-    (see ``calibration.CalibrationSamples``), drawn from the run's seeded
-    generator against each VMDK's current device. A monitor epoch probes
-    every VMDK at once and fits the grid into (N,) ``CalibrationFits``.
+    ``probe`` is the one calibration sampler: given injected latencies and a
+    sample count it returns the dense (N, L, S) sample grid of every VMDK in
+    fleet row order (see ``calibration.CalibrationSamples``), drawn from the
+    run's seeded generator against each VMDK's current device. A monitor
+    epoch probes once and fits the grid into (N,) ``CalibrationFits``.
 
     ``fleet`` is a read-only view of the run's store of VMDK and tier rows,
     made once per run: it follows every write of the engine, and a policy

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import Counter
 from dataclasses import fields
 from functools import reduce
 from pathlib import Path
@@ -156,7 +157,11 @@ def comparison_dict(summaries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     """Cross-policy comparison with autotiering-vs-baseline ratios.
 
     A ratio over a baseline mean of 0 has no value and is written as null.
+    Two summaries of one policy are refused: one would hide the other.
     """
+    for name, count in Counter(s["policy"] for s in summaries).items():
+        if count > 1:
+            raise ValueError(f"compare takes one run per policy, got {count} {name} runs")
     by_policy = {s["policy"]: s for s in summaries}
     out: dict[str, Any] = {
         "policies": {

@@ -116,7 +116,7 @@ def test_criterion_2_calibration_recovery():
         for seed in range(seeds):
             rng = np.random.default_rng(seed)
             samples = collect_samples(
-                ["v1"], lambda ids, d, n: probe_latencies(fleet, [0], d, n, rng, 0.05),
+                ["v1"], lambda d, n: probe_latencies(fleet, d, n, rng, 0.05),
                 PLAN_LATENCIES, 10,
             )
             rec = regress_latency_curve(samples)

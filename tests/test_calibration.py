@@ -36,10 +36,10 @@ from conftest import compute_cv, make_fits
 PLAN = DEFAULT_INJECTED_LATENCIES_US
 
 
-def linear_probe(m, b, noise_cv=0.0, rng=None):
-    """A probe whose every VMDK answers m * d + b, times 1 + noise_cv * z."""
-    def probe(vmdk_ids, latencies, samples):
-        shape = (len(vmdk_ids), len(latencies), samples)
+def linear_probe(m, b, noise_cv=0.0, rng=None, vmdks=1):
+    """A probe of ``vmdks`` VMDKs, each answering m * d + b, times 1 + noise_cv * z."""
+    def probe(latencies, samples):
+        shape = (vmdks, len(latencies), samples)
         values = np.broadcast_to((m * np.asarray(latencies) + b)[:, None], shape).copy()
         if noise_cv:
             values *= 1.0 + noise_cv * rng.standard_normal(shape)
@@ -176,7 +176,7 @@ class TestCollectSamples:
         assert samples.sample_count == 50
 
     def test_sample_count_covers_every_vmdk(self):
-        samples = collect_samples(["a", "b", "c"], linear_probe(1.0, 100.0), PLAN, 10)
+        samples = collect_samples(["a", "b", "c"], linear_probe(1.0, 100.0, vmdks=3), PLAN, 10)
         assert samples.vmdk_ids == ("a", "b", "c")
         assert samples.sample_count == 3 * 5 * 10
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from autotier import engine, model
+from autotier import calibration, engine, model
 from autotier.calibration import collect_samples, estimate_avg_lat, regress_latency_curve
 from autotier.cli import main
 from autotier.engine import (
@@ -37,6 +37,7 @@ from autotier.model import (
     WorkloadPhase,
     validate_scenario,
 )
+from autotier.policy import AutoTieringPolicy
 from autotier.reporting import metrics_csv_text, write_run_artifacts
 from autotier.scenario import bundled_scenario_text, load_bundled_scenario, parse_scenario
 
@@ -79,17 +80,12 @@ def probe_fleet(states, tiers, contention=None):
     return fleet
 
 
-def probe(fleet, *args):
-    """``probe_latencies`` over every row of ``fleet``."""
-    return probe_latencies(fleet, range(len(fleet.roster.ids)), *args)
-
-
 class TestDeviceModel:
     """The latency model as noiseless probes see it."""
 
     def one_probe(self, tier, spec, added_us, contention=1.0):
         fleet = probe_fleet([make_state(spec, tier=tier.id)], [tier], [contention])
-        return probe(fleet, [added_us], 1, np.random.default_rng(0), 0.0)[0, 0, 0]
+        return probe_latencies(fleet, [added_us], 1, np.random.default_rng(0), 0.0)[0, 0, 0]
 
     def test_latency_is_linear_in_added_latency(self):
         tier = make_tier(1, base_latency_us=100.0)
@@ -148,19 +144,19 @@ class TestProbeLatencies:
     def test_noiseless_probe_is_exact(self):
         fleet = single()
         rng = np.random.default_rng(0)
-        samples = probe(fleet, [1000.0], 1, rng, 0.0)
+        samples = probe_latencies(fleet, [1000.0], 1, rng, 0.0)
         assert samples[0, 0, 0] == pytest.approx(1300.0)
 
     def test_zero_injection_gives_bare_latency(self):
         fleet = single()
         rng = np.random.default_rng(0)
-        assert probe(fleet, [0.0], 1, rng, 0.0)[0, 0, 0] == pytest.approx(300.0)
+        assert probe_latencies(fleet, [0.0], 1, rng, 0.0)[0, 0, 0] == pytest.approx(300.0)
 
     def test_fixed_seed_reproduces_sequence(self):
         fleet = single(slope=0.1, intercept=20.0)
 
         def draw(seed):
-            return probe(fleet, [0.0], 3, np.random.default_rng(seed), 0.05)
+            return probe_latencies(fleet, [0.0], 3, np.random.default_rng(seed), 0.05)
 
         a, b = draw(3), draw(3)
         assert not np.array_equal(a, draw(4))
@@ -169,7 +165,7 @@ class TestProbeLatencies:
     def test_samples_stay_positive(self):
         fleet = single(slope=0.0, intercept=1.0)
         rng = np.random.default_rng(1)
-        samples = probe(fleet, [0.0], 500, rng, 3.0)
+        samples = probe_latencies(fleet, [0.0], 500, rng, 3.0)
         assert (samples > 0).all()
 
     @pytest.mark.parametrize("noise_cv,seed", [(0.0, 11), (0.05, 12), (3.0, 13)])
@@ -178,7 +174,7 @@ class TestProbeLatencies:
         plan = (0.0, 500.0, 1000.0, 2000.0)
         batched_rng = np.random.default_rng(seed)
         reference_rng = np.random.default_rng(seed)
-        batched = probe(fleet, plan, 2, batched_rng, noise_cv)
+        batched = probe_latencies(fleet, plan, 2, batched_rng, noise_cv)
         reference = reference_samples(fleet, specs, plan, 2, reference_rng, noise_cv)
         assert batched.shape == (3, 4, 2)
         assert batched.tobytes() == reference.tobytes()
@@ -196,10 +192,36 @@ class TestProbeLatencies:
         plan = (0.0, 500.0, 1000.0, 2000.0)
         batched_rng = np.random.default_rng(6)
         reference_rng = np.random.default_rng(6)
-        batched = probe(fleet, plan, 2, batched_rng, 1.0)
+        batched = probe_latencies(fleet, plan, 2, batched_rng, 1.0)
         reference = reference_samples(fleet, specs, plan, 2, reference_rng, 1.0)
         assert batched.tobytes() == reference.tobytes()
         assert batched_rng.standard_normal() == reference_rng.standard_normal()
+
+    def test_each_monitor_epoch_probes_the_whole_fleet_once_in_fleet_rows(self, monkeypatch):
+        # Noiseless, so every sample is its row's true latency as the fleet stands.
+        scenario = load_bundled_scenario("table3-table4")
+        scenario = replace(scenario, sim=replace(scenario.sim, noise_cv=0.0))
+        plan, spl = scenario.weights.injected_latencies_us, scenario.weights.samples_per_latency
+        monitor, collect = AutoTieringPolicy.on_monitor, calibration.collect_samples
+        truths, rounds = [], []
+
+        def on_monitor(policy, ctx):
+            rng = np.random.default_rng(0)
+            truths.append(reference_samples(ctx.fleet, scenario.vmdks, plan, spl, rng, 0.0))
+            monitor(policy, ctx)
+
+        def recording(*args):
+            rounds.append(collect(*args))
+            return rounds[-1]
+
+        monkeypatch.setattr(AutoTieringPolicy, "on_monitor", on_monitor)
+        monkeypatch.setattr(calibration, "collect_samples", recording)
+        run_scenario(scenario, "autotiering")
+        assert len(rounds) == len(truths) == scenario.sim.epochs == 50  # monitorEpoch 1
+        for samples, truth in zip(rounds, truths):
+            assert samples.vmdk_ids == scenario.roster.ids
+            assert samples.values.shape == (14, 5, 10)
+            assert samples.values.tobytes() == truth.tobytes()
 
 
 MEASURED = ("measured_iops", "measured_latency_us", "measured_read_mbps", "measured_write_mbps")
@@ -522,7 +544,7 @@ class TestServeEpoch:
         fleet = probe_fleet([make_state(spec)], [tier])
         rng = np.random.default_rng(0)
         samples = collect_samples(
-            ["v1"], lambda ids, d, n: probe(fleet, d, n, rng, 0.0),
+            ["v1"], lambda d, n: probe_latencies(fleet, d, n, rng, 0.0),
             (0.0, 500.0, 1000.0, 2000.0, 4000.0), 10,
         )
         rec = regress_latency_curve(samples)

@@ -12,11 +12,19 @@ run artifacts:
 - prefixing every id with ``z`` keeps the ids' order, so it changes only
   the ids ``migrations.json`` lists, and nothing once they are mapped back;
 - splitting a phase that spans two or more epochs into two phases of the
-  same demand, the second one epoch later, changes nothing.
+  same demand, the second one epoch later, changes nothing;
+- relabelling every ``vmId`` changes nothing, since no run reads it;
+- renaming every tier changes only the names ``summary.json`` lists per
+  tier, and nothing once they are mapped back;
+- under IDT and EDT, appending an idle 1 GB VMDK whose id sorts last, on
+  the first VMDK's tier, changes nothing: it adds no load and ranks last.
+  AutoTiering probes it, which draws more samples from the run's one
+  generator, so the relation does not hold there.
 
 The documents are the bundled ones and small generated ones
 (``conftest.scenario_documents``), whose tight budgets make plans overload
-tiers and migrations stall.
+tiers and migrations stall. The idle VMDK runs on the bundled documents
+only: a generated tier may have no room left for it.
 """
 
 import copy
@@ -39,6 +47,7 @@ from conftest import scenario_documents
 
 SCENARIOS = ("table3-table4", "spike", "tiny-oracle")
 CASES = [(name, policy) for name in SCENARIOS for policy in POLICY_NAMES]
+BASELINE_CASES = [(name, policy) for name in SCENARIOS for policy in ("idt", "edt")]
 # Each generated example runs every policy four times.
 GENERATED = settings(max_examples=40)
 
@@ -93,6 +102,40 @@ def split_phases(doc: dict) -> tuple[dict, int]:
     return doc, split
 
 
+def relabelled_vms(doc: dict) -> dict:
+    """``doc`` with every VMDK given a ``vmId`` of its own that no VMDK had."""
+    doc = copy.deepcopy(doc)
+    for i, vmdk in enumerate(doc["vmdks"]):
+        vmdk["vmId"] = f"relabelled-{len(doc['vmdks']) - i}"
+    return doc
+
+
+def renamed_tier_digests(doc: dict, policy: str) -> dict[str, str]:
+    """The artifact digests of ``doc`` with every tier renamed, the names mapped back."""
+    doc = copy.deepcopy(doc)
+    names = {str(tier["id"]): tier["name"] for tier in doc["tiers"]}
+    for tier in doc["tiers"]:
+        tier["name"] = "renamed " + tier["name"]
+    files = artifacts(doc, policy)
+    summary = json.loads(files["summary.json"])
+    for tier_id, figures in summary["perTier"].items():
+        assert figures["name"] == "renamed " + names[tier_id]
+        figures["name"] = names[tier_id]
+    files["summary.json"] = (json.dumps(summary, indent=2) + "\n").encode()
+    return digests(files)
+
+
+def with_idle_vmdk(doc: dict) -> dict:
+    """``doc`` with a 1 GB VMDK of no demand appended, on ``vmdks[0]``'s tier, its id last."""
+    doc = copy.deepcopy(doc)
+    assert all(vmdk["id"] < "~idle" for vmdk in doc["vmdks"])
+    idle_phase = {"startEpoch": 0, "demandIops": 0, "avgIoSizeBytes": 4096, "readFraction": 0.5}
+    doc["vmdks"].append(
+        dict(doc["vmdks"][0], id="~idle", sizeGb=1.0, demandProfile=[idle_phase])
+    )
+    return doc
+
+
 @pytest.fixture(scope="module")
 def shipped():
     """The artifact digests of each shipped document's run, each run once."""
@@ -129,6 +172,21 @@ def test_splitting_long_phases_changes_no_artifact(name, policy, shipped):
     assert digests(artifacts(doc, policy)) == shipped(name, policy)
 
 
+@pytest.mark.parametrize("name,policy", CASES)
+def test_relabelling_every_vm_changes_no_artifact(name, policy, shipped):
+    assert digests(artifacts(relabelled_vms(document(name)), policy)) == shipped(name, policy)
+
+
+@pytest.mark.parametrize("name,policy", CASES)
+def test_renaming_every_tier_changes_only_the_listed_names(name, policy, shipped):
+    assert renamed_tier_digests(document(name), policy) == shipped(name, policy)
+
+
+@pytest.mark.parametrize("name,policy", BASELINE_CASES)
+def test_an_idle_vmdk_sorted_last_changes_no_baseline_artifact(name, policy, shipped):
+    assert digests(artifacts(with_idle_vmdk(document(name)), policy)) == shipped(name, policy)
+
+
 @GENERATED
 @given(doc=scenario_documents(), data=st.data())
 def test_shuffling_a_generated_document_changes_no_artifact(doc, data):
@@ -151,3 +209,17 @@ def test_splitting_a_generated_documents_long_phases_changes_no_artifact(doc):
     assert split >= len(doc["vmdks"])  # at least 5 epochs over at most 4 phases
     for policy in POLICY_NAMES:
         assert digests(artifacts(split_doc, policy)) == digests(artifacts(doc, policy))
+
+
+@GENERATED
+@given(doc=scenario_documents())
+def test_relabelling_a_generated_documents_vms_changes_no_artifact(doc):
+    for policy in POLICY_NAMES:
+        assert digests(artifacts(relabelled_vms(doc), policy)) == digests(artifacts(doc, policy))
+
+
+@GENERATED
+@given(doc=scenario_documents())
+def test_renaming_a_generated_documents_tiers_changes_only_the_listed_names(doc):
+    for policy in POLICY_NAMES:
+        assert renamed_tier_digests(doc, policy) == digests(artifacts(doc, policy))

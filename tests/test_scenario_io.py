@@ -727,6 +727,13 @@ class TestReporting:
             assert pair["iops"] > 0
             assert pair["mbps"] > 0
 
+    def test_comparison_refuses_two_runs_of_one_policy(self):
+        scenario = load_bundled_scenario("tiny-oracle")
+        summaries = [summary_dict(run_scenario(scenario, p, seed=s))
+                     for p, s in (("idt", 1), ("edt", 1), ("idt", 2))]
+        with pytest.raises(ValueError, match="^compare takes one run per policy, got 2 idt runs$"):
+            comparison_dict(summaries)
+
 
 class TestCli:
     def test_run_writes_artifacts_and_exits_zero(self, tmp_path, capsys):
@@ -755,6 +762,21 @@ class TestCli:
         assert "autotiering/idt" in payload["ratios"]
         on_disk = json.loads((tmp_path / "cmp.json").read_text())
         assert on_disk == payload
+
+    def test_compare_exits_2_on_two_runs_of_one_policy(self, tmp_path, capsys):
+        # Keyed by policy, the second run used to replace the first silently.
+        for name, seed, out in (("tiny-oracle", "1", "a"), ("table3-table4", "2", "b")):
+            assert main(["run", "--scenario", name, "--policy", "idt", "--seed", seed,
+                         "--out", str(tmp_path / out)]) == 0
+        capsys.readouterr()
+        cmp_path = tmp_path / "cmp.json"
+        code = main(["compare", "--runs", str(tmp_path / "a"), str(tmp_path / "b"),
+                     "--out", str(cmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: compare takes one run per policy, got 2 idt runs" in captured.err
+        assert not cmp_path.exists()
 
     def test_compare_writes_null_for_a_ratio_over_a_zero_baseline(self, tmp_path, capsys):
         # Zero epochs leave every mean at 0, so no ratio has a value.
