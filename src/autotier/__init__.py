@@ -40,9 +40,7 @@ from .policy import (
 )
 from .baselines import EdtPolicy, IdtPolicy, edt_assign, idt_assign
 from .engine import (
-    EpochMetrics,
     RunResult,
-    TierEpochMetrics,
     make_policy,
     probe_latencies,
     run_scenario,

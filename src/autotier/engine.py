@@ -28,6 +28,12 @@ column. Advancing them charges each move, in id order, to the spare
 bandwidth of its two tiers: a short book runs that as a scalar loop, a
 long one as fixed-point passes of array operations that repeat the loop
 bit for bit (see ``progress_migrations``).
+The run's record is three arrays, allocated at its start and written in
+place: ``RunResult.epochs``, the ``TIER_FIGURES`` of each tier row and of
+the fleet; ``migration_bytes``; and ``flags``, the ``STARTED``,
+``OVERLOADED`` and ``STALLED`` bits of each fleet row. Each epoch writes
+its tier rows, bytes and flags; the run's end adds up every epoch's fleet
+row from its tier rows in one pass.
 """
 
 from __future__ import annotations
@@ -90,36 +96,31 @@ def probe_latencies(
     return np.multiply(factor.reshape(shape), truth, out=factor.reshape(shape))
 
 
-@dataclass
-class TierEpochMetrics:
-    read_iops: float = 0.0
-    write_iops: float = 0.0
-    read_mbps: float = 0.0
-    write_mbps: float = 0.0
-    mean_latency_us: float = 0.0
-
-
-@dataclass
-class EpochMetrics:
-    epoch: int
-    per_tier: dict[int, TierEpochMetrics]
-    total: TierEpochMetrics
-    migration_bytes: float = 0.0
-    migration_count: int = 0
-    migrated_vmdks: tuple[str, ...] = ()
-    overloaded: tuple[str, ...] = ()
-    stalled: tuple[str, ...] = ()
+# The five figures of every tier and of the whole fleet each epoch, in the
+# order of the last axis of ``RunResult.epochs``.
+TIER_FIGURES = ("read_iops", "write_iops", "read_mbps", "write_mbps", "mean_latency_us")
+# The bits of ``RunResult.flags``: in that epoch the row's move started, its
+# plan overloaded it, or its move in flight stalled.
+STARTED, OVERLOADED, STALLED = 1, 2, 4
 
 
 @dataclass
 class RunResult:
-    """One run: its epochs, plans and migration log, and the ``fleet`` it left."""
+    """One run: its record, plans and migration log, and the ``fleet`` it left.
+
+    The record spans the run's E epochs. ``epochs`` is (E, T + 1, 5): each
+    tier row's ``TIER_FIGURES``, then the fleet's in row T. ``migration_bytes``
+    is (E,), the bytes moved; ``flags`` is (E, N) ``uint8``, each fleet row's
+    ``STARTED``, ``OVERLOADED`` and ``STALLED`` bits.
+    """
 
     scenario: Scenario
     policy: str
     seed: int
     fleet: Fleet = field(repr=False)
-    epochs: list[EpochMetrics] = field(default_factory=list)
+    epochs: np.ndarray
+    migration_bytes: np.ndarray
+    flags: np.ndarray
     plans: list[AssignmentPlan] = field(default_factory=list)
     migration_log: MigrationLog = field(default_factory=MigrationLog)
 
@@ -128,8 +129,8 @@ def serve_epoch(
     fleet: Fleet,
     migration_read_mbps: Sequence[float],
     migration_write_mbps: Sequence[float],
-) -> list[TierEpochMetrics]:
-    """Serve every tier's members for one epoch and write the fleet's measurements.
+) -> np.ndarray:
+    """Serve every tier's members for one epoch; return the (5, T) ``TIER_FIGURES``.
 
     The migration debits (MB/s) follow the fleet's tier rows. Offered load
     per VMDK is its demand capped at the unloaded achievable rate
@@ -138,7 +139,9 @@ def serve_epoch(
     are exceeded, every member scales down proportionally. Writes each
     tier's contention, for later probes, and its spare MB/s, its bandwidth
     cap less its served MB/s and debits and never below 0.0 (a NaN is 0.0),
-    for later migration speeds, into the fleet's tier arrays.
+    for later migration speeds, into the fleet's tier arrays, and each
+    VMDK's measurements into its rows. A tier's mean latency is its
+    IOPS-weighted latency over its IOPS, or 0.0 where it serves none.
     Each stage's per-tier sums take one ``np.bincount`` over lanes
     ``tier_row + T * k``, one lane per tier and sum ``k``: every bin
     accumulates its members in row order from 0.0 (``np.bincount`` adds
@@ -192,6 +195,8 @@ def serve_epoch(
         out[2:4] /= 1e6
         np.multiply(served, latency, out=out[4], where=np.isfinite(latency))
         tier_out = per_tier(out)
+        iops = tier_out[0] + tier_out[1]
+        tier_out[4] = np.divide(tier_out[4], iops, out=np.zeros(n_tiers), where=iops > 0)
 
     fleet.measured_iops[:] = served
     fleet.measured_latency_us[:] = latency
@@ -201,17 +206,7 @@ def serve_epoch(
         0.0, caps[2:] - (tier_out[2:4] + debits)
     )
 
-    metrics = []
-    for r_iops, w_iops, r_mbps, w_mbps, weight in tier_out.T.tolist():
-        total_iops = r_iops + w_iops
-        metrics.append(TierEpochMetrics(
-            read_iops=r_iops,
-            write_iops=w_iops,
-            read_mbps=r_mbps,
-            write_mbps=w_mbps,
-            mean_latency_us=weight / total_iops if total_iops > 0 else 0.0,
-        ))
-    return metrics
+    return tier_out
 
 
 # Books shorter than this advance in the scalar loop: the passes' fixed cost is
@@ -225,7 +220,7 @@ def progress_migrations(
     fleet: Fleet,
     log: MigrationLog,
     epoch_seconds: float,
-) -> tuple[float, list[float], list[float], list[str], np.ndarray]:
+) -> tuple[float, list[float], list[float], np.ndarray, np.ndarray]:
     """Advance the in-flight migrations of fleet ``rows``, in id order, one epoch.
 
     Each row's open order is its ``order_index`` entry in ``log``, which
@@ -235,8 +230,9 @@ def progress_migrations(
     source (``tier_row``) and its destination (``dest_row``). The step that
     reaches the rest of a move sets its bytes moved to its bytes total.
     Writes each order's bytes moved, speed and stall flag to the log.
-    Returns total bytes moved, read/write debits in MB/s by tier row,
-    stalled VMDK ids and the rows whose migration finished, in id order.
+    Returns total bytes moved, read/write debits in MB/s by tier row, and
+    the rows whose migration stalled and those whose migration finished,
+    each in id order.
 
     A book of fewer than ``PROGRESS_LOOP_ROWS`` rows runs the scalar loop
     (``_progress_loop``); a longer one runs fixed-point passes
@@ -248,7 +244,7 @@ def progress_migrations(
     """
     if not len(rows):
         t = len(fleet.roster.tiers)
-        return 0.0, [0.0] * t, [0.0] * t, [], rows
+        return 0.0, [0.0] * t, [0.0] * t, rows, rows
     k = fleet.order_index[rows]
     if (k < 0).any():
         raise ValueError("only a VMDK with an open order can make progress")
@@ -261,7 +257,7 @@ def progress_migrations(
 
 def _progress_passes(
     rows: np.ndarray, k: np.ndarray, fleet: Fleet, log: MigrationLog, epoch_seconds: float,
-) -> tuple[float, list[float], list[float], list[str], np.ndarray] | None:
+) -> tuple[float, list[float], list[float], np.ndarray, np.ndarray] | None:
     """``_progress_loop``'s result from fixed-point passes, or None if none settles.
 
     Each row debits two lanes, its source's reads and its destination's
@@ -330,23 +326,20 @@ def _progress_passes(
         k, moved_now, np.where(active, mbps, log.speed_mbps[k]), np.where(active, stuck, log.stalled[k])
     )
     moved_total = np.add.accumulate(np.concatenate(([0.0], taken[go])))[-1]
-    stalled = fleet.roster.id_array[rows[stuck]].tolist()
     return (
-        float(moved_total), debits[:t, -1].tolist(), debits[t:, -1].tolist(), stalled,
+        float(moved_total), debits[:t, -1].tolist(), debits[t:, -1].tolist(), rows[stuck],
         rows[moved_now >= total],
     )
 
 
 def _progress_loop(
     rows: np.ndarray, k: np.ndarray, fleet: Fleet, log: MigrationLog, epoch_seconds: float,
-) -> tuple[float, list[float], list[float], list[str], np.ndarray]:
+) -> tuple[float, list[float], list[float], np.ndarray, np.ndarray]:
     """``progress_migrations`` as a scalar loop over the book, rows ``rows`` of orders ``k``."""
     roster = fleet.roster
     debit_read = [0.0] * len(roster.tiers)
     debit_write = [0.0] * len(roster.tiers)
     spare_read, spare_write = fleet.spare_read_mbps.tolist(), fleet.spare_write_mbps.tolist()
-    ids = roster.ids
-    row_list = rows.tolist()
     source = fleet.tier_row[rows].tolist()
     dest = fleet.dest_row[rows].tolist()
     bytes_total = log.bytes_total[k]
@@ -354,7 +347,7 @@ def _progress_loop(
     speed = log.speed_mbps[k].tolist()
     stall = log.stalled[k].tolist()
     moved_total = 0.0
-    stalled: list[str] = []
+    stalled: list[int] = []  # places in the book
     # Conditional expressions stand in for max(0.0, x) and min(a, b): the
     # same result, NaN included, without a call per order.
     for i, (total, measured, s, d) in enumerate(zip(
@@ -370,7 +363,7 @@ def _progress_loop(
         speed[i] = mbps = write_side if write_side < read_side else read_side
         if mbps <= 0.0:
             stall[i] = True
-            stalled.append(ids[row_list[i]])
+            stalled.append(i)
             continue
         stall[i] = False
         step = mbps * 1e6 * epoch_seconds
@@ -384,7 +377,7 @@ def _progress_loop(
         debit_write[d] += rate
     moved_now = np.array(moved)
     log.set_progress(k, moved_now, speed, stall)
-    return moved_total, debit_read, debit_write, stalled, rows[moved_now >= bytes_total]
+    return moved_total, debit_read, debit_write, rows[stalled], rows[moved_now >= bytes_total]
 
 
 def start_migrations(
@@ -439,8 +432,13 @@ def run_scenario(
     roster = scenario.roster
     fleet = Fleet.of(roster)
     log = MigrationLog(roster.ids)
+    t = len(roster.tiers)
     result = RunResult(
-        scenario=scenario, policy=policy_name, seed=sim.seed, fleet=fleet, migration_log=log
+        scenario=scenario, policy=policy_name, seed=sim.seed, fleet=fleet,
+        epochs=np.zeros((sim.epochs, t + 1, len(TIER_FIGURES))),
+        migration_bytes=np.zeros(sim.epochs),
+        flags=np.zeros((sim.epochs, len(roster.ids)), dtype=np.uint8),
+        migration_log=log,
     )
 
     weights = scenario.weights
@@ -451,54 +449,36 @@ def run_scenario(
         probe=partial(probe_latencies, fleet, rng=np.random.default_rng(sim.seed),
                       noise_cv=sim.noise_cv),
     )
-    for epoch in range(sim.epochs):
+    for epoch, figures, flags in zip(range(sim.epochs), result.epochs, result.flags):
         fleet.activate_phases(epoch)
         if epoch % weights.monitor_epoch == 0:
             policy.on_monitor(ctx)
 
-        started: tuple[str, ...] = ()
-        overloaded: tuple[str, ...] = ()
         if epoch % weights.migration_epoch == 0:
             plan = policy.plan_migrations(ctx, epoch)
             result.plans.append(plan)
             if on_plan is not None:
                 on_plan(epoch, plan, policy, ctx)
-            rows = start_migrations(
+            flags[start_migrations(
                 fleet, log, plan.move_rows, plan.move_from, plan.move_to, epoch
-            )
-            started = tuple(roster.id_array[rows].tolist())
-            # Rows are in id order, so sorted rows name the VMDKs sorted by id.
-            overloaded = tuple(roster.id_array[np.sort(plan.overloaded_rows)].tolist())
+            )] |= STARTED
+            flags[plan.overloaded_rows] |= OVERLOADED
 
-        moved_bytes, debit_read, debit_write, stalled, finished = progress_migrations(
-            (fleet.dest_row >= 0).nonzero()[0], fleet, log, epoch_seconds
+        result.migration_bytes[epoch], debit_read, debit_write, stalled, finished = (
+            progress_migrations((fleet.dest_row >= 0).nonzero()[0], fleet, log, epoch_seconds)
         )
+        flags[stalled] |= STALLED
 
-        per_tier: dict[int, TierEpochMetrics] = {}
-        total = TierEpochMetrics()
-        latency_weight = 0.0
-        for tier, tm in zip(scenario.tiers, serve_epoch(fleet, debit_read, debit_write)):
-            per_tier[tier.id] = tm
-            total.read_iops += tm.read_iops
-            total.write_iops += tm.write_iops
-            total.read_mbps += tm.read_mbps
-            total.write_mbps += tm.write_mbps
-            latency_weight += tm.mean_latency_us * (tm.read_iops + tm.write_iops)
-        grand_iops = total.read_iops + total.write_iops
-        total.mean_latency_us = latency_weight / grand_iops if grand_iops > 0 else 0.0
-
+        figures[:t] = serve_epoch(fleet, debit_read, debit_write).T
         fleet.move(finished)
 
-        result.epochs.append(
-            EpochMetrics(
-                epoch=epoch,
-                per_tier=per_tier,
-                total=total,
-                migration_bytes=moved_bytes,
-                migration_count=len(started),
-                migrated_vmdks=started,
-                overloaded=overloaded,
-                stalled=tuple(stalled),
-            )
-        )
+    # Each epoch's fleet row adds its tier rows left to right from 0.0 and
+    # weights each tier's mean latency by its IOPS, as a loop over the tiers does.
+    parts = np.zeros_like(result.epochs)
+    parts[:, 1:] = result.epochs[:, :t]
+    parts[:, 1:, 4] *= parts[:, 1:, 0] + parts[:, 1:, 1]
+    total = result.epochs[:, t]
+    total[:] = np.add.accumulate(parts, axis=1)[:, -1]
+    iops = total[:, 0] + total[:, 1]
+    total[:, 4] = np.where(iops > 0, total[:, 4] / iops, 0.0)
     return result

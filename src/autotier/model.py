@@ -457,6 +457,9 @@ class SimulationConfig:
 # The most calibration samples (VMDKs x injected latencies x samples per
 # latency) a monitor epoch may draw; ``probe_latencies`` holds 128 MiB at it.
 MAX_PROBE_SAMPLES = 2**24
+# The most VMDK-epochs (epochs x VMDKs) a run may take, so that every
+# accepted run ends in useful time; its record holds 16 MiB of flags at it.
+MAX_RUN_VMDK_EPOCHS = 2**24
 
 
 @dataclass(frozen=True)
@@ -487,6 +490,10 @@ class Scenario:
         if math.prod(grid) > MAX_PROBE_SAMPLES:
             problems.append("policyWeights.samplesPerLatency: {} VMDKs x {} injected latencies x "
                             "{} samples exceed {} per monitor epoch".format(*grid, MAX_PROBE_SAMPLES))
+        run = (self.sim.epochs, len(self.vmdks))
+        if math.prod(run) > MAX_RUN_VMDK_EPOCHS:
+            problems.append("simulation.epochs: {} epochs x {} VMDKs exceed {} VMDK-epochs "
+                            "per run".format(*run, MAX_RUN_VMDK_EPOCHS))
         if problems:
             raise ScenarioValidationError(problems)
 
@@ -610,8 +617,7 @@ class MigrationLog:
 class Roster(_Columns):
     """Everything a run's start takes from the VMDKs and tiers alone, built once per scenario.
 
-    VMDK rows are in id order (``ids``, also held as the (N,) object array
-    ``id_array`` that gathers them by row, and ``row`` mapping an id to its
+    VMDK rows are in id order (``ids``, and ``row`` mapping an id to its
     row) with the ``VmdkTable``'s float columns and ``initial_tier_row``,
     each VMDK's initial tier as a row of ``tiers``. Tier rows follow
     ``tiers`` and hold every tier number the epoch loop reads (see
@@ -626,7 +632,6 @@ class Roster(_Columns):
     """
 
     ids: tuple[str, ...]
-    id_array: np.ndarray
     row: Mapping[str, int]
     tiers: tuple[TierSpec, ...]
     tier_ids: np.ndarray
@@ -667,7 +672,6 @@ class Roster(_Columns):
         initial = np.fromiter(map(row_of_tier.__getitem__, vmdks.initial_tier), np.intp, n)
         return cls(
             ids=ids,
-            id_array=np.array(ids, dtype=object),
             row=MappingProxyType(dict(zip(ids, range(n)))),
             tiers=tuple(tiers),
             tier_ids=np.array([t.id for t in tiers], dtype=np.int64),

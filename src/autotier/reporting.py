@@ -9,12 +9,13 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .engine import RunResult, TierEpochMetrics
+import numpy as np
+
+from .engine import OVERLOADED, STALLED, STARTED, TIER_FIGURES, RunResult
 
 RUN_FILES = ("metrics.csv", "summary.json", "cdf_iops.dat", "cdf_bw.dat", "migrations.json")
 
@@ -23,11 +24,9 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-# The five figures of every tier and of the whole fleet, each epoch: the
-# metrics.csv column suffixes and their summary.json keys, in one order.
-TIER_FIGURES = tuple(f.name for f in fields(TierEpochMetrics))
+# The summary.json keys of the five figures that name the metrics.csv
+# columns, in ``TIER_FIGURES`` order.
 SUMMARY_KEYS = ("meanReadIops", "meanWriteIops", "meanReadMbps", "meanWriteMbps", "meanLatencyUs")
-_figures = operator.attrgetter(*TIER_FIGURES)
 # The five figures as one run of CSV cells, each rendered as _fmt renders it.
 _figure_cells = ",".join(["{:.6g}"] * len(TIER_FIGURES)).format
 
@@ -41,14 +40,23 @@ def csv_header(tier_ids: Sequence[int]) -> list[str]:
     ]
 
 
+def _flagged(result: RunResult, bit: int) -> np.ndarray:
+    """(E,) count of the fleet rows with ``bit`` set in each epoch."""
+    return np.count_nonzero(result.flags & bit, axis=1)
+
+
+def _flagged_epochs(result: RunResult, bit: int) -> int:
+    return int(np.count_nonzero(_flagged(result, bit)))
+
+
 def metrics_csv_text(result: RunResult) -> str:
-    tier_ids = [t.id for t in result.scenario.tiers]
-    lines = [",".join(csv_header(tier_ids))]
-    for em in result.epochs:
-        row = [str(em.epoch)]
-        row += [_figure_cells(*_figures(em.per_tier[t])) for t in tier_ids]
-        row += [_fmt(em.migration_bytes), str(em.migration_count), str(len(em.overloaded))]
-        row.append(_figure_cells(*_figures(em.total)))
+    lines = [",".join(csv_header([t.id for t in result.scenario.tiers]))]
+    for epoch, ((*tiers, fleet), moved, started, overloaded) in enumerate(zip(
+        result.epochs.tolist(), result.migration_bytes.tolist(),
+        _flagged(result, STARTED).tolist(), _flagged(result, OVERLOADED).tolist(),
+    )):
+        row = [str(epoch), *(_figure_cells(*figures) for figures in tiers)]
+        row += [_fmt(moved), str(started), str(overloaded), _figure_cells(*fleet)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -89,19 +97,18 @@ def _series_stats(values: Sequence[float]) -> dict[str, float]:
 
 def _total_io(result: RunResult) -> tuple[list[float], list[float]]:
     """Each epoch's fleet-wide read+write IOPS, and read+write MB/s."""
-    totals = [em.total for em in result.epochs]
-    return ([t.read_iops + t.write_iops for t in totals],
-            [t.read_mbps + t.write_mbps for t in totals])
+    fleet = result.epochs[:, -1]
+    return (fleet[:, 0] + fleet[:, 1]).tolist(), (fleet[:, 2] + fleet[:, 3]).tolist()
 
 
 def summary_dict(result: RunResult) -> dict[str, Any]:
-    per_tier: dict[str, Any] = {}
-    for t in result.scenario.tiers:
-        series = [em.per_tier[t.id] for em in result.epochs]
-        per_tier[str(t.id)] = {"name": t.name} | {
-            key: _series_stats(list(map(operator.attrgetter(name), series)))["mean"]
-            for key, name in zip(SUMMARY_KEYS, TIER_FIGURES)
+    *tiers, fleet = result.epochs.transpose(1, 2, 0).tolist()  # each row's figures' series
+    per_tier = {
+        str(t.id): {"name": t.name} | {
+            key: _series_stats(series)["mean"] for key, series in zip(SUMMARY_KEYS, figures)
         }
+        for t, figures in zip(result.scenario.tiers, tiers)
+    }
     total_iops, total_mbps = _total_io(result)
     return {
         "policy": result.policy,
@@ -111,11 +118,9 @@ def summary_dict(result: RunResult) -> dict[str, Any]:
         "total": {
             "iops": _series_stats(total_iops),
             "mbps": _series_stats(total_mbps),
-            "meanLatencyUs": _series_stats(
-                [em.total.mean_latency_us for em in result.epochs]
-            )["mean"],
+            "meanLatencyUs": _series_stats(fleet[4])["mean"],
         },
-        "overloadEpochs": sum(1 for em in result.epochs if em.overloaded),
+        "overloadEpochs": _flagged_epochs(result, OVERLOADED),
     }
 
 
@@ -129,8 +134,8 @@ def migrations_dict(result: RunResult) -> dict[str, Any]:
         "distinctVmdksMigrated": len(distinct),
         "migratedVmdkIds": distinct,
         "unfinishedMigrations": log.unfinished(),
-        "stallEpochs": sum(1 for em in result.epochs if em.stalled),
-        "overloadEpochs": sum(1 for em in result.epochs if em.overloaded),
+        "stallEpochs": _flagged_epochs(result, STALLED),
+        "overloadEpochs": _flagged_epochs(result, OVERLOADED),
     }
 
 

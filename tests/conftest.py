@@ -14,6 +14,7 @@ settings.register_profile("autotier", deadline=None)
 settings.load_profile("autotier")
 
 from autotier.calibration import _mean_and_cv
+from autotier.engine import OVERLOADED, STALLED, STARTED
 from autotier.model import (
     CalibrationFits,
     Fleet,
@@ -236,6 +237,52 @@ def log_orders(log) -> list[MigrationOrder]:
     columns = (getattr(log, f.name).tolist() for f in fields(MigrationOrder)[1:])
     ids = map(log.ids.__getitem__, log.row.tolist())
     return [MigrationOrder(*order) for order in zip(ids, *columns)]
+
+
+@dataclass
+class TierEpochMetrics:
+    """The five ``TIER_FIGURES`` of one tier, or of the fleet, in one epoch, as a record."""
+
+    read_iops: float = 0.0
+    write_iops: float = 0.0
+    read_mbps: float = 0.0
+    write_mbps: float = 0.0
+    mean_latency_us: float = 0.0
+
+
+@dataclass
+class EpochMetrics:
+    """One epoch of a run's record keyed by tier and VMDK id, as a record."""
+
+    epoch: int
+    per_tier: dict[int, TierEpochMetrics]
+    total: TierEpochMetrics
+    migration_bytes: float = 0.0
+    migration_count: int = 0
+    migrated_vmdks: tuple[str, ...] = ()
+    overloaded: tuple[str, ...] = ()
+    stalled: tuple[str, ...] = ()
+
+
+def epoch_records(result) -> list[EpochMetrics]:
+    """One ``EpochMetrics`` per epoch of ``result``, read from its record's three arrays.
+
+    Each tuple of ids names the rows with that flag set, in row order.
+    """
+    ids = result.scenario.roster.ids
+    tier_ids = result.scenario.roster.tier_ids.tolist()
+    named = lambda flags, bit: tuple(map(ids.__getitem__, np.flatnonzero(flags & bit).tolist()))
+    records = []
+    for epoch, ((*tiers, total), moved, flags) in enumerate(
+        zip(result.epochs.tolist(), result.migration_bytes.tolist(), result.flags)
+    ):
+        started = named(flags, STARTED)
+        records.append(EpochMetrics(
+            epoch, {t: TierEpochMetrics(*figures) for t, figures in zip(tier_ids, tiers)},
+            TierEpochMetrics(*total), moved, len(started), started,
+            named(flags, OVERLOADED), named(flags, STALLED),
+        ))
+    return records
 
 
 class ReferencePlan(NamedTuple):

@@ -11,19 +11,22 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from autotier import calibration, engine, model
 from autotier.calibration import collect_samples, estimate_avg_lat, regress_latency_curve
 from autotier.cli import main
 from autotier.engine import (
+    OVERLOADED,
     POLICY_NAMES,
+    STALLED,
+    STARTED,
+    TIER_FIGURES,
     probe_latencies,
     progress_migrations,
     run_scenario,
     start_migrations,
-    TierEpochMetrics,
     serve_epoch,
 )
 from autotier.model import (
@@ -43,6 +46,8 @@ from autotier.scenario import bundled_scenario_text, load_bundled_scenario, pars
 
 from conftest import (
     MigrationOrder,
+    TierEpochMetrics,
+    epoch_records,
     final_states,
     fleet_of,
     fleet_states,
@@ -55,6 +60,7 @@ from conftest import (
     pin,
     random_scenario,
     row_of_tier,
+    scenario_documents,
 )
 
 
@@ -227,10 +233,16 @@ class TestProbeLatencies:
 MEASURED = ("measured_iops", "measured_latency_us", "measured_read_mbps", "measured_write_mbps")
 
 
+def tier_metrics(figures: np.ndarray) -> list[TierEpochMetrics]:
+    """One record per tier of ``serve_epoch``'s (5, T) figures."""
+    assert figures.shape[0] == 5 and figures.dtype == float
+    return [TierEpochMetrics(*column) for column in figures.T.tolist()]
+
+
 def serve_tier(tier, members, migration_read_mbps=0.0, migration_write_mbps=0.0):
     """``serve_epoch`` on a one-tier fleet; ``members`` get the fleet's measurements."""
     fleet = fleet_of(members, [tier])
-    metrics = serve_epoch(fleet, [migration_read_mbps], [migration_write_mbps])[0]
+    metrics = tier_metrics(serve_epoch(fleet, [migration_read_mbps], [migration_write_mbps]))[0]
     served = {state.spec.id: state for state in fleet_states(fleet, [m.spec for m in members])}
     for member in members:
         for name in MEASURED:
@@ -366,7 +378,7 @@ class TestServeEpochMatchesReference:
         fleet = fleet_of(states, tiers)
         assert n_tiers == 1 or n_tiers - 1 not in fleet.tier_row.tolist()
         fleet.contention[:] = contended  # serving sets it afresh from the load
-        served = serve_epoch(fleet, debit_read, debit_write)
+        served = tier_metrics(serve_epoch(fleet, debit_read, debit_write))
         states = fleet_states(fleet, [s.spec for s in states])
 
         assert [astuple(m) for m in served] == [astuple(m) for m in expected]
@@ -392,9 +404,9 @@ class TestServeEpochMatchesReference:
             rng = np.random.default_rng(seed)
             tiers, states = random_fleet(rng, int(rng.integers(1, 7)))
             fleet = fleet_of(states, tiers)
-            served = serve_epoch(
+            served = tier_metrics(serve_epoch(
                 fleet, [2 * t.read_bandwidth_cap for t in tiers], [0.0] * len(tiers),
-            )
+            ))
             states = fleet_states(fleet, [s.spec for s in states])
             seen.update(
                 name for name, hit in (
@@ -464,7 +476,7 @@ class TestServeEpoch:
         fleet = fleet_of(states, tiers)
         # Tier 1's read debit passes its cap, tier 2's write debit is NaN and
         # tier 3 is partly used.
-        metrics = serve_epoch(fleet, [1500.0, 0.0, 100.0], [0.0, np.nan, 50.0])
+        metrics = tier_metrics(serve_epoch(fleet, [1500.0, 0.0, 100.0], [0.0, np.nan, 50.0]))
         third = metrics[2]
         assert third.read_mbps > 0.0 and third.write_mbps > 0.0
         assert fleet.spare_read_mbps.tolist() == [
@@ -578,7 +590,7 @@ class TestMigrations:
         assert log.speed_mbps.tolist() == [400.0]
         assert not log.stalled[0]
         assert moved == pytest.approx(100e9)
-        assert stalled == []
+        assert stalled.tolist() == []
         assert debit_r[0] == pytest.approx(100e9 / 300 / 1e6)  # tier 1
         assert debit_w[1] == pytest.approx(100e9 / 300 / 1e6)  # tier 2
 
@@ -589,7 +601,7 @@ class TestMigrations:
         fleet.spare_write_mbps[1] = 0.0
         moved, _, _, stalled, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
         assert moved == 0.0
-        assert stalled == ["v1"]
+        assert stalled.tolist() == [0]
         assert log.stalled[0]
         assert log.bytes_moved.tolist() == [0.0]
         assert finished.tolist() == []
@@ -601,7 +613,7 @@ class TestMigrations:
         moved, debit_r, debit_w, stalled, finished = progress_migrations(
             np.array([0]), fleet, log, 300.0
         )
-        assert (moved, debit_r, debit_w, stalled) == (0.0, [0.0, 0.0], [0.0, 0.0], [])
+        assert (moved, debit_r, debit_w, stalled.tolist()) == (0.0, [0.0, 0.0], [0.0, 0.0], [])
         assert finished.tolist() == [0]
         assert (log.bytes_moved[0], log.speed_mbps[0], log.stalled[0]) == (100e9, 7.0, True)
 
@@ -626,7 +638,7 @@ class TestMigrations:
         moved, debit_r, debit_w, stalled, finished = progress_migrations(
             np.zeros(0, dtype=np.intp), fleet, log, 300.0
         )
-        assert (moved, debit_r, debit_w, stalled) == (0.0, [0.0, 0.0], [0.0, 0.0], [])
+        assert (moved, debit_r, debit_w, stalled.tolist()) == (0.0, [0.0, 0.0], [0.0, 0.0], [])
         assert finished.tolist() == []
 
     def test_progress_needs_an_open_order(self):
@@ -767,7 +779,8 @@ def migration_epochs(seed, epochs=10, vmdks=(5, 30)):
                 reference_states[v].current_tier = active[v].to_tier
                 reference_finished.add(v)
                 del active[v]
-        yield (got[:4], expected, {roster.ids[j] for j in finished.tolist()}, reference_finished,
+        stalled = [roster.ids[j] for j in got[3].tolist()]
+        yield ((*got[:3], stalled), expected, {roster.ids[j] for j in finished.tolist()}, reference_finished,
                log_orders(log), [astuple(o) for o in reference_log], tiers, started)
 
 
@@ -872,7 +885,7 @@ def result_bits(result, log):
     moved, debit_read, debit_write, stalled, finished = result
     return (
         np.float64(moved).tobytes(), np.array(debit_read).tobytes(),
-        np.array(debit_write).tobytes(), stalled, finished.tolist(),
+        np.array(debit_write).tobytes(), stalled.tolist(), finished.tolist(),
         log.bytes_moved.tobytes(), log.speed_mbps.tobytes(), log.stalled.tolist(),
     )
 
@@ -955,7 +968,7 @@ class TestProgressPassesMatchLoop:
         assert got == expected
         left = log.bytes_total[0] - log.bytes_moved[0]
         moved, debit_read, debit_write, stalled, finished = result
-        assert finished.tolist() == [0, 1] and stalled == []
+        assert finished.tolist() == [0, 1] and stalled.tolist() == []
         assert moved == left + 30e9  # the second move takes 100 MB/s and finishes too
         assert debit_read[0] == debit_write[1] == left / 300.0 / 1e6 + 100.0
         monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", 0)
@@ -1057,7 +1070,7 @@ class TestRunScenario:
 
     def test_zero_epochs_empty_series(self):
         result = run_scenario(replace(self.tiny(), sim=SimulationConfig(epochs=0)), "idt")
-        assert result.epochs == []
+        assert len(result.epochs) == len(result.migration_bytes) == len(result.flags) == 0
         assert result.plans == []
 
     def test_a_negative_seed_override_is_refused_before_anything_draws(self, monkeypatch):
@@ -1215,12 +1228,12 @@ class TestRunScenario:
         # The tier rows follow serving: at the second plan they hold the epoch before it.
         epoch, contention, spare_read = tier_views[1]
         assert (contention >= 1.0).all()
-        previous = result.epochs[epoch - 1].per_tier
-        assert [previous[t.id].read_mbps for t in contexts[0].tiers] != [0.0, 0.0]
+        previous = result.epochs[epoch - 1, :-1, TIER_FIGURES.index("read_mbps")].tolist()
+        assert previous != [0.0, 0.0]
         # Migration debits only take spare bandwidth away.
         assert all(
-            spare <= max(0.0, t.read_bandwidth_cap - previous[t.id].read_mbps)
-            for t, spare in zip(contexts[0].tiers, spare_read.tolist())
+            spare <= max(0.0, t.read_bandwidth_cap - read_mbps)
+            for t, spare, read_mbps in zip(contexts[0].tiers, spare_read.tolist(), previous)
         )
         fleet = contexts[0].fleet
         final = [final_states(result)[v] for v in fleet.roster.ids]
@@ -1255,13 +1268,66 @@ class TestRunScenario:
             scenario = random_scenario(rng, epochs=5)
             for policy in ("autotiering", "idt", "edt"):
                 result = run_scenario(scenario, policy)
-                for em in result.epochs:
+                for em in epoch_records(result):
                     for tier in scenario.tiers:
                         tm = em.per_tier[tier.id]
                         assert tm.read_iops <= tier.read_throughput_cap * (1 + 1e-9)
                         assert tm.write_iops <= tier.write_throughput_cap * (1 + 1e-9)
                         assert tm.read_mbps <= tier.read_bandwidth_cap * (1 + 1e-9)
                         assert tm.write_mbps <= tier.write_bandwidth_cap * (1 + 1e-9)
+
+
+def flag_rows(flags: np.ndarray, bit: int) -> list[list[int]]:
+    """Per epoch, the fleet rows whose ``flags`` have ``bit`` set, in row order."""
+    return [np.flatnonzero(row & bit).tolist() for row in flags]
+
+
+def check_flags(scenario, policy) -> tuple[int, int]:
+    """Check a run's flags against its plans, its log and each epoch's book of moves.
+
+    Returns how many rows the run flagged OVERLOADED and STALLED in all.
+    """
+    books = []
+    progress = engine.progress_migrations
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "progress_migrations",
+                      lambda rows, *args: books.append(set(rows.tolist())) or progress(rows, *args))
+        result = run_scenario(scenario, policy)
+    log, plans = result.migration_log, {plan.epoch_index: plan for plan in result.plans}
+    assert result.flags.dtype == np.uint8 and len(books) == len(result.flags)
+    assert not (result.flags & ~np.uint8(STARTED | OVERLOADED | STALLED)).any()
+    overloads = stalls = 0
+    for epoch, (started, overloaded, stalled, book) in enumerate(zip(
+        flag_rows(result.flags, STARTED), flag_rows(result.flags, OVERLOADED),
+        flag_rows(result.flags, STALLED), books,
+    )):
+        assert started == log.row[log.started_epoch == epoch].tolist()  # logged in row order
+        plan = plans.get(epoch)
+        expected = [] if plan is None else plan.overloaded_rows.tolist()
+        assert len(set(expected)) == len(expected)
+        assert overloaded == sorted(expected)
+        assert set(stalled) <= book  # only a move in flight stalls
+        overloads, stalls = overloads + len(overloaded), stalls + len(stalled)
+    return overloads, stalls
+
+
+class TestRunRecordFlags:
+    """Each fleet row's STARTED, OVERLOADED and STALLED bits name what the run did to it."""
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("name", ["table3-table4", "spike", "tiny-oracle"])
+    def test_bundled_flags_match_the_plans_and_the_log(self, name, policy):
+        overloads, _ = check_flags(load_bundled_scenario(name), policy)
+        assert overloads == 0  # no bundled plan overloads a tier
+
+    @settings(max_examples=40)
+    @given(doc=scenario_documents())
+    def test_generated_flags_match_the_plans_and_the_log(self, doc):
+        scenario = validate_scenario(doc)
+        for policy in POLICY_NAMES:
+            overloads, stalls = check_flags(scenario, policy)
+            event(f"{policy} overloads" if overloads else f"{policy} never overloads")
+            event(f"{policy} stalls" if stalls else f"{policy} never stalls")
 
 
 def multi_phase(scenario, rng):
@@ -1321,7 +1387,7 @@ class TestPhaseSchedule:
         rng = np.random.default_rng(9)
         scenario = multi_phase(random_scenario(rng, epochs=0), rng)
         result = run_scenario(scenario, "autotiering")
-        assert result.epochs == []
+        assert len(result.epochs) == 0
         final = final_states(result)
         for spec in scenario.vmdks:
             assert phase_key(final[spec.id]) == phase_key(spec.demand_profile[0])

@@ -34,6 +34,14 @@ parses contributes its scenario document, any other the exact
 ``errors`` list, so a reader change that rewords, reorders, drops or adds
 a diagnostic fails here.
 
+Three hot layers each pick a fast path or its slow twin by a cutover: the
+migration book (``engine.PROGRESS_LOOP_ROWS``), the packer's fit scan
+(``policy.FIRST_FIT_WINDOW``) and the VMDK reader (the column pass
+``model._read_vmdks``, else item by item). No golden document is large
+enough to reach every path, so the artifact, plan and scale goldens run
+again with each cutover pinned at either extreme, and the artifact goldens
+with the VMDKs read item by item.
+
 The hashes were recorded with numpy 2.4 on x86_64; another numpy or platform
 may round differently. Regenerating them (``python tests/test_golden.py``
 prints a fresh artifact table, ``python tests/test_golden.py --plans`` a
@@ -50,21 +58,26 @@ import io
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from autotier import engine, model, policy
 from autotier.cli import main
 from autotier.engine import POLICY_NAMES, run_scenario
 from autotier.reporting import RUN_FILES, write_run_artifacts
-from autotier.model import ScenarioValidationError, validate_scenario
+from autotier.model import (
+    SCHEMA, Scenario, ScenarioValidationError, VmdkSpec, VmdkTable, validate_scenario,
+)
 from autotier.scenario import (
     bundled_scenario_text,
     load_bundled_scenario,
     parse_scenario,
     scenario_to_document,
+    serialize_scenario,
 )
 
-from conftest import final_states, keyed_plan, log_orders
+from conftest import epoch_records, final_states, keyed_plan, log_orders
 
 GOLDEN_PATH = Path(__file__).with_name("golden_hashes.json")
 PLAN_DIGEST_PATH = Path(__file__).with_name("golden_plan_digests.json")
@@ -80,8 +93,11 @@ def case_key(scenario: str, policy: str, seed: int) -> str:
     return f"{scenario}/{policy}/{seed}"
 
 
-def artifact_hashes(scenario: str, policy: str, seed: int, out_dir: Path) -> dict[str, str]:
-    result = run_scenario(load_bundled_scenario(scenario), policy, seed=seed)
+def bundled_run(scenario: str, policy: str, seed: int):
+    return run_scenario(load_bundled_scenario(scenario), policy, seed=seed)
+
+
+def artifact_hashes(result, out_dir: Path) -> dict[str, str]:
     write_run_artifacts(result, out_dir)
     return {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
@@ -95,9 +111,8 @@ def plan_record(plan) -> tuple:
     return (plan.epoch_index, plan.target, plan.migrations, sorted(plan.overloaded), usage)
 
 
-def plan_digest(scenario: str, policy: str, seed: int) -> str:
+def plan_digest(result) -> str:
     """SHA-256 over the full-precision repr of every plan of one run."""
-    result = run_scenario(load_bundled_scenario(scenario), policy, seed=seed)
     digest = hashlib.sha256()
     for plan in result.plans:
         digest.update(repr(plan_record(keyed_plan(plan))).encode())
@@ -151,7 +166,7 @@ def run_digest(result) -> str:
     """SHA-256 over the full-precision repr of everything a run returns."""
     digest = hashlib.sha256()
     for record in (
-        *result.epochs,
+        *epoch_records(result),
         *(plan_record(keyed_plan(plan)) for plan in result.plans),
         *log_orders(result.migration_log),
         *final_states(result).items(),
@@ -251,12 +266,13 @@ def test_table_covers_every_case(golden, plan_digests):
 @pytest.mark.parametrize("scenario,policy,seed", CASES)
 def test_artifacts_match_golden(scenario, policy, seed, tmp_path, golden):
     key = case_key(scenario, policy, seed)
-    assert artifact_hashes(scenario, policy, seed, tmp_path) == golden[key]
+    assert artifact_hashes(bundled_run(scenario, policy, seed), tmp_path) == golden[key]
 
 
 @pytest.mark.parametrize("scenario,policy,seed", CASES)
 def test_plans_match_golden_digest(scenario, policy, seed, plan_digests):
-    assert plan_digest(scenario, policy, seed) == plan_digests[case_key(scenario, policy, seed)]
+    result = bundled_run(scenario, policy, seed)
+    assert plan_digest(result) == plan_digests[case_key(scenario, policy, seed)]
 
 
 def test_scale_scenario_is_large_and_changes_demand_mid_run(scale):
@@ -270,6 +286,53 @@ def test_scale_scenario_is_large_and_changes_demand_mid_run(scale):
 def test_scale_run_matches_golden_digest(policy, scale):
     golden = json.loads(SCALE_DIGEST_PATH.read_text(encoding="utf-8"))
     assert run_digest(run_scenario(scale, policy)) == golden[policy]
+
+
+# Each hot layer's fast path and its slow twin, chosen by a cutover: pinning
+# the cutover at either extreme sends every run through one of them.
+FORCED_PATHS = [
+    (engine, "PROGRESS_LOOP_ROWS", 0),  # every book on the fixed-point passes
+    (engine, "PROGRESS_LOOP_ROWS", 10**9),  # every book on the scalar loop
+    (policy, "FIRST_FIT_WINDOW", 1),  # every fit scan on the array passes
+    (policy, "FIRST_FIT_WINDOW", 10**9),  # every fit scan in scalar windows
+]
+
+
+@pytest.mark.parametrize("module,name,value", FORCED_PATHS,
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_each_forced_path_matches_the_run_goldens(
+    module, name, value, monkeypatch, tmp_path, golden, plan_digests, scale,
+):
+    monkeypatch.setattr(module, name, value)
+    for case in CASES:
+        result = bundled_run(*case)
+        key = case_key(*case)
+        assert artifact_hashes(result, tmp_path / key.replace("/", "-")) == golden[key], key
+        assert plan_digest(result) == plan_digests[key], key
+    scale_golden = json.loads(SCALE_DIGEST_PATH.read_text(encoding="utf-8"))
+    for scale_policy in POLICY_NAMES:
+        assert run_digest(run_scenario(scale, scale_policy)) == scale_golden[scale_policy]
+
+
+def test_the_item_by_item_reader_matches_the_artifact_goldens(tmp_path, golden):
+    # The vmdks list read with no column pass, as if ``_read_vmdks`` returned None.
+    item_by_item = tuple(
+        (key, arg, model._list_of(VmdkSpec) if key == "vmdks" else read, default)
+        for key, arg, read, default in SCHEMA[Scenario]
+    )
+    for name in SCENARIOS:
+        column_read = load_bundled_scenario(name)
+        with mock.patch.dict(SCHEMA, {Scenario: item_by_item}), mock.patch.object(
+            VmdkTable, "of", side_effect=VmdkTable.of
+        ) as gather:
+            scenario = load_bundled_scenario(name)
+        assert gather.call_count == 1  # the specs were read one by one, then gathered
+        assert serialize_scenario(scenario) == serialize_scenario(column_read)
+        for policy_name in POLICY_NAMES:
+            for seed in SEEDS:
+                key = case_key(name, policy_name, seed)
+                result = run_scenario(scenario, policy_name, seed=seed)
+                assert artifact_hashes(result, tmp_path / key.replace("/", "-")) == golden[key]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -291,7 +354,7 @@ if __name__ == "__main__":
     import tempfile
 
     if sys.argv[1:] == ["--plans"]:
-        table = {case_key(*case): plan_digest(*case) for case in CASES}
+        table = {case_key(*case): plan_digest(bundled_run(*case)) for case in CASES}
     elif sys.argv[1:] == ["--scale"]:
         scenario = scale_scenario()
         table = {p: run_digest(run_scenario(scenario, p)) for p in POLICY_NAMES}
@@ -303,5 +366,5 @@ if __name__ == "__main__":
         table = {}
         for case in CASES:
             with tempfile.TemporaryDirectory() as tmp:
-                table[case_key(*case)] = artifact_hashes(*case, Path(tmp))
+                table[case_key(*case)] = artifact_hashes(bundled_run(*case), Path(tmp))
     print(json.dumps(table, indent=2, sort_keys=True))

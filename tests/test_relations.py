@@ -21,6 +21,21 @@ run artifacts:
   AutoTiering probes it, which draws more samples from the run's one
   generator, so the relation does not hold there.
 
+Two more relations scale units by a power of two f, which is exact in
+binary floating point barring overflow and underflow, so the run must
+scale bit for bit. They compare the run's record, plans and log, not the
+artifacts, whose 6-digit rendering of a scaled figure is no scaled string:
+
+- scaling bandwidth and size (every bandwidth cap, the ``b`` and ``s``
+  budgets, each ``sizeGb`` and each phase's ``avgIoSizeBytes``) by f
+  scales every MB/s and byte count by f and leaves IOPS, latency, flags,
+  moves and stalls alone;
+- scaling speed (every throughput cap, the ``p`` budgets and each
+  ``demandIops`` by f, and every base latency, truth intercept,
+  ``avgIoSizeBytes`` and injected latency by 1/f) scales every IOPS figure
+  by f and every latency by 1/f and leaves MB/s, bytes, flags, moves and
+  stalls alone.
+
 The documents are the bundled ones and small generated ones
 (``conftest.scenario_documents``), whose tight budgets make plans overload
 tiers and migrations stall. The idle VMDK runs on the bundled documents
@@ -34,12 +49,13 @@ import random
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autotier.engine import POLICY_NAMES, run_scenario
-from autotier.model import validate_scenario
+from autotier.model import DEFAULT_INJECTED_LATENCIES_US, validate_scenario
 from autotier.reporting import RUN_FILES, write_run_artifacts
 from autotier.scenario import bundled_scenario_text
 
@@ -136,6 +152,73 @@ def with_idle_vmdk(doc: dict) -> dict:
     return doc
 
 
+# Small factors flip few decisions: a mixed-unit formula in migration cost
+# shows only under the larger ones in most examples.
+SCALES = (2.0, 0.5, 1024.0, 2.0**-10)
+# The plan fields that name rows; they must not move under a change of units.
+PLAN_ROWS = ("target_row", "order", "move_rows", "move_from", "move_to", "overloaded_rows")
+
+
+def scaled_bandwidth(doc: dict, f: float) -> tuple[dict, dict]:
+    """``doc`` with bandwidth and size in units f times smaller, and the factors of its run."""
+    doc = copy.deepcopy(doc)
+    for tier in doc["tiers"]:
+        tier["readBandwidthCap"] *= f
+        tier["writeBandwidthCap"] *= f
+        tier["capacity"]["b"] *= f
+        tier["capacity"]["s"] *= f
+    for vmdk in doc["vmdks"]:
+        vmdk["sizeGb"] *= f
+        for phase in vmdk["demandProfile"]:
+            phase["avgIoSizeBytes"] *= f
+    return doc, {"iops": 1.0, "mbps": f, "latency": 1.0, "size": f}
+
+
+def scaled_speed(doc: dict, f: float) -> tuple[dict, dict]:
+    """``doc`` with time in units f times larger, and the factors of its run."""
+    doc = copy.deepcopy(doc)
+    for tier in doc["tiers"]:
+        tier["readThroughputCap"] *= f
+        tier["writeThroughputCap"] *= f
+        tier["capacity"]["p"] *= f
+        tier["baseLatencyUs"] /= f
+    for vmdk in doc["vmdks"]:
+        vmdk["truthInterceptUs"] /= f
+        for phase in vmdk["demandProfile"]:
+            phase["demandIops"] *= f
+            phase["avgIoSizeBytes"] /= f
+    weights = doc.setdefault("policyWeights", {})
+    injected = weights.get("injectedLatenciesUs", DEFAULT_INJECTED_LATENCIES_US)
+    weights["injectedLatenciesUs"] = [latency / f for latency in injected]
+    return doc, {"iops": f, "mbps": 1.0, "latency": 1 / f, "size": 1.0}
+
+
+def run(doc: dict, policy: str):
+    return run_scenario(validate_scenario(doc), policy)
+
+
+def assert_scaled(a, b, iops: float, mbps: float, latency: float, size: float) -> None:
+    """Run ``b`` is run ``a`` in scaled units, bit for bit.
+
+    Each IOPS, MB/s, latency and byte (or GB) figure of the record, plans
+    and log comes out times its factor; flags, plan rows, log rows and
+    stall flags are equal.
+    """
+    figures = np.array([iops, iops, mbps, mbps, latency])  # in TIER_FIGURES order
+    assert (a.epochs * figures).tolist() == b.epochs.tolist()
+    assert (a.migration_bytes * size).tolist() == b.migration_bytes.tolist()
+    assert a.flags.tolist() == b.flags.tolist()
+    assert len(a.plans) == len(b.plans)
+    for plan, twin in zip(a.plans, b.plans):
+        assert all(getattr(plan, n).tolist() == getattr(twin, n).tolist() for n in PLAN_ROWS)
+        assert (plan.used * [iops, mbps, size]).tolist() == twin.used.tolist()
+    log, twin = a.migration_log, b.migration_log
+    for name, factor in (("bytes_total", size), ("bytes_moved", size), ("speed_mbps", mbps)):
+        assert (getattr(log, name) * factor).tolist() == getattr(twin, name).tolist()
+    for name in ("row", "from_tier", "to_tier", "started_epoch", "stalled"):
+        assert getattr(log, name).tolist() == getattr(twin, name).tolist()
+
+
 @pytest.fixture(scope="module")
 def shipped():
     """The artifact digests of each shipped document's run, each run once."""
@@ -223,3 +306,28 @@ def test_relabelling_a_generated_documents_vms_changes_no_artifact(doc):
 def test_renaming_a_generated_documents_tiers_changes_only_the_listed_names(doc):
     for policy in POLICY_NAMES:
         assert renamed_tier_digests(doc, policy) == digests(artifacts(doc, policy))
+
+
+@pytest.mark.parametrize("scale", [scaled_bandwidth, scaled_speed], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("f", SCALES)
+@pytest.mark.parametrize("name,policy", CASES)
+def test_scaling_units_scales_the_run(name, policy, f, scale):
+    doc = document(name)
+    scaled, factors = scale(doc, f)
+    assert_scaled(run(doc, policy), run(scaled, policy), **factors)
+
+
+@GENERATED
+@given(doc=scenario_documents(), f=st.sampled_from(SCALES))
+def test_scaling_a_generated_documents_bandwidth_and_size_scales_the_run(doc, f):
+    scaled, factors = scaled_bandwidth(doc, f)
+    for policy in POLICY_NAMES:
+        assert_scaled(run(doc, policy), run(scaled, policy), **factors)
+
+
+@GENERATED
+@given(doc=scenario_documents(), f=st.sampled_from(SCALES))
+def test_scaling_a_generated_documents_speed_scales_the_run(doc, f):
+    scaled, factors = scaled_speed(doc, f)
+    for policy in POLICY_NAMES:
+        assert_scaled(run(doc, policy), run(scaled, policy), **factors)

@@ -29,6 +29,7 @@ from autotier.model import (
     OPTIONAL,
     REQUIRED,
     MAX_PROBE_SAMPLES,
+    MAX_RUN_VMDK_EPOCHS,
     SCHEMA,
     DemandProfile,
     MigrationLog,
@@ -36,6 +37,7 @@ from autotier.model import (
     ResourceVector,
     Scenario,
     ScenarioValidationError,
+    SimulationConfig,
     VmdkSpec,
     VmdkTable,
     validate_scenario,
@@ -217,6 +219,38 @@ class TestParsing:
         assert excinfo.value.errors == [
             "policyWeights.samplesPerLatency: 1 VMDKs x 2 injected latencies x 8388609 samples "
             "exceed 16777216 per monitor epoch"
+        ]
+
+    # tiny-oracle holds 6 VMDKs: each epoch adds 6 VMDK-epochs to the run.
+    @pytest.mark.parametrize("epochs", [10**10, 2**63 - 1, MAX_RUN_VMDK_EPOCHS // 6 + 1],
+                             ids=["1e10", "int64-max", "first-past-the-bound"])
+    def test_a_run_past_the_bound_is_refused_at_parse_unallocated(self, epochs):
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc["simulation"]["epochs"] = epochs
+        text = json.dumps(doc)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioValidationError) as excinfo:
+                parse_scenario(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.errors == [
+            f"simulation.epochs: {epochs} epochs x 6 VMDKs exceed 16777216 VMDK-epochs per run"
+        ]
+        assert peak < 2**20  # bytes: nothing the size of the run's record was allocated
+
+    def test_a_run_at_the_bound_parses_and_one_past_it_is_refused_alike(self):
+        # Parsed only: an accepted extreme is never run.
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc["simulation"]["epochs"] = MAX_RUN_VMDK_EPOCHS // 6
+        assert parse_scenario(json.dumps(doc)).sim.epochs == 2_796_202
+        # One VMDK, built in Python: exactly 2**24 VMDK-epochs at 2**24 epochs.
+        Scenario((make_tier(),), (make_vmdk(),), sim=SimulationConfig(epochs=2**24))
+        with pytest.raises(ScenarioValidationError) as excinfo:
+            Scenario((make_tier(),), (make_vmdk(),), sim=SimulationConfig(epochs=2**24 + 1))
+        assert excinfo.value.errors == [
+            "simulation.epochs: 16777217 epochs x 1 VMDKs exceed 16777216 VMDK-epochs per run"
         ]
 
     @pytest.mark.parametrize("token", [str(2**63), HUGE_INTEGER], ids=["2**63", "int-1e400"])
@@ -677,7 +711,8 @@ class TestReporting:
                            total, epoch)
             log.set_progress(k, total * rng.choice([0.0, 0.3, 1.0], size=n), np.ones(n),
                              np.zeros(n, dtype=bool))
-        mig = migrations_dict(SimpleNamespace(migration_log=log, epochs=[]))
+        flags = np.zeros((0, len(ids)), dtype=np.uint8)
+        mig = migrations_dict(SimpleNamespace(migration_log=log, flags=flags))
         distinct = sorted(set(map(ids.__getitem__, log.row.tolist())))
         total = reduce(operator.add, log.bytes_moved.tolist(), 0)
         assert (mig["migratedVmdkIds"], mig["distinctVmdksMigrated"]) == (distinct, len(distinct))
