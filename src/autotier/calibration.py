@@ -167,8 +167,7 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     if rank != 2:
         warnings.warn("Polyfit may be poorly conditioned", RankWarning, stacklevel=2)
     m, b = (c.T / scale).T
-    return CalibrationFits(vmdk_ids=samples.vmdk_ids, m=m, b=b,
-                           confidence=compute_confidence(mean_cv, floor), mean_cv=mean_cv)
+    return CalibrationFits(m=m, b=b, confidence=compute_confidence(mean_cv, floor), mean_cv=mean_cv)
 
 
 def estimate_avg_lat(
@@ -179,7 +178,7 @@ def estimate_avg_lat(
     """(T, N) predicted average latency of each VMDK if hosted on each tier.
 
     Rows follow ``base_latency_us``, the (T,) base latency of each tier row
-    (``Roster.base_latency_us``); columns follow ``fits.vmdk_ids``, and
+    (``Roster.base_latency_us``); columns follow the rows of ``fits``, and
     ``tier_row`` gives each VMDK's hosting tier row. On the hosting tier the
     prediction is the fitted intercept exactly. A prediction may be
     non-positive when the target tier is much faster than the fit can

@@ -329,22 +329,20 @@ class CalibrationFits:
     """Regression output of one monitor epoch's calibration, one row per VMDK.
 
     ``m``, ``b``, ``confidence`` and ``mean_cv`` are (N,) arrays whose
-    rows follow ``vmdk_ids``. ``m`` is the raw fitted slope
+    rows follow the fleet's VMDK rows. ``m`` is the raw fitted slope
     (kept even if negative); predictions use ``prediction_slope``, which
     clamps at zero since a VMDK cannot speed up when its device slows down.
     """
 
-    vmdk_ids: tuple[str, ...]
     m: np.ndarray
     b: np.ndarray
     confidence: np.ndarray
     mean_cv: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = (len(self.vmdk_ids),)
-        for column in (self.m, self.b, self.confidence, self.mean_cv):
-            if column.shape != rows:
-                raise ValueError("calibration fits need one row per VMDK")
+        columns = (self.m, self.b, self.confidence, self.mean_cv)
+        if self.m.ndim != 1 or any(column.shape != self.m.shape for column in columns):
+            raise ValueError("calibration fits need one row per VMDK")
         if not ((self.confidence > 0.0) & (self.confidence <= 1.0)).all():
             raise ValueError("confidence out of (0,1]")
         bad = ~(np.isfinite(self.mean_cv) & (self.mean_cv >= 0))
@@ -356,21 +354,19 @@ class CalibrationFits:
         return np.maximum(self.m, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CapacityMatrices:
     """Predicted absolute usage, normalized ratios and feasibility per (tier, vmdk).
 
     ``cap`` and ``ratio`` are (T, N, 3) float arrays whose last axis holds the
-    p, b, s components; ``feasible`` is a (T, N) bool array. The tier axis
-    follows the fleet's tier rows and the VMDK axis ``vmdk_ids``. ``ratio``
-    and ``feasible`` stay None until the matrices are normalized against the
-    tier budgets.
+    p, b, s components; ``feasible`` is a (T, N) bool array. The axes follow
+    the fleet's tier and VMDK rows. ``policy.normalize_and_gate`` builds the
+    record whole from ``cap`` and the tier budgets.
     """
 
-    vmdk_ids: tuple[str, ...]
     cap: np.ndarray
-    ratio: np.ndarray | None = None
-    feasible: np.ndarray | None = None
+    ratio: np.ndarray
+    feasible: np.ndarray
 
 
 DEFAULT_INJECTED_LATENCIES_US = (0.0, 500.0, 1000.0, 2000.0, 4000.0)

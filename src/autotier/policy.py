@@ -11,8 +11,9 @@ over the fleet's tier and VMDK rows; a cell that cannot host its VMDK
 scores -inf.
 
 Every input but the policy weights is read from the run's ``Fleet``: its
-roster's VMDK rows (id order) are the matrices' VMDK axis and its tier rows
-their tier axis, the roster's tier columns (budget, base latency, match
+roster's VMDK rows (id order) are the VMDK axis of the fits, matrices,
+score and plans, which carry no VMDK ids of their own, and its tier rows
+their tier axis. The roster's tier columns (budget, base latency, match
 mask, kind-weight total, migration weight) and the fleet's spare MB/s are
 every tier number, and the fleet's ``dest_row`` marks the VMDKs whose
 in-flight migration is committed.
@@ -27,8 +28,9 @@ oracle for the greedy round; it and ``epoch_profit`` share one per-(tier,
 vmdk) profit table, and both take assignments as (N,) tier rows.
 
 Every planner returns an ``AssignmentPlan`` in fleet rows: each VMDK's
-target tier row, the order VMDKs were seated in, and the moves as aligned
-row arrays. Its checks run on those arrays. The target and planned usage
+target tier row, the order VMDKs were seated in, and the moves as fleet
+rows with their source tier rows; each move's destination is read from
+the target. Its checks run on those arrays. The target and planned usage
 keyed by VMDK and tier id (``target``, ``planned_usage``) are built only
 when something reads them, and then kept.
 """
@@ -59,14 +61,15 @@ class AssignmentPlan:
     """A total assignment for one migration epoch, held in fleet rows.
 
     ``ids`` and ``tier_ids`` are the fleet's VMDK ids and tier ids; every
-    other field indexes them. ``target_row`` is each VMDK's tier row and
-    ``order`` the order the packer seated the VMDKs in: in-flight VMDKs,
-    then placements, then stay-puts. The moves are the aligned
-    ``move_rows`` (fleet rows), ``move_from`` and ``move_to`` (tier rows),
-    at most one per VMDK. VMDKs force-kept on a tier whose remaining
-    capacity could not absorb them are in ``overloaded_rows``. ``used`` is
-    the (T, 3) usage the planner accounted against each tier's budget (only
-    the kinds the policy checks; overloaded VMDKs are not counted).
+    other field follows the fleet's rows and indexes them. ``target_row`` is
+    each VMDK's tier row and ``order`` the order the packer seated the VMDKs
+    in: in-flight VMDKs, then placements, then stay-puts. The moves are the
+    aligned ``move_rows`` (fleet rows) and ``move_from`` (tier rows), at most
+    one per VMDK; ``move_to`` reads their tier rows from ``target_row``.
+    VMDKs force-kept on a tier whose remaining capacity could not absorb
+    them are in ``overloaded_rows``. ``used`` is the (T, 3) usage the
+    planner accounted against each tier's budget (only the kinds the policy
+    checks; overloaded VMDKs are not counted).
 
     ``target`` and ``planned_usage`` are the target and the usage keyed by
     id, built on first access and kept: ``target`` lists the VMDKs in
@@ -80,20 +83,19 @@ class AssignmentPlan:
     order: np.ndarray
     move_rows: np.ndarray
     move_from: np.ndarray
-    move_to: np.ndarray
     overloaded_rows: np.ndarray
     used: np.ndarray
 
     def __post_init__(self) -> None:
-        still = self.move_from == self.move_to
-        bad = still | (self.target_row[self.move_rows] != self.move_to)
-        if bad.any():
-            # Report the first bad move's first failing check.
-            if still[bad.argmax()]:
-                raise ValueError("migration list may only contain actual moves")
-            raise ValueError("migration target inconsistent with assignment")
+        if (self.move_from == self.move_to).any():
+            raise ValueError("migration list may only contain actual moves")
         if (np.bincount(self.move_rows) > 1).any():
             raise ValueError("migration list names a VMDK more than once")
+
+    @property
+    def move_to(self) -> np.ndarray:
+        """Each move's destination tier row, aligned with ``move_rows``."""
+        return self.target_row[self.move_rows]
 
     @cached_property
     def target(self) -> dict[str, int]:
@@ -109,8 +111,8 @@ class AssignmentPlan:
         return {t: ResourceVector(*u) for t, u in zip(self.tier_ids.tolist(), self.used.tolist())}
 
 
-def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> CapacityMatrices:
-    """Predict absolute resource usage of every VMDK on every tier.
+def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> np.ndarray:
+    """(T, N, 3) predicted absolute p, b, s usage of every VMDK on every tier.
 
     Throughput is the latency-implied ceiling 10^6/latency, additionally
     capped at the VMDK's current demand (an idle VMDK must not look like a
@@ -118,8 +120,6 @@ def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> CapacityMatric
     storage is the VMDK size. The rows of ``fits`` must follow the fleet's.
     """
     roster = fleet.roster
-    if fits.vmdk_ids != roster.ids:
-        raise ValueError("calibration fits must follow the VMDK order")
     lat = estimate_avg_lat(fits, fleet.tier_row, roster.base_latency_us)
     with np.errstate(divide="ignore"):
         iops = np.where(lat > 0, 1e6 / lat, 0.0)
@@ -128,22 +128,22 @@ def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> CapacityMatric
     np.multiply(cap[..., 0], fleet.avg_io_size_bytes, out=cap[..., 1])
     cap[..., 1] /= 1e6
     cap[..., 2] = roster.size_gb
-    return CapacityMatrices(vmdk_ids=roster.ids, cap=cap)
+    return cap
 
 
-def normalize_and_gate(mat: CapacityMatrices, fleet: Fleet) -> CapacityMatrices:
-    """Fill per-cell feasibility and budget-normalized usage ratios.
+def normalize_and_gate(cap: np.ndarray, fleet: Fleet) -> CapacityMatrices:
+    """The matrices of the (T, N, 3) usage ``cap``: per-cell feasibility and budget ratios.
 
     A cell is infeasible when any predicted component exceeds the tier's
     usable budget (``fleet.roster.budget``); its ratios are zeroed so
-    downstream scores ignore it. The matrices' tier axis must follow the
-    fleet's.
+    downstream scores ignore it. The axes of ``cap`` must follow the
+    fleet's tier and VMDK rows.
     """
     budget = fleet.roster.budget[:, None, :]
-    mat.feasible = (mat.cap <= budget).all(axis=-1)
-    fill = (budget > 0) & mat.feasible[..., None]
-    mat.ratio = np.divide(mat.cap, budget, out=np.zeros(mat.cap.shape), where=fill)
-    return mat
+    feasible = (cap <= budget).all(axis=-1)
+    fill = (budget > 0) & feasible[..., None]
+    ratio = np.divide(cap, budget, out=np.zeros(cap.shape), where=fill)
+    return CapacityMatrices(cap, ratio, feasible)
 
 
 def orthogonal_match_score(
@@ -344,7 +344,6 @@ def pack(
         order=np.concatenate((pins, chosen, rest)).astype(np.int32),
         move_rows=moves.astype(np.int32),
         move_from=fleet.tier_row[moves].astype(np.int32),
-        move_to=where[moves].astype(np.int32),
         overloaded_rows=np.concatenate(overloaded).astype(np.int32),
         used=used,
     )
@@ -358,14 +357,12 @@ def trigger_migration(
 ) -> AssignmentPlan:
     """Greedy assignment round: tiers in id order, VMDKs by descending score.
 
-    The matrices' VMDK axis must follow the fleet's rows. One stable
-    ``np.argsort`` ranks each tier's row, so score ties break by fleet row,
-    which is VMDK id. A -inf or NaN cell (infeasible, or a migration that
-    cannot run this epoch) is never a candidate. All three budget kinds are
-    checked; see ``pack`` for in-flight VMDKs and the stay-put fallback.
+    The axes of ``score`` and ``mat`` must follow the fleet's rows. One
+    stable ``np.argsort`` ranks each tier's row, so score ties break by fleet
+    row, which is VMDK id. A -inf or NaN cell (infeasible, or a migration
+    that cannot run this epoch) is never a candidate. All three budget kinds
+    are checked; see ``pack`` for in-flight VMDKs and the stay-put fallback.
     """
-    if mat.vmdk_ids != fleet.roster.ids:
-        raise ValueError("capacity matrices must follow the fleet's VMDK order")
     # -inf cells rank after every other cell and NaN cells last, so each
     # tier's candidates are a prefix of its ranking.
     order = np.argsort(-score, axis=1, kind="stable")
@@ -393,8 +390,6 @@ def profit_contributions(
     matrices' axes must follow the fleet's tier and VMDK rows.
     """
     roster = fleet.roster
-    if mat.vmdk_ids != roster.ids:
-        raise ValueError("capacity matrices must follow the fleet's VMDK order")
     alpha, ratio = weights.alpha, mat.ratio
     gain = alpha.p * ratio[..., 0] + alpha.b * ratio[..., 1] + alpha.s * ratio[..., 2]
     cost = mig_cost_seconds(fleet, previous) / migration_epoch_seconds
@@ -487,7 +482,6 @@ def oracle_assignment(
         order=np.arange(n),
         move_rows=moves,
         move_from=previous[moves],
-        move_to=target[moves],
         overloaded_rows=np.zeros(0, dtype=np.intp),
         used=used,
     )
@@ -547,8 +541,7 @@ class AutoTieringPolicy:
             weights.samples_per_latency,
         )
         fits = calibration.regress_latency_curve(samples, floor=weights.confidence_floor)
-        mat = cal_capacity_matrices(fits, fleet)
-        normalize_and_gate(mat, fleet)
+        mat = normalize_and_gate(cal_capacity_matrices(fits, fleet), fleet)
         self.score = cal_score(
             mat,
             self.score,

@@ -168,16 +168,9 @@ def fleet_of(states, tiers) -> Fleet:
 
 
 def make_fits(rows) -> CalibrationFits:
-    """Fits from (vmdk_id, m, b, confidence) rows, mean CV 0."""
-    rows = list(rows)
-    column = lambda k: np.array([row[k] for row in rows], dtype=float)
-    return CalibrationFits(
-        vmdk_ids=tuple(row[0] for row in rows),
-        m=column(1),
-        b=column(2),
-        confidence=column(3),
-        mean_cv=np.zeros(len(rows)),
-    )
+    """Fits from (m, b, confidence) rows, one per VMDK in fleet row order, mean CV 0."""
+    m, b, confidence = np.array(list(rows), dtype=float).reshape(-1, 3).T.copy()
+    return CalibrationFits(m=m, b=b, confidence=confidence, mean_cv=np.zeros(len(m)))
 
 
 def pin(fleet: Fleet, pinned) -> Fleet:
@@ -196,7 +189,7 @@ def tier_rows(fleet: Fleet, assignment) -> np.ndarray:
     return np.array([row_of_tier(fleet, assignment[v]) for v in fleet.roster.ids], dtype=np.intp)
 
 
-def hosted_usage(mat, target, tier_id: int) -> tuple[float, float, float]:
+def hosted_usage(mat, fleet: Fleet, target, tier_id: int) -> tuple[float, float, float]:
     """(p, b, s) sum of the capacity cells of the VMDKs ``target`` puts on tier ``tier_id``.
 
     Cells are added in ``target``'s order, from 0.0; tier id t is row t - 1.
@@ -204,7 +197,7 @@ def hosted_usage(mat, target, tier_id: int) -> tuple[float, float, float]:
     total = (0.0, 0.0, 0.0)
     for vmdk_id, t in target.items():
         if t == tier_id:
-            cell = mat.cap[t - 1, mat.vmdk_ids.index(vmdk_id)].tolist()
+            cell = mat.cap[t - 1, fleet.roster.row[vmdk_id]].tolist()
             total = tuple(a + b for a, b in zip(total, cell))
     return total
 
@@ -571,7 +564,6 @@ def random_oracle_instance(rng: np.random.Generator, capacity_scale: float = 1.0
         )
         states.append(make_state(spec, measured_read_mbps=float(rng.uniform(0, 100))))
         rows.append((
-            vid,
             float(rng.uniform(0, 1.5)),
             float(rng.uniform(5, 200)),
             float(rng.uniform(0.05, 1.0)),

@@ -78,13 +78,13 @@ def test_criterion_1_formula_fidelity():
         # IOPS = 10^6 / Lat and B = IOPS * io / 10^6
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e12, avg_io_size_bytes=4096))
-        rec = make_fits([("v1", 0.0, 20.0, 1.0)])
-        mat = cal_capacity_matrices(rec, fleet_of([state], [tier]))
-        ok &= close(mat.cap[0, 0, 0], 50_000.0)  # tier 1, v1, p
-        ok &= close(mat.cap[0, 0, 1], 204.8)  # tier 1, v1, b
+        rec = make_fits([(0.0, 20.0, 1.0)])
+        cap = cal_capacity_matrices(rec, fleet_of([state], [tier]))
+        ok &= close(cap[0, 0, 0], 50_000.0)  # tier 1, v1, p
+        ok &= close(cap[0, 0, 1], 204.8)  # tier 1, v1, b
 
         # hosting-tier estimate returns the fitted intercept exactly
-        rec2 = make_fits([("v1", 2.0, 123.0, 1.0)])
+        rec2 = make_fits([(2.0, 123.0, 1.0)])
         ok &= estimate_avg_lat(rec2, [0], np.array([20.0]))[0, 0] == 123.0
 
         # confidence mapping

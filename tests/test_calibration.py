@@ -84,8 +84,7 @@ def reference_regress(samples, floor=0.05):
             cause = f"mean CV of its samples is not finite, got {row_cv}"
             raise ValueError(f"VMDK {vmdk_id!r}: {cause}")
     m, b = np.polyfit(xs, means.T, 1)
-    return CalibrationFits(vmdk_ids=samples.vmdk_ids, m=m, b=b,
-                           confidence=compute_confidence(mean_cv, floor), mean_cv=mean_cv)
+    return CalibrationFits(m=m, b=b, confidence=compute_confidence(mean_cv, floor), mean_cv=mean_cv)
 
 
 def outcome(regress, samples):
@@ -209,6 +208,12 @@ class TestCollectSamples:
         values[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-positive sample for injected latency 100.0"):
             CalibrationSamples(("a", "b"), plan, values)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (2, 3, 3)])
+    def test_the_grid_must_match_its_labels(self, shape):
+        message = r"sample values must be shaped \(VMDKs, injected latencies, samples\)"
+        with pytest.raises(ValueError, match=message):
+            CalibrationSamples(("a", "b"), (0.0, 500.0), np.ones(shape))
 
     def test_checks_name_the_injected_latency(self):
         with pytest.raises(ValueError, match="non-positive sample for injected latency 500.0"):
@@ -515,7 +520,7 @@ class TestFitPlan:
 
 class TestEstimateAvgLat:
     def rec(self, m, b):
-        return make_fits([("v", m, b, 1.0)])
+        return make_fits([(m, b, 1.0)])
 
     def test_direct_formula(self):
         lat = estimate_avg_lat(self.rec(2.0, 100.0), [0], np.array([20.0, 50.0]))
@@ -540,7 +545,7 @@ class TestEstimateAvgLat:
         assert estimates == sorted(estimates)
 
     def test_grid_is_tiers_by_vmdks(self):
-        fits = make_fits([("a", 0.5, 80.0, 1.0), ("b", 2.0, 300.0, 1.0)])
+        fits = make_fits([(0.5, 80.0, 1.0), (2.0, 300.0, 1.0)])
         lats = np.array([10.0, 100.0, 1000.0])
         grid = estimate_avg_lat(fits, [2, 0], lats)
         assert grid.shape == (3, 2)

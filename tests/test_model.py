@@ -51,9 +51,7 @@ def vec(p=0.0, b=0.0, s=0.0):
 
 def fit_row(m, b, confidence, mean_cv=0.1):
     """Calibration fits holding one VMDK."""
-    return CalibrationFits(
-        ("v",), np.array([m]), np.array([b]), np.array([confidence]), np.array([mean_cv]),
-    )
+    return CalibrationFits(*(np.array([x]) for x in (m, b, confidence, mean_cv)))
 
 
 class TestResourceVector:
@@ -103,6 +101,14 @@ class TestTierSpec:
 
 
 class TestVmdkSpec:
+    def test_id_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="vmdk id must be non-empty"):
+            replace(make_vmdk(), id="")
+
+    def test_profile_needs_a_phase(self):
+        with pytest.raises(ValueError, match="demandProfile must have at least one phase"):
+            replace(make_vmdk(), demand_profile=())
+
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError, match="sizeGb must be positive"):
             make_vmdk(size_gb=0.0)
@@ -160,6 +166,16 @@ class TestOtherTypes:
     def test_calibration_row_checks(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             fit_row(1.0, 10.0, confidence=0.5, **kwargs)
+
+    @pytest.mark.parametrize("column", ["m", "b", "confidence", "mean_cv"])
+    def test_calibration_fits_columns_must_be_equally_long(self, column):
+        fits = fit_row(1.0, 10.0, confidence=0.5)
+        with pytest.raises(ValueError, match="calibration fits need one row per VMDK"):
+            replace(fits, **{column: np.repeat(getattr(fits, column), 2)})
+
+    def test_calibration_fits_columns_must_be_flat(self):
+        with pytest.raises(ValueError, match="calibration fits need one row per VMDK"):
+            CalibrationFits(*(np.full((1, 1), 0.5) for _ in range(4)))
 
     def test_prediction_slope_clamps_at_zero(self):
         rec = fit_row(-0.3, 10.0, confidence=0.5)
@@ -683,6 +699,11 @@ class TestScenarioValidation:
                 tiers=(make_tier(1, 200.0), make_tier(2, 100.0)),
                 vmdks=(make_vmdk(),),
             )
+
+    def test_a_scenario_needs_a_tier(self):
+        # Python-built only: a document's empty tier list is refused before this check.
+        with pytest.raises(ScenarioValidationError, match="tiers: at least one tier required"):
+            Scenario(tiers=(), vmdks=(make_vmdk(),))
 
     def test_initial_tier_must_exist(self):
         with pytest.raises(ScenarioValidationError, match="does not exist"):

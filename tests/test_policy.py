@@ -12,7 +12,6 @@ from autotier import policy
 from autotier.baselines import idt_assign
 from autotier.calibration import estimate_avg_lat
 from autotier.model import (
-    CapacityMatrices,
     Fleet,
     PolicyWeights,
     ResourceVector,
@@ -20,6 +19,8 @@ from autotier.model import (
     VmdkTable,
 )
 from autotier.policy import (
+    AutoTieringPolicy,
+    PolicyContext,
     cal_capacity_matrices,
     cal_score,
     epoch_profit,
@@ -55,12 +56,12 @@ from test_baselines import REFERENCE_RULES, reference_pack_by_metric
 from test_golden import plan_record
 
 
-def record(vmdk_id, m, b, conf=1.0):
-    return vmdk_id, m, b, conf
+def record(m, b, conf=1.0):
+    return m, b, conf
 
 
 def fits(fleet, records):
-    """Calibration fits of ``records`` (rows by VMDK id) in the fleet's row order."""
+    """Calibration fits of ``records`` ((m, b, confidence) by VMDK id) in the fleet's row order."""
     return make_fits(records[v] for v in fleet.roster.ids)
 
 
@@ -68,13 +69,12 @@ P, B, S = 0, 1, 2  # component index on the last axis of cap / ratio
 
 
 def build_matrices(fleet, records):
-    mat = cal_capacity_matrices(fits(fleet, records), fleet)
-    return normalize_and_gate(mat, fleet)
+    return normalize_and_gate(cal_capacity_matrices(fits(fleet, records), fleet), fleet)
 
 
-def at(mat, tier_id, vmdk_id):
+def at(fleet, tier_id, vmdk_id):
     """Array index of the (tier, vmdk) cell; tier id t is row t - 1."""
-    return tier_id - 1, mat.vmdk_ids.index(vmdk_id)
+    return tier_id - 1, fleet.roster.row[vmdk_id]
 
 
 def match(tier, ratios, sla, conf):
@@ -94,10 +94,8 @@ class TestCapacityMatrices:
         # 20us predicted latency -> 50K IOPS
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=1e9, avg_io_size_bytes=4096))
-        mat = cal_capacity_matrices(
-            make_fits([record("v1", 0.0, 20.0)]), fleet_of([state], [tier])
-        )
-        cell = mat.cap[at(mat, 1, "v1")]
+        fleet = fleet_of([state], [tier])
+        cell = cal_capacity_matrices(make_fits([record(0.0, 20.0)]), fleet)[at(fleet, 1, "v1")]
         assert cell[P] == pytest.approx(50_000, rel=1e-9)
         assert cell[B] == pytest.approx(50_000 * 4096 / 1e6, rel=1e-9)
         assert cell[S] == state.spec.size_gb
@@ -105,21 +103,21 @@ class TestCapacityMatrices:
     def test_negative_prediction_means_zero_throughput(self):
         tiers = (make_tier(1, 50.0), make_tier(2, 2050.0))
         state = make_state(make_vmdk(initial_tier=2, demand_iops=1e9), tier=2)
-        records = make_fits([record("v1", 1.0, 500.0)])
-        mat = cal_capacity_matrices(records, fleet_of([state], tiers))
+        records = make_fits([record(1.0, 500.0)])
+        fleet = fleet_of([state], tiers)
+        cap = cal_capacity_matrices(records, fleet)
         # predicted latency on tier 1: 1.0 * (50-2050) + 500 = -1500us
         assert estimate_avg_lat(records, [1], np.array([50.0, 2050.0]))[0, 0] == -1500.0
-        assert mat.cap[at(mat, 1, "v1")][P] == 0.0
-        assert mat.cap[at(mat, 1, "v1")][B] == 0.0
+        assert cap[at(fleet, 1, "v1")][P] == 0.0
+        assert cap[at(fleet, 1, "v1")][B] == 0.0
 
     def test_throughput_capped_at_demand(self):
         tier = make_tier(1, base_latency_us=20.0)
         state = make_state(make_vmdk(demand_iops=10_000, avg_io_size_bytes=4096))
-        mat = cal_capacity_matrices(
-            make_fits([record("v1", 0.0, 20.0)]), fleet_of([state], [tier])
-        )
-        assert mat.cap[at(mat, 1, "v1")][P] == 10_000
-        assert mat.cap[at(mat, 1, "v1")][B] == pytest.approx(10_000 * 4096 / 1e6)
+        fleet = fleet_of([state], [tier])
+        cap = cal_capacity_matrices(make_fits([record(0.0, 20.0)]), fleet)
+        assert cap[at(fleet, 1, "v1")][P] == 10_000
+        assert cap[at(fleet, 1, "v1")][B] == pytest.approx(10_000 * 4096 / 1e6)
 
 
 class TestNormalizeAndGate:
@@ -128,16 +126,16 @@ class TestNormalizeAndGate:
         tier = make_tier(1, capacity=ResourceVector(240_000, 1000, 480))
         state = make_state(make_vmdk(size_gb=960.0, demand_iops=100))
         fleet = fleet_of([state], [tier])
-        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 100.0)})
-        assert bool(mat.feasible[at(mat, 1, "v1")]) is False
-        assert mat.ratio[at(mat, 1, "v1")].tolist() == [0.0, 0.0, 0.0]
+        mat = build_matrices(fleet, {"v1": record(0.0, 100.0)})
+        assert bool(mat.feasible[at(fleet, 1, "v1")]) is False
+        assert mat.ratio[at(fleet, 1, "v1")].tolist() == [0.0, 0.0, 0.0]
 
     def test_hand_divided_ratios(self):
         tier = make_tier(1, capacity=ResourceVector(100_000, 1000, 480))
         state = make_state(make_vmdk(size_gb=100.0, demand_iops=50_000, avg_io_size_bytes=4096))
         fleet = fleet_of([state], [tier])
-        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 10.0)})
-        ratios = mat.ratio[at(mat, 1, "v1")]
+        mat = build_matrices(fleet, {"v1": record(0.0, 10.0)})
+        ratios = mat.ratio[at(fleet, 1, "v1")]
         assert ratios[P] == pytest.approx(0.5, rel=1e-9)
         assert ratios[B] == pytest.approx(204.8 / 1000, rel=1e-9)
         assert ratios[S] == pytest.approx(100 / 480, rel=1e-9)
@@ -146,9 +144,9 @@ class TestNormalizeAndGate:
         tier = make_tier(1)
         state = make_state(make_vmdk(demand_iops=0.0))
         fleet = fleet_of([state], [tier])
-        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 100.0)})
-        assert bool(mat.feasible[at(mat, 1, "v1")]) is True
-        assert mat.ratio[at(mat, 1, "v1")][P] == 0.0
+        mat = build_matrices(fleet, {"v1": record(0.0, 100.0)})
+        assert bool(mat.feasible[at(fleet, 1, "v1")]) is True
+        assert mat.ratio[at(fleet, 1, "v1")][P] == 0.0
 
 
 class TestOrthogonalMatch:
@@ -260,7 +258,7 @@ class TestCalScore:
     def single_cell(self, aging, previous, mig_weight):
         tier = make_tier(1, mig_weight=mig_weight)
         state = make_state(make_vmdk(demand_iops=10_000))
-        records = {"v1": record("v1", 0.0, 100.0)}
+        records = {"v1": record(0.0, 100.0)}
         fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=aging, migration_epoch=3, monitor_epoch=1)
@@ -270,11 +268,11 @@ class TestCalScore:
         score = self.single_cell(0.0, None, 0.0)
         tier = make_tier(1, mig_weight=0.0)
         state = make_state(make_vmdk(demand_iops=10_000))
-        records = {"v1": record("v1", 0.0, 100.0)}
+        records = {"v1": record(0.0, 100.0)}
         fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, records)
-        expected = match(tier, mat.ratio[at(mat, 1, "v1")], 1.0, 1.0)
-        assert score[at(mat, 1, "v1")] == pytest.approx(expected, rel=1e-12)
+        expected = match(tier, mat.ratio[at(fleet, 1, "v1")], 1.0, 1.0)
+        assert score[at(fleet, 1, "v1")] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("previous", [-math.inf, math.inf, math.nan, 0.8])
     def test_only_a_finite_previous_cell_is_aged(self, previous):
@@ -295,23 +293,23 @@ class TestCalScore:
         # current match: storage ratio 450/500 over weight sum 3 -> 0.3
         state = make_state(make_vmdk(vmdk_id="w", size_gb=450.0, demand_iops=0.0,
                                      initial_tier=2), tier=2)
-        records = {"w": record("w", 0.0, 100.0)}
+        records = {"w": record(0.0, 100.0)}
         fleet = fleet_of([state], tiers)
         mat = build_matrices(fleet, records)
         fleet.spare_read_mbps[1] = 1000.0  # 200 of 1200 MB/s served -> cost 450s
         weights = PolicyWeights(aging_factor=0.5, migration_epoch=3)
         previous = np.zeros(mat.feasible.shape)
-        previous[at(mat, 1, "w")] = 0.4
+        previous[at(fleet, 1, "w")] = 0.4
         score = cal_score(mat, previous, weights, fleet, fits(fleet, records), 900.0)
         # penalty: 0.2 * (450 GB * 1000 / 1000 MBps) / 900 s = 0.1
-        assert score[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
+        assert score[at(fleet, 1, "w")] == pytest.approx(0.4, rel=1e-12)
         # The next epoch ages this score in turn: 0.5 * 0.4 + 0.3 - 0.1 again.
         again = cal_score(mat, score, weights, fleet, fits(fleet, records), 900.0)
-        assert again[at(mat, 1, "w")] == pytest.approx(0.4, rel=1e-12)
+        assert again[at(fleet, 1, "w")] == pytest.approx(0.4, rel=1e-12)
 
     def test_infeasible_propagates_and_resets_history(self):
         state = make_state(make_vmdk(size_gb=100.0, demand_iops=100))
-        records = {"v1": record("v1", 0.0, 100.0)}
+        records = {"v1": record(0.0, 100.0)}
         weights = PolicyWeights(aging_factor=0.9)
 
         def score(tier, previous):
@@ -329,13 +327,13 @@ class TestCalScore:
     def test_infinite_migration_cost_blocks_epoch_but_not_history(self):
         tiers = (make_tier(1, 100.0), make_tier(2, 300.0))
         state = make_state(make_vmdk(size_gb=10.0, demand_iops=100), tier=2)
-        records = {"v1": record("v1", 0.0, 100.0)}
+        records = {"v1": record(0.0, 100.0)}
         fleet = fleet_of([state], tiers)
         fleet.spare_write_mbps[0] = 0.0  # no way in
         fleet.spare_read_mbps[1] = 0.0
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=0.5)
-        move, stay = at(mat, 1, "v1"), at(mat, 2, "v1")
+        move, stay = at(fleet, 1, "v1"), at(fleet, 2, "v1")
         blocked = cal_score(mat, None, weights, fleet, fits(fleet, records), 900.0)
         assert blocked[move] == -math.inf
         assert math.isfinite(blocked[stay])  # staying costs nothing
@@ -349,10 +347,10 @@ class TestCalScore:
         assert again[stay] == 0.5 * blocked[stay] + fresh[stay]
 
 
-def scores_from(mat, tiers, values):
+def scores_from(mat, fleet, values):
     score = np.full(mat.feasible.shape, -math.inf)
     for (tier_id, vmdk_id), value in values.items():
-        score[at(mat, tier_id, vmdk_id)] = value
+        score[at(fleet, tier_id, vmdk_id)] = value
     return score
 
 
@@ -361,8 +359,8 @@ class TestTriggerMigration:
         tier = make_tier(1)
         state = make_state(make_vmdk(demand_iops=1000))
         fleet = fleet_of([state], [tier])
-        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 100.0)})
-        sm = scores_from(mat, [tier], {(1, "v1"): 1.0})
+        mat = build_matrices(fleet, {"v1": record(0.0, 100.0)})
+        sm = scores_from(mat, fleet, {(1, "v1"): 1.0})
         plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target == {"v1": 1}
         assert keyed_plan(plan).migrations == ()
@@ -378,10 +376,10 @@ class TestTriggerMigration:
             make_state(make_vmdk("a", size_gb=60.0, demand_iops=1000), tier=2),
             make_state(make_vmdk("b", size_gb=60.0, demand_iops=1000), tier=2),
         ]
-        records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
+        records = {"a": record(0.0, 50.0), "b": record(0.0, 50.0)}
         fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
-        sm = scores_from(mat, tiers, {
+        sm = scores_from(mat, fleet, {
             (1, "a"): 0.4, (1, "b"): 0.9, (2, "a"): 0.1, (2, "b"): 0.1,
         })
         plan = trigger_migration(sm, mat, fleet, 0)
@@ -397,11 +395,11 @@ class TestTriggerMigration:
             make_state(make_vmdk("a", size_gb=50.0, demand_iops=10), tier=2),
             make_state(make_vmdk("b", size_gb=50.0, demand_iops=10), tier=2),
         ]
-        records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
+        records = {"a": record(0.0, 50.0), "b": record(0.0, 50.0)}
         fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
         sm = cal_score(mat, None, PolicyWeights(), fleet, fits(fleet, records), 900.0)
-        assert sm[at(mat, 1, "a")] == -math.inf
+        assert sm[at(fleet, 1, "a")] == -math.inf
         plan = trigger_migration(sm, mat, fleet, 0)
         assert all(t == 2 for t in plan.target.values())
 
@@ -411,10 +409,10 @@ class TestTriggerMigration:
             make_state(make_vmdk("a", size_gb=80.0, demand_iops=10), tier=1),
             make_state(make_vmdk("b", size_gb=80.0, demand_iops=10), tier=1),
         ]
-        records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
+        records = {"a": record(0.0, 50.0), "b": record(0.0, 50.0)}
         fleet = fleet_of(states, [tier])
         mat = build_matrices(fleet, records)
-        sm = scores_from(mat, [tier], {(1, "a"): 0.5, (1, "b"): 0.4})
+        sm = scores_from(mat, fleet, {(1, "a"): 0.5, (1, "b"): 0.4})
         plan = trigger_migration(sm, mat, fleet, 0)
         assert plan.target == {"a": 1, "b": 1}  # totality always wins
         assert keyed_plan(plan).overloaded == {"b"}
@@ -428,10 +426,10 @@ class TestTriggerMigration:
             make_state(make_vmdk("b", size_gb=60.0, demand_iops=10), tier=2),
             make_state(make_vmdk("a", size_gb=60.0, demand_iops=10), tier=2),
         ]
-        records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
+        records = {"a": record(0.0, 50.0), "b": record(0.0, 50.0)}
         fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
-        sm = scores_from(mat, tiers, {
+        sm = scores_from(mat, fleet, {
             (1, "a"): 0.5, (1, "b"): 0.5, (2, "a"): 0.0, (2, "b"): 0.0,
         })
         plan = trigger_migration(sm, mat, fleet, 0)
@@ -447,10 +445,10 @@ class TestTriggerMigration:
             make_state(make_vmdk("mover", size_gb=70.0, demand_iops=10), tier=2),
             make_state(make_vmdk("rival", size_gb=70.0, demand_iops=10), tier=2),
         ]
-        records = {"mover": record("mover", 0.0, 50.0), "rival": record("rival", 0.0, 50.0)}
+        records = {"mover": record(0.0, 50.0), "rival": record(0.0, 50.0)}
         fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
-        sm = scores_from(mat, tiers, {
+        sm = scores_from(mat, fleet, {
             (1, "mover"): 0.1, (1, "rival"): 0.9, (2, "mover"): 0.0, (2, "rival"): 0.0,
         })
         plan = trigger_migration(sm, mat, pin(fleet, {"mover": 1}), 3)
@@ -609,7 +607,7 @@ def reference_trigger_migration(scores, mat, tiers, fleet, epoch_index, pinned=N
     for i, row in enumerate(scores.tolist()):
         ranked = sorted(
             (-score, vmdk_id, j)
-            for j, (score, vmdk_id) in enumerate(zip(row, mat.vmdk_ids))
+            for j, (score, vmdk_id) in enumerate(zip(row, fleet.roster.ids))
             if score > -math.inf
         )
         candidates += [(i, j) for _, _, j in ranked]
@@ -657,7 +655,7 @@ def random_greedy_round(rng):
     cap = np.stack([rng.choice(values, size=(n_tiers, n + 1)) for values in steps], axis=-1)
     cap[:, fleet.roster.row["zz-big"]] = 1e12
     score = rng.choice(SCORE_VALUES, p=SCORE_WEIGHTS, size=(n_tiers, n + 1))
-    mat = CapacityMatrices(ids, cap)
+    mat = normalize_and_gate(cap, fleet)
     pinned = {
         v: int(rng.integers(1, n_tiers + 1))
         for v in rng.choice(ids[:-1], size=int(rng.integers(0, 20)), replace=False).tolist()
@@ -701,50 +699,54 @@ class TestTriggerMigrationMatchesReference:
 
 
 class TestAssignmentPlanChecks:
-    """Moves are written as (VMDK id, from tier id, to tier id); tier id t is row t - 1."""
+    """Moves are written as (VMDK id, from tier id); tier id t is row t - 1.
+
+    A move's destination is its VMDK's tier in ``TARGET``.
+    """
 
     IDS = ("a", "b", "c")
     TARGET = {"a": 2, "b": 1, "c": 3}
 
     def plan(self, migrations, ids=IDS):
-        def column(k, row):
-            return np.array([row(move[k]) for move in migrations], dtype=np.intp)
-
-        def tier_row(t):
-            return t - 1
-
         return policy.AssignmentPlan(
             epoch_index=0,
             ids=ids,
             tier_ids=np.arange(1, len(ids) + 1),
-            target_row=np.array([tier_row(self.TARGET[v]) for v in ids], dtype=np.intp),
+            target_row=np.array([self.TARGET[v] - 1 for v in ids], dtype=np.intp),
             order=np.arange(len(ids)),
-            move_rows=column(0, ids.index),
-            move_from=column(1, tier_row),
-            move_to=column(2, tier_row),
+            move_rows=np.array([ids.index(v) for v, _ in migrations], dtype=np.intp),
+            move_from=np.array([t - 1 for _, t in migrations], dtype=np.intp),
             overloaded_rows=np.zeros(0, dtype=np.intp),
             used=np.zeros((len(ids), 3)),
         )
 
     @pytest.mark.parametrize("migrations, message", [
-        ((("a", 1, 2), ("b", 1, 1)), "only contain actual moves"),
-        ((("a", 1, 3), ("b", 1, 1)), "inconsistent with assignment"),
-        ((("a", 1, 2), ("b", 1, 1), ("c", 1, 2)), "only contain actual moves"),
-        ((("a", 1, 2), ("c", 1, 2), ("b", 1, 1)), "inconsistent with assignment"),
-        ((("a", 2, 2),), "only contain actual moves"),
-        ((("b", 2, 3),), "inconsistent with assignment"),  # b's target is tier 1
-        ((("a", 1, 2), ("c", 1, 3), ("a", 1, 2)), "names a VMDK more than once"),
-        ((("a", 1, 2), ("a", 1, 2), ("b", 1, 1)), "only contain actual moves"),
+        ((("a", 1), ("b", 1)), "only contain actual moves"),
+        ((("a", 1), ("b", 1), ("c", 1)), "only contain actual moves"),
+        ((("a", 2),), "only contain actual moves"),
+        ((("a", 1), ("c", 1), ("a", 1)), "names a VMDK more than once"),
+        ((("a", 1), ("a", 1), ("b", 1)), "only contain actual moves"),
     ])
     def test_the_first_bad_move_names_the_error(self, migrations, message):
         with pytest.raises(ValueError, match=message):
             self.plan(migrations)
 
     def test_consistent_moves_pass(self):
-        plan = self.plan((("a", 1, 2), ("c", 2, 3)))
+        plan = self.plan((("a", 1), ("c", 2)))
         assert keyed_plan(plan).migrations == (("a", 1, 2), ("c", 2, 3))
         assert plan.target == self.TARGET
         assert keyed_plan(self.plan((), ids=())).migrations == ()
+
+
+class TestAutoTieringPolicy:
+    def test_a_plan_before_any_monitor_epoch_is_refused(self):
+        def probe(latencies, samples):
+            raise AssertionError("planning must not probe")
+
+        fleet = fleet_of([make_state(make_vmdk())], [make_tier(1)])
+        ctx = PolicyContext(fleet, PolicyWeights(), 60.0, probe)
+        with pytest.raises(RuntimeError, match="plan requested before any monitor epoch"):
+            AutoTieringPolicy().plan_migrations(ctx, 0)
 
 
 class TestPlanViews:
@@ -791,7 +793,7 @@ class TestPlanViews:
         assert [v for v, _, _ in keyed_plan(plan).migrations] == [
             ids[j] for j in np.flatnonzero(plan.target_row != previous).tolist()
         ]
-        usage = {t.id: ResourceVector(*hosted_usage(mat, plan.target, t.id)) for t in tiers}
+        usage = {t.id: ResourceVector(*hosted_usage(mat, fleet, plan.target, t.id)) for t in tiers}
         assert repr(plan.planned_usage) == repr(usage)
 
 
@@ -805,13 +807,13 @@ class TestProfitAndOracle:
             make_state(make_vmdk("a", demand_iops=5000, sla_weight=2.0)),
             make_state(make_vmdk("b", demand_iops=9000, sla_weight=1.0)),
         ]
-        records = {"a": record("a", 0.0, 50.0), "b": record("b", 0.0, 50.0)}
+        records = {"a": record(0.0, 50.0), "b": record(0.0, 50.0)}
         fleet = fleet_of(states, [tier])
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(alpha=ResourceVector(1, 0, 0), beta=7.0)
         target = tier_rows(fleet, {"a": 1, "b": 1})
         profit = epoch_profit(target, target, mat, weights, fleet, 900.0)
-        expected = 2.0 * mat.ratio[at(mat, 1, "a")][P] + 1.0 * mat.ratio[at(mat, 1, "b")][P]
+        expected = 2.0 * mat.ratio[at(fleet, 1, "a")][P] + 1.0 * mat.ratio[at(fleet, 1, "b")][P]
         assert profit == pytest.approx(expected, rel=1e-12)
 
     def test_zero_beta_ignores_previous_assignment(self):
@@ -828,7 +830,7 @@ class TestProfitAndOracle:
     def test_a_move_that_cannot_run_is_minus_inf_at_any_beta(self, beta):
         tiers = (make_tier(1, 100.0), make_tier(2, 200.0))
         fleet = fleet_of([make_state(make_vmdk(), tier=2)], tiers)
-        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 50.0)})
+        mat = build_matrices(fleet, {"v1": record(0.0, 50.0)})
         fleet.spare_write_mbps[row_of_tier(fleet, 1)] = 0.0
         previous = tier_rows(fleet, {"v1": 2})
         with warnings.catch_warnings():
@@ -844,7 +846,7 @@ class TestProfitAndOracle:
             make_tier(3, 450.0, specialty=ResourceVector(1, 1, 0)),
         )
         state = make_state(make_vmdk(demand_iops=1e9), tier=3)
-        records = {"v1": record("v1", 1.0, 100.0)}
+        records = {"v1": record(1.0, 100.0)}
         fleet = fleet_of([state], tiers)
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(beta=0.0)
@@ -861,7 +863,7 @@ class TestProfitAndOracle:
         tier = make_tier(1, capacity=ResourceVector(1e6, 1e5, 10.0))
         state = make_state(make_vmdk(size_gb=50.0, demand_iops=10))
         fleet = fleet_of([state], [tier])
-        mat = build_matrices(fleet, {"v1": record("v1", 0.0, 50.0)})
+        mat = build_matrices(fleet, {"v1": record(0.0, 50.0)})
         with pytest.raises(ValueError, match="feasible"):
             oracle_assignment(mat, PolicyWeights(), tier_rows(fleet, {"v1": 1}), fleet, 900.0)
 
@@ -870,7 +872,7 @@ class TestProfitAndOracle:
         # the oracle promises no tie-break, only the same profit.
         tiers = (make_tier(1, 100.0), make_tier(2, 200.0))
         state = make_state(make_vmdk(demand_iops=0.0))
-        records = {"v1": record("v1", 0.0, 50.0)}
+        records = {"v1": record(0.0, 50.0)}
         fleet = fleet_of([state], tiers)
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(beta=0.0)
@@ -907,7 +909,7 @@ class TestProfitAndOracle:
         states = [make_state(make_vmdk(f"v{j}", size_gb=s, demand_iops=1000.0))
                   for j, s in enumerate(sizes)]
         fleet = fleet_of(states, tiers)
-        mat = build_matrices(fleet, {s.spec.id: record(s.spec.id, 0.0, 10.0) for s in states})
+        mat = build_matrices(fleet, {s.spec.id: record(0.0, 10.0) for s in states})
         weights = PolicyWeights(beta=0.0)
         assert self.assert_matches_reference(mat, weights, fleet.tier_row.copy(), fleet)
 
@@ -946,7 +948,7 @@ class TestProfitAndOracle:
             make_state(make_vmdk("b", size_gb=90.0, sla_weight=1.0, initial_tier=1,
                                  demand_iops=8_000), measured_read_mbps=5.0),
         ]
-        records = {"a": record("a", 0.4, 30.0), "b": record("b", 0.1, 60.0)}
+        records = {"a": record(0.4, 30.0), "b": record(0.1, 60.0)}
         fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(beta=0.5)
@@ -956,7 +958,8 @@ class TestProfitAndOracle:
         ]
         feasible = []
         for target in candidates:
-            if all(fits_within(hosted_usage(mat, target, t.id), t.max_usable()) for t in tiers):
+            usage = {t: hosted_usage(mat, fleet, target, t.id) for t in tiers}
+            if all(fits_within(u, t.max_usable()) for t, u in usage.items()):
                 profit = epoch_profit(
                     tier_rows(fleet, target), previous, mat, weights, fleet, 900.0
                 )
@@ -982,7 +985,7 @@ class TestProfitAndOracle:
             # recompute capacity safety from the matrices, independent of the
             # planner's own usage accounting
             for tier in tiers:
-                total = hosted_usage(mat, greedy.target, tier.id)
+                total = hosted_usage(mat, fleet, greedy.target, tier.id)
                 budget = tier.max_usable()
                 assert fits_within(total, budget, slack=1e-9 * (1 + budget.total()))
                 recorded = greedy.planned_usage[tier.id]

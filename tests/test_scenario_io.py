@@ -160,6 +160,18 @@ class TestParsing:
     def test_missing_file_and_unknown_name(self):
         with pytest.raises(FileNotFoundError):
             load_scenario("/nonexistent/path.json")
+        with pytest.raises(KeyError, match="'nope'"):
+            bundled_scenario_text("nope")
+
+    def test_a_document_that_is_not_an_object_is_refused(self):
+        with pytest.raises(ScenarioValidationError, match="document: expected a top-level object"):
+            parse_scenario("[]")
+
+    def test_a_repeated_vmdk_id_is_named(self):
+        doc = json.loads(bundled_scenario_text("tiny-oracle"))
+        doc["vmdks"][2]["id"] = doc["vmdks"][0]["id"]
+        with pytest.raises(ScenarioValidationError, match=r"vmdks\[2\]\.id: duplicate vmdk id 'db'"):
+            parse_scenario(json.dumps(doc))
 
     @pytest.mark.parametrize("token", ["1e400", "2.7", "NaN"])
     @pytest.mark.parametrize("location", INTEGER_FIELDS, ids=field_path)
