@@ -37,12 +37,14 @@ SampleProbe = Callable[[Sequence[float], int], np.ndarray]
 MAX_MEAN_LATENCY_US = 1e290
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationSamples:
     """Raw samples of one calibration round.
 
     ``values`` is (N, L, S): rows follow ``vmdk_ids``, the latency axis
     follows ``injected_latencies_us`` in plan order, then S samples each.
+    A record equals and hashes as itself alone, as ``values`` gives no
+    single truth value.
     """
 
     vmdk_ids: tuple[str, ...]

@@ -16,6 +16,14 @@ measurements, and its (T,) arrays each tier's contention and spare MB/s.
 measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
 view. The result keeps the fleet the run left.
+Serving reads only the roster, ``tier_row``, the three demand columns and
+the epoch's migration debits, and writes none of them. In a run only
+``Fleet.activate_phases`` writes the demand columns and only
+``Fleet.move`` writes ``tier_row``, so a run serves at its first epoch,
+after a phase starts or a move lands, and when the epoch's debits differ
+bit for bit from its last serve's. At any other epoch serving would write
+what the fleet holds already, and the run carries the last serve's tier
+figures forward instead.
 The book of in-flight migrations is the fleet rows whose ``dest_row`` is
 set, in id order; an order starts only for a VMDK that has none. Plans
 come in fleet rows too: the engine starts a plan's moves from its
@@ -142,6 +150,10 @@ def serve_epoch(
     for later migration speeds, into the fleet's tier arrays, and each
     VMDK's measurements into its rows. A tier's mean latency is its
     IOPS-weighted latency over its IOPS, or 0.0 where it serves none.
+    Reads only the roster, ``tier_row``, the three demand columns and the
+    debits, and none of the columns it writes: served again on the same
+    inputs it writes the same bits and returns them, which lets
+    ``run_scenario`` skip it at an epoch where none has changed.
     Each stage's per-tier sums take one ``np.bincount`` over lanes
     ``tier_row + T * k``, one lane per tier and sum ``k``: every bin
     accumulates its members in row order from 0.0 (``np.bincount`` adds
@@ -449,8 +461,10 @@ def run_scenario(
         probe=partial(probe_latencies, fleet, rng=np.random.default_rng(sim.seed),
                       noise_cv=sim.noise_cv),
     )
+    served = None  # the debits of the last serve, as bytes, while its other inputs stand
     for epoch, figures, flags in zip(range(sim.epochs), result.epochs, result.flags):
-        fleet.activate_phases(epoch)
+        if fleet.activate_phases(epoch):
+            served = None
         if epoch % weights.monitor_epoch == 0:
             policy.on_monitor(ctx)
 
@@ -469,8 +483,14 @@ def run_scenario(
         )
         flags[stalled] |= STALLED
 
-        figures[:t] = serve_epoch(fleet, debit_read, debit_write).T
-        fleet.move(finished)
+        debits = np.array((debit_read, debit_write)).tobytes()
+        if debits != served:
+            tier_figures = serve_epoch(fleet, debit_read, debit_write).T
+            served = debits
+        figures[:t] = tier_figures
+        if len(finished):
+            fleet.move(finished)
+            served = None
 
     # Each epoch's fleet row adds its tier rows left to right from 0.0 and
     # weights each tier's mean latency by its IOPS, as a loop over the tiers does.

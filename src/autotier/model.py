@@ -324,7 +324,7 @@ class VmdkTable(_Columns, _TupleView):
                         self.vm_id[i], sla)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationFits:
     """Regression output of one monitor epoch's calibration, one row per VMDK.
 
@@ -332,6 +332,8 @@ class CalibrationFits:
     rows follow the fleet's VMDK rows. ``m`` is the raw fitted slope
     (kept even if negative); predictions use ``prediction_slope``, which
     clamps at zero since a VMDK cannot speed up when its device slows down.
+    A record equals and hashes as itself alone, as its array fields give no
+    single truth value.
     """
 
     m: np.ndarray
@@ -752,14 +754,19 @@ class Fleet:
         run_columns = (f.name for f in fields(self) if f.name != "roster")
         return replace(self, **{name: _frozen(getattr(self, name).view()) for name in run_columns})
 
-    def activate_phases(self, epoch: int) -> None:
-        """Apply every phase that starts at ``epoch``, copying its table row."""
+    def activate_phases(self, epoch: int) -> bool:
+        """Apply every phase that starts at ``epoch``, copying its table row.
+
+        Returns whether any phase starts then, that is whether the three
+        demand columns may have changed.
+        """
         hit = self.roster.due.get(epoch)
         if hit is not None:
             rows, k = hit
             self.demand_iops[rows], self.read_fraction[rows], self.avg_io_size_bytes[rows] = (
                 self.roster.phase_table[:, k]
             )
+        return hit is not None
 
     def move(self, rows: np.ndarray) -> None:
         """Land the in-flight migrations of ``rows`` on their ``dest_row`` and clear them."""

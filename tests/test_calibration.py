@@ -224,6 +224,17 @@ class TestCollectSamples:
             CalibrationSamples(("v",), (), np.empty((1, 0, 3)))
 
 
+def test_records_compare_and_hash_by_identity():
+    # Array fields give a generated __eq__ no single truth value, so a record
+    # equals itself alone; equal twins still compare, unequal, without raising.
+    fits = [CalibrationFits(*(np.full(2, 0.5),) * 4) for _ in range(2)]
+    samples = [sample_set({0.0: [1.0, 2.0], 500.0: [3.0, 4.0]}) for _ in range(2)]
+    for first, second in (fits, samples):
+        assert first == first and second == second
+        assert first != second and not first == second
+        assert hash(first) == hash(first) and hash(first) != hash(second)
+
+
 class TestRegression:
     def test_noiseless_points_recover_line(self):
         samples = sample_set({0.0: [200.0], 1000.0: [1200.0], 2000.0: [2200.0]})

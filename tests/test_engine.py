@@ -7,7 +7,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -1391,6 +1391,122 @@ class TestPhaseSchedule:
         final = final_states(result)
         for spec in scenario.vmdks:
             assert phase_key(final[spec.id]) == phase_key(spec.demand_profile[0])
+
+
+# The fleet columns serving writes. It reads none of them.
+SERVE_WRITES = (
+    "contention", "spare_read_mbps", "spare_write_mbps", "measured_iops", "measured_latency_us",
+    "measured_read_mbps", "measured_write_mbps",
+)
+
+
+def fleet_copy(fleet):
+    """A fleet on ``fleet``'s roster with copies of its run columns."""
+    return replace(fleet, **{f.name: getattr(fleet, f.name).copy() for f in fields(fleet)[1:]})
+
+
+def written(fleet):
+    """The bytes of each column serving writes."""
+    return [getattr(fleet, name).tobytes() for name in SERVE_WRITES]
+
+
+def serve_trace(scenario, policy, debits=None):
+    """Run ``scenario``; return its result, the epochs it served and what each epoch's serve gives.
+
+    Right after each epoch's migration progress, a copy of the fleet is
+    served with that epoch's debits: the trace keeps the copy's tier figures
+    and written columns, the fleet's written columns before the run serves
+    or skips, and the rows whose move lands. ``debits``, a (read, write)
+    pair, replaces the debits that progress reports.
+    """
+    serve, progress = engine.serve_epoch, engine.progress_migrations
+    served, trace = [], []
+
+    def progress_and_serve_a_copy(rows, fleet, *args):
+        moved, read, write, stalled, finished = progress(rows, fleet, *args)
+        if debits is not None:
+            read, write = debits
+        other = fleet_copy(fleet)
+        trace.append((serve(other, read, write).T, written(other), written(fleet), finished))
+        return moved, read, write, stalled, finished
+
+    def counted_serve(*args):
+        served.append(len(trace) - 1)
+        return serve(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "progress_migrations", progress_and_serve_a_copy)
+        patch.setattr(engine, "serve_epoch", counted_serve)
+        result = run_scenario(scenario, policy)
+    return result, served, trace
+
+
+def check_skips(scenario, policy):
+    """Every skipped epoch carries what serving would give; returns how many it skipped."""
+    result, served, trace = serve_trace(scenario, policy)
+    t = len(scenario.tiers)
+    assert served[:1] == [0] or not len(trace)
+    for epoch, (figures, columns, before, _) in enumerate(trace):
+        assert figures.tobytes() == result.epochs[epoch, :t].tobytes()
+        if epoch not in served:
+            assert columns == before  # a skip writes nothing, so these are the columns after
+    return len(trace) - len(served)
+
+
+def check_schedule(scenario, policy):
+    """With constant debits, serving follows phase starts and landed moves alone."""
+    t = len(scenario.tiers)
+    _, served, trace = serve_trace(scenario, policy, ([1.0] * t, [2.0] * t))
+    landed = {epoch + 1 for epoch, (*_, finished) in enumerate(trace) if len(finished)}
+    assert served == sorted({0, *landed, *scenario.roster.due} & set(range(len(trace))))
+    return len(landed & set(range(len(trace)))), len(scenario.roster.due)
+
+
+class TestServeSkip:
+    """An epoch whose serve inputs have not changed carries the last serve forward."""
+
+    @pytest.mark.parametrize("name", ["table3-table4", "spike", "tiny-oracle"])
+    def test_serving_reads_none_of_the_columns_it_writes(self, name):
+        fleet = Fleet.of(load_bundled_scenario(name).roster)
+        rng = np.random.default_rng(0)
+        debits = (rng.uniform(0.0, 1.5, fleet.roster.device_caps[2:].shape)
+                  * fleet.roster.device_caps[2:]).tolist()
+        serve_epoch(fleet, *debits)
+        other = fleet_copy(fleet)
+        n, t = len(fleet.tier_row), len(fleet.roster.tiers)
+        other.dest_row[:] = rng.integers(-1, t, n)
+        other.order_index[:] = rng.integers(-1, 2 * n, n)
+        for key in SERVE_WRITES:
+            column = getattr(other, key)
+            column[:] = rng.uniform(-1e6, 1e6, column.shape)
+            column[rng.random(column.shape) < 0.25] = np.nan
+        figures = serve_epoch(fleet, *debits)
+        assert serve_epoch(other, *debits).tobytes() == figures.tobytes()
+        assert written(other) == written(fleet)
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("name", ["table3-table4", "spike", "tiny-oracle"])
+    def test_a_bundled_run_skips_only_what_serving_would_repeat(self, name, policy):
+        assert check_skips(load_bundled_scenario(name), policy) > 0
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("name", ["table3-table4", "spike", "tiny-oracle"])
+    def test_a_bundled_run_serves_after_each_phase_start_and_landed_move_alone(
+        self, name, policy,
+    ):
+        landed, starts = check_schedule(load_bundled_scenario(name), policy)
+        assert landed + starts > 0
+
+    @settings(max_examples=40)
+    @given(doc=scenario_documents())
+    def test_a_generated_run_serves_after_each_change_alone(self, doc):
+        scenario = validate_scenario(doc)
+        for policy in POLICY_NAMES:
+            skipped = check_skips(scenario, policy)
+            landed, starts = check_schedule(scenario, policy)
+            event(f"{policy} skips" if skipped else f"{policy} never skips")
+            event(f"{policy} lands a move" if landed else f"{policy} lands none")
+            event("phases start" if starts else "no phase starts")
 
 
 def numeric_fields(node, path=()):
