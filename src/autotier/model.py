@@ -5,7 +5,7 @@ IOPS, bandwidth in MB/s (10^6 bytes/s), storage in GB (10^9 bytes).
 All spec types are immutable after construction; the mutable per-run state
 (Fleet, MigrationLog) is owned by a single simulation run. A scenario
 holds its VMDKs as one read-only ``VmdkTable`` of columns, every demand
-profile rows of one ``PhaseTable``; an item read builds its ``VmdkSpec``.
+profile a span of its two phase columns; an item read builds its ``VmdkSpec``.
 A plain, valid document is read into the table in one column pass; any
 other document's VMDKs are read item by item by the ``SCHEMA`` readers,
 the one source of diagnostics, and gathered into a table, as specs built
@@ -174,18 +174,6 @@ class _Columns:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseTable(_Columns):
-    """Demand phases of many VMDKs, one profile after another, as read-only columns.
-
-    ``start_epoch`` is int64, and the rows of the (3, P) ``demand`` are
-    each phase's demand, read fraction and I/O size.
-    """
-
-    start_epoch: np.ndarray
-    demand: np.ndarray
-
-
 class _TupleView(Sequence):
     """A read-only sequence that compares, hashes and prints as the tuple of its items.
 
@@ -212,9 +200,14 @@ class _TupleView(Sequence):
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class DemandProfile(_TupleView):
-    """One VMDK's demand profile: a view of rows ``first:stop`` of a table, read as phases."""
+    """One VMDK's demand profile: phases ``first:stop`` of two read-only columns, read as phases.
 
-    table: PhaseTable
+    ``start_epoch`` is int64, and the rows of the (3, P) ``demand`` are
+    each phase's demand, read fraction and I/O size.
+    """
+
+    start_epoch: np.ndarray
+    demand: np.ndarray
     first: int
     stop: int
 
@@ -222,8 +215,8 @@ class DemandProfile(_TupleView):
         return self.stop - self.first
 
     def _item(self, k: int) -> WorkloadPhase:
-        demand, fraction, size = self.table.demand[:, self.first + k].tolist()
-        return WorkloadPhase(int(self.table.start_epoch[self.first + k]), demand, size, fraction)
+        demand, fraction, size = self.demand[:, self.first + k].tolist()
+        return WorkloadPhase(int(self.start_epoch[self.first + k]), demand, size, fraction)
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,8 +227,8 @@ class VmdkSpec:
     latency sensitivity, visible to policies only through injected-latency
     samples. ``size_gb`` never changes across a run. ``demand_profile`` is
     always held as a ``DemandProfile`` view: a spec read from a
-    ``VmdkTable`` views that table's ``PhaseTable``, and a profile given
-    as ``WorkloadPhase``s is checked and stored as a table of its own.
+    ``VmdkTable`` views that table's two phase columns, and a profile given
+    as ``WorkloadPhase``s is checked and stored as two frozen arrays of its own.
     """
 
     id: str
@@ -267,8 +260,8 @@ class VmdkSpec:
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("demandProfile phases must have strictly increasing startEpoch")
         demand = [[getattr(ph, name) for ph in phases] for name in _DEMAND_COLUMNS]
-        table = PhaseTable(np.array(starts, dtype=np.int64), np.array(demand, dtype=float))
-        object.__setattr__(self, "demand_profile", DemandProfile(table, 0, len(phases)))
+        columns = _frozen(np.array(starts, dtype=np.int64)), _frozen(np.array(demand, dtype=float))
+        object.__setattr__(self, "demand_profile", DemandProfile(*columns, 0, len(phases)))
 
 
 # The float columns of a ``VmdkTable``, in the order ``_read_vmdks`` reads them.
@@ -280,9 +273,11 @@ class VmdkTable(_Columns, _TupleView):
     """Every VMDK of a scenario as read-only columns, one row per VMDK in given order.
 
     ``id``, ``vm_id`` and ``initial_tier`` are tuples, the ``_VMDK_NUMBERS``
-    float arrays, and row i's demand profile is rows ``offsets[i]`` up to
-    ``offsets[i + 1]`` of ``phases``. Reading item i builds its ``VmdkSpec``
-    and that ``DemandProfile`` view.
+    float arrays. Every demand phase is held here once, in document order:
+    ``start_epoch`` (int64, (P,)) and ``demand`` ((3, P): demand, read
+    fraction and I/O size), and row i's profile is phases ``offsets[i]`` up
+    to ``offsets[i + 1]``. Reading item i builds its ``VmdkSpec`` and that
+    ``DemandProfile`` view.
     """
 
     id: tuple[str, ...]
@@ -292,7 +287,8 @@ class VmdkTable(_Columns, _TupleView):
     truth_slope: np.ndarray
     truth_intercept_us: np.ndarray
     initial_tier: tuple[int, ...]
-    phases: PhaseTable
+    start_epoch: np.ndarray
+    demand: np.ndarray
     offsets: np.ndarray
 
     @classmethod
@@ -300,17 +296,15 @@ class VmdkTable(_Columns, _TupleView):
         """The table of ``specs`` in their order, the rows their profiles view joined."""
         specs = tuple(specs)
         profiles = [spec.demand_profile for spec in specs]
-        starts = [p.table.start_epoch[p.first:p.stop] for p in profiles]
-        demand = [p.table.demand[:, p.first:p.stop] for p in profiles]
+        starts = [p.start_epoch[p.first:p.stop] for p in profiles]
+        demand = [p.demand[:, p.first:p.stop] for p in profiles]
         column = lambda name: tuple(map(attrgetter(name), specs))
         return cls(
             id=column("id"), vm_id=column("vm_id"),
             **{name: np.array(column(name), dtype=float) for name in _VMDK_NUMBERS},
             initial_tier=column("initial_tier"),
-            phases=PhaseTable(
-                np.concatenate([np.zeros(0, np.int64), *starts]),
-                np.concatenate([np.zeros((3, 0)), *demand], axis=1),
-            ),
+            start_epoch=np.concatenate([np.zeros(0, np.int64), *starts]),
+            demand=np.concatenate([np.zeros((3, 0)), *demand], axis=1),
             offsets=np.fromiter(accumulate(map(len, profiles), initial=0), np.intp, len(specs) + 1),
         )
 
@@ -319,7 +313,7 @@ class VmdkTable(_Columns, _TupleView):
 
     def _item(self, i: int) -> VmdkSpec:
         size, sla, slope, intercept = (getattr(self, n)[i].item() for n in _VMDK_NUMBERS)
-        profile = DemandProfile(self.phases, *self.offsets[i:i + 2].tolist())
+        profile = DemandProfile(self.start_epoch, self.demand, *self.offsets[i:i + 2].tolist())
         return VmdkSpec(self.id[i], size, self.initial_tier[i], slope, intercept, profile,
                         self.vm_id[i], sla)
 
@@ -621,12 +615,12 @@ class Roster(_Columns):
     ``tiers`` and hold every tier number the epoch loop reads (see
     ``Fleet``); ``device_caps`` stacks the four serve caps as one (4, T)
     array, read and write throughput, then read and write bandwidth. The
-    (3, P) ``phase_table`` holds every row's demand profile, one after
-    another, gathered with one index from the table's phases, and
-    ``first_phase`` each row's phase 0 in it; ``due`` maps an epoch to the
-    rows whose next phase starts then and the index of that phase. Every
-    array is read-only and every map a ``MappingProxyType``, so one roster
-    serves any number of runs, concurrent ones too.
+    (3, P) ``phase_table`` is the table's own ``demand``, shared and not
+    copied, its phases in document order; ``first_phase`` holds each row's
+    phase 0 in it, and ``due`` maps an epoch to the rows whose next phase
+    starts then and that phase's index in it. Every array is read-only and
+    every map a ``MappingProxyType``, so one roster serves any number of
+    runs, concurrent ones too.
     """
 
     ids: tuple[str, ...]
@@ -655,11 +649,9 @@ class Roster(_Columns):
         order = np.array(sorted(range(n), key=vmdks.id.__getitem__), dtype=np.intp)
         ids = tuple(map(vmdks.id.__getitem__, order.tolist()))
         row_of_tier = {t.id: i for i, t in enumerate(tiers)}
-        counts = np.diff(vmdks.offsets)[order]
-        first = np.cumsum(counts) - counts
-        take = np.repeat(vmdks.offsets[order] - first, counts) + np.arange(counts.sum())
-        owner = np.repeat(np.arange(n), counts)
-        start = vmdks.phases.start_epoch[take]
+        # Each phase's fleet row: its profile's table row, through the inverse of ``order``.
+        owner = np.repeat(np.argsort(order), np.diff(vmdks.offsets))
+        start = vmdks.start_epoch
         # Phase 0 starts at epoch 0 and every later phase after it.
         later = np.flatnonzero(start > 0)
         later = later[np.argsort(start[later], kind="stable")]
@@ -684,8 +676,8 @@ class Roster(_Columns):
             ], dtype=float),
             kind_weight_total=np.array([float(t.kind_weights.total()) for t in tiers]),
             **{name: getattr(vmdks, name)[order] for name in _VMDK_NUMBERS},
-            phase_table=vmdks.phases.demand[:, take],
-            first_phase=first,
+            phase_table=vmdks.demand,
+            first_phase=vmdks.offsets[order],
             due=MappingProxyType({
                 e: (_frozen(owner[k]), _frozen(k))
                 for e, k in zip(epochs.tolist(), np.split(later, cuts[1:]))
@@ -931,10 +923,11 @@ def _columns(items: list[Any], cls: type) -> dict[str, list[Any]] | None:
     return columns if sum(map(len, items)) == known else None
 
 
-def _read_profiles(profiles: list[Any]) -> tuple[PhaseTable, np.ndarray] | None:
-    """Every given demand profile read in one column pass, or None: a table and its offsets.
+def _read_profiles(profiles: list[Any]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Every given demand profile read in one column pass, or None: ``(start, demand, offsets)``.
 
-    Profile i is rows ``offsets[i]`` up to ``offsets[i + 1]``. The pass
+    Profile i is phases ``offsets[i]`` up to ``offsets[i + 1]`` of the
+    int64 ``start`` and the (3, P) ``demand``. The pass
     reads only plain, valid profiles: each a non-empty list of objects with
     the phase keys alone, each start a Python int within int64 and each
     other value an int or float within the float range, and every check the
@@ -964,7 +957,7 @@ def _read_profiles(profiles: list[Any]) -> tuple[PhaseTable, np.ndarray] | None:
     inside = (demand >= _DEMAND_RANGE[0]) & (demand <= _DEMAND_RANGE[1])
     if not (rising.all() and inside.all()):
         return None
-    return PhaseTable(start, demand), offsets
+    return start, demand, offsets
 
 
 def _read_vmdks(vmdks: list[Any]) -> VmdkTable | None:

@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autotier import model
@@ -39,6 +39,7 @@ from autotier.scenario import bundled_scenario_text, parse_scenario, serialize_s
 
 from conftest import (
     final_states, fleet_of, fleet_states, log_orders, make_state, make_tier, make_vmdk, phase_at,
+    scenario_documents,
 )
 from test_golden import SCENARIOS, scale_document
 
@@ -201,6 +202,11 @@ RUN_COLUMNS = [
 ]
 
 
+def phase_columns(spec):
+    """The identities of the two phase columns ``spec``'s demand profile views."""
+    return id(spec.demand_profile.start_epoch), id(spec.demand_profile.demand)
+
+
 def roster_arrays(roster):
     """Every array a roster holds, by name, the ``due`` schedule's included."""
     arrays = {
@@ -212,7 +218,36 @@ def roster_arrays(roster):
     return arrays
 
 
+def assert_the_roster_reads_the_table_phases_in_place(scenario):
+    """The roster's phase table is the scenario table's ``demand``, and ``due`` indexes it."""
+    vmdks, roster = scenario.vmdks, scenario.roster
+    assert np.shares_memory(roster.phase_table, vmdks.demand)
+    span = {i: vmdks.offsets[j:j + 2].tolist() for j, i in enumerate(vmdks.id)}
+    assert roster.first_phase.tolist() == [span[i][0] for i in roster.ids]
+    due = []
+    for e, (rows, k) in roster.due.items():
+        assert (vmdks.start_epoch[k] == e).all(), e
+        assert len(set(rows.tolist())) == len(rows), e
+        for row, phase in zip(rows.tolist(), k.tolist(), strict=True):
+            first, stop = span[roster.ids[row]]
+            assert first <= phase < stop, (e, row, phase)
+        due.extend(k.tolist())
+    # Every phase after phase 0 is due once, and no other.
+    assert sorted(due) == np.flatnonzero(vmdks.start_epoch > 0).tolist()
+
+
 class TestRoster:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_a_bundled_roster_reads_the_table_phases_in_place(self, name):
+        assert_the_roster_reads_the_table_phases_in_place(
+            parse_scenario(bundled_scenario_text(name))
+        )
+
+    @settings(max_examples=40)
+    @given(doc=scenario_documents())
+    def test_a_generated_roster_reads_the_table_phases_in_place(self, doc):
+        assert_the_roster_reads_the_table_phases_in_place(validate_scenario(doc))
+
     def test_every_array_and_map_is_read_only_and_two_builds_are_equal(self):
         scenario = parse_scenario(bundled_scenario_text("spike"))
         roster = scenario.roster
@@ -240,9 +275,10 @@ class TestRoster:
             assert copied == scenario and "roster" not in vars(copied)
             assert copied.roster is not roster and copied.roster.ids == roster.ids
             assert not copied.roster.phase_table.flags.writeable
-            table = copied.vmdks[0].demand_profile.table
-            assert not table.start_epoch.flags.writeable and not table.demand.flags.writeable
-            assert {id(v.demand_profile.table) for v in copied.vmdks} == {id(table)}
+            assert copied.roster.phase_table is copied.vmdks.demand
+            profile = copied.vmdks[0].demand_profile
+            assert not profile.start_epoch.flags.writeable and not profile.demand.flags.writeable
+            assert {phase_columns(v) for v in copied.vmdks} == {phase_columns(copied.vmdks[0])}
 
     def test_parsed_and_python_built_profiles_give_bitwise_equal_columns(self):
         text = bundled_scenario_text("spike")
@@ -259,11 +295,13 @@ class TestRoster:
         given = tuple(
             replace(v, demand_profile=phases) for v, phases in zip(parsed.vmdks, profiles)
         )
-        assert len({id(v.demand_profile.table) for v in given}) == len(given)
+        assert len({phase_columns(v) for v in given}) == len(given)
         built = replace(parsed, vmdks=given)
         assert built == parsed and isinstance(built.vmdks, VmdkTable)
-        # The specs' own tables are gathered into the scenario's one table.
-        assert len({id(v.demand_profile.table) for v in built.vmdks}) == 1
+        # The specs' own columns are gathered into the scenario table's two.
+        assert {phase_columns(v) for v in built.vmdks} == {
+            (id(built.vmdks.start_epoch), id(built.vmdks.demand))
+        }
         for spec, twin in zip(parsed.vmdks, built.vmdks):
             assert isinstance(twin.demand_profile, DemandProfile)
             assert spec == twin and hash(spec) == hash(twin)
@@ -295,9 +333,13 @@ class TestRoster:
         assert again == scenario and serialize_scenario(again) == text
         spec = scenario.vmdks[0]
         assert spec.demand_profile[-1].start_epoch == 2**63 - 1
-        assert [f.name for f in fields(spec.demand_profile.table)] == ["start_epoch", "demand"]
+        names = [f.name for f in fields(spec.demand_profile)]
+        assert names == ["start_epoch", "demand", "first", "stop"]
+        assert spec.demand_profile.start_epoch.dtype == np.int64
+        assert scenario.vmdks.start_epoch.dtype == np.int64
         twin = replace(spec, demand_profile=tuple(spec.demand_profile))
-        assert twin == spec and twin.demand_profile.table.start_epoch.tolist() == [0, 2**63 - 1]
+        assert twin == spec and twin.demand_profile.start_epoch.tolist() == [0, 2**63 - 1]
+        assert twin.demand_profile.start_epoch.dtype == np.int64
         roster = scenario.roster
         row = roster.row[spec.id]
         (owners, phases), = roster.due.values()
@@ -324,7 +366,9 @@ class TestRoster:
         read = make_vmdk(phases=(WorkloadPhase(0, 100, 4096, 1),)).demand_profile[0]
         assert read == WorkloadPhase(0, 100, 4096, 1) and type(read.demand_iops) is float
         with pytest.raises(ValueError, match="read-only"):
-            profile.table.demand[0, 0] = 1.0
+            profile.demand[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            profile.start_epoch[0] = 1
         with pytest.raises(AttributeError):
             profile.first = 1
 
@@ -370,12 +414,10 @@ def read(request):
 
 
 def table_arrays(table):
-    """Every array of a ``VmdkTable``, its phase table's included, by name."""
-    return {
-        **{name: getattr(table, name) for name in ("size_gb", "sla_weight", "truth_slope",
-                                                    "truth_intercept_us", "offsets")},
-        "phases.start_epoch": table.phases.start_epoch, "phases.demand": table.phases.demand,
-    }
+    """Every array of a ``VmdkTable``, its two phase columns included, by name."""
+    names = ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us", "start_epoch",
+             "demand", "offsets")
+    return {name: getattr(table, name) for name in names}
 
 
 class TestVmdkTable:
@@ -533,8 +575,11 @@ class TestFleet:
         assert not np.shares_memory(fleet.spare_read_mbps, fleet.roster.device_caps)
         assert not np.shares_memory(fleet.spare_write_mbps, fleet.roster.device_caps)
         assert list(fleet.roster.due) == [4]
+        # The phases stay in document order: b's phase 0, then a's two.
+        assert fleet.roster.first_phase.tolist() == [1, 0]
         rows, phases = fleet.roster.due[4]
-        assert rows.tolist() == [0] and phases.tolist() == [1]
+        assert rows.tolist() == [0] and phases.tolist() == [2]
+        assert fleet.roster.phase_table[:, 2].tolist() == [9.0, 0.5, 512.0]
         assert [astuple(s)[1:] for s in fleet_states(fleet, specs)] == [
             (2, 100.0, 4096.0, 0.75, 0.0, 0.0, 0.0, 0.0),
             (3, 300.0, 8192.0, 0.25, 0.0, 0.0, 0.0, 0.0),

@@ -520,9 +520,12 @@ class TestColumnPass:
         if not all(e is not None and plain(p) for e, p in zip(expected, profiles)):
             assert read is None
             return
-        table, offsets = read
+        start, demand, offsets = read
         assert offsets.tolist() == [0, *accumulate(map(len, profiles))]
-        views = [DemandProfile(table, *offsets[i:i + 2].tolist()) for i in range(len(profiles))]
+        assert start.dtype == np.int64 and demand.shape == (3, offsets[-1])
+        views = [
+            DemandProfile(start, demand, *offsets[i:i + 2].tolist()) for i in range(len(profiles))
+        ]
         for view, phases in zip(views, expected, strict=True):
             assert repr(view) == repr(phases)
             assert view == phases and hash(view) == hash(phases)
