@@ -9,25 +9,25 @@ survives, and the test that used to kill it has been weakened.
 Run it from anywhere, with the tier-1 toolchain (numpy, pytest,
 hypothesis, scipy)::
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named mutants
+    python tests/mutants.py
 
-It copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory, since pyproject's ``pythonpath = ["src"]`` would otherwise
-import the checkout, and checks that the copy imports ``autotier`` from
-itself. It runs every named test once on the unchanged copy, where each
-must pass, so no kill comes from the copy alone (a test that reads
-``perfbench/``, which is not copied, would fail there; none is named).
-Then, for each mutant, it applies the change to the copy, runs only that
-mutant's tests and puts the file back. It exits 1 when a snippet does not
-occur exactly once, a named test fails unchanged, or a mutant survives.
-It is not part of tier-1: each mutant reruns its tests, about a minute in
-all on a 2-vCPU x86_64 machine.
+It runs every mutant. It copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, since pyproject's
+``pythonpath = ["src"]`` would otherwise import the checkout, and checks
+that the copy imports ``autotier`` from itself. It runs every named test
+once on the unchanged copy, where each must pass, so no kill comes from
+the copy alone (a test that reads ``perfbench/``, which is not copied,
+would fail there; none is named). Then, for each mutant, it applies the
+change to the copy, runs only that mutant's tests and puts the file back.
+It exits 1 when a snippet does not occur exactly once, a named test fails
+unchanged, or a mutant survives. It is not part of tier-1: each mutant
+reruns its tests, about 16 s in all on a 2-vCPU x86_64 machine. Only
+deterministic tests are named: a Hypothesis test kills a mutant only on
+the draws that expose it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -100,7 +100,9 @@ MUTANTS = (
     # Roster.of gives each phase the fleet row of its VMDK: ``order`` maps a
     # fleet row to a table row, so a phase's row is through its inverse.
     # The bundled documents hide it, their multi-phase VMDKs being where
-    # both give the same row; the scale document and the generated ones do not.
+    # both give the same row; the scale document and a split table3-table4
+    # do not. Only deterministic tests are named: a Hypothesis test kills
+    # it only on the draws that move a multi-phase VMDK's row.
     Mutant(
         "roster-phase-owners-not-inverted", MODEL,
         "np.repeat(np.argsort(order), np.diff(vmdks.offsets))",
@@ -112,7 +114,6 @@ MUTANTS = (
             "[autotier.engine-PROGRESS_LOOP_ROWS-0]",
             f"{RELATIONS}test_splitting_long_phases_changes_no_artifact[table3-table4-idt]",
             f"{ROSTER}test_a_start_epoch_is_bounded_by_int64_and_the_bound_never_activates",
-            f"{ROSTER}test_a_generated_roster_reads_the_table_phases_in_place",
         ),
     ),
     # ... and each fleet row its own phase 0, found through ``order`` too.
@@ -160,14 +161,8 @@ def environment(copy: Path) -> dict[str, str]:
                 COLUMNS="400")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no mutant named {', '.join(sorted(unknown))}")
-    mutants = tuple(m for m in MUTANTS if not args.names or m.name in args.names)
+def main() -> int:
+    mutants = MUTANTS
     problems = stale(mutants)
     if problems:
         print("\n".join(problems))
