@@ -9,16 +9,16 @@ records metrics.
 The run's state lives in one ``Fleet``, built by ``Fleet.of`` around the
 scenario's ``roster`` (every static fact, built once per scenario and
 shared read-only by its runs, in dense (N,) VMDK-id-ordered and (T,) tier
-columns): the fleet's own (N,) arrays hold the active phase's demand (the
-run's only record of the phase), each VMDK's tier row and its last
-measurements, and its (T,) arrays each tier's contention and spare MB/s.
-``serve_epoch`` serves every tier in one vectorized pass and writes the
-measurements and the tier arrays in place; probes, migration
+columns): the fleet's own arrays hold the active phase's (3, N) demand
+(the run's only record of the phase), each VMDK's tier row and its last
+measurements, and each tier's contention and (2, T) read and write spare
+MB/s. ``serve_epoch`` serves every tier in one vectorized pass and writes
+the measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
 view. The result keeps the fleet the run left.
-Serving reads only the roster, ``tier_row``, the three demand columns and
-the epoch's migration debits, and writes none of them. In a run only
-``Fleet.activate_phases`` writes the demand columns and only
+Serving reads only the roster, ``tier_row``, ``demand`` and the epoch's
+(2, T) read and write migration debits, and writes none of them. In a
+run only ``Fleet.activate_phases`` writes ``demand`` and only
 ``Fleet.move`` writes ``tier_row``, so a run serves at its first epoch,
 after a phase starts or a move lands, and when the epoch's debits differ
 bit for bit from its last serve's. At any other epoch serving would write
@@ -133,15 +133,12 @@ class RunResult:
     migration_log: MigrationLog = field(default_factory=MigrationLog)
 
 
-def serve_epoch(
-    fleet: Fleet,
-    migration_read_mbps: Sequence[float],
-    migration_write_mbps: Sequence[float],
-) -> np.ndarray:
+def serve_epoch(fleet: Fleet, debits: np.ndarray) -> np.ndarray:
     """Serve every tier's members for one epoch; return the (5, T) ``TIER_FIGURES``.
 
-    The migration debits (MB/s) follow the fleet's tier rows. Offered load
-    per VMDK is its demand capped at the unloaded achievable rate
+    The (2, T) ``debits`` are the read and write MB/s that migrations take
+    from each tier row, as ``progress_migrations`` returns them. Offered
+    load per VMDK is its demand capped at the unloaded achievable rate
     10^6/latency. Aggregate offered load sets the contention factor, which
     inflates intercept latency; if the (migration-debited) directional caps
     are exceeded, every member scales down proportionally. Writes each
@@ -150,10 +147,10 @@ def serve_epoch(
     for later migration speeds, into the fleet's tier arrays, and each
     VMDK's measurements into its rows. A tier's mean latency is its
     IOPS-weighted latency over its IOPS, or 0.0 where it serves none.
-    Reads only the roster, ``tier_row``, the three demand columns and the
-    debits, and none of the columns it writes: served again on the same
-    inputs it writes the same bits and returns them, which lets
-    ``run_scenario`` skip it at an epoch where none has changed.
+    Reads only the roster, ``tier_row``, ``demand`` and the debits, and
+    none of the columns it writes: served again on the same inputs it
+    writes the same bits and returns them, which lets ``run_scenario``
+    skip it at an epoch where none has changed.
     Each stage's per-tier sums take one ``np.bincount`` over lanes
     ``tier_row + T * k``, one lane per tier and sum ``k``: every bin
     accumulates its members in row order from 0.0 (``np.bincount`` adds
@@ -163,7 +160,7 @@ def serve_epoch(
     roster = fleet.roster
     n_tiers, row = len(roster.tiers), fleet.tier_row
     slope, intercept = roster.truth_slope, roster.truth_intercept_us
-    demand, rf, io = fleet.demand_iops, fleet.read_fraction, fleet.avg_io_size_bytes
+    demand, rf, io = fleet.demand
     caps = roster.device_caps  # (4, T): read and write IOPS, then read and write MB/s
     lanes = (row + n_tiers * np.arange(5)[:, None]).ravel()
 
@@ -189,7 +186,6 @@ def serve_epoch(
         # holds. fmax and fmin skip NaN as max(1.0, ...) and min(1.0, ...) do,
         # and a zero load's cap ratio is inf or 0/0, so loads <= 0 drop out.
         contention = np.fmax.reduce(load / caps, axis=0, initial=1.0)
-        debits = np.array((migration_read_mbps, migration_write_mbps), dtype=float)
         effective = caps.copy()
         effective[2:] = np.fmax(0.0, caps[2:] - debits)
         scale = np.fmin.reduce(effective / load, axis=0, initial=1.0)
@@ -212,11 +208,9 @@ def serve_epoch(
 
     fleet.measured_iops[:] = served
     fleet.measured_latency_us[:] = latency
-    fleet.measured_read_mbps[:], fleet.measured_write_mbps[:] = out[2:4]
+    fleet.measured_mbps[:] = out[2:4]
     # fmax, like max(0.0, x), yields 0.0 where x is NaN.
-    fleet.spare_read_mbps[:], fleet.spare_write_mbps[:] = np.fmax(
-        0.0, caps[2:] - (tier_out[2:4] + debits)
-    )
+    fleet.spare_mbps[:] = np.fmax(0.0, caps[2:] - (tier_out[2:4] + debits))
 
     return tier_out
 
@@ -232,7 +226,7 @@ def progress_migrations(
     fleet: Fleet,
     log: MigrationLog,
     epoch_seconds: float,
-) -> tuple[float, list[float], list[float], np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Advance the in-flight migrations of fleet ``rows``, in id order, one epoch.
 
     Each row's open order is its ``order_index`` entry in ``log``, which
@@ -242,9 +236,9 @@ def progress_migrations(
     source (``tier_row``) and its destination (``dest_row``). The step that
     reaches the rest of a move sets its bytes moved to its bytes total.
     Writes each order's bytes moved, speed and stall flag to the log.
-    Returns total bytes moved, read/write debits in MB/s by tier row, and
-    the rows whose migration stalled and those whose migration finished,
-    each in id order.
+    Returns total bytes moved, the (2, T) read and write debits in MB/s by
+    tier row (``serve_epoch``'s ``debits``), and the rows whose migration
+    stalled and those whose migration finished, each in id order.
 
     A book of fewer than ``PROGRESS_LOOP_ROWS`` rows runs the scalar loop
     (``_progress_loop``); a longer one runs fixed-point passes
@@ -255,8 +249,7 @@ def progress_migrations(
     ``PROGRESS_PASSES`` passes settles runs the loop after all.
     """
     if not len(rows):
-        t = len(fleet.roster.tiers)
-        return 0.0, [0.0] * t, [0.0] * t, rows, rows
+        return 0.0, np.zeros((2, len(fleet.roster.tiers))), rows, rows
     k = fleet.order_index[rows]
     if (k < 0).any():
         raise ValueError("only a VMDK with an open order can make progress")
@@ -269,7 +262,7 @@ def progress_migrations(
 
 def _progress_passes(
     rows: np.ndarray, k: np.ndarray, fleet: Fleet, log: MigrationLog, epoch_seconds: float,
-) -> tuple[float, list[float], list[float], np.ndarray, np.ndarray] | None:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray] | None:
     """``_progress_loop``'s result from fixed-point passes, or None if none settles.
 
     Each row debits two lanes, its source's reads and its destination's
@@ -288,10 +281,10 @@ def _progress_passes(
     left = total - moved
     active = left > 0.0  # the rest are finished already
     left = np.where(active, left, 0.0)
-    measured = fleet.measured_read_mbps[rows]
+    measured = fleet.measured_mbps[0, rows]
     # Lane r < t is tier row r's reads, lane t + r its writes.
     lane = np.concatenate((fleet.tier_row[rows], t + fleet.dest_row[rows]))
-    spare = np.concatenate((fleet.spare_read_mbps, fleet.spare_write_mbps))[lane]
+    spare = fleet.spare_mbps.ravel()[lane]
     count = np.bincount(lane, minlength=2 * t)
     width = int(count.max()) + 1
     rank = np.empty(2 * n, dtype=np.intp)  # each row's place in its lane; small ints sort by radix
@@ -338,20 +331,18 @@ def _progress_passes(
         k, moved_now, np.where(active, mbps, log.speed_mbps[k]), np.where(active, stuck, log.stalled[k])
     )
     moved_total = np.add.accumulate(np.concatenate(([0.0], taken[go])))[-1]
-    return (
-        float(moved_total), debits[:t, -1].tolist(), debits[t:, -1].tolist(), rows[stuck],
-        rows[moved_now >= total],
-    )
+    # Each lane's total is its grid row's last cell; copied, to hold no view of the grid.
+    return float(moved_total), debits[:, -1].reshape(2, t).copy(), rows[stuck], rows[moved_now >= total]
 
 
 def _progress_loop(
     rows: np.ndarray, k: np.ndarray, fleet: Fleet, log: MigrationLog, epoch_seconds: float,
-) -> tuple[float, list[float], list[float], np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """``progress_migrations`` as a scalar loop over the book, rows ``rows`` of orders ``k``."""
     roster = fleet.roster
     debit_read = [0.0] * len(roster.tiers)
     debit_write = [0.0] * len(roster.tiers)
-    spare_read, spare_write = fleet.spare_read_mbps.tolist(), fleet.spare_write_mbps.tolist()
+    spare_read, spare_write = fleet.spare_mbps.tolist()
     source = fleet.tier_row[rows].tolist()
     dest = fleet.dest_row[rows].tolist()
     bytes_total = log.bytes_total[k]
@@ -363,7 +354,7 @@ def _progress_loop(
     # Conditional expressions stand in for max(0.0, x) and min(a, b): the
     # same result, NaN included, without a call per order.
     for i, (total, measured, s, d) in enumerate(zip(
-        bytes_total.tolist(), fleet.measured_read_mbps[rows].tolist(), source, dest
+        bytes_total.tolist(), fleet.measured_mbps[0, rows].tolist(), source, dest
     )):
         left = total - moved[i]
         if left <= 0.0:
@@ -389,7 +380,8 @@ def _progress_loop(
         debit_write[d] += rate
     moved_now = np.array(moved)
     log.set_progress(k, moved_now, speed, stall)
-    return moved_total, debit_read, debit_write, rows[stalled], rows[moved_now >= bytes_total]
+    debits = np.array((debit_read, debit_write))
+    return moved_total, debits, rows[stalled], rows[moved_now >= bytes_total]
 
 
 def start_migrations(
@@ -478,15 +470,14 @@ def run_scenario(
             )] |= STARTED
             flags[plan.overloaded_rows] |= OVERLOADED
 
-        result.migration_bytes[epoch], debit_read, debit_write, stalled, finished = (
+        result.migration_bytes[epoch], debits, stalled, finished = (
             progress_migrations((fleet.dest_row >= 0).nonzero()[0], fleet, log, epoch_seconds)
         )
         flags[stalled] |= STALLED
 
-        debits = np.array((debit_read, debit_write)).tobytes()
-        if debits != served:
-            tier_figures = serve_epoch(fleet, debit_read, debit_write).T
-            served = debits
+        if debits.tobytes() != served:
+            tier_figures = serve_epoch(fleet, debits).T
+            served = debits.tobytes()
         figures[:t] = tier_figures
         if len(finished):
             fleet.move(finished)

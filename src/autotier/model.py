@@ -693,18 +693,19 @@ class Fleet:
     run of its scenario; the fleet's own arrays belong to this run alone.
     VMDK rows follow ``roster.ids``: ``tier_row`` (each VMDK's current tier
     as a row of ``roster.tiers``), ``dest_row`` (the tier row its in-flight
-    migration lands on, -1 when it has none), the active phase's demand,
-    read fraction and I/O size (the run's only record of the phase) and the
-    last epoch's four ``measured_*`` figures. An in-flight migration moves
-    ``size_gb * 1e9`` bytes from ``tier_row`` to ``dest_row``;
+    migration lands on, -1 when it has none), the active phase's (3, N)
+    ``demand`` in ``_DEMAND_COLUMNS`` rows (the run's only record of the
+    phase) and the last epoch's ``measured_iops``, ``measured_latency_us``
+    and (2, N) read and write ``measured_mbps``. An in-flight migration
+    moves ``size_gb * 1e9`` bytes from ``tier_row`` to ``dest_row``;
     ``order_index`` is its index in the run's ``MigrationLog`` (-1 for a
     VMDK that has none), which alone holds its progress.
 
     Tier rows follow ``roster.tiers``. Each device's ``contention``
-    inflates the latency probes see, and ``spare_read_mbps`` and
-    ``spare_write_mbps`` are its bandwidth caps less last epoch's served
-    MB/s and migration debits, never below 0.0; serving writes those and
-    the measurements in place. Policies read a ``read_only`` view.
+    inflates the latency probes see, and the (2, T) read and write
+    ``spare_mbps`` are its bandwidth caps less last epoch's served MB/s
+    and migration debits, never below 0.0; serving writes those and the
+    measurements in place. Policies read a ``read_only`` view.
     """
 
     roster: Roster
@@ -712,15 +713,11 @@ class Fleet:
     dest_row: np.ndarray
     order_index: np.ndarray
     contention: np.ndarray
-    spare_read_mbps: np.ndarray
-    spare_write_mbps: np.ndarray
-    demand_iops: np.ndarray
-    read_fraction: np.ndarray
-    avg_io_size_bytes: np.ndarray
+    spare_mbps: np.ndarray
+    demand: np.ndarray
     measured_iops: np.ndarray
     measured_latency_us: np.ndarray
-    measured_read_mbps: np.ndarray
-    measured_write_mbps: np.ndarray
+    measured_mbps: np.ndarray
 
     @classmethod
     def of(cls, roster: Roster) -> "Fleet":
@@ -732,13 +729,11 @@ class Fleet:
             dest_row=np.full(n, -1, dtype=np.intp),
             order_index=np.full(n, -1, dtype=np.intp),
             contention=np.ones(t),
-            spare_read_mbps=roster.device_caps[2].copy(),
-            spare_write_mbps=roster.device_caps[3].copy(),
-            **dict(zip(_DEMAND_COLUMNS, roster.phase_table[:, roster.first_phase])),
-            **{
-                f"measured_{name}": np.zeros(n)
-                for name in ("iops", "latency_us", "read_mbps", "write_mbps")
-            },
+            spare_mbps=roster.device_caps[2:].copy(),
+            demand=roster.phase_table[:, roster.first_phase],
+            measured_iops=np.zeros(n),
+            measured_latency_us=np.zeros(n),
+            measured_mbps=np.zeros((2, n)),
         )
 
     def read_only(self) -> "Fleet":
@@ -749,15 +744,13 @@ class Fleet:
     def activate_phases(self, epoch: int) -> bool:
         """Apply every phase that starts at ``epoch``, copying its table row.
 
-        Returns whether any phase starts then, that is whether the three
-        demand columns may have changed.
+        Returns whether any phase starts then, that is whether ``demand``
+        may have changed.
         """
         hit = self.roster.due.get(epoch)
         if hit is not None:
             rows, k = hit
-            self.demand_iops[rows], self.read_fraction[rows], self.avg_io_size_bytes[rows] = (
-                self.roster.phase_table[:, k]
-            )
+            self.demand[:, rows] = self.roster.phase_table[:, k]
         return hit is not None
 
     def move(self, rows: np.ndarray) -> None:

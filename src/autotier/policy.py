@@ -124,8 +124,9 @@ def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> np.ndarray:
     with np.errstate(divide="ignore"):
         iops = np.where(lat > 0, 1e6 / lat, 0.0)
     cap = np.empty(lat.shape + (3,))
-    np.minimum(iops, fleet.demand_iops, out=cap[..., 0])
-    np.multiply(cap[..., 0], fleet.avg_io_size_bytes, out=cap[..., 1])
+    demand_iops, _, io_size = fleet.demand
+    np.minimum(iops, demand_iops, out=cap[..., 0])
+    np.multiply(cap[..., 0], io_size, out=cap[..., 1])
     cap[..., 1] /= 1e6
     cap[..., 2] = roster.size_gb
     return cap
@@ -181,8 +182,8 @@ def mig_cost_seconds(fleet: Fleet, sources: np.ndarray | None = None) -> np.ndar
     tier.
     """
     source_row = fleet.tier_row if sources is None else sources
-    read_side = fleet.spare_read_mbps[source_row] + fleet.measured_read_mbps
-    speed = np.minimum(read_side, fleet.spare_write_mbps[:, None])
+    read_side = fleet.spare_mbps[0, source_row] + fleet.measured_mbps[0]
+    speed = np.minimum(read_side, fleet.spare_mbps[1, :, None])
     with np.errstate(divide="ignore"):
         seconds = fleet.roster.size_gb * 1000.0 / speed
     seconds[source_row, np.arange(len(source_row))] = 0.0

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+# Local runs draw new examples each time; ``--hypothesis-profile=ci`` draws
+# the same ones on every run, so a failure, or a mutant's kill, repeats.
 settings.register_profile("autotier", deadline=None)
+settings.register_profile("ci", deadline=None, derandomize=True, database=None)
 settings.load_profile("autotier")
 
 from autotier.calibration import _mean_and_cv
@@ -105,7 +108,7 @@ def fleet_states(fleet: Fleet, specs) -> list[VmdkState]:
     """One ``VmdkState`` per fleet row, in row order, with the spec of its id among ``specs``."""
     by_id = {spec.id: spec for spec in specs}
     tier_ids = fleet.roster.tier_ids.tolist()
-    columns = zip(*(getattr(fleet, name).tolist() for name in (
+    columns = zip(*(state_column(fleet, name).tolist() for name in (
         "demand_iops", "avg_io_size_bytes", "read_fraction", "measured_iops",
         "measured_read_mbps", "measured_write_mbps", "measured_latency_us",
     )))
@@ -137,10 +140,23 @@ def make_state(spec: VmdkSpec, tier: int | None = None, **measured) -> VmdkState
     return state
 
 
-STATE_COLUMNS = (
-    "demand_iops", "read_fraction", "avg_io_size_bytes", "measured_iops",
-    "measured_latency_us", "measured_read_mbps", "measured_write_mbps",
-)
+# Each ``VmdkState`` field a fleet holds: its ``Fleet`` array and, in a 2-D
+# block, its row there.
+STATE_COLUMNS = {
+    "demand_iops": ("demand", 0),
+    "read_fraction": ("demand", 1),
+    "avg_io_size_bytes": ("demand", 2),
+    "measured_iops": ("measured_iops",),
+    "measured_latency_us": ("measured_latency_us",),
+    "measured_read_mbps": ("measured_mbps", 0),
+    "measured_write_mbps": ("measured_mbps", 1),
+}
+
+
+def state_column(fleet: Fleet, name: str) -> np.ndarray:
+    """The (N,) fleet column, a view, that holds ``VmdkState`` field ``name``."""
+    array, *row = STATE_COLUMNS[name]
+    return getattr(fleet, array)[tuple(row)]
 
 
 def phase_at(spec: VmdkSpec, epoch: int) -> WorkloadPhase:
@@ -163,7 +179,7 @@ def fleet_of(states, tiers) -> Fleet:
         j = fleet.roster.row[state.spec.id]
         fleet.tier_row[j] = row_of_tier(fleet, state.current_tier)
         for name in STATE_COLUMNS:
-            getattr(fleet, name)[j] = getattr(state, name)
+            state_column(fleet, name)[j] = getattr(state, name)
     return fleet
 
 
@@ -573,8 +589,8 @@ def random_oracle_instance(rng: np.random.Generator, capacity_scale: float = 1.0
     mat = normalize_and_gate(cal_capacity_matrices(records, fleet), fleet)
     roster = fleet.roster
     for i in range(len(tiers)):
-        fleet.spare_read_mbps[i] = roster.device_caps[2, i] - float(rng.uniform(0, 100))
-        fleet.spare_write_mbps[i] = roster.device_caps[3, i] - float(rng.uniform(0, 100))
+        fleet.spare_mbps[0, i] = roster.device_caps[2, i] - float(rng.uniform(0, 100))
+        fleet.spare_mbps[1, i] = roster.device_caps[3, i] - float(rng.uniform(0, 100))
     weights = PolicyWeights(
         alpha=ResourceVector(*(float(x) for x in rng.uniform(0, 2, size=3))),
         beta=float(rng.uniform(0, 2)),

@@ -98,8 +98,8 @@ def test_criterion_1_formula_fidelity():
         )
         mover = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
         fleet = fleet_of([mover], tiers)
-        fleet.spare_read_mbps[0] = 500.0
-        fleet.spare_write_mbps[1] = 400.0
+        fleet.spare_mbps[0, 0] = 500.0  # tier 1's reads
+        fleet.spare_mbps[1, 1] = 400.0  # tier 2's writes
         ok &= close(mig_cost_seconds(fleet)[1, 0], 250.0)
     _report("C1 formula-fidelity", ok, t, 1.0)
 
@@ -217,34 +217,73 @@ def test_criterion_4_oracle_dominance_on_table3_table4():
             f"over {len(ratios)} positive-optimum plan epochs")
 
 
+def _served_iops(scenario, seed=None):
+    """Policy -> the IOPS its run of ``scenario`` served, at ``seed`` or the pinned one."""
+    return {
+        policy: summary_dict(run_scenario(scenario, policy, seed))["total"]["iops"]["sum"]
+        for policy in ("autotiering", "idt", "edt")
+    }
+
+
+def _beats_both_baselines(served):
+    return (served["autotiering"] >= 1.10 * served["idt"]
+            and served["autotiering"] >= 1.10 * served["edt"])
+
+
 def test_criterion_5_directional_superiority():
     with _Timer() as t:
         scenario = load_bundled_scenario("table3-table4")
         assert scenario.sim.epochs == 50
-        served = {}
-        for policy in ("autotiering", "idt", "edt"):
-            result = run_scenario(scenario, policy)  # scenario-pinned seed
-            served[policy] = summary_dict(result)["total"]["iops"]["sum"]
-        ok = (served["autotiering"] >= 1.10 * served["idt"]
-              and served["autotiering"] >= 1.10 * served["edt"])
+        served = _served_iops(scenario)  # scenario-pinned seed
+        ok = _beats_both_baselines(served)
     _report("C5 directional-superiority", ok, t, 30.0,
             f"AT/IDT {served['autotiering'] / served['idt']:.3f}, "
             f"AT/EDT {served['autotiering'] / served['edt']:.3f}")
 
 
+def test_criterion_5_directional_superiority_at_seeds_0_to_19():
+    # The pinned seed is one draw of the calibration noise: the margin must
+    # not rest on it.
+    with _Timer() as t:
+        scenario = load_bundled_scenario("table3-table4")
+        served = [_served_iops(scenario, seed) for seed in range(20)]
+        ok = all(map(_beats_both_baselines, served))
+    _report("C5 directional-superiority at seeds 0-19", ok, t, 60.0,
+            f"AT/IDT >= {min(s['autotiering'] / s['idt'] for s in served):.3f}, "
+            f"AT/EDT >= {min(s['autotiering'] / s['edt'] for s in served):.3f}")
+
+
+def _aging_moves(spike, seed=None):
+    """Aging factor -> (migrations, bytes migrated) of an AutoTiering run of ``spike``."""
+    moves = {}
+    for aging in (0.0, 0.5):
+        scenario = replace(spike, weights=replace(spike.weights, aging_factor=aging))
+        mig = migrations_dict(run_scenario(scenario, "autotiering", seed))
+        moves[aging] = mig["migrationCount"], mig["totalMigratedBytes"]
+    return moves
+
+
+def _ages_down(moves):
+    return all(a <= b for a, b in zip(moves[0.5], moves[0.0]))
+
+
 def test_criterion_6_anti_thrash():
     with _Timer() as t:
-        spike = load_bundled_scenario("spike")
-        counts = {}
-        sizes = {}
-        for aging in (0.0, 0.5):
-            scenario = replace(spike, weights=replace(spike.weights, aging_factor=aging))
-            mig = migrations_dict(run_scenario(scenario, "autotiering"))
-            counts[aging] = mig["migrationCount"]
-            sizes[aging] = mig["totalMigratedBytes"]
-        ok = counts[0.5] <= counts[0.0] and sizes[0.5] <= sizes[0.0]
+        moves = _aging_moves(load_bundled_scenario("spike"))
+        ok = _ages_down(moves)
+    (aged, aged_bytes), (unaged, unaged_bytes) = moves[0.5], moves[0.0]
     _report("C6 anti-thrash", ok, t, 10.0,
-            f"migrations {counts[0.5]} vs {counts[0.0]}, bytes {sizes[0.5]:.3g} vs {sizes[0.0]:.3g}")
+            f"migrations {aged} vs {unaged}, bytes {aged_bytes:.3g} vs {unaged_bytes:.3g}")
+
+
+def test_criterion_6_anti_thrash_at_seeds_0_to_19():
+    with _Timer() as t:
+        spike = load_bundled_scenario("spike")
+        moves = [_aging_moves(spike, seed) for seed in range(20)]
+        ok = all(map(_ages_down, moves))
+    _report("C6 anti-thrash at seeds 0-19", ok, t, 20.0,
+            f"migrations {sum(m[0.5][0] for m in moves)} vs {sum(m[0.0][0] for m in moves)} "
+            "over the 20 seeds")
 
 
 def test_criterion_7_migration_overhead_reporting():

@@ -242,7 +242,8 @@ def tier_metrics(figures: np.ndarray) -> list[TierEpochMetrics]:
 def serve_tier(tier, members, migration_read_mbps=0.0, migration_write_mbps=0.0):
     """``serve_epoch`` on a one-tier fleet; ``members`` get the fleet's measurements."""
     fleet = fleet_of(members, [tier])
-    metrics = tier_metrics(serve_epoch(fleet, [migration_read_mbps], [migration_write_mbps]))[0]
+    debits = np.array([[migration_read_mbps], [migration_write_mbps]])
+    metrics = tier_metrics(serve_epoch(fleet, debits))[0]
     served = {state.spec.id: state for state in fleet_states(fleet, [m.spec for m in members])}
     for member in members:
         for name in MEASURED:
@@ -378,7 +379,7 @@ class TestServeEpochMatchesReference:
         fleet = fleet_of(states, tiers)
         assert n_tiers == 1 or n_tiers - 1 not in fleet.tier_row.tolist()
         fleet.contention[:] = contended  # serving sets it afresh from the load
-        served = tier_metrics(serve_epoch(fleet, debit_read, debit_write))
+        served = tier_metrics(serve_epoch(fleet, np.array((debit_read, debit_write))))
         states = fleet_states(fleet, [s.spec for s in states])
 
         assert [astuple(m) for m in served] == [astuple(m) for m in expected]
@@ -387,11 +388,11 @@ class TestServeEpochMatchesReference:
         )
         assert [measured(s) for s in states] == [measured(s) for s in reference_states]
         assert fleet.contention.tolist() == list(expected_contention)
-        assert fleet.spare_read_mbps.tolist() == [
+        assert fleet.spare_mbps[0].tolist() == [
             max(0.0, t.read_bandwidth_cap - (m.read_mbps + r))
             for t, m, r in zip(tiers, expected, debit_read)
         ]
-        assert fleet.spare_write_mbps.tolist() == [
+        assert fleet.spare_mbps[1].tolist() == [
             max(0.0, t.write_bandwidth_cap - (m.write_mbps + w))
             for t, m, w in zip(tiers, expected, debit_write)
         ]
@@ -405,7 +406,7 @@ class TestServeEpochMatchesReference:
             tiers, states = random_fleet(rng, int(rng.integers(1, 7)))
             fleet = fleet_of(states, tiers)
             served = tier_metrics(serve_epoch(
-                fleet, [2 * t.read_bandwidth_cap for t in tiers], [0.0] * len(tiers),
+                fleet, np.array(([2 * t.read_bandwidth_cap for t in tiers], [0.0] * len(tiers))),
             ))
             states = fleet_states(fleet, [s.spec for s in states])
             seen.update(
@@ -476,13 +477,14 @@ class TestServeEpoch:
         fleet = fleet_of(states, tiers)
         # Tier 1's read debit passes its cap, tier 2's write debit is NaN and
         # tier 3 is partly used.
-        metrics = tier_metrics(serve_epoch(fleet, [1500.0, 0.0, 100.0], [0.0, np.nan, 50.0]))
+        debits = np.array(([1500.0, 0.0, 100.0], [0.0, np.nan, 50.0]))
+        metrics = tier_metrics(serve_epoch(fleet, debits))
         third = metrics[2]
         assert third.read_mbps > 0.0 and third.write_mbps > 0.0
-        assert fleet.spare_read_mbps.tolist() == [
+        assert fleet.spare_mbps[0].tolist() == [
             0.0, 1000.0 - metrics[1].read_mbps, 1000.0 - (third.read_mbps + 100.0),
         ]
-        assert fleet.spare_write_mbps.tolist() == [
+        assert fleet.spare_mbps[1].tolist() == [
             800.0 - metrics[0].write_mbps, 0.0, 800.0 - (third.write_mbps + 50.0),
         ]
 
@@ -579,11 +581,9 @@ class TestMigrations:
     def test_steady_speed_completes_in_one_epoch(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
         tiers, fleet, log = self.setup_pair(state)
-        fleet.spare_read_mbps[0] = 500.0
-        fleet.spare_write_mbps[1] = 400.0
-        moved, debit_r, debit_w, stalled, finished = progress_migrations(
-            np.array([0]), fleet, log, 300.0
-        )
+        fleet.spare_mbps[0, 0] = 500.0  # tier 1's reads
+        fleet.spare_mbps[1, 1] = 400.0  # tier 2's writes
+        moved, debits, stalled, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
         # speed min(500-100+100, 500-100) = 400 MB/s, 100 GB needs 250 s < epoch
         assert finished.tolist() == [0]
         assert log.bytes_moved.tolist() == [100e9]
@@ -591,15 +591,15 @@ class TestMigrations:
         assert not log.stalled[0]
         assert moved == pytest.approx(100e9)
         assert stalled.tolist() == []
-        assert debit_r[0] == pytest.approx(100e9 / 300 / 1e6)  # tier 1
-        assert debit_w[1] == pytest.approx(100e9 / 300 / 1e6)  # tier 2
+        assert debits[0, 0] == pytest.approx(100e9 / 300 / 1e6)  # tier 1's reads
+        assert debits[1, 1] == pytest.approx(100e9 / 300 / 1e6)  # tier 2's writes
 
     def test_zero_speed_stalls(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=0.0)
         tiers, fleet, log = self.setup_pair(state)
-        fleet.spare_read_mbps[0] = 0.0
-        fleet.spare_write_mbps[1] = 0.0
-        moved, _, _, stalled, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
+        fleet.spare_mbps[0, 0] = 0.0
+        fleet.spare_mbps[1, 1] = 0.0
+        moved, _, stalled, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
         assert moved == 0.0
         assert stalled.tolist() == [0]
         assert log.stalled[0]
@@ -610,10 +610,8 @@ class TestMigrations:
         state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
         _, fleet, log = self.setup_pair(state)
         log.set_progress(np.array([0]), 100e9, 7.0, True)
-        moved, debit_r, debit_w, stalled, finished = progress_migrations(
-            np.array([0]), fleet, log, 300.0
-        )
-        assert (moved, debit_r, debit_w, stalled.tolist()) == (0.0, [0.0, 0.0], [0.0, 0.0], [])
+        moved, debits, stalled, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
+        assert (moved, debits.tolist(), stalled.tolist()) == (0.0, [[0.0, 0.0], [0.0, 0.0]], [])
         assert finished.tolist() == [0]
         assert (log.bytes_moved[0], log.speed_mbps[0], log.stalled[0]) == (100e9, 7.0, True)
 
@@ -626,7 +624,7 @@ class TestMigrations:
         before, total = 6755937413.0374565, log.bytes_total[0]
         assert before + (total - before) > total
         log.set_progress(np.array([0]), before, 0.0, False)
-        moved, _, _, _, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
+        moved, _, _, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
         assert finished.tolist() == [0]
         assert log.bytes_moved[0] == total
         assert moved == total - before
@@ -635,10 +633,10 @@ class TestMigrations:
     def test_empty_book_debits_nothing(self):
         state = make_state(make_vmdk(size_gb=100.0), tier=1)
         _, fleet, log = self.setup_pair(state)
-        moved, debit_r, debit_w, stalled, finished = progress_migrations(
+        moved, debits, stalled, finished = progress_migrations(
             np.zeros(0, dtype=np.intp), fleet, log, 300.0
         )
-        assert (moved, debit_r, debit_w, stalled.tolist()) == (0.0, [0.0, 0.0], [0.0, 0.0], [])
+        assert (moved, debits.tolist(), stalled.tolist()) == (0.0, [[0.0, 0.0], [0.0, 0.0]], [])
         assert finished.tolist() == []
 
     def test_progress_needs_an_open_order(self):
@@ -748,10 +746,9 @@ def migration_epochs(seed, epochs=10, vmdks=(5, 30)):
             load = rng.choice([0.0, 1.0, rng.uniform(0, 1)], size=2).tolist()
             served_read.append(load[0] * t.read_bandwidth_cap)
             served_write.append(load[1] * t.write_bandwidth_cap)
-        fleet.spare_read_mbps[:] = np.fmax(0.0, roster.device_caps[2] - served_read)
-        fleet.spare_write_mbps[:] = np.fmax(0.0, roster.device_caps[3] - served_write)
+        fleet.spare_mbps[:] = np.fmax(0.0, roster.device_caps[2:] - [served_read, served_write])
         measured = rng.choice([0.0, 20.0, 300.0], size=len(states))
-        fleet.measured_read_mbps[:] = measured
+        fleet.measured_mbps[0] = measured
         for v, value in zip(roster.ids, measured.tolist()):
             reference_states[v].measured_read_mbps = value
         current = dict(zip(roster.ids, roster.tier_ids[fleet.tier_row].tolist()))
@@ -771,7 +768,7 @@ def migration_epochs(seed, epochs=10, vmdks=(5, 30)):
         expected = reference_progress(
             list(active.values()), reference_states, tiers, served_read, served_write, 300.0
         )
-        finished = got[4]
+        finished = got[3]
         fleet.move(finished)
         reference_finished = set()
         for v in sorted(active):
@@ -779,8 +776,9 @@ def migration_epochs(seed, epochs=10, vmdks=(5, 30)):
                 reference_states[v].current_tier = active[v].to_tier
                 reference_finished.add(v)
                 del active[v]
-        stalled = [roster.ids[j] for j in got[3].tolist()]
-        yield ((*got[:3], stalled), expected, {roster.ids[j] for j in finished.tolist()}, reference_finished,
+        stalled = [roster.ids[j] for j in got[2].tolist()]
+        yield ((got[0], *got[1].tolist(), stalled), expected,
+               {roster.ids[j] for j in finished.tolist()}, reference_finished,
                log_orders(log), [astuple(o) for o in reference_log], tiers, started)
 
 
@@ -856,6 +854,30 @@ class TestMigrationBookOnTheFixedPointMatchesReference(TestMigrationBookMatchesR
         monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", 0)
 
 
+class TestDebitsBlock:
+    @pytest.mark.parametrize("cutover", [0, 10**9])
+    def test_every_book_of_a_bundled_run_debits_one_c_order_block(self, cutover, monkeypatch):
+        # Each path's (2, T) debits are what serving reads and the run's
+        # serve skip compares as bytes: the passes at a cutover of 0, the loop
+        # at 10**9, and the empty book at either.
+        monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", cutover)
+        progress, books = engine.progress_migrations, []
+
+        def recording(rows, fleet, *args):
+            result = progress(rows, fleet, *args)
+            books.append((len(rows), len(fleet.roster.tiers), result[1]))
+            return result
+
+        monkeypatch.setattr(engine, "progress_migrations", recording)
+        for name in ("table3-table4", "spike", "tiny-oracle"):
+            for policy in POLICY_NAMES:
+                run_scenario(load_bundled_scenario(name), policy)
+        assert {rows > 0 for rows, _, _ in books} == {False, True}
+        for _, t, debits in books:
+            assert type(debits) is np.ndarray and debits.shape == (2, t)
+            assert debits.dtype == np.float64 and debits.flags.c_contiguous
+
+
 def random_book(tier_spares, moves):
     """A fleet and log whose book holds ``moves``, and its rows: ``(fleet, log, rows)``.
 
@@ -870,8 +892,7 @@ def random_book(tier_spares, moves):
         for j, (size, source, _, measured, *_) in enumerate(moves)
     ]
     fleet = fleet_of(states, tiers)
-    fleet.spare_read_mbps[:] = [read for read, _ in tier_spares]
-    fleet.spare_write_mbps[:] = [write for _, write in tier_spares]
+    fleet.spare_mbps[:] = list(zip(*tier_spares))
     log = MigrationLog(fleet.roster.ids)
     rows = np.arange(len(moves))
     source, dest, _, done, speed, stall = (np.array(column) for column in list(zip(*moves))[1:])
@@ -882,10 +903,10 @@ def random_book(tier_spares, moves):
 
 def result_bits(result, log):
     """A progress result and the log's progress columns, floats as their bytes."""
-    moved, debit_read, debit_write, stalled, finished = result
+    moved, debits, stalled, finished = result
     return (
-        np.float64(moved).tobytes(), np.array(debit_read).tobytes(),
-        np.array(debit_write).tobytes(), stalled.tolist(), finished.tolist(),
+        np.float64(moved).tobytes(), debits.shape, debits.tobytes(), stalled.tolist(),
+        finished.tolist(),
         log.bytes_moved.tobytes(), log.speed_mbps.tobytes(), log.stalled.tolist(),
     )
 
@@ -953,12 +974,12 @@ class TestProgressPassesMatchLoop:
         monkeypatch.setattr(engine, "PROGRESS_PASSES", 3)
         assert both_paths(fleet, log, rows, 300.0)[1] is None
         monkeypatch.setattr(engine, "PROGRESS_PASSES", 4)
-        expected, got, (_, _, debit_write, _, _) = both_paths(fleet, log, rows, 300.0)
+        expected, got, (_, debits, _, _) = both_paths(fleet, log, rows, 300.0)
         assert got == expected
-        assert debit_write[1] == 1000.0
-        moved, debit_read, _, stalled, finished = progress_migrations(rows, fleet, log, 300.0)
+        assert debits[1, 1] == 1000.0  # tier 2's writes
+        moved, debits, stalled, finished = progress_migrations(rows, fleet, log, 300.0)
         assert finished.tolist() == [*range(10), *range(200, 290)] and len(stalled) == 300
-        assert moved == 100 * 3e9 and debit_read[0] == 100.0
+        assert moved == 100 * 3e9 and debits[0, 0] == 100.0  # tier 1's reads
 
     def test_a_nan_speed_finishes_its_move_on_both_paths(self, monkeypatch):
         size = 49.91605619203594
@@ -967,10 +988,10 @@ class TestProgressPassesMatchLoop:
         expected, got, result = both_paths(fleet, log, rows, 300.0)
         assert got == expected
         left = log.bytes_total[0] - log.bytes_moved[0]
-        moved, debit_read, debit_write, stalled, finished = result
+        moved, debits, stalled, finished = result
         assert finished.tolist() == [0, 1] and stalled.tolist() == []
         assert moved == left + 30e9  # the second move takes 100 MB/s and finishes too
-        assert debit_read[0] == debit_write[1] == left / 300.0 / 1e6 + 100.0
+        assert debits[0, 0] == debits[1, 1] == left / 300.0 / 1e6 + 100.0
         monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", 0)
         progress_migrations(rows, fleet, log, 300.0)
         assert log.bytes_moved[0] == log.bytes_total[0]
@@ -1158,7 +1179,7 @@ class TestRunScenario:
         served = []
 
         def demand(epoch, plan, policy_obj, ctx):
-            served.append((epoch, ctx.fleet.demand_iops[ctx.fleet.roster.row[spec.id]]))
+            served.append((epoch, ctx.fleet.demand[0, ctx.fleet.roster.row[spec.id]]))
 
         run_scenario(changed, policy, seed=0, on_plan=demand)
         assert served[0] == (0, phase.demand_iops)
@@ -1207,13 +1228,13 @@ class TestRunScenario:
         def write(epoch, plan, policy_obj, ctx):
             contexts.append(ctx)
             tier_views.append((
-                epoch, ctx.fleet.contention.copy(), ctx.fleet.spare_read_mbps.copy()
+                epoch, ctx.fleet.contention.copy(), ctx.fleet.spare_mbps[0].copy()
             ))
             with pytest.raises(ValueError, match="read-only"):
                 ctx.fleet.measured_iops[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 ctx.fleet.tier_row[0] = 0
-            for name in ("contention", "spare_read_mbps", "spare_write_mbps"):
+            for name in ("contention", "spare_mbps", "demand", "measured_mbps"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(ctx.fleet, name)[0] = 1.0
             with pytest.raises(TypeError):
@@ -1375,10 +1396,8 @@ class TestPhaseSchedule:
                 fleet = ctx.fleet
                 for spec in scenario.vmdks:
                     j = fleet.roster.row[spec.id]
-                    active = (
-                        fleet.demand_iops[j], fleet.avg_io_size_bytes[j], fleet.read_fraction[j]
-                    )
-                    assert active == phase_key(phase_at(spec, epoch))
+                    demand_iops, read_fraction, io_size = fleet.demand[:, j]
+                    assert (demand_iops, io_size, read_fraction) == phase_key(phase_at(spec, epoch))
 
             run_scenario(scenario, policy, on_plan=check)
             assert seen == list(range(scenario.sim.epochs))
@@ -1394,10 +1413,7 @@ class TestPhaseSchedule:
 
 
 # The fleet columns serving writes. It reads none of them.
-SERVE_WRITES = (
-    "contention", "spare_read_mbps", "spare_write_mbps", "measured_iops", "measured_latency_us",
-    "measured_read_mbps", "measured_write_mbps",
-)
+SERVE_WRITES = ("contention", "spare_mbps", "measured_iops", "measured_latency_us", "measured_mbps")
 
 
 def fleet_copy(fleet):
@@ -1416,19 +1432,19 @@ def serve_trace(scenario, policy, debits=None):
     Right after each epoch's migration progress, a copy of the fleet is
     served with that epoch's debits: the trace keeps the copy's tier figures
     and written columns, the fleet's written columns before the run serves
-    or skips, and the rows whose move lands. ``debits``, a (read, write)
-    pair, replaces the debits that progress reports.
+    or skips, and the rows whose move lands. ``debits``, a (2, T) array of
+    read and write MB/s, replaces the debits that progress reports.
     """
     serve, progress = engine.serve_epoch, engine.progress_migrations
     served, trace = [], []
 
     def progress_and_serve_a_copy(rows, fleet, *args):
-        moved, read, write, stalled, finished = progress(rows, fleet, *args)
+        moved, taken, stalled, finished = progress(rows, fleet, *args)
         if debits is not None:
-            read, write = debits
+            taken = debits
         other = fleet_copy(fleet)
-        trace.append((serve(other, read, write).T, written(other), written(fleet), finished))
-        return moved, read, write, stalled, finished
+        trace.append((serve(other, taken).T, written(other), written(fleet), finished))
+        return moved, taken, stalled, finished
 
     def counted_serve(*args):
         served.append(len(trace) - 1)
@@ -1456,7 +1472,7 @@ def check_skips(scenario, policy):
 def check_schedule(scenario, policy):
     """With constant debits, serving follows phase starts and landed moves alone."""
     t = len(scenario.tiers)
-    _, served, trace = serve_trace(scenario, policy, ([1.0] * t, [2.0] * t))
+    _, served, trace = serve_trace(scenario, policy, np.array(([1.0] * t, [2.0] * t)))
     landed = {epoch + 1 for epoch, (*_, finished) in enumerate(trace) if len(finished)}
     assert served == sorted({0, *landed, *scenario.roster.due} & set(range(len(trace))))
     return len(landed & set(range(len(trace)))), len(scenario.roster.due)
@@ -1469,9 +1485,9 @@ class TestServeSkip:
     def test_serving_reads_none_of_the_columns_it_writes(self, name):
         fleet = Fleet.of(load_bundled_scenario(name).roster)
         rng = np.random.default_rng(0)
-        debits = (rng.uniform(0.0, 1.5, fleet.roster.device_caps[2:].shape)
-                  * fleet.roster.device_caps[2:]).tolist()
-        serve_epoch(fleet, *debits)
+        caps = fleet.roster.device_caps[2:]
+        debits = rng.uniform(0.0, 1.5, caps.shape) * caps
+        serve_epoch(fleet, debits)
         other = fleet_copy(fleet)
         n, t = len(fleet.tier_row), len(fleet.roster.tiers)
         other.dest_row[:] = rng.integers(-1, t, n)
@@ -1480,8 +1496,8 @@ class TestServeSkip:
             column = getattr(other, key)
             column[:] = rng.uniform(-1e6, 1e6, column.shape)
             column[rng.random(column.shape) < 0.25] = np.nan
-        figures = serve_epoch(fleet, *debits)
-        assert serve_epoch(other, *debits).tobytes() == figures.tobytes()
+        figures = serve_epoch(fleet, debits)
+        assert serve_epoch(other, debits).tobytes() == figures.tobytes()
         assert written(other) == written(fleet)
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)

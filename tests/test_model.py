@@ -196,9 +196,8 @@ class TestOtherTypes:
 
 # Every Fleet field after ``roster``: the columns a run writes.
 RUN_COLUMNS = [
-    "tier_row", "dest_row", "order_index", "contention", "spare_read_mbps", "spare_write_mbps",
-    "demand_iops", "read_fraction", "avg_io_size_bytes", "measured_iops", "measured_latency_us",
-    "measured_read_mbps", "measured_write_mbps",
+    "tier_row", "dest_row", "order_index", "contention", "spare_mbps", "demand", "measured_iops",
+    "measured_latency_us", "measured_mbps",
 ]
 
 
@@ -480,6 +479,30 @@ class TestFleet:
         assert fleet == fleet and fleet != twin and fleet != view
         assert len({hash(fleet), hash(twin), hash(view)}) == 3
 
+    @pytest.mark.parametrize("name", ["table3-table4", "spike", "tiny-oracle"])
+    def test_of_copies_the_paired_blocks_of_a_bundled_roster(self, name):
+        # spare_mbps and demand start as the roster's bandwidth caps and phase-0
+        # demand, in arrays of their own: activate_phases writes demand, and
+        # one roster serves every run of its scenario.
+        roster = parse_scenario(bundled_scenario_text(name)).roster
+        fleet = Fleet.of(roster)
+        n, t = len(roster.ids), len(roster.tiers)
+        assert fleet.spare_mbps.tobytes() == roster.device_caps[2:].tobytes()
+        assert fleet.demand.tobytes() == roster.phase_table[:, roster.first_phase].tobytes()
+        shared = roster_arrays(roster).values()
+        view = fleet.read_only()
+        for block, shape in (("spare_mbps", (2, t)), ("demand", (3, n)), ("measured_mbps", (2, n))):
+            array = getattr(fleet, block)
+            assert (array.shape, array.dtype) == (shape, float)
+            assert not any(np.shares_memory(array, a) for a in shared), block
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(view, block)[:, -1] = 0.0
+        table = roster.phase_table.tobytes()
+        for epoch, (rows, k) in roster.due.items():
+            assert fleet.activate_phases(epoch)
+            assert fleet.demand[:, rows].tobytes() == roster.phase_table[:, k].tobytes()
+        assert roster.phase_table.tobytes() == table
+
     def test_move_lands_on_dest_row_and_clears_it(self):
         tiers = [make_tier(i) for i in (1, 2, 3)]
         states = [make_state(make_vmdk(v, initial_tier=3), tier=3) for v in ("a", "b")]
@@ -509,10 +532,11 @@ class TestFleet:
         view = fleet.read_only()
         for name in RUN_COLUMNS:
             column = getattr(view, name)
+            first = (0,) * column.ndim
             with pytest.raises(ValueError, match="read-only"):
-                column[0] = 1
-            getattr(fleet, name)[0] = 1
-            assert column[0] == 1, name
+                column[first] = 1
+            getattr(fleet, name)[first] = 1
+            assert column[first] == 1, name
 
     def test_budget_is_each_tiers_max_usable_and_read_only_in_the_view(self):
         tiers = [
@@ -563,17 +587,14 @@ class TestFleet:
         assert fleet.roster.tier_ids[fleet.roster.initial_tier_row].tolist() == [2, 3]
         assert fleet.roster.tier_ids[fleet.tier_row].tolist() == [2, 3]
         assert not np.shares_memory(fleet.tier_row, fleet.roster.initial_tier_row)
-        assert fleet.demand_iops.tolist() == [100.0, 300.0]
-        assert fleet.read_fraction.tolist() == [0.75, 0.25]
-        assert fleet.avg_io_size_bytes.tolist() == [4096.0, 8192.0]
-        for name in ("iops", "latency_us", "read_mbps", "write_mbps"):
-            assert getattr(fleet, f"measured_{name}").tolist() == [0.0, 0.0], name
+        # Demand IOPS, read fraction and I/O size, in _DEMAND_COLUMNS order.
+        assert fleet.demand.tolist() == [[100.0, 300.0], [0.75, 0.25], [4096.0, 8192.0]]
+        assert fleet.measured_iops.tolist() == fleet.measured_latency_us.tolist() == [0.0, 0.0]
+        assert fleet.measured_mbps.tolist() == [[0.0, 0.0], [0.0, 0.0]]
         assert (fleet.dest_row == -1).all() and (fleet.order_index == -1).all()
-        # Nothing served yet: each tier's whole bandwidth is spare, in arrays of its own.
-        assert fleet.spare_read_mbps.tolist() == [100.0, 200.0, 300.0]
-        assert fleet.spare_write_mbps.tolist() == [70.0, 140.0, 210.0]
-        assert not np.shares_memory(fleet.spare_read_mbps, fleet.roster.device_caps)
-        assert not np.shares_memory(fleet.spare_write_mbps, fleet.roster.device_caps)
+        # Nothing served yet: each tier's whole bandwidth is spare, in an array of its own.
+        assert fleet.spare_mbps.tolist() == [[100.0, 200.0, 300.0], [70.0, 140.0, 210.0]]
+        assert not np.shares_memory(fleet.spare_mbps, fleet.roster.device_caps)
         assert list(fleet.roster.due) == [4]
         # The phases stay in document order: b's phase 0, then a's two.
         assert fleet.roster.first_phase.tolist() == [1, 0]

@@ -235,8 +235,8 @@ class TestMigCost:
         )
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
         fleet = fleet_of([vmdk], tiers)
-        fleet.spare_read_mbps[0] = 500.0
-        fleet.spare_write_mbps[1] = 400.0
+        fleet.spare_mbps[0, 0] = 500.0
+        fleet.spare_mbps[1, 1] = 400.0
         cost = move_cost(fleet, 2)
         assert cost == pytest.approx(250.0, rel=1e-9)
 
@@ -249,8 +249,8 @@ class TestMigCost:
         tiers = self.three_state_setup()
         vmdk = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=0.0)
         fleet = fleet_of([vmdk], tiers)
-        fleet.spare_write_mbps[1] = 0.0
-        fleet.spare_read_mbps[0] = 0.0
+        fleet.spare_mbps[1, 1] = 0.0
+        fleet.spare_mbps[0, 0] = 0.0
         assert move_cost(fleet, 2) == math.inf
 
 
@@ -296,7 +296,7 @@ class TestCalScore:
         records = {"w": record(0.0, 100.0)}
         fleet = fleet_of([state], tiers)
         mat = build_matrices(fleet, records)
-        fleet.spare_read_mbps[1] = 1000.0  # 200 of 1200 MB/s served -> cost 450s
+        fleet.spare_mbps[0, 1] = 1000.0  # 200 of 1200 MB/s served -> cost 450s
         weights = PolicyWeights(aging_factor=0.5, migration_epoch=3)
         previous = np.zeros(mat.feasible.shape)
         previous[at(fleet, 1, "w")] = 0.4
@@ -329,8 +329,8 @@ class TestCalScore:
         state = make_state(make_vmdk(size_gb=10.0, demand_iops=100), tier=2)
         records = {"v1": record(0.0, 100.0)}
         fleet = fleet_of([state], tiers)
-        fleet.spare_write_mbps[0] = 0.0  # no way in
-        fleet.spare_read_mbps[1] = 0.0
+        fleet.spare_mbps[1, 0] = 0.0  # no way in
+        fleet.spare_mbps[0, 1] = 0.0
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=0.5)
         move, stay = at(fleet, 1, "v1"), at(fleet, 2, "v1")
@@ -338,8 +338,8 @@ class TestCalScore:
         assert blocked[move] == -math.inf
         assert math.isfinite(blocked[stay])  # staying costs nothing
         # Once bandwidth frees up, the blocked cell adds no aged term.
-        fleet.spare_write_mbps[0] = tiers[0].write_bandwidth_cap
-        fleet.spare_read_mbps[1] = tiers[1].read_bandwidth_cap
+        fleet.spare_mbps[1, 0] = tiers[0].write_bandwidth_cap
+        fleet.spare_mbps[0, 1] = tiers[1].read_bandwidth_cap
         fresh = cal_score(mat, None, weights, fleet, fits(fleet, records), 900.0)
         again = cal_score(mat, blocked, weights, fleet, fits(fleet, records), 900.0)
         assert math.isfinite(fresh[move])
@@ -831,7 +831,7 @@ class TestProfitAndOracle:
         tiers = (make_tier(1, 100.0), make_tier(2, 200.0))
         fleet = fleet_of([make_state(make_vmdk(), tier=2)], tiers)
         mat = build_matrices(fleet, {"v1": record(0.0, 50.0)})
-        fleet.spare_write_mbps[row_of_tier(fleet, 1)] = 0.0
+        fleet.spare_mbps[1, row_of_tier(fleet, 1)] = 0.0
         previous = tier_rows(fleet, {"v1": 2})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -931,7 +931,7 @@ class TestProfitAndOracle:
             scale = float(rng.uniform(0.02, 0.5))
             tiers, fleet, records, mat, weights, previous = random_oracle_instance(rng, scale)
             if k % 3 == 0:
-                fleet.spare_write_mbps[int(rng.integers(0, len(tiers)))] = 0.0
+                fleet.spare_mbps[1, int(rng.integers(0, len(tiers)))] = 0.0
             if k % 6 == 0:
                 weights = PolicyWeights(alpha=weights.alpha, beta=0.0, aging_factor=0.0)
             found.append(self.assert_matches_reference(mat, weights, previous, fleet))
