@@ -27,8 +27,9 @@ log = logging.getLogger("autotier")
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("AUTOTIER_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # Only a level name: logging's other upper-case names (BASIC_FORMAT) are not levels.
+    level = getattr(logging, os.environ.get("AUTOTIER_LOG", "warning").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
 

@@ -16,14 +16,9 @@ MB/s. ``serve_epoch`` serves every tier in one vectorized pass and writes
 the measurements and the tier arrays in place; probes, migration
 progress and policies read the same arrays, policies through a read-only
 view. The result keeps the fleet the run left.
-Serving reads only the roster, ``tier_row``, ``demand`` and the epoch's
-(2, T) read and write migration debits, and writes none of them. In a
-run only ``Fleet.activate_phases`` writes ``demand`` and only
-``Fleet.move`` writes ``tier_row``, so a run serves at its first epoch,
-after a phase starts or a move lands, and when the epoch's debits differ
-bit for bit from its last serve's. At any other epoch serving would write
-what the fleet holds already, and the run carries the last serve's tier
-figures forward instead.
+A run serves when the bytes of what serving reads (the epoch's debits,
+``tier_row`` and ``demand``) differ from its last serve's, and otherwise
+carries that serve's tier figures forward.
 The book of in-flight migrations is the fleet rows whose ``dest_row`` is
 set, in id order; an order starts only for a VMDK that has none. Plans
 come in fleet rows too: the engine starts a plan's moves from its
@@ -453,10 +448,9 @@ def run_scenario(
         probe=partial(probe_latencies, fleet, rng=np.random.default_rng(sim.seed),
                       noise_cv=sim.noise_cv),
     )
-    served = None  # the debits of the last serve, as bytes, while its other inputs stand
+    served = ()  # the bytes of what the last serve read, none before the first
     for epoch, figures, flags in zip(range(sim.epochs), result.epochs, result.flags):
-        if fleet.activate_phases(epoch):
-            served = None
+        fleet.activate_phases(epoch)
         if epoch % weights.monitor_epoch == 0:
             policy.on_monitor(ctx)
 
@@ -475,13 +469,12 @@ def run_scenario(
         )
         flags[stalled] |= STALLED
 
-        if debits.tobytes() != served:
+        inputs = (debits.tobytes(), fleet.tier_row.tobytes(), fleet.demand.tobytes())
+        if inputs != served:
             tier_figures = serve_epoch(fleet, debits).T
-            served = debits.tobytes()
+            served = inputs
         figures[:t] = tier_figures
-        if len(finished):
-            fleet.move(finished)
-            served = None
+        fleet.move(finished)
 
     # Each epoch's fleet row adds its tier rows left to right from 0.0 and
     # weights each tier's mean latency by its IOPS, as a loop over the tiers does.

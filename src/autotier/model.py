@@ -694,12 +694,13 @@ class Fleet:
     VMDK rows follow ``roster.ids``: ``tier_row`` (each VMDK's current tier
     as a row of ``roster.tiers``), ``dest_row`` (the tier row its in-flight
     migration lands on, -1 when it has none), the active phase's (3, N)
-    ``demand`` in ``_DEMAND_COLUMNS`` rows (the run's only record of the
-    phase) and the last epoch's ``measured_iops``, ``measured_latency_us``
-    and (2, N) read and write ``measured_mbps``. An in-flight migration
-    moves ``size_gb * 1e9`` bytes from ``tier_row`` to ``dest_row``;
-    ``order_index`` is its index in the run's ``MigrationLog`` (-1 for a
-    VMDK that has none), which alone holds its progress.
+    ``demand`` in ``_DEMAND_COLUMNS`` rows, C-ordered so each row is
+    contiguous (the run's only record of the phase), and the last epoch's
+    ``measured_iops``, ``measured_latency_us`` and (2, N) read and write
+    ``measured_mbps``. An in-flight migration moves ``size_gb * 1e9``
+    bytes from ``tier_row`` to ``dest_row``; ``order_index`` is its index
+    in the run's ``MigrationLog`` (-1 for a VMDK that has none), which
+    alone holds its progress.
 
     Tier rows follow ``roster.tiers``. Each device's ``contention``
     inflates the latency probes see, and the (2, T) read and write
@@ -730,7 +731,7 @@ class Fleet:
             order_index=np.full(n, -1, dtype=np.intp),
             contention=np.ones(t),
             spare_mbps=roster.device_caps[2:].copy(),
-            demand=roster.phase_table[:, roster.first_phase],
+            demand=roster.phase_table.take(roster.first_phase, axis=1),
             measured_iops=np.zeros(n),
             measured_latency_us=np.zeros(n),
             measured_mbps=np.zeros((2, n)),
@@ -741,17 +742,12 @@ class Fleet:
         run_columns = (f.name for f in fields(self) if f.name != "roster")
         return replace(self, **{name: _frozen(getattr(self, name).view()) for name in run_columns})
 
-    def activate_phases(self, epoch: int) -> bool:
-        """Apply every phase that starts at ``epoch``, copying its table row.
-
-        Returns whether any phase starts then, that is whether ``demand``
-        may have changed.
-        """
+    def activate_phases(self, epoch: int) -> None:
+        """Apply every phase that starts at ``epoch``, copying its table row."""
         hit = self.roster.due.get(epoch)
         if hit is not None:
             rows, k = hit
             self.demand[:, rows] = self.roster.phase_table[:, k]
-        return hit is not None
 
     def move(self, rows: np.ndarray) -> None:
         """Land the in-flight migrations of ``rows`` on their ``dest_row`` and clear them."""

@@ -446,7 +446,7 @@ def oracle_assignment(
     roster = fleet.roster
     contrib = profit_contributions(mat, weights, previous, fleet, migration_epoch_seconds)
     n_tiers, n = contrib.shape
-    allowed = np.isfinite(contrib) & (mat.cap <= roster.budget[:, None, :]).all(axis=-1)
+    allowed = np.isfinite(contrib) & mat.feasible
     cost, bounds = np.where(allowed, -contrib, 0.0).ravel(), Bounds(0.0, allowed.ravel() * 1.0)
     # Cell (i, j) is variable i * n + j; budget row (i, k) reads tier i's cells.
     cap = np.where(allowed[..., None], mat.cap, 0.0)

@@ -7,13 +7,18 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 # Local runs draw new examples each time; ``--hypothesis-profile=ci`` draws
 # the same ones on every run, so a failure, or a mutant's kill, repeats.
+# ``mutants`` is ``ci`` without shrinking: tests/mutants.py needs only to see
+# a named test fail, not its smallest failing example.
 settings.register_profile("autotier", deadline=None)
 settings.register_profile("ci", deadline=None, derandomize=True, database=None)
+settings.register_profile(
+    "mutants", settings.get_profile("ci"), phases=[p for p in Phase if p is not Phase.shrink]
+)
 settings.load_profile("autotier")
 
 from autotier.calibration import _mean_and_cv

@@ -21,12 +21,13 @@ would fail there; none is named). Then, for each mutant, it applies the
 change to the copy, runs only that mutant's tests and puts the file back.
 It exits 1 when a snippet does not occur exactly once, a named test fails
 unchanged, or a mutant survives. It is not part of tier-1: each mutant
-reruns its tests, about a minute in all on a 2-vCPU x86_64 machine. Every
-pytest run loads the derandomized ``ci`` Hypothesis profile
-(``tests/conftest.py``), so a generated-document test draws the same
-examples on every run and can be named as a kill; without it, such a test
-kills a mutant only on the draws that expose it. Every other named test is
-deterministic.
+reruns its tests, about 25 s in all on a 2-vCPU x86_64 machine. Every
+pytest run loads the ``mutants`` Hypothesis profile (``tests/conftest.py``):
+the derandomized ``ci`` profile, so a generated-document test draws the
+same examples on every run and can be named as a kill (without it, such a
+test kills a mutant only on the draws that expose it), less the shrink
+phase, since a kill needs only the failure and not its smallest example.
+Every other named test is deterministic.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ MODEL = "src/autotier/model.py"
 POLICY = "src/autotier/policy.py"
 SERVE_SKIP = "tests/test_engine.py::TestServeSkip::"
 SKIPS = f"{SERVE_SKIP}test_a_bundled_run_skips_only_what_serving_would_repeat"
-SERVES = f"{SERVE_SKIP}test_a_bundled_run_serves_after_each_phase_start_and_landed_move_alone"
+SERVES = f"{SERVE_SKIP}test_a_bundled_run_serves_where_what_serving_reads_changed_alone"
 GOLDEN = "tests/test_golden.py::"
 ROSTER = "tests/test_model.py::TestRoster::"
 RELATIONS = "tests/test_relations.py::"
@@ -70,36 +71,36 @@ RUNS = [f"{s}-{p}" for s in ("table3-table4", "spike", "tiny-oracle")
         for p in ("autotiering", "idt", "edt")]
 
 MUTANTS = (
-    # The run loop serves again after a phase start, since the demand
-    # serving reads may have changed.
+    # The run loop serves when the bytes of what serving reads differ from its
+    # last serve's: the debits, tier_row and demand. Each mutant drops one
+    # from the key.
     Mutant(
-        "serve-skip-no-reset-on-phase-start", ENGINE,
-        "        if fleet.activate_phases(epoch):\n            served = None\n",
-        "        if fleet.activate_phases(epoch):\n            pass\n",
+        "serve-key-without-the-debits", ENGINE,
+        "inputs = (debits.tobytes(), ",
+        "inputs = (",
+        (
+            *(f"{SKIPS}[{run}]" for run in RUNS if run != "spike-autotiering"),
+            f"{GOLDEN}test_plans_match_golden_digest[table3-table4-idt-0]",
+        ),
+    ),
+    # Every golden passes this one: a landing epoch's debits differ, and hide
+    # it. spike-autotiering lands no move under the constant debits that the
+    # schedule test patches in, so it passes.
+    Mutant(
+        "serve-key-without-tier-row", ENGINE,
+        " fleet.tier_row.tobytes(),",
+        "",
+        tuple(f"{SERVES}[{run}]" for run in RUNS if run != "spike-autotiering"),
+    ),
+    Mutant(
+        "serve-key-without-demand", ENGINE,
+        ", fleet.demand.tobytes())",
+        ")",
         (
             *(f"{test}[spike-{p}]" for test in (SKIPS, SERVES)
               for p in ("autotiering", "idt", "edt")),
             f"{GOLDEN}test_artifacts_match_golden[spike-idt-0]",
-        ),
-    ),
-    # ... and after a landed move, since tier_row changed. Every golden
-    # passes this one: the landing epoch's debits differ, and hide it.
-    # spike-autotiering lands no move under the constant debits that test
-    # patches in, so it passes.
-    Mutant(
-        "serve-skip-no-reset-on-landed-move", ENGINE,
-        "            fleet.move(finished)\n            served = None\n",
-        "            fleet.move(finished)\n",
-        tuple(f"{SERVES}[{run}]" for run in RUNS if run != "spike-autotiering"),
-    ),
-    # ... and whenever this epoch's migration debits differ from the last serve's.
-    Mutant(
-        "serve-skip-ignores-the-debits", ENGINE,
-        "        if debits.tobytes() != served:\n",
-        "        if served is None:\n",
-        (
-            *(f"{SKIPS}[{run}]" for run in RUNS if run != "spike-autotiering"),
-            f"{GOLDEN}test_artifacts_match_golden[table3-table4-idt-0]",
+            f"{GOLDEN}test_scale_run_matches_golden_digest[idt]",
         ),
     ),
     # Roster.of gives each phase the fleet row of its VMDK: ``order`` maps a
@@ -107,7 +108,7 @@ MUTANTS = (
     # The bundled documents hide it, their multi-phase VMDKs being where
     # both give the same row; the scale document and a split table3-table4
     # do not. The generated-roster test kills it on the draws that move a
-    # multi-phase VMDK's row, which the ``ci`` profile's fixed draws hold.
+    # multi-phase VMDK's row, which the ``mutants`` profile's fixed draws hold.
     Mutant(
         "roster-phase-owners-not-inverted", MODEL,
         "np.repeat(np.argsort(order), np.diff(vmdks.offsets))",
@@ -191,6 +192,30 @@ MUTANTS = (
             f"{GOLDEN}test_plans_match_golden_digest[table3-table4-autotiering-0]",
         ),
     ),
+    # The predicted MB/s of a cell is its IOPS times the VMDK's I/O size, not
+    # its size in GB.
+    Mutant(
+        "capacity-mbps-reads-the-size", POLICY,
+        "np.multiply(cap[..., 0], io_size, out=cap[..., 1])",
+        "np.multiply(cap[..., 0], roster.size_gb, out=cap[..., 1])",
+        (
+            f"{GOLDEN}test_plans_match_golden_digest[table3-table4-autotiering-0]",
+            f"{GOLDEN}test_scale_run_matches_golden_digest[autotiering]",
+            f"{RELATIONS}test_scaling_units_scales_the_run"
+            "[table3-table4-autotiering-2.0-scaled_speed]",
+        ),
+    ),
+    # The probe's sample grid follows the fleet rows; reversed, each VMDK's
+    # fit reads another VMDK's samples.
+    Mutant(
+        "probe-rows-reversed", ENGINE,
+        "return np.multiply(factor.reshape(shape), truth, out=factor.reshape(shape))",
+        "return np.multiply(factor.reshape(shape), truth, out=factor.reshape(shape))[::-1]",
+        (
+            f"{GOLDEN}test_artifacts_match_golden[table3-table4-autotiering-0]",
+            f"{GOLDEN}test_artifacts_match_golden[tiny-oracle-autotiering-0]",
+        ),
+    ),
     # C5's 1.10 margin holds at every seed 0-19, not only at the pinned one.
     # Sixteen times the probe noise keeps the pinned seed at 1.19 and drops
     # seed 12 to 1.01, so only the seed sweep kills it.
@@ -217,7 +242,7 @@ def pytest(copy: Path, node_ids: tuple[str, ...]) -> tuple[int, set[str], str]:
     """Run ``node_ids`` in ``copy``: pytest's exit code, the ids that failed, its output."""
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no", "-p", "no:cacheprovider",
-         "--hypothesis-profile=ci", *node_ids],
+         "--hypothesis-profile=mutants", *node_ids],
         cwd=copy, env=environment(copy), capture_output=True, text=True,
     )
     failed = set(re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", run.stdout, re.M))

@@ -483,12 +483,14 @@ class TestFleet:
     def test_of_copies_the_paired_blocks_of_a_bundled_roster(self, name):
         # spare_mbps and demand start as the roster's bandwidth caps and phase-0
         # demand, in arrays of their own: activate_phases writes demand, and
-        # one roster serves every run of its scenario.
+        # one roster serves every run of its scenario. demand stays C-ordered,
+        # so each of its rows, which serving reads, is contiguous.
         roster = parse_scenario(bundled_scenario_text(name)).roster
         fleet = Fleet.of(roster)
         n, t = len(roster.ids), len(roster.tiers)
         assert fleet.spare_mbps.tobytes() == roster.device_caps[2:].tobytes()
         assert fleet.demand.tobytes() == roster.phase_table[:, roster.first_phase].tobytes()
+        assert fleet.demand.flags.c_contiguous
         shared = roster_arrays(roster).values()
         view = fleet.read_only()
         for block, shape in (("spare_mbps", (2, t)), ("demand", (3, n)), ("measured_mbps", (2, n))):
@@ -499,8 +501,10 @@ class TestFleet:
                 getattr(view, block)[:, -1] = 0.0
         table = roster.phase_table.tobytes()
         for epoch, (rows, k) in roster.due.items():
-            assert fleet.activate_phases(epoch)
+            fleet.demand[:, rows] = np.nan
+            fleet.activate_phases(epoch)
             assert fleet.demand[:, rows].tobytes() == roster.phase_table[:, k].tobytes()
+            assert fleet.demand.flags.c_contiguous
         assert roster.phase_table.tobytes() == table
 
     def test_move_lands_on_dest_row_and_clears_it(self):

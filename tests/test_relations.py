@@ -54,6 +54,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autotier import engine
 from autotier.engine import POLICY_NAMES, run_scenario
 from autotier.model import DEFAULT_INJECTED_LATENCIES_US, validate_scenario
 from autotier.reporting import RUN_FILES, write_run_artifacts
@@ -253,6 +254,28 @@ def test_splitting_long_phases_changes_no_artifact(name, policy, shipped):
     doc, split = split_phases(document(name))
     assert split >= len(doc["vmdks"])
     assert digests(artifacts(doc, policy)) == shipped(name, policy)
+
+
+def serve_count(doc: dict, policy: str) -> int:
+    """How many epochs of ``doc``'s run under ``policy`` serve."""
+    serve, calls = engine.serve_epoch, []
+
+    def counted(*args):
+        calls.append(None)
+        return serve(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "serve_epoch", counted)
+        run_scenario(validate_scenario(doc), policy)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name,policy", CASES)
+def test_splitting_long_phases_serves_as_often(name, policy):
+    # Each added phase repeats its demand bit for bit, so it changes nothing
+    # serving reads, and a run serves only when what it reads has changed.
+    doc = document(name)
+    assert serve_count(split_phases(doc)[0], policy) == serve_count(doc, policy)
 
 
 @pytest.mark.parametrize("name,policy", CASES)

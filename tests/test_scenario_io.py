@@ -917,3 +917,13 @@ class TestCli:
         assert main(["run", "--scenario", "tiny-oracle", "--policy", "idt",
                      "--out", str(tmp_path / "o")]) == 0
         assert logging.getLogger().level == logging.DEBUG
+
+    @pytest.mark.parametrize("value", ["basic_format", "_styles", "loud"])
+    def test_a_log_env_var_that_names_no_level_leaves_warning(self, value, tmp_path, monkeypatch):
+        import logging
+
+        monkeypatch.setenv("AUTOTIER_LOG", value)
+        logging.getLogger().handlers.clear()
+        assert main(["run", "--scenario", "tiny-oracle", "--policy", "idt",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert logging.getLogger().level == logging.WARNING
