@@ -31,6 +31,7 @@ from .policy import (
     cal_score,
     epoch_profit,
     mig_cost_seconds,
+    migration_penalty,
     normalize_and_gate,
     oracle_assignment,
     orthogonal_match_score,

@@ -81,21 +81,26 @@ def collect_samples(
     deterministic because samples are drawn in (VMDK, plan order, sample)
     order.
     """
-    latencies = tuple(float(d) for d in injected_latencies_us)
+    latencies = tuple(map(float, injected_latencies_us))
     return CalibrationSamples(tuple(vmdk_ids), latencies, probe(latencies, samples_per_latency))
 
 
 def _mean_and_cv(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and CV along the last axis: one mean, then sigma by ``np.std``'s own steps."""
-    if arr.shape[-1] == 0:
+    """Mean and CV along the last axis: one mean, then sigma by ``np.std``'s own steps.
+
+    Each mean is ``np.add.reduce`` over the axis divided by its length, the
+    reduction and division ``ndarray.mean`` makes, without its Python wrapper.
+    """
+    n = arr.shape[-1]
+    if n == 0:
         raise ValueError("cannot compute CV of an empty sample list")
-    mean = arr.mean(axis=-1)
+    mean = np.add.reduce(arr, axis=-1) / n
     if (mean == 0.0).any():
         raise ValueError("cannot compute CV when the sample mean is 0")
     dev = arr - mean[..., None]
     with np.errstate(over="ignore"):  # an inf square gives an inf CV, which the fit refuses
         dev *= dev
-    return mean, np.sqrt(dev.mean(axis=-1)) / mean
+    return mean, np.sqrt(np.add.reduce(dev, axis=-1) / n) / mean
 
 
 def compute_confidence(mean_cv: np.ndarray | float, floor: float = 0.05) -> np.ndarray:
@@ -147,12 +152,10 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     order, lhs, scale, rcond = _fit_plan(tuple(latencies))
     means, cv = _mean_and_cv(samples.values)
     means, cv = means[:, order], cv[:, order]
-    # Left to right from 0.0, as a per-VMDK loop adds; .sum() pairs terms
-    # differently and would move the last bits.
-    cv_total = 0.0
-    for column in cv.T:
-        cv_total = cv_total + column
-    mean_cv = cv_total / len(latencies)
+    # Left to right, as a per-VMDK loop adds; .sum() pairs terms differently
+    # and would move the last bits. A loop's start at 0.0 would change only a
+    # -0.0, which no CV is.
+    mean_cv = np.add.accumulate(cv, axis=1)[:, -1] / len(latencies)
     too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
     bad = too_slow | ~np.isfinite(mean_cv)
     if bad.any():

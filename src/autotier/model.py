@@ -336,8 +336,9 @@ class CalibrationFits:
     mean_cv: np.ndarray
 
     def __post_init__(self) -> None:
-        columns = (self.m, self.b, self.confidence, self.mean_cv)
-        if self.m.ndim != 1 or any(column.shape != self.m.shape for column in columns):
+        shape = self.m.shape
+        if len(shape) != 1 or not (shape == self.b.shape == self.confidence.shape
+                                   == self.mean_cv.shape):
             raise ValueError("calibration fits need one row per VMDK")
         if not ((self.confidence > 0.0) & (self.confidence <= 1.0)).all():
             raise ValueError("confidence out of (0,1]")

@@ -5,7 +5,9 @@ Per monitor epoch the policy calibrates every VMDK in one batch, turns the
 against each tier's usable budget, scores every (tier, vmdk) cell with the
 specialty-weighted match plus an aged copy of last epoch's score minus a
 migration-cost penalty, and at migration epochs assigns VMDKs tier by
-tier, best score first, under running capacity accounting. Every per-cell
+tier, best score first, under running capacity accounting. The policy
+keeps the penalty between monitor epochs and computes it again only when
+the bytes of the fleet columns it reads change. Every per-cell
 quantity is a dense (T, N) array (or (T, N, 3) over the p, b, s kinds)
 over the fleet's tier and VMDK rows; a cell that cannot host its VMDK
 scores -inf.
@@ -121,8 +123,7 @@ def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> np.ndarray:
     """
     roster = fleet.roster
     lat = estimate_avg_lat(fits, fleet.tier_row, roster.base_latency_us)
-    with np.errstate(divide="ignore"):
-        iops = np.where(lat > 0, 1e6 / lat, 0.0)
+    iops = np.divide(1e6, lat, out=np.zeros(lat.shape), where=lat > 0)
     cap = np.empty(lat.shape + (3,))
     demand_iops, _, io_size = fleet.demand
     np.minimum(iops, demand_iops, out=cap[..., 0])
@@ -190,29 +191,41 @@ def mig_cost_seconds(fleet: Fleet, sources: np.ndarray | None = None) -> np.ndar
     return seconds
 
 
+def migration_penalty(fleet: Fleet, migration_epoch_seconds: float) -> np.ndarray:
+    """(T, N) weighted migration cost of moving each VMDK to each tier row.
+
+    Migration seconds are divided by the migration-epoch duration so the
+    penalty is dimensionless, then scaled by the target tier's
+    ``mig_weight``. It reads from the fleet only what ``mig_cost_seconds``
+    reads: ``tier_row``, ``spare_mbps``, ``measured_mbps[0]`` and the
+    roster's ``size_gb``, besides the roster's ``mig_weight``.
+    """
+    cost = mig_cost_seconds(fleet) / migration_epoch_seconds
+    # An impossible move (infinite cost) blocks the cell this epoch no
+    # matter how small the per-tier cost weight is.
+    penalty = np.full(cost.shape, math.inf)
+    np.multiply(fleet.roster.mig_weight[:, None], cost, out=penalty, where=np.isfinite(cost))
+    return penalty
+
+
 def cal_score(
     mat: CapacityMatrices,
     previous: np.ndarray | None,
     weights: PolicyWeights,
     fleet: Fleet,
     fits: CalibrationFits,
-    migration_epoch_seconds: float,
+    penalty: np.ndarray,
 ) -> np.ndarray:
-    """(T, N) convolutional score: aged last score + match - weighted migration cost.
+    """(T, N) convolutional score: aged last score + match - migration penalty.
 
-    Migration seconds are divided by the migration-epoch duration so the
-    penalty is dimensionless. ``previous`` is last epoch's score, None
-    before the first epoch. Infeasible cells score -inf. A previous cell that
-    is not finite (infeasible, or blocked by an infinite migration cost,
-    which only blocks its own epoch) ages as 0.0.
+    ``penalty`` is this epoch's (T, N) ``migration_penalty``. ``previous``
+    is last epoch's score, None before the first epoch. Infeasible cells
+    score -inf. A previous cell that is not finite (infeasible, or blocked
+    by an infinite migration cost, which only blocks its own epoch) ages as
+    0.0.
     """
     roster = fleet.roster
     current = orthogonal_match_score(fleet, mat.ratio, roster.sla_weight, fits.confidence)
-    cost = mig_cost_seconds(fleet) / migration_epoch_seconds
-    # An impossible move (infinite cost) blocks the cell this epoch no
-    # matter how small the per-tier cost weight is.
-    penalty = np.full(cost.shape, math.inf)
-    np.multiply(roster.mig_weight[:, None], cost, out=penalty, where=np.isfinite(cost))
     history = 0.0 if previous is None else np.where(np.isfinite(previous), previous, 0.0)
     return np.where(mat.feasible, weights.aging_factor * history + current - penalty, -math.inf)
 
@@ -527,11 +540,22 @@ class PolicyContext:
 
 
 class AutoTieringPolicy:
-    """Calibrates at monitor epochs, plans greedy migrations at migration epochs."""
+    """Calibrates at monitor epochs, plans greedy migrations at migration epochs.
+
+    The migration penalty changes only when a move is served or lands, so
+    the policy keeps it with the bytes of what it read from the fleet
+    (``tier_row``, ``spare_mbps`` and ``measured_mbps[0]``) and computes it
+    again only when they differ. The rest of what it reads, the roster's
+    ``size_gb`` and ``mig_weight`` and the context's migration-epoch
+    seconds, is fixed for a policy, since ``make_policy`` builds one policy
+    per run.
+    """
 
     def __init__(self) -> None:
         self.matrices: CapacityMatrices | None = None
         self.score: np.ndarray | None = None  # last monitor epoch's (T, N) score, set with matrices
+        self.penalty: np.ndarray | None = None  # the (T, N) migration penalty, kept with its key
+        self.penalty_key: tuple[bytes, ...] = ()
 
     def on_monitor(self, ctx: PolicyContext) -> None:
         fleet = ctx.fleet
@@ -543,14 +567,12 @@ class AutoTieringPolicy:
         )
         fits = calibration.regress_latency_curve(samples, floor=weights.confidence_floor)
         mat = normalize_and_gate(cal_capacity_matrices(fits, fleet), fleet)
-        self.score = cal_score(
-            mat,
-            self.score,
-            ctx.weights,
-            fleet,
-            fits,
-            ctx.migration_epoch_seconds,
-        )
+        key = (fleet.tier_row.tobytes(), fleet.spare_mbps.tobytes(),
+               fleet.measured_mbps[0].tobytes())
+        if key != self.penalty_key:
+            self.penalty = migration_penalty(fleet, ctx.migration_epoch_seconds)
+            self.penalty_key = key
+        self.score = cal_score(mat, self.score, weights, fleet, fits, self.penalty)
         self.matrices = mat
 
     def plan_migrations(self, ctx: PolicyContext, epoch_index: int) -> AssignmentPlan:

@@ -485,6 +485,8 @@ def scenario_documents(draw) -> dict:
     bandwidth caps are tight against the demand, so plans overload tiers and
     migrations stall on a saturated tier. Every phase starts inside the run,
     so with at least 5 epochs each VMDK has a phase that spans two or more.
+    Each phase after the first repeats the previous phase's demand on half
+    the draws.
     """
     n_tiers = draw(st.integers(2, 4))
     epochs = draw(st.integers(5, 20))
@@ -511,6 +513,19 @@ def scenario_documents(draw) -> dict:
     vmdks = []
     for k in names:
         starts = draw(st.lists(st.integers(1, epochs - 1), max_size=3, unique=True))
+        phases = []
+        for start in [0, *sorted(starts)]:
+            if phases and draw(st.booleans()):
+                # A phase start that repeats the demand: serving it again
+                # would write what the fleet already holds.
+                phases.append({**phases[-1], "startEpoch": start})
+                continue
+            phases.append({
+                "startEpoch": start,
+                "demandIops": draw(st.sampled_from([0, 500, 4_000, 20_000])),
+                "avgIoSizeBytes": draw(st.sampled_from([4096, 16384, 65536])),
+                "readFraction": draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+            })
         vmdks.append({
             "id": f"v{k:02d}",
             "vmId": f"vm{k % 4}",
@@ -519,15 +534,7 @@ def scenario_documents(draw) -> dict:
             "initialTier": draw(st.integers(1, n_tiers)),
             "truthSlope": draw(st.sampled_from([0.0, 0.1, 0.5, 1.2])),
             "truthInterceptUs": float(draw(st.integers(5, 300))),
-            "demandProfile": [
-                {
-                    "startEpoch": start,
-                    "demandIops": draw(st.sampled_from([0, 500, 4_000, 20_000])),
-                    "avgIoSizeBytes": draw(st.sampled_from([4096, 16384, 65536])),
-                    "readFraction": draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
-                }
-                for start in [0, *sorted(starts)]
-            ],
+            "demandProfile": phases,
         })
     migration_epoch = draw(st.integers(1, 3))
     return {

@@ -21,7 +21,7 @@ would fail there; none is named). Then, for each mutant, it applies the
 change to the copy, runs only that mutant's tests and puts the file back.
 It exits 1 when a snippet does not occur exactly once, a named test fails
 unchanged, or a mutant survives. It is not part of tier-1: each mutant
-reruns its tests, about 25 s in all on a 2-vCPU x86_64 machine. Every
+reruns its tests, about 50 s in all on a 2-vCPU x86_64 machine. Every
 pytest run loads the ``mutants`` Hypothesis profile (``tests/conftest.py``):
 the derandomized ``ci`` profile, so a generated-document test draws the
 same examples on every run and can be named as a kill (without it, such a
@@ -57,6 +57,7 @@ class Mutant:
     kills: tuple[str, ...]
 
 
+CALIBRATION = "src/autotier/calibration.py"
 ENGINE = "src/autotier/engine.py"
 MODEL = "src/autotier/model.py"
 POLICY = "src/autotier/policy.py"
@@ -69,6 +70,10 @@ RELATIONS = "tests/test_relations.py::"
 LOOP_ROWS = "test_each_forced_path_matches_the_run_goldens[autotier.engine-PROGRESS_LOOP_ROWS-"
 RUNS = [f"{s}-{p}" for s in ("table3-table4", "spike", "tiny-oracle")
         for p in ("autotiering", "idt", "edt")]
+PENALTY_READS = ("tests/test_policy.py::TestAutoTieringPolicy::"
+                 "test_a_change_to_what_the_penalty_reads_recomputes_it")
+FIT_PLAN = "tests/test_calibration.py::TestFitPlan::"
+REGRESSION = "tests/test_calibration.py::TestRegression::"
 
 MUTANTS = (
     # The run loop serves when the bytes of what serving reads differ from its
@@ -101,6 +106,81 @@ MUTANTS = (
               for p in ("autotiering", "idt", "edt")),
             f"{GOLDEN}test_artifacts_match_golden[spike-idt-0]",
             f"{GOLDEN}test_scale_run_matches_golden_digest[idt]",
+        ),
+    ),
+    # AutoTiering keeps its migration penalty with the bytes of the tier
+    # rows, the spare MB/s and the measured read MB/s it was computed from.
+    # Each mutant drops one from the key. On the bundled runs a served or
+    # landed move changes all three at once, so only a change to one alone
+    # kills them.
+    Mutant(
+        "penalty-key-without-tier-row", POLICY,
+        "key = (fleet.tier_row.tobytes(), fleet.spare_mbps",
+        "key = (fleet.spare_mbps",
+        (f"{PENALTY_READS}[tier_row]",),
+    ),
+    Mutant(
+        "penalty-key-without-spare", POLICY,
+        ".tobytes(), fleet.spare_mbps.tobytes(),\n",
+        ".tobytes(),\n",
+        (f"{PENALTY_READS}[spare_write]", f"{PENALTY_READS}[spare_read]"),
+    ),
+    Mutant(
+        "penalty-key-without-measured", POLICY,
+        "\n               fleet.measured_mbps[0].tobytes())",
+        ")",
+        (f"{PENALTY_READS}[measured_read]",),
+    ),
+    # The calibration fit scales the latency column by the plan's norm, which
+    # ``latency_norm`` takes as ``np.polyfit`` does and refuses where it is
+    # inf; the set-up runs under its own error state.
+    Mutant(
+        "latency-norm-accepts-inf", MODEL,
+        "    if norm == math.inf:\n",
+        "    if False:\n",
+        (
+            f"{FIT_PLAN}test_the_largest_plans_either_side_of_the_overflow",
+            "tests/test_scenario_io.py::TestParsing::"
+            "test_injected_latencies_too_large_are_diagnosed[[0, 500, 1.4e+154]]",
+        ),
+    ),
+    Mutant(
+        "latency-norm-one-ulp-high", MODEL,
+        "    norm = math.sqrt(total)\n",
+        "    norm = math.nextafter(math.sqrt(total), math.inf)\n",
+        (
+            f"{FIT_PLAN}test_alternating_plans_match_polyfit_bitwise_with_its_warnings",
+            f"{FIT_PLAN}test_the_smallest_plans_either_side_of_the_underflow",
+            f"{REGRESSION}test_mean_cv_adds_in_plan_order_from_the_first_latency",
+            f"{GOLDEN}test_plans_match_golden_digest[table3-table4-autotiering-0]",
+        ),
+    ),
+    Mutant(
+        "fit-plan-without-its-errstate", CALIBRATION,
+        '    with np.errstate(under="ignore"):\n        lhs =',
+        "    if True:\n        lhs =",
+        (f"{FIT_PLAN}test_the_set_up_ignores_the_callers_error_state",),
+    ),
+    # A row is refused before anything is fitted when its mean reaches the
+    # calibration limit or its mean CV is not finite, and the first such row
+    # in fleet order is named.
+    Mutant(
+        "row-check-without-the-cv", CALIBRATION,
+        "bad = too_slow | ~np.isfinite(mean_cv)",
+        "bad = too_slow",
+        (
+            f"{REGRESSION}test_overflowing_truth_fails_on_mean_cv",
+            f"{REGRESSION}test_overflowing_noise_names_the_first_vmdk_in_id_order",
+            f"{REGRESSION}test_the_first_bad_row_is_named_whatever_its_cause",
+        ),
+    ),
+    Mutant(
+        "row-check-names-the-last-bad-row", CALIBRATION,
+        "row = int(bad.argmax())",
+        "row = len(bad) - 1 - int(bad[::-1].argmax())",
+        (
+            f"{REGRESSION}test_overflowing_noise_names_the_first_vmdk_in_id_order",
+            f"{REGRESSION}test_the_first_bad_row_is_named_whatever_its_cause",
         ),
     ),
     # Roster.of gives each phase the fleet row of its VMDK: ``order`` maps a

@@ -28,6 +28,7 @@ from autotier.policy import (
     cal_capacity_matrices,
     epoch_profit,
     mig_cost_seconds,
+    migration_penalty,
     oracle_assignment,
     trigger_migration,
     cal_score,
@@ -177,7 +178,7 @@ def test_criterion_4_oracle_dominance():
             except ValueError:
                 continue
             checked += 1
-            sm = cal_score(mat, None, weights, fleet, records, 900.0)
+            sm = cal_score(mat, None, weights, fleet, records, migration_penalty(fleet, 900.0))
             greedy = trigger_migration(sm, mat, fleet, 0)
             ok &= not greedy.overloaded_rows.size  # greedy feasible whenever the oracle is
             g = epoch_profit(greedy.target_row, previous, mat, weights, fleet, 900.0)

@@ -2,9 +2,11 @@
 
 import json
 import math
+import operator
 import sys
 import warnings
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -132,6 +134,28 @@ class TestComputeCv:
         assert np.asarray(cv).tobytes() == np.asarray(expected).tobytes()
         assert np.asarray(from_list).tobytes() == np.asarray(expected).tobytes()
 
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 16, 127, 128, 129, 300])
+    def test_matches_the_three_pass_statistics_bitwise_at_every_blocking(self, length):
+        # numpy's pairwise sum adds eight partial sums at a time and splits
+        # past 128 terms: these lengths sit either side of each change.
+        rng = np.random.default_rng(length)
+        rows = np.stack([
+            rng.uniform(1e-3, 1e4, length),
+            rng.integers(1, 2 ** 20, length) * 5e-324,  # subnormal samples
+            rng.uniform(-1e4, 1e4, length),
+            rng.uniform(1e290, 1e300, length),  # the squared deviations overflow
+        ])
+        subnormal, nan, inf, infinities = (rows[0].copy() for _ in range(4))
+        subnormal[::2] = rows[1, ::2]
+        nan[rng.integers(length)] = math.nan
+        inf[rng.integers(length)] = math.inf
+        infinities[0], infinities[-1] = -math.inf, math.inf
+        values = np.concatenate([rows, [subnormal, nan, inf, infinities]]).reshape(2, 4, length)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = reference_cv(values)
+            assert compute_cv(values).tobytes() == expected.tobytes()
+        assert np.isfinite(expected[:, 0]).all() and np.isnan(expected[1, 1:]).all()
+
     def test_one_cv_per_row(self):
         cv = compute_cv(np.array([[[90.0, 110.0], [100.0, 100.0]]]))
         assert cv.shape == (1, 2)
@@ -252,6 +276,23 @@ class TestRegression:
         rec = regress_latency_curve(samples)
         assert rec.mean_cv[0] == pytest.approx(0.05, rel=1e-12)
         assert rec.confidence[0] == pytest.approx(0.95, rel=1e-12)
+
+    def test_mean_cv_adds_in_plan_order_from_the_first_latency(self):
+        # The lowest latency's samples are constant, so its CV is +0.0 and the
+        # sum starts there, after the latencies are sorted, not where drawn.
+        values = np.random.default_rng(7).uniform(50.0, 5000.0, size=(64, len(PLAN), 4))
+        values[:, 0] = values[:, 0, :1]
+        drawn = [2, 3, 0, 4, 1]
+        ids = tuple(f"v{i}" for i in range(len(values)))
+        samples = CalibrationSamples(ids, tuple(PLAN[i] for i in drawn), values[:, drawn])
+        cv = compute_cv(values)
+        assert cv[:, 0].tobytes() == bytes(8 * len(values))
+        sums = [reduce(operator.add, row, 0.0) for row in cv.tolist()]
+        fits = regress_latency_curve(samples)
+        assert fits.mean_cv.tobytes() == (np.array(sums) / len(PLAN)).tobytes()
+        assert outcome(regress_latency_curve, samples) == outcome(reference_regress, samples)
+        as_drawn = [reduce(operator.add, row, 0.0) for row in cv[:, drawn].tolist()]
+        assert as_drawn != sums  # the order of the terms moves some last bits
 
     def test_statistical_recovery_of_slope(self):
         # truth m=2, b=150 with 5% multiplicative noise; >=95% of seeds within +-10%

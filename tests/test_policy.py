@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from autotier import policy
 from autotier.baselines import idt_assign
 from autotier.calibration import estimate_avg_lat
+from autotier.engine import probe_latencies, run_scenario, serve_epoch
 from autotier.model import (
     Fleet,
     PolicyWeights,
@@ -26,6 +28,7 @@ from autotier.policy import (
     epoch_profit,
     first_fit,
     mig_cost_seconds,
+    migration_penalty,
     normalize_and_gate,
     oracle_assignment,
     orthogonal_match_score,
@@ -33,6 +36,7 @@ from autotier.policy import (
     profit_contributions,
     trigger_migration,
 )
+from autotier.scenario import load_bundled_scenario
 
 from conftest import (
     fits_within,
@@ -262,7 +266,8 @@ class TestCalScore:
         fleet = fleet_of([state], [tier])
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=aging, migration_epoch=3, monitor_epoch=1)
-        return cal_score(mat, previous, weights, fleet, fits(fleet, records), 900.0)
+        return cal_score(mat, previous, weights, fleet, fits(fleet, records),
+                         migration_penalty(fleet, 900.0))
 
     def test_memoryless_costless_is_pure_match(self):
         score = self.single_cell(0.0, None, 0.0)
@@ -300,11 +305,13 @@ class TestCalScore:
         weights = PolicyWeights(aging_factor=0.5, migration_epoch=3)
         previous = np.zeros(mat.feasible.shape)
         previous[at(fleet, 1, "w")] = 0.4
-        score = cal_score(mat, previous, weights, fleet, fits(fleet, records), 900.0)
+        score = cal_score(mat, previous, weights, fleet, fits(fleet, records),
+                          migration_penalty(fleet, 900.0))
         # penalty: 0.2 * (450 GB * 1000 / 1000 MBps) / 900 s = 0.1
         assert score[at(fleet, 1, "w")] == pytest.approx(0.4, rel=1e-12)
         # The next epoch ages this score in turn: 0.5 * 0.4 + 0.3 - 0.1 again.
-        again = cal_score(mat, score, weights, fleet, fits(fleet, records), 900.0)
+        again = cal_score(mat, score, weights, fleet, fits(fleet, records),
+                          migration_penalty(fleet, 900.0))
         assert again[at(fleet, 1, "w")] == pytest.approx(0.4, rel=1e-12)
 
     def test_infeasible_propagates_and_resets_history(self):
@@ -315,7 +322,8 @@ class TestCalScore:
         def score(tier, previous):
             fleet = fleet_of([state], [tier])
             mat = build_matrices(fleet, records)
-            return cal_score(mat, previous, weights, fleet, fits(fleet, records), 900.0)
+            return cal_score(mat, previous, weights, fleet, fits(fleet, records),
+                             migration_penalty(fleet, 900.0))
 
         gated = score(make_tier(1, capacity=ResourceVector(1000, 10, 10)), np.full((1, 1), 5.0))
         assert gated.tolist() == [[-math.inf]]
@@ -334,14 +342,17 @@ class TestCalScore:
         mat = build_matrices(fleet, records)
         weights = PolicyWeights(aging_factor=0.5)
         move, stay = at(fleet, 1, "v1"), at(fleet, 2, "v1")
-        blocked = cal_score(mat, None, weights, fleet, fits(fleet, records), 900.0)
+        blocked = cal_score(mat, None, weights, fleet, fits(fleet, records),
+                            migration_penalty(fleet, 900.0))
         assert blocked[move] == -math.inf
         assert math.isfinite(blocked[stay])  # staying costs nothing
         # Once bandwidth frees up, the blocked cell adds no aged term.
         fleet.spare_mbps[1, 0] = tiers[0].write_bandwidth_cap
         fleet.spare_mbps[0, 1] = tiers[1].read_bandwidth_cap
-        fresh = cal_score(mat, None, weights, fleet, fits(fleet, records), 900.0)
-        again = cal_score(mat, blocked, weights, fleet, fits(fleet, records), 900.0)
+        fresh = cal_score(mat, None, weights, fleet, fits(fleet, records),
+                          migration_penalty(fleet, 900.0))
+        again = cal_score(mat, blocked, weights, fleet, fits(fleet, records),
+                          migration_penalty(fleet, 900.0))
         assert math.isfinite(fresh[move])
         assert again[move] == fresh[move]
         assert again[stay] == 0.5 * blocked[stay] + fresh[stay]
@@ -398,7 +409,8 @@ class TestTriggerMigration:
         records = {"a": record(0.0, 50.0), "b": record(0.0, 50.0)}
         fleet = fleet_of(states, tiers)
         mat = build_matrices(fleet, records)
-        sm = cal_score(mat, None, PolicyWeights(), fleet, fits(fleet, records), 900.0)
+        sm = cal_score(mat, None, PolicyWeights(), fleet, fits(fleet, records),
+                       migration_penalty(fleet, 900.0))
         assert sm[at(fleet, 1, "a")] == -math.inf
         plan = trigger_migration(sm, mat, fleet, 0)
         assert all(t == 2 for t in plan.target.values())
@@ -738,6 +750,18 @@ class TestAssignmentPlanChecks:
         assert keyed_plan(self.plan((), ids=())).migrations == ()
 
 
+def counting_penalties(monkeypatch) -> list[np.ndarray]:
+    """Every ``migration_penalty`` the policy computes from now on, in order."""
+    computed = []
+
+    def counting(fleet, migration_epoch_seconds):
+        computed.append(migration_penalty(fleet, migration_epoch_seconds))
+        return computed[-1]
+
+    monkeypatch.setattr(policy, "migration_penalty", counting)
+    return computed
+
+
 class TestAutoTieringPolicy:
     def test_a_plan_before_any_monitor_epoch_is_refused(self):
         def probe(latencies, samples):
@@ -747,6 +771,67 @@ class TestAutoTieringPolicy:
         ctx = PolicyContext(fleet, PolicyWeights(), 60.0, probe)
         with pytest.raises(RuntimeError, match="plan requested before any monitor epoch"):
             AutoTieringPolicy().plan_migrations(ctx, 0)
+
+    # Monitor epochs, and those that compute the penalty: the first, and each
+    # after a served or landed move changed what the penalty reads.
+    PENALTY_COUNTS = {"table3-table4": (50, 9), "spike": (30, 11), "tiny-oracle": (9, 9)}
+
+    @pytest.mark.parametrize("name", sorted(PENALTY_COUNTS))
+    def test_a_bundled_run_scores_with_the_penalty_as_the_fleet_stands(self, name, monkeypatch):
+        scenario = load_bundled_scenario(name)
+        seconds = scenario.weights.migration_epoch * scenario.sim.epoch_seconds
+        computed = counting_penalties(monkeypatch)
+        scored, score = [], policy.cal_score
+
+        def recording(mat, previous, weights, fleet, fits, penalty):
+            scored.append((penalty.tobytes(), migration_penalty(fleet, seconds).tobytes()))
+            return score(mat, previous, weights, fleet, fits, penalty)
+
+        monkeypatch.setattr(policy, "cal_score", recording)
+        run_scenario(scenario, "autotiering")
+        assert (len(scored), len(computed)) == self.PENALTY_COUNTS[name]
+        assert all(kept == fresh for kept, fresh in scored)
+
+    @staticmethod
+    def monitored(monkeypatch):
+        """A policy monitored once on a served ``tiny-oracle`` fleet, which stays writable."""
+        scenario = load_bundled_scenario("tiny-oracle")
+        fleet = Fleet.of(scenario.roster)
+        serve_epoch(fleet, fleet.roster.device_caps[2:] / 4)
+        probe = partial(probe_latencies, fleet, rng=np.random.default_rng(0), noise_cv=0.05)
+        ctx = PolicyContext(fleet, scenario.weights, scenario.sim.epoch_seconds, probe)
+        computed = counting_penalties(monkeypatch)
+        at_policy = AutoTieringPolicy()
+        at_policy.on_monitor(ctx)
+        assert len(computed) == 1
+        return at_policy, ctx, computed
+
+    @pytest.mark.parametrize("column, cell", [
+        ("tier_row", (2,)), ("spare_mbps", (1, 0)), ("spare_mbps", (0, 2)),
+        ("measured_mbps", (0, 5)),
+    ], ids=["tier_row", "spare_write", "spare_read", "measured_read"])
+    def test_a_change_to_what_the_penalty_reads_recomputes_it(self, column, cell, monkeypatch):
+        at_policy, ctx, computed = self.monitored(monkeypatch)
+        array = getattr(ctx.fleet, column)
+        if column == "tier_row":
+            array[cell] = (array[cell] + 1) % len(ctx.fleet.roster.tiers)
+        else:
+            array[cell] /= 2
+        at_policy.on_monitor(ctx)
+        fresh = migration_penalty(ctx.fleet, ctx.migration_epoch_seconds)
+        assert len(computed) == 2
+        assert at_policy.penalty.tobytes() == fresh.tobytes() != computed[0].tobytes()
+
+    @pytest.mark.parametrize("column, cell", [
+        ("measured_mbps", (1, 5)), ("contention", (0,)), ("demand", (0, 5)),
+    ], ids=["measured_write", "contention", "demand"])
+    def test_a_change_to_anything_else_keeps_it(self, column, cell, monkeypatch):
+        at_policy, ctx, computed = self.monitored(monkeypatch)
+        getattr(ctx.fleet, column)[cell] *= 3
+        at_policy.on_monitor(ctx)
+        assert len(computed) == 1 and at_policy.penalty is computed[0]
+        fresh = migration_penalty(ctx.fleet, ctx.migration_epoch_seconds)
+        assert at_policy.penalty.tobytes() == fresh.tobytes()
 
 
 class TestPlanViews:
@@ -975,7 +1060,7 @@ class TestProfitAndOracle:
         total = 60
         for _ in range(total):
             tiers, fleet, records, mat, weights, previous = self.small_instance(rng)
-            sm = cal_score(mat, None, weights, fleet, records, 900.0)
+            sm = cal_score(mat, None, weights, fleet, records, migration_penalty(fleet, 900.0))
             greedy = trigger_migration(sm, mat, fleet, 0)
             try:
                 oracle = oracle_assignment(mat, weights, previous, fleet, 900.0)
