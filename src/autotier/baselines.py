@@ -16,10 +16,9 @@ included: one stable ``np.lexsort`` over (metric, current tier rank) orders
 the VMDKs, with the fleet's row order breaking the remaining ties by id,
 and a boolean (N, T) mask drops the upward moves of zero-metric VMDKs.
 Each VMDK walks its allowed tiers by descending capability until one
-absorbs it; ``pack`` gets the same plan by scanning the tiers in that
-order, each over the VMDKs allowed on it, and lists the placements in VMDK
-order. A VMDK already migrating keeps its destination, as under every
-policy.
+absorbs it; ``pack`` gets the same placements by scanning the tiers in
+that order, each over the VMDKs allowed on it. A VMDK already migrating
+keeps its destination, as under every policy.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ def _pack_by_metric(
     values = metric(fleet.measured_iops, roster.size_gb)
     current_rank = rank[fleet.tier_row]
     vmdk_order = np.lexsort((current_rank, -values))
-    # One row per tier rank, one column per VMDK in walk order.
+    # One row per tier rank, one column per VMDK in candidate order.
     allowed = (values[vmdk_order] != 0) | (
         np.arange(len(tiers))[:, None] >= current_rank[vmdk_order]
     )
@@ -67,9 +66,7 @@ def _pack_by_metric(
         usage[:, 0] = fleet.measured_iops
     if "s" in kinds:
         usage[:, 2] = roster.size_gb
-    return pack(
-        fleet, np.broadcast_to(usage, (len(tiers), *usage.shape)), ranked, epoch_index, vmdk_order
-    )
+    return pack(fleet, np.broadcast_to(usage, (len(tiers), *usage.shape)), ranked, epoch_index)
 
 
 def idt_assign(fleet: Fleet, epoch_index: int = 0) -> AssignmentPlan:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -152,10 +152,10 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     order, lhs, scale, rcond = _fit_plan(tuple(latencies))
     means, cv = _mean_and_cv(samples.values)
     means, cv = means[:, order], cv[:, order]
-    # Left to right, as a per-VMDK loop adds; .sum() pairs terms differently
-    # and would move the last bits. A loop's start at 0.0 would change only a
-    # -0.0, which no CV is.
-    mean_cv = np.add.accumulate(cv, axis=1)[:, -1] / len(latencies)
+    # One column at a time, left to right, as a per-VMDK loop adds; .sum()
+    # may pair terms differently and would move the last bits. A loop's start
+    # at 0.0 would change only a -0.0, which no CV is.
+    mean_cv = reduce(np.add, cv.T) / len(latencies)
     too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
     bad = too_slow | ~np.isfinite(mean_cv)
     if bad.any():

@@ -50,6 +50,11 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive")
 
 
+def _require_integer(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+
+
 def _require_int64(name: str, value: int) -> None:
     if value > INT64_MAX:
         raise ValueError(f"{name} must be <= {INT64_MAX}")
@@ -141,8 +146,7 @@ class WorkloadPhase:
     read_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.start_epoch, int) or isinstance(self.start_epoch, bool):
-            raise ValueError("startEpoch must be an integer")
+        _require_integer("startEpoch", self.start_epoch)
         if self.start_epoch < 0:
             raise ValueError("startEpoch must be >= 0")
         _require_int64("startEpoch", self.start_epoch)
@@ -409,8 +413,10 @@ class PolicyWeights:
         _require_finite_nonneg("beta", self.beta)
         if not (0.0 <= self.aging_factor < 1.0):
             raise ValueError("agingFactor out of [0,1)")
+        _require_integer("monitorEpoch", self.monitor_epoch)
         if self.monitor_epoch < 1:
             raise ValueError("monitorEpoch must be >= 1")
+        _require_integer("migrationEpoch", self.migration_epoch)
         if self.migration_epoch < self.monitor_epoch:
             raise ValueError("migrationEpoch must be >= monitorEpoch")
         _require_int64("migrationEpoch", self.migration_epoch)
@@ -425,6 +431,7 @@ class PolicyWeights:
         if len(set(self.injected_latencies_us)) != len(self.injected_latencies_us):
             raise ValueError("injected latencies must be distinct")
         latency_norm(self.injected_latencies_us)  # the fit scales by it: refuses 0.0, inf and NaN
+        _require_integer("samplesPerLatency", self.samples_per_latency)
         if self.samples_per_latency < 1:
             raise ValueError("samplesPerLatency must be >= 1")
         _require_int64("samplesPerLatency", self.samples_per_latency)
@@ -438,11 +445,13 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_integer("epochs", self.epochs)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         _require_int64("epochs", self.epochs)
         _require_positive("epochSeconds", self.epoch_seconds)
         _require_finite_nonneg("noiseCv", self.noise_cv)
+        _require_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

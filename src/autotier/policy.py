@@ -30,11 +30,12 @@ oracle for the greedy round; it and ``epoch_profit`` share one per-(tier,
 vmdk) profit table, and both take assignments as (N,) tier rows.
 
 Every planner returns an ``AssignmentPlan`` in fleet rows: each VMDK's
-target tier row, the order VMDKs were seated in, and the moves as fleet
-rows with their source tier rows; each move's destination is read from
-the target. Its checks run on those arrays. The target and planned usage
-keyed by VMDK and tier id (``target``, ``planned_usage``) are built only
-when something reads them, and then kept.
+target tier row, and the moves as fleet rows in id order with their
+source tier rows; each move's destination is read from the target. A plan
+records where each VMDK goes, not the order it was placed in. Its checks
+run on those arrays. The target and planned usage keyed by VMDK and tier
+id (``target``, ``planned_usage``) are built only when something reads
+them, and then kept.
 """
 
 from __future__ import annotations
@@ -64,25 +65,22 @@ class AssignmentPlan:
 
     ``ids`` and ``tier_ids`` are the fleet's VMDK ids and tier ids; every
     other field follows the fleet's rows and indexes them. ``target_row`` is
-    each VMDK's tier row and ``order`` the order the packer seated the VMDKs
-    in: in-flight VMDKs, then placements, then stay-puts. The moves are the
-    aligned ``move_rows`` (fleet rows) and ``move_from`` (tier rows), at most
-    one per VMDK; ``move_to`` reads their tier rows from ``target_row``.
+    each VMDK's tier row. The moves are the aligned ``move_rows`` (fleet
+    rows, increasing) and ``move_from`` (tier rows), at most one per VMDK;
+    ``move_to`` reads their tier rows from ``target_row``.
     VMDKs force-kept on a tier whose remaining capacity could not absorb
     them are in ``overloaded_rows``. ``used`` is the (T, 3) usage the
     planner accounted against each tier's budget (only the kinds the policy
     checks; overloaded VMDKs are not counted).
 
     ``target`` and ``planned_usage`` are the target and the usage keyed by
-    id, built on first access and kept: ``target`` lists the VMDKs in
-    ``order``.
+    id, in id order, built on first access and kept.
     """
 
     epoch_index: int
     ids: tuple[str, ...]
     tier_ids: np.ndarray
     target_row: np.ndarray
-    order: np.ndarray
     move_rows: np.ndarray
     move_from: np.ndarray
     overloaded_rows: np.ndarray
@@ -101,11 +99,8 @@ class AssignmentPlan:
 
     @cached_property
     def target(self) -> dict[str, int]:
-        """VMDK id -> tier id, in seating order."""
-        return dict(zip(
-            map(self.ids.__getitem__, self.order.tolist()),
-            self.tier_ids[self.target_row[self.order]].tolist(),
-        ))
+        """VMDK id -> tier id, in id order."""
+        return dict(zip(self.ids, self.tier_ids[self.target_row].tolist()))
 
     @cached_property
     def planned_usage(self) -> dict[int, ResourceVector]:
@@ -295,7 +290,6 @@ def pack(
     usage: np.ndarray,
     ranked: Iterable[tuple[int, np.ndarray]],
     epoch_index: int,
-    walk: np.ndarray | None = None,
 ) -> AssignmentPlan:
     """Greedy multidimensional packing shared by every policy, one tier at a time.
 
@@ -312,11 +306,9 @@ def pack(
     with an overload flag when even that tier cannot absorb it; totality
     always wins over capacity. A tier's decisions depend only on the rows
     that reach it, in order, so a VMDK-major walk (each VMDK tries its tiers
-    in order until one absorbs it) places every VMDK as this scan does.
-    The plan's ``order`` lists the in-flight VMDKs, then the placements, in
-    scan order or, given ``walk`` (every fleet row in walk order), in walk
-    order, then the stay-puts; its moves are the placements that change
-    tiers, in the same order.
+    in order until one absorbs it) places every VMDK as this scan does. The
+    plan's moves are the VMDKs not in flight whose target is not their
+    current tier, in id order.
     """
     roster = fleet.roster
     left = roster.budget.copy()
@@ -334,28 +326,20 @@ def pack(
 
     pins = np.flatnonzero(where >= 0)
     hold(pins, where[pins])
-    chosen = [np.zeros(0, dtype=np.intp)]
     for i, rows in ranked:
         rows = rows[where[rows] < 0]
-        chosen.append(rows[first_fit(usage[i].take(rows, axis=0), left[i], used[i])])
-        where[chosen[-1]] = i
-    chosen = np.concatenate(chosen)
-    if walk is not None:
-        placed = np.zeros(len(where), dtype=bool)
-        placed[chosen] = True
-        chosen = walk[placed[walk]]
+        where[rows[first_fit(usage[i].take(rows, axis=0), left[i], used[i])]] = i
     rest = np.flatnonzero(where < 0)
     hold(rest, fleet.tier_row[rest])
 
     where[rest] = fleet.tier_row[rest]
-    moves = chosen[where[chosen] != fleet.tier_row[chosen]]
+    moves = np.flatnonzero((where != fleet.tier_row) & (fleet.dest_row < 0))
     # A run keeps every plan, so a plan's rows take half the fleet's width.
     return AssignmentPlan(
         epoch_index=epoch_index,
         ids=roster.ids,
         tier_ids=roster.tier_ids,
         target_row=where.astype(np.int32),
-        order=np.concatenate((pins, chosen, rest)).astype(np.int32),
         move_rows=moves.astype(np.int32),
         move_from=fleet.tier_row[moves].astype(np.int32),
         overloaded_rows=np.concatenate(overloaded).astype(np.int32),
@@ -449,7 +433,7 @@ def oracle_assignment(
     tier in id order, which gives its ``used``; a tier it overruns within the
     solver's tolerance is cut off and the program solved again. Equal optima
     are not tie-broken. The plan moves each VMDK whose row differs from
-    ``previous`` and seats the VMDKs in id order.
+    ``previous``.
     """
     try:
         from scipy.optimize import Bounds, LinearConstraint, milp
@@ -493,7 +477,6 @@ def oracle_assignment(
         ids=roster.ids,
         tier_ids=roster.tier_ids,
         target_row=target,
-        order=np.arange(n),
         move_rows=moves,
         move_from=previous[moves],
         overloaded_rows=np.zeros(0, dtype=np.intp),

@@ -312,8 +312,8 @@ class ReferencePlan(NamedTuple):
 def keyed_plan(plan) -> ReferencePlan:
     """An ``AssignmentPlan`` keyed by VMDK and tier id, as ``reference_pack`` gives one.
 
-    ``migrations`` holds (VMDK id, from tier id, to tier id) per move, in
-    placement order.
+    ``target`` lists the VMDKs in id order, and ``migrations`` holds (VMDK
+    id, from tier id, to tier id) per move, in id order.
     """
     ids, tier_ids = plan.ids, plan.tier_ids
     return ReferencePlan(
@@ -335,7 +335,8 @@ def reference_pack(tiers, vmdk_ids, usage, kinds, candidates, current_assignment
 
     One ``absorb`` per (tier index, row) candidate in order, checking and
     accounting only the kinds named in ``kinds``; placement is tracked by
-    string membership in ``target``. Returns a ``ReferencePlan``.
+    string membership in ``target``. Returns a ``ReferencePlan`` whose
+    target and migrations are in id order.
     """
     checked = ["pbs".index(k) for k in kinds]
     row = {t.id: i for i, t in enumerate(tiers)}
@@ -372,6 +373,7 @@ def reference_pack(tiers, vmdk_ids, usage, kinds, candidates, current_assignment
         target[vmdk_id] = current
         if not absorb(row[current], j):
             overloaded.add(vmdk_id)
+    target = dict(sorted(target.items()))
     migrations = tuple(
         (v, effective_current[v], t) for v, t in target.items() if t != effective_current[v]
     )

@@ -1101,6 +1101,9 @@ class TestRunScenario:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             run_scenario(self.tiny(), "autotiering", seed=-1)
+        for seed in (True, 2.0):
+            with pytest.raises(ValueError, match="^seed must be an integer$"):
+                run_scenario(self.tiny(), "idt", seed=seed)
 
     def test_a_migration_epoch_at_the_int64_bound_runs(self):
         doc = json.loads(bundled_scenario_text("tiny-oracle"))

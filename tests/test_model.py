@@ -193,6 +193,24 @@ class TestOtherTypes:
         with pytest.raises(ValueError, match="agingFactor"):
             PolicyWeights(aging_factor=1.0)
 
+    # Each integer field Python callers may set. A document gives only ints;
+    # a caller could pass True, which summary.json would write as true, 2.0,
+    # which numpy's SeedSequence refuses, or 2.5 epochs or samples, which
+    # pass every comparison and fail mid-run.
+    INTEGER_FIELDS = {
+        "monitorEpoch": lambda v: PolicyWeights(monitor_epoch=v),
+        "migrationEpoch": lambda v: PolicyWeights(migration_epoch=v),
+        "samplesPerLatency": lambda v: PolicyWeights(samples_per_latency=v),
+        "epochs": lambda v: SimulationConfig(epochs=v),
+        "seed": lambda v: SimulationConfig(epochs=1, seed=v),
+    }
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, math.nan, np.int64(3), "3", None])
+    @pytest.mark.parametrize("name", sorted(INTEGER_FIELDS))
+    def test_an_integer_field_takes_only_an_int(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            self.INTEGER_FIELDS[name](value)
+
 
 # Every Fleet field after ``roster``: the columns a run writes.
 RUN_COLUMNS = [

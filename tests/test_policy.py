@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from autotier import policy
-from autotier.baselines import idt_assign
+from autotier.baselines import edt_assign, idt_assign
 from autotier.calibration import estimate_avg_lat
 from autotier.engine import probe_latencies, run_scenario, serve_epoch
 from autotier.model import (
@@ -41,7 +41,6 @@ from autotier.scenario import load_bundled_scenario
 from conftest import (
     fits_within,
     fleet_of,
-    fleet_states,
     hosted_usage,
     keyed_plan,
     make_state,
@@ -56,7 +55,6 @@ from conftest import (
     sequential_usage,
     tier_rows,
 )
-from test_baselines import REFERENCE_RULES, reference_pack_by_metric
 from test_golden import plan_record
 
 
@@ -725,7 +723,6 @@ class TestAssignmentPlanChecks:
             ids=ids,
             tier_ids=np.arange(1, len(ids) + 1),
             target_row=np.array([self.TARGET[v] - 1 for v in ids], dtype=np.intp),
-            order=np.arange(len(ids)),
             move_rows=np.array([ids.index(v) for v, _ in migrations], dtype=np.intp),
             move_from=np.array([t - 1 for _, t in migrations], dtype=np.intp),
             overloaded_rows=np.zeros(0, dtype=np.intp),
@@ -835,7 +832,7 @@ class TestAutoTieringPolicy:
 
 
 class TestPlanViews:
-    """A plan's id views are built once, and ``target`` lists VMDKs as they were seated."""
+    """A plan's id views are built once, and a plan lists VMDKs and moves in id order."""
 
     VIEWS = ("target", "planned_usage")
 
@@ -844,27 +841,25 @@ class TestPlanViews:
             assert getattr(plan, name) is getattr(plan, name)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_packed_plans_seat_pins_then_placements_then_stay_puts(self, seed):
+    def test_every_planner_lists_vmdks_and_moves_in_id_order(self, seed):
         rng = np.random.default_rng(seed)
-        scores, mat, tiers, fleet, pinned, specs = random_greedy_round(rng)
+        scores, mat, _, fleet, _, _ = random_greedy_round(rng)
         fleet.measured_iops[:] = rng.choice([0.0, 5e3, 2e4], size=len(fleet.roster.ids))
+        _, oracle_fleet, _, oracle_mat, weights, previous = random_oracle_instance(rng)
         cases = (
-            (trigger_migration(scores, mat, fleet, 7),
-             reference_trigger_migration(scores, mat, tiers, fleet, 7, pinned)),
-            (idt_assign(fleet, 7),
-             reference_pack_by_metric(fleet_states(fleet, specs), tiers,
-                                      *REFERENCE_RULES[idt_assign], 7, pinned)),
+            (trigger_migration(scores, mat, fleet, 7), fleet),
+            (idt_assign(fleet, 7), fleet),
+            (edt_assign(fleet, 7), fleet),
+            (oracle_assignment(oracle_mat, weights, previous, oracle_fleet, 900.0), oracle_fleet),
         )
-        for plan, expected in cases:
+        for plan, planned in cases:
             self.assert_cached(plan)
-            seated = list(plan.target)
-            assert seated == [fleet.roster.ids[j] for j in plan.order.tolist()]
-            assert seated[:len(pinned)] == sorted(pinned)
-            moved = [v for v, _, _ in keyed_plan(plan).migrations]
-            assert [v for v in seated if v in set(moved)] == moved
-            # The reference seats pins, then candidates as placed, then stay-puts by id.
-            assert seated == list(expected.target)
-            assert seated != sorted(seated)
+            assert list(plan.target) == list(plan.ids)
+            assert (np.diff(plan.move_rows) > 0).all()
+            # Every VMDK not in flight whose target is not its tier moves, and no other.
+            moving = (plan.target_row != planned.tier_row) & (planned.dest_row < 0)
+            assert plan.move_rows.tolist() == np.flatnonzero(moving).tolist()
+        assert min(len(plan.move_rows) for plan, _ in cases[:3]) >= 2
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oracle_plans_seat_in_id_order(self, seed):

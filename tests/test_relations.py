@@ -157,7 +157,7 @@ def with_idle_vmdk(doc: dict) -> dict:
 # shows only under the larger ones in most examples.
 SCALES = (2.0, 0.5, 1024.0, 2.0**-10)
 # The plan fields that name rows; they must not move under a change of units.
-PLAN_ROWS = ("target_row", "order", "move_rows", "move_from", "move_to", "overloaded_rows")
+PLAN_ROWS = ("target_row", "move_rows", "move_from", "move_to", "overloaded_rows")
 
 
 def scaled_bandwidth(doc: dict, f: float) -> tuple[dict, dict]:
