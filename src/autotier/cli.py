@@ -48,8 +48,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    paths = [Path(run_dir) / "summary.json" for run_dir in args.runs]
-    comparison = comparison_dict([json.loads(p.read_text(encoding="utf-8")) for p in paths])
+    summaries = []
+    for path in (Path(run_dir) / "summary.json" for run_dir in args.runs):
+        summaries.append(json.loads(path.read_text(encoding="utf-8")))
+        for key in ("policy", "total.iops.mean", "total.mbps.mean", "total.meanLatencyUs"):
+            node, parts = summaries[-1], key.split(".")
+            for depth, part in enumerate(parts, 1):  # the keys comparison_dict reads
+                if not isinstance(node, dict) or part not in node:
+                    raise ValueError(f"{path}: not a run summary, no {'.'.join(parts[:depth])!r}")
+                node = node[part]
+    comparison = comparison_dict(summaries)
     text = json.dumps(comparison, indent=2, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

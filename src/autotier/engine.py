@@ -225,11 +225,12 @@ def progress_migrations(
     """Advance the in-flight migrations of fleet ``rows``, in id order, one epoch.
 
     Each row's open order is its ``order_index`` entry in ``log``, which
-    holds the order's progress. Speed is recomputed per epoch from the
-    fleet's spare bandwidth, less the debits already taken this epoch, and
-    the VMDK's own measured read bandwidth; each move debits its
-    source (``tier_row``) and its destination (``dest_row``). The step that
-    reaches the rest of a move sets its bytes moved to its bytes total.
+    holds the progress of its move in flight. Speed is recomputed per epoch
+    from the fleet's spare bandwidth, less the debits already taken this
+    epoch, and the VMDK's own measured read bandwidth; each move debits its
+    source (``tier_row``) and its destination (``dest_row``). A move whose
+    speed is <= 0.0 (not NaN) stalls; any other steps, and a step that
+    reaches its rest lands on its bytes total, so a finished move moves 0.
     Writes each order's bytes moved, speed and stall flag to the log.
     Returns total bytes moved, the (2, T) read and write debits in MB/s by
     tier row (``serve_epoch``'s ``debits``), and the rows whose migration
@@ -269,13 +270,12 @@ def _progress_passes(
     The fixed point is unique, so any start gives the loop's bits. After
     the first pass, from 0.0, each row starts at the rate that pass gave it,
     or at 0.0 where the rates before it in either lane exceed its spare:
-    this lane fill settles a lane that runs out in fewer passes.
+    this lane fill settles a lane that runs out in fewer passes. Stalls
+    take the loop's rule, from the settled speeds.
     """
     n, t = len(rows), len(fleet.roster.tiers)
     total, moved = log.bytes_total[k], log.bytes_moved[k]
     left = total - moved
-    active = left > 0.0  # the rest are finished already
-    left = np.where(active, left, 0.0)
     measured = fleet.measured_mbps[0, rows]
     # Lane r < t is tier row r's reads, lane t + r its writes.
     lane = np.concatenate((fleet.tier_row[rows], t + fleet.dest_row[rows]))
@@ -307,8 +307,7 @@ def _progress_passes(
             mbps = np.where(side[n:] < side[:n], side[n:], side[:n])
             step = mbps * 1e6 * epoch_seconds
             # The rest of the move where the step reaches it or is NaN, as in
-            # the loop; a stalled row's step <= 0.0 takes 0.0, as does a
-            # finished row (left 0.0).
+            # the loop; a stalled row's step <= 0.0 takes 0.0.
             taken = np.fmax(np.fmin(step, left), 0.0)
             rate = taken / epoch_seconds / 1e6
             if rate.tobytes() == rates.tobytes():
@@ -319,13 +318,10 @@ def _progress_passes(
                 rates = np.where(full[:n] | full[n:], 0.0, rate)
         else:
             return None
-    stuck = active & (mbps <= 0.0)
-    go = active & ~stuck
-    moved_now = np.where(go, np.where(step < left, moved + step, total), moved)
-    log.set_progress(
-        k, moved_now, np.where(active, mbps, log.speed_mbps[k]), np.where(active, stuck, log.stalled[k])
-    )
-    moved_total = np.add.accumulate(np.concatenate(([0.0], taken[go])))[-1]
+    stuck = mbps <= 0.0
+    moved_now = np.where(stuck, moved, np.where(step < left, moved + step, total))
+    log.set_progress(k, moved_now, mbps, stuck)
+    moved_total = np.add.accumulate(np.concatenate(([0.0], taken)))[-1]
     # Each lane's total is its grid row's last cell; copied, to hold no view of the grid.
     return float(moved_total), debits[:, -1].reshape(2, t).copy(), rows[stuck], rows[moved_now >= total]
 
@@ -333,7 +329,7 @@ def _progress_passes(
 def _progress_loop(
     rows: np.ndarray, k: np.ndarray, fleet: Fleet, log: MigrationLog, epoch_seconds: float,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """``progress_migrations`` as a scalar loop over the book, rows ``rows`` of orders ``k``."""
+    """``progress_migrations`` as a scalar loop over the book; its stall flags come after it."""
     roster = fleet.roster
     debit_read = [0.0] * len(roster.tiers)
     debit_write = [0.0] * len(roster.tiers)
@@ -342,28 +338,21 @@ def _progress_loop(
     dest = fleet.dest_row[rows].tolist()
     bytes_total = log.bytes_total[k]
     moved = log.bytes_moved[k].tolist()
-    speed = log.speed_mbps[k].tolist()
-    stall = log.stalled[k].tolist()
+    speed = [0.0] * len(rows)
     moved_total = 0.0
-    stalled: list[int] = []  # places in the book
     # Conditional expressions stand in for max(0.0, x) and min(a, b): the
     # same result, NaN included, without a call per order.
     for i, (total, measured, s, d) in enumerate(zip(
         bytes_total.tolist(), fleet.measured_mbps[0, rows].tolist(), source, dest
     )):
-        left = total - moved[i]
-        if left <= 0.0:
-            continue  # finished already
         spare = spare_read[s] - debit_read[s]
         read_side = (spare if spare > 0.0 else 0.0) + measured
         spare = spare_write[d] - debit_write[d]
         write_side = spare if spare > 0.0 else 0.0
         speed[i] = mbps = write_side if write_side < read_side else read_side
         if mbps <= 0.0:
-            stall[i] = True
-            stalled.append(i)
             continue
-        stall[i] = False
+        left = total - moved[i]
         step = mbps * 1e6 * epoch_seconds
         if step < left:
             moved[i] += step
@@ -373,10 +362,11 @@ def _progress_loop(
         rate = step / epoch_seconds / 1e6
         debit_read[s] += rate
         debit_write[d] += rate
-    moved_now = np.array(moved)
+    moved_now, speed = np.array(moved), np.array(speed)
+    stall = speed <= 0.0
     log.set_progress(k, moved_now, speed, stall)
     debits = np.array((debit_read, debit_write))
-    return moved_total, debits, rows[stalled], rows[moved_now >= bytes_total]
+    return moved_total, debits, rows[stall], rows[moved_now >= bytes_total]
 
 
 def start_migrations(
@@ -389,16 +379,16 @@ def start_migrations(
 ) -> np.ndarray:
     """Start the moves of fleet ``rows`` from tier ``from_rows`` to ``to_rows``.
 
-    The three arrays are aligned and name each VMDK at most once, as an
-    ``AssignmentPlan``'s moves do. Moves of VMDKs already moving wait. Logs
-    the started orders in id order and returns their fleet rows. A move
-    must start from its VMDK's current tier.
+    The three arrays are aligned and name each VMDK at most once, in
+    increasing fleet rows, as an ``AssignmentPlan``'s moves do. Moves of
+    VMDKs already moving wait. Logs the started orders in the order given
+    and returns their fleet rows. A move must start from its VMDK's current
+    tier.
     """
     if not len(rows):
         return np.zeros(0, dtype=np.intp)
-    order = rows.argsort()
-    order = order[fleet.dest_row[rows[order]] < 0]  # finish an in-flight move first
-    rows, source, dest = rows[order], from_rows[order], to_rows[order]
+    idle = fleet.dest_row[rows] < 0  # finish an in-flight move first
+    rows, source, dest = rows[idle], from_rows[idle], to_rows[idle]
     if (source != fleet.tier_row[rows]).any():
         raise ValueError("migration must start from the VMDK's current tier")
     roster = fleet.roster

@@ -33,9 +33,9 @@ Every planner returns an ``AssignmentPlan`` in fleet rows: each VMDK's
 target tier row, and the moves as fleet rows in id order with their
 source tier rows; each move's destination is read from the target. A plan
 records where each VMDK goes, not the order it was placed in. Its checks
-run on those arrays. The target and planned usage keyed by VMDK and tier
-id (``target``, ``planned_usage``) are built only when something reads
-them, and then kept.
+run on those arrays and refuse moves out of id order. The target and
+planned usage keyed by VMDK and tier id (``target``, ``planned_usage``)
+are built only when something reads them, and then kept.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ class AssignmentPlan:
     ``ids`` and ``tier_ids`` are the fleet's VMDK ids and tier ids; every
     other field follows the fleet's rows and indexes them. ``target_row`` is
     each VMDK's tier row. The moves are the aligned ``move_rows`` (fleet
-    rows, increasing) and ``move_from`` (tier rows), at most one per VMDK;
-    ``move_to`` reads their tier rows from ``target_row``.
+    rows, strictly increasing, so at most one per VMDK; the engine starts
+    them in that order) and ``move_from`` (tier rows); ``move_to`` reads
+    their tier rows from ``target_row``.
     VMDKs force-kept on a tier whose remaining capacity could not absorb
     them are in ``overloaded_rows``. ``used`` is the (T, 3) usage the
     planner accounted against each tier's budget (only the kinds the policy
@@ -89,8 +90,8 @@ class AssignmentPlan:
     def __post_init__(self) -> None:
         if (self.move_from == self.move_to).any():
             raise ValueError("migration list may only contain actual moves")
-        if (np.bincount(self.move_rows) > 1).any():
-            raise ValueError("migration list names a VMDK more than once")
+        if (np.diff(self.move_rows) <= 0).any():
+            raise ValueError("migration list must name each VMDK once, in fleet-row order")
 
     @property
     def move_to(self) -> np.ndarray:

@@ -21,7 +21,7 @@ would fail there; none is named). Then, for each mutant, it applies the
 change to the copy, runs only that mutant's tests and puts the file back.
 It exits 1 when a snippet does not occur exactly once, a named test fails
 unchanged, or a mutant survives. It is not part of tier-1: each mutant
-reruns its tests, about 55 s in all on a 2-vCPU x86_64 machine. Every
+reruns its tests, about 60 s in all on a 2-vCPU x86_64 machine. Every
 pytest run loads the ``mutants`` Hypothesis profile (``tests/conftest.py``):
 the derandomized ``ci`` profile, so a generated-document test draws the
 same examples on every run and can be named as a kill (without it, such a
@@ -76,6 +76,10 @@ FIT_PLAN = "tests/test_calibration.py::TestFitPlan::"
 FIRST_FIT_PASSES = ("tests/test_policy.py::TestFirstFit::"
                     "test_each_pass_commits_its_whole_fit_run_and_skips_its_whole_miss_run")
 REGRESSION = "tests/test_calibration.py::TestRegression::"
+MIGRATIONS = "tests/test_engine.py::TestMigrations::"
+STALL_RULE = ("tests/test_engine.py::TestStallRule::"
+              "test_every_order_of_a_bundled_run_stalls_where_its_speed_is_not_positive")
+ORACLE = "tests/test_policy.py::TestProfitAndOracle::"
 
 MUTANTS = (
     # The run loop serves when the bytes of what serving reads differ from its
@@ -371,6 +375,67 @@ MUTANTS = (
             f"{GOLDEN}{LOOP_ROWS}0]",
             "tests/test_engine.py::TestMigrationBookOnTheFixedPointMatchesReference::"
             "test_large_books_bitwise_equal_to_the_sorting_loop[0]",
+        ),
+    ),
+    # The book holds only moves in flight, and both progress paths flag a
+    # stall by one rule, speed <= 0.0, from the speeds they log. Each of the
+    # next two drops the zero from one path's rule.
+    Mutant(
+        "progress-passes-stall-below-zero-only", ENGINE,
+        "stuck = mbps <= 0.0",
+        "stuck = mbps < 0.0",
+        (
+            f"{GOLDEN}{LOOP_ROWS}0]",
+            f"{MIGRATIONS}test_a_finished_move_moves_nothing_and_is_finished_again"
+            "[0.0-0.0-0.0-True-0]",
+            f"{STALL_RULE}[0]",
+            "tests/test_engine.py::TestProgressPassesMatchLoop::test_bitwise_equal_to_the_loop",
+        ),
+    ),
+    Mutant(
+        "progress-loop-stall-below-zero-only", ENGINE,
+        "stall = speed <= 0.0",
+        "stall = speed < 0.0",
+        (
+            f"{GOLDEN}test_artifacts_match_golden[table3-table4-idt-0]",
+            f"{GOLDEN}{LOOP_ROWS}1000000000]",
+            f"{MIGRATIONS}test_zero_speed_stalls",
+            f"{MIGRATIONS}test_a_finished_move_moves_nothing_and_is_finished_again"
+            "[0.0-0.0-0.0-True-1000000000]",
+            f"{STALL_RULE}[1000000000]",
+        ),
+    ),
+    # A plan's moves are in strictly increasing fleet rows, the order the
+    # engine starts them in; this check passes a VMDK named twice in a row.
+    Mutant(
+        "plan-check-passes-an-equal-pair", POLICY,
+        "(np.diff(self.move_rows) <= 0).any()",
+        "(np.diff(self.move_rows) < 0).any()",
+        ("tests/test_policy.py::TestAssignmentPlanChecks::"
+         "test_moves_out_of_fleet_row_order_are_refused[equal-pair]",),
+    ),
+    # The exact oracle fixes every cell of non-finite profit to 0, solves to
+    # a zero gap, and cuts off a tier the packer finds overrun within the
+    # solver's tolerance, then solves again.
+    Mutant(
+        "oracle-fixes-only-nan-cells", POLICY,
+        "allowed = np.isfinite(contrib) & mat.feasible",
+        "allowed = ~np.isnan(contrib) & mat.feasible",
+        (f"{ORACLE}test_oracle_matches_the_reference_on_tight_budgets",),
+    ),
+    Mutant(
+        "oracle-gap-five-percent", POLICY,
+        'options={"mip_rel_gap": 0.0}',
+        'options={"mip_rel_gap": 0.05}',
+        (f"{ORACLE}test_oracle_matches_the_reference_on_tight_budgets",),
+    ),
+    Mutant(
+        "oracle-cut-raises", POLICY,
+        "constraints.append(LinearConstraint(cut, -np.inf, k))",
+        'raise RuntimeError("the packer overran the optimum")',
+        tuple(
+            f"{ORACLE}test_oracle_keeps_the_packers_fit_inside_the_solver_tolerance[{case}]"
+            for case in ("sizes0-0.3", "sizes1-100.0", "sizes2-0.6")
         ),
     ),
     # Roster rows are in id order, whatever order the document lists the

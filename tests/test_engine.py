@@ -606,14 +606,29 @@ class TestMigrations:
         assert log.bytes_moved.tolist() == [0.0]
         assert finished.tolist() == []
 
-    def test_finished_move_is_returned_untouched(self):
-        state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=100.0)
+    @pytest.mark.parametrize("cutover", [0, 10**9])
+    @pytest.mark.parametrize("spare, measured, speed, stall", [
+        (500.0, 100.0, 500.0, False),  # min(500 + 100, 500)
+        (0.0, 0.0, 0.0, True),
+        (500.0, np.nan, np.nan, False),  # NaN is not stalled
+    ])
+    def test_a_finished_move_moves_nothing_and_is_finished_again(
+        self, cutover, spare, measured, speed, stall, monkeypatch
+    ):
+        # The book holds only moves in flight, so neither path has a branch
+        # for a finished one: it takes the shared rules and moves 0 bytes.
+        monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", cutover)
+        state = make_state(make_vmdk(size_gb=100.0), tier=1, measured_read_mbps=measured)
         _, fleet, log = self.setup_pair(state)
-        log.set_progress(np.array([0]), 100e9, 7.0, True)
+        fleet.spare_mbps[0, 0] = fleet.spare_mbps[1, 1] = spare  # tier 1's reads, tier 2's writes
+        log.set_progress(np.array([0]), 100e9, 7.0, not stall)  # overwritten by the rule
         moved, debits, stalled, finished = progress_migrations(np.array([0]), fleet, log, 300.0)
-        assert (moved, debits.tolist(), stalled.tolist()) == (0.0, [[0.0, 0.0], [0.0, 0.0]], [])
-        assert finished.tolist() == [0]
-        assert (log.bytes_moved[0], log.speed_mbps[0], log.stalled[0]) == (100e9, 7.0, True)
+        assert type(moved) is float and np.float64(moved).tobytes() == bytes(8)
+        assert debits.tobytes() == np.zeros((2, 2)).tobytes()
+        assert finished.tolist() == [0] and stalled.tolist() == [0] * stall
+        assert log.bytes_moved.tobytes() == np.float64(100e9).tobytes()
+        assert log.speed_mbps.tobytes() == np.float64(speed).tobytes()
+        assert log.stalled.tolist() == [stall]
 
     def test_the_finishing_step_lands_exactly(self):
         # Adding the rest to what is moved rounds one ulp above the total here.
@@ -852,6 +867,23 @@ class TestMigrationBookOnTheFixedPointMatchesReference(TestMigrationBookMatchesR
     @pytest.fixture(autouse=True)
     def cutover_at_zero(self, monkeypatch):
         monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", 0)
+
+
+class TestStallRule:
+    @pytest.mark.parametrize("cutover", [0, 10**9])
+    def test_every_order_of_a_bundled_run_stalls_where_its_speed_is_not_positive(
+        self, cutover, monkeypatch
+    ):
+        # Both paths flag a stall by the one rule, speed <= 0.0, from the
+        # speed they log; every order is progressed in the epoch it starts.
+        monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", cutover)
+        stalls = set()
+        for name in ("table3-table4", "spike", "tiny-oracle"):
+            for policy in POLICY_NAMES:
+                log = run_scenario(load_bundled_scenario(name), policy).migration_log
+                assert log.stalled.tolist() == (log.speed_mbps <= 0.0).tolist()
+                stalls.update(log.stalled.tolist())
+        assert stalls == {False, True}
 
 
 class TestDebitsBlock:

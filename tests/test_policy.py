@@ -733,11 +733,21 @@ class TestAssignmentPlanChecks:
         ((("a", 1), ("b", 1)), "only contain actual moves"),
         ((("a", 1), ("b", 1), ("c", 1)), "only contain actual moves"),
         ((("a", 2),), "only contain actual moves"),
-        ((("a", 1), ("c", 1), ("a", 1)), "names a VMDK more than once"),
+        ((("a", 1), ("c", 1), ("a", 1)), "name each VMDK once, in fleet-row order"),
         ((("a", 1), ("a", 1), ("b", 1)), "only contain actual moves"),
     ])
     def test_the_first_bad_move_names_the_error(self, migrations, message):
         with pytest.raises(ValueError, match=message):
+            self.plan(migrations)
+
+    @pytest.mark.parametrize("migrations", [
+        (("c", 1), ("a", 1)),
+        (("a", 1), ("a", 1)),
+    ], ids=["out-of-order", "equal-pair"])
+    def test_moves_out_of_fleet_row_order_are_refused(self, migrations):
+        # The engine starts a plan's moves in the order given, so the plan
+        # holds them in the id order every planner lists them in.
+        with pytest.raises(ValueError, match="name each VMDK once, in fleet-row order"):
             self.plan(migrations)
 
     def test_consistent_moves_pass(self):

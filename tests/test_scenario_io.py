@@ -849,6 +849,28 @@ class TestCli:
             payload = json.loads(text, parse_constant=refuse)
             assert payload["ratios"] == {"autotiering/idt": {"iops": None, "mbps": None}}
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"epochs": 3}', "policy"),
+        ("[1, 2]", "policy"),
+        ("[]", "policy"),
+        ('{"policy": "edt", "total": 5}', "total.iops"),
+        ('{"policy": "edt", "total": {"iops": {"mean": 1.0}, "mbps": {}}}', "total.mbps.mean"),
+    ])
+    def test_compare_exits_2_naming_the_file_and_key_of_a_summary_it_cannot_read(
+        self, tmp_path, capsys, text, key
+    ):
+        # Such a summary used to print only the bare key or index error.
+        assert main(["run", "--scenario", "tiny-oracle", "--policy", "idt",
+                     "--out", str(tmp_path / "idt")]) == 0
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "summary.json").write_text(text)
+        capsys.readouterr()
+        assert main(["compare", "--runs", str(tmp_path / "idt"), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad / 'summary.json'}: not a run summary, no {key!r}\n"
+
     @pytest.mark.parametrize("command", [
         ["run", "--scenario", "tiny-oracle", "--policy", "idt", "--out", "unused"],
         ["oracle-check", "--scenario", "tiny-oracle"],
