@@ -50,13 +50,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     summaries = []
     for path in (Path(run_dir) / "summary.json" for run_dir in args.runs):
-        summaries.append(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            summaries.append(json.loads(path.read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a run summary, not JSON ({exc})") from None
         for key in ("policy", "total.iops.mean", "total.mbps.mean", "total.meanLatencyUs"):
             node, parts = summaries[-1], key.split(".")
             for depth, part in enumerate(parts, 1):  # the keys comparison_dict reads
                 if not isinstance(node, dict) or part not in node:
                     raise ValueError(f"{path}: not a run summary, no {'.'.join(parts[:depth])!r}")
                 node = node[part]
+            kind, noun = (str, "a string") if key == "policy" else ((int, float), "a number")
+            if not isinstance(node, kind) or isinstance(node, bool):
+                raise ValueError(f"{path}: not a run summary, {key!r} is not {noun}")
     comparison = comparison_dict(summaries)
     text = json.dumps(comparison, indent=2, allow_nan=False)
     if args.out:

@@ -18,8 +18,9 @@ every migration started, progress included.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import InitVar, astuple, dataclass, fields, replace
+from dataclasses import InitVar, astuple, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import attrgetter, contains, itemgetter
@@ -40,14 +41,25 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-def _require_finite_nonneg(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be a finite non-negative number, got {value}")
+# A field's rule: its value lies in the closed range [low, high], where NaN
+# lies in none, or it is refused with the message formatted with the field's
+# key and value. Each ``SCHEMA`` row holds its field's rule, or None.
+Rule = tuple[Any, Any, str]
+_TINY, _MAX = math.ulp(0.0), sys.float_info.max
+NONNEG: Rule = (0.0, _MAX, "{} must be a finite non-negative number, got {}")
+POSITIVE: Rule = (_TINY, _MAX, "{} must be positive")
+FRACTION: Rule = (0.0, 1.0, "{} out of [0,1]")
+BELOW_ONE: Rule = (0.0, math.nextafter(1.0, 0.0), "{} out of [0,1)")
+ABOVE_ZERO: Rule = (_TINY, 1.0, "{} out of (0,1]")
+AT_LEAST_0: Rule = (0, math.inf, "{} must be >= 0")
+AT_LEAST_1: Rule = (1, math.inf, "{} must be >= 1")
+SERVE_CAP: Rule = (_TINY, _MAX, "tier serve caps must be positive")
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive")
+def _require_within(rule: Rule, key: str, value: Any) -> None:
+    low, high, message = rule
+    if not low <= value <= high:
+        raise ValueError(message.format(key, value))
 
 
 def _require_integer(name: str, value: int) -> None:
@@ -58,6 +70,19 @@ def _require_integer(name: str, value: int) -> None:
 def _require_int64(name: str, value: int) -> None:
     if value > INT64_MAX:
         raise ValueError(f"{name} must be <= {INT64_MAX}")
+
+
+def _check_fields(spec: Any) -> None:
+    """Refuse the first field of ``spec`` that its ``SCHEMA`` row refuses, in document order.
+
+    A field an ``_integer`` row reads must be an int, not a bool, before the rule applies.
+    """
+    for key, arg, read, _, rule in SCHEMA[type(spec)]:
+        value = getattr(spec, arg)
+        if read is _integer:
+            _require_integer(key, value)
+        if rule is not None:
+            _require_within(rule, key, value)
 
 
 @dataclass(frozen=True)
@@ -74,9 +99,8 @@ class ResourceVector:
     s: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite_nonneg("p", self.p)
-        _require_finite_nonneg("b", self.b)
-        _require_finite_nonneg("s", self.s)
+        for key in "pbs":  # its rows' rule, applied here: defaults are built before SCHEMA
+            _require_within(NONNEG, key, getattr(self, key))
 
     def __mul__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.p * other.p, self.b * other.b, self.s * other.s)
@@ -111,12 +135,7 @@ class TierSpec:
     caps: ResourceVector = ResourceVector(1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
-        if self.id < 1:
-            raise ValueError("tier id must be >= 1")
-        _require_positive("baseLatencyUs", self.base_latency_us)
-        for direction in (self.read_throughput_cap, self.write_throughput_cap,
-                          self.read_bandwidth_cap, self.write_bandwidth_cap):
-            _require_positive("tier serve caps", direction)
+        _check_fields(self)
         for flag in (self.specialty.p, self.specialty.b, self.specialty.s):
             if flag not in (0.0, 1.0):
                 raise ValueError("specialty flags must be 0 or 1")
@@ -126,7 +145,6 @@ class TierSpec:
             weight_sum = math.inf
         if not (math.isfinite(weight_sum) and weight_sum > 0):
             raise ValueError("kind weights must sum to a finite positive value")
-        _require_finite_nonneg("migWeight", self.mig_weight)
         for frac in (self.caps.p, self.caps.b, self.caps.s):
             if not (0.0 < frac <= 1.0):
                 raise ValueError("cap fraction out of (0,1]")
@@ -146,14 +164,8 @@ class WorkloadPhase:
     read_fraction: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_integer("startEpoch", self.start_epoch)
-        if self.start_epoch < 0:
-            raise ValueError("startEpoch must be >= 0")
+        _check_fields(self)
         _require_int64("startEpoch", self.start_epoch)
-        _require_finite_nonneg("demandIops", self.demand_iops)
-        _require_positive("avgIoSizeBytes", self.avg_io_size_bytes)
-        if not (0.0 <= self.read_fraction <= 1.0):
-            raise ValueError("readFraction out of [0,1]")
 
 
 _DEMAND_COLUMNS = ("demand_iops", "read_fraction", "avg_io_size_bytes")
@@ -247,12 +259,7 @@ class VmdkSpec:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("vmdk id must be non-empty")
-        _require_positive("sizeGb", self.size_gb)
-        _require_positive("slaWeight", self.sla_weight)
-        if self.initial_tier < 1:
-            raise ValueError("initialTier must be >= 1")
-        _require_finite_nonneg("truthSlope", self.truth_slope)
-        _require_positive("truthInterceptUs", self.truth_intercept_us)
+        _check_fields(self)
         if isinstance(self.demand_profile, DemandProfile):
             return  # a view of a table checked already, by the column pass or below
         phases = tuple(self.demand_profile)
@@ -348,7 +355,8 @@ class CalibrationFits:
             raise ValueError("confidence out of (0,1]")
         bad = ~(np.isfinite(self.mean_cv) & (self.mean_cv >= 0))
         if bad.any():
-            _require_finite_nonneg("meanCv", float(self.mean_cv[bad.argmax()]))
+            value = float(self.mean_cv[bad.argmax()])
+            raise ValueError(f"meanCv must be a finite non-negative number, got {value}")
 
     @property
     def prediction_slope(self) -> np.ndarray:
@@ -410,20 +418,12 @@ class PolicyWeights:
     samples_per_latency: int = 10
 
     def __post_init__(self) -> None:
-        _require_finite_nonneg("beta", self.beta)
-        if not (0.0 <= self.aging_factor < 1.0):
-            raise ValueError("agingFactor out of [0,1)")
-        _require_integer("monitorEpoch", self.monitor_epoch)
-        if self.monitor_epoch < 1:
-            raise ValueError("monitorEpoch must be >= 1")
-        _require_integer("migrationEpoch", self.migration_epoch)
+        _check_fields(self)
         if self.migration_epoch < self.monitor_epoch:
             raise ValueError("migrationEpoch must be >= monitorEpoch")
         _require_int64("migrationEpoch", self.migration_epoch)
         if self.migration_epoch % self.monitor_epoch != 0:
             raise ValueError("migrationEpoch must be a multiple of monitorEpoch")
-        if not (0.0 < self.confidence_floor <= 1.0):
-            raise ValueError("confidenceFloor out of (0,1]")
         if len(self.injected_latencies_us) < 2:
             raise ValueError("need at least two injected latencies")
         if any(d < 0 for d in self.injected_latencies_us):
@@ -431,9 +431,6 @@ class PolicyWeights:
         if len(set(self.injected_latencies_us)) != len(self.injected_latencies_us):
             raise ValueError("injected latencies must be distinct")
         latency_norm(self.injected_latencies_us)  # the fit scales by it: refuses 0.0, inf and NaN
-        _require_integer("samplesPerLatency", self.samples_per_latency)
-        if self.samples_per_latency < 1:
-            raise ValueError("samplesPerLatency must be >= 1")
         _require_int64("samplesPerLatency", self.samples_per_latency)
 
 
@@ -445,15 +442,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_integer("epochs", self.epochs)
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        _check_fields(self)
         _require_int64("epochs", self.epochs)
-        _require_positive("epochSeconds", self.epoch_seconds)
-        _require_finite_nonneg("noiseCv", self.noise_cv)
-        _require_integer("seed", self.seed)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 # The most calibration samples (VMDKs x injected latencies x samples per
@@ -478,8 +468,9 @@ class Scenario:
 
     tiers: tuple[TierSpec, ...]
     vmdks: VmdkTable
-    weights: PolicyWeights = PolicyWeights()
-    sim: SimulationConfig = SimulationConfig(epochs=0)
+    # Factories, since a spec built here, before SCHEMA exists, could not be checked.
+    weights: PolicyWeights = field(default_factory=PolicyWeights)
+    sim: SimulationConfig = field(default_factory=lambda: SimulationConfig(epochs=0))
     # Format version of the document; the reader accepts SCHEMA_VERSION only.
     schema_version: InitVar[int] = SCHEMA_VERSION
 
@@ -769,13 +760,15 @@ class Fleet:
 # --- scenario document schema ------------------------------------------------
 #
 # One table per spec type holds the whole document format. Each row is
-# (JSON key, constructor argument, reader, default), in document order: the
-# order diagnostics are reported in and serialization writes. A reader turns
-# a JSON value into the constructor argument or raises _Invalid; readers of
-# nested objects report their own fields' problems into ``errors``. The
+# (JSON key, constructor argument, reader, default, rule), in document order:
+# the order diagnostics are reported in and serialization writes. A reader
+# turns a JSON value into the constructor argument or raises _Invalid; readers
+# of nested objects report their own fields' problems into ``errors``. The
 # default says what a missing key means: REQUIRED reports it, OPTIONAL keeps
 # the dataclass default, and None reads it as JSON null, which the readers of
-# non-empty values refuse with their own "required ..." diagnostic.
+# non-empty values refuse with their own "required ..." diagnostic. The rule
+# is the field's range (a ``Rule``) or None: the spec's ``__post_init__``
+# applies it, and the column pass reads its ranges from it.
 
 REQUIRED = "required"
 OPTIONAL = "optional"
@@ -888,16 +881,6 @@ def _list_of(
     return read
 
 
-_TINY, _MAX = np.nextafter(0.0, 1.0), np.finfo(float).max
-# Each demand row's range as ``WorkloadPhase`` checks it: demand finite and
-# non-negative, read fraction in [0, 1], I/O size finite and positive, that
-# is at least the least float above 0. NaN lies in no range.
-_DEMAND_RANGE = np.array([[[0.0], [0.0], [_TINY]], [[_MAX], [1.0], [_MAX]]])
-# Each ``_VMDK_NUMBERS`` row's range as ``VmdkSpec`` checks it: size, SLA
-# weight and intercept finite and positive, slope finite and non-negative.
-_VMDK_RANGE = np.array([[[_TINY], [_TINY], [0.0], [_TINY]], [[_MAX]] * 4])
-
-
 def _columns(items: list[Any], cls: type) -> dict[str, list[Any]] | None:
     """Each ``SCHEMA[cls]`` field of ``items`` as a column, by constructor argument, or None.
 
@@ -908,7 +891,7 @@ def _columns(items: list[Any], cls: type) -> dict[str, list[Any]] | None:
         return None
     defaults = {f.name: f.default for f in fields(cls)}
     columns, known = {}, 0
-    for key, arg, _, default in SCHEMA[cls]:
+    for key, arg, _, default, _ in SCHEMA[cls]:
         if default is OPTIONAL:
             columns[arg] = list(map(dict.get, items, repeat(key), repeat(defaults[arg])))
             known += sum(map(contains, items, repeat(key)))
@@ -978,7 +961,7 @@ def _read_vmdks(vmdks: list[Any]) -> VmdkTable | None:
     numbers = list(chain.from_iterable(map(columns.get, _VMDK_NUMBERS)))
     if (
         set(map(type, ids + columns["vm_id"])) != {str} or not all(ids)
-        or set(map(type, tiers)) != {int} or min(tiers) < 1
+        or set(map(type, tiers)) != {int} or min(tiers) < _LEAST_TIER
         or not set(map(type, numbers)) <= {int, float}
     ):
         return None
@@ -992,67 +975,74 @@ def _read_vmdks(vmdks: list[Any]) -> VmdkTable | None:
     return VmdkTable(tuple(ids), tuple(columns["vm_id"]), *block, tuple(tiers), *profiles)
 
 
-SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any], ...]] = {
+SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any, Rule | None], ...]] = {
     ResourceVector: (
-        ("p", "p", _component, OPTIONAL),
-        ("b", "b", _component, OPTIONAL),
-        ("s", "s", _component, OPTIONAL),
+        ("p", "p", _component, OPTIONAL, NONNEG),
+        ("b", "b", _component, OPTIONAL, NONNEG),
+        ("s", "s", _component, OPTIONAL, NONNEG),
     ),
     TierSpec: (
-        ("id", "id", _integer, REQUIRED),
-        ("name", "name", _name, None),
-        ("baseLatencyUs", "base_latency_us", _number, REQUIRED),
-        ("capacity", "capacity", _vector, REQUIRED),
-        ("readThroughputCap", "read_throughput_cap", _number, REQUIRED),
-        ("writeThroughputCap", "write_throughput_cap", _number, REQUIRED),
-        ("readBandwidthCap", "read_bandwidth_cap", _number, REQUIRED),
-        ("writeBandwidthCap", "write_bandwidth_cap", _number, REQUIRED),
-        ("specialty", "specialty", _vector, OPTIONAL),
-        ("kindWeights", "kind_weights", _vector, OPTIONAL),
-        ("migWeight", "mig_weight", _number, OPTIONAL),
-        ("caps", "caps", _vector, OPTIONAL),
+        ("id", "id", _integer, REQUIRED, (1, math.inf, "tier id must be >= 1")),
+        ("name", "name", _name, None, None),
+        ("baseLatencyUs", "base_latency_us", _number, REQUIRED, POSITIVE),
+        ("capacity", "capacity", _vector, REQUIRED, None),
+        ("readThroughputCap", "read_throughput_cap", _number, REQUIRED, SERVE_CAP),
+        ("writeThroughputCap", "write_throughput_cap", _number, REQUIRED, SERVE_CAP),
+        ("readBandwidthCap", "read_bandwidth_cap", _number, REQUIRED, SERVE_CAP),
+        ("writeBandwidthCap", "write_bandwidth_cap", _number, REQUIRED, SERVE_CAP),
+        ("specialty", "specialty", _vector, OPTIONAL, None),
+        ("kindWeights", "kind_weights", _vector, OPTIONAL, None),
+        ("migWeight", "mig_weight", _number, OPTIONAL, NONNEG),
+        ("caps", "caps", _vector, OPTIONAL, None),
     ),
     WorkloadPhase: (
-        ("startEpoch", "start_epoch", _integer, REQUIRED),
-        ("demandIops", "demand_iops", _number, REQUIRED),
-        ("avgIoSizeBytes", "avg_io_size_bytes", _number, REQUIRED),
-        ("readFraction", "read_fraction", _number, OPTIONAL),
+        ("startEpoch", "start_epoch", _integer, REQUIRED, AT_LEAST_0),
+        ("demandIops", "demand_iops", _number, REQUIRED, NONNEG),
+        ("avgIoSizeBytes", "avg_io_size_bytes", _number, REQUIRED, POSITIVE),
+        ("readFraction", "read_fraction", _number, OPTIONAL, FRACTION),
     ),
     VmdkSpec: (
-        ("id", "id", _name, None),
-        ("vmId", "vm_id", _string, OPTIONAL),
-        ("sizeGb", "size_gb", _number, REQUIRED),
-        ("slaWeight", "sla_weight", _number, OPTIONAL),
-        ("initialTier", "initial_tier", _integer, REQUIRED),
-        ("truthSlope", "truth_slope", _number, REQUIRED),
-        ("truthInterceptUs", "truth_intercept_us", _number, REQUIRED),
-        ("demandProfile", "demand_profile", _list_of(WorkloadPhase), None),
+        ("id", "id", _name, None, None),
+        ("vmId", "vm_id", _string, OPTIONAL, None),
+        ("sizeGb", "size_gb", _number, REQUIRED, POSITIVE),
+        ("slaWeight", "sla_weight", _number, OPTIONAL, POSITIVE),
+        ("initialTier", "initial_tier", _integer, REQUIRED, AT_LEAST_1),
+        ("truthSlope", "truth_slope", _number, REQUIRED, NONNEG),
+        ("truthInterceptUs", "truth_intercept_us", _number, REQUIRED, POSITIVE),
+        ("demandProfile", "demand_profile", _list_of(WorkloadPhase), None, None),
     ),
     PolicyWeights: (
-        ("alpha", "alpha", _vector, OPTIONAL),
-        ("beta", "beta", _number, OPTIONAL),
-        ("agingFactor", "aging_factor", _number, OPTIONAL),
-        ("monitorEpoch", "monitor_epoch", _integer, OPTIONAL),
-        ("migrationEpoch", "migration_epoch", _integer, OPTIONAL),
-        ("confidenceFloor", "confidence_floor", _number, OPTIONAL),
-        ("injectedLatenciesUs", "injected_latencies_us", _latencies, OPTIONAL),
-        ("samplesPerLatency", "samples_per_latency", _integer, OPTIONAL),
+        ("alpha", "alpha", _vector, OPTIONAL, None),
+        ("beta", "beta", _number, OPTIONAL, NONNEG),
+        ("agingFactor", "aging_factor", _number, OPTIONAL, BELOW_ONE),
+        ("monitorEpoch", "monitor_epoch", _integer, OPTIONAL, AT_LEAST_1),
+        ("migrationEpoch", "migration_epoch", _integer, OPTIONAL, None),
+        ("confidenceFloor", "confidence_floor", _number, OPTIONAL, ABOVE_ZERO),
+        ("injectedLatenciesUs", "injected_latencies_us", _latencies, OPTIONAL, None),
+        ("samplesPerLatency", "samples_per_latency", _integer, OPTIONAL, AT_LEAST_1),
     ),
     SimulationConfig: (
-        ("epochs", "epochs", _integer, REQUIRED),
-        ("epochSeconds", "epoch_seconds", _number, OPTIONAL),
-        ("noiseCv", "noise_cv", _number, OPTIONAL),
-        ("seed", "seed", _integer, OPTIONAL),
+        ("epochs", "epochs", _integer, REQUIRED, AT_LEAST_0),
+        ("epochSeconds", "epoch_seconds", _number, OPTIONAL, POSITIVE),
+        ("noiseCv", "noise_cv", _number, OPTIONAL, NONNEG),
+        ("seed", "seed", _integer, OPTIONAL, AT_LEAST_0),
     ),
     Scenario: (
-        ("schemaVersion", "schema_version", _version, None),
-        ("tiers", "tiers", _list_of(TierSpec), None),
-        ("vmdks", "vmdks", _list_of(VmdkSpec, _read_vmdks), None),
-        ("policyWeights", "weights", _object(PolicyWeights), OPTIONAL),
-        ("simulation", "sim", _object(SimulationConfig), OPTIONAL),
+        ("schemaVersion", "schema_version", _version, None, None),
+        ("tiers", "tiers", _list_of(TierSpec), None, None),
+        ("vmdks", "vmdks", _list_of(VmdkSpec, _read_vmdks), None, None),
+        ("policyWeights", "weights", _object(PolicyWeights), OPTIONAL, None),
+        ("simulation", "sim", _object(SimulationConfig), OPTIONAL, None),
     ),
 }
 _KEYS = {cls: frozenset(row[0] for row in rows) for cls, rows in SCHEMA.items()}
+_RULES = {(cls, row[1]): row[4] for cls, rows in SCHEMA.items() for row in rows}
+# The column pass's (2, K, 1) lows and highs, read once from the rules the specs apply.
+_DEMAND_RANGE, _VMDK_RANGE = (
+    np.array([[[_RULES[cls, arg][end]] for arg in args] for end in (0, 1)])
+    for cls, args in ((WorkloadPhase, _DEMAND_COLUMNS), (VmdkSpec, _VMDK_NUMBERS))
+)
+_LEAST_TIER = _RULES[VmdkSpec, "initial_tier"][0]
 
 
 def _read(cls: type, doc: Any, path: str, errors: list[str]) -> dict[str, Any] | None:
@@ -1070,7 +1060,7 @@ def _read(cls: type, doc: Any, path: str, errors: list[str]) -> dict[str, Any] |
         errors.extend(f"{_at(path, key)}: unknown field" for key in doc if key not in allowed)
     before = len(errors)
     kwargs = {}
-    for key, arg, read, default in SCHEMA[cls]:
+    for key, arg, read, default, _ in SCHEMA[cls]:
         if key in doc:
             value = doc[key]
         elif default is None:

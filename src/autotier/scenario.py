@@ -64,7 +64,7 @@ def _to_json(value: Any) -> Any:
     """JSON form of a spec object, walking its document table."""
     rows = SCHEMA.get(type(value))
     if rows is not None:
-        return {key: _to_json(getattr(value, arg)) for key, arg, _, _ in rows}
+        return {key: _to_json(getattr(value, arg)) for key, arg, _, _, _ in rows}
     if isinstance(value, (tuple, VmdkTable, DemandProfile)):
         return [_to_json(item) for item in value]
     return value

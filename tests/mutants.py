@@ -80,6 +80,9 @@ MIGRATIONS = "tests/test_engine.py::TestMigrations::"
 STALL_RULE = ("tests/test_engine.py::TestStallRule::"
               "test_every_order_of_a_bundled_run_stalls_where_its_speed_is_not_positive")
 ORACLE = "tests/test_policy.py::TestProfitAndOracle::"
+BOUNDS = ("tests/test_scenario_io.py::TestRuleBoundaries::"
+          "test_each_end_is_kept_and_one_ulp_past_it_refused")
+INTEGER_FIELD = "tests/test_model.py::TestOtherTypes::test_an_integer_field_takes_only_an_int"
 
 MUTANTS = (
     # The run loop serves when the bytes of what serving reads differ from its
@@ -452,6 +455,37 @@ MUTANTS = (
             "tests/test_model.py::TestVmdkTable::"
             "test_roster_rows_sort_by_id_in_python_string_order_trailing_nuls_included",
             "tests/test_policy.py::TestTriggerMigration::test_ties_break_by_vmdk_id",
+        ),
+    ),
+    # Each SCHEMA row's rule is a closed range that the spec checks and the
+    # column pass both read. Moving one end by as little as one ulp, or
+    # letting a bool pass as an integer, must show in named tests.
+    Mutant(
+        "positive-low-zero", MODEL,
+        "POSITIVE: Rule = (_TINY, _MAX,",
+        "POSITIVE: Rule = (0.0, _MAX,",
+        (
+            *(f"{BOUNDS}[{row}]" for row in (
+                "TierSpec.baseLatencyUs", "WorkloadPhase.avgIoSizeBytes", "VmdkSpec.sizeGb",
+                "VmdkSpec.truthInterceptUs", "SimulationConfig.epochSeconds")),
+            "tests/test_model.py::TestVmdkSpec::test_size_must_be_positive",
+        ),
+    ),
+    Mutant(
+        "fraction-high-one-ulp-above-one", MODEL,
+        'FRACTION: Rule = (0.0, 1.0, "{} out of [0,1]")',
+        'FRACTION: Rule = (0.0, math.nextafter(1.0, 2.0), "{} out of [0,1]")',
+        (f"{BOUNDS}[WorkloadPhase.readFraction]",),
+    ),
+    Mutant(
+        "require-integer-passes-a-bool", MODEL,
+        "    if not isinstance(value, int) or isinstance(value, bool):\n",
+        "    if not isinstance(value, int):\n",
+        (
+            *(f"{INTEGER_FIELD}[{name}-True]" for name in (
+                "epochs", "seed", "monitorEpoch", "migrationEpoch", "samplesPerLatency", "id",
+                "initialTier")),
+            "tests/test_model.py::TestVmdkSpec::test_a_phase_starts_at_an_int[True]",
         ),
     ),
     # C5's 1.10 margin holds at every seed 0-19, not only at the pinned one.

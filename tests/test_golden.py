@@ -317,8 +317,8 @@ def test_each_forced_path_matches_the_run_goldens(
 def test_the_item_by_item_reader_matches_the_artifact_goldens(tmp_path, golden):
     # The vmdks list read with no column pass, as if ``_read_vmdks`` returned None.
     item_by_item = tuple(
-        (key, arg, model._list_of(VmdkSpec) if key == "vmdks" else read, default)
-        for key, arg, read, default in SCHEMA[Scenario]
+        (key, arg, model._list_of(VmdkSpec) if key == "vmdks" else read, default, rule)
+        for key, arg, read, default, rule in SCHEMA[Scenario]
     )
     for name in SCENARIOS:
         column_read = load_bundled_scenario(name)

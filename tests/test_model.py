@@ -203,6 +203,8 @@ class TestOtherTypes:
         "samplesPerLatency": lambda v: PolicyWeights(samples_per_latency=v),
         "epochs": lambda v: SimulationConfig(epochs=v),
         "seed": lambda v: SimulationConfig(epochs=1, seed=v),
+        "id": lambda v: make_tier(tier_id=v),
+        "initialTier": lambda v: make_vmdk(initial_tier=v),
     }
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True, math.nan, np.int64(3), "3", None])

@@ -38,8 +38,10 @@ from autotier.model import (
     Scenario,
     ScenarioValidationError,
     SimulationConfig,
+    TierSpec,
     VmdkSpec,
     VmdkTable,
+    WorkloadPhase,
     validate_scenario,
 )
 from autotier.reporting import (
@@ -425,7 +427,7 @@ def phase_lists(draw):
 def reference_phases(profile):
     """The profile as the per-phase readers and the spec checks read it, or None if refused."""
     errors = []
-    read = {key: read for key, _, read, _ in SCHEMA[VmdkSpec]}["demandProfile"]
+    read = {key: read for key, _, read, _, _ in SCHEMA[VmdkSpec]}["demandProfile"]
     phases = read(profile, "vmdks[0]", "demandProfile", errors)
     if errors:
         return None
@@ -503,6 +505,13 @@ def vmdk_lists(draw):
     return vmdks, perturbed
 
 
+# The same schema, its vmdks list read item by item with no column pass.
+ITEM_BY_ITEM = tuple(
+    (key, arg, model._list_of(VmdkSpec) if key == "vmdks" else read, default, rule)
+    for key, arg, read, default, rule in SCHEMA[Scenario]
+)
+
+
 def parse_outcome(text):
     """The scenario ``text`` parses to, or the errors it is refused with."""
     try:
@@ -574,12 +583,7 @@ class TestColumnPass:
         if not perturbed:
             assert isinstance(model._read_vmdks(vmdks), VmdkTable)
         fast = parse_outcome(text)
-        # The same schema, its vmdks list read item by item with no column pass.
-        item_by_item = tuple(
-            (key, arg, model._list_of(VmdkSpec) if key == "vmdks" else read, default)
-            for key, arg, read, default in SCHEMA[Scenario]
-        )
-        with mock.patch.dict(SCHEMA, {Scenario: item_by_item}):
+        with mock.patch.dict(SCHEMA, {Scenario: ITEM_BY_ITEM}):
             slow = parse_outcome(text)
         if isinstance(slow, list):
             assert fast == slow
@@ -589,18 +593,118 @@ class TestColumnPass:
         assert list(map(repr, fast.vmdks)) == list(map(repr, slow.vmdks))
 
 
+TINY, MAX = math.ulp(0.0), sys.float_info.max
+NONNEG = (0.0, MAX, "{} must be a finite non-negative number, got {}")
+POSITIVE = (TINY, MAX, "{} must be positive")
+SERVE_CAP = (TINY, MAX, "tier serve caps must be positive")
+# Each SCHEMA row with a rule: where its record sits in a document, and the
+# range and message it must apply, written out apart from the schema so that
+# a changed rule shows. An integer field's range has no upper end (None).
+RULE_ROWS = [
+    *((("tiers", 0, "capacity"), ResourceVector, key, NONNEG) for key in "pbs"),
+    (("tiers", 0), TierSpec, "id", (1, None, "tier id must be >= 1")),
+    (("tiers", 0), TierSpec, "baseLatencyUs", POSITIVE),
+    *((("tiers", 0), TierSpec, f"{kind}Cap", SERVE_CAP) for kind in (
+        "readThroughput", "writeThroughput", "readBandwidth", "writeBandwidth")),
+    (("tiers", 0), TierSpec, "migWeight", NONNEG),
+    (("vmdks", 0, "demandProfile", 0), WorkloadPhase, "startEpoch", (0, None, "{} must be >= 0")),
+    (("vmdks", 0, "demandProfile", 0), WorkloadPhase, "demandIops", NONNEG),
+    (("vmdks", 0, "demandProfile", 0), WorkloadPhase, "avgIoSizeBytes", POSITIVE),
+    (("vmdks", 0, "demandProfile", 0), WorkloadPhase, "readFraction", (0.0, 1.0, "{} out of [0,1]")),
+    (("vmdks", 0), VmdkSpec, "sizeGb", POSITIVE),
+    (("vmdks", 0), VmdkSpec, "slaWeight", POSITIVE),
+    (("vmdks", 0), VmdkSpec, "initialTier", (1, None, "{} must be >= 1")),
+    (("vmdks", 0), VmdkSpec, "truthSlope", NONNEG),
+    (("vmdks", 0), VmdkSpec, "truthInterceptUs", POSITIVE),
+    (("policyWeights",), PolicyWeights, "beta", NONNEG),
+    (("policyWeights",), PolicyWeights, "agingFactor",
+     (0.0, math.nextafter(1.0, 0.0), "{} out of [0,1)")),
+    (("policyWeights",), PolicyWeights, "monitorEpoch", (1, None, "{} must be >= 1")),
+    (("policyWeights",), PolicyWeights, "confidenceFloor", (TINY, 1.0, "{} out of (0,1]")),
+    (("policyWeights",), PolicyWeights, "samplesPerLatency", (1, None, "{} must be >= 1")),
+    (("simulation",), SimulationConfig, "epochs", (0, None, "{} must be >= 0")),
+    (("simulation",), SimulationConfig, "epochSeconds", POSITIVE),
+    (("simulation",), SimulationConfig, "noiseCv", NONNEG),
+    (("simulation",), SimulationConfig, "seed", (0, None, "{} must be >= 0")),
+]
+# One tier, one VMDK of one phase, every value well inside its range.
+BOUNDARY_DOC = {
+    "schemaVersion": 1,
+    "tiers": [{
+        "id": 1, "name": "t1", "baseLatencyUs": 100.0, "capacity": {"p": 1.0, "b": 1.0, "s": 1.0},
+        "readThroughputCap": 1.0, "writeThroughputCap": 1.0, "readBandwidthCap": 1.0,
+        "writeBandwidthCap": 1.0,
+    }],
+    "vmdks": [{
+        "id": "v", "sizeGb": 1.0, "initialTier": 1, "truthSlope": 0.1, "truthInterceptUs": 1.0,
+        "demandProfile": [{"startEpoch": 0, "demandIops": 1.0, "avgIoSizeBytes": 1.0}],
+    }],
+    "policyWeights": {},
+    "simulation": {"epochs": 1},
+}
+
+
+def outcome(doc):
+    """The scenario ``doc`` validates to, or the errors it is refused with."""
+    try:
+        return validate_scenario(doc)
+    except ScenarioValidationError as exc:
+        return exc.errors
+
+
+class TestRuleBoundaries:
+    def test_every_rule_row_is_listed(self):
+        rows = {(cls, row[0]) for cls, rows in SCHEMA.items() for row in rows if row[4]}
+        assert rows == {(cls, key) for _, cls, key, _ in RULE_ROWS}
+
+    @pytest.mark.parametrize("path,cls,key,rule", RULE_ROWS,
+                             ids=[f"{cls.__name__}.{key}" for _, cls, key, _ in RULE_ROWS])
+    def test_each_end_is_kept_and_one_ulp_past_it_refused(self, path, cls, key, rule):
+        low, high, message = rule
+        if high is None:  # an integer field
+            kept, refused = [low], [low - 1]
+        else:
+            kept = [low, high]
+            refused = [math.nextafter(low, -math.inf), math.nextafter(high, math.inf), math.nan]
+        base = validate_scenario(BOUNDARY_DOC)
+        record = {
+            ResourceVector: base.tiers[0].capacity, TierSpec: base.tiers[0],
+            WorkloadPhase: base.vmdks[0].demand_profile[0], VmdkSpec: base.vmdks[0],
+            PolicyWeights: base.weights, SimulationConfig: base.sim,
+        }[cls]
+        arg = {row[0]: row[1] for row in SCHEMA[cls]}[key]
+        where = field_path(path)
+        for value in kept + refused:
+            doc = copy.deepcopy(BOUNDARY_DOC)
+            reduce(operator.getitem, path, doc)[key] = value
+            column = outcome(doc)
+            with mock.patch.dict(SCHEMA, {Scenario: ITEM_BY_ITEM}):
+                assert outcome(doc) == column, value
+            if path[0] == "vmdks":  # the column pass reads the list just when the value is kept
+                assert isinstance(model._read_vmdks(doc["vmdks"]), VmdkTable) == (value in kept)
+            if value in kept:
+                replace(record, **{arg: value})
+                assert isinstance(column, Scenario), value
+                continue
+            text = message.format(key, value)
+            with pytest.raises(ValueError) as refusal:
+                replace(record, **{arg: value})
+            assert str(refusal.value) == text
+            assert column == [f"{where}: {text}"]
+
+
 class TestSchema:
     @pytest.mark.parametrize("cls", list(SCHEMA), ids=lambda cls: cls.__name__)
     def test_table_covers_every_constructor_argument(self, cls):
         rows = SCHEMA[cls]
-        args = [arg for _, arg, _, _ in rows]
+        args = [arg for _, arg, _, _, _ in rows]
         assert sorted(args) == sorted(inspect.signature(cls).parameters)
-        assert len({key for key, _, _, _ in rows}) == len(rows)
+        assert len({key for key, _, _, _, _ in rows}) == len(rows)
 
     @pytest.mark.parametrize("cls", list(SCHEMA), ids=lambda cls: cls.__name__)
     def test_defaults_live_in_the_dataclass(self, cls):
         params = inspect.signature(cls).parameters
-        for key, arg, _, default in SCHEMA[cls]:
+        for key, arg, _, default, _ in SCHEMA[cls]:
             has_default = params[arg].default is not inspect.Parameter.empty
             if default == OPTIONAL:
                 assert has_default, f"{cls.__name__}.{key} is optional but has no default"
@@ -870,6 +974,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {bad / 'summary.json'}: not a run summary, no {key!r}\n"
+
+    @pytest.mark.parametrize("location,value,tail", [
+        (None, None, "not JSON (Expecting value: line 1 column 1 (char 0))"),
+        (("policy",), ["autotiering"], "'policy' is not a string"),
+        (("total", "iops", "mean"), "1.0", "'total.iops.mean' is not a number"),
+        (("total", "meanLatencyUs"), True, "'total.meanLatencyUs' is not a number"),
+    ], ids=["not-json", "policy-list", "mean-string", "latency-bool"])
+    def test_compare_exits_2_naming_the_file_and_key_of_a_value_it_cannot_read(
+        self, tmp_path, capsys, location, value, tail
+    ):
+        # Each used to print a JSON, hashing or arithmetic error that named no file.
+        assert main(["run", "--scenario", "tiny-oracle", "--policy", "idt",
+                     "--out", str(tmp_path / "idt")]) == 0
+        summary = json.loads((tmp_path / "idt" / "summary.json").read_text())
+        summary["policy"] = "autotiering"
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        if location is None:
+            (bad / "summary.json").write_text("not json")
+        else:
+            reduce(operator.getitem, location[:-1], summary)[location[-1]] = value
+            (bad / "summary.json").write_text(json.dumps(summary))
+        capsys.readouterr()
+        assert main(["compare", "--runs", str(tmp_path / "idt"), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad / 'summary.json'}: not a run summary, {tail}\n"
 
     @pytest.mark.parametrize("command", [
         ["run", "--scenario", "tiny-oracle", "--policy", "idt", "--out", "unused"],
