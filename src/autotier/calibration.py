@@ -156,14 +156,15 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     # may pair terms differently and would move the last bits. A loop's start
     # at 0.0 would change only a -0.0, which no CV is.
     mean_cv = reduce(np.add, cv.T) / len(latencies)
-    too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
-    bad = too_slow | ~np.isfinite(mean_cv)
-    if bad.any():
-        row = int(bad.argmax())
-        limit = f"the calibration limit of {MAX_MEAN_LATENCY_US} us"
-        cause = (f"mean sampled latency reaches {limit}" if too_slow[row]
-                 else f"mean CV of its samples is not finite, got {mean_cv[row]}")
-        raise ValueError(f"VMDK {samples.vmdk_ids[row]!r}: {cause}")
+    if not (means.max(initial=0.0) < MAX_MEAN_LATENCY_US and mean_cv.max(initial=0.0) < math.inf):
+        too_slow = (means >= MAX_MEAN_LATENCY_US).any(axis=1)
+        bad = too_slow | ~np.isfinite(mean_cv)
+        if bad.any():
+            row = int(bad.argmax())
+            limit = f"the calibration limit of {MAX_MEAN_LATENCY_US} us"
+            cause = (f"mean sampled latency reaches {limit}" if too_slow[row]
+                     else f"mean CV of its samples is not finite, got {mean_cv[row]}")
+            raise ValueError(f"VMDK {samples.vmdk_ids[row]!r}: {cause}")
     # np.polyfit's own solve with a column per VMDK, on the plan's cached
     # scaled Vandermonde matrix: each column comes out bitwise as if fitted
     # alone, and as polyfit fits it. A closed-form slope/intercept differs in
@@ -175,20 +176,28 @@ def regress_latency_curve(samples: CalibrationSamples, floor: float = 0.05) -> C
     return CalibrationFits(m=m, b=b, confidence=compute_confidence(mean_cv, floor), mean_cv=mean_cv)
 
 
+def latency_grids(tier_row: Sequence[int], base_latency_us: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``estimate_avg_lat``'s (T, N) base latencies less the hosting tier's, and hosting mask."""
+    delta = base_latency_us[:, None] - base_latency_us[tier_row]
+    hosting = np.arange(len(base_latency_us))[:, None] == tier_row
+    return delta, hosting
+
+
 def estimate_avg_lat(
     fits: CalibrationFits,
     tier_row: Sequence[int],
     base_latency_us: np.ndarray,
+    grids: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """(T, N) predicted average latency of each VMDK if hosted on each tier.
 
     Rows follow ``base_latency_us``, the (T,) base latency of each tier row
     (``Roster.base_latency_us``); columns follow the rows of ``fits``, and
-    ``tier_row`` gives each VMDK's hosting tier row. On the hosting tier the
-    prediction is the fitted intercept exactly. A prediction may be
-    non-positive when the target tier is much faster than the fit can
-    extrapolate; callers treat that as "prediction out of range".
+    ``tier_row`` gives each VMDK's hosting tier row. ``grids`` is
+    ``latency_grids(tier_row, base_latency_us)``, built here when not given.
+    On the hosting tier the prediction is the fitted intercept exactly. A
+    prediction may be non-positive when the target tier is much faster than
+    the fit can extrapolate; callers treat that as "prediction out of range".
     """
-    delta = base_latency_us[:, None] - base_latency_us[tier_row]
-    hosting = np.arange(len(base_latency_us))[:, None] == tier_row
+    delta, hosting = latency_grids(tier_row, base_latency_us) if grids is None else grids
     return np.where(hosting, fits.b, fits.prediction_slope * delta + fits.b)

@@ -457,14 +457,16 @@ def run_scenario(
         result.migration_bytes[epoch], debits, stalled, finished = (
             progress_migrations((fleet.dest_row >= 0).nonzero()[0], fleet, log, epoch_seconds)
         )
-        flags[stalled] |= STALLED
+        if len(stalled):
+            flags[stalled] |= STALLED
 
         inputs = (debits.tobytes(), fleet.tier_row.tobytes(), fleet.demand.tobytes())
         if inputs != served:
             tier_figures = serve_epoch(fleet, debits).T
             served = inputs
         figures[:t] = tier_figures
-        fleet.move(finished)
+        if len(finished):
+            fleet.move(finished)
 
     # Each epoch's fleet row adds its tier rows left to right from 0.0 and
     # weights each tier's mean latency by its IOPS, as a loop over the tiers does.

@@ -56,12 +56,6 @@ AT_LEAST_1: Rule = (1, math.inf, "{} must be >= 1")
 SERVE_CAP: Rule = (_TINY, _MAX, "tier serve caps must be positive")
 
 
-def _require_within(rule: Rule, key: str, value: Any) -> None:
-    low, high, message = rule
-    if not low <= value <= high:
-        raise ValueError(message.format(key, value))
-
-
 def _require_integer(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer")
@@ -77,12 +71,12 @@ def _check_fields(spec: Any) -> None:
 
     A field an ``_integer`` row reads must be an int, not a bool, before the rule applies.
     """
-    for key, arg, read, _, rule in SCHEMA[type(spec)]:
+    for key, arg, integer, low, high, message in _CHECKED[type(spec)]:
         value = getattr(spec, arg)
-        if read is _integer:
+        if integer:
             _require_integer(key, value)
-        if rule is not None:
-            _require_within(rule, key, value)
+        if not low <= value <= high:
+            raise ValueError(message.format(key, value))
 
 
 @dataclass(frozen=True)
@@ -99,8 +93,10 @@ class ResourceVector:
     s: float = 0.0
 
     def __post_init__(self) -> None:
-        for key in "pbs":  # its rows' rule, applied here: defaults are built before SCHEMA
-            _require_within(NONNEG, key, getattr(self, key))
+        low, high, message = NONNEG  # its rows' rule: defaults are built before SCHEMA
+        for key, value in zip("pbs", (self.p, self.b, self.s)):
+            if not low <= value <= high:
+                raise ValueError(message.format(key, value))
 
     def __mul__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(self.p * other.p, self.b * other.b, self.s * other.s)
@@ -351,10 +347,10 @@ class CalibrationFits:
         if len(shape) != 1 or not (shape == self.b.shape == self.confidence.shape
                                    == self.mean_cv.shape):
             raise ValueError("calibration fits need one row per VMDK")
-        if not ((self.confidence > 0.0) & (self.confidence <= 1.0)).all():
-            raise ValueError("confidence out of (0,1]")
-        bad = ~(np.isfinite(self.mean_cv) & (self.mean_cv >= 0))
-        if bad.any():
+        if not 0.0 < self.confidence.min(initial=1.0) <= self.confidence.max(initial=1.0) <= 1.0:
+            raise ValueError("confidence out of (0,1]")  # whole-array bounds, which NaN fails
+        if not 0.0 <= self.mean_cv.min(initial=0.0) <= self.mean_cv.max(initial=0.0) < math.inf:
+            bad = ~(np.isfinite(self.mean_cv) & (self.mean_cv >= 0))
             value = float(self.mean_cv[bad.argmax()])
             raise ValueError(f"meanCv must be a finite non-negative number, got {value}")
 
@@ -1037,6 +1033,10 @@ SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any, Rule | None], ...]] = {
 }
 _KEYS = {cls: frozenset(row[0] for row in rows) for cls, rows in SCHEMA.items()}
 _RULES = {(cls, row[1]): row[4] for cls, rows in SCHEMA.items() for row in rows}
+# ``_check_fields``'s (key, argument, is an integer, *rule) per row that checks something.
+_CHECKED = {cls: tuple((key, arg, read is _integer, *(rule or (-math.inf, math.inf, "")))
+                       for key, arg, read, _, rule in rows if read is _integer or rule)
+            for cls, rows in SCHEMA.items()}
 # The column pass's (2, K, 1) lows and highs, read once from the rules the specs apply.
 _DEMAND_RANGE, _VMDK_RANGE = (
     np.array([[[_RULES[cls, arg][end]] for arg in args] for end in (0, 1)])

@@ -7,10 +7,10 @@ specialty-weighted match plus an aged copy of last epoch's score minus a
 migration-cost penalty, and at migration epochs assigns VMDKs tier by
 tier, best score first, under running capacity accounting. The policy
 keeps the penalty between monitor epochs and computes it again only when
-the bytes of the fleet columns it reads change. Every per-cell
-quantity is a dense (T, N) array (or (T, N, 3) over the p, b, s kinds)
-over the fleet's tier and VMDK rows; a cell that cannot host its VMDK
-scores -inf.
+the bytes of the fleet columns it reads change, and reads what no epoch
+changes from one ``MonitorWorkspace`` per run. Every per-cell quantity is
+a dense (T, N) array (or (T, N, 3) over the p, b, s kinds) over the
+fleet's tier and VMDK rows; a cell that cannot host its VMDK scores -inf.
 
 Every input but the policy weights is read from the run's ``Fleet``: its
 roster's VMDK rows (id order) are the VMDK axis of the fits, matrices,
@@ -49,7 +49,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import calibration
-from .calibration import SampleProbe, estimate_avg_lat
+from .calibration import SampleProbe, estimate_avg_lat, latency_grids
 from .model import (
     CalibrationFits,
     CapacityMatrices,
@@ -109,7 +109,31 @@ class AssignmentPlan:
         return {t: ResourceVector(*u) for t, u in zip(self.tier_ids.tolist(), self.used.tolist())}
 
 
-def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> np.ndarray:
+class MonitorWorkspace:
+    """A fleet's (3, T, N) and (T, N) arrays that no monitor epoch changes; layers return copies.
+
+    ``cap`` is 0.0 but for the storage kind, each VMDK's size (or ``storage``);
+    ``grids`` are the ``latency_grids`` of the tier rows whose bytes are ``grid_key``.
+    """
+
+    def __init__(self, fleet: Fleet, storage: np.ndarray | None = None) -> None:
+        roster = fleet.roster
+        shape = (3, len(roster.tiers), len(roster.ids))
+        self.grid_key, self.grids = None, None
+        self.cap = np.zeros(shape)
+        self.cap[2] = roster.size_gb if storage is None else storage
+        self.budget = np.repeat(roster.budget.T[:, :, None], shape[2], axis=2)
+        self.positive = self.budget > 0
+        self.storage_feasible = self.cap[2] <= self.budget[2]
+        self.storage_ratio = np.divide(self.cap[2], self.budget[2], out=np.zeros(shape[1:]),
+                                       where=self.positive[2] & self.storage_feasible)
+        self.match_mask = np.repeat(roster.match_mask.T[:, :, None], shape[2], axis=2)
+        self.kind_weight_total = np.repeat(roster.kind_weight_total[:, None], shape[2], axis=1)
+
+
+def cal_capacity_matrices(
+    fits: CalibrationFits, fleet: Fleet, workspace: MonitorWorkspace | None = None
+) -> np.ndarray:
     """(T, N, 3) predicted absolute p, b, s usage of every VMDK on every tier.
 
     Throughput is the latency-implied ceiling 10^6/latency, additionally
@@ -117,31 +141,34 @@ def cal_capacity_matrices(fits: CalibrationFits, fleet: Fleet) -> np.ndarray:
     heavy consumer); bandwidth follows from throughput and mean I/O size;
     storage is the VMDK size. The rows of ``fits`` must follow the fleet's.
     """
-    roster = fleet.roster
-    lat = estimate_avg_lat(fits, fleet.tier_row, roster.base_latency_us)
-    iops = np.divide(1e6, lat, out=np.zeros(lat.shape), where=lat > 0)
-    cap = np.empty(lat.shape + (3,))
-    demand_iops, _, io_size = fleet.demand
-    np.minimum(iops, demand_iops, out=cap[..., 0])
-    np.multiply(cap[..., 0], io_size, out=cap[..., 1])
-    cap[..., 1] /= 1e6
-    cap[..., 2] = roster.size_gb
-    return cap
+    ws, key = workspace or MonitorWorkspace(fleet), fleet.tier_row.tobytes()
+    if key != ws.grid_key:  # ``latency_grids`` change only when a move lands
+        ws.grids, ws.grid_key = latency_grids(fleet.tier_row, fleet.roster.base_latency_us), key
+    lat = estimate_avg_lat(fits, fleet.tier_row, fleet.roster.base_latency_us, ws.grids)
+    cap = ws.cap.copy()
+    np.divide(1e6, lat, out=cap[0], where=lat > 0)
+    np.minimum(cap[0], fleet.demand[0], out=cap[0])
+    np.multiply(cap[0], fleet.demand[2], out=cap[1])
+    cap[1] /= 1e6
+    return cap.transpose(1, 2, 0)
 
 
-def normalize_and_gate(cap: np.ndarray, fleet: Fleet) -> CapacityMatrices:
+def normalize_and_gate(
+    cap: np.ndarray, fleet: Fleet, workspace: MonitorWorkspace | None = None
+) -> CapacityMatrices:
     """The matrices of the (T, N, 3) usage ``cap``: per-cell feasibility and budget ratios.
 
     A cell is infeasible when any predicted component exceeds the tier's
     usable budget (``fleet.roster.budget``); its ratios are zeroed so
     downstream scores ignore it. The axes of ``cap`` must follow the
-    fleet's tier and VMDK rows.
+    fleet's tier and VMDK rows, and its storage kind the ``workspace``'s.
     """
-    budget = fleet.roster.budget[:, None, :]
-    feasible = (cap <= budget).all(axis=-1)
-    fill = (budget > 0) & feasible[..., None]
-    ratio = np.divide(cap, budget, out=np.zeros(cap.shape), where=fill)
-    return CapacityMatrices(cap, ratio, feasible)
+    ws = workspace or MonitorWorkspace(fleet, cap[..., 2])
+    kinds, ratio = cap.transpose(2, 0, 1), np.zeros(ws.cap.shape)
+    feasible = (kinds[0] <= ws.budget[0]) & (kinds[1] <= ws.budget[1]) & ws.storage_feasible
+    np.divide(kinds[:2], ws.budget[:2], out=ratio[:2], where=ws.positive[:2] & feasible)
+    np.copyto(ratio[2], ws.storage_ratio, where=feasible)
+    return CapacityMatrices(cap, ratio.transpose(1, 2, 0), feasible)
 
 
 def orthogonal_match_score(
@@ -149,23 +176,20 @@ def orthogonal_match_score(
     ratios: np.ndarray,
     sla_weight: np.ndarray,
     confidence: np.ndarray,
+    workspace: MonitorWorkspace | None = None,
 ) -> np.ndarray:
     """(T, N) specialty-masked, weight-scaled inner products of tier and VMDK vectors.
 
     ``ratios`` is (T, N, 3) with its tier axis in the fleet's tier rows;
     ``sla_weight`` and ``confidence`` are per VMDK. Each tier's kinds are
     weighted by the roster's ``match_mask`` and the sum normalized by its
-    ``kind_weight_total``, which TierSpec keeps finite and positive.
+    ``kind_weight_total`` (from the ``workspace``), which TierSpec keeps
+    finite and positive. A layer called without a workspace builds one.
     """
-    roster = fleet.roster
-    masked = roster.match_mask[:, None, :]
-    denominator = roster.kind_weight_total[:, None]
-    numerator = (
-        masked[..., 0] * ratios[..., 0]
-        + masked[..., 1] * ratios[..., 1]
-        + masked[..., 2] * ratios[..., 2]
-    )
-    return numerator * sla_weight * confidence / denominator
+    ws = workspace or MonitorWorkspace(fleet)
+    mask, kinds = ws.match_mask, ratios.transpose(2, 0, 1)
+    numerator = mask[0] * kinds[0] + mask[1] * kinds[1] + mask[2] * kinds[2]
+    return numerator * sla_weight * confidence / ws.kind_weight_total
 
 
 def mig_cost_seconds(fleet: Fleet, sources: np.ndarray | None = None) -> np.ndarray:
@@ -211,6 +235,7 @@ def cal_score(
     fleet: Fleet,
     fits: CalibrationFits,
     penalty: np.ndarray,
+    workspace: MonitorWorkspace | None = None,
 ) -> np.ndarray:
     """(T, N) convolutional score: aged last score + match - migration penalty.
 
@@ -218,10 +243,10 @@ def cal_score(
     is last epoch's score, None before the first epoch. Infeasible cells
     score -inf. A previous cell that is not finite (infeasible, or blocked
     by an infinite migration cost, which only blocks its own epoch) ages as
-    0.0.
+    0.0. ``workspace`` goes to ``orthogonal_match_score``.
     """
-    roster = fleet.roster
-    current = orthogonal_match_score(fleet, mat.ratio, roster.sla_weight, fits.confidence)
+    current = orthogonal_match_score(fleet, mat.ratio, fleet.roster.sla_weight, fits.confidence,
+                                     workspace)
     history = 0.0 if previous is None else np.where(np.isfinite(previous), previous, 0.0)
     return np.where(mat.feasible, weights.aging_factor * history + current - penalty, -math.inf)
 
@@ -321,6 +346,8 @@ def pack(
 
     def hold(rows: np.ndarray, at: np.ndarray) -> None:
         """Put each row on tier row ``at``, in order, overloaded where it does not fit."""
+        if not len(rows):
+            return
         for i in np.flatnonzero(np.bincount(at, minlength=len(left))).tolist():
             group = rows[at == i]
             overloaded.append(group[~first_fit(usage[i].take(group, axis=0), left[i], used[i])])
@@ -540,23 +567,25 @@ class AutoTieringPolicy:
         self.score: np.ndarray | None = None  # last monitor epoch's (T, N) score, set with matrices
         self.penalty: np.ndarray | None = None  # the (T, N) migration penalty, kept with its key
         self.penalty_key: tuple[bytes, ...] = ()
+        self.workspace: MonitorWorkspace | None = None  # built at the first monitor epoch
 
     def on_monitor(self, ctx: PolicyContext) -> None:
         fleet = ctx.fleet
         weights = ctx.weights
+        ws = self.workspace = self.workspace or MonitorWorkspace(fleet)
         # Looked up through the module so the calibration layers stay patchable.
         samples = calibration.collect_samples(
             fleet.roster.ids, ctx.probe, weights.injected_latencies_us,
             weights.samples_per_latency,
         )
         fits = calibration.regress_latency_curve(samples, floor=weights.confidence_floor)
-        mat = normalize_and_gate(cal_capacity_matrices(fits, fleet), fleet)
+        mat = normalize_and_gate(cal_capacity_matrices(fits, fleet, ws), fleet, ws)
         key = (fleet.tier_row.tobytes(), fleet.spare_mbps.tobytes(),
                fleet.measured_mbps[0].tobytes())
         if key != self.penalty_key:
             self.penalty = migration_penalty(fleet, ctx.migration_epoch_seconds)
             self.penalty_key = key
-        self.score = cal_score(mat, self.score, weights, fleet, fits, self.penalty)
+        self.score = cal_score(mat, self.score, weights, fleet, fits, self.penalty, ws)
         self.matrices = mat
 
     def plan_migrations(self, ctx: PolicyContext, epoch_index: int) -> AssignmentPlan:

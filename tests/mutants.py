@@ -82,7 +82,16 @@ STALL_RULE = ("tests/test_engine.py::TestStallRule::"
 ORACLE = "tests/test_policy.py::TestProfitAndOracle::"
 BOUNDS = ("tests/test_scenario_io.py::TestRuleBoundaries::"
           "test_each_end_is_kept_and_one_ulp_past_it_refused")
-INTEGER_FIELD = "tests/test_model.py::TestOtherTypes::test_an_integer_field_takes_only_an_int"
+OTHER_TYPES = "tests/test_model.py::TestOtherTypes::"
+INTEGER_FIELD = f"{OTHER_TYPES}test_an_integer_field_takes_only_an_int"
+CLI = "src/autotier/cli.py"
+WORKSPACE = ("tests/test_policy.py::TestMonitorWorkspace::"
+             "test_a_run_matches_fresh_calls_through_landings_and_phase_changes")
+GATE = "tests/test_policy.py::TestNormalizeAndGate::"
+COMPARE_UNREADABLE = ("tests/test_scenario_io.py::TestCli::"
+                      "test_compare_exits_2_naming_the_file_and_key_of_a_summary_it_cannot_read")
+LOG_LEVEL = ("tests/test_scenario_io.py::TestCli::"
+             "test_a_log_env_var_that_names_no_level_leaves_warning")
 
 MUTANTS = (
     # The run loop serves when the bytes of what serving reads differ from its
@@ -286,8 +295,8 @@ MUTANTS = (
     # its size in GB.
     Mutant(
         "capacity-mbps-reads-the-size", POLICY,
-        "np.multiply(cap[..., 0], io_size, out=cap[..., 1])",
-        "np.multiply(cap[..., 0], roster.size_gb, out=cap[..., 1])",
+        "np.multiply(cap[0], fleet.demand[2], out=cap[1])",
+        "np.multiply(cap[0], fleet.roster.size_gb, out=cap[1])",
         (
             f"{GOLDEN}test_plans_match_golden_digest[table3-table4-autotiering-0]",
             f"{GOLDEN}test_scale_run_matches_golden_digest[autotiering]",
@@ -487,6 +496,86 @@ MUTANTS = (
                 "initialTier")),
             "tests/test_model.py::TestVmdkSpec::test_a_phase_starts_at_an_int[True]",
         ),
+    ),
+    # AutoTiering's monitor workspace keeps what a run does not change and
+    # rebuilds the latency grids when tier_row's bytes change; the layers
+    # hand out new arrays only. Its matrices, scores and plans must be those
+    # of fresh calls, and what a plan was handed must end the run unchanged.
+    Mutant(
+        "latency-grids-kept-after-a-landing", POLICY,
+        "    if key != ws.grid_key:",
+        "    if ws.grid_key is None:",
+        tuple(f"{WORKSPACE}[{name}]" for name in ("scale", "table3-table4")),
+    ),
+    Mutant(
+        "capacity-writes-the-template", POLICY,
+        "cap = ws.cap.copy()",
+        "cap = ws.cap",
+        tuple(f"{WORKSPACE}[{name}]" for name in ("scale", "spike", "table3-table4")),
+    ),
+    # A cell over its IOPS or MB/s budget has a zero storage ratio too.
+    Mutant(
+        "storage-ratio-ignores-feasibility", POLICY,
+        "np.copyto(ratio[2], ws.storage_ratio, where=feasible)",
+        "np.copyto(ratio[2], ws.storage_ratio)",
+        tuple(f"{GATE}test_a_cell_over_one_budget_has_every_ratio_zeroed[{kind}]"
+              for kind in ("iops", "mbps")),
+    ),
+    # Whole-array checks, each of which a NaN fails; each mutant lets one pass.
+    *(
+        Mutant(
+            f"feasibility-passes-a-nan-{kind}", POLICY,
+            f"(kinds[{k}] <= ws.budget[{k}])",
+            f"~(kinds[{k}] > ws.budget[{k}])",
+            (f"{GATE}test_a_nan_usage_is_infeasible[{kind}]",),
+        )
+        for k, kind in enumerate(("iops", "mbps"))
+    ),
+    Mutant(
+        "storage-feasibility-passes-a-nan", POLICY,
+        "self.storage_feasible = self.cap[2] <= self.budget[2]",
+        "self.storage_feasible = ~(self.cap[2] > self.budget[2])",
+        (f"{GATE}test_a_nan_usage_is_infeasible[size]",),
+    ),
+    # A NaN sample fails both of the row check's tests, so this one lets it
+    # pass both; the fits then refuse it without naming the VMDK.
+    Mutant(
+        "row-check-passes-a-nan", CALIBRATION,
+        "if not (means.max(initial=0.0) < MAX_MEAN_LATENCY_US and mean_cv.max(initial=0.0) < "
+        "math.inf):",
+        "if means.max(initial=0.0) >= MAX_MEAN_LATENCY_US or mean_cv.max(initial=0.0) == math.inf:",
+        (f"{REGRESSION}test_a_nan_sample_names_its_vmdk_for_its_mean_cv",),
+    ),
+    Mutant(
+        "fits-confidence-check-passes-a-nan", MODEL,
+        "if not 0.0 < self.confidence.min(initial=1.0) <= self.confidence.max(initial=1.0) <= 1.0:",
+        "if self.confidence.min(initial=1.0) <= 0.0 or self.confidence.max(initial=1.0) > 1.0:",
+        (f"{OTHER_TYPES}test_calibration_confidence_bounds",),
+    ),
+    Mutant(
+        "fits-mean-cv-check-passes-a-nan", MODEL,
+        "if not 0.0 <= self.mean_cv.min(initial=0.0) <= self.mean_cv.max(initial=0.0) < math.inf:",
+        "if self.mean_cv.min(initial=0.0) < 0.0 or self.mean_cv.max(initial=0.0) == math.inf:",
+        (f"{OTHER_TYPES}test_calibration_row_checks"
+         "[kwargs2-meanCv must be a finite non-negative number, got nan]",),
+    ),
+    # ``compare`` names the file and the first key a summary lacks; the log
+    # level is a logging level name, not any upper-case name of the module.
+    Mutant(
+        "compare-passes-a-missing-key", CLI,
+        "if not isinstance(node, dict) or part not in node:",
+        "if not isinstance(node, dict):",
+        (
+            f"{COMPARE_UNREADABLE}[{{\"epochs\": 3}}-policy]",
+            f"{COMPARE_UNREADABLE}[{{\"policy\": \"edt\", \"total\": "
+            "{\"iops\": {\"mean\": 1.0}, \"mbps\": {}}}-total.mbps.mean]",
+        ),
+    ),
+    Mutant(
+        "log-level-takes-any-logging-name", CLI,
+        "level=level if isinstance(level, int) else logging.WARNING",
+        "level=level if level is not None else logging.WARNING",
+        tuple(f"{LOG_LEVEL}[{value}]" for value in ("basic_format", "_styles")),
     ),
     # C5's 1.10 margin holds at every seed 0-19, not only at the pinned one.
     # Sixteen times the probe noise keeps the pinned seed at 1.19 and drops

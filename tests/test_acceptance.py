@@ -192,10 +192,13 @@ def test_criterion_4_oracle_dominance():
             f"over {len(ratios)}/{checked} positive-optimum instances")
 
 
-def test_criterion_4_oracle_dominance_on_table3_table4():
-    # The bundled scenario's own autotiering run: at every plan epoch the
-    # greedy round against the exact optimum, whose plan must pass the
-    # sequential budget check in id order.
+def _greedy_below_optimum(scenario, seed=None):
+    """Greedy/oracle profit ratios of an AutoTiering run of ``scenario``, or None.
+
+    At every plan epoch the greedy round is checked against the exact
+    optimum, whose plan must pass the sequential budget check in id order.
+    None when a check fails or no plan epoch has a positive optimum.
+    """
     ratios, report = [], []
 
     def on_plan(epoch, plan, policy, ctx):
@@ -210,12 +213,49 @@ def test_criterion_4_oracle_dominance_on_table3_table4():
         if o > 1e-9:
             ratios.append(g / o)
 
+    run_scenario(scenario, "autotiering", seed, on_plan=on_plan)
+    return ratios if all(report) and ratios else None
+
+
+def test_criterion_4_oracle_dominance_on_table3_table4():
+    # The bundled scenario's own autotiering run, at its pinned seed.
     with _Timer() as t:
-        run_scenario(load_bundled_scenario("table3-table4"), "autotiering", on_plan=on_plan)
-        mean_ratio = sum(ratios) / len(ratios)
-    _report("C4 oracle-dominance at table3-table4 scale", all(report) and bool(ratios), t, 120.0,
-            f"mean greedy/oracle profit ratio {mean_ratio:.4f} "
-            f"over {len(ratios)} positive-optimum plan epochs")
+        ratios = _greedy_below_optimum(load_bundled_scenario("table3-table4"))
+        detail = (f"mean greedy/oracle profit ratio {sum(ratios) / len(ratios):.4f} "
+                  f"over {len(ratios)} positive-optimum plan epochs" if ratios else "")
+    _report("C4 oracle-dominance at table3-table4 scale", ratios is not None, t, 120.0, detail)
+
+
+def test_criterion_4_oracle_dominance_on_table3_table4_at_seeds_0_to_19():
+    # Greedy <= optimum is an invariant, so every seed's calibration noise must keep it.
+    with _Timer() as t:
+        scenario = load_bundled_scenario("table3-table4")
+        runs = [_greedy_below_optimum(scenario, seed) for seed in range(20)]
+        ok = all(ratios is not None for ratios in runs)
+        means = [sum(r) / len(r) for r in runs] if ok else []
+        detail = (f"mean greedy/oracle profit ratio {min(means):.4f}-{max(means):.4f}, "
+                  f"worst epoch {min(min(r) for r in runs):.4f}" if ok else "")
+    _report("C4 oracle-dominance at table3-table4 scale, seeds 0-19", ok, t, 120.0, detail)
+
+
+def _migrated_bytes(scenario, seed):
+    """Policy -> the bytes its run of ``scenario`` migrated at ``seed``."""
+    return {
+        policy: migrations_dict(run_scenario(scenario, policy, seed))["totalMigratedBytes"]
+        for policy in ("autotiering", "idt")
+    }
+
+
+@pytest.mark.parametrize("name", ["table3-table4", "spike"])
+def test_autotiering_migrates_fewer_bytes_than_idt_at_seeds_0_to_19(name):
+    # The paper's "reduce the migration overhead", directional like C5.
+    with _Timer() as t:
+        scenario = load_bundled_scenario(name)
+        moved = [_migrated_bytes(scenario, seed) for seed in range(20)]
+        ok = all(m["autotiering"] < m["idt"] for m in moved)
+    _report(f"migration overhead below IDT on {name} at seeds 0-19", ok, t, 20.0,
+            f"AT at most {max(m['autotiering'] for m in moved) / 1e9:.1f} GB, "
+            f"IDT at least {min(m['idt'] for m in moved) / 1e9:.1f} GB")
 
 
 def _served_iops(scenario, seed=None):

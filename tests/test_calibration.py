@@ -427,6 +427,15 @@ class TestRegression:
         with pytest.raises(ValueError, match="^VMDK 'archive': mean CV of its samples is not"):
             self.run_tiny_oracle("simulation", "noiseCv", 1e160)
 
+    def test_a_nan_sample_names_its_vmdk_for_its_mean_cv(self):
+        # A NaN sample passes the sample checks; the fit refuses its row by name.
+        values = np.random.default_rng(2).uniform(50.0, 5000.0, size=(3, len(PLAN), 3))
+        values[1, 2, 0] = math.nan
+        samples = CalibrationSamples(("a", "b", "c"), PLAN, values)
+        refusal = "^VMDK 'b': mean CV of its samples is not finite, got nan$"
+        with pytest.raises(ValueError, match=refusal):
+            regress_latency_curve(samples)
+
     def test_the_first_bad_row_is_named_whatever_its_cause(self):
         huge = self.huge_next_to_normal(2.0 ** 980).values
         spread = np.array([[[1.0, 2.0 ** 600, 1.0]] * len(PLAN)])  # squared deviations overflow

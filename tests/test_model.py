@@ -154,10 +154,9 @@ class TestVmdkSpec:
 
 class TestOtherTypes:
     def test_calibration_confidence_bounds(self):
-        with pytest.raises(ValueError):
-            fit_row(1.0, 10.0, confidence=0.0)
-        with pytest.raises(ValueError):
-            fit_row(1.0, 10.0, confidence=1.2)
+        for confidence in (0.0, 1.2, -0.0, math.nan):
+            with pytest.raises(ValueError, match=r"^confidence out of \(0,1\]$"):
+                fit_row(1.0, 10.0, confidence=confidence)
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"mean_cv": -0.1}, "meanCv must be a finite non-negative number, got -0.1"),

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from autotier import policy
@@ -36,7 +36,7 @@ from autotier.policy import (
     profit_contributions,
     trigger_migration,
 )
-from autotier.scenario import load_bundled_scenario
+from autotier.scenario import load_bundled_scenario, validate_scenario
 
 from conftest import (
     fits_within,
@@ -52,10 +52,11 @@ from conftest import (
     reference_oracle,
     reference_pack,
     row_of_tier,
+    scenario_documents,
     sequential_usage,
     tier_rows,
 )
-from test_golden import plan_record
+from test_golden import plan_record, scale_scenario
 
 
 def record(m, b, conf=1.0):
@@ -141,6 +142,28 @@ class TestNormalizeAndGate:
         assert ratios[P] == pytest.approx(0.5, rel=1e-9)
         assert ratios[B] == pytest.approx(204.8 / 1000, rel=1e-9)
         assert ratios[S] == pytest.approx(100 / 480, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", [P, B], ids=["iops", "mbps"])
+    def test_a_cell_over_one_budget_has_every_ratio_zeroed(self, kind):
+        # Storage fits: only the IOPS or the MB/s budget is exceeded.
+        budget = [1000.0, 1000.0, 480.0]
+        budget[kind] = 10.0
+        tier = make_tier(1, capacity=ResourceVector(*budget))
+        state = make_state(make_vmdk(size_gb=100.0, demand_iops=1000, avg_io_size_bytes=65536))
+        fleet = fleet_of([state], [tier])
+        mat = build_matrices(fleet, {"v1": record(0.0, 100.0)})
+        assert bool(mat.feasible[at(fleet, 1, "v1")]) is False
+        assert mat.ratio[at(fleet, 1, "v1")].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("kind", [P, B, S], ids=["iops", "mbps", "size"])
+    def test_a_nan_usage_is_infeasible(self, kind):
+        tier = make_tier(1)
+        fleet = fleet_of([make_state(make_vmdk())], [tier])
+        cap = np.full((1, 1, 3), 1.0)
+        cap[0, 0, kind] = math.nan
+        mat = normalize_and_gate(cap, fleet)
+        assert mat.feasible.tolist() == [[False]]
+        assert mat.ratio.tolist() == [[[0.0, 0.0, 0.0]]]
 
     def test_zero_usage_is_feasible(self):
         tier = make_tier(1)
@@ -790,9 +813,9 @@ class TestAutoTieringPolicy:
         computed = counting_penalties(monkeypatch)
         scored, score = [], policy.cal_score
 
-        def recording(mat, previous, weights, fleet, fits, penalty):
+        def recording(mat, previous, weights, fleet, fits, penalty, workspace):
             scored.append((penalty.tobytes(), migration_penalty(fleet, seconds).tobytes()))
-            return score(mat, previous, weights, fleet, fits, penalty)
+            return score(mat, previous, weights, fleet, fits, penalty, workspace)
 
         monkeypatch.setattr(policy, "cal_score", recording)
         run_scenario(scenario, "autotiering")
@@ -839,6 +862,78 @@ class TestAutoTieringPolicy:
         assert len(computed) == 1 and at_policy.penalty is computed[0]
         fresh = migration_penalty(ctx.fleet, ctx.migration_epoch_seconds)
         assert at_policy.penalty.tobytes() == fresh.tobytes()
+
+
+def matrix_bytes(mat):
+    return mat.cap.tobytes(), mat.ratio.tobytes(), mat.feasible.tobytes()
+
+
+def plan_bytes(plan):
+    fields = (plan.target_row, plan.move_rows, plan.move_from, plan.overloaded_rows, plan.used)
+    return tuple(array.tobytes() for array in fields)
+
+
+def checked_workspace_run(scenario, monkeypatch):
+    """An AutoTiering run of ``scenario`` whose workspace layers are checked against fresh calls.
+
+    At every monitor epoch the matrices and the score must equal, bit for bit,
+    those of calls without a workspace on the same fits, fleet, last score and
+    penalty; at every plan epoch, so must the plan, against the greedy round
+    on those fresh ones. Every plan, and the matrices and score the policy
+    holds at it, must end the run as they were handed out. Returns the numbers
+    of monitor epochs that follow a landing and a phase change.
+    """
+    score, fresh, last, seen, handed = policy.cal_score, {}, {}, {"tier_row": 0, "demand": 0}, []
+
+    def checking(mat, previous, weights, fleet, fits, penalty, workspace):
+        kept = score(mat, previous, weights, fleet, fits, penalty, workspace)
+        mine = normalize_and_gate(cal_capacity_matrices(fits, fleet), fleet)
+        again = score(mine, previous, weights, fleet, fits, penalty)
+        assert matrix_bytes(mat) == matrix_bytes(mine)
+        assert kept.tobytes() == again.tobytes()
+        fresh.update(mat=mine, score=again)
+        for name in seen:
+            now = getattr(fleet, name).tobytes()
+            seen[name] += last.get(name, now) != now
+            last[name] = now
+        return kept
+
+    def on_plan(epoch, plan, at_policy, ctx):
+        expected = trigger_migration(fresh["score"], fresh["mat"], ctx.fleet, epoch)
+        assert plan_bytes(plan) == plan_bytes(expected)
+        mat, kept = at_policy.matrices, at_policy.score
+        handed.append((plan, mat, kept, plan_bytes(plan), matrix_bytes(mat), kept.tobytes()))
+
+    monkeypatch.setattr(policy, "cal_score", checking)
+    run_scenario(scenario, "autotiering", on_plan=on_plan)
+    assert handed
+    for plan, mat, kept, *snapshot in handed:
+        assert [plan_bytes(plan), matrix_bytes(mat), kept.tobytes()] == snapshot
+    return seen["tier_row"], seen["demand"]
+
+
+class TestMonitorWorkspace:
+    """The workspace's matrices, scores and plans are those of fresh layer calls."""
+
+    # Whether a run's monitor epochs follow a landing, and a phase change:
+    # spike's AutoTiering run lands no move, table3-table4's changes no phase.
+    COVERS = {"spike": (False, True), "table3-table4": (True, False), "scale": (True, True)}
+
+    @pytest.mark.parametrize("name", sorted(COVERS))
+    def test_a_run_matches_fresh_calls_through_landings_and_phase_changes(
+        self, name, monkeypatch
+    ):
+        scenario = scale_scenario() if name == "scale" else load_bundled_scenario(name)
+        landed, phased = checked_workspace_run(scenario, monkeypatch)
+        assert (landed > 0, phased > 0) == self.COVERS[name]
+
+    @settings(max_examples=40)
+    @given(doc=scenario_documents())
+    def test_a_generated_run_matches_fresh_calls(self, doc):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            landed, phased = checked_workspace_run(validate_scenario(doc), monkeypatch)
+        event("lands a move" if landed else "lands no move")
+        event("changes phase" if phased else "changes no phase")
 
 
 class TestPlanViews:
