@@ -63,6 +63,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             kind, noun = (str, "a string") if key == "policy" else ((int, float), "a number")
             if not isinstance(node, kind) or isinstance(node, bool):
                 raise ValueError(f"{path}: not a run summary, {key!r} is not {noun}")
+            if isinstance(node, float) and not math.isfinite(node):  # JSON's NaN or Infinity
+                raise ValueError(f"{path}: not a run summary, {key!r} is not finite")
     comparison = comparison_dict(summaries)
     text = json.dumps(comparison, indent=2, allow_nan=False)
     if args.out:

@@ -6,13 +6,13 @@ All spec types are immutable after construction; the mutable per-run state
 (Fleet, MigrationLog) is owned by a single simulation run. A scenario
 holds its VMDKs as one read-only ``VmdkTable`` of columns, every demand
 profile a span of its two phase columns; an item read builds its ``VmdkSpec``.
-A plain, valid document is read into the table in one column pass; any
-other document's VMDKs are read item by item by the ``SCHEMA`` readers,
-the one source of diagnostics, and gathered into a table, as specs built
-in Python are. A scenario's ``Roster`` holds every static fact as
-read-only columns, built once from the table; each run's ``Fleet`` shares
-it and owns only the columns the run writes, and its ``MigrationLog``
-every migration started, progress included.
+A plain, valid document is read into the table in one column pass, each
+field checked by its ``SCHEMA`` row alone; any other document's VMDKs are
+read item by item by the ``SCHEMA`` readers, the one source of diagnostics,
+and gathered into a table, as specs built in Python are. A scenario's
+``Roster`` holds every static fact as read-only columns, built once from
+the table; each run's ``Fleet`` shares it and owns only the columns the run
+writes, and its ``MigrationLog`` every migration started, progress included.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import InitVar, astuple, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import attrgetter, contains, itemgetter
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Any
 
@@ -271,7 +271,7 @@ class VmdkSpec:
         object.__setattr__(self, "demand_profile", DemandProfile(*columns, 0, len(phases)))
 
 
-# The float columns of a ``VmdkTable``, in the order ``_read_vmdks`` reads them.
+# The float columns of a ``VmdkTable``.
 _VMDK_NUMBERS = ("size_gb", "sla_weight", "truth_slope", "truth_intercept_us")
 
 
@@ -763,8 +763,8 @@ class Fleet:
 # default says what a missing key means: REQUIRED reports it, OPTIONAL keeps
 # the dataclass default, and None reads it as JSON null, which the readers of
 # non-empty values refuse with their own "required ..." diagnostic. The rule
-# is the field's range (a ``Rule``) or None: the spec's ``__post_init__``
-# applies it, and the column pass reads its ranges from it.
+# is the field's range (a ``Rule``) or None: the spec's ``__post_init__`` and
+# the column pass apply it, the pass after its reader's ``_PLAIN`` types.
 
 REQUIRED = "required"
 OPTIONAL = "optional"
@@ -877,39 +877,63 @@ def _list_of(
     return read
 
 
-def _columns(items: list[Any], cls: type) -> dict[str, list[Any]] | None:
+# The Python types each scalar reader takes as is; the column pass leaves any
+# other value to the reader, which words its diagnostic.
+_PLAIN = {_number: {int, float}, _integer: {int}, _string: {str}, _name: {str}}
+
+
+def _columns(items: list[Any], cls: type) -> dict[str, Any] | None:
     """Each ``SCHEMA[cls]`` field of ``items`` as a column, by constructor argument, or None.
 
     None unless each item is a dict with ``cls``'s keys alone and every
-    required one; an optional key left out reads as its dataclass default.
+    required one, and each ``_PLAIN`` reader's column holds only its plain
+    types (a ``_name`` no empty string) within the row's rule; an optional
+    key left out reads as its dataclass default. A ``_number`` column is a
+    float array, whose NaN fails any rule, any other ``_PLAIN`` reader's a
+    tuple, and the rest lists.
     """
-    if set(map(type, items)) != {dict}:
+    if set(map(type, items)) != {dict} or not set().union(*items) <= _KEYS[cls]:
         return None
-    defaults = {f.name: f.default for f in fields(cls)}
-    columns, known = {}, 0
-    for key, arg, _, default, _ in SCHEMA[cls]:
+    columns, numbers = {}, []
+    for key, arg, read, default, rule in SCHEMA[cls]:
         if default is OPTIONAL:
-            columns[arg] = list(map(dict.get, items, repeat(key), repeat(defaults[arg])))
-            known += sum(map(contains, items, repeat(key)))
+            default = cls.__dataclass_fields__[arg].default
+            column = list(map(dict.get, items, repeat(key), repeat(default)))
+        else:
+            try:
+                column = list(map(itemgetter(key), items))
+            except KeyError:
+                return None
+        columns[arg] = column
+        if read not in _PLAIN:
             continue
-        try:
-            columns[arg] = list(map(itemgetter(key), items))
-        except KeyError:
+        if not set(map(type, column)) <= _PLAIN[read] or read is _name and not all(column):
             return None
-        known += len(items)
-    # Each key past the schema's is an unknown one.
-    return columns if sum(map(len, items)) == known else None
+        if read is _number:
+            numbers.append((arg, rule))
+        elif rule and not rule[0] <= min(column) <= max(column) <= rule[1]:
+            return None
+        else:  # copied whole: tuples grown from an iterator and kept raise peak RSS
+            columns[arg] = tuple(column)
+    try:  # the number columns as the rows of one float block, each checked by its rule
+        block = np.array([columns[arg] for arg, _ in numbers], float)
+    except OverflowError:
+        return None
+    lows, highs = np.minimum.reduce(block, 1).tolist(), np.maximum.reduce(block, 1).tolist()
+    for (arg, rule), low, high, row in zip(numbers, lows, highs, block):
+        if rule and not rule[0] <= low <= high <= rule[1]:  # which a NaN fails
+            return None
+        columns[arg] = row
+    return columns
 
 
 def _read_profiles(profiles: list[Any]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Every given demand profile read in one column pass, or None: ``(start, demand, offsets)``.
 
-    Profile i is phases ``offsets[i]`` up to ``offsets[i + 1]`` of the
-    int64 ``start`` and the (3, P) ``demand``. The pass
-    reads only plain, valid profiles: each a non-empty list of objects with
-    the phase keys alone, each start a Python int within int64 and each
-    other value an int or float within the float range, and every check the
-    phase readers, ``WorkloadPhase`` and ``VmdkSpec`` make passed.
+    Profile i is phases ``offsets[i]`` up to ``offsets[i + 1]`` of the int64
+    ``start`` and the (3, P) ``demand``. Each profile must be a non-empty
+    list of phases ``_columns`` reads, its starts within int64, 0 first and
+    rising, which no ``SCHEMA`` row states.
     """
     if set(map(type, profiles)) != {list} or not all(profiles):
         return None
@@ -917,58 +941,32 @@ def _read_profiles(profiles: list[Any]) -> tuple[np.ndarray, np.ndarray, np.ndar
     columns = _columns(flat, WorkloadPhase)
     if columns is None:
         return None
-    starts = columns["start_epoch"]
-    values = list(chain.from_iterable(map(columns.get, _DEMAND_COLUMNS)))
-    if set(map(type, starts)) != {int} or not set(map(type, values)) <= {int, float}:
-        return None
     try:
-        start = np.fromiter(starts, np.int64, len(starts))
-        demand = np.fromiter(values, float, len(values)).reshape(3, len(flat))
+        start = np.fromiter(columns["start_epoch"], np.int64, len(flat))
     except OverflowError:
         return None
     offsets = np.fromiter(accumulate(map(len, profiles), initial=0), np.intp, len(profiles) + 1)
-    first = offsets[:-1]
-    # Phase 0 starts at epoch 0 and each later phase after the one before.
-    rising = np.empty(len(flat), dtype=bool)
-    rising[1:] = start[1:] > start[:-1]
-    rising[first] = start[first] == 0
-    inside = (demand >= _DEMAND_RANGE[0]) & (demand <= _DEMAND_RANGE[1])
-    if not (rising.all() and inside.all()):
+    # Each profile's first phase starts at epoch 0 and each later one after the
+    # one before: as no start is negative, the starts not above the one before
+    # are then exactly the first phases of the profiles after the first.
+    if start[offsets[:-1]].any() or np.count_nonzero(start[1:] <= start[:-1]) != len(profiles) - 1:
         return None
-    return start, demand, offsets
+    return start, np.array([columns[name] for name in _DEMAND_COLUMNS]), offsets
 
 
 def _read_vmdks(vmdks: list[Any]) -> VmdkTable | None:
     """Every VMDK of a plain list read in one column pass into a ``VmdkTable``, or None.
 
-    Plain means each item an object with the ``VmdkSpec`` keys alone and
-    every required one, its ``id`` a non-empty string, its ``vmId`` a
-    string, its ``initialTier`` an int (not a bool) of at least 1, each
-    other number an int or float within the float range, and its demand
-    profile plain to ``_read_profiles``; each number column then passes
-    ``VmdkSpec``'s range checks, made once per column. On None the list is
-    read item by item by ``SCHEMA[VmdkSpec]``, whose readers word every
-    diagnostic.
+    Plain means that ``_columns`` reads every VMDK and ``_read_profiles``
+    every demand profile. On None the list is read item by item by
+    ``SCHEMA[VmdkSpec]``, whose readers word every diagnostic.
     """
     columns = _columns(vmdks, VmdkSpec)
-    if columns is None:
+    profiles = columns and _read_profiles(columns.pop("demand_profile"))
+    if profiles is None:
         return None
-    ids, tiers = columns["id"], columns["initial_tier"]
-    numbers = list(chain.from_iterable(map(columns.get, _VMDK_NUMBERS)))
-    if (
-        set(map(type, ids + columns["vm_id"])) != {str} or not all(ids)
-        or set(map(type, tiers)) != {int} or min(tiers) < _LEAST_TIER
-        or not set(map(type, numbers)) <= {int, float}
-    ):
-        return None
-    profiles = _read_profiles(columns["demand_profile"])
-    try:
-        block = np.fromiter(numbers, float, len(numbers)).reshape(len(_VMDK_NUMBERS), -1)
-    except OverflowError:
-        return None
-    if profiles is None or not ((block >= _VMDK_RANGE[0]) & (block <= _VMDK_RANGE[1])).all():
-        return None
-    return VmdkTable(tuple(ids), tuple(columns["vm_id"]), *block, tuple(tiers), *profiles)
+    start, demand, offsets = profiles
+    return VmdkTable(**columns, start_epoch=start, demand=demand, offsets=offsets)
 
 
 SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any, Rule | None], ...]] = {
@@ -1032,17 +1030,10 @@ SCHEMA: dict[type, tuple[tuple[str, str, Reader, Any, Rule | None], ...]] = {
     ),
 }
 _KEYS = {cls: frozenset(row[0] for row in rows) for cls, rows in SCHEMA.items()}
-_RULES = {(cls, row[1]): row[4] for cls, rows in SCHEMA.items() for row in rows}
 # ``_check_fields``'s (key, argument, is an integer, *rule) per row that checks something.
 _CHECKED = {cls: tuple((key, arg, read is _integer, *(rule or (-math.inf, math.inf, "")))
                        for key, arg, read, _, rule in rows if read is _integer or rule)
             for cls, rows in SCHEMA.items()}
-# The column pass's (2, K, 1) lows and highs, read once from the rules the specs apply.
-_DEMAND_RANGE, _VMDK_RANGE = (
-    np.array([[[_RULES[cls, arg][end]] for arg in args] for end in (0, 1)])
-    for cls, args in ((WorkloadPhase, _DEMAND_COLUMNS), (VmdkSpec, _VMDK_NUMBERS))
-)
-_LEAST_TIER = _RULES[VmdkSpec, "initial_tier"][0]
 
 
 def _read(cls: type, doc: Any, path: str, errors: list[str]) -> dict[str, Any] | None:

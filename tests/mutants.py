@@ -92,6 +92,11 @@ COMPARE_UNREADABLE = ("tests/test_scenario_io.py::TestCli::"
                       "test_compare_exits_2_naming_the_file_and_key_of_a_summary_it_cannot_read")
 LOG_LEVEL = ("tests/test_scenario_io.py::TestCli::"
              "test_a_log_env_var_that_names_no_level_leaves_warning")
+COLUMN_PASS = "tests/test_scenario_io.py::TestColumnPass::"
+# What the column pass must refuse: each value reaches the item readers and is
+# read, or refused, as they word it.
+PLAIN_KILLS = (f"{GOLDEN}test_diagnostics_match_golden_digest[tiny-oracle]",
+               f"{COLUMN_PASS}test_the_vmdk_pass_reads_as_the_item_readers_do")
 
 MUTANTS = (
     # The run loop serves when the bytes of what serving reads differ from its
@@ -497,6 +502,40 @@ MUTANTS = (
             "tests/test_model.py::TestVmdkSpec::test_a_phase_starts_at_an_int[True]",
         ),
     ),
+    # The column pass reads a field only in the plain types of its reader,
+    # and a ``_name`` only when it is not empty.
+    Mutant(
+        "plain-integer-takes-a-float", MODEL,
+        "_integer: {int},",
+        "_integer: {int, float},",
+        (
+            f"{COLUMN_PASS}test_one_value_that_is_not_plain_reads_every_vmdk_item_by_item",
+            "tests/test_scenario_io.py::TestParsing::"
+            "test_integer_field_rejects_non_integral_number[vmdks[0].initialTier-2.7]",
+        ),
+    ),
+    Mutant(
+        "plain-number-takes-a-bool", MODEL,
+        "_number: {int, float},",
+        "_number: {int, float, bool},",
+        PLAIN_KILLS,
+    ),
+    Mutant(
+        "column-pass-takes-an-empty-id", MODEL,
+        " or read is _name and not all(column)",
+        "",
+        PLAIN_KILLS,
+    ),
+    # The start order no row states: with the first starts unchecked, a
+    # profile starting past epoch 0 still gives the count of starts not
+    # above the one before when it comes first.
+    Mutant(
+        "column-pass-takes-a-late-first-start", MODEL,
+        "if start[offsets[:-1]].any() or np.count_nonzero(",
+        "if np.count_nonzero(",
+        ("tests/test_scenario_io.py::"
+         "test_a_profile_that_starts_after_epoch_0_is_read_item_by_item_and_refused[0]",),
+    ),
     # AutoTiering's monitor workspace keeps what a run does not change and
     # rebuilds the latency grids when tier_row's bytes change; the layers
     # hand out new arrays only. Its matrices, scores and plans must be those
@@ -576,6 +615,15 @@ MUTANTS = (
         "level=level if isinstance(level, int) else logging.WARNING",
         "level=level if level is not None else logging.WARNING",
         tuple(f"{LOG_LEVEL}[{value}]" for value in ("basic_format", "_styles")),
+    ),
+    # The score subtracts every finite migration penalty, not only the
+    # infinite cells of an impossible move.
+    Mutant(
+        "score-ignores-finite-penalties", POLICY,
+        "weights.aging_factor * history + current - penalty,",
+        "weights.aging_factor * history + current - np.where(np.isinf(penalty), penalty, 0.0),",
+        ("tests/test_acceptance.py::"
+         "test_the_migration_penalty_cuts_migrated_bytes_at_seeds_0_to_19",),
     ),
     # C5's 1.10 margin holds at every seed 0-19, not only at the pinned one.
     # Sixteen times the probe noise keeps the pinned seed at 1.19 and drops

@@ -258,6 +258,28 @@ def test_autotiering_migrates_fewer_bytes_than_idt_at_seeds_0_to_19(name):
             f"IDT at least {min(m['idt'] for m in moved) / 1e9:.1f} GB")
 
 
+def test_the_migration_penalty_cuts_migrated_bytes_at_seeds_0_to_19():
+    # The paper's migration-cost term in the score: the shipped weights must
+    # never move more bytes than no penalty at all, and on tiny-oracle fewer.
+    with _Timer() as t:
+        moved = {}
+        for name in ("tiny-oracle", "table3-table4", "spike"):
+            shipped = load_bundled_scenario(name)
+            # Every migWeight 0.0: only an impossible move is penalized.
+            free = replace(shipped, tiers=tuple(replace(x, mig_weight=0.0) for x in shipped.tiers))
+            moved[name] = [
+                [migrations_dict(run_scenario(s, "autotiering", seed))["totalMigratedBytes"]
+                 for s in (shipped, free)]
+                for seed in range(20)
+            ]
+        ok = (all(a < b for a, b in moved["tiny-oracle"])
+              and all(a <= b for name in ("table3-table4", "spike") for a, b in moved[name]))
+    means = {name: [sum(m[k] for m in pairs) / 20e9 for k in (0, 1)]
+             for name, pairs in moved.items()}
+    _report("migration penalty cuts migrated bytes at seeds 0-19", ok, t, 20.0,
+            ", ".join(f"{name} {a:.1f} vs {b:.1f} GB mean" for name, (a, b) in means.items()))
+
+
 def _served_iops(scenario, seed=None):
     """Policy -> the IOPS its run of ``scenario`` served, at ``seed`` or the pinned one."""
     return {

@@ -593,6 +593,18 @@ class TestColumnPass:
         assert list(map(repr, fast.vmdks)) == list(map(repr, slow.vmdks))
 
 
+@pytest.mark.parametrize("k", [0, 13])
+def test_a_profile_that_starts_after_epoch_0_is_read_item_by_item_and_refused(k):
+    # No SCHEMA row states that phase 0 starts at epoch 0; the column pass
+    # checks it apart from the rows' ranges, as the spec does.
+    doc = json.loads(bundled_scenario_text("table3-table4"))
+    doc["vmdks"][k]["demandProfile"][0]["startEpoch"] = 1
+    assert model._read_vmdks(doc["vmdks"]) is None
+    with pytest.raises(ScenarioValidationError) as excinfo:
+        validate_scenario(doc)
+    assert excinfo.value.errors == [f"vmdks[{k}]: demandProfile phase 0 must start at epoch 0"]
+
+
 TINY, MAX = math.ulp(0.0), sys.float_info.max
 NONNEG = (0.0, MAX, "{} must be a finite non-negative number, got {}")
 POSITIVE = (TINY, MAX, "{} must be positive")
@@ -889,6 +901,10 @@ class TestReporting:
             comparison_dict(summaries)
 
 
+# The means of a run summary that ``compare`` reads.
+SUMMARY_MEANS = (("total", "iops", "mean"), ("total", "mbps", "mean"), ("total", "meanLatencyUs"))
+
+
 class TestCli:
     def test_run_writes_artifacts_and_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "run1"
@@ -980,11 +996,16 @@ class TestCli:
         (("policy",), ["autotiering"], "'policy' is not a string"),
         (("total", "iops", "mean"), "1.0", "'total.iops.mean' is not a number"),
         (("total", "meanLatencyUs"), True, "'total.meanLatencyUs' is not a number"),
-    ], ids=["not-json", "policy-list", "mean-string", "latency-bool"])
+        *((mean, value, f"{'.'.join(mean)!r} is not finite")
+          for mean in SUMMARY_MEANS for value in (math.nan, math.inf)),
+    ], ids=["not-json", "policy-list", "mean-string", "latency-bool",
+            *(f"{'.'.join(mean)}-{value}" for mean in SUMMARY_MEANS for value in ("NaN", "Infinity"))])
     def test_compare_exits_2_naming_the_file_and_key_of_a_value_it_cannot_read(
         self, tmp_path, capsys, location, value, tail
     ):
-        # Each used to print a JSON, hashing or arithmetic error that named no file.
+        # Each used to print a JSON, hashing or arithmetic error that named no
+        # file; a NaN or Infinity mean, which Python's JSON reader takes, the
+        # writer's "Out of range float values are not JSON compliant".
         assert main(["run", "--scenario", "tiny-oracle", "--policy", "idt",
                      "--out", str(tmp_path / "idt")]) == 0
         summary = json.loads((tmp_path / "idt" / "summary.json").read_text())
