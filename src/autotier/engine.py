@@ -27,10 +27,11 @@ overloaded VMDKs from ``overloaded_rows``, never looking up a VMDK id. The
 run's ``MigrationLog`` holds every order as columns, progress included, and
 is its only record; the fleet's ``order_index`` leads each moving row to
 its order. Starting and landing orders each take one array operation per
-column. Advancing them charges each move, in id order, to the spare
-bandwidth of its two tiers: a short book runs that as a scalar loop, a
-long one as fixed-point passes of array operations that repeat the loop
-bit for bit (see ``progress_migrations``).
+column. ``progress_migrations`` reads the book from the fleet and the log
+once and books its progress once; in between, a rate search charges each
+move, in id order, to the spare bandwidth of its two tiers: a scalar loop
+on a short book, fixed-point passes of array operations that repeat the
+loop bit for bit on a long one.
 The run's record is three arrays, allocated at its start and written in
 place: ``RunResult.epochs``, the ``TIER_FIGURES`` of each tier row and of
 the fleet; ``migration_bytes``; and ``flags``, the ``STARTED``,
@@ -231,33 +232,40 @@ def progress_migrations(
     source (``tier_row``) and its destination (``dest_row``). A move whose
     speed is <= 0.0 (not NaN) stalls; any other steps, and a step that
     reaches its rest lands on its bytes total, so a finished move moves 0.
-    Writes each order's bytes moved, speed and stall flag to the log.
     Returns total bytes moved, the (2, T) read and write debits in MB/s by
     tier row (``serve_epoch``'s ``debits``), and the rows whose migration
     stalled and those whose migration finished, each in id order.
 
-    A book of fewer than ``PROGRESS_LOOP_ROWS`` rows runs the scalar loop
-    (``_progress_loop``); a longer one runs fixed-point passes
-    (``_progress_passes``) that repeat the loop's every bit. Row i's rate
-    depends only on the debits of rows before it, so rates that a pass
-    returns unchanged, bit for bit, are the loop's own, and pass p gets
-    rows 0..p-1 right: n + 1 passes settle any n rows. A book none of
-    ``PROGRESS_PASSES`` passes settles runs the loop after all.
+    The book is read here, from the fleet and the log, and booked here: the
+    stall flags, the log's progress and the rows returned. In between, a
+    rate search finds each row's bytes moved and speed, and the debits,
+    from the book's arrays alone. A book of fewer than
+    ``PROGRESS_LOOP_ROWS`` rows runs the scalar loop (``_progress_loop``);
+    a longer one runs fixed-point passes (``_progress_passes``) that repeat
+    the loop's every bit. Row i's rate depends only on the debits of rows
+    before it, so rates that a pass returns unchanged, bit for bit, are the
+    loop's own, and pass p gets rows 0..p-1 right: n + 1 passes settle any
+    n rows. A book none of ``PROGRESS_PASSES`` passes settles runs the loop
+    after all.
     """
     if not len(rows):
         return 0.0, np.zeros((2, len(fleet.roster.tiers))), rows, rows
     k = fleet.order_index[rows]
     if (k < 0).any():
         raise ValueError("only a VMDK with an open order can make progress")
-    if len(rows) >= PROGRESS_LOOP_ROWS:
-        progress = _progress_passes(rows, k, fleet, log, epoch_seconds)
-        if progress is not None:
-            return progress
-    return _progress_loop(rows, k, fleet, log, epoch_seconds)
+    total, moved = log.bytes_total[k], log.bytes_moved[k]
+    book = (fleet.tier_row[rows], fleet.dest_row[rows], fleet.measured_mbps[0, rows],
+            fleet.spare_mbps, total, moved, epoch_seconds)
+    rates = _progress_passes(*book) if len(rows) >= PROGRESS_LOOP_ROWS else None
+    moved_total, debits, moved_now, speed = rates or _progress_loop(*book)
+    stall = speed <= 0.0
+    log.set_progress(k, moved_now, speed, stall)
+    return moved_total, debits, rows[stall], rows[moved_now >= total]
 
 
 def _progress_passes(
-    rows: np.ndarray, k: np.ndarray, fleet: Fleet, log: MigrationLog, epoch_seconds: float,
+    source: np.ndarray, dest: np.ndarray, measured: np.ndarray, spare: np.ndarray,
+    total: np.ndarray, moved: np.ndarray, epoch_seconds: float,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray] | None:
     """``_progress_loop``'s result from fixed-point passes, or None if none settles.
 
@@ -270,16 +278,13 @@ def _progress_passes(
     The fixed point is unique, so any start gives the loop's bits. After
     the first pass, from 0.0, each row starts at the rate that pass gave it,
     or at 0.0 where the rates before it in either lane exceed its spare:
-    this lane fill settles a lane that runs out in fewer passes. Stalls
-    take the loop's rule, from the settled speeds.
+    this lane fill settles a lane that runs out in fewer passes.
     """
-    n, t = len(rows), len(fleet.roster.tiers)
-    total, moved = log.bytes_total[k], log.bytes_moved[k]
+    n, t = len(source), spare.shape[1]
     left = total - moved
-    measured = fleet.measured_mbps[0, rows]
     # Lane r < t is tier row r's reads, lane t + r its writes.
-    lane = np.concatenate((fleet.tier_row[rows], t + fleet.dest_row[rows]))
-    spare = fleet.spare_mbps.ravel()[lane]
+    lane = np.concatenate((source, t + dest))
+    spare = spare.ravel()[lane]
     count = np.bincount(lane, minlength=2 * t)
     width = int(count.max()) + 1
     rank = np.empty(2 * n, dtype=np.intp)  # each row's place in its lane; small ints sort by radix
@@ -307,7 +312,7 @@ def _progress_passes(
             mbps = np.where(side[n:] < side[:n], side[n:], side[:n])
             step = mbps * 1e6 * epoch_seconds
             # The rest of the move where the step reaches it or is NaN, as in
-            # the loop; a stalled row's step <= 0.0 takes 0.0.
+            # the loop; a stalled row's step <= 0.0 takes 0.0 and moves nothing.
             taken = np.fmax(np.fmin(step, left), 0.0)
             rate = taken / epoch_seconds / 1e6
             if rate.tobytes() == rates.tobytes():
@@ -318,55 +323,45 @@ def _progress_passes(
                 rates = np.where(full[:n] | full[n:], 0.0, rate)
         else:
             return None
-    stuck = mbps <= 0.0
-    moved_now = np.where(stuck, moved, np.where(step < left, moved + step, total))
-    log.set_progress(k, moved_now, mbps, stuck)
     moved_total = np.add.accumulate(np.concatenate(([0.0], taken)))[-1]
     # Each lane's total is its grid row's last cell; copied, to hold no view of the grid.
-    return float(moved_total), debits[:, -1].reshape(2, t).copy(), rows[stuck], rows[moved_now >= total]
+    debits = debits[:, -1].reshape(2, t).copy()
+    return float(moved_total), debits, np.where(step < left, moved + taken, total), mbps
 
 
 def _progress_loop(
-    rows: np.ndarray, k: np.ndarray, fleet: Fleet, log: MigrationLog, epoch_seconds: float,
+    source: np.ndarray, dest: np.ndarray, measured: np.ndarray, spare: np.ndarray,
+    total: np.ndarray, moved: np.ndarray, epoch_seconds: float,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """``progress_migrations`` as a scalar loop over the book; its stall flags come after it."""
-    roster = fleet.roster
-    debit_read = [0.0] * len(roster.tiers)
-    debit_write = [0.0] * len(roster.tiers)
-    spare_read, spare_write = fleet.spare_mbps.tolist()
-    source = fleet.tier_row[rows].tolist()
-    dest = fleet.dest_row[rows].tolist()
-    bytes_total = log.bytes_total[k]
-    moved = log.bytes_moved[k].tolist()
-    speed = [0.0] * len(rows)
+    """Bytes moved, (2, T) debits, and each row's bytes moved and speed, row by row."""
+    debit_read, debit_write = np.zeros_like(spare).tolist()
+    spare_read, spare_write = spare.tolist()
+    moved = moved.tolist()
+    speed = [0.0] * len(moved)
     moved_total = 0.0
     # Conditional expressions stand in for max(0.0, x) and min(a, b): the
     # same result, NaN included, without a call per order.
-    for i, (total, measured, s, d) in enumerate(zip(
-        bytes_total.tolist(), fleet.measured_mbps[0, rows].tolist(), source, dest
+    for i, (size, own, s, d) in enumerate(zip(
+        total.tolist(), measured.tolist(), source.tolist(), dest.tolist()
     )):
-        spare = spare_read[s] - debit_read[s]
-        read_side = (spare if spare > 0.0 else 0.0) + measured
-        spare = spare_write[d] - debit_write[d]
-        write_side = spare if spare > 0.0 else 0.0
+        rest = spare_read[s] - debit_read[s]
+        read_side = (rest if rest > 0.0 else 0.0) + own
+        rest = spare_write[d] - debit_write[d]
+        write_side = rest if rest > 0.0 else 0.0
         speed[i] = mbps = write_side if write_side < read_side else read_side
         if mbps <= 0.0:
             continue
-        left = total - moved[i]
+        left = size - moved[i]
         step = mbps * 1e6 * epoch_seconds
         if step < left:
             moved[i] += step
         else:
-            step, moved[i] = left, total
+            step, moved[i] = left, size
         moved_total += step
         rate = step / epoch_seconds / 1e6
         debit_read[s] += rate
         debit_write[d] += rate
-    moved_now, speed = np.array(moved), np.array(speed)
-    stall = speed <= 0.0
-    log.set_progress(k, moved_now, speed, stall)
-    debits = np.array((debit_read, debit_write))
-    return moved_total, debits, rows[stall], rows[moved_now >= bytes_total]
+    return moved_total, np.array((debit_read, debit_write)), np.array(moved), np.array(speed)
 
 
 def start_migrations(

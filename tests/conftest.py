@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import random
 from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
@@ -36,6 +38,7 @@ from autotier.model import (
     VmdkTable,
     WorkloadPhase,
 )
+from autotier.scenario import bundled_scenario_text
 
 
 def make_tier(
@@ -548,6 +551,56 @@ def scenario_documents(draw) -> dict:
         "simulation": {"epochs": epochs, "epochSeconds": 300.0, "noiseCv": 0.05,
                        "seed": draw(st.integers(0, 2**16))},
     }
+
+
+def scale_tiers(tiers: list[dict], replicas: int) -> None:
+    """Scale each tier object's pools and serve caps by ``replicas``, in place.
+
+    A document whose VMDKs are copied ``replicas`` times is then as loaded as
+    the original.
+    """
+    for tier in tiers:
+        tier["capacity"] = {k: v * replicas for k, v in tier["capacity"].items()}
+        for key in ("readThroughputCap", "writeThroughputCap", "readBandwidthCap",
+                    "writeBandwidthCap"):
+            tier[key] *= replicas
+
+
+def replicated_document(
+    name: str, replicas: int, epochs: int, seed: int, churn_period: int = 0,
+) -> str:
+    """Bundled scenario ``name`` with every VMDK copied ``replicas`` times, as JSON text.
+
+    Each copy's ``id`` and ``vmId`` gain ``-r000``, ``-r001`` and so on, and
+    each tier's pools and serve caps scale by ``replicas`` (``scale_tiers``).
+    The run takes ``epochs`` epochs at ``seed``. A ``churn_period`` above 0
+    gives every VMDK one phase per that many epochs, its first phase's
+    demand scaled by a log-normal factor and its read fraction redrawn, both
+    drawn from ``random.Random(seed)`` in VMDK and phase order. This is the
+    document the benchmark's workloads build, text for text: ``table3-table4``
+    x200 with churn every 5 epochs is its ``baseline-churn``.
+    """
+    doc = json.loads(bundled_scenario_text(name))
+    scale_tiers(doc["tiers"], replicas)
+    doc["vmdks"] = [
+        dict(v, id=f"{v['id']}-r{r:03d}", vmId=f"{v['vmId']}-r{r:03d}")
+        for r in range(replicas) for v in doc["vmdks"]
+    ]
+    doc["simulation"].update(epochs=epochs, seed=seed)
+    if churn_period:
+        rng = random.Random(seed)
+        for v in doc["vmdks"]:
+            base = v["demandProfile"][0]
+            v["demandProfile"] = [
+                {
+                    "startEpoch": start,
+                    "demandIops": round(base["demandIops"] * rng.lognormvariate(0.0, 1.0), 3),
+                    "avgIoSizeBytes": base["avgIoSizeBytes"],
+                    "readFraction": round(rng.uniform(0.05, 1.0), 4),
+                }
+                for start in range(0, max(epochs, 1), churn_period)
+            ]
+    return json.dumps(doc)
 
 
 def random_oracle_instance(rng: np.random.Generator, capacity_scale: float = 1.0):

@@ -93,6 +93,7 @@ COMPARE_UNREADABLE = ("tests/test_scenario_io.py::TestCli::"
 LOG_LEVEL = ("tests/test_scenario_io.py::TestCli::"
              "test_a_log_env_var_that_names_no_level_leaves_warning")
 COLUMN_PASS = "tests/test_scenario_io.py::TestColumnPass::"
+LINE_COUNTS = "tests/test_line_counts.py::"
 # What the column pass must refuse: each value reaches the item readers and is
 # read, or refused, as they word it.
 PLAIN_KILLS = (f"{GOLDEN}test_diagnostics_match_golden_digest[tiny-oracle]",
@@ -245,8 +246,9 @@ MUTANTS = (
     # A migration's speed is the least of its source's spare read MB/s plus
     # the VMDK's own read MB/s, and its destination's spare write MB/s. Row
     # 0 of ``measured_mbps`` and ``spare_mbps`` is reads, row 1 writes; the
-    # next four mutants swap them where the cost and the two progress paths
-    # read them.
+    # next three mutants swap them where the cost reads them and where
+    # ``progress_migrations`` reads the book for both rate searches, so each
+    # forced cutover kills the last two.
     Mutant(
         "mig-cost-reads-the-write-mbps", POLICY,
         "+ fleet.measured_mbps[0]\n",
@@ -257,28 +259,26 @@ MUTANTS = (
             f"{GOLDEN}test_scale_run_matches_golden_digest[autotiering]",
         ),
     ),
-    # Only a long book runs the passes, so only the forced cutover of 0 kills
-    # these two.
     Mutant(
-        "progress-passes-read-the-write-mbps", ENGINE,
-        "measured = fleet.measured_mbps[0, rows]",
-        "measured = fleet.measured_mbps[1, rows]",
-        (f"{GOLDEN}{LOOP_ROWS}0]",),
+        "progress-reads-the-write-mbps", ENGINE,
+        "fleet.measured_mbps[0, rows]",
+        "fleet.measured_mbps[1, rows]",
+        (
+            f"{GOLDEN}{LOOP_ROWS}0]",
+            f"{GOLDEN}{LOOP_ROWS}1000000000]",
+            *(f"{MIGRATIONS}test_a_finished_move_moves_nothing_and_is_finished_again"
+              f"[500.0-nan-nan-False-{cutover}]" for cutover in (0, 1000000000)),
+        ),
     ),
     Mutant(
-        "progress-passes-swap-the-spare-rows", ENGINE,
-        "spare = fleet.spare_mbps.ravel()[lane]",
-        "spare = fleet.spare_mbps[::-1].ravel()[lane]",
-        (f"{GOLDEN}{LOOP_ROWS}0]",),
-    ),
-    Mutant(
-        "progress-loop-swaps-the-spare-rows", ENGINE,
-        "spare_read, spare_write = fleet.spare_mbps.tolist()",
-        "spare_write, spare_read = fleet.spare_mbps.tolist()",
+        "progress-swaps-the-spare-rows", ENGINE,
+        "fleet.spare_mbps, total",
+        "fleet.spare_mbps[::-1], total",
         (
             f"{GOLDEN}test_artifacts_match_golden[table3-table4-idt-0]",
             f"{GOLDEN}test_artifacts_match_golden[tiny-oracle-edt-0]",
             f"{GOLDEN}test_scale_run_matches_golden_digest[idt]",
+            f"{GOLDEN}{LOOP_ROWS}0]",
             f"{GOLDEN}{LOOP_ROWS}1000000000]",
         ),
     ),
@@ -382,44 +382,38 @@ MUTANTS = (
         ),
     ),
     # A row whose move in flight stalls is flagged whether or not it has
-    # moved bytes before. Only a long book runs the passes, so the forced
-    # cutover of 0 and the large books kill it.
+    # moved bytes before. ``progress_migrations`` flags the stalls of both
+    # rate searches, so each forced cutover, and the large books on either
+    # path, kill it.
     Mutant(
-        "progress-passes-stall-only-rows-that-moved", ENGINE,
-        "rows[stuck], rows[moved_now >= total]",
-        "rows[stuck & (moved > 0.0)], rows[moved_now >= total]",
+        "progress-stalls-only-rows-that-moved", ENGINE,
+        "rows[stall], ",
+        "rows[stall & (moved > 0.0)], ",
         (
             f"{GOLDEN}{LOOP_ROWS}0]",
+            f"{GOLDEN}{LOOP_ROWS}1000000000]",
+            f"{MIGRATIONS}test_zero_speed_stalls",
+            "tests/test_engine.py::TestMigrationBookMatchesReference::"
+            "test_large_books_bitwise_equal_to_the_sorting_loop[0]",
             "tests/test_engine.py::TestMigrationBookOnTheFixedPointMatchesReference::"
             "test_large_books_bitwise_equal_to_the_sorting_loop[0]",
         ),
     ),
-    # The book holds only moves in flight, and both progress paths flag a
-    # stall by one rule, speed <= 0.0, from the speeds they log. Each of the
-    # next two drops the zero from one path's rule.
+    # The book holds only moves in flight, and one rule, speed <= 0.0, flags
+    # a stall from the speed either rate search found. This drops its zero.
     Mutant(
-        "progress-passes-stall-below-zero-only", ENGINE,
-        "stuck = mbps <= 0.0",
-        "stuck = mbps < 0.0",
-        (
-            f"{GOLDEN}{LOOP_ROWS}0]",
-            f"{MIGRATIONS}test_a_finished_move_moves_nothing_and_is_finished_again"
-            "[0.0-0.0-0.0-True-0]",
-            f"{STALL_RULE}[0]",
-            "tests/test_engine.py::TestProgressPassesMatchLoop::test_bitwise_equal_to_the_loop",
-        ),
-    ),
-    Mutant(
-        "progress-loop-stall-below-zero-only", ENGINE,
+        "progress-stalls-below-zero-only", ENGINE,
         "stall = speed <= 0.0",
         "stall = speed < 0.0",
         (
             f"{GOLDEN}test_artifacts_match_golden[table3-table4-idt-0]",
-            f"{GOLDEN}{LOOP_ROWS}1000000000]",
             f"{MIGRATIONS}test_zero_speed_stalls",
-            f"{MIGRATIONS}test_a_finished_move_moves_nothing_and_is_finished_again"
-            "[0.0-0.0-0.0-True-1000000000]",
-            f"{STALL_RULE}[1000000000]",
+            *(test for cutover in (0, 1000000000) for test in (
+                f"{GOLDEN}{LOOP_ROWS}{cutover}]",
+                f"{MIGRATIONS}test_a_finished_move_moves_nothing_and_is_finished_again"
+                f"[0.0-0.0-0.0-True-{cutover}]",
+                f"{STALL_RULE}[{cutover}]",
+            )),
         ),
     ),
     # A plan's moves are in strictly increasing fleet rows, the order the
@@ -633,6 +627,29 @@ MUTANTS = (
         "    factor *= noise_cv\n",
         "    factor *= 16 * noise_cv\n",
         ("tests/test_acceptance.py::test_criterion_5_directional_superiority_at_seeds_0_to_19",),
+    ),
+    # A run and a parse do no Python work per VMDK. Each of the next three
+    # computes the same bits through a statement run once per VMDK, which
+    # only the line counts see.
+    Mutant(
+        "serve-loops-over-the-fleet", ENGINE,
+        "    fleet.measured_iops[:] = served\n",
+        "    for j, value in enumerate(served.tolist()):\n        fleet.measured_iops[j] = value\n",
+        tuple(f"{LINE_COUNTS}test_a_run_executes_under_half_a_line_per_vmdk_epoch[{p}]"
+              for p in ("autotiering", "idt", "edt")),
+    ),
+    Mutant(
+        "monitor-ids-through-a-generator", POLICY,
+        "            fleet.roster.ids, ctx.probe,",
+        "            (vmdk_id for vmdk_id in fleet.roster.ids), ctx.probe,",
+        (f"{LINE_COUNTS}test_a_run_executes_under_half_a_line_per_vmdk_epoch[autotiering]",),
+    ),
+    Mutant(
+        "list-of-ignores-read-all", MODEL,
+        "built = read_all(value) if read_all else None",
+        "built = None",
+        tuple(f"{LINE_COUNTS}test_parsing_executes_under_10_lines_per_vmdk[{doc}]"
+              for doc in ("plain", "churn")),
     ),
 )
 

@@ -944,12 +944,26 @@ def result_bits(result, log):
 
 
 def both_paths(fleet, log, rows, epoch_seconds):
-    """The loop's and the fixed point's bits on copies of ``log``, and the fixed point's result."""
+    """The bits of both rate searches on one book's arrays, loop first, and the passes' result.
+
+    A side's bits are its bytes moved (and their type), its debits, and
+    each row's bytes moved and speed; the passes give None where no pass
+    settled. Neither search writes the arrays the two share.
+    """
     k = fleet.order_index[rows]
-    loop_log, passes_log = copy.deepcopy(log), copy.deepcopy(log)
-    expected = engine._progress_loop(rows, k, fleet, loop_log, epoch_seconds)
-    got = engine._progress_passes(rows, k, fleet, passes_log, epoch_seconds)
-    return result_bits(expected, loop_log), got and result_bits(got, passes_log), got
+    book = (fleet.tier_row[rows], fleet.dest_row[rows], fleet.measured_mbps[0, rows],
+            fleet.spare_mbps, log.bytes_total[k], log.bytes_moved[k], epoch_seconds)
+    before = [np.asarray(a).tobytes() for a in book]
+    expected = engine._progress_loop(*book)
+    got = engine._progress_passes(*book)
+    assert [np.asarray(a).tobytes() for a in book] == before
+
+    def bits(rates):
+        moved, debits, moved_now, speed = rates
+        return (type(moved), np.float64(moved).tobytes(), debits.shape, debits.tobytes(),
+                moved_now.tobytes(), speed.tobytes())
+
+    return bits(expected), got and bits(got), got
 
 
 @st.composite
@@ -1017,15 +1031,14 @@ class TestProgressPassesMatchLoop:
         size = 49.91605619203594
         moves = [(size, 0, 1, np.nan, 0.25, 0.0, True), (30.0, 0, 1, 20.0, 0.0, 0.0, False)]
         fleet, log, rows = random_book([(500.0, 0.0), (0.0, 400.0)], moves)
-        expected, got, result = both_paths(fleet, log, rows, 300.0)
+        expected, got, _ = both_paths(fleet, log, rows, 300.0)
         assert got == expected
         left = log.bytes_total[0] - log.bytes_moved[0]
-        moved, debits, stalled, finished = result
+        monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", 0)
+        moved, debits, stalled, finished = progress_migrations(rows, fleet, log, 300.0)
         assert finished.tolist() == [0, 1] and stalled.tolist() == []
         assert moved == left + 30e9  # the second move takes 100 MB/s and finishes too
         assert debits[0, 0] == debits[1, 1] == left / 300.0 / 1e6 + 100.0
-        monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", 0)
-        progress_migrations(rows, fleet, log, 300.0)
         assert log.bytes_moved[0] == log.bytes_total[0]
         assert np.isnan(log.speed_mbps[0]) and not log.stalled[0]
 
@@ -1036,7 +1049,10 @@ class TestProgressPassesMatchLoop:
             for j in range(12)
         ]
         fleet, log, rows = random_book([(300.0, 200.0)] * 3, moves)
-        expected, _, _ = both_paths(fleet, log, rows, 300.0)
+        loop_log = copy.deepcopy(log)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "PROGRESS_LOOP_ROWS", 10**9)
+            expected = result_bits(progress_migrations(rows, fleet, loop_log, 300.0), loop_log)
         monkeypatch.setattr(engine, "PROGRESS_LOOP_ROWS", 0)
         monkeypatch.setattr(engine, "PROGRESS_PASSES", 1)
         calls, settled = [], []

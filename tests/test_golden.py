@@ -77,7 +77,7 @@ from autotier.scenario import (
     serialize_scenario,
 )
 
-from conftest import epoch_records, final_states, keyed_plan, log_orders
+from conftest import epoch_records, final_states, keyed_plan, log_orders, scale_tiers
 
 GOLDEN_PATH = Path(__file__).with_name("golden_hashes.json")
 PLAN_DIGEST_PATH = Path(__file__).with_name("golden_plan_digests.json")
@@ -122,9 +122,6 @@ def plan_digest(result) -> str:
 SCALE_REPLICAS = 20
 SCALE_EPOCHS = 15
 SCALE_SEED = 5
-_SCALED_TIER_FIELDS = (
-    "readThroughputCap", "writeThroughputCap", "readBandwidthCap", "writeBandwidthCap",
-)
 
 
 def scale_document():
@@ -132,10 +129,7 @@ def scale_document():
     base = json.loads(bundled_scenario_text("table3-table4"))
     rng = random.Random(SCALE_SEED)
     doc = dict(base, vmdks=[])
-    for tier in doc["tiers"]:
-        tier["capacity"] = {k: v * SCALE_REPLICAS for k, v in tier["capacity"].items()}
-        for key in _SCALED_TIER_FIELDS:
-            tier[key] *= SCALE_REPLICAS
+    scale_tiers(doc["tiers"], SCALE_REPLICAS)
     for r in range(SCALE_REPLICAS):
         for v in base["vmdks"]:
             first = v["demandProfile"][0]
