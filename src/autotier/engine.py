@@ -31,7 +31,8 @@ column. ``progress_migrations`` reads the book from the fleet and the log
 once and books its progress once; in between, a rate search charges each
 move, in id order, to the spare bandwidth of its two tiers: a scalar loop
 on a short book, fixed-point passes of array operations that repeat the
-loop bit for bit on a long one.
+loop bit for bit on a long one. The first pass reads the spares alone,
+each later one accumulates a complex grid of the tiers' read and write lanes.
 The run's record is three arrays, allocated at its start and written in
 place: ``RunResult.epochs``, the ``TIER_FIGURES`` of each tier row and of
 the fleet; ``migration_bytes``; and ``flags``, the ``STARTED``,
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -211,9 +213,11 @@ def serve_epoch(fleet: Fleet, debits: np.ndarray) -> np.ndarray:
     return tier_out
 
 
-# Books shorter than this advance in the scalar loop: the passes' fixed cost is
-# about that of a 350-row loop (measured on 2 x86_64 vCPUs, numpy 2.4).
-PROGRESS_LOOP_ROWS = 384
+# Books shorter than this advance in the scalar loop. On the first m rows of
+# the 158 books of 512 rows or more of `baseline-churn` at seeds 0 and 3, the
+# passes cost as much as the loop at about 112 rows and 0.89 of it at 128
+# (medians; measured on 2 x86_64 vCPUs, Python 3.11, numpy 2.4.6).
+PROGRESS_LOOP_ROWS = 128
 PROGRESS_PASSES = 32  # fixed-point passes tried before a book falls back to the loop
 
 
@@ -250,17 +254,17 @@ def progress_migrations(
     """
     if not len(rows):
         return 0.0, np.zeros((2, len(fleet.roster.tiers))), rows, rows
-    k = fleet.order_index[rows]
-    if (k < 0).any():
+    k = fleet.order_index.take(rows)  # as ``[rows]``, with less overhead per call
+    if k.min() < 0:
         raise ValueError("only a VMDK with an open order can make progress")
-    total, moved = log.bytes_total[k], log.bytes_moved[k]
-    book = (fleet.tier_row[rows], fleet.dest_row[rows], fleet.measured_mbps[0, rows],
-            fleet.spare_mbps, total, moved, epoch_seconds)
+    total, moved = log.bytes_total.take(k), log.bytes_moved.take(k)
+    book = (fleet.tier_row.take(rows), fleet.dest_row.take(rows),
+            fleet.measured_mbps[0].take(rows), fleet.spare_mbps, total, moved, epoch_seconds)
     rates = _progress_passes(*book) if len(rows) >= PROGRESS_LOOP_ROWS else None
     moved_total, debits, moved_now, speed = rates or _progress_loop(*book)
     stall = speed <= 0.0
     log.set_progress(k, moved_now, speed, stall)
-    return moved_total, debits, rows[stall], rows[moved_now >= total]
+    return moved_total, debits, rows.compress(stall), rows.compress(moved_now >= total)
 
 
 def _progress_passes(
@@ -270,62 +274,84 @@ def _progress_passes(
     """``_progress_loop``'s result from fixed-point passes, or None if none settles.
 
     Each row debits two lanes, its source's reads and its destination's
-    writes. A pass lays each lane's rates, as the last pass left them (0.0
-    at first), along a row of a grid in id order after a 0.0, and
-    accumulates the grid's rows: every row so finds the debits the rows
-    before it took, added from 0.0 in id order as the loop adds them, and
-    recomputes its rate with the loop's operations in the loop's order.
-    The fixed point is unique, so any start gives the loop's bits. After
-    the first pass, from 0.0, each row starts at the rate that pass gave it,
-    or at 0.0 where the rates before it in either lane exceed its spare:
-    this lane fill settles a lane that runs out in fewer passes.
+    writes. A pass finds the debits each row's lanes hold at the rates the
+    last pass left and recomputes every row's rate from them, with the
+    loop's operations in the loop's order. The first pass starts at 0.0
+    debits, which leave every spare as it is, so it reads the spares alone.
+    Every later pass lays each lane's rates along its part of a row of a
+    complex grid, in id order after a 0.0, and accumulates the grid's rows:
+    every row so finds the debits the rows before it took, added from 0.0
+    in id order as the loop adds them. The fixed point is unique, so any
+    start gives the loop's bits. After the first pass, each row starts at
+    the rate that pass gave it, or at 0.0 where the rates before it in
+    either lane exceed its spare: this lane fill settles a lane that runs
+    out in fewer passes. The grid and every array a pass writes are
+    allocated once per book: a pass writes its rates into one of two
+    buffers, compares them with the other, which holds the last pass's, and
+    swaps the two.
     """
     n, t = len(source), spare.shape[1]
     left = total - moved
-    # Lane r < t is tier row r's reads, lane t + r its writes.
+    # Lane r < t is tier row r's reads, lane t + r its writes. Adding 0.0
+    # makes a -0.0 spare 0.0, which every comparison and difference here
+    # reads alike; then no spare less its debits is -0.0, and fmax(x, 0.0)
+    # is the loop's ``x if x > 0.0 else 0.0``.
     lane = np.concatenate((source, t + dest))
-    spare = spare.ravel()[lane]
-    count = np.bincount(lane, minlength=2 * t)
-    width = int(count.max()) + 1
-    rank = np.empty(2 * n, dtype=np.intp)  # each row's place in its lane; small ints sort by radix
-    rank[lane.astype(np.min_scalar_type(2 * t)).argsort(kind="stable")] = (
-        np.arange(2 * n) - np.repeat(count.cumsum() - count, count)
+    spare = (spare + 0.0).take(lane)
+    counts = np.bincount(lane, minlength=2 * t).tolist()
+    width = max(counts) + 1
+    # Tier r's read and write lanes are the real and imaginary parts of row r
+    # of a complex grid, each a 0.0 and then its rows' rates in id order: a
+    # complex add adds each part as float64 does. The row at place k of a
+    # stable sort of the small-int lanes (a radix sort), at place k - start in
+    # lane i, finds its debit at flat float index 2 * k + offset[i] and puts
+    # its own rate one complex cell on.
+    offset = [2 * (i % t * width - start) + i // t
+              for i, start in zip(range(2 * t), accumulate(counts, initial=0))]
+    at = np.empty(2 * n, dtype=np.intp)
+    at[lane.astype(np.min_scalar_type(2 * t)).argsort(kind="stable")] = (
+        np.arange(0, 4 * n, 2) + np.repeat(offset, counts)
     )
-    at = lane * width + rank  # flat grid index of the debit the row finds: reads, then writes
-    grid, debits = np.zeros((2 * t, width)), np.empty((2 * t, width))
-    cells = grid.reshape(-1)
-    read_cell, write_cell = at[:n] + 1, at[n:] + 1
-    rates = np.zeros(n)
+    cell = at + 2
+    grid, debits = np.zeros((t, width), dtype=complex), np.zeros((t, width), dtype=complex)
+    cells, sums = grid.view(float).reshape(-1), debits.view(float).reshape(-1)
+    side = np.empty(2 * n)  # the read sides, then the write sides
+    mbps, step, taken = np.empty(n), np.empty(n), np.empty(n)
+    rate, rates = np.empty((2, n)), np.zeros((2, n))  # each row's rate in its two lanes
 
     def found() -> np.ndarray:
-        """The debits each row finds in its two lanes at the current ``rates``."""
-        cells[read_cell] = rates
-        cells[write_cell] = rates
+        """The debits each row finds in its two lanes at the current ``rates``, into ``side``."""
+        cells[cell] = rates.reshape(-1)
         np.add.accumulate(grid, axis=1, out=debits)
-        return debits.take(at)
+        return sums.take(at, out=side, mode="clip")  # every index is in range
 
     with np.errstate(all="ignore"):
         for p in range(PROGRESS_PASSES):
-            rest = spare - found()
-            side = np.where(rest > 0.0, rest, 0.0)  # the read sides, then the write sides
+            np.fmax(np.subtract(spare, found(), out=side) if p else spare, 0.0, out=side)
             side[:n] += measured
-            mbps = np.where(side[n:] < side[:n], side[n:], side[:n])
-            step = mbps * 1e6 * epoch_seconds
+            # No read side is -0.0 and no write side NaN, so the least of the
+            # two is the loop's ``write if write < read else read``.
+            np.minimum(side[:n], side[n:], out=mbps)
+            np.multiply(mbps, 1e6, out=step)
+            step *= epoch_seconds
             # The rest of the move where the step reaches it or is NaN, as in
             # the loop; a stalled row's step <= 0.0 takes 0.0 and moves nothing.
-            taken = np.fmax(np.fmin(step, left), 0.0)
-            rate = taken / epoch_seconds / 1e6
-            if rate.tobytes() == rates.tobytes():
+            np.fmax(np.fmin(step, left, out=taken), 0.0, out=taken)
+            np.divide(taken, epoch_seconds, out=rate[0])
+            rate[0] /= 1e6
+            if rate[0].tobytes() == rates[0].tobytes():
                 break
-            rates = rate
+            rate[1] = rate[0]
+            rate, rates = rates, rate
             if p == 0:  # the lane fill: rows past a lane's spare start at 0.0
                 full = found() > spare
-                rates = np.where(full[:n] | full[n:], 0.0, rate)
+                np.copyto(rates, 0.0, where=full[:n] | full[n:])
         else:
             return None
     moved_total = np.add.accumulate(np.concatenate(([0.0], taken)))[-1]
-    # Each lane's total is its grid row's last cell; copied, to hold no view of the grid.
-    debits = debits[:, -1].reshape(2, t).copy()
+    # Each lane's total is its part of the grid row's last cell (0.0 where no
+    # pass needed the grid); copied, to hold no view of the grid.
+    debits = debits.view(float)[:, -2:].T.copy()
     return float(moved_total), debits, np.where(step < left, moved + taken, total), mbps
 
 

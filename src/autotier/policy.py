@@ -260,19 +260,22 @@ def first_fit(rows: np.ndarray, left: np.ndarray, used: np.ndarray) -> np.ndarra
     Exactly the scalar loop ``for r in rows: if not any(r > left): left -= r;
     used += r``, bit for bit and NaN included, with ``left`` and ``used``
     (3,) arrays written in place. The scan runs in array passes over a
-    window of rows. One sequential ``np.subtract.accumulate`` (and
-    ``np.add.accumulate`` for ``used``) commits the fit run the window opens
-    with, if any, up to the first row that misses what the rows before it
-    left; one comparison with the ``left`` it leaves then skips the miss run
-    that follows, up to the next row that fits. The next window is twice
-    what the pass committed, so a pass that commits its whole window doubles
-    it. A scan shorter than ``FIRST_FIT_WINDOW``, or a pass that commits
-    fewer rows than that, runs the scalar loop instead, in windows of
-    ``FIRST_FIT_WINDOW`` rows, until one comes out all fits or all misses;
-    so a scan that keeps switching costs little more than the scalar loop.
+    window of rows, the first over the whole scan. One sequential
+    ``np.subtract.accumulate`` (and ``np.add.accumulate`` for ``used``)
+    commits the fit run the window opens with, if any, up to the first row
+    that misses what the rows before it left; one comparison with the
+    ``left`` it leaves then skips the miss run that follows, up to the next
+    row that fits. So a scan that fits whole takes one pass, and the first
+    pass commits the whole fit run the scan opens with. The next window is
+    twice what the pass committed, so a pass that commits its whole window
+    doubles it. A scan shorter than ``FIRST_FIT_WINDOW``, or a pass that
+    commits fewer rows than that, runs the scalar loop instead, in windows
+    of ``FIRST_FIT_WINDOW`` rows, until one comes out all fits or all
+    misses, and the array passes start again from that many rows; so a
+    scan that keeps switching costs little more than the scalar loop.
     """
     fit = np.zeros(len(rows), dtype=bool)
-    start, width, scalar = 0, FIRST_FIT_WINDOW, len(rows) < FIRST_FIT_WINDOW
+    start, width, scalar = 0, len(rows), len(rows) < FIRST_FIT_WINDOW
     while start < len(rows):
         if not scalar:
             window = rows[start:start + width]

@@ -75,6 +75,8 @@ PENALTY_READS = ("tests/test_policy.py::TestAutoTieringPolicy::"
 FIT_PLAN = "tests/test_calibration.py::TestFitPlan::"
 FIRST_FIT_PASSES = ("tests/test_policy.py::TestFirstFit::"
                     "test_each_pass_commits_its_whole_fit_run_and_skips_its_whole_miss_run")
+FIRST_FIT_WHOLE = ("tests/test_policy.py::TestFirstFit::"
+                   "test_a_scan_that_fits_whole_takes_one_pass_and_one_write")
 REGRESSION = "tests/test_calibration.py::TestRegression::"
 MIGRATIONS = "tests/test_engine.py::TestMigrations::"
 STALL_RULE = ("tests/test_engine.py::TestStallRule::"
@@ -261,8 +263,8 @@ MUTANTS = (
     ),
     Mutant(
         "progress-reads-the-write-mbps", ENGINE,
-        "fleet.measured_mbps[0, rows]",
-        "fleet.measured_mbps[1, rows]",
+        "fleet.measured_mbps[0].take(rows)",
+        "fleet.measured_mbps[1].take(rows)",
         (
             f"{GOLDEN}{LOOP_ROWS}0]",
             f"{GOLDEN}{LOOP_ROWS}1000000000]",
@@ -321,10 +323,17 @@ MUTANTS = (
         ),
     ),
     # ``first_fit``'s array passes each commit the whole fit run their window
-    # opens with and skip the whole miss run after it, and a short pass hands
-    # over to the scalar loop until one window comes out uniform. Each of the
-    # next six keeps every output exact but commits less per pass, or runs
-    # the other path, so only the test that watches the passes kills them.
+    # opens with and skip the whole miss run after it, the first pass over
+    # the whole scan, and a short pass hands over to the scalar loop until
+    # one window comes out uniform. Each of the next seven keeps every output
+    # exact but commits less per pass, or runs the other path, so only the
+    # tests that watch the passes kill them.
+    Mutant(
+        "first-fit-opens-at-the-fallback-window", POLICY,
+        "start, width, scalar = 0, len(rows), len(rows) < FIRST_FIT_WINDOW",
+        "start, width, scalar = 0, FIRST_FIT_WINDOW, len(rows) < FIRST_FIT_WINDOW",
+        (FIRST_FIT_PASSES, FIRST_FIT_WHOLE),
+    ),
     Mutant(
         "first-fit-leaves-a-windows-last-miss", POLICY,
         "step += j if not miss[j] else len(miss)\n",
@@ -387,8 +396,8 @@ MUTANTS = (
     # path, kill it.
     Mutant(
         "progress-stalls-only-rows-that-moved", ENGINE,
-        "rows[stall], ",
-        "rows[stall & (moved > 0.0)], ",
+        "rows.compress(stall), ",
+        "rows.compress(stall & (moved > 0.0)), ",
         (
             f"{GOLDEN}{LOOP_ROWS}0]",
             f"{GOLDEN}{LOOP_ROWS}1000000000]",
@@ -414,6 +423,21 @@ MUTANTS = (
                 f"[0.0-0.0-0.0-True-{cutover}]",
                 f"{STALL_RULE}[{cutover}]",
             )),
+        ),
+    ),
+    # The passes compare each pass's rates with the last pass's, held in the
+    # other of two buffers. Without the swap that buffer keeps its 0.0s, no
+    # pass settles and every book falls back to the loop: each output stays
+    # exact, so only the tests that compare the passes' own result with the
+    # loop's kill it.
+    Mutant(
+        "progress-passes-keep-one-rate-buffer", ENGINE,
+        "            rate, rates = rates, rate\n",
+        "",
+        (
+            "tests/test_engine.py::TestProgressPassesMatchLoop::test_bitwise_equal_to_the_loop",
+            "tests/test_engine.py::TestProgressPassesMatchLoop::"
+            "test_the_lane_fill_settles_a_lane_that_runs_out_in_four_passes",
         ),
     ),
     # A plan's moves are in strictly increasing fleet rows, the order the

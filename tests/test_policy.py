@@ -590,43 +590,62 @@ class TestFirstFit:
     @pytest.mark.parametrize("offset", ["0", "1", "W-1", "W", "W+1"])
     @pytest.mark.parametrize("pass_index", [0, 1, 2])
     def test_change_point_at_the_edge_of_a_pass(self, pass_index, offset):
-        # A fit run from row 0 takes passes of W, 2W, 4W, ... rows; pass p
-        # starts at row W * (2**p - 1). Each scan switches at an offset of it.
+        # The opening pass spans the whole scan: pass 0 switches at an offset
+        # of row 0. Behind a head of W/2 fits and W/2 misses, which that pass
+        # commits and skips, a fit run from row W takes passes of 2W, 4W, ...
+        # rows: pass p >= 1 starts at row W * (2**p - 1). Each scan switches
+        # at an offset of it.
         w = policy.FIRST_FIT_WINDOW
         start, width = w * (2**pass_index - 1), w * 2**pass_index
         at = start + {"0": 0, "1": 1, "W-1": width - 1, "W": width, "W+1": width + 1}[offset]
         fits, misses, budget = (0.1, 0.7, 3.3), (0.1, 1e9, 3.3), (1e4, 1e4, 1e4)
-        self.check([fits] * at + [misses] * 300, budget)
-        self.check([fits] * start + [misses] * (at - start) + [fits] * 300, budget)
+        head = [fits] * (w // 2) + [misses] * (w // 2) if pass_index else []
+        self.check(head + [fits] * (at - len(head)) + [misses] * 300, budget)
+        self.check(head + [fits] * (start - len(head)) + [misses] * (at - start) + [fits] * 300,
+                   budget)
         # One fit inside a miss run, as the baselines' long scans end.
-        self.check([fits] * at + [misses] * 200 + [fits] + [misses] * 400, budget)
+        self.check(head + [fits] * (at - len(head)) + [misses] * 200 + [fits] + [misses] * 400,
+                   budget)
 
     def test_each_pass_commits_its_whole_fit_run_and_skips_its_whole_miss_run(self):
         # Every output stays exact if a pass commits less; only the windows
         # the scan slices off the rows, and its writes to ``left``, show it.
         assert policy.FIRST_FIT_WINDOW == 64  # the trace below is laid out for it
         fits, big, misses = (0.1, 0.7, 3.3), (0.1, 0.7, 6000.0), (0.1, 1e9, 3.3)
-        scan = [fits] * 99 + [big] + [misses] * 200 + [fits] * 10 + [misses] * 10
-        scan += [fits] * 30 + [misses] * 34 + [fits] * 316
+        scan = [fits] * 99 + [big] + [misses] * 50 + [fits] * 10 + [misses] * 400
+        scan += [fits] * 10 + [misses] * 10 + [fits] * 30 + [misses] * 34 + [fits] * 316
         rows, left, used = np.array(scan).view(Windows), np.full(3, 1e4).view(Writes), np.zeros(3)
         rows.trace = left.trace = []
         fit = first_fit(rows, left, used)
         assert rows.trace == [
-            [0, 64, 1],  # all fits: the next window is twice as wide
-            # 36 fits, the last (``big``) above half of what is left, then
-            # misses on the second budget alone up to the window's end
-            [64, 192, 1],
-            [192, 448, 0],  # opens with such a miss: no write, and 108 misses skipped
-            [300, 516, 1],  # 10 fits and 10 misses, fewer than 64 rows: the scalar loop
-            [320, 384, 1],  # mixed, so the scalar loop goes on
-            [384, 448, 1],  # all fits: array passes again, from 64 rows
-            [448, 512, 1],
-            [512, 640, 1],
-            [640, 700, 1],
+            # The whole scan: 100 fits, the last (``big``) above half of what
+            # is left, then 50 misses on the second budget alone
+            [0, 960, 1],
+            [150, 450, 1],  # 10 fits, then such misses up to the window's end
+            [450, 960, 0],  # opens with such a miss: no write, and 110 misses skipped
+            [560, 780, 1],  # 10 fits and 10 misses, fewer than 64 rows: the scalar loop
+            [580, 644, 1],  # mixed, so the scalar loop goes on
+            [644, 708, 1],  # all fits: array passes again, from 64 rows
+            [708, 772, 1],
+            [772, 900, 1],
+            [900, 960, 1],
         ]
         expected_fit, expected_left, expected_used = scalar_first_fit(scan, (1e4, 1e4, 1e4))
         assert fit.tolist() == expected_fit
         assert left.tolist() == expected_left and used.tolist() == expected_used
+
+    @given(st.integers(policy.FIRST_FIT_WINDOW + 1, 3000), st.integers(0, 2**32 - 1))
+    def test_a_scan_that_fits_whole_takes_one_pass_and_one_write(self, n, seed):
+        # Rows of up to 3.0 each: 3,000 of them fit a budget of 1e4 whole.
+        scan = np.random.default_rng(seed).choice([0.0, -0.0, 0.1, 1.0, 3.0], size=(n, 3))
+        rows, left, used = scan.view(Windows), np.full(3, 1e4).view(Writes), np.zeros(3)
+        rows.trace = left.trace = []
+        fit = first_fit(rows, left, used)
+        assert rows.trace == [[0, n, 1]]
+        expected_fit, expected_left, expected_used = scalar_first_fit(scan.tolist(), (1e4,) * 3)
+        assert fit.tolist() == expected_fit == [True] * n
+        assert left.tobytes() == np.array(expected_left).tobytes()
+        assert used.tobytes() == np.array(expected_used).tobytes()
 
     def test_a_miss_run_is_judged_against_what_the_fit_run_left(self):
         # Negative rows give budget back: the last row misses the 74.0 left

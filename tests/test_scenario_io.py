@@ -387,15 +387,14 @@ JSON_VALUES = st.recursive(
 
 
 PHASE_KEYS = ("startEpoch", "demandIops", "avgIoSizeBytes", "readFraction")
-PHASE_VALUES = JSON_VALUES | st.sampled_from([
-    math.nan, math.inf, -math.inf, True, False, 0, 0.0, -0.0, 1, 3.0, 0.5, 5e-324,
-    2**63 - 1, 2**63, 2**70, -(2**63) - 1, 10**400,
-])
+# A value of a type that no phase reader takes as is, or of one that some do,
+# or an int at an edge of int64. ``TestRuleBoundaries`` checks each range.
+PHASE_VALUES = st.sampled_from([None, True, "", [1], {}, 1, 3.0, 2**63 - 1, 2**63, 10**400])
 
 
 @st.composite
 def phase_lists(draw):
-    """A JSON demand profile: well formed, then up to three phases, keys or values changed."""
+    """A JSON demand profile: well formed, then up to three phases, keys or starts changed."""
     near_int64_max = st.sampled_from([2**63 - 2, 2**63 - 1, 2**63, 2**70, 2**70 + 1])
     starts = sorted(draw(st.sets(st.integers(1, 2**70) | near_int64_max, max_size=3)))
     profile = []
@@ -410,7 +409,7 @@ def phase_lists(draw):
         profile.append(phase)
     for _ in range(draw(st.integers(0, 3))):
         k = draw(st.integers(0, len(profile) - 1))
-        action = draw(st.sampled_from(["set", "set", "delete", "phase", "repeat start"]))
+        action = draw(st.sampled_from(["set", "set", "delete", "phase", "start"]))
         if action == "phase":
             profile[k] = draw(PHASE_VALUES)
         elif not isinstance(profile[k], dict):
@@ -419,8 +418,11 @@ def phase_lists(draw):
             profile[k][draw(st.sampled_from([*PHASE_KEYS, "zz"]))] = draw(PHASE_VALUES)
         elif action == "delete":
             profile[k].pop(draw(st.sampled_from(PHASE_KEYS)), None)
-        elif k and isinstance(profile[k - 1], dict):
-            profile[k]["startEpoch"] = profile[k - 1].get("startEpoch")
+        elif k:  # another phase's start, or 0: a start not above the one before
+            starts = [phase.get("startEpoch") for phase in profile if isinstance(phase, dict)]
+            profile[k]["startEpoch"] = draw(st.sampled_from([0, *starts]))
+        else:  # a first start after epoch 0
+            profile[k]["startEpoch"] = 1
     return profile
 
 
@@ -452,13 +454,12 @@ VMDK_NUMBERS = {
 }
 VMDK_REQUIRED = ("id", "sizeGb", "initialTier", "truthSlope", "truthInterceptUs", "demandProfile")
 # One diagnostics token each: (keys it may go at, value); None deletes the key.
+# Each is a type or a key; ``TestRuleBoundaries`` checks each range.
 VMDK_PERTURBATIONS = (
     ([*VMDK_NUMBERS, "initialTier"], True),
     ([*VMDK_NUMBERS, "initialTier"], False),
     (["initialTier"], 2.0),
     ([*VMDK_NUMBERS, "initialTier"], 10**400),
-    (list(VMDK_NUMBERS), math.nan),
-    (list(VMDK_NUMBERS), math.inf),
     (["id"], ""),
     (["vmId"], None),
     (["zz"], 1),
@@ -521,7 +522,7 @@ def parse_outcome(text):
 
 
 class TestColumnPass:
-    @settings(max_examples=400)
+    @settings(max_examples=100)
     @given(st.lists(phase_lists(), min_size=1, max_size=4))
     def test_reads_ahead_exactly_the_plain_profiles_the_phase_readers_accept(self, profiles):
         read = model._read_profiles(profiles)
@@ -575,7 +576,7 @@ class TestColumnPass:
         assert scenario == expected
         assert serialize_scenario(scenario) == serialize_scenario(expected)
 
-    @settings(max_examples=300)
+    @settings(max_examples=100)
     @given(vmdk_lists())
     def test_the_vmdk_pass_reads_as_the_item_readers_do(self, case):
         vmdks, perturbed = case
